@@ -1,0 +1,513 @@
+"""The socket-free core both remote-PDP clients are built on.
+
+Everything a client must *decide* lives here exactly once: how a wire
+error becomes a typed exception, when a failed attempt may be retried,
+how concurrent decides are cut into ``decide-batch`` frames and
+resolved, what the hello handshake must say, which fields and body
+shape each control verb has, and that a closed client stays closed.
+:mod:`repro.client.remote` adds only IO — a blocking-socket shell
+(:class:`~repro.client.RemotePDP`) and an asyncio shell
+(:class:`~repro.client.AsyncRemotePDP`) — so the retry discipline is
+proven on one implementation, not copied to a twin.
+
+Retry discipline — only provably idempotent work is retried (the one
+rule is :meth:`ClientCore.retry_delay`):
+
+* *connect* failures (typed :class:`~repro.errors.PDPConnectError`):
+  nothing reached the server, so every operation — ``decide``
+  included — is retried with jittered exponential backoff.
+* *overload* rejections: the server sheds load **before** queueing, so
+  the request never entered a shard; retried after the server's
+  ``retry_after`` hint (plus jitter).
+* ``healthz``/``metrics`` and the other control verbs: read-only or
+  digest-idempotent; retried on any transport error.
+* a ``decide`` that failed **after** the request was written is *not*
+  retried — the server may have committed the grant to the retained
+  ADI, and replaying it could double-record history.  The caller gets a
+  typed :class:`~repro.errors.PDPUnavailableError` instead.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import deque
+
+from repro.core.policy_epoch import PolicySwapReport, PolicyVersion
+from repro.errors import (
+    PDPConnectError,
+    PDPFencedError,
+    PDPNotPrimaryError,
+    PDPOverloadedError,
+    PDPUnavailableError,
+    PolicyError,
+    ProtocolError,
+)
+from repro.perf import NOOP, PerfRecorder
+from repro.server import protocol
+
+_FRAME_COUNTER = itertools.count(1)
+
+
+def next_frame_id() -> str:
+    return f"c-{next(_FRAME_COUNTER):08d}"
+
+
+# ---------------------------------------------------------------------------
+# Wire responses → values and typed errors
+# ---------------------------------------------------------------------------
+def error_to_exception(error) -> Exception:
+    """Map a wire error object to the typed exception it represents.
+
+    Shared by whole-frame (v1 and v2) and per-entry (``decide-batch``)
+    error handling, so a fenced or overloaded entry inside a batch
+    raises exactly what the same failure raises on a v1 round trip.
+    """
+    if not isinstance(error, dict):
+        return ProtocolError("response is neither ok nor a valid error frame")
+    kind = error.get("kind")
+    detail = str(error.get("detail", ""))
+    if kind == protocol.ERR_OVERLOADED:
+        retry_after = error.get("retry_after")
+        return PDPOverloadedError(
+            f"remote PDP overloaded: {detail}",
+            retry_after=float(retry_after) if retry_after else 0.0,
+        )
+    if kind == protocol.ERR_PROTOCOL:
+        return ProtocolError(f"remote PDP rejected the frame: {detail}")
+    if kind == protocol.ERR_FENCED:
+        return PDPFencedError(f"remote PDP fenced the request: {detail}")
+    if kind == protocol.ERR_NOT_PRIMARY:
+        return PDPNotPrimaryError(f"remote PDP is not primary: {detail}")
+    if kind == protocol.ERR_POLICY:
+        # A rejected policy-reload: caller error, never retried (and the
+        # server's active policy is untouched).
+        return PolicyError(f"remote PDP rejected the policy: {detail}")
+    return PDPUnavailableError(f"remote PDP error ({kind}): {detail}")
+
+
+def decode_response_line(line: bytes) -> dict:
+    """One received v1 line as a frame; a short read is a transport loss."""
+    if not line.endswith(b"\n"):
+        raise PDPUnavailableError(
+            "connection closed mid-response"
+            if not line
+            else "oversized or truncated response frame"
+        )
+    return protocol.decode_frame(line)
+
+
+def check_response(frame: dict, frame_id: str) -> dict:
+    """Validate a response envelope; raise the typed error it carries."""
+    if frame.get("id") != frame_id:
+        raise ProtocolError(
+            f"response id {frame.get('id')!r} does not match request "
+            f"id {frame_id!r} (connection used concurrently?)"
+        )
+    if frame.get("ok") is True:
+        return frame
+    raise error_to_exception(frame.get("error"))
+
+
+def hello_request() -> tuple[str, bytes]:
+    """A fresh hello frame (always v1 JSON): its id and wire bytes."""
+    frame_id = next_frame_id()
+    return frame_id, protocol.encode_frame(protocol.hello_frame(frame_id))
+
+
+def hello_version(line: bytes, frame_id: str) -> int:
+    """The v2 version a hello response line negotiated.
+
+    hello is side-effect free, so a lost handshake is always a
+    connect-class (retriable) failure; a server that answers but
+    cannot speak v2 is a :class:`ProtocolError` (see
+    :meth:`ClientCore.v2_refused`).
+    """
+    if not line.endswith(b"\n"):
+        raise PDPConnectError("connection closed during handshake")
+    response = check_response(protocol.decode_frame(line), frame_id)
+    version = protocol.hello_body_version(response.get("body"))
+    if version < protocol.PROTOCOL_VERSION_2:
+        raise ProtocolError(
+            f"server negotiated protocol v{version}; v2 required"
+        )
+    return version
+
+
+def policy_source_to_xml(policy) -> str:
+    """Normalise a ``PolicySource`` to canonical wire XML.
+
+    Accepts the same union as :func:`repro.api.open_pdp` (an
+    :class:`MSoDPolicySet`, a path, or an XML string) and parses/
+    validates it *locally* first, so a malformed source fails on the
+    client without a round trip.
+    """
+    from repro.api import load_policy_source
+    from repro.xmlpolicy import write_policy_set
+
+    return write_policy_set(load_policy_source(policy), pretty=False)
+
+
+def version_from_status_body(body) -> PolicyVersion:
+    version = body.get("version") if isinstance(body, dict) else None
+    try:
+        return PolicyVersion.from_dict(version if isinstance(version, dict) else {})
+    except PolicyError as exc:
+        raise ProtocolError(f"invalid policy-status body: {exc}") from exc
+
+
+def _report_from_reload_body(body) -> PolicySwapReport:
+    try:
+        return PolicySwapReport.from_dict(body if isinstance(body, dict) else {})
+    except PolicyError as exc:
+        raise ProtocolError(f"invalid policy-reload body: {exc}") from exc
+
+
+def _body_or_empty(body):
+    return {} if body is None else body
+
+
+def _body_of_type(kind: type, what: str):
+    def parse(body):
+        if not isinstance(body, kind):
+            raise ProtocolError(what)
+        return body
+
+    return parse
+
+
+# ---------------------------------------------------------------------------
+# The sans-IO decide pipeline
+# ---------------------------------------------------------------------------
+class DecidePipeline:
+    """The state machine of one pipelined protocol-v2 connection.
+
+    No socket, thread, event or future in here: a shell submits an
+    opaque *waiter* per decide, asks for the next frame to write, feeds
+    in every response frame it reads, and reports the transport's
+    death; each call that settles decides returns their resolutions as
+    ``(waiter, decision, error)`` triples for the shell to deliver.  The
+    shell serialises calls (a lock, or one event loop).
+
+    The idempotent-only retry discipline maps onto queue position at
+    failure time: a decide still **unsent** when the transport dies
+    fails with :class:`PDPConnectError` (nothing reached the server —
+    always safe to retry), one in a frame that was **sent** fails with
+    the transport's :class:`PDPUnavailableError` (the server may still
+    evaluate and commit it — never replayed).
+    """
+
+    def __init__(self, batch_max: int) -> None:
+        self._batch_max = batch_max
+        self._unsent: deque[tuple[object, dict, int | None]] = deque()
+        self._pending: dict[str, list] = {}
+        self.dead: Exception | None = None
+
+    @property
+    def has_unsent(self) -> bool:
+        return bool(self._unsent)
+
+    def submit(self, waiter, request: dict, epoch: int | None) -> None:
+        """Queue one decide; refused (retriably) once the transport died."""
+        if self.dead is not None:
+            raise PDPConnectError(f"pipelined connection lost: {self.dead}")
+        self._unsent.append((waiter, request, epoch))
+
+    def next_frame(self) -> tuple[bytes | None, int, list]:
+        """Cut the next ``decide-batch`` frame off the unsent queue.
+
+        Batches group by fencing epoch and hold at most ``batch_max``
+        requests.  Returns ``(payload, batch size, [])`` with the batch
+        now counted as **sent** — the shell must write the payload or
+        call :meth:`fail` — or ``(None, 0, resolutions)`` when nothing
+        is queued or the batch could not be encoded.
+        """
+        unsent = self._unsent
+        if not unsent:
+            return None, 0, []
+        epoch = unsent[0][2]
+        waiters = []
+        requests = []
+        while unsent and len(waiters) < self._batch_max and unsent[0][2] == epoch:
+            waiter, request, _ = unsent.popleft()
+            waiters.append(waiter)
+            requests.append(request)
+        frame_id = next_frame_id()
+        frame: dict = {
+            "op": protocol.OP_DECIDE_BATCH,
+            "id": frame_id,
+            "requests": requests,
+        }
+        if epoch is not None:
+            frame["epoch"] = epoch
+        try:
+            payload = protocol.encode_frame_v2(frame)
+        except ProtocolError as exc:
+            # Unencodable request: fail this batch, keep the wire.
+            return None, 0, [(waiter, None, exc) for waiter in waiters]
+        self._pending[frame_id] = waiters
+        return payload, len(waiters), []
+
+    def receive(self, frame: dict) -> list:
+        """Resolutions for one response frame, matched by frame id.
+
+        Raises :class:`ProtocolError` for a frame nobody asked for or a
+        result list of the wrong length; the batch then stays pending,
+        so the :meth:`fail` that must follow still reaches its waiters.
+        """
+        frame_id = frame.get("id")
+        waiters = self._pending.get(frame_id)
+        if waiters is None:
+            raise ProtocolError(f"unsolicited response id {frame_id!r}")
+        if frame.get("ok") is not True:
+            # Whole-frame error (e.g. shutting-down): same typed mapping
+            # a v1 round trip would get.
+            error = error_to_exception(frame.get("error"))
+            resolutions = [(waiter, None, error) for waiter in waiters]
+        else:
+            entries = protocol.batch_result_entries(frame, expected=len(waiters))
+            resolutions = [
+                (waiter, entry.get("decision"), None)
+                if entry.get("ok") is True
+                else (waiter, None, error_to_exception(entry.get("error")))
+                for waiter, entry in zip(waiters, entries)
+            ]
+        del self._pending[frame_id]
+        return resolutions
+
+    def fail(self, exc: Exception) -> list:
+        """The transport is gone: settle every decide, by queue position."""
+        if self.dead is None:
+            self.dead = exc
+        connect_exc = PDPConnectError(
+            f"pipelined connection lost before send: {exc}"
+        )
+        resolutions = [(waiter, None, connect_exc) for waiter, _, _ in self._unsent]
+        self._unsent.clear()
+        for waiters in self._pending.values():
+            resolutions.extend((waiter, None, exc) for waiter in waiters)
+        self._pending.clear()
+        return resolutions
+
+
+# ---------------------------------------------------------------------------
+# What both clients are, minus the IO
+# ---------------------------------------------------------------------------
+class ClientCore:
+    """Configuration, retry rule, lifecycle and control verbs of a client.
+
+    A shell subclass supplies ``_init_io()`` (its pool and pipeline
+    state), ``request(op, retriable=..., op_timeout=..., **fields)`` —
+    one control round trip under :meth:`retry_delay`, answering with
+    the response frame — and ``_then(answer, parse)``, which applies
+    ``parse`` to that answer.  :class:`RemotePDP` answers with values;
+    :class:`AsyncRemotePDP` answers with awaitables, so there every
+    verb below returns an awaitable of the documented value.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        pool_size: int = 4,
+        timeout: float = 5.0,
+        health_timeout: float | None = None,
+        max_retries: int = 2,
+        backoff_base: float = 0.02,
+        backoff_cap: float = 0.5,
+        rng: random.Random | None = None,
+        perf: PerfRecorder | None = None,
+        protocol_version: str = "auto",
+        batch_max: int = 32,
+        pipeline_window: int = 8,
+    ) -> None:
+        if protocol_version not in ("auto", "v1", "v2"):
+            raise ValueError(
+                "protocol_version must be 'auto', 'v1' or 'v2', "
+                f"got {protocol_version!r}"
+            )
+        self._host = host
+        self._port = port
+        self._pool_size = pool_size
+        self._timeout = timeout
+        self._health_timeout = (
+            health_timeout if health_timeout is not None else timeout
+        )
+        self._max_retries = max_retries
+        self._backoff_base = backoff_base
+        self._backoff_cap = backoff_cap
+        self._rng = rng if rng is not None else random.Random()
+        self._perf = perf if perf is not None else NOOP
+        self._protocol_version = protocol_version
+        self._batch_max = batch_max
+        self._pipeline_window = pipeline_window
+        self._negotiated: int | None = 1 if protocol_version == "v1" else None
+        self._closed = False
+        self._init_io()
+
+    @property
+    def negotiated_protocol(self) -> int | None:
+        """The decide protocol in use: 1, 2, or None before negotiation."""
+        return self._negotiated
+
+    def check_open(self) -> None:
+        """Refuse use after ``close()``.
+
+        Shells call this before every attempt, *outside* the retried
+        region: a closed client must not quietly reconnect (its fresh
+        pipelined connection would never be closed again).
+        """
+        if self._closed:
+            raise PDPUnavailableError("remote PDP client is closed")
+
+    def retry_delay(
+        self, exc: PDPUnavailableError, attempt: int, retriable: bool
+    ) -> float:
+        """Seconds to wait before retrying after ``exc`` — or re-raise it.
+
+        The one retry rule (module docstring): overload and connect
+        failures never reached a shard, so they are retried for every
+        operation; any other transport failure is ambiguous and only a
+        ``retriable`` (idempotent) operation tries again.  Full-jitter
+        exponential backoff, floored at the server's ``retry_after``.
+        """
+        perf = self._perf
+        floor = 0.0
+        if isinstance(exc, PDPOverloadedError):
+            # Shed *before* queueing: always safe to retry.
+            perf.incr("client.overload_rejections")
+            floor = exc.retry_after
+        else:
+            perf.incr("client.transport_failures")
+            # Not a connect failure: sent but unanswered.
+            if not retriable and not isinstance(exc, PDPConnectError):
+                raise exc
+        if attempt >= self._max_retries:
+            raise exc
+        perf.incr("client.retries")
+        ceiling = min(self._backoff_cap, self._backoff_base * (2**attempt))
+        return floor + self._rng.uniform(0.0, ceiling)
+
+    def v2_refused(self, exc: ProtocolError) -> None:
+        """The server answered the hello but cannot speak v2.
+
+        An ``"auto"`` client falls back to v1 and remembers it for its
+        lifetime; a pinned ``"v2"`` client re-raises.
+        """
+        if self._protocol_version != "auto":
+            raise exc
+        self._negotiated = 1
+
+    # -- control verbs -------------------------------------------------
+    def _verb(
+        self,
+        op: str,
+        parse=_body_or_empty,
+        op_timeout: float | None = None,
+        **fields,
+    ):
+        return self._then(
+            self.request(op, retriable=True, op_timeout=op_timeout, **fields),
+            lambda response: parse(response.get("body")),
+        )
+
+    def healthz(self) -> dict:
+        """The server's health snapshot (status + per-shard backlog).
+
+        Uses the dedicated ``health_timeout`` (connect and read), so a
+        probe against a hung node fails fast even when the decide
+        timeout is generous.
+        """
+        return self._verb(protocol.OP_HEALTHZ, op_timeout=self._health_timeout)
+
+    def metrics(self) -> dict:
+        """The server's metrics snapshot (perf counters + shard stats)."""
+        return self._verb(protocol.OP_METRICS)
+
+    def metrics_text(self) -> str:
+        """The server's metrics in Prometheus text exposition format."""
+        return self._verb(
+            protocol.OP_METRICS,
+            _body_of_type(str, "prometheus metrics body must be a string"),
+            format=protocol.METRICS_FORMAT_PROMETHEUS,
+        )
+
+    def slowlog(self) -> dict:
+        """The server's slowest-decision traces (requires server tracing)."""
+        return self._verb(protocol.OP_SLOWLOG)
+
+    def policy_status(self) -> dict:
+        """The ``policy-status`` body: active version + reload count."""
+        return self._verb(protocol.OP_POLICY_STATUS)
+
+    def policy_version(self) -> PolicyVersion:
+        """The policy version the server currently decides under."""
+        return self._verb(protocol.OP_POLICY_STATUS, version_from_status_body)
+
+    def reload_policy(
+        self,
+        policy,
+        *,
+        verify: bool = False,
+        max_flips: int = 0,
+        force: bool = False,
+        principal: str | None = None,
+    ) -> PolicySwapReport:
+        """Atomically swap the server's policy set (zero downtime).
+
+        Same ``PolicySource`` union and semantics as
+        :meth:`repro.api.LocalPDP.reload_policy`: the source is parsed
+        and validated locally, shipped as canonical XML, and swapped in
+        by the server between micro-batches.  Safe to retry — reloading
+        an identical set is a digest no-op on the server — and a
+        server-side rejection raises
+        :class:`~repro.errors.PolicyError`, leaving the active policy
+        untouched.
+
+        ``verify=True`` runs the server-side verification gate first
+        (static analysis plus, when the server records an audit trail,
+        the differential what-if replay): error findings or more than
+        ``max_flips`` flipped decisions refuse the swap; ``force=True``
+        overrides the gate.
+
+        ``principal`` names the acting operator; when the server's
+        outgoing policy set carries admin-boundary constraints over the
+        policy store, a principal with retained operational decisions
+        is refused (``force`` does not override the boundary).
+        """
+        extra = {} if principal is None else {"principal": principal}
+        return self._verb(
+            protocol.OP_POLICY_RELOAD,
+            _report_from_reload_body,
+            policy_xml=policy_source_to_xml(policy),
+            verify=verify,
+            max_flips=max_flips,
+            force=force,
+            **extra,
+        )
+
+    def verify_policy(self, policy) -> dict:
+        """Server-side static verification of a candidate set.
+
+        Returns the structured :class:`~repro.verify.static.VerifyReport`
+        body (``{"ok", "counts", "findings"}``) without swapping
+        anything.
+        """
+        return self._verb(
+            protocol.OP_VERIFY,
+            _body_of_type(dict, "verify body must be an object"),
+            policy_xml=policy_source_to_xml(policy),
+        )
+
+    def what_if(self, policy) -> dict:
+        """Differentially replay the server's audit trail under a candidate.
+
+        Returns the :class:`~repro.verify.whatif.WhatIfReport` body.
+        Raises :class:`~repro.errors.PolicyError` when the server holds
+        no recorded trail.
+        """
+        return self._verb(
+            protocol.OP_WHATIF,
+            _body_of_type(dict, "whatif body must be an object"),
+            policy_xml=policy_source_to_xml(policy),
+        )

@@ -7,175 +7,72 @@ JSON-lines wire format, so a
 whether its PDP is in-process or a socket away.  :class:`AsyncRemotePDP`
 is the asyncio variant for async applications.
 
-Retry discipline — only provably idempotent work is retried:
-
-* *connect* failures (typed :class:`~repro.errors.PDPConnectError`):
-  nothing reached the server, so every operation — ``decide``
-  included — is retried with jittered exponential backoff.
-* *overload* rejections: the server sheds load **before** queueing, so
-  the request never entered a shard; retried after the server's
-  ``retry_after`` hint (plus jitter).
-* ``healthz``/``metrics``: read-only; retried on any transport error.
-* a ``decide`` that failed **after** the request was written is *not*
-  retried — the server may have committed the grant to the retained
-  ADI, and replaying it could double-record history.  The caller gets a
-  typed :class:`~repro.errors.PDPUnavailableError` instead.
+Both are IO shells over :mod:`repro.client._core`, which owns the retry
+discipline (only provably idempotent work is retried — see its module
+docstring), the decide pipeline, the handshake check and the control
+verbs.  This module only moves bytes: blocking sockets with a sender
+and a reader thread here, asyncio streams with a flush and a reader
+task there.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
+import concurrent.futures
 import random
 import socket
 import threading
 import time
-from collections import deque
 
-from repro.core.decision import Decision, DecisionRequest
-from repro.core.policy_epoch import PolicySwapReport, PolicyVersion
-from repro.errors import (
-    PDPConnectError,
-    PDPFencedError,
-    PDPNotPrimaryError,
-    PDPOverloadedError,
-    PDPUnavailableError,
-    PolicyError,
-    ProtocolError,
+from repro.client._core import (
+    ClientCore,
+    DecidePipeline,
+    check_response,
+    decode_response_line,
+    hello_request,
+    hello_version,
+    next_frame_id,
 )
+from repro.core.decision import Decision, DecisionRequest
+from repro.errors import PDPConnectError, PDPUnavailableError, ProtocolError
 from repro.framework.pdp import PolicyDecisionPoint
-from repro.perf import NOOP, PerfRecorder
+from repro.perf import PerfRecorder
 from repro.server import protocol
 
-_FRAME_COUNTER = itertools.count(1)
+
+def _decide_fields(wire: dict, epoch: int | None) -> dict:
+    fields: dict = {"request": wire}
+    if epoch is not None:
+        fields["epoch"] = epoch
+    return fields
 
 
-def _next_frame_id() -> str:
-    return f"c-{next(_FRAME_COUNTER):08d}"
+def _resolve_futures(resolutions: list) -> None:
+    """Deliver pipeline resolutions to their waiters.
 
-
-def _error_to_exception(error) -> Exception:
-    """Map a wire error object to the typed exception it represents.
-
-    Shared by whole-frame (v1 and v2) and per-entry (``decide-batch``)
-    error handling, so a fenced or overloaded entry inside a batch
-    raises exactly what the same failure raises on a v1 round trip.
+    The waiter is a ``concurrent.futures.Future`` in the blocking shell
+    and an ``asyncio.Future`` in the asyncio shell; both settle alike.
     """
-    if not isinstance(error, dict):
-        return ProtocolError("response is neither ok nor a valid error frame")
-    kind = error.get("kind")
-    detail = str(error.get("detail", ""))
-    if kind == protocol.ERR_OVERLOADED:
-        retry_after = error.get("retry_after")
-        return PDPOverloadedError(
-            f"remote PDP overloaded: {detail}",
-            retry_after=float(retry_after) if retry_after else 0.0,
-        )
-    if kind == protocol.ERR_PROTOCOL:
-        return ProtocolError(f"remote PDP rejected the frame: {detail}")
-    if kind == protocol.ERR_FENCED:
-        return PDPFencedError(f"remote PDP fenced the request: {detail}")
-    if kind == protocol.ERR_NOT_PRIMARY:
-        return PDPNotPrimaryError(f"remote PDP is not primary: {detail}")
-    if kind == protocol.ERR_POLICY:
-        # A rejected policy-reload: caller error, never retried (and the
-        # server's active policy is untouched).
-        return PolicyError(f"remote PDP rejected the policy: {detail}")
-    return PDPUnavailableError(f"remote PDP error ({kind}): {detail}")
-
-
-def _check_response(frame: dict, frame_id: str) -> dict:
-    """Validate a response envelope; raise the typed error it carries."""
-    if frame.get("id") != frame_id:
-        raise ProtocolError(
-            f"response id {frame.get('id')!r} does not match request "
-            f"id {frame_id!r} (connection used concurrently?)"
-        )
-    if frame.get("ok") is True:
-        return frame
-    raise _error_to_exception(frame.get("error"))
-
-
-def _policy_source_to_xml(policy) -> str:
-    """Normalise a ``PolicySource`` to canonical wire XML.
-
-    Accepts the same union as :func:`repro.api.open_pdp` (an
-    :class:`MSoDPolicySet`, a path, or an XML string) and parses/
-    validates it *locally* first, so a malformed source fails on the
-    client without a round trip.
-    """
-    from repro.api import load_policy_source
-    from repro.xmlpolicy import write_policy_set
-
-    return write_policy_set(load_policy_source(policy), pretty=False)
-
-
-def _version_from_status_body(body) -> PolicyVersion:
-    version = body.get("version") if isinstance(body, dict) else None
-    try:
-        return PolicyVersion.from_dict(version if isinstance(version, dict) else {})
-    except PolicyError as exc:
-        raise ProtocolError(f"invalid policy-status body: {exc}") from exc
-
-
-def _report_from_reload_body(body) -> PolicySwapReport:
-    try:
-        return PolicySwapReport.from_dict(body if isinstance(body, dict) else {})
-    except PolicyError as exc:
-        raise ProtocolError(f"invalid policy-reload body: {exc}") from exc
-
-
-class _Backoff:
-    """Full-jitter exponential backoff shared by both client variants."""
-
-    def __init__(
-        self, base: float, cap: float, rng: random.Random | None
-    ) -> None:
-        self._base = base
-        self._cap = cap
-        self._rng = rng if rng is not None else random.Random()
-
-    def delay(self, attempt: int, floor: float = 0.0) -> float:
-        ceiling = min(self._cap, self._base * (2**attempt))
-        return floor + self._rng.uniform(0.0, ceiling)
+    for future, decision, error in resolutions:
+        if future.done():  # its decide() timed out or was cancelled
+            continue
+        if error is None:
+            future.set_result(decision)
+        else:
+            future.set_exception(error)
 
 
 # ---------------------------------------------------------------------------
-# Pipelined protocol-v2 transport (shared slot type + sync connection)
+# Blocking-socket shell
 # ---------------------------------------------------------------------------
-class _BatchSlot:
-    """One submitted decide awaiting its batch-entry result."""
-
-    __slots__ = ("request", "epoch", "event", "decision", "error")
-
-    def __init__(self, request: dict, epoch: int | None) -> None:
-        self.request = request
-        self.epoch = epoch
-        self.event = threading.Event()
-        self.decision: dict | None = None
-        self.error: Exception | None = None
-
-    def resolve(self, decision: dict | None, error: Exception | None) -> None:
-        self.decision = decision
-        self.error = error
-        self.event.set()
-
-
 class _PipelinedV2Connection:
     """One negotiated protocol-v2 connection with pipelined batches.
 
-    Concurrent ``decide`` callers enqueue slots; a sender thread drains
-    them into ``decide-batch`` frames (grouped by fencing epoch, up to
-    ``batch_max`` requests per frame) and keeps at most ``window``
-    correlated frames in flight; a reader thread matches responses by
-    frame id and resolves slots as they complete, out of order.
-
-    The idempotent-only retry discipline maps onto queue position at
-    failure time: a slot still **unsent** when the transport dies fails
-    with :class:`PDPConnectError` (nothing reached the server — always
-    safe to retry), a slot in a frame that was **sent** fails with
-    :class:`PDPUnavailableError` (the server may still evaluate and
-    commit it — never replayed).
+    Concurrent ``decide`` callers submit one future each to the
+    :class:`DecidePipeline`; a sender thread writes the frames it cuts,
+    keeping at most ``window`` correlated frames in flight; a reader
+    thread feeds responses back and resolves the futures as they
+    complete, out of order.
     """
 
     def __init__(
@@ -188,31 +85,27 @@ class _PipelinedV2Connection:
         perf: PerfRecorder,
     ) -> None:
         self._timeout = timeout
-        self._batch_max = batch_max
         self._perf = perf
+        conn = _SyncConnection(host, port, timeout)
+        self._sock = conn.sock
+        self._file = conn.file
+        frame_id, payload = hello_request()
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
-        except OSError as exc:
-            raise PDPConnectError(
-                f"cannot connect to PDP at {host}:{port}: {exc}"
-            ) from exc
-        self._sock.settimeout(timeout)
-        self._file = self._sock.makefile("rb")
-        try:
-            self.version = self._handshake()
+            try:
+                line = conn.round_trip(payload)
+            except OSError as exc:
+                raise PDPConnectError(f"handshake failed: {exc}") from exc
+            self.version = hello_version(line, frame_id)
         except BaseException:
-            self._file.close()
-            self._sock.close()
+            conn.close()
             raise
-        # Blocking IO from here on: slot waits enforce the timeout and
+        # Blocking IO from here on: decide() waits enforce the timeout and
         # kill the socket when the server goes quiet, which unblocks
         # both threads.
         self._sock.settimeout(None)
-        self._cond = threading.Condition()
-        self._queue: deque[_BatchSlot] = deque()
-        self._pending: dict[str, list[_BatchSlot]] = {}
+        self._core = DecidePipeline(batch_max)
+        self._cond = threading.Condition()  # guards every _core call
         self._window = threading.Semaphore(window)
-        self._dead: Exception | None = None
         self._sender = threading.Thread(
             target=self._sender_loop, name="repro-pdp-sender", daemon=True
         )
@@ -222,108 +115,48 @@ class _PipelinedV2Connection:
         self._sender.start()
         self._reader.start()
 
-    def _handshake(self) -> int:
-        frame_id = _next_frame_id()
-        try:
-            self._sock.sendall(
-                protocol.encode_frame(protocol.hello_frame(frame_id))
-            )
-            line = self._file.readline(protocol.MAX_FRAME_BYTES + 1)
-        except OSError as exc:
-            # hello is side-effect free, so a lost handshake is always a
-            # connect-class (retriable) failure.
-            raise PDPConnectError(f"handshake failed: {exc}") from exc
-        if not line.endswith(b"\n"):
-            raise PDPConnectError("connection closed during handshake")
-        response = _check_response(protocol.decode_frame(line), frame_id)
-        version = protocol.hello_body_version(response.get("body"))
-        if version < protocol.PROTOCOL_VERSION_2:
-            raise ProtocolError(
-                f"server negotiated protocol v{version}; v2 required"
-            )
-        return version
-
     @property
     def is_dead(self) -> bool:
-        return self._dead is not None
+        return self._core.dead is not None
 
     # -- submit --------------------------------------------------------
     def decide(self, request: dict, epoch: int | None) -> dict | None:
-        slot = _BatchSlot(request, epoch)
+        future: concurrent.futures.Future = concurrent.futures.Future()
         with self._cond:
-            if self._dead is not None:
-                raise PDPConnectError(
-                    f"pipelined connection lost: {self._dead}"
-                )
-            self._queue.append(slot)
+            self._core.submit(future, request, epoch)
             self._cond.notify()
-        if not slot.event.wait(self._timeout):
+        try:
+            return future.result(self._timeout)
+        except concurrent.futures.TimeoutError:
             self._fail(
                 PDPUnavailableError(
                     f"no response within {self._timeout}s; "
                     "pipelined connection dropped"
                 )
             )
-            slot.event.wait(1.0)
-            if not slot.event.is_set():  # pragma: no cover - _fail resolves all
-                raise PDPUnavailableError("pipelined connection wedged")
-        if slot.error is not None:
-            raise slot.error
-        return slot.decision
+            try:
+                return future.result(1.0)
+            except concurrent.futures.TimeoutError:  # pragma: no cover - _fail settled it
+                raise PDPUnavailableError("pipelined connection wedged") from None
 
     # -- sender thread -------------------------------------------------
     def _sender_loop(self) -> None:
+        core = self._core
         while True:
             with self._cond:
-                while not self._queue and self._dead is None:
+                while not core.has_unsent and core.dead is None:
                     self._cond.wait()
-                if self._dead is not None:
-                    return
-                batch = [self._queue.popleft()]
-                epoch = batch[0].epoch
-                while (
-                    self._queue
-                    and len(batch) < self._batch_max
-                    and self._queue[0].epoch == epoch
-                ):
-                    batch.append(self._queue.popleft())
-            # The batch now belongs to this thread: resolve it here on
-            # any pre-send failure (nothing has reached the server yet).
-            acquired = False
-            while not acquired:
-                if self._dead is not None:
-                    exc = PDPConnectError(
-                        f"pipelined connection lost: {self._dead}"
-                    )
-                    for slot in batch:
-                        slot.resolve(None, exc)
-                    return
-                acquired = self._window.acquire(timeout=0.1)
-            frame_id = _next_frame_id()
-            frame: dict = {
-                "op": protocol.OP_DECIDE_BATCH,
-                "id": frame_id,
-                "requests": [slot.request for slot in batch],
-            }
-            if epoch is not None:
-                frame["epoch"] = epoch
-            try:
-                payload = protocol.encode_frame_v2(frame)
-            except ProtocolError as exc:
-                # Unencodable request: fail this batch, keep the wire.
-                self._window.release()
-                for slot in batch:
-                    slot.resolve(None, exc)
-                continue
+            # _fail releases the window too, so a sender parked on a
+            # full window wakes up to see the death below.
+            self._window.acquire()
             with self._cond:
-                if self._dead is not None:
-                    exc = PDPConnectError(
-                        f"pipelined connection lost: {self._dead}"
-                    )
-                    for slot in batch:
-                        slot.resolve(None, exc)
+                if core.dead is not None:
                     return
-                self._pending[frame_id] = batch
+                payload, size, failed = core.next_frame()
+            if payload is None:
+                self._window.release()
+                _resolve_futures(failed)
+                continue
             try:
                 self._sock.sendall(payload)
             except OSError as exc:
@@ -337,7 +170,7 @@ class _PipelinedV2Connection:
             if perf.enabled:
                 perf.incr("client.frames_out")
                 perf.incr("client.bytes_out", len(payload))
-                perf.observe_size("client.batch_size", len(batch))
+                perf.observe_size("client.batch_size", size)
 
     # -- reader thread -------------------------------------------------
     def _reader_loop(self) -> None:
@@ -352,7 +185,10 @@ class _PipelinedV2Connection:
                     self._perf.incr(
                         "client.bytes_in", protocol.V2_HEADER_BYTES + length
                     )
-                self._resolve_frame(frame)
+                with self._cond:
+                    resolutions = self._core.receive(frame)
+                self._window.release()
+                _resolve_futures(resolutions)
         except PDPUnavailableError as exc:
             self._fail(exc)
         except ProtocolError as exc:
@@ -373,45 +209,13 @@ class _PipelinedV2Connection:
             raise PDPUnavailableError("connection closed by server")
         return data
 
-    def _resolve_frame(self, frame: dict) -> None:
-        frame_id = frame.get("id")
-        with self._cond:
-            batch = self._pending.pop(frame_id, None)
-        if batch is None:
-            raise ProtocolError(f"unsolicited response id {frame_id!r}")
-        self._window.release()
-        if frame.get("ok") is not True:
-            # Whole-frame error (e.g. shutting-down): same typed mapping
-            # a v1 round trip would get.
-            error = _error_to_exception(frame.get("error"))
-            for slot in batch:
-                slot.resolve(None, error)
-            return
-        entries = protocol.batch_result_entries(frame, expected=len(batch))
-        for slot, entry in zip(batch, entries):
-            if entry.get("ok") is True:
-                slot.resolve(entry.get("decision"), None)
-            else:
-                slot.resolve(None, _error_to_exception(entry.get("error")))
-
     # -- teardown ------------------------------------------------------
     def _fail(self, exc: Exception) -> None:
         with self._cond:
-            if self._dead is None:
-                self._dead = exc
-            unsent = list(self._queue)
-            self._queue.clear()
-            pending = list(self._pending.values())
-            self._pending.clear()
+            resolutions = self._core.fail(exc)
             self._cond.notify_all()
-        connect_exc = PDPConnectError(
-            f"pipelined connection lost before send: {exc}"
-        )
-        for slot in unsent:
-            slot.resolve(None, connect_exc)
-        for batch in pending:
-            for slot in batch:
-                slot.resolve(None, exc)
+        self._window.release()
+        _resolve_futures(resolutions)
         # shutdown (not file.close) unblocks a reader parked in read():
         # closing the buffered file here would block on the read lock
         # the reader holds.  The reader closes the file as it exits.
@@ -426,11 +230,10 @@ class _PipelinedV2Connection:
 
     def close(self) -> None:
         self._fail(PDPUnavailableError("pipelined connection closed"))
+        self._sender.join(self._timeout)
+        self._reader.join(self._timeout)
 
 
-# ---------------------------------------------------------------------------
-# Synchronous client
-# ---------------------------------------------------------------------------
 class _SyncConnection:
     """One blocking socket speaking newline-delimited JSON frames."""
 
@@ -442,44 +245,45 @@ class _SyncConnection:
         connect_timeout: float | None = None,
     ) -> None:
         self._timeout = timeout
-        self._sock = socket.create_connection(
-            (host, port),
-            timeout=connect_timeout if connect_timeout is not None else timeout,
-        )
-        self._sock.settimeout(timeout)
-        self._file = self._sock.makefile("rb")
-
-    def exchange(self, frame: dict, timeout: float | None = None) -> dict:
-        if timeout is not None:
-            self._sock.settimeout(timeout)
         try:
-            self._sock.sendall(protocol.encode_frame(frame))
-            line = self._file.readline(protocol.MAX_FRAME_BYTES + 1)
+            self.sock = socket.create_connection(
+                (host, port),
+                timeout=connect_timeout if connect_timeout is not None else timeout,
+            )
+        except OSError as exc:
+            raise PDPConnectError(
+                f"cannot connect to PDP at {host}:{port}: {exc}"
+            ) from exc
+        self.sock.settimeout(timeout)
+        self.file = self.sock.makefile("rb")
+
+    def round_trip(self, payload: bytes, timeout: float | None = None) -> bytes:
+        """Write one encoded frame, read one response line."""
+        if timeout is not None:
+            self.sock.settimeout(timeout)
+        try:
+            self.sock.sendall(payload)
+            return self.file.readline(protocol.MAX_FRAME_BYTES + 1)
         finally:
             if timeout is not None:
-                self._sock.settimeout(self._timeout)
-        if not line.endswith(b"\n"):
-            raise PDPUnavailableError(
-                "connection closed mid-response"
-                if not line
-                else "oversized or truncated response frame"
-            )
-        return protocol.decode_frame(line)
+                self.sock.settimeout(self._timeout)
 
     def close(self) -> None:
         try:
-            self._file.close()
-            self._sock.close()
+            self.file.close()
+            self.sock.close()
         except OSError:  # pragma: no cover - best-effort teardown
             pass
 
 
-class RemotePDP(PolicyDecisionPoint):
+class RemotePDP(ClientCore, PolicyDecisionPoint):
     """A :class:`PolicyDecisionPoint` backed by a remote MSoD server.
 
     Thread-safe: a bounded pool of pooled connections serves concurrent
     callers (each request has exclusive use of one connection for its
     round trip, preserving the one-frame-in-flight protocol invariant).
+    Any verb after :meth:`close` raises
+    :class:`~repro.errors.PDPUnavailableError`.
 
     Parameters
     ----------
@@ -495,7 +299,8 @@ class RemotePDP(PolicyDecisionPoint):
         lower than the decide timeout so a dead node is detected in
         probe-time, not decide-time (failover satellite).
     max_retries:
-        Extra attempts for retriable failures (see module docstring).
+        Extra attempts for retriable failures (see
+        :meth:`~repro.client._core.ClientCore.retry_delay`).
     backoff_base, backoff_cap:
         Full-jitter exponential backoff parameters, seconds.
     rng:
@@ -521,44 +326,10 @@ class RemotePDP(PolicyDecisionPoint):
         submission blocks (v2 only).
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        pool_size: int = 4,
-        timeout: float = 5.0,
-        health_timeout: float | None = None,
-        max_retries: int = 2,
-        backoff_base: float = 0.02,
-        backoff_cap: float = 0.5,
-        rng: random.Random | None = None,
-        perf: PerfRecorder | None = None,
-        protocol_version: str = "auto",
-        batch_max: int = 32,
-        pipeline_window: int = 8,
-    ) -> None:
-        if protocol_version not in ("auto", "v1", "v2"):
-            raise ValueError(
-                "protocol_version must be 'auto', 'v1' or 'v2', "
-                f"got {protocol_version!r}"
-            )
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._health_timeout = (
-            health_timeout if health_timeout is not None else timeout
-        )
-        self._max_retries = max_retries
-        self._backoff = _Backoff(backoff_base, backoff_cap, rng)
-        self._slots = threading.BoundedSemaphore(pool_size)
+    def _init_io(self) -> None:
+        self._slots = threading.BoundedSemaphore(self._pool_size)
         self._idle: list[_SyncConnection] = []
         self._idle_lock = threading.Lock()
-        self._closed = False
-        self._perf = perf if perf is not None else NOOP
-        self._protocol_version = protocol_version
-        self._batch_max = batch_max
-        self._pipeline_window = pipeline_window
-        self._negotiated: int | None = 1 if protocol_version == "v1" else None
         self._pipe: _PipelinedV2Connection | None = None
         self._pipe_lock = threading.Lock()
 
@@ -566,27 +337,14 @@ class RemotePDP(PolicyDecisionPoint):
     def perf(self) -> PerfRecorder:
         return self._perf
 
-    @property
-    def negotiated_protocol(self) -> int | None:
-        """The decide protocol in use: 1, 2, or None before negotiation."""
-        return self._negotiated
-
     # -- connection pool ----------------------------------------------
     def _acquire(self, connect_timeout: float | None = None) -> _SyncConnection:
         with self._idle_lock:
             if self._idle:
                 return self._idle.pop()
-        try:
-            return _SyncConnection(
-                self._host,
-                self._port,
-                self._timeout,
-                connect_timeout=connect_timeout,
-            )
-        except OSError as exc:
-            raise PDPConnectError(
-                f"cannot connect to PDP at {self._host}:{self._port}: {exc}"
-            ) from exc
+        return _SyncConnection(
+            self._host, self._port, self._timeout, connect_timeout
+        )
 
     def _release(self, conn: _SyncConnection, reusable: bool) -> None:
         if reusable and not self._closed:
@@ -607,73 +365,70 @@ class RemotePDP(PolicyDecisionPoint):
         if pipe is not None:
             pipe.close()
 
-    def __enter__(self) -> "RemotePDP":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- one round trip ------------------------------------------------
+    # -- one attempt, and the loop around it ----------------------------
     def _exchange_once(
-        self, frame: dict, frame_id: str, timeout: float | None = None
+        self, op: str, fields: dict, timeout: float | None = None
     ) -> dict:
         """One request/response on one pooled connection."""
+        frame_id = next_frame_id()
+        payload = protocol.encode_frame(
+            protocol.request_frame(op, frame_id, **fields)
+        )
         with self._slots:
             conn = self._acquire(connect_timeout=timeout)
             reusable = False
             try:
                 try:
-                    response = conn.exchange(frame, timeout=timeout)
+                    line = conn.round_trip(payload, timeout)
                 except (OSError, EOFError) as exc:
                     raise PDPUnavailableError(
                         f"PDP transport failure: {exc}"
                     ) from exc
+                response = decode_response_line(line)
                 reusable = True
-                return _check_response(response, frame_id)
+                return check_response(response, frame_id)
             finally:
                 self._release(conn, reusable)
 
-    def _call(
-        self,
-        op: str,
-        retriable: bool,
-        op_timeout: float | None = None,
-        **fields,
-    ) -> dict:
+    def _retrying(self, once, retriable: bool):
         perf = self._perf
         timing = perf.enabled
         perf.incr("client.calls")
         attempt = 0
         while True:
-            frame_id = _next_frame_id()
-            frame = protocol.request_frame(op, frame_id, **fields)
+            self.check_open()
             started = perf.start() if timing else 0.0
             try:
-                response = self._exchange_once(
-                    frame, frame_id, timeout=op_timeout
-                )
+                result = once()
+            except PDPUnavailableError as exc:
+                delay = self.retry_delay(exc, attempt, retriable)
+            else:
                 if timing:
                     perf.stop("client.call", started)
-                return response
-            except PDPOverloadedError as exc:
-                # Shed *before* queueing: always safe to retry.
-                perf.incr("client.overload_rejections")
-                if attempt >= self._max_retries:
-                    raise
-                time.sleep(self._backoff.delay(attempt, floor=exc.retry_after))
-            except PDPConnectError:
-                # Nothing was sent: safe to retry even a decide.
-                perf.incr("client.transport_failures")
-                if attempt >= self._max_retries:
-                    raise
-                time.sleep(self._backoff.delay(attempt))
-            except PDPUnavailableError:
-                perf.incr("client.transport_failures")
-                if not retriable or attempt >= self._max_retries:
-                    raise
-                time.sleep(self._backoff.delay(attempt))
-            perf.incr("client.retries")
+                return result
+            time.sleep(delay)
             attempt += 1
+
+    def request(
+        self,
+        op: str,
+        *,
+        retriable: bool,
+        op_timeout: float | None = None,
+        **fields,
+    ) -> dict:
+        """One control round trip under the shared retry rule.
+
+        Returns the validated response frame.  ``retriable`` says
+        whether ``op`` may be replayed after its bytes were sent.
+        """
+        return self._retrying(
+            lambda: self._exchange_once(op, fields, op_timeout), retriable
+        )
+
+    @staticmethod
+    def _then(answer: dict, parse):
+        return parse(answer)
 
     # -- the PolicyDecisionPoint protocol ------------------------------
     def decide(
@@ -691,31 +446,32 @@ class RemotePDP(PolicyDecisionPoint):
         client's routing table is stale.  Plain single-node servers
         ignore the field.
         """
-        if self._negotiated != 1:
-            return self._decide_pipelined(request, epoch)
-        return self._decide_v1(request, epoch)
-
-    def _decide_v1(
-        self, request: DecisionRequest, epoch: int | None
-    ) -> Decision:
-        fields: dict = {"request": protocol.request_to_wire(request)}
-        if epoch is not None:
-            fields["epoch"] = epoch
-        response = self._call(
-            protocol.OP_DECIDE,
+        wire = protocol.request_to_wire(request)
+        return self._retrying(
+            lambda: self._decide_once(request, wire, epoch),
             retriable=False,  # post-send decide retries could double-record
-            **fields,
+        )
+
+    def _decide_once(
+        self, request: DecisionRequest, wire: dict, epoch: int | None
+    ) -> Decision:
+        if self._negotiated != 1:
+            pipe = self._pipeline()
+            if pipe is not None:
+                return protocol.decision_from_wire_delta(
+                    pipe.decide(wire, epoch), request
+                )
+        response = self._exchange_once(
+            protocol.OP_DECIDE, _decide_fields(wire, epoch)
         )
         return protocol.decision_from_wire(response.get("decision"))
 
-    # -- pipelined v2 path ---------------------------------------------
     def _pipeline(self) -> _PipelinedV2Connection | None:
         """The shared pipelined v2 connection, (re)establishing it.
 
-        Returns ``None`` when decides should speak v1 instead: either
-        the pinned setting, or an ``"auto"`` client whose server
-        rejected the hello (the fallback is then remembered for the
-        client's lifetime).
+        Returns ``None`` when decides should speak v1 instead: an
+        ``"auto"`` client whose server rejected the hello (the fallback
+        is then remembered for the client's lifetime).
         """
         with self._pipe_lock:
             if self._negotiated == 1:
@@ -735,184 +491,37 @@ class RemotePDP(PolicyDecisionPoint):
                     window=self._pipeline_window,
                     perf=self._perf,
                 )
-            except ProtocolError:
-                # The server answered the hello but cannot speak v2.
-                if self._protocol_version == "auto":
-                    self._negotiated = 1
-                    return None
-                raise
+            except ProtocolError as exc:
+                self.v2_refused(exc)
+                return None
             self._negotiated = pipe.version
             self._pipe = pipe
             return pipe
 
-    def _decide_pipelined(
-        self, request: DecisionRequest, epoch: int | None
-    ) -> Decision:
-        perf = self._perf
-        timing = perf.enabled
-        perf.incr("client.calls")
-        wire = protocol.request_to_wire(request)
-        attempt = 0
-        while True:
-            started = perf.start() if timing else 0.0
-            try:
-                pipe = self._pipeline()
-                if pipe is None:  # fell back to v1 during negotiation
-                    return self._decide_v1(request, epoch)
-                decision = pipe.decide(wire, epoch)
-                if timing:
-                    perf.stop("client.call", started)
-                return protocol.decision_from_wire_delta(decision, request)
-            except PDPOverloadedError as exc:
-                # Shed *before* queueing: always safe to retry.
-                perf.incr("client.overload_rejections")
-                if attempt >= self._max_retries:
-                    raise
-                time.sleep(self._backoff.delay(attempt, floor=exc.retry_after))
-            except PDPConnectError:
-                # The slot never left the client: safe to retry.
-                perf.incr("client.transport_failures")
-                if attempt >= self._max_retries:
-                    raise
-                time.sleep(self._backoff.delay(attempt))
-            except PDPUnavailableError:
-                # Sent but unanswered: ambiguous, never replayed.
-                perf.incr("client.transport_failures")
-                raise
-            perf.incr("client.retries")
-            attempt += 1
 
-    # -- control verbs -------------------------------------------------
-    def healthz(self) -> dict:
-        """The server's health snapshot (status + per-shard backlog).
-
-        Uses the dedicated ``health_timeout`` (connect and read), so a
-        probe against a hung node fails fast even when the decide
-        timeout is generous.
-        """
-        return self._call(
-            protocol.OP_HEALTHZ,
-            retriable=True,
-            op_timeout=self._health_timeout,
-        ).get("body", {})
-
-    def metrics(self) -> dict:
-        """The server's metrics snapshot (perf counters + shard stats)."""
-        return self._call(protocol.OP_METRICS, retriable=True).get("body", {})
-
-    def metrics_text(self) -> str:
-        """The server's metrics in Prometheus text exposition format."""
-        body = self._call(
-            protocol.OP_METRICS,
-            retriable=True,
-            format=protocol.METRICS_FORMAT_PROMETHEUS,
-        ).get("body")
-        if not isinstance(body, str):
-            raise ProtocolError("prometheus metrics body must be a string")
-        return body
-
-    def slowlog(self) -> dict:
-        """The server's slowest-decision traces (requires server tracing)."""
-        return self._call(protocol.OP_SLOWLOG, retriable=True).get("body", {})
-
-    # -- policy management ---------------------------------------------
-    def policy_status(self) -> dict:
-        """The ``policy-status`` body: active version + reload count."""
-        return self._call(protocol.OP_POLICY_STATUS, retriable=True).get(
-            "body", {}
+# ---------------------------------------------------------------------------
+# Asyncio shell
+# ---------------------------------------------------------------------------
+async def _open_stream(
+    host: str, port: int, limit: int, timeout: float
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    try:
+        return await asyncio.wait_for(
+            asyncio.open_connection(host, port, limit=limit), timeout=timeout
         )
-
-    def policy_version(self) -> PolicyVersion:
-        """The policy version the server currently decides under."""
-        return _version_from_status_body(self.policy_status())
-
-    def reload_policy(
-        self,
-        policy,
-        *,
-        verify: bool = False,
-        max_flips: int = 0,
-        force: bool = False,
-        principal: str | None = None,
-    ) -> PolicySwapReport:
-        """Atomically swap the server's policy set (zero downtime).
-
-        Same ``PolicySource`` union and semantics as
-        :meth:`repro.api.LocalPDP.reload_policy`: the source is parsed
-        and validated locally, shipped as canonical XML, and swapped in
-        by the server between micro-batches.  Safe to retry — reloading
-        an identical set is a digest no-op on the server — and a
-        server-side rejection raises
-        :class:`~repro.errors.PolicyError`, leaving the active policy
-        untouched.
-
-        ``verify=True`` runs the server-side verification gate first
-        (static analysis plus, when the server records an audit trail,
-        the differential what-if replay): error findings or more than
-        ``max_flips`` flipped decisions refuse the swap; ``force=True``
-        overrides the gate.
-
-        ``principal`` names the acting operator; when the server's
-        outgoing policy set carries admin-boundary constraints over the
-        policy store, a principal with retained operational decisions
-        is refused (``force`` does not override the boundary).
-        """
-        extra = {} if principal is None else {"principal": principal}
-        body = self._call(
-            protocol.OP_POLICY_RELOAD,
-            retriable=True,
-            policy_xml=_policy_source_to_xml(policy),
-            verify=verify,
-            max_flips=max_flips,
-            force=force,
-            **extra,
-        ).get("body")
-        return _report_from_reload_body(body)
-
-    def verify_policy(self, policy) -> dict:
-        """Server-side static verification of a candidate set.
-
-        Returns the structured :class:`~repro.verify.static.VerifyReport`
-        body (``{"ok", "counts", "findings"}``) without swapping
-        anything.
-        """
-        body = self._call(
-            protocol.OP_VERIFY,
-            retriable=True,
-            policy_xml=_policy_source_to_xml(policy),
-        ).get("body")
-        if not isinstance(body, dict):
-            raise ProtocolError("verify body must be an object")
-        return body
-
-    def what_if(self, policy) -> dict:
-        """Differentially replay the server's audit trail under a candidate.
-
-        Returns the :class:`~repro.verify.whatif.WhatIfReport` body.
-        Raises :class:`~repro.errors.PolicyError` when the server holds
-        no recorded trail.
-        """
-        body = self._call(
-            protocol.OP_WHATIF,
-            retriable=True,
-            policy_xml=_policy_source_to_xml(policy),
-        ).get("body")
-        if not isinstance(body, dict):
-            raise ProtocolError("whatif body must be an object")
-        return body
+    except (OSError, asyncio.TimeoutError) as exc:
+        raise PDPConnectError(
+            f"cannot connect to PDP at {host}:{port}: {exc}"
+        ) from exc
 
 
-# ---------------------------------------------------------------------------
-# Asyncio client
-# ---------------------------------------------------------------------------
 class _AsyncPipelinedV2:
-    """Asyncio twin of :class:`_PipelinedV2Connection`.
+    """One negotiated protocol-v2 connection on asyncio streams.
 
-    Concurrent ``decide`` coroutines append to a buffer; a flush task
-    coalesces the buffer into ``decide-batch`` frames (grouped by
-    fencing epoch, bounded by the in-flight window) and a reader task
-    resolves per-entry futures by correlation id.  The same unsent →
-    retriable / sent → :class:`PDPUnavailableError` discipline applies.
+    Concurrent ``decide`` coroutines submit one future each to the
+    :class:`DecidePipeline`; a flush task writes the frames it cuts
+    (bounded by the in-flight window) and a reader task feeds responses
+    back, resolving the futures by correlation id.
     """
 
     def __init__(
@@ -928,11 +537,8 @@ class _AsyncPipelinedV2:
         self._writer = writer
         self.version = version
         self._timeout = timeout
-        self._batch_max = batch_max
+        self._core = DecidePipeline(batch_max)
         self._window = asyncio.Semaphore(window)
-        self._buffer: list[tuple[asyncio.Future, dict, int | None]] = []
-        self._pending: dict[str, list[asyncio.Future]] = {}
-        self._dead: Exception | None = None
         self._flush_task: asyncio.Task | None = None
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop()
@@ -947,31 +553,15 @@ class _AsyncPipelinedV2:
         batch_max: int,
         window: int,
     ) -> "_AsyncPipelinedV2":
+        reader, writer = await _open_stream(
+            host, port, protocol.MAX_FRAME_BYTES_V2, timeout
+        )
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(
-                    host, port, limit=protocol.MAX_FRAME_BYTES_V2
-                ),
-                timeout=timeout,
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise PDPConnectError(
-                f"cannot connect to PDP at {host}:{port}: {exc}"
-            ) from exc
-        try:
-            frame_id = _next_frame_id()
-            writer.write(protocol.encode_frame(protocol.hello_frame(frame_id)))
+            frame_id, payload = hello_request()
+            writer.write(payload)
             await asyncio.wait_for(writer.drain(), timeout=timeout)
             line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-            if not line.endswith(b"\n"):
-                # hello is side-effect free: always retriable.
-                raise PDPConnectError("connection closed during handshake")
-            response = _check_response(protocol.decode_frame(line), frame_id)
-            version = protocol.hello_body_version(response.get("body"))
-            if version < protocol.PROTOCOL_VERSION_2:
-                raise ProtocolError(
-                    f"server negotiated protocol v{version}; v2 required"
-                )
+            version = hello_version(line, frame_id)
         except (OSError, ConnectionError, asyncio.TimeoutError) as exc:
             writer.close()
             raise PDPConnectError(f"handshake failed: {exc}") from exc
@@ -982,18 +572,15 @@ class _AsyncPipelinedV2:
 
     @property
     def is_dead(self) -> bool:
-        return self._dead is not None
+        return self._core.dead is not None
 
     # -- submit --------------------------------------------------------
     async def decide(self, request: dict, epoch: int | None) -> dict | None:
-        if self._dead is not None:
-            raise PDPConnectError(f"pipelined connection lost: {self._dead}")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._buffer.append((future, request, epoch))
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        self._core.submit(future, request, epoch)
         if self._flush_task is None or self._flush_task.done():
-            self._flush_task = asyncio.get_running_loop().create_task(
-                self._flush()
-            )
+            self._flush_task = loop.create_task(self._flush())
         try:
             return await asyncio.wait_for(future, timeout=self._timeout)
         except asyncio.TimeoutError:
@@ -1007,43 +594,17 @@ class _AsyncPipelinedV2:
     # -- flush task ----------------------------------------------------
     async def _flush(self) -> None:
         # One event-loop tick lets concurrent decide() callers land in
-        # the buffer before the first frame is cut.
+        # the queue before the first frame is cut.
         await asyncio.sleep(0)
-        while self._buffer and self._dead is None:
-            epoch = self._buffer[0][2]
-            batch: list[tuple[asyncio.Future, dict, int | None]] = []
-            while (
-                self._buffer
-                and len(batch) < self._batch_max
-                and self._buffer[0][2] == epoch
-            ):
-                batch.append(self._buffer.pop(0))
+        core = self._core
+        # _fail empties the queue, so a dead connection ends the loop.
+        while core.has_unsent:
             await self._window.acquire()
-            if self._dead is not None:
-                exc = PDPConnectError(
-                    f"pipelined connection lost: {self._dead}"
-                )
-                for future, _, _ in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                return
-            frame_id = _next_frame_id()
-            frame: dict = {
-                "op": protocol.OP_DECIDE_BATCH,
-                "id": frame_id,
-                "requests": [request for _, request, _ in batch],
-            }
-            if epoch is not None:
-                frame["epoch"] = epoch
-            try:
-                payload = protocol.encode_frame_v2(frame)
-            except ProtocolError as exc:
+            payload, _, failed = core.next_frame()
+            if payload is None:
                 self._window.release()
-                for future, _, _ in batch:
-                    if not future.done():
-                        future.set_exception(exc)
+                _resolve_futures(failed)
                 continue
-            self._pending[frame_id] = [future for future, _, _ in batch]
             try:
                 self._writer.write(payload)
                 await self._writer.drain()
@@ -1062,7 +623,11 @@ class _AsyncPipelinedV2:
                 )
                 length = protocol.v2_payload_length(header)
                 payload = await self._stream_reader.readexactly(length)
-                self._resolve_frame(protocol.decode_frame_v2(payload))
+                resolutions = self._core.receive(
+                    protocol.decode_frame_v2(payload)
+                )
+                self._window.release()
+                _resolve_futures(resolutions)
         except asyncio.CancelledError:  # close() cancels the loop
             raise
         except ProtocolError as exc:
@@ -1072,73 +637,42 @@ class _AsyncPipelinedV2:
         except (OSError, ConnectionError, asyncio.IncompleteReadError) as exc:
             self._fail(PDPUnavailableError(f"PDP transport failure: {exc}"))
 
-    def _resolve_frame(self, frame: dict) -> None:
-        frame_id = frame.get("id")
-        futures = self._pending.pop(frame_id, None)
-        if futures is None:
-            raise ProtocolError(f"unsolicited response id {frame_id!r}")
-        self._window.release()
-        if frame.get("ok") is not True:
-            error = _error_to_exception(frame.get("error"))
-            for future in futures:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        entries = protocol.batch_result_entries(frame, expected=len(futures))
-        for future, entry in zip(futures, entries):
-            if future.done():
-                continue
-            if entry.get("ok") is True:
-                future.set_result(entry.get("decision"))
-            else:
-                future.set_exception(_error_to_exception(entry.get("error")))
-
     # -- teardown ------------------------------------------------------
     def _fail(self, exc: Exception) -> None:
-        if self._dead is None:
-            self._dead = exc
-        buffered, self._buffer = self._buffer, []
-        pending, self._pending = list(self._pending.values()), {}
-        connect_exc = PDPConnectError(
-            f"pipelined connection lost before send: {exc}"
-        )
-        for future, _, _ in buffered:
-            if not future.done():
-                future.set_exception(connect_exc)
-        for futures in pending:
-            for future in futures:
-                if not future.done():
-                    future.set_exception(exc)
+        _resolve_futures(self._core.fail(exc))
         # Wake a flush task parked on an exhausted in-flight window; it
-        # re-checks _dead and exits.
+        # finds the queue empty and exits.
         self._window.release()
         self._writer.close()
 
     async def close(self) -> None:
         self._fail(PDPUnavailableError("pipelined connection closed"))
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
+        # _fail settled every waiter, so neither task has work left; a
+        # flush parked in drain() on an unread socket would never return.
+        tasks = [self._reader_task]
+        if self._flush_task is not None:
+            tasks.append(self._flush_task)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         try:
             await self._writer.wait_closed()
         except (OSError, ConnectionError):  # pragma: no cover
             pass
 
 
-class AsyncRemotePDP:
+class AsyncRemotePDP(ClientCore):
     """The asyncio twin of :class:`RemotePDP`.
 
     Same wire protocol, retry discipline and pooling semantics, with
     coroutine methods (``await pdp.decide(request)``) for applications
-    that live on an event loop.  ``protocol_version``/``batch_max``/
-    ``pipeline_window`` mirror :class:`RemotePDP`: in ``"auto"`` or
-    ``"v2"`` mode decides ride one pipelined binary connection whose
-    flush task coalesces concurrent callers into ``decide-batch``
-    frames, while control verbs stay on v1 pooled connections.
+    that live on an event loop; the control verbs return awaitables of
+    the values documented on :class:`~repro.client._core.ClientCore`.
+    ``protocol_version``/``batch_max``/``pipeline_window`` mirror
+    :class:`RemotePDP`: in ``"auto"`` or ``"v2"`` mode decides ride one
+    pipelined binary connection whose flush task coalesces concurrent
+    callers into ``decide-batch`` frames, while control verbs stay on
+    v1 pooled connections.
     """
 
     def __init__(
@@ -1156,56 +690,39 @@ class AsyncRemotePDP:
         batch_max: int = 32,
         pipeline_window: int = 8,
     ) -> None:
-        if protocol_version not in ("auto", "v1", "v2"):
-            raise ValueError(
-                "protocol_version must be 'auto', 'v1' or 'v2', "
-                f"got {protocol_version!r}"
-            )
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._health_timeout = (
-            health_timeout if health_timeout is not None else timeout
+        super().__init__(
+            host,
+            port,
+            pool_size,
+            timeout,
+            health_timeout,
+            max_retries,
+            backoff_base,
+            backoff_cap,
+            rng,
+            None,
+            protocol_version,
+            batch_max,
+            pipeline_window,
         )
-        self._max_retries = max_retries
-        self._backoff = _Backoff(backoff_base, backoff_cap, rng)
-        self._pool_size = pool_size
-        self._slots: asyncio.Semaphore | None = None
+
+    def _init_io(self) -> None:
+        self._slots = asyncio.Semaphore(self._pool_size)
         self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self._closed = False
-        self._protocol_version = protocol_version
-        self._batch_max = batch_max
-        self._pipeline_window = pipeline_window
-        self._negotiated: int | None = 1 if protocol_version == "v1" else None
         self._pipe: _AsyncPipelinedV2 | None = None
-        self._pipe_lock: asyncio.Lock | None = None
-
-    @property
-    def negotiated_protocol(self) -> int | None:
-        """The decide protocol in use: 1, 2, or None before negotiation."""
-        return self._negotiated
-
-    def _semaphore(self) -> asyncio.Semaphore:
-        if self._slots is None:
-            self._slots = asyncio.Semaphore(self._pool_size)
-        return self._slots
+        self._pipe_lock = asyncio.Lock()
 
     async def _acquire(
         self, timeout: float | None = None
     ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         if self._idle:
             return self._idle.pop()
-        try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(
-                    self._host, self._port, limit=protocol.MAX_FRAME_BYTES
-                ),
-                timeout=timeout if timeout is not None else self._timeout,
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise PDPConnectError(
-                f"cannot connect to PDP at {self._host}:{self._port}: {exc}"
-            ) from exc
+        return await _open_stream(
+            self._host,
+            self._port,
+            protocol.MAX_FRAME_BYTES,
+            timeout if timeout is not None else self._timeout,
+        )
 
     async def _release(
         self,
@@ -1238,18 +755,22 @@ class AsyncRemotePDP:
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    # -- one round trip ------------------------------------------------
+    # -- one attempt, and the loop around it ----------------------------
     async def _exchange_once(
-        self, frame: dict, frame_id: str, timeout: float | None = None
+        self, op: str, fields: dict, timeout: float | None = None
     ) -> dict:
+        frame_id = next_frame_id()
+        payload = protocol.encode_frame(
+            protocol.request_frame(op, frame_id, **fields)
+        )
         op_timeout = timeout if timeout is not None else self._timeout
-        async with self._semaphore():
+        async with self._slots:
             conn = await self._acquire(timeout=timeout)
             reader, writer = conn
             reusable = False
             try:
                 try:
-                    writer.write(protocol.encode_frame(frame))
+                    writer.write(payload)
                     await asyncio.wait_for(
                         writer.drain(), timeout=op_timeout
                     )
@@ -1266,71 +787,69 @@ class AsyncRemotePDP:
                     raise PDPUnavailableError(
                         f"PDP transport failure: {exc}"
                     ) from exc
-                if not line.endswith(b"\n"):
-                    raise PDPUnavailableError("connection closed mid-response")
+                response = decode_response_line(line)
                 reusable = True
-                return _check_response(protocol.decode_frame(line), frame_id)
+                return check_response(response, frame_id)
             finally:
                 await self._release(conn, reusable)
 
-    async def _call(
+    async def _retrying(self, once, retriable: bool):
+        attempt = 0
+        while True:
+            self.check_open()
+            try:
+                return await once()
+            except PDPUnavailableError as exc:
+                delay = self.retry_delay(exc, attempt, retriable)
+            await asyncio.sleep(delay)
+            attempt += 1
+
+    async def request(
         self,
         op: str,
+        *,
         retriable: bool,
         op_timeout: float | None = None,
         **fields,
     ) -> dict:
-        attempt = 0
-        while True:
-            frame_id = _next_frame_id()
-            frame = protocol.request_frame(op, frame_id, **fields)
-            try:
-                return await self._exchange_once(
-                    frame, frame_id, timeout=op_timeout
-                )
-            except PDPOverloadedError as exc:
-                if attempt >= self._max_retries:
-                    raise
-                await asyncio.sleep(
-                    self._backoff.delay(attempt, floor=exc.retry_after)
-                )
-            except PDPConnectError:
-                # Nothing was sent: safe to retry even a decide.
-                if attempt >= self._max_retries:
-                    raise
-                await asyncio.sleep(self._backoff.delay(attempt))
-            except PDPUnavailableError:
-                if not retriable or attempt >= self._max_retries:
-                    raise
-                await asyncio.sleep(self._backoff.delay(attempt))
-            attempt += 1
+        """One control round trip under the shared retry rule (coroutine)."""
+        return await self._retrying(
+            lambda: self._exchange_once(op, fields, op_timeout), retriable
+        )
 
-    # -- verbs ---------------------------------------------------------
+    @staticmethod
+    async def _then(answer, parse):
+        return parse(await answer)
+
+    # -- decide --------------------------------------------------------
     async def decide(
         self, request: DecisionRequest, *, epoch: int | None = None
     ) -> Decision:
         """Evaluate one request on the remote PDP (coroutine)."""
-        if self._negotiated != 1:
-            return await self._decide_pipelined(request, epoch)
-        return await self._decide_v1(request, epoch)
+        wire = protocol.request_to_wire(request)
+        return await self._retrying(
+            lambda: self._decide_once(request, wire, epoch),
+            retriable=False,  # post-send decide retries could double-record
+        )
 
-    async def _decide_v1(
-        self, request: DecisionRequest, epoch: int | None
+    async def _decide_once(
+        self, request: DecisionRequest, wire: dict, epoch: int | None
     ) -> Decision:
-        fields: dict = {"request": protocol.request_to_wire(request)}
-        if epoch is not None:
-            fields["epoch"] = epoch
-        response = await self._call(
-            protocol.OP_DECIDE,
-            retriable=False,
-            **fields,
+        if self._negotiated != 1:
+            pipe = self._pipe
+            if pipe is None or pipe.is_dead:  # else: no lock per decide
+                pipe = await self._pipeline()
+            if pipe is not None:
+                return protocol.decision_from_wire_delta(
+                    await pipe.decide(wire, epoch), request
+                )
+        response = await self._exchange_once(
+            protocol.OP_DECIDE, _decide_fields(wire, epoch)
         )
         return protocol.decision_from_wire(response.get("decision"))
 
-    # -- pipelined v2 path ---------------------------------------------
     async def _pipeline(self) -> _AsyncPipelinedV2 | None:
-        if self._pipe_lock is None:
-            self._pipe_lock = asyncio.Lock()
+        """As :meth:`RemotePDP._pipeline`, on the event loop."""
         async with self._pipe_lock:
             if self._negotiated == 1:
                 return None
@@ -1348,136 +867,9 @@ class AsyncRemotePDP:
                     batch_max=self._batch_max,
                     window=self._pipeline_window,
                 )
-            except ProtocolError:
-                # The server answered the hello but cannot speak v2.
-                if self._protocol_version == "auto":
-                    self._negotiated = 1
-                    return None
-                raise
+            except ProtocolError as exc:
+                self.v2_refused(exc)
+                return None
             self._negotiated = pipe.version
             self._pipe = pipe
             return pipe
-
-    async def _decide_pipelined(
-        self, request: DecisionRequest, epoch: int | None
-    ) -> Decision:
-        wire = protocol.request_to_wire(request)
-        attempt = 0
-        while True:
-            try:
-                pipe = await self._pipeline()
-                if pipe is None:  # fell back to v1 during negotiation
-                    return await self._decide_v1(request, epoch)
-                decision = await pipe.decide(wire, epoch)
-                return protocol.decision_from_wire_delta(decision, request)
-            except PDPOverloadedError as exc:
-                if attempt >= self._max_retries:
-                    raise
-                await asyncio.sleep(
-                    self._backoff.delay(attempt, floor=exc.retry_after)
-                )
-            except PDPConnectError:
-                # The slot never left the client: safe to retry.
-                if attempt >= self._max_retries:
-                    raise
-                await asyncio.sleep(self._backoff.delay(attempt))
-            except PDPUnavailableError:
-                # Sent but unanswered: ambiguous, never replayed.
-                raise
-            attempt += 1
-
-    async def healthz(self) -> dict:
-        """The server's health snapshot (coroutine; fast timeout)."""
-        return (
-            await self._call(
-                protocol.OP_HEALTHZ,
-                retriable=True,
-                op_timeout=self._health_timeout,
-            )
-        ).get("body", {})
-
-    async def metrics(self) -> dict:
-        """The server's metrics snapshot (coroutine)."""
-        return (await self._call(protocol.OP_METRICS, retriable=True)).get(
-            "body", {}
-        )
-
-    async def metrics_text(self) -> str:
-        """The server's Prometheus text exposition (coroutine)."""
-        body = (
-            await self._call(
-                protocol.OP_METRICS,
-                retriable=True,
-                format=protocol.METRICS_FORMAT_PROMETHEUS,
-            )
-        ).get("body")
-        if not isinstance(body, str):
-            raise ProtocolError("prometheus metrics body must be a string")
-        return body
-
-    async def slowlog(self) -> dict:
-        """The server's slowest-decision traces (coroutine)."""
-        return (await self._call(protocol.OP_SLOWLOG, retriable=True)).get(
-            "body", {}
-        )
-
-    # -- policy management ---------------------------------------------
-    async def policy_status(self) -> dict:
-        """The ``policy-status`` body (coroutine)."""
-        return (
-            await self._call(protocol.OP_POLICY_STATUS, retriable=True)
-        ).get("body", {})
-
-    async def policy_version(self) -> PolicyVersion:
-        """The policy version the server currently decides under."""
-        return _version_from_status_body(await self.policy_status())
-
-    async def reload_policy(
-        self,
-        policy,
-        *,
-        verify: bool = False,
-        max_flips: int = 0,
-        force: bool = False,
-        principal: str | None = None,
-    ) -> PolicySwapReport:
-        """Atomically swap the server's policy set (coroutine)."""
-        extra = {} if principal is None else {"principal": principal}
-        body = (
-            await self._call(
-                protocol.OP_POLICY_RELOAD,
-                retriable=True,
-                policy_xml=_policy_source_to_xml(policy),
-                verify=verify,
-                max_flips=max_flips,
-                force=force,
-                **extra,
-            )
-        ).get("body")
-        return _report_from_reload_body(body)
-
-    async def verify_policy(self, policy) -> dict:
-        """Server-side static verification of a candidate (coroutine)."""
-        body = (
-            await self._call(
-                protocol.OP_VERIFY,
-                retriable=True,
-                policy_xml=_policy_source_to_xml(policy),
-            )
-        ).get("body")
-        if not isinstance(body, dict):
-            raise ProtocolError("verify body must be an object")
-        return body
-
-    async def what_if(self, policy) -> dict:
-        """Differential replay of the server's trail (coroutine)."""
-        body = (
-            await self._call(
-                protocol.OP_WHATIF,
-                retriable=True,
-                policy_xml=_policy_source_to_xml(policy),
-            )
-        ).get("body")
-        if not isinstance(body, dict):
-            raise ProtocolError("whatif body must be an object")
-        return body

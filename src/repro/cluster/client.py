@@ -40,6 +40,7 @@ import random
 import threading
 import time
 
+from repro.client._core import policy_source_to_xml, version_from_status_body
 from repro.client.remote import RemotePDP
 from repro.core.decision import Decision, DecisionRequest
 from repro.errors import (
@@ -154,12 +155,22 @@ class ClusterPDP(PolicyDecisionPoint):
             )
         return self._coordinator_pdp
 
+    def _coordinator_body(
+        self, op: str, what: str, retriable: bool = True, **fields
+    ) -> dict:
+        """One coordinator verb under the client's retry rule; its body."""
+        body = (
+            self._coordinator_client()
+            .request(op, retriable=retriable, **fields)
+            .get("body")
+        )
+        if not isinstance(body, dict):
+            raise ClusterError(f"coordinator returned a malformed {what}")
+        return body
+
     def refresh_route(self) -> dict:
         """Fetch and install the coordinator's current routing table."""
-        client = self._coordinator_client()
-        body = client._call(protocol.OP_ROUTE, retriable=True).get("body")
-        if not isinstance(body, dict):
-            raise ClusterError("coordinator returned a malformed route")
+        body = self._coordinator_body(protocol.OP_ROUTE, "route")
         self._install_route(body)
         return body
 
@@ -173,13 +184,7 @@ class ClusterPDP(PolicyDecisionPoint):
 
     def cluster_status(self) -> dict:
         """The coordinator's ``cluster-status`` body."""
-        client = self._coordinator_client()
-        body = client._call(protocol.OP_CLUSTER_STATUS, retriable=True).get(
-            "body"
-        )
-        if not isinstance(body, dict):
-            raise ClusterError("coordinator returned a malformed status")
-        return body
+        return self._coordinator_body(protocol.OP_CLUSTER_STATUS, "status")
 
     def cluster_metrics_text(self) -> str:
         """The coordinator's Prometheus exposition (per-node gauges)."""
@@ -189,21 +194,13 @@ class ClusterPDP(PolicyDecisionPoint):
     # -- policy management --------------------------------------------
     def policy_status(self) -> dict:
         """The coordinator's cluster-wide policy status body."""
-        client = self._coordinator_client()
-        body = client._call(protocol.OP_POLICY_STATUS, retriable=True).get(
-            "body"
+        return self._coordinator_body(
+            protocol.OP_POLICY_STATUS, "policy status"
         )
-        if not isinstance(body, dict):
-            raise ClusterError(
-                "coordinator returned a malformed policy status"
-            )
-        return body
 
     def policy_version(self):
         """The cluster-wide :class:`PolicyVersion` the coordinator reports."""
-        from repro.client.remote import _version_from_status_body
-
-        return _version_from_status_body(self.policy_status())
+        return version_from_status_body(self.policy_status())
 
     def reload_policy(
         self,
@@ -231,25 +228,17 @@ class ClusterPDP(PolicyDecisionPoint):
         roll cluster-wide when flips stay within ``max_flips`` (see
         :meth:`LocalCluster.canary_reload_policy`).
         """
-        from repro.client.remote import _policy_source_to_xml
-
-        client = self._coordinator_client()
         extra = {} if principal is None else {"principal": principal}
-        body = client._call(
+        return self._coordinator_body(
             protocol.OP_POLICY_RELOAD,
-            retriable=True,
-            policy_xml=_policy_source_to_xml(policy),
+            "reload report",
+            policy_xml=policy_source_to_xml(policy),
             verify=verify,
             max_flips=max_flips,
             force=force,
             canary=canary,
             **extra,
-        ).get("body")
-        if not isinstance(body, dict):
-            raise ClusterError(
-                "coordinator returned a malformed reload report"
-            )
-        return body
+        )
 
     # -- resharding ----------------------------------------------------
     def resize(
@@ -269,31 +258,20 @@ class ClusterPDP(PolicyDecisionPoint):
         asynchronously in the coordinator — poll
         :meth:`reshard_status` until ``active`` is false.
         """
-        client = self._coordinator_client()
-        body = client._call(
+        return self._coordinator_body(
             protocol.OP_RESHARD,
+            "reshard response",
             retriable=False,  # starting a migration twice is an error
             action=action,
             shard=shard,
             apply=apply,
-        ).get("body")
-        if not isinstance(body, dict):
-            raise ClusterError(
-                "coordinator returned a malformed reshard response"
-            )
-        return body
+        )
 
     def reshard_status(self) -> dict:
         """The coordinator's migration status body (active + history)."""
-        client = self._coordinator_client()
-        body = client._call(protocol.OP_RESHARD_STATUS, retriable=True).get(
-            "body"
+        return self._coordinator_body(
+            protocol.OP_RESHARD_STATUS, "reshard status"
         )
-        if not isinstance(body, dict):
-            raise ClusterError(
-                "coordinator returned a malformed reshard status"
-            )
-        return body
 
     def _target_for(self, user_id: str) -> tuple[tuple[str, int], int, str]:
         route = self.route()

@@ -27,7 +27,6 @@ Two evaluation modes are provided:
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Iterable
 
 from repro.core.constraints import AdminBoundary, Privilege
@@ -89,30 +88,7 @@ class MSoDEngine:
         mode: str = MODE_STRICT,
         perf: PerfRecorder | None = None,
         tracer: DecisionTracer | None = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            unknown = set(legacy) - {"policy_set", "store"}
-            if unknown:
-                raise TypeError(
-                    "MSoDEngine() got unexpected keyword argument(s) "
-                    f"{sorted(unknown)}"
-                )
-            warnings.warn(
-                "constructing MSoDEngine with policy_set=/store= keywords "
-                "is deprecated; open a handle with repro.api.open_pdp "
-                "instead (or pass them positionally)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if "policy_set" in legacy:
-                if policy_set is not None:
-                    raise TypeError("MSoDEngine() got policy_set twice")
-                policy_set = legacy["policy_set"]
-            if "store" in legacy:
-                if store is not None:
-                    raise TypeError("MSoDEngine() got store twice")
-                store = legacy["store"]
         if policy_set is None or store is None:
             raise PolicyError(
                 "MSoDEngine requires a policy set and a retained-ADI store"
@@ -275,14 +251,6 @@ class MSoDEngine:
             self._epoch_log.forget_after(to_epoch)
             self._epoch_log.record(to_epoch, policy_set, new_digest)
             self._perf.incr("engine.policy_rollbacks")
-
-    def replace_policy_set(self, policy_set: MSoDPolicySet) -> None:
-        """Swap in a new policy set (PDP re-initialisation).
-
-        Deprecated alias for :meth:`swap_policy` with ``force=True``
-        (always advances the epoch, even for an identical digest).
-        """
-        self.swap_policy(policy_set, force=True)
 
     def admin_boundary_denial(
         self, user_id: str, privilege: Privilege

@@ -126,30 +126,32 @@ class MSoDServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        send = self._sender(writer, protocol.encode_frame)
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
                     # Oversized frame: the stream cannot be resynced.
-                    await self._send(
-                        writer,
+                    await send(
                         protocol.error_frame(
                             None,
                             protocol.ERR_PROTOCOL,
                             "frame exceeds size limit",
-                        ),
+                        )
                     )
                     break
                 if not line:
                     break  # EOF (including one after a truncated frame)
-                outcome = await self._handle_frame(writer, line)
+                outcome = await self._handle_frame(send, line)
                 if outcome == _CLOSE:
                     break
                 if outcome == _UPGRADE_V2:
                     # The hello response is on the wire; every byte from
                     # here on is length-prefixed binary, both directions.
-                    await self._serve_v2(reader, writer)
+                    await self._serve_v2(
+                        reader, self._sender(writer, protocol.encode_frame_v2)
+                    )
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass  # client vanished mid-exchange; nothing to answer
@@ -162,7 +164,7 @@ class MSoDServer:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    async def _handle_frame(self, writer: asyncio.StreamWriter, line: bytes) -> int:
+    async def _handle_frame(self, send, line: bytes) -> int:
         """Answer one v1 frame; returns a ``_CLOSE``/``_CONTINUE``/
         ``_UPGRADE_V2`` outcome for the connection loop."""
         frame_id = None
@@ -180,35 +182,20 @@ class MSoDServer:
             op = frame.get("op")
             if op == protocol.OP_HELLO:
                 version = protocol.negotiated_version(frame)
-                await self._send(
-                    writer,
-                    protocol.response_frame(
-                        frame_id,
-                        op,
-                        "body",
-                        {
-                            "version": version,
-                            "max_batch": protocol.MAX_WIRE_BATCH,
-                            "max_frame_bytes": protocol.MAX_FRAME_BYTES_V2,
-                        },
-                    ),
-                )
+                await send(_hello_response(frame_id, version))
                 if version >= protocol.PROTOCOL_VERSION_2:
                     return _UPGRADE_V2
                 return _CONTINUE
-            await self._dispatch(writer, frame_id, op, frame, v2=False)
+            await send(await self._dispatch(frame_id, op, frame))
         except ProtocolError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(frame_id, protocol.ERR_PROTOCOL, str(exc)),
+            await send(
+                protocol.error_frame(frame_id, protocol.ERR_PROTOCOL, str(exc))
             )
         except (ConnectionResetError, BrokenPipeError):
             return _CLOSE
         return _CONTINUE
 
-    async def _serve_v2(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve_v2(self, reader: asyncio.StreamReader, send) -> None:
         """The post-hello loop: length-prefixed binary frames only.
 
         Framing errors (bad magic — e.g. a stray v1 JSON line — bad
@@ -229,7 +216,7 @@ class MSoDServer:
         gate = asyncio.Semaphore(_V2_INFLIGHT_FRAMES)
         in_flight: set[asyncio.Task] = set()
         try:
-            await self._serve_v2_frames(reader, writer, perf, gate, in_flight)
+            await self._serve_v2_frames(reader, send, perf, gate, in_flight)
         finally:
             for task in in_flight:
                 task.cancel()
@@ -239,7 +226,7 @@ class MSoDServer:
     async def _serve_v2_frames(
         self,
         reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        send,
         perf,
         gate: asyncio.Semaphore,
         in_flight: set,
@@ -254,10 +241,8 @@ class MSoDServer:
             try:
                 length = protocol.v2_payload_length(header)
             except ProtocolError as exc:
-                await self._send(
-                    writer,
-                    protocol.error_frame(None, protocol.ERR_PROTOCOL, str(exc)),
-                    v2=True,
+                await send(
+                    protocol.error_frame(None, protocol.ERR_PROTOCOL, str(exc))
                 )
                 return
             try:
@@ -281,58 +266,40 @@ class MSoDServer:
                 if op == protocol.OP_DECIDE_BATCH:
                     await gate.acquire()
                     task = asyncio.ensure_future(
-                        self._decide_batch_task(writer, frame_id, frame, gate)
+                        self._decide_batch_task(send, frame_id, frame, gate)
                     )
                     in_flight.add(task)
                     task.add_done_callback(in_flight.discard)
                 elif op == protocol.OP_HELLO:
                     # Redundant re-negotiation; stays v2 either way.
                     protocol.negotiated_version(frame)
-                    await self._send(
-                        writer,
-                        protocol.response_frame(
-                            frame_id,
-                            op,
-                            "body",
-                            {
-                                "version": protocol.PROTOCOL_VERSION_2,
-                                "max_batch": protocol.MAX_WIRE_BATCH,
-                                "max_frame_bytes": protocol.MAX_FRAME_BYTES_V2,
-                            },
-                        ),
+                    await send(
+                        _hello_response(frame_id, protocol.PROTOCOL_VERSION_2)
                     )
                 else:
-                    await self._dispatch(writer, frame_id, op, frame, v2=True)
+                    await send(await self._dispatch(frame_id, op, frame))
             except ProtocolError as exc:
-                await self._send(
-                    writer,
+                await send(
                     protocol.error_frame(
                         frame_id, protocol.ERR_PROTOCOL, str(exc)
-                    ),
-                    v2=True,
+                    )
                 )
             except (ConnectionResetError, BrokenPipeError):
                 return
 
-    async def _dispatch(
-        self,
-        writer: asyncio.StreamWriter,
-        frame_id,
-        op,
-        frame: dict,
-        v2: bool,
-    ) -> None:
-        """The op switch shared by the v1 and v2 connection loops."""
+    async def _dispatch(self, frame_id, op, frame: dict) -> dict:
+        """The op switch shared by the v1 and v2 connection loops.
+
+        Handlers build the reply frame and never touch the connection:
+        the loop that read the request sends it, through the encoder
+        bound when the connection's protocol was negotiated.
+        """
         if op == protocol.OP_DECIDE:
-            await self._handle_decide(writer, frame_id, frame, v2=v2)
-        elif op == protocol.OP_HEALTHZ:
-            await self._send(
-                writer,
-                protocol.response_frame(
-                    frame_id, op, "body", self._service.health()
-                ),
-                v2=v2,
-            )
+            return await self._decide_response(frame_id, frame)
+        if op in _POLICY_OPS:
+            return self._policy_response(frame_id, op, frame)
+        if op == protocol.OP_HEALTHZ:
+            body = self._service.health()
         elif op == protocol.OP_METRICS:
             fmt = protocol.metrics_format_of(frame)
             body = (
@@ -340,205 +307,76 @@ class MSoDServer:
                 if fmt == protocol.METRICS_FORMAT_PROMETHEUS
                 else self._service.metrics()
             )
-            await self._send(
-                writer,
-                protocol.response_frame(frame_id, op, "body", body),
-                v2=v2,
-            )
         elif op == protocol.OP_SLOWLOG:
-            await self._send(
-                writer,
-                protocol.response_frame(
-                    frame_id, op, "body", self._service.slowlog()
-                ),
-                v2=v2,
-            )
+            body = self._service.slowlog()
         elif op == protocol.OP_POLICY_STATUS:
-            await self._send(
-                writer,
-                protocol.response_frame(
-                    frame_id, op, "body", self._service.policy_status()
-                ),
-                v2=v2,
-            )
-        elif op == protocol.OP_POLICY_RELOAD:
-            await self._handle_policy_reload(writer, frame_id, frame, v2=v2)
-        elif op == protocol.OP_VERIFY:
-            await self._handle_verify(writer, frame_id, frame, v2=v2)
-        elif op == protocol.OP_WHATIF:
-            await self._handle_whatif(writer, frame_id, frame, v2=v2)
+            body = self._service.policy_status()
         else:
             raise ProtocolError(f"unknown operation {op!r}")
+        return protocol.response_frame(frame_id, op, "body", body)
 
-    async def _handle_policy_reload(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict, v2: bool = False
-    ) -> None:
-        """Parse, validate and atomically install a policy set.
+    def _policy_response(self, frame_id, op, frame: dict) -> dict:
+        """Answer ``policy-reload``, ``verify`` or ``whatif`` for a candidate.
 
+        ``policy-reload`` parses, validates and atomically installs the
+        set; ``verify`` runs static verification without swapping;
+        ``whatif`` differentially replays this server's trail under it.
         A rejected set (XML that does not parse, analyzer errors, a
-        failed ``verify`` gate) gets an ``error.kind == "policy"``
-        response and leaves the active policy untouched.  Runs
-        synchronously on the event loop between worker batches, so the
-        swap cannot interleave with a half-evaluated micro-batch.
+        failed ``verify`` gate, no recorded trail) gets an
+        ``error.kind == "policy"`` response and leaves the active
+        policy untouched.  Runs synchronously on the event loop between
+        worker batches, so a swap cannot interleave with a
+        half-evaluated micro-batch, and a trail read sees a consistent
+        prefix reflecting every decision acked before this frame.
         """
         from repro.xmlpolicy import parse_policy_set
 
         xml = protocol.policy_xml_of(frame)
-        verify, max_flips, force = protocol.reload_options_of(frame)
-        principal = protocol.reload_principal_of(frame)
+        if op == protocol.OP_POLICY_RELOAD:
+            verify, max_flips, force = protocol.reload_options_of(frame)
+            principal = protocol.reload_principal_of(frame)
         try:
             policy_set = parse_policy_set(xml)
-            report = self._service.reload_policy(
-                policy_set,
-                verify=verify,
-                max_flips=max_flips,
-                force=force,
-                principal=principal,
-            )
+            if op == protocol.OP_VERIFY:
+                body = self._service.verify_policy(policy_set).to_dict()
+            elif op == protocol.OP_WHATIF:
+                body = self._service.what_if(policy_set).to_dict()
+            else:
+                body = self._service.reload_policy(
+                    policy_set,
+                    verify=verify,
+                    max_flips=max_flips,
+                    force=force,
+                    principal=principal,
+                ).to_dict()
+                if verify and self._service.last_gate is not None:
+                    body["gate"] = self._service.last_gate.to_dict()
         except PolicyError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(frame_id, protocol.ERR_POLICY, str(exc)),
-                v2=v2,
-            )
-            return
-        body = report.to_dict()
-        if verify and self._service.last_gate is not None:
-            body["gate"] = self._service.last_gate.to_dict()
-        await self._send(
-            writer,
-            protocol.response_frame(
-                frame_id, protocol.OP_POLICY_RELOAD, "body", body
-            ),
-            v2=v2,
-        )
+            return protocol.error_frame(frame_id, protocol.ERR_POLICY, str(exc))
+        return protocol.response_frame(frame_id, op, "body", body)
 
-    async def _handle_verify(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict, v2: bool = False
-    ) -> None:
-        """Static verification of a candidate set, without swapping it."""
-        from repro.xmlpolicy import parse_policy_set
-
-        xml = protocol.policy_xml_of(frame)
-        try:
-            policy_set = parse_policy_set(xml)
-            report = self._service.verify_policy(policy_set)
-        except PolicyError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(frame_id, protocol.ERR_POLICY, str(exc)),
-                v2=v2,
-            )
-            return
-        await self._send(
-            writer,
-            protocol.response_frame(
-                frame_id, protocol.OP_VERIFY, "body", report.to_dict()
-            ),
-            v2=v2,
-        )
-
-    async def _handle_whatif(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict, v2: bool = False
-    ) -> None:
-        """Differential replay of this server's trail under a candidate.
-
-        Runs synchronously on the event loop (like a reload): the trail
-        read sees a consistent prefix and the answer reflects every
-        decision acked before this frame.
-        """
-        from repro.xmlpolicy import parse_policy_set
-
-        xml = protocol.policy_xml_of(frame)
-        try:
-            policy_set = parse_policy_set(xml)
-            report = self._service.what_if(policy_set)
-        except PolicyError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(frame_id, protocol.ERR_POLICY, str(exc)),
-                v2=v2,
-            )
-            return
-        await self._send(
-            writer,
-            protocol.response_frame(
-                frame_id, protocol.OP_WHATIF, "body", report.to_dict()
-            ),
-            v2=v2,
-        )
-
-    async def _handle_decide(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict, v2: bool = False
-    ) -> None:
+    async def _decide_response(self, frame_id, frame: dict) -> dict:
         request = protocol.request_from_wire(frame.get("request"))
         if self._decide_gate is not None:
             short_circuit = self._decide_gate(frame_id, frame, request)
             if short_circuit is not None:
-                await self._send(writer, short_circuit, v2=v2)
-                return
+                return short_circuit
         try:
             future = self._service.submit(request)
-        except ServiceOverloadedError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(
-                    frame_id,
-                    protocol.ERR_OVERLOADED,
-                    str(exc),
-                    retry_after=exc.retry_after,
-                ),
-                v2=v2,
-            )
-            return
-        except ServiceUnavailableError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(
-                    frame_id, protocol.ERR_SHUTTING_DOWN, str(exc)
-                ),
-                v2=v2,
-            )
-            return
+        except (ServiceOverloadedError, ServiceUnavailableError) as exc:
+            return _decide_failure(frame_id, exc)
         try:
             decision = await future
-        except RequestFencedError as exc:
-            # The audit sink refused the commit (the user was fenced
-            # mid-flight by a failover or reshard cutover): the client
-            # never saw an ack, so it may re-route and resend safely.
-            await self._send(
-                writer,
-                protocol.error_frame(
-                    frame_id, protocol.ERR_FENCED, str(exc)
-                ),
-                v2=v2,
-            )
-            return
-        except Exception as exc:  # engine/store failure, not the client's
-            await self._send(
-                writer,
-                protocol.error_frame(
-                    frame_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                ),
-                v2=v2,
-            )
-            return
-        await self._send(
-            writer,
-            protocol.response_frame(
-                frame_id,
-                protocol.OP_DECIDE,
-                "decision",
-                protocol.decision_to_wire(decision),
-            ),
-            v2=v2,
+        except Exception as exc:
+            return _decide_failure(frame_id, exc)
+        return protocol.response_frame(
+            frame_id,
+            protocol.OP_DECIDE,
+            "decision",
+            protocol.decision_to_wire(decision),
         )
 
-    async def _decide_batch_task(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict, gate
-    ) -> None:
+    async def _decide_batch_task(self, send, frame_id, frame: dict, gate) -> None:
         """One concurrently-running ``decide-batch`` frame.
 
         Mirrors the connection loop's error discipline: a payload-level
@@ -547,26 +385,20 @@ class MSoDServer:
         in-flight slot so the read loop can admit the next frame.
         """
         try:
-            await self._handle_decide_batch(writer, frame_id, frame)
-        except ProtocolError as exc:
             try:
-                await self._send(
-                    writer,
+                await send(await self._decide_batch_response(frame_id, frame))
+            except ProtocolError as exc:
+                await send(
                     protocol.error_frame(
                         frame_id, protocol.ERR_PROTOCOL, str(exc)
-                    ),
-                    v2=True,
+                    )
                 )
-            except (ConnectionResetError, BrokenPipeError):
-                pass
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             gate.release()
 
-    async def _handle_decide_batch(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict
-    ) -> None:
+    async def _decide_batch_response(self, frame_id, frame: dict) -> dict:
         """Answer one ``decide-batch`` frame with per-entry results.
 
         The whole batch is parsed before anything is submitted (one
@@ -593,28 +425,8 @@ class MSoDServer:
                     continue
             try:
                 future = self._service.submit(request)
-            except ServiceOverloadedError as exc:
-                results.append(
-                    {
-                        "ok": False,
-                        "error": {
-                            "kind": protocol.ERR_OVERLOADED,
-                            "detail": str(exc),
-                            "retry_after": exc.retry_after,
-                        },
-                    }
-                )
-                continue
-            except ServiceUnavailableError as exc:
-                results.append(
-                    {
-                        "ok": False,
-                        "error": {
-                            "kind": protocol.ERR_SHUTTING_DOWN,
-                            "detail": str(exc),
-                        },
-                    }
-                )
+            except (ServiceOverloadedError, ServiceUnavailableError) as exc:
+                results.append(_batch_entry_of(_decide_failure(frame_id, exc)))
                 continue
             pending.append((len(results), future, request))
             results.append(None)
@@ -623,22 +435,10 @@ class MSoDServer:
                 *(future for _, future, _ in pending), return_exceptions=True
             )
             for (slot, _, request), outcome in zip(pending, outcomes):
-                if isinstance(outcome, RequestFencedError):
-                    results[slot] = {
-                        "ok": False,
-                        "error": {
-                            "kind": protocol.ERR_FENCED,
-                            "detail": str(outcome),
-                        },
-                    }
-                elif isinstance(outcome, BaseException):
-                    results[slot] = {
-                        "ok": False,
-                        "error": {
-                            "kind": protocol.ERR_INTERNAL,
-                            "detail": f"{type(outcome).__name__}: {outcome}",
-                        },
-                    }
+                if isinstance(outcome, BaseException):
+                    results[slot] = _batch_entry_of(
+                        _decide_failure(frame_id, outcome)
+                    )
                 else:
                     results[slot] = {
                         "ok": True,
@@ -646,44 +446,89 @@ class MSoDServer:
                             outcome, request
                         ),
                     }
-        await self._send(
-            writer,
-            {
-                "v": protocol.PROTOCOL_VERSION_2,
-                "id": frame_id,
-                "ok": True,
-                "op": protocol.OP_DECIDE_BATCH,
-                "results": results,
-            },
-            v2=True,
-        )
+        return {
+            "v": protocol.PROTOCOL_VERSION_2,
+            "id": frame_id,
+            "ok": True,
+            "op": protocol.OP_DECIDE_BATCH,
+            "results": results,
+        }
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, frame: dict, v2: bool = False
-    ) -> None:
+    def _sender(self, writer: asyncio.StreamWriter, encode):
+        """The connection's ``send(frame)`` coroutine function.
+
+        Bound once to the encoder the connection speaks — v1 JSON lines
+        from accept, binary v2 once a hello negotiates it — so handlers
+        answer without knowing which protocol they are on.
+        """
         perf = self._service.perf
-        if perf.enabled:
-            started = perf.start()
-            data = (
-                protocol.encode_frame_v2(frame)
-                if v2
-                else protocol.encode_frame(frame)
-            )
-            perf.stop("wire.encode_s", started)
-            perf.incr("wire.bytes_out", len(data))
-            perf.incr("wire.frames_out")
-        else:
-            data = (
-                protocol.encode_frame_v2(frame)
-                if v2
-                else protocol.encode_frame(frame)
-            )
-        writer.write(data)
-        await writer.drain()
+
+        async def send(frame: dict) -> None:
+            if perf.enabled:
+                started = perf.start()
+                data = encode(frame)
+                perf.stop("wire.encode_s", started)
+                perf.incr("wire.bytes_out", len(data))
+                perf.incr("wire.frames_out")
+            else:
+                data = encode(frame)
+            writer.write(data)
+            await writer.drain()
+
+        return send
+
+
+#: Ops answered by :meth:`MSoDServer._policy_response`.
+_POLICY_OPS = frozenset(
+    {protocol.OP_POLICY_RELOAD, protocol.OP_VERIFY, protocol.OP_WHATIF}
+)
+
+
+def _hello_response(frame_id, version: int) -> dict:
+    return protocol.response_frame(
+        frame_id,
+        protocol.OP_HELLO,
+        "body",
+        {
+            "version": version,
+            "max_batch": protocol.MAX_WIRE_BATCH,
+            "max_frame_bytes": protocol.MAX_FRAME_BYTES_V2,
+        },
+    )
+
+
+def _decide_failure(frame_id, exc: BaseException) -> dict:
+    """The error frame for a decide the service shed or failed.
+
+    One mapping for ``decide`` frames and (through
+    :func:`_batch_entry_of`) ``decide-batch`` entries, so a failure
+    reads the same to a client whichever way its request travelled.
+    """
+    if isinstance(exc, ServiceOverloadedError):
+        return protocol.error_frame(
+            frame_id,
+            protocol.ERR_OVERLOADED,
+            str(exc),
+            retry_after=exc.retry_after,
+        )
+    if isinstance(exc, ServiceUnavailableError):
+        return protocol.error_frame(
+            frame_id, protocol.ERR_SHUTTING_DOWN, str(exc)
+        )
+    if isinstance(exc, RequestFencedError):
+        # The audit sink refused the commit (the user was fenced
+        # mid-flight by a failover or reshard cutover): the client
+        # never saw an ack, so it may re-route and resend safely.
+        return protocol.error_frame(frame_id, protocol.ERR_FENCED, str(exc))
+    # Engine/store failure, not the client's.
+    return protocol.error_frame(
+        frame_id, protocol.ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
+    )
 
 
 def _batch_entry_of(short_circuit: dict) -> dict:
-    """Map a decide-gate short-circuit response frame to a batch entry."""
+    """Map a response frame (decide-gate short circuit or
+    :func:`_decide_failure`) to a batch entry."""
     if short_circuit.get("ok"):
         return {"ok": True, "decision": short_circuit.get("decision")}
     error = short_circuit.get("error")

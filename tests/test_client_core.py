@@ -1,0 +1,256 @@
+"""Socket-free tests of the client core both IO shells are built on.
+
+The decide pipeline is driven exactly as a shell drives it — submit,
+cut a frame, feed a response, report a death — with plain strings as
+waiters, and the server's half of the exchange played by
+``encode/decode_frame_v2``.  The retry rule is exercised on a bare
+:class:`ClientCore` with no IO at all.
+"""
+
+import random
+
+import pytest
+
+from repro.client._core import ClientCore, DecidePipeline
+from repro.errors import (
+    PDPConnectError,
+    PDPFencedError,
+    PDPOverloadedError,
+    PDPUnavailableError,
+    ProtocolError,
+)
+from repro.perf import PerfRecorder
+from repro.server import protocol
+
+
+def sent_frame(payload: bytes) -> dict:
+    """What the server would decode from a cut frame's wire bytes."""
+    length = protocol.v2_payload_length(payload[: protocol.V2_HEADER_BYTES])
+    body = payload[protocol.V2_HEADER_BYTES :]
+    assert len(body) == length
+    return protocol.decode_frame_v2(body)
+
+
+def ok_response(frame: dict, decisions: list) -> dict:
+    return {
+        "id": frame["id"],
+        "ok": True,
+        "results": [{"ok": True, "decision": d} for d in decisions],
+    }
+
+
+def submit_all(pipeline: DecidePipeline, entries) -> None:
+    for waiter, epoch in entries:
+        pipeline.submit(waiter, {"user": waiter}, epoch)
+
+
+class TestBatchCutting:
+    def test_frames_group_by_epoch_in_submission_order(self):
+        pipeline = DecidePipeline(batch_max=8)
+        submit_all(
+            pipeline, [("a", 3), ("b", 3), ("c", 4), ("d", None), ("e", None)]
+        )
+        cut = []
+        while pipeline.has_unsent:
+            payload, size, failed = pipeline.next_frame()
+            assert failed == []
+            frame = sent_frame(payload)
+            assert frame["op"] == protocol.OP_DECIDE_BATCH
+            assert size == len(frame["requests"])
+            cut.append(
+                ([r["user"] for r in frame["requests"]], frame.get("epoch"))
+            )
+        assert cut == [(["a", "b"], 3), (["c"], 4), (["d", "e"], None)]
+
+    def test_batch_max_caps_every_frame(self):
+        pipeline = DecidePipeline(batch_max=2)
+        submit_all(pipeline, [(f"w{i}", 7) for i in range(5)])
+        sizes = []
+        while pipeline.has_unsent:
+            sizes.append(pipeline.next_frame()[1])
+        assert sizes == [2, 2, 1]
+
+    def test_nothing_queued_cuts_nothing(self):
+        assert DecidePipeline(batch_max=4).next_frame() == (None, 0, [])
+
+    def test_unencodable_request_fails_its_batch_and_keeps_the_wire(self):
+        pipeline = DecidePipeline(batch_max=8)
+        pipeline.submit("bad", {"user": object()}, 1)  # binpack cannot encode
+        pipeline.submit("good", {"user": "good"}, 2)
+        payload, size, failed = pipeline.next_frame()
+        assert payload is None and size == 0
+        [(waiter, decision, error)] = failed
+        assert waiter == "bad" and decision is None
+        assert isinstance(error, ProtocolError)
+        # The connection is untouched: the next batch is cut and answered.
+        assert pipeline.dead is None
+        payload, size, failed = pipeline.next_frame()
+        assert size == 1 and failed == []
+        frame = sent_frame(payload)
+        assert pipeline.receive(ok_response(frame, ["D"])) == [
+            ("good", "D", None)
+        ]
+
+
+class TestResponseResolution:
+    def cut(self, pipeline, waiters, epoch=None):
+        submit_all(pipeline, [(w, epoch) for w in waiters])
+        payload, _, _ = pipeline.next_frame()
+        return sent_frame(payload)
+
+    def test_entries_resolve_their_waiters_in_order_out_of_frame_order(self):
+        pipeline = DecidePipeline(batch_max=2)
+        first = self.cut(pipeline, ["a", "b"])
+        second = self.cut(pipeline, ["c"])
+        assert pipeline.receive(ok_response(second, ["Dc"])) == [
+            ("c", "Dc", None)
+        ]
+        mixed = {
+            "id": first["id"],
+            "ok": True,
+            "results": [
+                {"ok": True, "decision": "Da"},
+                {
+                    "ok": False,
+                    "error": {"kind": protocol.ERR_FENCED, "detail": "stale"},
+                },
+            ],
+        }
+        (a, b) = pipeline.receive(mixed)
+        assert a == ("a", "Da", None)
+        assert b[0] == "b" and b[1] is None
+        assert isinstance(b[2], PDPFencedError)
+
+    def test_whole_frame_error_fans_out_to_every_waiter(self):
+        pipeline = DecidePipeline(batch_max=4)
+        frame = self.cut(pipeline, ["a", "b", "c"])
+        response = protocol.error_frame(
+            frame["id"], protocol.ERR_OVERLOADED, "shard full", retry_after=0.25
+        )
+        resolutions = pipeline.receive(response)
+        assert [w for w, _, _ in resolutions] == ["a", "b", "c"]
+        errors = {id(e) for _, _, e in resolutions}
+        assert len(errors) == 1  # one typed error, shared
+        error = resolutions[0][2]
+        assert isinstance(error, PDPOverloadedError)
+        assert error.retry_after == 0.25
+
+    def test_unsolicited_frame_id_is_a_protocol_error(self):
+        pipeline = DecidePipeline(batch_max=4)
+        self.cut(pipeline, ["a"])
+        with pytest.raises(ProtocolError, match="unsolicited"):
+            pipeline.receive({"id": "c-nobody", "ok": True, "results": []})
+
+    def test_entry_count_mismatch_is_a_protocol_error_and_stays_sent(self):
+        pipeline = DecidePipeline(batch_max=4)
+        frame = self.cut(pipeline, ["a", "b"])
+        with pytest.raises(ProtocolError, match="1 results for 2"):
+            pipeline.receive(ok_response(frame, ["only-one"]))
+        # The shell answers a violation with fail(): the batch was sent,
+        # so its waiters get the transport error — never left hanging.
+        lost = PDPUnavailableError("protocol violation from server")
+        assert pipeline.fail(lost) == [("a", None, lost), ("b", None, lost)]
+
+
+class TestFailTimeClassification:
+    def test_unsent_is_connect_error_sent_is_the_transport_error(self):
+        pipeline = DecidePipeline(batch_max=2)
+        submit_all(pipeline, [("sent1", 1), ("sent2", 1), ("queued", 1)])
+        payload, size, _ = pipeline.next_frame()
+        assert size == 2 and payload is not None
+        lost = PDPUnavailableError("PDP transport failure: reset")
+        by_waiter = {w: e for w, _, e in pipeline.fail(lost)}
+        # Sent: ambiguous on the server, the caller must not replay.
+        assert by_waiter["sent1"] is lost and by_waiter["sent2"] is lost
+        # Unsent: provably never left the client, safe to retry.
+        assert isinstance(by_waiter["queued"], PDPConnectError)
+        assert pipeline.dead is lost
+        assert not pipeline.has_unsent
+
+    def test_dead_pipeline_refuses_submission_retriably(self):
+        pipeline = DecidePipeline(batch_max=2)
+        first = PDPUnavailableError("gone")
+        assert pipeline.fail(first) == []
+        assert pipeline.fail(PDPUnavailableError("closed")) == []
+        assert pipeline.dead is first  # the first cause is kept
+        with pytest.raises(PDPConnectError):
+            pipeline.submit("late", {"user": "late"}, None)
+
+
+class IdleCore(ClientCore):
+    """A client core with no IO shell attached."""
+
+    def _init_io(self) -> None:
+        pass
+
+
+class TestRetryRule:
+    def core(self, **kwargs):
+        perf = PerfRecorder()
+        core = IdleCore(
+            "127.0.0.1",
+            1,
+            max_retries=2,
+            backoff_base=0.01,
+            backoff_cap=0.04,
+            rng=random.Random(7),
+            perf=perf,
+            **kwargs,
+        )
+        return core, perf
+
+    def test_connect_failure_retries_even_a_decide(self):
+        core, perf = self.core()
+        exc = PDPConnectError("refused")
+        assert 0.0 <= core.retry_delay(exc, 0, retriable=False) <= 0.01
+        assert 0.0 <= core.retry_delay(exc, 1, retriable=False) <= 0.02
+        with pytest.raises(PDPConnectError):
+            core.retry_delay(exc, 2, retriable=False)  # budget spent
+        assert perf.counters() == {
+            "client.transport_failures": 3,
+            "client.retries": 2,
+        }
+
+    def test_sent_then_lost_is_retried_only_when_idempotent(self):
+        core, perf = self.core()
+        exc = PDPUnavailableError("connection closed mid-response")
+        assert core.retry_delay(exc, 0, retriable=True) <= 0.01
+        with pytest.raises(PDPUnavailableError) as excinfo:
+            core.retry_delay(exc, 0, retriable=False)
+        assert excinfo.value is exc
+        assert perf.counters()["client.retries"] == 1
+
+    def test_overload_is_retried_after_the_servers_hint(self):
+        core, perf = self.core()
+        exc = PDPOverloadedError("shard full", retry_after=0.5)
+        delay = core.retry_delay(exc, 1, retriable=False)
+        assert 0.5 <= delay <= 0.5 + 0.02
+        assert perf.counters() == {
+            "client.overload_rejections": 1,
+            "client.retries": 1,
+        }
+
+    def test_backoff_is_capped(self):
+        core, _ = self.core()
+        core._max_retries = 50
+        exc = PDPConnectError("refused")
+        assert all(
+            core.retry_delay(exc, attempt, retriable=True) <= 0.04
+            for attempt in range(10, 20)
+        )
+
+    def test_configuration_is_validated_once(self):
+        with pytest.raises(ValueError, match="protocol_version"):
+            IdleCore("127.0.0.1", 1, protocol_version="v3")
+        assert IdleCore("h", 1, protocol_version="v1").negotiated_protocol == 1
+        assert IdleCore("h", 1).negotiated_protocol is None
+
+    def test_v2_refusal_downgrades_auto_and_fails_pinned(self):
+        refusal = ProtocolError("server negotiated protocol v1; v2 required")
+        auto, _ = self.core()
+        auto.v2_refused(refusal)
+        assert auto.negotiated_protocol == 1
+        pinned, _ = self.core(protocol_version="v2")
+        with pytest.raises(ProtocolError):
+            pinned.v2_refused(refusal)
+        assert pinned.negotiated_protocol is None

@@ -406,7 +406,7 @@ class TestAuditReplay:
                 )
             ]
         )
-        engine.replace_policy_set(unrelated)
+        engine.swap_policy(unrelated, force=True)
         recovered = InMemoryRetainedADIStore()
         report = recover_retained_adi(
             manager,

@@ -117,7 +117,7 @@ class TestBasics:
 
     def test_replace_policy_set(self):
         engine = bank_engine()
-        engine.replace_policy_set(tax_policy_set())
+        engine.swap_policy(tax_policy_set(), force=True)
         assert engine.policy_set.get("tax").policy_id == "tax"
 
     def test_bulk_check_in_order(self):

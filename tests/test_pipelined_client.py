@@ -5,11 +5,16 @@ and downlevel servers, the auto-fallback memory, batch coalescing under
 concurrency, the post-send no-replay discipline on the pipelined path,
 the async client, and the wire perf counters surfacing in both the
 ``metrics`` verb and the Prometheus exposition.
+
+The negotiation and post-send cases name their client in ``client``
+and are re-run over the asyncio shell by a two-line subclass, the same
+way as in ``tests/test_remote_pdp.py``.
 """
 
 import asyncio
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -34,6 +39,7 @@ from repro.errors import PDPConnectError, ProtocolError
 from repro.obs import parse_exposition
 from repro.perf import PerfRecorder
 from repro.server import AuthorizationService, ServerThread, protocol
+from tests.test_remote_pdp import BlockingAsyncPDP
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -284,6 +290,58 @@ class TestPipelinedDecides:
         assert 1 <= batch_sizes.count <= 2 * n_users
         assert counters["client.frames_out"] == batch_sizes.count
 
+    def test_many_threads_through_a_narrow_window_lose_no_decide(self):
+        """More threads than cores, a two-frame window and a shortened
+        switch interval: every decide is answered exactly once.  A lost
+        update in the pipeline state the sender, the reader and the
+        callers share would hang a caller or miscount a batch."""
+        service = make_service(n_shards=4)
+        perf = PerfRecorder()
+        n_threads, per_thread = 32, 20
+        granted = []
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(service) as server, RemotePDP(
+                server.host,
+                server.port,
+                timeout=20.0,
+                protocol_version="v2",
+                batch_max=4,
+                pipeline_window=2,
+                perf=perf,
+            ) as pdp:
+
+                def client(lane):
+                    try:
+                        for index in range(per_thread):
+                            decision = pdp.decide(
+                                make_request(f"s{lane}-{index}", TELLER)
+                            )
+                            granted.append(decision.granted)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=client, args=(lane,))
+                    for lane in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        total = n_threads * per_thread
+        assert granted == [True] * total
+        counters = perf.counters()
+        assert counters["client.calls"] == total
+        assert perf.sizes()["client.batch_size"].total == total
+        assert counters["client.frames_in"] == counters["client.frames_out"]
+
     def test_async_pipelined_decides(self):
         service = make_service(n_shards=4)
         with ServerThread(service) as server:
@@ -316,9 +374,11 @@ class TestPipelinedDecides:
 
 
 class TestNegotiationFallback:
+    client = RemotePDP
+
     def test_auto_falls_back_to_v1_and_remembers(self):
         with V1OnlyServer() as server:
-            with RemotePDP(
+            with self.client(
                 "127.0.0.1", server.port, protocol_version="auto", **FAST
             ) as pdp:
                 first = pdp.decide(make_request("fb", TELLER, 1.0))
@@ -331,7 +391,7 @@ class TestNegotiationFallback:
 
     def test_forced_v2_against_v1_only_server_raises(self):
         with V1OnlyServer() as server:
-            with RemotePDP(
+            with self.client(
                 "127.0.0.1", server.port, protocol_version="v2", **FAST
             ) as pdp:
                 with pytest.raises(ProtocolError):
@@ -341,17 +401,23 @@ class TestNegotiationFallback:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        with RemotePDP(
+        with self.client(
             "127.0.0.1", port, protocol_version="v2", max_retries=1, **FAST
         ) as pdp:
             with pytest.raises(PDPConnectError):
                 pdp.decide(make_request("cf", TELLER, 1.0))
 
 
+class TestNegotiationFallbackOverAsyncio(TestNegotiationFallback):
+    client = BlockingAsyncPDP
+
+
 class TestPostSendDiscipline:
+    client = RemotePDP
+
     def test_batch_sent_then_death_is_unavailable_and_never_replayed(self):
         with DieAfterBatchServer() as server:
-            with RemotePDP(
+            with self.client(
                 "127.0.0.1",
                 server.port,
                 protocol_version="v2",
@@ -366,6 +432,10 @@ class TestPostSendDiscipline:
             time.sleep(0.05)  # a replay would need a new connection
             assert server.batch_frames == 1
             assert server.connections == 1
+
+
+class TestPostSendDisciplineOverAsyncio(TestPostSendDiscipline):
+    client = BlockingAsyncPDP
 
 
 class TestWireMetrics:

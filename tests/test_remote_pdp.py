@@ -1,10 +1,19 @@
-"""Tests for the remote PDP clients and PEP transport-failure typing."""
+"""Tests for the remote PDP clients and PEP transport-failure typing.
+
+Every ``TestRemotePDP`` case runs against both IO shells: the class
+names its client in ``client``, and ``TestRemotePDPOverAsyncio``
+re-runs the same bodies with :class:`BlockingAsyncPDP` — the asyncio
+shell behind blocking calls — so the retry discipline is proven on
+both from one set of cases.
+"""
 
 import asyncio
+import inspect
 import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -23,6 +32,7 @@ from repro.client import (
     PDPUnavailableError,
     RemotePDP,
 )
+from repro.errors import PDPConnectError
 from repro.framework import (
     AccessDeniedError,
     PolicyEnforcementPoint,
@@ -121,9 +131,55 @@ class ScriptedServer:
             pass
 
 
-def overloaded_reply(frame):
+class BlockingAsyncPDP:
+    """:class:`AsyncRemotePDP` behind blocking calls on a private loop.
+
+    Test-only: gives the asyncio shell the sync client's face (verbs
+    block, ``with`` closes), so one test body serves both shells.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._loop = asyncio.new_event_loop()
+        self._pdp = AsyncRemotePDP(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self._pdp, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            result = attr(*args, **kwargs)
+            if inspect.isawaitable(result):
+                return self._loop.run_until_complete(result)
+            return result
+
+        return call
+
+    def pending_tasks(self):
+        return [t for t in asyncio.all_tasks(self._loop) if not t.done()]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()  # the loop stays usable: verbs after close must raise
+
+    def __del__(self):
+        self._loop.close()
+
+
+def pipeline_threads():
+    return {
+        t for t in threading.enumerate() if t.name.startswith("repro-pdp-")
+    }
+
+
+def overloaded_reply(frame, retry_after=0.001):
     return protocol.error_frame(
-        frame["id"], protocol.ERR_OVERLOADED, "shard full", retry_after=0.001
+        frame["id"],
+        protocol.ERR_OVERLOADED,
+        "shard full",
+        retry_after=retry_after,
     )
 
 
@@ -153,14 +209,16 @@ FAST = dict(timeout=2.0, backoff_base=0.001, backoff_cap=0.002)
 
 
 class TestRemotePDP:
+    client = RemotePDP
+
     def test_connect_failure_is_typed(self):
-        pdp = RemotePDP("127.0.0.1", free_port(), max_retries=0, timeout=0.5)
-        with pytest.raises(PDPUnavailableError):
+        pdp = self.client("127.0.0.1", free_port(), max_retries=0, timeout=0.5)
+        with pdp, pytest.raises(PDPUnavailableError):
             pdp.decide(make_request("alice", TELLER))
 
     def test_grant_and_deny_through_unchanged_pep(self):
         with ServerThread(make_service()) as server:
-            with RemotePDP(server.host, server.port, **FAST) as pdp:
+            with self.client(server.host, server.port, **FAST) as pdp:
                 pep = PolicyEnforcementPoint(pdp, SimulatedClock())
                 grant = pep.enforce(
                     "alice", [TELLER], "handleCash", "till://1", YORK_P1
@@ -176,7 +234,7 @@ class TestRemotePDP:
 
     def test_healthz_and_metrics_verbs(self):
         with ServerThread(make_service(n_shards=3)) as server:
-            with RemotePDP(server.host, server.port, **FAST) as pdp:
+            with self.client(server.host, server.port, **FAST) as pdp:
                 pdp.decide(make_request("bob", TELLER))
                 health = pdp.healthz()
                 metrics = pdp.metrics()
@@ -187,7 +245,7 @@ class TestRemotePDP:
     def test_connections_are_pooled(self):
         script = [healthz_reply] * 5
         with ScriptedServer(script) as stub:
-            with RemotePDP("127.0.0.1", stub.port, **FAST) as pdp:
+            with self.client("127.0.0.1", stub.port, **FAST) as pdp:
                 for _ in range(5):
                     assert pdp.healthz() == {"status": "ok"}
             assert stub.connections == 1  # sequential calls reuse one socket
@@ -195,7 +253,7 @@ class TestRemotePDP:
     def test_overload_is_retried_then_succeeds(self):
         script = [overloaded_reply, overloaded_reply, healthz_reply]
         with ScriptedServer(script) as stub:
-            pdp = RemotePDP(
+            pdp = self.client(
                 "127.0.0.1",
                 stub.port,
                 max_retries=2,
@@ -211,7 +269,7 @@ class TestRemotePDP:
         # path (v2 discipline is covered by the pipelined tests).
         script = [overloaded_reply] * 3
         with ScriptedServer(script) as stub:
-            pdp = RemotePDP(
+            pdp = self.client(
                 "127.0.0.1",
                 stub.port,
                 max_retries=1,
@@ -229,7 +287,7 @@ class TestRemotePDP:
         the server may already have committed the grant to history."""
         script = [None, None, None]  # close without answering, every time
         with ScriptedServer(script) as stub:
-            pdp = RemotePDP(
+            pdp = self.client(
                 "127.0.0.1",
                 stub.port,
                 max_retries=2,
@@ -243,7 +301,7 @@ class TestRemotePDP:
     def test_healthz_is_retried_on_transport_failure(self):
         script = [None, healthz_reply]
         with ScriptedServer(script) as stub:
-            pdp = RemotePDP(
+            pdp = self.client(
                 "127.0.0.1",
                 stub.port,
                 max_retries=2,
@@ -263,7 +321,7 @@ class TestRemotePDP:
             )
         ]
         with ScriptedServer(script) as stub:
-            pdp = RemotePDP("127.0.0.1", stub.port, max_retries=0, **FAST)
+            pdp = self.client("127.0.0.1", stub.port, max_retries=0, **FAST)
             with pdp, pytest.raises(ProtocolError):
                 pdp.healthz()
 
@@ -275,14 +333,12 @@ class TestRemotePDP:
         stall detection for seconds.  ``health_timeout`` caps the probe
         alone — decides keep the long deadline.
         """
-        import time
-
         def slow_healthz(frame):
             time.sleep(1.5)
             return healthz_reply(frame)
 
         with ScriptedServer([slow_healthz]) as stub:
-            pdp = RemotePDP(
+            pdp = self.client(
                 "127.0.0.1",
                 stub.port,
                 timeout=30.0,
@@ -296,9 +352,66 @@ class TestRemotePDP:
 
     def test_health_timeout_defaults_to_the_decide_timeout(self):
         with ScriptedServer([healthz_reply]) as stub:
-            pdp = RemotePDP("127.0.0.1", stub.port, timeout=5.0)
+            pdp = self.client("127.0.0.1", stub.port, timeout=5.0)
             with pdp:
                 assert pdp.healthz() == {"status": "ok"}
+
+    def test_overload_waits_out_the_servers_retry_after(self):
+        """Backoff is floored at the ``retry_after`` hint, per rejection."""
+
+        def shed(frame):
+            return overloaded_reply(frame, retry_after=0.05)
+
+        with ScriptedServer([shed, shed, healthz_reply]) as stub:
+            pdp = self.client("127.0.0.1", stub.port, max_retries=2, **FAST)
+            started = time.monotonic()
+            with pdp:
+                assert pdp.healthz() == {"status": "ok"}
+            assert time.monotonic() - started >= 0.1
+            assert len(stub.requests) == 3
+
+    def test_lost_handshake_is_connect_error_and_retried(self):
+        """A decide whose pipelined connection dies before anything was
+        sent is connect-class: retried to the budget, then typed."""
+        script = [None, None, None]  # every hello: close without answering
+        with ScriptedServer(script) as stub:
+            pdp = self.client(
+                "127.0.0.1",
+                stub.port,
+                max_retries=2,
+                protocol_version="v2",
+                **FAST,
+            )
+            with pdp, pytest.raises(PDPConnectError):
+                pdp.decide(make_request("dora", TELLER))
+            assert [f["op"] for f in stub.requests] == [protocol.OP_HELLO] * 3
+
+    def test_any_verb_after_close_is_refused_and_nothing_lingers(self):
+        """A closed client must not quietly reconnect: its fresh
+        pipelined connection (threads / reader task) would never be
+        closed again."""
+        before = pipeline_threads()
+        with ServerThread(make_service()) as server:
+            pdp = self.client(
+                server.host, server.port, protocol_version="v2", **FAST
+            )
+            with pdp:
+                assert pdp.decide(make_request("zed", TELLER)).granted
+            for verb in (
+                lambda: pdp.decide(make_request("zed", AUDITOR, 2.0)),
+                pdp.healthz,
+                pdp.policy_version,
+            ):
+                with pytest.raises(PDPUnavailableError) as excinfo:
+                    verb()
+                assert not isinstance(excinfo.value, PDPConnectError)
+            assert pipeline_threads() <= before
+            if isinstance(pdp, BlockingAsyncPDP):
+                assert pdp.pending_tasks() == []
+
+
+class TestRemotePDPOverAsyncio(TestRemotePDP):
+    client = BlockingAsyncPDP
 
 
 class TestAsyncRemotePDP:

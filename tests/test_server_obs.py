@@ -97,7 +97,7 @@ class TestMetricsVerb:
     def test_unknown_format_is_protocol_error(self, traced_server):
         with traced_server.client() as pdp:
             with pytest.raises(ProtocolError):
-                pdp._call(protocol.OP_METRICS, retriable=True, format="xml")
+                pdp.request(protocol.OP_METRICS, retriable=True, format="xml")
 
     def test_cli_metrics_scrape(self, traced_server, capsys):
         from repro.cli import main as cli_main
