@@ -1,0 +1,371 @@
+"""Incremental aggregates over the retained ADI, shared by every backend.
+
+Steps 3, 5 and 6 of the Section 4.2 algorithm ask whether a context has
+started (:class:`_ContextPresence`) and which roles a user activated and
+which privileges it exercised there (:class:`_UserAggregate`).
+:class:`_UserContextIndex` composes the two for the always-resident
+stores, :class:`~repro.core.tiered.TieredADIStore` as LRU shards of
+aggregates plus one presence.  None of them locks: the composing store
+owns the discipline.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+from repro.core.constraints import Privilege, Role
+from repro.core.context import ContextName
+
+if TYPE_CHECKING:
+    from repro.core.retained_adi import RetainedADIRecord
+
+
+class _ContextBucket:
+    """Incremental aggregates for one ``(user, concrete-context)`` pair.
+
+    The engine's hot queries — which roles has this user activated, and
+    which privileges has it exercised, within an effective policy context
+    — are answered from aggregates maintained on ``add``/``remove``
+    instead of rebuilt by scanning records:
+
+    * ``role_counts`` — multiset of activated roles (counts support
+      exact deletion on purge).
+    * ``exercises`` — per ``request_id``, the ``(record_id, privilege)``
+      of the *earliest* record of that request: step 5.iv stores one
+      record per matched role, but they count as a single privilege
+      exercise.
+    """
+
+    __slots__ = ("records", "role_counts", "req_privileges", "exercises")
+
+    def __init__(self) -> None:
+        self.records: dict[int, RetainedADIRecord] = {}
+        self.role_counts: Counter = Counter()
+        self.req_privileges: dict[str, dict[int, Privilege]] = {}
+        self.exercises: dict[str, tuple[int, Privilege]] = {}
+
+    def add(self, record: RetainedADIRecord) -> None:
+        record_id = record.record_id
+        privilege = record.privilege
+        self.records[record_id] = record
+        self.role_counts.update(record.roles)
+        per_request = self.req_privileges.setdefault(record.request_id, {})
+        per_request[record_id] = privilege
+        first = self.exercises.get(record.request_id)
+        if first is None or record_id < first[0]:
+            self.exercises[record.request_id] = (record_id, privilege)
+
+    def remove(self, record: RetainedADIRecord) -> None:
+        record_id = record.record_id
+        del self.records[record_id]
+        counts = self.role_counts
+        for role in record.roles:
+            left = counts[role] - 1
+            if left:
+                counts[role] = left
+            else:
+                del counts[role]
+        per_request = self.req_privileges[record.request_id]
+        del per_request[record_id]
+        if not per_request:
+            del self.req_privileges[record.request_id]
+            del self.exercises[record.request_id]
+        elif self.exercises[record.request_id][0] == record_id:
+            first_id = min(per_request)
+            self.exercises[record.request_id] = (first_id, per_request[first_id])
+
+
+class _UserAggregate:
+    """One user's buckets by concrete context, and the folds over them.
+
+    ``add``/``remove`` are **idempotent** by record id: a tiered
+    mutation's hot update may race a hydration that already read the
+    committed warm state, and must not count a record twice.
+
+    ``_memo`` maps an effective context to the list of matching buckets,
+    amortising context matching *across* requests (the per-request
+    ``ADIViewSnapshot`` only dedupes within one).  A new bucket is
+    appended to the matching cached lists; any bucket deletion simply
+    drops the memo (deletions are rare — context termination or admin
+    purges).
+    """
+
+    __slots__ = ("buckets", "_memo")
+
+    #: Memo-size guard: effective contexts are policy-derived and few,
+    #: but an adversarial query stream must not grow the memo unboundedly.
+    _MEMO_LIMIT = 1024
+
+    def __init__(self) -> None:
+        self.buckets: dict[ContextName, _ContextBucket] = {}
+        self._memo: dict[ContextName, list[_ContextBucket]] = {}
+
+    # -- maintenance ---------------------------------------------------
+    def add(self, record: RetainedADIRecord) -> _ContextBucket | None:
+        """File one record; the bucket it landed in, ``None`` if held."""
+        context = record.context_instance
+        bucket = self.buckets.get(context)
+        if bucket is None:
+            bucket = self.buckets[context] = _ContextBucket()
+            for effective, buckets in self._memo.items():
+                if effective.matcher.matches(context):
+                    buckets.append(bucket)
+        elif record.record_id in bucket.records:
+            return None  # hydration already saw this committed record
+        bucket.add(record)
+        return bucket
+
+    def remove(self, record: RetainedADIRecord) -> bool:
+        """Retire one record; ``False`` when it was not held."""
+        context = record.context_instance
+        bucket = self.buckets.get(context)
+        if bucket is None or record.record_id not in bucket.records:
+            return False  # hydrated after the warm delete: already gone
+        bucket.remove(record)
+        if not bucket.records:
+            del self.buckets[context]
+            # Drop the memo for lazy rebuild rather than surgically
+            # pruning every cached list.
+            self._memo = {}
+        return True
+
+    def clear_memo(self) -> None:
+        """Drop the effective-context memo, keeping the records.
+
+        Effective contexts are derived from the *policy set* (a policy's
+        business context instantiated against a request), so a policy
+        hot-swap invalidates them wholesale; the records themselves are
+        policy-independent.  Rebinding (not ``.clear()``) keeps the swap
+        benign for threaded embedders: a concurrent query iterating the
+        old memo dict finishes against it undisturbed, and anything it
+        writes there is simply dropped with the old dict.
+        """
+        self._memo = {}
+
+    # -- folds ---------------------------------------------------------
+    def _matching(self, effective_context: ContextName) -> list[_ContextBucket]:
+        memo = self._memo
+        buckets = memo.get(effective_context)
+        if buckets is None:
+            if len(memo) >= self._MEMO_LIMIT:
+                memo.clear()
+            matches = effective_context.matcher.matches
+            buckets = memo[effective_context] = [
+                bucket
+                for context, bucket in self.buckets.items()
+                if matches(context)
+            ]
+        return buckets
+
+    def roles(self, effective_context: ContextName) -> frozenset[Role]:
+        """Roles the user has activated within the effective context."""
+        roles: set[Role] = set()
+        for bucket in self._matching(effective_context):
+            roles.update(bucket.role_counts)
+        return frozenset(roles)
+
+    def exercises(self, effective_context: ContextName) -> list[Privilege]:
+        """Privileges exercised, one per request, in record-id order."""
+        entries: list[tuple[int, str, Privilege]] = []
+        for bucket in self._matching(effective_context):
+            entries.extend(
+                (record_id, request_id, privilege)
+                for request_id, (record_id, privilege) in bucket.exercises.items()
+            )
+        entries.sort()
+        seen_requests: set[str] = set()
+        exercises: list[Privilege] = []
+        for _, request_id, privilege in entries:
+            if request_id in seen_requests:
+                continue
+            seen_requests.add(request_id)
+            exercises.append(privilege)
+        return exercises
+
+    def records(self, effective_context: ContextName) -> list[RetainedADIRecord]:
+        """The user's records within the context, in record-id order."""
+        found: list[RetainedADIRecord] = []
+        for bucket in self._matching(effective_context):
+            found.extend(bucket.records.values())
+        found.sort(key=lambda record: record.record_id)
+        return found
+
+
+class _ContextPresence:
+    """Which concrete contexts hold records, and the "has it started" memo.
+
+    ``counts`` maps each concrete context instance to its record count;
+    it is bounded by the number of distinct contexts, not by users.
+    ``_memo`` maps an effective context to "any matching concrete
+    context exists", under three maintenance rules:
+
+    * a *new* concrete context can only flip ``False`` entries to
+      ``True`` (checked incrementally against the one new context);
+    * a *vanished* context can only stale ``True`` entries that matched
+      it, which are dropped for lazy recomputation;
+    * past ``_BULK_FORGET`` vanished contexts in one call, every
+      ``True`` entry is dropped in a single matcher-free sweep.
+    """
+
+    __slots__ = ("counts", "_memo")
+
+    #: Memo-size guard, as for :class:`_UserAggregate`.
+    _MEMO_LIMIT = 4096
+    _BULK_FORGET = 8
+
+    def __init__(self, counts: Mapping[ContextName, int] | None = None) -> None:
+        self.counts: dict[ContextName, int] = dict(counts or ())
+        self._memo: dict[ContextName, bool] = {}
+
+    def add(self, context: ContextName) -> None:
+        """Count one more record in a concrete context."""
+        count = self.counts.get(context, 0)
+        self.counts[context] = count + 1
+        if not count:
+            memo = self._memo
+            for effective, present in memo.items():
+                if not present and effective.matcher.matches(context):
+                    memo[effective] = True
+
+    def forget(self, contexts: Iterable[ContextName]) -> None:
+        """Count one record fewer in each listed concrete context."""
+        counts = self.counts
+        vanished: list[ContextName] = []
+        for context in contexts:
+            count = counts.get(context, 0)
+            if count > 1:
+                counts[context] = count - 1
+            elif count:
+                del counts[context]
+                vanished.append(context)
+        memo = self._memo
+        if not vanished or not memo:
+            return
+        # Per-context invalidation is a full memo sweep with a matcher
+        # call per entry; a user can own hundreds of concrete contexts
+        # (one per grant under per-user period naming), and a reshard
+        # cutover purges many users back to back while the memo sits at
+        # its limit — that product is what a fenced cutover pause would
+        # be made of.  Past a handful of vanished contexts it is
+        # strictly cheaper to drop every ``True`` entry without
+        # matching: deletions can only stale ``True`` entries (absent
+        # can not become present by removing contexts), and the memo
+        # repopulates lazily.
+        bulk = len(vanished) > self._BULK_FORGET
+        stale = [
+            effective
+            for effective, present in memo.items()
+            if present
+            and (bulk or any(map(effective.matcher.matches, vanished)))
+        ]
+        for effective in stale:
+            del memo[effective]
+
+    def has_context(self, effective_context: ContextName) -> bool:
+        memo = self._memo
+        present = memo.get(effective_context)
+        if present is None:
+            if len(memo) >= self._MEMO_LIMIT:
+                memo.clear()
+            matches = effective_context.matcher.matches
+            present = memo[effective_context] = any(map(matches, self.counts))
+        return present
+
+    def clear_memo(self) -> None:
+        """Rebind the memo — see :meth:`_UserAggregate.clear_memo`."""
+        self._memo = {}
+
+
+class _UserContextIndex:
+    """Records bucketed by ``(user, concrete context instance)``.
+
+    The number of distinct concrete instances (and of instances any one
+    user has touched) is tiny compared to the record count, so
+    context-scoped queries walk a handful of buckets — each answering
+    from its incremental aggregates — instead of scanning every record.
+
+    Both always-resident backends share this structure: the in-memory
+    store uses it as its primary index, the SQLite store as a lazily
+    built cache kept in lock-step with the table.
+    """
+
+    __slots__ = ("_by_user", "_by_context", "_presence")
+
+    def __init__(self) -> None:
+        self._by_user: dict[str, _UserAggregate] = {}
+        self._by_context: dict[ContextName, dict[str, _ContextBucket]] = {}
+        self._presence = _ContextPresence()
+
+    # -- maintenance ---------------------------------------------------
+    def add(self, record: RetainedADIRecord) -> None:
+        user_id = record.user_id
+        aggregate = self._by_user.get(user_id)
+        if aggregate is None:
+            aggregate = self._by_user[user_id] = _UserAggregate()
+        bucket = aggregate.add(record)
+        if bucket is not None:
+            context = record.context_instance
+            self._by_context.setdefault(context, {})[user_id] = bucket
+            self._presence.add(context)
+
+    def _unlink_bucket(self, context: ContextName, user_id: str) -> None:
+        by_users = self._by_context[context]
+        del by_users[user_id]
+        if not by_users:
+            del self._by_context[context]
+
+    def remove(self, record: RetainedADIRecord) -> None:
+        context = record.context_instance
+        user_id = record.user_id
+        aggregate = self._by_user[user_id]
+        if not aggregate.remove(record):
+            return
+        if context not in aggregate.buckets:
+            self._unlink_bucket(context, user_id)
+            if not aggregate.buckets:
+                del self._by_user[user_id]
+        self._presence.forget((context,))
+
+    def remove_user(self, user_id: str) -> list[RetainedADIRecord]:
+        """Drop every bucket of one user, returning the removed records."""
+        removed: list[RetainedADIRecord] = []
+        aggregate = self._by_user.pop(user_id, None)
+        if aggregate is not None:
+            for context, bucket in aggregate.buckets.items():
+                removed.extend(bucket.records.values())
+                self._unlink_bucket(context, user_id)
+            self._presence.forget(record.context_instance for record in removed)
+        return removed
+
+    def clear_memos(self) -> None:
+        """Drop every effective-context memo, keeping the records."""
+        self._presence.clear_memo()
+        # Snapshot first: an unlocked embedder may be adding users.
+        for aggregate in list(self._by_user.values()):
+            aggregate.clear_memo()
+
+    # -- queries -------------------------------------------------------
+    def resident_users(self) -> int:
+        return len(self._by_user)
+
+    def context_counts(self) -> dict[ContextName, int]:
+        return dict(self._presence.counts)
+
+    def has_context(self, effective_context: ContextName) -> bool:
+        return self._presence.has_context(effective_context)
+
+    def context_records(
+        self, effective_context: ContextName
+    ) -> list[RetainedADIRecord]:
+        by_context = self._by_context
+        found: list[RetainedADIRecord] = []
+        for context in filter(effective_context.matcher.matches, by_context):
+            for bucket in by_context[context].values():
+                found.extend(bucket.records.values())
+        found.sort(key=lambda record: record.record_id)
+        return found
+
+    def user(self, user_id: str) -> _UserAggregate:
+        """The user's aggregate to fold over; an empty one if unknown."""
+        return self._by_user.get(user_id) or _UserAggregate()

@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from repro.core.adi_index import _UserContextIndex
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
 from repro.errors import StoreError
@@ -122,301 +123,6 @@ class ADIMutation:
     @property
     def is_empty(self) -> bool:
         return not self.adds and not self.purge_contexts
-
-
-class _ContextBucket:
-    """Incremental aggregates for one ``(user, concrete-context)`` pair.
-
-    The engine's hot queries — which roles has this user activated, and
-    which privileges has it exercised, within an effective policy context
-    — are answered from aggregates maintained on ``add``/``remove``
-    instead of rebuilt by scanning records:
-
-    * ``role_counts`` — multiset of activated roles (counts support
-      exact deletion on purge).
-    * ``exercises`` — per ``request_id``, the ``(record_id, privilege)``
-      of the *earliest* record of that request: step 5.iv stores one
-      record per matched role, but they count as a single privilege
-      exercise.
-    """
-
-    __slots__ = ("records", "role_counts", "req_privileges", "exercises")
-
-    def __init__(self) -> None:
-        self.records: dict[int, RetainedADIRecord] = {}
-        self.role_counts: Counter = Counter()
-        self.req_privileges: dict[str, dict[int, Privilege]] = {}
-        self.exercises: dict[str, tuple[int, Privilege]] = {}
-
-    def add(self, record: RetainedADIRecord) -> None:
-        record_id = record.record_id
-        privilege = record.privilege
-        self.records[record_id] = record
-        self.role_counts.update(record.roles)
-        per_request = self.req_privileges.setdefault(record.request_id, {})
-        per_request[record_id] = privilege
-        first = self.exercises.get(record.request_id)
-        if first is None or record_id < first[0]:
-            self.exercises[record.request_id] = (record_id, privilege)
-
-    def remove(self, record: RetainedADIRecord) -> None:
-        record_id = record.record_id
-        del self.records[record_id]
-        counts = self.role_counts
-        for role in record.roles:
-            left = counts[role] - 1
-            if left:
-                counts[role] = left
-            else:
-                del counts[role]
-        per_request = self.req_privileges[record.request_id]
-        del per_request[record_id]
-        if not per_request:
-            del self.req_privileges[record.request_id]
-            del self.exercises[record.request_id]
-        elif self.exercises[record.request_id][0] == record_id:
-            first_id = min(per_request)
-            self.exercises[record.request_id] = (first_id, per_request[first_id])
-
-
-class _UserContextIndex:
-    """Records bucketed by ``(user, concrete context instance)``.
-
-    The number of distinct concrete instances (and of instances any one
-    user has touched) is tiny compared to the record count, so
-    context-scoped queries walk a handful of buckets — each answering
-    from its incremental aggregates — instead of scanning every record.
-
-    Both store backends share this structure: the in-memory store uses
-    it as its primary index, the SQLite store as a lazily built cache
-    kept in lock-step with the table.
-
-    Two query memos amortise context matching *across* requests (the
-    per-request :class:`ADIViewSnapshot` only dedupes within one):
-
-    * ``_presence`` — effective context → "any matching bucket exists".
-      Adding a new concrete context can only flip ``False`` entries to
-      ``True`` (checked incrementally against the one new context);
-      deleting a context can only stale ``True`` entries, which are
-      dropped for lazy recomputation.
-    * ``_user_cache`` — per user, effective context → list of matching
-      buckets.  A user's new bucket is appended to the matching cached
-      lists; any bucket deletion simply drops that user's cache
-      (deletions are rare — context termination or admin purges).
-    """
-
-    __slots__ = ("_by_context", "_by_user", "_presence", "_user_cache")
-
-    #: Memo-size guards: effective contexts are policy-derived and few,
-    #: but an adversarial query stream must not grow the memos unboundedly.
-    _PRESENCE_LIMIT = 4096
-    _USER_CACHE_LIMIT = 1024
-
-    def __init__(self) -> None:
-        self._by_context: dict[ContextName, dict[str, _ContextBucket]] = {}
-        self._by_user: dict[str, dict[ContextName, _ContextBucket]] = {}
-        self._presence: dict[ContextName, bool] = {}
-        self._user_cache: dict[
-            str, dict[ContextName, list[_ContextBucket]]
-        ] = {}
-
-    # -- maintenance ---------------------------------------------------
-    def add(self, record: RetainedADIRecord) -> None:
-        context = record.context_instance
-        user_id = record.user_id
-        user_buckets = self._by_user.setdefault(user_id, {})
-        bucket = user_buckets.get(context)
-        if bucket is None:
-            bucket = user_buckets[context] = _ContextBucket()
-            by_users = self._by_context.get(context)
-            if by_users is None:
-                by_users = self._by_context[context] = {}
-                presence = self._presence
-                if presence:
-                    # A new concrete context can only turn absent
-                    # effective contexts present, never the reverse.
-                    for effective, present in presence.items():
-                        if not present and effective.matcher.matches(context):
-                            presence[effective] = True
-            by_users[user_id] = bucket
-            cache = self._user_cache.get(user_id)
-            if cache:
-                for effective, buckets in cache.items():
-                    if effective.matcher.matches(context):
-                        buckets.append(bucket)
-        bucket.add(record)
-
-    def remove(self, record: RetainedADIRecord) -> None:
-        context = record.context_instance
-        user_id = record.user_id
-        bucket = self._by_user[user_id][context]
-        bucket.remove(record)
-        if not bucket.records:
-            del self._by_user[user_id][context]
-            if not self._by_user[user_id]:
-                del self._by_user[user_id]
-            del self._by_context[context][user_id]
-            if not self._by_context[context]:
-                del self._by_context[context]
-                self._forget_context(context)
-            self._user_cache.pop(user_id, None)
-
-    def remove_user(self, user_id: str) -> list[RetainedADIRecord]:
-        """Drop every bucket of one user, returning the removed records."""
-        removed: list[RetainedADIRecord] = []
-        self._user_cache.pop(user_id, None)
-        vanished: list[ContextName] = []
-        for context, bucket in self._by_user.pop(user_id, {}).items():
-            removed.extend(bucket.records.values())
-            del self._by_context[context][user_id]
-            if not self._by_context[context]:
-                del self._by_context[context]
-                vanished.append(context)
-        # Per-context presence invalidation is a full memo sweep with a
-        # matcher call per entry; a user can own hundreds of concrete
-        # contexts (one per grant under per-user period naming), and a
-        # reshard cutover purges many users back to back while the memo
-        # sits at its limit — that product is what a fenced cutover
-        # pause would be made of.  Past a handful of vanished contexts
-        # it is strictly cheaper to drop every ``True`` entry in one
-        # matcher-free sweep: deletions can only stale ``True`` entries
-        # (absent can not become present by removing contexts), and the
-        # memo repopulates lazily.
-        if len(vanished) > 8:
-            presence = self._presence
-            for effective in [
-                e for e, present in presence.items() if present
-            ]:
-                del presence[effective]
-        else:
-            for context in vanished:
-                self._forget_context(context)
-        return removed
-
-    def clear(self) -> None:
-        self._by_context.clear()
-        self._by_user.clear()
-        self._presence.clear()
-        self._user_cache.clear()
-
-    def clear_memos(self) -> None:
-        """Drop the effective-context memos, keeping the records.
-
-        Effective contexts are derived from the *policy set* (a policy's
-        business context instantiated against a request), so a policy
-        hot-swap invalidates them wholesale; the record structures
-        themselves are policy-independent and stay intact.  The memos
-        repopulate lazily on the next queries.
-
-        Rebinding (not ``.clear()``) keeps a hot-swap benign for
-        threaded embedders: a concurrent query iterating the old memo
-        dict finishes against it undisturbed, and anything it writes
-        there is simply dropped with the old dict.
-        """
-        self._presence = {}
-        self._user_cache = {}
-
-    def _forget_context(self, context: ContextName) -> None:
-        """Invalidate presence entries staled by a vanished context.
-
-        Only ``True`` entries that matched the vanished context can have
-        changed; they are recomputed lazily on the next query.
-        """
-        presence = self._presence
-        if not presence:
-            return
-        stale = [
-            effective
-            for effective, present in presence.items()
-            if present and effective.matcher.matches(context)
-        ]
-        for effective in stale:
-            del presence[effective]
-
-    # -- queries -------------------------------------------------------
-    def matching_contexts(
-        self, effective_context: ContextName
-    ) -> list[ContextName]:
-        matches = effective_context.matcher.matches
-        return [context for context in self._by_context if matches(context)]
-
-    def has_context(self, effective_context: ContextName) -> bool:
-        presence = self._presence
-        present = presence.get(effective_context)
-        if present is None:
-            if len(presence) >= self._PRESENCE_LIMIT:
-                presence.clear()
-            matches = effective_context.matcher.matches
-            present = presence[effective_context] = any(
-                matches(context) for context in self._by_context
-            )
-        return present
-
-    def context_records(
-        self, effective_context: ContextName
-    ) -> list[RetainedADIRecord]:
-        found: list[RetainedADIRecord] = []
-        for context in self.matching_contexts(effective_context):
-            for bucket in self._by_context[context].values():
-                found.extend(bucket.records.values())
-        found.sort(key=lambda record: record.record_id)
-        return found
-
-    def _user_matching_buckets(
-        self, user_id: str, effective_context: ContextName
-    ) -> list[_ContextBucket]:
-        user_buckets = self._by_user.get(user_id)
-        if not user_buckets:
-            return []
-        cache = self._user_cache.setdefault(user_id, {})
-        buckets = cache.get(effective_context)
-        if buckets is None:
-            if len(cache) >= self._USER_CACHE_LIMIT:
-                cache.clear()
-            matches = effective_context.matcher.matches
-            buckets = cache[effective_context] = [
-                bucket
-                for context, bucket in user_buckets.items()
-                if matches(context)
-            ]
-        return buckets
-
-    def user_records(
-        self, user_id: str, effective_context: ContextName
-    ) -> list[RetainedADIRecord]:
-        found: list[RetainedADIRecord] = []
-        for bucket in self._user_matching_buckets(user_id, effective_context):
-            found.extend(bucket.records.values())
-        found.sort(key=lambda record: record.record_id)
-        return found
-
-    def user_roles(
-        self, user_id: str, effective_context: ContextName
-    ) -> frozenset[Role]:
-        roles: set[Role] = set()
-        for bucket in self._user_matching_buckets(user_id, effective_context):
-            roles.update(bucket.role_counts)
-        return frozenset(roles)
-
-    def user_privilege_exercises(
-        self, user_id: str, effective_context: ContextName
-    ) -> list[Privilege]:
-        buckets = self._user_matching_buckets(user_id, effective_context)
-        entries: list[tuple[int, str, Privilege]] = []
-        for bucket in buckets:
-            entries.extend(
-                (record_id, request_id, privilege)
-                for request_id, (record_id, privilege) in bucket.exercises.items()
-            )
-        entries.sort()
-        seen_requests: set[str] = set()
-        exercises: list[Privilege] = []
-        for _, request_id, privilege in entries:
-            if request_id in seen_requests:
-                continue
-            seen_requests.add(request_id)
-            exercises.append(privilege)
-        return exercises
 
 
 class ADIViewSnapshot:
@@ -694,15 +400,11 @@ class RetainedADIStore:
 class InMemoryRetainedADIStore(RetainedADIStore):
     """Retained ADI held in memory (paper Section 5.2).
 
-    Records live in per-``(user, context-instance)`` buckets
-    (:class:`_UserContextIndex`): the number of *distinct* active
-    context instances is tiny compared to the record count, so
-    context-scoped queries (the hot path of algorithm steps 3 and 7)
-    touch only the matching buckets, and the engine's role/privilege
-    history views are answered from aggregates maintained incrementally
-    on ``add``/purge instead of per-query scans.  Deleting a record
-    fully unlinks it from every index, so long-lived users do not
-    accumulate stale entries.
+    Records live in a :class:`~repro.core.adi_index._UserContextIndex`,
+    so context-scoped queries (the hot path of algorithm steps 3 and 7)
+    touch only the matching buckets and the engine's role/privilege
+    history views never scan.  Deleting a record fully unlinks it from
+    every index, so long-lived users do not accumulate stale entries.
     """
 
     def __init__(self, records: Iterable[RetainedADIRecord] = ()) -> None:
@@ -737,7 +439,7 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     def find_user(
         self, user_id: str, effective_context: ContextName
     ) -> list[RetainedADIRecord]:
-        return self._index.user_records(user_id, effective_context)
+        return self._index.user(user_id).records(effective_context)
 
     def has_context(self, effective_context: ContextName) -> bool:
         return self._index.has_context(effective_context)
@@ -771,7 +473,7 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     def clear(self) -> int:
         removed = len(self._records)
         self._records.clear()
-        self._index.clear()
+        self._index = _UserContextIndex()
         return removed
 
     def count(self) -> int:
@@ -779,18 +481,13 @@ class InMemoryRetainedADIStore(RetainedADIStore):
 
     def stats(self) -> dict:
         return {
+            **super().stats(),
             "backend": "memory",
-            "records": len(self._records),
-            "resident_users": len(self._index._by_user),
-            "evictions": 0,
-            "hydrations": 0,
+            "resident_users": self._index.resident_users(),
         }
 
     def context_counts(self) -> dict[ContextName, int]:
-        return {
-            context: sum(len(bucket.records) for bucket in by_user.values())
-            for context, by_user in self._index._by_context.items()
-        }
+        return self._index.context_counts()
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
         purged = 0
@@ -811,12 +508,12 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     def user_roles(
         self, user_id: str, effective_context: ContextName
     ) -> frozenset[Role]:
-        return self._index.user_roles(user_id, effective_context)
+        return self._index.user(user_id).roles(effective_context)
 
     def user_privilege_exercises(
         self, user_id: str, effective_context: ContextName
     ) -> list[Privilege]:
-        return self._index.user_privilege_exercises(user_id, effective_context)
+        return self._index.user(user_id).exercises(effective_context)
 
 
 class SQLiteRetainedADIStore(RetainedADIStore):
@@ -832,10 +529,10 @@ class SQLiteRetainedADIStore(RetainedADIStore):
 
     * a row→record cache — rows are immutable once inserted, so each is
       deserialised (JSON + context parse) at most once per process;
-    * the same :class:`_UserContextIndex` of incremental aggregates the
-      in-memory store uses, built lazily from the table on the first
-      history query and then maintained in lock-step with every
-      mutation, all of which happen under this store's lock.
+    * the in-memory store's :class:`~repro.core.adi_index._UserContextIndex`,
+      built lazily from the table on the first history query and then
+      maintained in lock-step with every mutation, all of which happen
+      under this store's lock.
 
     **Threading discipline.**  The connection is opened with
     ``check_same_thread=False`` and every statement (and every
@@ -910,42 +607,48 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         """
         if effective_context.is_root:
             return "%"
-        parts = []
-        for component in effective_context:
-            escaped_type = (
-                component.ctx_type.replace("\\", "\\\\")
+
+        def escape(text: str) -> str:
+            return (
+                text.replace("\\", "\\\\")
                 .replace("%", "\\%")
                 .replace("_", "\\_")
             )
-            if component.is_wildcard:
-                parts.append(f"{escaped_type}=%")
-            else:
-                escaped_value = (
-                    component.value.replace("\\", "\\\\")
-                    .replace("%", "\\%")
-                    .replace("_", "\\_")
-                )
-                parts.append(f"{escaped_type}={escaped_value}")
-        return ", ".join(parts) + "%"
+
+        return ", ".join(
+            escape(component.ctx_type)
+            + "="
+            + ("%" if component.is_wildcard else escape(component.value))
+            for component in effective_context
+        ) + "%"
 
     def _ensure_open(self) -> None:
         if self._closed:
             raise StoreError("retained-ADI store is closed")
 
+    def _insert_locked(self, record: RetainedADIRecord) -> RetainedADIRecord:
+        """The one INSERT: the stored record, with its assigned id.
+
+        Caller owns the lock and the enclosing transaction, and admits
+        the result to the cache/index once that transaction is safe.
+        """
+        fields = record.to_dict()
+        cursor = self._conn.execute(
+            "INSERT INTO retained_adi"
+            " (user_id, context, payload, granted_at) VALUES (?, ?, ?, ?)",
+            (
+                record.user_id,
+                fields["context_instance"],
+                json.dumps(fields, sort_keys=True),
+                record.granted_at,
+            ),
+        )
+        return RetainedADIRecord.from_dict(fields, record_id=cursor.lastrowid)
+
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
         self._ensure_open()
-        payload = json.dumps(record.to_dict(), sort_keys=True)
         with self._lock:
-            cursor = self._conn.execute(
-                "INSERT INTO retained_adi"
-                " (user_id, context, payload, granted_at) VALUES (?, ?, ?, ?)",
-                (
-                    record.user_id,
-                    str(record.context_instance),
-                    payload,
-                    record.granted_at,
-                ),
-            )
+            stored = self._insert_locked(record)
             # Inside an open batch() the insert joins the batch
             # transaction and durability is deferred to its single
             # commit; committing here would close that transaction
@@ -953,9 +656,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             # between ~3k and ~100k adds/s on bulk replays.
             if not self._batch_depth:
                 self._conn.commit()
-            stored = RetainedADIRecord.from_dict(
-                record.to_dict(), record_id=cursor.lastrowid
-            )
             self._admit_locked(stored)
         return stored
 
@@ -990,82 +690,79 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             if self._index is not None:
                 self._index.remove(record)
 
-    def _record_from_row(self, record_id: int, payload: str) -> RetainedADIRecord:
-        """Deserialise a row once; later lookups hit the cache.
+    def _select_locked(
+        self, where: str = "", params: tuple = ()
+    ) -> list[RetainedADIRecord]:
+        """The one SELECT: rows in id order, deserialised at most once.
 
-        Safe because rows are immutable: ``record_id`` is an
-        AUTOINCREMENT key, never reused or updated in place.
+        Caller holds the lock — materialising fills (and may rebind) the
+        row cache.  Caching is safe because rows are immutable:
+        ``record_id`` is an AUTOINCREMENT key, never reused or updated
+        in place.
         """
-        record = self._row_cache.get(record_id)
-        if record is None:
-            record = RetainedADIRecord.from_dict(
-                json.loads(payload), record_id=record_id
-            )
-            self._row_cache[record_id] = record
-            self._bound_row_cache_locked()
-        return record
+        rows = self._conn.execute(
+            f"SELECT record_id, payload FROM retained_adi{where}"
+            " ORDER BY record_id",
+            params,
+        ).fetchall()
+        found: list[RetainedADIRecord] = []
+        for record_id, payload in rows:
+            record = self._row_cache.get(record_id)
+            if record is None:
+                record = RetainedADIRecord.from_dict(
+                    json.loads(payload), record_id=record_id
+                )
+                self._row_cache[record_id] = record
+                self._bound_row_cache_locked()
+            found.append(record)
+        return found
+
+    def _in_context_locked(
+        self, effective_context: ContextName, user_id: str | None = None
+    ) -> list[RetainedADIRecord]:
+        """Records matching a context (optionally of one user).
+
+        A purge MUST select its doomed records through this inside the
+        same locked transaction as the deletes: selecting first and
+        locking later would let a concurrent ``add`` slip a matching
+        record in between and survive the purge.
+        """
+        where = " WHERE context LIKE ? ESCAPE '\\'"
+        params: tuple = (self._context_like_pattern(effective_context),)
+        if user_id is not None:
+            where += " AND user_id = ?"
+            params += (user_id,)
+        matches = effective_context.matcher.matches
+        return [
+            record
+            for record in self._select_locked(where, params)
+            if matches(record.context_instance)
+        ]
 
     def _ensure_index_locked(self) -> _UserContextIndex:
         if self._index is None:
             index = _UserContextIndex()
-            rows = self._conn.execute(
-                "SELECT record_id, payload FROM retained_adi ORDER BY record_id"
-            ).fetchall()
-            for record_id, payload in rows:
-                index.add(self._record_from_row(record_id, payload))
+            for record in self._select_locked():
+                index.add(record)
             self._index = index
         return self._index
-
-    def _rows_to_records(self, rows: Iterable[tuple]) -> list[RetainedADIRecord]:
-        return [
-            self._record_from_row(record_id, payload)
-            for record_id, payload in rows
-        ]
 
     def records(self) -> Iterator[RetainedADIRecord]:
         self._ensure_open()
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT record_id, payload FROM retained_adi ORDER BY record_id"
-            ).fetchall()
-        return iter(self._rows_to_records(rows))
-
-    def _candidate_rows(self, effective_context: ContextName) -> list[tuple]:
-        pattern = self._context_like_pattern(effective_context)
-        with self._lock:
-            return self._conn.execute(
-                "SELECT record_id, payload FROM retained_adi"
-                " WHERE context LIKE ? ESCAPE '\\' ORDER BY record_id",
-                (pattern,),
-            ).fetchall()
+            return iter(self._select_locked())
 
     def find(self, effective_context: ContextName) -> list[RetainedADIRecord]:
         self._ensure_open()
-        return [
-            record
-            for record in self._rows_to_records(
-                self._candidate_rows(effective_context)
-            )
-            if record.in_context(effective_context)
-        ]
+        with self._lock:
+            return self._in_context_locked(effective_context)
 
     def find_user(
         self, user_id: str, effective_context: ContextName
     ) -> list[RetainedADIRecord]:
         self._ensure_open()
-        pattern = self._context_like_pattern(effective_context)
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT record_id, payload FROM retained_adi"
-                " WHERE user_id = ? AND context LIKE ? ESCAPE '\\'"
-                " ORDER BY record_id",
-                (user_id, pattern),
-            ).fetchall()
-        return [
-            record
-            for record in self._rows_to_records(rows)
-            if record.in_context(effective_context)
-        ]
+            return self._in_context_locked(effective_context, user_id)
 
     def has_context(self, effective_context: ContextName) -> bool:
         self._ensure_open()
@@ -1082,43 +779,15 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             if self._index is not None:
                 self._index.clear_memos()
 
-    def _doomed_in_context_locked(
-        self, effective_context: ContextName
-    ) -> list[RetainedADIRecord]:
-        """Records matching a purge context, selected under the lock.
-
-        Candidate selection MUST happen inside the same locked
-        transaction as the deletes: selecting first and locking later
-        would let a concurrent ``add`` slip a matching record in between
-        and survive the purge.
-        """
-        pattern = self._context_like_pattern(effective_context)
-        rows = self._conn.execute(
-            "SELECT record_id, payload FROM retained_adi"
-            " WHERE context LIKE ? ESCAPE '\\' ORDER BY record_id",
-            (pattern,),
-        ).fetchall()
-        matches = effective_context.matcher.matches
-        return [
-            record
-            for record in (
-                self._record_from_row(record_id, payload)
-                for record_id, payload in rows
-            )
-            if matches(record.context_instance)
-        ]
-
     def purge_context(self, effective_context: ContextName) -> int:
         self._ensure_open()
         with self._lock:
             with self._conn:
-                doomed = self._doomed_in_context_locked(effective_context)
-                self._conn.executemany(
-                    "DELETE FROM retained_adi WHERE record_id = ?",
-                    [(record.record_id,) for record in doomed],
+                outcome = self._apply_sql_locked(
+                    ADIMutation(purge_contexts=[effective_context])
                 )
-            self._evict_locked(doomed)
-        return len(doomed)
+            self._evict_locked(outcome.purged_records)
+        return outcome.purged
 
     def purge_user(self, user_id: str) -> int:
         self._ensure_open()
@@ -1141,19 +810,12 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         self._ensure_open()
         with self._lock:
             with self._conn:
-                rows = self._conn.execute(
-                    "SELECT record_id, payload FROM retained_adi"
-                    " WHERE granted_at < ?",
-                    (cutoff,),
-                ).fetchall()
+                doomed = self._select_locked(" WHERE granted_at < ?", (cutoff,))
                 self._conn.execute(
                     "DELETE FROM retained_adi WHERE granted_at < ?", (cutoff,)
                 )
-            self._evict_locked(
-                self._record_from_row(record_id, payload)
-                for record_id, payload in rows
-            )
-        return len(rows)
+            self._evict_locked(doomed)
+        return len(doomed)
 
     def clear(self) -> int:
         self._ensure_open()
@@ -1161,8 +823,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             cursor = self._conn.execute("DELETE FROM retained_adi")
             self._conn.commit()
             self._row_cache.clear()
-            if self._index is not None:
-                self._index.clear()
+            self._index = None  # rebuilt lazily, from the now-empty table
         return cursor.rowcount
 
     def count(self) -> int:
@@ -1182,7 +843,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             (page_count,) = self._conn.execute("PRAGMA page_count").fetchone()
             (page_size,) = self._conn.execute("PRAGMA page_size").fetchone()
             resident = (
-                len(self._index._by_user) if self._index is not None else 0
+                self._index.resident_users() if self._index is not None else 0
             )
             row_cache = len(self._row_cache)
         return {
@@ -1209,19 +870,16 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             ).fetchall()
         return {ContextName.parse(text): count for text, count in rows}
 
-    def _apply_sql_locked(
-        self, mutation: ADIMutation
-    ) -> tuple[int, dict[int, RetainedADIRecord], list[RetainedADIRecord]]:
+    def _apply_sql_locked(self, mutation: ADIMutation) -> ADIApplyOutcome:
         """Run a mutation's SQL (purges then adds) on the open cursor.
 
-        Caller owns the lock and the enclosing transaction/savepoint.
-        Returns ``(purged, evicted_by_id, added)`` for cache upkeep.
+        Caller owns the lock and the enclosing transaction/savepoint,
+        and brings the cache/index up to date from the outcome.
         """
         purged = 0
         evicted: dict[int, RetainedADIRecord] = {}
-        added: list[RetainedADIRecord] = []
         for context in mutation.purge_contexts:
-            doomed = self._doomed_in_context_locked(context)
+            doomed = self._in_context_locked(context)
             purged += len(doomed)
             for record in doomed:
                 evicted.setdefault(record.record_id, record)
@@ -1229,24 +887,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             "DELETE FROM retained_adi WHERE record_id = ?",
             [(record_id,) for record_id in evicted],
         )
-        for record in mutation.adds:
-            cursor = self._conn.execute(
-                "INSERT INTO retained_adi"
-                " (user_id, context, payload, granted_at)"
-                " VALUES (?, ?, ?, ?)",
-                (
-                    record.user_id,
-                    str(record.context_instance),
-                    json.dumps(record.to_dict(), sort_keys=True),
-                    record.granted_at,
-                ),
-            )
-            added.append(
-                RetainedADIRecord.from_dict(
-                    record.to_dict(), record_id=cursor.lastrowid
-                )
-            )
-        return purged, evicted, added
+        added = [self._insert_locked(record) for record in mutation.adds]
+        return ADIApplyOutcome(purged, list(evicted.values()), added)
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
         """Apply the whole mutation in ONE SQLite transaction.
@@ -1267,7 +909,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             if self._batch_depth:
                 self._conn.execute("SAVEPOINT msod_apply")
                 try:
-                    purged, evicted, added = self._apply_sql_locked(mutation)
+                    outcome = self._apply_sql_locked(mutation)
                 except sqlite3.Error as exc:
                     self._conn.execute("ROLLBACK TO SAVEPOINT msod_apply")
                     self._conn.execute("RELEASE SAVEPOINT msod_apply")
@@ -1278,17 +920,15 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             else:
                 try:
                     with self._conn:  # implicit BEGIN ... COMMIT/ROLLBACK
-                        purged, evicted, added = self._apply_sql_locked(
-                            mutation
-                        )
+                        outcome = self._apply_sql_locked(mutation)
                 except sqlite3.Error as exc:
                     raise StoreError(
                         f"mutation failed atomically: {exc}"
                     ) from exc
-            self._evict_locked(evicted.values())
-            for record in added:
+            self._evict_locked(outcome.purged_records)
+            for record in outcome.added:
                 self._admit_locked(record)
-        return ADIApplyOutcome(purged, list(evicted.values()), added)
+        return outcome
 
     @contextmanager
     def batch(self):
@@ -1323,18 +963,16 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     ) -> frozenset[Role]:
         self._ensure_open()
         with self._lock:
-            return self._ensure_index_locked().user_roles(
-                user_id, effective_context
-            )
+            index = self._ensure_index_locked()
+            return index.user(user_id).roles(effective_context)
 
     def user_privilege_exercises(
         self, user_id: str, effective_context: ContextName
     ) -> list[Privilege]:
         self._ensure_open()
         with self._lock:
-            return self._ensure_index_locked().user_privilege_exercises(
-                user_id, effective_context
-            )
+            index = self._ensure_index_locked()
+            return index.user(user_id).exercises(effective_context)
 
     def close(self) -> None:
         if not self._closed:

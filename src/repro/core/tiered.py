@@ -13,20 +13,20 @@ any window.
   (in practice SQLite) holding *every* record.  It is the authoritative
   layer: it assigns record ids, and every mutation commits there first,
   atomically, before any hot state changes.
-* **hot layer** — per-user aggregate entries (the same
-  :class:`~repro.core.retained_adi._ContextBucket` structures the
-  resident stores use), sharded by ``crc32(user_id)`` with per-shard
-  LRU eviction bounded by ``hot_users``.  A cold user's entry is
-  **lazily hydrated** from the warm layer on first touch, under that
-  user's shard lock; inactive users are evicted without any write-back
-  (the warm layer already holds their records), so RSS scales with the
-  *active* set.
+* **hot layer** — one :class:`~repro.core.adi_index._UserAggregate`
+  per resident user (the class the resident stores index with), sharded
+  by ``crc32(user_id)`` with per-shard LRU eviction bounded by
+  ``hot_users``.  A cold user's entry is **lazily hydrated** from the
+  warm layer on first touch, under that user's shard lock; inactive
+  users are evicted without any write-back (the warm layer already
+  holds their records), so RSS scales with the *active* set.
 
 Context presence (algorithm step 3/7 existence checks) is answered from
-a store-wide ``context → record count`` aggregate, seeded once from the
-warm layer's ``context_counts()`` and maintained incrementally — it is
-bounded by the number of distinct concrete contexts, not by users, and
-never touches the warm layer on the hot path.
+a store-wide :class:`~repro.core.adi_index._ContextPresence`, seeded
+once from the warm layer's ``context_counts()`` and maintained
+incrementally — it is bounded by the number of distinct concrete
+contexts, not by users, and never touches the warm layer on the hot
+path.
 
 **Consistency discipline.**  All mutations serialize on one store-wide
 write lock and commit to the warm layer first; hot updates after the
@@ -54,8 +54,9 @@ import threading
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
+from repro.core.adi_index import _ContextPresence, _UserAggregate
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
 from repro.core.retained_adi import (
@@ -63,83 +64,10 @@ from repro.core.retained_adi import (
     ADIMutation,
     RetainedADIRecord,
     RetainedADIStore,
-    _ContextBucket,
 )
 from repro.errors import StoreError
 
 _ROOT = ContextName.root()
-
-#: Memo-size guards, matching ``_UserContextIndex``'s discipline.
-_PRESENCE_LIMIT = 4096
-_ECTX_CACHE_LIMIT = 1024
-
-
-class _HotUserEntry:
-    """One resident user's aggregates: buckets per concrete context.
-
-    The bucket structures are shared with the resident stores; what
-    differs is the maintenance discipline: adds and removes are
-    **idempotent** (keyed by record id) because a mutation's hot update
-    may race a hydration that already read the committed warm state.
-    """
-
-    __slots__ = ("buckets", "_ectx_cache")
-
-    def __init__(self) -> None:
-        self.buckets: dict[ContextName, _ContextBucket] = {}
-        self._ectx_cache: dict[ContextName, list[_ContextBucket]] = {}
-
-    def add(self, record: RetainedADIRecord) -> bool:
-        context = record.context_instance
-        bucket = self.buckets.get(context)
-        if bucket is not None and record.record_id in bucket.records:
-            return False  # hydration already saw this committed record
-        if bucket is None:
-            bucket = self.buckets[context] = _ContextBucket()
-            for effective, buckets in self._ectx_cache.items():
-                if effective.matcher.matches(context):
-                    buckets.append(bucket)
-        bucket.add(record)
-        return True
-
-    def remove(self, record: RetainedADIRecord) -> bool:
-        context = record.context_instance
-        bucket = self.buckets.get(context)
-        if bucket is None or record.record_id not in bucket.records:
-            return False  # hydrated after the warm delete: already gone
-        bucket.remove(record)
-        if not bucket.records:
-            del self.buckets[context]
-            # Bucket deletions are rare; drop the memo for lazy rebuild
-            # rather than surgically pruning every cached list.
-            self._ectx_cache = {}
-        return True
-
-    def clear_memos(self) -> None:
-        self._ectx_cache = {}
-
-    def matching_buckets(
-        self, effective_context: ContextName
-    ) -> list[_ContextBucket]:
-        cache = self._ectx_cache
-        buckets = cache.get(effective_context)
-        if buckets is None:
-            if len(cache) >= _ECTX_CACHE_LIMIT:
-                cache.clear()
-            matches = effective_context.matcher.matches
-            buckets = cache[effective_context] = [
-                bucket
-                for context, bucket in self.buckets.items()
-                if matches(context)
-            ]
-        return buckets
-
-    def records(self) -> list[RetainedADIRecord]:
-        found: list[RetainedADIRecord] = []
-        for bucket in self.buckets.values():
-            found.extend(bucket.records.values())
-        found.sort(key=lambda record: record.record_id)
-        return found
 
 
 class _HotShard:
@@ -149,7 +77,7 @@ class _HotShard:
 
     def __init__(self, capacity: int) -> None:
         self.lock = threading.RLock()
-        self.entries: "OrderedDict[str, _HotUserEntry]" = OrderedDict()
+        self.entries: "OrderedDict[str, _UserAggregate]" = OrderedDict()
         self.capacity = capacity
         self.evictions = 0
         self.hydrations = 0
@@ -211,10 +139,7 @@ class TieredADIStore(RetainedADIStore):
         ]
         self._write_lock = threading.RLock()
         self._meta_lock = threading.Lock()
-        self._context_counts: dict[ContextName, int] = dict(
-            warm.context_counts()
-        )
-        self._presence: dict[ContextName, bool] = {}
+        self._presence = _ContextPresence(warm.context_counts())
 
     # -- sharding ------------------------------------------------------
     def _shard_for(self, user_id: str) -> _HotShard:
@@ -222,7 +147,7 @@ class TieredADIStore(RetainedADIStore):
             zlib.crc32(user_id.encode("utf-8")) % len(self._shards)
         ]
 
-    def _entry_locked(self, shard: _HotShard, user_id: str) -> _HotUserEntry:
+    def _entry_locked(self, shard: _HotShard, user_id: str) -> _UserAggregate:
         """Fetch-or-hydrate one user's entry.  Caller holds the shard lock.
 
         Hydration — including the optional audit-trail ``hydrator`` and
@@ -236,7 +161,7 @@ class TieredADIStore(RetainedADIStore):
             return entry
         if self._hydrator is not None:
             self._hydrator(user_id)
-        entry = _HotUserEntry()
+        entry = _UserAggregate()
         for record in self._warm.find_user(user_id, _ROOT):
             entry.add(record)
         shard.entries[user_id] = entry
@@ -246,94 +171,33 @@ class TieredADIStore(RetainedADIStore):
             shard.evictions += 1
         return entry
 
-    # -- context-presence aggregate -----------------------------------
-    def _note_added_locked(self, context: ContextName) -> None:
-        count = self._context_counts.get(context, 0)
-        self._context_counts[context] = count + 1
-        if count == 0:
-            presence = self._presence
-            if presence:
-                for effective, present in presence.items():
-                    if not present and effective.matcher.matches(context):
-                        presence[effective] = True
-
-    def _note_removed_locked(self, context: ContextName) -> None:
-        count = self._context_counts.get(context, 0)
-        if count > 1:
-            self._context_counts[context] = count - 1
-            return
-        self._context_counts.pop(context, None)
-        presence = self._presence
-        if presence:
-            stale = [
-                effective
-                for effective, present in presence.items()
-                if present and effective.matcher.matches(context)
-            ]
-            for effective in stale:
-                del presence[effective]
-
     # -- interface: reads ---------------------------------------------
     def has_context(self, effective_context: ContextName) -> bool:
         with self._meta_lock:
-            presence = self._presence
-            present = presence.get(effective_context)
-            if present is None:
-                if len(presence) >= _PRESENCE_LIMIT:
-                    presence.clear()
-                matches = effective_context.matcher.matches
-                present = presence[effective_context] = any(
-                    matches(context) for context in self._context_counts
-                )
-            return present
+            return self._presence.has_context(effective_context)
 
     def user_roles(
         self, user_id: str, effective_context: ContextName
     ) -> frozenset[Role]:
         shard = self._shard_for(user_id)
         with shard.lock:
-            entry = self._entry_locked(shard, user_id)
-            roles: set[Role] = set()
-            for bucket in entry.matching_buckets(effective_context):
-                roles.update(bucket.role_counts)
-            return frozenset(roles)
+            return self._entry_locked(shard, user_id).roles(effective_context)
 
     def user_privilege_exercises(
         self, user_id: str, effective_context: ContextName
     ) -> list[Privilege]:
         shard = self._shard_for(user_id)
         with shard.lock:
-            entry = self._entry_locked(shard, user_id)
-            entries: list[tuple[int, str, Privilege]] = []
-            for bucket in entry.matching_buckets(effective_context):
-                entries.extend(
-                    (record_id, request_id, privilege)
-                    for request_id, (
-                        record_id,
-                        privilege,
-                    ) in bucket.exercises.items()
-                )
-        entries.sort()
-        seen_requests: set[str] = set()
-        exercises: list[Privilege] = []
-        for _, request_id, privilege in entries:
-            if request_id in seen_requests:
-                continue
-            seen_requests.add(request_id)
-            exercises.append(privilege)
-        return exercises
+            return self._entry_locked(shard, user_id).exercises(
+                effective_context
+            )
 
     def find_user(
         self, user_id: str, effective_context: ContextName
     ) -> list[RetainedADIRecord]:
         shard = self._shard_for(user_id)
         with shard.lock:
-            entry = self._entry_locked(shard, user_id)
-            found: list[RetainedADIRecord] = []
-            for bucket in entry.matching_buckets(effective_context):
-                found.extend(bucket.records.values())
-        found.sort(key=lambda record: record.record_id)
-        return found
+            return self._entry_locked(shard, user_id).records(effective_context)
 
     def find(self, effective_context: ContextName) -> list[RetainedADIRecord]:
         return self._warm.find(effective_context)
@@ -346,7 +210,7 @@ class TieredADIStore(RetainedADIStore):
 
     def context_counts(self) -> dict[ContextName, int]:
         with self._meta_lock:
-            return dict(self._context_counts)
+            return dict(self._presence.counts)
 
     # -- interface: mutations -----------------------------------------
     def _absorb_outcome_locked(self, outcome: ADIApplyOutcome) -> None:
@@ -358,10 +222,11 @@ class TieredADIStore(RetainedADIStore):
         committed warm state.
         """
         with self._meta_lock:
-            for record in outcome.purged_records:
-                self._note_removed_locked(record.context_instance)
+            self._presence.forget(
+                record.context_instance for record in outcome.purged_records
+            )
             for record in outcome.added:
-                self._note_added_locked(record.context_instance)
+                self._presence.add(record.context_instance)
         by_user: dict[
             str, tuple[list[RetainedADIRecord], list[RetainedADIRecord]]
         ] = {}
@@ -406,8 +271,9 @@ class TieredADIStore(RetainedADIStore):
                 purged = self._warm.purge_user(user_id)
                 shard.entries.pop(user_id, None)
             with self._meta_lock:
-                for record in doomed:
-                    self._note_removed_locked(record.context_instance)
+                self._presence.forget(
+                    record.context_instance for record in doomed
+                )
         return purged
 
     def purge_older_than(self, cutoff: float) -> int:
@@ -428,8 +294,7 @@ class TieredADIStore(RetainedADIStore):
                 with shard.lock:
                     shard.entries.clear()
             with self._meta_lock:
-                self._context_counts = {}
-                self._presence = {}
+                self._presence = _ContextPresence()
         return removed
 
     # -- lifecycle / plumbing -----------------------------------------
@@ -441,14 +306,11 @@ class TieredADIStore(RetainedADIStore):
     def invalidate_policy_memos(self) -> None:
         self._warm.invalidate_policy_memos()
         with self._meta_lock:
-            # Rebind, not clear: a concurrent query iterating the old
-            # memo finishes against it undisturbed (same discipline as
-            # _UserContextIndex.clear_memos).
-            self._presence = {}
+            self._presence.clear_memo()
         for shard in self._shards:
             with shard.lock:
                 for entry in shard.entries.values():
-                    entry.clear_memos()
+                    entry.clear_memo()
 
     def stats(self) -> dict:
         resident = 0

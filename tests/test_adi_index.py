@@ -1,0 +1,150 @@
+"""Unit tests for the two aggregate classes every store composes."""
+
+from repro.core import ContextName, Privilege, RetainedADIRecord, Role
+from repro.core.adi_index import _ContextPresence, _UserAggregate
+
+_CLERK = Role("role", "Clerk")
+_AUDITOR = Role("role", "Auditor")
+_ROOT = ContextName.root()
+
+
+def _record(record_id, context="Dept=d1", request_id=None, role=_CLERK, op="op"):
+    return RetainedADIRecord(
+        user_id="u1",
+        roles=(role,),
+        operation=op,
+        target="t",
+        context_instance=ContextName.parse(context),
+        granted_at=float(record_id),
+        request_id=request_id or f"r{record_id}",
+        record_id=record_id,
+    )
+
+
+class TestUserAggregate:
+    def test_add_and_remove_are_idempotent_by_record_id(self):
+        aggregate = _UserAggregate()
+        record = _record(1)
+        assert aggregate.add(record) is not None
+        assert aggregate.add(record) is None
+        assert aggregate.records(_ROOT) == [record]
+        assert aggregate.exercises(_ROOT) == [Privilege("op", "t")]
+        assert aggregate.remove(record) is True
+        assert aggregate.remove(record) is False
+        assert aggregate.remove(_record(2, context="Dept=d9")) is False
+        assert aggregate.buckets == {}
+        assert aggregate.roles(_ROOT) == frozenset()
+
+    def test_new_bucket_is_appended_to_matching_memo_entries_only(self):
+        aggregate = _UserAggregate()
+        aggregate.add(_record(1, context="Dept=d1"))
+        d1, d2 = ContextName.parse("Dept=d1"), ContextName.parse("Dept=d2")
+        assert aggregate.roles(d1) == {_CLERK}
+        assert aggregate.roles(d2) == frozenset()
+        memo = aggregate._memo
+        aggregate.add(_record(2, context="Dept=d2, Case=c1", role=_AUDITOR))
+        assert aggregate._memo is memo  # maintained in place, not rebuilt
+        assert aggregate.roles(d1) == {_CLERK}
+        assert aggregate.roles(d2) == {_AUDITOR}
+        assert aggregate.roles(_ROOT) == {_CLERK, _AUDITOR}
+
+    def test_bucket_deletion_drops_the_memo(self):
+        aggregate = _UserAggregate()
+        first, second = _record(1), _record(2)
+        aggregate.add(first)
+        aggregate.add(second)
+        aggregate.add(_record(3, context="Dept=d2"))
+        assert len(aggregate.records(_ROOT)) == 3
+        memo = aggregate._memo
+        aggregate.remove(first)  # bucket survives: memo kept
+        assert aggregate._memo is memo
+        aggregate.remove(second)  # bucket gone: memo rebound, not cleared
+        assert aggregate._memo == {} and aggregate._memo is not memo
+        assert memo != {}
+        assert [r.record_id for r in aggregate.records(_ROOT)] == [3]
+
+    def test_clear_memo_rebinds_and_keeps_records(self):
+        aggregate = _UserAggregate()
+        aggregate.add(_record(1))
+        aggregate.roles(_ROOT)
+        memo = aggregate._memo
+        aggregate.clear_memo()
+        assert memo != {} and aggregate._memo == {}
+        assert aggregate.roles(_ROOT) == {_CLERK}
+
+    def test_exercise_is_the_earliest_record_of_each_request(self):
+        # Step 5.iv stores one record per matched role; the request
+        # counts once, as its earliest record's privilege, in id order.
+        aggregate = _UserAggregate()
+        earliest = _record(1, request_id="rA", op="first")
+        aggregate.add(_record(2, request_id="rB", op="other"))
+        aggregate.add(_record(3, request_id="rA", op="later", role=_AUDITOR))
+        aggregate.add(earliest)
+        assert aggregate.exercises(_ROOT) == [
+            Privilege("first", "t"),
+            Privilege("other", "t"),
+        ]
+        aggregate.remove(earliest)
+        assert aggregate.exercises(_ROOT) == [
+            Privilege("other", "t"),
+            Privilege("later", "t"),
+        ]
+        assert aggregate.roles(_ROOT) == {_CLERK, _AUDITOR}
+
+
+class TestContextPresence:
+    def test_counts_follow_adds_and_forgets(self):
+        d1 = ContextName.parse("Dept=d1")
+        presence = _ContextPresence({d1: 2})
+        presence.add(d1)
+        presence.forget([d1, d1, ContextName.parse("Dept=never-seen")])
+        assert presence.counts == {d1: 1}
+        assert presence.has_context(d1)
+        presence.forget([d1])
+        assert presence.counts == {}
+        assert not presence.has_context(d1)
+
+    def test_new_context_only_flips_matching_false_entries(self):
+        presence = _ContextPresence()
+        d1, d2 = ContextName.parse("Dept=d1"), ContextName.parse("Dept=d2")
+        assert not presence.has_context(d1)
+        assert not presence.has_context(d2)
+        presence.add(ContextName.parse("Dept=d1, Case=c1"))
+        assert presence._memo == {d1: True, d2: False}
+
+    def test_vanished_context_drops_only_matching_true_entries(self):
+        d1c1 = ContextName.parse("Dept=d1, Case=c1")
+        d2c1 = ContextName.parse("Dept=d2, Case=c1")
+        presence = _ContextPresence({d1c1: 1, d2c1: 1})
+        d1, d2, d3 = (ContextName.parse(f"Dept=d{n}") for n in (1, 2, 3))
+        assert presence.has_context(d1) and presence.has_context(d2)
+        assert not presence.has_context(d3)
+        presence.forget([d1c1])
+        assert presence._memo == {d2: True, d3: False}
+        assert not presence.has_context(d1)
+
+    def test_bulk_forget_drops_every_true_entry_and_recomputes(self):
+        doomed = [ContextName.parse(f"Dept=d{n}") for n in range(9)]
+        kept = ContextName.parse("Dept=kept")
+        absent = ContextName.parse("Dept=absent")
+        presence = _ContextPresence({context: 1 for context in [*doomed, kept]})
+        for query in [*doomed, kept, _ROOT]:
+            assert presence.has_context(query)
+        assert not presence.has_context(absent)
+        assert len(doomed) > _ContextPresence._BULK_FORGET
+        presence.forget(doomed)
+        # One matcher-free sweep: even the still-true entries go, every
+        # False entry stays, and the next queries recompute from counts.
+        assert presence._memo == {absent: False}
+        assert presence.counts == {kept: 1}
+        assert presence.has_context(kept) and presence.has_context(_ROOT)
+        assert not any(presence.has_context(context) for context in doomed)
+
+    def test_clear_memo_rebinds_and_keeps_counts(self):
+        d1 = ContextName.parse("Dept=d1")
+        presence = _ContextPresence({d1: 1})
+        assert presence.has_context(d1)
+        memo = presence._memo
+        presence.clear_memo()
+        assert memo == {d1: True} and presence._memo == {}
+        assert presence.counts == {d1: 1}

@@ -1,11 +1,13 @@
 """Differential property tests: the engine is backend-agnostic.
 
 The optimized stores answer the engine's history views from incremental
-aggregates (``_UserContextIndex``) plus cross-request memos, while the
-abstract base class defines them as record scans.  These properties
+aggregates (``repro.core.adi_index``) plus cross-request memos, while
+the abstract base class defines them as record scans.  These properties
 drive full engines over randomized request streams and require the
 in-memory and SQLite backends to produce *identical* decision streams
-and identical final store digests, in both evaluation modes.
+and identical final store digests, in both evaluation modes, and every
+backend's aggregate views to equal the scan definitions after every
+step of a stream interleaved with purges and policy swaps.
 """
 
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.core import (
     RetainedADIStore,
     SQLiteRetainedADIStore,
     Step,
+    TieredADIStore,
     store_digest,
 )
 
@@ -84,19 +87,17 @@ def _policy_set() -> MSoDPolicySet:
     )
 
 
-_requests = st.lists(
-    st.tuples(
-        st.sampled_from(["alice", "bob", "carol"]),
-        st.sets(
-            st.sampled_from([_CLERK, _AUDITOR, _MANAGER]), min_size=1, max_size=2
-        ),
-        st.sampled_from(_OPS),
-        st.sampled_from(["d1", "d2"]),
-        st.sampled_from(["c1", "c2"]),
-    ),
-    min_size=1,
-    max_size=40,
+_USERS = ["alice", "bob", "carol"]
+
+_request = st.tuples(
+    st.sampled_from(_USERS),
+    st.sets(st.sampled_from([_CLERK, _AUDITOR, _MANAGER]), min_size=1, max_size=2),
+    st.sampled_from(_OPS),
+    st.sampled_from(["d1", "d2"]),
+    st.sampled_from(["c1", "c2"]),
 )
+
+_requests = st.lists(_request, min_size=1, max_size=40)
 
 
 def _decision_key(decision):
@@ -151,39 +152,118 @@ def test_engines_agree_across_backends_literal(stream):
     _run_stream(MODE_LITERAL, stream)
 
 
-@given(_requests)
-@settings(max_examples=30, deadline=None)
-def test_aggregate_views_match_scan_definitions(stream):
-    """The aggregate-backed views equal the base-class scan definitions."""
-    store = InMemoryRetainedADIStore()
-    engine = MSoDEngine(_policy_set(), store)
-    queries = [
-        ContextName.parse("Dept=d1"),
-        ContextName.parse("Dept=*, Case=c2"),
-        ContextName.parse("Dept=*, Case=*"),
-        ContextName.root(),
-    ]
-    for index, (user, roles, op, dept, case) in enumerate(stream):
-        engine.check(
-            DecisionRequest(
-                user_id=user,
-                roles=tuple(sorted(roles, key=str)),
-                operation=op[0],
-                target=op[1],
-                context_instance=ContextName.parse(f"Dept={dept}, Case={case}"),
-                timestamp=float(index),
-                request_id=f"r{index}",
-            )
-        )
-        for query in queries:
-            # The abstract base class holds the scan-based reference
-            # definitions; calling them unbound bypasses the overrides.
-            assert store.user_roles(user, query) == RetainedADIStore.user_roles(
-                store, user, query
-            )
+class _Scan(RetainedADIStore):
+    """The base-class scan definitions over another store's ``records()``."""
+
+    def __init__(self, store: RetainedADIStore) -> None:
+        self._snapshot = list(store.records())
+
+    def records(self):
+        return iter(self._snapshot)
+
+    def find(self, effective_context):
+        return [r for r in self._snapshot if r.in_context(effective_context)]
+
+    def find_user(self, user_id, effective_context):
+        return [r for r in self.find(effective_context) if r.user_id == user_id]
+
+
+_QUERIES = [
+    ContextName.parse("Dept=d1"),
+    ContextName.parse("Dept=*, Case=c2"),
+    ContextName.parse("Dept=*, Case=*"),
+    ContextName.root(),
+]
+
+_maintenance = st.one_of(
+    st.tuples(st.just("purge_user"), st.sampled_from(_USERS)),
+    st.tuples(st.just("purge_context"), st.sampled_from(_QUERIES[:3])),
+    st.tuples(st.just("purge_older_than"), st.integers(0, 40).map(float)),
+    st.tuples(st.just("swap_policy"), st.none()),
+)
+
+_ops = st.lists(
+    st.one_of(st.tuples(st.just("check"), _request), _maintenance),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _assert_views_match_scan(store, label):
+    scan = _Scan(store)
+    assert store.context_counts() == scan.context_counts(), label
+    for query in _QUERIES:
+        assert store.has_context(query) == bool(scan.find(query)), label
+        for user in _USERS:
+            assert store.user_roles(user, query) == scan.user_roles(
+                user, query
+            ), label
             assert store.user_privilege_exercises(
                 user, query
-            ) == RetainedADIStore.user_privilege_exercises(store, user, query)
-            assert store.has_context(query) == any(
-                record.in_context(query) for record in store.records()
+            ) == scan.user_privilege_exercises(user, query), label
+            assert store.find_user(user, query) == scan.find_user(
+                user, query
+            ), label
+
+
+@given(_ops, st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_aggregate_views_match_scan_definitions(ops, shards):
+    """The aggregate-backed views equal the base-class scan definitions.
+
+    On every backend, after every step: decisions commit through
+    ``apply``, the management purges take their own paths, and a policy
+    swap rebinds the memos mid-stream.
+    """
+    warm = SQLiteRetainedADIStore(":memory:")
+    stores = {
+        "memory": InMemoryRetainedADIStore(),
+        "sqlite": SQLiteRetainedADIStore(":memory:"),
+        "tiered": TieredADIStore(warm, hot_users=2, shards=shards, owns_warm=True),
+    }
+    base = _policy_set()
+    swapped = MSoDPolicySet(
+        list(base)
+        + [
+            MSoDPolicy(
+                business_context=ContextName.parse("Dept=!, Case=*"),
+                mmers=[MMER([_AUDITOR, _MANAGER], 2)],
+                policy_id="p-swap",
             )
+        ]
+    )
+    engines = {name: MSoDEngine(base, store) for name, store in stores.items()}
+    active = base
+    try:
+        for index, (kind, argument) in enumerate(ops):
+            if kind == "swap_policy":
+                active = swapped if active is base else base
+            for name, store in stores.items():
+                if kind == "check":
+                    user, roles, op, dept, case = argument
+                    engines[name].check(
+                        DecisionRequest(
+                            user_id=user,
+                            roles=tuple(sorted(roles, key=str)),
+                            operation=op[0],
+                            target=op[1],
+                            context_instance=ContextName.parse(
+                                f"Dept={dept}, Case={case}"
+                            ),
+                            timestamp=float(index),
+                            request_id=f"r{index}",
+                        )
+                    )
+                elif kind == "swap_policy":
+                    assert engines[name].swap_policy(active).changed
+                else:
+                    getattr(store, kind)(argument)
+                _assert_views_match_scan(store, f"{name} after step {index} {kind}")
+            assert (
+                store_digest(stores["memory"])
+                == store_digest(stores["sqlite"])
+                == store_digest(stores["tiered"])
+            ), f"store contents diverged at step {index}"
+    finally:
+        for store in stores.values():
+            store.close()

@@ -44,8 +44,8 @@ class TestInMemoryIndexHygiene:
         assert store.purge_context(ContextName.parse("Dept=d1")) == 5
         assert store.count() == 0
         # The user index must not retain empty/stale entries.
-        assert store._index._by_user == {}
-        assert store._index._by_context == {}
+        assert store.stats()["resident_users"] == 0
+        assert store.context_counts() == {}
 
     def test_repeated_add_purge_cycles_do_not_leak(self):
         store = InMemoryRetainedADIStore()
@@ -53,7 +53,7 @@ class TestInMemoryIndexHygiene:
         for cycle in range(50):
             store.add(_record(cycle))
             assert store.purge_context(context) == 1
-        assert store._index._by_user == {}
+        assert store.stats()["resident_users"] == 0
         assert store.find_user("u1", context) == []
         assert store.user_roles("u1", context) == frozenset()
 
@@ -62,9 +62,11 @@ class TestInMemoryIndexHygiene:
         store.add(_record(0, user="u1"))
         store.add(_record(1, user="u2"))
         assert store.purge_user("u1") == 1
-        assert "u1" not in store._index._by_user
+        assert store.stats()["resident_users"] == 1
+        assert store.context_counts() == {ContextName.parse("Dept=d1"): 1}
         assert store.clear() == 1
-        assert store._index._by_user == {}
+        assert store.stats()["resident_users"] == 0
+        assert store.context_counts() == {}
 
     def test_partial_purge_keeps_other_contexts(self):
         store = InMemoryRetainedADIStore()
@@ -74,6 +76,36 @@ class TestInMemoryIndexHygiene:
         assert [r.context_instance for r in store.find_user(
             "u1", ContextName.root()
         )] == [ContextName.parse("Dept=d2")]
+
+
+class TestSQLiteCacheUnderLock:
+    def test_reads_fill_the_row_cache_only_under_the_store_lock(self):
+        """Every cache mutation runs under ``self._lock`` — reads included.
+
+        ``records()``/``find()``/``find_user()`` used to fetch rows under
+        the lock and deserialise them into the row cache after releasing
+        it, racing concurrent tiered hydrations.
+        """
+        store = SQLiteRetainedADIStore(":memory:")
+
+        class LockCheckedCache(dict):
+            def __setitem__(self, record_id, record):
+                assert store._lock.locked(), "row cache written unlocked"
+                super().__setitem__(record_id, record)
+
+        try:
+            for index in range(3):
+                store.add(_record(index))
+            for read in (
+                lambda: list(store.records()),
+                lambda: store.find(ContextName.parse("Dept=d1")),
+                lambda: store.find_user("u1", ContextName.root()),
+            ):
+                store._row_cache = LockCheckedCache()
+                assert len(read()) == 3
+                assert len(store._row_cache) == 3
+        finally:
+            store.close()
 
 
 class TestSQLitePurgeAtomicity:

@@ -152,6 +152,47 @@ class TestPurges:
             "req-alice-1"
         ]
 
+    @pytest.mark.parametrize("purge", ["purge_user", "purge_older_than"])
+    def test_wide_purges_forget_their_contexts_in_one_batch(
+        self, purge, monkeypatch
+    ):
+        """Many vanished contexts reach the presence memo as one batch.
+
+        One ``forget`` call is what lets its bulk rule replace a memo
+        sweep per doomed record (the cutover-pause cost) by one sweep.
+        """
+        from repro.core.adi_index import _ContextPresence
+
+        store = tiered(hot_users=4)
+        branches = [f"B{n}" for n in range(12)]
+        for index, branch in enumerate(branches):
+            store.add(record("alice", index, branch=branch, granted_at=1.0))
+        store.add(record("bob", 0, branch="Leeds", granted_at=9.0))
+        contexts = [
+            ContextName.parse(f"Branch={branch}, Period=P1")
+            for branch in [*branches, "Leeds"]
+        ]
+        assert all(store.has_context(context) for context in contexts)
+        batches = []
+        forget = _ContextPresence.forget
+
+        def spy(presence, vanished):
+            vanished = list(vanished)
+            if presence is store._presence:  # not the warm layer's own
+                batches.append(len(vanished))
+            forget(presence, vanished)
+
+        monkeypatch.setattr(_ContextPresence, "forget", spy)
+        if purge == "purge_user":
+            assert store.purge_user("alice") == 12
+        else:
+            assert store.purge_older_than(5.0) == 12
+        assert batches == [12]
+        assert [store.has_context(context) for context in contexts] == (
+            [False] * 12 + [True]
+        )
+        assert store.context_counts() == store.warm.context_counts()
+
     def test_purge_context_and_clear(self):
         store = tiered(hot_users=4)
         store.add(record("alice", 0))
