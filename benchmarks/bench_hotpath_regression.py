@@ -53,7 +53,7 @@ from repro.core import (
     store_digest,
 )
 from repro.core.retained_adi import RetainedADIRecord, RetainedADIStore
-from repro.perf import PerfRecorder
+from repro.obs import Recorder
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "results", "BENCH_hotpath.json"
@@ -363,7 +363,7 @@ def run_benchmark(
     )
     naive_s, naive_decisions = run_stream(naive_engine, requests)
 
-    perf = PerfRecorder()
+    perf = Recorder()
     memory_store = open_store("memory")
     memory_engine = open_pdp(
         build_policy_set(), store=memory_store, mode=mode, perf=perf

@@ -55,7 +55,7 @@ from bench_hotpath_regression import build_policy_set, request_stream
 from repro.api import open_pdp, open_server, open_store
 from repro.client import AsyncRemotePDP, PDPOverloadedError, RemotePDP
 from repro.core import MSoDEngine
-from repro.perf import PerfRecorder
+from repro.obs import Recorder
 from repro.server import AuthorizationService, ServerThread
 
 RESULTS_PATH = os.path.join(
@@ -102,7 +102,7 @@ def _summarise(
     n_clients: int,
     flat: list[float],
     elapsed: float,
-    perf: PerfRecorder,
+    perf: Recorder,
     metrics: dict,
 ) -> dict:
     completed = len(flat)
@@ -146,7 +146,7 @@ def run_load(
     requests = list(request_stream(n_requests, n_users))
     per_client = len(requests) // n_clients
 
-    perf = PerfRecorder()
+    perf = Recorder()
     latencies: list[list[float]] = [[] for _ in range(n_clients)]
     errors: list[Exception] = []
 
@@ -210,7 +210,7 @@ def run_load_pipelined(
     round trip).
     """
     requests = list(request_stream(n_requests, n_users))
-    perf = PerfRecorder()
+    perf = Recorder()
     latencies: list[float] = []
 
     with open_server(
@@ -339,6 +339,7 @@ class _SlowEngine:
         self._engine = engine
         self._delay_s = delay_s
         self.store = engine.store
+        self.perf = engine.perf
 
     def check(self, request):
         time.sleep(self._delay_s)

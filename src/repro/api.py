@@ -21,9 +21,9 @@ replaces all of them with a single call that returns a uniform
 Every handle supports the same lifecycle — ``decide``, ``close``,
 context-manager exit, and a ``perf`` recorder — so callers never
 special-case remote connection pooling against in-process stores.
-``trace=True`` additionally attaches a
-:class:`~repro.obs.trace.DecisionTracer` with a slow-decision log, and
-each decision carries its :class:`~repro.obs.trace.DecisionTrace`.
+``trace=True`` additionally switches trace building on in that recorder
+(with a slow-decision log), and each decision carries its
+:class:`~repro.obs.trace.DecisionTrace`.
 
 :func:`open_server` is the serving twin: the same policy/store spec,
 but wrapped in a sharded :class:`~repro.server.service
@@ -43,9 +43,8 @@ from repro.core.policy import MSoDPolicySet
 from repro.core.retained_adi import RetainedADIStore
 from repro.errors import PolicyError, StoreSpecError
 from repro.framework.pdp import PolicyDecisionPoint
+from repro.obs.recorder import Recorder
 from repro.obs.slowlog import SlowDecisionLog
-from repro.obs.trace import DecisionTracer
-from repro.perf import NOOP, PerfRecorder
 from repro.storespec import (
     ParsedStoreSpec,
     build_store,
@@ -153,15 +152,15 @@ def what_if(
     )
 
 
-def _build_tracer(
-    trace: bool, slowlog_capacity: int
-) -> tuple[DecisionTracer | None, SlowDecisionLog | None]:
+def _recorder(
+    perf: Recorder | None, trace: bool, slowlog_capacity: int
+) -> Recorder | None:
+    """``perf`` as given, or — when tracing — it (or a fresh recorder)
+    with trace building switched on."""
     if not trace:
-        return None, None
-    slow_log = (
-        SlowDecisionLog(slowlog_capacity) if slowlog_capacity > 0 else None
-    )
-    return DecisionTracer(slow_log=slow_log), slow_log
+        return perf
+    recorder = perf if perf is not None else Recorder()
+    return recorder.trace_decisions(slowlog_capacity)
 
 
 class LocalPDP(PolicyDecisionPoint):
@@ -170,20 +169,12 @@ class LocalPDP(PolicyDecisionPoint):
     The uniform handle :func:`open_pdp` returns for ``memory`` and
     ``sqlite:`` stores: ``decide`` runs the Section 4.2 algorithm,
     ``close`` releases the store (only when the handle created it), and
-    ``perf`` / ``tracer`` / ``slow_log`` expose the observability
-    layer.
+    ``perf`` / ``slow_log`` expose the observability layer.
     """
 
-    def __init__(
-        self,
-        engine: MSoDEngine,
-        *,
-        owns_store: bool = True,
-        slow_log: SlowDecisionLog | None = None,
-    ) -> None:
+    def __init__(self, engine: MSoDEngine, *, owns_store: bool = True) -> None:
         self._engine = engine
         self._owns_store = owns_store
-        self._slow_log = slow_log
         self._closed = False
 
     @property
@@ -195,17 +186,13 @@ class LocalPDP(PolicyDecisionPoint):
         return self._engine.store
 
     @property
-    def perf(self) -> PerfRecorder:
+    def perf(self) -> Recorder:
         return self._engine.perf
-
-    @property
-    def tracer(self) -> DecisionTracer:
-        return self._engine.tracer
 
     @property
     def slow_log(self) -> SlowDecisionLog | None:
         """The slow-decision log (None unless opened with ``trace=True``)."""
-        return self._slow_log
+        return self._engine.perf.slow_log
 
     def decide(self, request: DecisionRequest) -> Decision:
         return self._engine.check(request)
@@ -272,7 +259,7 @@ def open_pdp(
     policy: PolicySource = None,
     store: StoreSpec = "memory",
     *,
-    perf: PerfRecorder | None = None,
+    perf: Recorder | None = None,
     trace: bool = False,
     slowlog_capacity: int = 32,
     mode: str = MODE_STRICT,
@@ -297,11 +284,12 @@ def open_pdp(
         :class:`RetainedADIStore` (whose lifetime then stays with the
         caller).  See :func:`parse_store_spec` for the full grammar.
     perf:
-        Optional :class:`PerfRecorder`; for remote handles it records
-        the client-side counters instead.
+        Optional :class:`~repro.obs.recorder.Recorder`; for remote
+        handles it records the client-side counters instead.
     trace:
-        Attach an enabled :class:`DecisionTracer` (plus a slow-decision
-        log of ``slowlog_capacity`` entries) so every decision carries
+        Switch trace building on in the recorder (a fresh one when
+        ``perf`` is not given), with a slow-decision log of
+        ``slowlog_capacity`` entries, so every decision carries
         a :class:`~repro.obs.trace.DecisionTrace`.  Unsupported for
         ``remote:`` handles — tracing happens server-side there (start
         the server with tracing and query its ``slowlog`` verb).
@@ -340,11 +328,9 @@ def open_pdp(
 
     policy_set = _load_policy_set(policy)
     backend, owns_store = build_store(parsed)
-    tracer, slow_log = _build_tracer(trace, slowlog_capacity)
-    engine = MSoDEngine(
-        policy_set, backend, mode=mode, perf=perf, tracer=tracer
-    )
-    return LocalPDP(engine, owns_store=owns_store, slow_log=slow_log)
+    recorder = _recorder(perf, trace, slowlog_capacity)
+    engine = MSoDEngine(policy_set, backend, mode=mode, perf=recorder)
+    return LocalPDP(engine, owns_store=owns_store)
 
 
 class ServerHandle:
@@ -436,7 +422,7 @@ def open_server(
     queue_depth: int = 256,
     batch_max: int = 32,
     gather_window: float | None = None,
-    perf: PerfRecorder | None = None,
+    perf: Recorder | None = None,
     trace: bool = False,
     slowlog_capacity: int = 32,
     mode: str = MODE_STRICT,
@@ -459,18 +445,14 @@ def open_server(
     policy_set = _load_policy_set(policy)
     backend, owns_store = build_store(parsed)
     owned = backend if owns_store else None
-    recorder = perf if perf is not None else NOOP
-    tracer, _ = _build_tracer(trace, slowlog_capacity)
-    engine = MSoDEngine(
-        policy_set, backend, mode=mode, perf=recorder, tracer=tracer
-    )
+    recorder = _recorder(perf, trace, slowlog_capacity)
+    engine = MSoDEngine(policy_set, backend, mode=mode, perf=recorder)
     service = AuthorizationService(
         engine,
         n_shards=n_shards,
         queue_depth=queue_depth,
         batch_max=batch_max,
         gather_window=gather_window,
-        perf=recorder,
     )
     thread = ServerThread(service, host=host, port=port).start()
     return ServerHandle(thread, owned)

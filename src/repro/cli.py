@@ -952,19 +952,14 @@ def cmd_purge(args: argparse.Namespace) -> int:
 async def _serve_until_interrupted(args: argparse.Namespace) -> int:
     """Boot the server and run until SIGINT/SIGTERM, then drain."""
     from repro.core.engine import MODE_LITERAL, MODE_STRICT
-    from repro.obs import DecisionTracer, SlowDecisionLog
-    from repro.perf import PerfRecorder
+    from repro.obs import Recorder
     from repro.server import AuthorizationService, MSoDServer
 
     policy_set = parse_policy_set_file(args.policy, strict=not args.relaxed)
     store = _open_store(args)
-    perf = PerfRecorder()
-    tracer = None
+    perf = Recorder()
     if args.trace:
-        slow_log = (
-            SlowDecisionLog(args.slowlog_size) if args.slowlog_size > 0 else None
-        )
-        tracer = DecisionTracer(slow_log=slow_log)
+        perf.trace_decisions(args.slowlog_size)
     audit_sink = None
     trail_reader = None
     if args.audit_dir:
@@ -1004,7 +999,6 @@ async def _serve_until_interrupted(args: argparse.Namespace) -> int:
             store,
             mode=MODE_LITERAL if args.literal else MODE_STRICT,
             perf=perf,
-            tracer=tracer,
         )
         service = AuthorizationService(
             engine,
@@ -1012,7 +1006,6 @@ async def _serve_until_interrupted(args: argparse.Namespace) -> int:
             queue_depth=args.queue_depth,
             batch_max=args.batch_max,
             gather_window=args.gather_window,
-            perf=perf,
             audit_sink=audit_sink,
             trail_reader=trail_reader,
         )

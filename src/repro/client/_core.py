@@ -43,7 +43,7 @@ from repro.errors import (
     PolicyError,
     ProtocolError,
 )
-from repro.perf import NOOP, PerfRecorder
+from repro.obs.recorder import NOOP, Recorder
 from repro.server import protocol
 
 _FRAME_COUNTER = itertools.count(1)
@@ -316,7 +316,7 @@ class ClientCore:
         backoff_base: float = 0.02,
         backoff_cap: float = 0.5,
         rng: random.Random | None = None,
-        perf: PerfRecorder | None = None,
+        perf: Recorder | None = None,
         protocol_version: str = "auto",
         batch_max: int = 32,
         pipeline_window: int = 8,

@@ -36,7 +36,7 @@ from repro.client._core import (
 from repro.core.decision import Decision, DecisionRequest
 from repro.errors import PDPConnectError, PDPUnavailableError, ProtocolError
 from repro.framework.pdp import PolicyDecisionPoint
-from repro.perf import PerfRecorder
+from repro.obs.recorder import Recorder
 from repro.server import protocol
 
 
@@ -82,7 +82,7 @@ class _PipelinedV2Connection:
         timeout: float,
         batch_max: int,
         window: int,
-        perf: PerfRecorder,
+        perf: Recorder,
     ) -> None:
         self._timeout = timeout
         self._perf = perf
@@ -334,7 +334,7 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         self._pipe_lock = threading.Lock()
 
     @property
-    def perf(self) -> PerfRecorder:
+    def perf(self) -> Recorder:
         return self._perf
 
     # -- connection pool ----------------------------------------------
@@ -404,7 +404,7 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
                 delay = self.retry_delay(exc, attempt, retriable)
             else:
                 if timing:
-                    perf.stop("client.call", started)
+                    perf.span("client.call", started)
                 return result
             time.sleep(delay)
             attempt += 1

@@ -101,8 +101,8 @@ class Decision:
     from pre-epoch payloads.
 
     ``trace`` is the optional observability annotation: a
-    :class:`~repro.obs.trace.DecisionTrace` attached by an enabled
-    :class:`~repro.obs.trace.DecisionTracer`.  It is metadata about
+    :class:`~repro.obs.trace.DecisionTrace` attached by a tracing
+    :class:`~repro.obs.recorder.Recorder`.  It is metadata about
     *how* the decision was computed, not part of the decision itself,
     so it is excluded from equality — decisions are bit-identical with
     tracing on or off.

@@ -53,8 +53,7 @@ from repro.core.retained_adi import (
     RetainedADIStore,
 )
 from repro.errors import PolicyError
-from repro.obs.trace import NOOP_TRACER, DecisionTracer
-from repro.perf import NOOP, PerfRecorder
+from repro.obs.recorder import NOOP, Recorder
 
 #: Evaluation modes (see module docstring).
 MODE_STRICT = "strict"
@@ -77,6 +76,19 @@ class _AdminProbe:
         self.privilege = privilege
 
 
+def _count(obs: Recorder, decision: Decision) -> None:
+    """The ``engine.*`` counters of one decision, read off its outcome."""
+    matched = len(decision.matched_policy_ids)
+    obs.incr("engine.requests")
+    obs.incr("engine.grants" if decision.granted else "engine.denies")
+    if matched:
+        obs.incr("engine.policies_matched", matched)
+    else:
+        obs.incr("engine.no_policy_matched")
+    obs.incr("engine.records_added", decision.records_added)
+    obs.incr("engine.records_purged", decision.records_purged)
+
+
 class MSoDEngine:
     """Evaluates MSoD policies over a retained-ADI store."""
 
@@ -86,8 +98,7 @@ class MSoDEngine:
         store: RetainedADIStore | None = None,
         /,
         mode: str = MODE_STRICT,
-        perf: PerfRecorder | None = None,
-        tracer: DecisionTracer | None = None,
+        perf: Recorder | None = None,
     ) -> None:
         if policy_set is None or store is None:
             raise PolicyError(
@@ -113,7 +124,6 @@ class MSoDEngine:
         self._store = store
         self._mode = mode
         self._perf = perf if perf is not None else NOOP
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
 
     # ------------------------------------------------------------------
     @property
@@ -157,12 +167,9 @@ class MSoDEngine:
         return self._mode
 
     @property
-    def perf(self) -> PerfRecorder:
+    def perf(self) -> Recorder:
+        """The one recorder observing this engine (``NOOP`` by default)."""
         return self._perf
-
-    @property
-    def tracer(self) -> DecisionTracer:
-        return self._tracer
 
     def swap_policy(
         self, policy_set: MSoDPolicySet, *, force: bool = False
@@ -199,7 +206,8 @@ class MSoDEngine:
             _, epoch, digest, _ = self._active
             previous = self.policy_version()
             if new_digest == digest and not force:
-                self._perf.incr("engine.policy_reload_noops")
+                if self._perf.enabled:
+                    self._perf.incr("engine.policy_reload_noops")
                 return PolicySwapReport(
                     version=previous,
                     previous=previous,
@@ -215,7 +223,8 @@ class MSoDEngine:
                 self._store.invalidate_policy_memos()
                 self._active = (policy_set, new_epoch, new_digest, compiled)
             self._epoch_log.record(new_epoch, policy_set, new_digest)
-            self._perf.incr("engine.policy_reloads")
+            if self._perf.enabled:
+                self._perf.incr("engine.policy_reloads")
             return PolicySwapReport(
                 version=PolicyVersion(
                     epoch=new_epoch,
@@ -250,7 +259,8 @@ class MSoDEngine:
                 self._active = (policy_set, to_epoch, new_digest, compiled)
             self._epoch_log.forget_after(to_epoch)
             self._epoch_log.record(to_epoch, policy_set, new_digest)
-            self._perf.incr("engine.policy_rollbacks")
+            if self._perf.enabled:
+                self._perf.incr("engine.policy_rollbacks")
 
     def admin_boundary_denial(
         self, user_id: str, privilege: Privilege
@@ -286,14 +296,30 @@ class MSoDEngine:
     # ------------------------------------------------------------------
     def check(self, request: DecisionRequest) -> Decision:
         """Run the Section 4.2 algorithm for one interim-granted request."""
-        perf = self._perf
-        timing = perf.enabled
-        tracer = self._tracer
-        tracing = tracer.enabled
-        token = tracer.begin(request) if tracing else None
-        started = perf.start() if timing else 0.0
-        match_started = tracer.start() if tracing else 0.0
-        perf.incr("engine.requests")
+        obs = self._perf
+        if not obs.enabled:
+            return self._steps(request)
+        started = obs.begin()
+        try:
+            decision = self._steps(request, obs, started)
+        except BaseException:
+            obs.abandon()
+            raise
+        obs.span("engine.check", started)
+        _count(obs, decision)
+        return obs.finish(decision)
+
+    def _steps(
+        self,
+        request: DecisionRequest,
+        obs: Recorder | None = None,
+        started: float = 0.0,
+    ) -> Decision:
+        """The algorithm proper; ``obs`` is None when nothing records.
+
+        The three stage spans tile the check: each starts where the
+        previous one ended, so no part of it goes unattributed.
+        """
         # One atomic read of the active policy version: the whole
         # decision evaluates under this set/epoch even if swap_policy
         # installs a new one mid-request.
@@ -303,24 +329,16 @@ class MSoDEngine:
         # business contexts in the MSoD set of policies, through the
         # matcher compiled for this epoch.
         matched_policies = compiled.matching(request.context_instance)
-        if timing:
-            perf.stop("engine.policy_match", started)
-        if tracing:
-            tracer.span("engine.match", match_started)
+        if obs is not None:
+            started = obs.span("engine.match", started)
         if not matched_policies:
-            perf.incr("engine.grants")
-            perf.incr("engine.no_policy_matched")
-            if timing:
-                perf.stop("engine.check", started)
-            decision = Decision(
+            return Decision(
                 effect=Effect.GRANT,
                 request=request,
                 reason="no MSoD policy matches the business context",
                 policy_epoch=policy_epoch,
                 policy_digest=policy_digest,
             )
-            return tracer.finish(token, decision) if tracing else decision
-        perf.incr("engine.policies_matched", len(matched_policies))
 
         mutation = ADIMutation()
         matched_ids = tuple(policy.policy_id for policy in matched_policies)
@@ -330,45 +348,29 @@ class MSoDEngine:
         views = self._store.snapshot_views()
 
         # Step 2: for each matched MSoD policy...
-        eval_started = perf.start() if timing else 0.0
-        trace_eval_started = tracer.start() if tracing else 0.0
+        violation = None
         for policy in matched_policies:
             violation = self._evaluate_policy(policy, request, mutation, views)
             if violation is not None:
-                # Deny: discard the buffered mutation entirely.
-                perf.incr("engine.denies")
-                if timing:
-                    perf.stop("engine.constraint_eval", eval_started)
-                    perf.stop("engine.check", started)
-                if tracing:
-                    tracer.span("engine.constraints", trace_eval_started)
-                decision = Decision(
-                    effect=Effect.DENY,
-                    request=request,
-                    violation=violation,
-                    matched_policy_ids=matched_ids,
-                    reason=violation.detail,
-                    policy_epoch=policy_epoch,
-                    policy_digest=policy_digest,
-                )
-                return tracer.finish(token, decision) if tracing else decision
-        if timing:
-            perf.stop("engine.constraint_eval", eval_started)
-        if tracing:
-            tracer.span("engine.constraints", trace_eval_started)
+                break
+        if obs is not None:
+            started = obs.span("engine.constraints", started)
+        if violation is not None:
+            # Deny: discard the buffered mutation entirely.
+            return Decision(
+                effect=Effect.DENY,
+                request=request,
+                violation=violation,
+                matched_policy_ids=matched_ids,
+                reason=violation.detail,
+                policy_epoch=policy_epoch,
+                policy_digest=policy_digest,
+            )
 
-        commit_started = perf.start() if timing else 0.0
-        trace_commit_started = tracer.start() if tracing else 0.0
         records_purged = self._commit(mutation)
-        if timing:
-            perf.stop("engine.commit", commit_started)
-            perf.stop("engine.check", started)
-        if tracing:
-            tracer.span("store.commit", trace_commit_started)
-        perf.incr("engine.grants")
-        perf.incr("engine.records_added", len(mutation.adds))
-        perf.incr("engine.records_purged", records_purged)
-        decision = Decision(
+        if obs is not None:
+            obs.span("store.commit", started)
+        return Decision(
             effect=Effect.GRANT,
             request=request,
             matched_policy_ids=matched_ids,
@@ -380,7 +382,6 @@ class MSoDEngine:
             policy_epoch=policy_epoch,
             policy_digest=policy_digest,
         )
-        return tracer.finish(token, decision) if tracing else decision
 
     # ------------------------------------------------------------------
     def _evaluate_policy(

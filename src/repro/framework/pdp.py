@@ -15,8 +15,7 @@ from typing import Iterable, Mapping
 from repro.core.constraints import Privilege, Role
 from repro.core.decision import Decision, DecisionRequest, Effect
 from repro.core.engine import MSoDEngine
-from repro.obs.trace import DecisionTracer
-from repro.perf import NOOP, PerfRecorder
+from repro.obs.recorder import NOOP, Recorder
 
 
 class PolicyDecisionPoint:
@@ -58,7 +57,7 @@ class PolicyDecisionPoint:
         raise NotImplementedError
 
     @property
-    def perf(self) -> PerfRecorder:
+    def perf(self) -> Recorder:
         """The recorder observing this PDP (``NOOP`` unless attached)."""
         return NOOP
 
@@ -105,15 +104,13 @@ class ReferenceRBACMSoDPDP(PolicyDecisionPoint):
         self,
         access_policy: RoleTargetAccessPolicy,
         msod_engine: MSoDEngine,
-        perf: PerfRecorder | None = None,
-        tracer: DecisionTracer | None = None,
+        perf: Recorder | None = None,
     ) -> None:
         self._access_policy = access_policy
         self._msod = msod_engine
-        self._perf = perf if perf is not None else NOOP
-        # Default to the engine's tracer so the PDP's RBAC span and the
-        # engine's MSoD spans land in one per-decision trace.
-        self._tracer = tracer if tracer is not None else msod_engine.tracer
+        # Default to the engine's recorder so the PDP's RBAC span and
+        # the engine's MSoD spans land in one per-decision trace.
+        self._perf = perf if perf is not None else msod_engine.perf
 
     @property
     def msod_engine(self) -> MSoDEngine:
@@ -132,47 +129,42 @@ class ReferenceRBACMSoDPDP(PolicyDecisionPoint):
         return self._access_policy
 
     @property
-    def perf(self) -> PerfRecorder:
+    def perf(self) -> Recorder:
         return self._perf
 
-    @property
-    def tracer(self) -> DecisionTracer:
-        return self._tracer
-
     def decide(self, request: DecisionRequest) -> Decision:
-        perf = self._perf
-        timing = perf.enabled
-        tracer = self._tracer
-        tracing = tracer.enabled
-        token = tracer.begin(request) if tracing else None
-        started = perf.start() if timing else 0.0
-        rbac_started = tracer.start() if tracing else 0.0
-        perf.incr("pdp.requests")
-        if not self._access_policy.permits(request.roles, request.privilege):
-            perf.incr("pdp.rbac_denies")
-            if timing:
-                perf.stop("pdp.rbac", started)
-            if tracing:
-                tracer.span("pdp.rbac", rbac_started)
-            # Stamp the MSoD engine's active version even though the
-            # deny short-circuited before MSoD evaluation: the audit
-            # trail records which policy regime was in force.
-            version = self._msod.policy_version()
-            decision = Decision(
-                effect=Effect.DENY,
-                request=request,
-                reason=(
-                    "RBAC: no presented role grants "
-                    f"{request.operation!r} on {request.target!r}"
-                ),
-                policy_epoch=version.epoch,
-                policy_digest=version.digest,
+        obs = self._perf
+        on = obs.enabled
+        started = obs.begin() if on else 0.0
+        try:
+            permitted = self._access_policy.permits(
+                request.roles, request.privilege
             )
-            return tracer.finish(token, decision) if tracing else decision
-        if timing:
-            perf.stop("pdp.rbac", started)
-        if tracing:
-            tracer.span("pdp.rbac", rbac_started)
-        # Interim grant — now the MSoD set of policies (Section 4.2).
-        decision = self._msod.check(request)
-        return tracer.finish(token, decision) if tracing else decision
+            if on:
+                obs.span("pdp.rbac", started)
+                obs.incr("pdp.requests")
+            if permitted:
+                # Interim grant — now the MSoD set of policies (Section 4.2).
+                decision = self._msod.check(request)
+            else:
+                if on:
+                    obs.incr("pdp.rbac_denies")
+                # Stamp the MSoD engine's active version even though the
+                # deny short-circuited before MSoD evaluation: the audit
+                # trail records which policy regime was in force.
+                version = self._msod.policy_version()
+                decision = Decision(
+                    effect=Effect.DENY,
+                    request=request,
+                    reason=(
+                        "RBAC: no presented role grants "
+                        f"{request.operation!r} on {request.target!r}"
+                    ),
+                    policy_epoch=version.epoch,
+                    policy_digest=version.digest,
+                )
+            return obs.finish(decision) if on else decision
+        except BaseException:
+            if on:
+                obs.abandon()
+            raise

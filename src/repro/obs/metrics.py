@@ -1,7 +1,7 @@
 """Prometheus text-format exposition for the decision pipeline.
 
 The :class:`MetricsRegistry` turns the in-process measurement substrate
-— :class:`~repro.perf.PerfRecorder` counters and per-stage latency
+— :class:`~repro.obs.recorder.Recorder` counters and per-stage latency
 histograms, plus any caller-registered gauge/counter collectors — into
 the Prometheus text exposition format (version 0.0.4), ready to be
 served by the server's ``metrics`` verb or printed by
@@ -14,7 +14,7 @@ Mapping rules:
 * every perf stage becomes one series of the single histogram family
   ``repro_stage_duration_seconds`` with a ``stage`` label, cumulative
   ``_bucket{le=...}`` counts derived from
-  :data:`~repro.perf.LATENCY_BUCKET_BOUNDS`, plus ``_sum``/``_count``;
+  :data:`~repro.obs.recorder.LATENCY_BUCKET_BOUNDS`, plus ``_sum``/``_count``;
 * every perf *size* histogram (``perf.observe_size``, e.g. the wire
   batch-size distribution ``wire.batch_size``) becomes its own
   dimensionless histogram family (``repro_wire_batch_size``) with
@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.perf import LATENCY_BUCKET_BOUNDS, PerfRecorder, StageStats
+from repro.obs.recorder import LATENCY_BUCKET_BOUNDS, Recorder
 
 __all__ = [
     "MetricsRegistry",
@@ -108,7 +108,7 @@ class MetricsRegistry:
         if not _METRIC_NAME.match(namespace):
             raise ValueError(f"invalid metrics namespace {namespace!r}")
         self._namespace = namespace
-        self._recorders: list[PerfRecorder] = []
+        self._recorders: list[Recorder] = []
         self._collectors: list[_Collector] = []
 
     @property
@@ -116,7 +116,7 @@ class MetricsRegistry:
         return self._namespace
 
     # -- registration --------------------------------------------------
-    def register_perf(self, perf: PerfRecorder) -> None:
+    def register_perf(self, perf: Recorder) -> None:
         """Expose a recorder's counters and stage histograms.
 
         Registering the same recorder twice is a no-op; distinct
@@ -160,32 +160,21 @@ class MetricsRegistry:
         self.register(name, "counter", help_text, collect)
 
     # -- rendering -----------------------------------------------------
-    def _merged_perf(
-        self,
-    ) -> tuple[dict[str, int], dict[str, StageStats], dict[str, StageStats]]:
-        counters: dict[str, int] = {}
-        stages: dict[str, StageStats] = {}
-        sizes: dict[str, StageStats] = {}
+    def merged(self) -> Recorder:
+        """One recorder holding the sum of every registered one."""
+        merged = Recorder()
         for perf in self._recorders:
-            for name, value in perf.counters().items():
-                counters[name] = counters.get(name, 0) + value
-            for name, stats in perf.stages().items():
-                merged = stages.get(name)
-                if merged is None:
-                    merged = stages[name] = StageStats()
-                merged.merge(stats)
-            for name, stats in perf.sizes().items():
-                merged = sizes.get(name)
-                if merged is None:
-                    merged = sizes[name] = StageStats(bounds=stats.bounds)
-                merged.merge(stats)
-        return counters, stages, sizes
+            merged.merge(perf)
+        return merged
 
     def render(self) -> str:
         """The full exposition payload (ends with a newline)."""
         ns = self._namespace
         lines: list[str] = []
-        counters, stages, sizes = self._merged_perf()
+        merged = self.merged()
+        counters, stages, sizes = (
+            merged.counters(), merged.stages(), merged.sizes()
+        )
 
         for name in sorted(counters):
             metric = f"{ns}_{_sanitize(name)}_total"

@@ -9,26 +9,13 @@ constraint fired.  A denied request can therefore be traced back through
 RBAC check → policy match → constraint evaluation → ADI commit without a
 debugger.
 
-Tracing follows the same zero-cost-when-off discipline as
-:mod:`repro.perf`: call sites guard every clock read behind the
-tracer's ``enabled`` flag, and production pipelines run with
-:data:`NOOP_TRACER`, whose methods are empty::
-
-    tracer = self._tracer
-    tracing = tracer.enabled
-    token = tracer.begin(request) if tracing else None
-    ...
-    if tracing:
-        tracer.span("engine.match", started)
-    ...
-    return tracer.finish(token, decision) if tracing else decision
-
-Traces *nest*: a PDP opens the trace before its RBAC check, the engine
-joins the same trace for the MSoD stages, and only the outermost
-``finish`` seals it, attaches it to the decision (via
-``dataclasses.replace``) and offers it to the slow-decision log.  Like
-:class:`~repro.perf.PerfRecorder`, a tracer is single-threaded by
-design: attach one per PDP/engine pipeline.
+Traces are built by the pipeline's one
+:class:`~repro.obs.recorder.Recorder` once its ``trace_decisions()`` has
+been called: the ``span`` calls that feed its stage histograms also
+append to the open trace, so span names and histogram stage names are
+the same vocabulary.  The outermost pipeline layer's ``finish`` seals
+the trace, attaches it to the decision (via ``dataclasses.replace``)
+and offers it to the slow-decision log.
 
 This module is deliberately standalone — it imports nothing from
 :mod:`repro.core` — so the wire protocol and the CLI can (de)serialise
@@ -37,17 +24,13 @@ traces without import cycles.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 __all__ = [
     "TraceSpan",
     "TraceViolation",
     "DecisionTrace",
-    "DecisionTracer",
-    "NoopDecisionTracer",
-    "NOOP_TRACER",
 ]
 
 
@@ -114,7 +97,7 @@ class DecisionTrace:
     """The sealed, immutable trace of one decision.
 
     ``requested_at`` is the request's own (application) timestamp;
-    span offsets/durations come from the tracer's monotonic clock.
+    span offsets/durations come from the recorder's monotonic clock.
     """
 
     request_id: str
@@ -242,150 +225,3 @@ def _number(raw: Mapping[str, Any], key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"trace {key} must be a number")
     return float(value)
-
-
-class _OpenTrace:
-    """Mutable builder for the trace of one in-flight decision."""
-
-    __slots__ = ("request_id", "user_id", "requested_at", "started", "spans", "depth")
-
-    def __init__(
-        self, request_id: str, user_id: str, requested_at: float, started: float
-    ) -> None:
-        self.request_id = request_id
-        self.user_id = user_id
-        self.requested_at = requested_at
-        self.started = started
-        self.spans: list[TraceSpan] = []
-        self.depth = 1
-
-
-class DecisionTracer:
-    """Builds one :class:`DecisionTrace` per decision.
-
-    Layers share a tracer: the outermost ``begin`` opens the trace,
-    nested ``begin`` calls join it (the engine inside a PDP), and the
-    matching outermost ``finish`` seals it, attaches it to the decision
-    and feeds the slow-decision log.  Single-threaded by design, exactly
-    like :class:`~repro.perf.PerfRecorder` — one tracer per pipeline.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        slow_log: "Any | None" = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self._clock = clock
-        self._slow_log = slow_log
-        self._current: _OpenTrace | None = None
-
-    @property
-    def slow_log(self):
-        """The attached :class:`~repro.obs.slowlog.SlowDecisionLog`."""
-        return self._slow_log
-
-    # -- building ------------------------------------------------------
-    def start(self) -> float:
-        """A timestamp token to later pass to :meth:`span`."""
-        return self._clock()
-
-    def begin(self, request, backdate: float = 0.0) -> _OpenTrace:
-        """Open a new trace, or join the one already in flight.
-
-        ``backdate`` shifts the trace's start that many seconds into
-        the past — for pipelines (the PERMIS CVS) that do measurable
-        work *before* the request object exists.  Ignored when joining.
-        """
-        current = self._current
-        if current is not None:
-            current.depth += 1
-            return current
-        current = _OpenTrace(
-            request_id=request.request_id,
-            user_id=request.user_id,
-            requested_at=request.timestamp,
-            started=self._clock() - backdate,
-        )
-        self._current = current
-        return current
-
-    def span(self, name: str, started: float) -> None:
-        """Record one stage: began at ``started``, ends now."""
-        current = self._current
-        if current is None:  # pragma: no cover - span outside begin/finish
-            return
-        now = self._clock()
-        current.spans.append(
-            TraceSpan(
-                name=name,
-                offset_s=started - current.started,
-                duration_s=now - started,
-            )
-        )
-
-    def finish(self, token: _OpenTrace, decision):
-        """Close one layer; the outermost close seals and attaches.
-
-        Returns the decision unchanged for nested layers, and a copy
-        with ``trace`` attached for the outermost one.
-        """
-        token.depth -= 1
-        if token.depth > 0:
-            return decision
-        self._current = None
-        violation = decision.violation
-        trace = DecisionTrace(
-            request_id=token.request_id,
-            user_id=token.user_id,
-            effect=decision.effect,
-            total_s=self._clock() - token.started,
-            requested_at=token.requested_at,
-            spans=tuple(token.spans),
-            matched_policy_ids=tuple(decision.matched_policy_ids),
-            violation=(
-                None
-                if violation is None
-                else TraceViolation(
-                    policy_id=violation.policy_id,
-                    constraint_kind=violation.constraint_kind,
-                    detail=violation.detail,
-                )
-            ),
-            records_added=decision.records_added,
-            records_purged=decision.records_purged,
-            policy_epoch=decision.policy_epoch,
-        )
-        if self._slow_log is not None:
-            self._slow_log.offer(trace)
-        return replace(decision, trace=trace)
-
-
-class NoopDecisionTracer(DecisionTracer):
-    """The do-nothing tracer production pipelines run with by default.
-
-    ``enabled`` is False and every method is an empty override, so an
-    instrumented call site costs one attribute load and one branch.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def start(self) -> float:
-        return 0.0
-
-    def begin(self, request, backdate: float = 0.0) -> None:  # type: ignore[override]
-        return None
-
-    def span(self, name: str, started: float) -> None:
-        pass
-
-    def finish(self, token, decision):
-        return decision
-
-
-#: Shared no-op instance; safe to use from any thread (it has no state).
-NOOP_TRACER = NoopDecisionTracer()

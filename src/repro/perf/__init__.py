@@ -1,36 +1,18 @@
-"""Hot-path performance instrumentation for the decision pipeline.
+"""Old import path of :mod:`repro.obs.recorder`.
 
-The ROADMAP's north star is a PDP that "runs as fast as the hardware
-allows"; you cannot keep a hot path fast without measuring it.  This
-module provides the measurement substrate the engine and both PDPs are
-wired through:
-
-* **counters** — monotonically increasing event counts (requests,
-  grants, denies, records added/purged, ...);
-* **stage timers** — wall-clock duration of named pipeline stages
-  (policy match, constraint evaluation, commit, ...);
-* **per-stage histograms** — durations are binned into logarithmic
-  latency buckets so tail behaviour survives aggregation.
-
-Instrumentation must cost nothing when unused: production PDPs run with
-:data:`NOOP`, whose methods are empty and whose ``enabled`` flag lets
-call sites skip clock reads entirely::
-
-    perf = self._perf
-    started = perf.start() if perf.enabled else 0.0
-    ...work...
-    if perf.enabled:
-        perf.stop("engine.check", started)
-
-``benchmarks/bench_hotpath_regression.py`` records a live
-:class:`PerfRecorder` snapshot into ``BENCH_hotpath.json`` so the perf
-trajectory of later PRs is machine-comparable.
+Kept because the frozen end-to-end benchmark (``benchmarks/e2e``) does
+``from repro.perf import PerfRecorder``; everything else imports
+:class:`~repro.obs.recorder.Recorder` from :mod:`repro.obs`.
 """
 
-from __future__ import annotations
-
-import time
-from typing import Callable
+from repro.obs.recorder import (
+    LATENCY_BUCKET_BOUNDS,
+    NOOP,
+    SIZE_BUCKET_BOUNDS,
+    NoopRecorder as NoopPerfRecorder,
+    Recorder as PerfRecorder,
+    StageStats,
+)
 
 __all__ = [
     "PerfRecorder",
@@ -40,235 +22,3 @@ __all__ = [
     "LATENCY_BUCKET_BOUNDS",
     "SIZE_BUCKET_BOUNDS",
 ]
-
-#: Upper bounds (seconds) of the logarithmic latency buckets: 1µs to 10s
-#: in 1-10 decades with a 1/2/5 subdivision, plus a catch-all overflow.
-LATENCY_BUCKET_BOUNDS: tuple[float, ...] = tuple(
-    base * scale
-    for scale in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-    for base in (1.0, 2.0, 5.0)
-) + (10.0,)
-
-#: Upper bounds of the power-of-two size buckets used for dimensionless
-#: distributions (wire batch sizes, frame counts).  Sizes are small
-#: integers, so doubling bounds keep the histogram tight where batching
-#: behaviour actually changes (1 vs 2 vs 8 requests per frame).
-SIZE_BUCKET_BOUNDS: tuple[float, ...] = tuple(
-    float(1 << shift) for shift in range(11)  # 1 .. 1024
-)
-
-
-class StageStats:
-    """Aggregated observations for one named stage.
-
-    By default the buckets are the logarithmic *latency* bounds (values
-    are seconds); pass ``bounds=SIZE_BUCKET_BOUNDS`` for dimensionless
-    size distributions such as wire batch sizes.
-    """
-
-    __slots__ = ("count", "total", "min", "max", "buckets", "bounds")
-
-    def __init__(self, bounds: tuple[float, ...] = LATENCY_BUCKET_BOUNDS) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self.bounds = bounds
-        self.buckets = [0] * (len(bounds) + 1)
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-        for index, bound in enumerate(self.bounds):
-            if seconds <= bound:
-                self.buckets[index] += 1
-                return
-        self.buckets[-1] += 1
-
-    def merge(self, other: "StageStats") -> None:
-        """Fold another stage's aggregates into this one.
-
-        Both sides must share the same bucket bounds, so bucket counts
-        add position-wise; used by the metrics exposition to combine
-        recorders without double-emitting series.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge stages with different bucket bounds")
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            if other.min < self.min:
-                self.min = other.min
-            if other.max > self.max:
-                self.max = other.max
-        for index, bucket_count in enumerate(other.buckets):
-            self.buckets[index] += bucket_count
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from the histogram (bucket upper bound)."""
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.buckets):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max
-        return self.max
-
-    def to_dict(self) -> dict:
-        # Latency stages keep their historical key format ("<=1e-03s")
-        # so committed BENCH snapshots stay comparable; size stages use
-        # plain integer-ish labels ("<=8").
-        if self.bounds is LATENCY_BUCKET_BOUNDS:
-            labels = [f"<={bound:.0e}s" for bound in self.bounds]
-            overflow = f">{self.bounds[-1]:g}s"
-        else:
-            labels = [f"<={bound:g}" for bound in self.bounds]
-            overflow = f">{self.bounds[-1]:g}"
-        return {
-            "count": self.count,
-            "total_s": self.total,
-            "mean_s": self.total / self.count if self.count else 0.0,
-            "min_s": self.min if self.count else 0.0,
-            "max_s": self.max,
-            "p50_s": self.quantile(0.50),
-            "p95_s": self.quantile(0.95),
-            "p99_s": self.quantile(0.99),
-            "buckets": {
-                labels[index]: self.buckets[index]
-                for index in range(len(self.bounds))
-                if self.buckets[index]
-            }
-            | ({overflow: self.buckets[-1]} if self.buckets[-1] else {}),
-        }
-
-
-class PerfRecorder:
-    """Collects counters and stage timings for the decision pipeline.
-
-    Not thread-safe by design: attach one recorder per PDP (or per
-    benchmark run); merging snapshots across recorders is the caller's
-    concern.
-    """
-
-    enabled = True
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._counters: dict[str, int] = {}
-        self._stages: dict[str, StageStats] = {}
-        self._sizes: dict[str, StageStats] = {}
-
-    # -- counters ------------------------------------------------------
-    def incr(self, name: str, amount: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + amount
-
-    def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
-    def counters(self) -> dict[str, int]:
-        """A copy of every counter (the metrics-exposition feed)."""
-        return dict(self._counters)
-
-    # -- stage timers --------------------------------------------------
-    def start(self) -> float:
-        """A timestamp token to later pass to :meth:`stop`."""
-        return self._clock()
-
-    def stop(self, stage: str, started: float) -> None:
-        self.observe(stage, self._clock() - started)
-
-    def observe(self, stage: str, seconds: float) -> None:
-        stats = self._stages.get(stage)
-        if stats is None:
-            stats = self._stages[stage] = StageStats()
-        stats.observe(seconds)
-
-    def stage(self, name: str) -> StageStats | None:
-        return self._stages.get(name)
-
-    def stages(self) -> dict[str, StageStats]:
-        """A shallow copy of the per-stage aggregates (read, don't mutate)."""
-        return dict(self._stages)
-
-    # -- size histograms -----------------------------------------------
-    def observe_size(self, name: str, value: int) -> None:
-        """Record a dimensionless size sample (e.g. ``wire.batch_size``)."""
-        stats = self._sizes.get(name)
-        if stats is None:
-            stats = self._sizes[name] = StageStats(bounds=SIZE_BUCKET_BOUNDS)
-        stats.observe(value)
-
-    def size(self, name: str) -> StageStats | None:
-        return self._sizes.get(name)
-
-    def sizes(self) -> dict[str, StageStats]:
-        """A shallow copy of the size histograms (read, don't mutate)."""
-        return dict(self._sizes)
-
-    # -- reporting -----------------------------------------------------
-    def snapshot(self) -> dict:
-        """A JSON-compatible dump of every counter and stage.
-
-        The ``sizes`` section is additive: it only appears once a size
-        histogram has been observed, so pre-existing snapshot consumers
-        (and the empty-after-reset shape) are unchanged.
-        """
-        snap = {
-            "counters": dict(sorted(self._counters.items())),
-            "stages": {
-                name: stats.to_dict()
-                for name, stats in sorted(self._stages.items())
-            },
-        }
-        if self._sizes:
-            snap["sizes"] = {
-                name: stats.to_dict()
-                for name, stats in sorted(self._sizes.items())
-            }
-        return snap
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._stages.clear()
-        self._sizes.clear()
-
-
-class NoopPerfRecorder(PerfRecorder):
-    """The do-nothing recorder production code runs with by default.
-
-    Every method is an empty override and ``enabled`` is False, so
-    instrumented call sites cost one attribute load and (for timers)
-    one branch — no clock reads, no dict traffic.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def start(self) -> float:
-        return 0.0
-
-    def stop(self, stage: str, started: float) -> None:
-        pass
-
-    def observe(self, stage: str, seconds: float) -> None:
-        pass
-
-    def observe_size(self, name: str, value: int) -> None:
-        pass
-
-
-#: Shared no-op instance; safe to use from any thread (it has no state).
-NOOP = NoopPerfRecorder()

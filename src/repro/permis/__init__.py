@@ -4,7 +4,10 @@ Three sub-systems, as the paper describes: privilege allocation
 (:class:`~repro.permis.pa.PrivilegeAllocator`), policy management
 (:class:`~repro.permis.policy.PermisPolicyBuilder`), and the CVS/PDP
 (:class:`~repro.permis.cvs.CredentialValidationService`,
-:class:`~repro.permis.pdp.PermisPDP`).
+:class:`~repro.permis.pdp.PermisPDP`).  The PDP reports its ``pdp.cvs`` /
+``pdp.rbac`` / ``pdp.audit`` stages and ``permis.*`` counters to the one
+:class:`~repro.obs.recorder.Recorder` passed as ``perf=``, which it
+shares with its engine.
 """
 
 from repro.permis.analyzer import (

@@ -31,8 +31,7 @@ from repro.core.decision import Decision, DecisionRequest, Effect
 from repro.core.engine import MODE_STRICT, MSoDEngine
 from repro.core.retained_adi import InMemoryRetainedADIStore, RetainedADIStore
 from repro.framework.pdp import PolicyDecisionPoint
-from repro.obs.trace import NOOP_TRACER, DecisionTracer
-from repro.perf import NOOP, PerfRecorder
+from repro.obs.recorder import NOOP, Recorder
 from repro.permis.credentials import AttributeCredential, TrustStore
 from repro.permis.cvs import CredentialValidationService
 from repro.permis.directory import LdapDirectory, normalize_dn
@@ -51,21 +50,15 @@ class PermisPDP(PolicyDecisionPoint):
         audit: AuditTrailManager | None = None,
         clock: Callable[[], float] | None = None,
         mode: str = MODE_STRICT,
-        perf: PerfRecorder | None = None,
-        tracer: DecisionTracer | None = None,
+        perf: Recorder | None = None,
     ) -> None:
         self._policy = policy
         self._cvs = CredentialValidationService(policy, trust_store, directory)
         self._owns_store = store is None
         self._store = store if store is not None else InMemoryRetainedADIStore()
         self._perf = perf if perf is not None else NOOP
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._engine = MSoDEngine(
-            policy.msod_policy_set,
-            self._store,
-            mode=mode,
-            perf=self._perf,
-            tracer=self._tracer,
+            policy.msod_policy_set, self._store, mode=mode, perf=self._perf
         )
         self._audit = audit
         self._clock = clock if clock is not None else (lambda: 0.0)
@@ -89,12 +82,8 @@ class PermisPDP(PolicyDecisionPoint):
         return self._store
 
     @property
-    def perf(self) -> PerfRecorder:
+    def perf(self) -> Recorder:
         return self._perf
-
-    @property
-    def tracer(self) -> DecisionTracer:
-        return self._tracer
 
     def close(self) -> None:
         """Release the retained-ADI store if this PDP created it.
@@ -216,83 +205,71 @@ class PermisPDP(PolicyDecisionPoint):
         e.g. by an upstream CVS) or neither (pull mode — the CVS fetches
         from the directory) may be supplied.
         """
-        perf = self._perf
-        timing = perf.enabled
-        tracer = self._tracer
-        tracing = tracer.enabled
-        perf.incr("permis.requests")
-        when = self._clock() if at is None else at
-        holder = normalize_dn(holder_dn)
-        token = None
-        if roles is None:
-            cvs_started = perf.start() if timing else 0.0
-            trace_cvs_started = tracer.start() if tracing else 0.0
-            validation = self._cvs.validate(holder, credentials, at=when)
-            valid_roles = validation.valid_roles
-            if timing:
-                perf.stop("permis.cvs", cvs_started)
-            cvs_elapsed = (
-                tracer.start() - trace_cvs_started if tracing else 0.0
-            )
-        else:
-            valid_roles = frozenset(roles)
-            cvs_elapsed = 0.0
-
-        request = DecisionRequest(
-            user_id=holder,
-            roles=tuple(sorted(valid_roles, key=str)),
-            operation=operation,
-            target=target,
-            context_instance=context_instance,
-            timestamp=when,
-            environment=dict(environment or {}),
-        )
-        if tracing:
-            # The request object does not exist until the CVS has run,
-            # so open the trace backdated to when validation began and
-            # record the CVS span against that start.
-            token = tracer.begin(request, backdate=cvs_elapsed)
+        obs = self._perf
+        on = obs.enabled
+        if on:
+            obs.begin()
+            obs.incr("permis.requests")
+        try:
+            when = self._clock() if at is None else at
+            holder = normalize_dn(holder_dn)
             if roles is None:
-                tracer.span("pdp.cvs", token.started)
+                started = obs.start() if on else 0.0
+                validation = self._cvs.validate(holder, credentials, at=when)
+                valid_roles = validation.valid_roles
+                if on:
+                    obs.span("pdp.cvs", started)
+            else:
+                valid_roles = frozenset(roles)
 
-        if not valid_roles:
-            perf.incr("permis.cvs_denies")
-            decision = Decision(
-                effect=Effect.DENY,
-                request=request,
-                reason="CVS: no valid roles for holder",
+            request = DecisionRequest(
+                user_id=holder,
+                roles=tuple(sorted(valid_roles, key=str)),
+                operation=operation,
+                target=target,
+                context_instance=context_instance,
+                timestamp=when,
+                environment=dict(environment or {}),
             )
-        else:
-            rbac_started = perf.start() if timing else 0.0
-            trace_rbac_started = tracer.start() if tracing else 0.0
-            permitted = self._policy.permits(
-                valid_roles, request.privilege, request.environment, when
-            )
-            if timing:
-                perf.stop("permis.rbac", rbac_started)
-            if tracing:
-                tracer.span("pdp.rbac", trace_rbac_started)
-            if not permitted:
-                perf.incr("permis.rbac_denies")
+            if not valid_roles:
+                if on:
+                    obs.incr("permis.cvs_denies")
                 decision = Decision(
                     effect=Effect.DENY,
                     request=request,
-                    reason=(
-                        f"RBAC: no valid role grants {operation!r} on {target!r}"
-                    ),
+                    reason="CVS: no valid roles for holder",
                 )
             else:
-                decision = self._engine.check(request)
+                started = obs.start() if on else 0.0
+                permitted = self._policy.permits(
+                    valid_roles, request.privilege, request.environment, when
+                )
+                if on:
+                    obs.span("pdp.rbac", started)
+                if permitted:
+                    decision = self._engine.check(request)
+                else:
+                    if on:
+                        obs.incr("permis.rbac_denies")
+                    decision = Decision(
+                        effect=Effect.DENY,
+                        request=request,
+                        reason=(
+                            f"RBAC: no valid role grants {operation!r} "
+                            f"on {target!r}"
+                        ),
+                    )
 
-        audit_started = perf.start() if timing else 0.0
-        trace_audit_started = tracer.start() if tracing else 0.0
-        self._log(decision)
-        if timing:
-            perf.stop("permis.audit", audit_started)
-        if tracing:
-            tracer.span("pdp.audit", trace_audit_started)
-            decision = tracer.finish(token, decision)
-        return decision
+            started = obs.start() if on else 0.0
+            self._log(decision)
+            if on:
+                obs.span("pdp.audit", started)
+                decision = obs.finish(decision)
+            return decision
+        except BaseException:
+            if on:
+                obs.abandon()
+            raise
 
     def decide(self, request: DecisionRequest) -> Decision:
         """ISO-framework entry point: roles are taken as pre-validated."""

@@ -175,7 +175,7 @@ class MSoDServer:
                 perf.incr("wire.frames_in")
                 started = perf.start()
                 frame = protocol.decode_frame(line)
-                perf.stop("wire.decode_s", started)
+                perf.span("wire.decode_s", started)
             else:
                 frame = protocol.decode_frame(line)
             frame_id = frame.get("id")
@@ -258,7 +258,7 @@ class MSoDServer:
                     perf.incr("wire.frames_in")
                     started = perf.start()
                     frame = protocol.decode_frame_v2(payload)
-                    perf.stop("wire.decode_s", started)
+                    perf.span("wire.decode_s", started)
                 else:
                     frame = protocol.decode_frame_v2(payload)
                 frame_id = frame.get("id")
@@ -467,7 +467,7 @@ class MSoDServer:
             if perf.enabled:
                 started = perf.start()
                 data = encode(frame)
-                perf.stop("wire.encode_s", started)
+                perf.span("wire.encode_s", started)
                 perf.incr("wire.bytes_out", len(data))
                 perf.incr("wire.frames_out")
             else:

@@ -45,7 +45,7 @@ from repro.core.policy import MSoDPolicySet
 from repro.core.policy_epoch import PolicySwapReport
 from repro.errors import PolicyError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.perf import NOOP, PerfRecorder
+from repro.obs.recorder import Recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.trail import AuditTrailManager
@@ -135,7 +135,8 @@ class AuthorizationService:
         Optional callable receiving every decision made; if it has a
         ``flush`` method it is called on graceful drain.
     perf:
-        Optional recorder for service-level counters/timings.
+        Recorder for service-level counters/timings; defaults to the
+        engine's, so one object observes the whole serving path.
     health_extra:
         Optional callable returning extra keys merged into the
         ``healthz`` body (a cluster node reports its role and epoch
@@ -157,7 +158,7 @@ class AuthorizationService:
         gather_window: float | None = None,
         retry_after: float = 0.05,
         audit_sink: Callable[[Decision], None] | None = None,
-        perf: PerfRecorder | None = None,
+        perf: Recorder | None = None,
         health_extra: Callable[[], dict] | None = None,
         trail_reader: "Callable[[], AuditTrailManager | None] | None" = None,
     ) -> None:
@@ -182,7 +183,7 @@ class AuthorizationService:
         self._audit_sink = audit_sink
         self._health_extra = health_extra
         self._trail_reader = trail_reader
-        self._perf = perf if perf is not None else NOOP
+        self._perf = perf if perf is not None else engine.perf
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
         self._stats = [ShardStats() for _ in range(n_shards)]
@@ -214,7 +215,7 @@ class AuthorizationService:
         return self._gather_window
 
     @property
-    def perf(self) -> PerfRecorder:
+    def perf(self) -> Recorder:
         return self._perf
 
     def queue_depths(self) -> list[int]:
@@ -238,7 +239,7 @@ class AuthorizationService:
         return {
             "shards": [stats.to_dict() for stats in self._stats],
             "queue_depths": self.queue_depths(),
-            "perf": self._perf.snapshot(),
+            "perf": self.metrics_registry().merged().snapshot(),
             "store": self._engine.store.stats(),
         }
 
@@ -471,17 +472,17 @@ class AuthorizationService:
         self._last_findings = report.findings
         if report.changed:
             self._policy_reloads += 1
-            self._perf.incr("server.policy_reloads")
+            if self._perf.enabled:
+                self._perf.incr("server.policy_reloads")
         return report
 
     def slowlog(self) -> dict:
         """The ``slowlog`` body: the engine's slowest retained traces.
 
-        Empty (``enabled: false``) unless the engine was built with an
-        enabled tracer carrying a slow-decision log.
+        Empty (``enabled: false``) unless the engine's recorder traces
+        decisions into a slow-decision log.
         """
-        tracer = self._engine.tracer
-        log = tracer.slow_log if tracer.enabled else None
+        log = self._engine.perf.slow_log
         if log is None:
             return {"enabled": False, "capacity": 0, "offered": 0, "traces": []}
         return {"enabled": True, **log.to_dict()}
@@ -558,14 +559,16 @@ class AuthorizationService:
             self._queues[shard].put_nowait((request, future))
         except asyncio.QueueFull:
             stats.rejected += 1
-            self._perf.incr("server.rejected_overload")
+            if self._perf.enabled:
+                self._perf.incr("server.rejected_overload")
             raise ServiceOverloadedError(
                 f"shard {shard} queue is full "
                 f"({self._queue_depth} requests pending)",
                 retry_after=self._retry_after,
             ) from None
         stats.submitted += 1
-        self._perf.incr("server.submitted")
+        if self._perf.enabled:
+            self._perf.incr("server.submitted")
         return future
 
     async def decide(self, request: DecisionRequest) -> Decision:
@@ -612,8 +615,9 @@ class AuthorizationService:
             stats.batches += 1
             if len(batch) > stats.max_batch:
                 stats.max_batch = len(batch)
-            perf.incr("server.batches")
-            perf.incr("server.batched_requests", len(batch))
+            if perf.enabled:
+                perf.incr("server.batches")
+                perf.incr("server.batched_requests", len(batch))
             try:
                 self._run_batch(batch, stats)
             finally:
@@ -647,9 +651,10 @@ class AuthorizationService:
                     continue
                 finally:
                     if timing:
-                        perf.stop("server.decide", started)
+                        perf.span("server.decide", started)
                 stats.completed += 1
-                perf.incr("server.decided")
+                if timing:
+                    perf.incr("server.decided")
                 if sink is not None:
                     try:
                         sink(decision)

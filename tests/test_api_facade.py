@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.errors import PolicyError
 from repro.framework.pdp import PolicyDecisionPoint
-from repro.perf import PerfRecorder
+from repro.obs import Recorder
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -82,7 +82,7 @@ class TestOpenPDPLocal:
         assert store.count() == decision.records_added > 0
 
     def test_perf_recorder_threads_through(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         with open_pdp(bank_policy_set(), perf=perf) as pdp:
             assert pdp.perf is perf
             pdp.decide(make_request("alice", TELLER))
@@ -90,14 +90,14 @@ class TestOpenPDPLocal:
 
     def test_trace_enables_tracer_and_slow_log(self):
         with open_pdp(bank_policy_set(), trace=True, slowlog_capacity=4) as pdp:
-            assert pdp.tracer.enabled
+            assert pdp.perf.tracing
             decision = pdp.decide(make_request("alice", TELLER))
             assert decision.trace is not None
             assert len(pdp.slow_log.snapshot()) == 1
 
     def test_untraced_by_default(self):
         with open_pdp(bank_policy_set()) as pdp:
-            assert not pdp.tracer.enabled
+            assert not pdp.perf.enabled
             assert pdp.slow_log is None
             assert pdp.decide(make_request("alice", TELLER)).trace is None
 
@@ -210,18 +210,29 @@ class TestUniformLifecycle:
             assert pdp.decide(make_request("alice", TELLER)).granted
         engine_pdp.close()  # idempotent
 
-    def test_local_pdp_decision_equality_traced_vs_untraced(self):
-        plain = open_pdp(bank_policy_set())
-        traced = open_pdp(bank_policy_set(), trace=True)
-        try:
-            for index, (user, role) in enumerate(
-                [("alice", TELLER), ("alice", AUDITOR), ("bob", AUDITOR)]
-            ):
-                request = make_request(user, role, index)
-                expected = plain.decide(request)
-                got = traced.decide(request)
-                assert got == expected
-                assert dataclasses.replace(got, trace=None) == expected
-        finally:
-            plain.close()
-            traced.close()
+    def test_local_pdp_decision_equality_traced_vs_untraced(self, tmp_path):
+        # Recorder off / counting / tracing, on every store spec.
+        specs = [
+            lambda name: "memory",
+            lambda name: f"sqlite:{tmp_path / name}.db",
+            lambda name: "tiered:memory?hot_users=2&shards=2",
+        ]
+        for spec in specs:
+            plain = open_pdp(bank_policy_set())
+            counted = open_pdp(bank_policy_set(), spec("counted"), perf=Recorder())
+            traced = open_pdp(bank_policy_set(), spec("traced"), trace=True)
+            try:
+                for index, (user, role) in enumerate(
+                    [("alice", TELLER), ("alice", AUDITOR), ("bob", AUDITOR)]
+                ):
+                    request = make_request(user, role, index)
+                    expected = plain.decide(request)
+                    assert counted.decide(request) == expected
+                    got = traced.decide(request)
+                    assert got == expected
+                    assert got.trace is not None
+                    assert dataclasses.replace(got, trace=None) == expected
+            finally:
+                plain.close()
+                counted.close()
+                traced.close()

@@ -19,7 +19,7 @@ from repro.errors import (
     PDPUnavailableError,
     ProtocolError,
 )
-from repro.perf import PerfRecorder
+from repro.obs import Recorder
 from repro.server import protocol
 
 
@@ -186,7 +186,7 @@ class IdleCore(ClientCore):
 
 class TestRetryRule:
     def core(self, **kwargs):
-        perf = PerfRecorder()
+        perf = Recorder()
         core = IdleCore(
             "127.0.0.1",
             1,

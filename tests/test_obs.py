@@ -1,10 +1,12 @@
-"""Tests for repro.obs: traces, the slow-decision log and metrics.
+"""Tests for repro.obs: the recorder's traces, the slow-decision log and metrics.
 
-The load-bearing property is the differential one: enabling tracing
-must never change a decision — same effect, same reason, same retained
-ADI — across the in-memory, SQLite and remote backends.
+The load-bearing property is the differential one: recording must never
+change a decision — same effect, same reason, same retained ADI — with
+the recorder off, counting only, or tracing, across the in-memory,
+SQLite, tiered and remote backends.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -17,20 +19,30 @@ from repro.core import (
     MSoDEngine,
     MSoDPolicy,
     MSoDPolicySet,
+    Privilege,
     Role,
     SQLiteRetainedADIStore,
+    TieredADIStore,
+    store_digest,
 )
+from repro.framework.pdp import ReferenceRBACMSoDPDP, RoleTargetAccessPolicy
 from repro.obs import (
-    NOOP_TRACER,
+    NOOP,
     DecisionTrace,
-    DecisionTracer,
     MetricsRegistry,
+    Recorder,
     SlowDecisionLog,
     TraceSpan,
     TraceViolation,
     parse_exposition,
 )
-from repro.perf import PerfRecorder
+from repro.permis import (
+    LdapDirectory,
+    PermisPDP,
+    PermisPolicyBuilder,
+    PrivilegeAllocator,
+    TrustStore,
+)
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -68,7 +80,7 @@ class TestTracedEngine:
         engine = MSoDEngine(
             bank_policy_set(),
             InMemoryRetainedADIStore(),
-            tracer=DecisionTracer(),
+            perf=Recorder().trace_decisions(),
         )
         decision = engine.check(make_request("alice", TELLER))
         assert decision.granted
@@ -88,7 +100,7 @@ class TestTracedEngine:
         engine = MSoDEngine(
             bank_policy_set(),
             InMemoryRetainedADIStore(),
-            tracer=DecisionTracer(),
+            perf=Recorder().trace_decisions(),
         )
         assert engine.check(make_request("alice", TELLER, 0)).granted
         denied = engine.check(make_request("alice", AUDITOR, 1))
@@ -105,7 +117,7 @@ class TestTracedEngine:
         engine = MSoDEngine(
             bank_policy_set(),
             InMemoryRetainedADIStore(),
-            tracer=DecisionTracer(),
+            perf=Recorder().trace_decisions(),
         )
         first = engine.check(make_request("alice", TELLER, 0))
         assert first.trace.policy_epoch == 1
@@ -118,15 +130,23 @@ class TestTracedEngine:
 
     def test_untraced_engine_attaches_nothing(self):
         engine = MSoDEngine(bank_policy_set(), InMemoryRetainedADIStore())
-        assert engine.tracer is NOOP_TRACER
+        assert engine.perf is NOOP
         decision = engine.check(make_request("alice", TELLER))
         assert decision.trace is None
+
+    def test_counting_recorder_attaches_nothing(self):
+        perf = Recorder()
+        engine = MSoDEngine(
+            bank_policy_set(), InMemoryRetainedADIStore(), perf=perf
+        )
+        assert not perf.tracing and perf.slow_log is None
+        assert engine.check(make_request("alice", TELLER)).trace is None
 
     def test_render_mentions_stages_and_policy(self):
         engine = MSoDEngine(
             bank_policy_set(),
             InMemoryRetainedADIStore(),
-            tracer=DecisionTracer(),
+            perf=Recorder().trace_decisions(),
         )
         engine.check(make_request("alice", TELLER, 0))
         denied = engine.check(make_request("alice", AUDITOR, 1))
@@ -136,17 +156,28 @@ class TestTracedEngine:
         assert "DENY" in text
 
 
+def _tiered_store():
+    return TieredADIStore(InMemoryRetainedADIStore(), hot_users=2, shards=2)
+
+
 class TestDifferentialTracing:
-    """Tracing must be a pure observer: decisions stay bit-identical."""
+    """The recorder must be a pure observer: decisions stay bit-identical."""
 
     @pytest.mark.parametrize("store_factory", [
         InMemoryRetainedADIStore,
         lambda: SQLiteRetainedADIStore(":memory:"),
+        _tiered_store,
     ])
     def test_decisions_identical_with_and_without_tracing(self, store_factory):
-        plain = MSoDEngine(bank_policy_set(), store_factory())
+        plain_store, counted_store, traced_store = (
+            store_factory(), store_factory(), store_factory()
+        )
+        plain = MSoDEngine(bank_policy_set(), plain_store)
+        counted = MSoDEngine(
+            bank_policy_set(), counted_store, perf=Recorder()
+        )
         traced = MSoDEngine(
-            bank_policy_set(), store_factory(), tracer=DecisionTracer()
+            bank_policy_set(), traced_store, perf=Recorder().trace_decisions()
         )
         script = [
             ("alice", TELLER),
@@ -159,17 +190,23 @@ class TestDifferentialTracing:
         for index, (user, role) in enumerate(script):
             request = make_request(user, role, index)
             expected = plain.check(request)
+            assert counted.check(request) == expected
             got = traced.check(request)
             # Decision equality excludes the trace field by design.
             assert got == expected
             assert got.trace is not None and expected.trace is None
             assert dataclasses.replace(got, trace=None) == expected
+        assert (
+            store_digest(plain_store)
+            == store_digest(counted_store)
+            == store_digest(traced_store)
+        )
 
     def test_trace_effect_mirrors_decision(self):
         engine = MSoDEngine(
             bank_policy_set(),
             InMemoryRetainedADIStore(),
-            tracer=DecisionTracer(),
+            perf=Recorder().trace_decisions(),
         )
         for index, (user, role) in enumerate(
             [("alice", TELLER), ("alice", AUDITOR)]
@@ -179,6 +216,248 @@ class TestDifferentialTracing:
             assert decision.trace.effect == decision.effect
             assert decision.trace.request_id == request.request_id
             assert decision.trace.records_added == decision.records_added
+
+
+HANDLE_CASH = Privilege("handleCash", "till://1")
+AUDIT_BOOKS = Privilege("auditBooks", "l://1")
+SOA_DN = "cn=SOA,o=bank,c=gb"
+ALICE = "cn=alice,o=bank,c=gb"
+YORK = ContextName.parse("Branch=York, Period=P1")
+
+
+def reference_pdp(perf, store=None):
+    """RBAC (tellers handle cash, auditors audit) in front of the engine."""
+    engine = MSoDEngine(
+        bank_policy_set(),
+        store if store is not None else InMemoryRetainedADIStore(),
+        perf=perf,
+    )
+    access = RoleTargetAccessPolicy(
+        {TELLER: [HANDLE_CASH], AUDITOR: [AUDIT_BOOKS]}
+    )
+    return ReferenceRBACMSoDPDP(access, engine)
+
+
+def permis_pdp(perf, store=None):
+    """A PERMIS PDP whose directory holds alice's Teller credential."""
+    directory = LdapDirectory()
+    allocator = PrivilegeAllocator(SOA_DN, b"soa-key", directory)
+    trust = TrustStore()
+    trust.trust(allocator.soa_dn, allocator.verification_key)
+    policy = (
+        PermisPolicyBuilder()
+        .allow_assignment(SOA_DN, [TELLER, AUDITOR], "o=bank,c=gb")
+        .grant(TELLER, [HANDLE_CASH])
+        .grant(AUDITOR, [AUDIT_BOOKS])
+        .with_msod(bank_policy_set())
+        .build()
+    )
+    allocator.issue(ALICE, [TELLER], 0, 100)
+    return PermisPDP(policy, trust, directory, store=store, perf=perf)
+
+
+def permis_decide(perf, store=None):
+    """``PermisPDP.decide`` for requests whose users are plain names."""
+    pdp = permis_pdp(perf, store)
+    return lambda request: pdp.decide(
+        dataclasses.replace(request, user_id=f"cn={request.user_id},o=bank,c=gb")
+    )
+
+
+def unmatched_request(user="alice"):
+    return dataclasses.replace(
+        make_request(user, TELLER, 9),
+        context_instance=ContextName.parse("Elsewhere=e1"),
+    )
+
+
+def rbac_denied_request(user="alice"):
+    # A teller asking to audit: no presented role grants the privilege.
+    return dataclasses.replace(
+        make_request(user, AUDITOR, 8), roles=(TELLER,)
+    )
+
+
+class TestOneVocabulary:
+    """A trace's span names are the stage names the histograms gained."""
+
+    def _assert_same_stages(self, perf, decision, expected):
+        trace = decision.trace
+        names = [span.name for span in trace.spans]
+        assert names == expected
+        assert {
+            name: stats.count for name, stats in perf.stages().items()
+        } == collections.Counter(names)
+        check = trace.span("engine.check")
+        if check is not None:
+            assert trace.total_s >= check.offset_s + check.duration_s
+        perf.reset()
+
+    def test_reference_pdp_paths(self):
+        perf = Recorder().trace_decisions()
+        pdp = reference_pdp(perf)
+        engine_grant = [
+            "pdp.rbac", "engine.match", "engine.constraints",
+            "store.commit", "engine.check",
+        ]
+        self._assert_same_stages(
+            perf, pdp.decide(make_request("alice", TELLER, 0)), engine_grant
+        )
+        denied = pdp.decide(make_request("alice", AUDITOR, 1))
+        assert denied.violation is not None
+        self._assert_same_stages(
+            perf,
+            denied,
+            ["pdp.rbac", "engine.match", "engine.constraints", "engine.check"],
+        )
+        self._assert_same_stages(
+            perf,
+            pdp.decide(unmatched_request()),
+            ["pdp.rbac", "engine.match", "engine.check"],
+        )
+        rbac_denied = pdp.decide(rbac_denied_request())
+        assert rbac_denied.denied and rbac_denied.violation is None
+        self._assert_same_stages(perf, rbac_denied, ["pdp.rbac"])
+
+    def test_permis_pipeline(self):
+        perf = Recorder().trace_decisions()
+        pdp = permis_pdp(perf)
+        granted = pdp.decision(ALICE, "handleCash", "till://1", YORK, at=5.0)
+        assert granted.granted
+        self._assert_same_stages(
+            perf,
+            granted,
+            [
+                "pdp.cvs", "pdp.rbac", "engine.match", "engine.constraints",
+                "store.commit", "engine.check", "pdp.audit",
+            ],
+        )
+        # Pre-validated roles skip the CVS, and so does its stage.
+        denied = pdp.decision(
+            ALICE, "auditBooks", "l://1", YORK, roles=[TELLER], at=6.0
+        )
+        assert denied.denied
+        self._assert_same_stages(perf, denied, ["pdp.rbac", "pdp.audit"])
+
+    def test_stage_spans_tile_the_check(self):
+        ticks = iter(range(100))
+        perf = Recorder(clock=lambda: float(next(ticks))).trace_decisions()
+        engine = MSoDEngine(
+            bank_policy_set(), InMemoryRetainedADIStore(), perf=perf
+        )
+        trace = engine.check(make_request("alice", TELLER)).trace
+        match, constraints, commit, check = trace.spans
+        assert check.name == "engine.check"
+        # Each stage starts where the previous one ended, from the
+        # start of the check; what follows the commit (building the
+        # Decision) is the check's own tail.
+        assert match.offset_s == check.offset_s
+        assert constraints.offset_s == match.offset_s + match.duration_s
+        assert commit.offset_s == constraints.offset_s + constraints.duration_s
+        assert (
+            commit.offset_s + commit.duration_s
+            <= check.offset_s + check.duration_s
+            <= trace.total_s
+        )
+
+
+class _StoreFailure(RuntimeError):
+    pass
+
+
+def _fail_next_apply(store):
+    """Make the store's next ``apply`` raise, then behave again."""
+    real = store.apply
+
+    def apply(mutation):
+        store.apply = real
+        raise _StoreFailure("disk full")
+
+    store.apply = apply
+
+
+class TestFailedDecisionDoesNotPoisonTracing:
+    """After a decision raises mid-pipeline the next one is traced alone."""
+
+    @pytest.mark.parametrize("store_factory", [
+        InMemoryRetainedADIStore,
+        lambda: SQLiteRetainedADIStore(":memory:"),
+    ])
+    @pytest.mark.parametrize("build", [
+        lambda perf, store: MSoDEngine(bank_policy_set(), store, perf=perf).check,
+        lambda perf, store: reference_pdp(perf, store).decide,
+        permis_decide,
+    ], ids=["engine", "reference-pdp", "permis-pdp"])
+    def test_next_decision_gets_its_own_sealed_trace(self, build, store_factory):
+        perf = Recorder().trace_decisions(slowlog_capacity=8)
+        store = store_factory()
+        decide = build(perf, store)
+        healthy = decide(make_request("zoe", TELLER, 0)).trace
+        _fail_next_apply(store)
+        with pytest.raises(_StoreFailure):
+            decide(make_request("alice", TELLER, 1))
+        assert perf.slow_log.offered == 1  # the failed one reached nobody
+        for index, user in enumerate(("bob", "carol", "dave"), start=2):
+            decision = decide(make_request(user, TELLER, index))
+            trace = decision.trace
+            assert trace is not None, "tracing stopped after the failure"
+            assert trace.request_id == decision.request.request_id
+            assert [span.name for span in trace.spans] == [
+                span.name for span in healthy.spans
+            ]
+            assert perf.slow_log.offered == index
+
+
+class _RaisingRecorder(Recorder):
+    """Disabled, and every recording call is an error: guards must hold."""
+
+    enabled = False
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("recorder called although enabled is False")
+
+    incr = start = span = observe_size = _refuse
+    begin = finish = abandon = trace_decisions = _refuse
+
+
+class TestZeroCostWhenOff:
+    """With ``enabled`` False the pipeline makes no recorder call at all."""
+
+    def _drive(self, decide):
+        assert decide(make_request("alice", TELLER, 0)).granted
+        assert decide(make_request("alice", AUDITOR, 1)).violation is not None
+        assert decide(unmatched_request()).granted
+
+    def test_engine(self):
+        engine = MSoDEngine(
+            bank_policy_set(), InMemoryRetainedADIStore(), perf=_RaisingRecorder()
+        )
+        self._drive(engine.check)
+
+    def test_reference_pdp(self):
+        pdp = reference_pdp(_RaisingRecorder())
+        self._drive(pdp.decide)
+        assert pdp.decide(rbac_denied_request()).denied
+
+    def test_permis_pdp(self):
+        perf = _RaisingRecorder()
+        decide = permis_decide(perf)
+        self._drive(decide)
+        assert decide(rbac_denied_request()).denied
+        pdp = permis_pdp(perf)
+        assert pdp.decision(ALICE, "handleCash", "till://1", YORK, at=5.0).granted
+        assert pdp.decision(
+            "cn=nobody,o=bank,c=gb", "handleCash", "till://1", YORK, at=5.0
+        ).denied
+
+    def test_server_round_trip(self):
+        from repro.api import open_server
+
+        with open_server(
+            bank_policy_set(), n_shards=2, perf=_RaisingRecorder()
+        ) as server:
+            with server.client() as client:
+                self._drive(client.decide)
 
 
 class TestTraceSerialisation:
@@ -262,11 +541,10 @@ class TestSlowDecisionLog:
         assert log.threshold() == pytest.approx(0.5)
 
     def test_engine_feeds_slow_log(self):
-        log = SlowDecisionLog(capacity=8)
+        perf = Recorder().trace_decisions(slowlog_capacity=8)
+        log = perf.slow_log
         engine = MSoDEngine(
-            bank_policy_set(),
-            InMemoryRetainedADIStore(),
-            tracer=DecisionTracer(slow_log=log),
+            bank_policy_set(), InMemoryRetainedADIStore(), perf=perf
         )
         for index in range(5):
             engine.check(make_request(f"user-{index}", TELLER, index))
@@ -286,7 +564,7 @@ class TestSlowDecisionLog:
 
 class TestMetricsRegistry:
     def test_renders_counters_and_histograms(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         engine = MSoDEngine(
             bank_policy_set(), InMemoryRetainedADIStore(), perf=perf
         )
@@ -325,7 +603,7 @@ class TestMetricsRegistry:
             parse_exposition("this is not { prometheus\n")
 
     def test_duplicate_perf_registration_is_ignored(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         perf.incr("x")
         registry = MetricsRegistry()
         registry.register_perf(perf)

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.perf` and its wiring through the pipeline."""
+"""Tests for the recorder's counters/histograms and their pipeline wiring."""
 
 import pytest
 
@@ -14,11 +14,11 @@ from repro.core import (
     Role,
 )
 from repro.framework.pdp import ReferenceRBACMSoDPDP, RoleTargetAccessPolicy
-from repro.perf import (
+from repro.obs import (
     LATENCY_BUCKET_BOUNDS,
     NOOP,
-    NoopPerfRecorder,
-    PerfRecorder,
+    NoopRecorder,
+    Recorder,
     StageStats,
 )
 
@@ -56,7 +56,7 @@ def _request(index, user, role, dept="d1"):
 
 class TestPerfRecorder:
     def test_counters_accumulate(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         perf.incr("a")
         perf.incr("a", 4)
         assert perf.counter("a") == 5
@@ -64,9 +64,9 @@ class TestPerfRecorder:
 
     def test_stage_timing_with_fake_clock(self):
         ticks = iter([1.0, 1.25])
-        perf = PerfRecorder(clock=lambda: next(ticks))
+        perf = Recorder(clock=lambda: next(ticks))
         started = perf.start()
-        perf.stop("stage", started)
+        assert perf.span("stage", started) == 1.25
         stats = perf.stage("stage")
         assert stats.count == 1
         assert stats.total == pytest.approx(0.25)
@@ -74,9 +74,10 @@ class TestPerfRecorder:
         assert stats.max == pytest.approx(0.25)
 
     def test_snapshot_and_reset(self):
-        perf = PerfRecorder()
+        ticks = iter([0.0, 0.003])
+        perf = Recorder(clock=lambda: next(ticks))
         perf.incr("n", 2)
-        perf.observe("s", 0.003)
+        perf.span("s", perf.start())
         snap = perf.snapshot()
         assert snap["counters"] == {"n": 2}
         assert snap["stages"]["s"]["count"] == 1
@@ -103,13 +104,26 @@ class TestPerfRecorder:
 
 class TestNoop:
     def test_noop_records_nothing(self):
-        noop = NoopPerfRecorder()
+        noop = NoopRecorder()
         noop.incr("x")
-        noop.stop("s", noop.start())
-        noop.observe("s", 1.0)
+        noop.span("s", noop.start())
+        noop.observe_size("n", 3)
         assert noop.counter("x") == 0
         assert noop.stage("s") is None
+        assert noop.size("n") is None
         assert noop.enabled is False
+
+    def test_the_repro_perf_names_are_the_same_objects(self):
+        # benchmarks/e2e (frozen) imports the recorder by its old path.
+        import repro.perf
+
+        assert repro.perf.PerfRecorder is Recorder
+        assert repro.perf.NOOP is NOOP
+
+    def test_noop_refuses_to_trace(self):
+        with pytest.raises(ValueError):
+            NOOP.trace_decisions()
+        assert not NOOP.tracing
 
     def test_shared_noop_is_disabled(self):
         assert NOOP.enabled is False
@@ -117,7 +131,7 @@ class TestNoop:
 
 class TestEngineWiring:
     def test_engine_counts_grants_and_denies(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         engine = _engine(perf=perf)
         assert engine.check(_request(0, "alice", _CLERK)).effect is Effect.GRANT
         assert engine.check(_request(1, "alice", _AUDITOR)).effect is Effect.DENY
@@ -130,7 +144,7 @@ class TestEngineWiring:
         assert perf.stage("engine.check").count == 2
 
     def test_engine_counts_unmatched_contexts(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         engine = _engine(perf=perf)
         decision = engine.check(
             DecisionRequest(
@@ -152,7 +166,7 @@ class TestEngineWiring:
         assert NOOP.counter("engine.requests") == 0
 
     def test_decisions_identical_with_and_without_perf(self):
-        with_perf = _engine(perf=PerfRecorder())
+        with_perf = _engine(perf=Recorder())
         without = _engine()
         for index, (user, role) in enumerate(
             [("a", _CLERK), ("a", _AUDITOR), ("b", _AUDITOR), ("b", _CLERK)]
@@ -164,7 +178,7 @@ class TestEngineWiring:
 
 class TestPDPWiring:
     def test_reference_pdp_counts_rbac_denies(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         access = RoleTargetAccessPolicy({_CLERK: []})
         pdp = ReferenceRBACMSoDPDP(access, _engine(perf=perf), perf=perf)
         decision = pdp.decide(_request(0, "alice", _CLERK))

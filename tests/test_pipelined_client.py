@@ -36,8 +36,7 @@ from repro.core import (
     Role,
 )
 from repro.errors import PDPConnectError, ProtocolError
-from repro.obs import parse_exposition
-from repro.perf import PerfRecorder
+from repro.obs import Recorder, parse_exposition
 from repro.server import AuthorizationService, ServerThread, protocol
 from tests.test_remote_pdp import BlockingAsyncPDP
 
@@ -240,7 +239,7 @@ class TestPipelinedDecides:
         duty sequence resolves exactly as in process, and the client's
         batch-size accounting covers every call."""
         service = make_service(n_shards=4, batch_max=16)
-        perf = PerfRecorder()
+        perf = Recorder()
         n_users = 12
         with ServerThread(service) as server:
             with RemotePDP(
@@ -296,7 +295,7 @@ class TestPipelinedDecides:
         update in the pipeline state the sender, the reader and the
         callers share would hang a caller or miscount a batch."""
         service = make_service(n_shards=4)
-        perf = PerfRecorder()
+        perf = Recorder()
         n_threads, per_thread = 32, 20
         granted = []
         errors = []
@@ -440,7 +439,7 @@ class TestPostSendDisciplineOverAsyncio(TestPostSendDiscipline):
 
 class TestWireMetrics:
     def test_wire_counters_in_metrics_verb_and_exposition(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         service = make_service(n_shards=2, perf=perf)
         with ServerThread(service) as server:
             with RemotePDP(

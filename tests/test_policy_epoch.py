@@ -41,7 +41,7 @@ from repro.core import (
     store_digest,
 )
 from repro.errors import PolicyError
-from repro.perf import PerfRecorder
+from repro.obs import Recorder
 from repro.workload import decision_request_stream
 from repro.xmlpolicy import bank_policy_set, parse_policy_set, write_policy_set
 
@@ -173,7 +173,7 @@ class TestEngineSwap:
         assert decision.policy_digest == policy_set_digest(extended_set())
 
     def test_identical_reload_is_a_noop(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         engine = MSoDEngine(
             bank_set(), InMemoryRetainedADIStore(), perf=perf
         )

@@ -27,7 +27,7 @@ from repro.core import (
     store_digest,
 )
 from repro.core.constraints import MMCD, AdminBoundary
-from repro.obs.trace import DecisionTracer
+from repro.obs import Recorder
 from repro.xmlpolicy.dsl import parse_constraint_repr
 
 _AUDITOR = Role("employee", "Auditor")
@@ -97,27 +97,30 @@ def _requests(stream):
 
 
 def _run_stream(mode, stream):
-    memory = InMemoryRetainedADIStore()
-    sqlite_store = SQLiteRetainedADIStore(":memory:")
-    tiered = TieredADIStore(InMemoryRetainedADIStore(), hot_users=2, shards=2)
+    # Every backend under every recorder state: off, counting, tracing.
     policy_set = _policy_set()
-    engines = [
-        MSoDEngine(policy_set, memory, mode=mode),
-        MSoDEngine(policy_set, sqlite_store, mode=mode),
-        MSoDEngine(policy_set, tiered, mode=mode),
-    ]
+    stores, engines = [], []
+    for recorder in (lambda: None, Recorder, lambda: Recorder().trace_decisions()):
+        for store in (
+            InMemoryRetainedADIStore(),
+            SQLiteRetainedADIStore(":memory:"),
+            TieredADIStore(InMemoryRetainedADIStore(), hot_users=2, shards=2),
+        ):
+            stores.append(store)
+            engines.append(
+                MSoDEngine(policy_set, store, mode=mode, perf=recorder())
+            )
     try:
         for index, request in enumerate(_requests(stream)):
             keys = {
                 _decision_key(engine.check(request)) for engine in engines
             }
             assert len(keys) == 1, f"decision diverged at step {index}"
-            digests = {
-                store_digest(store) for store in (memory, sqlite_store, tiered)
-            }
+            digests = {store_digest(store) for store in stores}
             assert len(digests) == 1, f"store contents diverged at {index}"
     finally:
-        sqlite_store.close()
+        for store in stores:
+            store.close()
 
 
 @given(_streams)
@@ -140,7 +143,7 @@ def test_traced_engine_decides_identically(stream):
     traced_store = InMemoryRetainedADIStore()
     plain = MSoDEngine(_policy_set(), plain_store)
     traced = MSoDEngine(
-        _policy_set(), traced_store, tracer=DecisionTracer()
+        _policy_set(), traced_store, perf=Recorder().trace_decisions()
     )
     for index, request in enumerate(_requests(stream)):
         assert _decision_key(plain.check(request)) == _decision_key(

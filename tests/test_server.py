@@ -16,7 +16,7 @@ from repro.core import (
     Role,
     SQLiteRetainedADIStore,
 )
-from repro.perf import PerfRecorder
+from repro.obs import Recorder
 from repro.server import (
     AuthorizationService,
     MSoDServer,
@@ -176,7 +176,7 @@ class TestService:
         assert effects == ["grant" if i % 2 == 0 else "deny" for i in range(12)]
 
     def test_micro_batches_share_one_store_batch(self):
-        perf = PerfRecorder()
+        perf = Recorder()
         store = SQLiteRetainedADIStore(":memory:")
 
         async def scenario():
@@ -205,6 +205,7 @@ class TestService:
             def __init__(self, engine):
                 self._engine = engine
                 self.store = engine.store
+                self.perf = engine.perf
 
             def check(self, request):
                 if request.user_id == "boom":

@@ -17,8 +17,7 @@ from repro.core import (
     Role,
 )
 from repro.errors import ProtocolError
-from repro.obs import parse_exposition
-from repro.perf import PerfRecorder
+from repro.obs import Recorder, parse_exposition
 from repro.server import protocol
 
 TELLER = Role("employee", "Teller")
@@ -54,7 +53,7 @@ def make_request(user, role, index=0):
 
 @pytest.fixture
 def traced_server():
-    perf = PerfRecorder()
+    perf = Recorder()
     with open_server(
         bank_policy_set(), n_shards=2, perf=perf, trace=True
     ) as server:
@@ -93,6 +92,38 @@ class TestMetricsVerb:
             body = pdp.metrics()
         assert isinstance(body, dict)
         assert "shards" in body and "perf" in body
+
+    @pytest.mark.parametrize("service_perf", [None, Recorder()])
+    def test_json_and_prometheus_bodies_share_one_recorder_set(self, service_perf):
+        # An instrumented engine under a service given no recorder of
+        # its own (or a second one): both bodies must tell one story.
+        import asyncio
+
+        from repro.core import InMemoryRetainedADIStore, MSoDEngine
+        from repro.server import AuthorizationService
+
+        engine = MSoDEngine(
+            bank_policy_set(), InMemoryRetainedADIStore(), perf=Recorder()
+        )
+
+        async def scenario():
+            service = AuthorizationService(engine, n_shards=1, perf=service_perf)
+            await service.start()
+            for index in range(3):
+                await service.decide(make_request(f"user-{index}", TELLER, index))
+            await service.stop()
+            return service.metrics()["perf"], service.metrics_registry().render()
+
+        perf_json, exposition = asyncio.run(scenario())
+        scraped = {
+            name: value for name, labels, value in parse_exposition(exposition)
+            if not labels
+        }
+        assert perf_json["counters"]["engine.requests"] == 3
+        assert perf_json["counters"]["server.decided"] == 3
+        for name, value in perf_json["counters"].items():
+            assert scraped[f"repro_{name.replace('.', '_')}_total"] == value
+        assert {"engine.check", "server.decide"} <= set(perf_json["stages"])
 
     def test_unknown_format_is_protocol_error(self, traced_server):
         with traced_server.client() as pdp:
