@@ -309,7 +309,8 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         Optional recorder for client-side counters (``client.calls``,
         ``client.retries``, ``client.overload_rejections``,
         ``client.transport_failures``) and the ``client.call``
-        round-trip stage histogram.
+        round-trip stage histogram; concurrent callers record under one
+        client-wide lock, so the counts are exact.
     protocol_version:
         ``"auto"`` (default) negotiates protocol v2 on the first decide
         and falls back to v1 when the server rejects the ``hello``;
@@ -332,6 +333,11 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         self._idle_lock = threading.Lock()
         self._pipe: _PipelinedV2Connection | None = None
         self._pipe_lock = threading.Lock()
+        # A Recorder is not thread-safe and callers arrive on their own
+        # threads: everything they record goes through this lock.  (The
+        # pipeline's sender and reader threads each own the counters
+        # they write, so they need none.)
+        self._perf_lock = threading.Lock()
 
     @property
     def perf(self) -> Recorder:
@@ -393,7 +399,9 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
     def _retrying(self, once, retriable: bool):
         perf = self._perf
         timing = perf.enabled
-        perf.incr("client.calls")
+        if timing:
+            with self._perf_lock:
+                perf.incr("client.calls")
         attempt = 0
         while True:
             self.check_open()
@@ -401,10 +409,12 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
             try:
                 result = once()
             except PDPUnavailableError as exc:
-                delay = self.retry_delay(exc, attempt, retriable)
+                with self._perf_lock:  # retry_delay counts the failure
+                    delay = self.retry_delay(exc, attempt, retriable)
             else:
                 if timing:
-                    perf.span("client.call", started)
+                    with self._perf_lock:
+                        perf.span("client.call", started)
                 return result
             time.sleep(delay)
             attempt += 1

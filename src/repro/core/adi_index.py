@@ -12,7 +12,7 @@ owns the discipline.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
@@ -193,22 +193,31 @@ class _UserAggregate:
 
 
 class _ContextPresence:
-    """Which concrete contexts hold records, and the "has it started" memo.
+    """Which concrete contexts hold records, indexed for context matching.
 
     ``counts`` maps each concrete context instance to its record count;
     it is bounded by the number of distinct contexts, not by users.
-    ``_memo`` maps an effective context to "any matching concrete
-    context exists", under three maintenance rules:
+    ``_postings`` maps each ``(position, component value)`` of a live
+    context to the live contexts holding it, and changes exactly where
+    ``counts`` gains or loses a key.  :meth:`matching` is the one
+    enumeration of the live contexts within an effective context: it
+    walks the smallest posting among the effective context's concrete
+    components (all of ``counts`` only when it names none) and verifies
+    each candidate with the compiled matcher — postings are filed by
+    value alone, so the matcher is what tells ``Dept=x`` from ``Case=x``.
 
-    * a *new* concrete context can only flip ``False`` entries to
-      ``True`` (checked incrementally against the one new context);
-    * a *vanished* context can only stale ``True`` entries that matched
-      it, which are dropped for lazy recomputation;
-    * past ``_BULK_FORGET`` vanished contexts in one call, every
-      ``True`` entry is dropped in a single matcher-free sweep.
+    ``_memo`` holds the effective contexts known to have started, and
+    only those.  "Not started" is never memoised: a miss costs one short
+    posting walk, whereas a remembered ``False`` would have to be looked
+    for on every new concrete context.  Two rules keep the memo true:
+
+    * a *vanished* context can only stale the entries that matched it,
+      which are dropped for lazy recomputation;
+    * past ``_BULK_FORGET`` vanished contexts in one call the memo is
+      dropped whole, without matching.
     """
 
-    __slots__ = ("counts", "_memo")
+    __slots__ = ("counts", "_postings", "_memo")
 
     #: Memo-size guard, as for :class:`_UserAggregate`.
     _MEMO_LIMIT = 4096
@@ -216,21 +225,27 @@ class _ContextPresence:
 
     def __init__(self, counts: Mapping[ContextName, int] | None = None) -> None:
         self.counts: dict[ContextName, int] = dict(counts or ())
+        self._postings: dict[tuple[int, str], set[ContextName]] = {}
         self._memo: dict[ContextName, bool] = {}
+        for context in self.counts:
+            self._post(context)
+
+    def _post(self, context: ContextName) -> None:
+        postings = self._postings
+        for key in context.component_keys():
+            postings.setdefault(key, set()).add(context)
 
     def add(self, context: ContextName) -> None:
         """Count one more record in a concrete context."""
         count = self.counts.get(context, 0)
         self.counts[context] = count + 1
         if not count:
-            memo = self._memo
-            for effective, present in memo.items():
-                if not present and effective.matcher.matches(context):
-                    memo[effective] = True
+            self._post(context)
 
     def forget(self, contexts: Iterable[ContextName]) -> None:
         """Count one record fewer in each listed concrete context."""
         counts = self.counts
+        postings = self._postings
         vanished: list[ContextName] = []
         for context in contexts:
             count = counts.get(context, 0)
@@ -239,6 +254,11 @@ class _ContextPresence:
             elif count:
                 del counts[context]
                 vanished.append(context)
+                for key in context.component_keys():
+                    posting = postings[key]
+                    posting.remove(context)
+                    if not posting:
+                        del postings[key]
         memo = self._memo
         if not vanished or not memo:
             return
@@ -248,29 +268,41 @@ class _ContextPresence:
         # cutover purges many users back to back while the memo sits at
         # its limit — that product is what a fenced cutover pause would
         # be made of.  Past a handful of vanished contexts it is
-        # strictly cheaper to drop every ``True`` entry without
-        # matching: deletions can only stale ``True`` entries (absent
-        # can not become present by removing contexts), and the memo
+        # strictly cheaper to drop the memo without matching; it
         # repopulates lazily.
-        bulk = len(vanished) > self._BULK_FORGET
+        if len(vanished) > self._BULK_FORGET:
+            memo.clear()
+            return
         stale = [
             effective
-            for effective, present in memo.items()
-            if present
-            and (bulk or any(map(effective.matcher.matches, vanished)))
+            for effective in memo
+            if any(map(effective.matcher.matches, vanished))
         ]
         for effective in stale:
             del memo[effective]
 
+    def matching(self, effective_context: ContextName) -> Iterator[ContextName]:
+        """The live concrete contexts within ``effective_context``, lazily."""
+        matcher = effective_context.matcher
+        candidates: Iterable[ContextName] = self.counts
+        for key in matcher.concrete:
+            posting = self._postings.get(key)
+            if posting is None:
+                return iter(())
+            if len(posting) < len(candidates):
+                candidates = posting
+        return filter(matcher.matches, candidates)
+
     def has_context(self, effective_context: ContextName) -> bool:
         memo = self._memo
-        present = memo.get(effective_context)
-        if present is None:
-            if len(memo) >= self._MEMO_LIMIT:
-                memo.clear()
-            matches = effective_context.matcher.matches
-            present = memo[effective_context] = any(map(matches, self.counts))
-        return present
+        if effective_context in memo:
+            return True
+        if next(self.matching(effective_context), None) is None:
+            return False
+        if len(memo) >= self._MEMO_LIMIT:
+            memo.clear()
+        memo[effective_context] = True
+        return True
 
     def clear_memo(self) -> None:
         """Rebind the memo — see :meth:`_UserAggregate.clear_memo`."""
@@ -283,7 +315,9 @@ class _UserContextIndex:
     The number of distinct concrete instances (and of instances any one
     user has touched) is tiny compared to the record count, so
     context-scoped queries walk a handful of buckets — each answering
-    from its incremental aggregates — instead of scanning every record.
+    from its incremental aggregates — instead of scanning every record;
+    cross-user queries find their contexts through
+    :meth:`_ContextPresence.matching`, not by scanning the live ones.
 
     Both always-resident backends share this structure: the in-memory
     store uses it as its primary index, the SQLite store as a lazily
@@ -360,7 +394,7 @@ class _UserContextIndex:
     ) -> list[RetainedADIRecord]:
         by_context = self._by_context
         found: list[RetainedADIRecord] = []
-        for context in filter(effective_context.matcher.matches, by_context):
+        for context in self._presence.matching(effective_context):
             for bucket in by_context[context].values():
                 found.extend(bucket.records.values())
         found.sort(key=lambda record: record.record_id)

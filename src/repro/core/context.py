@@ -104,28 +104,34 @@ class _CompiledMatcher:
     the policy name once reduces matching to tuple-slice comparisons
     (C-level) plus, when the policy mixes wildcard and concrete values,
     a short loop over only the concrete positions.
+
+    ``concrete`` is the ``(position, value)`` pair of every non-wildcard
+    component, in order — a subset of the
+    :meth:`~ContextName.component_keys` of every name this one matches,
+    which is what lets the retained-ADI posting map and the policy
+    dispatch index names by component.
     """
 
-    __slots__ = ("_length", "_types", "_concrete", "_concrete_prefix", "_single")
+    __slots__ = ("_length", "_types", "concrete", "_concrete_prefix", "_single")
 
     def __init__(self, policy: "ContextName") -> None:
         comps = policy.components
         self._length = len(comps)
         self._types = tuple(comp.ctx_type for comp in comps)
-        self._concrete = tuple(
+        self.concrete = tuple(
             (index, comp.value)
             for index, comp in enumerate(comps)
             if not comp.is_wildcard
         )
         # A fully concrete policy prefix matches by one tuple comparison.
         self._concrete_prefix = (
-            comps if len(self._concrete) == len(comps) else None
+            comps if len(self.concrete) == len(comps) else None
         )
         # The overwhelmingly common wildcard mix has exactly one concrete
         # component; checking it directly skips a generator frame.
         self._single = (
-            self._concrete[0]
-            if self._concrete_prefix is None and len(self._concrete) == 1
+            self.concrete[0]
+            if self._concrete_prefix is None and len(self.concrete) == 1
             else None
         )
 
@@ -148,7 +154,7 @@ class _CompiledMatcher:
         single = self._single
         if single is not None:
             return comps[single[0]].value == single[1]
-        return all(comps[index].value == value for index, value in self._concrete)
+        return all(comps[index].value == value for index, value in self.concrete)
 
 
 @lru_cache(maxsize=8192)
@@ -255,6 +261,19 @@ class ContextName:
                 comp.ctx_type for comp in self._components
             )
         return types
+
+    def component_keys(self) -> list[tuple[int, str]]:
+        """The ``(position, value)`` pair of every component, in order.
+
+        The keys a concrete name is filed under (retained-ADI posting
+        map) and looked up by (policy dispatch); the other side of each
+        is :attr:`_CompiledMatcher.concrete`.  Not memoized: live
+        context instances far outnumber policy contexts.
+        """
+        return [
+            (position, comp.value)
+            for position, comp in enumerate(self._components)
+        ]
 
     @property
     def matcher(self) -> _CompiledMatcher:

@@ -202,15 +202,19 @@ class MSoDPolicy:
 class MSoDPolicySet:
     """The ordered set of MSoD policies enforced by a PDP.
 
-    Policies are indexed by the *leading component type* of their
-    business context: an instance ``T=v, ...`` can only match policies
-    whose context is empty (the universal context) or starts with type
-    ``T``.  Request dispatch therefore consults one precomputed bucket
-    instead of scanning the whole set — with many policies over disjoint
-    business processes, most are skipped without a single comparison.
+    Step-1 dispatch is indexed by context *component* — the dual of the
+    retained ADI's posting map.  Each policy is filed once, under the
+    ``(position, value)`` of the first concrete component of its
+    business context, or in a short list when it names none (the
+    universal context, all-wildcard contexts).  An instance can only
+    match a filed policy whose key is one of its own components, so
+    :meth:`matching` looks up the instance's components, verifies the
+    few candidates with their compiled matchers and reports them in set
+    order — with many policies over disjoint business processes, the
+    rest are skipped without a single comparison.
     """
 
-    __slots__ = ("_policies", "_root_policies", "_by_leading_type")
+    __slots__ = ("_policies", "_unkeyed", "_by_component")
 
     def __init__(self, policies: Iterable[MSoDPolicy] = ()) -> None:
         policy_tuple = tuple(policies)
@@ -218,26 +222,19 @@ class MSoDPolicySet:
         if len(set(ids)) != len(ids):
             raise PolicyError("duplicate policy ids in MSoDPolicySet")
         self._policies = policy_tuple
-        self._root_policies = tuple(
-            policy for policy in policy_tuple if policy.business_context.is_root
-        )
-        leading_types = {
-            policy.business_context[0].ctx_type
-            for policy in policy_tuple
-            if not policy.business_context.is_root
-        }
-        # Per leading type: universal-context policies merged back in,
-        # preserving the original policy order ("all policies apply and
-        # are selected" must report matches in set order).
-        self._by_leading_type = {
-            ctx_type: tuple(
-                policy
-                for policy in policy_tuple
-                if policy.business_context.is_root
-                or policy.business_context[0].ctx_type == ctx_type
+        # Entries are (set position, compiled match, policy): the
+        # position restores set order across index keys ("all policies
+        # apply and are selected" must report matches in set order).
+        self._unkeyed: list[tuple] = []
+        self._by_component: dict[tuple[int, str], list[tuple]] = {}
+        for position, policy in enumerate(policy_tuple):
+            matcher = policy.business_context.matcher
+            filed = (
+                self._by_component.setdefault(matcher.concrete[0], [])
+                if matcher.concrete
+                else self._unkeyed
             )
-            for ctx_type in leading_types
-        }
+            filed.append((position, matcher.matches, policy))
 
     @property
     def policies(self) -> tuple[MSoDPolicy, ...]:
@@ -249,25 +246,21 @@ class MSoDPolicySet:
     def __len__(self) -> int:
         return len(self._policies)
 
-    def _candidates(self, instance: ContextName) -> tuple[MSoDPolicy, ...]:
-        """The leading-type bucket that could possibly match ``instance``."""
-        if instance.is_root:
-            return self._root_policies
-        return self._by_leading_type.get(
-            instance[0].ctx_type, self._root_policies
-        )
-
     def matching(self, instance: ContextName) -> tuple[MSoDPolicy, ...]:
         """All policies whose context the instance is equal/subordinate to.
 
         Step 1: "If there are multiple matches then all policies apply and
         are selected."
         """
-        return tuple(
-            policy
-            for policy in self._candidates(instance)
-            if policy.applies_to(instance)
+        candidates = list(self._unkeyed)
+        for key in instance.component_keys():
+            candidates += self._by_component.get(key, ())
+        found = sorted(  # positions are distinct: only they are compared
+            (position, policy)
+            for position, matches, policy in candidates
+            if matches(instance)
         )
+        return tuple(policy for _, policy in found)
 
     def get(self, policy_id: str) -> MSoDPolicy:
         for policy in self._policies:
@@ -277,10 +270,7 @@ class MSoDPolicySet:
 
     def is_relevant(self, instance: ContextName) -> bool:
         """True when some policy applies to the given context instance."""
-        return any(
-            policy.applies_to(instance)
-            for policy in self._candidates(instance)
-        )
+        return bool(self.matching(instance))
 
     def extended(self, policies: Sequence[MSoDPolicy]) -> "MSoDPolicySet":
         """A new policy set with ``policies`` appended."""

@@ -16,13 +16,13 @@ bounded ``epoch -> policy set`` history so recovery and standby replay
 can re-apply each historical decision under the policy that produced it
 (see :func:`repro.audit.recovery.recover_retained_adi`).
 
-:class:`CompiledPolicyMatcher` is the per-epoch compiled form of step-1
-matching: the leading-type dispatch table and every policy context's
-compiled matcher are built **once** at swap time (not lazily on the hot
-path), fronted by a bounded instance → matched-policies memo.  The
-compiled matcher is stamped with the epoch and digest it was built from
-and rides in the engine's one active tuple, so a hot reload atomically
-replaces compiled state together with the policy set itself.
+:class:`CompiledPolicyMatcher` is the per-epoch form of step-1
+matching: the policy set's component-keyed dispatch (built **once**
+with the set, compiled matchers prebound — not lazily on the hot path)
+fronted by a bounded instance → matched-policies memo.  It is stamped
+with the epoch and digest it was built from and rides in the engine's
+one active tuple, so a hot reload atomically replaces compiled state
+together with the policy set itself.
 """
 
 from __future__ import annotations
@@ -93,37 +93,32 @@ def policy_set_digest(policy_set: MSoDPolicySet) -> str:
 
 
 class CompiledPolicyMatcher:
-    """Step-1 matching compiled once per policy epoch.
+    """Step-1 matching for one policy epoch: dispatch, memo, stamp.
 
-    The compilation is a two-level automaton over context names:
+    The dispatch itself — each policy filed under the first concrete
+    component of its business context, candidates verified by prebound
+    compiled matchers — lives once, in
+    :meth:`MSoDPolicySet.matching <repro.core.policy.MSoDPolicySet.matching>`,
+    and is built with the set.  This object adds what belongs to an
+    epoch rather than to a set:
 
-    1. *leading-type dispatch* — an instance ``T=v, ...`` can only match
-       policies whose context is universal or starts with type ``T``, so
-       the first transition is one dict lookup on the leading component
-       type;
-    2. *per-policy compiled matchers* — each bucket holds
-       ``(compiled_matcher, policy)`` pairs with the
-       :class:`~repro.core.context._CompiledMatcher` prebound, so the
-       wildcard-aware prefix test runs as tuple-slice comparisons with
-       no per-call attribute traffic or lazy compilation.
-
-    Results are memoized per concrete instance (bounded; the map resets
-    when full — request streams draw from a small set of live business
-    contexts, so steady state is one dict hit per decision).  The object
-    is immutable except for the memo, whose benign races (a lost insert,
-    a concurrent reset) only cost a recomputation — safe for the
-    multi-threaded embedders the engine supports.
-
-    Stamped with the ``epoch``/``digest`` it was built from; the engine
-    swaps it atomically with the policy set inside one tuple assignment,
-    which is what keeps hot-reload invalidation of compiled state atomic.
+    * the per-instance memo (bounded; the map resets when full).
+      Request streams over a few live business contexts settle at one
+      dict hit per decision; a never-seen instance costs one lookup per
+      component of its own name plus a matcher call per candidate,
+      whatever the size of the set.  The memo's benign races (a lost
+      insert, a concurrent reset) only cost a recomputation — safe for
+      the multi-threaded embedders the engine supports;
+    * the ``epoch``/``digest`` stamp it was built from.  The engine
+      swaps it atomically with the policy set inside one tuple
+      assignment, which is what keeps hot-reload invalidation of
+      compiled state atomic.
     """
 
     __slots__ = (
         "epoch",
         "digest",
-        "_root",
-        "_buckets",
+        "_dispatch",
         "_memo",
         "_memo_limit",
         "_kind_counts",
@@ -138,62 +133,32 @@ class CompiledPolicyMatcher:
     ) -> None:
         self.epoch = epoch
         self.digest = digest
+        self._dispatch = policy_set.matching
         self._memo_limit = memo_limit
         self._memo: dict[ContextName, tuple[MSoDPolicy, ...]] = {}
-        policies = tuple(policy_set)
         # Per-kind constraint census, precomputed at swap time so the
         # serving layer's `policy status` answers without a set scan.
         kind_counts: dict[str, int] = {}
-        for policy in policies:
+        for policy in policy_set:
             for constraint in policy.constraints:
                 kind_counts[constraint.kind] = (
                     kind_counts.get(constraint.kind, 0) + 1
                 )
         self._kind_counts = kind_counts
-        self._root = tuple(
-            (policy.business_context.matcher, policy)
-            for policy in policies
-            if policy.business_context.is_root
-        )
-        leading_types = {
-            policy.business_context[0].ctx_type
-            for policy in policies
-            if not policy.business_context.is_root
-        }
-        # Universal-context policies merged into every bucket, preserving
-        # set order (step 1: "all policies apply and are selected").
-        self._buckets = {
-            ctx_type: tuple(
-                (policy.business_context.matcher, policy)
-                for policy in policies
-                if policy.business_context.is_root
-                or policy.business_context[0].ctx_type == ctx_type
-            )
-            for ctx_type in leading_types
-        }
 
     def matching(self, instance: ContextName) -> tuple[MSoDPolicy, ...]:
         """All policies applying to ``instance``, in set order.
 
-        Equivalent to :meth:`MSoDPolicySet.matching` under the epoch
-        this matcher was compiled for.
+        :meth:`MSoDPolicySet.matching` under the epoch this matcher was
+        built for, memoised per instance.
         """
         memo = self._memo
         matched = memo.get(instance)
-        if matched is not None:
-            return matched
-        if instance.is_root:
-            bucket = self._root
-        else:
-            bucket = self._buckets.get(
-                instance.component_types[0], self._root
-            )
-        matched = tuple(
-            policy for matcher, policy in bucket if matcher.matches(instance)
-        )
-        if len(memo) >= self._memo_limit:
-            memo.clear()
-        memo[instance] = matched
+        if matched is None:
+            matched = self._dispatch(instance)
+            if len(memo) >= self._memo_limit:
+                memo.clear()
+            memo[instance] = matched
         return matched
 
     def memo_size(self) -> int:

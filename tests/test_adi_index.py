@@ -1,7 +1,11 @@
 """Unit tests for the two aggregate classes every store composes."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import ContextName, Privilege, RetainedADIRecord, Role
 from repro.core.adi_index import _ContextPresence, _UserAggregate
+from tests.test_property_context import pooled_names
 
 _CLERK = Role("role", "Clerk")
 _AUDITOR = Role("role", "Auditor")
@@ -104,13 +108,16 @@ class TestContextPresence:
         assert presence.counts == {}
         assert not presence.has_context(d1)
 
-    def test_new_context_only_flips_matching_false_entries(self):
+    def test_absence_is_not_memoised_and_a_new_context_sweeps_nothing(self):
         presence = _ContextPresence()
         d1, d2 = ContextName.parse("Dept=d1"), ContextName.parse("Dept=d2")
         assert not presence.has_context(d1)
         assert not presence.has_context(d2)
+        assert presence._memo == {}
         presence.add(ContextName.parse("Dept=d1, Case=c1"))
-        assert presence._memo == {d1: True, d2: False}
+        assert presence._memo == {}  # add never touches the memo
+        assert presence.has_context(d1) and not presence.has_context(d2)
+        assert presence._memo == {d1: True}
 
     def test_vanished_context_drops_only_matching_true_entries(self):
         d1c1 = ContextName.parse("Dept=d1, Case=c1")
@@ -119,9 +126,11 @@ class TestContextPresence:
         d1, d2, d3 = (ContextName.parse(f"Dept=d{n}") for n in (1, 2, 3))
         assert presence.has_context(d1) and presence.has_context(d2)
         assert not presence.has_context(d3)
+        assert presence._memo == {d1: True, d2: True}
         presence.forget([d1c1])
-        assert presence._memo == {d2: True, d3: False}
+        assert presence._memo == {d2: True}
         assert not presence.has_context(d1)
+        assert presence._postings == {(0, "d2"): {d2c1}, (1, "c1"): {d2c1}}
 
     def test_bulk_forget_drops_every_true_entry_and_recomputes(self):
         doomed = [ContextName.parse(f"Dept=d{n}") for n in range(9)]
@@ -133,10 +142,11 @@ class TestContextPresence:
         assert not presence.has_context(absent)
         assert len(doomed) > _ContextPresence._BULK_FORGET
         presence.forget(doomed)
-        # One matcher-free sweep: even the still-true entries go, every
-        # False entry stays, and the next queries recompute from counts.
-        assert presence._memo == {absent: False}
+        # One matcher-free drop: even the still-true entries go, and the
+        # next queries recompute from the posting map.
+        assert presence._memo == {}
         assert presence.counts == {kept: 1}
+        assert presence._postings == {(0, "kept"): {kept}}
         assert presence.has_context(kept) and presence.has_context(_ROOT)
         assert not any(presence.has_context(context) for context in doomed)
 
@@ -148,3 +158,42 @@ class TestContextPresence:
         presence.clear_memo()
         assert memo == {d1: True} and presence._memo == {}
         assert presence.counts == {d1: 1}
+
+
+_VALUES = ("x", "y", "z")
+_LIVE = pooled_names(_VALUES, max_depth=3)  # depth 0 is the root
+_EFFECTIVE = pooled_names(_VALUES + ("*", "!"), max_depth=4)  # may outgrow every live one
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _LIVE),
+        st.tuples(st.just("forget"), st.lists(_LIVE, max_size=12)),
+    ),
+    max_size=40,
+)
+
+
+class TestContextMatchingProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, queries=st.lists(_EFFECTIVE, min_size=1, max_size=8))
+    def test_matching_is_the_brute_force_filter_and_postings_stay_exact(
+        self, ops, queries
+    ):
+        presence = _ContextPresence()
+        for op, argument in ops:
+            if op == "add":
+                presence.add(argument)
+            else:
+                presence.forget(argument)
+            live = presence.counts
+            for effective in queries:
+                brute = set(filter(effective.matcher.matches, live))
+                assert set(presence.matching(effective)) == brute
+                assert presence.has_context(effective) == bool(brute)
+            expected: dict = {}
+            for context in live:
+                for position, component in enumerate(context):
+                    expected.setdefault((position, component.value), set()).add(
+                        context
+                    )
+            # Equality rules out an empty posting and a vanished context.
+            assert presence._postings == expected

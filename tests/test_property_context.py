@@ -3,11 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MMER, MSoDPolicy, MSoDPolicySet, Role
 from repro.core.context import (
     ContextComponent,
     ContextName,
     common_supercontext,
 )
+from repro.core.policy_epoch import CompiledPolicyMatcher, policy_set_digest
 
 # Token alphabet excludes '=', ',', whitespace, '*' and '!'.
 _token = st.text(
@@ -34,6 +36,25 @@ def context_names(draw, concrete=False, max_depth=5):
         value = draw(_token if concrete else _value)
         components.append(ContextComponent(ctx_type, value))
     return ContextName(components)
+
+
+# Two types per position and one small shared value pool: the same value
+# sits under different types at one position and at several depths, and
+# names collide often, so an index keyed by (position, value) is
+# exercised on everything it must leave to the matcher.
+_POOL_TYPES = (("Dept", "Region"), ("Case", "Branch"), ("Step", "Till"), ("Leaf", "Tip"))
+
+
+def pooled_names(values, max_depth):
+    return st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(values)),
+        max_size=max_depth,
+    ).map(
+        lambda picks: ContextName(
+            ContextComponent(_POOL_TYPES[position][which], value)
+            for position, (which, value) in enumerate(picks)
+        )
+    )
 
 
 @given(context_names())
@@ -108,3 +129,30 @@ def test_common_supercontext_is_deepest(names):
         return  # ancestor equals the shallowest possible already
     deeper = ContextName(names[0].components[: len(ancestor) + 1])
     assert not all(name.is_equal_or_subordinate_to(deeper) for name in names)
+
+
+_SOME_MMER = MMER([Role("role", "A"), Role("role", "B")], 2)
+
+
+@given(
+    st.lists(pooled_names(("x", "y", "*", "!"), max_depth=3), max_size=12),
+    st.lists(pooled_names(("x", "y", "z"), max_depth=4), min_size=1, max_size=6),
+)
+@settings(max_examples=200)
+def test_policy_dispatch_is_the_scan_in_set_order(policy_contexts, instances):
+    """Universal, all-wildcard, duplicate and differently-led policy
+    contexts: the component-keyed dispatch selects exactly the policies
+    a scan of the whole set selects, in the same order."""
+    policy_set = MSoDPolicySet(
+        MSoDPolicy(context, mmers=[_SOME_MMER], policy_id=f"p{number}")
+        for number, context in enumerate(policy_contexts)
+    )
+    compiled = CompiledPolicyMatcher(policy_set, 1, policy_set_digest(policy_set))
+    for instance in instances:
+        scanned = tuple(
+            policy for policy in policy_set if policy.applies_to(instance)
+        )
+        assert policy_set.matching(instance) == scanned
+        assert compiled.matching(instance) == scanned  # dispatched
+        assert compiled.matching(instance) == scanned  # from the memo
+        assert policy_set.is_relevant(instance) == bool(scanned)
