@@ -1332,6 +1332,56 @@ def cmd_cluster_resize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _smoke_digest(records) -> list:
+    """An order-free, comparable form of a retained-ADI record set."""
+    return sorted(
+        (
+            record.user_id,
+            tuple(
+                sorted((role.role_type, role.value) for role in record.roles)
+            ),
+            record.operation,
+            record.target,
+            str(record.context_instance),
+            record.granted_at,
+            record.request_id,
+        )
+        for record in records
+    )
+
+
+def _smoke_check_exclusivity(records, report: dict, failures: list) -> None:
+    """The MMER invariant over the merged stores: no user holds Teller
+    and Auditor within one context instance."""
+    from repro.workload import AUDITOR, TELLER
+
+    exclusive = 0
+    seen: dict = {}
+    for record in records:
+        key = (record.user_id, str(record.context_instance))
+        roles = seen.setdefault(key, set())
+        roles.update(record.roles)
+        if TELLER in roles and AUDITOR in roles:
+            exclusive += 1
+    report["exclusivity_violations"] = exclusive
+    if exclusive:
+        failures.append(
+            f"{exclusive} MMER exclusivity violation(s) in the retained ADI"
+        )
+
+
+def _smoke_finish(report: dict, failures: list, as_json: bool) -> int:
+    """Print a smoke scenario's report; exit status 1 on any failure."""
+    report["ok"] = not failures
+    report["failures"] = failures
+    if as_json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        for key in sorted(report):
+            print(f"{key}: {report[key]}")
+    return 0 if not failures else 1
+
+
 def _cluster_smoke_resize(args: argparse.Namespace) -> int:
     """The elastic-resize fault-injection smoke (``cluster smoke --resize``).
 
@@ -1585,60 +1635,21 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
                     f"{mismatches} decision(s) diverged from the oracle"
                 )
 
-            def digest(records):
-                return sorted(
-                    (
-                        record.user_id,
-                        tuple(
-                            sorted(
-                                (role.role_type, role.value)
-                                for role in record.roles
-                            )
-                        ),
-                        record.operation,
-                        record.target,
-                        str(record.context_instance),
-                        record.granted_at,
-                        record.request_id,
-                    )
-                    for record in records
-                )
-
             merged = []
             for shard_name in cluster.shard_names:
                 shard_records = list(
                     cluster.shard(shard_name).primary.store.records()
                 )
                 merged.extend(shard_records)
-                if digest(shard_records) != digest(
+                if _smoke_digest(shard_records) != _smoke_digest(
                     oracles[shard_name].store.records()
                 ):
                     failures.append(
                         f"{shard_name} retained ADI differs from its "
                         "single-node oracle after the resize cycle"
                     )
-            exclusive = 0
-            seen: dict = {}
-            for record in merged:
-                key = (record.user_id, str(record.context_instance))
-                roles = seen.setdefault(key, set())
-                roles.update(record.roles)
-                if TELLER in roles and AUDITOR in roles:
-                    exclusive += 1
-            report["exclusivity_violations"] = exclusive
-            if exclusive:
-                failures.append(
-                    f"{exclusive} MMER exclusivity violation(s) in the "
-                    "retained ADI"
-                )
-    report["ok"] = not failures
-    report["failures"] = failures
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for key in sorted(report):
-            print(f"{key}: {report[key]}")
-    return 0 if not failures else 1
+            _smoke_check_exclusivity(merged, report, failures)
+    return _smoke_finish(report, failures, args.json)
 
 
 def cmd_cluster_smoke(args: argparse.Namespace) -> int:
@@ -1990,32 +2001,13 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                     f"{mismatches} decision(s) diverged from the oracle"
                 )
 
-            def digest(records):
-                return sorted(
-                    (
-                        record.user_id,
-                        tuple(
-                            sorted(
-                                (role.role_type, role.value)
-                                for role in record.roles
-                            )
-                        ),
-                        record.operation,
-                        record.target,
-                        str(record.context_instance),
-                        record.granted_at,
-                        record.request_id,
-                    )
-                    for record in records
-                )
-
             merged = []
             for shard_name in handle.shard_names:
                 shard_records = list(
                     cluster.shard(shard_name).primary.store.records()
                 )
                 merged.extend(shard_records)
-                if digest(shard_records) != digest(
+                if _smoke_digest(shard_records) != _smoke_digest(
                     oracles[shard_name].store.records()
                 ):
                     failures.append(
@@ -2023,28 +2015,8 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                         "single-node oracle"
                     )
 
-            exclusive = 0
-            seen: dict = {}
-            for record in merged:
-                key = (record.user_id, str(record.context_instance))
-                roles = seen.setdefault(key, set())
-                roles.update(record.roles)
-                if TELLER in roles and AUDITOR in roles:
-                    exclusive += 1
-            report["exclusivity_violations"] = exclusive
-            if exclusive:
-                failures.append(
-                    f"{exclusive} MMER exclusivity violation(s) in the "
-                    "retained ADI"
-                )
-    report["ok"] = not failures
-    report["failures"] = failures
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for key in sorted(report):
-            print(f"{key}: {report[key]}")
-    return 0 if not failures else 1
+            _smoke_check_exclusivity(merged, report, failures)
+    return _smoke_finish(report, failures, args.json)
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:

@@ -10,10 +10,12 @@ background concerns on one private event loop:
 * a **catch-up loop** re-running audit-trail replay on every standby
   (replay is idempotent, so each tick simply replays the primary's
   shipped trails into the standby's store and journal);
-* a **coordinator server** speaking the same JSON-lines protocol as
-  the nodes, answering ``route`` (the client's routing table),
-  ``cluster-status``, ``healthz`` and ``metrics`` (JSON or Prometheus
-  text exposition with per-node gauges).
+* a **coordinator endpoint** on the same
+  :class:`~repro.server.frames.FrameServer` loop the nodes serve from,
+  with one v1 op table: ``route`` (the client's routing table),
+  ``cluster-status``, ``healthz``, ``metrics`` (JSON or Prometheus
+  text exposition with per-node gauges), ``policy-status``,
+  ``reshard-status``, ``reshard`` and ``policy-reload``.
 
 Failover sequence (the tentpole's fencing story):
 
@@ -65,6 +67,8 @@ from repro.errors import (
 from repro.storespec import ParsedStoreSpec, build_store, parse_store_spec
 from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
+from repro.server.frames import FrameServer, Handler, body_handler
+from repro.server.testing import LoopThread
 from repro.cluster.node import ROLE_PRIMARY, ROLE_STANDBY, ClusterNode
 from repro.cluster.reshard import (
     KIND_DRAIN,
@@ -228,12 +232,11 @@ class LocalCluster:
                 self._shards[shard] = self._build_shard(shard)
             self._ring = HashRing(self._shards.keys(), vnodes=vnodes)
         self._registry: MetricsRegistry | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
+        self._runner: LoopThread | None = None
         self._stopping = threading.Event()
-        self._server: asyncio.AbstractServer | None = None
+        self._endpoint: FrameServer | None = None
         self._coordinator_port = 0
+        self._background: list[asyncio.Task] = []
         self._loop_errors = {"health": 0, "catchup": 0, "reshard": 0}
         self._policy_reloads = 0
 
@@ -325,21 +328,27 @@ class LocalCluster:
         return self
 
     def _start_coordinator_thread(self) -> None:
-        self._ready.clear()
         self._stopping.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="msod-coordinator", daemon=True
+        # A restart rebinds the port the first boot was given (clients
+        # hold the coordinator address; an ephemeral rebind would
+        # orphan them all).
+        self._endpoint = FrameServer(
+            self._host,
+            self._coordinator_port or self._port,
+            {protocol.PROTOCOL_VERSION: self._handlers()},
         )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):  # pragma: no cover - hang guard
-            raise ClusterError("coordinator failed to start in time")
+        self._runner = LoopThread(
+            "msod-coordinator", self._boot, self._endpoint.close
+        ).start()
+
+    def _stop_coordinator_thread(self) -> None:
+        runner, self._runner = self._runner, None
+        if runner is not None:
+            self._stopping.set()
+            runner.stop()
 
     def stop(self) -> None:
-        if self._thread is not None and self._loop is not None:
-            self._stopping.set()
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=30)
-            self._thread = None
+        self._stop_coordinator_thread()
         for node in self.nodes():
             if node.name not in self._dead:
                 node.stop()
@@ -354,13 +363,7 @@ class LocalCluster:
         :meth:`restart_coordinator` brings it back *from the persisted
         state file*, exactly as a real process restart would.
         """
-        if self._thread is None or self._loop is None:
-            return
-        self._stopping.set()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        self._thread = None
-        self._server = None
+        self._stop_coordinator_thread()
 
     def restart_coordinator(self) -> "LocalCluster":
         """Restart a crashed coordinator from the persisted state file.
@@ -371,7 +374,7 @@ class LocalCluster:
         is idempotent), rebinds the same coordinator port and resumes
         the background loops.
         """
-        if self._thread is not None:
+        if self._runner is not None:
             raise ClusterError("coordinator is already running")
         persisted = self._load_state_file()
         if persisted is not None:
@@ -1221,56 +1224,22 @@ class LocalCluster:
     # ------------------------------------------------------------------
     # Coordinator event loop: health checks, catch-up, route serving.
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        loop = self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self._start_server())
-        except BaseException:  # pragma: no cover - startup failure
-            self._ready.set()
-            loop.close()
-            raise
-        health = loop.create_task(self._health_loop())
-        catchup = loop.create_task(self._catchup_loop())
-        reshard = loop.create_task(self._reshard_loop())
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            for task in (health, catchup, reshard):
-                task.cancel()
-            loop.run_until_complete(
-                asyncio.gather(
-                    health, catchup, reshard, return_exceptions=True
-                )
-            )
-            if self._server is not None:
-                self._server.close()
-                loop.run_until_complete(self._server.wait_closed())
-            pending = [
-                task for task in asyncio.all_tasks(loop) if not task.done()
-            ]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
+    async def _boot(self) -> None:
+        """Bind the endpoint and spawn the three background loops.
 
-    async def _start_server(self) -> None:
-        # A restart rebinds the port the first boot was given (clients
-        # hold the coordinator address; an ephemeral rebind would
-        # orphan them all).
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._coordinator_port or self._port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self._coordinator_port = sockets[0].getsockname()[1]
+        All of them end with the loop thread: ``LoopThread`` closes the
+        endpoint and cancels whatever is still pending.
+        """
+        await self._endpoint.start()
+        self._coordinator_port = self._endpoint.port
+        self._background = [
+            asyncio.ensure_future(loop())
+            for loop in (
+                self._health_loop,
+                self._catchup_loop,
+                self._reshard_loop,
+            )
+        ]
 
     def _probe(self, node: ClusterNode) -> bool:
         """One blocking health probe with the fast health timeout."""
@@ -1383,98 +1352,70 @@ class LocalCluster:
             await asyncio.sleep(self._reshard_interval)
 
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(
-                        writer,
-                        protocol.error_frame(
-                            None,
-                            protocol.ERR_PROTOCOL,
-                            "frame exceeds size limit",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not await self._handle_frame(writer, line):
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass  # coordinator teardown cancelled this connection
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+    # Coordinator endpoint: one v1 op table on the shared frame loop.
+    # ------------------------------------------------------------------
+    def _handlers(self) -> dict[str, Handler]:
+        """The verbs the coordinator answers.
 
-    async def _handle_frame(
-        self, writer: asyncio.StreamWriter, line: bytes
-    ) -> bool:
-        frame_id = None
-        try:
-            frame = protocol.decode_frame(line)
-            frame_id = frame.get("id")
-            op = frame.get("op")
-            if op == protocol.OP_ROUTE:
-                body = self.route()
-            elif op == protocol.OP_CLUSTER_STATUS:
-                body = self.status()
-            elif op == protocol.OP_HEALTHZ:
-                body = {"status": "ok", "role": "coordinator"}
-            elif op == protocol.OP_METRICS:
-                fmt = protocol.metrics_format_of(frame)
-                body = (
-                    self.metrics_text()
-                    if fmt == protocol.METRICS_FORMAT_PROMETHEUS
-                    else self.status()
-                )
-            elif op == protocol.OP_POLICY_STATUS:
-                body = self.policy_status()
-            elif op == protocol.OP_RESHARD_STATUS:
-                body = self.reshard_status()
-            elif op == protocol.OP_RESHARD:
-                await self._handle_reshard(writer, frame_id, frame)
-                return True
-            elif op == protocol.OP_POLICY_RELOAD:
-                await self._handle_policy_reload(writer, frame_id, frame)
-                return True
-            else:
-                raise ProtocolError(
-                    f"unknown coordinator operation {op!r}"
-                )
-            await self._send(
-                writer, protocol.response_frame(frame_id, op, "body", body)
-            )
-        except ProtocolError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(frame_id, protocol.ERR_PROTOCOL, str(exc)),
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            return False
-        return True
+        No ``hello`` and no ``decide``: the endpoint is v1-only and
+        decides nothing *by table* — both get the loop's unknown-op
+        refusal, which is what tells a v2-capable client to stay on v1.
+        """
+        return {
+            protocol.OP_ROUTE: body_handler(lambda _: self.route()),
+            protocol.OP_CLUSTER_STATUS: body_handler(lambda _: self.status()),
+            protocol.OP_HEALTHZ: body_handler(
+                lambda _: {"status": "ok", "role": "coordinator"}
+            ),
+            protocol.OP_METRICS: body_handler(self._metrics_body),
+            protocol.OP_POLICY_STATUS: body_handler(
+                lambda _: self.policy_status()
+            ),
+            protocol.OP_RESHARD_STATUS: body_handler(
+                lambda _: self.reshard_status()
+            ),
+            protocol.OP_RESHARD: self._reshard,
+            protocol.OP_POLICY_RELOAD: self._policy_reload,
+        }
 
-    async def _handle_reshard(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict
-    ) -> None:
+    def _metrics_body(self, frame: dict):
+        fmt = protocol.metrics_format_of(frame)
+        if fmt == protocol.METRICS_FORMAT_PROMETHEUS:
+            return self.metrics_text()
+        return self.status()
+
+    @staticmethod
+    async def _blocking_reply(frame_id, frame: dict, run) -> dict:
+        """Answer ``frame`` with the body ``run()`` computes in the executor.
+
+        The two verbs that take shard locks and block on node threads
+        go through here, so route, status and health frames on other
+        connections keep being answered meanwhile — and so a refusal
+        reads the same from either: a rejected policy set is
+        ``error.kind == "policy"``, any other :class:`ClusterError`
+        (no live primary, a migration already in flight...) is
+        ``"protocol"``.  Neither closes the connection.
+        """
+        try:
+            body = await asyncio.get_running_loop().run_in_executor(None, run)
+        except PolicyError as exc:
+            return protocol.error_frame(frame_id, protocol.ERR_POLICY, str(exc))
+        except ClusterError as exc:
+            return protocol.error_frame(
+                frame_id, protocol.ERR_PROTOCOL, str(exc)
+            )
+        return protocol.response_frame(frame_id, frame["op"], "body", body)
+
+    async def _reshard(self, frame_id, frame: dict) -> dict:
         """Start a resize operation (add-node / drain / rebalance).
 
         Starting a split boots two server threads and everything takes
-        the reshard lock, so the work runs in the executor; the
-        response is the immediate reshard status (or rebalance plan) —
-        the migration itself proceeds asynchronously under the reshard
-        loop, observable via ``reshard-status``.
+        the reshard lock; the response is the immediate reshard status
+        (or rebalance plan) — the migration itself proceeds
+        asynchronously under the reshard loop, observable via
+        ``reshard-status``.
         """
         action, shard, apply = protocol.reshard_options_of(frame)
-        loop = asyncio.get_running_loop()
 
         def run() -> dict:
             if action == protocol.RESHARD_ACTION_ADD:
@@ -1487,33 +1428,12 @@ class LocalCluster:
                 return self.reshard_status()
             return self.rebalance(apply=apply)
 
-        try:
-            body = await loop.run_in_executor(None, run)
-        except ClusterError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(
-                    frame_id, protocol.ERR_PROTOCOL, str(exc)
-                ),
-            )
-            return
-        await self._send(
-            writer,
-            protocol.response_frame(
-                frame_id, protocol.OP_RESHARD, "body", body
-            ),
-        )
+        return await self._blocking_reply(frame_id, frame, run)
 
-    async def _handle_policy_reload(
-        self, writer: asyncio.StreamWriter, frame_id, frame: dict
-    ) -> None:
+    async def _policy_reload(self, frame_id, frame: dict) -> dict:
         """Parse, validate and roll a policy set across the cluster.
 
-        The rollout takes shard locks and blocks on every node's
-        serving loop, so it runs in the executor — route, status and
-        health frames keep being answered while it proceeds.  A
-        rejected set answers ``error.kind == "policy"`` and leaves
-        every node untouched.
+        A rejected set leaves every node untouched.
         """
         from repro.xmlpolicy import parse_policy_set
 
@@ -1523,9 +1443,9 @@ class LocalCluster:
         canary = frame.get("canary", False)
         if not isinstance(canary, bool):
             raise ProtocolError("policy-reload.canary must be a boolean")
-        loop = asyncio.get_running_loop()
 
-        def run(policy_set: MSoDPolicySet) -> dict:
+        def run() -> dict:
+            policy_set = parse_policy_set(xml)
             if canary:
                 return self.canary_reload_policy(
                     policy_set, max_flips=max_flips
@@ -1538,23 +1458,4 @@ class LocalCluster:
                 principal=principal,
             )
 
-        try:
-            policy_set = parse_policy_set(xml)
-            body = await loop.run_in_executor(None, run, policy_set)
-        except PolicyError as exc:
-            await self._send(
-                writer,
-                protocol.error_frame(frame_id, protocol.ERR_POLICY, str(exc)),
-            )
-            return
-        await self._send(
-            writer,
-            protocol.response_frame(
-                frame_id, protocol.OP_POLICY_RELOAD, "body", body
-            ),
-        )
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, frame: dict) -> None:
-        writer.write(protocol.encode_frame(frame))
-        await writer.drain()
+        return await self._blocking_reply(frame_id, frame, run)

@@ -7,7 +7,10 @@ deployment shape for the reproduction:
 * :mod:`repro.server.protocol` — the versioned JSON-lines wire format.
 * :class:`~repro.server.service.AuthorizationService` — the sharded,
   batching, admission-controlled core (transport-independent).
-* :class:`~repro.server.app.MSoDServer` — the asyncio TCP front end.
+* :class:`~repro.server.frames.FrameServer` — the one connection loop
+  (codec per protocol version, op table per endpoint).
+* :class:`~repro.server.app.MSoDServer` — the asyncio TCP front end:
+  that loop plus the service's two op tables.
 * :class:`~repro.server.testing.ServerThread` — a background-thread
   harness for tests, benchmarks and smoke checks.
 

@@ -1,11 +1,14 @@
-"""Test/bench harness: run an :class:`MSoDServer` on a background thread.
+"""Harnesses that own a private event loop on a background thread.
 
 Synchronous callers (pytest, the closed-loop bench driver, the CI smoke
-job) need a live server without owning an event loop.  ``ServerThread``
-spins a private loop in a daemon thread, starts the server on it, and
-tears everything down — including the graceful service drain and any
-``owns=[...]`` resources (stores, recorders) handed to it — on
-``stop()`` / context-manager exit.
+job, a cluster node inside ``LocalCluster``) need a live server without
+owning an event loop.  :class:`LoopThread` is the one start → ready →
+``run_forever`` → cancel-pending → close sequence; ``ServerThread``
+runs an :class:`MSoDServer` on it and tears everything down — including
+the graceful service drain and any ``owns=[...]`` resources (stores,
+recorders) handed to it — on ``stop()`` / context-manager exit.  The
+cluster coordinator runs its endpoint and background loops on the same
+runner.
 
 Most callers should not construct this directly: use
 :func:`repro.api.open_server`, which builds the engine + service from a
@@ -16,10 +19,82 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Sequence
+from typing import Awaitable, Callable, Sequence
 
 from repro.server.app import MSoDServer
 from repro.server.service import AuthorizationService
+
+
+class LoopThread:
+    """A private event loop on a daemon thread.
+
+    ``start()`` runs the ``boot`` coroutine function on the new loop
+    and returns once it completed (re-raising its failure); the loop
+    then runs until ``stop()``, which runs ``shutdown`` on it, cancels
+    every task still pending — open connection handlers must not
+    outlive the loop, or their teardown runs against a closed loop and
+    warns — and joins the thread.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        boot: Callable[[], Awaitable[None]],
+        shutdown: Callable[[], Awaitable[None]],
+    ) -> None:
+        self._boot = boot
+        self._shutdown = shutdown
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run, name=name, daemon=True
+        )
+        self._ready = threading.Event()
+        self._boot_error: BaseException | None = None
+
+    def start(self) -> "LoopThread":
+        self._thread.start()
+        if not self._ready.wait(timeout=30):  # pragma: no cover - hang guard
+            raise RuntimeError(f"{self._thread.name} failed to start in time")
+        if self._boot_error is not None:
+            self._thread.join()
+            raise self._boot_error
+        return self
+
+    def run(self, coroutine: Awaitable):
+        """Run ``coroutine`` on the loop from another thread; its result."""
+        return asyncio.run_coroutine_threadsafe(
+            coroutine, self._loop
+        ).result(timeout=30)
+
+    def stop(self) -> None:
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=30)
+
+    def _run(self) -> None:
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_until_complete(self._boot())
+        except BaseException as exc:  # pragma: no cover - startup failure
+            self._boot_error = exc
+            self._ready.set()
+            loop.close()
+            return
+        self._ready.set()
+        try:
+            loop.run_forever()
+        finally:
+            loop.run_until_complete(self._shutdown())
+            pending = [
+                task for task in asyncio.all_tasks(loop) if not task.done()
+            ]
+            for task in pending:
+                task.cancel()
+            if pending:
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
+            loop.close()
 
 
 class ServerThread:
@@ -49,10 +124,7 @@ class ServerThread:
         )
         self._host = host
         self._owns = tuple(owns)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
+        self._runner: LoopThread | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -70,17 +142,10 @@ class ServerThread:
     # ------------------------------------------------------------------
     def start(self) -> "ServerThread":
         """Boot the loop thread; blocks until the socket is listening."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="msod-server", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):  # pragma: no cover - hang guard
-            raise RuntimeError("server thread failed to start in time")
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
+        if self._runner is None:
+            self._runner = LoopThread(
+                "msod-server", self._server.start, self._server.stop
+            ).start()
         return self
 
     def reload_policy(
@@ -100,7 +165,7 @@ class ServerThread:
         The keyword options mirror
         :meth:`~repro.server.service.AuthorizationService.reload_policy`.
         """
-        if self._loop is None:
+        if self._runner is None:
             raise RuntimeError("server thread is not running")
 
         async def _swap():
@@ -112,17 +177,14 @@ class ServerThread:
                 principal=principal,
             )
 
-        return asyncio.run_coroutine_threadsafe(_swap(), self._loop).result(
-            timeout=30
-        )
+        return self._runner.run(_swap())
 
     def stop(self) -> None:
         """Stop listening, drain in-flight decisions, join the thread."""
-        if self._thread is None or self._loop is None:
+        runner, self._runner = self._runner, None
+        if runner is None:
             return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        self._thread = None
+        runner.stop()
         for resource in self._owns:
             close = getattr(resource, "close", None)
             if callable(close):
@@ -136,54 +198,15 @@ class ServerThread:
         next await point, and requests still queued never get answers
         (their clients see the connection drop).  Owned resources are
         still closed afterwards so test fixtures do not leak file
-        handles — by then the \"crashed\" node has already stopped
+        handles — by then the "crashed" node has already stopped
         answering, which is what the failover harness observes.
         """
-        if self._thread is None or self._loop is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self._server.abort(), self._loop
-        )
-        try:
-            future.result(timeout=30)
-        except Exception:  # pragma: no cover - abort is best-effort
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        self._thread = None
-        for resource in self._owns:
-            close = getattr(resource, "close", None)
-            if callable(close):
-                close()
-
-    def _run(self) -> None:
-        loop = self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self._server.start())
-        except BaseException as exc:  # pragma: no cover - startup failure
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self._server.stop())
-            # Open connection handlers (e.g. clients of a killed server)
-            # must be cancelled before the loop closes, or their
-            # teardown runs against a closed loop and warns.
-            pending = [
-                task for task in asyncio.all_tasks(loop) if not task.done()
-            ]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
+        if self._runner is not None:
+            try:
+                self._runner.run(self._server.abort())
+            except Exception:  # pragma: no cover - abort is best-effort
+                pass
+        self.stop()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "ServerThread":

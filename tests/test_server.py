@@ -232,25 +232,139 @@ async def tcp_exchange(writer, reader, frame):
     return protocol.decode_frame(await reader.readline())
 
 
-class TestTCPServer:
+async def v2_exchange(writer, reader, data):
+    """Send raw bytes on a negotiated-v2 connection; the next frame, or
+    ``None`` at EOF."""
+    writer.write(data)
+    await writer.drain()
+    return await read_v2(reader)
+
+
+async def read_v2(reader):
+    try:
+        header = await reader.readexactly(protocol.V2_HEADER_BYTES)
+        payload = await reader.readexactly(protocol.v2_payload_length(header))
+    except asyncio.IncompleteReadError:
+        return None
+    return protocol.decode_frame_v2(payload)
+
+
+async def upgrade_to_v2(writer, reader):
+    reply = await tcp_exchange(writer, reader, protocol.hello_frame("hello-1"))
+    assert reply["ok"] is True and reply["body"]["version"] == 2
+    return reply
+
+
+def batch_frame(frame_id, *requests):
+    return protocol.request_frame(
+        protocol.OP_DECIDE_BATCH,
+        frame_id,
+        requests=[protocol.request_to_wire(request) for request in requests],
+    )
+
+
+def decide_frame(frame_id, user):
+    return protocol.request_frame(
+        "decide",
+        frame_id,
+        request=protocol.request_to_wire(make_request(user, TELLER)),
+    )
+
+
+class EndpointCases:
+    """Malformed-input cases every frame endpoint must pass.
+
+    Subclasses say which endpoint: ``run_with_server(scenario)`` boots
+    it, connects, and runs ``scenario(server, reader, writer)``;
+    ``good_frame(frame_id)`` is a request the endpoint answers ``ok``.
+    """
+
+    def test_malformed_frames_answered_not_fatal(self):
+        async def scenario(server, reader, writer):
+            responses = []
+            for junk in (
+                b"not json at all\n",
+                b'\xff\xfe\x00garbage\n',
+                b'{"v": 99, "op": "decide"}\n',
+                b'{"v": 1, "op": "warp"}\n',
+                b'{"v": 1, "op": ["decide"]}\n',
+                b'{"v": 1, "op": "decide", "request": {"user_id": 5}}\n',
+                b'[1,2,3]\n',
+            ):
+                writer.write(junk)
+                await writer.drain()
+                responses.append(protocol.decode_frame(await reader.readline()))
+            # The connection and server survive: a real frame still works.
+            ok = await tcp_exchange(
+                writer, reader, self.good_frame("after-junk")
+            )
+            return responses, ok
+
+        responses, ok = self.run_with_server(scenario)
+        for response in responses:
+            assert response["ok"] is False
+            assert response["error"]["kind"] == "protocol"
+        assert ok["ok"] is True and ok["id"] == "after-junk"
+
+    def test_oversized_frame_closes_connection(self):
+        async def scenario(server, reader, writer):
+            writer.write(b"x" * (protocol.MAX_FRAME_BYTES + 100) + b"\n")
+            await writer.drain()
+            response = protocol.decode_frame(await reader.readline())
+            eof = await reader.readline()
+            return response, eof
+
+        response, eof = self.run_with_server(scenario)
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "protocol"
+        assert eof == b""  # server closed the corrupt connection
+
+    def test_truncated_frame_then_eof_is_harmless(self):
+        """A client dying mid-frame must not wedge or crash the server."""
+
+        async def scenario(server, reader, writer):
+            writer.write(b'{"v": 1, "op": "deci')  # no newline, then EOF
+            await writer.drain()
+            writer.close()
+            # A fresh connection still gets served.
+            reader2, writer2 = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                return await tcp_exchange(
+                    writer2, reader2, self.good_frame("h-2")
+                )
+            finally:
+                writer2.close()
+
+        response = self.run_with_server(scenario)
+        assert response["ok"] is True
+
+
+async def run_scenario(port, server, scenario):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        return await asyncio.wait_for(
+            scenario(server, reader, writer), timeout=20
+        )
+    finally:
+        writer.close()
+
+
+class TestTCPServer(EndpointCases):
     def run_with_server(self, scenario):
         async def runner():
             server = MSoDServer(AuthorizationService(make_engine(), n_shards=2))
             await server.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                try:
-                    return await asyncio.wait_for(
-                        scenario(server, reader, writer), timeout=20
-                    )
-                finally:
-                    writer.close()
+                return await run_scenario(server.port, server, scenario)
             finally:
                 await server.stop()
 
         return asyncio.run(runner())
+
+    def good_frame(self, frame_id):
+        return decide_frame(frame_id, "bob")
 
     def test_decide_round_trip(self):
         async def scenario(server, reader, writer):
@@ -281,72 +395,6 @@ class TestTCPServer:
         assert health["body"]["queue_depths"] == [0, 0]
         assert len(metrics["body"]["shards"]) == 2
 
-    def test_malformed_frames_answered_not_fatal(self):
-        async def scenario(server, reader, writer):
-            responses = []
-            for junk in (
-                b"not json at all\n",
-                b'\xff\xfe\x00garbage\n',
-                b'{"v": 99, "op": "decide"}\n',
-                b'{"v": 1, "op": "warp"}\n',
-                b'{"v": 1, "op": "decide", "request": {"user_id": 5}}\n',
-                b'[1,2,3]\n',
-            ):
-                writer.write(junk)
-                await writer.drain()
-                responses.append(protocol.decode_frame(await reader.readline()))
-            # The connection and server survive: a real decide still works.
-            ok = await tcp_exchange(
-                writer,
-                reader,
-                protocol.request_frame(
-                    "decide",
-                    "after-junk",
-                    request=protocol.request_to_wire(make_request("bob", TELLER)),
-                ),
-            )
-            return responses, ok
-
-        responses, ok = self.run_with_server(scenario)
-        for response in responses:
-            assert response["ok"] is False
-            assert response["error"]["kind"] == "protocol"
-        assert ok["ok"] is True
-
-    def test_oversized_frame_closes_connection(self):
-        async def scenario(server, reader, writer):
-            writer.write(b"x" * (protocol.MAX_FRAME_BYTES + 100) + b"\n")
-            await writer.drain()
-            response = protocol.decode_frame(await reader.readline())
-            eof = await reader.readline()
-            return response, eof
-
-        response, eof = self.run_with_server(scenario)
-        assert response["ok"] is False
-        assert response["error"]["kind"] == "protocol"
-        assert eof == b""  # server closed the corrupt connection
-
-    def test_truncated_frame_then_eof_is_harmless(self):
-        """A client dying mid-frame must not wedge or crash the server."""
-
-        async def scenario(server, reader, writer):
-            writer.write(b'{"v": 1, "op": "deci')  # no newline, then EOF
-            await writer.drain()
-            writer.close()
-            # A fresh connection still gets served.
-            reader2, writer2 = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            try:
-                return await tcp_exchange(
-                    writer2, reader2, protocol.request_frame("healthz", "h-2")
-                )
-            finally:
-                writer2.close()
-
-        response = self.run_with_server(scenario)
-        assert response["ok"] is True
-
     def test_drain_rejects_new_work_with_shutting_down(self):
         async def scenario():
             service = AuthorizationService(make_engine(), n_shards=1)
@@ -358,15 +406,7 @@ class TestTCPServer:
             try:
                 service._accepting = False  # simulate drain mid-connection
                 response = await tcp_exchange(
-                    writer,
-                    reader,
-                    protocol.request_frame(
-                        "decide",
-                        "late",
-                        request=protocol.request_to_wire(
-                            make_request("alice", TELLER)
-                        ),
-                    ),
+                    writer, reader, decide_frame("late", "alice")
                 )
             finally:
                 writer.close()
@@ -377,6 +417,222 @@ class TestTCPServer:
         response = asyncio.run(scenario())
         assert response["ok"] is False
         assert response["error"]["kind"] == "shutting-down"
+
+    # -- the negotiated-v2 connection discipline, on a raw socket -------
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(b"\x00" * protocol.V2_HEADER_BYTES, id="bad-magic"),
+            pytest.param(
+                protocol.encode_frame(protocol.request_frame("healthz", "x")),
+                id="v1-json-line",
+            ),
+            pytest.param(
+                protocol.V2_HEADER.pack(
+                    protocol.V2_MAGIC, 2, 0, protocol.MAX_FRAME_BYTES_V2 + 1
+                ),
+                id="over-limit-length",
+            ),
+        ],
+    )
+    def test_v2_stream_corruption_gets_one_error_then_eof(self, corrupt):
+        async def scenario(server, reader, writer):
+            await upgrade_to_v2(writer, reader)
+            error = await v2_exchange(writer, reader, corrupt)
+            return error, await read_v2(reader)
+
+        error, after = self.run_with_server(scenario)
+        assert error["ok"] is False and error["id"] is None
+        assert error["error"]["kind"] == "protocol"
+        assert after is None  # closed: the stream cannot be resynchronised
+
+    @pytest.mark.parametrize(
+        "bad, frame_id",
+        [
+            pytest.param(
+                protocol.V2_HEADER.pack(protocol.V2_MAGIC, 2, 0, 3)
+                + b"\xc1\xc1\xc1",
+                None,
+                id="garbled-binpack",
+            ),
+            pytest.param(
+                protocol.encode_frame_v2(protocol.request_frame("warp", "w-1")),
+                "w-1",
+                id="unknown-op",
+            ),
+            pytest.param(
+                protocol.encode_frame_v2(
+                    protocol.request_frame(
+                        protocol.OP_DECIDE_BATCH,
+                        "b-bad",
+                        requests=[
+                            protocol.request_to_wire(
+                                make_request("carol", AUDITOR)
+                            ),
+                            {"user_id": 5},
+                        ],
+                    )
+                ),
+                "b-bad",
+                id="batch-with-one-malformed-entry",
+            ),
+        ],
+    )
+    def test_v2_payload_errors_answered_and_stream_stays_open(
+        self, bad, frame_id
+    ):
+        async def scenario(server, reader, writer):
+            await upgrade_to_v2(writer, reader)
+            error = await v2_exchange(writer, reader, bad)
+            ok = await v2_exchange(
+                writer,
+                reader,
+                protocol.encode_frame_v2(
+                    batch_frame("b-ok", make_request("carol", TELLER))
+                ),
+            )
+            return error, ok
+
+        error, ok = self.run_with_server(scenario)
+        assert error["ok"] is False and error["id"] == frame_id
+        assert error["error"]["kind"] == "protocol"
+        assert ok["ok"] is True and ok["id"] == "b-ok"
+        # Nothing of the rejected batch was committed: an Auditor grant
+        # from its well-formed entry would make this Teller request deny.
+        assert ok["results"][0]["decision"]["effect"] == "grant"
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            pytest.param(protocol.V2_HEADER_BYTES - 3, id="mid-header"),
+            pytest.param(protocol.V2_HEADER_BYTES + 5, id="mid-payload"),
+        ],
+    )
+    def test_v2_truncated_frame_then_eof_is_harmless(self, cut):
+        async def scenario(server, reader, writer):
+            await upgrade_to_v2(writer, reader)
+            frame = protocol.encode_frame_v2(
+                batch_frame("b-cut", make_request("dave", TELLER))
+            )
+            writer.write(frame[:cut])
+            await writer.drain()
+            writer.close()
+            return await run_scenario(
+                server.port,
+                server,
+                lambda _, reader2, writer2: tcp_exchange(
+                    writer2, reader2, protocol.request_frame("healthz", "h-3")
+                ),
+            )
+
+        assert self.run_with_server(scenario)["ok"] is True
+
+    def test_decide_batch_refused_on_a_never_upgraded_connection(self):
+        async def scenario(server, reader, writer):
+            refused = await tcp_exchange(
+                writer, reader, batch_frame("b-v1", make_request("erin", TELLER))
+            )
+            ok = await tcp_exchange(writer, reader, self.good_frame("d-1"))
+            return refused, ok
+
+        refused, ok = self.run_with_server(scenario)
+        assert refused["ok"] is False and refused["id"] == "b-v1"
+        assert refused["error"]["kind"] == "protocol"
+        assert ok["ok"] is True
+
+    def test_second_hello_on_v2_answers_version_2(self):
+        async def scenario(server, reader, writer):
+            await upgrade_to_v2(writer, reader)
+            again = await v2_exchange(
+                writer,
+                reader,
+                protocol.encode_frame_v2(
+                    protocol.hello_frame("hello-2", max_version=1)
+                ),
+            )
+            still_v2 = await v2_exchange(
+                writer,
+                reader,
+                protocol.encode_frame_v2(protocol.request_frame("healthz", "h-4")),
+            )
+            return again, still_v2
+
+        again, still_v2 = self.run_with_server(scenario)
+        assert again["ok"] is True and again["id"] == "hello-2"
+        assert again["body"]["version"] == 2
+        assert still_v2["ok"] is True
+
+    def test_pipelined_batches_both_answered_and_correlate_by_id(self):
+        async def scenario(server, reader, writer):
+            await upgrade_to_v2(writer, reader)
+            writer.write(
+                protocol.encode_frame_v2(
+                    batch_frame("p-1", make_request("frank", TELLER))
+                )
+                + protocol.encode_frame_v2(
+                    batch_frame(
+                        "p-2",
+                        make_request("grace", TELLER),
+                        make_request("grace", AUDITOR),
+                    )
+                )
+            )
+            await writer.drain()
+            replies = [await read_v2(reader), await read_v2(reader)]
+            return {reply["id"]: reply for reply in replies}
+
+        replies = self.run_with_server(scenario)
+        assert set(replies) == {"p-1", "p-2"}
+        assert [len(replies[i]["results"]) for i in ("p-1", "p-2")] == [1, 2]
+        grace = replies["p-2"]["results"]
+        assert grace[0]["decision"]["effect"] == "grant"
+        assert grace[1]["decision"]["effect"] == "deny"  # MMER, same batch
+
+
+class TestCoordinatorEndpoint(EndpointCases):
+    """The cluster coordinator answers sockets from the same loop."""
+
+    def run_with_server(self, scenario):
+        import tempfile
+
+        from repro.cluster import LocalCluster
+
+        with tempfile.TemporaryDirectory() as data_dir:
+            with LocalCluster(
+                bank_policy_set(),
+                1,
+                data_dir,
+                health_interval=3600.0,
+                catchup_interval=3600.0,
+                fsync=False,
+            ) as cluster:
+                return asyncio.run(run_scenario(cluster.port, cluster, scenario))
+
+    def good_frame(self, frame_id):
+        return protocol.request_frame(protocol.OP_ROUTE, frame_id)
+
+    @pytest.mark.parametrize(
+        "refused",
+        [protocol.hello_frame("hello-1"), decide_frame("d-1", "alice")],
+        ids=["hello", "decide"],
+    )
+    def test_node_verbs_refused_and_connection_left_usable(self, refused):
+        async def scenario(cluster, reader, writer):
+            error = await tcp_exchange(writer, reader, refused)
+            route = await tcp_exchange(writer, reader, self.good_frame("r-1"))
+            return error, route
+
+        error, route = self.run_with_server(scenario)
+        assert error["ok"] is False and error["id"] == refused["id"]
+        assert error["error"]["kind"] == "protocol"
+        assert route["ok"] is True and "shards" in route["body"]
+
+
+def test_op_tables_are_the_protocol_op_sets():
+    """A verb cannot be added to one table and forgotten in the other."""
+    server = MSoDServer(AuthorizationService(make_engine(), n_shards=1))
+    assert set(server.handlers[1]) == protocol.KNOWN_OPS
+    assert set(server.handlers[2]) == protocol.V2_OPS
 
 
 class TestServerThread:

@@ -307,3 +307,42 @@ class TestClusterGate:
         assert after.digest == before.digest
         for node in gate_cluster.nodes():
             assert node.policy_version().epoch == 1
+
+    def test_canary_on_a_dead_primary_is_a_typed_refusal_over_the_wire(
+        self, tmp_path, monkeypatch
+    ):
+        """A refused rollout answers the client once and keeps serving.
+
+        The coordinator must turn the executor's ``ClusterError`` into
+        the error frame ``reshard`` sends for the same exception — not
+        drop the connection, which makes the client re-run a retriable
+        canary rollout until its attempts run out.
+        """
+        from repro.api import open_cluster
+        from repro.errors import ProtocolError
+
+        with open_cluster(
+            bank_policy_set(),
+            str(tmp_path / "cluster"),
+            n_shards=2,
+            store="memory",
+            health_interval=3600.0,
+            fsync=False,
+        ) as handle:
+            cluster = handle.cluster
+            handle.kill_primary(handle.shard_names[0])
+            attempts = []
+            rollout = cluster.canary_reload_policy
+
+            def counted(*args, **kwargs):
+                attempts.append(args)
+                return rollout(*args, **kwargs)
+
+            monkeypatch.setattr(cluster, "canary_reload_policy", counted)
+            with handle.client() as pdp:
+                with pytest.raises(ProtocolError, match="no live primary"):
+                    pdp.reload_policy(swapped_set(), canary=True)
+                assert len(attempts) == 1
+                assert set(pdp.cluster_status()["shards"]) == set(
+                    handle.shard_names
+                )
