@@ -18,9 +18,10 @@ as *replication*: a warm standby simply re-runs recovery over its
 primary's shipped trails on every catch-up tick (see
 ``docs/CLUSTER.md``).  The cluster extensions ride along as optional
 parameters: ``journal`` captures every decision outcome by request id
-(the standby's exactly-once dedupe table), ``min_epoch`` drops events
-written by a deposed primary after its fencing epoch, and
-``max_events`` stops at a sealed lineage cutoff.
+(the standby's exactly-once dedupe table) and ``min_epoch`` drops
+events written by a deposed primary after its fencing epoch.  A reshard
+import has its own per-event rules but applies each mutation through
+the same :class:`IdempotentApply`.
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ class _PreexistingRecords:
     multiset, not a set: each replayed add *consumes* one pre-existing
     copy if available and only hits the store when none remain.
     Replayed purges discard the unconsumed copies they would have
-    removed from the store.  The result is the invariant that makes
-    replay idempotent — N passes over the same trail leave the store
-    exactly as one pass does.
+    removed from the store.
     """
 
     def __init__(self, store: RetainedADIStore) -> None:
@@ -124,6 +123,38 @@ class _PreexistingRecords:
             del self._contexts[key]
 
 
+class IdempotentApply:
+    """Replays recorded ADI mutations into a store at most once each.
+
+    The invariant behind recovery, standby catch-up and reshard import:
+    N passes over the same trail leave the store exactly as one pass
+    does.  What the store already held is snapshotted at the pass's
+    first add — early enough that one grant's identity-equal records
+    are never collapsed, and not at all on a tail without grants, so an
+    idle catch-up tick never scans the store.
+    """
+
+    def __init__(self, store: RetainedADIStore) -> None:
+        self._store = store
+        self._preexisting: _PreexistingRecords | None = None
+
+    def purge(self, context_text: str) -> None:
+        context = ContextName.parse(context_text)
+        self._store.purge_context(context)
+        if self._preexisting is not None:
+            self._preexisting.purge(context)
+
+    def unseen(
+        self, records: list[RetainedADIRecord]
+    ) -> list[RetainedADIRecord]:
+        """The records the store does not hold yet — the ones to add."""
+        if not records:
+            return []
+        if self._preexisting is None:
+            self._preexisting = _PreexistingRecords(self._store)
+        return [r for r in records if not self._preexisting.consume(r)]
+
+
 @dataclass(frozen=True, slots=True)
 class RecoveryReport:
     """Statistics from one recovery run."""
@@ -147,7 +178,6 @@ def recover_retained_adi(
     *,
     journal: MutableMapping[str, dict] | None = None,
     min_epoch: int = 0,
-    max_events: int | None = None,
     policy_resolver: Optional[
         Callable[[int], MSoDPolicySet | None]
     ] = None,
@@ -160,7 +190,8 @@ def recover_retained_adi(
     *current* policy set are recovered ("according to its current set of
     MSoD policies"); purge events replay unconditionally so contexts
     terminated before the restart stay terminated.  Records already in
-    ``store`` are not added twice, so the call is idempotent.
+    ``store`` are not added twice, so the call is idempotent (the
+    multiset of what it holds is built at the pass's first add).
 
     Parameters
     ----------
@@ -173,10 +204,6 @@ def recover_retained_adi(
     min_epoch:
         Skip decision/purge events stamped with a cluster epoch below
         this floor — a deposed primary's post-fencing writes.
-    max_events:
-        Stop after scanning this many events (a sealed shard lineage's
-        cutoff: anything a deposed primary appended beyond the seal is
-        outside the authoritative history).
     policy_resolver:
         Optional ``policy_epoch -> MSoDPolicySet | None`` (see
         :meth:`~repro.core.engine.MSoDEngine.policy_set_for_epoch`).
@@ -203,22 +230,19 @@ def recover_retained_adi(
         cluster standby passes an incremental
         :class:`~repro.audit.trail.TrailFollower` stream here so each
         catch-up tick replays only the new tail instead of re-parsing
-        and re-verifying the whole lineage.  When the source is
-        stateful (a follower advances its position as it yields),
-        bound it with ``itertools.islice`` *before* passing it rather
-        than via ``max_events`` — the ``max_events`` check pulls one
-        event past the cutoff and discards it.
+        and re-verifying the whole lineage.  To stop at a cutoff,
+        bound the source with ``itertools.islice`` first: it consumes
+        exactly the bound, so a stateful source never advances past an
+        event the replay did not examine.
     """
     events_scanned = 0
     replayed = 0
     skipped = 0
     purges = 0
-    preexisting = _PreexistingRecords(store)
+    target = IdempotentApply(store)
     if events is None:
         events = trails.events(last_n_trails=last_n_trails, since=since)
     for event in events:
-        if max_events is not None and events_scanned >= max_events:
-            break
         events_scanned += 1
         epoch = event.payload.get("epoch", 0) if event.payload else 0
         if isinstance(epoch, int) and epoch < min_epoch:
@@ -237,9 +261,7 @@ def recover_retained_adi(
             if payload.get("effect") != Effect.GRANT:
                 continue
             for context_text in payload.get("adi_purges", ()):
-                context = ContextName.parse(context_text)
-                store.purge_context(context)
-                preexisting.purge(context)
+                target.purge(context_text)
                 purges += 1
             effective_set = policy_set
             if policy_resolver is not None:
@@ -252,23 +274,22 @@ def recover_retained_adi(
                     resolved = policy_resolver(event_policy_epoch)
                     if resolved is not None:
                         effective_set = resolved
-            for record_dict in payload.get("adi_adds", ()):
-                record = RetainedADIRecord.from_dict(record_dict)
-                if user_filter is not None and not user_filter(
-                    record.user_id
-                ):
-                    skipped += 1
-                elif not effective_set.is_relevant(record.context_instance):
-                    skipped += 1
-                elif preexisting.consume(record):
-                    skipped += 1
-                else:
-                    store.add(record)
-                    replayed += 1
+            adds = [
+                RetainedADIRecord.from_dict(record_dict)
+                for record_dict in payload.get("adi_adds", ())
+            ]
+            fresh = target.unseen([
+                record
+                for record in adds
+                if (user_filter is None or user_filter(record.user_id))
+                and effective_set.is_relevant(record.context_instance)
+            ])
+            for record in fresh:
+                store.add(record)
+            replayed += len(fresh)
+            skipped += len(adds) - len(fresh)
         elif event.event_type == EVENT_PURGE:
-            context = ContextName.parse(event.payload["context"])
-            store.purge_context(context)
-            preexisting.purge(context)
+            target.purge(event.payload["context"])
             purges += 1
     return RecoveryReport(
         events_scanned=events_scanned,

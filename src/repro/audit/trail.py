@@ -25,7 +25,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
 from repro.errors import AuditTrailError
 
@@ -62,37 +62,228 @@ class AuditEvent:
     payload: dict
 
 
+@dataclass(slots=True)
+class _SegmentCursor:
+    """Where a verifying read of one segment stands: the byte just past
+    the last verified record, and the chain tip there.  ``torn`` is set
+    when the last read stopped at an unparsable final line, not at EOF.
+    """
+
+    offset: int = 0
+    prev_hash: str = GENESIS_HASH
+    seq: int = 0
+    torn: bool = False
+
+
+def _read_segment(
+    path: str, key: bytes, cursor: _SegmentCursor
+) -> Iterator[AuditEvent]:
+    """The one verifier: yield the sealed events that follow ``cursor``.
+
+    Checks every record of a ``readlines()`` snapshot taken from
+    ``cursor.offset`` — sequence number, hash-chain link, HMAC seal —
+    against the cursor's chain tip, advancing the cursor *before* each
+    yield so a consumer that stops early leaves it exactly past the
+    last event it received.  The first failed check raises
+    :class:`~repro.errors.AuditTrailError`, and so does an unparsable
+    line with lines after it: only the snapshot's *last* line can be an
+    append in flight or one torn by a crash.  There the read stops
+    without advancing and sets ``cursor.torn``; what that means is the
+    caller's stopping rule.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(cursor.offset)
+            raw_lines = handle.readlines()
+    except OSError as exc:
+        raise AuditTrailError(f"cannot read {path!r}: {exc}") from exc
+    cursor.torn = False
+    offset = cursor.offset
+    for index, raw in enumerate(raw_lines, start=1):
+        offset += len(raw)
+        if raw.isspace():
+            cursor.offset = offset
+            continue
+        record = None
+        if raw.endswith(b"\n"):
+            try:
+                record = json.loads(raw)
+            except ValueError:  # undecodable bytes or malformed JSON
+                pass
+        if not isinstance(record, dict):
+            if index == len(raw_lines):
+                cursor.torn = True
+                return
+            raise AuditTrailError(
+                f"{path}: corrupt JSON at byte {cursor.offset}, where "
+                f"seq {cursor.seq} belongs, with records after it"
+            )
+        body = {
+            "seq": record.get("seq"),
+            "ts": record.get("ts"),
+            "type": record.get("type"),
+            "payload": record.get("payload"),
+        }
+        if body["seq"] != cursor.seq:
+            raise AuditTrailError(
+                f"{path}: sequence break at byte {cursor.offset} "
+                f"(expected {cursor.seq}, got {body['seq']})"
+            )
+        record_hash = _chain_hash(cursor.prev_hash, body)
+        if record.get("hash") != record_hash:
+            raise AuditTrailError(
+                f"{path}: hash chain broken at seq {cursor.seq}"
+            )
+        if not hmac.compare_digest(
+            record.get("tag", ""), _seal(key, record_hash)
+        ):
+            raise AuditTrailError(
+                f"{path}: HMAC seal invalid at seq {cursor.seq}"
+            )
+        cursor.offset = offset
+        cursor.prev_hash = record_hash
+        cursor.seq += 1
+        yield AuditEvent(
+            seq=body["seq"],
+            timestamp=body["ts"],
+            event_type=body["type"],
+            payload=body["payload"],
+        )
+
+
+def _segment_paths(directory: str) -> list[str]:
+    """A lineage's segment files, oldest first (lexicographic index order)."""
+    try:
+        names = sorted(
+            name
+            for name in os.listdir(directory)
+            if name.startswith("audit-") and name.endswith(".log")
+        )
+    except FileNotFoundError:
+        return []
+    return [os.path.join(directory, name) for name in names]
+
+
+def _checkpoint_tag(key: bytes, count: int, last_hash: str) -> str:
+    return _seal(key, f"{count}|{last_hash}")
+
+
+def _verify_checkpoint(
+    path: str, key: bytes, count: int, last_hash: str, tolerate_ahead: bool
+) -> None:
+    """Detect truncation (or checkpoint tampering) after a replay."""
+    checkpoint_path = path + ".chk"
+    if not os.path.exists(checkpoint_path):
+        if count == 1:
+            # The appender crashed (or is mid-append) between the
+            # very first record and the very first checkpoint write.
+            # The record's own seal verified, so accept it — the
+            # same window the `count == checkpoint + 1` branch
+            # covers once a checkpoint exists.
+            warnings.warn(
+                f"{path}: no checkpoint yet for a one-record "
+                "trail (crash or in-flight first append); accepting "
+                "the sealed record",
+                stacklevel=2,
+            )
+            return
+        if count:
+            raise AuditTrailError(
+                f"{path}: checkpoint file missing for a non-empty "
+                "trail (possible truncation)"
+            )
+        return
+    try:
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            checkpoint = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise AuditTrailError(f"{path}: unreadable checkpoint: {exc}") from exc
+    expected_tag = _checkpoint_tag(
+        key, checkpoint.get("count", -1), checkpoint.get("last_hash", "")
+    )
+    if not hmac.compare_digest(checkpoint.get("tag", ""), expected_tag):
+        raise AuditTrailError(f"{path}: checkpoint seal invalid")
+    if count == checkpoint["count"] + 1:
+        # One verified record beyond the checkpoint: the appender
+        # crashed (or is mid-append) between writing the record and
+        # rewriting the sidecar.  The extra record's own seal already
+        # verified, so this is not a forgery — accept and warn.
+        warnings.warn(
+            f"{path}: trail is one record ahead of its checkpoint "
+            "(crash or in-flight append); accepting the sealed record",
+            stacklevel=2,
+        )
+        return
+    if tolerate_ahead and checkpoint["count"] > count:
+        # Live reader: the writer appended (and atomically renamed a
+        # newer checkpoint) between this reader's readlines()
+        # snapshot and the checkpoint read.  Every record the
+        # snapshot did contain verified its chain link and seal, so
+        # the prefix is good; the missing suffix arrives on the next
+        # catch-up tick.  Not a truncation: truncation makes the
+        # *checkpoint* newer than the trail for a quiescent file,
+        # which strict mode (the writer re-opening its own trail,
+        # `verify_all`) still rejects.
+        return
+    if checkpoint["count"] != count or checkpoint["last_hash"] != last_hash:
+        raise AuditTrailError(
+            f"{path}: trail does not match its checkpoint "
+            f"(expected {checkpoint['count']} records, found {count}; "
+            "possible truncation)"
+        )
+
+
+def _read_strict(
+    path: str, key: bytes, tolerate_ahead: bool = False
+) -> Generator[AuditEvent, None, _SegmentCursor]:
+    """:func:`_read_segment` from the genesis position under the strict
+    stopping rule; returns the final cursor (a writer's chain tip)."""
+    cursor = _SegmentCursor()
+    if os.path.exists(path):
+        yield from _read_segment(path, key, cursor)
+    if cursor.torn:
+        # The appender died (or is still writing) mid-line.  Every
+        # *sealed* record before it is intact, so recover those
+        # instead of refusing the whole trail.
+        warnings.warn(
+            f"{path}: skipping torn final line (crash mid-append)",
+            stacklevel=2,
+        )
+    _verify_checkpoint(path, key, cursor.seq, cursor.prev_hash, tolerate_ahead)
+    return cursor
+
+
 class SecureAuditTrail:
     """One append-only, hash-chained, HMAC-sealed trail file.
 
-    A hash chain alone cannot detect *truncation* — removing the final
-    records leaves a shorter but internally consistent chain.  Each
-    append therefore also rewrites a sealed checkpoint sidecar
-    (``<path>.chk``) recording the expected record count and chain tip;
-    verification compares the replayed chain against it.
+    Reads are :func:`_read_segment` — the verifier shared with
+    :class:`TrailFollower` — under the *strict* stopping rule: replay
+    the whole file from the genesis hash, then judge it as a whole.  A
+    hash chain alone cannot detect *truncation* (a shorter chain is
+    still consistent), so each append also rewrites a sealed checkpoint
+    sidecar (``<path>.chk``) holding the record count and chain tip,
+    and a strict read compares the replayed chain against it.
 
-    Crash tolerance: a process dying mid-append leaves either a *torn*
-    final line (partial JSON) or a fully-written record whose checkpoint
-    rewrite never happened.  Both are expected outcomes of a crash, not
-    tampering, so replay skips the torn tail with a warning (and the
-    next ``append`` truncates it away before writing) and tolerates a
-    trail exactly one record ahead of its checkpoint.  Anything else —
-    a torn line *before* the tail, a chain break, a bad seal, a trail
-    behind its checkpoint — still raises.
+    A crash mid-append leaves either a *torn* final line or a complete
+    record whose checkpoint rewrite never happened.  Neither is
+    tampering: the torn tail is skipped with a warning (the next
+    ``append`` truncates it away) and a trail exactly one record ahead
+    of its checkpoint is accepted.  Anything else — an unparsable line
+    *before* the tail, a chain break, a bad seal, a trail behind its
+    checkpoint — raises.  Opening an existing file verifies it, so a
+    writer fails at boot, not at its first append, on a tampered trail.
 
     ``fsync=True`` makes every append durable (flush + ``os.fsync``)
     before returning; the cluster's log-shipping replication relies on
     this so an acknowledged decision survives primary death.
 
-    ``tolerate_ahead=True`` marks a *live reader* — a process replaying
-    a trail that another process is still appending to (the cluster's
-    standby catch-up).  The reader's ``readlines()`` snapshot and its
-    checkpoint read are not atomic with the writer's append, so the
+    ``tolerate_ahead=True`` marks a *live reader* of a trail another
+    process is still appending to.  Its ``readlines()`` snapshot and
+    its checkpoint read are not atomic with the writer's append, so the
     checkpoint may legitimately record *more* records than the snapshot
-    holds; a live reader accepts that (each record it did read still
-    verified its own chain link and seal) instead of mistaking the race
-    for truncation.  The default strict mode — a trail's own writer
-    re-opening it, or an integrity audit — still raises.
+    holds; a live reader accepts that verified prefix instead of
+    mistaking the race for truncation.  The default — a trail's own
+    writer, or an integrity audit — still raises.
     """
 
     def __init__(
@@ -109,14 +300,11 @@ class SecureAuditTrail:
         self._key = key
         self._fsync = fsync
         self._tolerate_ahead = tolerate_ahead
-        self._last_hash = GENESIS_HASH
-        self._next_seq = 0
-        self._byte_size = 0
-        self._torn_offset: int | None = None
+        # The chain tip appends continue from: the cursor a strict read
+        # of the file ends at (``torn``: a tail to truncate first).
+        self._tip = _SegmentCursor()
         if os.path.exists(path):
-            # Re-open an existing trail: verify and pick up the chain tip.
-            for _ in self.verify_and_read():
-                pass
+            self.verify()
 
     @property
     def path(self) -> str:
@@ -124,32 +312,33 @@ class SecureAuditTrail:
 
     @property
     def record_count(self) -> int:
-        return self._next_seq
+        return self._tip.seq
 
     @property
     def byte_size(self) -> int:
         """Bytes occupied by the verified records (torn tail excluded)."""
-        return self._byte_size
+        return self._tip.offset
 
     # ------------------------------------------------------------------
     def append(self, event_type: str, timestamp: float, payload: dict) -> int:
         """Append one event; returns its sequence number."""
+        tip = self._tip
         body = {
-            "seq": self._next_seq,
+            "seq": tip.seq,
             "ts": timestamp,
             "type": event_type,
             "payload": payload,
         }
-        record_hash = _chain_hash(self._last_hash, body)
+        record_hash = _chain_hash(tip.prev_hash, body)
         line = dict(body, hash=record_hash, tag=_seal(self._key, record_hash))
         data = (json.dumps(line, sort_keys=True) + "\n").encode("utf-8")
         try:
-            if self._torn_offset is not None:
+            if tip.torn:
                 # Repair a crash-torn tail before continuing the chain,
                 # so the partial line never precedes a valid record.
                 with open(self._path, "r+b") as handle:
-                    handle.truncate(self._torn_offset)
-                self._torn_offset = None
+                    handle.truncate(tip.offset)
+                tip.torn = False
             with open(self._path, "ab") as handle:
                 handle.write(data)
                 if self._fsync:
@@ -157,225 +346,78 @@ class SecureAuditTrail:
                     os.fsync(handle.fileno())
         except OSError as exc:
             raise AuditTrailError(f"cannot append to {self._path!r}: {exc}") from exc
-        self._last_hash = record_hash
-        self._next_seq += 1
-        self._byte_size += len(data)
+        tip.prev_hash = record_hash
+        tip.seq += 1
+        tip.offset += len(data)
         self._write_checkpoint()
         return body["seq"]
 
-    # ------------------------------------------------------------------
-    @property
-    def _checkpoint_path(self) -> str:
-        return self._path + ".chk"
-
-    def _checkpoint_tag(self, count: int, last_hash: str) -> str:
-        return _seal(self._key, f"{count}|{last_hash}")
-
     def _write_checkpoint(self) -> None:
+        count, last_hash = self._tip.seq, self._tip.prev_hash
         checkpoint = {
-            "count": self._next_seq,
-            "last_hash": self._last_hash,
-            "tag": self._checkpoint_tag(self._next_seq, self._last_hash),
+            "count": count,
+            "last_hash": last_hash,
+            "tag": _checkpoint_tag(self._key, count, last_hash),
         }
         # Write-to-temp + atomic rename: a concurrent reader (the
         # standby's catch-up) and a crash mid-write both see either the
         # previous complete checkpoint or the new one, never a partial
         # file — a torn .chk would make the whole trail unloadable and
         # block failover.
-        tmp_path = self._checkpoint_path + ".tmp"
+        checkpoint_path = self._path + ".chk"
+        tmp_path = checkpoint_path + ".tmp"
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 json.dump(checkpoint, handle)
                 if self._fsync:
                     handle.flush()
                     os.fsync(handle.fileno())
-            os.replace(tmp_path, self._checkpoint_path)
+            os.replace(tmp_path, checkpoint_path)
         except OSError as exc:
             raise AuditTrailError(
-                f"cannot write checkpoint {self._checkpoint_path!r}: {exc}"
+                f"cannot write checkpoint {checkpoint_path!r}: {exc}"
             ) from exc
-
-    def _verify_checkpoint(self, count: int, last_hash: str) -> None:
-        """Detect truncation (or checkpoint tampering) after a replay."""
-        if not os.path.exists(self._checkpoint_path):
-            if count == 1:
-                # The appender crashed (or is mid-append) between the
-                # very first record and the very first checkpoint write.
-                # The record's own seal verified, so accept it — the
-                # same window the `count == checkpoint + 1` branch
-                # covers once a checkpoint exists.
-                warnings.warn(
-                    f"{self._path}: no checkpoint yet for a one-record "
-                    "trail (crash or in-flight first append); accepting "
-                    "the sealed record",
-                    stacklevel=2,
-                )
-                return
-            if count:
-                raise AuditTrailError(
-                    f"{self._path}: checkpoint file missing for a non-empty "
-                    "trail (possible truncation)"
-                )
-            return
-        try:
-            with open(self._checkpoint_path, "r", encoding="utf-8") as handle:
-                checkpoint = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise AuditTrailError(
-                f"{self._path}: unreadable checkpoint: {exc}"
-            ) from exc
-        expected_tag = self._checkpoint_tag(
-            checkpoint.get("count", -1), checkpoint.get("last_hash", "")
-        )
-        if not hmac.compare_digest(checkpoint.get("tag", ""), expected_tag):
-            raise AuditTrailError(f"{self._path}: checkpoint seal invalid")
-        if count == checkpoint["count"] + 1:
-            # One verified record beyond the checkpoint: the appender
-            # crashed (or is mid-append) between writing the record and
-            # rewriting the sidecar.  The extra record's own seal already
-            # verified, so this is not a forgery — accept and warn.
-            warnings.warn(
-                f"{self._path}: trail is one record ahead of its checkpoint "
-                "(crash or in-flight append); accepting the sealed record",
-                stacklevel=2,
-            )
-            return
-        if self._tolerate_ahead and checkpoint["count"] > count:
-            # Live reader: the writer appended (and atomically renamed a
-            # newer checkpoint) between this reader's readlines()
-            # snapshot and the checkpoint read.  Every record the
-            # snapshot did contain verified its chain link and seal, so
-            # the prefix is good; the missing suffix arrives on the next
-            # catch-up tick.  Not a truncation: truncation makes the
-            # *checkpoint* newer than the trail for a quiescent file,
-            # which strict mode (the writer re-opening its own trail,
-            # `verify_all`) still rejects.
-            return
-        if checkpoint["count"] != count or checkpoint["last_hash"] != last_hash:
-            raise AuditTrailError(
-                f"{self._path}: trail does not match its checkpoint "
-                f"(expected {checkpoint['count']} records, found {count}; "
-                "possible truncation)"
-            )
 
     # ------------------------------------------------------------------
     def verify_and_read(self) -> Iterator[AuditEvent]:
-        """Yield every event, verifying the chain and seals as it goes.
+        """Yield every event, verified, under the strict stopping rule.
 
-        Raises :class:`~repro.errors.AuditTrailError` at the first record
-        whose hash chain or HMAC seal does not verify — except for a
-        *torn final line* (partial JSON where the appender crashed or is
-        still writing), which is skipped with a warning; the next
-        :meth:`append` truncates it away.  Also updates the in-memory
-        chain tip so :meth:`append` continues the chain.
+        Consumed to the end, it also updates the in-memory chain tip so
+        :meth:`append` continues the chain (and repairs a torn tail).
         """
-        if not os.path.exists(self._path):
-            self._verify_checkpoint(0, GENESIS_HASH)
-            return
-        prev_hash = GENESIS_HASH
-        expected_seq = 0
-        offset = 0
-        valid_offset = 0
-        self._torn_offset = None
-        with open(self._path, "rb") as handle:
-            raw_lines = handle.readlines()
-        for line_no, raw in enumerate(raw_lines, start=1):
-            offset += len(raw)
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                line = None
-            if line == "":
-                valid_offset = offset
-                continue
-            record = None
-            if line is not None:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    record = None
-            if record is None or not isinstance(record, dict):
-                if line_no == len(raw_lines):
-                    # A torn tail: the appender died (or is still
-                    # writing) mid-line.  Every *sealed* record before
-                    # it is intact, so recover those instead of
-                    # refusing the whole trail.
-                    warnings.warn(
-                        f"{self._path}:{line_no}: skipping torn final "
-                        "line (crash mid-append)",
-                        stacklevel=2,
-                    )
-                    self._torn_offset = valid_offset
-                    break
-                raise AuditTrailError(
-                    f"{self._path}:{line_no}: corrupt JSON"
-                )
-            body = {
-                "seq": record.get("seq"),
-                "ts": record.get("ts"),
-                "type": record.get("type"),
-                "payload": record.get("payload"),
-            }
-            if body["seq"] != expected_seq:
-                raise AuditTrailError(
-                    f"{self._path}:{line_no}: sequence break "
-                    f"(expected {expected_seq}, got {body['seq']})"
-                )
-            record_hash = _chain_hash(prev_hash, body)
-            if record.get("hash") != record_hash:
-                raise AuditTrailError(
-                    f"{self._path}:{line_no}: hash chain broken"
-                )
-            if not hmac.compare_digest(
-                record.get("tag", ""), _seal(self._key, record_hash)
-            ):
-                raise AuditTrailError(
-                    f"{self._path}:{line_no}: HMAC seal invalid"
-                )
-            prev_hash = record_hash
-            expected_seq += 1
-            valid_offset = offset
-            yield AuditEvent(
-                seq=body["seq"],
-                timestamp=body["ts"],
-                event_type=body["type"],
-                payload=body["payload"],
-            )
-        self._verify_checkpoint(expected_seq, prev_hash)
-        self._last_hash = prev_hash
-        self._next_seq = expected_seq
-        self._byte_size = valid_offset
+        self._tip = yield from _read_strict(
+            self._path, self._key, self._tolerate_ahead
+        )
 
     def verify(self) -> int:
         """Verify the whole trail; return the number of valid records."""
-        count = 0
-        for _ in self.verify_and_read():
-            count += 1
-        return count
+        return sum(1 for _ in self.verify_and_read())
 
 
 class TrailFollower:
-    """Resumable, verifying live reader over a rotated trail lineage.
+    """Resumable live reader over a rotated trail lineage.
 
-    The reshard migration's transfer primitive: a target shard follows
-    a source lineage the way a standby follows its primary, but with a
-    *serialisable position* — ``(segment, byte offset, chain tip,
-    seq)`` — so the coordinator can persist it and a restarted (or
-    different) process resumes exactly where the last poll stopped.
-    Each :meth:`poll` seeks to the stored offset and yields only the
-    events appended since, verifying every record's chain link and
-    HMAC seal against the stored tip as it goes; cost is proportional
-    to the **new tail**, not the lineage's whole history.
+    The same verifier as :class:`SecureAuditTrail`
+    (:func:`_read_segment`) under the *live* stopping rule: reading
+    resumes from a stored position instead of the genesis hash, and an
+    unparsable **final** line — the writer is mid-append, or crashed
+    and will truncate it on its next append — ends the poll at the last
+    verified record without advancing; the next poll retries it.  An
+    unparsable line with records after it is corruption and raises like
+    any chain or seal failure, so a catch-up or reshard loop counts and
+    logs the damage instead of lagging behind it forever.
+
+    The position — ``(segment, byte offset, chain tip, seq)`` — is
+    serialisable, so a restarted (or different) process resumes exactly
+    where the last poll stopped, and a poll costs the **new tail**, not
+    the lineage's history.  A standby follows its primary this way, and
+    a reshard target a source lineage.
 
     Rotation seals segments — the manager only ever appends to the
     newest file — so a segment read to its end is advanced past once a
-    newer one exists (each segment restarts its chain at the genesis
-    hash).  A torn or still-being-written final line stops the poll at
-    the last verified record without advancing the position; the next
-    poll retries it.  Tampering anywhere in the polled tail still
-    raises.  The checkpoint sidecar is *not* consulted: a follower
-    only ever accepts records whose own seals verify, and truncation
-    detection remains the writer's (and ``verify_all``'s) concern.
+    newer one exists (each restarts its chain at the genesis hash).
+    The checkpoint sidecar is *not* consulted: truncation detection
+    remains the writer's (and ``verify_all``'s) concern.
     """
 
     def __init__(
@@ -385,41 +427,29 @@ class TrailFollower:
             raise AuditTrailError("audit trail key must be non-empty")
         self._directory = directory
         self._key = key
+        self._segment = 0
+        self._cursor = _SegmentCursor()
         if position:
             self._segment = int(position["segment"])
-            self._offset = int(position["offset"])
-            self._prev_hash = str(position["hash"])
-            self._seq = int(position["seq"])
-        else:
-            self._segment = 0
-            self._offset = 0
-            self._prev_hash = GENESIS_HASH
-            self._seq = 0
+            self._cursor = _SegmentCursor(
+                int(position["offset"]),
+                str(position["hash"]),
+                int(position["seq"]),
+            )
 
     def position(self) -> dict:
         """The resume point: serialise, persist, pass back as ``position``."""
         return {
             "segment": self._segment,
-            "offset": self._offset,
-            "hash": self._prev_hash,
-            "seq": self._seq,
+            "offset": self._cursor.offset,
+            "hash": self._cursor.prev_hash,
+            "seq": self._cursor.seq,
         }
-
-    def _segment_paths(self) -> list[str]:
-        try:
-            names = sorted(
-                name
-                for name in os.listdir(self._directory)
-                if name.startswith("audit-") and name.endswith(".log")
-            )
-        except FileNotFoundError:
-            return []
-        return [os.path.join(self._directory, name) for name in names]
 
     def poll(self) -> Iterator[AuditEvent]:
         """Yield the events appended since the last poll, verified."""
         while True:
-            paths = self._segment_paths()
+            paths = _segment_paths(self._directory)
             if self._segment >= len(paths):
                 return
             yield from self._poll_segment(paths[self._segment])
@@ -428,76 +458,15 @@ class TrailFollower:
             # writer may have appended to it *and* rotated between our
             # read and the re-listing.  Once a newer segment exists,
             # ours is sealed, so that final poll drains it completely.
-            paths = self._segment_paths()
+            paths = _segment_paths(self._directory)
             if self._segment >= len(paths) - 1:
                 return
             yield from self._poll_segment(paths[self._segment])
             self._segment += 1
-            self._offset = 0
-            self._prev_hash = GENESIS_HASH
-            self._seq = 0
+            self._cursor = _SegmentCursor()
 
     def _poll_segment(self, path: str) -> Iterator[AuditEvent]:
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(self._offset)
-                raw_lines = handle.readlines()
-        except OSError as exc:
-            raise AuditTrailError(f"cannot read {path!r}: {exc}") from exc
-        offset = self._offset
-        for raw in raw_lines:
-            offset += len(raw)
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                line = None
-            if line == "":
-                self._offset = offset
-                continue
-            record = None
-            if line is not None and raw.endswith(b"\n"):
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    record = None
-            if record is None or not isinstance(record, dict):
-                # Partial final line: the writer is mid-append (it
-                # completes next poll) or crashed mid-line (the next
-                # append truncates it).  Either way, stop *without*
-                # advancing — never treat it as tampering.
-                return
-            body = {
-                "seq": record.get("seq"),
-                "ts": record.get("ts"),
-                "type": record.get("type"),
-                "payload": record.get("payload"),
-            }
-            if body["seq"] != self._seq:
-                raise AuditTrailError(
-                    f"{path}: sequence break at follower offset "
-                    f"{self._offset} (expected {self._seq}, got "
-                    f"{body['seq']})"
-                )
-            record_hash = _chain_hash(self._prev_hash, body)
-            if record.get("hash") != record_hash:
-                raise AuditTrailError(
-                    f"{path}: hash chain broken at seq {self._seq}"
-                )
-            if not hmac.compare_digest(
-                record.get("tag", ""), _seal(self._key, record_hash)
-            ):
-                raise AuditTrailError(
-                    f"{path}: HMAC seal invalid at seq {self._seq}"
-                )
-            self._prev_hash = record_hash
-            self._seq += 1
-            self._offset = offset
-            yield AuditEvent(
-                seq=body["seq"],
-                timestamp=body["ts"],
-                event_type=body["type"],
-                payload=body["payload"],
-            )
+        return _read_segment(path, self._key, self._cursor)
 
 
 class AuditTrailManager:
@@ -510,12 +479,14 @@ class AuditTrailManager:
     active trail file reaches that many bytes, whichever comes first
     (bounded files keep follower catch-up and recovery replay O(file),
     whatever the per-event payload size).  ``fsync=True`` makes every
-    append durable before it is acknowledged.
+    append durable before it is acknowledged.  Opening a directory
+    verifies its *active* segment; :meth:`events` and
+    :meth:`verify_all` read and verify each segment exactly once.
 
     ``tolerate_ahead=True`` makes this a *live-reader* manager: every
     trail it opens tolerates a checkpoint recording more records than
     the read snapshot holds (see :class:`SecureAuditTrail`).  The
-    cluster's standby catch-up and failover sealing use this; a trail
+    cluster's failover sealing and canary replay use this; a trail
     directory's own writer must not.
     """
 
@@ -553,12 +524,7 @@ class AuditTrailManager:
 
     def trail_paths(self) -> list[str]:
         """All trail files, oldest first (lexicographic index order)."""
-        names = sorted(
-            name
-            for name in os.listdir(self._directory)
-            if name.startswith("audit-") and name.endswith(".log")
-        )
-        return [os.path.join(self._directory, name) for name in names]
+        return _segment_paths(self._directory)
 
     def _new_trail(self) -> SecureAuditTrail:
         index = len(self.trail_paths())
@@ -583,27 +549,17 @@ class AuditTrailManager:
             self._active = self._new_trail()
         self._active.append(event_type, timestamp, payload)
 
-    def last_trails(self, n: int) -> list[SecureAuditTrail]:
-        """The last ``n`` trails (or all of them when fewer exist)."""
-        if n < 0:
-            raise AuditTrailError("n must be >= 0")
-        return [
-            SecureAuditTrail(
-                path, self._key, tolerate_ahead=self._tolerate_ahead
-            )
-            for path in self.trail_paths()[-n:]
-        ] if n else []
-
     def verify_all(self) -> int:
         """Verify every trail in the directory; return total records.
 
         Raises :class:`~repro.errors.AuditTrailError` at the first trail
         that fails its hash chain, seals or checkpoint.
         """
-        total = 0
-        for path in self.trail_paths():
-            total += SecureAuditTrail(path, self._key).verify()
-        return total
+        return sum(
+            1
+            for path in self.trail_paths()
+            for _ in _read_strict(path, self._key)
+        )
 
     def events(
         self, last_n_trails: int | None = None, since: float = 0.0
@@ -613,9 +569,6 @@ class AuditTrailManager:
         if last_n_trails is not None:
             paths = paths[-last_n_trails:] if last_n_trails else []
         for path in paths:
-            trail = SecureAuditTrail(
-                path, self._key, tolerate_ahead=self._tolerate_ahead
-            )
-            for event in trail.verify_and_read():
+            for event in _read_strict(path, self._key, self._tolerate_ahead):
                 if event.timestamp >= since:
                     yield event

@@ -36,19 +36,19 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.audit.recovery import (
-    _PreexistingRecords,
+    IdempotentApply,
     decision_event_payload,
     recover_retained_adi,
 )
 from repro.audit.trail import (
     EVENT_DECISION,
+    AuditEvent,
     AuditTrailManager,
     TrailFollower,
 )
-from repro.core.context import ContextName
 from repro.core.decision import Decision
 from repro.core.engine import MSoDEngine
 from repro.core.policy import MSoDPolicySet
@@ -189,8 +189,7 @@ class ClusterNode:
         # from the start).  Committed only after a tick succeeds, so a
         # tick that raises mid-replay is re-read in full next time —
         # replay idempotency absorbs the partial application.
-        self._catchup_positions: dict[str, dict] = {}
-        self._catchup_consumed: dict[str, int] = {}
+        self._catchup: dict[str, tuple[dict, int]] = {}
         # Canary mirror: when armed, every live decision this primary
         # acks is also shadow-decided under a candidate policy set and
         # effect mismatches are counted (see :meth:`mirror_start`).
@@ -319,12 +318,9 @@ class ClusterNode:
                 raise ClusterError(
                     f"node {self.name} already has an armed canary mirror"
                 )
-            reader = AuditTrailManager(
-                self._trails.directory, self._audit_key, tolerate_ahead=True
-            )
             store = InMemoryRetainedADIStore()
             replay = what_if_replay(
-                reader,
+                self._open_trail_reader(),
                 candidate_set,
                 store,
                 policy_resolver=self._engine.policy_set_for_epoch,
@@ -488,10 +484,11 @@ class ClusterNode:
         the shard lock during catch-up ticks, and a reshard cutover
         fences sources under that same lock, so O(new-tail) ticks are
         what keep the fenced cutover pause milliseconds instead of a
-        full-history re-verification.  The follower position commits
-        only after the replay returns; a tick that raises re-reads
-        from the previous position, and idempotency absorbs whatever
-        the failed tick half-applied.  The journal fills with every
+        full-history re-verification — on the store side too: a tick
+        whose tail holds no grant never scans the store.  A tick that
+        raises (a corrupted source segment included) commits no
+        position and is re-read next time; idempotency absorbs whatever
+        it half-applied.  The journal fills with every
         decision outcome seen, which is what makes post-failover
         client retries exactly-once.
 
@@ -508,41 +505,57 @@ class ClusterNode:
         cutover's purge step removes the movers' records from both
         source nodes, which is what keeps the two consistent.)
         """
-        position = self._catchup_positions.get(source_trail_dir)
-        follower = TrailFollower(
-            source_trail_dir, self._audit_key, position=position
-        )
         if user_filter is None:
             user_filter = self._ownership_filter()
-        events = follower.poll()
-        if max_events is not None:
-            remaining = max_events - self._catchup_consumed.get(
-                source_trail_dir, 0
-            )
-            # islice consumes exactly the bound, so the follower never
-            # advances past an event the replay did not examine.
-            events = itertools.islice(events, max(0, remaining))
+        position, consumed = self._catchup.get(source_trail_dir, (None, 0))
         # Replay against the engine's *active* set (which a hot reload
         # may have advanced past the constructor's), resolving each
         # event's recorded policy_epoch through the engine's epoch log
         # so grants made before a reload replicate under the policy
         # that produced them.
-        report = recover_retained_adi(
-            None,
-            self._engine.policy_set,
-            self._store,
-            journal=self._journal,
-            min_epoch=min_epoch,
-            policy_resolver=self._engine.policy_set_for_epoch,
-            user_filter=user_filter,
-            events=events,
+        report, position = self._replay_tail(
+            source_trail_dir,
+            position,
+            None if max_events is None else max_events - consumed,
+            lambda events: recover_retained_adi(
+                None,
+                self._engine.policy_set,
+                self._store,
+                journal=self._journal,
+                min_epoch=min_epoch,
+                policy_resolver=self._engine.policy_set_for_epoch,
+                user_filter=user_filter,
+                events=events,
+            ),
         )
-        self._catchup_positions[source_trail_dir] = follower.position()
-        self._catchup_consumed[source_trail_dir] = (
-            self._catchup_consumed.get(source_trail_dir, 0)
-            + report.events_scanned
+        self._catchup[source_trail_dir] = (
+            position,
+            consumed + report.events_scanned,
         )
         return report
+
+    def _replay_tail(
+        self,
+        source_trail_dir: str,
+        position: dict | None,
+        budget: int | None,
+        apply: Callable[[Iterator[AuditEvent]], object],
+    ):
+        """``apply`` a lineage's verified tail; return its result and
+        the follower position to commit.
+
+        ``islice`` consumes exactly ``budget`` events, so the position
+        never passes an event ``apply`` did not examine, and it is read
+        only after ``apply`` returned: a replay that raises commits
+        nothing and is re-read from ``position`` next time.
+        """
+        follower = TrailFollower(
+            source_trail_dir, self._audit_key, position=position
+        )
+        events = follower.poll()
+        if budget is not None:
+            events = itertools.islice(events, max(0, budget))
+        return apply(events), follower.position()
 
     def import_decision_events(
         self,
@@ -586,16 +599,22 @@ class ClusterNode:
         Returns ``{"scanned", "imported", "skipped", "next_cursor"}``,
         where ``next_cursor`` is the position to pass next time.
         """
-        follower = TrailFollower(
-            source_trail_dir, self._audit_key, position=cursor
+        counts, next_cursor = self._replay_tail(
+            source_trail_dir,
+            cursor,
+            max_events,
+            lambda events: self._import_events(events, user_filter, min_epoch),
         )
+        return dict(counts, next_cursor=next_cursor)
+
+    def _import_events(
+        self,
+        events: Iterator[AuditEvent],
+        user_filter: Callable[[str], bool],
+        min_epoch: int,
+    ) -> dict:
         scanned = 0
         moving_events = []
-        events = follower.poll()
-        if max_events is not None:
-            # islice consumes exactly the bound, so the follower's
-            # position never advances past an unexamined event.
-            events = itertools.islice(events, max_events)
         for event in events:
             scanned += 1
             if event.event_type != EVENT_DECISION:
@@ -613,7 +632,9 @@ class ClusterNode:
             moving_events.append(event)
         imported = skipped = 0
         with self._lock:
-            preexisting: _PreexistingRecords | None = None
+            # Steady-state ticks dedupe entirely through the journal
+            # and never reach `unseen`, so they never scan the store.
+            target = IdempotentApply(self._store)
             for event in moving_events:
                 payload = event.payload
                 request_id = payload["request"].get("request_id")
@@ -624,45 +645,23 @@ class ClusterNode:
                     RetainedADIRecord.from_dict(record_dict)
                     for record_dict in payload.get("adi_adds", ())
                 ]
-                if adds and preexisting is None:
-                    # Built lazily: steady-state ticks dedupe entirely
-                    # through the journal and never scan the store.
-                    preexisting = _PreexistingRecords(self._store)
-                fresh = (
-                    [
-                        record
-                        for record in adds
-                        if not preexisting.consume(record)
-                    ]
-                    if adds
-                    else []
-                )
+                fresh = target.unseen(adds)
                 if adds and not fresh:
                     # Already imported; only the journal entry was
                     # evicted.  Re-journal the outcome, skip the append.
-                    if request_id:
-                        self._journal[request_id] = payload
                     skipped += 1
-                    continue
-                for context_text in payload.get("adi_purges", ()):
-                    context = ContextName.parse(context_text)
-                    self._store.purge_context(context)
-                    if preexisting is not None:
-                        preexisting.purge(context)
-                for record in fresh:
-                    self._store.add(record)
-                self._trails.append(
-                    EVENT_DECISION, event.timestamp, payload
-                )
+                else:
+                    for context_text in payload.get("adi_purges", ()):
+                        target.purge(context_text)
+                    for record in fresh:
+                        self._store.add(record)
+                    self._trails.append(
+                        EVENT_DECISION, event.timestamp, payload
+                    )
+                    imported += 1
                 if request_id:
                     self._journal[request_id] = payload
-                imported += 1
-        return {
-            "scanned": scanned,
-            "imported": imported,
-            "skipped": skipped,
-            "next_cursor": follower.position(),
-        }
+        return {"scanned": scanned, "imported": imported, "skipped": skipped}
 
     def purge_users(self, user_filter: Callable[[str], bool]) -> int:
         """Drop matching users' records and journal entries; count users.

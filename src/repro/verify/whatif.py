@@ -21,6 +21,7 @@ whether the replay store is in-memory or SQLite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -209,25 +210,23 @@ def what_if_replay(
     """
     if store is None:
         store = InMemoryRetainedADIStore()
-    if seed_events > 0:
-        recover_retained_adi(
-            trails,
-            candidate_set,
-            store,
-            last_n_trails=last_n_trails,
-            since=since,
-            max_events=seed_events,
-            policy_resolver=policy_resolver,
-        )
+    events = trails.events(last_n_trails=last_n_trails, since=since)
+    # One pass over the trail: the seed window and the differential
+    # loop draw from the same iterator, so nothing is verified twice.
+    seeded = recover_retained_adi(
+        None,
+        candidate_set,
+        store,
+        policy_resolver=policy_resolver,
+        events=itertools.islice(events, max(seed_events, 0)),
+    ).events_scanned
     engine = MSoDEngine(candidate_set, store, mode=mode)
-    events_scanned = 0
+    events_scanned = seeded
     decisions_replayed = 0
     flips: list[DecisionFlip] = []
     flip_count = 0
-    for event in trails.events(last_n_trails=last_n_trails, since=since):
+    for event in events:
         events_scanned += 1
-        if events_scanned <= seed_events:
-            continue
         if event.event_type == EVENT_PURGE:
             store.purge_context(ContextName.parse(event.payload["context"]))
             continue
@@ -270,7 +269,7 @@ def what_if_replay(
         candidate_digest=policy_set_digest(candidate_set),
         events_scanned=events_scanned,
         decisions_replayed=decisions_replayed,
-        seeded_events=min(max(seed_events, 0), events_scanned),
+        seeded_events=seeded,
         flips=tuple(flips),
         flip_count=flip_count,
     )

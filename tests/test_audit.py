@@ -1,9 +1,12 @@
 """Unit tests for the secure audit trail and ADI recovery (Section 5.2)."""
 
+import builtins
 import json
+import os
 
 import pytest
 
+import repro.audit.trail as trail_module
 from repro.audit import (
     AuditTrailManager,
     EVENT_DECISION,
@@ -11,6 +14,7 @@ from repro.audit import (
     decision_event_payload,
     recover_retained_adi,
 )
+from repro.audit.trail import TrailFollower
 from repro.core import (
     ContextName,
     DecisionRequest,
@@ -27,8 +31,24 @@ TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
 
 
-def trail(tmp_path, name="t.log"):
+def trail(tmp_path, name="audit-000000.log"):
+    # Named like a manager's first segment so a TrailFollower over
+    # ``tmp_path`` reads the same file.
     return SecureAuditTrail(str(tmp_path / name), KEY)
+
+
+def strict_count(path, key=KEY):
+    return SecureAuditTrail(path, key).verify()
+
+
+def follower_count(path, key=KEY):
+    return len(list(TrailFollower(os.path.dirname(path), key).poll()))
+
+
+#: The two faces of the one verifier.  Tamper cases that do not depend
+#: on the checkpoint sidecar must fail under both; truncation cases stay
+#: strict-only (a follower does not consult the sidecar).
+READERS = (strict_count, follower_count)
 
 
 class TestSecureAuditTrail:
@@ -66,8 +86,9 @@ class TestSecureAuditTrail:
             text = handle.read()
         with open(path, "w") as handle:
             handle.write(text.replace("alice", "mallory"))
-        with pytest.raises(AuditTrailError, match="hash chain"):
-            SecureAuditTrail(path, KEY).verify()
+        for count in READERS:
+            with pytest.raises(AuditTrailError, match="hash chain"):
+                count(path)
 
     def test_deleted_record_detected(self, tmp_path):
         t = trail(tmp_path)
@@ -77,8 +98,9 @@ class TestSecureAuditTrail:
             lines = handle.readlines()
         with open(t.path, "w") as handle:
             handle.writelines(lines[:1] + lines[2:])  # drop the middle
-        with pytest.raises(AuditTrailError):
-            SecureAuditTrail(t.path, KEY).verify()
+        for count in READERS:
+            with pytest.raises(AuditTrailError, match="sequence break"):
+                count(t.path)
 
     def test_reordered_records_detected(self, tmp_path):
         t = trail(tmp_path)
@@ -88,8 +110,9 @@ class TestSecureAuditTrail:
             lines = handle.readlines()
         with open(t.path, "w") as handle:
             handle.writelines(reversed(lines))
-        with pytest.raises(AuditTrailError):
-            SecureAuditTrail(t.path, KEY).verify()
+        for count in READERS:
+            with pytest.raises(AuditTrailError, match="sequence break"):
+                count(t.path)
 
     def test_forged_reseal_without_key_detected(self, tmp_path):
         """Re-computing the hash chain without the key fails the HMAC."""
@@ -113,14 +136,16 @@ class TestSecureAuditTrail:
         record.update(body, hash=digest.hexdigest())
         with open(t.path, "w") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
-        with pytest.raises(AuditTrailError, match="HMAC"):
-            SecureAuditTrail(t.path, KEY).verify()
+        for count in READERS:
+            with pytest.raises(AuditTrailError, match="HMAC"):
+                count(t.path)
 
     def test_wrong_key_fails(self, tmp_path):
         t = trail(tmp_path)
         t.append("e", 1.0, {})
-        with pytest.raises(AuditTrailError, match="HMAC"):
-            SecureAuditTrail(t.path, b"other-key").verify()
+        for count in READERS:
+            with pytest.raises(AuditTrailError, match="HMAC"):
+                count(t.path, b"other-key")
 
     def test_truncation_detected_via_checkpoint(self, tmp_path):
         """Removing the *last* record leaves a valid hash chain; only the
@@ -187,7 +212,8 @@ class TestSecureAuditTrail:
 
         t = trail(tmp_path)
         t.append("e", 1.0, {"n": 1})
-        first_record = open(t.path, "rb").readline()
+        with open(t.path, "rb") as handle:
+            first_record = handle.readline()
         t.append("e", 2.0, {"n": 2})
         snap = str(tmp_path / "snap.log")
         with open(snap, "wb") as handle:
@@ -249,8 +275,9 @@ class TestSecureAuditTrail:
         with open(t.path, "a") as handle:
             handle.write("not json\n")
             handle.write("also not json\n")
-        with pytest.raises(AuditTrailError, match="corrupt JSON"):
-            SecureAuditTrail(t.path, KEY).verify()
+        for count in READERS:
+            with pytest.raises(AuditTrailError, match="corrupt JSON"):
+                count(t.path)
 
     def test_torn_final_line_skipped_with_warning(self, tmp_path):
         """A crash mid-append leaves a partial final line; replay must
@@ -273,6 +300,25 @@ class TestSecureAuditTrail:
         assert SecureAuditTrail(t.path, KEY).verify() == 3
         with open(t.path) as handle:
             assert handle.read().startswith(intact)
+
+    def test_unterminated_final_record_is_torn_not_accepted(self, tmp_path):
+        """A last line missing only its newline is an append in flight
+        for both readers; accepting it would glue the next record on."""
+        t = trail(tmp_path)
+        t.append("e", 1.0, {"n": 1})
+        t.append("e", 2.0, {"n": 2})
+        with open(t.path, "rb") as handle:
+            intact = handle.read()
+        with open(t.path, "wb") as handle:
+            handle.write(intact[:-1])
+        assert follower_count(t.path) == 1
+        with pytest.warns(UserWarning, match="torn final line"):
+            reopened = SecureAuditTrail(t.path, KEY, tolerate_ahead=True)
+        assert reopened.record_count == 1
+        reopened.append("e", 2.0, {"n": 2})
+        with open(t.path, "rb") as handle:
+            assert handle.read() == intact
+        assert strict_count(t.path) == 2
 
     def test_torn_final_line_without_append_leaves_file_untouched(
         self, tmp_path
@@ -407,6 +453,154 @@ class TestAuditTrailManager:
             handle.write(text.replace('"n": 2', '"n": 9'))
         with pytest.raises(AuditTrailError):
             manager.verify_all()
+
+
+class TestSinglePassReads:
+    """Every reader verifies each record once — counted, not timed."""
+
+    RECORDS = 8
+    LAST_SEGMENT = 2  # max_records=3 rotates 8 records into 3 + 3 + 2
+
+    @pytest.fixture
+    def lineage(self, tmp_path):
+        manager = AuditTrailManager(str(tmp_path), KEY, max_records=3)
+        for n in range(self.RECORDS):
+            manager.append("e", float(n), {"n": n})
+        assert len(manager.trail_paths()) == 3
+        return str(tmp_path)
+
+    @pytest.fixture
+    def hashes(self, lineage, monkeypatch):
+        computed = []
+        chain_hash = trail_module._chain_hash
+
+        def counting(prev_hash, body):
+            computed.append(body["seq"])
+            return chain_hash(prev_hash, body)
+
+        monkeypatch.setattr(trail_module, "_chain_hash", counting)
+        return computed
+
+    def test_manager_events_hash_each_record_once(self, lineage, hashes):
+        events = list(AuditTrailManager(lineage, KEY).events())
+        assert [e.payload["n"] for e in events] == list(range(self.RECORDS))
+        # One pass, plus the constructor's check of the active segment.
+        assert len(hashes) <= self.RECORDS + self.LAST_SEGMENT
+
+    def test_verify_all_hashes_each_record_once(self, lineage, hashes):
+        assert AuditTrailManager(lineage, KEY).verify_all() == self.RECORDS
+        assert len(hashes) <= self.RECORDS + self.LAST_SEGMENT
+
+    def test_follower_poll_hashes_each_record_exactly_once(
+        self, lineage, hashes
+    ):
+        assert len(list(TrailFollower(lineage, KEY).poll())) == self.RECORDS
+        assert len(hashes) == self.RECORDS
+
+    def test_recovery_opens_each_segment_once(self, lineage, monkeypatch):
+        manager = AuditTrailManager(lineage, KEY)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith(".log") and "r" in mode:
+                opened.append(os.path.basename(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        report = recover_retained_adi(
+            None,
+            bank_policy_set(),
+            InMemoryRetainedADIStore(),
+            events=manager.events(),
+        )
+        assert report.events_scanned == self.RECORDS
+        assert sorted(opened) == [
+            os.path.basename(path) for path in manager.trail_paths()
+        ]
+
+
+class TestOnDiskFormatIsUnchanged:
+    """Bytes written before the readers were folded into one verifier.
+
+    The fixture was produced by the previous implementation (three
+    appends through ``AuditTrailManager(dir, b"fixture-key",
+    max_records=2)`` and a follower stopped after one event), not by the
+    code under test.
+    """
+
+    FIXTURE_KEY = b"fixture-key"
+    FILES = {
+        "audit-000000.log": (
+            b'{"hash": "23a22d6562dbbba45e0a45881b5c68b4f683e95b0e20373fa07fc'
+            b'a2761fc008e", "payload": {"n": 0, "who": "u0"}, "seq": 0, "tag"'
+            b': "be92143e330ccf2b1701da6c0bdc94971c7f3f5c0b61f5c7d908e751438f'
+            b'4b8e", "ts": 0.0, "type": "decision"}\n'
+            b'{"hash": "5764b44859f1592b0ede33c532e8418c21e51e01aced0e77e89c2'
+            b'7d58f2b60fe", "payload": {"n": 1, "who": "u1"}, "seq": 1, "tag"'
+            b': "6d05f868fcf48a1bc3b2c6a38488effb3270171577805487ba91e84d76cb'
+            b'a20c", "ts": 1.0, "type": "decision"}\n'
+        ),
+        "audit-000000.log.chk": (
+            b'{"count": 2, "last_hash": "5764b44859f1592b0ede33c532e8418c21e5'
+            b'1e01aced0e77e89c27d58f2b60fe", "tag": "17a22b9d09dd02705307b880'
+            b'c48efda8aaaa3e94eed1eb72355b4877e875ef3d"}'
+        ),
+        "audit-000001.log": (
+            b'{"hash": "4914e6066eed6fd3e156ecf6bd8d02834a9f192f308966a1383bd'
+            b'6dcdfd7f42b", "payload": {"n": 2, "who": "u2"}, "seq": 0, "tag"'
+            b': "11f011f22f2dfe75c090aaecfb87a37bc7d7241620abfc02348dc4e185c3'
+            b'430e", "ts": 2.0, "type": "decision"}\n'
+        ),
+        "audit-000001.log.chk": (
+            b'{"count": 1, "last_hash": "4914e6066eed6fd3e156ecf6bd8d02834a9f'
+            b'192f308966a1383bd6dcdfd7f42b", "tag": "733e099ce10b43a11015215b'
+            b'f10ee43dfe8f30fe9ff4beb058ce4da33e27dcce"}'
+        ),
+    }
+    #: ``TrailFollower.position()`` after the first event, as persisted.
+    POSITION = {
+        "segment": 0,
+        "offset": 227,
+        "hash": (
+            "23a22d6562dbbba45e0a45881b5c68b4f683e95b0e20373fa07fca2761fc008e"
+        ),
+        "seq": 1,
+    }
+
+    def _write_fixture(self, directory):
+        os.makedirs(directory)
+        for name, data in self.FILES.items():
+            with open(os.path.join(directory, name), "wb") as handle:
+                handle.write(data)
+
+    def test_old_bytes_are_read_by_both_readers(self, tmp_path):
+        directory = str(tmp_path / "old")
+        self._write_fixture(directory)
+        manager = AuditTrailManager(directory, self.FIXTURE_KEY, max_records=2)
+        assert manager.verify_all() == 3
+        assert [e.payload["n"] for e in manager.events()] == [0, 1, 2]
+        resumed = TrailFollower(
+            directory, self.FIXTURE_KEY, position=dict(self.POSITION)
+        )
+        assert [e.payload["n"] for e in resumed.poll()] == [1, 2]
+        # ...and the old lineage is continued, not just read.
+        manager.append("decision", 3.0, {"n": 3, "who": "u3"})
+        assert manager.verify_all() == 4
+
+    def test_new_bytes_are_the_old_bytes(self, tmp_path):
+        directory = str(tmp_path / "new")
+        manager = AuditTrailManager(directory, self.FIXTURE_KEY, max_records=2)
+        for n in range(3):
+            manager.append("decision", float(n), {"n": n, "who": f"u{n}"})
+        written = {}
+        for name in os.listdir(directory):
+            with open(os.path.join(directory, name), "rb") as handle:
+                written[name] = handle.read()
+        assert written == self.FILES
+        follower = TrailFollower(directory, self.FIXTURE_KEY)
+        next(follower.poll())
+        assert follower.position() == self.POSITION
 
 
 class TestRecovery:

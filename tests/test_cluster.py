@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.audit import EVENT_DECISION, decision_event_payload
 from repro.audit.trail import AuditTrailManager
 from repro.client import RemotePDP
 from repro.cluster import (
@@ -26,6 +27,7 @@ from repro.core import (
     ContextName,
     DecisionRequest,
     InMemoryRetainedADIStore,
+    MSoDEngine,
     Role,
 )
 from repro.errors import (
@@ -246,6 +248,46 @@ class TestStandbyReplication:
         standby.catch_up(primary.trail_dir)
         standby.catch_up(primary.trail_dir)
         assert store_digest(standby.store) == store_digest(primary.store)
+
+    def test_idle_catch_up_tick_never_scans_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        # A standby ticks every few hundred ms; a tick whose new tail
+        # holds no grant must cost O(new tail) on the store side too.
+        policy_set = bank_policy_set()
+        primary_trails = AuditTrailManager(str(tmp_path / "p-trails"), b"k")
+        engine = MSoDEngine(policy_set, InMemoryRetainedADIStore())
+        for i in range(6):
+            decision = engine.check(
+                make_request(f"u{i % 2}", TELLER, timestamp=float(i))
+            )
+            primary_trails.append(
+                EVENT_DECISION,
+                float(i),
+                decision_event_payload(decision),
+            )
+        standby = ClusterNode(
+            "b",
+            "s0",
+            policy_set,
+            InMemoryRetainedADIStore(),
+            str(tmp_path / "b-trails"),
+            b"k",
+        )
+        scans = []
+        original = standby.store.records
+        monkeypatch.setattr(
+            standby.store,
+            "records",
+            lambda: scans.append(1) or original(),
+        )
+        first = standby.catch_up(primary_trails.directory)
+        assert first.records_replayed > 0
+        assert len(scans) == 1  # the multiset, built at the first add
+        second = standby.catch_up(primary_trails.directory)
+        assert second.events_scanned == 0
+        assert len(scans) == 1  # the idle tick added no scan
+        assert store_digest(standby.store) == store_digest(engine.store)
 
     def test_max_events_seals_the_lineage(self, tmp_path):
         policy_set = bank_policy_set()

@@ -1,15 +1,23 @@
 """Property-based tamper-evidence tests for the secure audit trail."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import SecureAuditTrail
+from repro.audit.trail import TrailFollower
 from repro.errors import AuditTrailError
 
 KEY = b"property-test-key"
+
+
+def follow_from_zero(path):
+    """The live face of the verifier, over the directory holding ``path``."""
+    return list(TrailFollower(os.path.dirname(path), KEY).poll())
+
 
 _payloads = st.dictionaries(
     keys=st.text(
@@ -35,7 +43,7 @@ _event_lists = st.lists(
 @given(_event_lists)
 @settings(max_examples=60, deadline=None)
 def test_any_honest_trail_verifies(tmp_path_factory, events):
-    path = str(tmp_path_factory.mktemp("trail") / "t.log")
+    path = str(tmp_path_factory.mktemp("trail") / "audit-000000.log")
     trail = SecureAuditTrail(path, KEY)
     for index, (event_type, payload) in enumerate(events):
         trail.append(event_type, float(index), payload)
@@ -50,7 +58,7 @@ def test_any_honest_trail_verifies(tmp_path_factory, events):
 @settings(max_examples=60, deadline=None)
 def test_any_single_record_mutation_detected(tmp_path_factory, events, data):
     """Flipping any record's payload content breaks verification."""
-    path = str(tmp_path_factory.mktemp("trail") / "t.log")
+    path = str(tmp_path_factory.mktemp("trail") / "audit-000000.log")
     trail = SecureAuditTrail(path, KEY)
     for index, (event_type, payload) in enumerate(events):
         trail.append(event_type, float(index), payload)
@@ -66,12 +74,14 @@ def test_any_single_record_mutation_detected(tmp_path_factory, events, data):
 
     with pytest.raises(AuditTrailError):
         SecureAuditTrail(path, KEY).verify()
+    with pytest.raises(AuditTrailError):
+        follow_from_zero(path)
 
 
 @given(_event_lists, st.data())
 @settings(max_examples=60, deadline=None)
 def test_any_record_deletion_detected(tmp_path_factory, events, data):
-    path = str(tmp_path_factory.mktemp("trail") / "t.log")
+    path = str(tmp_path_factory.mktemp("trail") / "audit-000000.log")
     trail = SecureAuditTrail(path, KEY)
     for index, (event_type, payload) in enumerate(events):
         trail.append(event_type, float(index), payload)
@@ -85,3 +95,10 @@ def test_any_record_deletion_detected(tmp_path_factory, events, data):
     # internally consistent and only the sealed checkpoint catches it.
     with pytest.raises(AuditTrailError):
         SecureAuditTrail(path, KEY).verify()
+    # The follower does not consult the sidecar, so truncation is not
+    # its to detect; any interior deletion breaks its chain as well.
+    if victim < len(lines) - 1:
+        with pytest.raises(AuditTrailError):
+            follow_from_zero(path)
+    else:
+        assert len(follow_from_zero(path)) == len(remaining)

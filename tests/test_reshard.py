@@ -161,7 +161,8 @@ class TestTrailFollower:
         manager = self._manager(tmp_path, max_records=100)
         self._append(manager, 6)
         path = manager.trail_paths()[0]
-        lines = open(path, "rb").read().splitlines(keepends=True)
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
         # Flip a payload byte in the middle record; keep valid JSON.
         lines[3] = lines[3].replace(b'"seq_payload": 3', b'"seq_payload": 9')
         with open(path, "wb") as handle:
@@ -169,6 +170,35 @@ class TestTrailFollower:
         follower = TrailFollower(manager.directory, self.KEY)
         with pytest.raises(AuditTrailError):
             list(follower.poll())
+
+    def test_corrupt_interior_line_raises_instead_of_stalling(
+        self, tmp_path
+    ):
+        # Only a *last* line can be an append in flight.  An unparsable
+        # line with sealed records after it is damage: the poll must
+        # raise (so the catch-up / reshard loops count and log it)
+        # rather than return nothing forever.
+        manager = self._manager(tmp_path, max_records=100)
+        self._append(manager, 10)
+        path = manager.trail_paths()[0]
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        lines[4] = b'{"garbage\n'
+        with open(path, "wb") as handle:
+            handle.writelines(lines)
+        follower = TrailFollower(manager.directory, self.KEY)
+        polled = []
+        with pytest.raises(AuditTrailError, match="corrupt JSON"):
+            for event in follower.poll():
+                polled.append(event.payload["seq_payload"])
+        assert polled == [0, 1, 2, 3]
+        assert follower.position()["seq"] == 4
+        # Every later poll reports the damage again.
+        with pytest.raises(AuditTrailError, match="corrupt JSON"):
+            list(follower.poll())
+        # The strict reader agrees: one verifier, one verdict.
+        with pytest.raises(AuditTrailError, match="corrupt JSON"):
+            list(AuditTrailManager(manager.directory, self.KEY).events())
 
     def test_partial_final_line_is_not_an_error(self, tmp_path):
         manager = self._manager(tmp_path, max_records=100)
