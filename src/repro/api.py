@@ -143,13 +143,13 @@ def what_if(
     from repro.audit.trail import AuditTrailManager
     from repro.verify.whatif import what_if_replay
 
-    trails = AuditTrailManager(trail_dir, audit_key, tolerate_ahead=True)
-    return what_if_replay(
-        trails,
-        load_policy_source(policy),
-        last_n_trails=last_n_trails,
-        since=since,
-    )
+    with AuditTrailManager(trail_dir, audit_key, tolerate_ahead=True) as trails:
+        return what_if_replay(
+            trails,
+            load_policy_source(policy),
+            last_n_trails=last_n_trails,
+            since=since,
+        )
 
 
 def _recorder(

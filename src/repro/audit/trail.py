@@ -24,6 +24,7 @@ import hmac
 import json
 import os
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Generator, Iterator
 
@@ -168,18 +169,48 @@ def _checkpoint_tag(key: bytes, count: int, last_hash: str) -> str:
     return _seal(key, f"{count}|{last_hash}")
 
 
+def _read_checkpoint(path: str, key: bytes) -> dict | None:
+    """``path``'s sealed sidecar; ``None`` when missing or still empty.
+
+    The writer overwrites it in place, so a concurrent read can mix two
+    checkpoints: a read that fails to parse or verify is retried, and
+    only two identical bad reads in a row are tampering.
+    """
+    previous = None
+    while True:
+        try:
+            with open(path + ".chk", "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise AuditTrailError(f"{path}: unreadable checkpoint: {exc}") from exc
+        if not raw:
+            return None
+        try:
+            checkpoint = json.loads(raw)
+            expected_tag = _checkpoint_tag(
+                key, checkpoint.get("count", -1), checkpoint.get("last_hash", "")
+            )
+            if hmac.compare_digest(checkpoint.get("tag", ""), expected_tag):
+                return checkpoint
+            failure = "checkpoint seal invalid"
+        except (ValueError, AttributeError, TypeError) as exc:  # no object
+            failure = f"unreadable checkpoint: {exc}"
+        if raw == previous:
+            raise AuditTrailError(f"{path}: {failure}")
+        previous = raw
+
+
 def _verify_checkpoint(
     path: str, key: bytes, count: int, last_hash: str, tolerate_ahead: bool
 ) -> None:
     """Detect truncation (or checkpoint tampering) after a replay."""
-    checkpoint_path = path + ".chk"
-    if not os.path.exists(checkpoint_path):
+    checkpoint = _read_checkpoint(path, key)
+    if checkpoint is None:
         if count == 1:
-            # The appender crashed (or is mid-append) between the
-            # very first record and the very first checkpoint write.
-            # The record's own seal verified, so accept it — the
-            # same window the `count == checkpoint + 1` branch
-            # covers once a checkpoint exists.
+            # The `count == checkpoint + 1` window below, before the
+            # very first checkpoint write: accept the sealed record.
             warnings.warn(
                 f"{path}: no checkpoint yet for a one-record "
                 "trail (crash or in-flight first append); accepting "
@@ -193,21 +224,10 @@ def _verify_checkpoint(
                 "trail (possible truncation)"
             )
         return
-    try:
-        with open(checkpoint_path, "r", encoding="utf-8") as handle:
-            checkpoint = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AuditTrailError(f"{path}: unreadable checkpoint: {exc}") from exc
-    expected_tag = _checkpoint_tag(
-        key, checkpoint.get("count", -1), checkpoint.get("last_hash", "")
-    )
-    if not hmac.compare_digest(checkpoint.get("tag", ""), expected_tag):
-        raise AuditTrailError(f"{path}: checkpoint seal invalid")
     if count == checkpoint["count"] + 1:
-        # One verified record beyond the checkpoint: the appender
-        # crashed (or is mid-append) between writing the record and
-        # rewriting the sidecar.  The extra record's own seal already
-        # verified, so this is not a forgery — accept and warn.
+        # One verified record beyond the checkpoint: the appender crashed
+        # (or is mid-append) between writing the record and rewriting the
+        # sidecar.  The record's own seal verified: accept and warn.
         warnings.warn(
             f"{path}: trail is one record ahead of its checkpoint "
             "(crash or in-flight append); accepting the sealed record",
@@ -215,15 +235,12 @@ def _verify_checkpoint(
         )
         return
     if tolerate_ahead and checkpoint["count"] > count:
-        # Live reader: the writer appended (and atomically renamed a
-        # newer checkpoint) between this reader's readlines()
-        # snapshot and the checkpoint read.  Every record the
-        # snapshot did contain verified its chain link and seal, so
-        # the prefix is good; the missing suffix arrives on the next
-        # catch-up tick.  Not a truncation: truncation makes the
-        # *checkpoint* newer than the trail for a quiescent file,
-        # which strict mode (the writer re-opening its own trail,
-        # `verify_all`) still rejects.
+        # Live reader: the writer appended (and sealed a newer
+        # checkpoint) between this reader's readlines() snapshot and
+        # the checkpoint read.  The snapshot's records all verified, so
+        # the prefix is good and the suffix arrives on the next tick; a
+        # *quiescent* trail behind its checkpoint is truncation, which
+        # strict mode (a writer's re-open, `verify_all`) still rejects.
         return
     if checkpoint["count"] != count or checkpoint["last_hash"] != last_hash:
         raise AuditTrailError(
@@ -253,6 +270,14 @@ def _read_strict(
     return cursor
 
 
+_CREATE = os.O_WRONLY | os.O_CREAT
+
+
+def _close_descriptors(fds: list[int]) -> None:
+    while fds:
+        os.close(fds.pop())
+
+
 class SecureAuditTrail:
     """One append-only, hash-chained, HMAC-sealed trail file.
 
@@ -264,18 +289,26 @@ class SecureAuditTrail:
     sidecar (``<path>.chk``) holding the record count and chain tip,
     and a strict read compares the replayed chain against it.
 
-    A crash mid-append leaves either a *torn* final line or a complete
-    record whose checkpoint rewrite never happened.  Neither is
-    tampering: the torn tail is skipped with a warning (the next
+    The first append opens the segment (``O_APPEND``, unbuffered) and
+    the sidecar; both descriptors are held until :meth:`close` (or a
+    finalizer, for an owner that drops the trail).  An append is one
+    ``write`` of the record, then one overwrite of the sidecar at
+    offset 0 — in place because the sidecar is smaller than a device
+    sector and only grows, so a crash leaves the old bytes or the new
+    and an overlapping reader re-reads (:func:`_read_checkpoint`).
+
+    A crash (or a failed write) mid-append leaves a *torn* final line or
+    a complete record whose checkpoint rewrite never happened.  Neither
+    is tampering: the torn tail is skipped with a warning (the next
     ``append`` truncates it away) and a trail exactly one record ahead
     of its checkpoint is accepted.  Anything else — an unparsable line
     *before* the tail, a chain break, a bad seal, a trail behind its
     checkpoint — raises.  Opening an existing file verifies it, so a
     writer fails at boot, not at its first append, on a tampered trail.
 
-    ``fsync=True`` makes every append durable (flush + ``os.fsync``)
-    before returning; the cluster's log-shipping replication relies on
-    this so an acknowledged decision survives primary death.
+    ``fsync=True`` fsyncs the record, then the checkpoint, before
+    ``append`` returns; the cluster's log-shipping replication relies
+    on this so an acknowledged decision survives primary death.
 
     ``tolerate_ahead=True`` marks a *live reader* of a trail another
     process is still appending to.  Its ``readlines()`` snapshot and
@@ -303,6 +336,9 @@ class SecureAuditTrail:
         # The chain tip appends continue from: the cursor a strict read
         # of the file ends at (``torn``: a tail to truncate first).
         self._tip = _SegmentCursor()
+        # [segment, sidecar] descriptors, once the first append opened them.
+        self._fds: list[int] = []
+        weakref.finalize(self, _close_descriptors, self._fds)
         if os.path.exists(path):
             self.verify()
 
@@ -319,10 +355,14 @@ class SecureAuditTrail:
         """Bytes occupied by the verified records (torn tail excluded)."""
         return self._tip.offset
 
+    def close(self) -> None:
+        """Release the held descriptors; a later append re-opens them."""
+        _close_descriptors(self._fds)
+
     # ------------------------------------------------------------------
     def append(self, event_type: str, timestamp: float, payload: dict) -> int:
         """Append one event; returns its sequence number."""
-        tip = self._tip
+        tip, fds = self._tip, self._fds
         body = {
             "seq": tip.seq,
             "ts": timestamp,
@@ -333,50 +373,37 @@ class SecureAuditTrail:
         line = dict(body, hash=record_hash, tag=_seal(self._key, record_hash))
         data = (json.dumps(line, sort_keys=True) + "\n").encode("utf-8")
         try:
+            if not fds:
+                fds.append(os.open(self._path, _CREATE | os.O_APPEND, 0o666))
             if tip.torn:
-                # Repair a crash-torn tail before continuing the chain,
-                # so the partial line never precedes a valid record.
-                with open(self._path, "r+b") as handle:
-                    handle.truncate(tip.offset)
-                tip.torn = False
-            with open(self._path, "ab") as handle:
-                handle.write(data)
-                if self._fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                # Cut a torn tail (a crash's, or what a failed write below
+                # left) so a partial line never precedes a valid record.
+                os.ftruncate(fds[0], tip.offset)
+            tip.torn = True
+            if os.write(fds[0], data) != len(data):
+                raise OSError("short write")
+            tip.torn = False
+            tip.prev_hash = record_hash
+            tip.seq += 1
+            tip.offset += len(data)
+            if self._fsync:
+                os.fsync(fds[0])
+            # Sealed in place, no rename: the class docstring says why.
+            checkpoint = {
+                "count": tip.seq,
+                "last_hash": record_hash,
+                "tag": _checkpoint_tag(self._key, tip.seq, record_hash),
+            }
+            data = json.dumps(checkpoint).encode("utf-8")
+            if len(fds) < 2:
+                fds.append(os.open(self._path + ".chk", _CREATE, 0o666))
+            if os.pwrite(fds[1], data, 0) != len(data):
+                raise OSError("short checkpoint write")
+            if self._fsync:
+                os.fsync(fds[1])
         except OSError as exc:
             raise AuditTrailError(f"cannot append to {self._path!r}: {exc}") from exc
-        tip.prev_hash = record_hash
-        tip.seq += 1
-        tip.offset += len(data)
-        self._write_checkpoint()
         return body["seq"]
-
-    def _write_checkpoint(self) -> None:
-        count, last_hash = self._tip.seq, self._tip.prev_hash
-        checkpoint = {
-            "count": count,
-            "last_hash": last_hash,
-            "tag": _checkpoint_tag(self._key, count, last_hash),
-        }
-        # Write-to-temp + atomic rename: a concurrent reader (the
-        # standby's catch-up) and a crash mid-write both see either the
-        # previous complete checkpoint or the new one, never a partial
-        # file — a torn .chk would make the whole trail unloadable and
-        # block failover.
-        checkpoint_path = self._path + ".chk"
-        tmp_path = checkpoint_path + ".tmp"
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(checkpoint, handle)
-                if self._fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp_path, checkpoint_path)
-        except OSError as exc:
-            raise AuditTrailError(
-                f"cannot write checkpoint {checkpoint_path!r}: {exc}"
-            ) from exc
 
     # ------------------------------------------------------------------
     def verify_and_read(self) -> Iterator[AuditEvent]:
@@ -482,12 +509,12 @@ class AuditTrailManager:
     append durable before it is acknowledged.  Opening a directory
     verifies its *active* segment; :meth:`events` and
     :meth:`verify_all` read and verify each segment exactly once.
+    Rotation closes the sealed segment's descriptors; whoever constructs
+    a manager it appends through closes it (:meth:`close`, or ``with``).
 
-    ``tolerate_ahead=True`` makes this a *live-reader* manager: every
-    trail it opens tolerates a checkpoint recording more records than
-    the read snapshot holds (see :class:`SecureAuditTrail`).  The
-    cluster's failover sealing and canary replay use this; a trail
-    directory's own writer must not.
+    ``tolerate_ahead=True`` makes this a *live-reader* manager (see
+    :class:`SecureAuditTrail`): the cluster's failover sealing and
+    canary replay use this; a trail directory's own writer must not.
     """
 
     def __init__(
@@ -546,8 +573,20 @@ class AuditTrailManager:
     def append(self, event_type: str, timestamp: float, payload: dict) -> None:
         """Append to the active trail, rotating when it is full."""
         if self._active_is_full():
+            self.close()  # the segment this rotation seals
             self._active = self._new_trail()
         self._active.append(event_type, timestamp, payload)
+
+    def close(self) -> None:
+        """Release the active segment's descriptors (appends re-open)."""
+        if self._active is not None:
+            self._active.close()
+
+    def __enter__(self) -> "AuditTrailManager":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def verify_all(self) -> int:
         """Verify every trail in the directory; return total records.

@@ -960,8 +960,7 @@ async def _serve_until_interrupted(args: argparse.Namespace) -> int:
     perf = Recorder()
     if args.trace:
         perf.trace_decisions(args.slowlog_size)
-    audit_sink = None
-    trail_reader = None
+    audit_sink = trail_reader = trails = None
     if args.audit_dir:
         from repro.audit import (
             EVENT_DECISION,
@@ -1030,6 +1029,8 @@ async def _serve_until_interrupted(args: argparse.Namespace) -> int:
         await server.stop()
     finally:
         store.close()
+        if trails is not None:
+            trails.close()
     return 0
 
 

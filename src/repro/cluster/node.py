@@ -215,7 +215,7 @@ class ClusterNode:
             self._service,
             host=host,
             port=port,
-            owns=[store],
+            owns=[store, self._trails],
             decide_gate=self._decide_gate,
         )
 
@@ -415,7 +415,7 @@ class ClusterNode:
         return self
 
     def stop(self) -> None:
-        """Graceful stop: drain queues, close the store."""
+        """Graceful stop: drain queues, close the store and the trail."""
         self._thread.stop()
 
     def kill(self) -> None:

@@ -1,8 +1,14 @@
 """Unit tests for the secure audit trail and ADI recovery (Section 5.2)."""
 
 import builtins
+import io
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
+import warnings
 
 import pytest
 
@@ -39,6 +45,11 @@ def trail(tmp_path, name="audit-000000.log"):
 
 def strict_count(path, key=KEY):
     return SecureAuditTrail(path, key).verify()
+
+
+def read_strict_count(path, key=KEY):
+    """One strict read — ``strict_count`` makes two (open, then verify)."""
+    return sum(1 for _ in trail_module._read_strict(path, key))
 
 
 def follower_count(path, key=KEY):
@@ -185,9 +196,10 @@ class TestSecureAuditTrail:
             assert SecureAuditTrail(t.path, KEY).verify() == 1
 
     def test_checkpoint_write_is_atomic_rename(self, tmp_path):
-        # The sidecar is written to a temp file and os.replace()d into
-        # place, so a concurrent reader (or a crash) never observes a
-        # partial checkpoint; no temp residue is left behind.
+        # The sidecar is overwritten in place (it is smaller than a
+        # device sector, so a crash leaves the old bytes or the new);
+        # nothing like the temp file of the old write-and-rename
+        # discipline is left behind.
         t = trail(tmp_path)
         for n in range(3):
             t.append("e", float(n), {"n": n})
@@ -300,6 +312,33 @@ class TestSecureAuditTrail:
         assert SecureAuditTrail(t.path, KEY).verify() == 3
         with open(t.path) as handle:
             assert handle.read().startswith(intact)
+
+    @pytest.mark.parametrize("failure", ["short", "raises"])
+    def test_failed_write_is_cut_not_glued(self, tmp_path, monkeypatch, failure):
+        """Half a record on disk and an exception: the next append must
+        cut the partial line, not glue onto it or repeat a seq."""
+        t = trail(tmp_path)
+        t.append("e", 1.0, {"n": 1})
+        real_write = os.write
+
+        def fail_once(fd, data):
+            monkeypatch.setattr(os, "write", real_write)
+            written = real_write(fd, data[: len(data) // 2])
+            if failure == "raises":
+                raise OSError(28, "No space left on device")
+            return written
+
+        monkeypatch.setattr(os, "write", fail_once)
+        with pytest.raises(AuditTrailError, match="cannot append"):
+            t.append("e", 2.0, {"n": 2})
+        assert t.record_count == 1
+        assert follower_count(t.path) == 1
+        with pytest.warns(UserWarning, match="torn final line"):
+            assert strict_count(t.path) == 1  # the checkpoint stayed at 1
+        assert t.append("e", 2.0, {"n": 2}) == 1
+        assert t.append("e", 3.0, {"n": 3}) == 2
+        for count in READERS:
+            assert count(t.path) == 3
 
     def test_unterminated_final_record_is_torn_not_accepted(self, tmp_path):
         """A last line missing only its newline is an append in flight
@@ -518,6 +557,366 @@ class TestSinglePassReads:
         assert sorted(opened) == [
             os.path.basename(path) for path in manager.trail_paths()
         ]
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestWriteDiscipline:
+    """What an append costs in system calls — counted, not timed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def count(owner, name, label):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                made.append(label)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(builtins, "open", "open")
+        for name in ("open", "replace", "rename", "ftruncate"):
+            count(os, name, f"os.{name}")
+        for name in ("write", "pwrite", "fsync"):
+            count(os, name, name)
+        return made
+
+    def test_steady_state_append_is_two_writes_and_no_open(
+        self, tmp_path, calls
+    ):
+        t = trail(tmp_path)
+        t.append("e", 0.0, {"n": 0})
+        assert calls == ["os.open", "write", "os.open", "pwrite"]
+        del calls[:]
+        for n in range(1, 201):
+            t.append("e", float(n), {"n": n})
+        assert calls == ["write", "pwrite"] * 200
+        del calls[:]
+        assert strict_count(t.path) == 201
+
+    def test_fsync_makes_record_then_checkpoint_durable(self, tmp_path, calls):
+        t = SecureAuditTrail(str(tmp_path / "audit-000000.log"), KEY, fsync=True)
+        t.append("e", 0.0, {"n": 0})
+        del calls[:]
+        t.append("e", 1.0, {"n": 1})
+        assert calls == ["write", "fsync", "pwrite", "fsync"]
+
+    def test_rotation_and_close_release_descriptors(self, tmp_path):
+        before = open_descriptors()
+        manager = AuditTrailManager(str(tmp_path), KEY, max_records=3)
+        for n in range(16):
+            manager.append("e", float(n), {"n": n})
+            assert open_descriptors() == before + 2
+        assert len(manager.trail_paths()) == 6  # five rotations
+        manager.close()
+        assert open_descriptors() == before
+        manager.append("e", 16.0, {"n": 16})  # re-opens
+        assert open_descriptors() == before + 2
+        del manager
+        assert open_descriptors() == before
+        with AuditTrailManager(str(tmp_path), KEY, max_records=3) as manager:
+            manager.append("e", 17.0, {"n": 17})
+            assert open_descriptors() == before + 2
+            assert manager.verify_all() == 18
+        assert open_descriptors() == before
+
+
+class TestCheckpointReread:
+    """A reader that overlaps the writer's in-place overwrite re-reads;
+    only a sidecar that reads bad twice over is tampering."""
+
+    @pytest.fixture
+    def torn(self, tmp_path):
+        """A two-record trail, and a sidecar read that mixes its two
+        checkpoints: the new count over the old chain tip and seal."""
+        t = trail(tmp_path)
+        t.append("e", 1.0, {"n": 1})
+        with open(t.path + ".chk", "rb") as handle:
+            old = handle.read()
+        t.append("e", 2.0, {"n": 2})
+        with open(t.path + ".chk", "rb") as handle:
+            new = handle.read()
+        cut = len(b'{"count": 2')
+        return t.path, new[:cut] + old[cut:], new
+
+    @staticmethod
+    def feed(monkeypatch, path, reads):
+        real_open = builtins.open
+
+        def scripted(file, *args, **kwargs):
+            if file == path + ".chk":
+                return io.BytesIO(reads.pop(0))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", scripted)
+
+    def test_torn_read_then_good_read_is_accepted(self, torn, monkeypatch):
+        path, mixed, good = torn
+        reads = [mixed, good]
+        self.feed(monkeypatch, path, reads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_strict_count(path) == 2
+        assert reads == []
+
+    def test_same_bad_read_twice_is_tampering(self, torn, monkeypatch):
+        path, mixed, _ = torn
+        self.feed(monkeypatch, path, [mixed, mixed])
+        with pytest.raises(AuditTrailError, match="checkpoint seal invalid"):
+            read_strict_count(path)
+
+    def test_same_unparsable_read_twice_is_unreadable(self, torn, monkeypatch):
+        path, _, good = torn
+        self.feed(monkeypatch, path, [good[:-1], good[:-1]])
+        with pytest.raises(AuditTrailError, match="unreadable checkpoint"):
+            read_strict_count(path)
+
+    def test_empty_sidecar_reads_as_missing(self, tmp_path):
+        t = trail(tmp_path)
+        t.append("e", 1.0, {"n": 1})
+        with open(t.path + ".chk", "wb"):
+            pass  # created, not yet written
+        with pytest.warns(UserWarning, match="no checkpoint yet"):
+            assert strict_count(t.path) == 1
+        t.append("e", 2.0, {"n": 2})
+        with open(t.path + ".chk", "wb"):
+            pass
+        with pytest.raises(AuditTrailError, match="checkpoint file missing"):
+            strict_count(t.path)
+
+
+#: Children import the ``repro`` this process imported.
+_SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+#: Appends ``appends`` records, printing each seq once ``append`` has
+#: returned (the acknowledgement), and SIGKILLs itself just before or
+#: just after its ``kth`` call of one ``os`` primitive.  Only the trail
+#: calls ``os.open``/``os.write``/``os.pwrite`` here (``print`` writes
+#: through the C-level file object), so the k-th call is the trail's.
+_CRASHING_WRITER = """
+import os, signal, sys
+from repro.audit.trail import AuditTrailManager
+directory, primitive, when, kth, appends, max_records = sys.argv[1:]
+real, calls = getattr(os, primitive), [0]
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+def dying(*args):
+    calls[0] += 1
+    if calls[0] == int(kth) and when == "before":
+        die()
+    result = real(*args)
+    if calls[0] == int(kth) and when == "after":
+        die()
+    return result
+setattr(os, primitive, dying)
+manager = AuditTrailManager(directory, b"trail-key", max_records=int(max_records))
+for n in range(int(appends)):
+    manager.append("e", float(n), {"n": n})
+    print(n, flush=True)
+"""
+
+NO_CHECKPOINT_YET = "no checkpoint yet"
+ONE_AHEAD = "one record ahead"
+
+
+class TestCrashBoundaries:
+    """``kill -9`` at every step of the write path, in a subprocess.
+
+    With ``max_records=3`` the child's calls are: ``os.open`` 1/2 the
+    first segment and its sidecar, 3/4 the second segment's; ``os.write``
+    k record k; ``os.pwrite`` k the checkpoint sealing record k.  Each
+    case names what the parent must find: how many records beyond the
+    acknowledged ones, the state of the active segment's sidecar, and
+    the one warning a strict open may give.
+    """
+
+    CASES = [
+        # primitive, when, kth, acked, beyond, sidecar, warning
+        # -- the very first record
+        ("open", "before", 1, 0, 0, "absent", None),
+        ("open", "after", 1, 0, 0, "absent", None),
+        ("write", "before", 1, 0, 0, "absent", None),
+        ("write", "after", 1, 0, 1, "absent", NO_CHECKPOINT_YET),
+        ("open", "after", 2, 0, 1, "empty", NO_CHECKPOINT_YET),
+        ("pwrite", "after", 1, 0, 1, "current", None),
+        # -- mid-segment
+        ("write", "before", 2, 1, 0, "current", None),
+        ("write", "after", 2, 1, 1, "behind", ONE_AHEAD),
+        ("pwrite", "after", 2, 1, 1, "current", None),
+        # -- the rotation boundary (record 4 starts the second segment)
+        ("open", "before", 3, 3, 0, "current", None),
+        ("open", "after", 3, 3, 0, "absent", None),
+        ("write", "after", 4, 3, 1, "absent", NO_CHECKPOINT_YET),
+        ("open", "after", 4, 3, 1, "empty", NO_CHECKPOINT_YET),
+        ("pwrite", "after", 4, 3, 1, "current", None),
+    ]
+
+    @staticmethod
+    def sidecar_state(manager):
+        paths = manager.trail_paths()
+        if not paths or not os.path.exists(paths[-1] + ".chk"):
+            return "absent"
+        with open(paths[-1] + ".chk", "rb") as handle:
+            raw = handle.read()
+        if not raw:
+            return "empty"
+        with open(paths[-1], "rb") as handle:
+            records = len(handle.readlines())
+        return "current" if json.loads(raw)["count"] == records else "behind"
+
+    @pytest.mark.parametrize(
+        "primitive, when, kth, acked, beyond, sidecar, warning", CASES
+    )
+    def test_sigkill_boundary(
+        self, tmp_path, primitive, when, kth, acked, beyond, sidecar, warning
+    ):
+        directory = str(tmp_path / "trail")
+        child = subprocess.run(
+            [sys.executable, "-c", _CRASHING_WRITER]
+            + [directory, primitive, when, str(kth), "5", "3"],
+            env=_SUBPROCESS_ENV,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        assert child.stdout.split() == [str(n) for n in range(acked)]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            manager = AuditTrailManager(directory, KEY, max_records=3)
+        assert self.sidecar_state(manager) == sidecar
+        messages = [str(item.message) for item in caught]
+        if warning is None:
+            assert messages == []
+        else:
+            assert len(messages) == 1 and warning in messages[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            survivors = [event.payload["n"] for event in manager.events()]
+        # Nothing acknowledged is missing; at most the in-flight record
+        # is there beyond it.
+        assert survivors == list(range(acked + beyond))
+
+        manager.append("e", float(len(survivors)), {"n": len(survivors)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert manager.verify_all() == len(survivors) + 1
+            assert [e.payload["n"] for e in manager.events()] == list(
+                range(len(survivors) + 1)
+            )
+        manager.close()
+
+
+#: Says when it is up, then appends ``PER_POLL`` records for every line
+#: on stdin, until EOF.
+_PACED_WRITER = """
+import sys
+from repro.audit.trail import AuditTrailManager
+manager = AuditTrailManager(sys.argv[1], b"trail-key", max_records=32)
+print("up", flush=True)
+n = 0
+for _ in sys.stdin:
+    for n in range(n, n + int(sys.argv[2])):
+        manager.append("e", float(n), {"n": n})
+    n += 1
+"""
+
+
+class TestLiveReaderAgainstLiveWriter:
+    """Readers polled while a writer appends never take the in-place
+    checkpoint overwrite (or any other in-flight state) for tampering.
+
+    The writer is paced — ``PER_POLL`` appends per reader poll, granted
+    without waiting for them — because a follower's poll runs until it
+    has caught up, which it never would against an unpaced writer.
+    """
+
+    POLLS = 2000
+    PER_POLL = 4
+
+    def poll(self, directory, grant):
+        """Poll a tolerant strict reader and a follower ``POLLS`` times."""
+        reader = AuditTrailManager(directory, KEY, tolerate_ahead=True)
+        follower = TrailFollower(directory, KEY)
+        followed = 0
+        newest = -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # torn tail, one ahead: expected
+            for _ in range(self.POLLS):
+                grant()
+                active = [e.payload["n"] for e in reader.events(last_n_trails=1)]
+                if active:
+                    assert active[-1] >= newest
+                    newest = active[-1]
+                for event in follower.poll():
+                    assert event.payload["n"] == followed
+                    followed += 1
+        assert newest > 0
+        return follower, followed
+
+    def test_writer_thread(self, tmp_path):
+        directory = str(tmp_path)
+        manager = AuditTrailManager(directory, KEY, max_records=32)
+        granted = threading.Semaphore(0)
+        done = threading.Event()
+        written = [0]
+
+        def write():
+            while granted.acquire() and not done.is_set():
+                manager.append("e", float(written[0]), {"n": written[0]})
+                written[0] += 1
+
+        writer = threading.Thread(target=write)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer.start()
+        try:
+            follower, followed = self.poll(
+                directory, lambda: granted.release(self.PER_POLL)
+            )
+        finally:
+            done.set()
+            granted.release()
+            writer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        followed += sum(1 for _ in follower.poll())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert manager.verify_all() == written[0] == followed
+        manager.close()
+
+    def test_writer_process(self, tmp_path):
+        directory = str(tmp_path)
+        writer = subprocess.Popen(
+            [sys.executable, "-c", _PACED_WRITER, directory, str(self.PER_POLL)],
+            env=_SUBPROCESS_ENV,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+        )
+        try:
+            assert writer.stdout.readline() == b"up\n"
+            follower, followed = self.poll(
+                directory, lambda: writer.stdin.write(b"\n") and writer.stdin.flush()
+            )
+            writer.stdin.close()
+            assert writer.wait(timeout=60) == 0
+        finally:
+            writer.kill()
+            writer.wait(timeout=60)
+            writer.stdin.close()
+            writer.stdout.close()
+        followed += sum(1 for _ in follower.poll())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = AuditTrailManager(directory, KEY).verify_all()
+        assert total == self.POLLS * self.PER_POLL == followed
 
 
 class TestOnDiskFormatIsUnchanged:
