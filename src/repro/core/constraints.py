@@ -130,8 +130,11 @@ class MultiSessionConstraint:
     """Base protocol every multi-session constraint kind implements.
 
     A kind is a class with a unique ``kind`` string, a request
-    pre-filter (:meth:`matches_request`), the step evaluation
+    pre-filter (:meth:`matches_request`) and the roles/privileges that
+    can trip it (:meth:`triggers`), the step evaluation
     (:meth:`evaluate`) and a digest-stable :meth:`canonical` form.
+    Whenever :meth:`matches_request` is False, :meth:`evaluate` must
+    return :data:`CONSTRAINT_OK` and record nothing.
     Registering the class in :data:`CONSTRAINT_KINDS` (via
     :func:`register_constraint_kind`) lets the XML/DSL layers, the
     verifier and the wire protocol discover it without the engine ever
@@ -147,6 +150,15 @@ class MultiSessionConstraint:
     def matches_request(self, request: "DecisionRequest") -> bool:
         """True when this constraint could constrain the request."""
         raise NotImplementedError
+
+    def triggers(self) -> "Iterable[Role | Privilege] | None":
+        """The roles and privileges that can make this constraint fire.
+
+        They must cover :meth:`matches_request`: the engine's per-epoch
+        plan skips the constraint for a request with none of them.
+        ``None`` (the default) declares nothing: always evaluated.
+        """
+        return None
 
     def evaluate(
         self,
@@ -194,16 +206,18 @@ class MMER(MultiSessionConstraint):
     events; the paper's repetition idiom exists only for MMEP).
     """
 
-    __slots__ = ("_roles", "_cardinality")
+    __slots__ = ("_roles", "_member", "_cardinality")
 
     kind = "MMER"
 
     def __init__(self, roles: Iterable[Role], forbidden_cardinality: int) -> None:
         role_tuple = tuple(roles)
-        if len(set(role_tuple)) != len(role_tuple):
+        member = frozenset(role_tuple)
+        if len(member) != len(role_tuple):
             raise ConstraintError("MMER role set must not contain duplicates")
         _check_cardinality(len(role_tuple), forbidden_cardinality, "MMER")
         self._roles = role_tuple
+        self._member = member
         self._cardinality = forbidden_cardinality
 
     @property
@@ -220,17 +234,17 @@ class MMER(MultiSessionConstraint):
         Algorithm step 5.i: "Match activated role(s) against MMER
         role(s)."
         """
-        member = set(self._roles)
-        return frozenset(role for role in activated if role in member)
+        return self._member.intersection(activated)
 
     def remaining_roles(self, matched: Iterable[Role]) -> frozenset[Role]:
         """MMER roles other than the currently matched ones (step 5.iii)."""
-        matched_set = set(matched)
-        return frozenset(role for role in self._roles if role not in matched_set)
+        return self._member.difference(matched)
 
     def matches_request(self, request: "DecisionRequest") -> bool:
-        member = set(self._roles)
-        return any(role in member for role in request.roles)
+        return not self._member.isdisjoint(request.roles)
+
+    def triggers(self) -> tuple[Role, ...]:
+        return self._roles
 
     def evaluate(
         self,
@@ -274,12 +288,12 @@ class MMER(MultiSessionConstraint):
         if not isinstance(other, MMER):
             return NotImplemented
         return (
-            set(self._roles) == set(other._roles)
+            self._member == other._member
             and self._cardinality == other._cardinality
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._roles), self._cardinality))
+        return hash((self._member, self._cardinality))
 
     def __repr__(self) -> str:
         roles = ", ".join(str(role) for role in self._roles)
@@ -334,6 +348,9 @@ class MMEP(MultiSessionConstraint):
 
     def matches_request(self, request: "DecisionRequest") -> bool:
         return request.privilege in self._privileges
+
+    def triggers(self) -> tuple[Privilege, ...]:
+        return self._privileges
 
     def evaluate(
         self,
@@ -450,6 +467,9 @@ class MMCD(MultiSessionConstraint):
     def matches_request(self, request: "DecisionRequest") -> bool:
         return request.privilege in self._privileges
 
+    def triggers(self) -> tuple[Privilege, ...]:
+        return self._privileges
+
     def evaluate(
         self,
         request: "DecisionRequest",
@@ -546,6 +566,9 @@ class AdminBoundary(MultiSessionConstraint):
 
     def matches_request(self, request: "DecisionRequest") -> bool:
         return request.privilege in self._admin_set
+
+    def triggers(self) -> tuple[Privilege, ...]:
+        return self._privileges
 
     def evaluate(
         self,

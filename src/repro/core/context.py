@@ -112,12 +112,16 @@ class _CompiledMatcher:
     dispatch index names by component.
     """
 
-    __slots__ = ("_length", "_types", "concrete", "_concrete_prefix", "_single")
+    __slots__ = (
+        "_length", "_types", "concrete", "_concrete_prefix", "_single", "per_instance"
+    )
 
     def __init__(self, policy: "ContextName") -> None:
         comps = policy.components
         self._length = len(comps)
         self._types = tuple(comp.ctx_type for comp in comps)
+        # Whether instantiate has any '!' component to re-bind.
+        self.per_instance = any(comp.is_per_instance for comp in comps)
         self.concrete = tuple(
             (index, comp.value)
             for index, comp in enumerate(comps)
@@ -351,11 +355,12 @@ class ContextName:
         ``*`` components are preserved (they keep aggregating across
         instances).  ``instance`` must match this policy context.
         """
-        if not self.matcher.matches(instance):
+        matcher = self.matcher
+        if not matcher.matches(instance):
             raise ContextNameError(
                 f"instance {instance} does not match policy context {self}"
             )
-        if not any(comp.is_per_instance for comp in self._components):
+        if not matcher.per_instance:
             return self  # nothing to re-bind; '*' components stay as-is
         return _instantiate_interned(self, instance)
 

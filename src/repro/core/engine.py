@@ -37,7 +37,7 @@ from repro.core.decision import (
     Effect,
     MSoDViolation,
 )
-from repro.core.policy import MSoDPolicy, MSoDPolicySet
+from repro.core.policy import MSoDPolicySet
 from repro.core.policy_epoch import (
     INITIAL_EPOCH,
     CompiledPolicyMatcher,
@@ -45,10 +45,10 @@ from repro.core.policy_epoch import (
     PolicySwapReport,
     PolicyVersion,
     policy_set_digest,
+    trigger_keys,
 )
 from repro.core.retained_adi import (
     ADIMutation,
-    ADIViewSnapshot,
     RetainedADIRecord,
     RetainedADIStore,
 )
@@ -326,12 +326,13 @@ class MSoDEngine:
         policy_set, policy_epoch, policy_digest, compiled = self._active
 
         # Step 1: match the input business-context instance against the
-        # business contexts in the MSoD set of policies, through the
-        # matcher compiled for this epoch.
-        matched_policies = compiled.matching(request.context_instance)
+        # business contexts in the MSoD set of policies and bind each
+        # match's '!' components to it — the plan compiled for this
+        # epoch and memoised per instance.
+        _, matched_ids, policies, contexts = compiled.plan(request.context_instance)
         if obs is not None:
             started = obs.span("engine.match", started)
-        if not matched_policies:
+        if not contexts:
             return Decision(
                 effect=Effect.GRANT,
                 request=request,
@@ -340,23 +341,68 @@ class MSoDEngine:
                 policy_digest=policy_digest,
             )
 
-        mutation = ADIMutation()
-        matched_ids = tuple(policy.policy_id for policy in matched_policies)
         # One memoizing snapshot per request: the store is not mutated
         # until commit, so MMER/MMEP checks across all matched policies
         # share each (user, effective-context) history view.
         views = self._store.snapshot_views()
+        operation, target, roles = request.operation, request.target, request.roles
+        keys = trigger_keys(request)
+        literal = self._mode == MODE_LITERAL
+        # The roles of each retained record a grant adds (steps 4, 5.iv,
+        # 6.iv); the records themselves are built only on the grant path.
+        adds: list[tuple] = []
+        purges: list[ContextName] = []
+        violation = None
 
         # Step 2: for each matched MSoD policy...
-        violation = None
-        for policy in matched_policies:
-            violation = self._evaluate_policy(policy, request, mutation, views)
+        for policy, effective_context in zip(policies, contexts):
+            mark = len(adds)
+            # Step 3: does the retained ADI already hold records for this
+            # effective policy context?
+            if not views.has_context(effective_context):
+                # Step 4: the context has not started.  If the request is
+                # the first step (or the policy has no first step), the
+                # context starts now; otherwise MSoD enforcement has not
+                # begun for this context instance and the policy imposes
+                # nothing.  Literal step 4 then goes straight to step 7.
+                first = policy.first_step
+                if first is not None and not first.matches(operation, target):
+                    continue
+                adds.append(roles)
+                fired = () if literal else policy.fired(keys)
+            else:
+                fired = policy.fired(keys)
+            # Steps 5-6, generalised: every constraint of the policy that
+            # can fire on the request, in declaration order (MMERs = step
+            # 5, MMEPs = step 6, then extension kinds); the others would
+            # return CONSTRAINT_OK and record nothing.
+            for _, constraint in fired:
+                verdict = constraint.evaluate(request, effective_context, views)
+                if not verdict.ok:
+                    violation = MSoDViolation(
+                        policy_id=policy.policy_id,
+                        constraint_kind=constraint.kind,
+                        constraint_repr=repr(constraint),
+                        effective_context=effective_context,
+                        detail=verdict.detail,
+                    )
+                    break
+                if verdict.grant_exercise:
+                    adds.append(roles)
+                elif verdict.grant_roles:
+                    adds.extend((role,) for role in verdict.grant_roles)
             if violation is not None:
                 break
+            # Step 7: a granted last step purges the context instead of
+            # storing the policy's pending records.
+            last = policy.last_step
+            if last is not None and last.matches(operation, target):
+                del adds[mark:]
+                purges.append(effective_context)
         if obs is not None:
             started = obs.span("engine.constraints", started)
         if violation is not None:
-            # Deny: discard the buffered mutation entirely.
+            # Deny: nothing was buffered for the store.
             return Decision(
                 effect=Effect.DENY,
                 request=request,
@@ -367,7 +413,18 @@ class MSoDEngine:
                 policy_digest=policy_digest,
             )
 
-        records_purged = self._commit(mutation)
+        user_id, context = request.user_id, request.context_instance
+        at, request_id = request.timestamp, request.request_id
+        mutation = ADIMutation(
+            [
+                RetainedADIRecord(
+                    user_id, record_roles, operation, target, context, at, request_id
+                )
+                for record_roles in adds
+            ],
+            purges,
+        )
+        records_purged = self._store.apply(mutation)
         if obs is not None:
             obs.span("store.commit", started)
         return Decision(
@@ -378,123 +435,9 @@ class MSoDEngine:
             records_purged=records_purged,
             reason="granted under MSoD",
             adi_adds=tuple(mutation.adds),
-            adi_purged_contexts=tuple(mutation.purge_contexts),
+            adi_purged_contexts=tuple(purges),
             policy_epoch=policy_epoch,
             policy_digest=policy_digest,
-        )
-
-    # ------------------------------------------------------------------
-    def _evaluate_policy(
-        self,
-        policy: MSoDPolicy,
-        request: DecisionRequest,
-        mutation: ADIMutation,
-        views: ADIViewSnapshot,
-    ) -> MSoDViolation | None:
-        """Steps 3-7 for one matched policy.
-
-        Returns a violation to deny, or ``None`` to continue; grants
-        append their retained-ADI records to ``mutation``.
-        """
-        # Step 1 (tail): bind '!' components to the request's instance.
-        effective_context = policy.business_context.instantiate(
-            request.context_instance
-        )
-        pending: list[RetainedADIRecord] = []
-
-        # Step 3: does the retained ADI already hold records for this
-        # effective policy context?
-        context_started = views.has_context(effective_context)
-
-        if not context_started:
-            # Step 4: the context has not started.  If the request is the
-            # first step (or the policy has no first step), the context
-            # starts now; otherwise MSoD enforcement has not begun for
-            # this context instance and the policy imposes nothing.
-            first = policy.first_step
-            starts_now = first is None or first.matches(
-                request.operation, request.target
-            )
-            if not starts_now:
-                return None
-            pending.append(self._base_record(request))
-            if self._mode == MODE_LITERAL:
-                # Literal step 4: "add a new entry ... then goto 7".
-                self._finish_policy(policy, request, effective_context, pending, mutation)
-                return None
-
-        # Steps 5-6, generalised: evaluate every constraint of the
-        # policy in declaration order (MMERs = step 5, MMEPs = step 6,
-        # then extension kinds).  Each kind returns a typed verdict; the
-        # engine materialises the records it asks for, so constraint
-        # classes never touch the store or the record schema.
-        for constraint in policy.constraints:
-            verdict = constraint.evaluate(request, effective_context, views)
-            if not verdict.ok:
-                return MSoDViolation(
-                    policy_id=policy.policy_id,
-                    constraint_kind=constraint.kind,
-                    constraint_repr=repr(constraint),
-                    effective_context=effective_context,
-                    detail=verdict.detail,
-                )
-            if verdict.grant_exercise:
-                pending.append(self._base_record(request))
-            elif verdict.grant_roles:
-                pending.extend(
-                    self._role_record(request, role)
-                    for role in verdict.grant_roles
-                )
-
-        # Step 7: last-step handling / store the retainedADIlist.
-        self._finish_policy(policy, request, effective_context, pending, mutation)
-        return None
-
-    def _finish_policy(
-        self,
-        policy: MSoDPolicy,
-        request: DecisionRequest,
-        effective_context: ContextName,
-        pending: list[RetainedADIRecord],
-        mutation: ADIMutation,
-    ) -> None:
-        """Step 7: purge on last step, otherwise store the pending list."""
-        last = policy.last_step
-        if last is not None and last.matches(request.operation, request.target):
-            mutation.purge_contexts.append(effective_context)
-        else:
-            mutation.adds.extend(pending)
-
-    def _commit(self, mutation: ADIMutation) -> int:
-        """Apply a granted request's mutation; return purged-record count.
-
-        Delegated to the store so backends can make the whole mutation
-        atomic (the SQLite store runs it as one transaction).
-        """
-        return self._store.apply(mutation)
-
-    # ------------------------------------------------------------------
-    def _base_record(self, request: DecisionRequest) -> RetainedADIRecord:
-        return RetainedADIRecord(
-            user_id=request.user_id,
-            roles=request.roles,
-            operation=request.operation,
-            target=request.target,
-            context_instance=request.context_instance,
-            granted_at=request.timestamp,
-            request_id=request.request_id,
-        )
-
-    def _role_record(self, request: DecisionRequest, role) -> RetainedADIRecord:
-        """Step 5.iv adds one record per matched activated role."""
-        return RetainedADIRecord(
-            user_id=request.user_id,
-            roles=(role,),
-            operation=request.operation,
-            target=request.target,
-            context_instance=request.context_instance,
-            granted_at=request.timestamp,
-            request_id=request.request_id,
         )
 
     # ------------------------------------------------------------------

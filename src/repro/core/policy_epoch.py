@@ -16,13 +16,14 @@ bounded ``epoch -> policy set`` history so recovery and standby replay
 can re-apply each historical decision under the policy that produced it
 (see :func:`repro.audit.recovery.recover_retained_adi`).
 
-:class:`CompiledPolicyMatcher` is the per-epoch form of step-1
-matching: the policy set's component-keyed dispatch (built **once**
-with the set, compiled matchers prebound — not lazily on the hot path)
-fronted by a bounded instance → matched-policies memo.  It is stamped
-with the epoch and digest it was built from and rides in the engine's
-one active tuple, so a hot reload atomically replaces compiled state
-together with the policy set itself.
+:class:`CompiledPolicyMatcher` is the per-epoch form of steps 1-2:
+the policy set's component-keyed dispatch (built **once** with the
+set, compiled matchers prebound — not lazily on the hot path), every
+policy compiled into a :class:`CompiledPolicy` trigger index, and a
+bounded instance → plan memo.  It is stamped with the epoch and digest
+it was built from and rides in the engine's one active tuple, so a hot
+reload atomically replaces compiled state together with the policy set
+itself.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.constraints import MultiSessionConstraint, Privilege
 from repro.core.context import ContextName
+from repro.core.decision import DecisionRequest
 from repro.core.policy import MSoDPolicy, MSoDPolicySet
 from repro.errors import PolicyError
 
@@ -92,8 +95,56 @@ def policy_set_digest(policy_set: MSoDPolicySet) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def trigger_keys(request: DecisionRequest) -> tuple:
+    """What a request is looked up by in a :class:`CompiledPolicy`:
+    its ``(operation, target)``, then its roles."""
+    return ((request.operation, request.target), *request.roles)
+
+
+class CompiledPolicy:
+    """One policy of an epoch, as the engine's constraint loop runs it.
+
+    Each constraint is filed under the roles and privileges it declares
+    (:meth:`~repro.core.constraints.MultiSessionConstraint.triggers`);
+    a kind that declares nothing is filed as always evaluated.  Built
+    once per epoch and shared by every instance plan matching the policy.
+    """
+
+    __slots__ = ("policy_id", "first_step", "last_step", "_always", "_by_trigger")
+
+    def __init__(self, policy: MSoDPolicy) -> None:
+        self.policy_id = policy.policy_id
+        self.first_step = policy.first_step
+        self.last_step = policy.last_step
+        always: list[tuple[int, MultiSessionConstraint]] = []
+        by_trigger: dict[object, list[tuple[int, MultiSessionConstraint]]] = {}
+        for entry in enumerate(policy.constraints):
+            triggers = entry[1].triggers()
+            if triggers is None:
+                always.append(entry)
+            for trigger in triggers or ():
+                if isinstance(trigger, Privilege):
+                    trigger = (trigger.operation, trigger.target)
+                filed = by_trigger.setdefault(trigger, [])
+                if entry not in filed:
+                    filed.append(entry)
+        self._always = tuple(always)
+        self._by_trigger = {key: tuple(filed) for key, filed in by_trigger.items()}
+
+    def fired(self, keys: tuple) -> tuple[tuple[int, MultiSessionConstraint], ...]:
+        """``(position, constraint)`` of each constraint a request with
+        these :func:`trigger_keys` can fire, in declaration order."""
+        by_trigger = self._by_trigger
+        fired = self._always
+        for key in keys:
+            hit = by_trigger.get(key)
+            if hit is not None:
+                fired = tuple(sorted(dict(fired + hit).items())) if fired else hit
+        return fired
+
+
 class CompiledPolicyMatcher:
-    """Step-1 matching for one policy epoch: dispatch, memo, stamp.
+    """Steps 1-2 for one policy epoch: dispatch, plan memo, stamp.
 
     The dispatch itself — each policy filed under the first concrete
     component of its business context, candidates verified by prebound
@@ -102,13 +153,15 @@ class CompiledPolicyMatcher:
     and is built with the set.  This object adds what belongs to an
     epoch rather than to a set:
 
-    * the per-instance memo (bounded; the map resets when full).
+    * every policy compiled once into a :class:`CompiledPolicy`;
+    * the per-instance plan memo (bounded; the map resets when full).
       Request streams over a few live business contexts settle at one
       dict hit per decision; a never-seen instance costs one lookup per
-      component of its own name plus a matcher call per candidate,
-      whatever the size of the set.  The memo's benign races (a lost
-      insert, a concurrent reset) only cost a recomputation — safe for
-      the multi-threaded embedders the engine supports;
+      component of its own name plus a matcher call per candidate and
+      a ``!`` binding per match, whatever the size of the set.
+      The memo's benign races (a lost insert, a concurrent reset) only
+      cost a recomputation — safe for the multi-threaded embedders the
+      engine supports;
     * the ``epoch``/``digest`` stamp it was built from.  The engine
       swaps it atomically with the policy set inside one tuple
       assignment, which is what keeps hot-reload invalidation of
@@ -119,6 +172,8 @@ class CompiledPolicyMatcher:
         "epoch",
         "digest",
         "_dispatch",
+        "_compiled",
+        "_matched",
         "_memo",
         "_memo_limit",
         "_kind_counts",
@@ -134,8 +189,10 @@ class CompiledPolicyMatcher:
         self.epoch = epoch
         self.digest = digest
         self._dispatch = policy_set.matching
+        self._compiled = {policy: CompiledPolicy(policy) for policy in policy_set}
+        self._matched: dict[tuple[MSoDPolicy, ...], tuple] = {}
         self._memo_limit = memo_limit
-        self._memo: dict[ContextName, tuple[MSoDPolicy, ...]] = {}
+        self._memo: dict[ContextName, tuple] = {}
         # Per-kind constraint census, precomputed at swap time so the
         # serving layer's `policy status` answers without a set scan.
         kind_counts: dict[str, int] = {}
@@ -146,20 +203,37 @@ class CompiledPolicyMatcher:
                 )
         self._kind_counts = kind_counts
 
+    def plan(self, instance: ContextName) -> tuple:
+        """``(policies, policy ids, compiled policies, effective contexts)``
+        of ``instance``: the first three shared by every instance the
+        same policies match, the contexts bound when the plan is built."""
+        memo = self._memo
+        plan = memo.get(instance)
+        if plan is None:
+            if len(memo) >= self._memo_limit:
+                memo.clear()
+                self._matched.clear()
+            policies = self._dispatch(instance)
+            shared = self._matched.get(policies)
+            if shared is None:
+                shared = self._matched[policies] = (
+                    policies,
+                    tuple([policy.policy_id for policy in policies]),
+                    tuple([self._compiled[policy] for policy in policies]),
+                )
+            plan = memo[instance] = (
+                *shared,
+                tuple([p.business_context.instantiate(instance) for p in policies]),
+            )
+        return plan
+
     def matching(self, instance: ContextName) -> tuple[MSoDPolicy, ...]:
         """All policies applying to ``instance``, in set order.
 
         :meth:`MSoDPolicySet.matching` under the epoch this matcher was
-        built for, memoised per instance.
+        built for, answered from the plan memo.
         """
-        memo = self._memo
-        matched = memo.get(instance)
-        if matched is None:
-            matched = self._dispatch(instance)
-            if len(memo) >= self._memo_limit:
-                memo.clear()
-            memo[instance] = matched
-        return matched
+        return self.plan(instance)[0]
 
     def memo_size(self) -> int:
         return len(self._memo)
