@@ -58,40 +58,40 @@ def main() -> None:
         .build()
     )
     trail_dir = tempfile.mkdtemp(prefix="bank-audit-trails-")
-    audit = AuditTrailManager(trail_dir, b"trail-key")
-    pdp = PermisPDP(policy, trust, directory, audit=audit)
+    with AuditTrailManager(trail_dir, b"trail-key") as audit:
+        pdp = PermisPDP(policy, trust, directory, audit=audit)
 
-    print("January: the SOA issues Alice a Teller credential (valid until")
-    print("her mid-year review); she handles cash in the York branch.")
-    soa.issue(ALICE, [TELLER], not_before=0, not_after=250)
-    show(pdp, ALICE, "handleCash", "till://main", "Branch=York, Period=2006", 10)
+        print("January: the SOA issues Alice a Teller credential (valid until")
+        print("her mid-year review); she handles cash in the York branch.")
+        soa.issue(ALICE, [TELLER], not_before=0, not_after=250)
+        show(pdp, ALICE, "handleCash", "till://main", "Branch=York, Period=2006", 10)
 
-    print("\nJune: Alice is promoted — a new Auditor credential is issued.")
-    soa.issue(ALICE, [AUDITOR], not_before=0, not_after=10_000)
+        print("\nJune: Alice is promoted — a new Auditor credential is issued.")
+        soa.issue(ALICE, [AUDITOR], not_before=0, not_after=10_000)
 
-    print("\nThe PDP host is rebooted.  At start-up it replays the secure")
-    print("audit trails to rebuild its retained ADI (Section 5.2)...")
-    pdp = PermisPDP.startup(policy, trust, audit, directory=directory)
-    print(f"  recovered retained-ADI records: {pdp.retained_adi.count()}")
+        print("\nThe PDP host is rebooted.  At start-up it replays the secure")
+        print("audit trails to rebuild its retained ADI (Section 5.2)...")
+        pdp = PermisPDP.startup(policy, trust, audit, directory=directory)
+        print(f"  recovered retained-ADI records: {pdp.retained_adi.count()}")
 
-    print("\nNovember, annual audit: Alice tries to audit the Leeds branch.")
-    print("No single session or authority ever saw a conflict — only the")
-    print("multi-session history does:")
-    show(pdp, ALICE, "auditBooks", "ledger://main", "Branch=Leeds, Period=2006", 300)
+        print("\nNovember, annual audit: Alice tries to audit the Leeds branch.")
+        print("No single session or authority ever saw a conflict — only the")
+        print("multi-session history does:")
+        show(pdp, ALICE, "auditBooks", "ledger://main", "Branch=Leeds, Period=2006", 300)
 
-    print("\nVictor (auditor, never a teller this period) audits instead,")
-    print("then commits the audit, terminating the Period=2006 context:")
-    soa.issue(VICTOR, [AUDITOR], not_before=0, not_after=10_000)
-    show(pdp, VICTOR, "auditBooks", "ledger://main", "Branch=York, Period=2006", 310)
-    show(pdp, VICTOR, "CommitAudit", "http://audit.location.com/audit",
-         "Branch=York, Period=2006", 320)
-    print(f"  retained-ADI records now: {pdp.retained_adi.count()}")
+        print("\nVictor (auditor, never a teller this period) audits instead,")
+        print("then commits the audit, terminating the Period=2006 context:")
+        soa.issue(VICTOR, [AUDITOR], not_before=0, not_after=10_000)
+        show(pdp, VICTOR, "auditBooks", "ledger://main", "Branch=York, Period=2006", 310)
+        show(pdp, VICTOR, "CommitAudit", "http://audit.location.com/audit",
+             "Branch=York, Period=2006", 320)
+        print(f"  retained-ADI records now: {pdp.retained_adi.count()}")
 
-    print("\n2007 audit period — a fresh context instance; Alice may audit:")
-    show(pdp, ALICE, "auditBooks", "ledger://main", "Branch=York, Period=2007", 400)
+        print("\n2007 audit period — a fresh context instance; Alice may audit:")
+        show(pdp, ALICE, "auditBooks", "ledger://main", "Branch=York, Period=2007", 400)
 
-    print(f"\nEvery decision above was logged to {trail_dir}")
-    print(f"({sum(1 for _ in audit.events())} verified audit events).")
+        print(f"\nEvery decision above was logged to {trail_dir}")
+        print(f"({sum(1 for _ in audit.events())} verified audit events).")
 
 
 if __name__ == "__main__":

@@ -87,8 +87,8 @@ def _read_segment(
     yield so a consumer that stops early leaves it exactly past the
     last event it received.  The first failed check raises
     :class:`~repro.errors.AuditTrailError`, and so does an unparsable
-    line with lines after it: only the snapshot's *last* line can be an
-    append in flight or one torn by a crash.  There the read stops
+    complete line with lines after it: only a line the read ended in can
+    be an append in flight or one torn by a crash.  There the read stops
     without advancing and sets ``cursor.torn``; what that means is the
     caller's stopping rule.
     """
@@ -112,7 +112,11 @@ def _read_segment(
             except ValueError:  # undecodable bytes or malformed JSON
                 pass
         if not isinstance(record, dict):
-            if index == len(raw_lines):
+            # A line without its newline is where the read met end of
+            # file.  Lines after it mean the file grew meanwhile: the
+            # read went on past an append in flight, so this is a torn
+            # tail too, not corruption.
+            if index == len(raw_lines) or not raw.endswith(b"\n"):
                 cursor.torn = True
                 return
             raise AuditTrailError(

@@ -17,8 +17,11 @@ multi-session SoD from a shell:
    DENY ...
 
 Commands: ``validate``, ``show``, ``compile``, ``decompile``, ``lint``,
-``decide``, ``explain``, ``history``, ``purge``, ``serve``,
-``remote-decide``, ``remote-status``, ``metrics``.
+``verify``, ``whatif``, ``decide``, ``explain``, ``history``,
+``purge``, ``serve``, ``remote-decide``, ``remote-status``,
+``metrics``, ``policy`` (``status``, ``reload``) and ``cluster``
+(``serve``, ``node``, ``status``, ``route``, ``metrics``, ``reload``,
+``resize``, ``decide``, ``smoke``).
 
 ``serve`` turns the same policy + SQLite retained ADI into a networked
 authorization service (the paper's Section 5 deployment shape);
@@ -27,22 +30,26 @@ snapshots the server's health/metrics, and ``metrics`` scrapes the
 Prometheus text exposition (point a Prometheus scrape job at it, or
 eyeball it in a terminal).
 
-Construction goes through :func:`repro.api.open_pdp`, so the CLI, the
-tests and the benchmarks all build their PDPs the same way.
+Each verb is declared once in :func:`build_parser`, naming the handler
+it runs; flags shared by several verbs are one option-set function
+each.  Construction goes through :func:`repro.api.open_pdp`, so the
+CLI, the tests and the benchmarks all build their PDPs the same way.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import signal
 import sys
 import time
+from contextlib import ExitStack, closing
 from typing import Sequence
 
 from repro.core import (
     CONTROLLER_ROLE,
+    MODE_LITERAL,
+    MODE_STRICT,
     ContextName,
     DecisionRequest,
     MSoDEngine,
@@ -55,31 +62,40 @@ from repro.xmlpolicy import (
     validate_policy_document,
 )
 
+POLICY_HELP = "path to the policy XML file"
 
-def _add_store_arguments(cmd: argparse.ArgumentParser) -> None:
-    """The store pair every ADI-touching command takes: one is required.
+
+def _add_store_arguments(
+    cmd: argparse.ArgumentParser, default: str | None = None
+) -> None:
+    """The store pair every ADI-touching command takes.
 
     ``--adi <path>`` stays as the historical shorthand for
     ``--store sqlite:<path>``; ``--store`` takes the full unified spec
     grammar (see :func:`repro.api.parse_store_spec`) and wins when both
-    are given.
+    are given.  Without a ``default`` one of them is required.
     """
     cmd.add_argument(
         "--adi",
-        help="SQLite retained-ADI path (shorthand for --store sqlite:<path>)",
+        help="SQLite retained-ADI path ("
+        + ("default: in-memory store; " if default else "")
+        + "shorthand for --store sqlite:<path>)",
     )
     cmd.add_argument(
         "--store",
         help="retained-ADI store spec: memory, sqlite:<path>, or "
         "tiered:<warm-spec>?hot_users=N[&shards=M] (overrides --adi)",
     )
+    cmd.set_defaults(store_default=default)
 
 
 def _store_spec(args: argparse.Namespace) -> str:
-    if getattr(args, "store", None):
+    if args.store:
         return args.store
-    if getattr(args, "adi", None):
+    if args.adi:
         return f"sqlite:{args.adi}"
+    if args.store_default:
+        return args.store_default
     raise StoreSpecError("one of --adi or --store is required")
 
 
@@ -91,6 +107,75 @@ def _open_store(args: argparse.Namespace):
     return store
 
 
+def _add_address(
+    cmd: argparse.ArgumentParser,
+    coordinator: bool = False,
+    local_help: str | None = None,
+) -> None:
+    """Where a networked verb connects: a ``serve`` instance or the
+    cluster coordinator.  With ``local_help`` the verb runs locally
+    unless ``--host`` is given, and takes no ``--protocol``."""
+    cmd.add_argument(
+        "--host", default=None if local_help else "127.0.0.1", help=local_help
+    )
+    if coordinator:
+        cmd.add_argument(
+            "--port", type=int, default=8760, help="coordinator port"
+        )
+    else:
+        cmd.add_argument("--port", type=int, default=8750)
+    cmd.add_argument("--timeout", type=float, default=5.0)
+    if local_help is None:
+        cmd.add_argument(
+            "--protocol",
+            choices=("auto", "v1", "v2"),
+            default="auto",
+            help="per-node decide wire protocol (auto negotiates "
+            "pipelined binary v2 with v1 fallback)"
+            if coordinator
+            else "decide wire protocol: negotiate pipelined binary v2 "
+            "(auto, the default) or pin v1/v2",
+        )
+
+
+def _client(args: argparse.Namespace):
+    """The verb's client: the routing :class:`~repro.cluster.ClusterPDP`
+    for ``cluster`` verbs, a :class:`~repro.client.RemotePDP` otherwise."""
+    protocol = getattr(args, "protocol", "auto")
+    if args.command == "cluster":
+        from repro.cluster import ClusterPDP
+
+        return ClusterPDP(
+            (args.host, args.port), timeout=args.timeout, protocol=protocol
+        )
+    from repro.client import RemotePDP
+
+    return RemotePDP(
+        args.host, args.port, timeout=args.timeout, protocol_version=protocol
+    )
+
+
+def _print_reply(reply) -> None:
+    """Print a verb's reply: text as is, a body as sorted, indented JSON."""
+    if isinstance(reply, str):
+        print(reply, end="" if reply.endswith("\n") else "\n")
+    else:
+        print(json.dumps(reply, indent=2, sort_keys=True))
+
+
+def _ask(call):
+    """A handler that opens the verb's client, makes the one
+    ``call(pdp, args)`` and prints its reply."""
+
+    def run(args: argparse.Namespace) -> int:
+        with _client(args) as pdp:
+            reply = call(pdp, args)
+        _print_reply(reply)
+        return 0
+
+    return run
+
+
 def _parse_role(text: str) -> Role:
     role_type, sep, value = text.partition(":")
     if not sep:
@@ -98,6 +183,67 @@ def _parse_role(text: str) -> Role:
             f"role {text!r} must be of the form type:value"
         )
     return Role(role_type, value)
+
+
+def _add_request(cmd: argparse.ArgumentParser) -> None:
+    """The Section 4.1 request flags every deciding verb takes."""
+    cmd.add_argument("--user", required=True, help="user ID")
+    cmd.add_argument(
+        "--role",
+        action="append",
+        required=True,
+        type=_parse_role,
+        help="activated role as type:value (repeatable)",
+    )
+    cmd.add_argument("--operation", required=True)
+    cmd.add_argument("--target", required=True)
+    cmd.add_argument(
+        "--context", required=True, help='business-context instance, e.g. "A=1, B=2"'
+    )
+
+
+def _request(args: argparse.Namespace, **extra) -> DecisionRequest:
+    return DecisionRequest(
+        user_id=args.user,
+        roles=tuple(args.role),
+        operation=args.operation,
+        target=args.target,
+        context_instance=ContextName.parse(args.context),
+        timestamp=time.time(),
+        **extra,
+    )
+
+
+def _print_decision(decision, counts: bool = True) -> int:
+    """Print a verdict (and a grant's record counts); exit 2 on deny."""
+    print(decision)
+    if counts and decision.granted:
+        print(
+            f"recorded {decision.records_added} record(s), "
+            f"purged {decision.records_purged}"
+        )
+    return 0 if decision.granted else 2
+
+
+def _verb(parent, name: str, run, help: str, policy=None, address=None):
+    """Declare one verb and its handler; ``policy`` is the help of a
+    leading policy-file argument, ``address`` (``"server"`` or
+    ``"coordinator"``) adds the connect options after it."""
+    cmd = parent.add_parser(name, help=help)
+    if policy is not None:
+        cmd.add_argument("policy", help=policy)
+    if address is not None:
+        _add_address(cmd, coordinator=address == "coordinator")
+    cmd.set_defaults(run=run)
+    return cmd
+
+
+def _group(parent, name: str, help: str):
+    """A verb whose sub-verbs follow it (``policy``, ``cluster``,
+    ``cluster resize``)."""
+    return parent.add_parser(name, help=help).add_subparsers(
+        dest=f"{name}_command", required=True
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,37 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    validate = commands.add_parser(
-        "validate", help="validate an MSoD policy XML document"
+    _verb(
+        commands,
+        "validate",
+        cmd_validate,
+        "validate an MSoD policy XML document",
+        POLICY_HELP,
     )
-    validate.add_argument("policy", help="path to the policy XML file")
+    _verb(commands, "show", cmd_show, "summarise an MSoD policy set", POLICY_HELP)
 
-    show = commands.add_parser("show", help="summarise an MSoD policy set")
-    show.add_argument("policy", help="path to the policy XML file")
-
-    decide = commands.add_parser(
-        "decide", help="evaluate one access request (one 'session')"
+    decide = _verb(
+        commands,
+        "decide",
+        cmd_decide,
+        "evaluate one access request (one 'session')",
+        POLICY_HELP,
     )
-    decide.add_argument("policy", help="path to the policy XML file")
     _add_store_arguments(decide)
-    decide.add_argument("--user", required=True, help="user ID")
-    decide.add_argument(
-        "--role",
-        action="append",
-        required=True,
-        type=_parse_role,
-        help="activated role as type:value (repeatable)",
-    )
-    decide.add_argument("--operation", required=True)
-    decide.add_argument("--target", required=True)
-    decide.add_argument(
-        "--context", required=True, help='business-context instance, e.g. "A=1, B=2"'
-    )
-    decide.add_argument(
-        "--literal",
-        action="store_true",
-        help="use the literal published step order instead of strict mode",
-    )
+    _add_request(decide)
+    _literal_flag(decide)
     decide.add_argument(
         "--trace",
         action="store_true",
@@ -151,58 +285,60 @@ def build_parser() -> argparse.ArgumentParser:
         "verdict, like `explain` but for the decision just taken",
     )
 
-    compile_cmd = commands.add_parser(
-        "compile", help="compile the authoring DSL to Appendix-A XML"
+    compile_cmd = _verb(
+        commands,
+        "compile",
+        cmd_compile,
+        "compile the authoring DSL to Appendix-A XML",
     )
     compile_cmd.add_argument("source", help="path to a .msod DSL file")
     compile_cmd.add_argument(
         "-o", "--output", help="output XML path (default: stdout)"
     )
 
-    decompile_cmd = commands.add_parser(
-        "decompile", help="render an XML policy set as authoring DSL"
+    _verb(
+        commands,
+        "decompile",
+        cmd_decompile,
+        "render an XML policy set as authoring DSL",
+        POLICY_HELP,
     )
-    decompile_cmd.add_argument("policy", help="path to the policy XML file")
-
-    lint = commands.add_parser(
+    _verb(
+        commands,
         "lint",
-        help="statically analyse a PERMIS XML policy and its MSoD component",
+        cmd_lint,
+        "statically analyse a PERMIS XML policy and its MSoD component",
+        "path to a PermisRBACPolicy XML file",
     )
-    lint.add_argument("policy", help="path to a PermisRBACPolicy XML file")
 
-    verify_cmd = commands.add_parser(
+    verify_cmd = _verb(
+        commands,
         "verify",
-        help="statically verify an MSoD policy set (stage 1 of the "
+        cmd_verify,
+        "statically verify an MSoD policy set (stage 1 of the "
         "rollout pipeline); exit 1 on error-severity findings",
-    )
-    verify_cmd.add_argument(
-        "policy", help="path to the policy XML (or .msod DSL) file"
+        "path to the policy XML (or .msod DSL) file",
     )
     verify_cmd.add_argument(
         "--permis",
         help="companion PermisRBACPolicy XML enabling the RBAC-layer "
         "reachability checks (assignable roles, grantable privileges)",
     )
-    verify_cmd.add_argument(
-        "--host",
-        default=None,
-        help="verify on a running `serve` instance (its engine parses "
-        "the candidate) instead of locally",
+    _add_address(
+        verify_cmd,
+        local_help="verify on a running `serve` instance (its engine "
+        "parses the candidate) instead of locally",
     )
-    verify_cmd.add_argument("--port", type=int, default=8750)
-    verify_cmd.add_argument("--timeout", type=float, default=5.0)
-    verify_cmd.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
+    _json_flag(verify_cmd)
 
-    whatif_cmd = commands.add_parser(
+    whatif_cmd = _verb(
+        commands,
         "whatif",
-        help="differentially replay a recorded audit trail under a "
+        cmd_whatif,
+        "differentially replay a recorded audit trail under a "
         "candidate policy set (stage 2); exit 1 when more decisions "
         "flip than --max-flips allows",
-    )
-    whatif_cmd.add_argument(
-        "policy", help="path to the candidate policy XML (or .msod DSL) file"
+        "path to the candidate policy XML (or .msod DSL) file",
     )
     whatif_cmd.add_argument(
         "--audit-dir", help="recorded audit-trail directory to replay"
@@ -230,40 +366,34 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="tolerated flipped decisions before exiting 1 (default 0)",
     )
-    whatif_cmd.add_argument(
-        "--host",
-        default=None,
-        help="replay on a running `serve` instance against its own "
-        "recent trail instead of --audit-dir",
+    _add_address(
+        whatif_cmd,
+        local_help="replay on a running `serve` instance against its "
+        "own recent trail instead of --audit-dir",
     )
-    whatif_cmd.add_argument("--port", type=int, default=8750)
-    whatif_cmd.add_argument("--timeout", type=float, default=5.0)
-    whatif_cmd.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
+    _json_flag(whatif_cmd)
 
-    explain_cmd = commands.add_parser(
+    explain_cmd = _verb(
+        commands,
         "explain",
-        help="dry-run a request and narrate the §4.2 evaluation "
+        cmd_explain,
+        "dry-run a request and narrate the §4.2 evaluation "
         "(never modifies the retained ADI)",
+        POLICY_HELP,
     )
-    explain_cmd.add_argument("policy", help="path to the policy XML file")
     _add_store_arguments(explain_cmd)
-    explain_cmd.add_argument("--user", required=True)
-    explain_cmd.add_argument(
-        "--role", action="append", required=True, type=_parse_role
-    )
-    explain_cmd.add_argument("--operation", required=True)
-    explain_cmd.add_argument("--target", required=True)
-    explain_cmd.add_argument("--context", required=True)
+    _add_request(explain_cmd)
 
-    history = commands.add_parser(
-        "history", help="list the retained-ADI records"
+    history = _verb(
+        commands, "history", cmd_history, "list the retained-ADI records"
     )
     _add_store_arguments(history)
 
-    purge = commands.add_parser(
-        "purge", help="administratively purge retained-ADI records (§4.3)"
+    purge = _verb(
+        commands,
+        "purge",
+        cmd_purge,
+        "administratively purge retained-ADI records (§4.3)",
     )
     _add_store_arguments(purge)
     group = purge.add_mutually_exclusive_group(required=True)
@@ -274,11 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument("--all", action="store_true", help="purge everything")
 
-    serve = commands.add_parser(
+    serve = _verb(
+        commands,
         "serve",
-        help="run the sharded MSoD authorization service (JSON-lines TCP)",
+        cmd_serve,
+        "run the sharded MSoD authorization service (JSON-lines TCP)",
+        POLICY_HELP,
     )
-    serve.add_argument("policy", help="path to the policy XML file")
     _add_store_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8750)
@@ -304,11 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch gather window in seconds (default: adaptive, "
         "scaled to the shard count)",
     )
-    serve.add_argument(
-        "--literal",
-        action="store_true",
-        help="use the literal published step order instead of strict mode",
-    )
+    _literal_flag(serve)
     serve.add_argument(
         "--relaxed",
         action="store_true",
@@ -327,38 +455,39 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="how many slowest traces to retain (with --trace)",
     )
-    _audit_flags(serve)
+    serve.add_argument(
+        "--audit-dir",
+        help="append every decision to a secure audit trail here",
+    )
+    serve.add_argument(
+        "--audit-fsync",
+        action="store_true",
+        help="fsync each audit append before acknowledging",
+    )
+    _audit_flags(serve, "audit-trail-key")
 
-    def _remote_address(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--host", default="127.0.0.1")
-        cmd.add_argument("--port", type=int, default=8750)
-        cmd.add_argument("--timeout", type=float, default=5.0)
-        cmd.add_argument(
-            "--protocol",
-            choices=("auto", "v1", "v2"),
-            default="auto",
-            help="decide wire protocol: negotiate pipelined binary v2 "
-            "(auto, the default) or pin v1/v2",
+    _add_request(
+        _verb(
+            commands,
+            "remote-decide",
+            cmd_remote_decide,
+            "evaluate one access request against a running `serve` instance",
+            address="server",
         )
-
-    remote_decide = commands.add_parser(
-        "remote-decide",
-        help="evaluate one access request against a running `serve` instance",
     )
-    _remote_address(remote_decide)
-    remote_decide.add_argument("--user", required=True)
-    remote_decide.add_argument(
-        "--role", action="append", required=True, type=_parse_role
-    )
-    remote_decide.add_argument("--operation", required=True)
-    remote_decide.add_argument("--target", required=True)
-    remote_decide.add_argument("--context", required=True)
-
-    remote_status = commands.add_parser(
+    remote_status = _verb(
+        commands,
         "remote-status",
-        help="print a running server's health (or --metrics) snapshot",
+        _ask(
+            lambda pdp, args: pdp.slowlog()
+            if args.slowlog
+            else pdp.metrics()
+            if args.metrics
+            else pdp.healthz()
+        ),
+        "print a running server's health (or --metrics) snapshot",
+        address="server",
     )
-    _remote_address(remote_status)
     status_kind = remote_status.add_mutually_exclusive_group()
     status_kind.add_argument(
         "--metrics",
@@ -370,32 +499,35 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="the server's slowest retained decision traces",
     )
-
-    metrics_cmd = commands.add_parser(
+    _verb(
+        commands,
         "metrics",
-        help="scrape a running server's Prometheus text exposition",
+        _ask(lambda pdp, args: pdp.metrics_text()),
+        "scrape a running server's Prometheus text exposition",
+        address="server",
     )
-    _remote_address(metrics_cmd)
 
-    policy_cmd = commands.add_parser(
+    policy_cmds = _group(
+        commands,
         "policy",
-        help="live policy management against a running `serve` instance",
+        "live policy management against a running `serve` instance",
     )
-    policy_cmds = policy_cmd.add_subparsers(
-        dest="policy_command", required=True
-    )
-    pstatus = policy_cmds.add_parser(
+    _verb(
+        policy_cmds,
         "status",
-        help="print the server's active policy version and reload count",
+        _ask(lambda pdp, args: pdp.policy_status()),
+        "print the server's active policy version and reload count",
+        address="server",
     )
-    _remote_address(pstatus)
-    preload = policy_cmds.add_parser(
+    preload = _verb(
+        policy_cmds,
         "reload",
-        help="hot-swap the server's policy set from an XML file, zero "
+        cmd_policy_reload,
+        "hot-swap the server's policy set from an XML file, zero "
         "downtime (reloading an identical set is a detected no-op)",
+        "path to the new policy XML file",
+        "server",
     )
-    preload.add_argument("policy", help="path to the new policy XML file")
-    _remote_address(preload)
     _verify_flags(preload)
     preload.add_argument(
         "--principal",
@@ -404,18 +536,19 @@ def build_parser() -> argparse.ArgumentParser:
         "refuse a principal with retained operational decisions",
     )
 
-    cluster = commands.add_parser(
+    cluster_cmds = _group(
+        commands,
         "cluster",
-        help="multi-node MSoD cluster: serve, nodes, status, smoke test",
+        "multi-node MSoD cluster: serve, nodes, status, smoke test",
     )
-    cluster_cmds = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    cserve = cluster_cmds.add_parser(
+    cserve = _verb(
+        cluster_cmds,
         "serve",
-        help="boot an N-shard cluster (primary+standby each) plus the "
+        cmd_cluster_serve,
+        "boot an N-shard cluster (primary+standby each) plus the "
         "routing coordinator, in one process",
+        POLICY_HELP,
     )
-    cserve.add_argument("policy", help="path to the policy XML file")
     cserve.add_argument(
         "--data-dir",
         required=True,
@@ -434,14 +567,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-node retained-ADI store spec: memory, sqlite (one file "
         "per node under --data-dir) or tiered:sqlite?hot_users=N",
     )
-    _audit_flags(cserve, fsync_default=True)
+    _no_fsync_flag(cserve)
+    _audit_flags(cserve, "cluster-trail-key")
 
-    cnode = cluster_cmds.add_parser(
+    cnode = _verb(
+        cluster_cmds,
         "node",
-        help="run one standalone cluster node (the multi-process bench's "
+        cmd_cluster_node,
+        "run one standalone cluster node (the multi-process bench's "
         "building block)",
+        POLICY_HELP,
     )
-    cnode.add_argument("policy", help="path to the policy XML file")
     cnode.add_argument("--name", required=True, help="node name")
     cnode.add_argument("--shard", required=True, help="owning shard name")
     cnode.add_argument(
@@ -450,66 +586,47 @@ def build_parser() -> argparse.ArgumentParser:
     cnode.add_argument("--epoch", type=int, default=1)
     cnode.add_argument("--host", default="127.0.0.1")
     cnode.add_argument("--port", type=int, default=0)
-    cnode.add_argument(
-        "--adi",
-        help="SQLite retained-ADI path (default: in-memory store; "
-        "shorthand for --store sqlite:<path>)",
-    )
-    cnode.add_argument(
-        "--store",
-        help="retained-ADI store spec (overrides --adi)",
-    )
+    _add_store_arguments(cnode, default="memory")
     cnode.add_argument(
         "--audit-dir", required=True, help="this node's trail directory"
     )
-    cnode.add_argument("--audit-key", default="cluster-trail-key")
-    cnode.add_argument("--audit-max-records", type=int, default=10_000)
-    cnode.add_argument("--audit-max-bytes", type=int, default=None)
-    cnode.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip per-append fsync (benchmarking only; loses the "
-        "acknowledged-implies-durable guarantee)",
-    )
+    _audit_flags(cnode, "cluster-trail-key")
+    _no_fsync_flag(cnode)
 
-    def _coordinator_address(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--host", default="127.0.0.1")
-        cmd.add_argument(
-            "--port", type=int, default=8760, help="coordinator port"
-        )
-        cmd.add_argument("--timeout", type=float, default=5.0)
-        cmd.add_argument(
-            "--protocol",
-            choices=("auto", "v1", "v2"),
-            default="auto",
-            help="per-node decide wire protocol (auto negotiates "
-            "pipelined binary v2 with v1 fallback)",
-        )
+    for name, call, help in (
+        (
+            "status",
+            lambda pdp, args: pdp.cluster_status(),
+            "print the coordinator's cluster-status body",
+        ),
+        ("route", lambda pdp, args: pdp.route(), "print the current routing table"),
+        (
+            "metrics",
+            lambda pdp, args: pdp.cluster_metrics_text(),
+            "scrape the coordinator's Prometheus exposition "
+            "(per-node up/primary/epoch gauges)",
+        ),
+    ):
+        _verb(cluster_cmds, name, _ask(call), help, address="coordinator")
 
-    cstatus = cluster_cmds.add_parser(
-        "status", help="print the coordinator's cluster-status body"
-    )
-    _coordinator_address(cstatus)
-
-    croute = cluster_cmds.add_parser(
-        "route", help="print the current routing table"
-    )
-    _coordinator_address(croute)
-
-    cmetrics = cluster_cmds.add_parser(
-        "metrics",
-        help="scrape the coordinator's Prometheus exposition "
-        "(per-node up/primary/epoch gauges)",
-    )
-    _coordinator_address(cmetrics)
-
-    creload = cluster_cmds.add_parser(
+    creload = _verb(
+        cluster_cmds,
         "reload",
-        help="roll a new policy XML across every cluster node, standby "
+        _ask(
+            lambda pdp, args: pdp.reload_policy(
+                args.policy,
+                verify=args.verify,
+                max_flips=args.max_flips,
+                force=args.force,
+                canary=args.canary,
+                principal=args.principal,
+            )
+        ),
+        "roll a new policy XML across every cluster node, standby "
         "first, via the coordinator",
+        "path to the new policy XML file",
+        "coordinator",
     )
-    creload.add_argument("policy", help="path to the new policy XML file")
-    _coordinator_address(creload)
     _verify_flags(creload)
     creload.add_argument(
         "--canary",
@@ -525,28 +642,41 @@ def build_parser() -> argparse.ArgumentParser:
         "checked before any node swaps",
     )
 
-    cresize = cluster_cmds.add_parser(
+    # Each resize verb's name is the action its reshard frame carries.
+    resize_cmds = _group(
+        cluster_cmds,
         "resize",
-        help="online topology changes: add-node (split), drain, "
+        "online topology changes: add-node (split), drain, "
         "rebalance, status — all under live load",
     )
-    resize_cmds = cresize.add_subparsers(
-        dest="resize_command", required=True
-    )
-    radd = resize_cmds.add_parser(
+    radd = _verb(
+        resize_cmds,
         "add-node",
-        help="grow by one shard: boot a primary+standby pair and "
+        _resize(lambda pdp, args: pdp.resize(args.resize_command)),
+        "grow by one shard: boot a primary+standby pair and "
         "migrate its hash-ring range onto it without downtime",
     )
-    rdrain = resize_cmds.add_parser(
+    rdrain = _verb(
+        resize_cmds,
         "drain",
-        help="shrink by one shard: migrate its users to the survivors, "
+        _resize(
+            lambda pdp, args: pdp.resize(args.resize_command, shard=args.shard)
+        ),
+        "shrink by one shard: migrate its users to the survivors, "
         "then retire its nodes (trails kept as sealed lineages)",
     )
     rdrain.add_argument("shard", help="name of the shard to retire")
-    rrebalance = resize_cmds.add_parser(
+    rrebalance = _verb(
+        resize_cmds,
         "rebalance",
-        help="report per-shard resident-user imbalance from the store "
+        _resize(
+            lambda pdp, args: pdp.resize(
+                args.resize_command,
+                apply=args.apply,
+                threshold=args.threshold,
+            )
+        ),
+        "report per-shard resident-user imbalance from the store "
         "gauges; --apply starts a split when recommended",
     )
     rrebalance.add_argument(
@@ -560,14 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="start the recommended split instead of only reporting",
     )
-    rstatus = resize_cmds.add_parser(
-        "status",
-        help="print the active migration (phase, users moved, events "
-        "imported) and migration history counters",
-    )
-    for rcmd in (radd, rdrain, rrebalance, rstatus):
-        _coordinator_address(rcmd)
     for rcmd in (radd, rdrain, rrebalance):
+        _add_address(rcmd, coordinator=True)
         rcmd.add_argument(
             "--wait",
             action="store_true",
@@ -579,23 +703,30 @@ def build_parser() -> argparse.ArgumentParser:
             default=120.0,
             help="seconds to poll with --wait before giving up",
         )
-
-    cdecide = cluster_cmds.add_parser(
-        "decide",
-        help="evaluate one request through the routing cluster client",
+    _verb(
+        resize_cmds,
+        "status",
+        _ask(lambda pdp, args: pdp.reshard_status()),
+        "print the active migration (phase, users moved, events "
+        "imported) and migration history counters",
+        address="coordinator",
     )
-    _coordinator_address(cdecide)
-    cdecide.add_argument("--user", required=True)
-    cdecide.add_argument(
-        "--role", action="append", required=True, type=_parse_role
-    )
-    cdecide.add_argument("--operation", required=True)
-    cdecide.add_argument("--target", required=True)
-    cdecide.add_argument("--context", required=True)
 
-    csmoke = cluster_cmds.add_parser(
+    _add_request(
+        _verb(
+            cluster_cmds,
+            "decide",
+            cmd_cluster_decide,
+            "evaluate one request through the routing cluster client",
+            address="coordinator",
+        )
+    )
+
+    csmoke = _verb(
+        cluster_cmds,
         "smoke",
-        help="boot a cluster, run the hot-user workload, kill a primary "
+        cmd_cluster_smoke,
+        "boot a cluster, run the hot-user workload, kill a primary "
         "mid-stream, assert failover correctness (the CI job)",
     )
     csmoke.add_argument(
@@ -609,9 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="sqlite",
         help="per-node store spec (memory, sqlite, tiered:sqlite?...)",
     )
-    csmoke.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
+    _json_flag(csmoke)
     csmoke.add_argument(
         "--resize",
         action="store_true",
@@ -620,6 +749,20 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinator killed and a source primary killed mid-migration",
     )
     return parser
+
+
+def _json_flag(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--json", action="store_true", help="print the report as JSON"
+    )
+
+
+def _literal_flag(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--literal",
+        action="store_true",
+        help="use the literal published step order instead of strict mode",
+    )
 
 
 def _verify_flags(cmd: argparse.ArgumentParser) -> None:
@@ -645,31 +788,11 @@ def _verify_flags(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _audit_flags(
-    cmd: argparse.ArgumentParser, fsync_default: bool = False
-) -> None:
-    """Audit-trail flags shared by ``serve`` and ``cluster serve``."""
-    if fsync_default:
-        cmd.add_argument(
-            "--no-fsync",
-            action="store_true",
-            help="skip per-append fsync (benchmarking only; loses the "
-            "acknowledged-implies-durable guarantee)",
-        )
-    else:
-        cmd.add_argument(
-            "--audit-dir",
-            help="append every decision to a secure audit trail here",
-        )
-        cmd.add_argument(
-            "--audit-fsync",
-            action="store_true",
-            help="fsync each audit append before acknowledging",
-        )
+def _audit_flags(cmd: argparse.ArgumentParser, key: str) -> None:
+    """Audit-trail flags shared by ``serve``, ``cluster serve`` and
+    ``cluster node``."""
     cmd.add_argument(
-        "--audit-key",
-        default="cluster-trail-key" if fsync_default else "audit-trail-key",
-        help="HMAC key sealing the audit trails",
+        "--audit-key", default=key, help="HMAC key sealing the audit trails"
     )
     cmd.add_argument(
         "--audit-max-records",
@@ -682,6 +805,16 @@ def _audit_flags(
         type=int,
         default=None,
         help="also rotate once the active trail reaches this many bytes",
+    )
+
+
+def _no_fsync_flag(cmd: argparse.ArgumentParser) -> None:
+    """Cluster nodes fsync every trail append unless told not to."""
+    cmd.add_argument(
+        "--no-fsync",
+        action="store_true",
+        help="skip per-append fsync (benchmarking only; loses the "
+        "acknowledged-implies-durable guarantee)",
     )
 
 
@@ -762,33 +895,31 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if has_errors else 0
 
 
-def _print_verify_body(body: dict, as_json: bool) -> None:
-    """Render a verify-report dict (local or wire) for the terminal."""
-    if as_json:
-        print(json.dumps(body, indent=2, sort_keys=True))
-        return
-    from repro.verify import VerifyReport
-
-    report = VerifyReport.from_dict(body)
-    if not report.findings:
-        print("no findings")
-    for finding in report.findings:
-        print(finding)
-    counts = report.counts_by_severity()
+def _local_only(args: argparse.Namespace, **defaults) -> bool:
+    """Whether ``--host`` came with a flag only a local run reads (one
+    not at its default); says so on stderr.  Such a flag is refused
+    rather than silently dropped."""
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest, default in defaults.items()
+        if getattr(args, dest) != default
+    ]
+    if args.host is None or not given:
+        return False
     print(
-        f"{'ok' if report.ok else 'REFUSED'}: "
-        f"{counts.get('error', 0)} error(s), "
-        f"{counts.get('warning', 0)} warning(s), "
-        f"{counts.get('info', 0)} info"
+        f"error: {', '.join(given)} applies to a local run only and "
+        "cannot be combined with --host",
+        file=sys.stderr,
     )
+    return True
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Statically verify a policy set; exit 1 on error findings."""
+    if _local_only(args, permis=None):
+        return 2
     if args.host is not None:
-        from repro.client import RemotePDP
-
-        with RemotePDP(args.host, args.port, timeout=args.timeout) as pdp:
+        with _client(args) as pdp:
             body = pdp.verify_policy(args.policy)
     else:
         from repro.api import verify_policy
@@ -800,7 +931,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
             with open(args.permis, "r", encoding="utf-8") as handle:
                 permis = parse_permis_policy(handle.read())
         body = verify_policy(args.policy, permis=permis).to_dict()
-    _print_verify_body(body, args.json)
+    if args.json:
+        _print_reply(body)
+    else:
+        from repro.verify import VerifyReport
+
+        # One rendering for a local report and one from the wire.
+        report = VerifyReport.from_dict(body)
+        if not report.findings:
+            print("no findings")
+        for finding in report.findings:
+            print(finding)
+        counts = report.counts_by_severity()
+        print(
+            f"{'ok' if report.ok else 'REFUSED'}: "
+            f"{counts.get('error', 0)} error(s), "
+            f"{counts.get('warning', 0)} warning(s), "
+            f"{counts.get('info', 0)} info"
+        )
     return 0 if body.get("ok") else 1
 
 
@@ -813,10 +961,10 @@ def cmd_whatif(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if _local_only(args, last_n_trails=None, since=0.0):
+        return 2
     if args.host is not None:
-        from repro.client import RemotePDP
-
-        with RemotePDP(args.host, args.port, timeout=args.timeout) as pdp:
+        with _client(args) as pdp:
             body = pdp.what_if(args.policy)
     else:
         from repro.api import what_if
@@ -829,7 +977,7 @@ def cmd_whatif(args: argparse.Namespace) -> int:
             since=args.since,
         ).to_dict()
     if args.json:
-        print(json.dumps(body, indent=2, sort_keys=True))
+        _print_reply(body)
     else:
         from repro.verify import DecisionFlip
 
@@ -848,7 +996,6 @@ def cmd_whatif(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     """Evaluate one request as its own session; exit 2 on deny."""
     from repro.api import open_pdp
-    from repro.core.engine import MODE_LITERAL, MODE_STRICT
 
     with open_pdp(
         args.policy,
@@ -856,14 +1003,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         mode=MODE_LITERAL if args.literal else MODE_STRICT,
         trace=args.trace,
     ) as pdp:
-        request = DecisionRequest(
-            user_id=args.user,
-            roles=tuple(args.role),
-            operation=args.operation,
-            target=args.target,
-            context_instance=ContextName.parse(args.context),
-            timestamp=time.time(),
-        )
+        request = _request(args)
         explanation = None
         if args.explain:
             from repro.core import explain
@@ -872,17 +1012,12 @@ def cmd_decide(args: argparse.Namespace) -> int:
             # below may append retained-ADI records.
             explanation = explain(pdp.engine, request)
         decision = pdp.decide(request)
-    print(decision)
-    if decision.granted:
-        print(
-            f"recorded {decision.records_added} record(s), "
-            f"purged {decision.records_purged}"
-        )
+    code = _print_decision(decision)
     if args.trace and decision.trace is not None:
         print(decision.trace.render())
     if explanation is not None:
         print(explanation.render())
-    return 0 if decision.granted else 2
+    return code
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -890,49 +1025,32 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.core import explain
 
     policy_set = parse_policy_set_file(args.policy)
-    store = _open_store(args)
-    try:
-        engine = MSoDEngine(policy_set, store)
-        explanation = explain(
-            engine,
-            DecisionRequest(
-                user_id=args.user,
-                roles=tuple(args.role),
-                operation=args.operation,
-                target=args.target,
-                context_instance=ContextName.parse(args.context),
-                timestamp=time.time(),
-            ),
-        )
-        print(explanation.render())
-        return 0 if explanation.granted else 2
-    finally:
-        store.close()
+    with closing(_open_store(args)) as store:
+        explanation = explain(MSoDEngine(policy_set, store), _request(args))
+    print(explanation.render())
+    return 0 if explanation.granted else 2
 
 
 def cmd_history(args: argparse.Namespace) -> int:
     """List every record in the retained-ADI store."""
-    store = _open_store(args)
-    try:
-        port = RetainedADIManagementPort(store)
-        records = port.list_records([CONTROLLER_ROLE])
-        print(f"{len(records)} retained record(s)")
-        for record in records:
-            roles = ",".join(str(role) for role in record.roles)
-            print(
-                f"  #{record.record_id} t={record.granted_at:.0f} "
-                f"{record.user_id} [{roles}] {record.operation}@{record.target} "
-                f"in [{record.context_instance}]"
-            )
-        return 0
-    finally:
-        store.close()
+    with closing(_open_store(args)) as store:
+        records = RetainedADIManagementPort(store).list_records(
+            [CONTROLLER_ROLE]
+        )
+    print(f"{len(records)} retained record(s)")
+    for record in records:
+        roles = ",".join(str(role) for role in record.roles)
+        print(
+            f"  #{record.record_id} t={record.granted_at:.0f} "
+            f"{record.user_id} [{roles}] {record.operation}@{record.target} "
+            f"in [{record.context_instance}]"
+        )
+    return 0
 
 
 def cmd_purge(args: argparse.Namespace) -> int:
     """Administratively purge retained-ADI records (Section 4.3)."""
-    store = _open_store(args)
-    try:
+    with closing(_open_store(args)) as store:
         port = RetainedADIManagementPort(store)
         roles = [CONTROLLER_ROLE]
         if args.all:
@@ -943,56 +1061,81 @@ def cmd_purge(args: argparse.Namespace) -> int:
             outcome = port.purge_user(roles, args.user)
         else:
             outcome = port.purge_older_than(roles, args.older_than)
-        print(f"{outcome.detail}: {outcome.affected} record(s) removed")
-        return 0
-    finally:
-        store.close()
+    print(f"{outcome.detail}: {outcome.affected} record(s) removed")
+    return 0
 
 
-async def _serve_until_interrupted(args: argparse.Namespace) -> int:
-    """Boot the server and run until SIGINT/SIGTERM, then drain."""
-    from repro.core.engine import MODE_LITERAL, MODE_STRICT
+def _wait_for_signal(*banner: str) -> None:
+    """Print ``banner`` once SIGINT/SIGTERM are handled, then block the
+    main thread until one of them arrives."""
+    import threading
+
+    stop = threading.Event()
+
+    def handler(signum, frame):  # pragma: no cover - signal timing
+        stop.set()
+
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            signal.signal(signum, handler)
+        except (ValueError, OSError):  # pragma: no cover - non-main thread
+            pass
+    for line in banner:
+        print(line, flush=True)
+    try:
+        stop.wait()
+    except KeyboardInterrupt:  # pragma: no cover - direct ^C race
+        pass
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the networked authorization service until SIGINT/SIGTERM,
+    then drain its shard queues."""
     from repro.obs import Recorder
-    from repro.server import AuthorizationService, MSoDServer
+    from repro.server import AuthorizationService, ServerThread
 
     policy_set = parse_policy_set_file(args.policy, strict=not args.relaxed)
-    store = _open_store(args)
     perf = Recorder()
     if args.trace:
         perf.trace_decisions(args.slowlog_size)
-    audit_sink = trail_reader = trails = None
-    if args.audit_dir:
-        from repro.audit import (
-            EVENT_DECISION,
-            AuditTrailManager,
-            decision_event_payload,
-        )
-
-        trails = AuditTrailManager(
-            args.audit_dir,
-            args.audit_key.encode("utf-8"),
-            max_records=args.audit_max_records,
-            max_bytes=args.audit_max_bytes,
-            fsync=args.audit_fsync,
-        )
-
-        def audit_sink(decision):
-            trails.append(
+    # The stack closes the store and the trail if a constructor below
+    # raises; once built, the thread closes them after the drain, also
+    # when it never started listening.
+    with ExitStack() as owned:
+        store = owned.enter_context(closing(_open_store(args)))
+        audit_sink = trail_reader = None
+        if args.audit_dir:
+            from repro.audit import (
                 EVENT_DECISION,
-                decision.request.timestamp,
-                decision_event_payload(decision),
+                AuditTrailManager,
+                decision_event_payload,
             )
 
-        def trail_reader():
-            # A fresh tolerant reader per what-if: the verifying swap
-            # must not hold the writer's sequence state.
-            return AuditTrailManager(
-                args.audit_dir,
-                args.audit_key.encode("utf-8"),
-                tolerate_ahead=True,
+            key = args.audit_key.encode("utf-8")
+            trails = owned.enter_context(
+                AuditTrailManager(
+                    args.audit_dir,
+                    key,
+                    max_records=args.audit_max_records,
+                    max_bytes=args.audit_max_bytes,
+                    fsync=args.audit_fsync,
+                )
             )
 
-    try:
+            def audit_sink(decision):
+                trails.append(
+                    EVENT_DECISION,
+                    decision.request.timestamp,
+                    decision_event_payload(decision),
+                )
+
+            def trail_reader():
+                # A fresh tolerant reader per what-if: the verifying swap
+                # must not hold the writer's sequence state.
+                return AuditTrailManager(
+                    args.audit_dir, key, tolerate_ahead=True
+                )
+
         engine = MSoDEngine(
             policy_set,
             store,
@@ -1008,107 +1151,33 @@ async def _serve_until_interrupted(args: argparse.Namespace) -> int:
             audit_sink=audit_sink,
             trail_reader=trail_reader,
         )
-        server = MSoDServer(service, host=args.host, port=args.port)
-        await server.start()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # e.g. non-main thread / platforms without support
-        print(
+        server = ServerThread(
+            service, host=args.host, port=args.port, owns=[owned.pop_all()]
+        )
+    try:
+        server.start()
+        _wait_for_signal(
             f"serving MSoD decisions on {args.host}:{server.port} "
             f"({args.shards} shards, queue depth {args.queue_depth}, "
             f"batch max {args.batch_max}"
-            f"{', tracing on' if args.trace else ''})",
-            flush=True,
+            f"{', tracing on' if args.trace else ''})"
         )
-        await stop.wait()
         print("draining shard queues...", flush=True)
-        await server.stop()
     finally:
-        store.close()
-        if trails is not None:
-            trails.close()
+        server.stop()
     return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the networked authorization service until interrupted."""
-    try:
-        return asyncio.run(_serve_until_interrupted(args))
-    except KeyboardInterrupt:  # pragma: no cover - direct ^C race
-        return 0
 
 
 def cmd_remote_decide(args: argparse.Namespace) -> int:
-    """One decision through the existing PEP, against a remote PDP."""
-    from repro.api import open_pdp
-    from repro.framework import PolicyEnforcementPoint
-
-    with open_pdp(
-        store=f"remote:{args.host}:{args.port}",
-        timeout=args.timeout,
-        protocol=args.protocol,
-    ) as pdp:
-        pep = PolicyEnforcementPoint(pdp, clock=time.time)
-        decision = pep.request_decision(
-            user_id=args.user,
-            roles=tuple(args.role),
-            operation=args.operation,
-            target=args.target,
-            context_instance=ContextName.parse(args.context),
-        )
-    print(decision)
-    if decision.granted:
-        print(
-            f"recorded {decision.records_added} record(s), "
-            f"purged {decision.records_purged}"
-        )
-    return 0 if decision.granted else 2
-
-
-def cmd_remote_status(args: argparse.Namespace) -> int:
-    """Print a running server's health/metrics/slowlog snapshot as JSON."""
-    from repro.client import RemotePDP
-
-    with RemotePDP(args.host, args.port, timeout=args.timeout) as pdp:
-        if args.slowlog:
-            body = pdp.slowlog()
-        elif args.metrics:
-            body = pdp.metrics()
-        else:
-            body = pdp.healthz()
-    print(json.dumps(body, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Scrape the Prometheus text exposition from a running server."""
-    from repro.client import RemotePDP
-
-    with RemotePDP(args.host, args.port, timeout=args.timeout) as pdp:
-        text = pdp.metrics_text()
-    print(text, end="" if text.endswith("\n") else "\n")
-    return 0
-
-
-def cmd_policy_status(args: argparse.Namespace) -> int:
-    """Print a running server's policy version/reload snapshot as JSON."""
-    from repro.client import RemotePDP
-
-    with RemotePDP(args.host, args.port, timeout=args.timeout) as pdp:
-        body = pdp.policy_status()
-    print(json.dumps(body, indent=2, sort_keys=True))
-    return 0
+    """One decision against a running ``serve`` instance."""
+    with _client(args) as pdp:
+        decision = pdp.decide(_request(args))
+    return _print_decision(decision)
 
 
 def cmd_policy_reload(args: argparse.Namespace) -> int:
     """Hot-swap a running server's policy set from an XML file."""
-    from repro.client import RemotePDP
-
-    with RemotePDP(args.host, args.port, timeout=args.timeout) as pdp:
+    with _client(args) as pdp:
         report = pdp.reload_policy(
             args.policy,
             verify=args.verify,
@@ -1125,34 +1194,6 @@ def cmd_policy_reload(args: argparse.Namespace) -> int:
     else:
         print(f"no-op: digest unchanged, still {report.version}")
     return 0
-
-
-def cmd_policy(args: argparse.Namespace) -> int:
-    handlers = {
-        "status": cmd_policy_status,
-        "reload": cmd_policy_reload,
-    }
-    return handlers[args.policy_command](args)
-
-
-def _wait_for_signal() -> None:
-    """Block the main thread until SIGINT/SIGTERM."""
-    import threading
-
-    stop = threading.Event()
-
-    def handler(signum, frame):  # pragma: no cover - signal timing
-        stop.set()
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, handler)
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
-    try:
-        stop.wait()
-    except KeyboardInterrupt:  # pragma: no cover - direct ^C race
-        pass
 
 
 def cmd_cluster_serve(args: argparse.Namespace) -> int:
@@ -1172,22 +1213,19 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         fsync=not args.no_fsync,
     )
     with handle:
-        print(
+        shards = [handle.cluster.shard(name) for name in handle.shard_names]
+        _wait_for_signal(
             f"cluster coordinator on {handle.host}:{handle.port} "
             f"({args.cluster_shards} shards, store={args.store}, "
             f"fsync={'off' if args.no_fsync else 'on'})",
-            flush=True,
-        )
-        for shard in handle.shard_names:
-            state = handle.cluster.shard(shard)
-            print(
-                f"  {shard}: primary {state.primary.name} "
+            *(
+                f"  {state.name}: primary {state.primary.name} "
                 f"{state.primary.host}:{state.primary.port}, "
                 f"standby {state.standby.name} "
-                f"{state.standby.host}:{state.standby.port}",
-                flush=True,
-            )
-        _wait_for_signal()
+                f"{state.standby.host}:{state.standby.port}"
+                for state in shards
+            ),
+        )
         print("stopping cluster...", flush=True)
     return 0
 
@@ -1195,21 +1233,12 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
 def cmd_cluster_node(args: argparse.Namespace) -> int:
     """Run one standalone cluster node until interrupted."""
     from repro.cluster import ClusterNode
-    from repro.storespec import build_store, parse_store_spec
 
-    policy_set = parse_policy_set_file(args.policy)
-    if args.store:
-        spec = args.store
-    elif args.adi:
-        spec = f"sqlite:{args.adi}"
-    else:
-        spec = "memory"
-    store, _ = build_store(parse_store_spec(spec))
     node = ClusterNode(
         args.name,
         args.shard,
-        policy_set,
-        store,
+        parse_policy_set_file(args.policy),
+        _open_store(args),
         args.audit_dir,
         args.audit_key.encode("utf-8"),
         role=args.role,
@@ -1222,59 +1251,13 @@ def cmd_cluster_node(args: argparse.Namespace) -> int:
     )
     node.start()
     try:
-        print(
+        _wait_for_signal(
             f"node {node.name} serving shard {node.shard} on "
-            f"{node.host}:{node.port} role={node.role} epoch={node.epoch}",
-            flush=True,
+            f"{node.host}:{node.port} role={node.role} epoch={node.epoch}"
         )
-        _wait_for_signal()
         print("stopping node...", flush=True)
     finally:
         node.stop()
-    return 0
-
-
-def _cluster_client(args: argparse.Namespace):
-    from repro.cluster import ClusterPDP
-
-    return ClusterPDP(
-        (args.host, args.port),
-        timeout=args.timeout,
-        protocol=getattr(args, "protocol", "auto"),
-    )
-
-
-def cmd_cluster_status(args: argparse.Namespace) -> int:
-    with _cluster_client(args) as pdp:
-        print(json.dumps(pdp.cluster_status(), indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_cluster_route(args: argparse.Namespace) -> int:
-    with _cluster_client(args) as pdp:
-        print(json.dumps(pdp.route(), indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_cluster_metrics(args: argparse.Namespace) -> int:
-    with _cluster_client(args) as pdp:
-        text = pdp.cluster_metrics_text()
-    print(text, end="" if text.endswith("\n") else "\n")
-    return 0
-
-
-def cmd_cluster_reload(args: argparse.Namespace) -> int:
-    """Roll a new policy XML across every cluster node via the coordinator."""
-    with _cluster_client(args) as pdp:
-        body = pdp.reload_policy(
-            args.policy,
-            verify=args.verify,
-            max_flips=args.max_flips,
-            force=args.force,
-            canary=args.canary,
-            principal=args.principal,
-        )
-    print(json.dumps(body, indent=2, sort_keys=True))
     return 0
 
 
@@ -1282,46 +1265,27 @@ def cmd_cluster_decide(args: argparse.Namespace) -> int:
     """One decision through the routing, failover-surviving client."""
     import uuid
 
-    with _cluster_client(args) as pdp:
-        decision = pdp.decide(
-            DecisionRequest(
-                user_id=args.user,
-                roles=tuple(args.role),
-                operation=args.operation,
-                target=args.target,
-                context_instance=ContextName.parse(args.context),
-                timestamp=time.time(),
-                # The cluster journal dedupes by request_id across *all*
-                # clients, so a process-local counter id would collide
-                # with other CLI invocations.
-                request_id=f"cli-{uuid.uuid4().hex}",
-            )
-        )
-    print(decision)
-    return 0 if decision.granted else 2
+    with _client(args) as pdp:
+        # The cluster journal dedupes by request_id across *all*
+        # clients, so a process-local counter id would collide with
+        # other CLI invocations.
+        request = _request(args, request_id=f"cli-{uuid.uuid4().hex}")
+        decision = pdp.decide(request)
+    return _print_decision(decision, counts=False)
 
 
-def cmd_cluster_resize(args: argparse.Namespace) -> int:
-    """Online topology changes through the coordinator's reshard verbs."""
-    from repro.server import protocol as _protocol
+def _resize(start):
+    """A ``cluster resize`` handler: ``start(pdp, args)`` asks the
+    coordinator for the change (or plan); with ``--wait`` it then polls
+    until the migration completes, exiting 1 at ``--wait-timeout``."""
 
-    with _cluster_client(args) as pdp:
-        if args.resize_command == "status":
-            body = pdp.reshard_status()
-        elif args.resize_command == "add-node":
-            body = pdp.resize(_protocol.RESHARD_ACTION_ADD)
-        elif args.resize_command == "drain":
-            body = pdp.resize(_protocol.RESHARD_ACTION_DRAIN, shard=args.shard)
-        else:  # rebalance
-            body = pdp.resize(
-                _protocol.RESHARD_ACTION_REBALANCE, apply=args.apply
-            )
-            body["threshold"] = args.threshold
-        if getattr(args, "wait", False) and body.get("active"):
+    def run(args: argparse.Namespace) -> int:
+        with _client(args) as pdp:
+            body = start(pdp, args)
             deadline = time.monotonic() + args.wait_timeout
-            while body.get("active"):
+            while args.wait and body.get("active"):
                 if time.monotonic() >= deadline:
-                    print(json.dumps(body, indent=2, sort_keys=True))
+                    _print_reply(body)
                     print(
                         f"migration still active after {args.wait_timeout}s",
                         file=sys.stderr,
@@ -1329,41 +1293,141 @@ def cmd_cluster_resize(args: argparse.Namespace) -> int:
                     return 1
                 time.sleep(0.2)
                 body = pdp.reshard_status()
-    print(json.dumps(body, indent=2, sort_keys=True))
-    return 0
+        _print_reply(body)
+        return 0
+
+    return run
 
 
-def _smoke_digest(records) -> list:
-    """An order-free, comparable form of a retained-ADI record set."""
-    return sorted(
-        (
-            record.user_id,
-            tuple(
-                sorted((role.role_type, role.value) for role in record.roles)
-            ),
-            record.operation,
-            record.target,
-            str(record.context_instance),
-            record.granted_at,
-            record.request_id,
-        )
-        for record in records
+def _smoke_probe(user_id, role, privilege, context, timestamp):
+    """A smoke-workload request: one role exercising one privilege."""
+    return DecisionRequest(
+        user_id=user_id,
+        roles=(role,),
+        operation=privilege.operation,
+        target=privilege.target,
+        context_instance=context,
+        timestamp=timestamp,
     )
 
 
-def _smoke_check_exclusivity(records, report: dict, failures: list) -> None:
-    """The MMER invariant over the merged stores: no user holds Teller
-    and Auditor within one context instance."""
+def _smoke_extend(policy_set, context: str, policy_id: str):
+    """``policy_set`` plus one Teller/Auditor MMER policy over a context
+    no smoke workload touches: the epoch moves, no decision changes."""
+    from repro.core import MMER, MSoDPolicy, MSoDPolicySet
     from repro.workload import AUDITOR, TELLER
 
+    return MSoDPolicySet(
+        list(policy_set)
+        + [
+            MSoDPolicy(
+                ContextName.parse(context),
+                mmers=[MMER([TELLER, AUDITOR], 2)],
+                policy_id=policy_id,
+            )
+        ]
+    )
+
+
+def _smoke_users_on(ring, shard: str, prefix: str):
+    """User ids ``<prefix>-<n>`` the ring routes to ``shard``."""
+    return (
+        f"{prefix}-{index}"
+        for index in range(10_000)
+        if ring.shard_for(f"{prefix}-{index}") == shard
+    )
+
+
+def _smoke_load(pdp, name: str, probes, stop, errors: list):
+    """Start a live-load thread deciding ``probes(serial)`` for serial
+    1, 2, ... until ``stop`` is set; the first error ends it.  Returns
+    the thread and its ``(request, effect)`` log, in issue order."""
+    import threading
+
+    log: list = []
+
+    def run() -> None:
+        serial = 0
+        while not stop.is_set():
+            serial += 1
+            for request in probes(serial):
+                try:
+                    effect = pdp.decide(request).effect
+                except Exception as exc:
+                    errors.append(f"{name}: {type(exc).__name__}: {exc}")
+                    return
+                log.append((request, effect))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, log
+
+
+def _smoke_check_oracle(
+    cluster, policy_set, requests, effects, report, failures, when=""
+) -> None:
+    """The check both smoke scenarios end with: per-shard single-node
+    oracles agree on every effect and on each shard's retained ADI, and
+    no user holds Teller and Auditor within one context instance.
+
+    Each oracle is fed exactly the substream the final ring sends its
+    shard.  (A single global engine is *not* the right oracle — step
+    4's context-started check spans users, so the record set for a
+    shared context depends on which other-shard users touched it
+    first.  Per-user routing promises per-shard equivalence.)
+
+    The per-shard comparison keeps ``granted_at``, which
+    ``core.store_digest`` leaves out: §4.3 purges decide on it, and a
+    replicated, failed-over or resharded record must carry the oracle's
+    timestamp.
+    """
+    from repro.core import InMemoryRetainedADIStore
+    from repro.workload import AUDITOR, TELLER
+
+    def digest(store) -> list:
+        return sorted(
+            (
+                record.user_id,
+                tuple(sorted((r.role_type, r.value) for r in record.roles)),
+                record.operation,
+                record.target,
+                str(record.context_instance),
+                record.granted_at,
+                record.request_id,
+            )
+            for record in store.records()
+        )
+
+    oracles = {
+        name: MSoDEngine(policy_set, InMemoryRetainedADIStore())
+        for name in cluster.shard_names
+    }
+    oracle_effects = [
+        oracles[cluster.ring.shard_for(request.user_id)].check(request).effect
+        for request in requests
+    ]
+    report["grants"] = effects.count("grant")
+    report["denies"] = effects.count("deny")
+    mismatches = sum(
+        1 for ours, theirs in zip(effects, oracle_effects) if ours != theirs
+    )
+    if mismatches:
+        failures.append(f"{mismatches} decision(s) diverged from the oracle")
+
+    held: dict = {}
     exclusive = 0
-    seen: dict = {}
-    for record in records:
-        key = (record.user_id, str(record.context_instance))
-        roles = seen.setdefault(key, set())
-        roles.update(record.roles)
-        if TELLER in roles and AUDITOR in roles:
-            exclusive += 1
+    for name in cluster.shard_names:
+        store = cluster.shard(name).primary.store
+        for record in store.records():
+            key = (record.user_id, str(record.context_instance))
+            roles = held.setdefault(key, set())
+            roles.update(record.roles)
+            exclusive += TELLER in roles and AUDITOR in roles
+        if digest(store) != digest(oracles[name].store):
+            failures.append(
+                f"{name} retained ADI differs from its single-node "
+                f"oracle{when}"
+            )
     report["exclusivity_violations"] = exclusive
     if exclusive:
         failures.append(
@@ -1376,7 +1440,7 @@ def _smoke_finish(report: dict, failures: list, as_json: bool) -> int:
     report["ok"] = not failures
     report["failures"] = failures
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_reply(report)
     else:
         for key in sorted(report):
             print(f"{key}: {report[key]}")
@@ -1410,11 +1474,11 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
     migrations completed, both kills actually failed over, and the
     reshard metric families scrape.
     """
+    import functools
     import tempfile
     import threading
 
     from repro.api import open_cluster
-    from repro.core import InMemoryRetainedADIStore
     from repro.workload import AUDIT_BOOKS, AUDITOR, HANDLE_CASH, TELLER
     from repro.workload import bank_policy_set
 
@@ -1435,59 +1499,30 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
     # the component the policy binds), so per-user issue order — which
     # each worker preserves by waiting for each decide — is the only
     # order the oracle replay below depends on.
-    logs: list[list] = [[] for _ in range(n_workers)]
+    logs: list[list] = []
 
-    def worker(index: int, pdp) -> None:
-        users = [f"resize-user-{index}-{i}" for i in range(8)]
-        serial = 0
-        while not stop.is_set():
-            serial += 1
-            user = users[serial % len(users)]
-            # The bank policy's context is "Branch=*, Period=!" — only
-            # the '!' component binds to the instance, so the *user
-            # must be in the Period value* for the effective policy
-            # context to be private to the user.  A shared period
-            # (Period=S1 for everyone) would make the engine's
-            # "context started" check cross-user, and the retained-ADI
-            # copy count would then depend on which user a given
-            # engine served first — unreproducible by any per-user
-            # oracle replay.
-            fresh = ContextName.parse(
-                f"Branch={user}, Period={user}-S{serial}"
+    def probes(index: int, serial: int) -> list:
+        user = f"resize-user-{index}-{serial % 8}"
+        # The bank policy's context is "Branch=*, Period=!" — only
+        # the '!' component binds to the instance, so the *user
+        # must be in the Period value* for the effective policy
+        # context to be private to the user.  A shared period
+        # (Period=S1 for everyone) would make the engine's
+        # "context started" check cross-user, and the retained-ADI
+        # copy count would then depend on which user a given
+        # engine served first — unreproducible by any per-user
+        # oracle replay.
+        fresh = ContextName.parse(f"Branch={user}, Period={user}-S{serial}")
+        stamp = float(index * 1_000_000 + serial)
+        batch = [_smoke_probe(user, TELLER, HANDLE_CASH, fresh, stamp)]
+        if serial % 5 == 0:
+            # Re-enter a context this user already exercised as
+            # Teller, as Auditor: the bank MMER must deny it, on
+            # whichever node owns the user at that moment.
+            batch.append(
+                _smoke_probe(user, AUDITOR, AUDIT_BOOKS, fresh, stamp + 0.5)
             )
-            probes = [
-                DecisionRequest(
-                    user_id=user,
-                    roles=(TELLER,),
-                    operation=HANDLE_CASH.operation,
-                    target=HANDLE_CASH.target,
-                    context_instance=fresh,
-                    timestamp=float(index * 1_000_000 + serial),
-                )
-            ]
-            if serial % 5 == 0:
-                # Re-enter a context this user already exercised as
-                # Teller, as Auditor: the bank MMER must deny it, on
-                # whichever node owns the user at that moment.
-                probes.append(
-                    DecisionRequest(
-                        user_id=user,
-                        roles=(AUDITOR,),
-                        operation=AUDIT_BOOKS.operation,
-                        target=AUDIT_BOOKS.target,
-                        context_instance=fresh,
-                        timestamp=float(index * 1_000_000 + serial) + 0.5,
-                    )
-                )
-            for request in probes:
-                try:
-                    effect = pdp.decide(request).effect
-                except Exception as exc:
-                    worker_errors.append(
-                        f"worker {index}: {type(exc).__name__}: {exc}"
-                    )
-                    return
-                logs[index].append((request, effect))
+        return batch
 
     def total_decisions() -> int:
         return sum(len(log) for log in logs)
@@ -1509,12 +1544,17 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
         ) as handle:
             cluster = handle.cluster
             with handle.client(failover_wait=60.0) as pdp:
-                threads = [
-                    threading.Thread(target=worker, args=(i, pdp), daemon=True)
-                    for i in range(n_workers)
-                ]
-                for thread in threads:
-                    thread.start()
+                threads = []
+                for i in range(n_workers):
+                    thread, log = _smoke_load(
+                        pdp,
+                        f"worker {i}",
+                        functools.partial(probes, i),
+                        stop,
+                        worker_errors,
+                    )
+                    threads.append(thread)
+                    logs.append(log)
                 try:
                     await_decisions(target_requests // 6)
 
@@ -1605,51 +1645,22 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
                 if family not in metrics_text:
                     failures.append(f"metrics family {family} missing")
 
-            # ---- the oracle: replay every user's stream, in issue
-            # order, into one fresh single-node engine per *final*
-            # shard.  Every context is private to its user, so this is
-            # exactly the history a never-resharded cluster would hold.
-            oracles = {
-                name: MSoDEngine(policy_set, InMemoryRetainedADIStore())
-                for name in cluster.shard_names
-            }
-            effects = []
-            oracle_effects = []
-            for log in logs:
-                for request, effect in log:
-                    shard_name = cluster.ring.shard_for(request.user_id)
-                    effects.append(effect)
-                    oracle_effects.append(
-                        oracles[shard_name].check(request).effect
-                    )
-            report["grants"] = effects.count("grant")
-            report["denies"] = effects.count("deny")
+            # ---- the oracle: every user's stream, in issue order.
+            # Every context is private to its user, so the final ring's
+            # per-shard oracles hold exactly the history a
+            # never-resharded cluster would.
+            decided = [entry for log in logs for entry in log]
+            _smoke_check_oracle(
+                cluster,
+                policy_set,
+                [request for request, _ in decided],
+                [effect for _, effect in decided],
+                report,
+                failures,
+                when=" after the resize cycle",
+            )
             if report["denies"] < 1:
                 failures.append("workload exercised no MMER denial")
-            if effects != oracle_effects:
-                mismatches = sum(
-                    1
-                    for ours, theirs in zip(effects, oracle_effects)
-                    if ours != theirs
-                )
-                failures.append(
-                    f"{mismatches} decision(s) diverged from the oracle"
-                )
-
-            merged = []
-            for shard_name in cluster.shard_names:
-                shard_records = list(
-                    cluster.shard(shard_name).primary.store.records()
-                )
-                merged.extend(shard_records)
-                if _smoke_digest(shard_records) != _smoke_digest(
-                    oracles[shard_name].store.records()
-                ):
-                    failures.append(
-                        f"{shard_name} retained ADI differs from its "
-                        "single-node oracle after the resize cycle"
-                    )
-            _smoke_check_exclusivity(merged, report, failures)
     return _smoke_finish(report, failures, args.json)
 
 
@@ -1681,8 +1692,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
 
     from repro.api import open_cluster
     from repro.audit import EVENT_DECISION, AuditTrailManager
-    from repro.core import InMemoryRetainedADIStore
-    from repro.core.constraints import MMCD, MMER, Privilege
+    from repro.core.constraints import MMCD, Privilege
     from repro.core.policy import MSoDPolicy, MSoDPolicySet
     from repro.workload import (
         AUDITOR,
@@ -1714,16 +1724,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
     # by the bank workload), so the reload changes the digest and
     # epoch everywhere without changing any decision — which keeps the
     # per-shard single-node oracles below valid as-is.
-    extended_set = MSoDPolicySet(
-        list(policy_set)
-        + [
-            MSoDPolicy(
-                ContextName.parse("Region=*, Quarter=!"),
-                mmers=[MMER([TELLER, AUDITOR], 2)],
-                policy_id="regional",
-            )
-        ]
-    )
+    extended_set = _smoke_extend(policy_set, "Region=*, Quarter=!", "regional")
     quarter = args.requests // 4
     half = args.requests // 2
     requests = list(
@@ -1753,22 +1754,13 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
             # Two distinct users on the shard that will lose its
             # primary: the first binds the duty set pre-kill, the
             # second must still be denied post-failover.
-            duty_users = [
-                f"duty-user-{index}"
-                for index in range(10_000)
-                if cluster.ring.shard_for(f"duty-user-{index}") == hot_shard
-            ][:2]
-            duty_owner, duty_intruder = duty_users
+            duty_users = _smoke_users_on(cluster.ring, hot_shard, "duty-user")
+            duty_owner, duty_intruder = next(duty_users), next(duty_users)
             duty_context = ContextName.parse("Filing=Annual, Case=2026")
 
             def duty_request(user_id, privilege, stamp):
-                return DecisionRequest(
-                    user_id=user_id,
-                    roles=(AUDITOR,),
-                    operation=privilege.operation,
-                    target=privilege.target,
-                    context_instance=duty_context,
-                    timestamp=stamp,
+                return _smoke_probe(
+                    user_id, AUDITOR, privilege, duty_context, stamp
                 )
 
             with handle.client(failover_wait=30.0) as pdp:
@@ -1821,15 +1813,8 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                 # keeps that shard's primary deciding.  The mirror must
                 # observe live decisions and report zero flips before
                 # the coordinator-wide rollout (epoch 3 everywhere).
-                canary_set = MSoDPolicySet(
-                    list(extended_set)
-                    + [
-                        MSoDPolicy(
-                            ContextName.parse("Desk=*, Cycle=!"),
-                            mmers=[MMER([TELLER, AUDITOR], 2)],
-                            policy_id="desk",
-                        )
-                    ]
+                canary_set = _smoke_extend(
+                    extended_set, "Desk=*, Cycle=!", "desk"
                 )
                 canary_shard = next(
                     (
@@ -1840,40 +1825,26 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                     hot_shard,
                 )
                 canary_user = next(
-                    f"canary-user-{index}"
-                    for index in range(10_000)
-                    if cluster.ring.shard_for(f"canary-user-{index}")
-                    == canary_shard
+                    _smoke_users_on(cluster.ring, canary_shard, "canary-user")
                 )
-                canary_requests: list = []
-                canary_effects: list = []
                 canary_errors: list = []
                 canary_stop = threading.Event()
 
-                def canary_load() -> None:
-                    serial = 0
-                    while not canary_stop.is_set():
-                        serial += 1
-                        request = DecisionRequest(
-                            user_id=canary_user,
-                            roles=(TELLER,),
-                            operation=HANDLE_CASH.operation,
-                            target=HANDLE_CASH.target,
-                            context_instance=ContextName.parse(
-                                f"Branch=Canary, Period=C{serial}"
-                            ),
-                            timestamp=float(10_000 + serial),
+                def canary_probes(serial: int) -> list:
+                    context = f"Branch=Canary, Period=C{serial}"
+                    return [
+                        _smoke_probe(
+                            canary_user,
+                            TELLER,
+                            HANDLE_CASH,
+                            ContextName.parse(context),
+                            float(10_000 + serial),
                         )
-                        try:
-                            effect = pdp.decide(request).effect
-                        except Exception as exc:  # pragma: no cover
-                            canary_errors.append(str(exc))
-                            return
-                        canary_requests.append(request)
-                        canary_effects.append(effect)
+                    ]
 
-                loader = threading.Thread(target=canary_load, daemon=True)
-                loader.start()
+                loader, canary_log = _smoke_load(
+                    pdp, "canary", canary_probes, canary_stop, canary_errors
+                )
                 try:
                     canary_body = handle.canary_reload_policy(
                         canary_set,
@@ -1885,8 +1856,8 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                 finally:
                     canary_stop.set()
                     loader.join(timeout=30.0)
-                requests.extend(canary_requests)
-                effects.extend(canary_effects)
+                requests.extend(request for request, _ in canary_log)
+                effects.extend(effect for _, effect in canary_log)
                 report["requests"] = len(requests)
                 mirror = canary_body["canary"].get("mirror", {})
                 report["canary"] = {
@@ -1956,114 +1927,35 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
             for shard_name in handle.shard_names:
                 state = cluster.shard(shard_name)
                 for node in (state.primary, state.standby):
-                    events = AuditTrailManager(
+                    with AuditTrailManager(
                         node.trail_dir,
                         b"cluster-trail-key",
                         tolerate_ahead=True,
-                    ).events()
-                    for event in events:
-                        if event.event_type != EVENT_DECISION:
-                            continue
-                        audited += 1
-                        if "policy_epoch" not in (event.payload or {}):
-                            unstamped += 1
+                    ) as trails:
+                        for event in trails.events():
+                            if event.event_type != EVENT_DECISION:
+                                continue
+                            audited += 1
+                            if "policy_epoch" not in (event.payload or {}):
+                                unstamped += 1
             report["audited_decisions"] = audited
             if unstamped:
                 failures.append(
                     f"{unstamped} audited decision(s) missing policy_epoch"
                 )
 
-            # Per-shard single-node oracles: one fresh engine per shard,
-            # fed exactly the substream the ring sends that shard.  (A
-            # single global engine is *not* the right oracle — step 4's
-            # context-started check spans users, so the record set for a
-            # shared context depends on which other-shard users touched
-            # it first.  Per-user routing promises per-shard equivalence,
-            # and that is what we assert.)
-            oracles = {
-                shard_name: MSoDEngine(policy_set, InMemoryRetainedADIStore())
-                for shard_name in handle.shard_names
-            }
-            oracle_effects = [
-                oracles[cluster.ring.shard_for(request.user_id)]
-                .check(request)
-                .effect
-                for request in requests
-            ]
-            report["grants"] = effects.count("grant")
-            report["denies"] = effects.count("deny")
-            if effects != oracle_effects:
-                mismatches = sum(
-                    1
-                    for ours, theirs in zip(effects, oracle_effects)
-                    if ours != theirs
-                )
-                failures.append(
-                    f"{mismatches} decision(s) diverged from the oracle"
-                )
-
-            merged = []
-            for shard_name in handle.shard_names:
-                shard_records = list(
-                    cluster.shard(shard_name).primary.store.records()
-                )
-                merged.extend(shard_records)
-                if _smoke_digest(shard_records) != _smoke_digest(
-                    oracles[shard_name].store.records()
-                ):
-                    failures.append(
-                        f"{shard_name} retained ADI differs from its "
-                        "single-node oracle"
-                    )
-
-            _smoke_check_exclusivity(merged, report, failures)
+            _smoke_check_oracle(
+                cluster, policy_set, requests, effects, report, failures
+            )
     return _smoke_finish(report, failures, args.json)
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    handlers = {
-        "serve": cmd_cluster_serve,
-        "node": cmd_cluster_node,
-        "status": cmd_cluster_status,
-        "route": cmd_cluster_route,
-        "metrics": cmd_cluster_metrics,
-        "reload": cmd_cluster_reload,
-        "resize": cmd_cluster_resize,
-        "decide": cmd_cluster_decide,
-        "smoke": cmd_cluster_smoke,
-    }
-    return handlers[args.cluster_command](args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "show": cmd_show,
-        "compile": cmd_compile,
-        "decompile": cmd_decompile,
-        "lint": cmd_lint,
-        "verify": cmd_verify,
-        "whatif": cmd_whatif,
-        "decide": cmd_decide,
-        "explain": cmd_explain,
-        "history": cmd_history,
-        "purge": cmd_purge,
-        "serve": cmd_serve,
-        "remote-decide": cmd_remote_decide,
-        "remote-status": cmd_remote_status,
-        "metrics": cmd_metrics,
-        "policy": cmd_policy,
-        "cluster": cmd_cluster,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+        return args.run(args)
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

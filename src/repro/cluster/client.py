@@ -247,17 +247,20 @@ class ClusterPDP(PolicyDecisionPoint):
         *,
         shard: str | None = None,
         apply: bool = False,
+        threshold: float | None = None,
     ) -> dict:
         """Start (or plan) an online topology change via the coordinator.
 
         ``action`` is ``"add-node"`` (split: grow by one shard),
         ``"drain"`` (shrink: migrate ``shard``'s users away and retire
         it) or ``"rebalance"`` (imbalance report from the per-shard
-        resident-user gauges; ``apply=True`` lets the coordinator start
-        a split when the report recommends one).  Migrations run
-        asynchronously in the coordinator — poll
+        resident-user gauges, recommending a split at or above
+        ``threshold``, the protocol's default when not given;
+        ``apply=True`` lets the coordinator start that split).
+        Migrations run asynchronously in the coordinator — poll
         :meth:`reshard_status` until ``active`` is false.
         """
+        extra = {} if threshold is None else {"threshold": threshold}
         return self._coordinator_body(
             protocol.OP_RESHARD,
             "reshard response",
@@ -265,6 +268,7 @@ class ClusterPDP(PolicyDecisionPoint):
             action=action,
             shard=shard,
             apply=apply,
+            **extra,
         )
 
     def reshard_status(self) -> dict:

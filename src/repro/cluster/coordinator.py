@@ -1415,7 +1415,7 @@ class LocalCluster:
         asynchronously under the reshard loop, observable via
         ``reshard-status``.
         """
-        action, shard, apply = protocol.reshard_options_of(frame)
+        action, shard, apply, threshold = protocol.reshard_options_of(frame)
 
         def run() -> dict:
             if action == protocol.RESHARD_ACTION_ADD:
@@ -1426,7 +1426,7 @@ class LocalCluster:
             if action == protocol.RESHARD_ACTION_DRAIN:
                 self.drain_shard(shard)
                 return self.reshard_status()
-            return self.rebalance(apply=apply)
+            return self.rebalance(threshold=threshold, apply=apply)
 
         return await self._blocking_reply(frame_id, frame, run)
 

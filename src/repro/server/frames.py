@@ -281,3 +281,8 @@ class FrameServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+            except asyncio.CancelledError:
+                # The loop's teardown sweep cancels a handler a second
+                # time while it waits here; ending normally keeps 3.11's
+                # stream callback from logging the cancellation.
+                pass

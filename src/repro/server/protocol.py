@@ -141,8 +141,9 @@ OP_ROUTE = "route"
 OP_CLUSTER_STATUS = "cluster-status"
 #: Online resharding verbs (coordinator only).  ``reshard`` carries an
 #: ``action`` (``add-node`` / ``drain`` / ``rebalance``) plus an
-#: optional ``shard`` and, for rebalance, ``apply``; the response body
-#: is the resulting reshard status (or rebalance plan).
+#: optional ``shard`` and, for rebalance, ``apply`` and ``threshold``
+#: (absent means 1.5); the response body is the resulting reshard
+#: status (or rebalance plan).
 #: ``reshard-status`` reports the in-flight migration, the last
 #: completed one and the lifetime counters.
 OP_RESHARD = "reshard"
@@ -158,8 +159,9 @@ RESHARD_ACTIONS = frozenset(
 
 def reshard_options_of(
     frame: Mapping[str, Any],
-) -> tuple[str, str | None, bool]:
-    """The validated ``(action, shard, apply)`` of a reshard frame."""
+) -> tuple[str, str | None, bool, float]:
+    """The validated ``(action, shard, apply, threshold)`` of a reshard
+    frame."""
     action = frame.get("action")
     if action not in RESHARD_ACTIONS:
         raise ProtocolError(
@@ -174,7 +176,14 @@ def reshard_options_of(
     apply = frame.get("apply", False)
     if not isinstance(apply, bool):
         raise ProtocolError("reshard.apply must be a boolean")
-    return action, shard, apply
+    threshold = frame.get("threshold", 1.5)
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, (int, float))
+        or not threshold > 0
+    ):
+        raise ProtocolError("reshard.threshold must be a positive number")
+    return action, shard, apply, float(threshold)
 
 #: Bodies the ``metrics`` verb can produce.
 METRICS_FORMAT_JSON = "json"

@@ -180,12 +180,13 @@ class ServerThread:
         return self._runner.run(_swap())
 
     def stop(self) -> None:
-        """Stop listening, drain in-flight decisions, join the thread."""
+        """Stop listening, drain in-flight decisions, join the thread;
+        then close the owned resources, also when it never started."""
         runner, self._runner = self._runner, None
-        if runner is None:
-            return
-        runner.stop()
-        for resource in self._owns:
+        if runner is not None:
+            runner.stop()
+        owned, self._owns = self._owns, ()
+        for resource in owned:
             close = getattr(resource, "close", None)
             if callable(close):
                 close()

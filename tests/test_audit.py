@@ -918,6 +918,54 @@ class TestLiveReaderAgainstLiveWriter:
             total = AuditTrailManager(directory, KEY).verify_all()
         assert total == self.POLLS * self.PER_POLL == followed
 
+    def test_end_of_file_inside_an_append_is_a_torn_tail(
+        self, tmp_path, monkeypatch
+    ):
+        """A read meets end of file inside an append in flight, and the
+        read after it finds the rest: the reader must see one torn final
+        line, not a corrupt line with records after it."""
+        manager = AuditTrailManager(str(tmp_path), KEY)
+        for n in range(3):
+            manager.append("e", float(n), {"n": n})
+        manager.close()
+        path = manager.trail_paths()[0]
+        with open(path, "rb") as handle:
+            data = handle.read()
+        cut = data.index(b"\n") + 10  # inside the second record
+
+        class AppendInFlight(io.RawIOBase):
+            """A short read up to the writer's progress, end of file,
+            then the rest once the write has landed."""
+
+            def __init__(self):
+                self.chunks = [data[:cut], b"", data[cut:]]
+
+            def readable(self):
+                return True
+
+            def seekable(self):
+                return True
+
+            def seek(self, offset, whence=0):
+                assert (offset, whence) == (0, 0)
+                return 0
+
+            def readinto(self, buffer):
+                chunk = self.chunks.pop(0) if self.chunks else b""
+                buffer[: len(chunk)] = chunk
+                return len(chunk)
+
+        real_open = builtins.open
+
+        def racing_open(file, mode="r", *args, **kwargs):
+            if file == path:
+                return io.BufferedReader(AppendInFlight())
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", racing_open)
+        follower = TrailFollower(str(tmp_path), KEY)
+        assert [event.payload["n"] for event in follower.poll()] == [0]
+
 
 class TestOnDiskFormatIsUnchanged:
     """Bytes written before the readers were folded into one verifier.

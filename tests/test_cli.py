@@ -1,8 +1,10 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.xmlpolicy import COMBINED_POLICY_XML
 
 
@@ -286,3 +288,417 @@ class TestHistoryAndPurge:
         main(["purge", "--adi", adi_file, "--all"])
         main(["history", "--adi", adi_file])
         assert "0 retained record(s)" in capsys.readouterr().out
+
+
+class TestLocalOnlyFlagsWithHost:
+    """``--host`` runs the verb on a server: a flag only a local run reads
+    is refused (exit 2) instead of silently dropped.  The refusal comes
+    before any connection, so no server needs to listen on the port."""
+
+    REMOTE = ["--host", "127.0.0.1", "--port", "1"]
+
+    def test_verify_refuses_permis(self, policy_file, capsys):
+        argv = ["verify", policy_file, *self.REMOTE, "--permis", policy_file]
+        assert main(argv) == 2
+        assert "--permis" in capsys.readouterr().err
+
+    def test_whatif_refuses_last_n_trails(self, policy_file, capsys):
+        argv = ["whatif", policy_file, *self.REMOTE, "--last-n-trails", "1"]
+        assert main(argv) == 2
+        assert "--last-n-trails" in capsys.readouterr().err
+
+    def test_whatif_refuses_since(self, policy_file, capsys):
+        argv = ["whatif", policy_file, *self.REMOTE, "--since", "5"]
+        assert main(argv) == 2
+        assert "--since" in capsys.readouterr().err
+
+    def test_whatif_refuses_host_with_audit_dir(
+        self, policy_file, tmp_path, capsys
+    ):
+        argv = ["whatif", policy_file, *self.REMOTE, "--audit-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "exactly one of --audit-dir" in capsys.readouterr().err
+
+
+class TestSmokeOracle:
+    """``cluster smoke`` compares each shard with its single-node oracle
+    record for record, and a grant timestamp is part of the record: §4.3
+    purges decide on it."""
+
+    @staticmethod
+    def _check(shard_store, requests, effects):
+        from types import SimpleNamespace
+
+        from repro.cli import _smoke_check_oracle
+        from repro.workload import bank_policy_set
+
+        shard = SimpleNamespace(primary=SimpleNamespace(store=shard_store))
+        cluster = SimpleNamespace(
+            shard_names=["s0"],
+            ring=SimpleNamespace(shard_for=lambda user: "s0"),
+            shard=lambda name: shard,
+        )
+        report, failures = {}, []
+        _smoke_check_oracle(
+            cluster, bank_policy_set(), requests, effects, report, failures
+        )
+        return report, failures
+
+    @staticmethod
+    def _stream():
+        from repro.core import (
+            ContextName,
+            DecisionRequest,
+            InMemoryRetainedADIStore,
+            MSoDEngine,
+        )
+        from repro.workload import TELLER, bank_policy_set
+
+        requests = [
+            DecisionRequest(
+                user_id=f"u{i}",
+                roles=(TELLER,),
+                operation="handleCash",
+                target="till://1",
+                context_instance=ContextName.parse(f"Branch=B{i}, Period=P1"),
+                timestamp=float(i),
+            )
+            for i in range(4)
+        ]
+        store = InMemoryRetainedADIStore()
+        engine = MSoDEngine(bank_policy_set(), store)
+        effects = [engine.check(request).effect for request in requests]
+        return store, requests, effects
+
+    def test_identical_shard_passes(self):
+        store, requests, effects = self._stream()
+        report, failures = self._check(store, requests, effects)
+        assert failures == []
+        assert report["grants"] == 4
+        assert report["exclusivity_violations"] == 0
+
+    def test_shifted_grant_timestamp_is_a_divergence(self):
+        import dataclasses
+
+        from repro.core import InMemoryRetainedADIStore
+
+        store, requests, effects = self._stream()
+        shifted = InMemoryRetainedADIStore()
+        for record in store.records():
+            shifted.add(
+                dataclasses.replace(record, granted_at=record.granted_at + 1)
+            )
+        _, failures = self._check(shifted, requests, effects)
+        assert failures == [
+            "s0 retained ADI differs from its single-node oracle"
+        ]
+
+
+# --------------------------------------------------------------------------
+# The parser tree, pinned: every leaf verb path with each action's option
+# strings, dest, default, type name, choices, required flag and action
+# class.  A fold of the CLI's wiring must leave this byte-identical.
+
+PARSER_TREE = {
+    "validate": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+    ],
+    "show": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+    ],
+    "decide": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--adi",), "adi", None, None, None, False, "_StoreAction"),
+        (("--store",), "store", None, None, None, False, "_StoreAction"),
+        (("--user",), "user", None, None, None, True, "_StoreAction"),
+        (("--role",), "role", None, "_parse_role", None, True, "_AppendAction"),
+        (("--operation",), "operation", None, None, None, True, "_StoreAction"),
+        (("--target",), "target", None, None, None, True, "_StoreAction"),
+        (("--context",), "context", None, None, None, True, "_StoreAction"),
+        (("--literal",), "literal", False, None, None, False, "_StoreTrueAction"),
+        (("--trace",), "trace", False, None, None, False, "_StoreTrueAction"),
+        (("--explain",), "explain", False, None, None, False, "_StoreTrueAction"),
+    ],
+    "compile": [
+        ((), "source", None, None, None, True, "_StoreAction"),
+        (("-o", "--output"), "output", None, None, None, False, "_StoreAction"),
+    ],
+    "decompile": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+    ],
+    "lint": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+    ],
+    "verify": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--permis",), "permis", None, None, None, False, "_StoreAction"),
+        (("--host",), "host", None, None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--json",), "json", False, None, None, False, "_StoreTrueAction"),
+    ],
+    "whatif": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--audit-dir",), "audit_dir", None, None, None, False, "_StoreAction"),
+        (("--audit-key",), "audit_key", "audit-trail-key", None, None, False, "_StoreAction"),
+        (("--last-n-trails",), "last_n_trails", None, "int", None, False, "_StoreAction"),
+        (("--since",), "since", 0.0, "float", None, False, "_StoreAction"),
+        (("--max-flips",), "max_flips", 0, "int", None, False, "_StoreAction"),
+        (("--host",), "host", None, None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--json",), "json", False, None, None, False, "_StoreTrueAction"),
+    ],
+    "explain": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--adi",), "adi", None, None, None, False, "_StoreAction"),
+        (("--store",), "store", None, None, None, False, "_StoreAction"),
+        (("--user",), "user", None, None, None, True, "_StoreAction"),
+        (("--role",), "role", None, "_parse_role", None, True, "_AppendAction"),
+        (("--operation",), "operation", None, None, None, True, "_StoreAction"),
+        (("--target",), "target", None, None, None, True, "_StoreAction"),
+        (("--context",), "context", None, None, None, True, "_StoreAction"),
+    ],
+    "history": [
+        (("--adi",), "adi", None, None, None, False, "_StoreAction"),
+        (("--store",), "store", None, None, None, False, "_StoreAction"),
+    ],
+    "purge": [
+        (("--adi",), "adi", None, None, None, False, "_StoreAction"),
+        (("--store",), "store", None, None, None, False, "_StoreAction"),
+        (("--context",), "context", None, None, None, False, "_StoreAction"),
+        (("--user",), "user", None, None, None, False, "_StoreAction"),
+        (("--older-than",), "older_than", None, "float", None, False, "_StoreAction"),
+        (("--all",), "all", False, None, None, False, "_StoreTrueAction"),
+    ],
+    "serve": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--adi",), "adi", None, None, None, False, "_StoreAction"),
+        (("--store",), "store", None, None, None, False, "_StoreAction"),
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--shards",), "shards", 4, "int", None, False, "_StoreAction"),
+        (("--queue-depth",), "queue_depth", 256, "int", None, False, "_StoreAction"),
+        (("--batch-max",), "batch_max", 32, "int", None, False, "_StoreAction"),
+        (("--gather-window",), "gather_window", None, "float", None, False, "_StoreAction"),
+        (("--literal",), "literal", False, None, None, False, "_StoreTrueAction"),
+        (("--relaxed",), "relaxed", False, None, None, False, "_StoreTrueAction"),
+        (("--trace",), "trace", False, None, None, False, "_StoreTrueAction"),
+        (("--slowlog-size",), "slowlog_size", 32, "int", None, False, "_StoreAction"),
+        (("--audit-dir",), "audit_dir", None, None, None, False, "_StoreAction"),
+        (("--audit-fsync",), "audit_fsync", False, None, None, False, "_StoreTrueAction"),
+        (("--audit-key",), "audit_key", "audit-trail-key", None, None, False, "_StoreAction"),
+        (("--audit-max-records",), "audit_max_records", 10_000, "int", None, False, "_StoreAction"),
+        (("--audit-max-bytes",), "audit_max_bytes", None, "int", None, False, "_StoreAction"),
+    ],
+    "remote-decide": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--user",), "user", None, None, None, True, "_StoreAction"),
+        (("--role",), "role", None, "_parse_role", None, True, "_AppendAction"),
+        (("--operation",), "operation", None, None, None, True, "_StoreAction"),
+        (("--target",), "target", None, None, None, True, "_StoreAction"),
+        (("--context",), "context", None, None, None, True, "_StoreAction"),
+    ],
+    "remote-status": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--metrics",), "metrics", False, None, None, False, "_StoreTrueAction"),
+        (("--slowlog",), "slowlog", False, None, None, False, "_StoreTrueAction"),
+    ],
+    "metrics": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+    ],
+    "policy status": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+    ],
+    "policy reload": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--verify",), "verify", False, None, None, False, "_StoreTrueAction"),
+        (("--max-flips",), "max_flips", 0, "int", None, False, "_StoreAction"),
+        (("--force",), "force", False, None, None, False, "_StoreTrueAction"),
+        (("--principal",), "principal", None, None, None, False, "_StoreAction"),
+    ],
+    "cluster serve": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--data-dir",), "data_dir", None, None, None, True, "_StoreAction"),
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--cluster-shards",), "cluster_shards", 2, "int", None, False, "_StoreAction"),
+        (("--store",), "store", "sqlite", None, None, False, "_StoreAction"),
+        (("--no-fsync",), "no_fsync", False, None, None, False, "_StoreTrueAction"),
+        (("--audit-key",), "audit_key", "cluster-trail-key", None, None, False, "_StoreAction"),
+        (("--audit-max-records",), "audit_max_records", 10_000, "int", None, False, "_StoreAction"),
+        (("--audit-max-bytes",), "audit_max_bytes", None, "int", None, False, "_StoreAction"),
+    ],
+    "cluster node": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--name",), "name", None, None, None, True, "_StoreAction"),
+        (("--shard",), "shard", None, None, None, True, "_StoreAction"),
+        (("--role",), "role", "primary", None, ("primary", "standby"), False, "_StoreAction"),
+        (("--epoch",), "epoch", 1, "int", None, False, "_StoreAction"),
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 0, "int", None, False, "_StoreAction"),
+        (("--adi",), "adi", None, None, None, False, "_StoreAction"),
+        (("--store",), "store", None, None, None, False, "_StoreAction"),
+        (("--audit-dir",), "audit_dir", None, None, None, True, "_StoreAction"),
+        (("--audit-key",), "audit_key", "cluster-trail-key", None, None, False, "_StoreAction"),
+        (("--audit-max-records",), "audit_max_records", 10_000, "int", None, False, "_StoreAction"),
+        (("--audit-max-bytes",), "audit_max_bytes", None, "int", None, False, "_StoreAction"),
+        (("--no-fsync",), "no_fsync", False, None, None, False, "_StoreTrueAction"),
+    ],
+    "cluster status": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+    ],
+    "cluster route": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+    ],
+    "cluster metrics": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+    ],
+    "cluster reload": [
+        ((), "policy", None, None, None, True, "_StoreAction"),
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--verify",), "verify", False, None, None, False, "_StoreTrueAction"),
+        (("--max-flips",), "max_flips", 0, "int", None, False, "_StoreAction"),
+        (("--force",), "force", False, None, None, False, "_StoreTrueAction"),
+        (("--canary",), "canary", False, None, None, False, "_StoreTrueAction"),
+        (("--principal",), "principal", None, None, None, False, "_StoreAction"),
+    ],
+    "cluster resize add-node": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--wait",), "wait", False, None, None, False, "_StoreTrueAction"),
+        (("--wait-timeout",), "wait_timeout", 120.0, "float", None, False, "_StoreAction"),
+    ],
+    "cluster resize drain": [
+        ((), "shard", None, None, None, True, "_StoreAction"),
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--wait",), "wait", False, None, None, False, "_StoreTrueAction"),
+        (("--wait-timeout",), "wait_timeout", 120.0, "float", None, False, "_StoreAction"),
+    ],
+    "cluster resize rebalance": [
+        (("--threshold",), "threshold", 1.5, "float", None, False, "_StoreAction"),
+        (("--apply",), "apply", False, None, None, False, "_StoreTrueAction"),
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--wait",), "wait", False, None, None, False, "_StoreTrueAction"),
+        (("--wait-timeout",), "wait_timeout", 120.0, "float", None, False, "_StoreAction"),
+    ],
+    "cluster resize status": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+    ],
+    "cluster decide": [
+        (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
+        (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
+        (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
+        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--user",), "user", None, None, None, True, "_StoreAction"),
+        (("--role",), "role", None, "_parse_role", None, True, "_AppendAction"),
+        (("--operation",), "operation", None, None, None, True, "_StoreAction"),
+        (("--target",), "target", None, None, None, True, "_StoreAction"),
+        (("--context",), "context", None, None, None, True, "_StoreAction"),
+    ],
+    "cluster smoke": [
+        (("--cluster-shards",), "cluster_shards", 3, "int", None, False, "_StoreAction"),
+        (("--requests",), "requests", 300, "int", None, False, "_StoreAction"),
+        (("--store",), "store", "sqlite", None, None, False, "_StoreAction"),
+        (("--json",), "json", False, None, None, False, "_StoreTrueAction"),
+        (("--resize",), "resize", False, None, None, False, "_StoreTrueAction"),
+    ],
+}
+
+#: Mutually exclusive groups per leaf: (required, member dests).
+MUTEX_GROUPS = {
+    "purge": [(True, ("context", "user", "older_than", "all"))],
+    "remote-status": [(False, ("metrics", "slowlog"))],
+}
+
+
+def _leaves(parser, path=()):
+    subcommands = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    if not subcommands:
+        yield " ".join(path), parser
+        return
+    for name, sub in subcommands[0].choices.items():
+        yield from _leaves(sub, path + (name,))
+
+
+def _describe(action):
+    return (
+        tuple(action.option_strings),
+        action.dest,
+        action.default,
+        None if action.type is None else action.type.__name__,
+        None if action.choices is None else tuple(action.choices),
+        action.required,
+        type(action).__name__,
+    )
+
+
+class TestParserTree:
+    def test_every_leaf_and_option_is_pinned(self):
+        tree = {
+            path: [
+                _describe(action)
+                for action in leaf._actions
+                if not isinstance(action, argparse._HelpAction)
+            ]
+            for path, leaf in _leaves(build_parser())
+        }
+        assert tree == PARSER_TREE
+        assert len(tree) == 29
+        options = [row for rows in tree.values() for row in rows if row[0]]
+        assert len(options) == 169
+
+    def test_mutually_exclusive_groups(self):
+        groups = {
+            path: [
+                (group.required, tuple(a.dest for a in group._group_actions))
+                for group in leaf._mutually_exclusive_groups
+            ]
+            for path, leaf in _leaves(build_parser())
+            if leaf._mutually_exclusive_groups
+        }
+        assert groups == MUTEX_GROUPS
+

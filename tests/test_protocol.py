@@ -195,6 +195,25 @@ class TestRequestRejection:
             protocol.request_from_wire("decide me")
 
 
+class TestReshardOptions:
+    def test_absent_threshold_means_one_and_a_half(self):
+        frame = {"action": protocol.RESHARD_ACTION_REBALANCE}
+        assert protocol.reshard_options_of(frame) == (
+            "rebalance", None, False, 1.5
+        )
+
+    def test_threshold_is_carried(self):
+        frame = {"action": "rebalance", "apply": True, "threshold": 2}
+        assert protocol.reshard_options_of(frame)[2:] == (True, 2.0)
+
+    @pytest.mark.parametrize("threshold", [0, -1.0, "2", None, True, [1.5]])
+    def test_bad_threshold_refused(self, threshold):
+        with pytest.raises(ProtocolError, match="threshold"):
+            protocol.reshard_options_of(
+                {"action": "rebalance", "threshold": threshold}
+            )
+
+
 class TestDecisionRejection:
     @pytest.mark.parametrize(
         "mutate",
