@@ -25,16 +25,18 @@ special-case remote connection pooling against in-process stores.
 (with a slow-decision log), and each decision carries its
 :class:`~repro.obs.trace.DecisionTrace`.
 
-:func:`open_server` is the serving twin: the same policy/store spec,
-but wrapped in a sharded :class:`~repro.server.service
-.AuthorizationService` listening on a socket, with a ``client()``
-shortcut returning a connected :class:`~repro.client.RemotePDP`.
+:func:`open_server` is the serving twin — the same policy/store spec in
+a sharded service on a socket, optionally audited — and returns the
+started :class:`~repro.server.testing.ServerThread` (``ServerHandle``);
+:func:`open_cluster` returns the started
+:class:`~repro.cluster.LocalCluster` (``ClusterHandle``).  Both have a
+``client()`` shortcut returning a connected PDP.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from repro.core.context import ContextName
 from repro.core.decision import Decision, DecisionRequest
@@ -51,6 +53,11 @@ from repro.storespec import (
     open_store,
     parse_store_spec,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.audit.trail import AuditTrailManager
+    from repro.cluster import LocalCluster
+    from repro.server.testing import ServerThread
 
 __all__ = [
     "open_pdp",
@@ -76,7 +83,27 @@ PolicySource = Union[MSoDPolicySet, str, "os.PathLike[str]", None]
 StoreSpec = Union[str, RetainedADIStore]
 
 
-def _load_policy_set(policy: PolicySource) -> MSoDPolicySet:
+def __getattr__(name: str):
+    # Bound lazily (PEP 562) so importing the facade never drags in the
+    # server and cluster stacks.
+    if name == "ServerHandle":
+        from repro.server.testing import ServerThread as handle
+    elif name == "ClusterHandle":
+        from repro.cluster import LocalCluster as handle
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return handle
+
+
+def load_policy_source(policy: PolicySource) -> MSoDPolicySet:
+    """Resolve any accepted policy source to an :class:`MSoDPolicySet`.
+
+    The same union :func:`open_pdp` takes — an already-built set, a
+    path to an Appendix-A XML file, or the XML text itself (detected by
+    a leading ``<``).  ``reload_policy`` on every PDP handle funnels
+    through this, so hot reloads accept exactly the shapes construction
+    does.  ``None`` is rejected: only a remote PDP takes no policy.
+    """
     if isinstance(policy, MSoDPolicySet):
         return policy
     if isinstance(policy, str) and policy.lstrip().startswith("<"):
@@ -91,22 +118,6 @@ def _load_policy_set(policy: PolicySource) -> MSoDPolicySet:
         "policy must be an MSoDPolicySet, a path to a policy XML file, "
         f"or a policy XML string, got {type(policy).__name__}"
     )
-
-
-def load_policy_source(policy: PolicySource) -> MSoDPolicySet:
-    """Resolve any accepted policy source to an :class:`MSoDPolicySet`.
-
-    The same union :func:`open_pdp` takes — an already-built set, a
-    path to an Appendix-A XML file, or the XML text itself (detected by
-    a leading ``<``).  ``reload_policy`` on every PDP handle funnels
-    through this, so hot reloads accept exactly the shapes construction
-    does.  ``None`` is rejected: a reload always needs a policy.
-    """
-    if policy is None:
-        raise PolicyError(
-            "policy source is required (an MSoDPolicySet, a path, or XML text)"
-        )
-    return _load_policy_set(policy)
 
 
 def verify_policy(policy: PolicySource, *, permis=None, ssd=()):
@@ -150,17 +161,6 @@ def what_if(
             last_n_trails=last_n_trails,
             since=since,
         )
-
-
-def _recorder(
-    perf: Recorder | None, trace: bool, slowlog_capacity: int
-) -> Recorder | None:
-    """``perf`` as given, or — when tracing — it (or a fresh recorder)
-    with trace building switched on."""
-    if not trace:
-        return perf
-    recorder = perf if perf is not None else Recorder()
-    return recorder.trace_decisions(slowlog_capacity)
 
 
 class LocalPDP(PolicyDecisionPoint):
@@ -212,35 +212,26 @@ class LocalPDP(PolicyDecisionPoint):
     ):
         """Atomically swap the engine's policy set; see ``swap_policy``.
 
-        ``verify=True`` runs the verification gate first (static-only:
-        an in-process handle records no audit trail); ``force=True``
-        overrides the gate.  ``max_flips`` is accepted for signature
-        parity with the remote and cluster handles.  ``principal``
-        names the acting operator: when the outgoing set guards the
-        policy store with an admin boundary, a principal with retained
-        operational decisions is refused (``force`` does not override
-        the boundary).
+        Admission is :func:`~repro.verify.gate.admit_reload`:
+        ``principal`` names the acting operator, refused (``force`` or
+        not) when the outgoing set guards the policy store with an
+        admin boundary and the principal has retained operational
+        decisions; ``verify=True`` then runs the verification gate
+        (static-only: an in-process handle records no audit trail),
+        which ``force=True`` overrides.  ``max_flips`` is accepted for
+        signature parity with the remote and cluster handles.
         """
+        from repro.verify.gate import admit_reload
+
         policy_set = load_policy_source(policy)
-        if principal is not None:
-            from repro.core.constraints import POLICY_RELOAD_PRIVILEGE
-
-            denial = self._engine.admin_boundary_denial(
-                principal, POLICY_RELOAD_PRIVILEGE
-            )
-            if denial is not None:
-                raise PolicyError(
-                    f"policy reload refused by admin boundary: {denial}"
-                )
-        if verify:
-            from repro.verify.gate import evaluate_gate
-
-            gate = evaluate_gate(policy_set, max_flips=max_flips)
-            if not gate.ok and not force:
-                raise PolicyError(
-                    "policy reload refused by verification gate: "
-                    + "; ".join(gate.reasons)
-                )
+        admit_reload(
+            [self._engine],
+            policy_set,
+            principal=principal,
+            verify=verify,
+            max_flips=max_flips,
+            force=force,
+        )
         return self._engine.swap_policy(policy_set, force=force)
 
     def notify_context_terminated(self, context: ContextName) -> int:
@@ -326,90 +317,22 @@ def open_pdp(
             protocol_version=protocol,
         )
 
-    policy_set = _load_policy_set(policy)
+    # The one policy -> store -> recorder -> engine build (open_server
+    # runs on it too): a store built here is closed again if a later
+    # step raises.
+    policy_set = load_policy_source(policy)
     backend, owns_store = build_store(parsed)
-    recorder = _recorder(perf, trace, slowlog_capacity)
-    engine = MSoDEngine(policy_set, backend, mode=mode, perf=recorder)
+    try:
+        if trace:
+            perf = (perf if perf is not None else Recorder()).trace_decisions(
+                slowlog_capacity
+            )
+        engine = MSoDEngine(policy_set, backend, mode=mode, perf=perf)
+    except BaseException:
+        if owns_store:
+            backend.close()
+        raise
     return LocalPDP(engine, owns_store=owns_store)
-
-
-class ServerHandle:
-    """A running authorization server plus the resources it owns.
-
-    Returned by :func:`open_server`; closing it drains the shard
-    queues, stops the listener thread and closes the store it opened.
-    """
-
-    def __init__(self, thread, owned_store: RetainedADIStore | None) -> None:
-        self._thread = thread
-        self._owned_store = owned_store
-        self._closed = False
-
-    @property
-    def host(self) -> str:
-        return self._thread.host
-
-    @property
-    def port(self) -> int:
-        return self._thread.port
-
-    @property
-    def service(self):
-        return self._thread.service
-
-    @property
-    def engine(self) -> MSoDEngine:
-        return self._thread.service.engine
-
-    def client(self, **kwargs):
-        """A :class:`~repro.client.RemotePDP` connected to this server."""
-        from repro.client.remote import RemotePDP
-
-        return RemotePDP(self.host, self.port, **kwargs)
-
-    def policy_version(self):
-        """The :class:`PolicyVersion` the server decides under."""
-        return self.engine.policy_version()
-
-    def reload_policy(
-        self,
-        policy: PolicySource,
-        *,
-        verify: bool = False,
-        max_flips: int = 0,
-        force: bool = False,
-        principal: str | None = None,
-    ):
-        """Hot-swap the server's policy set without dropping connections.
-
-        Scheduled on the server's event loop (between shard
-        micro-batches), so no in-flight decision mixes two versions.
-        Accepts the same source union as :func:`open_server`; the
-        keyword options run the server-side verification gate (see
-        :meth:`AuthorizationService.reload_policy`).
-        """
-        return self._thread.reload_policy(
-            load_policy_source(policy),
-            verify=verify,
-            max_flips=max_flips,
-            force=force,
-            principal=principal,
-        )
-
-    def close(self) -> None:
-        """Drain, stop the server thread and release owned resources."""
-        if self._closed:
-            return
-        self._closed = True
-        self._thread.stop()
-        if self._owned_store is not None:
-            self._owned_store.close()
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def open_server(
@@ -426,183 +349,66 @@ def open_server(
     trace: bool = False,
     slowlog_capacity: int = 32,
     mode: str = MODE_STRICT,
-) -> ServerHandle:
+    audit: "AuditTrailManager | None" = None,
+) -> "ServerThread":
     """Boot a sharded authorization server on a background thread.
 
     The serving twin of :func:`open_pdp`: same policy/store specs
     (``remote:`` is meaningless here and rejected), one call instead of
-    the engine + service + ``ServerThread`` ritual.  ``port=0`` binds
-    an ephemeral port — read it back from the handle.
+    the engine + service + ``ServerThread`` ritual.  Returns the
+    started :class:`~repro.server.testing.ServerThread`; closing it
+    drains the shard queues, stops the listener and closes the store
+    it opened.  ``port=0`` binds an ephemeral port — read it back from
+    ``.port``.
+
+    ``audit`` is a deployment's open
+    :class:`~repro.audit.trail.AuditTrailManager` (its trail directory
+    and key).  Every decision is appended to it before it is answered,
+    and verified reloads and the ``whatif`` verb replay it through a
+    fresh live reader.  As with a passed-in store, the caller keeps
+    ownership: close the trail after the server.
     """
     from repro.server.service import AuthorizationService
     from repro.server.testing import ServerThread
 
-    parsed = parse_store_spec(store)
-    if parsed.is_remote:
+    if parse_store_spec(store).is_remote:
         raise StoreSpecError(
             "open_server runs the server side; use a local store"
         )
-    policy_set = _load_policy_set(policy)
-    backend, owns_store = build_store(parsed)
-    owned = backend if owns_store else None
-    recorder = _recorder(perf, trace, slowlog_capacity)
-    engine = MSoDEngine(policy_set, backend, mode=mode, perf=recorder)
-    service = AuthorizationService(
-        engine,
-        n_shards=n_shards,
-        queue_depth=queue_depth,
-        batch_max=batch_max,
-        gather_window=gather_window,
+    audit_sink = trail_reader = None
+    if audit is not None:
+        from repro.audit import EVENT_DECISION, decision_event_payload
+
+        def audit_sink(decision: Decision) -> None:
+            audit.append(
+                EVENT_DECISION,
+                decision.request.timestamp,
+                decision_event_payload(decision),
+            )
+
+        trail_reader = audit.reader
+    pdp = open_pdp(
+        policy,
+        store,
+        perf=perf,
+        trace=trace,
+        slowlog_capacity=slowlog_capacity,
+        mode=mode,
     )
-    thread = ServerThread(service, host=host, port=port).start()
-    return ServerHandle(thread, owned)
-
-
-class ClusterHandle:
-    """A running multi-node MSoD cluster plus its coordinator.
-
-    Returned by :func:`open_cluster`; ``client()`` connects a
-    :class:`~repro.cluster.ClusterPDP` that routes by user, stamps the
-    fencing epoch and survives failovers.
-    """
-
-    def __init__(self, cluster) -> None:
-        self._cluster = cluster
-        self._closed = False
-
-    @property
-    def cluster(self):
-        return self._cluster
-
-    @property
-    def host(self) -> str:
-        return self._cluster.host
-
-    @property
-    def port(self) -> int:
-        """The coordinator's bound port (route/status/metrics verbs)."""
-        return self._cluster.port
-
-    @property
-    def shard_names(self) -> tuple[str, ...]:
-        return self._cluster.shard_names
-
-    def client(self, **kwargs):
-        """A :class:`~repro.cluster.ClusterPDP` connected to this cluster."""
-        from repro.cluster import ClusterPDP
-
-        return ClusterPDP((self.host, self.port), **kwargs)
-
-    def kill_primary(self, shard_name: str) -> str:
-        """Fault injection: crash one shard's primary (no drain)."""
-        return self._cluster.kill_primary(shard_name)
-
-    def policy_version(self):
-        """The cluster-wide :class:`PolicyVersion` (coordinator's view)."""
-        return self._cluster.policy_version()
-
-    def reload_policy(
-        self,
-        policy: PolicySource,
-        *,
-        verify: bool = False,
-        max_flips: int = 0,
-        force: bool = False,
-        principal: str | None = None,
-    ):
-        """Roll a new policy set across every node, standby first.
-
-        The coordinator swaps each shard's standby before its primary
-        and bumps the route version afterwards, so a failover during
-        the rollout still lands on a node already running the new set.
-        Accepts the same source union as :func:`open_cluster`.
-        """
-        return self._cluster.reload_policy(
-            load_policy_source(policy),
-            verify=verify,
-            max_flips=max_flips,
-            force=force,
-            principal=principal,
+    try:
+        service = AuthorizationService(
+            pdp.engine,
+            n_shards=n_shards,
+            queue_depth=queue_depth,
+            batch_max=batch_max,
+            gather_window=gather_window,
+            audit_sink=audit_sink,
+            trail_reader=trail_reader,
         )
-
-    def canary_reload_policy(
-        self,
-        policy: PolicySource,
-        *,
-        shard_name: str | None = None,
-        max_flips: int = 0,
-        min_decisions: int = 0,
-        timeout: float = 5.0,
-    ):
-        """Safe rollout: canary one shard before the cluster-wide roll.
-
-        See :meth:`LocalCluster.canary_reload_policy` — stage the
-        candidate on one shard's standby, mirror that shard's live
-        decide stream through old and candidate sets, and only roll
-        cluster-wide when total flips stay within ``max_flips``.
-        """
-        return self._cluster.canary_reload_policy(
-            load_policy_source(policy),
-            shard_name=shard_name,
-            max_flips=max_flips,
-            min_decisions=min_decisions,
-            timeout=timeout,
-        )
-
-    def status(self) -> dict:
-        return self._cluster.status()
-
-    # -- elastic resharding -------------------------------------------
-    def add_shard(self, name: str | None = None) -> str:
-        """Grow by one shard: start a primary+standby pair and begin a
-        live split migration onto it.  Returns the new shard's name;
-        poll :meth:`reshard_status` or call :meth:`wait_reshard` for
-        completion."""
-        return self._cluster.add_shard(name)
-
-    def drain_shard(self, name: str) -> None:
-        """Shrink by one shard: migrate ``name``'s users to the
-        surviving shards, then retire its nodes (trails are kept as
-        sealed lineages)."""
-        self._cluster.drain_shard(name)
-
-    def rebalance(self, *, threshold: float = 1.5, apply: bool = False):
-        """Imbalance report from per-shard resident-user gauges;
-        ``apply=True`` starts a split when the report recommends one."""
-        return self._cluster.rebalance(threshold=threshold, apply=apply)
-
-    def reshard_status(self) -> dict:
-        """Active-migration state plus migration history counters."""
-        return self._cluster.reshard_status()
-
-    def wait_reshard(self, timeout: float = 60.0) -> dict:
-        """Block until no migration is in flight (raises at timeout)."""
-        return self._cluster.wait_reshard(timeout=timeout)
-
-    def shard_stats(self) -> dict:
-        """Per-shard primary ``store.stats()`` gauges."""
-        return self._cluster.shard_stats()
-
-    def crash_coordinator(self) -> None:
-        """Fault injection: stop the coordinator (nodes keep serving)."""
-        self._cluster.crash_coordinator()
-
-    def restart_coordinator(self) -> None:
-        """Restart a crashed coordinator from its persisted state file;
-        an in-flight migration resumes from its recorded phase."""
-        self._cluster.restart_coordinator()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._cluster.stop()
-
-    def __enter__(self) -> "ClusterHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return ServerThread(service, host=host, port=port, owns=[pdp]).start()
+    except BaseException:
+        pdp.close()
+        raise
 
 
 def open_cluster(
@@ -622,20 +428,22 @@ def open_cluster(
     health_timeout: float = 0.25,
     vnodes: int = 64,
     resume: bool = True,
-) -> ClusterHandle:
+) -> "LocalCluster":
     """Boot an N-shard MSoD cluster (primary + standby per shard).
 
     The scale-out twin of :func:`open_server`: the same policy spec,
     but behind consistent-hash routing by ``user_id``, with each shard
     primary shipping its fsync'd audit trail to a warm standby (see
-    :mod:`repro.cluster` and ``docs/CLUSTER.md``).  ``data_dir`` holds
-    every node's trail directory and, for durable stores, its store
-    file.  ``store`` takes the unified spec grammar minus anything
-    pinning a single path or process: ``memory``, bare ``sqlite``
-    (each node gets its own file under ``data_dir``), or
-    ``tiered:sqlite?hot_users=N`` / ``tiered:memory?hot_users=N``.
-    ``port=0`` binds the coordinator ephemerally — read it back from
-    the handle.
+    :mod:`repro.cluster` and ``docs/CLUSTER.md``).  Returns the started
+    :class:`~repro.cluster.LocalCluster`; its ``client()`` connects a
+    :class:`~repro.cluster.ClusterPDP` that routes by user, stamps the
+    fencing epoch and survives failovers.  ``data_dir`` holds every
+    node's trail directory and, for durable stores, its store file.
+    ``store`` takes the unified spec grammar minus anything pinning a
+    single path or process: ``memory``, bare ``sqlite`` (each node gets
+    its own file under ``data_dir``), or ``tiered:sqlite?hot_users=N``
+    / ``tiered:memory?hot_users=N``.  ``port=0`` binds the coordinator
+    ephemerally — read it back from ``.port``.
 
     With ``resume=True`` (the default) a ``data_dir`` that already
     holds a ``coordinator-state.json`` restores the persisted topology
@@ -645,9 +453,8 @@ def open_cluster(
     """
     from repro.cluster import LocalCluster
 
-    policy_set = _load_policy_set(policy)
-    cluster = LocalCluster(
-        policy_set,
+    return LocalCluster(
+        load_policy_source(policy),
         n_shards,
         data_dir,
         audit_key=audit_key,
@@ -662,6 +469,4 @@ def open_cluster(
         audit_max_bytes=audit_max_bytes,
         journal_max=journal_max,
         resume=resume,
-    )
-    cluster.start()
-    return ClusterHandle(cluster)
+    ).start()

@@ -164,10 +164,6 @@ class RecoveryReport:
     records_skipped: int
     purges_replayed: int
 
-    @property
-    def recovered(self) -> int:
-        return self.records_replayed
-
 
 def recover_retained_adi(
     trails: AuditTrailManager | None,

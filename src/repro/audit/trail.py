@@ -553,6 +553,11 @@ class AuditTrailManager:
     def directory(self) -> str:
         return self._directory
 
+    def reader(self) -> "AuditTrailManager":
+        """A fresh live-reader manager over this directory: a what-if
+        replay must not hold the writer's sequence state."""
+        return AuditTrailManager(self._directory, self._key, tolerate_ahead=True)
+
     def trail_paths(self) -> list[str]:
         """All trail files, oldest first (lexicographic index order)."""
         return _segment_paths(self._directory)

@@ -32,8 +32,9 @@ eyeball it in a terminal).
 
 Each verb is declared once in :func:`build_parser`, naming the handler
 it runs; flags shared by several verbs are one option-set function
-each.  Construction goes through :func:`repro.api.open_pdp`, so the
-CLI, the tests and the benchmarks all build their PDPs the same way.
+each.  Construction goes through :mod:`repro.api` (``open_pdp``,
+``open_server``, ``open_cluster``), so the CLI, the tests and the
+benchmarks all build their PDPs the same way.
 """
 
 from __future__ import annotations
@@ -1091,71 +1092,43 @@ def _wait_for_signal(*banner: str) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the networked authorization service until SIGINT/SIGTERM,
     then drain its shard queues."""
+    from repro.api import open_server
     from repro.obs import Recorder
-    from repro.server import AuthorizationService, ServerThread
 
     policy_set = parse_policy_set_file(args.policy, strict=not args.relaxed)
-    perf = Recorder()
-    if args.trace:
-        perf.trace_decisions(args.slowlog_size)
-    # The stack closes the store and the trail if a constructor below
-    # raises; once built, the thread closes them after the drain, also
-    # when it never started listening.
+    # The trail outlives the server: it is closed after the drain, and
+    # also when the server fails to start.
     with ExitStack() as owned:
-        store = owned.enter_context(closing(_open_store(args)))
-        audit_sink = trail_reader = None
+        audit = None
         if args.audit_dir:
-            from repro.audit import (
-                EVENT_DECISION,
-                AuditTrailManager,
-                decision_event_payload,
-            )
+            from repro.audit import AuditTrailManager
 
-            key = args.audit_key.encode("utf-8")
-            trails = owned.enter_context(
+            audit = owned.enter_context(
                 AuditTrailManager(
                     args.audit_dir,
-                    key,
+                    args.audit_key.encode("utf-8"),
                     max_records=args.audit_max_records,
                     max_bytes=args.audit_max_bytes,
                     fsync=args.audit_fsync,
                 )
             )
-
-            def audit_sink(decision):
-                trails.append(
-                    EVENT_DECISION,
-                    decision.request.timestamp,
-                    decision_event_payload(decision),
-                )
-
-            def trail_reader():
-                # A fresh tolerant reader per what-if: the verifying swap
-                # must not hold the writer's sequence state.
-                return AuditTrailManager(
-                    args.audit_dir, key, tolerate_ahead=True
-                )
-
-        engine = MSoDEngine(
-            policy_set,
-            store,
-            mode=MODE_LITERAL if args.literal else MODE_STRICT,
-            perf=perf,
+        server = owned.enter_context(
+            open_server(
+                policy_set,
+                _store_spec(args),
+                host=args.host,
+                port=args.port,
+                n_shards=args.shards,
+                queue_depth=args.queue_depth,
+                batch_max=args.batch_max,
+                gather_window=args.gather_window,
+                perf=Recorder(),
+                trace=args.trace,
+                slowlog_capacity=args.slowlog_size,
+                mode=MODE_LITERAL if args.literal else MODE_STRICT,
+                audit=audit,
+            )
         )
-        service = AuthorizationService(
-            engine,
-            n_shards=args.shards,
-            queue_depth=args.queue_depth,
-            batch_max=args.batch_max,
-            gather_window=args.gather_window,
-            audit_sink=audit_sink,
-            trail_reader=trail_reader,
-        )
-        server = ServerThread(
-            service, host=args.host, port=args.port, owns=[owned.pop_all()]
-        )
-    try:
-        server.start()
         _wait_for_signal(
             f"serving MSoD decisions on {args.host}:{server.port} "
             f"({args.shards} shards, queue depth {args.queue_depth}, "
@@ -1163,8 +1136,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"{', tracing on' if args.trace else ''})"
         )
         print("draining shard queues...", flush=True)
-    finally:
-        server.stop()
     return 0
 
 
@@ -1200,7 +1171,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
     """Boot a full cluster in one process and run until interrupted."""
     from repro.api import open_cluster
 
-    handle = open_cluster(
+    cluster = open_cluster(
         args.policy,
         args.data_dir,
         n_shards=args.cluster_shards,
@@ -1212,10 +1183,10 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         audit_max_bytes=args.audit_max_bytes,
         fsync=not args.no_fsync,
     )
-    with handle:
-        shards = [handle.cluster.shard(name) for name in handle.shard_names]
+    with cluster:
+        shards = [cluster.shard(name) for name in cluster.shard_names]
         _wait_for_signal(
-            f"cluster coordinator on {handle.host}:{handle.port} "
+            f"cluster coordinator on {cluster.host}:{cluster.port} "
             f"({args.cluster_shards} shards, store={args.store}, "
             f"fsync={'off' if args.no_fsync else 'on'})",
             *(
@@ -1541,9 +1512,8 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as data_dir:
         with open_cluster(
             policy_set, data_dir, n_shards=2, store=args.store
-        ) as handle:
-            cluster = handle.cluster
-            with handle.client(failover_wait=60.0) as pdp:
+        ) as cluster:
+            with cluster.client(failover_wait=60.0) as pdp:
                 threads = []
                 for i in range(n_workers):
                     thread, log = _smoke_load(
@@ -1559,11 +1529,11 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
                     await_decisions(target_requests // 6)
 
                     # ---- 2→3 split with coordinator + primary kills.
-                    added = handle.add_shard()
+                    added = cluster.add_shard()
                     report["added_shard"] = added
-                    pre_crash = handle.reshard_status()
+                    pre_crash = cluster.reshard_status()
                     report["split_active_at_crash"] = pre_crash["active"]
-                    handle.crash_coordinator()
+                    cluster.crash_coordinator()
                     # Coordinator is down: migration frozen mid-phase,
                     # nodes still serving.  Kill a source primary NOW —
                     # nobody can promote the standby until the
@@ -1574,26 +1544,26 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
                         if pre_crash.get("migration")
                         else cluster.shard_names[0]
                     )
-                    report["split_killed"] = handle.kill_primary(source)
+                    report["split_killed"] = cluster.kill_primary(source)
                     time.sleep(0.3)
-                    handle.restart_coordinator()
-                    report["split"] = handle.wait_reshard(timeout=120.0)[
+                    cluster.restart_coordinator()
+                    report["split"] = cluster.wait_reshard(timeout=120.0)[
                         "last_migration"
                     ]
                     if added not in cluster.shard_names:
                         failures.append("split did not add the new shard")
 
                     await_decisions(2 * target_requests // 3)
-                    report["rebalance"] = handle.rebalance()
+                    report["rebalance"] = cluster.rebalance()
 
                     # ---- 3→2 drain, killing the subject's primary the
                     # moment the migration starts (before its first
                     # catch-up tick races us): the drain must finish
                     # from the promoted standby plus the dead primary's
                     # sealed trail lineage.
-                    handle.drain_shard(added)
-                    report["drain_killed"] = handle.kill_primary(added)
-                    report["drain"] = handle.wait_reshard(timeout=120.0)[
+                    cluster.drain_shard(added)
+                    report["drain_killed"] = cluster.kill_primary(added)
+                    report["drain"] = cluster.wait_reshard(timeout=120.0)[
                         "last_migration"
                     ]
                     if added in cluster.shard_names:
@@ -1747,8 +1717,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
             data_dir,
             n_shards=args.cluster_shards,
             store=args.store,
-        ) as handle:
-            cluster = handle.cluster
+        ) as cluster:
             hot_shard = cluster.ring.shard_for("hot-user")
             report["hot_shard"] = hot_shard
             # Two distinct users on the shard that will lose its
@@ -1763,7 +1732,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                     user_id, AUDITOR, privilege, duty_context, stamp
                 )
 
-            with handle.client(failover_wait=30.0) as pdp:
+            with cluster.client(failover_wait=30.0) as pdp:
                 effects = []
                 # Phase 1 (pre-kill): the owner performs the first
                 # bound step and becomes the set's owner for this Case.
@@ -1777,7 +1746,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                             "changed"
                         ]
                     if index == half:
-                        report["killed"] = handle.kill_primary(hot_shard)
+                        report["killed"] = cluster.kill_primary(hot_shard)
                     effects.append(pdp.decide(request).effect)
                 # Phase 2 (post-failover): the binding must have
                 # survived promotion — a different user is denied the
@@ -1819,7 +1788,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                 canary_shard = next(
                     (
                         name
-                        for name in handle.shard_names
+                        for name in cluster.shard_names
                         if name != hot_shard
                     ),
                     hot_shard,
@@ -1846,7 +1815,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                     pdp, "canary", canary_probes, canary_stop, canary_errors
                 )
                 try:
-                    canary_body = handle.canary_reload_policy(
+                    canary_body = cluster.canary_reload_policy(
                         canary_set,
                         shard_name=canary_shard,
                         max_flips=0,
@@ -1924,7 +1893,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
             # replay policy-aware across the reload.
             unstamped = 0
             audited = 0
-            for shard_name in handle.shard_names:
+            for shard_name in cluster.shard_names:
                 state = cluster.shard(shard_name)
                 for node in (state.primary, state.standby):
                     with AuditTrailManager(

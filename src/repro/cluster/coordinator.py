@@ -239,6 +239,7 @@ class LocalCluster:
         self._background: list[asyncio.Task] = []
         self._loop_errors = {"health": 0, "catchup": 0, "reshard": 0}
         self._policy_reloads = 0
+        self._started = False
 
     def _build_shard(
         self,
@@ -318,8 +319,23 @@ class LocalCluster:
             yield state.primary
             yield state.standby
 
+    @property
+    def cluster(self) -> "LocalCluster":
+        """This cluster (what :func:`repro.api.open_cluster` returned)."""
+        return self
+
+    def client(self, **kwargs):
+        """A :class:`~repro.cluster.ClusterPDP` connected to this cluster."""
+        from repro.cluster.client import ClusterPDP
+
+        return ClusterPDP((self.host, self.port), **kwargs)
+
     # ------------------------------------------------------------------
     def start(self) -> "LocalCluster":
+        """Start every node and the coordinator; a second call is a no-op."""
+        if self._started:
+            return self
+        self._started = True
         for node in self.nodes():
             node.start()
             node.install_ring(self._ring)
@@ -352,6 +368,8 @@ class LocalCluster:
         for node in self.nodes():
             if node.name not in self._dead:
                 node.stop()
+
+    close = stop
 
     def crash_coordinator(self) -> None:
         """Fault injection: kill the coordinator, leave every node serving.
@@ -827,9 +845,21 @@ class LocalCluster:
             },
         }
 
+    def _live_engines(self) -> list:
+        """Every live node's engine, each pair read under its shard lock."""
+        engines = []
+        for state in self._shards.values():
+            with state.lock:
+                engines.extend(
+                    node.engine
+                    for node in (state.standby, state.primary)
+                    if node.name not in self._dead
+                )
+        return engines
+
     def reload_policy(
         self,
-        policy_set: MSoDPolicySet,
+        policy,
         *,
         verify: bool = False,
         max_flips: int = 0,
@@ -838,10 +868,12 @@ class LocalCluster:
     ) -> dict:
         """Roll a new policy set across every live node, standby first.
 
-        The set is validated once up front through the structured
-        verifier (error-severity findings raise :class:`PolicyError`
-        before any node is touched, so a rejected set never partially
-        rolls out; ``force=True`` overrides).  Each shard then swaps
+        ``policy`` is the source union :func:`repro.api.open_cluster`
+        takes.  :func:`~repro.verify.gate.admit_reload` admits it once
+        up front — ``principal`` against every live node's outgoing
+        admin boundary, then the structured verifier — so a refused set
+        never partially rolls out (``force=True`` overrides the
+        verifier, never the boundary).  Each shard then swaps
         under its own ``state.lock`` — serialising the rollout with
         that shard's catch-up ticks and any concurrent failover — with
         the **standby first**: if the primary dies mid-rollout, the
@@ -856,32 +888,17 @@ class LocalCluster:
         its own, so its gate is static-only; the differential half of a
         safe cluster rollout is :meth:`canary_reload_policy`.
         """
-        from repro.verify.gate import evaluate_gate
+        from repro.api import load_policy_source
+        from repro.verify.gate import admit_reload
 
-        if principal is not None:
-            # Check every live node's outgoing boundary BEFORE swapping
-            # anything: a mid-rollout refusal would leave the cluster
-            # running two policy versions.
-            from repro.core.constraints import POLICY_RELOAD_PRIVILEGE
-
-            for state in self._shards.values():
-                with state.lock:
-                    for node in (state.standby, state.primary):
-                        if node.name in self._dead:
-                            continue
-                        denial = node.engine.admin_boundary_denial(
-                            principal, POLICY_RELOAD_PRIVILEGE
-                        )
-                        if denial is not None:
-                            raise PolicyError(
-                                "policy reload refused by admin boundary "
-                                f"on node {node.name!r}: {denial}"
-                            )
-        gate = evaluate_gate(policy_set, max_flips=max_flips)
-        if not gate.ok and not force:
-            raise PolicyError(
-                "policy reload rejected: " + "; ".join(gate.reasons)
-            )
+        policy_set = load_policy_source(policy)
+        gate = admit_reload(
+            self._live_engines(),
+            policy_set,
+            principal=principal,
+            max_flips=max_flips,
+            force=force,
+        )
         reports: dict[str, dict] = {}
         changed = False
         for state in self._shards.values():
@@ -909,21 +926,24 @@ class LocalCluster:
 
     def canary_reload_policy(
         self,
-        policy_set: MSoDPolicySet,
+        policy,
         *,
         shard_name: str | None = None,
         max_flips: int = 0,
         min_decisions: int = 0,
         timeout: float = 5.0,
         poll_interval: float = 0.05,
+        principal: str | None = None,
     ) -> dict:
         """Safe rollout: verify, canary one shard, then roll the cluster.
 
         The full pipeline of ``docs/VERIFICATION.md``:
 
-        1. the structured static analyzer rejects the candidate before
-           any node is touched (no ``force`` here — a canary rollout is
-           never blind);
+        1. the same admission as :meth:`reload_policy` refuses the
+           candidate before any node is touched — ``principal`` against
+           every live node's admin boundary, then the structured static
+           analyzer (no ``force`` here — a canary rollout is never
+           blind);
         2. the candidate is **staged on the canary shard's standby**
            (proving it parses, compiles and swaps on a real node) and
            the shard's **primary arms its mirror**: history replayed
@@ -945,13 +965,16 @@ class LocalCluster:
         and catch-up; decide traffic is unaffected (decisions do not
         take shard locks).
         """
-        from repro.verify.gate import evaluate_gate
+        from repro.api import load_policy_source
+        from repro.verify.gate import admit_reload
 
-        gate = evaluate_gate(policy_set, max_flips=max_flips)
-        if not gate.ok:
-            raise PolicyError(
-                "canary rollout rejected: " + "; ".join(gate.reasons)
-            )
+        policy_set = load_policy_source(policy)
+        admit_reload(
+            self._live_engines(),
+            policy_set,
+            principal=principal,
+            max_flips=max_flips,
+        )
         name = shard_name if shard_name is not None else next(iter(self._shards))
         state = self.shard(name)
         canary: dict = {"shard": name}
@@ -1448,7 +1471,7 @@ class LocalCluster:
             policy_set = parse_policy_set(xml)
             if canary:
                 return self.canary_reload_policy(
-                    policy_set, max_flips=max_flips
+                    policy_set, max_flips=max_flips, principal=principal
                 )
             return self.reload_policy(
                 policy_set,

@@ -209,7 +209,7 @@ class ClusterNode:
             batch_max=batch_max,
             audit_sink=self._audit_sink,
             health_extra=self._health_extra,
-            trail_reader=self._open_trail_reader,
+            trail_reader=self._trails.reader,
         )
         self._thread = ServerThread(
             self._service,
@@ -291,12 +291,6 @@ class ClusterNode:
             policy_set, verify=verify, max_flips=max_flips, force=force
         )
 
-    def _open_trail_reader(self) -> AuditTrailManager:
-        """A fresh live-reader manager over this node's own trail."""
-        return AuditTrailManager(
-            self._trails.directory, self._audit_key, tolerate_ahead=True
-        )
-
     # ------------------------------------------------------------------
     def mirror_start(self, candidate_set: MSoDPolicySet) -> dict:
         """Arm the canary mirror on this (primary) node.
@@ -320,7 +314,7 @@ class ClusterNode:
                 )
             store = InMemoryRetainedADIStore()
             replay = what_if_replay(
-                self._open_trail_reader(),
+                self._trails.reader(),
                 candidate_set,
                 store,
                 policy_resolver=self._engine.policy_set_for_epoch,
@@ -449,11 +443,6 @@ class ClusterNode:
         """
         with self._lock:
             self._ring = ring
-
-    def owns_user(self, user_id: str) -> bool:
-        """Whether the installed ring assigns this user to this shard."""
-        ring = self._ring
-        return ring is None or ring.shard_for(user_id) == self.shard
 
     def _ownership_filter(self) -> Callable[[str], bool] | None:
         """The replay filter matching this node's installed ring."""

@@ -256,16 +256,6 @@ class ContextName:
     def components(self) -> tuple[ContextComponent, ...]:
         return self._components
 
-    @property
-    def component_types(self) -> tuple[str, ...]:
-        """The ordered component types (memoized; used by matchers)."""
-        types = self._types
-        if types is None:
-            types = self._types = tuple(
-                comp.ctx_type for comp in self._components
-            )
-        return types
-
     def component_keys(self) -> list[tuple[int, str]]:
         """The ``(position, value)`` pair of every component, in order.
 
@@ -449,10 +439,6 @@ class ContextHierarchy:
 
     def __init__(self) -> None:
         self._active: set[ContextName] = set()
-
-    @property
-    def active_instances(self) -> frozenset[ContextName]:
-        return frozenset(self._active)
 
     def start(self, instance: ContextName) -> None:
         """Mark a concrete context instance as active."""

@@ -155,10 +155,6 @@ class MSoDEngine:
         return self._epoch_log.resolve(epoch)
 
     @property
-    def epoch_log(self) -> PolicyEpochLog:
-        return self._epoch_log
-
-    @property
     def store(self) -> RetainedADIStore:
         return self._store
 

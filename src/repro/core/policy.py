@@ -156,12 +156,6 @@ class MSoDPolicy:
         """All constraints in evaluation order: MMERs, MMEPs, extras."""
         return self._constraints
 
-    def constraints_of_kind(
-        self, kind: str
-    ) -> tuple[MultiSessionConstraint, ...]:
-        """The policy's constraints with the given registry kind."""
-        return tuple(c for c in self._constraints if c.kind == kind)
-
     @property
     def first_step(self) -> Step | None:
         return self._first_step

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.constraints import MultiSessionConstraint, Privilege
 from repro.core.context import ContextName
@@ -362,17 +361,6 @@ class PolicyEpochLog:
         """
         for stale in [e for e in self._entries if e > epoch]:
             del self._entries[stale]
-
-    @property
-    def resolver(self) -> Callable[[int], MSoDPolicySet | None]:
-        """:meth:`resolve` as a bare callable (for recovery plumbing)."""
-        return self.resolve
-
-    def versions(self) -> tuple[PolicyVersion, ...]:
-        return tuple(
-            PolicyVersion(epoch=epoch, digest=digest, policies=len(policy_set))
-            for epoch, (policy_set, digest) in self._entries.items()
-        )
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -25,11 +25,7 @@ See ``docs/OBSERVABILITY.md`` for the trace schema, the metric name
 mapping and a scrape example.
 """
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    parse_exposition,
-    render_service_metrics,
-)
+from repro.obs.metrics import MetricsRegistry, parse_exposition
 from repro.obs.recorder import (
     LATENCY_BUCKET_BOUNDS,
     NOOP,
@@ -54,5 +50,4 @@ __all__ = [
     "SlowDecisionLog",
     "MetricsRegistry",
     "parse_exposition",
-    "render_service_metrics",
 ]

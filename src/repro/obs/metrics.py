@@ -34,14 +34,13 @@ regression fails fast rather than breaking a real scraper.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.obs.recorder import LATENCY_BUCKET_BOUNDS, Recorder
 
 __all__ = [
     "MetricsRegistry",
     "parse_exposition",
-    "render_service_metrics",
 ]
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -110,10 +109,6 @@ class MetricsRegistry:
         self._namespace = namespace
         self._recorders: list[Recorder] = []
         self._collectors: list[_Collector] = []
-
-    @property
-    def namespace(self) -> str:
-        return self._namespace
 
     # -- registration --------------------------------------------------
     def register_perf(self, perf: Recorder) -> None:
@@ -302,13 +297,3 @@ def _split_label_pairs(raw: str, lineno: int) -> list[str]:
     if current:
         pairs.append("".join(current))
     return [pair for pair in pairs if pair]
-
-
-def render_service_metrics(service: Any, namespace: str = "repro") -> str:
-    """One-shot exposition for an authorization service (convenience).
-
-    Equivalent to ``service.metrics_registry().render()`` — kept as a
-    module function so callers holding only a service need not touch
-    the registry API.
-    """
-    return service.metrics_registry().render()

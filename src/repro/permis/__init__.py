@@ -15,7 +15,6 @@ from repro.permis.analyzer import (
     SEVERITY_INFO,
     SEVERITY_WARNING,
     Finding,
-    analyze_msod_policy_set,
     analyze_policy,
 )
 from repro.permis.conditions import (
@@ -70,7 +69,6 @@ from repro.permis.policy import (
 )
 
 __all__ = [
-    "analyze_msod_policy_set",
     "analyze_policy",
     "Finding",
     "SEVERITY_ERROR",

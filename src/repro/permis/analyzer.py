@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.constraints import Privilege
-from repro.core.policy import MSoDPolicy, MSoDPolicySet
+from repro.core.policy import MSoDPolicy
 from repro.permis.policy import PermisPolicy
 
 SEVERITY_ERROR = "error"
@@ -170,52 +170,6 @@ def _analyze_msod_policy(
                 "every access request",
             )
         )
-    return findings
-
-
-def analyze_msod_policy_set(policy_set: MSoDPolicySet) -> list[Finding]:
-    """Lint a bare MSoD policy set without its RBAC companion.
-
-    :meth:`repro.core.engine.MSoDEngine.swap_policy` validates
-    hot-reloaded sets through this entry point: the cross-reference
-    checks of :func:`analyze_policy` need the surrounding PERMIS policy,
-    but the lifecycle and scope hazards below are intrinsic to the MSoD
-    set itself.  Structural errors (duplicate ids, empty constraints,
-    bad cardinalities) are already raised by the policy model at
-    construction time, so findings here are warnings and infos.
-    """
-    findings: list[Finding] = []
-    for msod in policy_set:
-        pid = msod.policy_id
-        if msod.last_step is None:
-            findings.append(
-                Finding(
-                    SEVERITY_WARNING,
-                    pid,
-                    "no last step: retained ADI for this context only "
-                    "shrinks through the management port (Section 4.3 "
-                    "growth hazard)",
-                )
-            )
-        elif msod.first_step == msod.last_step:
-            findings.append(
-                Finding(
-                    SEVERITY_WARNING,
-                    pid,
-                    f"first and last step are both {msod.last_step}: every "
-                    "context instance terminates on the request that starts "
-                    "it, so history never accumulates across sessions",
-                )
-            )
-        if msod.business_context.is_root:
-            findings.append(
-                Finding(
-                    SEVERITY_INFO,
-                    pid,
-                    "policy is scoped to the universal context: it applies "
-                    "to every access request",
-                )
-            )
     return findings
 
 

@@ -119,11 +119,6 @@ class MSoDServer:
         await self._frames.close()
         await self._service.abort()
 
-    async def serve_forever(self) -> None:
-        """Block until cancelled (the ``python -m repro serve`` loop)."""
-        await self._service.start()
-        await self._frames.serve_forever()
-
     # ------------------------------------------------------------------
     def _metrics_body(self, frame: dict):
         fmt = protocol.metrics_format_of(frame)

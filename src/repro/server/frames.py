@@ -178,13 +178,6 @@ class FrameServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     # ------------------------------------------------------------------
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

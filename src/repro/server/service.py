@@ -206,10 +206,6 @@ class AuthorizationService:
         return self._n_shards
 
     @property
-    def accepting(self) -> bool:
-        return self._accepting
-
-    @property
     def gather_window(self) -> float:
         """Seconds a loaded shard worker lingers to grow its batch."""
         return self._gather_window
@@ -375,6 +371,12 @@ class AuthorizationService:
                 self._verify_counts.get(severity, 0) + count
             )
 
+    def _note_gate(self, gate: "GateResult") -> None:
+        self._note_verify(gate.static)
+        if gate.whatif is not None:
+            self._whatif_flips += gate.whatif.flip_count
+        self._last_gate = gate
+
     def verify_policy(self, policy_set: MSoDPolicySet) -> "VerifyReport":
         """Run the structured static analyzer over a candidate set."""
         from repro.verify.static import analyze_policy_set
@@ -425,49 +427,29 @@ class AuthorizationService:
         engine's one-tuple-read discipline protects even multi-threaded
         embedders.
 
-        With ``verify=True`` the full verification gate runs first:
-        static analysis plus — when this server records an audit trail —
+        Admission is :func:`~repro.verify.gate.admit_reload`: the
+        ``principal`` against the outgoing set's admin boundaries
+        (``force`` never overrides that), then — with ``verify=True`` —
+        static analysis plus, when this server records an audit trail,
         the differential what-if replay.  Error-severity findings or
         more than ``max_flips`` flipped decisions refuse the swap and
         leave the active epoch untouched; ``force=True`` overrides the
         gate (and additionally advances the epoch even for an identical
         digest, see :meth:`~repro.core.engine.MSoDEngine.swap_policy`).
-
-        When ``principal`` is given, the *outgoing* policy set's admin
-        boundaries are consulted first: a principal whose retained ADI
-        shows operational decisions under the outgoing epoch may not
-        swap the policy that judged them.  ``force`` does **not**
-        override this refusal — the boundary protects the PDP from its
-        own operators.
         """
-        if principal is not None:
-            from repro.core.constraints import POLICY_RELOAD_PRIVILEGE
+        from repro.verify.gate import admit_reload
 
-            denial = self._engine.admin_boundary_denial(
-                principal, POLICY_RELOAD_PRIVILEGE
-            )
-            if denial is not None:
-                raise PolicyError(
-                    f"policy reload refused by admin boundary: {denial}"
-                )
-        if verify:
-            from repro.verify.gate import evaluate_gate
-
-            gate = evaluate_gate(
-                policy_set,
-                trails=self._open_trails(),
-                max_flips=max_flips,
-                policy_resolver=self._engine.policy_set_for_epoch,
-            )
-            self._note_verify(gate.static)
-            if gate.whatif is not None:
-                self._whatif_flips += gate.whatif.flip_count
-            self._last_gate = gate
-            if not gate.ok and not force:
-                raise PolicyError(
-                    "policy reload refused by verification gate: "
-                    + "; ".join(gate.reasons)
-                )
+        admit_reload(
+            [self._engine],
+            policy_set,
+            principal=principal,
+            verify=verify,
+            max_flips=max_flips,
+            force=force,
+            trail_reader=self._trail_reader,
+            policy_resolver=self._engine.policy_set_for_epoch,
+            observe=self._note_gate,
+        )
         report = self._engine.swap_policy(policy_set, force=force)
         self._last_findings = report.findings
         if report.changed:

@@ -12,7 +12,7 @@ runner.
 
 Most callers should not construct this directly: use
 :func:`repro.api.open_server`, which builds the engine + service from a
-policy/store spec and returns a handle wrapping this class.
+policy/store spec and returns this class, already started.
 """
 
 from __future__ import annotations
@@ -139,6 +139,20 @@ class ServerThread:
     def service(self) -> AuthorizationService:
         return self._server.service
 
+    @property
+    def engine(self):
+        return self._server.service.engine
+
+    def client(self, **kwargs):
+        """A :class:`~repro.client.RemotePDP` connected to this server."""
+        from repro.client.remote import RemotePDP
+
+        return RemotePDP(self.host, self.port, **kwargs)
+
+    def policy_version(self):
+        """The :class:`PolicyVersion` the server decides under."""
+        return self.engine.policy_version()
+
     # ------------------------------------------------------------------
     def start(self) -> "ServerThread":
         """Boot the loop thread; blocks until the socket is listening."""
@@ -150,7 +164,7 @@ class ServerThread:
 
     def reload_policy(
         self,
-        policy_set,
+        policy,
         *,
         verify: bool = False,
         max_flips: int = 0,
@@ -159,14 +173,19 @@ class ServerThread:
     ):
         """Thread-safe policy swap: runs the reload on the loop thread.
 
-        Scheduling the swap as a loop callback (like the wire handler)
-        keeps it serialized with the shard workers' micro-batches.
+        ``policy`` is the source union :func:`repro.api.open_server`
+        takes.  Scheduling the swap as a loop callback (like the wire
+        handler) keeps it serialized with the shard workers'
+        micro-batches, so no in-flight decision mixes two versions.
         Returns the :class:`~repro.core.policy_epoch.PolicySwapReport`.
         The keyword options mirror
         :meth:`~repro.server.service.AuthorizationService.reload_policy`.
         """
+        from repro.api import load_policy_source
+
         if self._runner is None:
             raise RuntimeError("server thread is not running")
+        policy_set = load_policy_source(policy)
 
         async def _swap():
             return self._server.service.reload_policy(
@@ -190,6 +209,8 @@ class ServerThread:
             close = getattr(resource, "close", None)
             if callable(close):
                 close()
+
+    close = stop
 
     def kill(self) -> None:
         """Fault-injection stop: no drain, queued decisions abandoned.

@@ -72,10 +72,6 @@ class PeriodStats:
     rbac_denials: int = 0
     cross_duty_staff: int = 0  # staff who held both duties this period
 
-    @property
-    def denials(self) -> int:
-        return self.msod_denials + self.rbac_denials
-
 
 @dataclass(slots=True)
 class SimulationReport:

@@ -6,11 +6,13 @@ Three stages turn hot-reload from merely-atomic into production-safe:
    policy set (machine-readable findings with stable codes);
 2. :mod:`repro.verify.whatif` — differential replay of a recorded audit
    trail under a candidate set, reporting flipped decisions;
-3. :mod:`repro.verify.gate` — the rollout gate combining both, wired
-   into ``policy reload --verify`` and the cluster canary.
+3. :mod:`repro.verify.gate` — the rollout gate combining both, and the
+   one reload admission step (admin boundary, gate, ``force``) that
+   every reload path — ``policy reload``, ``cluster reload`` and the
+   cluster canary — runs.
 """
 
-from repro.verify.gate import GateResult, evaluate_gate
+from repro.verify.gate import GateResult, admit_reload, evaluate_gate
 from repro.verify.static import (
     SEVERITY_ERROR,
     SEVERITY_INFO,
@@ -29,6 +31,7 @@ from repro.verify.whatif import (
 
 __all__ = [
     "GateResult",
+    "admit_reload",
     "evaluate_gate",
     "SEVERITY_ERROR",
     "SEVERITY_INFO",

@@ -1,10 +1,14 @@
 """The rollout gate (stage 3): static analysis + what-if as a swap gate.
 
-``policy reload --verify`` (and the cluster canary) funnel through
-:func:`evaluate_gate`: run the static analyzer over the candidate set
+:func:`evaluate_gate` runs the static analyzer over the candidate set
 and — when a recorded trail is available — the differential what-if
-replay, then refuse the rollout on error-severity findings or on more
-decision flips than the operator budgeted (``max_flips``).
+replay, then fails on error-severity findings or on more decision
+flips than the operator budgeted (``max_flips``).
+
+:func:`admit_reload` is the one admission step every policy reload runs
+— in-process, served, cluster-wide and canary alike: the acting
+principal against each live engine's outgoing AdminBoundary, then the
+gate, then a refusal unless ``force``.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from repro.core.constraints import POLICY_RELOAD_PRIVILEGE
 from repro.core.policy import MSoDPolicySet
+from repro.errors import PolicyError
 from repro.verify.static import VerifyReport, analyze_policy_set
 from repro.verify.whatif import WhatIfReport, what_if_replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.trail import AuditTrailManager
+    from repro.core.engine import MSoDEngine
     from repro.permis.policy import PermisPolicy
     from repro.rbac.constraints import SsdConstraint
 
@@ -99,3 +106,59 @@ def evaluate_gate(
         ok=not reasons,
         reasons=tuple(reasons),
     )
+
+
+def admit_reload(
+    engines: Iterable["MSoDEngine"],
+    candidate_set: MSoDPolicySet,
+    *,
+    principal: str | None = None,
+    verify: bool = True,
+    max_flips: int = 0,
+    force: bool = False,
+    trail_reader: "Callable[[], AuditTrailManager | None] | None" = None,
+    policy_resolver: Optional[
+        Callable[[int], MSoDPolicySet | None]
+    ] = None,
+    observe: Callable[[GateResult], None] | None = None,
+) -> GateResult | None:
+    """Admit ``candidate_set`` onto ``engines`` or raise :class:`PolicyError`.
+
+    1. When ``principal`` is given, every engine's *outgoing* policy
+       set is asked whether an admin boundary forbids that principal
+       the reload privilege — before anything is swapped, so a refusal
+       never leaves engines on two versions.  ``force`` does **not**
+       override this: the boundary protects the PDP from its own
+       operators.
+    2. With ``verify``, :func:`evaluate_gate` runs — including the
+       what-if replay when ``trail_reader`` yields a recorded trail —
+       and ``observe`` sees the verdict before any refusal.
+    3. A failed gate refuses unless ``force``.
+
+    Returns the gate verdict (``None`` when ``verify`` is off).
+    """
+    if principal is not None:
+        for engine in engines:
+            denial = engine.admin_boundary_denial(
+                principal, POLICY_RELOAD_PRIVILEGE
+            )
+            if denial is not None:
+                raise PolicyError(
+                    f"policy reload refused by admin boundary: {denial}"
+                )
+    if not verify:
+        return None
+    gate = evaluate_gate(
+        candidate_set,
+        trails=trail_reader() if trail_reader is not None else None,
+        max_flips=max_flips,
+        policy_resolver=policy_resolver,
+    )
+    if observe is not None:
+        observe(gate)
+    if not gate.ok and not force:
+        raise PolicyError(
+            "policy reload refused by verification gate: "
+            + "; ".join(gate.reasons)
+        )
+    return gate

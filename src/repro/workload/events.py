@@ -123,10 +123,3 @@ class DetectionReport:
     def false_positive_rate(self) -> float:
         """Fraction of benign scenarios the checker wrongly blocked."""
         return self.detection_rate(BENIGN) if BENIGN in self.per_class else 0.0
-
-    def summary_row(self) -> dict[str, float | str]:
-        row: dict[str, float | str] = {"checker": self.checker_name}
-        for label in ALL_CLASSES:
-            if label in self.per_class:
-                row[label] = self.detection_rate(label)
-        return row

@@ -113,27 +113,7 @@ def _validate_policy(policy: ET.Element, where: str, strict: bool) -> list[str]:
             problems.append(
                 f"{where}: MMEP needs at least two privilege children"
             )
-        for privilege in privileges:
-            if privilege.tag == S.ELEM_PRIVILEGE:
-                problems.extend(
-                    _attr_problems(
-                        privilege,
-                        [S.ATTR_PRIV_OPERATION, S.ATTR_PRIV_TARGET],
-                        where,
-                    )
-                )
-            elif privilege.tag == S.ELEM_OPERATION:
-                problems.extend(
-                    _attr_problems(
-                        privilege,
-                        [S.ATTR_OPERATION_VALUE, S.ATTR_PRIV_TARGET],
-                        where,
-                    )
-                )
-            else:
-                problems.append(
-                    f"{where}: MMEP contains unexpected <{privilege.tag}>"
-                )
+        problems.extend(_privilege_child_problems(privileges, "MMEP", where))
 
     for mmcd in mmcds:
         privileges = list(mmcd)

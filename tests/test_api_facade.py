@@ -4,7 +4,16 @@ import dataclasses
 
 import pytest
 
-from repro.api import LocalPDP, ServerHandle, open_pdp, open_server
+from repro.api import (
+    ClusterHandle,
+    LocalPDP,
+    ServerHandle,
+    open_cluster,
+    open_pdp,
+    open_server,
+    verify_policy,
+    what_if,
+)
 from repro.core import (
     MMER,
     ContextName,
@@ -173,6 +182,178 @@ class TestOpenServer:
             with server.client() as pdp:
                 pdp.decide(make_request("alice", TELLER))
         assert path.exists()
+
+    def test_returns_the_started_server_thread(self):
+        from repro.server import ServerThread
+
+        server = open_server(bank_policy_set())
+        runner = server._runner
+        with server:  # entering starts nothing a second time
+            assert isinstance(server, ServerThread)
+            assert server._runner is runner is not None
+        assert server._runner is None
+
+    def test_reload_policy_accepts_a_path_and_xml_text(self, tmp_path):
+        from repro.xmlpolicy import write_policy_set
+
+        path = tmp_path / "freed.xml"
+        path.write_text(write_policy_set(freed_policy_set()), encoding="utf-8")
+        with open_server(bank_policy_set()) as server:
+            assert server.reload_policy(str(path)).changed
+            assert server.policy_version().epoch == 2
+            xml = write_policy_set(freed_policy_set())
+            assert not server.reload_policy(xml).changed
+            assert server.reload_policy(
+                write_policy_set(bank_policy_set())
+            ).changed
+            assert server.policy_version().epoch == 3
+
+
+def freed_policy_set():
+    """Frees the Teller/Auditor pair: recorded MSoD denies flip."""
+    return MSoDPolicySet(
+        [
+            MSoDPolicy(
+                ContextName.parse("Branch=*, Period=!"),
+                mmers=[MMER([TELLER, Role("employee", "Manager")], 2)],
+                policy_id="bank",
+            )
+        ]
+    )
+
+
+class TestSetupFailureClosesStore:
+    """A store ``open_pdp``/``open_server`` built is closed again when a
+    later setup step raises."""
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        import repro.api
+
+        closed = []
+        build = repro.api.build_store
+
+        def spy(parsed, **kwargs):
+            store, owns_store = build(parsed, **kwargs)
+            close = store.close
+
+            def recorded():
+                closed.append(store)
+                close()
+
+            store.close = recorded
+            return store, owns_store
+
+        monkeypatch.setattr(repro.api, "build_store", spy)
+        return closed
+
+    def test_open_pdp_with_a_bad_mode(self, tmp_path, closed):
+        with pytest.raises(PolicyError, match="mode"):
+            open_pdp(
+                bank_policy_set(), f"sqlite:{tmp_path / 'adi.db'}", mode="bogus"
+            )
+        assert len(closed) == 1
+
+    def test_open_server_with_no_shards(self, tmp_path, closed):
+        with pytest.raises(ValueError, match="n_shards"):
+            open_server(
+                bank_policy_set(), f"sqlite:{tmp_path / 'adi.db'}", n_shards=0
+            )
+        assert len(closed) == 1
+
+
+class TestVerifyAndWhatIf:
+    def test_verify_policy_takes_every_source(self, tmp_path):
+        from repro.xmlpolicy import write_policy_set
+
+        xml = write_policy_set(bank_policy_set())
+        path = tmp_path / "policy.xml"
+        path.write_text(xml, encoding="utf-8")
+        for source in (bank_policy_set(), xml, str(path)):
+            assert verify_policy(source).ok
+        duplicated = MSoDPolicySet(
+            [
+                MSoDPolicy(
+                    ContextName.parse("Branch=*, Period=!"),
+                    mmers=[
+                        MMER([TELLER, AUDITOR], 2),
+                        MMER([AUDITOR, TELLER], 2),
+                    ],
+                    policy_id="bank",
+                )
+            ]
+        )
+        report = verify_policy(duplicated)
+        assert not report.ok
+        assert any("CONSTRAINT_DUPLICATE" in str(f) for f in report.errors)
+        with pytest.raises(PolicyError):
+            verify_policy(None)
+
+    def test_what_if_replays_a_trail_open_server_recorded(self, tmp_path):
+        from repro.audit import AuditTrailManager
+
+        trail_dir = str(tmp_path / "trails")
+        with AuditTrailManager(trail_dir, b"facade-key") as trails:
+            with open_server(bank_policy_set(), audit=trails) as server:
+                with server.client() as pdp:
+                    assert pdp.decide(make_request("alice", TELLER, 0)).granted
+                    assert not pdp.decide(
+                        make_request("alice", AUDITOR, 1)
+                    ).granted
+                # The verified reload replays the same trail server-side.
+                with pytest.raises(PolicyError, match="flips 1"):
+                    server.reload_policy(freed_policy_set(), verify=True)
+                assert server.policy_version().epoch == 1
+        assert trails.verify_all() == 2
+        same = what_if(bank_policy_set(), trail_dir, audit_key=b"facade-key")
+        assert same.decisions_replayed == 2 and same.flip_count == 0
+        freed = what_if(freed_policy_set(), trail_dir, audit_key=b"facade-key")
+        assert freed.flip_count == freed.deny_to_grant == 1
+
+
+class TestOpenCluster:
+    def test_returns_the_started_cluster(self, tmp_path):
+        from repro.cluster import LocalCluster
+
+        with open_cluster(
+            bank_policy_set(),
+            str(tmp_path / "cluster"),
+            n_shards=1,
+            fsync=False,
+            health_interval=3600.0,
+        ) as cluster:
+            assert isinstance(cluster, LocalCluster)
+            assert isinstance(cluster, ClusterHandle)
+            assert cluster.cluster is cluster
+            port, runner = cluster.port, cluster._runner
+            assert cluster.start() is cluster  # idempotent
+            assert (cluster.port, cluster._runner) == (port, runner)
+            with cluster.client() as pdp:
+                assert pdp.decide(make_request("alice", TELLER, 0)).granted
+
+    def test_reload_policy_accepts_a_path_and_xml_text(self, tmp_path):
+        from repro.xmlpolicy import write_policy_set
+
+        path = tmp_path / "freed.xml"
+        path.write_text(write_policy_set(freed_policy_set()), encoding="utf-8")
+        with open_cluster(
+            bank_policy_set(),
+            str(tmp_path / "cluster"),
+            n_shards=1,
+            fsync=False,
+            health_interval=3600.0,
+        ) as cluster:
+            assert cluster.reload_policy(str(path))["changed"]
+            assert not cluster.reload_policy(
+                write_policy_set(freed_policy_set())
+            )["changed"]
+            body = cluster.canary_reload_policy(
+                write_policy_set(bank_policy_set())
+            )
+            assert body["changed"]
+            assert {
+                node.policy_version().epoch for node in cluster.nodes()
+            } == {3}
 
 
 class TestPackageLazyExports:

@@ -363,6 +363,54 @@ class TestReloadGuardWire:
             protocol.reload_principal_of({"principal": 7})
 
 
+class TestReloadGuardCanary:
+    """The canary rollout runs the same admission as a plain reload: a
+    principal with retained operational decisions may not canary away
+    the ``policy-store`` guard either."""
+
+    @pytest.fixture
+    def cluster(self, tmp_path):
+        from repro.api import open_cluster
+
+        with open_cluster(
+            admin_guard_policy_set(),
+            str(tmp_path / "cluster"),
+            n_shards=2,
+            fsync=False,
+            health_interval=3600.0,
+        ) as cluster:
+            with cluster.client() as pdp:
+                assert pdp.decide(duty_request("alice", REVIEW, 1.0)).granted
+            yield cluster
+
+    @staticmethod
+    def epochs(cluster):
+        return {node.policy_version().epoch for node in cluster.nodes()}
+
+    def test_wire_canary_refuses_an_operational_principal(self, cluster):
+        with cluster.client() as pdp:
+            with pytest.raises(PolicyError, match="admin boundary"):
+                pdp.reload_policy(
+                    duty_policy_set(), canary=True, principal="alice"
+                )
+            assert self.epochs(cluster) == {1}
+            body = pdp.reload_policy(
+                duty_policy_set(), canary=True, principal="operator"
+            )
+        assert body["changed"] and "canary" in body
+        assert self.epochs(cluster) == {2}
+
+    def test_local_canary_refuses_an_operational_principal(self, cluster):
+        with pytest.raises(PolicyError, match="admin boundary"):
+            cluster.canary_reload_policy(duty_policy_set(), principal="alice")
+        assert self.epochs(cluster) == {1}
+        body = cluster.canary_reload_policy(
+            duty_policy_set(), principal="operator"
+        )
+        assert body["changed"]
+        assert self.epochs(cluster) == {2}
+
+
 class TestAuditReplay:
     def test_mmcd_decisions_replay_epoch_aware(self, tmp_path):
         manager = AuditTrailManager(str(tmp_path), b"trail-key")

@@ -182,9 +182,32 @@ class TestWriter:
         assert len(parse_policy_set(xml)) == 1
 
 
+#: The duty policy CI drives through the CLI: an MMCD binding plus the
+#: policy-store admin boundary.
+DUTY_POLICY_XML = (
+    "<MSoDPolicySet>"
+    "<MSoDPolicy BusinessContext='Filing=*, Case=!' PolicyId='filing-binding'>"
+    "<MMCD>"
+    "<Privilege operation='review' target='filing://annual'/>"
+    "<Privilege operation='signoff' target='filing://annual'/>"
+    "</MMCD></MSoDPolicy>"
+    "<MSoDPolicy BusinessContext='Filing=*, Case=*' PolicyId='store-guard'>"
+    "<AdminBoundary Boundary='policy-store'>"
+    "<Privilege operation='policy-reload' target='pdp://management/policyStore'/>"
+    "<Privilege operation='policy-export' target='pdp://management/policyStore'/>"
+    "</AdminBoundary></MSoDPolicy>"
+    "</MSoDPolicySet>"
+)
+
+
 class TestValidator:
     def test_paper_documents_valid(self):
-        for xml in (BANK_POLICY_XML, TAX_REFUND_POLICY_XML, COMBINED_POLICY_XML):
+        for xml in (
+            BANK_POLICY_XML,
+            TAX_REFUND_POLICY_XML,
+            COMBINED_POLICY_XML,
+            DUTY_POLICY_XML,
+        ):
             assert validate_policy_document(xml) == []
 
     def test_reports_all_problems_in_one_pass(self):
@@ -195,13 +218,29 @@ class TestValidator:
             "<Role type='t' value='a'/><Role value='b'/>"
             "</MMER></MSoDPolicy>"
             "<MSoDPolicy BusinessContext='B=!'/>"
+            # One bad privilege child under each privilege-list parent.
+            "<MSoDPolicy BusinessContext='C=!'>"
+            "<MMEP ForbiddenCardinality='2'>"
+            "<Privilege operation='x' target='u'/><Role type='t' value='a'/>"
+            "</MMEP></MSoDPolicy>"
+            "<MSoDPolicy BusinessContext='D=!'>"
+            "<MMCD><Privilege operation='x' target='u'/>"
+            "<Operation target='u'/></MMCD></MSoDPolicy>"
+            "<MSoDPolicy BusinessContext='E=*'>"
+            "<AdminBoundary Boundary='b'><Step/></AdminBoundary>"
+            "</MSoDPolicy>"
             "</MSoDPolicySet>"
         )
         problems = validate_policy_document(xml)
-        assert len(problems) >= 3
+        assert len(problems) >= 6
         assert any("BusinessContext" in p for p in problems)
         assert any("ForbiddenCardinality" in p for p in problems)
         assert any("missing attribute" in p for p in problems)
+        assert "policy #3: MMEP contains unexpected <Role>" in problems
+        assert (
+            "policy #4: <Operation> is missing attribute 'value'" in problems
+        )
+        assert "policy #5: AdminBoundary contains unexpected <Step>" in problems
 
     def test_not_xml(self):
         assert validate_policy_document("{json: true}") != []
