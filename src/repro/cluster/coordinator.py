@@ -621,15 +621,20 @@ class LocalCluster:
 
         With ``apply=True`` and the plan recommending a split, starts
         one (``add_shard``) and reports the joining shard under
-        ``"added"``.
+        ``"added"``.  A serving shard whose primary cannot report
+        (killed, its store closed) makes the plan a :class:`ClusterError`.
         """
+        stats = self.shard_stats()
         resident = {}
         for shard_name in self._ring.shard_names:
-            state = self._shards.get(shard_name)
-            if state is None:
+            if shard_name not in stats:
                 continue
-            stats = state.primary.store.stats()
-            resident[shard_name] = int(stats.get("resident_users", 0))
+            if "error" in stats[shard_name]:
+                raise ClusterError(
+                    f"cannot plan a rebalance: shard {shard_name!r} has no "
+                    f"live primary ({stats[shard_name]['error']})"
+                )
+            resident[shard_name] = int(stats[shard_name].get("resident_users", 0))
         plan = plan_rebalance(resident, threshold=threshold)
         if apply and plan["action"] == "split":
             plan["added"] = self.add_shard()
@@ -684,26 +689,7 @@ class LocalCluster:
             if migration is None:
                 return
             if migration.phase == PHASE_CATCHUP:
-                delta = 0
-                for source, target, predicate in migration.moves():
-                    source_state = self._shards.get(source)
-                    target_state = self._shards.get(target)
-                    if source_state is None or target_state is None:
-                        continue
-                    migration.note_trail_dir(
-                        source, source_state.primary.trail_dir
-                    )
-                    for trail_dir in migration.trail_dirs[source]:
-                        report = target_state.primary.import_decision_events(
-                            trail_dir,
-                            predicate,
-                            cursor=migration.cursor(target, trail_dir),
-                        )
-                        migration.set_cursor(
-                            target, trail_dir, report["next_cursor"]
-                        )
-                        delta += report["scanned"]
-                        migration.events_imported += report["imported"]
+                delta = self._import_moves(migration)
                 migration.ticks += 1
                 if (
                     delta <= migration.converge_events
@@ -713,6 +699,27 @@ class LocalCluster:
                 self._save_state()
             elif migration.phase == PHASE_CUTOVER:
                 self._cutover(migration)
+
+    def _import_moves(self, migration: Migration) -> int:
+        """Import every lineage of every move from its cursor on; return
+        the events scanned."""
+        scanned = 0
+        for source, target, predicate in migration.moves():
+            source_state = self._shards.get(source)
+            target_state = self._shards.get(target)
+            if source_state is None or target_state is None:
+                continue
+            migration.note_trail_dir(source, source_state.primary.trail_dir)
+            for trail_dir in migration.trail_dirs[source]:
+                report = target_state.primary.import_decision_events(
+                    trail_dir,
+                    predicate,
+                    cursor=migration.cursor(target, trail_dir),
+                )
+                migration.set_cursor(target, trail_dir, report["next_cursor"])
+                scanned += report["scanned"]
+                migration.events_imported += report["imported"]
+        return scanned
 
     def _cutover(self, migration: Migration) -> None:
         """Fence the movers, drain the tail, flip the ring, re-route.
@@ -755,24 +762,7 @@ class LocalCluster:
         with self._route_lock:
             self._route_version += 1
         self._save_state()
-        for source, target, predicate in migration.moves():
-            source_state = self._shards.get(source)
-            target_state = self._shards.get(target)
-            if source_state is None or target_state is None:
-                continue
-            migration.note_trail_dir(
-                source, source_state.primary.trail_dir
-            )
-            for trail_dir in migration.trail_dirs[source]:
-                report = target_state.primary.import_decision_events(
-                    trail_dir,
-                    predicate,
-                    cursor=migration.cursor(target, trail_dir),
-                )
-                migration.set_cursor(
-                    target, trail_dir, report["next_cursor"]
-                )
-                migration.events_imported += report["imported"]
+        self._import_moves(migration)
         if migration.kind != KIND_DRAIN:
             # A drained shard retires whole — nothing to purge.
             for source in sources:

@@ -379,27 +379,9 @@ class ClusterNode:
         mirror["live_flip_count"] += 1
         if len(mirror["live_flips"]) >= 100:
             return
-        violation = shadow.violation
         mirror["live_flips"].append(
-            DecisionFlip(
-                request_id=decision.request.request_id,
-                user_id=decision.request.user_id,
-                operation=decision.request.operation,
-                target=decision.request.target,
-                context_instance=str(decision.request.context_instance),
-                timestamp=decision.request.timestamp,
-                recorded_effect=decision.effect,
-                replayed_effect=shadow.effect,
-                recorded_reason=decision.reason,
-                replayed_reason=shadow.reason,
-                replayed_policy_id=(
-                    violation.policy_id
-                    if violation is not None
-                    else ";".join(shadow.matched_policy_ids)
-                ),
-                replayed_constraint=(
-                    violation.constraint_repr if violation is not None else ""
-                ),
+            DecisionFlip.of(
+                decision.request, decision.effect, decision.reason, shadow
             )
         )
 

@@ -15,8 +15,15 @@ user may exercise it at ``k - 1`` (paper Section 2.4, the
 Beyond the paper's two families, constraints are pluggable: every kind
 subclasses :class:`MultiSessionConstraint` and registers itself in
 :data:`CONSTRAINT_KINDS`, and the engine runs one generic evaluation
-loop instead of switch-casing on MMER/MMEP.  Two extension kinds ship
-here:
+loop instead of switch-casing on MMER/MMEP.
+
+Every shipped kind has the same *shape*: a member list (roles or
+privileges), plus optionally a label and a forbidden cardinality ``m``.
+A kind declares it once (``fields``, ``member_type``) and gets equality,
+hashing, ``repr``, ``canonical()``, the XML element of its class name,
+the ``repr`` parser and the verifier's duplicate and redundancy checks
+from it; the DSL needs one phrase row in ``repro.xmlpolicy.dsl``.  Two
+extension kinds ship here:
 
 * :class:`MMCD` — multi-session *combination of duty* (binding-of-duty,
   after Hosseini's combination-of-duty extension for RBAC): once a user
@@ -139,6 +146,13 @@ class MultiSessionConstraint:
     :func:`register_constraint_kind`) lets the XML/DSL layers, the
     verifier and the wire protocol discover it without the engine ever
     switch-casing on concrete families.
+
+    A kind with a shape declares ``fields`` (its constructor's
+    arguments, in order, drawn from ``label``, ``members`` and ``m``)
+    and ``member_type``, and stores them in ``_label``, ``_members`` and
+    ``_m``; equality, hashing, ``repr`` and :meth:`canonical` follow.
+    A kind that declares no ``fields`` writes those itself and has no
+    XML or ``repr`` codec.
     """
 
     __slots__ = ()
@@ -146,6 +160,54 @@ class MultiSessionConstraint:
     #: Unique registry key; also the ``constraint_kind`` stamped on
     #: violations and wire decision payloads.
     kind: ClassVar[str] = ""
+    #: The constructor's arguments in order: ``label``, ``members``, ``m``.
+    fields: ClassVar[tuple[str, ...]] = ()
+    #: What ``members`` holds: :class:`Role` or :class:`Privilege`.
+    member_type: ClassVar[type] = Privilege
+
+    # Defaults for the parts of the shape a kind does not declare.
+    _label: str | None = None
+    _members: tuple = ()
+    _m: int | None = None
+
+    @property
+    def label(self) -> str | None:
+        """The kind's label (AdminBoundary's boundary), if it has one."""
+        return self._label
+
+    @property
+    def members(self) -> tuple:
+        """The roles or privileges, in declaration order (duplicates kept)."""
+        return self._members
+
+    @property
+    def m(self) -> int | None:
+        """The forbidden cardinality, if the kind has one."""
+        return self._m
+
+    def _identity(self) -> tuple:
+        return (self._label, frozenset(Counter(self._members).items()), self._m)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (
+            bool(self.fields) and self._identity() == other._identity()
+        )
+
+    def __hash__(self) -> int:
+        if not self.fields:
+            return object.__hash__(self)
+        return hash(self._identity())
+
+    def __repr__(self) -> str:
+        shown = {
+            "label": repr(self._label),
+            "members": "{" + ", ".join(str(x) for x in self._members) + "}",
+            "m": f"m={self._m}",
+        }
+        parts = ", ".join(shown[field] for field in self.fields)
+        return f"{type(self).__name__}({parts})"
 
     def matches_request(self, request: "DecisionRequest") -> bool:
         """True when this constraint could constrain the request."""
@@ -171,7 +233,16 @@ class MultiSessionConstraint:
 
     def canonical(self) -> dict:
         """A JSON-able canonical form (policy-set digest input)."""
-        raise NotImplementedError
+        if not self.fields:
+            raise NotImplementedError
+        canonical: dict = {"kind": self.kind}
+        if self._label is not None:
+            canonical["boundary"] = self._label
+        key = "roles" if self.member_type is Role else "privileges"
+        canonical[key] = sorted(str(member) for member in self._members)
+        if self._m is not None:
+            canonical["m"] = self._m
+        return canonical
 
 
 #: Registry of constraint kinds by their ``kind`` string.
@@ -206,9 +277,13 @@ class MMER(MultiSessionConstraint):
     events; the paper's repetition idiom exists only for MMEP).
     """
 
-    __slots__ = ("_roles", "_member", "_cardinality")
+    __slots__ = ("_members", "_m", "_member")
 
     kind = "MMER"
+    fields = ("members", "m")
+    member_type = Role
+    roles = MultiSessionConstraint.members
+    forbidden_cardinality = MultiSessionConstraint.m
 
     def __init__(self, roles: Iterable[Role], forbidden_cardinality: int) -> None:
         role_tuple = tuple(roles)
@@ -216,17 +291,9 @@ class MMER(MultiSessionConstraint):
         if len(member) != len(role_tuple):
             raise ConstraintError("MMER role set must not contain duplicates")
         _check_cardinality(len(role_tuple), forbidden_cardinality, "MMER")
-        self._roles = role_tuple
+        self._members = role_tuple
         self._member = member
-        self._cardinality = forbidden_cardinality
-
-    @property
-    def roles(self) -> tuple[Role, ...]:
-        return self._roles
-
-    @property
-    def forbidden_cardinality(self) -> int:
-        return self._cardinality
+        self._m = forbidden_cardinality
 
     def matched_roles(self, activated: Iterable[Role]) -> frozenset[Role]:
         """The subset of ``activated`` roles that are in this MMER set.
@@ -244,7 +311,7 @@ class MMER(MultiSessionConstraint):
         return not self._member.isdisjoint(request.roles)
 
     def triggers(self) -> tuple[Role, ...]:
-        return self._roles
+        return self._members
 
     def evaluate(
         self,
@@ -263,7 +330,7 @@ class MMER(MultiSessionConstraint):
         historic = views.user_roles(request.user_id, effective_context)
         count = len(remaining & historic)
         # 5.iv: grant-and-record or deny.
-        if count < self._cardinality - len(matched):
+        if count < self._m - len(matched):
             return ConstraintVerdict(
                 True, grant_roles=tuple(sorted(matched, key=str))
             )
@@ -271,33 +338,11 @@ class MMER(MultiSessionConstraint):
             False,
             detail=(
                 f"user {request.user_id!r} would hold {count + len(matched)} of "
-                f"{len(self._roles)} mutually exclusive roles (forbidden "
-                f"cardinality {self._cardinality}) in context "
+                f"{len(self._members)} mutually exclusive roles (forbidden "
+                f"cardinality {self._m}) in context "
                 f"[{effective_context}]"
             ),
         )
-
-    def canonical(self) -> dict:
-        return {
-            "kind": self.kind,
-            "roles": sorted(str(role) for role in self._roles),
-            "m": self._cardinality,
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MMER):
-            return NotImplemented
-        return (
-            self._member == other._member
-            and self._cardinality == other._cardinality
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._member, self._cardinality))
-
-    def __repr__(self) -> str:
-        roles = ", ".join(str(role) for role in self._roles)
-        return f"MMER({{{roles}}}, m={self._cardinality})"
 
 
 @register_constraint_kind
@@ -309,29 +354,24 @@ class MMEP(MultiSessionConstraint):
     business context [instance] when the forbidden cardinality is ``k``.
     """
 
-    __slots__ = ("_privileges", "_cardinality")
+    __slots__ = ("_members", "_m")
 
     kind = "MMEP"
+    fields = ("members", "m")
+    privileges = MultiSessionConstraint.members
+    forbidden_cardinality = MultiSessionConstraint.m
 
     def __init__(
         self, privileges: Iterable[Privilege], forbidden_cardinality: int
     ) -> None:
         priv_tuple = tuple(privileges)
         _check_cardinality(len(priv_tuple), forbidden_cardinality, "MMEP")
-        self._privileges = priv_tuple
-        self._cardinality = forbidden_cardinality
-
-    @property
-    def privileges(self) -> tuple[Privilege, ...]:
-        return self._privileges
-
-    @property
-    def forbidden_cardinality(self) -> int:
-        return self._cardinality
+        self._members = priv_tuple
+        self._m = forbidden_cardinality
 
     def matches(self, privilege: Privilege) -> bool:
         """True when the requested privilege appears in this MMEP set."""
-        return privilege in self._privileges
+        return privilege in self._members
 
     def remaining_privileges(self, matched: Privilege) -> Counter:
         """The multiset of privileges minus *one* occurrence of ``matched``.
@@ -340,17 +380,17 @@ class MMEP(MultiSessionConstraint):
         target in MMEP" — exactly one occurrence is ignored, which is what
         gives the duplicate-privilege idiom its at-most-once semantics.
         """
-        remaining = Counter(self._privileges)
+        remaining = Counter(self._members)
         remaining[matched] -= 1
         if remaining[matched] <= 0:
             del remaining[matched]
         return remaining
 
     def matches_request(self, request: "DecisionRequest") -> bool:
-        return request.privilege in self._privileges
+        return request.privilege in self._members
 
     def triggers(self) -> tuple[Privilege, ...]:
-        return self._privileges
+        return self._members
 
     def evaluate(
         self,
@@ -360,7 +400,7 @@ class MMEP(MultiSessionConstraint):
     ) -> ConstraintVerdict:
         # 6.i: match requested operation and target against MMEP
         # privilege(s).
-        if request.privilege not in self._privileges:
+        if request.privilege not in self._members:
             # 6.ii: no match, next constraint.
             return CONSTRAINT_OK
         # 6.iii: ignoring one occurrence of the matched privilege, count
@@ -370,39 +410,17 @@ class MMEP(MultiSessionConstraint):
             request.user_id, effective_context
         )
         count = count_history_matches(remaining, history)
-        if count < self._cardinality - 1:
+        if count < self._m - 1:
             return CONSTRAINT_OK_EXERCISE
         return ConstraintVerdict(
             False,
             detail=(
                 f"user {request.user_id!r} would exercise {count + 1} of "
-                f"{len(self._privileges)} mutually exclusive privileges "
-                f"(forbidden cardinality {self._cardinality}) in "
+                f"{len(self._members)} mutually exclusive privileges "
+                f"(forbidden cardinality {self._m}) in "
                 f"context [{effective_context}]"
             ),
         )
-
-    def canonical(self) -> dict:
-        return {
-            "kind": self.kind,
-            "privileges": sorted(str(priv) for priv in self._privileges),
-            "m": self._cardinality,
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MMEP):
-            return NotImplemented
-        return (
-            Counter(self._privileges) == Counter(other._privileges)
-            and self._cardinality == other._cardinality
-        )
-
-    def __hash__(self) -> int:
-        return hash((frozenset(Counter(self._privileges).items()), self._cardinality))
-
-    def __repr__(self) -> str:
-        privs = ", ".join(str(priv) for priv in self._privileges)
-        return f"MMEP({{{privs}}}, m={self._cardinality})"
 
 
 def count_history_matches(
@@ -446,9 +464,11 @@ class MMCD(MultiSessionConstraint):
     forbidden cardinality: the bound set binds as a whole.
     """
 
-    __slots__ = ("_privileges",)
+    __slots__ = ("_members",)
 
     kind = "MMCD"
+    fields = ("members",)
+    privileges = MultiSessionConstraint.members
 
     def __init__(self, privileges: Iterable[Privilege]) -> None:
         priv_tuple = tuple(privileges)
@@ -458,17 +478,13 @@ class MMCD(MultiSessionConstraint):
             raise ConstraintError(
                 f"MMCD needs at least 2 bound privileges, got {len(priv_tuple)}"
             )
-        self._privileges = priv_tuple
-
-    @property
-    def privileges(self) -> tuple[Privilege, ...]:
-        return self._privileges
+        self._members = priv_tuple
 
     def matches_request(self, request: "DecisionRequest") -> bool:
-        return request.privilege in self._privileges
+        return request.privilege in self._members
 
     def triggers(self) -> tuple[Privilege, ...]:
-        return self._privileges
+        return self._members
 
     def evaluate(
         self,
@@ -476,10 +492,10 @@ class MMCD(MultiSessionConstraint):
         effective_context: "ContextName",
         views: "ADIViewSnapshot",
     ) -> ConstraintVerdict:
-        if request.privilege not in self._privileges:
+        if request.privilege not in self._members:
             return CONSTRAINT_OK
         owners = views.users_with_privileges(
-            self._privileges, effective_context
+            self._members, effective_context
         )
         others = [owner for owner in owners if owner != request.user_id]
         if not others:
@@ -493,24 +509,6 @@ class MMCD(MultiSessionConstraint):
                 f"{', '.join(repr(owner) for owner in sorted(others))}"
             ),
         )
-
-    def canonical(self) -> dict:
-        return {
-            "kind": self.kind,
-            "privileges": sorted(str(priv) for priv in self._privileges),
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MMCD):
-            return NotImplemented
-        return set(self._privileges) == set(other._privileges)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._privileges))
-
-    def __repr__(self) -> str:
-        privs = ", ".join(str(priv) for priv in self._privileges)
-        return f"MMCD({{{privs}}})"
 
 
 #: Canonical target URI for the PDP's own policy store — the resource
@@ -536,9 +534,12 @@ class AdminBoundary(MultiSessionConstraint):
     outgoing policy epoch — the one whose history is still retained.
     """
 
-    __slots__ = ("_boundary", "_privileges", "_admin_set")
+    __slots__ = ("_label", "_members", "_admin_set")
 
     kind = "ADMIN_BOUNDARY"
+    fields = ("label", "members")
+    boundary = MultiSessionConstraint.label
+    privileges = MultiSessionConstraint.members
 
     def __init__(self, boundary: str, privileges: Iterable[Privilege]) -> None:
         if not boundary:
@@ -552,23 +553,15 @@ class AdminBoundary(MultiSessionConstraint):
             raise ConstraintError(
                 "admin boundary guarded set must not contain duplicates"
             )
-        self._boundary = boundary
-        self._privileges = priv_tuple
+        self._label = boundary
+        self._members = priv_tuple
         self._admin_set = frozenset(priv_tuple)
-
-    @property
-    def boundary(self) -> str:
-        return self._boundary
-
-    @property
-    def privileges(self) -> tuple[Privilege, ...]:
-        return self._privileges
 
     def matches_request(self, request: "DecisionRequest") -> bool:
         return request.privilege in self._admin_set
 
     def triggers(self) -> tuple[Privilege, ...]:
-        return self._privileges
+        return self._members
 
     def evaluate(
         self,
@@ -592,34 +585,12 @@ class AdminBoundary(MultiSessionConstraint):
             False,
             detail=(
                 f"user {request.user_id!r} crosses admin boundary "
-                f"{self._boundary!r}: {len(operational)} operational "
+                f"{self._label!r}: {len(operational)} operational "
                 f"privilege(s) retained in context [{effective_context}] "
                 f"(e.g. {sorted(str(p) for p in operational)[0]}) forbid "
                 f"{request.privilege}"
             ),
         )
-
-    def canonical(self) -> dict:
-        return {
-            "kind": self.kind,
-            "boundary": self._boundary,
-            "privileges": sorted(str(priv) for priv in self._privileges),
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdminBoundary):
-            return NotImplemented
-        return (
-            self._boundary == other._boundary
-            and set(self._privileges) == set(other._privileges)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._boundary, frozenset(self._privileges)))
-
-    def __repr__(self) -> str:
-        privs = ", ".join(str(priv) for priv in self._privileges)
-        return f"AdminBoundary({self._boundary!r}, {{{privs}}})"
 
 
 def policy_store_boundary() -> AdminBoundary:

@@ -30,11 +30,11 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.constraints import (
     MMCD,
-    MMEP,
     MMER,
     POLICY_EXPORT_PRIVILEGE,
     POLICY_RELOAD_PRIVILEGE,
     AdminBoundary,
+    MultiSessionConstraint,
     Privilege,
     Role,
     count_history_matches,
@@ -55,6 +55,7 @@ _SEVERITIES = (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_INFO)
 # rollout gate key off these, not the prose details.
 CONSTRAINT_DUPLICATE = "CONSTRAINT_DUPLICATE"
 POLICY_DUPLICATE = "POLICY_DUPLICATE"
+# Redundancy is ``<KIND>_REDUNDANT`` for every kind with an ``m``.
 MMER_REDUNDANT = "MMER_REDUNDANT"
 MMEP_REDUNDANT = "MMEP_REDUNDANT"
 SCOPE_SHADOWED = "SCOPE_SHADOWED"
@@ -189,49 +190,23 @@ def render_findings(report: VerifyReport) -> tuple[str, ...]:
 # Intra-policy checks (bare set, no companion needed).
 # ----------------------------------------------------------------------
 def _intra_policy_findings(policy: MSoDPolicy) -> list[VerifyFinding]:
-    findings: list[VerifyFinding] = []
     pid = policy.policy_id
+    constraints = policy.constraints
+    findings = _duplicate_constraints(pid, constraints)
 
-    findings.extend(
-        _duplicate_constraints(pid, policy.mmers, "MMER")
-    )
-    findings.extend(
-        _duplicate_constraints(pid, policy.mmeps, "MMEP")
-    )
-    findings.extend(
-        _duplicate_constraints(pid, policy.extra_constraints, "extension")
-    )
-
-    # Redundancy: a constraint implied by a strictly stricter sibling.
-    # MMER A is implied by B when roles(A) ⊆ roles(B) and m(B) <= m(A):
-    # any history violating A necessarily violates B first.
-    for index, mmer in enumerate(policy.mmers):
-        for other_index, other in enumerate(policy.mmers):
-            if other_index == index or mmer == other:
+    # Redundancy: a constraint implied by a stricter sibling.
+    for index, constraint in enumerate(constraints):
+        for other_index, other in enumerate(constraints):
+            if other_index == index or constraint == other:
                 continue
-            if _mmer_implied_by(mmer, other):
+            if _implied_by(constraint, other):
                 findings.append(
                     VerifyFinding(
-                        MMER_REDUNDANT,
+                        f"{constraint.kind}_REDUNDANT",
                         SEVERITY_WARNING,
                         pid,
-                        f"{mmer!r} is implied by stricter sibling {other!r}"
-                        " and can never be the binding constraint",
-                    )
-                )
-                break
-    for index, mmep in enumerate(policy.mmeps):
-        for other_index, other in enumerate(policy.mmeps):
-            if other_index == index or mmep == other:
-                continue
-            if _mmep_implied_by(mmep, other):
-                findings.append(
-                    VerifyFinding(
-                        MMEP_REDUNDANT,
-                        SEVERITY_WARNING,
-                        pid,
-                        f"{mmep!r} is implied by stricter sibling {other!r}"
-                        " and can never be the binding constraint",
+                        f"{constraint!r} is implied by stricter sibling "
+                        f"{other!r} and can never be the binding constraint",
                     )
                 )
                 break
@@ -272,9 +247,7 @@ def _intra_policy_findings(policy: MSoDPolicy) -> list[VerifyFinding]:
     return findings
 
 
-def _duplicate_constraints(
-    pid: str, constraints: tuple, kind: str
-) -> list[VerifyFinding]:
+def _duplicate_constraints(pid: str, constraints: tuple) -> list[VerifyFinding]:
     """Exact duplicates (modulo ordering) within one policy are errors:
     a repeated constraint is always an authoring mistake — the copy can
     never change a decision."""
@@ -291,7 +264,7 @@ def _duplicate_constraints(
                         CONSTRAINT_DUPLICATE,
                         SEVERITY_ERROR,
                         pid,
-                        f"duplicate {kind} constraint {constraint!r} "
+                        f"duplicate {constraint.kind} constraint {constraint!r} "
                         "(listed more than once, modulo ordering)",
                     )
                 )
@@ -299,18 +272,27 @@ def _duplicate_constraints(
     return findings
 
 
-def _mmer_implied_by(mmer: MMER, other: MMER) -> bool:
-    return (
-        set(mmer.roles) <= set(other.roles)
-        and other.forbidden_cardinality <= mmer.forbidden_cardinality
-    )
+def _implied_by(
+    constraint: MultiSessionConstraint, other: MultiSessionConstraint
+) -> bool:
+    """Any history violating ``constraint`` violates ``other`` first.
 
-
-def _mmep_implied_by(mmep: MMEP, other: MMEP) -> bool:
-    ours, theirs = Counter(mmep.privileges), Counter(other.privileges)
+    True when both are of one kind and label, the members of
+    ``constraint`` are a sub-multiset of ``other``'s and ``other.m <=
+    constraint.m`` (MMER A is implied by B when roles(A) ⊆ roles(B) and
+    m(B) <= m(A)).  A kind without ``m`` has no such lattice: only an
+    equal constraint implies it.
+    """
+    if (
+        constraint.m is None
+        or type(other) is not type(constraint)
+        or other.label != constraint.label
+    ):
+        return constraint == other
+    ours, theirs = Counter(constraint.members), Counter(other.members)
     return (
-        all(theirs[priv] >= count for priv, count in ours.items())
-        and other.forbidden_cardinality <= mmep.forbidden_cardinality
+        all(theirs[member] >= count for member, count in ours.items())
+        and other.m <= constraint.m
     )
 
 
@@ -324,31 +306,11 @@ def _same_steps(first: MSoDPolicy, second: MSoDPolicy) -> bool:
     )
 
 
-def _constraints_equal(first: MSoDPolicy, second: MSoDPolicy) -> bool:
-    return (
-        set(first.mmers) == set(second.mmers)
-        and set(first.mmeps) == set(second.mmeps)
-        and set(first.extra_constraints) == set(second.extra_constraints)
-    )
-
-
 def _constraints_implied(inner: MSoDPolicy, outer: MSoDPolicy) -> bool:
     """Every constraint of ``inner`` is implied by some ``outer`` one."""
-    return (
-        all(
-            any(_mmer_implied_by(mmer, other) for other in outer.mmers)
-            for mmer in inner.mmers
-        )
-        and all(
-            any(_mmep_implied_by(mmep, other) for other in outer.mmeps)
-            for mmep in inner.mmeps
-        )
-        # Extension kinds have no implication lattice: only an exact
-        # copy in the ancestor shadows them.
-        and all(
-            extra in outer.extra_constraints
-            for extra in inner.extra_constraints
-        )
+    return all(
+        any(_implied_by(constraint, other) for other in outer.constraints)
+        for constraint in inner.constraints
     )
 
 
@@ -364,7 +326,7 @@ def _cross_policy_findings(policy_set: MSoDPolicySet) -> list[VerifyFinding]:
             if (
                 policy.business_context == other.business_context
                 and _same_steps(policy, other)
-                and _constraints_equal(policy, other)
+                and set(policy.constraints) == set(other.constraints)
             ):
                 findings.append(
                     VerifyFinding(

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from repro.audit.recovery import recover_retained_adi
 from repro.audit.trail import EVENT_DECISION, EVENT_PURGE, AuditTrailManager
 from repro.core.context import ContextName
-from repro.core.decision import DecisionRequest
+from repro.core.decision import Decision, DecisionRequest
 from repro.core.engine import MODE_STRICT, MSoDEngine
 from repro.core.policy import MSoDPolicySet
 from repro.core.policy_epoch import policy_set_digest
@@ -81,6 +81,38 @@ class DecisionFlip:
     replayed_reason: str
     replayed_policy_id: str
     replayed_constraint: str
+
+    @classmethod
+    def of(
+        cls,
+        request: DecisionRequest,
+        recorded_effect: str,
+        recorded_reason: str,
+        replayed: Decision,
+    ) -> "DecisionFlip":
+        """The flip of ``request`` from its recorded effect and reason to
+        the ``replayed`` decision."""
+        violation = replayed.violation
+        return cls(
+            request_id=request.request_id,
+            user_id=request.user_id,
+            operation=request.operation,
+            target=request.target,
+            context_instance=str(request.context_instance),
+            timestamp=request.timestamp,
+            recorded_effect=recorded_effect,
+            replayed_effect=replayed.effect,
+            recorded_reason=recorded_reason,
+            replayed_reason=replayed.reason,
+            replayed_policy_id=(
+                violation.policy_id
+                if violation is not None
+                else ";".join(replayed.matched_policy_ids)
+            ),
+            replayed_constraint=(
+                violation.constraint_repr if violation is not None else ""
+            ),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -242,27 +274,9 @@ def what_if_replay(
         flip_count += 1
         if len(flips) >= max_flips_recorded:
             continue
-        violation = replayed.violation
         flips.append(
-            DecisionFlip(
-                request_id=request.request_id,
-                user_id=request.user_id,
-                operation=request.operation,
-                target=request.target,
-                context_instance=str(request.context_instance),
-                timestamp=request.timestamp,
-                recorded_effect=recorded_effect,
-                replayed_effect=replayed.effect,
-                recorded_reason=str(payload.get("reason", "")),
-                replayed_reason=replayed.reason,
-                replayed_policy_id=(
-                    violation.policy_id
-                    if violation is not None
-                    else ";".join(replayed.matched_policy_ids)
-                ),
-                replayed_constraint=(
-                    violation.constraint_repr if violation is not None else ""
-                ),
+            DecisionFlip.of(
+                request, recorded_effect, str(payload.get("reason", "")), replayed
             )
         )
     return WhatIfReport(

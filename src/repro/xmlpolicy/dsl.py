@@ -37,6 +37,10 @@ which may wrap onto continuation lines):
   ``operation on target`` — an AdminBoundary guarding administrative
   privileges with SoD over the PDP's own state.
 
+Every constraint header follows one rule, ``<phrase>[ "<label>"][ limit
+<m>]:``, from the kind's declared shape; :data:`PHRASES` maps each kind
+to its phrase.
+
 :func:`compile_policy_set` parses the DSL; :func:`decompile_policy_set`
 renders any policy set back into it; the round trip is property-tested.
 :func:`parse_constraint_repr` round-trips any constraint's ``repr()``
@@ -47,12 +51,10 @@ from __future__ import annotations
 
 import ast
 import re
+from dataclasses import fields
 
 from repro.core.constraints import (
-    MMCD,
-    MMEP,
-    MMER,
-    AdminBoundary,
+    CONSTRAINT_KINDS,
     MultiSessionConstraint,
     Privilege,
     Role,
@@ -65,6 +67,19 @@ from repro.errors import (
     PolicyError,
     PolicyParseError,
 )
+from repro.xmlpolicy.schema import MEMBER_FIELDS, constraint_kinds
+
+#: The header phrase of each constraint kind.
+PHRASES = {
+    "MMER": "mutually exclusive roles",
+    "MMEP": "mutually exclusive privileges",
+    "MMCD": "combination of duty",
+    "ADMIN_BOUNDARY": "admin boundary",
+}
+
+#: What separates a member's two fields: in DSL items, and in a
+#: constraint's ``repr`` (which shows ``str(member)``).
+_SEPARATORS = {Role: (":", ":"), Privilege: (" on ", "@")}
 
 
 class _Block:
@@ -76,20 +91,16 @@ class _Block:
         self.line_no = line_no
         self.first_step: Step | None = None
         self.last_step: Step | None = None
-        self.mmers: list[MMER] = []
-        self.mmeps: list[MMEP] = []
-        self.extras: list[MultiSessionConstraint] = []
+        self.constraints: list[MultiSessionConstraint] = []
 
     def build(self) -> MSoDPolicy:
         try:
             return MSoDPolicy(
                 business_context=self.context,
-                mmers=self.mmers,
-                mmeps=self.mmeps,
                 first_step=self.first_step,
                 last_step=self.last_step,
                 policy_id=self.policy_id,
-                constraints=self.extras,
+                constraints=self.constraints,
             )
         except PolicyError as exc:
             raise PolicyParseError(
@@ -116,69 +127,74 @@ def _parse_step(rest: str, line_no: int) -> Step:
         raise _fail(line_no, str(exc)) from exc
 
 
-def _parse_role(token: str, line_no: int) -> Role:
-    role_type, sep, value = token.partition(":")
+def _member(member_type: type, token: str, separator: str):
+    """One ``<field><separator><field>`` member; raises ``ValueError`` on
+    a bad form and :class:`ConstraintError` on empty fields."""
+    first, sep, second = token.partition(separator)
     if not sep:
-        raise _fail(line_no, f"role {token!r} must be of the form type:value")
-    try:
-        return Role(role_type.strip(), value.strip())
-    except ConstraintError as exc:
-        raise _fail(line_no, str(exc)) from exc
-
-
-def _parse_privilege(token: str, line_no: int) -> Privilege:
-    operation, sep, target = token.partition(" on ")
-    if not sep:
-        raise _fail(
-            line_no, f"privilege {token!r} must be '<operation> on <target>'"
+        form = separator.join(field.name for field in fields(member_type))
+        raise ValueError(
+            f"{member_type.__name__.lower()} {token!r} must be of the form {form}"
         )
-    try:
-        return Privilege(operation.strip(), target.strip())
-    except ConstraintError as exc:
-        raise _fail(line_no, str(exc)) from exc
+    return member_type(first.strip(), second.strip())
+
+
+def _header(stripped: str, line_no: int) -> tuple | None:
+    """``(kind class, shape values)`` of a constraint header line, or
+    ``None`` when the line opens no constraint."""
+    for kind, phrase in PHRASES.items():
+        if stripped.startswith(phrase) and stripped[len(phrase):][:1] in " :":
+            break
+    else:
+        return None
+    cls = CONSTRAINT_KINDS[kind]
+    rest = stripped[len(phrase):].strip()
+    if not rest.endswith(":"):
+        raise _fail(line_no, "constraint header must end with ':'")
+    rest = rest[:-1].strip()
+    values: dict = {}
+    if "label" in cls.fields:
+        end = rest.rfind('"')
+        if not rest.startswith('"') or end < 1:
+            raise _fail(line_no, f"{phrase} label must be double-quoted")
+        values["label"], rest = rest[1:end], rest[end + 1:].strip()
+    if "m" in cls.fields:
+        keyword, _, limit = rest.partition(" ")
+        if keyword != "limit":
+            raise _fail(line_no, f"expected '{phrase} limit <m>:'")
+        try:
+            values["m"] = int(limit)
+        except ValueError as exc:
+            raise _fail(line_no, "limit must be an integer") from exc
+        rest = ""
+    if rest:
+        raise _fail(line_no, f"unexpected {rest!r} in '{phrase}' header")
+    return cls, values
 
 
 def compile_policy_set(text: str) -> MSoDPolicySet:
     """Compile DSL text into an :class:`MSoDPolicySet`."""
     policies: list[MSoDPolicy] = []
     block: _Block | None = None
-    # (kind, payload, line): payload is the limit for roles/privileges,
-    # the boundary label for 'boundary', None for 'duty'.
-    pending: tuple[str, object, int] | None = None
+    # (kind class, shape values, line) of the constraint being listed.
+    pending: tuple[type, dict, int] | None = None
     pending_items: list[str] = []
 
     def flush_pending() -> None:
         nonlocal pending, pending_items
         if pending is None:
             return
-        kind, payload, line_no = pending
+        cls, values, line_no = pending
         items = [item.strip() for item in pending_items if item.strip()]
         if not items:
-            raise _fail(line_no, f"'{kind}' list is empty")
+            raise _fail(line_no, f"'{PHRASES[cls.kind]}' list is empty")
+        separator = _SEPARATORS[cls.member_type][0]
         try:
-            if kind == "roles":
-                block.mmers.append(
-                    MMER([_parse_role(item, line_no) for item in items], payload)
-                )
-            elif kind == "privileges":
-                block.mmeps.append(
-                    MMEP(
-                        [_parse_privilege(item, line_no) for item in items],
-                        payload,
-                    )
-                )
-            elif kind == "duty":
-                block.extras.append(
-                    MMCD([_parse_privilege(item, line_no) for item in items])
-                )
-            else:
-                block.extras.append(
-                    AdminBoundary(
-                        payload,
-                        [_parse_privilege(item, line_no) for item in items],
-                    )
-                )
-        except ConstraintError as exc:
+            values["members"] = [
+                _member(cls.member_type, item, separator) for item in items
+            ]
+            block.constraints.append(cls(*(values[f] for f in cls.fields)))
+        except (ConstraintError, ValueError) as exc:
             raise _fail(line_no, str(exc)) from exc
         pending = None
         pending_items = []
@@ -231,51 +247,9 @@ def compile_policy_set(text: str) -> MSoDPolicySet:
             if block.last_step is not None:
                 raise _fail(line_no, "duplicate 'last step'")
             block.last_step = _parse_step(stripped[len("last step "):], line_no)
-        elif stripped.startswith("mutually exclusive "):
+        elif (header := _header(stripped, line_no)) is not None:
             flush_pending()
-            rest = stripped[len("mutually exclusive "):]
-            kind, sep, limit_part = rest.partition(" limit ")
-            kind = kind.strip()
-            if kind not in ("roles", "privileges") or not sep:
-                raise _fail(
-                    line_no,
-                    "expected 'mutually exclusive roles|privileges "
-                    "limit <m>:'",
-                )
-            limit_part = limit_part.strip()
-            if not limit_part.endswith(":"):
-                raise _fail(line_no, "constraint header must end with ':'")
-            try:
-                limit = int(limit_part[:-1].strip())
-            except ValueError as exc:
-                raise _fail(line_no, "limit must be an integer") from exc
-            pending = (kind, limit, line_no)
-            pending_items = []
-        elif stripped.startswith("combination of duty"):
-            flush_pending()
-            rest = stripped[len("combination of duty"):].strip()
-            if rest != ":":
-                raise _fail(line_no, "expected 'combination of duty:'")
-            pending = ("duty", None, line_no)
-            pending_items = []
-        elif stripped.startswith("admin boundary "):
-            flush_pending()
-            rest = stripped[len("admin boundary "):].strip()
-            if not rest.endswith(":"):
-                raise _fail(line_no, "constraint header must end with ':'")
-            label_text = rest[:-1].strip()
-            if not (
-                len(label_text) >= 2
-                and label_text[0] == '"'
-                and label_text[-1] == '"'
-            ):
-                raise _fail(
-                    line_no, "admin boundary label must be double-quoted"
-                )
-            label = label_text[1:-1]
-            if not label:
-                raise _fail(line_no, "admin boundary label must be non-empty")
-            pending = ("boundary", label, line_no)
+            pending = (*header, line_no)
             pending_items = []
         elif pending is not None:
             # Continuation of a constraint's item list.
@@ -313,88 +287,38 @@ def decompile_policy_set(policy_set: MSoDPolicySet) -> str:
                 f"    last step {policy.last_step.operation} "
                 f"on {policy.last_step.target}"
             )
-        for mmer in policy.mmers:
-            lines.append(
-                "    mutually exclusive roles "
-                f"limit {mmer.forbidden_cardinality}:"
-            )
-            lines.append(
-                "        "
-                + ", ".join(
-                    f"{role.role_type}:{role.value}"
-                    for role in sorted(mmer.roles, key=str)
-                )
-            )
-        for mmep in policy.mmeps:
-            lines.append(
-                "    mutually exclusive privileges "
-                f"limit {mmep.forbidden_cardinality}:"
-            )
-            lines.append(
-                "        "
-                + ", ".join(
-                    f"{privilege.operation} on {privilege.target}"
-                    for privilege in mmep.privileges
-                )
-            )
-        for constraint in policy.extra_constraints:
-            if isinstance(constraint, MMCD):
-                lines.append("    combination of duty:")
-                lines.append(
-                    "        "
-                    + ", ".join(
-                        f"{privilege.operation} on {privilege.target}"
-                        for privilege in constraint.privileges
-                    )
-                )
-            elif isinstance(constraint, AdminBoundary):
-                lines.append(
-                    f'    admin boundary "{constraint.boundary}":'
-                )
-                lines.append(
-                    "        "
-                    + ", ".join(
-                        f"{privilege.operation} on {privilege.target}"
-                        for privilege in constraint.privileges
-                    )
-                )
-            else:
+        for constraint in policy.constraints:
+            header = PHRASES.get(constraint.kind)
+            if header is None or not constraint.fields:
                 raise PolicyError(
                     "no DSL serialisation for constraint kind "
                     f"{constraint.kind!r}"
                 )
+            if constraint.label is not None:
+                header += f' "{constraint.label}"'
+            if constraint.m is not None:
+                header += f" limit {constraint.m}"
+            lines.append(f"    {header}:")
+            separator = _SEPARATORS[constraint.member_type][0]
+            values_of = MEMBER_FIELDS[constraint.member_type]
+            members = constraint.members
+            if constraint.member_type is Role:  # role sets are written sorted
+                members = sorted(members, key=str)
+            lines.append(
+                "        "
+                + ", ".join(separator.join(values_of(m)) for m in members)
+            )
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
 
-_REPR_PATTERN = re.compile(
-    r"^(?P<cls>MMER|MMEP|MMCD|AdminBoundary)\((?P<body>.*)\)$", re.DOTALL
-)
-
-
-def _split_member_list(body: str, what: str) -> list[str]:
-    if not (body.startswith("{") and body.endswith("}")):
-        raise PolicyParseError(f"{what} members must be brace-enclosed")
-    inner = body[1:-1].strip()
-    if not inner:
-        return []
-    return [token.strip() for token in inner.split(",")]
-
-
-def _role_from_str(token: str) -> Role:
-    role_type, sep, value = token.partition(":")
-    if not sep:
-        raise PolicyParseError(f"role {token!r} must be of the form type:value")
-    return Role(role_type, value)
-
-
-def _privilege_from_str(token: str) -> Privilege:
-    operation, sep, target = token.partition("@")
-    if not sep:
-        raise PolicyParseError(
-            f"privilege {token!r} must be of the form operation@target"
-        )
-    return Privilege(operation, target)
+#: The ``repr`` of each shape field: a string literal, braced members,
+#: ``m=<int>``.
+_REPR_FIELDS = {
+    "label": r"(?P<label>'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")",
+    "members": r"\{(?P<members>.*)\}",
+    "m": r"m=(?P<m>-?\d+)",
+}
 
 
 def parse_constraint_repr(text: str) -> MultiSessionConstraint:
@@ -407,49 +331,29 @@ def parse_constraint_repr(text: str) -> MultiSessionConstraint:
     duplicate privileges — the multiset idiom of Section 2.4 survives
     the trip.
     """
-    match = _REPR_PATTERN.match(text.strip())
-    if match is None:
+    name, _, body = text.strip().partition("(")
+    cls = constraint_kinds().get(name)
+    match = cls and re.fullmatch(
+        ", ".join(_REPR_FIELDS[field] for field in cls.fields) + r"\)",
+        body,
+        re.DOTALL,
+    )
+    if not match:
         raise PolicyParseError(f"unrecognised constraint repr: {text!r}")
-    cls = match.group("cls")
-    body = match.group("body").strip()
+    inner = match.group("members").strip()
+    separator = _SEPARATORS[cls.member_type][1]
     try:
-        if cls == "AdminBoundary":
-            # Body is "<label-literal>, {members}": the label is a
-            # Python string literal (the repr of the boundary label).
-            split_at = body.rfind(", {")
-            if split_at < 0:
-                raise PolicyParseError(
-                    f"unrecognised AdminBoundary repr: {text!r}"
-                )
-            label = ast.literal_eval(body[:split_at])
-            if not isinstance(label, str):
-                raise PolicyParseError(
-                    f"AdminBoundary label must be a string: {text!r}"
-                )
-            members = _split_member_list(
-                body[split_at + 2:].strip(), "AdminBoundary"
-            )
-            return AdminBoundary(
-                label, [_privilege_from_str(token) for token in members]
-            )
-        if cls == "MMCD":
-            members = _split_member_list(body, "MMCD")
-            return MMCD([_privilege_from_str(token) for token in members])
-        # MMER / MMEP: "{members}, m=<cardinality>".
-        members_part, sep, m_part = body.rpartition(", m=")
-        if not sep:
-            raise PolicyParseError(
-                f"{cls} repr must end with ', m=<cardinality>': {text!r}"
-            )
-        cardinality = int(m_part.strip())
-        members = _split_member_list(members_part.strip(), cls)
-        if cls == "MMER":
-            return MMER(
-                [_role_from_str(token) for token in members], cardinality
-            )
-        return MMEP(
-            [_privilege_from_str(token) for token in members], cardinality
-        )
+        values = {
+            "members": [
+                _member(cls.member_type, token.strip(), separator)
+                for token in (inner.split(",") if inner else ())
+            ]
+        }
+        if "label" in cls.fields:
+            values["label"] = ast.literal_eval(match.group("label"))
+        if "m" in cls.fields:
+            values["m"] = int(match.group("m"))
+        return cls(*(values[field] for field in cls.fields))
     except (ConstraintError, ValueError, SyntaxError) as exc:
         raise PolicyParseError(
             f"bad constraint repr {text!r}: {exc}"

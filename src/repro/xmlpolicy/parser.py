@@ -6,11 +6,13 @@ alongside the schema spelling (``<Privilege operation=... target=.../>``),
 plus the extension constraint kinds ``<MMCD>`` (combination of duty) and
 ``<AdminBoundary Boundary=...>`` (self-protecting admin boundary).
 
+Every constraint element is read by one path from its kind's declared
+shape (see :mod:`repro.xmlpolicy.schema`).
+
 By default the parser is *strict* about the Appendix-A ``xs:choice``,
 generalised to the pluggable kinds: one policy carries constraints of
-exactly one family (MMER, MMEP, MMCD or AdminBoundary).  Pass
-``strict=False`` to allow mixed policies (a useful generalisation the
-in-memory model supports).
+exactly one kind.  Pass ``strict=False`` to allow mixed policies (a
+useful generalisation the in-memory model supports).
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import IO
 
-from repro.core.constraints import (
-    MMCD,
-    MMEP,
-    MMER,
-    AdminBoundary,
-    MultiSessionConstraint,
-    Privilege,
-    Role,
-)
+from repro.core.constraints import MultiSessionConstraint
 from repro.core.context import ContextName
 from repro.core.policy import MSoDPolicy, MSoDPolicySet, Step
 from repro.errors import ContextNameError, ConstraintError, PolicyError, PolicyParseError
@@ -60,12 +54,13 @@ def parse_policy_set_element(root: ET.Element, strict: bool = True) -> MSoDPolic
             f"root element must be <{S.ELEM_POLICY_SET}>, got <{root.tag}>"
         )
     policies = []
+    kinds = S.constraint_kinds()
     for index, child in enumerate(root):
         if child.tag != S.ELEM_POLICY:
             raise PolicyParseError(
                 f"unexpected element <{child.tag}> inside <{S.ELEM_POLICY_SET}>"
             )
-        policies.append(_parse_policy(child, index, strict))
+        policies.append(_parse_policy(child, index, strict, kinds))
     if not policies:
         raise PolicyParseError(
             f"<{S.ELEM_POLICY_SET}> must contain at least one <{S.ELEM_POLICY}>"
@@ -85,7 +80,9 @@ def _require_attr(element: ET.Element, name: str) -> str:
     return value
 
 
-def _parse_policy(element: ET.Element, index: int, strict: bool) -> MSoDPolicy:
+def _parse_policy(
+    element: ET.Element, index: int, strict: bool, kinds: dict
+) -> MSoDPolicy:
     context_text = _require_attr(element, S.ATTR_BUSINESS_CONTEXT)
     try:
         context = ContextName.parse(context_text)
@@ -97,9 +94,7 @@ def _parse_policy(element: ET.Element, index: int, strict: bool) -> MSoDPolicy:
     policy_id = element.get(S.ATTR_POLICY_ID)
     first_step = None
     last_step = None
-    mmers: list[MMER] = []
-    mmeps: list[MMEP] = []
-    extras: list[MultiSessionConstraint] = []
+    constraints: list[MultiSessionConstraint] = []
 
     for child in element:
         if child.tag == S.ELEM_FIRST_STEP:
@@ -114,44 +109,27 @@ def _parse_policy(element: ET.Element, index: int, strict: bool) -> MSoDPolicy:
                     f"policy #{index + 1}: multiple <{S.ELEM_LAST_STEP}> elements"
                 )
             last_step = _parse_step(child)
-        elif child.tag == S.ELEM_MMER:
-            mmers.append(_parse_mmer(child, index))
-        elif child.tag == S.ELEM_MMEP:
-            mmeps.append(_parse_mmep(child, index))
-        elif child.tag == S.ELEM_MMCD:
-            extras.append(_parse_mmcd(child, index))
-        elif child.tag == S.ELEM_ADMIN_BOUNDARY:
-            extras.append(_parse_admin_boundary(child, index))
+        elif child.tag in kinds:
+            constraints.append(_parse_constraint(child, kinds[child.tag], index))
         else:
             raise PolicyParseError(
                 f"policy #{index + 1}: unexpected element <{child.tag}>"
             )
 
-    families = sum(
-        1
-        for family in (
-            mmers,
-            mmeps,
-            [c for c in extras if isinstance(c, MMCD)],
-            [c for c in extras if isinstance(c, AdminBoundary)],
-        )
-        if family
-    )
-    if strict and families > 1:
+    names = sorted({type(c).__name__ for c in constraints})
+    if strict and len(names) > 1:
         raise PolicyParseError(
-            f"policy #{index + 1}: one policy carries either MMER or MMEP "
-            "or MMCD or AdminBoundary constraints, not a mixture "
-            "(pass strict=False to relax)"
+            f"policy #{index + 1}: one policy carries constraints of one "
+            "kind (Appendix A: either MMER or MMEP), not a mixture of "
+            f"{', '.join(names)} (pass strict=False to relax)"
         )
     try:
         return MSoDPolicy(
             business_context=context,
-            mmers=mmers,
-            mmeps=mmeps,
             first_step=first_step,
             last_step=last_step,
             policy_id=policy_id,
-            constraints=extras,
+            constraints=constraints,
         )
     except PolicyError as exc:
         raise PolicyParseError(f"policy #{index + 1}: {exc}") from exc
@@ -176,77 +154,37 @@ def _parse_cardinality(element: ET.Element) -> int:
         ) from exc
 
 
-def _parse_mmer(element: ET.Element, index: int) -> MMER:
-    cardinality = _parse_cardinality(element)
-    roles = []
+def _parse_constraint(
+    element: ET.Element, cls: type[MultiSessionConstraint], index: int
+) -> MultiSessionConstraint:
+    """One constraint element, read from its kind's declared shape."""
+    values = {}
+    if "label" in cls.fields:
+        values["label"] = _require_attr(element, S.ATTR_BOUNDARY)
+    if "m" in cls.fields:
+        values["m"] = _parse_cardinality(element)
+    spellings = S.MEMBER_ELEMENTS[cls.member_type]
+    members = []
     for child in element:
-        if child.tag != S.ELEM_ROLE:
+        attributes = spellings.get(child.tag)
+        if attributes is None:
             raise PolicyParseError(
-                f"policy #{index + 1}: <{S.ELEM_MMER}> may only contain "
-                f"<{S.ELEM_ROLE}> elements, got <{child.tag}>"
+                f"policy #{index + 1}: <{element.tag}> may only contain "
+                f"{' or '.join(f'<{tag}>' for tag in spellings)} elements, "
+                f"got <{child.tag}>"
             )
-        role_type = _require_attr(child, S.ATTR_ROLE_TYPE)
-        value = _require_attr(child, S.ATTR_ROLE_VALUE)
         try:
-            roles.append(Role(role_type, value))
+            members.append(
+                cls.member_type(*(_require_attr(child, a) for a in attributes))
+            )
         except ConstraintError as exc:
-            raise PolicyParseError(f"policy #{index + 1}: bad Role: {exc}") from exc
+            raise PolicyParseError(
+                f"policy #{index + 1}: bad {child.tag}: {exc}"
+            ) from exc
+    values["members"] = members
     try:
-        return MMER(roles, cardinality)
-    except ConstraintError as exc:
-        raise PolicyParseError(f"policy #{index + 1}: bad MMER: {exc}") from exc
-
-
-def _parse_privilege(
-    element: ET.Element, index: int, parent: str = S.ELEM_MMEP
-) -> Privilege:
-    if element.tag == S.ELEM_PRIVILEGE:
-        operation = _require_attr(element, S.ATTR_PRIV_OPERATION)
-    elif element.tag == S.ELEM_OPERATION:
-        operation = _require_attr(element, S.ATTR_OPERATION_VALUE)
-    else:
-        raise PolicyParseError(
-            f"policy #{index + 1}: <{parent}> may only contain "
-            f"<{S.ELEM_PRIVILEGE}> or <{S.ELEM_OPERATION}> elements, "
-            f"got <{element.tag}>"
-        )
-    target = _require_attr(element, S.ATTR_PRIV_TARGET)
-    try:
-        return Privilege(operation, target)
-    except ConstraintError as exc:
-        raise PolicyParseError(f"policy #{index + 1}: bad privilege: {exc}") from exc
-
-
-def _parse_mmep(element: ET.Element, index: int) -> MMEP:
-    cardinality = _parse_cardinality(element)
-    privileges = [_parse_privilege(child, index) for child in element]
-    try:
-        return MMEP(privileges, cardinality)
-    except ConstraintError as exc:
-        raise PolicyParseError(f"policy #{index + 1}: bad MMEP: {exc}") from exc
-
-
-def _parse_mmcd(element: ET.Element, index: int) -> MMCD:
-    # Same privilege spellings as MMEP; no cardinality — a bound set
-    # binds as a whole.
-    privileges = [
-        _parse_privilege(child, index, S.ELEM_MMCD) for child in element
-    ]
-    try:
-        return MMCD(privileges)
-    except ConstraintError as exc:
-        raise PolicyParseError(f"policy #{index + 1}: bad MMCD: {exc}") from exc
-
-
-def _parse_admin_boundary(element: ET.Element, index: int) -> AdminBoundary:
-    boundary = _require_attr(element, S.ATTR_BOUNDARY)
-    privileges = [
-        _parse_privilege(child, index, S.ELEM_ADMIN_BOUNDARY)
-        for child in element
-    ]
-    try:
-        return AdminBoundary(boundary, privileges)
+        return cls(*(values[field] for field in cls.fields))
     except ConstraintError as exc:
         raise PolicyParseError(
-            f"policy #{index + 1}: bad AdminBoundary: {exc}"
+            f"policy #{index + 1}: bad {element.tag}: {exc}"
         ) from exc

@@ -4,20 +4,29 @@ The Section 3 worked examples render a privilege as
 ``<Operation value="..." target="..."/>`` while the Appendix A schema
 names the element ``<Privilege operation="..." target="..."/>``; the
 parser accepts both spellings and the writer emits the schema form.
+
+A constraint element is named after its kind's class (``<MMER>``,
+``<MMEP>`` and the extension kinds ``<MMCD>`` and ``<AdminBoundary>``)
+and carries the kind's declared shape: its members as child elements,
+its label as ``Boundary`` and its ``m`` as ``ForbiddenCardinality``.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
+from operator import attrgetter
+
+from repro.core.constraints import (
+    CONSTRAINT_KINDS,
+    MultiSessionConstraint,
+    Privilege,
+    Role,
+)
 
 ELEM_POLICY_SET = "MSoDPolicySet"
 ELEM_POLICY = "MSoDPolicy"
 ELEM_FIRST_STEP = "FirstStep"
 ELEM_LAST_STEP = "LastStep"
-ELEM_MMER = "MMER"
-ELEM_MMEP = "MMEP"
-#: Multi-session combination of duty (extension kind; not Appendix A).
-ELEM_MMCD = "MMCD"
-#: Self-protecting administrative boundary (extension kind).
-ELEM_ADMIN_BOUNDARY = "AdminBoundary"
 ELEM_ROLE = "Role"
 ELEM_PRIVILEGE = "Privilege"
 #: Section-3 spelling of a privilege inside an MMEP.
@@ -25,7 +34,7 @@ ELEM_OPERATION = "Operation"
 
 ATTR_BUSINESS_CONTEXT = "BusinessContext"
 ATTR_FORBIDDEN_CARDINALITY = "ForbiddenCardinality"
-#: Label of an <AdminBoundary> constraint.
+#: A constraint's label (the ``Boundary`` of an <AdminBoundary>).
 ATTR_BOUNDARY = "Boundary"
 ATTR_STEP_OPERATION = "operation"
 ATTR_STEP_TARGET = "targetURI"
@@ -38,6 +47,31 @@ ATTR_OPERATION_VALUE = "value"
 
 #: Optional identifier attribute (an extension; absent from Appendix A).
 ATTR_POLICY_ID = "PolicyId"
+
+#: How a constraint member is spelt: per member type, element name ->
+#: the attributes holding its fields in order.  The first is written.
+MEMBER_ELEMENTS = {
+    Role: {ELEM_ROLE: (ATTR_ROLE_TYPE, ATTR_ROLE_VALUE)},
+    Privilege: {
+        ELEM_PRIVILEGE: (ATTR_PRIV_OPERATION, ATTR_PRIV_TARGET),
+        ELEM_OPERATION: (ATTR_OPERATION_VALUE, ATTR_PRIV_TARGET),
+    },
+}
+
+#: A member's field values, in order.
+MEMBER_FIELDS = {
+    member_type: attrgetter(*(field.name for field in fields(member_type)))
+    for member_type in MEMBER_ELEMENTS
+}
+
+
+def constraint_kinds() -> dict[str, type[MultiSessionConstraint]]:
+    """Every registered kind with a declared shape, by class name: the
+    name of its XML element and of its ``repr``."""
+    return {
+        cls.__name__: cls for cls in CONSTRAINT_KINDS.values() if cls.fields
+    }
+
 
 #: The verbatim XML Schema of Appendix A, kept for reference and for the
 #: documentation tests that assert our validator agrees with it on the

@@ -3,15 +3,18 @@
 Unlike the parser (which raises on the first problem), the validator
 walks the whole document and returns *every* problem found, making it
 suitable for the policy-management subsystem of Figure 4 (policy authors
-get a complete report in one pass).
+get a complete report in one pass).  Constraint elements are checked
+against their kind's declared shape, and size rules are the kind's own
+constructor's.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+from repro.core.constraints import MultiSessionConstraint
 from repro.core.context import ContextName
-from repro.errors import ContextNameError
+from repro.errors import ConstraintError, ContextNameError
 from repro.xmlpolicy import schema as S
 
 
@@ -30,6 +33,7 @@ def validate_policy_document(text: str, strict: bool = True) -> list[str]:
         return problems
 
     policies = list(root)
+    kinds = S.constraint_kinds()
     if not policies:
         problems.append(f"<{S.ELEM_POLICY_SET}> contains no policies")
     for index, policy in enumerate(policies):
@@ -37,11 +41,11 @@ def validate_policy_document(text: str, strict: bool = True) -> list[str]:
         if policy.tag != S.ELEM_POLICY:
             problems.append(f"{where}: unexpected element <{policy.tag}>")
             continue
-        problems.extend(_validate_policy(policy, where, strict))
+        problems.extend(_validate_policy(policy, where, strict, kinds))
     return problems
 
 
-def _attr_problems(element: ET.Element, names: list[str], where: str) -> list[str]:
+def _attr_problems(element: ET.Element, names, where: str) -> list[str]:
     return [
         f"{where}: <{element.tag}> is missing attribute {name!r}"
         for name in names
@@ -49,7 +53,9 @@ def _attr_problems(element: ET.Element, names: list[str], where: str) -> list[st
     ]
 
 
-def _validate_policy(policy: ET.Element, where: str, strict: bool) -> list[str]:
+def _validate_policy(
+    policy: ET.Element, where: str, strict: bool, kinds: dict
+) -> list[str]:
     problems: list[str] = []
     context_text = policy.get(S.ATTR_BUSINESS_CONTEXT)
     if context_text is None:
@@ -62,11 +68,8 @@ def _validate_policy(policy: ET.Element, where: str, strict: bool) -> list[str]:
 
     first_steps = [c for c in policy if c.tag == S.ELEM_FIRST_STEP]
     last_steps = [c for c in policy if c.tag == S.ELEM_LAST_STEP]
-    mmers = [c for c in policy if c.tag == S.ELEM_MMER]
-    mmeps = [c for c in policy if c.tag == S.ELEM_MMEP]
-    mmcds = [c for c in policy if c.tag == S.ELEM_MMCD]
-    boundaries = [c for c in policy if c.tag == S.ELEM_ADMIN_BOUNDARY]
-    known = set(first_steps + last_steps + mmers + mmeps + mmcds + boundaries)
+    constraints = [c for c in policy if c.tag in kinds]
+    known = set(first_steps + last_steps + constraints)
     for child in policy:
         if child not in known:
             problems.append(f"{where}: unexpected element <{child.tag}>")
@@ -80,108 +83,63 @@ def _validate_policy(policy: ET.Element, where: str, strict: bool) -> list[str]:
             _attr_problems(step, [S.ATTR_STEP_OPERATION, S.ATTR_STEP_TARGET], where)
         )
 
-    if not mmers and not mmeps and not mmcds and not boundaries:
+    if not constraints:
         problems.append(f"{where}: needs at least one MMER or MMEP")
-    families = sum(1 for f in (mmers, mmeps, mmcds, boundaries) if f)
-    if strict and families > 1:
+    if strict and len({c.tag for c in constraints}) > 1:
         problems.append(
             f"{where}: Appendix A allows either MMERs or MMEPs, not both"
             " (one constraint family per policy)"
         )
-
-    for mmer in mmers:
-        problems.extend(_validate_cardinality(mmer, len(list(mmer)), where))
-        roles = list(mmer)
-        if len(roles) < 2:
-            problems.append(f"{where}: MMER needs at least two <Role> children")
-        for role in roles:
-            if role.tag != S.ELEM_ROLE:
-                problems.append(
-                    f"{where}: MMER contains unexpected <{role.tag}>"
-                )
-            else:
-                problems.extend(
-                    _attr_problems(
-                        role, [S.ATTR_ROLE_TYPE, S.ATTR_ROLE_VALUE], where
-                    )
-                )
-
-    for mmep in mmeps:
-        problems.extend(_validate_cardinality(mmep, len(list(mmep)), where))
-        privileges = list(mmep)
-        if len(privileges) < 2:
-            problems.append(
-                f"{where}: MMEP needs at least two privilege children"
-            )
-        problems.extend(_privilege_child_problems(privileges, "MMEP", where))
-
-    for mmcd in mmcds:
-        privileges = list(mmcd)
-        if len(privileges) < 2:
-            problems.append(
-                f"{where}: MMCD needs at least two privilege children"
-            )
-        problems.extend(_privilege_child_problems(privileges, "MMCD", where))
-
-    for boundary in boundaries:
-        if boundary.get(S.ATTR_BOUNDARY) is None:
-            problems.append(
-                f"{where}: <{S.ELEM_ADMIN_BOUNDARY}> is missing "
-                f"attribute {S.ATTR_BOUNDARY!r}"
-            )
-        privileges = list(boundary)
-        if not privileges:
-            problems.append(
-                f"{where}: AdminBoundary needs at least one privilege child"
-            )
+    for constraint in constraints:
         problems.extend(
-            _privilege_child_problems(privileges, "AdminBoundary", where)
+            _constraint_problems(constraint, kinds[constraint.tag], where)
         )
     return problems
 
 
-def _privilege_child_problems(
-    privileges: list[ET.Element], parent: str, where: str
+def _constraint_problems(
+    element: ET.Element, cls: type[MultiSessionConstraint], where: str
 ) -> list[str]:
+    """Attribute and member problems of one constraint element, then
+    whatever the kind's own constructor rejects (its size rules)."""
     problems: list[str] = []
-    for privilege in privileges:
-        if privilege.tag == S.ELEM_PRIVILEGE:
-            problems.extend(
-                _attr_problems(
-                    privilege,
-                    [S.ATTR_PRIV_OPERATION, S.ATTR_PRIV_TARGET],
-                    where,
-                )
-            )
-        elif privilege.tag == S.ELEM_OPERATION:
-            problems.extend(
-                _attr_problems(
-                    privilege,
-                    [S.ATTR_OPERATION_VALUE, S.ATTR_PRIV_TARGET],
-                    where,
-                )
-            )
+    values: dict = {}
+    if "label" in cls.fields:
+        problems += _attr_problems(element, [S.ATTR_BOUNDARY], where)
+        values["label"] = element.get(S.ATTR_BOUNDARY)
+    if "m" in cls.fields:
+        raw = element.get(S.ATTR_FORBIDDEN_CARDINALITY)
+        values["m"] = None
+        if raw is None:
+            problems.append(f"{where}: <{element.tag}> is missing ForbiddenCardinality")
         else:
+            try:
+                values["m"] = int(raw)
+            except ValueError:
+                problems.append(
+                    f"{where}: <{element.tag}> ForbiddenCardinality {raw!r} "
+                    "is not an integer"
+                )
+    spellings = S.MEMBER_ELEMENTS[cls.member_type]
+    members = []
+    for child in element:
+        attributes = spellings.get(child.tag)
+        if attributes is None:
             problems.append(
-                f"{where}: {parent} contains unexpected <{privilege.tag}>"
+                f"{where}: {element.tag} contains unexpected <{child.tag}>"
             )
+            continue
+        missing = _attr_problems(child, attributes, where)
+        problems += missing
+        if not missing:
+            try:
+                members.append(cls.member_type(*map(child.get, attributes)))
+            except ConstraintError as exc:
+                problems.append(f"{where}: bad <{child.tag}>: {exc}")
+    if None not in values.values():  # every attribute was read
+        try:
+            cls(*(members if f == "members" else values[f] for f in cls.fields))
+        except ConstraintError as exc:
+            shown = "".join(f' {k}="{v}"' for k, v in element.items())
+            problems.append(f"{where}: <{element.tag}{shown}>: {exc}")
     return problems
-
-
-def _validate_cardinality(element: ET.Element, size: int, where: str) -> list[str]:
-    raw = element.get(S.ATTR_FORBIDDEN_CARDINALITY)
-    if raw is None:
-        return [f"{where}: <{element.tag}> is missing ForbiddenCardinality"]
-    try:
-        cardinality = int(raw)
-    except ValueError:
-        return [
-            f"{where}: <{element.tag}> ForbiddenCardinality {raw!r} "
-            "is not an integer"
-        ]
-    if size and not 1 < cardinality <= size:
-        return [
-            f"{where}: <{element.tag}> ForbiddenCardinality {cardinality} "
-            f"must satisfy 1 < m <= {size}"
-        ]
-    return []

@@ -9,7 +9,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from xml.dom import minidom
 
-from repro.core.constraints import MMCD, AdminBoundary
 from repro.core.policy import MSoDPolicy, MSoDPolicySet, Step
 from repro.errors import PolicyError
 from repro.xmlpolicy import schema as S
@@ -52,39 +51,21 @@ def _policy_to_element(policy: MSoDPolicy) -> ET.Element:
         element.append(_step_to_element(policy.first_step, S.ELEM_FIRST_STEP))
     if policy.last_step is not None:
         element.append(_step_to_element(policy.last_step, S.ELEM_LAST_STEP))
-    for mmer in policy.mmers:
-        mmer_elem = ET.SubElement(element, S.ELEM_MMER)
-        mmer_elem.set(S.ATTR_FORBIDDEN_CARDINALITY, str(mmer.forbidden_cardinality))
-        for role in mmer.roles:
-            role_elem = ET.SubElement(mmer_elem, S.ELEM_ROLE)
-            role_elem.set(S.ATTR_ROLE_TYPE, role.role_type)
-            role_elem.set(S.ATTR_ROLE_VALUE, role.value)
-    for mmep in policy.mmeps:
-        mmep_elem = ET.SubElement(element, S.ELEM_MMEP)
-        mmep_elem.set(S.ATTR_FORBIDDEN_CARDINALITY, str(mmep.forbidden_cardinality))
-        for privilege in mmep.privileges:
-            priv_elem = ET.SubElement(mmep_elem, S.ELEM_PRIVILEGE)
-            priv_elem.set(S.ATTR_PRIV_OPERATION, privilege.operation)
-            priv_elem.set(S.ATTR_PRIV_TARGET, privilege.target)
-    for constraint in policy.extra_constraints:
-        if isinstance(constraint, MMCD):
-            mmcd_elem = ET.SubElement(element, S.ELEM_MMCD)
-            for privilege in constraint.privileges:
-                priv_elem = ET.SubElement(mmcd_elem, S.ELEM_PRIVILEGE)
-                priv_elem.set(S.ATTR_PRIV_OPERATION, privilege.operation)
-                priv_elem.set(S.ATTR_PRIV_TARGET, privilege.target)
-        elif isinstance(constraint, AdminBoundary):
-            boundary_elem = ET.SubElement(element, S.ELEM_ADMIN_BOUNDARY)
-            boundary_elem.set(S.ATTR_BOUNDARY, constraint.boundary)
-            for privilege in constraint.privileges:
-                priv_elem = ET.SubElement(boundary_elem, S.ELEM_PRIVILEGE)
-                priv_elem.set(S.ATTR_PRIV_OPERATION, privilege.operation)
-                priv_elem.set(S.ATTR_PRIV_TARGET, privilege.target)
-        else:
+    for constraint in policy.constraints:
+        if not constraint.fields:
             raise PolicyError(
                 "no XML serialisation for constraint kind "
                 f"{constraint.kind!r}"
             )
+        child = ET.SubElement(element, type(constraint).__name__)
+        if constraint.label is not None:
+            child.set(S.ATTR_BOUNDARY, constraint.label)
+        if constraint.m is not None:
+            child.set(S.ATTR_FORBIDDEN_CARDINALITY, str(constraint.m))
+        tag, attributes = next(iter(S.MEMBER_ELEMENTS[constraint.member_type].items()))
+        values_of = S.MEMBER_FIELDS[constraint.member_type]
+        for member in constraint.members:
+            ET.SubElement(child, tag, dict(zip(attributes, values_of(member))))
     return element
 
 

@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.core.constraints import (
     CONSTRAINT_KINDS,
+    CONSTRAINT_OK,
     MMCD,
     POLICY_EXPORT_PRIVILEGE,
     POLICY_RELOAD_PRIVILEGE,
@@ -50,7 +51,11 @@ from repro.verify.static import (
     MMCD_CONFLICTS_MMER,
     MMCD_UNSATISFIABLE,
 )
-from repro.xmlpolicy import parse_policy_set, write_policy_set
+from repro.xmlpolicy import (
+    parse_policy_set,
+    validate_policy_document,
+    write_policy_set,
+)
 from repro.xmlpolicy.dsl import (
     compile_policy_set,
     decompile_policy_set,
@@ -119,6 +124,70 @@ class TestRegistry:
 
     def test_reregistering_same_class_is_idempotent(self):
         assert register_constraint_kind(MMCD) is MMCD
+
+
+class Quota(MultiSessionConstraint):
+    """A toy kind that declares only its shape: a label, privileges and
+    ``m``.  It never fires; the codecs and the verifier are what is
+    under test."""
+
+    __slots__ = ("_label", "_members", "_m")
+    kind = "TEST_QUOTA"
+    fields = ("label", "members", "m")
+
+    def __init__(self, label, privileges, m):
+        if not privileges:
+            raise ConstraintError("quota needs a privilege")
+        self._label, self._members, self._m = label, tuple(privileges), m
+
+    def matches_request(self, request):
+        return False
+
+    def evaluate(self, request, effective_context, views):
+        return CONSTRAINT_OK
+
+
+class TestShapedKind:
+    """A kind registered outside the library gets every codec and the
+    verifier's duplicate and redundancy checks from its shape."""
+
+    @pytest.fixture(autouse=True)
+    def registered(self):
+        register_constraint_kind(Quota)
+        yield
+        del CONSTRAINT_KINDS[Quota.kind]
+
+    def policy_set(self):
+        return MSoDPolicySet(
+            [
+                MSoDPolicy(
+                    FILING_CTX,
+                    constraints=[
+                        Quota("q, {x}", [REVIEW, SIGNOFF], 3),
+                        Quota("q, {x}", [SIGNOFF, REVIEW], 3),
+                        Quota("q, {x}", [REVIEW], 3),
+                    ],
+                    policy_id="quotas",
+                )
+            ]
+        )
+
+    def test_xml_and_repr_round_trip(self):
+        policy_set = self.policy_set()
+        xml = write_policy_set(policy_set)
+        assert '<Quota Boundary="q, {x}" ForbiddenCardinality="3">' in xml
+        assert validate_policy_document(xml) == []
+        again = parse_policy_set(xml)
+        assert again.policies[0].constraints == policy_set.policies[0].constraints
+        for constraint in policy_set.policies[0].constraints:
+            assert parse_constraint_repr(repr(constraint)) == constraint
+
+    def test_duplicate_and_redundancy_findings(self):
+        findings = analyze_policy_set(self.policy_set()).findings
+        codes = [finding.code for finding in findings]
+        assert codes.count("CONSTRAINT_DUPLICATE") == 1
+        # Quota('q, {x}', {review}, 3) is implied by the two-privilege one.
+        assert codes.count("TEST_QUOTA_REDUNDANT") == 1
 
 
 class TestMMCDUnit:

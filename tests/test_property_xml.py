@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.constraints import MMEP, MMER, Privilege, Role
+from repro.core.constraints import MMCD, MMEP, MMER, AdminBoundary, Privilege, Role
 from repro.core.context import ContextComponent, ContextName
 from repro.core.policy import MSoDPolicy, MSoDPolicySet, Step
 from repro.xmlpolicy import (
@@ -11,6 +11,7 @@ from repro.xmlpolicy import (
     validate_policy_document,
     write_policy_set,
 )
+from repro.xmlpolicy.dsl import parse_constraint_repr
 
 _token = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd")),
@@ -47,6 +48,28 @@ def mmeps(draw):
     return MMEP(privilege_list, cardinality)
 
 
+def _unique_privileges(min_size):
+    return st.lists(
+        privileges(),
+        min_size=min_size,
+        max_size=4,
+        unique_by=lambda p: (p.operation, p.target),
+    )
+
+
+_KINDS = (
+    mmers(),
+    mmeps(),
+    _unique_privileges(2).map(MMCD),
+    st.builds(AdminBoundary, _token, _unique_privileges(1)),
+)
+
+
+def strict(policy_set):
+    """True when every policy carries one constraint kind (Appendix A)."""
+    return all(len({c.kind for c in p.constraints}) == 1 for p in policy_set)
+
+
 @st.composite
 def policies(draw, index=0):
     depth = draw(st.integers(min_value=1, max_value=3))
@@ -58,7 +81,9 @@ def policies(draw, index=0):
         for position in range(depth)
     ]
     context = ContextName(components)
-    use_mmer = draw(st.booleans())
+    # One kind (what strict parsing accepts) or a mixture of kinds.
+    kinds = draw(st.sampled_from(_KINDS)) if draw(st.booleans()) else st.one_of(_KINDS)
+    constraints = draw(st.lists(kinds, min_size=1, max_size=3))
     first_step = draw(
         st.one_of(st.none(), st.builds(Step, _token, _token))
     )
@@ -67,8 +92,7 @@ def policies(draw, index=0):
     )
     return MSoDPolicy(
         business_context=context,
-        mmers=[draw(mmers())] if use_mmer else [],
-        mmeps=[] if use_mmer else [draw(mmeps())],
+        constraints=constraints,
         first_step=first_step,
         last_step=last_step,
         policy_id=f"policy-{index}",
@@ -87,12 +111,11 @@ def policy_sets(draw):
 @settings(max_examples=100, deadline=None)
 def test_write_parse_round_trip(policy_set):
     xml = write_policy_set(policy_set)
-    restored = parse_policy_set(xml)
+    restored = parse_policy_set(xml, strict=strict(policy_set))
     assert len(restored) == len(policy_set)
     for original, parsed in zip(policy_set, restored):
         assert parsed.business_context == original.business_context
-        assert list(parsed.mmers) == list(original.mmers)
-        assert list(parsed.mmeps) == list(original.mmeps)
+        assert parsed.constraints == original.constraints
         assert parsed.first_step == original.first_step
         assert parsed.last_step == original.last_step
         assert parsed.policy_id == original.policy_id
@@ -102,12 +125,23 @@ def test_write_parse_round_trip(policy_set):
 @settings(max_examples=100, deadline=None)
 def test_written_documents_validate_cleanly(policy_set):
     xml = write_policy_set(policy_set)
-    assert validate_policy_document(xml) == []
+    assert validate_policy_document(xml, strict=strict(policy_set)) == []
 
 
 @given(policy_sets(), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_round_trip_is_idempotent(policy_set, pretty):
     once = write_policy_set(policy_set, pretty=pretty)
-    twice = write_policy_set(parse_policy_set(once), pretty=pretty)
+    twice = write_policy_set(
+        parse_policy_set(once, strict=strict(policy_set)), pretty=pretty
+    )
     assert once == twice
+
+
+@given(policy_sets())
+@settings(max_examples=50, deadline=None)
+def test_repr_round_trip(policy_set):
+    # compile(decompile(s)) over this strategy: tests/test_dsl.py.
+    for policy in policy_set:
+        for constraint in policy.constraints:
+            assert parse_constraint_repr(repr(constraint)) == constraint

@@ -28,7 +28,7 @@ from repro.cluster import (
 from repro.cluster.client import ClusterPDP
 from repro.cluster.reshard import KIND_SPLIT, PHASE_CUTOVER
 from repro.core import ContextName, DecisionRequest, Role
-from repro.errors import AuditTrailError, ClusterError
+from repro.errors import AuditTrailError, ClusterError, ProtocolError
 from repro.workload import bank_policy_set
 
 TELLER = Role("employee", "Teller")
@@ -463,6 +463,28 @@ class TestOnlineResharding:
             elastic_cluster.wait_reshard(timeout=60.0)
             elastic_cluster.drain_shard(added)
             elastic_cluster.wait_reshard(timeout=60.0)
+
+
+def test_rebalance_with_a_dead_primary_is_a_typed_refusal(tmp_path):
+    """The planner reads the same per-shard stats as ``status``: a
+    killed primary's closed store is a refusal naming the shard, over
+    the wire a protocol error that leaves the connection serving."""
+    from repro.api import open_cluster
+
+    with open_cluster(
+        bank_policy_set(),
+        str(tmp_path / "cluster"),
+        n_shards=2,
+        store="sqlite",
+        health_interval=60.0,
+    ) as cluster:
+        cluster.kill_primary("shard-0")
+        with pytest.raises(ClusterError, match="shard-0"):
+            cluster.rebalance()
+        with ClusterPDP((cluster.host, cluster.port)) as pdp:
+            with pytest.raises(ProtocolError, match="shard-0"):
+                pdp.resize("rebalance")
+            assert pdp.route()["version"] >= 1
 
 
 # ----------------------------------------------------------------------
