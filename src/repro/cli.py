@@ -879,7 +879,8 @@ def cmd_decompile(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Statically analyse a PERMIS policy; exit 1 on errors."""
+    """Run the static verifier over a PERMIS policy's MSoD component
+    and RBAC layer; exit 1 on error findings."""
     from repro.permis import SEVERITY_ERROR, analyze_policy, parse_permis_policy
 
     with open(args.policy, "r", encoding="utf-8") as handle:

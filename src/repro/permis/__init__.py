@@ -7,16 +7,11 @@ Three sub-systems, as the paper describes: privilege allocation
 :class:`~repro.permis.pdp.PermisPDP`).  The PDP reports its ``pdp.cvs`` /
 ``pdp.rbac`` / ``pdp.audit`` stages and ``permis.*`` counters to the one
 :class:`~repro.obs.recorder.Recorder` passed as ``perf=``, which it
-shares with its engine.
+shares with its engine.  :func:`analyze_policy` is the static verifier
+(:mod:`repro.verify.static`) over a PERMIS policy; ``Finding`` is its
+:class:`~repro.verify.static.VerifyFinding`.
 """
 
-from repro.permis.analyzer import (
-    SEVERITY_ERROR,
-    SEVERITY_INFO,
-    SEVERITY_WARNING,
-    Finding,
-    analyze_policy,
-)
 from repro.permis.conditions import (
     AllOf,
     Always,
@@ -66,6 +61,13 @@ from repro.permis.policy import (
     PermisPolicyBuilder,
     RoleAssignmentRule,
     TargetAccessRule,
+)
+from repro.verify.static import (
+    SEVERITY_ERROR,
+    SEVERITY_INFO,
+    SEVERITY_WARNING,
+    VerifyFinding as Finding,
+    analyze_policy,
 )
 
 __all__ = [

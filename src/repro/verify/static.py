@@ -4,12 +4,12 @@ The paper warns that "the policy writer also needs to know what the
 business contexts are in order to construct a correct policy" — and a
 well-formed set can still be semantically broken: a constraint whose
 cardinality is unreachable, a constraint subsumed by a stricter sibling,
-a policy whose scope is shadowed by a stricter ancestor.  This module
-promotes the :mod:`repro.permis.analyzer` linter into a structured pass
-producing machine-readable findings, each carrying a stable ``code``, a
+a policy whose scope is shadowed by a stricter ancestor.  This module is
+the one checker for all of it: a structured pass producing
+machine-readable findings, each carrying a stable ``code``, a
 ``severity``, the ``policy_id`` it concerns, and a human ``detail``.
 
-Severities follow the analyzer convention:
+Severities:
 
 * ``error`` — the set must not be deployed (hot-reload gates refuse it);
 * ``warning`` — deployable but operationally hazardous;
@@ -20,6 +20,8 @@ when the surrounding PERMIS policy is supplied the reachability checks
 (assignable roles, grantable privileges, both closed over the transitive
 role hierarchy) run as well, and SSD constraint sets may be supplied to
 detect MMERs that static separation already covers.
+:func:`analyze_policy` is that pass over a PERMIS policy's own MSoD
+component: ``repro lint`` prints its findings.
 """
 
 from __future__ import annotations
@@ -175,10 +177,17 @@ def analyze_policy_set(
     if ssd:
         findings.extend(_ssd_findings(policy_set, tuple(ssd)))
     if permis is not None:
-        findings.extend(_permis_findings(policy_set, permis))
-        findings.extend(_mmcd_permis_findings(policy_set, permis, tuple(ssd)))
-        findings.extend(_rbac_layer_findings(permis))
+        reach = _Reach.of(permis)
+        findings.extend(_permis_findings(policy_set, reach))
+        findings.extend(_mmcd_permis_findings(policy_set, reach, tuple(ssd)))
+        findings.extend(_rbac_layer_findings(permis, reach))
     return VerifyReport(findings=tuple(findings))
+
+
+def analyze_policy(policy: "PermisPolicy") -> list[VerifyFinding]:
+    """Lint a PERMIS policy: the full pass over its MSoD component,
+    cross-referenced against its own RBAC layer."""
+    return list(analyze_policy_set(policy.msod_policy_set, permis=policy).findings)
 
 
 def render_findings(report: VerifyReport) -> tuple[str, ...]:
@@ -483,7 +492,7 @@ def _admin_boundary_findings(
 
 def _mmcd_permis_findings(
     policy_set: MSoDPolicySet,
-    permis: "PermisPolicy",
+    reach: _Reach,
     ssd: tuple["SsdConstraint", ...],
 ) -> list[VerifyFinding]:
     """MMCD satisfiability against the RBAC layer and MMER/SSD overlap.
@@ -509,7 +518,7 @@ def _mmcd_permis_findings(
             granting: list[frozenset[Role]] = []
             dead: list[Privilege] = []
             for privilege in mmcd.privileges:
-                roles = _granting_roles(permis, privilege)
+                roles = reach.granting.get(privilege, frozenset())
                 if not roles:
                     dead.append(privilege)
                 granting.append(roles)
@@ -543,17 +552,6 @@ def _mmcd_permis_findings(
                     )
                 )
     return findings
-
-
-def _granting_roles(
-    permis: "PermisPolicy", privilege: Privilege
-) -> frozenset[Role]:
-    """Assignable roles whose granted privileges include ``privilege``."""
-    roles = set()
-    for role in _assignable_roles(permis):
-        if privilege in permis.privileges_of(frozenset((role,))):
-            roles.add(role)
-    return frozenset(roles)
 
 
 _MMCD_CHOICE_CAP = 1024
@@ -640,22 +638,41 @@ def _ssd_findings(
 # ----------------------------------------------------------------------
 # PERMIS cross-reference: reachability over the transitive hierarchy.
 # ----------------------------------------------------------------------
-def _assignable_roles(permis: "PermisPolicy") -> frozenset[Role]:
-    """Roles a user can end up holding: every role some SOA may assign,
-    closed *downward* over the transitive role hierarchy (holding a
-    senior role confers all its juniors)."""
-    base = frozenset(
-        role for rule in permis.assignment_rules for role in rule.roles
-    )
-    return permis.authorized_roles(base) if base else base
+@dataclass(frozen=True, slots=True)
+class _Reach:
+    """What the RBAC layer lets users do, computed once per pass.
+
+    ``assignable`` holds the roles a user can end up holding: every role
+    some SOA may assign, closed *downward* over the transitive role
+    hierarchy (holding a senior role confers all its juniors).
+    ``granting`` maps each privilege some assignable role confers to
+    those roles; its keys are the grantable privileges.
+    """
+
+    assignable: frozenset[Role]
+    granting: dict[Privilege, frozenset[Role]]
+
+    @classmethod
+    def of(cls, permis: "PermisPolicy") -> _Reach:
+        base = frozenset(
+            role for rule in permis.assignment_rules for role in rule.roles
+        )
+        assignable = permis.authorized_roles(base) if base else base
+        granting: dict[Privilege, set[Role]] = {}
+        for role in assignable:
+            for privilege in permis.privileges_of((role,)):
+                granting.setdefault(privilege, set()).add(role)
+        return cls(
+            assignable,
+            {privilege: frozenset(roles) for privilege, roles in granting.items()},
+        )
 
 
 def _permis_findings(
-    policy_set: MSoDPolicySet, permis: "PermisPolicy"
+    policy_set: MSoDPolicySet, reach: _Reach
 ) -> list[VerifyFinding]:
     findings: list[VerifyFinding] = []
-    assignable = _assignable_roles(permis)
-    grantable = permis.privileges_of(assignable)
+    assignable, grantable = reach.assignable, reach.granting
     for policy in policy_set:
         pid = policy.policy_id
         for mmer in policy.mmers:
@@ -745,13 +762,14 @@ def _permis_findings(
     return findings
 
 
-def _rbac_layer_findings(permis: "PermisPolicy") -> list[VerifyFinding]:
+def _rbac_layer_findings(
+    permis: "PermisPolicy", reach: _Reach
+) -> list[VerifyFinding]:
     findings: list[VerifyFinding] = []
     if not permis.assignment_rules:
         return findings
-    assignable = _assignable_roles(permis)
     for rule in permis.access_rules:
-        if rule.role not in assignable:
+        if rule.role not in reach.assignable:
             findings.append(
                 VerifyFinding(
                     RBAC_UNREACHABLE_RULE,

@@ -1,9 +1,10 @@
 """The Appendix-A XML MSoD policy language: parse, write, validate.
 
 * :func:`~repro.xmlpolicy.parser.parse_policy_set` — XML → model.
+* :func:`~repro.xmlpolicy.parser.validate_policy_document` — every
+  problem in the document, from the same walk: a document validates
+  exactly when it parses, and a parse error is the first problem.
 * :func:`~repro.xmlpolicy.writer.write_policy_set` — model → XML.
-* :func:`~repro.xmlpolicy.validator.validate_policy_document` —
-  whole-document structural validation with a complete problem report.
 * :mod:`repro.xmlpolicy.examples` — the paper's two Section-3 policies.
 """
 
@@ -20,8 +21,8 @@ from repro.xmlpolicy.parser import (
     parse_policy_set,
     parse_policy_set_element,
     parse_policy_set_file,
+    validate_policy_document,
 )
-from repro.xmlpolicy.validator import validate_policy_document
 from repro.xmlpolicy.writer import (
     policy_set_to_element,
     write_policy_set,

@@ -1,4 +1,5 @@
-"""Unit tests for the PERMIS/MSoD policy analyzer (lint)."""
+"""Unit tests for ``analyze_policy``: the static verifier over a PERMIS
+policy (``repro lint``)."""
 
 from repro.core import Privilege, Role
 from repro.permis import (
@@ -7,6 +8,18 @@ from repro.permis import (
     SEVERITY_INFO,
     SEVERITY_WARNING,
     analyze_policy,
+)
+from repro.verify import analyze_policy_set
+from repro.verify.static import (
+    FIRST_STEP_UNGRANTABLE,
+    LAST_STEP_UNGRANTABLE,
+    LIFECYCLE_NO_LAST_STEP,
+    MMEP_UNSATISFIABLE,
+    MMER_DEAD_ROLES,
+    MMER_UNSATISFIABLE,
+    RBAC_UNREACHABLE_RULE,
+    SCOPE_SHADOWED,
+    SCOPE_UNIVERSAL,
 )
 from repro.xmlpolicy import bank_policy_set, combined_policy_set
 
@@ -44,6 +57,17 @@ def severities(findings):
     return [finding.severity for finding in findings]
 
 
+def reported(findings, code, severity):
+    return any(
+        finding.code == code and finding.severity == severity
+        for finding in findings
+    )
+
+
+def codes(findings):
+    return {finding.code for finding in findings}
+
+
 class TestHealthyPolicy:
     def test_no_errors_on_the_paper_setup(self):
         findings = analyze_policy(healthy_policy())
@@ -53,6 +77,12 @@ class TestHealthyPolicy:
         findings = analyze_policy(healthy_policy())
         for finding in findings:
             assert finding.severity in str(finding)
+
+    def test_is_the_verifier_over_the_permis_policy(self):
+        policy = healthy_policy()
+        assert analyze_policy(policy) == list(
+            analyze_policy_set(policy.msod_policy_set, permis=policy).findings
+        )
 
 
 class TestMMERFindings:
@@ -66,11 +96,20 @@ class TestMMERFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            finding.severity == SEVERITY_ERROR and "can never fire" in
-            finding.message
-            for finding in findings
+        assert reported(findings, MMER_UNSATISFIABLE, SEVERITY_ERROR)
+
+    def test_role_assignable_through_senior_is_not_error(self):
+        policy = (
+            PermisPolicyBuilder()
+            .senior_to(MANAGER, TELLER)
+            .allow_assignment(SOA, [MANAGER, AUDITOR], "o=bank,c=gb")
+            .grant(TELLER, [HANDLE_CASH])
+            .grant(AUDITOR, [AUDIT_BOOKS, COMMIT_AUDIT])
+            .with_msod(bank_policy_set())
+            .build()
         )
+        findings = analyze_policy(policy)
+        assert SEVERITY_ERROR not in severities(findings)
 
     def test_partially_dead_mmer_is_warning(self):
         from repro.core import MMER, ContextName, MSoDPolicy, MSoDPolicySet
@@ -92,11 +131,7 @@ class TestMMERFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            finding.severity == SEVERITY_WARNING
-            and "no SOA may assign" in finding.message
-            for finding in findings
-        )
+        assert reported(findings, MMER_DEAD_ROLES, SEVERITY_WARNING)
 
 
 class TestMMEPAndLifecycleFindings:
@@ -113,10 +148,7 @@ class TestMMEPAndLifecycleFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            finding.severity == SEVERITY_ERROR and "dead" in finding.message
-            for finding in findings
-        )
+        assert reported(findings, MMEP_UNSATISFIABLE, SEVERITY_ERROR)
 
     def test_missing_last_step_is_growth_warning(self):
         from repro.core import MMER, ContextName, MSoDPolicy, MSoDPolicySet
@@ -138,9 +170,7 @@ class TestMMEPAndLifecycleFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            "growth hazard" in finding.message for finding in findings
-        )
+        assert reported(findings, LIFECYCLE_NO_LAST_STEP, SEVERITY_WARNING)
 
     def test_ungrantable_last_step_is_error(self):
         policy = (
@@ -152,11 +182,21 @@ class TestMMEPAndLifecycleFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            finding.severity == SEVERITY_ERROR
-            and "can never terminate" in finding.message
-            for finding in findings
+        assert reported(findings, LAST_STEP_UNGRANTABLE, SEVERITY_ERROR)
+
+    def test_last_step_granted_only_to_unassignable_role_is_error(self):
+        policy = (
+            PermisPolicyBuilder()
+            .allow_assignment(SOA, [TELLER, AUDITOR], "o=bank,c=gb")
+            .grant(TELLER, [HANDLE_CASH])
+            .grant(AUDITOR, [AUDIT_BOOKS])
+            .grant(GHOST, [COMMIT_AUDIT])  # no SOA assigns Ghost
+            .with_msod(bank_policy_set())
+            .build()
         )
+        findings = analyze_policy(policy)
+        assert SEVERITY_ERROR in severities(findings)  # so lint exits 1
+        assert reported(findings, LAST_STEP_UNGRANTABLE, SEVERITY_ERROR)
 
     def test_ungrantable_first_step_is_error(self):
         policy = (
@@ -172,9 +212,7 @@ class TestMMEPAndLifecycleFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            "can never start" in finding.message for finding in findings
-        )
+        assert reported(findings, FIRST_STEP_UNGRANTABLE, SEVERITY_ERROR)
 
 
 class TestRBACAndScopeFindings:
@@ -186,9 +224,7 @@ class TestRBACAndScopeFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            "unreachable" in finding.message for finding in findings
-        )
+        assert reported(findings, RBAC_UNREACHABLE_RULE, SEVERITY_WARNING)
 
     def test_hierarchy_reachable_rule_not_flagged(self):
         policy = (
@@ -199,9 +235,7 @@ class TestRBACAndScopeFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert not any(
-            "unreachable" in finding.message for finding in findings
-        )
+        assert RBAC_UNREACHABLE_RULE not in codes(findings)
 
     def test_three_level_hierarchy_reachable_rule_not_flagged(self):
         # Regression: reachability must close over the *transitive*
@@ -217,9 +251,7 @@ class TestRBACAndScopeFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert not any(
-            "unreachable" in finding.message for finding in findings
-        )
+        assert RBAC_UNREACHABLE_RULE not in codes(findings)
 
     def test_universal_scope_is_info(self):
         from repro.core import MMER, ContextName, MSoDPolicy, MSoDPolicySet
@@ -240,11 +272,7 @@ class TestRBACAndScopeFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any(
-            finding.severity == SEVERITY_INFO
-            and "universal context" in finding.message
-            for finding in findings
-        )
+        assert reported(findings, SCOPE_UNIVERSAL, SEVERITY_INFO)
 
     def test_overlapping_scopes_reported(self):
         from repro.core import MMER, ContextName, MSoDPolicy, MSoDPolicySet
@@ -270,4 +298,6 @@ class TestRBACAndScopeFindings:
             .build()
         )
         findings = analyze_policy(policy)
-        assert any("overlaps" in finding.message for finding in findings)
+        # Identical constraints over a subordinate scope: the verifier's
+        # more specific finding for that overlap.
+        assert reported(findings, SCOPE_SHADOWED, SEVERITY_WARNING)

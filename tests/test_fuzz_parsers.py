@@ -6,7 +6,8 @@ object or raise its documented :class:`~repro.errors.ReproError`
 subclass; no other exception type may escape, no matter the input.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import ContextName
@@ -22,6 +23,7 @@ from repro.xmlpolicy import (
     parse_policy_set,
     validate_policy_document,
 )
+from tests.test_xmlpolicy import DIVERGENT_DOCUMENTS
 
 _text = st.text(max_size=300)
 
@@ -34,12 +36,14 @@ _xmlish = st.builds(
                 "<MSoDPolicySet>",
                 "</MSoDPolicySet>",
                 "<MSoDPolicy BusinessContext='A=!'>",
+                "<MSoDPolicy BusinessContext='A=!' PolicyId='p'>",
                 "<MSoDPolicy>",
                 "</MSoDPolicy>",
                 "<MMER ForbiddenCardinality='2'>",
                 "<MMER>",
                 "</MMER>",
                 "<Role type='t' value='v'/>",
+                "<Role type='t' value='w'/>",
                 "<Role/>",
                 "<MMEP ForbiddenCardinality='1'>",
                 "</MMEP>",
@@ -47,6 +51,7 @@ _xmlish = st.builds(
                 "<Operation value='o' target='u'/>",
                 "<FirstStep operation='a' targetURI='t'/>",
                 "<LastStep/>",
+                "<LastStep operation='' targetURI='t'/>",
                 "text",
                 "<Unknown/>",
             ]
@@ -79,6 +84,24 @@ def test_xml_parser_survives_structured_noise(text):
 def test_validator_never_raises(text):
     problems = validate_policy_document(text)
     assert isinstance(problems, list)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@given(_xmlish)
+@example(text=DIVERGENT_DOCUMENTS["repeated-policy-id"])
+@example(text=DIVERGENT_DOCUMENTS["unnamed-twins"])
+@example(text=DIVERGENT_DOCUMENTS["empty-step-operation"])
+@settings(max_examples=300, deadline=None)
+def test_validator_agrees_with_parser(strict, text):
+    """A document validates exactly when it parses, and a refusal is
+    the first problem the validator reports."""
+    problems = validate_policy_document(text, strict=strict)
+    try:
+        parse_policy_set(text, strict=strict)
+    except PolicyParseError as exc:
+        assert problems and str(exc) == problems[0]
+    else:
+        assert problems == []
 
 
 @given(_text)

@@ -9,11 +9,14 @@ pins every constraint's ``repr`` and ``canonical()`` form and the
 both layouts, the DSL rendering, the validator's report (strict and
 not) and the static verifier's findings.  ``repr`` is persisted in
 audit and violation payloads and ``canonical()`` feeds the digest, so
-none of these may drift.
+none of these may drift.  Under ``"invalid"`` it pins, for each of
+``tests.test_xmlpolicy.INVALID_DOCUMENTS``, the parse error and the
+validator's report, strict and not: the wording authors see.
 
-Regenerate only for a deliberate output change::
+Regenerate only for a deliberate output change, from the repository
+root::
 
-    PYTHONPATH=src python tests/test_golden_codecs.py
+    PYTHONPATH=src python -m tests.test_golden_codecs
 """
 
 import hashlib
@@ -31,6 +34,7 @@ from repro.core.constraints import (
     policy_store_boundary,
 )
 from repro.core.policy_epoch import policy_set_digest
+from repro.errors import PolicyParseError
 from repro.verify import analyze_policy_set
 from repro.workload import (
     BankScaleConfig,
@@ -42,11 +46,13 @@ from repro.xmlpolicy import (
     bank_policy_set,
     combined_policy_set,
     decompile_policy_set,
+    parse_policy_set,
     tax_refund_policy_set,
     validate_policy_document,
     write_policy_set,
 )
 from repro.xmlpolicy.dsl import parse_constraint_repr
+from tests.test_xmlpolicy import INVALID_DOCUMENTS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_codecs.json")
 
@@ -162,6 +168,18 @@ def snapshot(policy_set: MSoDPolicySet) -> dict:
     }
 
 
+def invalid_snapshot(text: str) -> dict:
+    report = {}
+    for strict, suffix in ((True, "_strict"), (False, "")):
+        try:
+            parse_policy_set(text, strict=strict)
+            report["parse" + suffix] = None
+        except PolicyParseError as exc:
+            report["parse" + suffix] = str(exc)
+        report["validate" + suffix] = validate_policy_document(text, strict=strict)
+    return report
+
+
 _CORPUS = corpus()
 
 
@@ -173,10 +191,25 @@ def test_codec_outputs_match_golden(name):
         assert current[artifact] == expected, f"{name}: {artifact} drifted"
 
 
+@pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
+def test_invalid_document_reports_match_golden(name):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["invalid"][name]
+    assert invalid_snapshot(INVALID_DOCUMENTS[name]) == golden
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(
         json.dumps(
-            {name: snapshot(policy_set) for name, policy_set in _CORPUS.items()},
+            {
+                **{
+                    name: snapshot(policy_set)
+                    for name, policy_set in _CORPUS.items()
+                },
+                "invalid": {
+                    name: invalid_snapshot(text)
+                    for name, text in INVALID_DOCUMENTS.items()
+                },
+            },
             indent=1,
             sort_keys=True,
         )

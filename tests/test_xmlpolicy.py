@@ -19,6 +19,109 @@ from repro.xmlpolicy import (
     parse_policy_set_file,
 )
 
+_MMER = (
+    "<MMER ForbiddenCardinality='2'>"
+    "<Role type='t' value='a'/><Role type='t' value='b'/></MMER>"
+)
+
+#: A problem of every class, spread over five policies.
+ALL_PROBLEMS_XML = (
+    "<MSoDPolicySet>"
+    "<MSoDPolicy>"
+    "<MMER ForbiddenCardinality='9'>"
+    "<Role type='t' value='a'/><Role value='b'/>"
+    "</MMER></MSoDPolicy>"
+    "<MSoDPolicy BusinessContext='B=!'/>"
+    # One bad privilege child under each privilege-list parent.
+    "<MSoDPolicy BusinessContext='C=!'>"
+    "<MMEP ForbiddenCardinality='2'>"
+    "<Privilege operation='x' target='u'/><Role type='t' value='a'/>"
+    "</MMEP></MSoDPolicy>"
+    "<MSoDPolicy BusinessContext='D=!'>"
+    "<MMCD><Privilege operation='x' target='u'/>"
+    "<Operation target='u'/></MMCD></MSoDPolicy>"
+    "<MSoDPolicy BusinessContext='E=*'>"
+    "<AdminBoundary Boundary='b'><Step/></AdminBoundary>"
+    "</MSoDPolicy>"
+    "</MSoDPolicySet>"
+)
+
+#: Documents only the model constructors refuse: a separate validator
+#: that restated the structural rules passed all three.
+DIVERGENT_DOCUMENTS = {
+    "repeated-policy-id": (
+        "<MSoDPolicySet>"
+        f"<MSoDPolicy BusinessContext='A=!' PolicyId='p'>{_MMER}</MSoDPolicy>"
+        f"<MSoDPolicy BusinessContext='B=!' PolicyId='p'>{_MMER}</MSoDPolicy>"
+        "</MSoDPolicySet>"
+    ),
+    "unnamed-twins": (
+        "<MSoDPolicySet>"
+        f"<MSoDPolicy BusinessContext='A=!'>{_MMER}</MSoDPolicy>"
+        f"<MSoDPolicy BusinessContext='A=!'>{_MMER}</MSoDPolicy>"
+        "</MSoDPolicySet>"
+    ),
+    "empty-step-operation": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
+        f"<LastStep operation='' targetURI='t'/>{_MMER}"
+        "</MSoDPolicy></MSoDPolicySet>"
+    ),
+}
+
+#: One document per problem class, the all-problems document and the
+#: divergent ones: the golden corpus of parse errors and reports.
+INVALID_DOCUMENTS = {
+    "all-problems": ALL_PROBLEMS_XML,
+    "bad-root": "<Wrong/>",
+    "empty-set": "<MSoDPolicySet></MSoDPolicySet>",
+    "missing-context": (
+        f"<MSoDPolicySet><MSoDPolicy>{_MMER}</MSoDPolicy></MSoDPolicySet>"
+    ),
+    "bad-context": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='not-a-context'>"
+        f"{_MMER}</MSoDPolicy></MSoDPolicySet>"
+    ),
+    "repeated-step": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
+        "<FirstStep operation='a' targetURI='t'/>"
+        f"<FirstStep operation='b' targetURI='t'/>{_MMER}"
+        "</MSoDPolicy></MSoDPolicySet>"
+    ),
+    "non-integer-m": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
+        "<MMER ForbiddenCardinality='two'>"
+        "<Role type='t' value='a'/><Role type='t' value='b'/>"
+        "</MMER></MSoDPolicy></MSoDPolicySet>"
+    ),
+    "out-of-range-m": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
+        "<MMER ForbiddenCardinality='3'>"
+        "<Role type='t' value='a'/><Role type='t' value='b'/>"
+        "</MMER></MSoDPolicy></MSoDPolicySet>"
+    ),
+    "wrong-member": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
+        "<MMER ForbiddenCardinality='2'>"
+        "<Role type='t' value='a'/><Privilege operation='x' target='u'/>"
+        "</MMER></MSoDPolicy></MSoDPolicySet>"
+    ),
+    "missing-member-attribute": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
+        "<MMER ForbiddenCardinality='2'>"
+        "<Role type='t' value='a'/><Role value='b'/>"
+        "</MMER></MSoDPolicy></MSoDPolicySet>"
+    ),
+    "mixed-kinds": (
+        "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
+        f"{_MMER}"
+        "<MMEP ForbiddenCardinality='2'>"
+        "<Privilege operation='x' target='u'/>"
+        "<Privilege operation='y' target='u'/></MMEP>"
+        "</MSoDPolicy></MSoDPolicySet>"
+    ),
+    **DIVERGENT_DOCUMENTS,
+}
+
 
 class TestParsePaperPolicies:
     def test_bank_policy(self):
@@ -75,22 +178,12 @@ class TestParserErrors:
             parse_policy_set("<MSoDPolicySet></MSoDPolicySet>")
 
     def test_missing_business_context(self):
-        xml = (
-            "<MSoDPolicySet><MSoDPolicy>"
-            "<MMER ForbiddenCardinality='2'>"
-            "<Role type='t' value='a'/><Role type='t' value='b'/>"
-            "</MMER></MSoDPolicy></MSoDPolicySet>"
-        )
+        xml = INVALID_DOCUMENTS["missing-context"]
         with pytest.raises(PolicyParseError, match="BusinessContext"):
             parse_policy_set(xml)
 
     def test_bad_cardinality(self):
-        xml = (
-            "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
-            "<MMER ForbiddenCardinality='two'>"
-            "<Role type='t' value='a'/><Role type='t' value='b'/>"
-            "</MMER></MSoDPolicy></MSoDPolicySet>"
-        )
+        xml = INVALID_DOCUMENTS["non-integer-m"]
         with pytest.raises(PolicyParseError, match="not an integer"):
             parse_policy_set(xml)
 
@@ -112,27 +205,12 @@ class TestParserErrors:
             parse_policy_set(xml)
 
     def test_multiple_first_steps(self):
-        xml = (
-            "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
-            "<FirstStep operation='a' targetURI='t'/>"
-            "<FirstStep operation='b' targetURI='t'/>"
-            "<MMER ForbiddenCardinality='2'>"
-            "<Role type='t' value='a'/><Role type='t' value='b'/>"
-            "</MMER></MSoDPolicy></MSoDPolicySet>"
-        )
+        xml = INVALID_DOCUMENTS["repeated-step"]
         with pytest.raises(PolicyParseError, match="multiple <FirstStep>"):
             parse_policy_set(xml)
 
     def test_strict_rejects_mixed_constraints(self):
-        xml = (
-            "<MSoDPolicySet><MSoDPolicy BusinessContext='A=!'>"
-            "<MMER ForbiddenCardinality='2'>"
-            "<Role type='t' value='a'/><Role type='t' value='b'/></MMER>"
-            "<MMEP ForbiddenCardinality='2'>"
-            "<Privilege operation='x' target='u'/>"
-            "<Privilege operation='y' target='u'/></MMEP>"
-            "</MSoDPolicy></MSoDPolicySet>"
-        )
+        xml = INVALID_DOCUMENTS["mixed-kinds"]
         with pytest.raises(PolicyParseError, match="either MMER or MMEP"):
             parse_policy_set(xml)
         relaxed = parse_policy_set(xml, strict=False)
@@ -152,12 +230,7 @@ class TestParserErrors:
         assert privileges == {Privilege("x", "u"), Privilege("y", "u")}
 
     def test_bad_context_name(self):
-        xml = (
-            "<MSoDPolicySet><MSoDPolicy BusinessContext='not-a-context'>"
-            "<MMER ForbiddenCardinality='2'>"
-            "<Role type='t' value='a'/><Role type='t' value='b'/>"
-            "</MMER></MSoDPolicy></MSoDPolicySet>"
-        )
+        xml = INVALID_DOCUMENTS["bad-context"]
         with pytest.raises(PolicyParseError, match="bad BusinessContext"):
             parse_policy_set(xml)
 
@@ -211,27 +284,7 @@ class TestValidator:
             assert validate_policy_document(xml) == []
 
     def test_reports_all_problems_in_one_pass(self):
-        xml = (
-            "<MSoDPolicySet>"
-            "<MSoDPolicy>"
-            "<MMER ForbiddenCardinality='9'>"
-            "<Role type='t' value='a'/><Role value='b'/>"
-            "</MMER></MSoDPolicy>"
-            "<MSoDPolicy BusinessContext='B=!'/>"
-            # One bad privilege child under each privilege-list parent.
-            "<MSoDPolicy BusinessContext='C=!'>"
-            "<MMEP ForbiddenCardinality='2'>"
-            "<Privilege operation='x' target='u'/><Role type='t' value='a'/>"
-            "</MMEP></MSoDPolicy>"
-            "<MSoDPolicy BusinessContext='D=!'>"
-            "<MMCD><Privilege operation='x' target='u'/>"
-            "<Operation target='u'/></MMCD></MSoDPolicy>"
-            "<MSoDPolicy BusinessContext='E=*'>"
-            "<AdminBoundary Boundary='b'><Step/></AdminBoundary>"
-            "</MSoDPolicy>"
-            "</MSoDPolicySet>"
-        )
-        problems = validate_policy_document(xml)
+        problems = validate_policy_document(ALL_PROBLEMS_XML)
         assert len(problems) >= 6
         assert any("BusinessContext" in p for p in problems)
         assert any("ForbiddenCardinality" in p for p in problems)
@@ -241,6 +294,13 @@ class TestValidator:
             "policy #4: <Operation> is missing attribute 'value'" in problems
         )
         assert "policy #5: AdminBoundary contains unexpected <Step>" in problems
+
+    @pytest.mark.parametrize("name", sorted(DIVERGENT_DOCUMENTS))
+    def test_reports_what_the_parser_refuses(self, name):
+        xml = DIVERGENT_DOCUMENTS[name]
+        with pytest.raises(PolicyParseError) as refused:
+            parse_policy_set(xml)
+        assert validate_policy_document(xml) == [str(refused.value)]
 
     def test_not_xml(self):
         assert validate_policy_document("{json: true}") != []
