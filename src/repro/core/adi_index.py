@@ -11,7 +11,8 @@ owns the discipline.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.core.constraints import Privilege, Role
@@ -20,60 +21,67 @@ from repro.core.context import ContextName
 if TYPE_CHECKING:
     from repro.core.retained_adi import RetainedADIRecord
 
+_RECORD_ID = attrgetter("record_id")
+#: A bucket's fold: its roles, and per request its earliest exercise.
+_Fold = tuple[set[Role], dict[str, tuple[int, Privilege]]]
+
 
 class _ContextBucket:
-    """Incremental aggregates for one ``(user, concrete-context)`` pair.
+    """The records of one ``(user, concrete-context)`` pair, folded on read.
 
-    The engine's hot queries — which roles has this user activated, and
-    which privileges has it exercised, within an effective policy context
-    — are answered from aggregates maintained on ``add``/``remove``
-    instead of rebuilt by scanning records:
-
-    * ``role_counts`` — multiset of activated roles (counts support
-      exact deletion on purge).
-    * ``exercises`` — per ``request_id``, the ``(record_id, privilege)``
-      of the *earliest* record of that request: step 5.iv stores one
-      record per matched role, but they count as a single privilege
-      exercise.
+    ``records`` is id-ordered and starts as a one-item list, the size
+    most buckets keep for life.  :meth:`fold` computes, the first time
+    a query reaches the bucket, the activated roles and, per
+    ``request_id``, the ``(record_id, privilege)`` of the *earliest*
+    record: step 5.iv stores one record per matched role, but they
+    count as one privilege exercise.  ``add`` keeps a fold up to date;
+    ``discard`` (a purge: rare, and usually of the whole bucket) drops
+    it for a refold.
     """
 
-    __slots__ = ("records", "role_counts", "req_privileges", "exercises")
+    __slots__ = ("records", "_folded")
 
-    def __init__(self) -> None:
-        self.records: dict[int, RetainedADIRecord] = {}
-        self.role_counts: Counter = Counter()
-        self.req_privileges: dict[str, dict[int, Privilege]] = {}
-        self.exercises: dict[str, tuple[int, Privilege]] = {}
+    def __init__(self, record: RetainedADIRecord) -> None:
+        self.records: list[RetainedADIRecord] = [record]
+        self._folded: _Fold | None = None
 
-    def add(self, record: RetainedADIRecord) -> None:
+    def add(self, record: RetainedADIRecord) -> bool:
+        """File one record; ``False`` when its id is already held."""
+        records = self.records
         record_id = record.record_id
-        privilege = record.privilege
-        self.records[record_id] = record
-        self.role_counts.update(record.roles)
-        per_request = self.req_privileges.setdefault(record.request_id, {})
-        per_request[record_id] = privilege
-        first = self.exercises.get(record.request_id)
-        if first is None or record_id < first[0]:
-            self.exercises[record.request_id] = (record_id, privilege)
+        if records[-1].record_id < record_id:
+            records.append(record)
+        else:
+            at = bisect_left(records, record_id, key=_RECORD_ID)
+            if at < len(records) and records[at].record_id == record_id:
+                return False
+            records.insert(at, record)
+        if self._folded is not None:
+            roles, exercises = self._folded
+            roles.update(record.roles)
+            first = exercises.get(record.request_id)
+            if first is None or record_id < first[0]:
+                exercises[record.request_id] = (record_id, record.privilege)
+        return True
 
-    def remove(self, record: RetainedADIRecord) -> None:
-        record_id = record.record_id
-        del self.records[record_id]
-        counts = self.role_counts
-        for role in record.roles:
-            left = counts[role] - 1
-            if left:
-                counts[role] = left
-            else:
-                del counts[role]
-        per_request = self.req_privileges[record.request_id]
-        del per_request[record_id]
-        if not per_request:
-            del self.req_privileges[record.request_id]
-            del self.exercises[record.request_id]
-        elif self.exercises[record.request_id][0] == record_id:
-            first_id = min(per_request)
-            self.exercises[record.request_id] = (first_id, per_request[first_id])
+    def discard(self, record_ids: set[int]) -> list[RetainedADIRecord]:
+        """Drop the held records among ``record_ids``; the ones dropped."""
+        dropped = [r for r in self.records if r.record_id in record_ids]
+        if dropped:
+            self.records = [r for r in self.records if r.record_id not in record_ids]
+            self._folded = None
+        return dropped
+
+    def fold(self) -> _Fold:
+        if self._folded is None:
+            roles: set[Role] = set()
+            exercises: dict[str, tuple[int, Privilege]] = {}
+            for record in self.records:  # id order: the first is earliest
+                roles.update(record.roles)
+                if record.request_id not in exercises:
+                    exercises[record.request_id] = (record.record_id, record.privilege)
+            self._folded = (roles, exercises)
+        return self._folded
 
 
 class _UserAggregate:
@@ -107,28 +115,35 @@ class _UserAggregate:
         context = record.context_instance
         bucket = self.buckets.get(context)
         if bucket is None:
-            bucket = self.buckets[context] = _ContextBucket()
+            bucket = self.buckets[context] = _ContextBucket(record)
             for effective, buckets in self._memo.items():
                 if effective.matcher.matches(context):
                     buckets.append(bucket)
-        elif record.record_id in bucket.records:
+        elif not bucket.add(record):
             return None  # hydration already saw this committed record
-        bucket.add(record)
         return bucket
 
-    def remove(self, record: RetainedADIRecord) -> bool:
-        """Retire one record; ``False`` when it was not held."""
-        context = record.context_instance
-        bucket = self.buckets.get(context)
-        if bucket is None or record.record_id not in bucket.records:
-            return False  # hydrated after the warm delete: already gone
-        bucket.remove(record)
-        if not bucket.records:
-            del self.buckets[context]
-            # Drop the memo for lazy rebuild rather than surgically
-            # pruning every cached list.
-            self._memo = {}
-        return True
+    def remove(self, records: Iterable[RetainedADIRecord]) -> list[RetainedADIRecord]:
+        """Retire this user's listed records; the ones that were held.
+
+        One pass per touched bucket.  A record not held was hydrated
+        after the warm delete, so it is already gone.
+        """
+        doomed: dict[ContextName, set[int]] = {}
+        for record in records:
+            doomed.setdefault(record.context_instance, set()).add(record.record_id)
+        removed: list[RetainedADIRecord] = []
+        for context, record_ids in doomed.items():
+            bucket = self.buckets.get(context)
+            if bucket is None:
+                continue
+            removed.extend(bucket.discard(record_ids))
+            if not bucket.records:
+                del self.buckets[context]
+                # Drop the memo for lazy rebuild rather than surgically
+                # pruning every cached list.
+                self._memo = {}
+        return removed
 
     def clear_memo(self) -> None:
         """Drop the effective-context memo, keeping the records.
@@ -162,7 +177,7 @@ class _UserAggregate:
         """Roles the user has activated within the effective context."""
         roles: set[Role] = set()
         for bucket in self._matching(effective_context):
-            roles.update(bucket.role_counts)
+            roles.update(bucket.fold()[0])
         return frozenset(roles)
 
     def exercises(self, effective_context: ContextName) -> list[Privilege]:
@@ -171,7 +186,7 @@ class _UserAggregate:
         for bucket in self._matching(effective_context):
             entries.extend(
                 (record_id, request_id, privilege)
-                for request_id, (record_id, privilege) in bucket.exercises.items()
+                for request_id, (record_id, privilege) in bucket.fold()[1].items()
             )
         entries.sort()
         seen_requests: set[str] = set()
@@ -187,8 +202,8 @@ class _UserAggregate:
         """The user's records within the context, in record-id order."""
         found: list[RetainedADIRecord] = []
         for bucket in self._matching(effective_context):
-            found.extend(bucket.records.values())
-        found.sort(key=lambda record: record.record_id)
+            found.extend(bucket.records)
+        found.sort(key=_RECORD_ID)
         return found
 
 
@@ -315,7 +330,7 @@ class _UserContextIndex:
     The number of distinct concrete instances (and of instances any one
     user has touched) is tiny compared to the record count, so
     context-scoped queries walk a handful of buckets — each answering
-    from its incremental aggregates — instead of scanning every record;
+    from its fold — instead of scanning every record;
     cross-user queries find their contexts through
     :meth:`_ContextPresence.matching`, not by scanning the live ones.
 
@@ -343,34 +358,27 @@ class _UserContextIndex:
             self._by_context.setdefault(context, {})[user_id] = bucket
             self._presence.add(context)
 
-    def _unlink_bucket(self, context: ContextName, user_id: str) -> None:
-        by_users = self._by_context[context]
-        del by_users[user_id]
-        if not by_users:
-            del self._by_context[context]
-
-    def remove(self, record: RetainedADIRecord) -> None:
-        context = record.context_instance
-        user_id = record.user_id
-        aggregate = self._by_user[user_id]
-        if not aggregate.remove(record):
-            return
-        if context not in aggregate.buckets:
-            self._unlink_bucket(context, user_id)
+    def remove(self, records: Iterable[RetainedADIRecord]) -> None:
+        """Retire records, skipping those not held (idempotent by id)."""
+        by_user: dict[str, list[RetainedADIRecord]] = {}
+        for record in records:
+            by_user.setdefault(record.user_id, []).append(record)
+        forgotten: list[ContextName] = []
+        for user_id, mine in by_user.items():
+            aggregate = self._by_user.get(user_id)
+            if aggregate is None:
+                continue
+            removed = aggregate.remove(mine)
+            for context in {record.context_instance for record in removed}:
+                if context not in aggregate.buckets:
+                    by_users = self._by_context[context]
+                    del by_users[user_id]
+                    if not by_users:
+                        del self._by_context[context]
             if not aggregate.buckets:
                 del self._by_user[user_id]
-        self._presence.forget((context,))
-
-    def remove_user(self, user_id: str) -> list[RetainedADIRecord]:
-        """Drop every bucket of one user, returning the removed records."""
-        removed: list[RetainedADIRecord] = []
-        aggregate = self._by_user.pop(user_id, None)
-        if aggregate is not None:
-            for context, bucket in aggregate.buckets.items():
-                removed.extend(bucket.records.values())
-                self._unlink_bucket(context, user_id)
-            self._presence.forget(record.context_instance for record in removed)
-        return removed
+            forgotten.extend(record.context_instance for record in removed)
+        self._presence.forget(forgotten)
 
     def clear_memos(self) -> None:
         """Drop every effective-context memo, keeping the records."""
@@ -396,8 +404,8 @@ class _UserContextIndex:
         found: list[RetainedADIRecord] = []
         for context in self._presence.matching(effective_context):
             for bucket in by_context[context].values():
-                found.extend(bucket.records.values())
-        found.sort(key=lambda record: record.record_id)
+                found.extend(bucket.records)
+        found.sort(key=_RECORD_ID)
         return found
 
     def user(self, user_id: str) -> _UserAggregate:

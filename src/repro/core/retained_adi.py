@@ -30,12 +30,27 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from sys import intern
+from typing import Iterable, Iterator
 
 from repro.core.adi_index import _UserContextIndex
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
 from repro.errors import StoreError
+
+_ROOT = ContextName.root()
+
+
+@lru_cache(maxsize=4096)
+def _shared_roles(roles: tuple[Role, ...]) -> tuple[Role, ...]:
+    """The first-seen equal ``roles`` tuple, for stored records to share.
+
+    The table is bounded, and in practice sized by the role vocabulary.
+    Stored ``str`` fields are shared through :func:`sys.intern`, whose
+    entries go with their last reference.
+    """
+    return roles
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,10 +94,10 @@ class RetainedADIRecord:
     @classmethod
     def from_dict(cls, data: dict, record_id: int | None = None) -> "RetainedADIRecord":
         return cls(
-            user_id=data["user_id"],
-            roles=tuple(Role(rt, rv) for rt, rv in data["roles"]),
-            operation=data["operation"],
-            target=data["target"],
+            user_id=intern(data["user_id"]),
+            roles=_shared_roles(tuple(Role(rt, rv) for rt, rv in data["roles"])),
+            operation=intern(data["operation"]),
+            target=intern(data["target"]),
             context_instance=ContextName.parse(data["context_instance"]),
             granted_at=data["granted_at"],
             request_id=data["request_id"],
@@ -416,10 +431,10 @@ class InMemoryRetainedADIStore(RetainedADIStore):
 
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
         stored = RetainedADIRecord(
-            user_id=record.user_id,
-            roles=record.roles,
-            operation=record.operation,
-            target=record.target,
+            user_id=intern(record.user_id),
+            roles=_shared_roles(record.roles),
+            operation=intern(record.operation),
+            target=intern(record.target),
             context_instance=record.context_instance,
             granted_at=record.granted_at,
             request_id=record.request_id,
@@ -444,31 +459,21 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     def has_context(self, effective_context: ContextName) -> bool:
         return self._index.has_context(effective_context)
 
-    def _delete(self, record: RetainedADIRecord) -> None:
-        del self._records[record.record_id]
-        self._index.remove(record)
+    def _delete(self, records: list[RetainedADIRecord]) -> int:
+        for record in records:
+            del self._records[record.record_id]
+        self._index.remove(records)
+        return len(records)
 
     def purge_context(self, effective_context: ContextName) -> int:
-        doomed = self._index.context_records(effective_context)
-        for record in doomed:
-            self._delete(record)
-        return len(doomed)
+        return self._delete(self._index.context_records(effective_context))
 
     def purge_user(self, user_id: str) -> int:
-        removed = self._index.remove_user(user_id)
-        for record in removed:
-            del self._records[record.record_id]
-        return len(removed)
+        return self._delete(self._index.user(user_id).records(_ROOT))
 
     def purge_older_than(self, cutoff: float) -> int:
-        doomed = [
-            record
-            for record in self._records.values()
-            if record.granted_at < cutoff
-        ]
-        for record in doomed:
-            self._delete(record)
-        return len(doomed)
+        records = self._records.values()
+        return self._delete([r for r in records if r.granted_at < cutoff])
 
     def clear(self) -> int:
         removed = len(self._records)
@@ -490,16 +495,13 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         return self._index.context_counts()
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
-        purged = 0
-        evicted: dict[int, RetainedADIRecord] = {}
+        evicted: list[RetainedADIRecord] = []
         for context in mutation.purge_contexts:
             doomed = self._index.context_records(context)
-            purged += len(doomed)
-            for record in doomed:
-                evicted.setdefault(record.record_id, record)
-                self._delete(record)
+            evicted.extend(doomed)  # deleted now, so no later context sees them
+            self._delete(doomed)
         added = [self.add(record) for record in mutation.adds]
-        return ADIApplyOutcome(purged, list(evicted.values()), added)
+        return ADIApplyOutcome(len(evicted), evicted, added)
 
     # Aggregate-backed engine views ----------------------------------
     def invalidate_policy_memos(self) -> None:
@@ -684,11 +686,11 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             self._index.add(record)
         self._bound_row_cache_locked()
 
-    def _evict_locked(self, records: Iterable[RetainedADIRecord]) -> None:
+    def _evict_locked(self, records: list[RetainedADIRecord]) -> None:
         for record in records:
             self._row_cache.pop(record.record_id, None)
-            if self._index is not None:
-                self._index.remove(record)
+        if self._index is not None:
+            self._index.remove(records)
 
     def _select_locked(
         self, where: str = "", params: tuple = ()
@@ -780,48 +782,31 @@ class SQLiteRetainedADIStore(RetainedADIStore):
                 self._index.clear_memos()
 
     def purge_context(self, effective_context: ContextName) -> int:
-        self._ensure_open()
-        with self._lock:
-            with self._conn:
-                outcome = self._apply_sql_locked(
-                    ADIMutation(purge_contexts=[effective_context])
-                )
-            self._evict_locked(outcome.purged_records)
-        return outcome.purged
+        return self.apply_detailed(
+            ADIMutation(purge_contexts=[effective_context])
+        ).purged
 
-    def purge_user(self, user_id: str) -> int:
+    def _purge_where(self, where: str, params: tuple) -> int:
+        """Delete the rows matching ``where`` in one :meth:`_atomic_locked`."""
         self._ensure_open()
         with self._lock:
-            with self._conn:
-                rows = self._conn.execute(
-                    "SELECT record_id FROM retained_adi WHERE user_id = ?",
-                    (user_id,),
-                ).fetchall()
-                self._conn.execute(
-                    "DELETE FROM retained_adi WHERE user_id = ?", (user_id,)
-                )
-            for (record_id,) in rows:
-                self._row_cache.pop(record_id, None)
-            if self._index is not None:
-                self._index.remove_user(user_id)
-        return len(rows)
-
-    def purge_older_than(self, cutoff: float) -> int:
-        self._ensure_open()
-        with self._lock:
-            with self._conn:
-                doomed = self._select_locked(" WHERE granted_at < ?", (cutoff,))
-                self._conn.execute(
-                    "DELETE FROM retained_adi WHERE granted_at < ?", (cutoff,)
-                )
+            with self._atomic_locked():
+                doomed = self._select_locked(where, params)
+                self._conn.execute(f"DELETE FROM retained_adi{where}", params)
             self._evict_locked(doomed)
         return len(doomed)
+
+    def purge_user(self, user_id: str) -> int:
+        return self._purge_where(" WHERE user_id = ?", (user_id,))
+
+    def purge_older_than(self, cutoff: float) -> int:
+        return self._purge_where(" WHERE granted_at < ?", (cutoff,))
 
     def clear(self) -> int:
         self._ensure_open()
         with self._lock:
-            cursor = self._conn.execute("DELETE FROM retained_adi")
-            self._conn.commit()
+            with self._atomic_locked():
+                cursor = self._conn.execute("DELETE FROM retained_adi")
             self._row_cache.clear()
             self._index = None  # rebuilt lazily, from the now-empty table
         return cursor.rowcount
@@ -898,37 +883,39 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         recovery path otherwise has to repair.  Candidate selection for
         the purges happens *inside* the transaction (no
         select-then-lock window), and the batched adds share the single
-        commit instead of paying one fsync each.
-
-        Inside an open :meth:`batch`, the decision runs in a savepoint
-        of the batch transaction instead: still individually atomic,
-        but the fsync is deferred to the batch commit.
+        commit instead of paying one fsync each — or, inside an open
+        :meth:`batch`, the batch's commit.
         """
         self._ensure_open()
         with self._lock:
-            if self._batch_depth:
-                self._conn.execute("SAVEPOINT msod_apply")
-                try:
-                    outcome = self._apply_sql_locked(mutation)
-                except sqlite3.Error as exc:
-                    self._conn.execute("ROLLBACK TO SAVEPOINT msod_apply")
-                    self._conn.execute("RELEASE SAVEPOINT msod_apply")
-                    raise StoreError(
-                        f"mutation failed atomically: {exc}"
-                    ) from exc
-                self._conn.execute("RELEASE SAVEPOINT msod_apply")
-            else:
-                try:
-                    with self._conn:  # implicit BEGIN ... COMMIT/ROLLBACK
-                        outcome = self._apply_sql_locked(mutation)
-                except sqlite3.Error as exc:
-                    raise StoreError(
-                        f"mutation failed atomically: {exc}"
-                    ) from exc
+            with self._atomic_locked():
+                outcome = self._apply_sql_locked(mutation)
             self._evict_locked(outcome.purged_records)
             for record in outcome.added:
                 self._admit_locked(record)
         return outcome
+
+    @contextmanager
+    def _atomic_locked(self):
+        """Run the enclosed SQL atomically: a savepoint inside :meth:`batch`
+        (whose one commit it must not pre-empt, or each later decision
+        in the batch pays its own fsync), else its own transaction.
+        """
+        try:
+            if self._batch_depth:
+                self._conn.execute("SAVEPOINT msod_apply")
+                try:
+                    yield
+                except BaseException:
+                    self._conn.execute("ROLLBACK TO SAVEPOINT msod_apply")
+                    raise
+                finally:
+                    self._conn.execute("RELEASE SAVEPOINT msod_apply")
+            else:
+                with self._conn:  # implicit BEGIN ... COMMIT/ROLLBACK
+                    yield
+        except sqlite3.Error as exc:
+            raise StoreError(f"mutation failed atomically: {exc}") from exc
 
     @contextmanager
     def batch(self):

@@ -241,8 +241,7 @@ class TieredADIStore(RetainedADIStore):
                 if entry is None:
                     continue  # cold user: warm already holds the truth
                 shard.entries.move_to_end(user_id)
-                for record in removed:
-                    entry.remove(record)
+                entry.remove(removed)
                 for record in added:
                     entry.add(record)
 

@@ -10,7 +10,7 @@ backend's aggregate views to equal the scan definitions after every
 step of a stream interleaved with purges and policy swaps.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -25,13 +25,15 @@ from repro.core import (
     MSoDPolicy,
     MSoDPolicySet,
     Privilege,
-    Role,
+    RetainedADIRecord,
     RetainedADIStore,
+    Role,
     SQLiteRetainedADIStore,
     Step,
     TieredADIStore,
     store_digest,
 )
+from repro.core.adi_index import _UserAggregate
 
 _CLERK = Role("role", "Clerk")
 _AUDITOR = Role("role", "Auditor")
@@ -175,18 +177,72 @@ _QUERIES = [
     ContextName.root(),
 ]
 
+#: A record stored directly, outside any decision: its request id is
+#: shared with other direct adds at other timestamps, so a
+#: ``purge_older_than`` cut can pass through one request's records.
+_direct = st.tuples(
+    st.sampled_from(_USERS),
+    st.sampled_from([_CLERK, _AUDITOR, _MANAGER]),
+    st.sampled_from(_OPS),
+    st.sampled_from(["d1", "d2"]),
+    st.sampled_from(["c1", "c2"]),
+    st.sampled_from(["x1", "x2"]),
+    st.integers(0, 40).map(float),
+)
+
 _maintenance = st.one_of(
     st.tuples(st.just("purge_user"), st.sampled_from(_USERS)),
     st.tuples(st.just("purge_context"), st.sampled_from(_QUERIES[:3])),
     st.tuples(st.just("purge_older_than"), st.integers(0, 40).map(float)),
     st.tuples(st.just("swap_policy"), st.none()),
+    st.tuples(st.just("add"), _direct),
+    st.tuples(st.just("redeliver"), st.none()),
 )
 
+#: Each step carries whether the views are checked after it, so a
+#: removal can be followed by a bucket's *first* fold.
 _ops = st.lists(
-    st.one_of(st.tuples(st.just("check"), _request), _maintenance),
+    st.tuples(
+        st.one_of(st.tuples(st.just("check"), _request), _maintenance),
+        st.booleans(),
+    ),
     min_size=1,
     max_size=40,
 )
+
+
+def _direct_record(user, role, op, dept, case, request_id, granted_at):
+    return RetainedADIRecord(
+        user_id=user,
+        roles=(role,),
+        operation=op[0],
+        target=op[1],
+        context_instance=ContextName.parse(f"Dept={dept}, Case={case}"),
+        granted_at=granted_at,
+        request_id=request_id,
+    )
+
+
+def _held_aggregate(store, user_id) -> _UserAggregate | None:
+    """The resident aggregate a store folds ``user_id``'s views from."""
+    if isinstance(store, TieredADIStore):
+        return store._shard_for(user_id).entries.get(user_id)
+    if store._index is None:  # SQLite before its lock-step index is built
+        return None
+    return store._index._by_user.get(user_id)
+
+
+def _redeliver(store) -> None:
+    """File the newest held record into its aggregate a second time.
+
+    The tiered hydration race's duplicate add: a hydration read the
+    committed record, then the mutation's hot update delivers it again.
+    """
+    newest = max(store.records(), key=lambda r: r.record_id, default=None)
+    if newest is not None:
+        aggregate = _held_aggregate(store, newest.user_id)
+        if aggregate is not None:
+            assert aggregate.add(newest) is None
 
 
 def _assert_views_match_scan(store, label):
@@ -206,14 +262,34 @@ def _assert_views_match_scan(store, label):
             ), label
 
 
+_cut_through_request = [
+    (("add", ("alice", _CLERK, ("issue", "PO"), "d1", "c1", "x1", 2.0)), False),
+    (("add", ("alice", _AUDITOR, ("pay", "Invoice"), "d1", "c1", "x1", 9.0)), False),
+    (("add", ("alice", _MANAGER, ("open", "Case"), "d1", "c1", "x2", 1.0)), False),
+]
+
+
 @given(_ops, st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
+@example(  # a cut through request x1, then the bucket's first fold
+    [*_cut_through_request, (("purge_older_than", 5.0), True)], 1
+)
+@example(  # the same cut after the bucket has folded
+    [*_cut_through_request[:2], (("purge_user", "bob"), True),
+     *_cut_through_request[2:], (("purge_older_than", 5.0), True)], 2
+)
+@example(  # a duplicate add after a fold changes nothing
+    [(("check", ("bob", {_CLERK}, ("issue", "PO"), "d2", "c2")), True),
+     (("redeliver", None), True)], 1
+)
 def test_aggregate_views_match_scan_definitions(ops, shards):
     """The aggregate-backed views equal the base-class scan definitions.
 
-    On every backend, after every step: decisions commit through
-    ``apply``, the management purges take their own paths, and a policy
-    swap rebinds the memos mid-stream.
+    On every backend, after every step drawn for it and at the end:
+    decisions commit through ``apply``, the management purges take
+    their own paths, direct adds share request ids across timestamps,
+    a duplicate delivery must be absorbed, and a policy swap rebinds
+    the memos mid-stream.
     """
     warm = SQLiteRetainedADIStore(":memory:")
     stores = {
@@ -235,7 +311,7 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
     engines = {name: MSoDEngine(base, store) for name, store in stores.items()}
     active = base
     try:
-        for index, (kind, argument) in enumerate(ops):
+        for index, ((kind, argument), check_views) in enumerate(ops):
             if kind == "swap_policy":
                 active = swapped if active is base else base
             for name, store in stores.items():
@@ -256,9 +332,16 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
                     )
                 elif kind == "swap_policy":
                     assert engines[name].swap_policy(active).changed
+                elif kind == "add":
+                    store.add(_direct_record(*argument))
+                elif kind == "redeliver":
+                    _redeliver(store)
                 else:
                     getattr(store, kind)(argument)
-                _assert_views_match_scan(store, f"{name} after step {index} {kind}")
+                if check_views or index == len(ops) - 1:
+                    _assert_views_match_scan(
+                        store, f"{name} after step {index} {kind}"
+                    )
             assert (
                 store_digest(stores["memory"])
                 == store_digest(stores["sqlite"])

@@ -7,9 +7,12 @@ Two defects fixed alongside the hot-path work:
 * the SQLite ``purge_context``/``apply`` used to select doomed rows via
   ``find()`` *before* taking the store lock, so a concurrent ``add``
   could slip a matching record into the select-to-delete window and
-  survive the purge.
+  survive the purge;
+* the SQLite purges committed the caller's open ``batch()`` early, after
+  which each later decision in the batch paid its own commit.
 """
 
+import sqlite3
 import threading
 
 import pytest
@@ -183,3 +186,46 @@ class TestSQLitePurgeAtomicity:
         assert store.count() == 0
         assert final_purge_floor >= 0
         store.close()
+
+
+class TestSQLitePurgeInsideBatch:
+    @pytest.mark.parametrize(
+        "purge",
+        [
+            lambda store: store.purge_context(ContextName.parse("Dept=d9")),
+            lambda store: store.purge_user("nobody"),
+            lambda store: store.purge_older_than(-1.0),
+            lambda store: store.clear(),
+        ],
+        ids=["purge_context", "purge_user", "purge_older_than", "clear"],
+    )
+    def test_a_purge_joins_the_open_batch(self, tmp_path, purge):
+        """Nothing of an open batch is visible to another connection.
+
+        Not after the purge, and not after a decision that follows it:
+        each purge is a savepoint of the batch transaction, which
+        commits once, when the batch exits.
+        """
+        path = str(tmp_path / "adi.db")
+        store = SQLiteRetainedADIStore(path)
+        observer = sqlite3.connect(path)
+
+        def committed_rows():
+            (rows,) = observer.execute(
+                "SELECT COUNT(*) FROM retained_adi"
+            ).fetchone()
+            return rows
+
+        try:
+            store.add(_record(0))
+            with store.batch():
+                store.apply(ADIMutation(adds=[_record(1)]))
+                purge(store)
+                assert store._conn.in_transaction
+                assert committed_rows() == 1
+                store.apply(ADIMutation(adds=[_record(2)]))
+                assert committed_rows() == 1
+            assert committed_rows() == store.count() > 0
+        finally:
+            observer.close()
+            store.close()
