@@ -295,18 +295,6 @@ class MMER(MultiSessionConstraint):
         self._member = member
         self._m = forbidden_cardinality
 
-    def matched_roles(self, activated: Iterable[Role]) -> frozenset[Role]:
-        """The subset of ``activated`` roles that are in this MMER set.
-
-        Algorithm step 5.i: "Match activated role(s) against MMER
-        role(s)."
-        """
-        return self._member.intersection(activated)
-
-    def remaining_roles(self, matched: Iterable[Role]) -> frozenset[Role]:
-        """MMER roles other than the currently matched ones (step 5.iii)."""
-        return self._member.difference(matched)
-
     def matches_request(self, request: "DecisionRequest") -> bool:
         return not self._member.isdisjoint(request.roles)
 
@@ -320,15 +308,14 @@ class MMER(MultiSessionConstraint):
         views: "ADIViewSnapshot",
     ) -> ConstraintVerdict:
         # 5.i: match activated role(s) against MMER role(s).
-        matched = self.matched_roles(request.roles)
+        matched = self._member.intersection(request.roles)
         if not matched:
             # 5.ii: no match, next constraint.
             return CONSTRAINT_OK
-        # 5.iii: count remaining MMER roles present in the user's history
-        # for this policy context.
-        remaining = self.remaining_roles(matched)
+        # 5.iii: count the remaining (unmatched) MMER roles present in
+        # the user's history for this policy context.
         historic = views.user_roles(request.user_id, effective_context)
-        count = len(remaining & historic)
+        count = len((self._member - matched) & historic)
         # 5.iv: grant-and-record or deny.
         if count < self._m - len(matched):
             return ConstraintVerdict(
@@ -369,23 +356,6 @@ class MMEP(MultiSessionConstraint):
         self._members = priv_tuple
         self._m = forbidden_cardinality
 
-    def matches(self, privilege: Privilege) -> bool:
-        """True when the requested privilege appears in this MMEP set."""
-        return privilege in self._members
-
-    def remaining_privileges(self, matched: Privilege) -> Counter:
-        """The multiset of privileges minus *one* occurrence of ``matched``.
-
-        Algorithm step 6.iii: "Ignoring current matched operation and
-        target in MMEP" — exactly one occurrence is ignored, which is what
-        gives the duplicate-privilege idiom its at-most-once semantics.
-        """
-        remaining = Counter(self._members)
-        remaining[matched] -= 1
-        if remaining[matched] <= 0:
-            del remaining[matched]
-        return remaining
-
     def matches_request(self, request: "DecisionRequest") -> bool:
         return request.privilege in self._members
 
@@ -403,9 +373,11 @@ class MMEP(MultiSessionConstraint):
         if request.privilege not in self._members:
             # 6.ii: no match, next constraint.
             return CONSTRAINT_OK
-        # 6.iii: ignoring one occurrence of the matched privilege, count
-        # remaining MMEP entries matching the user's exercise history.
-        remaining = self.remaining_privileges(request.privilege)
+        # 6.iii: ignoring one occurrence of the matched privilege (the
+        # duplicate idiom's at-most-once), count remaining MMEP entries
+        # matching the user's exercise history.
+        remaining = Counter(self._members)
+        remaining[request.privilege] -= 1
         history = views.user_privilege_exercise_counts(
             request.user_id, effective_context
         )

@@ -27,7 +27,7 @@ Two evaluation modes are provided:
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.core.constraints import AdminBoundary, Privilege
 from repro.core.context import ContextName
@@ -74,6 +74,20 @@ class _AdminProbe:
     def __init__(self, user_id: str, privilege: Privilege) -> None:
         self.user_id = user_id
         self.privilege = privilege
+
+
+class PendingGrant(NamedTuple):
+    """A grant :meth:`MSoDEngine.judge` reached and ``check`` commits;
+    ``started`` is where a recorder's ``store.commit`` span begins."""
+
+    mutation: ADIMutation
+    matched_policy_ids: tuple[str, ...]
+    policy_epoch: int
+    policy_digest: str
+    started: float
+
+    effect = Effect.GRANT
+    violation = None
 
 
 def _count(obs: Recorder, decision: Decision) -> None:
@@ -291,13 +305,14 @@ class MSoDEngine:
 
     # ------------------------------------------------------------------
     def check(self, request: DecisionRequest) -> Decision:
-        """Run the Section 4.2 algorithm for one interim-granted request."""
+        """Run the Section 4.2 algorithm for one interim-granted request:
+        :meth:`judge` it, then commit a grant."""
         obs = self._perf
         if not obs.enabled:
-            return self._steps(request)
+            return self._commit(request, self.judge(request))
         started = obs.begin()
         try:
-            decision = self._steps(request, obs, started)
+            decision = self._commit(request, self.judge(request, obs, started), obs)
         except BaseException:
             obs.abandon()
             raise
@@ -305,16 +320,19 @@ class MSoDEngine:
         _count(obs, decision)
         return obs.finish(decision)
 
-    def _steps(
+    def judge(
         self,
         request: DecisionRequest,
         obs: Recorder | None = None,
         started: float = 0.0,
-    ) -> Decision:
-        """The algorithm proper; ``obs`` is None when nothing records.
+    ) -> "Decision | PendingGrant":
+        """Steps 1-7 without the commit; ``obs`` is None when nothing records.
 
-        The three stage spans tile the check: each starts where the
-        previous one ended, so no part of it goes unattributed.
+        Returns the deny (or no-policy grant) :class:`Decision` or the
+        :class:`PendingGrant` :meth:`check` commits.  The loop reports
+        each step to ``obs``, which is how ``explain`` narrates it.  The
+        stage spans tile the check: each starts where the previous one
+        ended, so no part of it goes unattributed.
         """
         # One atomic read of the active policy version: the whole
         # decision evaluates under this set/epoch even if swap_policy
@@ -355,7 +373,8 @@ class MSoDEngine:
             mark = len(adds)
             # Step 3: does the retained ADI already hold records for this
             # effective policy context?
-            if not views.has_context(effective_context):
+            opens = not views.has_context(effective_context)
+            if opens:
                 # Step 4: the context has not started.  If the request is
                 # the first step (or the policy has no first step), the
                 # context starts now; otherwise MSoD enforcement has not
@@ -363,17 +382,23 @@ class MSoDEngine:
                 # nothing.  Literal step 4 then goes straight to step 7.
                 first = policy.first_step
                 if first is not None and not first.matches(operation, target):
+                    if obs is not None:
+                        obs.gate(policy, effective_context, opens, None)
                     continue
                 adds.append(roles)
                 fired = () if literal else policy.fired(keys)
             else:
                 fired = policy.fired(keys)
+            if obs is not None:
+                obs.gate(policy, effective_context, opens, fired)
             # Steps 5-6, generalised: every constraint of the policy that
             # can fire on the request, in declaration order (MMERs = step
             # 5, MMEPs = step 6, then extension kinds); the others would
             # return CONSTRAINT_OK and record nothing.
             for _, constraint in fired:
                 verdict = constraint.evaluate(request, effective_context, views)
+                if obs is not None:
+                    obs.verdict(constraint, verdict)
                 if not verdict.ok:
                     violation = MSoDViolation(
                         policy_id=policy.policy_id,
@@ -392,9 +417,12 @@ class MSoDEngine:
             # Step 7: a granted last step purges the context instead of
             # storing the policy's pending records.
             last = policy.last_step
-            if last is not None and last.matches(operation, target):
+            ends = last is not None and last.matches(operation, target)
+            if ends:
                 del adds[mark:]
                 purges.append(effective_context)
+            if obs is not None:
+                obs.step7(policy, ends)
         if obs is not None:
             started = obs.span("engine.constraints", started)
         if violation is not None:
@@ -420,20 +448,27 @@ class MSoDEngine:
             ],
             purges,
         )
+        return PendingGrant(mutation, matched_ids, policy_epoch, policy_digest, started)
+
+    def _commit(self, request, outcome, obs: Recorder | None = None) -> Decision:
+        """Apply a judged grant's mutation: the engine's one store write."""
+        if type(outcome) is Decision:
+            return outcome
+        mutation = outcome.mutation
         records_purged = self._store.apply(mutation)
         if obs is not None:
-            obs.span("store.commit", started)
+            obs.span("store.commit", outcome.started)
         return Decision(
             effect=Effect.GRANT,
             request=request,
-            matched_policy_ids=matched_ids,
+            matched_policy_ids=outcome.matched_policy_ids,
             records_added=len(mutation.adds),
             records_purged=records_purged,
             reason="granted under MSoD",
             adi_adds=tuple(mutation.adds),
-            adi_purged_contexts=tuple(purges),
-            policy_epoch=policy_epoch,
-            policy_digest=policy_digest,
+            adi_purged_contexts=tuple(mutation.purge_contexts),
+            policy_epoch=outcome.policy_epoch,
+            policy_digest=outcome.policy_digest,
         )
 
     # ------------------------------------------------------------------

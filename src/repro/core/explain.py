@@ -1,24 +1,22 @@
 """Dry-run explanation of an MSoD decision (the §4.2 algorithm, narrated).
 
-``explain(engine, request)`` walks exactly the evaluation the engine
-would perform — policy matching, ``!`` re-binding, the first-step gate,
-every MMER/MMEP count — and returns a step-by-step trace *without
-mutating the retained ADI*.  Operators use it to answer "why was this
-denied?" (or "why would it be granted?") against live history; the
-``repro explain`` CLI command exposes it.
-
-The explanation's verdict always equals what :meth:`MSoDEngine.check`
-would return on the same store state (property-tested), but unlike
-``check`` it is safe to call any number of times.
+``explain(engine, request)`` is :meth:`MSoDEngine.check` without its
+commit: it runs :meth:`MSoDEngine.judge` — the engine's own evaluation —
+with a narrator that turns each step the loop reports into a trace line,
+and never mutates the retained ADI.  Operators use it to answer "why was
+this denied?" (or "why would it be granted?") against live history; the
+``repro explain`` CLI command exposes it.  Its verdict is ``check``'s
+because the code is shared, and it records nothing on the engine's
+``perf`` recorder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.constraints import count_history_matches
-from repro.core.decision import DecisionRequest, Effect
+from repro.core.decision import DecisionRequest, Effect, MSoDViolation
 from repro.core.engine import MODE_LITERAL, MSoDEngine
+from repro.obs.recorder import NoopRecorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,7 +36,9 @@ class Explanation:
 
     effect: str
     request: DecisionRequest
-    lines: list[TraceLine] = field(default_factory=list)
+    lines: list[TraceLine]
+    matched_policy_ids: tuple[str, ...]
+    violation: MSoDViolation | None
 
     @property
     def granted(self) -> bool:
@@ -53,173 +53,55 @@ class Explanation:
         return "\n".join([header] + [f"  {line}" for line in self.lines])
 
 
+class _Narrator(NoopRecorder):
+    """Turns the engine loop's step reports into trace lines."""
+
+    def __init__(self, literal: bool) -> None:
+        super().__init__()
+        self.literal = literal
+        self.lines: list[TraceLine] = []
+
+    def gate(self, policy, context, opens, fired) -> None:
+        say, first = self.lines.append, policy.first_step
+        say(TraceLine("1", f"policy {policy.policy_id!r}: effective context [{context}]"))
+        if fired is None:
+            say(TraceLine("4", f"context not started and request is not the first "
+                          f"step ({first}); policy imposes nothing"))
+            return
+        if opens:
+            declared = " (no first step declared)" if first is None else ""
+            say(TraceLine("4", f"context starts with this request{declared}"))
+            if self.literal:
+                say(TraceLine("4", "literal mode: constraint checks skipped on "
+                              "the context-starting request"))
+                return
+        else:
+            say(TraceLine("3", "context already started in the retained ADI"))
+        unfired = len(policy.constraints) - len(fired)
+        if unfired:
+            say(TraceLine("5-6", f"{unfired} constraint(s) not fired by this request"))
+
+    def verdict(self, constraint, verdict) -> None:
+        step = "5" if constraint.kind == "MMER" else "6"
+        outcome = "ok" if verdict.ok else f"VIOLATION: {verdict.detail}"
+        self.lines.append(TraceLine(step, f"{constraint!r}: {outcome}"))
+
+    def step7(self, policy, ends) -> None:
+        self.lines.append(TraceLine("7", (
+            f"request is the last step ({policy.last_step}): a grant terminates "
+            "the context instance and purges its retained history"
+        ) if ends else "a grant would store the pending retained-ADI records"))
+
+
 def explain(engine: MSoDEngine, request: DecisionRequest) -> Explanation:
     """Narrate the evaluation of ``request`` against the engine's state."""
-    explanation = Explanation(effect=Effect.GRANT, request=request)
-    lines = explanation.lines
-    store = engine.store
-
-    matched = engine.policy_set.matching(request.context_instance)
-    if not matched:
-        lines.append(
-            TraceLine(
-                "1",
-                f"context [{request.context_instance}] matches no MSoD "
-                "policy; grant unaltered",
-            )
-        )
-        return explanation
-    lines.append(
-        TraceLine(
-            "1",
-            f"context [{request.context_instance}] matches "
-            f"{len(matched)} policy(ies): "
-            + ", ".join(policy.policy_id for policy in matched),
-        )
+    narrator = _Narrator(engine.mode == MODE_LITERAL)
+    outcome = engine.judge(request, narrator)
+    ids, where = outcome.matched_policy_ids, f"context [{request.context_instance}]"
+    matched = TraceLine("1", (
+        f"{where} matches {len(ids)} policy(ies): {', '.join(ids)}"
+        if ids else f"{where} matches no MSoD policy; grant unaltered"
+    ))
+    return Explanation(
+        outcome.effect, request, [matched, *narrator.lines], ids, outcome.violation
     )
-
-    for policy in matched:
-        effective = policy.business_context.instantiate(
-            request.context_instance
-        )
-        lines.append(
-            TraceLine(
-                "1",
-                f"policy {policy.policy_id!r}: effective context "
-                f"[{effective}]",
-            )
-        )
-        started = store.has_context(effective)
-        if not started:
-            first = policy.first_step
-            starts_now = first is None or first.matches(
-                request.operation, request.target
-            )
-            if not starts_now:
-                lines.append(
-                    TraceLine(
-                        "4",
-                        f"context not started and request is not the first "
-                        f"step ({first}); policy imposes nothing",
-                    )
-                )
-                continue
-            lines.append(
-                TraceLine(
-                    "4",
-                    "context starts with this request"
-                    + (" (no first step declared)" if first is None else ""),
-                )
-            )
-            if engine.mode == MODE_LITERAL:
-                lines.append(
-                    TraceLine(
-                        "4",
-                        "literal mode: constraint checks skipped on the "
-                        "context-starting request",
-                    )
-                )
-                _explain_step7(policy, request, lines)
-                continue
-
-        for mmer in policy.mmers:
-            matched_roles = mmer.matched_roles(request.roles)
-            if not matched_roles:
-                lines.append(
-                    TraceLine("5", f"{mmer!r}: no activated role matches")
-                )
-                continue
-            remaining = mmer.remaining_roles(matched_roles)
-            historic = store.user_roles(request.user_id, effective)
-            count = len(remaining & historic)
-            needed = mmer.forbidden_cardinality - len(matched_roles)
-            verdict = "ok" if count < needed else "VIOLATION"
-            lines.append(
-                TraceLine(
-                    "5",
-                    f"{mmer!r}: nr={len(matched_roles)} matched "
-                    f"({', '.join(sorted(map(str, matched_roles)))}); "
-                    f"{count} remaining role(s) in user's history; "
-                    f"deny when count >= {needed} -> {verdict}",
-                )
-            )
-            if count >= needed:
-                explanation.effect = Effect.DENY
-                return explanation
-
-        for mmep in policy.mmeps:
-            if not mmep.matches(request.privilege):
-                lines.append(
-                    TraceLine(
-                        "6", f"{mmep!r}: requested privilege not in set"
-                    )
-                )
-                continue
-            remaining = mmep.remaining_privileges(request.privilege)
-            history = store.user_privilege_exercises(
-                request.user_id, effective
-            )
-            count = count_history_matches(remaining, history)
-            needed = mmep.forbidden_cardinality - 1
-            verdict = "ok" if count < needed else "VIOLATION"
-            lines.append(
-                TraceLine(
-                    "6",
-                    f"{mmep!r}: {count} of the remaining privileges found "
-                    f"in user's {len(history)} past exercise(s); deny when "
-                    f"count >= {needed} -> {verdict}",
-                )
-            )
-            if count >= needed:
-                explanation.effect = Effect.DENY
-                return explanation
-
-        # Pluggable extension kinds (MMCD, ADMIN_BOUNDARY, ...): narrate
-        # through the same verdict interface the engine's generic loop
-        # uses, against a read-only view snapshot.
-        for constraint in policy.extra_constraints:
-            if not constraint.matches_request(request):
-                lines.append(
-                    TraceLine(
-                        "6",
-                        f"{constraint!r}: requested privilege not covered "
-                        f"by this {constraint.kind} constraint",
-                    )
-                )
-                continue
-            verdict = constraint.evaluate(
-                request, effective, store.snapshot_views()
-            )
-            if verdict.ok:
-                lines.append(
-                    TraceLine(
-                        "6", f"{constraint!r}: no conflict in retained ADI"
-                    )
-                )
-            else:
-                lines.append(TraceLine("6", f"{constraint!r}: VIOLATION"))
-                lines.append(TraceLine("6", verdict.detail))
-                explanation.effect = Effect.DENY
-                return explanation
-
-        _explain_step7(policy, request, lines)
-
-    return explanation
-
-
-def _explain_step7(policy, request, lines) -> None:
-    last = policy.last_step
-    if last is not None and last.matches(request.operation, request.target):
-        lines.append(
-            TraceLine(
-                "7",
-                f"request is the last step ({last}): a grant terminates "
-                "the context instance and purges its retained history",
-            )
-        )
-    else:
-        lines.append(
-            TraceLine(
-                "7", "a grant would store the pending retained-ADI records"
-            )
-        )

@@ -109,10 +109,13 @@ class CompiledPolicy:
     once per epoch and shared by every instance plan matching the policy.
     """
 
-    __slots__ = ("policy_id", "first_step", "last_step", "_always", "_by_trigger")
+    __slots__ = (
+        "policy_id", "first_step", "last_step", "constraints", "_always", "_by_trigger"
+    )
 
     def __init__(self, policy: MSoDPolicy) -> None:
         self.policy_id = policy.policy_id
+        self.constraints = policy.constraints
         self.first_step = policy.first_step
         self.last_step = policy.last_step
         always: list[tuple[int, MultiSessionConstraint]] = []

@@ -76,6 +76,8 @@ RBAC_UNREACHABLE_RULE = "RBAC_UNREACHABLE_RULE"
 MMCD_UNSATISFIABLE = "MMCD_UNSATISFIABLE"
 MMCD_CONFLICTS_MMER = "MMCD_CONFLICTS_MMER"
 ADMIN_BOUNDARY_UNGUARDED = "ADMIN_BOUNDARY_UNGUARDED"
+# Deployment-shape findings: not part of the default pass.
+CLUSTER_ROUTING_UNSAFE = "CLUSTER_ROUTING_UNSAFE"
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,6 +195,34 @@ def analyze_policy(policy: "PermisPolicy") -> list[VerifyFinding]:
 def render_findings(report: VerifyReport) -> tuple[str, ...]:
     """The report's findings as display strings (for ``PolicySwapReport``)."""
     return tuple(str(finding) for finding in report.findings)
+
+
+def cluster_routing_findings(policy_set: MSoDPolicySet) -> list[VerifyFinding]:
+    """``CLUSTER_ROUTING_UNSAFE`` for each policy a per-user ring cannot enforce.
+
+    A cluster routes every user to one shard, and each shard decides
+    from its own users' history.  A first step, a last step or an MMCD
+    couples users through the context instance: an instance started,
+    terminated or bound on one shard is not so on the others, whose
+    decisions then differ from one node's.
+    """
+    findings = []
+    for policy in policy_set:
+        couplings = [
+            f"{name} step {step}"
+            for name, step in (("first", policy.first_step), ("last", policy.last_step))
+            if step is not None
+        ]
+        couplings.extend(
+            repr(c) for c in policy.extra_constraints if isinstance(c, MMCD)
+        )
+        if couplings:
+            findings.append(VerifyFinding(
+                CLUSTER_ROUTING_UNSAFE, SEVERITY_ERROR, policy.policy_id,
+                f"{', '.join(couplings)}: couples the users of a context "
+                "instance, which per-user routing splits across shards",
+            ))
+    return findings
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,16 @@ from collections import Counter
 import pytest
 
 from repro.core.constraints import (
+    CONSTRAINT_OK,
+    CONSTRAINT_OK_EXERCISE,
     MMEP,
     MMER,
     Privilege,
     Role,
     count_history_matches,
 )
+from repro.core.context import ContextName
+from repro.core.decision import DecisionRequest
 from repro.errors import ConstraintError
 
 TELLER = Role("employee", "Teller")
@@ -20,6 +24,29 @@ MANAGER = Role("employee", "Manager")
 P1 = Privilege("approve", "http://tax/check")
 P2 = Privilege("combine", "http://tax/results")
 P3 = Privilege("prepare", "http://tax/check")
+
+CTX = ContextName.parse("Dept=Tax, Case=1")
+
+
+class _Views:
+    """The user's history for ``evaluate``: a role set, an exercise list."""
+
+    def __init__(self, history):
+        self.history = history
+
+    def user_roles(self, user_id, effective_context):
+        return frozenset(self.history)
+
+    def user_privilege_exercise_counts(self, user_id, effective_context):
+        return Counter(self.history)
+
+
+def verdict(constraint, roles=(TELLER,), privilege=P3, history=()):
+    """``constraint.evaluate`` for one request over ``history``."""
+    request = DecisionRequest(
+        "u", tuple(roles), privilege.operation, privilege.target, CTX
+    )
+    return constraint.evaluate(request, CTX, _Views(history))
 
 
 class TestRole:
@@ -87,15 +114,19 @@ class TestMMER:
         assert mmer.forbidden_cardinality == 2
 
     def test_matched_roles(self):
+        """Step 5.i: only the activated roles in the set are matched."""
         mmer = MMER([TELLER, AUDITOR], 2)
-        assert mmer.matched_roles([TELLER, MANAGER]) == {TELLER}
-        assert mmer.matched_roles([MANAGER]) == frozenset()
-        assert mmer.matched_roles([TELLER, AUDITOR]) == {TELLER, AUDITOR}
+        assert verdict(mmer, roles=[TELLER, MANAGER]).grant_roles == (TELLER,)
+        assert verdict(mmer, roles=[MANAGER]) is CONSTRAINT_OK
+        assert not verdict(mmer, roles=[TELLER, AUDITOR]).ok
 
     def test_remaining_roles(self):
+        """Step 5.iii: only the unmatched set roles count from history."""
         mmer = MMER([TELLER, AUDITOR, MANAGER], 3)
-        assert mmer.remaining_roles([TELLER]) == {AUDITOR, MANAGER}
-        assert mmer.remaining_roles([TELLER, AUDITOR]) == {MANAGER}
+        assert verdict(mmer, roles=[TELLER], history=[TELLER, AUDITOR]).ok
+        assert not verdict(mmer, roles=[TELLER], history=[AUDITOR, MANAGER]).ok
+        assert verdict(mmer, roles=[TELLER, AUDITOR], history=[TELLER]).ok
+        assert not verdict(mmer, roles=[TELLER, AUDITOR], history=[MANAGER]).ok
 
     def test_equality_is_order_insensitive(self):
         assert MMER([TELLER, AUDITOR], 2) == MMER([AUDITOR, TELLER], 2)
@@ -110,9 +141,9 @@ class TestMMER:
 class TestMMEP:
     def test_paper_example(self):
         mmep = MMEP([P1, P2], 2)
-        assert mmep.matches(P1)
-        assert mmep.matches(P2)
-        assert not mmep.matches(P3)
+        assert verdict(mmep, privilege=P1) is CONSTRAINT_OK_EXERCISE
+        assert verdict(mmep, privilege=P2) is CONSTRAINT_OK_EXERCISE
+        assert verdict(mmep, privilege=P3) is CONSTRAINT_OK
 
     def test_duplicate_privilege_allowed(self):
         """The paper's MMEP({p1, p1}, 2) at-most-once idiom."""
@@ -130,16 +161,17 @@ class TestMMEP:
             MMEP([P1, P2], 3)
 
     def test_remaining_removes_one_occurrence(self):
+        """Step 6.iii ignores one P1: the other P1 and P2 still count."""
         mmep = MMEP([P1, P1, P2], 2)
-        remaining = mmep.remaining_privileges(P1)
-        assert remaining[P1] == 1
-        assert remaining[P2] == 1
+        assert verdict(mmep, privilege=P1).ok
+        assert not verdict(mmep, privilege=P1, history=[P1]).ok
+        assert not verdict(mmep, privilege=P1, history=[P2]).ok
 
     def test_remaining_drops_exhausted_privilege(self):
+        """With its one occurrence ignored, past P1s no longer count."""
         mmep = MMEP([P1, P2], 2)
-        remaining = mmep.remaining_privileges(P1)
-        assert P1 not in remaining
-        assert remaining[P2] == 1
+        assert verdict(mmep, privilege=P1, history=[P1, P1]).ok
+        assert not verdict(mmep, privilege=P1, history=[P2]).ok
 
     def test_equality_is_multiset(self):
         assert MMEP([P1, P1, P2], 2) == MMEP([P1, P2, P1], 2)

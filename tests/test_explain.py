@@ -1,17 +1,30 @@
 """Tests for the dry-run decision explainer."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    MMCD,
     ContextName,
     DecisionRequest,
     InMemoryRetainedADIStore,
     MODE_LITERAL,
     MSoDEngine,
+    MSoDPolicy,
+    MSoDPolicySet,
     Privilege,
     Role,
+    SQLiteRetainedADIStore,
+    TieredADIStore,
     explain,
     store_digest,
+)
+from repro.core.constraints import POLICY_RELOAD_PRIVILEGE, policy_store_boundary
+from repro.obs import Recorder
+from repro.workload import (
+    BankScaleConfig,
+    filing_privileges,
+    four_eyes_filing_policy_set,
 )
 from repro.xmlpolicy import bank_policy_set, combined_policy_set, tax_refund_policy_set
 
@@ -56,8 +69,8 @@ class TestExplainBasics:
         text = explanation.render()
         assert explanation.granted
         assert "context starts with this request" in text
-        assert "nr=1 matched" in text
-        assert "-> ok" in text
+        assert "MMER({employee:Teller, employee:Auditor}, m=2): ok" in text
+        assert "a grant would store the pending" in text
 
     def test_explains_mmer_violation(self):
         engine = MSoDEngine(bank_policy_set(), InMemoryRetainedADIStore())
@@ -74,7 +87,9 @@ class TestExplainBasics:
             engine, request("m", [MANAGER], APPROVE, TAX_CTX, at=3.0)
         )
         assert not explanation.granted
-        assert "past exercise(s)" in explanation.render()
+        # The deny line carries the verdict's own count.
+        assert "VIOLATION: user 'm' would exercise 2 of 3" in explanation.render()
+        assert explanation.violation.constraint_kind == "MMEP"
 
     def test_explains_first_step_gate(self):
         engine = MSoDEngine(tax_refund_policy_set(), InMemoryRetainedADIStore())
@@ -121,16 +136,77 @@ class TestExplainContract:
 
 
 # ---------------------------------------------------------------------
-# Property: the dry-run verdict equals the live verdict, on any stream.
+# Property: explain is check without the commit, on any stream, under
+# the bank/tax, duty and four-eyes MMCD sets, over every backend.
 # ---------------------------------------------------------------------
 from tests.test_property_engine import request_streams  # noqa: E402
 
+REVIEW = Privilege("review", "filing://annual")
+SIGNOFF = Privilege("signoff", "filing://annual")
+_FOUR_EYES = BankScaleConfig(n_users=10, n_divisions=1)
 
-@given(request_streams())
-@settings(max_examples=60, deadline=None)
-def test_property_explain_agrees_with_check(stream):
-    engine = MSoDEngine(combined_policy_set(), InMemoryRetainedADIStore())
-    for item in stream:
-        predicted = explain(engine, item)
-        actual = engine.check(item)
-        assert predicted.effect == actual.effect, item
+
+def _duty_policy_set():
+    """The CI duty policy: a bound review/signoff pair plus the store guard."""
+    return MSoDPolicySet([
+        MSoDPolicy(ContextName.parse("Filing=*, Case=!"),
+                   constraints=[MMCD([REVIEW, SIGNOFF])], policy_id="filing-binding"),
+        MSoDPolicy(ContextName.parse("Filing=*, Case=*"),
+                   constraints=[policy_store_boundary()], policy_id="store-guard"),
+    ])
+
+
+def _streams(privileges, context):
+    """Request streams over three users, each privilege under ``context``."""
+    item = st.tuples(
+        st.sampled_from(["u1", "u2", "u3"]),
+        st.sampled_from(privileges),
+        st.sampled_from(["1", "2"]),
+    )
+    return st.lists(item, min_size=1, max_size=25).map(lambda items: [
+        DecisionRequest(user, (AUDITOR,), privilege.operation, privilege.target,
+                        ContextName.parse(context.format(case)), float(index))
+        for index, (user, privilege, case) in enumerate(items)
+    ])
+
+
+_SETS = {
+    "combined": (combined_policy_set, request_streams()),
+    "duty": (_duty_policy_set, _streams(
+        [REVIEW, SIGNOFF, Privilege("amend", "filing://annual"),
+         POLICY_RELOAD_PRIVILEGE], "Filing=Annual, Case=C{}")),
+    "four-eyes": (lambda: four_eyes_filing_policy_set(_FOUR_EYES), _streams(
+        [*filing_privileges(0), Privilege("approveFiling", "svc://division00/filing")],
+        "Region=R0, Division=D00, Branch=B1, Filing=F{}")),
+}
+_STORES = {
+    "memory": InMemoryRetainedADIStore,
+    "sqlite": lambda: SQLiteRetainedADIStore(":memory:"),
+    "tiered": lambda: TieredADIStore(
+        SQLiteRetainedADIStore(":memory:"), hot_users=2, owns_warm=True
+    ),
+}
+
+
+@given(st.sampled_from(sorted(_SETS)), st.sampled_from(sorted(_STORES)), st.data())
+@settings(max_examples=150, deadline=None)  # every set x store sees denies
+def test_property_explain_agrees_with_check(set_name, store_name, data):
+    policy_set, streams = _SETS[set_name]
+    perf = Recorder()
+    engine = MSoDEngine(policy_set(), _STORES[store_name](), perf=perf)
+    try:
+        for item in data.draw(streams):
+            before = (store_digest(engine.store), perf.snapshot())
+            predicted = explain(engine, item)
+            # A dry run: no write, and not one decision on the recorder.
+            assert (store_digest(engine.store), perf.snapshot()) == before
+            actual = engine.check(item)
+            assert predicted.effect == actual.effect, item
+            assert predicted.matched_policy_ids == actual.matched_policy_ids
+            assert predicted.violation == actual.violation, item
+            if actual.violation is not None:
+                # The narration names the violated constraint by its repr
+                # (whose class name is the kind CI greps for).
+                assert actual.violation.constraint_repr in predicted.render()
+    finally:
+        engine.store.close()

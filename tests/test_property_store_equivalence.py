@@ -170,6 +170,12 @@ class _Scan(RetainedADIStore):
         return [r for r in self.find(effective_context) if r.user_id == user_id]
 
 
+#: Privilege sets whose owners (the MMCD view) are compared per query.
+_BOUND_SETS = [
+    (Privilege("issue", "PO"), Privilege("approve", "PO")),
+    (Privilege("open", "Case"), Privilege("close", "Case")),
+]
+
 _QUERIES = [
     ContextName.parse("Dept=d1"),
     ContextName.parse("Dept=*, Case=c2"),
@@ -260,6 +266,10 @@ def _assert_views_match_scan(store, label):
             assert store.find_user(user, query) == scan.find_user(
                 user, query
             ), label
+        for privileges in _BOUND_SETS:
+            assert store.users_with_privileges(
+                privileges, query
+            ) == scan.users_with_privileges(privileges, query), label
 
 
 _cut_through_request = [
@@ -282,8 +292,16 @@ _cut_through_request = [
     [(("check", ("bob", {_CLERK}, ("issue", "PO"), "d2", "c2")), True),
      (("redeliver", None), True)], 1
 )
+@example(  # a purge removes a bound set's only owner
+    [(("check", ("alice", {_MANAGER}, ("open", "Case"), "d1", "c1")), True),
+     (("purge_user", "alice"), True)], 2
+)
 def test_aggregate_views_match_scan_definitions(ops, shards):
     """The aggregate-backed views equal the base-class scan definitions.
+
+    The views are every history read the engine makes: context
+    presence, a user's roles, exercises and records, and the owners of
+    a privilege set.
 
     On every backend, after every step drawn for it and at the end:
     decisions commit through ``apply``, the management purges take
