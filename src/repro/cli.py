@@ -1635,6 +1635,54 @@ def _cluster_smoke_resize(args: argparse.Namespace) -> int:
     return _smoke_finish(report, failures, args.json)
 
 
+def _smoke_mmcd_failover(store: str, report: dict, failures: list) -> None:
+    """An MMCD owner bound before a primary kill still excludes a second
+    user after failover: owner state survives promotion.  One shard, as
+    per-user routing cannot enforce an MMCD on more."""
+    import tempfile
+
+    from repro.api import open_cluster
+    from repro.core.constraints import MMCD, Privilege
+    from repro.core.policy import MSoDPolicy, MSoDPolicySet
+    from repro.workload import AUDITOR
+
+    review = Privilege("review", "filing")
+    signoff = Privilege("signoff", "filing")
+    policy_set = MSoDPolicySet([
+        MSoDPolicy(
+            ContextName.parse("Filing=*, Case=!"),
+            constraints=[MMCD([review, signoff])],
+            policy_id="filing-duty-binding",
+        )
+    ])
+    context = ContextName.parse("Filing=Annual, Case=2026")
+    # (report key, user, privilege, expected); the primary dies after
+    # the owner's bind.
+    steps = [
+        ("owner_bind", "duty-owner", review, "grant"),
+        ("intruder_post_failover", "duty-intruder", signoff, "deny"),
+        ("owner_completion", "duty-owner", signoff, "grant"),
+    ]
+    effects: dict = {}
+    with tempfile.TemporaryDirectory() as data_dir:
+        with open_cluster(
+            policy_set, data_dir, n_shards=1, store=store
+        ) as cluster, cluster.client(failover_wait=30.0) as pdp:
+            for stamp, (key, user_id, privilege, _) in enumerate(steps, 1):
+                if stamp == 2:
+                    cluster.kill_primary("shard-0")
+                request = _smoke_probe(
+                    user_id, AUDITOR, privilege, context, float(stamp)
+                )
+                effects[key] = pdp.decide(request).effect
+    report["mmcd"] = effects
+    failures.extend(
+        f"MMCD {key} was {effects[key]}, expected {expected}"
+        for key, _, _, expected in steps
+        if effects[key] != expected
+    )
+
+
 def cmd_cluster_smoke(args: argparse.Namespace) -> int:
     """The CI cluster smoke: workload + mid-stream reload + primary kill.
 
@@ -1649,7 +1697,9 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
     each shard's retained ADI equals the oracle engine fed that shard's
     substream, the MMER exclusivity invariant holds, every node runs
     the final (canary-rolled) policy epoch, every audited decision
-    carries its policy epoch, and the per-node gauges scrape.
+    carries its policy epoch, and the per-node gauges scrape.  A
+    one-shard cluster then checks that MMCD owner state survives a
+    failover (:func:`_smoke_mmcd_failover`).
 
     With ``--resize`` runs :func:`_cluster_smoke_resize` instead — the
     elastic split/drain cycle with coordinator and source-primary kills
@@ -1663,10 +1713,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
 
     from repro.api import open_cluster
     from repro.audit import EVENT_DECISION, AuditTrailManager
-    from repro.core.constraints import MMCD, Privilege
-    from repro.core.policy import MSoDPolicy, MSoDPolicySet
     from repro.workload import (
-        AUDITOR,
         HANDLE_CASH,
         TELLER,
         bank_policy_set,
@@ -1674,22 +1721,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
         hot_user_stream,
     )
 
-    # The boot set carries a combination-of-duty policy over a context
-    # no bank workload request touches (Filing/Case): the duty binding
-    # established before the primary kill must still deny a second user
-    # after failover — proving MMCD owner state survives promotion.
-    duty_review = Privilege("review", "filing")
-    duty_signoff = Privilege("signoff", "filing")
-    policy_set = MSoDPolicySet(
-        list(bank_policy_set())
-        + [
-            MSoDPolicy(
-                ContextName.parse("Filing=*, Case=!"),
-                constraints=[MMCD([duty_review, duty_signoff])],
-                policy_id="filing-duty-binding",
-            )
-        ]
-    )
+    policy_set = bank_policy_set()
     # The mid-stream reload target: the bank policy plus one extra
     # policy over a *disjoint* context (Region/Quarter, never touched
     # by the bank workload), so the reload changes the digest and
@@ -1721,26 +1753,9 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
         ) as cluster:
             hot_shard = cluster.ring.shard_for("hot-user")
             report["hot_shard"] = hot_shard
-            # Two distinct users on the shard that will lose its
-            # primary: the first binds the duty set pre-kill, the
-            # second must still be denied post-failover.
-            duty_users = _smoke_users_on(cluster.ring, hot_shard, "duty-user")
-            duty_owner, duty_intruder = next(duty_users), next(duty_users)
-            duty_context = ContextName.parse("Filing=Annual, Case=2026")
-
-            def duty_request(user_id, privilege, stamp):
-                return _smoke_probe(
-                    user_id, AUDITOR, privilege, duty_context, stamp
-                )
-
             with cluster.client(failover_wait=30.0) as pdp:
                 effects = []
-                # Phase 1 (pre-kill): the owner performs the first
-                # bound step and becomes the set's owner for this Case.
-                bind = duty_request(duty_owner, duty_review, 1.0)
-                requests.insert(0, bind)
-                effects.append(pdp.decide(bind).effect)
-                for index, request in enumerate(requests[1:]):
+                for index, request in enumerate(requests):
                     if index == quarter:
                         reload_body = pdp.reload_policy(extended_set)
                         report["policy_reload_changed"] = reload_body[
@@ -1749,32 +1764,6 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
                     if index == half:
                         report["killed"] = cluster.kill_primary(hot_shard)
                     effects.append(pdp.decide(request).effect)
-                # Phase 2 (post-failover): the binding must have
-                # survived promotion — a different user is denied the
-                # remaining bound step, the owner completes it.
-                duty_phase2 = [
-                    duty_request(duty_intruder, duty_signoff, 2.0),
-                    duty_request(duty_owner, duty_signoff, 3.0),
-                ]
-                for request in duty_phase2:
-                    requests.append(request)
-                    effects.append(pdp.decide(request).effect)
-                report["mmcd"] = {
-                    "owner_bind": effects[0],
-                    "intruder_post_failover": effects[-2],
-                    "owner_completion": effects[-1],
-                }
-                if effects[0] != "grant":
-                    failures.append("MMCD owner's first bound step denied")
-                if effects[-2] != "deny":
-                    failures.append(
-                        "MMCD binding lost across failover: intruder's "
-                        "bound step was granted"
-                    )
-                if effects[-1] != "grant":
-                    failures.append(
-                        "MMCD owner denied the remaining bound step"
-                    )
 
                 # Canary rollout under live load: stage a third policy
                 # set — again decision-disjoint (Desk/Cycle, untouched
@@ -1917,6 +1906,7 @@ def cmd_cluster_smoke(args: argparse.Namespace) -> int:
             _smoke_check_oracle(
                 cluster, policy_set, requests, effects, report, failures
             )
+    _smoke_mmcd_failover(args.store, report, failures)
     return _smoke_finish(report, failures, args.json)
 
 
