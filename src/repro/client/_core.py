@@ -195,12 +195,18 @@ class DecidePipeline:
     always safe to retry), one in a frame that was **sent** fails with
     the transport's :class:`PDPUnavailableError` (the server may still
     evaluate and commit it — never replayed).
+
+    A frame carries at most half the connection's outstanding decides
+    (unsent plus in flight, rounded up), so a burst always leaves on at
+    least two frames: the server decides one while the client consumes
+    the answers to the other, instead of the two taking turns.
     """
 
     def __init__(self, batch_max: int) -> None:
         self._batch_max = batch_max
         self._unsent: deque[tuple[object, dict, int | None]] = deque()
         self._pending: dict[str, list] = {}
+        self.in_flight = 0
         self.dead: Exception | None = None
 
     @property
@@ -217,18 +223,20 @@ class DecidePipeline:
         """Cut the next ``decide-batch`` frame off the unsent queue.
 
         Batches group by fencing epoch and hold at most ``batch_max``
-        requests.  Returns ``(payload, batch size, [])`` with the batch
-        now counted as **sent** — the shell must write the payload or
+        requests and at most half the outstanding decides, rounded up.
+        Returns ``(payload, batch size, [])`` with the batch now counted
+        as **sent** and in flight — the shell must write the payload or
         call :meth:`fail` — or ``(None, 0, resolutions)`` when nothing
         is queued or the batch could not be encoded.
         """
         unsent = self._unsent
         if not unsent:
             return None, 0, []
+        size = min(self._batch_max, (len(unsent) + self.in_flight + 1) // 2)
         epoch = unsent[0][2]
         waiters = []
         requests = []
-        while unsent and len(waiters) < self._batch_max and unsent[0][2] == epoch:
+        while unsent and len(waiters) < size and unsent[0][2] == epoch:
             waiter, request, _ = unsent.popleft()
             waiters.append(waiter)
             requests.append(request)
@@ -246,6 +254,7 @@ class DecidePipeline:
             # Unencodable request: fail this batch, keep the wire.
             return None, 0, [(waiter, None, exc) for waiter in waiters]
         self._pending[frame_id] = waiters
+        self.in_flight += len(waiters)
         return payload, len(waiters), []
 
     def receive(self, frame: dict) -> list:
@@ -273,6 +282,7 @@ class DecidePipeline:
                 for waiter, entry in zip(waiters, entries)
             ]
         del self._pending[frame_id]
+        self.in_flight -= len(waiters)
         return resolutions
 
     def fail(self, exc: Exception) -> list:
@@ -287,6 +297,7 @@ class DecidePipeline:
         for waiters in self._pending.values():
             resolutions.extend((waiter, None, exc) for waiter in waiters)
         self._pending.clear()
+        self.in_flight = 0
         return resolutions
 
 

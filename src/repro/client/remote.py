@@ -321,7 +321,8 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         pipelined binary transport.
     batch_max:
         Most decide requests coalesced into one ``decide-batch`` frame
-        (v2 only).
+        (v2 only).  A frame also carries at most half the connection's
+        outstanding decides, so a burst leaves on at least two frames.
     pipeline_window:
         Most correlated v2 frames in flight per connection before
         submission blocks (v2 only).

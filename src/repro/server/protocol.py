@@ -679,17 +679,99 @@ _BINPACK_MAX_DEPTH = 32
 
 _FLOAT64 = struct.Struct("!d")
 
+#: Memo of short strings → their complete encoding (tag, length and
+#: UTF-8 body).  Map keys, effects, reasons, policy ids and the policy
+#: digest repeat in every entry of a batch; a hit costs one dict lookup
+#: instead of an encode and three appends.  Only strings of at most
+#: ``_STR_MEMO_BYTES`` UTF-8 bytes are kept.  Bounded like
+#: :data:`_KEY_MEMO`: cleared wholesale once full.  Every thread shares
+#: it without a lock: an entry is a pure function of its key, and racing
+#: inserts overshoot the bound by at most one entry per thread.
+_STR_MEMO: dict[str, bytes] = {}
+_STR_MEMO_MAX = 1024
+_STR_MEMO_BYTES = 64
+
+
+def _str_bytes(obj: str) -> bytes:
+    """The complete encoding of one string, memoised when short."""
+    data = obj.encode("utf-8")
+    size = len(data)
+    if size <= 31:
+        packed = bytes((0xA0 | size,)) + data
+    elif size <= 0xFF:
+        packed = bytes((0xD9, size)) + data
+    elif size <= 0xFFFF:
+        packed = b"\xda" + size.to_bytes(2, "big") + data
+    elif size <= 0xFFFFFFFF:
+        packed = b"\xdb" + size.to_bytes(4, "big") + data
+    else:  # pragma: no cover - larger than any frame limit
+        raise ProtocolError("binpack string too long")
+    if size <= _STR_MEMO_BYTES:
+        memo = _STR_MEMO
+        if len(memo) >= _STR_MEMO_MAX:
+            memo.clear()
+        memo[obj] = packed
+    return packed
+
+
+def _pack_length(
+    size: int, out: bytearray, fix: int, tag16: int, what: str
+) -> None:
+    """A map or array header: fix form up to 15 entries, else 16/32-bit."""
+    if size <= 15:
+        out.append(fix | size)
+    elif size <= 0xFFFF:
+        out.append(tag16)
+        out += size.to_bytes(2, "big")
+    elif size <= 0xFFFFFFFF:
+        out.append(tag16 + 1)
+        out += size.to_bytes(4, "big")
+    else:  # pragma: no cover
+        raise ProtocolError(f"binpack {what} too long")
+
+
+def _pack_map(obj: dict, out: bytearray, depth: int) -> None:
+    _pack_length(len(obj), out, 0x80, 0xDE, "map")
+    depth += 1
+    if depth > _BINPACK_MAX_DEPTH and obj:
+        raise ProtocolError("binpack payload nests too deeply")
+    memo = _STR_MEMO
+    for key, value in obj.items():
+        if type(key) is not str:
+            raise ProtocolError("binpack map keys must be strings")
+        out += memo.get(key) or _str_bytes(key)
+        if type(value) is str:
+            out += memo.get(value) or _str_bytes(value)
+        else:
+            _pack_into(value, out, depth)
+
+
+def _pack_array(obj: list | tuple, out: bytearray, depth: int) -> None:
+    _pack_length(len(obj), out, 0x90, 0xDC, "array")
+    depth += 1
+    if depth > _BINPACK_MAX_DEPTH and obj:
+        raise ProtocolError("binpack payload nests too deeply")
+    memo = _STR_MEMO
+    for item in obj:
+        if type(item) is str:
+            out += memo.get(item) or _str_bytes(item)
+        else:
+            _pack_into(item, out, depth)
+
 
 def _pack_into(obj: Any, out: bytearray, depth: int) -> None:
-    if depth > _BINPACK_MAX_DEPTH:
-        raise ProtocolError("binpack payload nests too deeply")
-    if obj is None:
+    # Dispatch on the exact type, most frequent first; containers check
+    # the depth cap for their children, so a leaf costs no depth test.
+    kind = type(obj)
+    if kind is str:
+        out += _STR_MEMO.get(obj) or _str_bytes(obj)
+    elif kind is dict:
+        _pack_map(obj, out, depth)
+    elif kind is list or kind is tuple:
+        _pack_array(obj, out, depth)
+    elif obj is None:
         out.append(0xC0)
-    elif obj is True:
-        out.append(0xC3)
-    elif obj is False:
-        out.append(0xC2)
-    elif type(obj) is int:
+    elif kind is int:
         if 0 <= obj <= 0x7F:
             out.append(obj)
         elif -32 <= obj < 0:
@@ -724,27 +806,12 @@ def _pack_into(obj: Any, out: bytearray, depth: int) -> None:
                 out += obj.to_bytes(8, "big", signed=True)
             else:
                 raise ProtocolError("binpack integer exceeds 64 bits")
-    elif type(obj) is float:
+    elif kind is bool:
+        out.append(0xC3 if obj else 0xC2)
+    elif kind is float:
         out.append(0xCB)
         out += _FLOAT64.pack(obj)
-    elif type(obj) is str:
-        data = obj.encode("utf-8")
-        size = len(data)
-        if size <= 31:
-            out.append(0xA0 | size)
-        elif size <= 0xFF:
-            out.append(0xD9)
-            out.append(size)
-        elif size <= 0xFFFF:
-            out.append(0xDA)
-            out += size.to_bytes(2, "big")
-        elif size <= 0xFFFFFFFF:
-            out.append(0xDB)
-            out += size.to_bytes(4, "big")
-        else:  # pragma: no cover - larger than any frame limit
-            raise ProtocolError("binpack string too long")
-        out += data
-    elif type(obj) is bytes:
+    elif kind is bytes:
         size = len(obj)
         if size <= 0xFF:
             out.append(0xC4)
@@ -759,36 +826,9 @@ def _pack_into(obj: Any, out: bytearray, depth: int) -> None:
             raise ProtocolError("binpack bytes too long")
         out += obj
     elif isinstance(obj, (list, tuple)):
-        size = len(obj)
-        if size <= 15:
-            out.append(0x90 | size)
-        elif size <= 0xFFFF:
-            out.append(0xDC)
-            out += size.to_bytes(2, "big")
-        elif size <= 0xFFFFFFFF:
-            out.append(0xDD)
-            out += size.to_bytes(4, "big")
-        else:  # pragma: no cover
-            raise ProtocolError("binpack array too long")
-        for item in obj:
-            _pack_into(item, out, depth + 1)
+        _pack_array(obj, out, depth)
     elif isinstance(obj, dict):
-        size = len(obj)
-        if size <= 15:
-            out.append(0x80 | size)
-        elif size <= 0xFFFF:
-            out.append(0xDE)
-            out += size.to_bytes(2, "big")
-        elif size <= 0xFFFFFFFF:
-            out.append(0xDF)
-            out += size.to_bytes(4, "big")
-        else:  # pragma: no cover
-            raise ProtocolError("binpack map too long")
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise ProtocolError("binpack map keys must be strings")
-            _pack_into(key, out, depth + 1)
-            _pack_into(value, out, depth + 1)
+        _pack_map(obj, out, depth)
     elif isinstance(obj, (int, str, float)):
         # bool subclasses were handled above; tolerate int/str/float
         # subclasses (enums such as Effect) by packing the base value.

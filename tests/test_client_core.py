@@ -70,6 +70,50 @@ class TestBatchCutting:
             sizes.append(pipeline.next_frame()[1])
         assert sizes == [2, 2, 1]
 
+    def test_a_burst_on_an_idle_pipeline_leaves_on_two_frames(self):
+        pipeline = DecidePipeline(batch_max=64)
+        submit_all(pipeline, [(f"w{i}", 1) for i in range(64)])
+        first, size_1, _ = pipeline.next_frame()
+        assert size_1 == 32 and pipeline.in_flight == 32
+        _, size_2, _ = pipeline.next_frame()
+        assert size_2 == 32 and pipeline.in_flight == 64
+        assert not pipeline.has_unsent
+        # The first frame's callers come back while the second is out:
+        # their 32 decides leave as one frame, keeping two in flight.
+        answered = pipeline.receive(ok_response(sent_frame(first), [None] * 32))
+        assert len(answered) == 32 and pipeline.in_flight == 32
+        submit_all(pipeline, [(f"r{i}", 1) for i in range(32)])
+        assert pipeline.next_frame()[1] == 32
+        assert pipeline.in_flight == 64 and not pipeline.has_unsent
+
+    def test_batch_max_and_epochs_cap_the_half(self):
+        pipeline = DecidePipeline(batch_max=8)
+        submit_all(pipeline, [(f"w{i}", 1) for i in range(40)])
+        submit_all(pipeline, [(f"e{i}", 2) for i in range(40)])
+        sizes, epochs = [], []
+        while pipeline.has_unsent:
+            payload, size, _ = pipeline.next_frame()
+            sizes.append(size)
+            epochs.append(sent_frame(payload)["epoch"])
+        assert sizes == [8] * 10
+        assert epochs == [1] * 5 + [2] * 5
+        pipeline = DecidePipeline(batch_max=64)
+        submit_all(pipeline, [("a", 1)] * 10 + [("b", 2)] * 30)
+        # Half of 40 is 20, but the epoch boundary ends the first frame.
+        assert pipeline.next_frame()[1] == 10
+        assert pipeline.next_frame()[1] == 20  # half of 30 unsent + 10 sent
+        assert pipeline.next_frame()[1] == 10
+        assert pipeline.in_flight == 40
+
+    def test_fail_returns_the_in_flight_count_to_zero(self):
+        pipeline = DecidePipeline(batch_max=4)
+        submit_all(pipeline, [(f"w{i}", None) for i in range(6)])
+        pipeline.next_frame()
+        pipeline.next_frame()
+        assert pipeline.in_flight == 6 and not pipeline.has_unsent
+        pipeline.fail(PDPUnavailableError("reset"))
+        assert pipeline.in_flight == 0
+
     def test_nothing_queued_cuts_nothing(self):
         assert DecidePipeline(batch_max=4).next_frame() == (None, 0, [])
 
@@ -94,8 +138,20 @@ class TestBatchCutting:
 
 class TestResponseResolution:
     def cut(self, pipeline, waiters, epoch=None):
+        """One frame carrying exactly ``waiters``.
+
+        A frame holds at most half the outstanding decides, so an equal
+        ballast of another epoch is queued behind the waiters to let them
+        leave together; the ballast then goes out on its own frame and
+        is answered at once, leaving only the waiters' frame in flight.
+        """
+        other_epoch = 0 if epoch is None else None
         submit_all(pipeline, [(w, epoch) for w in waiters])
-        payload, _, _ = pipeline.next_frame()
+        submit_all(pipeline, [("ballast", other_epoch)] * len(waiters))
+        payload, size, _ = pipeline.next_frame()
+        assert size == len(waiters)
+        ballast = sent_frame(pipeline.next_frame()[0])
+        pipeline.receive(ok_response(ballast, [None] * len(waiters)))
         return sent_frame(payload)
 
     def test_entries_resolve_their_waiters_in_order_out_of_frame_order(self):

@@ -233,6 +233,168 @@ class DieAfterBatchServer:
             pass
 
 
+class HoldFirstAnswerServer:
+    """Upgrades to v2 and answers only a client that pipelines.
+
+    The answer to the first ``decide-batch`` frame is held back until a
+    second frame arrives, waiting at most ``hold`` seconds; a client that
+    sends one frame and waits for its answer is then dropped unanswered,
+    so its decides fail.  Once the second frame is in, every frame is
+    answered in arrival order by a real engine.
+    """
+
+    def __init__(self, hold=2.0):
+        policy_set = MSoDPolicySet(
+            [
+                MSoDPolicy(
+                    ContextName.parse("Branch=*, Period=!"),
+                    mmers=[MMER([TELLER, AUDITOR], 2)],
+                    policy_id="bank",
+                )
+            ]
+        )
+        self._engine = MSoDEngine(policy_set, InMemoryRetainedADIStore())
+        self._hold = hold
+        self._lock = threading.Lock()
+        self.overlapped = 0
+        self._sock = socket.socket()
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(8)
+        self.port = self._sock.getsockname()[1]
+        self._accepting = True
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while self._accepting:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            threading.Thread(
+                target=self._handle, args=(conn,), daemon=True
+            ).start()
+
+    def _read_frame(self, stream):
+        header = stream.read(protocol.V2_HEADER_BYTES)
+        if len(header) != protocol.V2_HEADER_BYTES:
+            raise EOFError
+        return protocol.decode_frame_v2(
+            stream.read(protocol.v2_payload_length(header))
+        )
+
+    def _answer(self, conn, frame):
+        requests = protocol.batch_requests_of(frame)
+        with self._lock:
+            decisions = [self._engine.check(r) for r in requests]
+        conn.sendall(
+            protocol.encode_frame_v2(
+                {
+                    "id": frame["id"],
+                    "ok": True,
+                    "op": protocol.OP_DECIDE_BATCH,
+                    "results": [
+                        {
+                            "ok": True,
+                            "decision": protocol.decision_to_wire_delta(d, r),
+                        }
+                        for d, r in zip(decisions, requests)
+                    ],
+                }
+            )
+        )
+
+    def _handle(self, conn):
+        stream = conn.makefile("rb")
+        try:
+            hello = json.loads(stream.readline())
+            reply = protocol.response_frame(
+                hello["id"], protocol.OP_HELLO, "body", {"version": 2}
+            )
+            conn.sendall(json.dumps(reply).encode() + b"\n")
+            held = self._read_frame(stream)
+            conn.settimeout(self._hold)
+            try:
+                second = self._read_frame(stream)
+            except socket.timeout:
+                return  # one frame, then a wait: drop it unanswered
+            conn.settimeout(None)
+            with self._lock:
+                self.overlapped += 1
+            self._answer(conn, held)
+            self._answer(conn, second)
+            while True:
+                self._answer(conn, self._read_frame(stream))
+        except (EOFError, OSError, ValueError, ProtocolError):
+            pass
+        finally:
+            conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._accepting = False
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+
+class TestPipelineOverlap:
+    """A burst leaves on two frames, so the server always has a second
+    frame to decide while the client waits for the first answer."""
+
+    N_DECIDES = 8
+
+    def test_blocking_client_keeps_a_second_frame_on_the_wire(self):
+        results, errors = [], []
+        with HoldFirstAnswerServer() as server, RemotePDP(
+            "127.0.0.1", server.port, protocol_version="v2", **FAST
+        ) as pdp:
+
+            def client(index):
+                try:
+                    results.append(pdp.decide(make_request(f"o{index}", TELLER)))
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(self.N_DECIDES)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not errors, errors
+            assert pdp._pipe._core.in_flight == 0
+        assert len(results) == self.N_DECIDES
+        assert all(decision.granted for decision in results)
+        assert server.overlapped == 1
+
+    def test_async_client_keeps_a_second_frame_on_the_wire(self):
+        with HoldFirstAnswerServer() as server:
+
+            async def run():
+                async with AsyncRemotePDP(
+                    "127.0.0.1", server.port, protocol_version="v2", **FAST
+                ) as pdp:
+                    decisions = await asyncio.gather(
+                        *(
+                            pdp.decide(make_request(f"o{index}", TELLER))
+                            for index in range(self.N_DECIDES)
+                        )
+                    )
+                    assert pdp._pipe._core.in_flight == 0
+                    return decisions
+
+            decisions = asyncio.run(run())
+        assert len(decisions) == self.N_DECIDES
+        assert all(decision.granted for decision in decisions)
+        assert server.overlapped == 1
+
+
 class TestPipelinedDecides:
     def test_concurrent_decides_coalesce_and_stay_correct(self):
         """Many threads through one pipelined connection: every user's
@@ -331,6 +493,9 @@ class TestPipelinedDecides:
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
+                # The sender raises the in-flight count, the reader lowers
+                # it: a lost update between the two leaves it off zero.
+                assert pdp._pipe._core.in_flight == 0
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors

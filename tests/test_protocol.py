@@ -8,6 +8,7 @@ worker on attacker-controlled bytes.
 
 import dataclasses
 import json
+import pathlib
 import random
 
 import pytest
@@ -305,6 +306,77 @@ class TestFuzz:
                 pass
 
 
+#: Every binpack tag family and its size-boundary transitions.
+BINPACK_VALUES = [
+    None, True, False,
+    0, 1, -1, 31, 32, 127, 128, 255, 256, 65535, 65536,
+    -32, -33, -128, -129, -32768, -32769,
+    2**31 - 1, 2**31, 2**32, 2**63 - 1, -(2**63),
+    0.0, -0.5, 17.25, 0.1 + 0.2, float("inf"),
+    "", "x", "a" * 31, "a" * 32, "a" * 255, "a" * 256, "π" * 100,
+    b"", b"\x00\xff", b"y" * 300,
+    [], [1, [2, [3]]], list(range(20)),
+    {}, {"k": "v"}, {str(i): i for i in range(40)},
+]
+
+GOLDEN_BINPACK = pathlib.Path(__file__).with_name("golden_binpack.json")
+
+
+def golden_batch_frames():
+    """One representative ``decide-batch`` request and response frame.
+
+    The response carries what a server sends: a delta-encoded grant
+    (request echo elided, its record collapsed to the id), a grant whose
+    record is not request-derived, a deny with its violation, and a
+    per-entry overload error, all stamped with a policy version.
+    """
+    stamp = dict(policy_epoch=3, policy_digest="ab" * 32)
+    own = make_request(roles=(TELLER,))
+    derived = dataclasses.replace(make_grant(), request=own, **stamp)
+    survivor = dataclasses.replace(make_grant(), **stamp)
+    deny = dataclasses.replace(make_deny(), **stamp)
+    request = {
+        "op": protocol.OP_DECIDE_BATCH,
+        "id": "c-00000077",
+        "epoch": 3,
+        "requests": [
+            protocol.request_to_wire(r)
+            for r in (own, survivor.request, deny.request, make_request())
+        ],
+    }
+    response = {
+        "id": "c-00000077",
+        "ok": True,
+        "op": protocol.OP_DECIDE_BATCH,
+        "results": [
+            {"ok": True, "decision": protocol.decision_to_wire_delta(d, r)}
+            for d, r in ((derived, own), (survivor, survivor.request),
+                         (deny, deny.request))
+        ]
+        + [
+            {
+                "ok": False,
+                "error": {
+                    "kind": protocol.ERR_OVERLOADED,
+                    "detail": "shard 1 queue full",
+                    "retry_after": 0.25,
+                },
+            }
+        ],
+    }
+    return request, response
+
+
+def golden_binpack_snapshot() -> dict:
+    """The hex encodings :data:`GOLDEN_BINPACK` pins."""
+    request, response = golden_batch_frames()
+    return {
+        "values": [protocol.pack_payload(v).hex() for v in BINPACK_VALUES],
+        "decide_batch_request": protocol.encode_frame_v2(request).hex(),
+        "decide_batch_response": protocol.encode_frame_v2(response).hex(),
+    }
+
+
 def v2_frame_bytes(frame):
     """Encode and split a v2 frame into (header, payload) for surgery."""
     data = protocol.encode_frame_v2(frame)
@@ -331,19 +403,7 @@ class TestV2RoundTrips:
         assert [protocol.request_to_wire(r) for r in restored] == requests
 
     def test_binpack_value_fidelity(self):
-        # Exercise every tag family and its size-boundary transitions.
-        values = [
-            None, True, False,
-            0, 1, -1, 31, 32, 127, 128, 255, 256, 65535, 65536,
-            -32, -33, -128, -129, -32768, -32769,
-            2**31 - 1, 2**31, 2**32, 2**63 - 1, -(2**63),
-            0.0, -0.5, 17.25, 0.1 + 0.2, float("inf"),
-            "", "x", "a" * 31, "a" * 32, "a" * 255, "a" * 256, "π" * 100,
-            b"", b"\x00\xff", b"y" * 300,
-            [], [1, [2, [3]]], list(range(20)),
-            {}, {"k": "v"}, {str(i): i for i in range(40)},
-        ]
-        for value in values:
+        for value in BINPACK_VALUES:
             packed = protocol.pack_payload(value)
             assert protocol.unpack_payload(packed) == value
 
@@ -360,6 +420,52 @@ class TestV2RoundTrips:
             assert protocol.decision_from_wire(
                 protocol.unpack_payload(packed)
             ) == decision
+
+
+class TestBinpackEncoder:
+    """The encoder's exact bytes, its limits and its string memo."""
+
+    def test_bytes_match_the_golden_encodings(self):
+        assert golden_binpack_snapshot() == json.loads(
+            GOLDEN_BINPACK.read_text()
+        )
+
+    def test_nesting_past_the_depth_cap_is_refused(self):
+        value = 0
+        for _ in range(33):
+            value = [value]
+        with pytest.raises(ProtocolError, match="nests too deeply"):
+            protocol.pack_payload(value)
+        # One level shallower is the deepest encodable value.
+        protocol.pack_payload(value[0])
+
+    @pytest.mark.parametrize("key", [1, None, b"k", ("k",)])
+    def test_non_string_map_keys_are_refused(self, key):
+        with pytest.raises(ProtocolError, match="keys must be strings"):
+            protocol.pack_payload({"ok": 1, key: "v"})
+
+    def test_only_short_strings_are_memoised(self, monkeypatch):
+        memo: dict = {}
+        monkeypatch.setattr(protocol, "_STR_MEMO", memo)
+        short = "s" * 64
+        wide = "π" * 32  # 32 characters, 64 UTF-8 bytes
+        long = "l" * 65
+        wider = "π" * 33  # 66 UTF-8 bytes
+        for value in (short, wide, long, wider):
+            packed = protocol.pack_payload({value: [value]})
+            assert protocol.unpack_payload(packed) == {value: [value]}
+        assert set(memo) == {short, wide}
+        assert memo[short] == protocol.pack_payload(short)
+
+    def test_the_memo_stays_within_its_bound(self, monkeypatch):
+        memo: dict = {}
+        monkeypatch.setattr(protocol, "_STR_MEMO", memo)
+        bound = protocol._STR_MEMO_MAX
+        for index in range(bound + 10):
+            protocol.pack_payload(f"user-{index}")
+            assert len(memo) <= bound
+        last = f"user-{bound + 9}"
+        assert memo[last] == protocol.pack_payload(last)
 
 
 class TestV2Negotiation:
@@ -518,3 +624,11 @@ class TestV2BatchRejection:
             protocol.batch_result_entries(frame, expected=2)
         with pytest.raises(ProtocolError):
             protocol.batch_result_entries({"results": "nope"}, expected=1)
+
+
+if __name__ == "__main__":
+    # Regenerate only for a deliberate wire-format change, from the
+    # repository root: PYTHONPATH=src python -m tests.test_protocol
+    GOLDEN_BINPACK.write_text(
+        json.dumps(golden_binpack_snapshot(), indent=1) + "\n"
+    )
