@@ -109,7 +109,9 @@ class _CompiledMatcher:
     component, in order — a subset of the
     :meth:`~ContextName.component_keys` of every name this one matches,
     which is what lets the retained-ADI posting map and the policy
-    dispatch index names by component.
+    dispatch index names by component.  ``per_instance`` is the
+    position of every ``!`` component: the only values of a matching
+    name that :meth:`~ContextName.instantiate` copies.
     """
 
     __slots__ = (
@@ -119,14 +121,17 @@ class _CompiledMatcher:
     def __init__(self, policy: "ContextName") -> None:
         comps = policy.components
         self._length = len(comps)
-        self._types = tuple(comp.ctx_type for comp in comps)
-        # Whether instantiate has any '!' component to re-bind.
-        self.per_instance = any(comp.is_per_instance for comp in comps)
-        self.concrete = tuple(
-            (index, comp.value)
-            for index, comp in enumerate(comps)
-            if not comp.is_wildcard
-        )
+        self._types = policy.types
+        per_instance = []
+        concrete = []
+        for index, comp in enumerate(comps):
+            value = comp.value
+            if value == PER_INSTANCE:
+                per_instance.append(index)
+            elif value != ALL_INSTANCES:
+                concrete.append((index, value))
+        self.per_instance = tuple(per_instance)
+        self.concrete = tuple(concrete)
         # A fully concrete policy prefix matches by one tuple comparison.
         self._concrete_prefix = (
             comps if len(self.concrete) == len(comps) else None
@@ -150,9 +155,7 @@ class _CompiledMatcher:
             return comps[:length] == prefix
         types = candidate._types
         if types is None:
-            types = candidate._types = tuple(
-                comp.ctx_type for comp in comps
-            )
+            types = candidate.types
         if types[:length] != self._types:
             return False
         single = self._single
@@ -270,6 +273,20 @@ class ContextName:
         ]
 
     @property
+    def types(self) -> tuple[str, ...]:
+        """The component types, in order (memoized)."""
+        types = self._types
+        if types is None:
+            types = self._types = tuple(comp.ctx_type for comp in self._components)
+        return types
+
+    def values_at(self, positions: Iterable[int]) -> tuple[str, ...]:
+        """The component values at ``positions``, skipping those past the end."""
+        comps = self._components
+        length = len(comps)
+        return tuple([comps[index].value for index in positions if index < length])
+
+    @property
     def matcher(self) -> _CompiledMatcher:
         """A compiled subordinate-or-equal matcher for this (policy) name.
 
@@ -352,7 +369,17 @@ class ContextName:
             )
         if not matcher.per_instance:
             return self  # nothing to re-bind; '*' components stay as-is
-        return _instantiate_interned(self, instance)
+        components = list(self._components)
+        values = instance._components
+        for index in matcher.per_instance:
+            components[index] = values[index]
+        # Valid by construction: the instance matched, so every re-bound
+        # component has the type it replaces.
+        bound = ContextName.__new__(ContextName)
+        bound._components = tuple(components)
+        bound._hash = bound._str = bound._matcher = None
+        bound._types = self.types
+        return bound
 
     # ------------------------------------------------------------------
     # Value semantics
@@ -382,25 +409,6 @@ class ContextName:
 
 #: The interned universal context returned by ``parse("")`` / ``root()``.
 _ROOT = ContextName()
-
-
-@lru_cache(maxsize=8192)
-def _instantiate_interned(
-    policy: ContextName, instance: ContextName
-) -> ContextName:
-    """Re-bind ``!`` components, memoized on the (policy, instance) pair.
-
-    Request streams revisit a small set of context instances per policy,
-    so the effective-context computation repeats verbatim; both inputs
-    are immutable with memoized hashes, making the cache key cheap.
-    """
-    bound = []
-    for pol_comp, inst_comp in zip(policy.components, instance.components):
-        if pol_comp.is_per_instance:
-            bound.append(inst_comp)
-        else:
-            bound.append(pol_comp)
-    return ContextName(bound)
 
 
 def common_supercontext(names: Sequence[ContextName]) -> ContextName:

@@ -20,10 +20,10 @@ can re-apply each historical decision under the policy that produced it
 the policy set's component-keyed dispatch (built **once** with the
 set, compiled matchers prebound — not lazily on the hot path), every
 policy compiled into a :class:`CompiledPolicy` trigger index, and a
-bounded instance → plan memo.  It is stamped with the epoch and digest
-it was built from and rides in the engine's one active tuple, so a hot
-reload atomically replaces compiled state together with the policy set
-itself.
+bounded plan memo keyed by instance, by shape and by ``!`` binding.
+It is stamped with the epoch and digest it was built from and rides in
+the engine's one active tuple, so a hot reload atomically replaces
+compiled state together with the policy set itself.
 """
 
 from __future__ import annotations
@@ -156,14 +156,21 @@ class CompiledPolicyMatcher:
     epoch rather than to a set:
 
     * every policy compiled once into a :class:`CompiledPolicy`;
-    * the per-instance plan memo (bounded; the map resets when full).
-      Request streams over a few live business contexts settle at one
-      dict hit per decision; a never-seen instance costs one lookup per
-      component of its own name plus a matcher call per candidate and
-      a ``!`` binding per match, whatever the size of the set.
-      The memo's benign races (a lost insert, a concurrent reset) only
-      cost a recomputation — safe for the multi-threaded embedders the
-      engine supports;
+    * the plan memo, in three levels.  Per *instance*: one dict hit per
+      decision for a stream over a few live business contexts.  Per
+      *shape* — the instance's component types plus its values at the
+      positions some policy of the epoch names concretely, which is all
+      a compiled matcher reads — the dispatch result, so a
+      never-seen instance of a known shape costs no dispatch.  Per
+      *binding* within a shape — its values at the matched policies'
+      ``!`` positions, which is all ``instantiate`` copies — the
+      effective contexts, so it costs no ``!`` binding either unless
+      that binding is new, and every instance of one binding shares
+      the same effective-context objects.  The three levels reset
+      together when the instance memo is full, so each stays bounded
+      by ``memo_limit``.  Their benign races (a lost insert, a
+      concurrent reset) only cost a recomputation — safe for the
+      multi-threaded embedders the engine supports;
     * the ``epoch``/``digest`` stamp it was built from.  The engine
       swaps it atomically with the policy set inside one tuple
       assignment, which is what keeps hot-reload invalidation of
@@ -175,8 +182,9 @@ class CompiledPolicyMatcher:
         "digest",
         "_dispatch",
         "_compiled",
-        "_matched",
+        "_named",
         "_memo",
+        "_shapes",
         "_memo_limit",
         "_kind_counts",
     )
@@ -192,9 +200,20 @@ class CompiledPolicyMatcher:
         self.digest = digest
         self._dispatch = policy_set.matching
         self._compiled = {policy: CompiledPolicy(policy) for policy in policy_set}
-        self._matched: dict[tuple[MSoDPolicy, ...], tuple] = {}
+        # Every position some policy context names a concrete value at.
+        self._named = tuple(
+            sorted(
+                {
+                    position
+                    for policy in policy_set
+                    for position, _ in policy.business_context.matcher.concrete
+                }
+            )
+        )
         self._memo_limit = memo_limit
         self._memo: dict[ContextName, tuple] = {}
+        # shape -> (policies, ids, compiled, '!' positions, binding -> contexts)
+        self._shapes: dict[tuple, tuple] = {}
         # Per-kind constraint census, precomputed at swap time so the
         # serving layer's `policy status` answers without a set scan.
         kind_counts: dict[str, int] = {}
@@ -207,27 +226,44 @@ class CompiledPolicyMatcher:
 
     def plan(self, instance: ContextName) -> tuple:
         """``(policies, policy ids, compiled policies, effective contexts)``
-        of ``instance``: the first three shared by every instance the
-        same policies match, the contexts bound when the plan is built."""
+        of ``instance``: the first three shared by every instance of its
+        shape, the contexts by every instance of its binding."""
         memo = self._memo
         plan = memo.get(instance)
         if plan is None:
+            shapes = self._shapes
             if len(memo) >= self._memo_limit:
                 memo.clear()
-                self._matched.clear()
-            policies = self._dispatch(instance)
-            shared = self._matched.get(policies)
-            if shared is None:
-                shared = self._matched[policies] = (
-                    policies,
-                    tuple([policy.policy_id for policy in policies]),
-                    tuple([self._compiled[policy] for policy in policies]),
+                shapes.clear()
+            key = (instance.types, instance.values_at(self._named))
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = self._shape(instance)
+            policies, ids, compiled, bound, bindings = shape
+            binding = instance.values_at(bound)
+            contexts = bindings.get(binding)
+            if contexts is None:
+                contexts = bindings[binding] = tuple(
+                    [p.business_context.instantiate(instance) for p in policies]
                 )
-            plan = memo[instance] = (
-                *shared,
-                tuple([p.business_context.instantiate(instance) for p in policies]),
-            )
+            plan = memo[instance] = (policies, ids, compiled, contexts)
         return plan
+
+    def _shape(self, instance: ContextName) -> tuple:
+        """Dispatch ``instance`` and list the ``!`` positions its matches bind."""
+        policies = self._dispatch(instance)
+        bound = {
+            position
+            for policy in policies
+            for position in policy.business_context.matcher.per_instance
+        }
+        return (
+            policies,
+            tuple([policy.policy_id for policy in policies]),
+            tuple([self._compiled[policy] for policy in policies]),
+            tuple(sorted(bound)),
+            {},
+        )
 
     def matching(self, instance: ContextName) -> tuple[MSoDPolicy, ...]:
         """All policies applying to ``instance``, in set order.
@@ -237,8 +273,14 @@ class CompiledPolicyMatcher:
         """
         return self.plan(instance)[0]
 
-    def memo_size(self) -> int:
-        return len(self._memo)
+    def memo_sizes(self) -> tuple[int, int, int]:
+        """Entries held per memo level: ``(instances, shapes, bindings)``."""
+        shapes = list(self._shapes.values())
+        return (
+            len(self._memo),
+            len(shapes),
+            sum(len(shape[-1]) for shape in shapes),
+        )
 
     @property
     def constraint_kind_counts(self) -> dict[str, int]:

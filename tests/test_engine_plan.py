@@ -4,14 +4,18 @@ Counts, not clocks (like ``test_lookup_scaling``): one ``engine.check``
 of an instance that already has a plan binds no ``!`` component, makes
 one store presence lookup per distinct effective context and evaluates
 only the constraints the request can trip — however many unrelated
-policies are loaded.  Then the contract the plan relies on, checked for
-every registered constraint kind; the plan memo's epoch discipline; and
+policies are loaded.  A never-seen instance whose shape (types plus the
+values the policies name concretely) was planned before dispatches
+nothing, and binds nothing when its ``!`` values were bound before.
+Then the contract the plan relies on, checked for every registered
+constraint kind; the three memo levels' bound and epoch discipline; and
 a differential property against the straight-line §4.2 loop the engine
-ran before plans, on the memory, SQLite and tiered stores.
+ran before plans, on the memory, SQLite and tiered stores, over
+instances that share a shape while differing elsewhere.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -42,7 +46,6 @@ from repro.core import (
     register_constraint_kind,
     store_digest,
 )
-from repro.core import context as context_module
 from repro.core.constraints import (
     CONSTRAINT_OK,
     CONSTRAINT_OK_EXERCISE,
@@ -120,11 +123,6 @@ def calls(monkeypatch):
     monkeypatch.setattr(
         ContextName, "instantiate", counting("instantiate", ContextName.instantiate)
     )
-    monkeypatch.setattr(
-        context_module,
-        "_instantiate_interned",
-        counting("instantiate", context_module._instantiate_interned),
-    )
     for cls in CONSTRAINT_KINDS.values():
         monkeypatch.setattr(cls, "evaluate", counting("evaluate", cls.evaluate))
     monkeypatch.setattr(
@@ -185,6 +183,60 @@ def test_a_planned_check_binds_nothing_and_evaluates_what_can_fire(calls, unrela
     assert counts["evaluate"] == 1
     assert counts["has_context"] <= 1  # all four share one effective context
     assert counts == _counts_of_one_planned_check(calls, 6)
+
+
+def test_a_fresh_instance_reuses_its_shapes_dispatch_and_binding(calls, monkeypatch):
+    calls["matching"] = 0
+    dispatch = MSoDPolicySet.matching
+
+    def matching(self, instance):
+        calls["matching"] += 1
+        return dispatch(self, instance)
+
+    # the matcher binds the set's dispatch at construction: patch first
+    monkeypatch.setattr(MSoDPolicySet, "matching", matching)
+    execute_role, _ = duty_roles(0, 1)
+    execute = duty_privileges(0, 1)[0]
+    engine = MSoDEngine(
+        MSoDPolicySet([*_unrelated_policies(6), *bank_scale_policy_set(_CONFIG)]),
+        InMemoryRetainedADIStore(),
+    )
+    requests = iter(range(100))
+
+    def check(context):
+        for name in calls:
+            calls[name] = 0
+        index = next(requests)
+        decision = engine.check(
+            DecisionRequest(
+                user_id="u0000001",
+                roles=(execute_role,),
+                operation=execute.operation,
+                target=execute.target,
+                context_instance=ContextName.parse(context),
+                timestamp=float(index),
+                request_id=f"r{index}",
+            )
+        )
+        # the four duty-pair policies of the instance's division
+        assert len(decision.matched_policy_ids) == 4
+
+    check(str(_INSTANCE))
+    assert calls["matching"] == 1
+    # Branch is '*' in every policy: same shape, same binding
+    branch = "Region=R0, Division=D00, Branch=B002, Period=P2"
+    check(branch)
+    assert calls["matching"] == 0 and calls["instantiate"] == 0
+    plan = engine.compiled_matcher.plan
+    assert plan(ContextName.parse(branch))[3] is plan(_INSTANCE)[3]
+    # Period is '!': same shape, a new binding (one instantiate per
+    # matched policy, as before shapes)
+    check("Region=R0, Division=D00, Branch=B001, Period=P3")
+    assert calls["matching"] == 0
+    assert calls["instantiate"] == 4
+    # Division is named concretely: a new shape
+    check("Region=R1, Division=D01, Branch=B001, Period=P2")
+    assert calls["matching"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +350,17 @@ def test_matching_is_answered_from_the_bounded_plan_memo():
                 ContextName.parse("Dept=!"),
                 mmers=[MMER([_CLERK, _AUDITOR], 2)],
                 policy_id="p",
-            )
+            ),
+            MSoDPolicy(
+                ContextName.parse("Dept=d1, Case=!"),
+                mmers=[MMER([_CLERK, _MANAGER], 2)],
+                policy_id="q",
+            ),
+            MSoDPolicy(
+                ContextName.parse("Dept=*, Case=c1, Step=*"),
+                mmers=[MMER([_AUDITOR, _MANAGER], 2)],
+                policy_id="r",
+            ),
         ]
     )
     matcher = CompiledPolicyMatcher(
@@ -306,12 +368,26 @@ def test_matching_is_answered_from_the_bounded_plan_memo():
     )
     instance = ContextName.parse("Dept=d1")
     matched = matcher.matching(instance)
-    assert matcher.memo_size() == 1
+    assert matcher.memo_sizes() == (1, 1, 1)
     policies, ids, _, contexts = matcher.plan(instance)
     assert policies is matched and ids == ("p",) and contexts == (instance,)
-    for value in ("d2", "d3", "d4"):
-        matcher.matching(ContextName.parse(f"Dept={value}"))
-        assert matcher.memo_size() <= 2
+    # distinct shapes (Dept and Case values, lengths) and bindings
+    names = []
+    for number in range(60):
+        components = [f"Dept=d{number // 3}", f"Case=c{number % 4}", f"Step=s{number}"]
+        names.append(ContextName.parse(", ".join(components[: 1 + number % 3])))
+    assert len(set(names)) == 60  # every plan below is a miss
+    for name in names:
+        before = matcher.memo_sizes()
+        policies, _, _, contexts = matcher.plan(name)
+        after = matcher.memo_sizes()
+        assert all(size <= 2 for size in after), (name, after)
+        if before[0] == 2:  # full: the three levels empty together
+            assert after == (1, 1, 1)
+        assert policies == tuple(p for p in policy_set if p.applies_to(name))
+        assert contexts == tuple(
+            p.business_context.instantiate(name) for p in policies
+        )
 
 
 def test_a_plan_memoised_before_a_swap_is_never_served_after_it():
@@ -336,22 +412,50 @@ def test_a_plan_memoised_before_a_swap_is_never_served_after_it():
     engine = MSoDEngine(first, InMemoryRetainedADIStore())
     index = iter(range(100))
 
-    def matched(user="alice"):
-        request = _request(user, {_CLERK}, _OPS[0], next(index), "Dept=d1")
+    def matched(user="alice", context="Dept=d1"):
+        request = _request(user, {_CLERK}, _OPS[0], next(index), context)
         return engine.check(request).matched_policy_ids
 
     assert matched() == ("roles",)
     before = engine.compiled_matcher
-    assert before.memo_size() == 1
+    assert before.memo_sizes() == (1, 1, 1)
     engine.swap_policy(second)
     assert engine.compiled_matcher is not before
-    assert engine.compiled_matcher.memo_size() == 0
+    assert engine.compiled_matcher.memo_sizes() == (0, 0, 0)
     assert matched("bob") == ("roles", "once")
     engine.rollback_policy(first, to_epoch=1)
-    assert engine.compiled_matcher.memo_size() == 0
+    assert engine.compiled_matcher.memo_sizes() == (0, 0, 0)
     assert matched("carol") == ("roles",)
     # the retired matcher still holds its plan; the engine never asks it
-    assert before.memo_size() == 1
+    assert before.memo_sizes() == (1, 1, 1)
+
+    # a set naming Case=c1 where the last had Case=*: the shapes change
+    every_case = first.extended(
+        [
+            MSoDPolicy(
+                ContextName.parse("Dept=*, Case=*"),
+                mmers=[MMER([_AUDITOR, _MANAGER], 2)],
+                policy_id="case",
+            )
+        ]
+    )
+    one_case = first.extended(
+        [
+            MSoDPolicy(
+                ContextName.parse("Dept=*, Case=c1"),
+                mmers=[MMER([_AUDITOR, _MANAGER], 2)],
+                policy_id="case-one",
+            )
+        ]
+    )
+    engine.swap_policy(every_case)
+    assert matched("dave", "Dept=d1, Case=c2") == ("roles", "case")
+    assert matched("dave", "Dept=d1, Case=c1") == ("roles", "case")
+    assert engine.compiled_matcher.memo_sizes() == (2, 1, 1)  # one shape
+    engine.swap_policy(one_case)
+    assert matched("erin", "Dept=d1, Case=c1") == ("roles", "case-one")
+    assert matched("erin", "Dept=d1, Case=c2") == ("roles",)
+    assert engine.compiled_matcher.memo_sizes() == (2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +566,17 @@ def _policy_sets(draw):
     return MSoDPolicySet(policies)
 
 
+# Instances sharing a shape while differing elsewhere: a component no
+# policy names (Step), a shorter name and a differently typed one.
+_INSTANCES = (
+    "Dept=d1, Case=c1",
+    "Dept=d1, Case=c2",
+    "Dept=d2, Case=c1",
+    "Dept=d1, Case=c1, Step=s1",
+    "Dept=d1, Case=c1, Step=s2",
+    "Dept=d1",
+    "Region=r1, Dept=d1",
+)
 _stream = st.lists(
     st.one_of(
         st.tuples(
@@ -470,7 +585,7 @@ _stream = st.lists(
                 st.sampled_from(_USERS),
                 st.sets(st.sampled_from(_ROLES), min_size=1, max_size=2),
                 st.sampled_from(_OPS),
-                st.sampled_from(["Dept=d1, Case=c1", "Dept=d1, Case=c2", "Dept=d2, Case=c1"]),
+                st.sampled_from(_INSTANCES),
             ),
         ),
         st.tuples(st.sampled_from(["swap_policy", "rollback_policy"]), st.none()),
@@ -480,8 +595,58 @@ _stream = st.lists(
 )
 
 
+# A concrete Dept=d1 policy beside Dept=!, Case=*: the two Step values
+# share a shape and a binding, Dept=d2 is a new shape.
+_NAMED = MSoDPolicySet(
+    [
+        MSoDPolicy(
+            ContextName.parse("Dept=d1"),
+            mmers=[MMER([_CLERK, _AUDITOR], 2)],
+            policy_id="p0",
+        ),
+        MSoDPolicy(
+            ContextName.parse("Dept=!, Case=*"),
+            mmeps=[MMEP([_PRIVILEGES[0], _PRIVILEGES[1]], 2)],
+            last_step=Step(*_OPS[4]),
+            policy_id="p1",
+        ),
+    ]
+)
+_PER_CASE = MSoDPolicySet(
+    [
+        MSoDPolicy(
+            ContextName.parse("Dept=!, Case=!"),
+            mmers=[MMER([_CLERK, _AUDITOR], 2)],
+            policy_id="p2",
+        )
+    ]
+)
+_NAMED_STREAM = [
+    ("check", ("alice", {_CLERK}, _OPS[0], "Dept=d1, Case=c1, Step=s1")),
+    ("check", ("alice", {_AUDITOR}, _OPS[1], "Dept=d1, Case=c1, Step=s2")),
+    ("check", ("bob", {_CLERK}, _OPS[0], "Dept=d1, Case=c1, Step=s2")),
+    ("check", ("bob", {_AUDITOR}, _OPS[1], "Dept=d1, Case=c1, Step=s1")),
+    ("check", ("alice", {_AUDITOR}, _OPS[1], "Dept=d2, Case=c1")),
+]
+
+
 @given(
     st.sampled_from([MODE_STRICT, MODE_LITERAL]), _policy_sets(), _policy_sets(), _stream
+)
+@example(MODE_STRICT, _NAMED, _PER_CASE, _NAMED_STREAM)
+@example(
+    MODE_LITERAL,
+    _NAMED,
+    _PER_CASE,
+    [
+        *_NAMED_STREAM[:2],
+        ("swap_policy", None),
+        *_NAMED_STREAM[2:4],
+        ("rollback_policy", None),
+        *_NAMED_STREAM[2:],
+        ("check", ("carol", {_MANAGER}, _OPS[4], "Dept=d1, Case=c2, Step=s1")),
+        ("check", ("carol", {_CLERK}, _OPS[0], "Dept=d1, Case=c1, Step=s1")),
+    ],
 )
 @settings(max_examples=80, deadline=None)
 def test_planned_engine_decides_like_the_straight_line_loop(mode, first, second, stream):

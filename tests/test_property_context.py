@@ -112,6 +112,13 @@ def test_instantiate_result_covers_instance(policy, instance):
     assert instance.is_equal_or_subordinate_to(effective)
     # '!' components are gone after instantiation.
     assert not any(component.is_per_instance for component in effective)
+    # equal to the validating constructor's name over the re-bound pairs
+    rebound = ContextName(
+        ours if not ours.is_per_instance else theirs
+        for ours, theirs in zip(policy, instance)
+    )
+    assert effective == rebound and hash(effective) == hash(rebound)
+    assert effective.types == rebound.types and str(effective) == str(rebound)
 
 
 @given(st.lists(context_names(concrete=True), min_size=1, max_size=5))
