@@ -434,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--gather-window",
         type=float,
         default=None,
-        help="micro-batch gather window in seconds (default: adaptive, "
-        "scaled to the shard count)",
+        help="micro-batch gather window in seconds (default: scaled to "
+        "the shard count on stores that commit in batches, else 0)",
     )
     _literal_flag(serve)
     serve.add_argument(
@@ -1096,6 +1096,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import open_server
     from repro.obs import Recorder
 
+    window = args.gather_window
+    if window is not None and not 0.0 <= window < float("inf"):
+        raise ReproError("--gather-window must be a finite number >= 0")
     policy_set = parse_policy_set_file(args.policy, strict=not args.relaxed)
     # The trail outlives the server: it is closed after the drain, and
     # also when the server fails to start.

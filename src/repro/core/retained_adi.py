@@ -219,6 +219,10 @@ class ADIViewSnapshot:
 class RetainedADIStore:
     """Abstract interface every retained-ADI backend implements."""
 
+    #: Whether :meth:`batch` groups applies into one commit.  A serving
+    #: worker lingers to grow its batch only when this is true.
+    commits_in_batches = False
+
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
         """Persist one record, returning it with ``record_id`` assigned."""
         raise NotImplementedError
@@ -552,6 +556,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     #: How long (ms) a statement waits on another connection's lock
     #: before sqlite3 raises ``database is locked``.
     BUSY_TIMEOUT_MS = 5_000
+
+    commits_in_batches = True
 
     def __init__(
         self, path: str = ":memory:", *, max_row_cache: int | None = None

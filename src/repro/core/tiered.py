@@ -302,6 +302,10 @@ class TieredADIStore(RetainedADIStore):
         with self._warm.batch():
             yield self
 
+    @property
+    def commits_in_batches(self) -> bool:
+        return self._warm.commits_in_batches
+
     def invalidate_policy_memos(self) -> None:
         self._warm.invalidate_policy_memos()
         with self._meta_lock:

@@ -16,15 +16,15 @@ user could read stale history between another's read and commit.)
 Workers drain their queues in *adaptive micro-batches*: whatever is
 queued when the worker wakes, capped at ``batch_max``, is evaluated
 under a single ``store.batch()`` — one SQLite transaction (one fsync)
-per batch under load, one per decision when idle.  Under sustained
-load (tracked by a per-worker EMA of recent batch sizes) a worker
-additionally lingers for a short *gather window* before deciding, so
-requests still in flight through connection handlers join the same
-batch.  The window scales with the shard count — more shards spread
-the same arrival stream thinner, so each worker must wait slightly
-longer to see the same batch occupancy — and is skipped entirely when
-recent batches show no queueing, keeping idle latency at one event-loop
-hop.
+per batch under load, one per decision when idle.  When the store
+commits in batches (SQLite, or tiered over SQLite), a worker under
+sustained load (a per-worker EMA of recent batch sizes) additionally
+lingers for a short *gather window*, so requests still in flight
+through connection handlers share its commit.  The window scales with
+the shard count — more shards spread the same arrival stream thinner —
+and is skipped when recent batches show no queueing, keeping idle
+latency at one event-loop hop.  Over a memory store, which has no
+commit to share, workers never linger.
 
 Admission control is applied at submit time: every shard queue is
 bounded, and a full queue rejects immediately with a ``retry_after``
@@ -125,9 +125,10 @@ class AuthorizationService:
         transaction).
     gather_window:
         Seconds a loaded worker lingers to let in-flight requests join
-        its micro-batch.  ``None`` (the default) adapts to the shard
-        count (``0.5 ms × n_shards``, capped at 2 ms); ``0.0`` disables
-        lingering entirely.  Idle workers never linger regardless —
+        its micro-batch; a finite number >= 0.  ``None`` (the default)
+        adapts to the shard count (``0.5 ms × n_shards``, capped at
+        2 ms) when the store commits in batches, and is ``0.0`` (no
+        lingering) otherwise.  Idle workers never linger regardless —
         the window is gated on an EMA of recent batch sizes.
     retry_after:
         Hint (seconds) returned with overload rejections.
@@ -169,11 +170,13 @@ class AuthorizationService:
         if batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         if gather_window is None:
-            gather_window = min(
-                _GATHER_WINDOW_MAX, _GATHER_WINDOW_PER_SHARD * n_shards
+            gather_window = (
+                min(_GATHER_WINDOW_MAX, _GATHER_WINDOW_PER_SHARD * n_shards)
+                if engine.store.commits_in_batches
+                else 0.0
             )
-        if gather_window < 0:
-            raise ValueError("gather_window must be >= 0")
+        if not 0.0 <= gather_window < float("inf"):  # rejects nan too
+            raise ValueError("gather_window must be a finite number >= 0")
         self._engine = engine
         self._n_shards = n_shards
         self._queue_depth = queue_depth

@@ -398,6 +398,19 @@ def test_serve_closes_store_and_trail_when_setup_raises(
     assert len(closed) == 1
 
 
+@pytest.mark.parametrize("window", ["inf", "nan", "-0.001"])
+def test_serve_reports_a_bad_gather_window(policies, capsys, window):
+    """A non-finite window would hang a loaded shard (inf) or disable
+    the linger unnoticed (nan): ``serve`` refuses it as an error."""
+    code, out, err = run(
+        capsys, "serve", policies["bank"], "--store", "memory",
+        "--port", "0", "--gather-window", window,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: --gather-window must be a finite number")
+    assert "Traceback" not in err
+
+
 BANNER = re.compile(r"serving MSoD decisions on (\S+):(\d+) ")
 
 

@@ -34,10 +34,13 @@ from repro.core import (
     MSoDPolicy,
     MSoDPolicySet,
     Role,
+    SQLiteRetainedADIStore,
+    TieredADIStore,
 )
 from repro.errors import PDPConnectError, ProtocolError
 from repro.obs import Recorder, parse_exposition
 from repro.server import AuthorizationService, ServerThread, protocol
+from repro.server import service as service_module
 from tests.test_remote_pdp import BlockingAsyncPDP
 
 TELLER = Role("employee", "Teller")
@@ -46,7 +49,7 @@ AUDITOR = Role("employee", "Auditor")
 FAST = dict(timeout=2.0, backoff_base=0.001, backoff_cap=0.002)
 
 
-def make_service(n_shards=2, **kwargs):
+def make_service(n_shards=2, store=None, **kwargs):
     policy_set = MSoDPolicySet(
         [
             MSoDPolicy(
@@ -56,7 +59,9 @@ def make_service(n_shards=2, **kwargs):
             )
         ]
     )
-    engine = MSoDEngine(policy_set, InMemoryRetainedADIStore())
+    if store is None:
+        store = InMemoryRetainedADIStore()
+    engine = MSoDEngine(policy_set, store)
     return AuthorizationService(engine, n_shards=n_shards, **kwargs)
 
 
@@ -629,14 +634,78 @@ class TestWireMetrics:
         assert "repro_wire_batch_size_bucket" in names
         assert "repro_wire_batch_size_count" in names
 
-    def test_gather_window_knob(self):
+    def test_gather_window_knob(self, tmp_path):
+        # An explicit window is honoured, even over a memory store.
         service = make_service(n_shards=2, gather_window=0.0015)
         assert service.gather_window == 0.0015
-        with pytest.raises(ValueError):
-            make_service(n_shards=2, gather_window=-0.001)
-        # Default is adaptive: scaled to the shard count, capped.
-        assert make_service(n_shards=1).gather_window <= 0.002
-        assert (
-            make_service(n_shards=2).gather_window
-            >= make_service(n_shards=1).gather_window
-        )
+        # A non-finite window would hang a loaded worker (inf) or
+        # silently disable it (nan).
+        for bad in (-0.001, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                make_service(n_shards=2, gather_window=bad)
+
+        # The default lingers only where a batch shares a commit.
+        def default_window(store, n_shards):
+            try:
+                return make_service(n_shards=n_shards, store=store).gather_window
+            finally:
+                store.close()
+
+        for n_shards in (1, 2):
+            assert default_window(InMemoryRetainedADIStore(), n_shards) == 0.0
+            tiered = TieredADIStore(InMemoryRetainedADIStore(), owns_warm=True)
+            assert default_window(tiered, n_shards) == 0.0
+        committing = {
+            "sqlite-memory": lambda: SQLiteRetainedADIStore(":memory:"),
+            "sqlite-file": lambda: SQLiteRetainedADIStore(str(tmp_path / "adi.db")),
+            "tiered-sqlite": lambda: TieredADIStore(
+                SQLiteRetainedADIStore(":memory:"), owns_warm=True
+            ),
+        }
+        for name, open_store in committing.items():
+            windows = [default_window(open_store(), n) for n in (1, 2)]
+            assert windows == [min(0.002, 0.0005 * n) for n in (1, 2)], name
+            assert windows[1] > windows[0], name
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_only_a_store_that_commits_in_batches_lingers(
+        self, monkeypatch, backend
+    ):
+        """Over a burst, a loaded worker enters the linger's sleep only
+        when its store commits in batches."""
+        if backend == "memory":
+            store = InMemoryRetainedADIStore()
+        else:
+            store = SQLiteRetainedADIStore(":memory:")
+        service = make_service(n_shards=2, store=store)
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def counting_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(service_module.asyncio, "sleep", counting_sleep)
+
+        async def two_waves():
+            await service.start()
+            try:
+                # The first wave queues whole batches on both shards, so
+                # each worker's EMA shows load before the second wave.
+                for wave in range(2):
+                    futures = [
+                        service.submit(make_request(f"w{index}", TELLER))
+                        for index in range(16)
+                    ]
+                    decisions = await asyncio.gather(*futures)
+                    assert all(decision.granted for decision in decisions)
+            finally:
+                await service.stop()
+
+        asyncio.run(two_waves())
+        assert all(shard["batches"] >= 2 for shard in service.metrics()["shards"])
+        store.close()
+        if backend == "memory":
+            assert sleeps == []
+        else:
+            assert sleeps

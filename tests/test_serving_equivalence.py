@@ -11,6 +11,8 @@ exclusive roles.
 
 import threading
 
+import pytest
+
 from repro.client import RemotePDP
 from repro.core import (
     MMER,
@@ -87,9 +89,12 @@ class TestDifferentialEquivalence:
             )
         )
 
-    def _remote_leg(self, requests, protocol_version):
+    def _remote_leg(self, requests, protocol_version, backend):
         """Run the stream through a fresh server over one wire protocol."""
-        store = SQLiteRetainedADIStore(":memory:")
+        if backend == "memory":
+            store = InMemoryRetainedADIStore()  # workers never linger
+        else:
+            store = SQLiteRetainedADIStore(":memory:")
         engine = MSoDEngine(bank_policy_set(), store)
         service = AuthorizationService(engine, n_shards=4, batch_max=8)
         with ServerThread(service) as server:
@@ -105,14 +110,17 @@ class TestDifferentialEquivalence:
         store.close()
         return decisions, digest, negotiated
 
-    def test_remote_decisions_equal_in_process_bit_for_bit(self):
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_remote_decisions_equal_in_process_bit_for_bit(self, backend):
         """In-process, v1 wire and v2 batched wire: one identical stream.
 
         The same request sequence must produce bit-identical decisions
         (full ``Decision`` equality including ``adi_adds``) and
         identical retained-ADI store fingerprints on all three paths —
         the differential guarantee that the binary batched protocol
-        changed the wire, not the semantics.
+        changed the wire, not the semantics.  The server's store is a
+        memory store (batches cut at frame boundaries) or SQLite (the
+        gather window grows batches that share a commit).
         """
         requests = self._requests()
 
@@ -121,10 +129,10 @@ class TestDifferentialEquivalence:
         local_digest = store_digest(local_engine.store)
 
         v1_decisions, v1_digest, v1_negotiated = self._remote_leg(
-            requests, "v1"
+            requests, "v1", backend
         )
         v2_decisions, v2_digest, v2_negotiated = self._remote_leg(
-            requests, "v2"
+            requests, "v2", backend
         )
         assert v1_negotiated == 1
         assert v2_negotiated == 2
