@@ -7,12 +7,12 @@ over the same seeded workload:
 2. **reloading** — a background thread swaps the active policy set
    every ``--reload-interval`` seconds, alternating between the base
    50-policy set and a superset with one extra policy so every swap is
-   a *real* epoch change (digest differs, per-(user, context) memos are
-   invalidated), not a digest no-op.
+   a *real* epoch change (digest differs, a new matcher is compiled),
+   not a digest no-op.
 
 The acceptance bar from the policy-lifecycle work: reload-under-load
-p99 must stay within **2x** of steady-state p99 — a reload costs at
-most a memo-cold window, never a stall.  The run also checks
+p99 must stay within **2x** of steady-state p99 — a reload costs one
+compile and a plan-cold window, never a stall.  The run also checks
 correctness: the extra policy covers a context the workload never
 touches, so the two phases must produce identical effect sequences,
 and every decision must carry a (policy_epoch, policy_digest) pair

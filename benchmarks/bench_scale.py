@@ -76,10 +76,9 @@ def make_config(args: argparse.Namespace):
 
 def extended_policy_set(config):
     """The base set plus duty pairs for divisions the traffic never
-    touches: swapping to it (and back) advances the policy epoch and
-    invalidates every store's effective-context memos without changing
-    a single decision — the differential gate then proves the tiered
-    store re-derives identical answers across epochs."""
+    touches: swapping to it (and back) advances the policy epoch
+    without changing a single decision — the differential gate then
+    proves the tiered store gives identical answers across epochs."""
     from repro.core.constraints import MMER
     from repro.core.context import ContextName
     from repro.core.policy import MSoDPolicy, MSoDPolicySet

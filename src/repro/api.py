@@ -125,8 +125,8 @@ def verify_policy(policy: PolicySource, *, permis=None, ssd=()):
 
     Returns the structured
     :class:`~repro.verify.static.VerifyReport` — the same analysis
-    ``swap_policy`` gates on, plus the deeper RBAC cross-reference when
-    a PERMIS companion policy is supplied.
+    every reload's admission gates on, plus the deeper RBAC
+    cross-reference when a PERMIS companion policy is supplied.
     """
     from repro.verify.static import analyze_policy_set
 
@@ -216,23 +216,22 @@ class LocalPDP(PolicyDecisionPoint):
         ``principal`` names the acting operator, refused (``force`` or
         not) when the outgoing set guards the policy store with an
         admin boundary and the principal has retained operational
-        decisions; ``verify=True`` then runs the verification gate
-        (static-only: an in-process handle records no audit trail),
-        which ``force=True`` overrides.  ``max_flips`` is accepted for
-        signature parity with the remote and cluster handles.
+        decisions; the static analyzer then refuses error findings,
+        which ``force=True`` overrides.  ``verify=True`` adds nothing
+        here (an in-process handle records no audit trail to replay);
+        it and ``max_flips`` are accepted for signature parity with the
+        remote and cluster handles.
         """
-        from repro.verify.gate import admit_reload
+        from repro.verify.gate import reload_engine
 
-        policy_set = load_policy_source(policy)
-        admit_reload(
-            [self._engine],
-            policy_set,
+        return reload_engine(
+            self._engine,
+            load_policy_source(policy),
             principal=principal,
             verify=verify,
             max_flips=max_flips,
             force=force,
         )
-        return self._engine.swap_policy(policy_set, force=force)
 
     def notify_context_terminated(self, context: ContextName) -> int:
         """Forward an implied context termination to the engine."""

@@ -267,29 +267,18 @@ class ClusterNode:
         """The :class:`PolicyVersion` this node decides under."""
         return self._engine.policy_version()
 
-    def reload_policy(
-        self,
-        policy_set: MSoDPolicySet,
-        *,
-        verify: bool = False,
-        max_flips: int = 0,
-        force: bool = False,
-    ):
+    def reload_policy(self, policy_set: MSoDPolicySet, *, force: bool = False):
         """Swap this node's policy set on its own serving loop.
 
         Routed through :meth:`ServerThread.reload_policy` so the swap
         serialises with the node's shard micro-batches exactly like a
-        wire-level reload would.  Returns the
-        :class:`~repro.core.policy_epoch.PolicySwapReport`.  The
-        keyword options mirror
-        :meth:`~repro.server.service.AuthorizationService.reload_policy`
-        (``force`` also advances the epoch for an identical digest —
-        the coordinator uses that to re-align node epoch logs after a
-        rejected canary).
+        wire-level reload would, admission included.  Returns the
+        :class:`~repro.core.policy_epoch.PolicySwapReport`.  ``force``
+        is :meth:`~repro.server.service.AuthorizationService.reload_policy`'s:
+        it overrides the static analyzer and advances the epoch even
+        for an identical digest.
         """
-        return self._thread.reload_policy(
-            policy_set, verify=verify, max_flips=max_flips, force=force
-        )
+        return self._thread.reload_policy(policy_set, force=force)
 
     # ------------------------------------------------------------------
     def mirror_start(self, candidate_set: MSoDPolicySet) -> dict:

@@ -145,19 +145,6 @@ class _UserAggregate:
                 self._memo = {}
         return removed
 
-    def clear_memo(self) -> None:
-        """Drop the effective-context memo, keeping the records.
-
-        Effective contexts are derived from the *policy set* (a policy's
-        business context instantiated against a request), so a policy
-        hot-swap invalidates them wholesale; the records themselves are
-        policy-independent.  Rebinding (not ``.clear()``) keeps the swap
-        benign for threaded embedders: a concurrent query iterating the
-        old memo dict finishes against it undisturbed, and anything it
-        writes there is simply dropped with the old dict.
-        """
-        self._memo = {}
-
     # -- folds ---------------------------------------------------------
     def _matching(self, effective_context: ContextName) -> list[_ContextBucket]:
         memo = self._memo
@@ -319,10 +306,6 @@ class _ContextPresence:
         memo[effective_context] = True
         return True
 
-    def clear_memo(self) -> None:
-        """Rebind the memo — see :meth:`_UserAggregate.clear_memo`."""
-        self._memo = {}
-
 
 class _UserContextIndex:
     """Records bucketed by ``(user, concrete context instance)``.
@@ -379,13 +362,6 @@ class _UserContextIndex:
                 del self._by_user[user_id]
             forgotten.extend(record.context_instance for record in removed)
         self._presence.forget(forgotten)
-
-    def clear_memos(self) -> None:
-        """Drop every effective-context memo, keeping the records."""
-        self._presence.clear_memo()
-        # Snapshot first: an unlocked embedder may be adding users.
-        for aggregate in list(self._by_user.values()):
-            aggregate.clear_memo()
 
     # -- queries -------------------------------------------------------
     def resident_users(self) -> int:

@@ -27,7 +27,7 @@ Two evaluation modes are provided:
 from __future__ import annotations
 
 import threading
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from repro.core.constraints import AdminBoundary, Privilege
 from repro.core.context import ContextName
@@ -186,64 +186,37 @@ class MSoDEngine:
     ) -> PolicySwapReport:
         """Atomically replace the active policy set (zero downtime).
 
-        The new set is linted through the policy analyzer (errors raise
-        :class:`~repro.errors.PolicyError`; warnings/infos are returned
-        in the report).  A set whose content digest equals the active
-        one is a **no-op**: the epoch does not advance and compiled
-        indexes/memos stay warm — reloading the same file is idempotent.
-        ``force=True`` advances the epoch even for an identical digest
-        and overrides analyzer rejection (the error-severity findings
-        are still returned in the report for the operator to see).
+        A set whose content digest equals the active one is a **no-op**:
+        the epoch does not advance and the compiled matcher stays warm —
+        reloading the same file is idempotent.  ``force=True`` advances
+        the epoch even for an identical digest.
 
-        A real swap invalidates the store's per-(user, effective-context)
-        memos under the store's transaction discipline and installs the
-        new ``(set, epoch, digest)`` tuple in one assignment, so no
+        A real swap compiles the new epoch's matcher and installs the
+        ``(set, epoch, digest, matcher)`` tuple in one assignment, so no
         decision ever mixes two policy versions: requests already past
         the top of :meth:`check` finish under the old version, later
-        requests see the new one.
-        """
-        from repro.verify.static import analyze_policy_set, render_findings
+        requests see the new one.  The store is not touched: its memos
+        are keyed by effective context names and hold facts about the
+        retained records, which no policy set changes.
 
-        report = analyze_policy_set(policy_set)
-        if not report.ok and not force:
-            raise PolicyError(
-                "policy swap rejected: "
-                + "; ".join(str(f) for f in report.errors)
-            )
-        rendered = render_findings(report)
-        new_digest = policy_set_digest(policy_set)
+        Admission (static analysis, admin boundaries, what-if replay) is
+        the caller's: every reload handle runs ``admit_reload`` first and
+        attaches its rendered findings to the returned report.
+        """
+        digest = policy_set_digest(policy_set)
         with self._swap_lock:
-            _, epoch, digest, _ = self._active
             previous = self.policy_version()
-            if new_digest == digest and not force:
+            if digest == previous.digest and not force:
                 if self._perf.enabled:
                     self._perf.incr("engine.policy_reload_noops")
                 return PolicySwapReport(
-                    version=previous,
-                    previous=previous,
-                    changed=False,
-                    findings=rendered,
+                    version=previous, previous=previous, changed=False
                 )
-            new_epoch = epoch + 1
-            # Compile the new epoch's matcher before the store
-            # transaction: decisions keep hitting the old compiled state
-            # until the one-tuple swap below makes the new one visible.
-            compiled = CompiledPolicyMatcher(policy_set, new_epoch, new_digest)
-            with self._store.batch():
-                self._store.invalidate_policy_memos()
-                self._active = (policy_set, new_epoch, new_digest, compiled)
-            self._epoch_log.record(new_epoch, policy_set, new_digest)
+            self._install(policy_set, previous.epoch + 1, digest)
             if self._perf.enabled:
                 self._perf.incr("engine.policy_reloads")
             return PolicySwapReport(
-                version=PolicyVersion(
-                    epoch=new_epoch,
-                    digest=new_digest,
-                    policies=len(policy_set),
-                ),
-                previous=previous,
-                changed=True,
-                findings=rendered,
+                version=self.policy_version(), previous=previous, changed=True
             )
 
     def rollback_policy(
@@ -256,21 +229,26 @@ class MSoDEngine:
         later replay that resolves recorded epochs through the epoch
         log could interpret history under the rejected candidate.
         Epoch-log entries above ``to_epoch`` are erased and the active
-        tuple is restored under the same one-assignment discipline as a
-        forward swap.  Callers must guarantee no decision was recorded
-        under the epochs being erased (the cluster stages candidates
-        only on non-deciding standbys).
+        tuple is restored by the same one assignment as a forward swap.
+        Callers must guarantee no decision was recorded under the epochs
+        being erased (the cluster stages candidates only on non-deciding
+        standbys).
         """
-        new_digest = policy_set_digest(policy_set)
         with self._swap_lock:
-            compiled = CompiledPolicyMatcher(policy_set, to_epoch, new_digest)
-            with self._store.batch():
-                self._store.invalidate_policy_memos()
-                self._active = (policy_set, to_epoch, new_digest, compiled)
+            self._install(policy_set, to_epoch, policy_set_digest(policy_set))
             self._epoch_log.forget_after(to_epoch)
-            self._epoch_log.record(to_epoch, policy_set, new_digest)
             if self._perf.enabled:
                 self._perf.incr("engine.policy_rollbacks")
+
+    def _install(
+        self, policy_set: MSoDPolicySet, epoch: int, digest: str
+    ) -> None:
+        """Compile ``policy_set`` and make it active at ``epoch`` (under
+        ``_swap_lock``): decisions keep the old compiled state until the
+        one assignment makes the new one visible."""
+        compiled = CompiledPolicyMatcher(policy_set, epoch, digest)
+        self._active = (policy_set, epoch, digest, compiled)
+        self._epoch_log.record(epoch, policy_set, digest)
 
     def admin_boundary_denial(
         self, user_id: str, privilege: Privilege
@@ -482,7 +460,3 @@ class MSoDEngine:
         last step would.  Returns the number of purged records.
         """
         return self._store.purge_context(context)
-
-    def bulk_check(self, requests: Iterable[DecisionRequest]) -> list[Decision]:
-        """Evaluate a request stream in order (benchmark convenience)."""
-        return [self.check(request) for request in requests]

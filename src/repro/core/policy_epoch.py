@@ -6,7 +6,7 @@ set is identified by a **policy version**: a monotonically increasing
 ``epoch`` (starting at :data:`INITIAL_EPOCH`) plus a content ``digest``
 over a canonical serialisation of the set.  The digest makes reloads
 idempotent — re-applying a byte-different file with identical semantics
-is detected as a no-op and leaves compiled indexes and memos warm —
+is detected as a no-op and leaves the compiled matcher warm —
 while the epoch totally orders the versions a long-lived process has
 enforced.
 
@@ -173,7 +173,7 @@ class CompiledPolicyMatcher:
       multi-threaded embedders the engine supports;
     * the ``epoch``/``digest`` stamp it was built from.  The engine
       swaps it atomically with the policy set inside one tuple
-      assignment, which is what keeps hot-reload invalidation of
+      assignment, which is what keeps a hot reload's replacement of
       compiled state atomic.
     """
 
@@ -326,8 +326,9 @@ class PolicySwapReport:
 
     ``changed`` is ``False`` for a digest no-op: the offered set is
     semantically identical to the active one, so the epoch did not
-    advance and no caches were invalidated.  ``findings`` carries the
-    analyzer's non-fatal lint output (errors raise instead).
+    advance.  ``findings`` carries the static analyzer's output from
+    the reload's admission step (``admit_reload``), which the caller
+    attaches; the engine itself analyses nothing.
     """
 
     version: PolicyVersion

@@ -347,17 +347,6 @@ class RetainedADIStore:
         """
         yield self
 
-    def invalidate_policy_memos(self) -> None:
-        """Drop caches keyed by policy-derived effective contexts.
-
-        Called by :meth:`MSoDEngine.swap_policy` (inside ``batch()``)
-        when a *different* policy set is installed: memoised
-        per-(user, effective-context) lookups were computed against the
-        old set's business contexts.  Record data is policy-independent
-        and untouched.  The default is a no-op for backends without such
-        memos.
-        """
-
     # Helper views used by the engine --------------------------------
     def snapshot_views(self) -> ADIViewSnapshot:
         """A memoizing view over this store for one decision request.
@@ -508,9 +497,6 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         return ADIApplyOutcome(len(evicted), evicted, added)
 
     # Aggregate-backed engine views ----------------------------------
-    def invalidate_policy_memos(self) -> None:
-        self._index.clear_memos()
-
     def user_roles(
         self, user_id: str, effective_context: ContextName
     ) -> frozenset[Role]:
@@ -778,14 +764,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             # Answered from the lock-step index (with its cross-request
             # presence memo) rather than a per-call SQL DISTINCT scan.
             return self._ensure_index_locked().has_context(effective_context)
-
-    def invalidate_policy_memos(self) -> None:
-        with self._lock:
-            # The row cache maps immutable record_id -> record and is
-            # policy-independent; only the effective-context memos of
-            # the lock-step index are stale after a policy swap.
-            if self._index is not None:
-                self._index.clear_memos()
 
     def purge_context(self, effective_context: ContextName) -> int:
         return self.apply_detailed(

@@ -306,15 +306,6 @@ class TieredADIStore(RetainedADIStore):
     def commits_in_batches(self) -> bool:
         return self._warm.commits_in_batches
 
-    def invalidate_policy_memos(self) -> None:
-        self._warm.invalidate_policy_memos()
-        with self._meta_lock:
-            self._presence.clear_memo()
-        for shard in self._shards:
-            with shard.lock:
-                for entry in shard.entries.values():
-                    entry.clear_memo()
-
     def stats(self) -> dict:
         resident = 0
         evictions = 0

@@ -120,9 +120,11 @@ class ReferenceRBACMSoDPDP(PolicyDecisionPoint):
         return self._msod.policy_version()
 
     def reload_policy(self, policy):
+        """Admit, then swap ``policy`` (``verify.gate.reload_engine``)."""
         from repro.api import load_policy_source
+        from repro.verify.gate import reload_engine
 
-        return self._msod.swap_policy(load_policy_source(policy))
+        return reload_engine(self._msod, load_policy_source(policy))
 
     @property
     def access_policy(self) -> RoleTargetAccessPolicy:

@@ -432,18 +432,18 @@ class AuthorizationService:
 
         Admission is :func:`~repro.verify.gate.admit_reload`: the
         ``principal`` against the outgoing set's admin boundaries
-        (``force`` never overrides that), then — with ``verify=True`` —
-        static analysis plus, when this server records an audit trail,
-        the differential what-if replay.  Error-severity findings or
+        (``force`` never overrides that), then static analysis plus —
+        with ``verify=True`` and when this server records an audit
+        trail — the differential what-if replay.  Error-severity findings or
         more than ``max_flips`` flipped decisions refuse the swap and
         leave the active epoch untouched; ``force=True`` overrides the
         gate (and additionally advances the epoch even for an identical
         digest, see :meth:`~repro.core.engine.MSoDEngine.swap_policy`).
         """
-        from repro.verify.gate import admit_reload
+        from repro.verify.gate import reload_engine
 
-        admit_reload(
-            [self._engine],
+        report = reload_engine(
+            self._engine,
             policy_set,
             principal=principal,
             verify=verify,
@@ -453,7 +453,6 @@ class AuthorizationService:
             policy_resolver=self._engine.policy_set_for_epoch,
             observe=self._note_gate,
         )
-        report = self._engine.swap_policy(policy_set, force=force)
         self._last_findings = report.findings
         if report.changed:
             self._policy_reloads += 1

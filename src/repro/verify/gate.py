@@ -9,13 +9,16 @@ flips than the operator budgeted (``max_flips``).
 — in-process, served, cluster-wide and canary alike: the routing check
 on more than one shard, the acting principal against each live engine's
 outgoing AdminBoundary, then the gate, then a refusal unless ``force``.
+It is the only place a reload is analysed: the engine's swap is a
+digest, a compile and one assignment.  :func:`reload_engine` is the
+admission and swap of one engine, as every single-engine handle runs it.
 :func:`admit_routing` is its first step, which building or growing a
 multi-shard cluster also runs and which nothing forces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.core.constraints import POLICY_RELOAD_PRIVILEGE
@@ -25,12 +28,14 @@ from repro.verify.static import (
     VerifyReport,
     analyze_policy_set,
     cluster_routing_findings,
+    render_findings,
 )
 from repro.verify.whatif import WhatIfReport, what_if_replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.trail import AuditTrailManager
     from repro.core.engine import MSoDEngine
+    from repro.core.policy_epoch import PolicySwapReport
     from repro.permis.policy import PermisPolicy
     from repro.rbac.constraints import SsdConstraint
 
@@ -128,7 +133,7 @@ def admit_reload(
         Callable[[int], MSoDPolicySet | None]
     ] = None,
     observe: Callable[[GateResult], None] | None = None,
-) -> GateResult | None:
+) -> GateResult:
     """Admit ``candidate_set`` onto ``engines`` or raise :class:`PolicyError`.
 
     0. :func:`admit_routing` refuses a context-coupled set on
@@ -139,12 +144,15 @@ def admit_reload(
        never leaves engines on two versions.  ``force`` does **not**
        override this: the boundary protects the PDP from its own
        operators.
-    2. With ``verify``, :func:`evaluate_gate` runs — including the
-       what-if replay when ``trail_reader`` yields a recorded trail —
-       and ``observe`` sees the verdict before any refusal.
+    2. :func:`evaluate_gate` runs: static analysis always and, with
+       ``verify``, the what-if replay when ``trail_reader`` yields a
+       recorded trail.  With ``verify``, ``observe`` sees the verdict
+       before any refusal.
     3. A failed gate refuses unless ``force``.
 
-    Returns the gate verdict (``None`` when ``verify`` is off).
+    Returns the gate verdict, whose rendered static findings the caller
+    attaches to the engine's
+    :class:`~repro.core.policy_epoch.PolicySwapReport`.
     """
     admit_routing(candidate_set, shards)
     if principal is not None:
@@ -156,15 +164,13 @@ def admit_reload(
                 raise PolicyError(
                     f"policy reload refused by admin boundary: {denial}"
                 )
-    if not verify:
-        return None
     gate = evaluate_gate(
         candidate_set,
-        trails=trail_reader() if trail_reader is not None else None,
+        trails=trail_reader() if verify and trail_reader else None,
         max_flips=max_flips,
         policy_resolver=policy_resolver,
     )
-    if observe is not None:
+    if verify and observe is not None:
         observe(gate)
     if not gate.ok and not force:
         raise PolicyError(
@@ -172,6 +178,23 @@ def admit_reload(
             + "; ".join(gate.reasons)
         )
     return gate
+
+
+def reload_engine(
+    engine: "MSoDEngine",
+    candidate_set: MSoDPolicySet,
+    *,
+    force: bool = False,
+    **admission,
+) -> "PolicySwapReport":
+    """:func:`admit_reload` onto ``engine``, then its swap.
+
+    ``admission`` takes :func:`admit_reload`'s other keywords.  The
+    report carries the admission's rendered static findings.
+    """
+    gate = admit_reload([engine], candidate_set, force=force, **admission)
+    report = engine.swap_policy(candidate_set, force=force)
+    return replace(report, findings=render_findings(gate.static))
 
 
 def admit_routing(policy_set: MSoDPolicySet, shards: int) -> None:

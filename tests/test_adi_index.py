@@ -80,15 +80,6 @@ class TestUserAggregate:
         assert memo != {}
         assert [r.record_id for r in aggregate.records(_ROOT)] == [3]
 
-    def test_clear_memo_rebinds_and_keeps_records(self):
-        aggregate = _UserAggregate()
-        aggregate.add(_record(1))
-        aggregate.roles(_ROOT)
-        memo = aggregate._memo
-        aggregate.clear_memo()
-        assert memo != {} and aggregate._memo == {}
-        assert aggregate.roles(_ROOT) == {_CLERK}
-
     def test_exercise_is_the_earliest_record_of_each_request(self):
         # Step 5.iv stores one record per matched role; the request
         # counts once, as its earliest record's privilege, in id order.
@@ -162,15 +153,6 @@ class TestContextPresence:
         assert presence._postings == {(0, "kept"): {kept}}
         assert presence.has_context(kept) and presence.has_context(_ROOT)
         assert not any(presence.has_context(context) for context in doomed)
-
-    def test_clear_memo_rebinds_and_keeps_counts(self):
-        d1 = ContextName.parse("Dept=d1")
-        presence = _ContextPresence({d1: 1})
-        assert presence.has_context(d1)
-        memo = presence._memo
-        presence.clear_memo()
-        assert memo == {d1: True} and presence._memo == {}
-        assert presence.counts == {d1: 1}
 
 
 _BANK = BankScaleConfig(n_users=2_000)

@@ -122,12 +122,11 @@ class TestBasics:
 
     def test_bulk_check_in_order(self):
         engine = bank_engine()
-        decisions = engine.bulk_check(
-            [
-                request("alice", [TELLER], HANDLE_CASH, YORK_2006, at=1.0),
-                request("alice", [AUDITOR], AUDIT_BOOKS, YORK_2006, at=2.0),
-            ]
-        )
+        stream = [
+            request("alice", [TELLER], HANDLE_CASH, YORK_2006, at=1.0),
+            request("alice", [AUDITOR], AUDIT_BOOKS, YORK_2006, at=2.0),
+        ]
+        decisions = [engine.check(r) for r in stream]
         assert [d.effect for d in decisions] == ["grant", "deny"]
 
 

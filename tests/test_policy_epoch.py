@@ -2,7 +2,7 @@
 
 Covers the policy-versioning layer end to end: digest canonicalisation,
 :class:`PolicyVersion`/:class:`PolicySwapReport` wire round-trips, the
-engine's atomic ``swap_policy`` (no-op detection, memo invalidation,
+engine's atomic ``swap_policy`` (no-op detection, one-assignment install,
 epoch stamping), concurrency (every in-flight decision lands wholly
 under one policy version), the uniform ``reload_policy`` on local,
 server and remote handles, and epoch-aware audit-trail recovery across

@@ -102,8 +102,8 @@ def test_decisions_are_deterministic(stream):
     """Replaying the same stream yields the same decision sequence."""
     first = MSoDEngine(combined_policy_set(), InMemoryRetainedADIStore())
     second = MSoDEngine(combined_policy_set(), InMemoryRetainedADIStore())
-    assert [d.effect for d in first.bulk_check(stream)] == [
-        d.effect for d in second.bulk_check(stream)
+    assert [first.check(r).effect for r in stream] == [
+        second.check(r).effect for r in stream
     ]
 
 

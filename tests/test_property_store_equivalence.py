@@ -7,7 +7,7 @@ drive full engines over randomized request streams and require the
 in-memory and SQLite backends to produce *identical* decision streams
 and identical final store digests, in both evaluation modes, and every
 backend's aggregate views to equal the scan definitions after every
-step of a stream interleaved with purges and policy swaps.
+step of a stream interleaved with purges, policy swaps and rollbacks.
 """
 
 from hypothesis import example, given, settings
@@ -201,6 +201,7 @@ _maintenance = st.one_of(
     st.tuples(st.just("purge_context"), st.sampled_from(_QUERIES[:3])),
     st.tuples(st.just("purge_older_than"), st.integers(0, 40).map(float)),
     st.tuples(st.just("swap_policy"), st.none()),
+    st.tuples(st.just("rollback_policy"), st.none()),
     st.tuples(st.just("add"), _direct),
     st.tuples(st.just("redeliver"), st.none()),
 )
@@ -306,8 +307,8 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
     On every backend, after every step drawn for it and at the end:
     decisions commit through ``apply``, the management purges take
     their own paths, direct adds share request ids across timestamps,
-    a duplicate delivery must be absorbed, and a policy swap rebinds
-    the memos mid-stream.
+    a duplicate delivery must be absorbed, and policy swaps and
+    rollbacks land mid-stream without touching the store.
     """
     warm = SQLiteRetainedADIStore(":memory:")
     stores = {
@@ -327,11 +328,16 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
         ]
     )
     engines = {name: MSoDEngine(base, store) for name, store in stores.items()}
-    active = base
+    # (set, epoch) per swap; a rollback returns to the one before.
+    lineage = [(base, engines["memory"].policy_epoch)]
     try:
         for index, ((kind, argument), check_views) in enumerate(ops):
             if kind == "swap_policy":
-                active = swapped if active is base else base
+                active, epoch = lineage[-1]
+                lineage.append((swapped if active is base else base, epoch + 1))
+            elif kind == "rollback_policy" and len(lineage) > 1:
+                lineage.pop()
+            active, epoch = lineage[-1]
             for name, store in stores.items():
                 if kind == "check":
                     user, roles, op, dept, case = argument
@@ -350,6 +356,9 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
                     )
                 elif kind == "swap_policy":
                     assert engines[name].swap_policy(active).changed
+                elif kind == "rollback_policy":
+                    engines[name].rollback_policy(active, to_epoch=epoch)
+                    assert engines[name].policy_epoch == epoch
                 elif kind == "add":
                     store.add(_direct_record(*argument))
                 elif kind == "redeliver":

@@ -224,16 +224,6 @@ class TestStatsAndPlumbing:
         with pytest.raises(Exception):
             warm.count()
 
-    def test_invalidate_policy_memos_keeps_reads_correct(self):
-        store = tiered(hot_users=4)
-        store.add(record("alice", 0))
-        query = ContextName.parse("Branch=*, Period=P1")
-        assert store.has_context(query)
-        assert store.user_roles("alice", query) == frozenset({TELLER})
-        store.invalidate_policy_memos()
-        assert store.has_context(query)
-        assert store.user_roles("alice", query) == frozenset({TELLER})
-
     def test_hydrator_hook_catches_warm_layer_up(self):
         """A lagging warm layer is repaired just-in-time, under the lock."""
         warm = InMemoryRetainedADIStore()
