@@ -21,7 +21,9 @@ Commands: ``validate``, ``show``, ``compile``, ``decompile``, ``lint``,
 ``purge``, ``serve``, ``remote-decide``, ``remote-status``,
 ``metrics``, ``policy`` (``status``, ``reload``) and ``cluster``
 (``serve``, ``node``, ``status``, ``route``, ``metrics``, ``reload``,
-``resize``, ``decide``, ``smoke``).
+``resize``, ``decide``).  The cluster's fault scenarios (failover,
+reload, canary, resize) are tests, not verbs: see
+``tests/test_cluster_failover.py`` and ``tests/test_reshard_failover.py``.
 
 ``serve`` turns the same policy + SQLite retained ADI into a networked
 authorization service (the paper's Section 5 deployment shape);
@@ -540,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_cmds = _group(
         commands,
         "cluster",
-        "multi-node MSoD cluster: serve, nodes, status, smoke test",
+        "multi-node MSoD cluster: serve, nodes, status, reload, resize",
     )
     cserve = _verb(
         cluster_cmds,
@@ -721,33 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
             "evaluate one request through the routing cluster client",
             address="coordinator",
         )
-    )
-
-    csmoke = _verb(
-        cluster_cmds,
-        "smoke",
-        cmd_cluster_smoke,
-        "boot a cluster, run the hot-user workload, kill a primary "
-        "mid-stream, assert failover correctness (the CI job)",
-    )
-    csmoke.add_argument(
-        "--cluster-shards", type=int, default=3, help="number of shards"
-    )
-    csmoke.add_argument(
-        "--requests", type=int, default=300, help="workload decisions"
-    )
-    csmoke.add_argument(
-        "--store",
-        default="sqlite",
-        help="per-node store spec (memory, sqlite, tiered:sqlite?...)",
-    )
-    _json_flag(csmoke)
-    csmoke.add_argument(
-        "--resize",
-        action="store_true",
-        help="run the elastic-resize fault-injection smoke instead: "
-        "2→3 split and 3→2 drain under live load, with the "
-        "coordinator killed and a source primary killed mid-migration",
     )
     return parser
 
@@ -1272,645 +1247,6 @@ def _resize(start):
         return 0
 
     return run
-
-
-def _smoke_probe(user_id, role, privilege, context, timestamp):
-    """A smoke-workload request: one role exercising one privilege."""
-    return DecisionRequest(
-        user_id=user_id,
-        roles=(role,),
-        operation=privilege.operation,
-        target=privilege.target,
-        context_instance=context,
-        timestamp=timestamp,
-    )
-
-
-def _smoke_extend(policy_set, context: str, policy_id: str):
-    """``policy_set`` plus one Teller/Auditor MMER policy over a context
-    no smoke workload touches: the epoch moves, no decision changes."""
-    from repro.core import MMER, MSoDPolicy, MSoDPolicySet
-    from repro.workload import AUDITOR, TELLER
-
-    return MSoDPolicySet(
-        list(policy_set)
-        + [
-            MSoDPolicy(
-                ContextName.parse(context),
-                mmers=[MMER([TELLER, AUDITOR], 2)],
-                policy_id=policy_id,
-            )
-        ]
-    )
-
-
-def _smoke_users_on(ring, shard: str, prefix: str):
-    """User ids ``<prefix>-<n>`` the ring routes to ``shard``."""
-    return (
-        f"{prefix}-{index}"
-        for index in range(10_000)
-        if ring.shard_for(f"{prefix}-{index}") == shard
-    )
-
-
-def _smoke_load(pdp, name: str, probes, stop, errors: list):
-    """Start a live-load thread deciding ``probes(serial)`` for serial
-    1, 2, ... until ``stop`` is set; the first error ends it.  Returns
-    the thread and its ``(request, effect)`` log, in issue order."""
-    import threading
-
-    log: list = []
-
-    def run() -> None:
-        serial = 0
-        while not stop.is_set():
-            serial += 1
-            for request in probes(serial):
-                try:
-                    effect = pdp.decide(request).effect
-                except Exception as exc:
-                    errors.append(f"{name}: {type(exc).__name__}: {exc}")
-                    return
-                log.append((request, effect))
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    return thread, log
-
-
-def _smoke_check_oracle(
-    cluster, policy_set, requests, effects, report, failures, when=""
-) -> None:
-    """The check both smoke scenarios end with: per-shard single-node
-    oracles agree on every effect and on each shard's retained ADI, and
-    no user holds Teller and Auditor within one context instance.
-
-    Each oracle is fed exactly the substream the final ring sends its
-    shard.  (A single global engine is *not* the right oracle — step
-    4's context-started check spans users, so the record set for a
-    shared context depends on which other-shard users touched it
-    first.  Per-user routing promises per-shard equivalence.)
-
-    The per-shard comparison keeps ``granted_at``, which
-    ``core.store_digest`` leaves out: §4.3 purges decide on it, and a
-    replicated, failed-over or resharded record must carry the oracle's
-    timestamp.
-    """
-    from repro.core import InMemoryRetainedADIStore
-    from repro.workload import AUDITOR, TELLER
-
-    def digest(store) -> list:
-        return sorted(
-            (
-                record.user_id,
-                tuple(sorted((r.role_type, r.value) for r in record.roles)),
-                record.operation,
-                record.target,
-                str(record.context_instance),
-                record.granted_at,
-                record.request_id,
-            )
-            for record in store.records()
-        )
-
-    oracles = {
-        name: MSoDEngine(policy_set, InMemoryRetainedADIStore())
-        for name in cluster.shard_names
-    }
-    oracle_effects = [
-        oracles[cluster.ring.shard_for(request.user_id)].check(request).effect
-        for request in requests
-    ]
-    report["grants"] = effects.count("grant")
-    report["denies"] = effects.count("deny")
-    mismatches = sum(
-        1 for ours, theirs in zip(effects, oracle_effects) if ours != theirs
-    )
-    if mismatches:
-        failures.append(f"{mismatches} decision(s) diverged from the oracle")
-
-    held: dict = {}
-    exclusive = 0
-    for name in cluster.shard_names:
-        store = cluster.shard(name).primary.store
-        for record in store.records():
-            key = (record.user_id, str(record.context_instance))
-            roles = held.setdefault(key, set())
-            roles.update(record.roles)
-            exclusive += TELLER in roles and AUDITOR in roles
-        if digest(store) != digest(oracles[name].store):
-            failures.append(
-                f"{name} retained ADI differs from its single-node "
-                f"oracle{when}"
-            )
-    report["exclusivity_violations"] = exclusive
-    if exclusive:
-        failures.append(
-            f"{exclusive} MMER exclusivity violation(s) in the retained ADI"
-        )
-
-
-def _smoke_finish(report: dict, failures: list, as_json: bool) -> int:
-    """Print a smoke scenario's report; exit status 1 on any failure."""
-    report["ok"] = not failures
-    report["failures"] = failures
-    if as_json:
-        _print_reply(report)
-    else:
-        for key in sorted(report):
-            print(f"{key}: {report[key]}")
-    return 0 if not failures else 1
-
-
-def _cluster_smoke_resize(args: argparse.Namespace) -> int:
-    """The elastic-resize fault-injection smoke (``cluster smoke --resize``).
-
-    Boots a 2-shard cluster under continuous multi-threaded live load,
-    then runs a full resize cycle with the worst faults injected
-    mid-migration:
-
-    * **2→3 split** — add a shard; *while the migration is in flight*
-      kill the coordinator, then (with the coordinator still down) kill
-      a source shard's primary; restart the coordinator from its
-      persisted state file and let it finish the migration it resumed
-      (promoting the dead primary's standby adds a trail lineage the
-      import must also walk).
-    * **3→2 drain** — retire the shard just added; kill the subject
-      shard's primary the moment the drain starts, so the migration
-      finishes from the promoted standby plus the dead primary's
-      sealed trail.
-
-    Afterwards asserts: every live decision matches a per-shard
-    single-node oracle bit for bit (no lost, double-applied or
-    mis-routed decisions), each surviving shard's retained ADI digest
-    equals its oracle's (which also rules out lost or double-applied
-    decisions — an extra or missing record breaks the digest), the
-    MMER exclusivity invariant holds across the merged stores, both
-    migrations completed, both kills actually failed over, and the
-    reshard metric families scrape.
-    """
-    import functools
-    import tempfile
-    import threading
-
-    from repro.api import open_cluster
-    from repro.workload import AUDIT_BOOKS, AUDITOR, HANDLE_CASH, TELLER
-    from repro.workload import bank_policy_set
-
-    policy_set = bank_policy_set()
-    target_requests = max(args.requests, 120)
-    n_workers = 4
-    report: dict = {
-        "mode": "resize",
-        "target_requests": target_requests,
-        "store": args.store,
-    }
-    failures: list[str] = []
-    worker_errors: list[str] = []
-    stop = threading.Event()
-    # Per-worker ordered decision logs.  Every worker owns a disjoint
-    # user set and every request's *effective policy context* is
-    # private to its user (the user is embedded in the Period value,
-    # the component the policy binds), so per-user issue order — which
-    # each worker preserves by waiting for each decide — is the only
-    # order the oracle replay below depends on.
-    logs: list[list] = []
-
-    def probes(index: int, serial: int) -> list:
-        user = f"resize-user-{index}-{serial % 8}"
-        # The bank policy's context is "Branch=*, Period=!" — only
-        # the '!' component binds to the instance, so the *user
-        # must be in the Period value* for the effective policy
-        # context to be private to the user.  A shared period
-        # (Period=S1 for everyone) would make the engine's
-        # "context started" check cross-user, and the retained-ADI
-        # copy count would then depend on which user a given
-        # engine served first — unreproducible by any per-user
-        # oracle replay.
-        fresh = ContextName.parse(f"Branch={user}, Period={user}-S{serial}")
-        stamp = float(index * 1_000_000 + serial)
-        batch = [_smoke_probe(user, TELLER, HANDLE_CASH, fresh, stamp)]
-        if serial % 5 == 0:
-            # Re-enter a context this user already exercised as
-            # Teller, as Auditor: the bank MMER must deny it, on
-            # whichever node owns the user at that moment.
-            batch.append(
-                _smoke_probe(user, AUDITOR, AUDIT_BOOKS, fresh, stamp + 0.5)
-            )
-        return batch
-
-    def total_decisions() -> int:
-        return sum(len(log) for log in logs)
-
-    def await_decisions(count: int, timeout: float = 120.0) -> None:
-        deadline = time.monotonic() + timeout
-        while total_decisions() < count and not worker_errors:
-            if time.monotonic() >= deadline:
-                failures.append(
-                    f"live load stalled at {total_decisions()} decisions "
-                    f"(wanted {count})"
-                )
-                return
-            time.sleep(0.02)
-
-    with tempfile.TemporaryDirectory() as data_dir:
-        with open_cluster(
-            policy_set, data_dir, n_shards=2, store=args.store
-        ) as cluster:
-            with cluster.client(failover_wait=60.0) as pdp:
-                threads = []
-                for i in range(n_workers):
-                    thread, log = _smoke_load(
-                        pdp,
-                        f"worker {i}",
-                        functools.partial(probes, i),
-                        stop,
-                        worker_errors,
-                    )
-                    threads.append(thread)
-                    logs.append(log)
-                try:
-                    await_decisions(target_requests // 6)
-
-                    # ---- 2→3 split with coordinator + primary kills.
-                    added = cluster.add_shard()
-                    report["added_shard"] = added
-                    pre_crash = cluster.reshard_status()
-                    report["split_active_at_crash"] = pre_crash["active"]
-                    cluster.crash_coordinator()
-                    # Coordinator is down: migration frozen mid-phase,
-                    # nodes still serving.  Kill a source primary NOW —
-                    # nobody can promote the standby until the
-                    # coordinator is back, so the death is guaranteed
-                    # to land mid-migration.
-                    source = (
-                        pre_crash["migration"]["old_shards"][0]
-                        if pre_crash.get("migration")
-                        else cluster.shard_names[0]
-                    )
-                    report["split_killed"] = cluster.kill_primary(source)
-                    time.sleep(0.3)
-                    cluster.restart_coordinator()
-                    report["split"] = cluster.wait_reshard(timeout=120.0)[
-                        "last_migration"
-                    ]
-                    if added not in cluster.shard_names:
-                        failures.append("split did not add the new shard")
-
-                    await_decisions(2 * target_requests // 3)
-                    report["rebalance"] = cluster.rebalance()
-
-                    # ---- 3→2 drain, killing the subject's primary the
-                    # moment the migration starts (before its first
-                    # catch-up tick races us): the drain must finish
-                    # from the promoted standby plus the dead primary's
-                    # sealed trail lineage.
-                    cluster.drain_shard(added)
-                    report["drain_killed"] = cluster.kill_primary(added)
-                    report["drain"] = cluster.wait_reshard(timeout=120.0)[
-                        "last_migration"
-                    ]
-                    if added in cluster.shard_names:
-                        failures.append("drain did not retire the shard")
-
-                    await_decisions(target_requests)
-                finally:
-                    stop.set()
-                    for thread in threads:
-                        thread.join(timeout=60.0)
-
-                status = pdp.cluster_status()
-                reshard = pdp.reshard_status()
-                metrics_text = pdp.cluster_metrics_text()
-
-            report["requests"] = total_decisions()
-            report["serving_shards"] = reshard["serving_shards"]
-            report["users_moved"] = reshard["users_moved_total"]
-            report["migrations"] = reshard["migrations_total"]
-            if worker_errors:
-                failures.append("worker error: " + worker_errors[0])
-            for kind in ("split", "drain"):
-                done = report.get(kind) or {}
-                if done.get("phase") != "done":
-                    failures.append(f"{kind} migration did not complete")
-            if reshard["active"]:
-                failures.append("a migration is still marked active")
-            if sorted(reshard["serving_shards"]) != ["shard-0", "shard-1"]:
-                failures.append(
-                    "cluster did not return to the 2-shard topology"
-                )
-            failovers = sum(
-                shard["failovers"] for shard in status["shards"].values()
-            )
-            report["failovers"] = failovers
-            if failovers < 1:
-                failures.append("the killed source primary never failed over")
-            for name, shard in status["shards"].items():
-                if "resident_users" not in shard or "stats" not in shard:
-                    failures.append(
-                        f"{name} status lacks resident_users/stats gauges"
-                    )
-            for family in (
-                "repro_reshard_migrations_total",
-                "repro_reshard_users_moved_total",
-                "repro_reshard_cutover_pause_seconds",
-                "repro_cluster_shard_resident_users",
-            ):
-                if family not in metrics_text:
-                    failures.append(f"metrics family {family} missing")
-
-            # ---- the oracle: every user's stream, in issue order.
-            # Every context is private to its user, so the final ring's
-            # per-shard oracles hold exactly the history a
-            # never-resharded cluster would.
-            decided = [entry for log in logs for entry in log]
-            _smoke_check_oracle(
-                cluster,
-                policy_set,
-                [request for request, _ in decided],
-                [effect for _, effect in decided],
-                report,
-                failures,
-                when=" after the resize cycle",
-            )
-            if report["denies"] < 1:
-                failures.append("workload exercised no MMER denial")
-    return _smoke_finish(report, failures, args.json)
-
-
-def _smoke_mmcd_failover(store: str, report: dict, failures: list) -> None:
-    """An MMCD owner bound before a primary kill still excludes a second
-    user after failover: owner state survives promotion.  One shard, as
-    per-user routing cannot enforce an MMCD on more."""
-    import tempfile
-
-    from repro.api import open_cluster
-    from repro.core.constraints import MMCD, Privilege
-    from repro.core.policy import MSoDPolicy, MSoDPolicySet
-    from repro.workload import AUDITOR
-
-    review = Privilege("review", "filing")
-    signoff = Privilege("signoff", "filing")
-    policy_set = MSoDPolicySet([
-        MSoDPolicy(
-            ContextName.parse("Filing=*, Case=!"),
-            constraints=[MMCD([review, signoff])],
-            policy_id="filing-duty-binding",
-        )
-    ])
-    context = ContextName.parse("Filing=Annual, Case=2026")
-    # (report key, user, privilege, expected); the primary dies after
-    # the owner's bind.
-    steps = [
-        ("owner_bind", "duty-owner", review, "grant"),
-        ("intruder_post_failover", "duty-intruder", signoff, "deny"),
-        ("owner_completion", "duty-owner", signoff, "grant"),
-    ]
-    effects: dict = {}
-    with tempfile.TemporaryDirectory() as data_dir:
-        with open_cluster(
-            policy_set, data_dir, n_shards=1, store=store
-        ) as cluster, cluster.client(failover_wait=30.0) as pdp:
-            for stamp, (key, user_id, privilege, _) in enumerate(steps, 1):
-                if stamp == 2:
-                    cluster.kill_primary("shard-0")
-                request = _smoke_probe(
-                    user_id, AUDITOR, privilege, context, float(stamp)
-                )
-                effects[key] = pdp.decide(request).effect
-    report["mmcd"] = effects
-    failures.extend(
-        f"MMCD {key} was {effects[key]}, expected {expected}"
-        for key, _, _, expected in steps
-        if effects[key] != expected
-    )
-
-
-def cmd_cluster_smoke(args: argparse.Namespace) -> int:
-    """The CI cluster smoke: workload + mid-stream reload + primary kill.
-
-    Boots an N-shard cluster, streams a hot-user + distinct-user
-    workload through the routing client, hot-reloads an extended policy
-    set a quarter of the way in, kills the hot user's shard primary
-    halfway, then canary-rolls a further (decision-disjoint) policy set
-    through a healthy shard's standby while a background workload keeps
-    that shard's primary deciding, and asserts: the standby is
-    promoted, the canary mirror compares live decisions with zero
-    flips, every decision matches a single-node oracle bit for bit,
-    each shard's retained ADI equals the oracle engine fed that shard's
-    substream, the MMER exclusivity invariant holds, every node runs
-    the final (canary-rolled) policy epoch, every audited decision
-    carries its policy epoch, and the per-node gauges scrape.  A
-    one-shard cluster then checks that MMCD owner state survives a
-    failover (:func:`_smoke_mmcd_failover`).
-
-    With ``--resize`` runs :func:`_cluster_smoke_resize` instead — the
-    elastic split/drain cycle with coordinator and source-primary kills
-    injected mid-migration.
-    """
-    if args.resize:
-        return _cluster_smoke_resize(args)
-    import itertools
-    import tempfile
-    import threading
-
-    from repro.api import open_cluster
-    from repro.audit import EVENT_DECISION, AuditTrailManager
-    from repro.workload import (
-        HANDLE_CASH,
-        TELLER,
-        bank_policy_set,
-        decision_request_stream,
-        hot_user_stream,
-    )
-
-    policy_set = bank_policy_set()
-    # The mid-stream reload target: the bank policy plus one extra
-    # policy over a *disjoint* context (Region/Quarter, never touched
-    # by the bank workload), so the reload changes the digest and
-    # epoch everywhere without changing any decision — which keeps the
-    # per-shard single-node oracles below valid as-is.
-    extended_set = _smoke_extend(policy_set, "Region=*, Quarter=!", "regional")
-    quarter = args.requests // 4
-    half = args.requests // 2
-    requests = list(
-        itertools.chain(
-            hot_user_stream(args.requests // 2, user_id="hot-user"),
-            decision_request_stream(
-                args.requests - args.requests // 2, n_users=40
-            ),
-        )
-    )
-    report: dict = {
-        "requests": len(requests),
-        "shards": args.cluster_shards,
-        "store": args.store,
-    }
-    failures: list[str] = []
-    with tempfile.TemporaryDirectory() as data_dir:
-        with open_cluster(
-            policy_set,
-            data_dir,
-            n_shards=args.cluster_shards,
-            store=args.store,
-        ) as cluster:
-            hot_shard = cluster.ring.shard_for("hot-user")
-            report["hot_shard"] = hot_shard
-            with cluster.client(failover_wait=30.0) as pdp:
-                effects = []
-                for index, request in enumerate(requests):
-                    if index == quarter:
-                        reload_body = pdp.reload_policy(extended_set)
-                        report["policy_reload_changed"] = reload_body[
-                            "changed"
-                        ]
-                    if index == half:
-                        report["killed"] = cluster.kill_primary(hot_shard)
-                    effects.append(pdp.decide(request).effect)
-
-                # Canary rollout under live load: stage a third policy
-                # set — again decision-disjoint (Desk/Cycle, untouched
-                # by any workload), so the oracles stay valid — on a
-                # healthy shard's standby while a background thread
-                # keeps that shard's primary deciding.  The mirror must
-                # observe live decisions and report zero flips before
-                # the coordinator-wide rollout (epoch 3 everywhere).
-                canary_set = _smoke_extend(
-                    extended_set, "Desk=*, Cycle=!", "desk"
-                )
-                canary_shard = next(
-                    (
-                        name
-                        for name in cluster.shard_names
-                        if name != hot_shard
-                    ),
-                    hot_shard,
-                )
-                canary_user = next(
-                    _smoke_users_on(cluster.ring, canary_shard, "canary-user")
-                )
-                canary_errors: list = []
-                canary_stop = threading.Event()
-
-                def canary_probes(serial: int) -> list:
-                    context = f"Branch=Canary, Period=C{serial}"
-                    return [
-                        _smoke_probe(
-                            canary_user,
-                            TELLER,
-                            HANDLE_CASH,
-                            ContextName.parse(context),
-                            float(10_000 + serial),
-                        )
-                    ]
-
-                loader, canary_log = _smoke_load(
-                    pdp, "canary", canary_probes, canary_stop, canary_errors
-                )
-                try:
-                    canary_body = cluster.canary_reload_policy(
-                        canary_set,
-                        shard_name=canary_shard,
-                        max_flips=0,
-                        min_decisions=5,
-                        timeout=30.0,
-                    )
-                finally:
-                    canary_stop.set()
-                    loader.join(timeout=30.0)
-                requests.extend(request for request, _ in canary_log)
-                effects.extend(effect for _, effect in canary_log)
-                report["requests"] = len(requests)
-                mirror = canary_body["canary"].get("mirror", {})
-                report["canary"] = {
-                    "shard": canary_shard,
-                    "live_decisions": mirror.get("live_decisions", 0),
-                    "flips": mirror.get("flip_count", 0),
-                    "replayed": mirror.get("replay", {}).get(
-                        "decisions_replayed", 0
-                    ),
-                }
-                if canary_errors:
-                    failures.append(
-                        f"canary workload error: {canary_errors[0]}"
-                    )
-                if not canary_body.get("changed"):
-                    failures.append("canary rollout did not apply")
-                if mirror.get("flip_count", 0):
-                    failures.append(
-                        "canary mirror reported decision flips"
-                    )
-                if mirror.get("live_decisions", 0) < 1:
-                    failures.append(
-                        "canary mirror observed no live decisions"
-                    )
-
-                status = pdp.cluster_status()
-                metrics_text = pdp.cluster_metrics_text()
-                node_metrics = pdp.node_metrics_text("hot-user")
-            report["failovers"] = status["shards"][hot_shard]["failovers"]
-            report["epoch"] = status["shards"][hot_shard]["epoch"]
-            if report["failovers"] < 1:
-                failures.append("no failover happened")
-            if not report.get("policy_reload_changed"):
-                failures.append("mid-stream policy reload did not apply")
-            # Epoch 1 boot + mid-stream reload (2) + canary rollout
-            # (3).  The killed primary died between reload and canary,
-            # so only live nodes must be on the final epoch.
-            stale = [
-                node["name"]
-                for shard in status["shards"].values()
-                for node in shard["nodes"]
-                if node["up"] and node["policy_epoch"] != 3
-            ]
-            if stale:
-                failures.append(
-                    "node(s) not on the reloaded policy epoch: "
-                    + ", ".join(sorted(stale))
-                )
-            for family in (
-                "repro_cluster_node_up",
-                "repro_cluster_node_primary",
-                "repro_cluster_node_epoch",
-                "repro_cluster_failovers_total",
-                "repro_policy_epoch",
-                "repro_policy_reloads_total",
-            ):
-                if family not in metrics_text:
-                    failures.append(f"metrics family {family} missing")
-            if "repro_shard_queue_depth" not in node_metrics:
-                failures.append("per-node shard gauges missing")
-
-            # Every audited decision event must say which policy epoch
-            # produced it — that is what makes recovery and standby
-            # replay policy-aware across the reload.
-            unstamped = 0
-            audited = 0
-            for shard_name in cluster.shard_names:
-                state = cluster.shard(shard_name)
-                for node in (state.primary, state.standby):
-                    with AuditTrailManager(
-                        node.trail_dir,
-                        b"cluster-trail-key",
-                        tolerate_ahead=True,
-                    ) as trails:
-                        for event in trails.events():
-                            if event.event_type != EVENT_DECISION:
-                                continue
-                            audited += 1
-                            if "policy_epoch" not in (event.payload or {}):
-                                unstamped += 1
-            report["audited_decisions"] = audited
-            if unstamped:
-                failures.append(
-                    f"{unstamped} audited decision(s) missing policy_epoch"
-                )
-
-            _smoke_check_oracle(
-                cluster, policy_set, requests, effects, report, failures
-            )
-    _smoke_mmcd_failover(args.store, report, failures)
-    return _smoke_finish(report, failures, args.json)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

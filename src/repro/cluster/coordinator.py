@@ -200,9 +200,8 @@ class LocalCluster:
         self._users_moved_total = 0
         self._cutover_pauses: list[float] = []
         # Serialises topology changes with policy rollouts, so a set
-        # admitted for N shards is what N shards run (reentrant: the
-        # canary finishes through reload_policy).
-        self._reshard_lock = threading.RLock()
+        # admitted for N shards is what N shards run.
+        self._reshard_lock = threading.Lock()
         os.makedirs(data_dir, exist_ok=True)
         persisted = self._load_state_file() if resume else None
         admit_routing(
@@ -676,8 +675,8 @@ class LocalCluster:
         """Block until the in-flight migration completes; return status.
 
         Raises :class:`ClusterError` at the deadline — an operator (or
-        the smoke harness) polling a migration that cannot converge
-        should hear about it rather than hang.
+        a fault test) polling a migration that cannot converge should
+        hear about it rather than hang.
         """
         deadline = time.monotonic() + timeout
         while self._migration is not None:
@@ -899,8 +898,6 @@ class LocalCluster:
         from repro.verify.gate import admit_reload
 
         policy_set = load_policy_source(policy)
-        reports: dict[str, dict] = {}
-        changed = False
         with self._reshard_lock:
             gate = admit_reload(
                 self._live_engines(),
@@ -910,28 +907,38 @@ class LocalCluster:
                 max_flips=max_flips,
                 force=force,
             )
-            for state in self._shards.values():
-                with state.lock:
-                    for node in (state.standby, state.primary):
-                        if node.name in self._dead:
-                            continue
-                        report = node.reload_policy(policy_set, force=force)
-                        reports[node.name] = report.to_dict()
-                        changed = changed or report.changed
+            body = self._roll_out(policy_set, gate, force=force)
+        if verify:
+            body["gate"] = gate.to_dict()
+        return body
+
+    def _roll_out(self, policy_set, gate, *, force: bool = False) -> dict:
+        """Swap an admitted set onto every live node, standby first.
+
+        The caller holds the reshard lock and has run ``gate`` (the
+        admission) already, so this step never analyses the set again.
+        """
+        reports: dict[str, dict] = {}
+        changed = False
+        for state in self._shards.values():
+            with state.lock:
+                for node in (state.standby, state.primary):
+                    if node.name in self._dead:
+                        continue
+                    report = node.reload_policy(policy_set, force=force)
+                    reports[node.name] = report.to_dict()
+                    changed = changed or report.changed
         if changed:
             self._policy_reloads += 1
             with self._route_lock:
                 self._route_version += 1
-        body = {
+        return {
             "changed": changed,
             "version": self.policy_version().to_dict(),
             "reloads": self._policy_reloads,
             "nodes": reports,
             "findings": [str(finding) for finding in gate.static.findings],
         }
-        if verify:
-            body["gate"] = gate.to_dict()
-        return body
 
     def canary_reload_policy(
         self,
@@ -965,9 +972,11 @@ class LocalCluster:
            (set, epoch) with :meth:`MSoDEngine.rollback_policy` (so the
            candidate's epoch never stays resolvable in any lineage) and
            raises :class:`PolicyError`;
-        4. only then does the ordinary coordinator-wide
-           :meth:`reload_policy` run — the staged standby's second swap
-           is a digest no-op, so every node lands on the same epoch.
+        4. only then does the candidate roll out cluster-wide, through
+           the same standby-first step as :meth:`reload_policy` but
+           without a second admission — the staged standby's second
+           swap is a digest no-op, so every node lands on the same
+           epoch.
 
         The canary shard's ``state.lock`` is held through stage +
         observation, serialising the canary with that shard's failover
@@ -980,7 +989,7 @@ class LocalCluster:
 
         policy_set = load_policy_source(policy)
         with self._reshard_lock:
-            admit_reload(
+            gate = admit_reload(
                 self._live_engines(),
                 policy_set,
                 shards=len(self._shards),
@@ -1040,7 +1049,7 @@ class LocalCluster:
                         )
                 else:
                     canary["noop"] = True
-            body = self.reload_policy(policy_set)
+            body = self._roll_out(policy_set, gate)
             body["canary"] = canary
             return body
 

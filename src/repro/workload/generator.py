@@ -448,9 +448,8 @@ def bank_policy_set():
     Deliberately without first/last steps: cross-user context purges do
     not compose with user-keyed cluster routing (one user's last step
     would have to purge records living on other shards), so the cluster
-    smoke/fault harnesses and benches all run this purge-free policy.
-    Defined here once so tests, the ``cluster smoke`` CLI and
-    ``bench_cluster.py`` agree on it.
+    fault tests and benches all run this purge-free policy.  Defined
+    here once so the tests and ``bench_cluster.py`` agree on it.
     """
     from repro.core.policy import MSoDPolicy, MSoDPolicySet
     from repro.core.constraints import MMER

@@ -321,16 +321,16 @@ class TestLocalOnlyFlagsWithHost:
 
 
 class TestSmokeOracle:
-    """``cluster smoke`` compares each shard with its single-node oracle
-    record for record, and a grant timestamp is part of the record: §4.3
-    purges decide on it."""
+    """The per-shard oracle the cluster fault tests end with compares
+    each shard with its single-node oracle record for record, and a
+    grant timestamp is part of the record: §4.3 purges decide on it."""
 
     @staticmethod
     def _check(shard_store, requests, effects):
         from types import SimpleNamespace
 
-        from repro.cli import _smoke_check_oracle
         from repro.workload import bank_policy_set
+        from tests.cluster_oracle import oracle_failures
 
         shard = SimpleNamespace(primary=SimpleNamespace(store=shard_store))
         cluster = SimpleNamespace(
@@ -338,11 +338,7 @@ class TestSmokeOracle:
             ring=SimpleNamespace(shard_for=lambda user: "s0"),
             shard=lambda name: shard,
         )
-        report, failures = {}, []
-        _smoke_check_oracle(
-            cluster, bank_policy_set(), requests, effects, report, failures
-        )
-        return report, failures
+        return oracle_failures(cluster, bank_policy_set(), requests, effects)
 
     @staticmethod
     def _stream():
@@ -372,10 +368,8 @@ class TestSmokeOracle:
 
     def test_identical_shard_passes(self):
         store, requests, effects = self._stream()
-        report, failures = self._check(store, requests, effects)
-        assert failures == []
-        assert report["grants"] == 4
-        assert report["exclusivity_violations"] == 0
+        assert effects == ["grant"] * 4
+        assert self._check(store, requests, effects) == []
 
     def test_shifted_grant_timestamp_is_a_divergence(self):
         import dataclasses
@@ -388,8 +382,7 @@ class TestSmokeOracle:
             shifted.add(
                 dataclasses.replace(record, granted_at=record.granted_at + 1)
             )
-        _, failures = self._check(shifted, requests, effects)
-        assert failures == [
+        assert self._check(shifted, requests, effects) == [
             "s0 retained ADI differs from its single-node oracle"
         ]
 
@@ -635,13 +628,6 @@ PARSER_TREE = {
         (("--target",), "target", None, None, None, True, "_StoreAction"),
         (("--context",), "context", None, None, None, True, "_StoreAction"),
     ],
-    "cluster smoke": [
-        (("--cluster-shards",), "cluster_shards", 3, "int", None, False, "_StoreAction"),
-        (("--requests",), "requests", 300, "int", None, False, "_StoreAction"),
-        (("--store",), "store", "sqlite", None, None, False, "_StoreAction"),
-        (("--json",), "json", False, None, None, False, "_StoreTrueAction"),
-        (("--resize",), "resize", False, None, None, False, "_StoreTrueAction"),
-    ],
 }
 
 #: Mutually exclusive groups per leaf: (required, member dests).
@@ -687,9 +673,9 @@ class TestParserTree:
             for path, leaf in _leaves(build_parser())
         }
         assert tree == PARSER_TREE
-        assert len(tree) == 29
+        assert len(tree) == 28
         options = [row for rows in tree.values() for row in rows if row[0]]
-        assert len(options) == 169
+        assert len(options) == 164
 
     def test_mutually_exclusive_groups(self):
         groups = {

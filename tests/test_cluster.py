@@ -39,6 +39,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.workload import AUDITOR, TELLER, bank_policy_set
+from tests.cluster_oracle import store_digest
 
 YORK_P1 = ContextName.parse("Branch=York, Period=P1")
 
@@ -59,21 +60,6 @@ def make_request(user_id, role=TELLER, context=YORK_P1, timestamp=1.0,
         context_instance=context,
         timestamp=timestamp,
         **kwargs,
-    )
-
-
-def store_digest(store):
-    return sorted(
-        (
-            record.user_id,
-            tuple(sorted((r.role_type, r.value) for r in record.roles)),
-            record.operation,
-            record.target,
-            str(record.context_instance),
-            record.granted_at,
-            record.request_id,
-        )
-        for record in store.records()
     )
 
 

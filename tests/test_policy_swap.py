@@ -187,6 +187,22 @@ def analyses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def quiet_cluster(analyses, tmp_path):
+    cluster = LocalCluster(
+        bank_policy_set(),
+        2,
+        str(tmp_path / "cluster"),
+        store="memory",
+        health_interval=30.0,
+        catchup_interval=30.0,
+        fsync=False,
+    ).start()
+    del analyses[:]  # booting is not a reload
+    yield cluster
+    cluster.stop()
+
+
 class TestOneAnalysisPerReload:
     @pytest.mark.parametrize("verify", [True, False])
     def test_local(self, analyses, verify):
@@ -206,23 +222,17 @@ class TestOneAnalysisPerReload:
         assert len(analyses) == 1
 
     def test_cluster_admits_once_then_once_per_live_node(
-        self, analyses, tmp_path
+        self, analyses, quiet_cluster
     ):
-        cluster = LocalCluster(
-            bank_policy_set(),
-            2,
-            str(tmp_path / "cluster"),
-            store="memory",
-            health_interval=30.0,
-            catchup_interval=30.0,
-            fsync=False,
-        ).start()
-        try:
-            del analyses[:]  # booting is not a reload
-            assert cluster.reload_policy(freed_set())["changed"]
-            assert len(analyses) == 1 + len(list(cluster.nodes()))
-        finally:
-            cluster.stop()
+        assert quiet_cluster.reload_policy(freed_set())["changed"]
+        assert len(analyses) == 1 + len(list(quiet_cluster.nodes()))
+
+    def test_cluster_canary_admits_once(self, analyses, quiet_cluster):
+        """Admission, the staged standby, then one per live node: the
+        rollout after the canary does not admit the set a second time."""
+        body = quiet_cluster.canary_reload_policy(freed_set())
+        assert body["changed"] and body["canary"]["staged"]["changed"]
+        assert len(analyses) == 2 + len(list(quiet_cluster.nodes()))
 
 
 # ----------------------------------------------------------------------

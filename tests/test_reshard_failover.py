@@ -9,7 +9,9 @@ no lost decisions, no MMER leaks.
 
 These tests freeze the migration by crashing the coordinator *first*,
 so the primary kill is guaranteed to land mid-migration rather than
-racing a fast catch-up.
+racing a fast catch-up.  The last one runs a whole split and drain
+under sustained four-worker load and checks every decision against the
+per-shard oracle.
 """
 
 import time
@@ -20,6 +22,7 @@ from repro.cluster import LocalCluster
 from repro.cluster.client import ClusterPDP
 from repro.core import ContextName, DecisionRequest, Role
 from repro.workload import bank_policy_set
+from tests.cluster_oracle import LiveLoad, oracle_failures
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -98,8 +101,9 @@ class TestReshardUnderFaults:
         assert split["kind"] == "split"
         # With no live load the catch-up converges on its first tick,
         # so the import may finish entirely from the dead primary's
-        # sealed lineage; the promotion races behind it.  (The resize
-        # smoke's sustained load exercises the two-lineage import.)
+        # sealed lineage; the promotion races behind it.  (Under the
+        # sustained load of test_split_and_drain_under_sustained_load
+        # the import usually walks both lineages.)
         assert split["trail_dirs"][source]
         deadline = time.monotonic() + 15.0
         while cluster.shard(source).failovers < 1:
@@ -181,3 +185,66 @@ class TestReshardUnderFaults:
             for user in sorted(moved_before):
                 serial += 1
                 assert pdp.decide(teller_request(user, serial)).granted
+
+
+def test_split_and_drain_under_sustained_load(tmp_path):
+    """A 2→3 split and a 3→2 drain while four workers keep deciding.
+
+    The split loses its coordinator and then a source primary while it
+    is frozen; the drain loses its subject's primary as it starts, so
+    it finishes from the promoted standby plus the dead primary's sealed
+    trail.  Each user's contexts are private to it (the user is in the
+    bound Period value), so per-worker order is all the oracle needs.
+    """
+
+    def probes(index, serial):
+        user = f"load-user-{index}-{serial % 8}"
+        batch = [teller_request(user, serial)]
+        if serial % 5 == 0:
+            # Auditor where the user was Teller: whichever node owns
+            # the user at that moment must deny it.
+            batch.append(auditor_probe(user, serial, serial + 0.5))
+        return batch
+
+    with LocalCluster(
+        bank_policy_set(), 2, str(tmp_path / "cluster"), store="memory"
+    ).start() as cluster, cluster.client(failover_wait=60.0) as pdp:
+        with LiveLoad(pdp, probes, workers=4) as load:
+            load.wait_for(40)
+            added = cluster.add_shard()
+            status = cluster.reshard_status()
+            cluster.crash_coordinator()
+            cluster.kill_primary(status["migration"]["old_shards"][0])
+            time.sleep(0.3)
+            cluster.restart_coordinator()
+            split = cluster.wait_reshard(timeout=120.0)["last_migration"]
+            load.wait_for(160)
+            assert "action" in cluster.rebalance()
+            cluster.drain_shard(added)
+            cluster.kill_primary(added)
+            drain = cluster.wait_reshard(timeout=120.0)["last_migration"]
+            load.wait_for(240)
+        assert not load.errors
+        status = pdp.cluster_status()
+        reshard = pdp.reshard_status()
+        metrics_text = pdp.cluster_metrics_text()
+        requests, effects = zip(*load.decided())
+        assert "deny" in effects
+        assert oracle_failures(
+            cluster, bank_policy_set(), requests, effects
+        ) == []
+
+    assert (split["kind"], split["phase"]) == ("split", "done")
+    assert (drain["kind"], drain["phase"]) == ("drain", "done")
+    assert not reshard["active"]
+    assert sorted(reshard["serving_shards"]) == ["shard-0", "shard-1"]
+    assert sum(s["failovers"] for s in status["shards"].values()) >= 1
+    for shard in status["shards"].values():
+        assert "resident_users" in shard and "stats" in shard
+    for family in (
+        "repro_reshard_migrations_total",
+        "repro_reshard_users_moved_total",
+        "repro_reshard_cutover_pause_seconds",
+        "repro_cluster_shard_resident_users",
+    ):
+        assert family in metrics_text, family

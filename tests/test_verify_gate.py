@@ -1,5 +1,7 @@
 """Tests for the rollout gate (pipeline stage 3) and the cluster canary."""
 
+import threading
+
 import pytest
 
 from repro.api import open_pdp
@@ -24,6 +26,7 @@ from repro.server.service import AuthorizationService
 from repro.server.testing import ServerThread
 from repro.verify import GateResult, evaluate_gate
 from repro.workload import bank_policy_set
+from tests.cluster_oracle import LiveLoad
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -305,6 +308,67 @@ class TestClusterGate:
         after = shard.standby.policy_version()
         assert after.epoch == before.epoch
         assert after.digest == before.digest
+        for node in gate_cluster.nodes():
+            assert node.policy_version().epoch == 1
+
+    def test_canary_rejects_on_live_flips_and_rolls_the_standby_back(
+        self, gate_cluster, monkeypatch
+    ):
+        """Until the mirror is armed the load is Teller alone, which both
+        sets grant, so the replay half finds no flip.  Then each Teller
+        is followed by a Manager in the same instance, which the bank
+        set grants and the candidate's Teller/Manager MMER denies."""
+        name = gate_cluster.shard_names[0]
+        shard = gate_cluster.shard(name)
+        user = next(
+            f"user-{index}"
+            for index in range(1000)
+            if gate_cluster.ring.shard_for(f"user-{index}") == name
+        )
+        armed, reports = threading.Event(), []
+        arm, disarm = shard.primary.mirror_start, shard.primary.mirror_stop
+
+        def mirror_start(candidate):
+            replay = arm(candidate)
+            armed.set()
+            return replay
+
+        def mirror_stop():
+            reports.append(disarm())
+            return reports[-1]
+
+        monkeypatch.setattr(shard.primary, "mirror_start", mirror_start)
+        monkeypatch.setattr(shard.primary, "mirror_stop", mirror_stop)
+
+        def probes(_, serial):
+            context = ContextName.parse(f"Branch=Live, Period=L{serial}")
+            roles = (TELLER, MANAGER) if armed.is_set() else (TELLER,)
+            return [
+                make_request(user, role, context, float(serial))
+                for role in roles
+            ]
+
+        before = shard.standby.policy_version()
+        candidate = policy_set(
+            [MMER([TELLER, AUDITOR], 2), MMER([TELLER, MANAGER], 2)]
+        )
+        with ClusterPDP((gate_cluster.host, gate_cluster.port)) as pdp:
+            with LiveLoad(pdp, probes) as load:
+                load.wait_for(3)
+                with pytest.raises(PolicyError, match="rollout rejected"):
+                    gate_cluster.canary_reload_policy(
+                        candidate,
+                        shard_name=name,
+                        min_decisions=4,
+                        timeout=30.0,
+                    )
+        assert not load.errors
+        [report] = reports
+        assert report["replay"]["decisions_replayed"] >= 3
+        assert report["replay"]["flip_count"] == 0
+        assert report["flip_count"] == report["live_flip_count"] >= 1
+        after = shard.standby.policy_version()
+        assert (after.epoch, after.digest) == (before.epoch, before.digest)
         for node in gate_cluster.nodes():
             assert node.policy_version().epoch == 1
 
