@@ -33,7 +33,6 @@ import platform
 import random
 import sys
 import time
-from collections import Counter
 from typing import Iterator
 
 from repro.api import open_pdp, open_store
@@ -81,24 +80,6 @@ def _naive_subordinate(name: ContextName, policy: ContextName) -> bool:
     )
 
 
-class _PassthroughViews:
-    """Seed behaviour: every constraint check re-queries the store."""
-
-    def __init__(self, store: "NaiveRetainedADIStore") -> None:
-        self._store = store
-
-    def has_context(self, effective_context):
-        return self._store.has_context(effective_context)
-
-    def user_roles(self, user_id, effective_context):
-        return self._store.user_roles(user_id, effective_context)
-
-    def user_privilege_exercise_counts(self, user_id, effective_context):
-        return Counter(
-            self._store.user_privilege_exercises(user_id, effective_context)
-        )
-
-
 class NaiveRetainedADIStore(RetainedADIStore):
     """Transcription of the seed in-memory store: id-set indexes, linear
     context matching, history views rebuilt by full per-user scans."""
@@ -108,9 +89,6 @@ class NaiveRetainedADIStore(RetainedADIStore):
         self._by_user: dict[str, list[int]] = {}
         self._by_context: dict[ContextName, set[int]] = {}
         self._next_id = 1
-
-    def snapshot_views(self):
-        return _PassthroughViews(self)
 
     def add(self, record):
         stored = RetainedADIRecord(
@@ -377,10 +355,7 @@ def run_benchmark(
     sqlite_s, sqlite_decisions = run_stream(sqlite_engine, requests)
 
     # Semantics: all three backends must agree decision-for-decision,
-    # and the in-memory stores must end bit-identical.  (records_purged
-    # is compared only between the in-memory engines: the seed SQLite
-    # store double-counts records doomed by overlapping purge contexts,
-    # a quirk preserved for seed fidelity.)
+    # purge counts included, and the stores must end bit-identical.
     for naive_d, memory_d, sqlite_d in zip(
         naive_decisions, memory_decisions, sqlite_decisions
     ):
@@ -392,7 +367,11 @@ def run_benchmark(
             memory_d,
             sqlite_d,
         )
-        assert naive_d.records_purged == memory_d.records_purged
+        assert (
+            naive_d.records_purged
+            == memory_d.records_purged
+            == sqlite_d.records_purged
+        ), (naive_d, sqlite_d)
     assert store_digest(naive_store) == store_digest(memory_store)
     assert store_digest(memory_store) == store_digest(sqlite_store)
     sqlite_store.close()

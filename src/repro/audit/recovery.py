@@ -216,10 +216,6 @@ def recover_retained_adi(
         are replayed and which decision outcomes enter ``journal``;
         events for other users are skipped (purges still replay
         unconditionally — context termination is store-wide).
-        This is the targeted-hydration hook for the tiered store: when
-        its warm layer may lag the audit trail, the ``hydrator``
-        callback replays just the faulting user's history instead of
-        the whole org (see ``docs/SCALE.md``).
     events:
         Optional pre-verified event source replacing
         ``trails.events(...)`` (``trails`` may then be ``None``).  A

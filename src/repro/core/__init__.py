@@ -71,7 +71,6 @@ from repro.core.policy_epoch import (
 from repro.core.retained_adi import (
     ADIApplyOutcome,
     ADIMutation,
-    ADIViewSnapshot,
     InMemoryRetainedADIStore,
     RetainedADIRecord,
     RetainedADIStore,
@@ -117,7 +116,6 @@ __all__ = [
     "TieredADIStore",
     "ADIApplyOutcome",
     "ADIMutation",
-    "ADIViewSnapshot",
     "store_digest",
     "Decision",
     "DecisionRequest",

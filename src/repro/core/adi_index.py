@@ -92,11 +92,10 @@ class _UserAggregate:
     committed warm state, and must not count a record twice.
 
     ``_memo`` maps an effective context to the list of matching buckets,
-    amortising context matching *across* requests (the per-request
-    ``ADIViewSnapshot`` only dedupes within one).  A new bucket is
-    appended to the matching cached lists; any bucket deletion simply
-    drops the memo (deletions are rare — context termination or admin
-    purges).
+    amortising context matching across requests and within one.  A new
+    bucket is appended to the matching cached lists; any bucket deletion
+    simply drops the memo (deletions are rare — context termination or
+    admin purges).
     """
 
     __slots__ = ("buckets", "_memo")

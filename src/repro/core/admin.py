@@ -21,7 +21,11 @@ from typing import Iterable, Mapping
 
 from repro.core.constraints import Role
 from repro.core.context import ContextName
-from repro.core.retained_adi import RetainedADIRecord, RetainedADIStore
+from repro.core.retained_adi import (
+    ADIMutation,
+    RetainedADIRecord,
+    RetainedADIStore,
+)
 from repro.errors import AdminError
 
 #: The target URI under which the retained ADI is exposed for management.
@@ -142,20 +146,22 @@ class RetainedADIManagementPort:
     def remove_record(
         self, roles: Iterable[Role], record_id: int
     ) -> ManagementOutcome:
-        """Remove one record by id (implemented as a filtered purge)."""
+        """Remove one record by id, in one atomic mutation.
+
+        The store deletes by context, so the record's own concrete
+        context is purged and that context's other records are added
+        back with new ids; records in every other context keep theirs.
+        """
         self._authorize(roles, OP_REMOVE_RECORD)
-        survivors = [
-            record for record in self._store.records() if record.record_id != record_id
-        ]
-        before = self._store.count()
-        if len(survivors) == before:
-            return ManagementOutcome(OP_REMOVE_RECORD, 0, "record not found")
-        self._store.clear()
-        for record in survivors:
-            self._store.add(record)
-        return ManagementOutcome(
-            OP_REMOVE_RECORD, before - len(survivors), f"removed record {record_id}"
+        target = next(
+            (r for r in self._store.records() if r.record_id == record_id), None
         )
+        if target is None:
+            return ManagementOutcome(OP_REMOVE_RECORD, 0, "record not found")
+        context = target.context_instance
+        others = [r for r in self._store.find(context) if r.record_id != record_id]
+        self._store.apply(ADIMutation(others, [context]))
+        return ManagementOutcome(OP_REMOVE_RECORD, 1, f"removed record {record_id}")
 
     def list_records(self, roles: Iterable[Role]) -> list[RetainedADIRecord]:
         self._authorize(roles, OP_LIST_RECORDS)

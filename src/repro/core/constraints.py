@@ -45,14 +45,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol, Sequence
 
 from repro.errors import ConstraintError
 
 if TYPE_CHECKING:  # imported lazily to avoid cycles with decision/store
     from repro.core.context import ContextName
     from repro.core.decision import DecisionRequest
-    from repro.core.retained_adi import ADIViewSnapshot
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +95,30 @@ class Privilege:
 
     def __str__(self) -> str:
         return f"{self.operation}@{self.target}"
+
+
+class ADIViews(Protocol):
+    """The retained-ADI reads a constraint's ``evaluate`` may make.
+
+    Every retained-ADI store has these four methods, and the engine
+    passes the store itself.  Evaluation only reads: a decision's
+    mutation is applied after every constraint has run (the Section 4.2
+    note), so the views are stable for the whole check.
+    """
+
+    def has_context(self, effective_context: "ContextName") -> bool: ...
+
+    def user_roles(
+        self, user_id: str, effective_context: "ContextName"
+    ) -> frozenset[Role]: ...
+
+    def user_privilege_exercises(
+        self, user_id: str, effective_context: "ContextName"
+    ) -> list[Privilege]: ...
+
+    def users_with_privileges(
+        self, privileges: Iterable[Privilege], effective_context: "ContextName"
+    ) -> frozenset[str]: ...
 
 
 def _check_cardinality(size: int, cardinality: int, kind: str) -> None:
@@ -226,7 +249,7 @@ class MultiSessionConstraint:
         self,
         request: "DecisionRequest",
         effective_context: "ContextName",
-        views: "ADIViewSnapshot",
+        views: ADIViews,
     ) -> ConstraintVerdict:
         """Evaluate against the user's retained history for the context."""
         raise NotImplementedError
@@ -305,7 +328,7 @@ class MMER(MultiSessionConstraint):
         self,
         request: "DecisionRequest",
         effective_context: "ContextName",
-        views: "ADIViewSnapshot",
+        views: ADIViews,
     ) -> ConstraintVerdict:
         # 5.i: match activated role(s) against MMER role(s).
         matched = self._member.intersection(request.roles)
@@ -366,7 +389,7 @@ class MMEP(MultiSessionConstraint):
         self,
         request: "DecisionRequest",
         effective_context: "ContextName",
-        views: "ADIViewSnapshot",
+        views: ADIViews,
     ) -> ConstraintVerdict:
         # 6.i: match requested operation and target against MMEP
         # privilege(s).
@@ -378,7 +401,7 @@ class MMEP(MultiSessionConstraint):
         # matching the user's exercise history.
         remaining = Counter(self._members)
         remaining[request.privilege] -= 1
-        history = views.user_privilege_exercise_counts(
+        history = views.user_privilege_exercises(
             request.user_id, effective_context
         )
         count = count_history_matches(remaining, history)
@@ -395,9 +418,7 @@ class MMEP(MultiSessionConstraint):
         )
 
 
-def count_history_matches(
-    remaining: Counter, history: Sequence[Privilege] | Counter
-) -> int:
+def count_history_matches(remaining: Counter, history: Sequence[Privilege]) -> int:
     """Pair remaining MMEP entries with distinct historical exercises.
 
     Each entry of the ``remaining`` multiset is matched against a distinct
@@ -406,13 +427,8 @@ def count_history_matches(
     from retained ADI").  A privilege listed twice in ``remaining`` needs
     two historical records to contribute a count of two; conversely many
     historical records for a privilege listed once contribute one.
-
-    ``history`` may be given pre-aggregated as a :class:`Counter` (the
-    engine memoizes one per user/context and request).
     """
-    history_counts = (
-        history if isinstance(history, Counter) else Counter(history)
-    )
+    history_counts = Counter(history)
     return sum(
         min(multiplicity, history_counts[privilege])
         for privilege, multiplicity in remaining.items()
@@ -462,7 +478,7 @@ class MMCD(MultiSessionConstraint):
         self,
         request: "DecisionRequest",
         effective_context: "ContextName",
-        views: "ADIViewSnapshot",
+        views: ADIViews,
     ) -> ConstraintVerdict:
         if request.privilege not in self._members:
             return CONSTRAINT_OK
@@ -539,18 +555,14 @@ class AdminBoundary(MultiSessionConstraint):
         self,
         request: "DecisionRequest",
         effective_context: "ContextName",
-        views: "ADIViewSnapshot",
+        views: ADIViews,
     ) -> ConstraintVerdict:
         if request.privilege not in self._admin_set:
             return CONSTRAINT_OK
-        history = views.user_privilege_exercise_counts(
+        history = views.user_privilege_exercises(
             request.user_id, effective_context
         )
-        operational = [
-            privilege
-            for privilege in history
-            if privilege not in self._admin_set
-        ]
+        operational = set(history) - self._admin_set
         if not operational:
             return CONSTRAINT_OK_EXERCISE
         return ConstraintVerdict(

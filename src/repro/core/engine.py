@@ -267,7 +267,6 @@ class MSoDEngine:
         """
         policy_set = self._active[0]
         probe = _AdminProbe(user_id, privilege)
-        views = self._store.snapshot_views()
         for policy in policy_set:
             for constraint in policy.extra_constraints:
                 if not isinstance(constraint, AdminBoundary):
@@ -275,7 +274,7 @@ class MSoDEngine:
                 if not constraint.matches_request(probe):
                     continue
                 verdict = constraint.evaluate(
-                    probe, policy.business_context, views
+                    probe, policy.business_context, self._store
                 )
                 if not verdict.ok:
                     return verdict.detail
@@ -333,10 +332,9 @@ class MSoDEngine:
                 policy_digest=policy_digest,
             )
 
-        # One memoizing snapshot per request: the store is not mutated
-        # until commit, so MMER/MMEP checks across all matched policies
-        # share each (user, effective-context) history view.
-        views = self._store.snapshot_views()
+        # Steps 3, 5 and 6 read the store itself: nothing mutates it
+        # until the commit, and its own memos answer repeated views.
+        views = self._store
         operation, target, roles = request.operation, request.target, request.roles
         keys = trigger_keys(request)
         literal = self._mode == MODE_LITERAL

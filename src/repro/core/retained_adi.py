@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -109,15 +108,14 @@ class RetainedADIRecord:
 class ADIApplyOutcome:
     """What one applied :class:`ADIMutation` actually did to a store.
 
-    ``purged`` keeps each backend's historical counting semantics (the
-    per-context sums the engine reports as ``records_purged``);
-    ``purged_records`` is deduplicated by ``record_id`` so layered
-    stores (the tiered hot/warm split) can retire each deleted record
-    from their aggregates exactly once, and ``added`` carries the
-    stored records with their warm-layer-assigned ids.
+    ``purged_records`` holds each deleted record once, however many of
+    the mutation's purge contexts it matched: its length is the purge
+    count every backend reports (the engine's ``records_purged``), and
+    layered stores (the tiered hot/warm split) retire each record from
+    their aggregates exactly once.  ``added`` carries the stored
+    records with their warm-layer-assigned ids.
     """
 
-    purged: int
     purged_records: list[RetainedADIRecord]
     added: list[RetainedADIRecord]
 
@@ -138,82 +136,6 @@ class ADIMutation:
     @property
     def is_empty(self) -> bool:
         return not self.adds and not self.purge_contexts
-
-
-class ADIViewSnapshot:
-    """A per-request memo over one store's engine-facing views.
-
-    One MSoD check may consult the same ``(user, effective-context)``
-    view several times — once per MMER/MMEP across every matched policy
-    — and the store is not mutated until the final decision commits, so
-    within a single ``check`` the answers cannot change.  The engine
-    takes one snapshot per request and routes all reads through it.
-    """
-
-    __slots__ = (
-        "_store",
-        "_has_context",
-        "_roles",
-        "_exercise_counts",
-        "_privilege_owners",
-    )
-
-    def __init__(self, store: "RetainedADIStore") -> None:
-        self._store = store
-        self._has_context: dict[ContextName, bool] = {}
-        self._roles: dict[tuple[str, ContextName], frozenset[Role]] = {}
-        self._exercise_counts: dict[tuple[str, ContextName], Counter] = {}
-        self._privilege_owners: dict[
-            tuple[tuple[Privilege, ...], ContextName], frozenset[str]
-        ] = {}
-
-    def has_context(self, effective_context: ContextName) -> bool:
-        memo = self._has_context
-        started = memo.get(effective_context)
-        if started is None:
-            started = memo[effective_context] = self._store.has_context(
-                effective_context
-            )
-        return started
-
-    def user_roles(
-        self, user_id: str, effective_context: ContextName
-    ) -> frozenset[Role]:
-        key = (user_id, effective_context)
-        roles = self._roles.get(key)
-        if roles is None:
-            roles = self._roles[key] = self._store.user_roles(
-                user_id, effective_context
-            )
-        return roles
-
-    def user_privilege_exercise_counts(
-        self, user_id: str, effective_context: ContextName
-    ) -> Counter:
-        """Multiset of historical exercises (one per distinct request)."""
-        key = (user_id, effective_context)
-        counts = self._exercise_counts.get(key)
-        if counts is None:
-            counts = self._exercise_counts[key] = Counter(
-                self._store.user_privilege_exercises(user_id, effective_context)
-            )
-        return counts
-
-    def users_with_privileges(
-        self,
-        privileges: tuple[Privilege, ...],
-        effective_context: ContextName,
-    ) -> frozenset[str]:
-        """Users with a retained exercise of any listed privilege (MMCD)."""
-        key = (privileges, effective_context)
-        owners = self._privilege_owners.get(key)
-        if owners is None:
-            owners = self._privilege_owners[key] = (
-                self._store.users_with_privileges(
-                    privileges, effective_context
-                )
-            )
-        return owners
 
 
 class RetainedADIStore:
@@ -309,30 +231,25 @@ class RetainedADIStore:
         only puts adds and purges for *different* policies in one
         mutation, and purges always win for their own context.
 
-        Returns the number of purged records.  Backends override
-        :meth:`apply_detailed` to make the whole mutation atomic (one
-        decision = one transaction).
+        Returns the number of distinct records purged.  Backends
+        override :meth:`apply_detailed` to make the whole mutation atomic
+        (one decision = one transaction).
         """
-        return self.apply_detailed(mutation).purged
+        return len(self.apply_detailed(mutation).purged_records)
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
         """Like :meth:`apply`, but reporting what was deleted and added.
 
         Layered stores need the concrete record sets — not just counts —
         to keep derived aggregates in lock-step with the authoritative
-        layer.  The purge count preserves each backend's :meth:`apply`
-        semantics; ``purged_records`` is deduplicated by id.
+        layer.
         """
-        purged = 0
-        evicted: dict[int, RetainedADIRecord] = {}
+        evicted: list[RetainedADIRecord] = []
         for context in mutation.purge_contexts:
-            doomed = self.find(context)
-            purged += len(doomed)
-            for record in doomed:
-                evicted.setdefault(record.record_id, record)
+            evicted.extend(self.find(context))  # gone before the next find
             self.purge_context(context)
         added = [self.add(record) for record in mutation.adds]
-        return ADIApplyOutcome(purged, list(evicted.values()), added)
+        return ADIApplyOutcome(evicted, added)
 
     @contextmanager
     def batch(self):
@@ -348,15 +265,6 @@ class RetainedADIStore:
         yield self
 
     # Helper views used by the engine --------------------------------
-    def snapshot_views(self) -> ADIViewSnapshot:
-        """A memoizing view over this store for one decision request.
-
-        Valid only while the store is not mutated — exactly the window
-        the engine needs, since a decision buffers its mutation and
-        commits after evaluation finishes.
-        """
-        return ADIViewSnapshot(self)
-
     def user_roles(
         self, user_id: str, effective_context: ContextName
     ) -> frozenset[Role]:
@@ -494,7 +402,7 @@ class InMemoryRetainedADIStore(RetainedADIStore):
             evicted.extend(doomed)  # deleted now, so no later context sees them
             self._delete(doomed)
         added = [self.add(record) for record in mutation.adds]
-        return ADIApplyOutcome(len(evicted), evicted, added)
+        return ADIApplyOutcome(evicted, added)
 
     # Aggregate-backed engine views ----------------------------------
     def user_roles(
@@ -766,9 +674,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             return self._ensure_index_locked().has_context(effective_context)
 
     def purge_context(self, effective_context: ContextName) -> int:
-        return self.apply_detailed(
-            ADIMutation(purge_contexts=[effective_context])
-        ).purged
+        return self.apply(ADIMutation(purge_contexts=[effective_context]))
 
     def _purge_where(self, where: str, params: tuple) -> int:
         """Delete the rows matching ``where`` in one :meth:`_atomic_locked`."""
@@ -845,19 +751,16 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         Caller owns the lock and the enclosing transaction/savepoint,
         and brings the cache/index up to date from the outcome.
         """
-        purged = 0
         evicted: dict[int, RetainedADIRecord] = {}
         for context in mutation.purge_contexts:
-            doomed = self._in_context_locked(context)
-            purged += len(doomed)
-            for record in doomed:
+            for record in self._in_context_locked(context):
                 evicted.setdefault(record.record_id, record)
         self._conn.executemany(
             "DELETE FROM retained_adi WHERE record_id = ?",
             [(record_id,) for record_id in evicted],
         )
         added = [self._insert_locked(record) for record in mutation.adds]
-        return ADIApplyOutcome(purged, list(evicted.values()), added)
+        return ADIApplyOutcome(list(evicted.values()), added)
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
         """Apply the whole mutation in ONE SQLite transaction.

@@ -38,14 +38,7 @@ that user's shard lock, so a concurrent decide can never observe a
 partially-hydrated aggregate; reads of distinct users on different
 shards proceed concurrently.  Lock order is always shard → warm (reads)
 or write → warm, then write → shard (mutations); the warm layer never
-calls back into the tier, so the order is acyclic.
-
-When the warm layer itself may be behind (e.g. rebuilt from an older
-snapshot), an optional ``hydrator`` callable runs — still under the
-user's shard lock — before the warm read, typically replaying the
-audit trail for that user via
-:func:`repro.audit.recovery.recover_retained_adi` with a
-``user_filter``.  See ``docs/SCALE.md``.
+calls back into the tier, so the order is acyclic.  See ``docs/SCALE.md``.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.adi_index import _ContextPresence, _UserAggregate
 from repro.core.constraints import Privilege, Role
@@ -102,11 +95,6 @@ class TieredADIStore(RetainedADIStore):
     shards:
         Hot-layer lock shards.  Reads and hydrations of users on
         different shards proceed concurrently.
-    hydrator:
-        Optional ``hydrator(user_id)`` invoked under the user's shard
-        lock immediately before a hydration reads the warm layer; use
-        it to bring a lagging warm layer up to date from the audit
-        trail (see :func:`repro.audit.recovery.recover_retained_adi`).
     owns_warm:
         When true, :meth:`close` closes the warm store too (set by
         the spec-driven builder in :mod:`repro.api`).
@@ -118,7 +106,6 @@ class TieredADIStore(RetainedADIStore):
         *,
         hot_users: int = 10_000,
         shards: int = 8,
-        hydrator: Callable[[str], None] | None = None,
         owns_warm: bool = False,
     ) -> None:
         if hot_users < 1:
@@ -129,7 +116,6 @@ class TieredADIStore(RetainedADIStore):
             raise StoreError("tiered warm layer must not itself be tiered")
         shards = min(shards, hot_users)
         self._warm = warm
-        self._hydrator = hydrator
         self._owns_warm = owns_warm
         self._hot_users = hot_users
         base, extra = divmod(hot_users, shards)
@@ -150,17 +136,14 @@ class TieredADIStore(RetainedADIStore):
     def _entry_locked(self, shard: _HotShard, user_id: str) -> _UserAggregate:
         """Fetch-or-hydrate one user's entry.  Caller holds the shard lock.
 
-        Hydration — including the optional audit-trail ``hydrator`` and
-        the warm read — happens entirely under the shard lock, so a
-        concurrent reader of the same user blocks until the aggregate
-        is complete rather than observing a partially-built one.
+        Hydration (the warm read) happens entirely under the shard lock,
+        so a concurrent reader of the same user blocks until the
+        aggregate is complete rather than observing a partially-built one.
         """
         entry = shard.entries.get(user_id)
         if entry is not None:
             shard.entries.move_to_end(user_id)
             return entry
-        if self._hydrator is not None:
-            self._hydrator(user_id)
         entry = _UserAggregate()
         for record in self._warm.find_user(user_id, _ROOT):
             entry.add(record)
@@ -254,13 +237,11 @@ class TieredADIStore(RetainedADIStore):
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
         with self._write_lock:
             stored = self._warm.add(record)
-            self._absorb_outcome_locked(ADIApplyOutcome(0, [], [stored]))
+            self._absorb_outcome_locked(ADIApplyOutcome([], [stored]))
         return stored
 
     def purge_context(self, effective_context: ContextName) -> int:
-        return self.apply_detailed(
-            ADIMutation(purge_contexts=[effective_context])
-        ).purged
+        return self.apply(ADIMutation(purge_contexts=[effective_context]))
 
     def purge_user(self, user_id: str) -> int:
         with self._write_lock:
@@ -283,7 +264,7 @@ class TieredADIStore(RetainedADIStore):
                 if record.granted_at < cutoff
             ]
             purged = self._warm.purge_older_than(cutoff)
-            self._absorb_outcome_locked(ADIApplyOutcome(purged, doomed, []))
+            self._absorb_outcome_locked(ADIApplyOutcome(doomed, []))
         return purged
 
     def clear(self) -> int:

@@ -456,13 +456,12 @@ def _mmcd_findings(policy_set: MSoDPolicySet) -> list[VerifyFinding]:
             c for c in policy.extra_constraints if isinstance(c, MMCD)
         ):
             # One completed duty set = one exercise of each bound step.
-            completion = Counter(mmcd.privileges)
             for other in policies:
                 if not _scopes_overlap(policy, other):
                     continue
                 for mmep in other.mmeps:
                     overlap = count_history_matches(
-                        Counter(mmep.privileges), completion
+                        Counter(mmep.privileges), mmcd.privileges
                     )
                     if overlap >= mmep.forbidden_cardinality:
                         findings.append(

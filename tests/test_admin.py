@@ -9,6 +9,8 @@ from repro.core import (
     RetainedADIRecord,
     RetainedADIManagementPort,
     Role,
+    SQLiteRetainedADIStore,
+    TieredADIStore,
 )
 from repro.core.admin import (
     ALL_OPERATIONS,
@@ -36,12 +38,23 @@ def record(user="alice", context="Branch=York, Period=2006", at=1.0, rid="r1"):
     )
 
 
+#: The backends the port runs over; test classes pick one by ``backend``.
+BACKENDS = {
+    "memory": InMemoryRetainedADIStore,
+    "sqlite": SQLiteRetainedADIStore,
+    "tiered": lambda: TieredADIStore(
+        SQLiteRetainedADIStore(), hot_users=1, owns_warm=True
+    ),
+}
+
+
 @pytest.fixture
-def store():
-    s = InMemoryRetainedADIStore()
+def store(request):
+    s = BACKENDS[getattr(request.cls, "backend", "memory")]()
     s.add(record(at=1.0, rid="r1"))
     s.add(record(user="bob", context="Branch=Leeds, Period=2006", at=5.0, rid="r2"))
-    return s
+    yield s
+    s.close()
 
 
 @pytest.fixture
@@ -115,6 +128,19 @@ class TestOperations:
         assert outcome.affected == 1
         assert store.count() == 1
 
+    def test_remove_record_keeps_other_contexts_ids(self, port, store):
+        store.add(record(user="carol", at=2.0, rid="r3"))  # York, like alice
+        store.add(record(user="dave", context="Branch=Hull, Period=2006", rid="r4"))
+        before = {rec.request_id: rec for rec in store.records()}
+        outcome = port.remove_record([CONTROLLER_ROLE], before["r1"].record_id)
+        assert outcome.affected == 1
+        after = {rec.request_id: rec for rec in store.records()}
+        assert set(after) == {"r2", "r3", "r4"}
+        # other contexts keep their ids; York's survivor is re-added
+        assert after["r2"] == before["r2"]
+        assert after["r4"] == before["r4"]
+        assert after["r3"].user_id == "carol"
+
     def test_remove_missing_record(self, port):
         assert port.remove_record([CONTROLLER_ROLE], 999).affected == 0
 
@@ -129,3 +155,11 @@ class TestOperations:
         )
         assert outcome.affected == 1
         assert store.count() == 1
+
+
+class TestOperationsSQLite(TestOperations):
+    backend = "sqlite"
+
+
+class TestOperationsTiered(TestOperations):
+    backend = "tiered"

@@ -37,8 +37,8 @@ class _Views:
     def user_roles(self, user_id, effective_context):
         return frozenset(self.history)
 
-    def user_privilege_exercise_counts(self, user_id, effective_context):
-        return Counter(self.history)
+    def user_privilege_exercises(self, user_id, effective_context):
+        return list(self.history)
 
 
 def verdict(constraint, roles=(TELLER,), privilege=P3, history=()):

@@ -192,7 +192,9 @@ class TestExample1Bank:
             request("bob", [AUDITOR], COMMIT_AUDIT, YORK_2006, at=3.0)
         )
         assert commit.granted
-        assert commit.records_purged >= 2  # both branches, same period
+        # both branches, same period: alice's base and Teller records
+        # (the context starts with her) and x's Teller record
+        assert commit.records_purged == 3
         assert engine.store.count() == 0
         # After the purge alice may audit in the next period's context.
         decision = engine.check(

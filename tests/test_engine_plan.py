@@ -46,6 +46,7 @@ from repro.core import (
     register_constraint_kind,
     store_digest,
 )
+from repro.core.adi_index import _ContextPresence
 from repro.core.constraints import (
     CONSTRAINT_OK,
     CONSTRAINT_OK_EXERCISE,
@@ -78,8 +79,8 @@ class _RepeatLimit(MultiSessionConstraint):
     def evaluate(self, request, effective_context, views):
         if not self.matches_request(request):
             return CONSTRAINT_OK
-        done = views.user_privilege_exercise_counts(request.user_id, effective_context)
-        if sum(done.values()) < 2:
+        done = views.user_privilege_exercises(request.user_id, effective_context)
+        if len(done) < 2:
             return CONSTRAINT_OK_EXERCISE
         return ConstraintVerdict(False, detail=f"{self.user} is over the repeat limit")
 
@@ -110,8 +111,8 @@ def _unrelated_policies(count):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count bindings, constraint evaluations and store presence lookups."""
-    counts = {"instantiate": 0, "evaluate": 0, "has_context": 0}
+    """Count bindings, constraint evaluations and store presence walks."""
+    counts = {"instantiate": 0, "evaluate": 0, "presence_walks": 0}
 
     def counting(name, function):
         def wrapper(*args):
@@ -126,9 +127,9 @@ def calls(monkeypatch):
     for cls in CONSTRAINT_KINDS.values():
         monkeypatch.setattr(cls, "evaluate", counting("evaluate", cls.evaluate))
     monkeypatch.setattr(
-        InMemoryRetainedADIStore,
-        "has_context",
-        counting("has_context", InMemoryRetainedADIStore.has_context),
+        _ContextPresence,
+        "matching",
+        counting("presence_walks", _ContextPresence.matching),
     )
     return counts
 
@@ -181,7 +182,9 @@ def test_a_planned_check_binds_nothing_and_evaluates_what_can_fire(calls, unrela
     counts = _counts_of_one_planned_check(calls, unrelated)
     assert counts["instantiate"] == 0
     assert counts["evaluate"] == 1
-    assert counts["has_context"] <= 1  # all four share one effective context
+    # all four share one effective context, which the store's presence
+    # memo holds since the first check: no posting walk
+    assert counts["presence_walks"] == 0
     assert counts == _counts_of_one_planned_check(calls, 6)
 
 
@@ -322,7 +325,6 @@ def test_trigger_index_agrees_with_matches_request(toy_kind, constraints, reques
     store = InMemoryRetainedADIStore()
     for request in requests:
         store.add(_oracle_record(request, request.roles))
-    views = store.snapshot_views()
     effective = ContextName.parse("Dept=d1")
     for request in requests:
         fired = [position for position, _ in compiled.fired(trigger_keys(request))]
@@ -334,7 +336,7 @@ def test_trigger_index_agrees_with_matches_request(toy_kind, constraints, reques
             else:
                 assert (position in fired) == matches, (constraint, request)
             if not matches:
-                assert constraint.evaluate(request, effective, views) == CONSTRAINT_OK
+                assert constraint.evaluate(request, effective, store) == CONSTRAINT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +519,8 @@ def _oracle_check(policy_set, store, mode, request):
     matched = [policy for policy in policy_set if policy.applies_to(request.context_instance)]
     ids = tuple(policy.policy_id for policy in matched)
     mutation = ADIMutation()
-    views = store.snapshot_views()
     for policy in matched:
-        violation = _oracle_policy(policy, request, mutation, views, mode)
+        violation = _oracle_policy(policy, request, mutation, store, mode)
         if violation is not None:
             return (Effect.DENY, violation, ids, (), ())
     store.apply(mutation)

@@ -4,8 +4,9 @@ The optimized stores answer the engine's history views from incremental
 aggregates (``repro.core.adi_index``) plus cross-request memos, while
 the abstract base class defines them as record scans.  These properties
 drive full engines over randomized request streams and require the
-in-memory and SQLite backends to produce *identical* decision streams
-and identical final store digests, in both evaluation modes, and every
+in-memory, SQLite and tiered-over-SQLite backends to produce *equal*
+decisions (every field, purge counts included) and identical store
+digests, in both evaluation modes, and every
 backend's aggregate views to equal the scan definitions after every
 step of a stream interleaved with purges, policy swaps and rollbacks.
 """
@@ -85,6 +86,12 @@ def _policy_set() -> MSoDPolicySet:
                 last_step=Step("close", "Case"),
                 policy_id="p-steps",
             ),
+            MSoDPolicy(  # its last step also ends p-steps' narrower context
+                business_context=ContextName.parse("Dept=!"),
+                mmers=[MMER([_AUDITOR, _MANAGER], 2)],
+                last_step=Step("close", "Case"),
+                policy_id="p-close",
+            ),
         ]
     )
 
@@ -102,27 +109,21 @@ _request = st.tuples(
 _requests = st.lists(_request, min_size=1, max_size=40)
 
 
-def _decision_key(decision):
-    return (
-        decision.effect,
-        decision.reason,
-        decision.matched_policy_ids,
-        decision.records_added,
-    )
-
-
 def _run_stream(mode, stream):
-    memory = InMemoryRetainedADIStore()
-    sqlite_store = SQLiteRetainedADIStore(":memory:")
-    policy_set = _policy_set()
-    engines = [
-        MSoDEngine(policy_set, memory, mode=mode),
-        MSoDEngine(policy_set, sqlite_store, mode=mode),
+    stores = [
+        InMemoryRetainedADIStore(),
+        SQLiteRetainedADIStore(":memory:"),
+        # two hot users for three: every stream long enough evicts
+        TieredADIStore(
+            SQLiteRetainedADIStore(":memory:"), hot_users=2, owns_warm=True
+        ),
     ]
+    policy_set = _policy_set()
+    engines = [MSoDEngine(policy_set, store, mode=mode) for store in stores]
     try:
         for index, (user, roles, op, dept, case) in enumerate(stream):
             context = ContextName.parse(f"Dept={dept}, Case={case}")
-            keys = []
+            decisions = []
             for engine in engines:
                 request = DecisionRequest(
                     user_id=user,
@@ -133,23 +134,36 @@ def _run_stream(mode, stream):
                     timestamp=float(index),
                     request_id=f"r{index}",
                 )
-                keys.append(_decision_key(engine.check(request)))
-            assert keys[0] == keys[1], f"decision diverged at step {index}"
-            assert store_digest(memory) == store_digest(sqlite_store), (
-                f"store contents diverged at step {index}"
+                decisions.append(engine.check(request))
+            assert decisions[0] == decisions[1] == decisions[2], (
+                f"decision diverged at step {index}"
             )
+            digests = {store_digest(store) for store in stores}
+            assert len(digests) == 1, f"store contents diverged at step {index}"
     finally:
-        sqlite_store.close()
+        for store in stores:
+            store.close()
+
+
+#: A grant whose last step ends two overlapping contexts at once (p-steps'
+#: ``Dept=d1, Case=c1`` inside p-close's ``Dept=d1``): each record it
+#: deletes is one purged record, however many of the contexts it matched.
+_overlapping_purge = [
+    ("alice", {_CLERK}, ("open", "Case"), "d1", "c1"),
+    ("bob", {_MANAGER}, ("close", "Case"), "d1", "c1"),
+]
 
 
 @given(_requests)
 @settings(max_examples=40, deadline=None)
+@example(_overlapping_purge)
 def test_engines_agree_across_backends_strict(stream):
     _run_stream(MODE_STRICT, stream)
 
 
 @given(_requests)
 @settings(max_examples=40, deadline=None)
+@example(_overlapping_purge)
 def test_engines_agree_across_backends_literal(stream):
     _run_stream(MODE_LITERAL, stream)
 

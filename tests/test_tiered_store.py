@@ -224,19 +224,6 @@ class TestStatsAndPlumbing:
         with pytest.raises(Exception):
             warm.count()
 
-    def test_hydrator_hook_catches_warm_layer_up(self):
-        """A lagging warm layer is repaired just-in-time, under the lock."""
-        warm = InMemoryRetainedADIStore()
-        pending = {"alice": [record("alice", 0), record("alice", 1)]}
-
-        def hydrator(user_id):
-            for rec in pending.pop(user_id, ()):
-                warm.add(rec)
-
-        store = TieredADIStore(warm, hot_users=2, hydrator=hydrator)
-        assert len(store.find_user("alice", ROOT)) == 2
-        assert pending == {}
-
 
 class _SlowWarm:
     """Warm-layer wrapper whose ``find_user`` trickles records out,
