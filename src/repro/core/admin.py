@@ -146,21 +146,14 @@ class RetainedADIManagementPort:
     def remove_record(
         self, roles: Iterable[Role], record_id: int
     ) -> ManagementOutcome:
-        """Remove one record by id, in one atomic mutation.
+        """Remove one record by id, in one locked store apply.
 
-        The store deletes by context, so the record's own concrete
-        context is purged and that context's other records are added
-        back with new ids; records in every other context keep theirs.
+        Every other record, its context-mates included, keeps its id, and
+        a grant that commits concurrently is never caught by the removal.
         """
         self._authorize(roles, OP_REMOVE_RECORD)
-        target = next(
-            (r for r in self._store.records() if r.record_id == record_id), None
-        )
-        if target is None:
+        if not self._store.apply(ADIMutation(purge_record_ids=(record_id,))):
             return ManagementOutcome(OP_REMOVE_RECORD, 0, "record not found")
-        context = target.context_instance
-        others = [r for r in self._store.find(context) if r.record_id != record_id]
-        self._store.apply(ADIMutation(others, [context]))
         return ManagementOutcome(OP_REMOVE_RECORD, 1, f"removed record {record_id}")
 
     def list_records(self, roles: Iterable[Role]) -> list[RetainedADIRecord]:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, NamedTuple, Protocol, Sequence
 
 from repro.errors import ConstraintError
 
@@ -54,29 +54,52 @@ if TYPE_CHECKING:  # imported lazily to avoid cycles with decision/store
     from repro.core.decision import DecisionRequest
 
 
-@dataclass(frozen=True, slots=True)
-class Role:
+class TypedTuple(tuple):
+    """The base of the decision-path values: a tuple (built and hashed
+    in C) that equals only values of its own type, so ``Role(a, b)``,
+    ``Privilege(a, b)`` and ``(a, b)`` stay three different values."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+
+class _RoleFields(NamedTuple):
+    role_type: str
+    value: str
+
+
+class Role(TypedTuple, _RoleFields):
     """A role reference: an attribute ``type`` and ``value``.
 
     Matches the ``<Role type=... value=.../>`` element of the Appendix A
     schema, e.g. ``Role(type='employee', value='Teller')``.
     """
 
-    role_type: str
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.role_type:
+    def __new__(cls, role_type: str, value: str) -> "Role":
+        if not role_type:
             raise ConstraintError("role type must be non-empty")
-        if not self.value:
+        if not value:
             raise ConstraintError("role value must be non-empty")
+        return tuple.__new__(cls, (role_type, value))
 
     def __str__(self) -> str:
         return f"{self.role_type}:{self.value}"
 
 
-@dataclass(frozen=True, slots=True)
-class Privilege:
+class _PrivilegeFields(NamedTuple):
+    operation: str
+    target: str
+
+
+class Privilege(TypedTuple, _PrivilegeFields):
     """An operation on a target (the paper's operation/object pair).
 
     Matches the ``<Privilege operation=... target=.../>`` element of the
@@ -84,14 +107,14 @@ class Privilege:
     the Section 3 examples).
     """
 
-    operation: str
-    target: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.operation:
+    def __new__(cls, operation: str, target: str) -> "Privilege":
+        if not operation:
             raise ConstraintError("privilege operation must be non-empty")
-        if not self.target:
+        if not target:
             raise ConstraintError("privilege target must be non-empty")
+        return tuple.__new__(cls, (operation, target))
 
     def __str__(self) -> str:
         return f"{self.operation}@{self.target}"

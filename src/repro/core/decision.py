@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from repro.core.constraints import Privilege, Role
+from repro.core.constraints import Privilege, Role, TypedTuple
 from repro.core.context import ContextName
 from repro.errors import PolicyError
 
@@ -84,13 +84,28 @@ class MSoDViolation:
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class _DecisionFields(NamedTuple):
+    effect: str
+    request: DecisionRequest
+    violation: MSoDViolation | None = None
+    matched_policy_ids: tuple[str, ...] = ()
+    records_added: int = 0
+    records_purged: int = 0
+    reason: str = ""
+    adi_adds: tuple[RetainedADIRecord, ...] = ()
+    adi_purged_contexts: tuple[ContextName, ...] = ()
+    policy_epoch: int = 0
+    policy_digest: str = ""
+    trace: DecisionTrace | None = None
+
+
+class Decision(TypedTuple, _DecisionFields):
     """The PDP's answer, with MSoD diagnostics for auditing.
 
     ``adi_adds`` and ``adi_purged_contexts`` expose the retained-ADI
     mutation the grant committed, so the PERMIS PDP can log it to the
-    secure audit trail and recovery can replay it (Section 5.2).
+    secure audit trail and recovery can replay it (Section 5.2).  The
+    added records carry ``record_id=None``: the id is the store's.
 
     ``policy_epoch`` and ``policy_digest`` identify the policy version
     (see :mod:`repro.core.policy_epoch`) the decision was evaluated
@@ -105,21 +120,14 @@ class Decision:
     :class:`~repro.obs.recorder.Recorder`.  It is metadata about
     *how* the decision was computed, not part of the decision itself,
     so it is excluded from equality — decisions are bit-identical with
-    tracing on or off.
+    tracing on or off.  A decision is an immutable
+    :class:`~repro.core.constraints.TypedTuple`; ``_replace`` copies it.
     """
 
-    effect: str
-    request: DecisionRequest
-    violation: MSoDViolation | None = None
-    matched_policy_ids: tuple[str, ...] = ()
-    records_added: int = 0
-    records_purged: int = 0
-    reason: str = ""
-    adi_adds: tuple[RetainedADIRecord, ...] = ()
-    adi_purged_contexts: tuple[ContextName, ...] = ()
-    policy_epoch: int = 0
-    policy_digest: str = ""
-    trace: DecisionTrace | None = field(default=None, compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:  # every field but ``trace``
+        return type(other) is Decision and self[:-1] == other[:-1]
 
     @property
     def granted(self) -> bool:

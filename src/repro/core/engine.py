@@ -414,12 +414,10 @@ class MSoDEngine:
             )
 
         user_id, context = request.user_id, request.context_instance
-        at, request_id = request.timestamp, request.request_id
+        tail = (operation, target, context, request.timestamp, request.request_id, None)
         mutation = ADIMutation(
             [
-                RetainedADIRecord(
-                    user_id, record_roles, operation, target, context, at, request_id
-                )
+                tuple.__new__(RetainedADIRecord, (user_id, record_roles, *tail))
                 for record_roles in adds
             ],
             purges,

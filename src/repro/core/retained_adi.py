@@ -31,10 +31,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from sys import intern
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.adi_index import _UserContextIndex
-from repro.core.constraints import Privilege, Role
+from repro.core.constraints import Privilege, Role, TypedTuple
 from repro.core.context import ContextName
 from repro.errors import StoreError
 
@@ -52,10 +52,7 @@ def _shared_roles(roles: tuple[Role, ...]) -> tuple[Role, ...]:
     return roles
 
 
-@dataclass(frozen=True, slots=True)
-class RetainedADIRecord:
-    """One granted decision retained for MSoD evaluation."""
-
+class _RecordFields(NamedTuple):
     user_id: str
     roles: tuple[Role, ...]
     operation: str
@@ -65,9 +62,16 @@ class RetainedADIRecord:
     request_id: str
     record_id: int | None = None
 
+
+class RetainedADIRecord(TypedTuple, _RecordFields):
+    """One granted decision retained for MSoD evaluation."""
+
+    __slots__ = ()
+
     @property
     def privilege(self) -> Privilege:
-        return Privilege(self.operation, self.target)
+        # The granted request's own pair: built without the checks.
+        return tuple.__new__(Privilege, self[2:4])
 
     def in_context(self, effective_context: ContextName) -> bool:
         """True when this record's instance matches the policy context.
@@ -127,15 +131,18 @@ class ADIMutation:
     Section 4.2 note: "if the access request is denied, then no change
     needs to be made to the retained ADI database".  The engine builds one
     :class:`ADIMutation` per request and applies it atomically iff the
-    final decision is a grant.
+    final decision is a grant.  ``purge_record_ids`` is the management
+    port's one-record removal: the ids are deleted in the same locked
+    apply, so no record but the named ones goes.
     """
 
     adds: list[RetainedADIRecord] = field(default_factory=list)
     purge_contexts: list[ContextName] = field(default_factory=list)
+    purge_record_ids: tuple[int, ...] = ()
 
     @property
     def is_empty(self) -> bool:
-        return not self.adds and not self.purge_contexts
+        return not (self.adds or self.purge_contexts or self.purge_record_ids)
 
 
 class RetainedADIStore:
@@ -244,6 +251,8 @@ class RetainedADIStore:
         to keep derived aggregates in lock-step with the authoritative
         layer.
         """
+        if mutation.purge_record_ids:
+            raise NotImplementedError("this store cannot delete by record id")
         evicted: list[RetainedADIRecord] = []
         for context in mutation.purge_contexts:
             evicted.extend(self.find(context))  # gone before the next find
@@ -331,15 +340,11 @@ class InMemoryRetainedADIStore(RetainedADIStore):
             self.add(record)
 
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
-        stored = RetainedADIRecord(
-            user_id=intern(record.user_id),
-            roles=_shared_roles(record.roles),
-            operation=intern(record.operation),
-            target=intern(record.target),
-            context_instance=record.context_instance,
-            granted_at=record.granted_at,
-            request_id=record.request_id,
-            record_id=self._next_id,
+        user_id, roles, operation, target, context, at, request_id, _ = record
+        stored = tuple.__new__(
+            RetainedADIRecord,
+            (intern(user_id), _shared_roles(roles), intern(operation),
+             intern(target), context, at, request_id, self._next_id),
         )
         self._records[self._next_id] = stored
         self._index.add(stored)
@@ -400,6 +405,12 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         for context in mutation.purge_contexts:
             doomed = self._index.context_records(context)
             evicted.extend(doomed)  # deleted now, so no later context sees them
+            self._delete(doomed)
+        if mutation.purge_record_ids:
+            records = self._records
+            ids = set(mutation.purge_record_ids)
+            doomed = [records[i] for i in ids if i in records]
+            evicted.extend(doomed)
             self._delete(doomed)
         added = [self.add(record) for record in mutation.adds]
         return ADIApplyOutcome(evicted, added)
@@ -755,6 +766,9 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         for context in mutation.purge_contexts:
             for record in self._in_context_locked(context):
                 evicted.setdefault(record.record_id, record)
+        for record_id in mutation.purge_record_ids:
+            for record in self._select_locked(" WHERE record_id = ?", (record_id,)):
+                evicted.setdefault(record_id, record)
         self._conn.executemany(
             "DELETE FROM retained_adi WHERE record_id = ?",
             [(record_id,) for record_id in evicted],

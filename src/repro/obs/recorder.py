@@ -46,7 +46,6 @@ protocol and the CLI can use it without import cycles.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Callable
 
 from repro.obs.slowlog import SlowDecisionLog
@@ -345,7 +344,7 @@ class Recorder:
         )
         if self._slow_log is not None:
             self._slow_log.offer(trace)
-        return replace(decision, trace=trace)
+        return decision._replace(trace=trace)
 
     # -- §4.2 step reports: a recorder only times; explain narrates ----
     def gate(self, policy, context, opens: bool, fired) -> None:

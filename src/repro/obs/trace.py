@@ -14,7 +14,7 @@ Traces are built by the pipeline's one
 been called: the ``span`` calls that feed its stage histograms also
 append to the open trace, so span names and histogram stage names are
 the same vocabulary.  The outermost pipeline layer's ``finish`` seals
-the trace, attaches it to the decision (via ``dataclasses.replace``)
+the trace, attaches it to the decision (via ``Decision._replace``)
 and offers it to the slow-decision log.
 
 This module is deliberately standalone — it imports nothing from

@@ -762,6 +762,8 @@ def _pack_array(obj: list | tuple, out: bytearray, depth: int) -> None:
 def _pack_into(obj: Any, out: bytearray, depth: int) -> None:
     # Dispatch on the exact type, most frequent first; containers check
     # the depth cap for their children, so a leaf costs no depth test.
+    # Only an exact list or tuple is an array: a tuple-backed value such
+    # as a Role or a Decision is refused below, not flattened.
     kind = type(obj)
     if kind is str:
         out += _STR_MEMO.get(obj) or _str_bytes(obj)
@@ -825,8 +827,6 @@ def _pack_into(obj: Any, out: bytearray, depth: int) -> None:
         else:  # pragma: no cover - larger than any frame limit
             raise ProtocolError("binpack bytes too long")
         out += obj
-    elif isinstance(obj, (list, tuple)):
-        _pack_array(obj, out, depth)
     elif isinstance(obj, dict):
         _pack_map(obj, out, depth)
     elif isinstance(obj, (int, str, float)):

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import fields
 
 from repro.core.constraints import (
     CONSTRAINT_KINDS,
@@ -132,7 +131,7 @@ def _member(member_type: type, token: str, separator: str):
     a bad form and :class:`ConstraintError` on empty fields."""
     first, sep, second = token.partition(separator)
     if not sep:
-        form = separator.join(field.name for field in fields(member_type))
+        form = separator.join(member_type._fields)
         raise ValueError(
             f"{member_type.__name__.lower()} {token!r} must be of the form {form}"
         )

@@ -13,7 +13,6 @@ its label as ``Boundary`` and its ``m`` as ``ForbiddenCardinality``.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from operator import attrgetter
 
 from repro.core.constraints import (
@@ -60,7 +59,7 @@ MEMBER_ELEMENTS = {
 
 #: A member's field values, in order.
 MEMBER_FIELDS = {
-    member_type: attrgetter(*(field.name for field in fields(member_type)))
+    member_type: attrgetter(*member_type._fields)
     for member_type in MEMBER_ELEMENTS
 }
 

@@ -1,9 +1,13 @@
 """Unit tests for the retained-ADI management port (Section 4.3)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import (
     CONTROLLER_ROLE,
+    ADIMutation,
     ContextName,
     InMemoryRetainedADIStore,
     RetainedADIRecord,
@@ -141,6 +145,29 @@ class TestOperations:
         assert after["r4"] == before["r4"]
         assert after["r3"].user_id == "carol"
 
+    def test_remove_record_spares_a_grant_committed_before_its_apply(
+        self, port, store, monkeypatch
+    ):
+        """A grant that lands in the record's context between the port's
+        call and the store's apply survives the removal, and the
+        record's context-mates keep their ids."""
+        mate = store.add(record(user="carol", at=2.0, rid="r3"))  # York
+        doomed = next(rec for rec in store.records() if rec.request_id == "r1")
+        granted = []
+        apply = store.apply
+
+        def grant_then_apply(mutation):
+            if not granted:
+                granted.append(store.add(record(user="erin", at=3.0, rid="r5")))
+            return apply(mutation)
+
+        monkeypatch.setattr(store, "apply", grant_then_apply)
+        assert port.remove_record([CONTROLLER_ROLE], doomed.record_id).affected == 1
+        after = {rec.request_id: rec for rec in store.records()}
+        assert set(after) == {"r2", "r3", "r5"}
+        assert after["r3"] == mate
+        assert after["r5"] == granted[0]
+
     def test_remove_missing_record(self, port):
         assert port.remove_record([CONTROLLER_ROLE], 999).affected == 0
 
@@ -163,3 +190,43 @@ class TestOperationsSQLite(TestOperations):
 
 class TestOperationsTiered(TestOperations):
     backend = "tiered"
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "tiered"])
+def test_grants_racing_removals_are_never_lost(backend):
+    """Grants commit into one context while the port removes that
+    context's older records, from two threads: every acknowledged grant
+    survives, and every removal finds its record.
+
+    Only the locking backends race here: the serving layer drives a
+    memory store from one event loop, never from two threads.
+    """
+    store = BACKENDS[backend]()
+    port = RetainedADIManagementPort(store)
+    doomed = [store.add(record(user=f"old{i}", rid=f"old{i}")) for i in range(150)]
+    acknowledged: list[str] = []
+    missed: list[int] = []
+
+    def grant():
+        for i in range(150):
+            store.apply(ADIMutation(adds=[record(user=f"new{i}", rid=f"new{i}")]))
+            acknowledged.append(f"new{i}")
+
+    def remove():
+        for old in doomed:
+            if port.remove_record([CONTROLLER_ROLE], old.record_id).affected != 1:
+                missed.append(old.record_id)
+
+    threads = [threading.Thread(target=grant), threading.Thread(target=remove)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert missed == []
+    assert sorted(rec.request_id for rec in store.records()) == sorted(acknowledged)
+    store.close()

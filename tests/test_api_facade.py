@@ -1,7 +1,5 @@
 """Tests for repro.api: the uniform open_pdp/open_server construction."""
 
-import dataclasses
-
 import pytest
 
 from repro.api import (
@@ -412,7 +410,7 @@ class TestUniformLifecycle:
                     got = traced.decide(request)
                     assert got == expected
                     assert got.trace is not None
-                    assert dataclasses.replace(got, trace=None) == expected
+                    assert got._replace(trace=None) == expected
             finally:
                 plain.close()
                 counted.close()

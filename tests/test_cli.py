@@ -372,16 +372,12 @@ class TestSmokeOracle:
         assert self._check(store, requests, effects) == []
 
     def test_shifted_grant_timestamp_is_a_divergence(self):
-        import dataclasses
-
         from repro.core import InMemoryRetainedADIStore
 
         store, requests, effects = self._stream()
         shifted = InMemoryRetainedADIStore()
         for record in store.records():
-            shifted.add(
-                dataclasses.replace(record, granted_at=record.granted_at + 1)
-            )
+            shifted.add(record._replace(granted_at=record.granted_at + 1))
         assert self._check(shifted, requests, effects) == [
             "s0 retained ADI differs from its single-node oracle"
         ]

@@ -195,7 +195,7 @@ class TestDifferentialTracing:
             # Decision equality excludes the trace field by design.
             assert got == expected
             assert got.trace is not None and expected.trace is None
-            assert dataclasses.replace(got, trace=None) == expected
+            assert got._replace(trace=None) == expected
         assert (
             store_digest(plain_store)
             == store_digest(counted_store)

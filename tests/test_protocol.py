@@ -6,14 +6,20 @@ other exception, because any other exception would crash a serving
 worker on attacker-controlled bytes.
 """
 
-import dataclasses
 import json
 import pathlib
 import random
 
 import pytest
 
-from repro.core import ContextName, Decision, DecisionRequest, MSoDViolation, Role
+from repro.core import (
+    ContextName,
+    Decision,
+    DecisionRequest,
+    MSoDViolation,
+    Privilege,
+    Role,
+)
 from repro.core.retained_adi import RetainedADIRecord
 from repro.errors import ProtocolError
 from repro.server import protocol
@@ -96,9 +102,7 @@ class TestRoundTrips:
         assert protocol.decision_from_wire(wire) == decision
 
     def test_policy_version_round_trips_when_stamped(self):
-        decision = dataclasses.replace(
-            make_grant(), policy_epoch=3, policy_digest="ab" * 32
-        )
+        decision = make_grant()._replace(policy_epoch=3, policy_digest="ab" * 32)
         wire = json.loads(json.dumps(protocol.decision_to_wire(decision)))
         assert wire["policy_epoch"] == 3
         assert wire["policy_digest"] == "ab" * 32
@@ -332,9 +336,9 @@ def golden_batch_frames():
     """
     stamp = dict(policy_epoch=3, policy_digest="ab" * 32)
     own = make_request(roles=(TELLER,))
-    derived = dataclasses.replace(make_grant(), request=own, **stamp)
-    survivor = dataclasses.replace(make_grant(), **stamp)
-    deny = dataclasses.replace(make_deny(), **stamp)
+    derived = make_grant()._replace(request=own, **stamp)
+    survivor = make_grant()._replace(**stamp)
+    deny = make_deny()._replace(**stamp)
     request = {
         "op": protocol.OP_DECIDE_BATCH,
         "id": "c-00000077",
@@ -443,6 +447,18 @@ class TestBinpackEncoder:
     def test_non_string_map_keys_are_refused(self, key):
         with pytest.raises(ProtocolError, match="keys must be strings"):
             protocol.pack_payload({"ok": 1, key: "v"})
+
+    @pytest.mark.parametrize(
+        "value",
+        [TELLER, Privilege("handleCash", "till://1"), make_grant(),
+         make_grant().adi_adds[0]],
+        ids=["Role", "Privilege", "Decision", "RetainedADIRecord"],
+    )
+    def test_tuple_backed_values_are_refused_not_flattened(self, value):
+        name = type(value).__name__
+        for payload in (value, [value], {"k": value}):
+            with pytest.raises(ProtocolError, match=f"cannot encode {name} values"):
+                protocol.pack_payload(payload)
 
     def test_only_short_strings_are_memoised(self, monkeypatch):
         memo: dict = {}
