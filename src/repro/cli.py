@@ -634,9 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     creload.add_argument(
         "--canary",
         action="store_true",
-        help="stage the candidate on one shard's standby and mirror "
-        "that shard's live decide stream through both sets before the "
-        "coordinator-wide rollout",
+        help="replay one shard primary's audit trail under the "
+        "candidate after a live observation window, and roll out "
+        "cluster-wide only if flips stay within --max-flips",
     )
     creload.add_argument(
         "--principal",

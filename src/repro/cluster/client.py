@@ -223,8 +223,8 @@ class ClusterPDP(PolicyDecisionPoint):
 
         ``verify=True`` runs the coordinator's (static) verification
         gate and attaches its verdict; ``canary=True`` runs the full
-        canary rollout instead — stage on one shard's standby, mirror
-        that shard's live decide stream under the candidate, and only
+        canary rollout instead — observe one shard's live traffic,
+        replay that shard primary's trail under the candidate, and only
         roll cluster-wide when flips stay within ``max_flips`` (see
         :meth:`LocalCluster.canary_reload_policy`).
         """

@@ -57,6 +57,7 @@ from typing import Iterable
 from repro.audit.trail import AuditTrailManager
 from repro.client.remote import RemotePDP
 from repro.core.policy import MSoDPolicySet
+from repro.core.policy_epoch import policy_set_digest
 from repro.errors import (
     ClusterError,
     PDPUnavailableError,
@@ -90,6 +91,10 @@ logger = logging.getLogger(__name__)
 #: transition so a restarted coordinator resumes instead of resetting.
 STATE_FILENAME = "coordinator-state.json"
 
+#: How often a canary polls its primary's completed-decision count
+#: while it waits out the observation window.
+CANARY_POLL_INTERVAL = 0.05
+
 
 class ShardState:
     """One shard's pair of nodes plus its fencing epoch."""
@@ -105,6 +110,12 @@ class ShardState:
         self.epoch = primary.epoch
         self.failovers = 0
         self.lock = threading.Lock()
+
+
+def _completed_decisions(node: ClusterNode) -> int:
+    """How many decisions ``node``'s service has completed, all shards."""
+    shards = node.service.metrics()["shards"]
+    return sum(stats["completed"] for stats in shards)
 
 
 def _parse_cluster_store(store: str) -> ParsedStoreSpec:
@@ -948,7 +959,6 @@ class LocalCluster:
         max_flips: int = 0,
         min_decisions: int = 0,
         timeout: float = 5.0,
-        poll_interval: float = 0.05,
         principal: str | None = None,
     ) -> dict:
         """Safe rollout: verify, canary one shard, then roll the cluster.
@@ -960,29 +970,23 @@ class LocalCluster:
            ``principal`` against every live node's admin boundary, then
            the structured static analyzer (no ``force`` here — a canary
            rollout is never blind);
-        2. the candidate is **staged on the canary shard's standby**
-           (proving it parses, compiles and swaps on a real node) and
-           the shard's **primary arms its mirror**: history replayed
-           differentially under the candidate, then every live decision
-           shadow-decided through it;
-        3. the mirror is observed until ``min_decisions`` live
-           decisions were compared (or ``timeout`` elapses); more than
-           ``max_flips`` total flips — or any mirror error — rejects
-           the rollout, rolls the staged standby back to its previous
-           (set, epoch) with :meth:`MSoDEngine.rollback_policy` (so the
-           candidate's epoch never stays resolvable in any lineage) and
-           raises :class:`PolicyError`;
+        2. the canary shard's primary keeps serving under the active
+           set until ``min_decisions`` more decisions completed there
+           (or ``timeout`` elapses);
+        3. the primary's own trail — recorded history and the window
+           alike — is replayed under the candidate by
+           :meth:`~repro.server.service.AuthorizationService.what_if`;
+           a replay that fails, or more than ``max_flips`` flips,
+           raises :class:`PolicyError` with no node touched;
         4. only then does the candidate roll out cluster-wide, through
            the same standby-first step as :meth:`reload_policy` but
-           without a second admission — the staged standby's second
-           swap is a digest no-op, so every node lands on the same
-           epoch.
+           without a second admission.
 
-        The canary shard's ``state.lock`` is held through stage +
-        observation, serialising the canary with that shard's failover
-        and catch-up; decide traffic is unaffected (decisions do not
-        take shard locks).  The reshard lock is held from admission to
-        the end of the rollout, so resharding waits for the canary.
+        A candidate the primary already runs skips 2 and 3 and rolls
+        out as a no-op (``canary["noop"]``).  The reshard lock is held
+        from admission to the end of the rollout, so resharding waits
+        for the canary; the shard's own lock is not held through the
+        window, so a failover there does not wait for it.
         """
         from repro.api import load_policy_source
         from repro.verify.gate import admit_reload
@@ -1000,55 +1004,41 @@ class LocalCluster:
             if name is None:
                 name = next(iter(self._shards))
             state = self.shard(name)
-            canary: dict = {"shard": name}
             with state.lock:
-                primary, standby = state.primary, state.standby
+                primary = state.primary
                 if primary.name in self._dead:
                     raise ClusterError(
-                        f"shard {name} has no live primary to mirror on"
+                        f"shard {name} has no live primary to canary on"
                     )
-                staged = None
-                if standby.name not in self._dead:
-                    pre_stage_set = standby.engine.policy_set
-                    pre_stage_epoch = standby.policy_version().epoch
-                    staged = standby.reload_policy(policy_set)
-                    canary["staged"] = staged.to_dict()
-                if staged is None or staged.changed:
-                    primary.mirror_start(policy_set)
-                    try:
-                        deadline = time.monotonic() + timeout
-                        while True:
-                            report = primary.mirror_report()
-                            if report["live_decisions"] >= min_decisions:
-                                break
-                            if time.monotonic() >= deadline:
-                                break
-                            time.sleep(poll_interval)
-                    finally:
-                        report = primary.mirror_stop()
-                    canary["mirror"] = report
-                    if (
-                        report["flip_count"] > max_flips
-                        or report["mirror_errors"] > 0
-                    ):
-                        if staged is not None:
-                            # Erase the staged candidate from the standby's
-                            # lineage: a plain reload back would leave the
-                            # candidate resolvable at its staged epoch, and
-                            # a later rollout would reuse that epoch number
-                            # for a different set.
-                            standby.engine.rollback_policy(
-                                pre_stage_set, to_epoch=pre_stage_epoch
-                            )
-                        raise PolicyError(
-                            f"canary rollout rejected on shard {name}: "
-                            f"{report['flip_count']} decision flips "
-                            f"(budget {max_flips}), "
-                            f"{report['mirror_errors']} mirror errors over "
-                            f"{report['live_decisions']} live decisions"
-                        )
-                else:
-                    canary["noop"] = True
+            canary: dict = {"shard": name}
+            digest = primary.policy_version().digest
+            if policy_set_digest(policy_set) == digest:
+                canary["noop"] = True
+            else:
+                start = _completed_decisions(primary)
+                deadline = time.monotonic() + timeout
+                while (
+                    _completed_decisions(primary) - start < min_decisions
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(CANARY_POLL_INTERVAL)
+                live = _completed_decisions(primary) - start
+                canary["live_decisions"] = live
+                try:
+                    report = primary.service.what_if(policy_set)
+                except Exception as exc:
+                    raise PolicyError(
+                        f"canary rollout rejected on shard {name}: "
+                        f"replay failed: {exc}"
+                    ) from exc
+                if report.flip_count > max_flips:
+                    raise PolicyError(
+                        f"canary rollout rejected on shard {name}: "
+                        f"{report.flip_count} decision flips "
+                        f"(budget {max_flips}) over "
+                        f"{report.decisions_replayed} replayed decisions"
+                    )
+                canary["replay"] = report.to_dict()
             body = self._roll_out(policy_set, gate)
             body["canary"] = canary
             return body

@@ -52,17 +52,12 @@ from repro.audit.trail import (
 from repro.core.decision import Decision
 from repro.core.engine import MSoDEngine
 from repro.core.policy import MSoDPolicySet
-from repro.core.retained_adi import (
-    InMemoryRetainedADIStore,
-    RetainedADIRecord,
-    RetainedADIStore,
-)
+from repro.core.retained_adi import RetainedADIRecord, RetainedADIStore
 from repro.errors import ClusterError, RequestFencedError
 from repro.server import protocol
 from repro.server.service import AuthorizationService
 from repro.server.testing import ServerThread
 from repro.cluster.ring import HashRing
-from repro.verify.whatif import DecisionFlip, what_if_replay
 
 ROLE_PRIMARY = "primary"
 ROLE_STANDBY = "standby"
@@ -190,10 +185,6 @@ class ClusterNode:
         # tick that raises mid-replay is re-read in full next time —
         # replay idempotency absorbs the partial application.
         self._catchup: dict[str, tuple[dict, int]] = {}
-        # Canary mirror: when armed, every live decision this primary
-        # acks is also shadow-decided under a candidate policy set and
-        # effect mismatches are counted (see :meth:`mirror_start`).
-        self._mirror: dict | None = None
         # The serving ring this node fences ownership against.  When
         # installed, the decide gate and the audit sink both refuse
         # users the ring assigns to another shard, which is what makes
@@ -279,100 +270,6 @@ class ClusterNode:
         for an identical digest.
         """
         return self._thread.reload_policy(policy_set, force=force)
-
-    # ------------------------------------------------------------------
-    def mirror_start(self, candidate_set: MSoDPolicySet) -> dict:
-        """Arm the canary mirror on this (primary) node.
-
-        Replays everything recorded so far differentially under the
-        candidate set (building its retained-ADI state as it goes), then
-        shadow-decides every *subsequent* live decision through the
-        candidate engine, counting effect mismatches.  The whole replay
-        happens under the node lock — the audit sink appends under the
-        same lock, so the trail is quiescent and the live comparison
-        starts exactly where the replay ended: no decision is missed or
-        double-counted.
-
-        Returns the replay half of the report (see
-        :meth:`mirror_report` for the running total).
-        """
-        with self._lock:
-            if self._mirror is not None:
-                raise ClusterError(
-                    f"node {self.name} already has an armed canary mirror"
-                )
-            store = InMemoryRetainedADIStore()
-            replay = what_if_replay(
-                self._trails.reader(),
-                candidate_set,
-                store,
-                policy_resolver=self._engine.policy_set_for_epoch,
-            )
-            self._mirror = {
-                "engine": MSoDEngine(candidate_set, store),
-                "replay": replay,
-                "live_decisions": 0,
-                "live_flip_count": 0,
-                "live_flips": [],
-                "errors": 0,
-            }
-            return replay.to_dict()
-
-    def mirror_report(self) -> dict:
-        """The armed mirror's running report (replay + live halves)."""
-        with self._lock:
-            if self._mirror is None:
-                raise ClusterError(
-                    f"node {self.name} has no armed canary mirror"
-                )
-            return self._mirror_report_locked()
-
-    def mirror_stop(self) -> dict | None:
-        """Disarm the mirror; returns its final report (None if unarmed)."""
-        with self._lock:
-            if self._mirror is None:
-                return None
-            report = self._mirror_report_locked()
-            self._mirror = None
-            return report
-
-    def _mirror_report_locked(self) -> dict:
-        mirror = self._mirror
-        replay = mirror["replay"]
-        return {
-            "candidate_digest": replay.candidate_digest,
-            "replay": replay.to_dict(),
-            "live_decisions": mirror["live_decisions"],
-            "live_flip_count": mirror["live_flip_count"],
-            "live_flips": [flip.to_dict() for flip in mirror["live_flips"]],
-            "mirror_errors": mirror["errors"],
-            "flip_count": replay.flip_count + mirror["live_flip_count"],
-        }
-
-    def _mirror_compare(self, decision: Decision) -> None:
-        """Shadow-decide one acked decision under the candidate (locked).
-
-        A mirror failure must never fail a live decision: exceptions
-        are swallowed into an error counter the rollout gate treats as
-        disqualifying noise.
-        """
-        mirror = self._mirror
-        try:
-            shadow = mirror["engine"].check(decision.request)
-        except Exception:
-            mirror["errors"] += 1
-            return
-        mirror["live_decisions"] += 1
-        if shadow.effect == decision.effect:
-            return
-        mirror["live_flip_count"] += 1
-        if len(mirror["live_flips"]) >= 100:
-            return
-        mirror["live_flips"].append(
-            DecisionFlip.of(
-                decision.request, decision.effect, decision.reason, shadow
-            )
-        )
 
     # ------------------------------------------------------------------
     def start(self) -> "ClusterNode":
@@ -689,8 +586,6 @@ class ClusterNode:
                 EVENT_DECISION, decision.request.timestamp, payload
             )
             self._journal[decision.request.request_id] = payload
-            if self._mirror is not None:
-                self._mirror_compare(decision)
 
     def _health_extra(self) -> dict:
         with self._lock:

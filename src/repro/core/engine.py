@@ -212,43 +212,15 @@ class MSoDEngine:
                 return PolicySwapReport(
                     version=previous, previous=previous, changed=False
                 )
-            self._install(policy_set, previous.epoch + 1, digest)
+            epoch = previous.epoch + 1
+            compiled = CompiledPolicyMatcher(policy_set, epoch, digest)
+            self._active = (policy_set, epoch, digest, compiled)
+            self._epoch_log.record(epoch, policy_set, digest)
             if self._perf.enabled:
                 self._perf.incr("engine.policy_reloads")
             return PolicySwapReport(
                 version=self.policy_version(), previous=previous, changed=True
             )
-
-    def rollback_policy(
-        self, policy_set: MSoDPolicySet, *, to_epoch: int
-    ) -> None:
-        """Restore ``policy_set`` as the active set at exactly ``to_epoch``.
-
-        The inverse of a staged :meth:`swap_policy`: a rejected canary
-        rollout must leave no trace in this engine's lineage, or a
-        later replay that resolves recorded epochs through the epoch
-        log could interpret history under the rejected candidate.
-        Epoch-log entries above ``to_epoch`` are erased and the active
-        tuple is restored by the same one assignment as a forward swap.
-        Callers must guarantee no decision was recorded under the epochs
-        being erased (the cluster stages candidates only on non-deciding
-        standbys).
-        """
-        with self._swap_lock:
-            self._install(policy_set, to_epoch, policy_set_digest(policy_set))
-            self._epoch_log.forget_after(to_epoch)
-            if self._perf.enabled:
-                self._perf.incr("engine.policy_rollbacks")
-
-    def _install(
-        self, policy_set: MSoDPolicySet, epoch: int, digest: str
-    ) -> None:
-        """Compile ``policy_set`` and make it active at ``epoch`` (under
-        ``_swap_lock``): decisions keep the old compiled state until the
-        one assignment makes the new one visible."""
-        compiled = CompiledPolicyMatcher(policy_set, epoch, digest)
-        self._active = (policy_set, epoch, digest, compiled)
-        self._epoch_log.record(epoch, policy_set, digest)
 
     def admin_boundary_denial(
         self, user_id: str, privilege: Privilege

@@ -397,16 +397,5 @@ class PolicyEpochLog:
         entry = self._entries.get(epoch)
         return entry[0] if entry is not None else None
 
-    def forget_after(self, epoch: int) -> None:
-        """Erase entries for epochs strictly greater than ``epoch``.
-
-        Used by a rejected canary rollback: the staged candidate's
-        epoch must not stay resolvable, or a later trail replay that
-        resolves recorded epochs through this log could interpret
-        history under a set that never served a decision.
-        """
-        for stale in [e for e in self._entries if e > epoch]:
-            del self._entries[stale]
-
     def __len__(self) -> int:
         return len(self._entries)

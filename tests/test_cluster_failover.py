@@ -144,8 +144,8 @@ def kill_reload_and_canary(cluster):
                 timeout=30.0,
             )
         assert not load.errors and body["changed"]
-        assert body["canary"]["mirror"]["flip_count"] == 0
-        assert body["canary"]["mirror"]["live_decisions"] >= 1
+        assert body["canary"]["replay"]["flip_count"] == 0
+        assert body["canary"]["live_decisions"] >= 1
         for request, effect in load.decided():
             requests.append(request)
             effects.append(effect)

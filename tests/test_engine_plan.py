@@ -425,7 +425,7 @@ def test_a_plan_memoised_before_a_swap_is_never_served_after_it():
     assert engine.compiled_matcher is not before
     assert engine.compiled_matcher.memo_sizes() == (0, 0, 0)
     assert matched("bob") == ("roles", "once")
-    engine.rollback_policy(first, to_epoch=1)
+    engine.swap_policy(first)
     assert engine.compiled_matcher.memo_sizes() == (0, 0, 0)
     assert matched("carol") == ("roles",)
     # the retired matcher still holds its plan; the engine never asks it
@@ -589,7 +589,7 @@ _stream = st.lists(
                 st.sampled_from(_INSTANCES),
             ),
         ),
-        st.tuples(st.sampled_from(["swap_policy", "rollback_policy"]), st.none()),
+        st.tuples(st.just("swap_policy"), st.none()),
     ),
     min_size=1,
     max_size=30,
@@ -643,7 +643,7 @@ _NAMED_STREAM = [
         *_NAMED_STREAM[:2],
         ("swap_policy", None),
         *_NAMED_STREAM[2:4],
-        ("rollback_policy", None),
+        ("swap_policy", None),
         *_NAMED_STREAM[2:],
         ("check", ("carol", {_MANAGER}, _OPS[4], "Dept=d1, Case=c2, Step=s1")),
         ("check", ("carol", {_CLERK}, _OPS[0], "Dept=d1, Case=c1, Step=s1")),
@@ -660,20 +660,12 @@ def test_planned_engine_decides_like_the_straight_line_loop(mode, first, second,
     }
     engines = {name: MSoDEngine(first, store, mode=mode) for name, store in stores.items()}
     active = first
-    rollbacks = []  # (policy set, epoch) to restore
     try:
         for index, (kind, argument) in enumerate(stream):
             if kind == "swap_policy":
-                rollbacks.append((active, engines["memory"].policy_epoch))
                 active = second if active is first else first
                 for engine in engines.values():
                     engine.swap_policy(active, force=True)
-                continue
-            if kind == "rollback_policy":
-                if rollbacks:
-                    active, epoch = rollbacks.pop()
-                    for engine in engines.values():
-                        engine.rollback_policy(active, to_epoch=epoch)
                 continue
             user, roles, op, context = argument
             request = _request(user, roles, op, index, context)

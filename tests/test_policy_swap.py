@@ -2,8 +2,8 @@
 
 The retained ADI records what users did; a policy set only judges
 those facts.  Every store memo is keyed by an effective context name
-and holds a function of the records under that name, so a swap or a
-rollback leaves each memo object in place (and never enters
+and holds a function of the records under that name, so a swap there
+and back leaves each memo object in place (and never enters
 ``store.batch()``), and reads stay equal to the base-class scan
 definitions.  Static analysis belongs to admission
 (:func:`repro.verify.gate.admit_reload`): one ``analyze_policy_set``
@@ -159,14 +159,14 @@ def test_swap_and_rollback_touch_no_memo(backend, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(store, "batch", no_batch)
             assert engine.swap_policy(swapped).changed
-            engine.rollback_policy(base, to_epoch=1)
+            assert engine.swap_policy(base).changed
             assert engine.swap_policy(swapped).changed
 
         after = _memos(store)
         assert [label for label, _ in after] == labels
         for (label, old), (_, new) in zip(before, after):
             assert new is old, f"{backend}: the swap rebound the {label} memo"
-        _assert_views_match_scan(store, f"{backend} after swap and rollback")
+        _assert_views_match_scan(store, f"{backend} after swapping there and back")
     finally:
         store.close()
 
@@ -228,11 +228,11 @@ class TestOneAnalysisPerReload:
         assert len(analyses) == 1 + len(list(quiet_cluster.nodes()))
 
     def test_cluster_canary_admits_once(self, analyses, quiet_cluster):
-        """Admission, the staged standby, then one per live node: the
-        rollout after the canary does not admit the set a second time."""
+        """Admission, then one per live node: neither the canary's
+        replay nor the rollout after it admits the set a second time."""
         body = quiet_cluster.canary_reload_policy(freed_set())
-        assert body["changed"] and body["canary"]["staged"]["changed"]
-        assert len(analyses) == 2 + len(list(quiet_cluster.nodes()))
+        assert body["changed"] and body["canary"]["replay"]["flip_count"] == 0
+        assert len(analyses) == 1 + len(list(quiet_cluster.nodes()))
 
 
 # ----------------------------------------------------------------------

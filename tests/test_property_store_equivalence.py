@@ -8,7 +8,7 @@ in-memory, SQLite and tiered-over-SQLite backends to produce *equal*
 decisions (every field, purge counts included) and identical store
 digests, in both evaluation modes, and every
 backend's aggregate views to equal the scan definitions after every
-step of a stream interleaved with purges, policy swaps and rollbacks.
+step of a stream interleaved with purges and policy swaps.
 """
 
 from hypothesis import example, given, settings
@@ -215,7 +215,6 @@ _maintenance = st.one_of(
     st.tuples(st.just("purge_context"), st.sampled_from(_QUERIES[:3])),
     st.tuples(st.just("purge_older_than"), st.integers(0, 40).map(float)),
     st.tuples(st.just("swap_policy"), st.none()),
-    st.tuples(st.just("rollback_policy"), st.none()),
     st.tuples(st.just("add"), _direct),
     st.tuples(st.just("redeliver"), st.none()),
 )
@@ -321,8 +320,8 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
     On every backend, after every step drawn for it and at the end:
     decisions commit through ``apply``, the management purges take
     their own paths, direct adds share request ids across timestamps,
-    a duplicate delivery must be absorbed, and policy swaps and
-    rollbacks land mid-stream without touching the store.
+    a duplicate delivery must be absorbed, and policy swaps (there and
+    back) land mid-stream without touching the store.
     """
     warm = SQLiteRetainedADIStore(":memory:")
     stores = {
@@ -342,16 +341,11 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
         ]
     )
     engines = {name: MSoDEngine(base, store) for name, store in stores.items()}
-    # (set, epoch) per swap; a rollback returns to the one before.
-    lineage = [(base, engines["memory"].policy_epoch)]
+    active = base
     try:
         for index, ((kind, argument), check_views) in enumerate(ops):
             if kind == "swap_policy":
-                active, epoch = lineage[-1]
-                lineage.append((swapped if active is base else base, epoch + 1))
-            elif kind == "rollback_policy" and len(lineage) > 1:
-                lineage.pop()
-            active, epoch = lineage[-1]
+                active = swapped if active is base else base
             for name, store in stores.items():
                 if kind == "check":
                     user, roles, op, dept, case = argument
@@ -370,9 +364,6 @@ def test_aggregate_views_match_scan_definitions(ops, shards):
                     )
                 elif kind == "swap_policy":
                     assert engines[name].swap_policy(active).changed
-                elif kind == "rollback_policy":
-                    engines[name].rollback_policy(active, to_epoch=epoch)
-                    assert engines[name].policy_epoch == epoch
                 elif kind == "add":
                     store.add(_direct_record(*argument))
                 elif kind == "redeliver":

@@ -262,6 +262,15 @@ def gate_cluster(tmp_path):
     cluster.stop()
 
 
+def versions(cluster):
+    """Every node's ``(epoch, digest)``, keyed by node name."""
+    return {
+        node.name: (version.epoch, version.digest)
+        for node in cluster.nodes()
+        for version in [node.policy_version()]
+    }
+
+
 class TestClusterGate:
     def test_reload_refuses_broken_set_before_touching_any_node(
         self, gate_cluster
@@ -274,7 +283,7 @@ class TestClusterGate:
     def test_canary_rollout_applies_cluster_wide(self, gate_cluster):
         body = gate_cluster.canary_reload_policy(swapped_set())
         assert body["changed"]
-        assert body["canary"]["staged"]["changed"]
+        assert body["canary"]["replay"]["flip_count"] == 0
         for node in gate_cluster.nodes():
             assert node.policy_version().epoch == 2
 
@@ -296,7 +305,7 @@ class TestClusterGate:
                 make_request(user, AUDITOR, timestamp=2.0)
             ).granted
         shard = gate_cluster.shard(gate_cluster.shard_names[0])
-        before = shard.standby.policy_version()
+        before = versions(gate_cluster)
         with pytest.raises(PolicyError, match="canary rollout rejected"):
             gate_cluster.canary_reload_policy(
                 swapped_set(),
@@ -304,20 +313,21 @@ class TestClusterGate:
                 max_flips=0,
                 timeout=0.5,
             )
-        # The staged standby was rolled back to its pre-stage lineage.
-        after = shard.standby.policy_version()
-        assert after.epoch == before.epoch
-        assert after.digest == before.digest
-        for node in gate_cluster.nodes():
-            assert node.policy_version().epoch == 1
+        assert versions(gate_cluster) == before
+        # The rejected replay's flip is counted on the canary primary.
+        text = shard.primary.service.metrics_text()
+        assert "repro_whatif_flips_total 1" in text
 
     def test_canary_rejects_on_live_flips_and_rolls_the_standby_back(
         self, gate_cluster, monkeypatch
     ):
-        """Until the mirror is armed the load is Teller alone, which both
-        sets grant, so the replay half finds no flip.  Then each Teller
-        is followed by a Manager in the same instance, which the bank
-        set grants and the candidate's Teller/Manager MMER denies."""
+        """Until admission passes the load is Teller alone, which both
+        sets grant, so the recorded history holds no flip.  Then each
+        Teller is followed by a Manager in the same instance, which the
+        bank set grants and the candidate's Teller/Manager MMER denies:
+        only the observation window can reject the candidate."""
+        import repro.verify.gate
+
         name = gate_cluster.shard_names[0]
         shard = gate_cluster.shard(name)
         user = next(
@@ -325,30 +335,34 @@ class TestClusterGate:
             for index in range(1000)
             if gate_cluster.ring.shard_for(f"user-{index}") == name
         )
-        armed, reports = threading.Event(), []
-        arm, disarm = shard.primary.mirror_start, shard.primary.mirror_stop
+        admitted, switched, reports = threading.Event(), [], []
+        admit = repro.verify.gate.admit_reload
+        what_if = shard.primary.service.what_if
 
-        def mirror_start(candidate):
-            replay = arm(candidate)
-            armed.set()
-            return replay
+        def admit_reload(*args, **kwargs):
+            gate = admit(*args, **kwargs)
+            admitted.set()
+            return gate
 
-        def mirror_stop():
-            reports.append(disarm())
+        def replay(candidate):
+            reports.append(what_if(candidate))
             return reports[-1]
 
-        monkeypatch.setattr(shard.primary, "mirror_start", mirror_start)
-        monkeypatch.setattr(shard.primary, "mirror_stop", mirror_stop)
+        monkeypatch.setattr(repro.verify.gate, "admit_reload", admit_reload)
+        monkeypatch.setattr(shard.primary.service, "what_if", replay)
 
         def probes(_, serial):
             context = ContextName.parse(f"Branch=Live, Period=L{serial}")
-            roles = (TELLER, MANAGER) if armed.is_set() else (TELLER,)
+            roles = (TELLER,)
+            if admitted.is_set():
+                switched.append(serial)
+                roles = (TELLER, MANAGER)
             return [
                 make_request(user, role, context, float(serial))
                 for role in roles
             ]
 
-        before = shard.standby.policy_version()
+        before = versions(gate_cluster)
         candidate = policy_set(
             [MMER([TELLER, AUDITOR], 2), MMER([TELLER, MANAGER], 2)]
         )
@@ -364,13 +378,46 @@ class TestClusterGate:
                     )
         assert not load.errors
         [report] = reports
-        assert report["replay"]["decisions_replayed"] >= 3
-        assert report["replay"]["flip_count"] == 0
-        assert report["flip_count"] == report["live_flip_count"] >= 1
-        after = shard.standby.policy_version()
-        assert (after.epoch, after.digest) == (before.epoch, before.digest)
-        for node in gate_cluster.nodes():
-            assert node.policy_version().epoch == 1
+        assert report.decisions_replayed >= 3
+        assert report.flip_count >= 1
+        assert all(flip.timestamp >= min(switched) for flip in report.flips)
+        assert versions(gate_cluster) == before
+
+    def test_canary_refuses_a_failed_replay_without_swapping(
+        self, gate_cluster, monkeypatch
+    ):
+        """A replay that raises is a typed ``policy`` refusal: in process
+        and over the wire, where the client does not retry it."""
+        from repro.errors import AuditTrailError
+
+        name = gate_cluster.shard_names[0]
+        primary = gate_cluster.shard(name).primary
+
+        def broken(candidate):
+            raise AuditTrailError("trail hash chain broken")
+
+        monkeypatch.setattr(primary.service, "what_if", broken)
+        before = versions(gate_cluster)
+        with pytest.raises(PolicyError, match="replay failed"):
+            gate_cluster.canary_reload_policy(swapped_set(), shard_name=name)
+        assert versions(gate_cluster) == before
+
+        attempts = []
+        rollout = gate_cluster.canary_reload_policy
+
+        def counted(*args, **kwargs):
+            attempts.append(args)
+            return rollout(*args, **kwargs)
+
+        monkeypatch.setattr(gate_cluster, "canary_reload_policy", counted)
+        with ClusterPDP((gate_cluster.host, gate_cluster.port)) as pdp:
+            with pytest.raises(PolicyError, match="replay failed"):
+                pdp.reload_policy(swapped_set(), canary=True)
+            assert len(attempts) == 1
+            assert set(pdp.refresh_route()["shards"]) == set(
+                gate_cluster.shard_names
+            )
+        assert versions(gate_cluster) == before
 
     def test_canary_on_a_dead_primary_is_a_typed_refusal_over_the_wire(
         self, tmp_path, monkeypatch
