@@ -289,7 +289,7 @@ def open_pdp(
         Remote-handle connection tuning; ignored for in-process stores.
     protocol:
         Remote decide wire protocol: ``"auto"`` (negotiate the
-        pipelined binary v2, fall back to v1), ``"v1"`` or ``"v2"``.
+        pipelined batched v2, fall back to v1), ``"v1"`` or ``"v2"``.
         Ignored for in-process stores.
     """
     parsed = parse_store_spec(store)

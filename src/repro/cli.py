@@ -134,9 +134,9 @@ def _add_address(
             choices=("auto", "v1", "v2"),
             default="auto",
             help="per-node decide wire protocol (auto negotiates "
-            "pipelined binary v2 with v1 fallback)"
+            "pipelined batched v2 with v1 fallback)"
             if coordinator
-            else "decide wire protocol: negotiate pipelined binary v2 "
+            else "decide wire protocol: negotiate pipelined batched v2 "
             "(auto, the default) or pin v1/v2",
         )
 

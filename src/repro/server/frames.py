@@ -11,8 +11,10 @@ Connection handling rules (the only copy in ``src/``):
 
 * a connection reads and writes through its current :class:`Codec` — a
   ``(read, decode, encode)`` triple (plus the header size ``read``
-  strips, for the byte counters).  Every connection starts on
-  :data:`CODECS` ``[1]`` (JSON lines) with the endpoint's v1 table; an
+  strips, for the byte counters).  Both versions carry a frame as
+  JSON: :data:`CODECS` ``[1]`` one line per frame, ``[2]`` a payload
+  behind an 8-byte length header.  Every connection starts on
+  :data:`CODECS` ``[1]`` with the endpoint's v1 table; an
   answered ``hello`` swaps codec and table in place for the version the
   reply names, so from the next byte on both directions speak it.  An
   endpoint with no ``hello`` in its table (the coordinator) is v1-only
@@ -23,10 +25,11 @@ Connection handling rules (the only copy in ``src/``):
   backpressure) while that many sit in shard queues — so a pipelining
   client's window overlaps on the server and replies may leave out of
   frame order; clients correlate by frame id;
-* a *payload* error (bad JSON, garbled binpack, unknown op, invalid
-  body, one malformed batch entry) leaves the stream in sync, so it is
-  answered with ``error.kind == "protocol"`` and the connection stays
-  open — a fuzzer must never take a worker down;
+* a *payload* error (bad UTF-8 or JSON, nesting past the depth cap,
+  unknown op, invalid body, one malformed batch entry) leaves the
+  stream in sync, so it is answered with ``error.kind == "protocol"``
+  and the connection stays open — a fuzzer must never take a worker
+  down;
 * a frame that corrupts the *stream* (an oversized v1 line, a v2
   header with a bad magic or length — e.g. a stray v1 line after the
   upgrade) cannot be resynchronised: one final error frame, then close;

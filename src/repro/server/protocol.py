@@ -5,11 +5,11 @@
 caller-chosen correlation id (``"id"``) echoed verbatim in the
 response, so clients may pipeline.
 
-**v2** is a length-prefixed compact binary encoding negotiated
-per-connection: a connection always *starts* in v1 and may send a
-``hello`` frame; once the server answers with ``version: 2`` both sides
-switch to binary frames (struct-packed 8-byte header + a msgpack-style
-payload, no external dependencies — see :func:`pack_payload`).  The
+**v2** is length-prefixed framing negotiated per-connection: a
+connection always *starts* in v1 and may send a ``hello`` frame; once
+the server answers with ``version: 2`` both sides switch to v2 frames
+(a struct-packed 8-byte binary header, then a compact UTF-8 JSON
+payload read by the stdlib C decoder — see :func:`pack_payload`).  The
 payload is the *same* frame dict as v1, so every op round-trips
 unchanged; v2 additionally understands ``decide-batch``, which carries
 N requests (and N per-entry results) per frame.  v1 clients never send
@@ -44,13 +44,16 @@ bit-identically (including its client-assigned ``request_id``), which is
 what lets the differential serving tests assert remote == in-process.
 
 Every malformed input — truncated JSON, oversized frames, bad UTF-8,
-wrong types, unknown versions — raises :class:`ProtocolError` and
-nothing else; a worker must never crash on attacker-controlled bytes.
+nesting past :data:`MAX_PAYLOAD_DEPTH` (or past the interpreter's
+recursion limit), wrong types, unknown versions — raises
+:class:`ProtocolError` and nothing else, on v1 and v2 alike; a worker
+must never crash on attacker-controlled bytes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import struct
 from typing import Any, Mapping
 
@@ -203,6 +206,115 @@ def metrics_format_of(frame: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Payload codec: compact JSON, strict UTF-8 (v2 payloads; v1 decode too)
+# ---------------------------------------------------------------------------
+#: Nesting depth cap for every frame, encoded or decoded — frames nest
+#: a handful of levels; attacker-controlled recursion must not reach
+#: the interpreter stack limit further down the decode path.
+MAX_PAYLOAD_DEPTH = 32
+#: Integers a payload may carry: int64 minimum to uint64 maximum.
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 64) - 1
+
+#: Leaf types that need no check beyond their exact type.
+_SCALARS = frozenset({str, float, bool, type(None)})
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+#: A JSON escape in the UTF-16 surrogate range, ``\uD800``-``\uDFFF``.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _check_value(obj: Any, depth: int) -> None:
+    """Refuse what the wire must not carry, on every frame sent or read.
+
+    Dispatch is on the exact type.  The JSON encoder would flatten a
+    tuple-backed value (a ``Role``, a ``Decision``) into an array,
+    coerce a non-string key, or emit an integer no peer reads back; the
+    decoder would hand any nesting to the handlers.  Only an exact
+    ``list``/``tuple`` is an array; ``int``, ``str`` and ``float``
+    subclasses (enum-like constants) encode as their base value.
+    """
+    kind = type(obj)
+    if kind is dict:
+        for key in obj:
+            if type(key) is not str:
+                raise ProtocolError("payload map keys must be strings")
+        items = obj.values()
+    elif kind is list or kind is tuple:
+        items = obj
+    elif kind is int:
+        if not _INT_MIN <= obj <= _INT_MAX:
+            raise ProtocolError("payload integer exceeds 64 bits")
+        return
+    elif kind in _SCALARS or isinstance(obj, (str, float)):
+        return
+    elif isinstance(obj, dict):
+        return _check_value(dict(obj), depth)
+    elif isinstance(obj, int):
+        return _check_value(int(obj), depth)
+    else:
+        raise ProtocolError(f"payload cannot encode {kind.__name__} values")
+    if items:
+        depth += 1
+        if depth > MAX_PAYLOAD_DEPTH:
+            raise ProtocolError("payload nests too deeply")
+        for item in items:
+            kind = type(item)
+            if kind not in _SCALARS and (
+                kind is not int or not _INT_MIN <= item <= _INT_MAX
+            ):
+                _check_value(item, depth)
+
+
+def pack_payload(obj: Any) -> bytes:
+    """Encode a JSON-shaped value as a v2 payload: compact UTF-8 JSON.
+
+    Deterministic output; anything :func:`_check_value` refuses is a
+    :class:`ProtocolError`, raised before a byte is produced.
+    """
+    _check_value(obj, 0)
+    return _ENCODER.encode(obj).encode("utf-8")
+
+
+def unpack_payload(data: bytes) -> Any:
+    """Decode a payload; any malformation is a :class:`ProtocolError`.
+
+    The bytes must be strict UTF-8 (``json.loads`` on raw bytes would
+    guess UTF-16/32), and so must the text its escapes spell.  Nesting
+    deep enough to exhaust the C decoder's recursion guard is refused
+    like any other malformed input.
+    """
+    try:
+        text = data.decode("utf-8")
+        value = json.loads(text)
+        if "\\" in text and _SURROGATE_ESCAPE.search(text):
+            # The escape may spell a lone surrogate, which shard hashing
+            # and SQLite would fail to encode much later.
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeError as exc:
+        raise ProtocolError(f"payload is not valid UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"payload is not valid JSON: {exc}") from exc
+    _check_value(value, 0)
+    return value
+
+
+def _decode_envelope(data: bytes, version: int) -> dict:
+    """One received payload as a frame dict of protocol ``version``."""
+    frame = unpack_payload(data)
+    if type(frame) is not dict:
+        raise ProtocolError(
+            f"frame must be a JSON object, got {type(frame).__name__}"
+        )
+    if frame.get("v") != version:
+        raise ProtocolError(
+            f"unsupported protocol version {frame.get('v')!r} "
+            f"(expected v{version})"
+        )
+    return frame
+
+
+# ---------------------------------------------------------------------------
 # Frame envelope
 # ---------------------------------------------------------------------------
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
@@ -219,28 +331,7 @@ def decode_frame(line: bytes) -> dict:
     """Parse one received line into a frame dict, validating the envelope."""
     if len(line) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(line)} bytes exceeds limit")
-    try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"frame is not valid UTF-8: {exc}") from exc
-    text = text.strip()
-    if not text:
-        raise ProtocolError("empty frame")
-    try:
-        frame = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
-    if not isinstance(frame, dict):
-        raise ProtocolError(
-            f"frame must be a JSON object, got {type(frame).__name__}"
-        )
-    version = frame.get("v")
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {version!r} "
-            f"(this endpoint speaks v{PROTOCOL_VERSION})"
-        )
-    return frame
+    return _decode_envelope(line, PROTOCOL_VERSION)
 
 
 def request_frame(op: str, frame_id: str, **fields: Any) -> dict:
@@ -658,349 +749,21 @@ def reload_principal_of(frame: Mapping[str, Any]) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Protocol v2: msgpack-style payload codec ("binpack")
+# Protocol v2: limits
 # ---------------------------------------------------------------------------
-#: The binary wire-format version spoken after a successful ``hello``.
+#: The length-prefixed wire-format version spoken after a successful
+#: ``hello``.
 PROTOCOL_VERSION_2 = 2
 #: Highest version this build can negotiate.
 MAX_PROTOCOL_VERSION = PROTOCOL_VERSION_2
 
-#: Hard ceiling on one *batched* binary frame (header + payload).  A
+#: Hard ceiling on one *batched* v2 frame (header + payload).  A
 #: batch of ``MAX_WIRE_BATCH`` worst-case decisions fits comfortably;
 #: anything declaring more is rejected before a single payload byte is
 #: buffered.
 MAX_FRAME_BYTES_V2 = 8 << 20
 #: Most requests one ``decide-batch`` frame may carry.
 MAX_WIRE_BATCH = 1024
-#: Nesting depth cap for the payload codec — frames nest a handful of
-#: levels; attacker-controlled recursion must not reach the interpreter
-#: stack limit.
-_BINPACK_MAX_DEPTH = 32
-
-_FLOAT64 = struct.Struct("!d")
-
-#: Memo of short strings → their complete encoding (tag, length and
-#: UTF-8 body).  Map keys, effects, reasons, policy ids and the policy
-#: digest repeat in every entry of a batch; a hit costs one dict lookup
-#: instead of an encode and three appends.  Only strings of at most
-#: ``_STR_MEMO_BYTES`` UTF-8 bytes are kept.  Bounded like
-#: :data:`_KEY_MEMO`: cleared wholesale once full.  Every thread shares
-#: it without a lock: an entry is a pure function of its key, and racing
-#: inserts overshoot the bound by at most one entry per thread.
-_STR_MEMO: dict[str, bytes] = {}
-_STR_MEMO_MAX = 1024
-_STR_MEMO_BYTES = 64
-
-
-def _str_bytes(obj: str) -> bytes:
-    """The complete encoding of one string, memoised when short."""
-    data = obj.encode("utf-8")
-    size = len(data)
-    if size <= 31:
-        packed = bytes((0xA0 | size,)) + data
-    elif size <= 0xFF:
-        packed = bytes((0xD9, size)) + data
-    elif size <= 0xFFFF:
-        packed = b"\xda" + size.to_bytes(2, "big") + data
-    elif size <= 0xFFFFFFFF:
-        packed = b"\xdb" + size.to_bytes(4, "big") + data
-    else:  # pragma: no cover - larger than any frame limit
-        raise ProtocolError("binpack string too long")
-    if size <= _STR_MEMO_BYTES:
-        memo = _STR_MEMO
-        if len(memo) >= _STR_MEMO_MAX:
-            memo.clear()
-        memo[obj] = packed
-    return packed
-
-
-def _pack_length(
-    size: int, out: bytearray, fix: int, tag16: int, what: str
-) -> None:
-    """A map or array header: fix form up to 15 entries, else 16/32-bit."""
-    if size <= 15:
-        out.append(fix | size)
-    elif size <= 0xFFFF:
-        out.append(tag16)
-        out += size.to_bytes(2, "big")
-    elif size <= 0xFFFFFFFF:
-        out.append(tag16 + 1)
-        out += size.to_bytes(4, "big")
-    else:  # pragma: no cover
-        raise ProtocolError(f"binpack {what} too long")
-
-
-def _pack_map(obj: dict, out: bytearray, depth: int) -> None:
-    _pack_length(len(obj), out, 0x80, 0xDE, "map")
-    depth += 1
-    if depth > _BINPACK_MAX_DEPTH and obj:
-        raise ProtocolError("binpack payload nests too deeply")
-    memo = _STR_MEMO
-    for key, value in obj.items():
-        if type(key) is not str:
-            raise ProtocolError("binpack map keys must be strings")
-        out += memo.get(key) or _str_bytes(key)
-        if type(value) is str:
-            out += memo.get(value) or _str_bytes(value)
-        else:
-            _pack_into(value, out, depth)
-
-
-def _pack_array(obj: list | tuple, out: bytearray, depth: int) -> None:
-    _pack_length(len(obj), out, 0x90, 0xDC, "array")
-    depth += 1
-    if depth > _BINPACK_MAX_DEPTH and obj:
-        raise ProtocolError("binpack payload nests too deeply")
-    memo = _STR_MEMO
-    for item in obj:
-        if type(item) is str:
-            out += memo.get(item) or _str_bytes(item)
-        else:
-            _pack_into(item, out, depth)
-
-
-def _pack_into(obj: Any, out: bytearray, depth: int) -> None:
-    # Dispatch on the exact type, most frequent first; containers check
-    # the depth cap for their children, so a leaf costs no depth test.
-    # Only an exact list or tuple is an array: a tuple-backed value such
-    # as a Role or a Decision is refused below, not flattened.
-    kind = type(obj)
-    if kind is str:
-        out += _STR_MEMO.get(obj) or _str_bytes(obj)
-    elif kind is dict:
-        _pack_map(obj, out, depth)
-    elif kind is list or kind is tuple:
-        _pack_array(obj, out, depth)
-    elif obj is None:
-        out.append(0xC0)
-    elif kind is int:
-        if 0 <= obj <= 0x7F:
-            out.append(obj)
-        elif -32 <= obj < 0:
-            out.append(0x100 + obj)
-        elif obj >= 0:
-            if obj <= 0xFF:
-                out.append(0xCC)
-                out.append(obj)
-            elif obj <= 0xFFFF:
-                out.append(0xCD)
-                out += obj.to_bytes(2, "big")
-            elif obj <= 0xFFFFFFFF:
-                out.append(0xCE)
-                out += obj.to_bytes(4, "big")
-            elif obj <= 0xFFFFFFFFFFFFFFFF:
-                out.append(0xCF)
-                out += obj.to_bytes(8, "big")
-            else:
-                raise ProtocolError("binpack integer exceeds 64 bits")
-        else:
-            if obj >= -0x80:
-                out.append(0xD0)
-                out += obj.to_bytes(1, "big", signed=True)
-            elif obj >= -0x8000:
-                out.append(0xD1)
-                out += obj.to_bytes(2, "big", signed=True)
-            elif obj >= -0x80000000:
-                out.append(0xD2)
-                out += obj.to_bytes(4, "big", signed=True)
-            elif obj >= -0x8000000000000000:
-                out.append(0xD3)
-                out += obj.to_bytes(8, "big", signed=True)
-            else:
-                raise ProtocolError("binpack integer exceeds 64 bits")
-    elif kind is bool:
-        out.append(0xC3 if obj else 0xC2)
-    elif kind is float:
-        out.append(0xCB)
-        out += _FLOAT64.pack(obj)
-    elif kind is bytes:
-        size = len(obj)
-        if size <= 0xFF:
-            out.append(0xC4)
-            out.append(size)
-        elif size <= 0xFFFF:
-            out.append(0xC5)
-            out += size.to_bytes(2, "big")
-        elif size <= 0xFFFFFFFF:
-            out.append(0xC6)
-            out += size.to_bytes(4, "big")
-        else:  # pragma: no cover - larger than any frame limit
-            raise ProtocolError("binpack bytes too long")
-        out += obj
-    elif isinstance(obj, dict):
-        _pack_map(obj, out, depth)
-    elif isinstance(obj, (int, str, float)):
-        # bool subclasses were handled above; tolerate int/str/float
-        # subclasses (enums such as Effect) by packing the base value.
-        base = int(obj) if isinstance(obj, int) else (
-            str(obj) if isinstance(obj, str) else float(obj)
-        )
-        _pack_into(base, out, depth)
-    else:
-        raise ProtocolError(
-            f"binpack cannot encode {type(obj).__name__} values"
-        )
-
-
-def pack_payload(obj: Any) -> bytes:
-    """Encode a JSON-shaped value with the v2 binary payload codec.
-
-    The codec is a self-contained msgpack-compatible subset (nil, bool,
-    64-bit ints, float64, str, bytes, array, map) — no external
-    dependency, deterministic output, and every decode failure mode is
-    a :class:`ProtocolError`.
-    """
-    out = bytearray()
-    _pack_into(obj, out, 0)
-    return bytes(out)
-
-
-def _need(data: bytes, offset: int, count: int, what: str) -> None:
-    if offset + count > len(data):
-        raise ProtocolError(f"binpack payload truncated in {what}")
-
-
-#: Memo of short map-key byte slices → interned strings.  Wire payloads
-#: repeat the same handful of keys ("effect", "reason", ...) thousands
-#: of times per batch; decoding each occurrence costs a slice, a UTF-8
-#: decode and a fresh string object, where a hit here costs one dict
-#: lookup.  Bounded; cleared wholesale if adversarial traffic fills it.
-_KEY_MEMO: dict[bytes, str] = {}
-_KEY_MEMO_MAX = 1024
-
-
-def _unpack_from(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
-    if depth > _BINPACK_MAX_DEPTH:
-        raise ProtocolError("binpack payload nests too deeply")
-    _need(data, offset, 1, "tag")
-    tag = data[offset]
-    offset += 1
-    if tag <= 0x7F:  # positive fixint
-        return tag, offset
-    if tag >= 0xE0:  # negative fixint
-        return tag - 0x100, offset
-    if 0x80 <= tag <= 0x8F:
-        return _unpack_map(data, offset, tag & 0x0F, depth)
-    if 0x90 <= tag <= 0x9F:
-        return _unpack_array(data, offset, tag & 0x0F, depth)
-    if 0xA0 <= tag <= 0xBF:
-        return _unpack_str(data, offset, tag & 0x1F)
-    if tag == 0xC0:
-        return None, offset
-    if tag == 0xC2:
-        return False, offset
-    if tag == 0xC3:
-        return True, offset
-    if tag in (0xC4, 0xC5, 0xC6):
-        width = 1 << (tag - 0xC4)
-        _need(data, offset, width, "bytes length")
-        size = int.from_bytes(data[offset:offset + width], "big")
-        offset += width
-        _need(data, offset, size, "bytes body")
-        return bytes(data[offset:offset + size]), offset + size
-    if tag == 0xCB:
-        _need(data, offset, 8, "float64")
-        return _FLOAT64.unpack_from(data, offset)[0], offset + 8
-    if 0xCC <= tag <= 0xCF:
-        width = 1 << (tag - 0xCC)
-        _need(data, offset, width, "uint")
-        value = int.from_bytes(data[offset:offset + width], "big")
-        return value, offset + width
-    if 0xD0 <= tag <= 0xD3:
-        width = 1 << (tag - 0xD0)
-        _need(data, offset, width, "int")
-        value = int.from_bytes(
-            data[offset:offset + width], "big", signed=True
-        )
-        return value, offset + width
-    if tag in (0xD9, 0xDA, 0xDB):
-        width = 1 << (tag - 0xD9)
-        _need(data, offset, width, "str length")
-        size = int.from_bytes(data[offset:offset + width], "big")
-        offset += width
-        return _unpack_str(data, offset, size)
-    if tag in (0xDC, 0xDD):
-        width = 2 << (tag - 0xDC)
-        _need(data, offset, width, "array length")
-        size = int.from_bytes(data[offset:offset + width], "big")
-        offset += width
-        return _unpack_array(data, offset, size, depth)
-    if tag in (0xDE, 0xDF):
-        width = 2 << (tag - 0xDE)
-        _need(data, offset, width, "map length")
-        size = int.from_bytes(data[offset:offset + width], "big")
-        offset += width
-        return _unpack_map(data, offset, size, depth)
-    raise ProtocolError(f"binpack tag 0x{tag:02x} is not supported")
-
-
-def _unpack_str(data: bytes, offset: int, size: int) -> tuple[str, int]:
-    _need(data, offset, size, "str body")
-    try:
-        return data[offset:offset + size].decode("utf-8"), offset + size
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"binpack string is not valid UTF-8: {exc}") from exc
-
-
-def _unpack_array(
-    data: bytes, offset: int, size: int, depth: int
-) -> tuple[list, int]:
-    if size > len(data) - offset:
-        # Each element costs at least one byte; a declared count larger
-        # than the remaining payload is a lie, not a big array.
-        raise ProtocolError("binpack array length exceeds payload")
-    unpack = _unpack_from
-    items = []
-    append = items.append
-    for _ in range(size):
-        item, offset = unpack(data, offset, depth + 1)
-        append(item)
-    return items, offset
-
-
-def _unpack_map(
-    data: bytes, offset: int, size: int, depth: int
-) -> tuple[dict, int]:
-    if size > (len(data) - offset) // 2:
-        raise ProtocolError("binpack map length exceeds payload")
-    length = len(data)
-    memo = _KEY_MEMO
-    unpack = _unpack_from
-    mapping: dict[str, Any] = {}
-    for _ in range(size):
-        # Fast path for the overwhelmingly common case — a short fixstr
-        # key — with a memo so repeated keys skip the UTF-8 decode.
-        if offset < length and 0xA0 <= data[offset] <= 0xBF:
-            end = offset + 1 + (data[offset] & 0x1F)
-            if end > length:
-                raise ProtocolError("binpack payload truncated in str body")
-            raw = data[offset + 1:end]
-            key = memo.get(raw)
-            if key is None:
-                key, _ = _unpack_str(data, offset + 1, len(raw))
-                if len(memo) >= _KEY_MEMO_MAX:
-                    memo.clear()
-                memo[raw] = key
-            offset = end
-        else:
-            key, offset = unpack(data, offset, depth + 1)
-            if type(key) is not str:
-                raise ProtocolError("binpack map keys must be strings")
-        value, offset = unpack(data, offset, depth + 1)
-        mapping[key] = value
-    return mapping, offset
-
-
-def unpack_payload(data: bytes) -> Any:
-    """Decode a binpack payload; any malformation is a ProtocolError."""
-    value, offset = _unpack_from(data, 0, 0)
-    if offset != len(data):
-        raise ProtocolError(
-            f"binpack payload has {len(data) - offset} trailing bytes"
-        )
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Protocol v2: length-prefixed binary framing
 # ---------------------------------------------------------------------------
@@ -1014,7 +777,7 @@ V2_HEADER_BYTES = V2_HEADER.size
 
 
 def encode_frame_v2(frame: Mapping[str, Any]) -> bytes:
-    """Serialise one frame dict as a v2 binary frame (header + payload)."""
+    """Serialise one frame dict as a v2 frame (header + payload)."""
     payload_obj = dict(frame)
     payload_obj["v"] = PROTOCOL_VERSION_2
     payload = pack_payload(payload_obj)
@@ -1064,17 +827,7 @@ def v2_payload_length(header: bytes) -> int:
 
 def decode_frame_v2(payload: bytes) -> dict:
     """Decode a v2 payload into a frame dict, validating the envelope."""
-    frame = unpack_payload(payload)
-    if not isinstance(frame, dict):
-        raise ProtocolError(
-            f"v2 frame must decode to a map, got {type(frame).__name__}"
-        )
-    version = frame.get("v")
-    if version != PROTOCOL_VERSION_2:
-        raise ProtocolError(
-            f"unsupported protocol version {version!r} in v2 frame"
-        )
-    return frame
+    return _decode_envelope(payload, PROTOCOL_VERSION_2)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ class TestBatchCutting:
 
     def test_unencodable_request_fails_its_batch_and_keeps_the_wire(self):
         pipeline = DecidePipeline(batch_max=8)
-        pipeline.submit("bad", {"user": object()}, 1)  # binpack cannot encode
+        pipeline.submit("bad", {"user": object()}, 1)  # not a payload value
         pipeline.submit("good", {"user": "good"}, 2)
         payload, size, failed = pipeline.next_frame()
         assert payload is None and size == 0

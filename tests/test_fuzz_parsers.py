@@ -1,28 +1,36 @@
 """Fuzz tests: parsers must fail *cleanly* on arbitrary input.
 
 Every parser in the library — Appendix-A XML, the authoring DSL, the
-PERMIS policy XML, context names, DNs — must either produce a valid
-object or raise its documented :class:`~repro.errors.ReproError`
-subclass; no other exception type may escape, no matter the input.
+PERMIS policy XML, context names, DNs, the v1/v2 wire decoders — must
+either produce a valid object or raise its documented
+:class:`~repro.errors.ReproError` subclass; no other exception type may
+escape, no matter the input.
 """
+
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.client._core import decode_response_line
 from repro.core.context import ContextName
 from repro.errors import (
     ContextNameError,
     DirectoryError,
+    PDPUnavailableError,
     PolicyParseError,
+    ProtocolError,
 )
 from repro.permis.directory import normalize_dn
 from repro.permis.xml import parse_permis_policy
+from repro.server import protocol
 from repro.xmlpolicy import (
     compile_policy_set,
     parse_policy_set,
     validate_policy_document,
 )
+from tests.test_protocol import DEEP, make_request
 from tests.test_xmlpolicy import DIVERGENT_DOCUMENTS
 
 _text = st.text(max_size=300)
@@ -175,3 +183,68 @@ def test_dn_normalizer_fails_cleanly(text):
     except DirectoryError:
         return
     assert normalize_dn(dn) == dn  # idempotent on success
+
+
+def _feed_wire_decoders(data: bytes) -> None:
+    """Every decoder a received frame meets, server and client side."""
+    for decode, parse in (
+        (
+            protocol.decode_frame,
+            lambda frame: protocol.request_from_wire(frame.get("request")),
+        ),
+        (protocol.decode_frame_v2, protocol.batch_requests_of),
+        (decode_response_line, dict),
+    ):
+        try:
+            frame = decode(data)
+            # Decoded text is text a UTF-8 consumer (shard hashing,
+            # SQLite) can encode: no lone surrogate gets through.
+            json.dumps(frame, ensure_ascii=False).encode("utf-8")
+            parse(frame)
+        except (ProtocolError, PDPUnavailableError):
+            pass
+
+
+@given(st.binary(max_size=200))
+@example(data=b'{"v":1,"id":1,"x":' + DEEP + b"}\n")
+@example(data=b'{"v":2,"id":1,"x":' + b"{\"k\":" * 100_000 + b"}")
+@settings(max_examples=300, deadline=None)
+def test_wire_decoders_fail_cleanly_on_bytes(data):
+    _feed_wire_decoders(data)
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    # Lone surrogates: json.dumps escapes them, UTF-8 cannot carry them.
+    | st.text(st.characters() | st.sampled_from("\ud800\udfff"), max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+_REQUEST = protocol.request_to_wire(make_request())
+#: A well-formed wire request with one field replaced by noise.
+_request_shapes = st.builds(
+    lambda key, value: {**_REQUEST, key: value},
+    st.sampled_from(sorted(_REQUEST)),
+    _json_values,
+)
+
+
+@given(
+    st.lists(_request_shapes | _json_values, max_size=4),
+    _request_shapes | _json_values,
+    st.sampled_from([1, 2]),
+)
+@settings(max_examples=200, deadline=None)
+def test_wire_decoders_fail_cleanly_on_json_shapes(requests, noise, version):
+    frame = {
+        "v": version,
+        "id": "f-1",
+        "op": protocol.OP_DECIDE_BATCH,
+        "request": noise,
+        "requests": requests,
+    }
+    _feed_wire_decoders(json.dumps(frame).encode() + b"\n")

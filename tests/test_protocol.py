@@ -20,6 +20,7 @@ from repro.core import (
     Privilege,
     Role,
 )
+from repro.client._core import decode_response_line
 from repro.core.retained_adi import RetainedADIRecord
 from repro.errors import ProtocolError
 from repro.server import protocol
@@ -310,20 +311,54 @@ class TestFuzz:
                 pass
 
 
-#: Every binpack tag family and its size-boundary transitions.
-BINPACK_VALUES = [
+#: JSON-shaped values a v2 payload carries exactly: every scalar kind,
+#: the 64-bit integer limits, non-ASCII text, nesting and wide maps.
+PAYLOAD_VALUES = [
     None, True, False,
     0, 1, -1, 31, 32, 127, 128, 255, 256, 65535, 65536,
     -32, -33, -128, -129, -32768, -32769,
-    2**31 - 1, 2**31, 2**32, 2**63 - 1, -(2**63),
+    2**31 - 1, 2**31, 2**32, 2**63 - 1, -(2**63), 2**64 - 1,
     0.0, -0.5, 17.25, 0.1 + 0.2, float("inf"),
     "", "x", "a" * 31, "a" * 32, "a" * 255, "a" * 256, "π" * 100,
-    b"", b"\x00\xff", b"y" * 300,
+    "\u2028 \\ \"quoted\" \x00",
     [], [1, [2, [3]]], list(range(20)),
     {}, {"k": "v"}, {str(i): i for i in range(40)},
 ]
 
-GOLDEN_BINPACK = pathlib.Path(__file__).with_name("golden_binpack.json")
+GOLDEN_V2_FRAMES = pathlib.Path(__file__).with_name("golden_v2_frames.json")
+
+#: The ``decide-batch`` request of :func:`golden_batch_frames` as the
+#: msgpack-style ("binpack") payload codec that v2 spoke before its
+#: payload became JSON: a valid v2 header, then a binary payload.  A
+#: peer of that era must get a ``protocol`` error, never a misreading.
+BINPACK_ERA_REQUEST = bytes.fromhex(
+    "b20200000000034d85a26f70ac6465636964652d6261746368a26964aa632d303030"
+    "3030303737a565706f636803a872657175657374739488a7757365725f6964a5616c"
+    "696365a5726f6c65739192a8656d706c6f796565a654656c6c6572a96f7065726174"
+    "696f6eaa68616e646c6543617368a6746172676574a874696c6c3a2f2f31b0636f6e"
+    "746578745f696e7374616e6365b64272616e63683d596f726b2c20506572696f643d"
+    "5031a974696d657374616d70cb4031400000000000ab656e7669726f6e6d656e7481"
+    "a3746f64a76d6f726e696e67aa726571756573745f6964ad7265712d746573742d30"
+    "30303188a7757365725f6964a5616c696365a5726f6c65739292a8656d706c6f7965"
+    "65a654656c6c657292a8656d706c6f796565a741756469746f72a96f706572617469"
+    "6f6eaa68616e646c6543617368a6746172676574a874696c6c3a2f2f31b0636f6e74"
+    "6578745f696e7374616e6365b64272616e63683d596f726b2c20506572696f643d50"
+    "31a974696d657374616d70cb4031400000000000ab656e7669726f6e6d656e7481a3"
+    "746f64a76d6f726e696e67aa726571756573745f6964ad7265712d746573742d3030"
+    "303188a7757365725f6964a5616c696365a5726f6c65739292a8656d706c6f796565"
+    "a654656c6c657292a8656d706c6f796565a741756469746f72a96f7065726174696f"
+    "6eaa68616e646c6543617368a6746172676574a874696c6c3a2f2f31b0636f6e7465"
+    "78745f696e7374616e6365b64272616e63683d596f726b2c20506572696f643d5031"
+    "a974696d657374616d70cb4031400000000000ab656e7669726f6e6d656e7481a374"
+    "6f64a76d6f726e696e67aa726571756573745f6964ad7265712d746573742d303030"
+    "3188a7757365725f6964a5616c696365a5726f6c65739292a8656d706c6f796565a6"
+    "54656c6c657292a8656d706c6f796565a741756469746f72a96f7065726174696f6e"
+    "aa68616e646c6543617368a6746172676574a874696c6c3a2f2f31b0636f6e746578"
+    "745f696e7374616e6365b64272616e63683d596f726b2c20506572696f643d5031a9"
+    "74696d657374616d70cb4031400000000000ab656e7669726f6e6d656e7481a3746f"
+    "64a76d6f726e696e67aa726571756573745f6964ad7265712d746573742d30303031"
+    "a17602"
+)
 
 
 def golden_batch_frames():
@@ -371,11 +406,10 @@ def golden_batch_frames():
     return request, response
 
 
-def golden_binpack_snapshot() -> dict:
-    """The hex encodings :data:`GOLDEN_BINPACK` pins."""
+def golden_v2_snapshot() -> dict:
+    """The hex v2 frame bytes :data:`GOLDEN_V2_FRAMES` pins."""
     request, response = golden_batch_frames()
     return {
-        "values": [protocol.pack_payload(v).hex() for v in BINPACK_VALUES],
         "decide_batch_request": protocol.encode_frame_v2(request).hex(),
         "decide_batch_response": protocol.encode_frame_v2(response).hex(),
     }
@@ -406,8 +440,8 @@ class TestV2RoundTrips:
         restored = protocol.batch_requests_of(decoded)
         assert [protocol.request_to_wire(r) for r in restored] == requests
 
-    def test_binpack_value_fidelity(self):
-        for value in BINPACK_VALUES:
+    def test_payload_value_fidelity(self):
+        for value in PAYLOAD_VALUES:
             packed = protocol.pack_payload(value)
             assert protocol.unpack_payload(packed) == value
 
@@ -427,11 +461,12 @@ class TestV2RoundTrips:
 
 
 class TestBinpackEncoder:
-    """The encoder's exact bytes, its limits and its string memo."""
+    """The payload encoder's exact bytes and the refusals it keeps from
+    the binpack codec it replaced (plus ``bytes``, which JSON lacks)."""
 
     def test_bytes_match_the_golden_encodings(self):
-        assert golden_binpack_snapshot() == json.loads(
-            GOLDEN_BINPACK.read_text()
+        assert golden_v2_snapshot() == json.loads(
+            GOLDEN_V2_FRAMES.read_text()
         )
 
     def test_nesting_past_the_depth_cap_is_refused(self):
@@ -460,28 +495,115 @@ class TestBinpackEncoder:
             with pytest.raises(ProtocolError, match=f"cannot encode {name} values"):
                 protocol.pack_payload(payload)
 
-    def test_only_short_strings_are_memoised(self, monkeypatch):
-        memo: dict = {}
-        monkeypatch.setattr(protocol, "_STR_MEMO", memo)
-        short = "s" * 64
-        wide = "π" * 32  # 32 characters, 64 UTF-8 bytes
-        long = "l" * 65
-        wider = "π" * 33  # 66 UTF-8 bytes
-        for value in (short, wide, long, wider):
-            packed = protocol.pack_payload({value: [value]})
-            assert protocol.unpack_payload(packed) == {value: [value]}
-        assert set(memo) == {short, wide}
-        assert memo[short] == protocol.pack_payload(short)
+    def test_bytes_are_refused(self):
+        for payload in (b"", [b"\x00\xff"], {"k": b"y"}):
+            with pytest.raises(ProtocolError, match="cannot encode bytes"):
+                protocol.pack_payload(payload)
 
-    def test_the_memo_stays_within_its_bound(self, monkeypatch):
-        memo: dict = {}
-        monkeypatch.setattr(protocol, "_STR_MEMO", memo)
-        bound = protocol._STR_MEMO_MAX
-        for index in range(bound + 10):
-            protocol.pack_payload(f"user-{index}")
-            assert len(memo) <= bound
-        last = f"user-{bound + 9}"
-        assert memo[last] == protocol.pack_payload(last)
+    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1, 10**30])
+    def test_integers_wider_than_64_bits_are_refused(self, value):
+        for payload in (value, [value], {"k": value}):
+            with pytest.raises(ProtocolError, match="exceeds 64 bits"):
+                protocol.pack_payload(payload)
+        # The decoder keeps the same bound on what a peer sends.
+        with pytest.raises(ProtocolError, match="exceeds 64 bits"):
+            protocol.decode_frame_v2(b'{"v":2,"n":%d}' % value)
+
+    def test_int_str_and_float_subclasses_encode_as_their_base(self):
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        packed = protocol.pack_payload([Count(7), Name("n"), Ratio(0.5)])
+        assert packed == protocol.pack_payload([7, "n", 0.5])
+
+
+class TestLoneSurrogates:
+    """JSON can escape a lone UTF-16 surrogate that UTF-8 cannot carry;
+    shard hashing and SQLite would fail on the decoded string."""
+
+    @staticmethod
+    def frames(user_id: str):
+        request = json.dumps(protocol.request_to_wire(make_request()))
+        request = request.replace('"alice"', f'"{user_id}"').encode()
+        return (
+            b'{"v":1,"id":"x","op":"decide","request":' + request + b"}\n",
+            b'{"v":2,"id":"y","op":"decide-batch","requests":['
+            + request + b"]}",
+        )
+
+    @pytest.mark.parametrize(
+        "escape",
+        ["\\ud800", "\\uDBFF", "\\udc00", "a\\ud800b", "\\udc00\\ud800"],
+        ids=["high", "high-upper", "low", "inside-text", "reversed-pair"],
+    )
+    def test_a_lone_surrogate_escape_is_refused(self, escape):
+        line, payload = self.frames(escape)
+        with pytest.raises(ProtocolError, match="surrogates not allowed"):
+            protocol.decode_frame(line)
+        with pytest.raises(ProtocolError, match="surrogates not allowed"):
+            protocol.decode_frame_v2(payload)
+
+    @pytest.mark.parametrize(
+        "escape, text",
+        [("\\ud83d\\ude00", "\U0001F600"), ("\\\\ud800", "\\ud800")],
+        ids=["surrogate-pair", "escaped-backslash"],
+    )
+    def test_text_a_surrogate_escape_may_spell_decodes(self, escape, text):
+        line, payload = self.frames(escape)
+        assert protocol.decode_frame(line)["request"]["user_id"] == text
+        frame = protocol.decode_frame_v2(payload)
+        [request] = protocol.batch_requests_of(frame)
+        assert request.user_id == text
+        # The encoder escapes a non-BMP character as such a pair.
+        assert protocol.unpack_payload(protocol.pack_payload(text)) == text
+
+
+#: 100 000 open brackets: a 100 kB line, well under ``MAX_FRAME_BYTES``,
+#: nested far past the interpreter's recursion limit.
+DEEP = b"[" * 100_000
+
+
+class TestDeepNesting:
+    """Nesting that exhausts the C decoder's recursion guard, or passes
+    the depth cap, is a ProtocolError on every decode path."""
+
+    @pytest.mark.parametrize(
+        "decode, data",
+        [
+            (protocol.decode_frame, b'{"v":1,"id":1,"x":' + DEEP + b"}\n"),
+            (protocol.decode_frame_v2, b'{"v":2,"id":1,"x":' + DEEP + b"}"),
+            (decode_response_line,
+             b'{"v":1,"id":"c-1","ok":true,"body":' + DEEP + b"}\n"),
+        ],
+        ids=["v1-line", "v2-payload", "response-line"],
+    )
+    def test_nesting_past_the_recursion_limit(self, decode, data):
+        assert len(data) < protocol.MAX_FRAME_BYTES
+        with pytest.raises(ProtocolError):
+            decode(data)
+
+    @pytest.mark.parametrize(
+        "decode, version",
+        [(protocol.decode_frame, 1), (protocol.decode_frame_v2, 2)],
+        ids=["v1", "v2"],
+    )
+    def test_nesting_past_the_depth_cap_is_refused_on_decode(
+        self, decode, version
+    ):
+        def frame(levels):
+            # The frame object is one level; its value nests the rest.
+            value = b"[" * levels + b"0" + b"]" * levels
+            return b'{"v":%d,"x":%s}' % (version, value)
+
+        assert decode(frame(protocol.MAX_PAYLOAD_DEPTH - 1))
+        with pytest.raises(ProtocolError, match="nests too deeply"):
+            decode(frame(protocol.MAX_PAYLOAD_DEPTH))
 
 
 class TestV2Negotiation:
@@ -592,6 +714,14 @@ class TestV2FramingRejection:
             except ProtocolError:
                 pass  # the only acceptable failure mode
 
+    def test_a_binpack_era_payload_is_refused(self):
+        header = BINPACK_ERA_REQUEST[: protocol.V2_HEADER_BYTES]
+        payload = BINPACK_ERA_REQUEST[protocol.V2_HEADER_BYTES :]
+        # The header is still valid: the payload must fail on its own.
+        assert protocol.v2_payload_length(header) == len(payload)
+        with pytest.raises(ProtocolError, match="not valid UTF-8"):
+            protocol.decode_frame_v2(payload)
+
     def test_random_byte_soup_never_crashes(self):
         rng = random.Random(11)
         for _ in range(600):
@@ -645,6 +775,6 @@ class TestV2BatchRejection:
 if __name__ == "__main__":
     # Regenerate only for a deliberate wire-format change, from the
     # repository root: PYTHONPATH=src python -m tests.test_protocol
-    GOLDEN_BINPACK.write_text(
-        json.dumps(golden_binpack_snapshot(), indent=1) + "\n"
+    GOLDEN_V2_FRAMES.write_text(
+        json.dumps(golden_v2_snapshot(), indent=1) + "\n"
     )

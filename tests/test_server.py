@@ -26,6 +26,7 @@ from repro.server import (
     protocol,
     shard_of,
 )
+from tests.test_protocol import BINPACK_ERA_REQUEST, DEEP
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -271,6 +272,14 @@ def decide_frame(frame_id, user):
     )
 
 
+def v2_frame_of(payload):
+    """A v2 frame with a valid header around raw ``payload`` bytes."""
+    return (
+        protocol.V2_HEADER.pack(protocol.V2_MAGIC, 2, 0, len(payload))
+        + payload
+    )
+
+
 class EndpointCases:
     """Malformed-input cases every frame endpoint must pass.
 
@@ -395,6 +404,35 @@ class TestTCPServer(EndpointCases):
         assert health["body"]["queue_depths"] == [0, 0]
         assert len(metrics["body"]["shards"]) == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(
+                b'{"v":1,"id":1,"x":' + DEEP + b"}\n",
+                id="nested-past-the-recursion-limit",
+            ),
+            pytest.param(
+                protocol.encode_frame(decide_frame("s-1", "SURROGATE"))
+                .replace(b"SURROGATE", b"\\ud800"),
+                id="lone-surrogate-user-id",
+            ),
+        ],
+    )
+    def test_an_undecodable_line_is_answered_not_fatal(self, line):
+        async def scenario(server, reader, writer):
+            writer.write(line)
+            await writer.drain()
+            error = protocol.decode_frame(await reader.readline())
+            health = await tcp_exchange(
+                writer, reader, protocol.request_frame("healthz", "h-1")
+            )
+            return error, health
+
+        error, health = self.run_with_server(scenario)
+        assert error["ok"] is False and error["id"] is None
+        assert error["error"]["kind"] == "protocol"
+        assert health["ok"] is True and health["id"] == "h-1"
+
     def test_drain_rejects_new_work_with_shutting_down(self):
         async def scenario():
             service = AuthorizationService(make_engine(), n_shards=1)
@@ -454,6 +492,12 @@ class TestTCPServer(EndpointCases):
                 + b"\xc1\xc1\xc1",
                 None,
                 id="garbled-binpack",
+            ),
+            pytest.param(BINPACK_ERA_REQUEST, None, id="binpack-era-payload"),
+            pytest.param(
+                v2_frame_of(b'{"v":2,"id":1,"x":' + DEEP + b"}"),
+                None,
+                id="nested-past-the-recursion-limit",
             ),
             pytest.param(
                 protocol.encode_frame_v2(protocol.request_frame("warp", "w-1")),
