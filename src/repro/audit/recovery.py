@@ -16,18 +16,17 @@ resuming a partially-applied one — converges on the same store.  That
 property is what lets :mod:`repro.cluster` reuse this exact code path
 as *replication*: a warm standby simply re-runs recovery over its
 primary's shipped trails on every catch-up tick (see
-``docs/CLUSTER.md``).  The cluster extensions ride along as optional
-parameters: ``journal`` captures every decision outcome by request id
-(the standby's exactly-once dedupe table) and ``min_epoch`` drops
-events written by a deposed primary after its fencing epoch.  A reshard
-import has its own per-event rules but applies each mutation through
-the same :class:`IdempotentApply`.
+``docs/CLUSTER.md``).  A standby passes ``policy_set=None``: it mirrors
+what the trail recorded rather than re-filtering it, and ``journal``
+captures every decision outcome by request id (its exactly-once dedupe
+table).  A reshard import has its own per-event rules but applies each
+mutation through the same :class:`IdempotentApply`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, MutableMapping, Optional
+from typing import Callable, Iterable, MutableMapping
 
 from repro.core.context import ContextName
 from repro.core.decision import Decision, Effect
@@ -167,27 +166,25 @@ class RecoveryReport:
 
 def recover_retained_adi(
     trails: AuditTrailManager | None,
-    policy_set: MSoDPolicySet,
+    policy_set: MSoDPolicySet | None,
     store: RetainedADIStore,
     last_n_trails: int | None = None,
     since: float = 0.0,
     *,
     journal: MutableMapping[str, dict] | None = None,
-    min_epoch: int = 0,
-    policy_resolver: Optional[
-        Callable[[int], MSoDPolicySet | None]
-    ] = None,
     user_filter: Callable[[str], bool] | None = None,
     events: Iterable[AuditEvent] | None = None,
 ) -> RecoveryReport:
     """Rebuild a retained-ADI store by replaying granted decisions.
 
-    Only records whose business-context instance is still matched by the
-    *current* policy set are recovered ("according to its current set of
-    MSoD policies"); purge events replay unconditionally so contexts
-    terminated before the restart stay terminated.  Records already in
-    ``store`` are not added twice, so the call is idempotent (the
-    multiset of what it holds is built at the pass's first add).
+    Only records whose business-context instance is still matched by
+    ``policy_set`` are recovered ("according to its current set of MSoD
+    policies"); ``policy_set=None`` recovers every recorded add, which
+    is how a mirror reproduces its source's store whatever sets the
+    trail was written under.  Purge events replay unconditionally so
+    contexts terminated before the restart stay terminated.  Records
+    already in ``store`` are not added twice, so the call is idempotent
+    (the multiset of what it holds is built at the pass's first add).
 
     Parameters
     ----------
@@ -197,20 +194,6 @@ def recover_retained_adi(
         standby uses this as its exactly-once table: a client retrying
         a decide whose outcome the dead primary already committed gets
         the recorded answer instead of a double evaluation.
-    min_epoch:
-        Skip decision/purge events stamped with a cluster epoch below
-        this floor — a deposed primary's post-fencing writes.
-    policy_resolver:
-        Optional ``policy_epoch -> MSoDPolicySet | None`` (see
-        :meth:`~repro.core.engine.MSoDEngine.policy_set_for_epoch`).
-        When the trail spans a hot reload, each decision event carries
-        the ``policy_epoch`` it was made under; resolving it replays
-        the event's ADI adds under the policy that *produced* them, so
-        records granted before the reload survive recovery even when
-        the current set no longer matches their context.  Unresolvable
-        epochs (history evicted, pre-epoch trails) fall back to the
-        current ``policy_set``, which is the paper's original
-        "according to its current set of MSoD policies" behaviour.
     user_filter:
         Optional ``user_id -> bool`` predicate restricting which adds
         are replayed and which decision outcomes enter ``journal``;
@@ -236,10 +219,6 @@ def recover_retained_adi(
         events = trails.events(last_n_trails=last_n_trails, since=since)
     for event in events:
         events_scanned += 1
-        epoch = event.payload.get("epoch", 0) if event.payload else 0
-        if isinstance(epoch, int) and epoch < min_epoch:
-            skipped += 1
-            continue
         if event.event_type == EVENT_DECISION:
             payload = event.payload
             if journal is not None:
@@ -255,17 +234,6 @@ def recover_retained_adi(
             for context_text in payload.get("adi_purges", ()):
                 target.purge(context_text)
                 purges += 1
-            effective_set = policy_set
-            if policy_resolver is not None:
-                event_policy_epoch = payload.get("policy_epoch")
-                if (
-                    isinstance(event_policy_epoch, int)
-                    and not isinstance(event_policy_epoch, bool)
-                    and event_policy_epoch > 0
-                ):
-                    resolved = policy_resolver(event_policy_epoch)
-                    if resolved is not None:
-                        effective_set = resolved
             adds = [
                 RetainedADIRecord.from_dict(record_dict)
                 for record_dict in payload.get("adi_adds", ())
@@ -274,7 +242,10 @@ def recover_retained_adi(
                 record
                 for record in adds
                 if (user_filter is None or user_filter(record.user_id))
-                and effective_set.is_relevant(record.context_instance)
+                and (
+                    policy_set is None
+                    or policy_set.is_relevant(record.context_instance)
+                )
             ])
             for record in fresh:
                 store.add(record)

@@ -325,7 +325,6 @@ class ClusterNode:
         source_trail_dir: str,
         *,
         max_events: int | None = None,
-        min_epoch: int = 0,
         user_filter: Callable[[str], bool] | None = None,
     ):
         """Replay a primary's shipped trails into this node's store.
@@ -365,22 +364,19 @@ class ClusterNode:
         if user_filter is None:
             user_filter = self._ownership_filter()
         position, consumed = self._catchup.get(source_trail_dir, (None, 0))
-        # Replay against the engine's *active* set (which a hot reload
-        # may have advanced past the constructor's), resolving each
-        # event's recorded policy_epoch through the engine's epoch log
-        # so grants made before a reload replicate under the policy
-        # that produced them.
+        # A mirror applies every recorded add (policy_set=None): the
+        # primary only retained what its own set matched, whichever
+        # set that was, and a standby that re-filtered by its own set
+        # would lose history a failover must keep.
         report, position = self._replay_tail(
             source_trail_dir,
             position,
             None if max_events is None else max_events - consumed,
             lambda events: recover_retained_adi(
                 None,
-                self._engine.policy_set,
+                None,
                 self._store,
                 journal=self._journal,
-                min_epoch=min_epoch,
-                policy_resolver=self._engine.policy_set_for_epoch,
                 user_filter=user_filter,
                 events=events,
             ),
@@ -420,7 +416,6 @@ class ClusterNode:
         user_filter: Callable[[str], bool],
         *,
         max_events: int | None = None,
-        min_epoch: int = 0,
         cursor: dict | None = None,
     ) -> dict:
         """Import another shard's decision events for users moving here.
@@ -460,7 +455,7 @@ class ClusterNode:
             source_trail_dir,
             cursor,
             max_events,
-            lambda events: self._import_events(events, user_filter, min_epoch),
+            lambda events: self._import_events(events, user_filter),
         )
         return dict(counts, next_cursor=next_cursor)
 
@@ -468,7 +463,6 @@ class ClusterNode:
         self,
         events: Iterator[AuditEvent],
         user_filter: Callable[[str], bool],
-        min_epoch: int,
     ) -> dict:
         scanned = 0
         moving_events = []
@@ -480,9 +474,6 @@ class ClusterNode:
                 # docs/CLUSTER.md's resizing runbook).
                 continue
             payload = event.payload or {}
-            epoch = payload.get("epoch", 0)
-            if isinstance(epoch, int) and epoch < min_epoch:
-                continue
             user_id = payload.get("request", {}).get("user_id")
             if not user_id or not user_filter(user_id):
                 continue

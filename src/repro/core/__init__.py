@@ -63,7 +63,6 @@ from repro.core.policy import MSoDPolicy, MSoDPolicySet, Step
 from repro.core.policy_epoch import (
     INITIAL_EPOCH,
     CompiledPolicyMatcher,
-    PolicyEpochLog,
     PolicySwapReport,
     PolicyVersion,
     policy_set_digest,
@@ -104,7 +103,6 @@ __all__ = [
     "MSoDPolicySet",
     "Step",
     "INITIAL_EPOCH",
-    "PolicyEpochLog",
     "CompiledPolicyMatcher",
     "PolicySwapReport",
     "PolicyVersion",

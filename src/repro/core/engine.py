@@ -41,7 +41,6 @@ from repro.core.policy import MSoDPolicySet
 from repro.core.policy_epoch import (
     INITIAL_EPOCH,
     CompiledPolicyMatcher,
-    PolicyEpochLog,
     PolicySwapReport,
     PolicyVersion,
     policy_set_digest,
@@ -132,8 +131,6 @@ class MSoDEngine:
             digest,
             CompiledPolicyMatcher(policy_set, INITIAL_EPOCH, digest),
         )
-        self._epoch_log = PolicyEpochLog()
-        self._epoch_log.record(INITIAL_EPOCH, policy_set, digest)
         self._swap_lock = threading.Lock()
         self._store = store
         self._mode = mode
@@ -163,10 +160,6 @@ class MSoDEngine:
     def compiled_matcher(self) -> CompiledPolicyMatcher:
         """The step-1 matcher compiled for the active epoch."""
         return self._active[3]
-
-    def policy_set_for_epoch(self, epoch: int) -> MSoDPolicySet | None:
-        """The policy set enforced at ``epoch``, if still remembered."""
-        return self._epoch_log.resolve(epoch)
 
     @property
     def store(self) -> RetainedADIStore:
@@ -215,7 +208,6 @@ class MSoDEngine:
             epoch = previous.epoch + 1
             compiled = CompiledPolicyMatcher(policy_set, epoch, digest)
             self._active = (policy_set, epoch, digest, compiled)
-            self._epoch_log.record(epoch, policy_set, digest)
             if self._perf.enabled:
                 self._perf.incr("engine.policy_reloads")
             return PolicySwapReport(

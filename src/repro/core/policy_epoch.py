@@ -1,4 +1,4 @@
-"""Versioned policy epochs: content digests, swap reports, epoch history.
+"""Versioned policy epochs: content digests, swap reports, compiled matchers.
 
 The MSoD engine can hot-swap its policy set without restarting
 (:meth:`~repro.core.engine.MSoDEngine.swap_policy`).  Every active policy
@@ -11,10 +11,10 @@ while the epoch totally orders the versions a long-lived process has
 enforced.
 
 Decisions, traces and audit-trail records are stamped with the epoch and
-digest they were evaluated under, and :class:`PolicyEpochLog` keeps a
-bounded ``epoch -> policy set`` history so recovery and standby replay
-can re-apply each historical decision under the policy that produced it
-(see :func:`repro.audit.recovery.recover_retained_adi`).
+digest they were evaluated under.  The stamp is provenance for operators
+and tools; replay never resolves it back to a set: recovery filters by
+the set it is given and a standby applies what the trail recorded (see
+:func:`repro.audit.recovery.recover_retained_adi`).
 
 :class:`CompiledPolicyMatcher` is the per-epoch form of steps 1-2:
 the policy set's component-keyed dispatch (built **once** with the
@@ -364,38 +364,3 @@ class PolicySwapReport:
             changed=changed,
             findings=tuple(findings),
         )
-
-
-class PolicyEpochLog:
-    """Bounded ``epoch -> policy set`` history of one engine.
-
-    Reloads are administrative events, so the history is small; the
-    bound only guards a pathological reload loop.  Eviction drops the
-    oldest epochs first — exactly the ones whose audited decisions have
-    long been purged or checkpointed past.
-    """
-
-    __slots__ = ("_limit", "_entries")
-
-    def __init__(self, limit: int = 64) -> None:
-        if limit < 1:
-            raise PolicyError("PolicyEpochLog limit must be >= 1")
-        self._limit = limit
-        # Insertion-ordered: epochs only ever grow.
-        self._entries: dict[int, tuple[MSoDPolicySet, str]] = {}
-
-    def record(
-        self, epoch: int, policy_set: MSoDPolicySet, digest: str
-    ) -> None:
-        self._entries[epoch] = (policy_set, digest)
-        while len(self._entries) > self._limit:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-
-    def resolve(self, epoch: int) -> MSoDPolicySet | None:
-        """The policy set enforced at ``epoch``, if still remembered."""
-        entry = self._entries.get(epoch)
-        return entry[0] if entry is not None else None
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -402,11 +402,7 @@ class AuthorizationService:
                 "what-if replay needs a recorded audit trail "
                 "(this server has none)"
             )
-        report = what_if_replay(
-            trails,
-            policy_set,
-            policy_resolver=self._engine.policy_set_for_epoch,
-        )
+        report = what_if_replay(trails, policy_set)
         self._whatif_flips += report.flip_count
         return report
 
@@ -450,7 +446,6 @@ class AuthorizationService:
             max_flips=max_flips,
             force=force,
             trail_reader=self._trail_reader,
-            policy_resolver=self._engine.policy_set_for_epoch,
             observe=self._note_gate,
         )
         self._last_findings = report.findings

@@ -19,7 +19,7 @@ multi-shard cluster also runs and which nothing forces.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.constraints import POLICY_RELOAD_PRIVILEGE
 from repro.core.policy import MSoDPolicySet
@@ -78,11 +78,6 @@ def evaluate_gate(
     ssd: Iterable["SsdConstraint"] = (),
     trails: "AuditTrailManager | None" = None,
     max_flips: int = 0,
-    last_n_trails: int | None = None,
-    since: float = 0.0,
-    policy_resolver: Optional[
-        Callable[[int], MSoDPolicySet | None]
-    ] = None,
 ) -> GateResult:
     """Run the verification gate over a candidate policy set.
 
@@ -97,13 +92,7 @@ def evaluate_gate(
         reasons.extend(str(finding) for finding in static.errors)
     whatif: WhatIfReport | None = None
     if trails is not None:
-        whatif = what_if_replay(
-            trails,
-            candidate_set,
-            last_n_trails=last_n_trails,
-            since=since,
-            policy_resolver=policy_resolver,
-        )
+        whatif = what_if_replay(trails, candidate_set)
         if whatif.flip_count > max_flips:
             reasons.append(
                 f"what-if replay flips {whatif.flip_count} recorded "
@@ -129,9 +118,6 @@ def admit_reload(
     max_flips: int = 0,
     force: bool = False,
     trail_reader: "Callable[[], AuditTrailManager | None] | None" = None,
-    policy_resolver: Optional[
-        Callable[[int], MSoDPolicySet | None]
-    ] = None,
     observe: Callable[[GateResult], None] | None = None,
 ) -> GateResult:
     """Admit ``candidate_set`` onto ``engines`` or raise :class:`PolicyError`.
@@ -168,7 +154,6 @@ def admit_reload(
         candidate_set,
         trails=trail_reader() if verify and trail_reader else None,
         max_flips=max_flips,
-        policy_resolver=policy_resolver,
     )
     if verify and observe is not None:
         observe(gate)

@@ -6,10 +6,8 @@ with a *candidate* policy set answers the operator's question before a
 hot reload: **which past decisions would have gone the other way?**
 
 The replay is sequential and self-contained: the candidate engine
-starts from an empty retained-ADI store (or one pre-seeded through the
-epoch-aware :func:`~repro.audit.recovery.recover_retained_adi`
-machinery, see ``seed_events``) and accumulates its *own* history as it
-re-decides each recorded request in trail order.  Management purges
+starts from an empty retained-ADI store and accumulates its *own*
+history as it re-decides each recorded request in trail order.  Management purges
 recorded in the trail replay against the candidate store too, so
 context terminations line up.
 
@@ -21,11 +19,8 @@ whether the replay store is in-memory or SQLite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
 
-from repro.audit.recovery import recover_retained_adi
 from repro.audit.trail import EVENT_DECISION, EVENT_PURGE, AuditTrailManager
 from repro.core.context import ContextName
 from repro.core.decision import Decision, DecisionRequest
@@ -162,7 +157,6 @@ class WhatIfReport:
     candidate_digest: str
     events_scanned: int
     decisions_replayed: int
-    seeded_events: int
     flips: tuple[DecisionFlip, ...]
     # Exact flip total; may exceed ``len(flips)`` when detail was capped.
     flip_count: int = 0
@@ -184,7 +178,6 @@ class WhatIfReport:
             "candidate_digest": self.candidate_digest,
             "events_scanned": self.events_scanned,
             "decisions_replayed": self.decisions_replayed,
-            "seeded_events": self.seeded_events,
             "flips": [flip.to_dict() for flip in self.flips],
             "flip_count": self.flip_count,
             "grant_to_deny": self.grant_to_deny,
@@ -201,7 +194,6 @@ class WhatIfReport:
             candidate_digest=str(data.get("candidate_digest", "")),
             events_scanned=int(data.get("events_scanned", 0)),
             decisions_replayed=int(data.get("decisions_replayed", 0)),
-            seeded_events=int(data.get("seeded_events", 0)),
             flips=details,
             flip_count=int(data.get("flip_count", len(details))),
         )
@@ -214,12 +206,8 @@ def what_if_replay(
     *,
     last_n_trails: int | None = None,
     since: float = 0.0,
-    seed_events: int = 0,
     max_flips_recorded: int = 1000,
     mode: str = MODE_STRICT,
-    policy_resolver: Optional[
-        Callable[[int], MSoDPolicySet | None]
-    ] = None,
 ) -> WhatIfReport:
     """Replay a recorded decision stream under a candidate policy set.
 
@@ -229,35 +217,18 @@ def what_if_replay(
         The retained-ADI store backing the replay engine (fresh
         in-memory store by default).  Must start empty unless it holds
         deliberately pre-seeded state.
-    seed_events:
-        Replay the first N trail events through the epoch-aware
-        :func:`~repro.audit.recovery.recover_retained_adi` machinery
-        instead of re-deciding them: their recorded ADI mutations are
-        applied verbatim (under the policy epoch that produced them,
-        when ``policy_resolver`` can resolve it) and only the events
-        *after* the seed window are compared differentially.
     max_flips_recorded:
         Cap on the per-flip detail retained in the report (counts are
         always exact).
     """
     if store is None:
         store = InMemoryRetainedADIStore()
-    events = trails.events(last_n_trails=last_n_trails, since=since)
-    # One pass over the trail: the seed window and the differential
-    # loop draw from the same iterator, so nothing is verified twice.
-    seeded = recover_retained_adi(
-        None,
-        candidate_set,
-        store,
-        policy_resolver=policy_resolver,
-        events=itertools.islice(events, max(seed_events, 0)),
-    ).events_scanned
     engine = MSoDEngine(candidate_set, store, mode=mode)
-    events_scanned = seeded
+    events_scanned = 0
     decisions_replayed = 0
     flips: list[DecisionFlip] = []
     flip_count = 0
-    for event in events:
+    for event in trails.events(last_n_trails=last_n_trails, since=since):
         events_scanned += 1
         if event.event_type == EVENT_PURGE:
             store.purge_context(ContextName.parse(event.payload["context"]))
@@ -283,7 +254,6 @@ def what_if_replay(
         candidate_digest=policy_set_digest(candidate_set),
         events_scanned=events_scanned,
         decisions_replayed=decisions_replayed,
-        seeded_events=seeded,
         flips=tuple(flips),
         flip_count=flip_count,
     )

@@ -24,10 +24,13 @@ from repro.cluster import (
 )
 from repro.cluster.node import _BoundedJournal
 from repro.core import (
+    MMER,
     ContextName,
     DecisionRequest,
     InMemoryRetainedADIStore,
     MSoDEngine,
+    MSoDPolicy,
+    MSoDPolicySet,
     Role,
 )
 from repro.errors import (
@@ -273,6 +276,58 @@ class TestStandbyReplication:
         second = standby.catch_up(primary_trails.directory)
         assert second.events_scanned == 0
         assert len(scans) == 1  # the idle tick added no scan
+        assert store_digest(standby.store) == store_digest(engine.store)
+
+    def test_catch_up_mirrors_grants_from_every_policy_epoch(self, tmp_path):
+        # The standby boots on the primary's *second* set, which matches
+        # none of the contexts the primary granted under its first.
+        def exclusive(pattern):
+            return MSoDPolicySet(
+                [
+                    MSoDPolicy(
+                        ContextName.parse(pattern),
+                        mmers=[MMER([TELLER, AUDITOR], 2)],
+                    )
+                ]
+            )
+
+        primary_trails = AuditTrailManager(str(tmp_path / "p-trails"), b"k")
+        engine = MSoDEngine(
+            exclusive("Branch=*, Period=!"), InMemoryRetainedADIStore()
+        )
+        contexts = ["Branch=York, Period=P1", "Branch=Hull, Period=P1"]
+        for stamp, context in enumerate(contexts):
+            decision = engine.check(
+                make_request(
+                    "u0",
+                    context=ContextName.parse(context),
+                    timestamp=float(stamp),
+                )
+            )
+            primary_trails.append(
+                EVENT_DECISION, float(stamp), decision_event_payload(decision)
+            )
+        second = exclusive("Filing=*, Case=!")
+        engine.swap_policy(second)
+        decision = engine.check(
+            make_request(
+                "u1", context=ContextName.parse("Filing=F1, Case=C1"),
+                timestamp=9.0,
+            )
+        )
+        primary_trails.append(
+            EVENT_DECISION, 9.0, decision_event_payload(decision)
+        )
+        standby = ClusterNode(
+            "b",
+            "s0",
+            second,
+            InMemoryRetainedADIStore(),
+            str(tmp_path / "b-trails"),
+            b"k",
+        )
+        standby.catch_up(primary_trails.directory)
+        assert engine.store.count() > 2
         assert store_digest(standby.store) == store_digest(engine.store)
 
     def test_max_events_seals_the_lineage(self, tmp_path):

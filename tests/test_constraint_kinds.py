@@ -617,7 +617,8 @@ class TestAuditReplay:
         assert replayed.check(duty_request("alice", AMEND, 4.0)).granted
 
     def test_replay_resolves_outgoing_epoch(self, tmp_path):
-        """Decisions made before a reload replay under their own epoch."""
+        """A mirror replay (``policy_set=None``) keeps what a reload's
+        outgoing set retained, though the new set matches none of it."""
         manager = AuditTrailManager(str(tmp_path), b"trail-key")
         engine = MSoDEngine(duty_policy_set(), InMemoryRetainedADIStore())
         first = engine.check(duty_request("alice", REVIEW, 1.0))
@@ -634,14 +635,13 @@ class TestAuditReplay:
         )
         engine.swap_policy(unrelated, force=True)
         recovered = InMemoryRetainedADIStore()
-        report = recover_retained_adi(
-            manager,
-            unrelated,
-            recovered,
-            policy_resolver=engine.policy_set_for_epoch,
-        )
+        report = recover_retained_adi(manager, None, recovered)
         assert report.records_replayed == engine.store.count()
-        assert recovered.count() == engine.store.count()
+        assert store_digest(recovered) == store_digest(engine.store)
+        # The paper's filter by the current set drops all of it.
+        filtered = InMemoryRetainedADIStore()
+        report = recover_retained_adi(manager, unrelated, filtered)
+        assert report.records_replayed == 0
 
 
 class TestVerifyFindings:

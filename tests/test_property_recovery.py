@@ -25,9 +25,11 @@ from repro.core import (
     MSoDEngine,
     Privilege,
     Role,
+    SQLiteRetainedADIStore,
     store_digest,
 )
-from repro.xmlpolicy import combined_policy_set
+from repro.workload import bank_policy_set as stepless_bank_policy_set
+from repro.xmlpolicy import combined_policy_set, tax_refund_policy_set
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -114,6 +116,45 @@ def test_recovery_is_lossless(stream):
         live = MSoDEngine(combined_policy_set(), engine.store).check(probe)
         replayed = MSoDEngine(combined_policy_set(), recovered).check(probe)
         assert live.effect == replayed.effect
+
+
+@given(streams(), st.lists(st.integers(0, 2), min_size=30, max_size=30))
+@settings(max_examples=40, deadline=None)
+def test_mirror_recovery_spans_policy_swaps(stream, set_choices):
+    """``policy_set=None`` reproduces the store across hot reloads.
+
+    Before each request the engine swaps to one of three sets: the
+    combined set (both contexts, each with a last step, so purges
+    occur), the tax set alone and the stepless bank set alone (each
+    drops the other's governed context).  A mirror replay applies what
+    the trail recorded, so it needs none of them.
+    """
+    policy_sets = (
+        combined_policy_set(),
+        tax_refund_policy_set(),
+        stepless_bank_policy_set(),
+    )
+    with tempfile.TemporaryDirectory() as trail_dir:
+        audit = AuditTrailManager(
+            os.path.join(trail_dir, "trails"), b"prop-key", max_records=7
+        )
+        engine = MSoDEngine(policy_sets[0], InMemoryRetainedADIStore())
+        for request, choice in zip(stream, set_choices):
+            engine.swap_policy(policy_sets[choice])
+            decision = engine.check(request)
+            audit.append(
+                EVENT_DECISION,
+                request.timestamp,
+                decision_event_payload(decision),
+            )
+
+        for fresh in (
+            InMemoryRetainedADIStore(),
+            SQLiteRetainedADIStore(":memory:"),
+        ):
+            recover_retained_adi(audit, None, fresh)
+            assert store_digest(fresh) == store_digest(engine.store)
+            fresh.close()
 
 
 @given(streams())

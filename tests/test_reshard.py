@@ -27,7 +27,15 @@ from repro.cluster import (
 )
 from repro.cluster.client import ClusterPDP
 from repro.cluster.reshard import KIND_SPLIT, PHASE_CUTOVER
-from repro.core import ContextName, DecisionRequest, Role
+from repro.core import (
+    MMER,
+    ContextName,
+    DecisionRequest,
+    MSoDPolicy,
+    MSoDPolicySet,
+    Role,
+    store_digest,
+)
 from repro.errors import AuditTrailError, ClusterError, ProtocolError
 from repro.workload import bank_policy_set
 
@@ -409,6 +417,58 @@ class TestOnlineResharding:
                 )
             )
             assert not denied.granted
+
+    def test_joining_standby_mirrors_history_made_after_a_reload(
+        self, tmp_path
+    ):
+        """The joiner's standby replicates what its primary imported,
+        though both nodes boot a set that matches none of it."""
+        filing = MSoDPolicySet(
+            [
+                *bank_policy_set(),
+                MSoDPolicy(
+                    ContextName.parse("Filing=*, Case=!"),
+                    mmers=[MMER([TELLER, AUDITOR], 2)],
+                    policy_id="filing",
+                ),
+            ]
+        )
+        cluster = LocalCluster(
+            bank_policy_set(),
+            1,
+            str(tmp_path),
+            store="memory",
+            health_interval=30.0,
+            catchup_interval=30.0,
+            fsync=False,
+        ).start()
+        try:
+            assert cluster.reload_policy(filing)["changed"]
+            with ClusterPDP((cluster.host, cluster.port)) as pdp:
+                for serial in range(40):
+                    user = f"filer-{serial}"
+                    assert pdp.decide(
+                        DecisionRequest(
+                            user_id=user,
+                            roles=(TELLER,),
+                            operation="handleCash",
+                            target="till://cash",
+                            context_instance=ContextName.parse(
+                                f"Filing=F{serial}, Case={user}"
+                            ),
+                            timestamp=float(serial),
+                        )
+                    ).granted
+            added = cluster.add_shard()
+            cluster.wait_reshard(timeout=60.0)
+            joiner = cluster.shard(added)
+            assert joiner.primary.store.count() > 0
+            joiner.standby.catch_up(joiner.primary.trail_dir)
+            assert store_digest(joiner.standby.store) == store_digest(
+                joiner.primary.store
+            )
+        finally:
+            cluster.stop()
 
     def test_status_reports_resident_users_and_store_stats(
         self, elastic_cluster
