@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from sys import intern
@@ -106,6 +106,16 @@ class RetainedADIRecord(TypedTuple, _RecordFields):
             request_id=data["request_id"],
             record_id=record_id,
         )
+
+
+def _stamped(record: RetainedADIRecord, record_id: int) -> RetainedADIRecord:
+    """``record`` as a store holds it: strings interned, roles shared, id set."""
+    user_id, roles, operation, target, context, at, request_id, _ = record
+    return tuple.__new__(
+        RetainedADIRecord,
+        (intern(user_id), _shared_roles(roles), intern(operation),
+         intern(target), context, at, request_id, record_id),
+    )
 
 
 @dataclass(slots=True)
@@ -340,12 +350,7 @@ class InMemoryRetainedADIStore(RetainedADIStore):
             self.add(record)
 
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
-        user_id, roles, operation, target, context, at, request_id, _ = record
-        stored = tuple.__new__(
-            RetainedADIRecord,
-            (intern(user_id), _shared_roles(roles), intern(operation),
-             intern(target), context, at, request_id, self._next_id),
-        )
+        stored = _stamped(record, self._next_id)
         self._records[self._next_id] = stored
         self._index.add(stored)
         self._next_id += 1
@@ -438,8 +443,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
 
     Two layers keep the Python-side matching off the hot path:
 
-    * a row→record cache — rows are immutable once inserted, so each is
-      deserialised (JSON + context parse) at most once per process;
+    * a row→record cache — rows are immutable once inserted, so a cached
+      row is never deserialised again; ``max_row_cache`` resets it whole;
     * the in-memory store's :class:`~repro.core.adi_index._UserContextIndex`,
       built lazily from the table on the first history query and then
       maintained in lock-step with every mutation, all of which happen
@@ -503,23 +508,24 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         self._conn.execute(
             "CREATE INDEX IF NOT EXISTS idx_adi_user ON retained_adi(user_id)"
         )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_adi_context ON retained_adi(context)"
-        )
+        # No query can use a context index (case-insensitive LIKE never
+        # searches a BINARY one), so files that still carry it drop it.
+        self._conn.execute("DROP INDEX IF EXISTS idx_adi_context")
         self._conn.commit()
 
     @staticmethod
     def _context_like_pattern(effective_context: ContextName) -> str:
-        """A SQL LIKE *prefilter* for context matching.
+        """A SQL LIKE *prefilter* for matching a non-root context.
 
         ``*`` components become ``%``; a trailing ``%`` admits
         subordinate instances.  LIKE wildcards can cross component
-        boundaries, so matches are over-approximate — every candidate is
-        re-checked precisely in Python — but the prefilter keeps the
-        scan off rows in unrelated contexts.
+        boundaries (and LIKE ignores ASCII case), so matches are
+        over-approximate — every candidate is re-checked precisely in
+        Python.  The prefilter drops rows of a table scan, or of the
+        ``user_id`` search, before they are decoded; it does not keep
+        the scan off unrelated rows, since no index serves a
+        case-insensitive LIKE.
         """
-        if effective_context.is_root:
-            return "%"
 
         def escape(text: str) -> str:
             return (
@@ -556,19 +562,19 @@ class SQLiteRetainedADIStore(RetainedADIStore):
                 record.granted_at,
             ),
         )
-        return RetainedADIRecord.from_dict(fields, record_id=cursor.lastrowid)
+        return _stamped(record, cursor.lastrowid)
 
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
         self._ensure_open()
         with self._lock:
-            stored = self._insert_locked(record)
             # Inside an open batch() the insert joins the batch
             # transaction and durability is deferred to its single
             # commit; committing here would close that transaction
             # early and pay one fsync per record — the difference
-            # between ~3k and ~100k adds/s on bulk replays.
-            if not self._batch_depth:
-                self._conn.commit()
+            # between ~3k and ~100k adds/s on bulk replays.  Outside
+            # one, a failed commit rolls the insert back.
+            with nullcontext() if self._batch_depth else self._atomic_locked():
+                stored = self._insert_locked(record)
             self._admit_locked(stored)
         return stored
 
@@ -640,6 +646,10 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         locking later would let a concurrent ``add`` slip a matching
         record in between and survive the purge.
         """
+        if effective_context.is_root:  # every instance is subordinate to it
+            if user_id is None:
+                return self._select_locked()
+            return self._select_locked(" WHERE user_id = ?", (user_id,))
         where = " WHERE context LIKE ? ESCAPE '\\'"
         params: tuple = (self._context_like_pattern(effective_context),)
         if user_id is not None:
@@ -745,9 +755,9 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     def context_counts(self) -> dict[ContextName, int]:
         """Per-context record counts straight from SQL (no index build).
 
-        One GROUP BY over the indexed ``context`` column — the tiered
-        store seeds its presence aggregates from this without paying
-        :meth:`_ensure_index_locked`'s load of every user.
+        One GROUP BY, a scan of the table (``context`` has no index) —
+        the tiered store seeds its presence aggregates from this at open
+        without paying :meth:`_ensure_index_locked`'s decode of every row.
         """
         self._ensure_open()
         with self._lock:

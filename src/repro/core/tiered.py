@@ -23,10 +23,10 @@ any window.
 
 Context presence (algorithm step 3/7 existence checks) is answered from
 a store-wide :class:`~repro.core.adi_index._ContextPresence`, seeded
-once from the warm layer's ``context_counts()`` and maintained
-incrementally — it is bounded by the number of distinct concrete
-contexts, not by users, and never touches the warm layer on the hot
-path.
+once at open from the warm layer's ``context_counts()`` (for SQLite one
+``GROUP BY`` scan of the table) and maintained incrementally — it is
+bounded by the number of distinct concrete contexts, not by users, and
+never touches the warm layer on the hot path.
 
 **Consistency discipline.**  All mutations serialize on one store-wide
 write lock and commit to the warm layer first; hot updates after the
