@@ -161,7 +161,10 @@ class _CompiledMatcher:
         single = self._single
         if single is not None:
             return comps[single[0]].value == single[1]
-        return all(comps[index].value == value for index, value in self.concrete)
+        for index, value in self.concrete:
+            if comps[index].value != value:
+                return False
+        return True
 
 
 @lru_cache(maxsize=8192)
@@ -199,11 +202,12 @@ class ContextName:
     sit on the per-decision hot path.
     """
 
-    __slots__ = ("_components", "_hash", "_str", "_types", "_matcher")
+    __slots__ = ("_components", "_hash", "_str", "_types", "_matcher", "_wild")
 
     def __init__(self, components: Iterable[ContextComponent] = ()) -> None:
         comps = tuple(components)
         seen_types = set()
+        wild = False
         for comp in comps:
             if not isinstance(comp, ContextComponent):
                 raise ContextNameError(
@@ -214,7 +218,10 @@ class ContextName:
                     f"duplicate context type in name: {comp.ctx_type!r}"
                 )
             seen_types.add(comp.ctx_type)
+            if comp.value in _WILDCARDS:
+                wild = True
         self._components = comps
+        self._wild = wild
         self._hash = None
         self._str = None
         self._types = None
@@ -307,12 +314,12 @@ class ContextName:
     @property
     def has_wildcards(self) -> bool:
         """True when any component value is ``*`` or ``!``."""
-        return any(comp.is_wildcard for comp in self._components)
+        return self._wild
 
     @property
     def is_concrete(self) -> bool:
         """True when no component is a wildcard (a context *instance*)."""
-        return not self.has_wildcards
+        return not self._wild
 
     @property
     def parent(self) -> "ContextName":
@@ -374,11 +381,12 @@ class ContextName:
         for index in matcher.per_instance:
             components[index] = values[index]
         # Valid by construction: the instance matched, so every re-bound
-        # component has the type it replaces.
+        # component has the type it replaces; only ``*`` ones stay wild.
         bound = ContextName.__new__(ContextName)
         bound._components = tuple(components)
         bound._hash = bound._str = bound._matcher = None
         bound._types = self.types
+        bound._wild = len(matcher.concrete) + len(matcher.per_instance) < len(self)
         return bound
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ an MSoD-capable RBAC decision:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.core.constraints import Privilege, Role, TypedTuple
@@ -34,29 +33,39 @@ def next_request_id() -> str:
     return f"req-{next(_REQUEST_COUNTER):08d}"
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionRequest:
-    """One access-control decision request (the five Section 4.1 inputs)."""
-
+class _RequestFields(NamedTuple):
     user_id: str
     roles: tuple[Role, ...]
     operation: str
     target: str
     context_instance: ContextName
-    timestamp: float = 0.0
-    environment: Mapping[str, str] = field(default_factory=dict)
-    request_id: str = field(default_factory=next_request_id)
+    timestamp: float
+    environment: Mapping[str, str]
+    request_id: str
 
-    def __post_init__(self) -> None:
-        if not self.user_id:
+
+class DecisionRequest(TypedTuple, _RequestFields):
+    """One access-control decision request (the five Section 4.1 inputs)."""
+
+    __slots__ = ()
+
+    def __new__(cls, user_id: str, roles: tuple[Role, ...], operation: str,
+                target: str, context_instance: ContextName, timestamp: float = 0.0,
+                environment: Mapping[str, str] | None = None,
+                request_id: str | None = None) -> "DecisionRequest":
+        if not user_id:
             raise PolicyError(
                 "MSoD decisions require the user's ID (paper Section 4.1)"
             )
-        if not self.context_instance.is_concrete:
+        if not context_instance.is_concrete:
             raise PolicyError(
                 "the business-context instance passed by the PEP must be "
-                f"concrete, got {self.context_instance}"
+                f"concrete, got {context_instance}"
             )
+        return tuple.__new__(cls, (
+            user_id, roles, operation, target, context_instance, timestamp,
+            {} if environment is None else environment,  # a fresh one each
+            next_request_id() if request_id is None else request_id))
 
     @property
     def privilege(self) -> Privilege:
@@ -70,10 +79,7 @@ class Effect:
     DENY = "deny"
 
 
-@dataclass(frozen=True, slots=True)
-class MSoDViolation:
-    """Details of the constraint that triggered a deny."""
-
+class _ViolationFields(NamedTuple):
     policy_id: str
     #: A registry key from :data:`repro.core.constraints.CONSTRAINT_KINDS`
     #: ("MMER", "MMEP", "MMCD", "ADMIN_BOUNDARY", ...).  Free-form on the
@@ -82,6 +88,12 @@ class MSoDViolation:
     constraint_repr: str
     effective_context: ContextName
     detail: str
+
+
+class MSoDViolation(TypedTuple, _ViolationFields):
+    """Details of the constraint that triggered a deny."""
+
+    __slots__ = ()
 
 
 class _DecisionFields(NamedTuple):

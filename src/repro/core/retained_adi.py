@@ -840,7 +840,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         savepoints are committed even if a later decision in the batch
         raises — their in-memory cache/index updates have already been
         published, and rolling the table back underneath them would
-        desynchronise the two.
+        desynchronise the two.  A failed commit rolls it all back, drops
+        the cache and index (rebuilt from the table), and raises.
         """
         self._ensure_open()
         with self._lock:
@@ -853,7 +854,13 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             with self._lock:
                 self._batch_depth -= 1
                 if self._batch_depth == 0 and self._conn.in_transaction:
-                    self._conn.commit()
+                    try:
+                        self._conn.commit()
+                    except sqlite3.Error as exc:
+                        self._conn.rollback()
+                        self._row_cache.clear()
+                        self._index = None
+                        raise StoreError(f"batch commit failed: {exc}") from exc
 
     # Aggregate-backed engine views ----------------------------------
     def user_roles(

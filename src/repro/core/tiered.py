@@ -270,18 +270,28 @@ class TieredADIStore(RetainedADIStore):
     def clear(self) -> int:
         with self._write_lock:
             removed = self._warm.clear()
-            for shard in self._shards:
-                with shard.lock:
-                    shard.entries.clear()
-            with self._meta_lock:
-                self._presence = _ContextPresence()
+            self._reseed_locked()
         return removed
+
+    def _reseed_locked(self) -> None:
+        """Drop the hot layer; re-seed presence from the warm one."""
+        for shard in self._shards:
+            with shard.lock:
+                shard.entries.clear()
+        with self._meta_lock:
+            self._presence = _ContextPresence(self._warm.context_counts())
 
     # -- lifecycle / plumbing -----------------------------------------
     @contextmanager
     def batch(self):
-        with self._warm.batch():
-            yield self
+        try:
+            with self._warm.batch():
+                yield self
+        except StoreError:
+            # A failed commit rolled back adds the hot layer absorbed.
+            with self._write_lock:
+                self._reseed_locked()
+            raise
 
     @property
     def commits_in_batches(self) -> bool:

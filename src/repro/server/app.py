@@ -24,7 +24,6 @@ Connection handling rules live with the one connection loop, in
 
 from __future__ import annotations
 
-import asyncio
 from typing import Mapping
 
 from repro.errors import PolicyError, RequestFencedError
@@ -174,12 +173,8 @@ class MSoDServer:
             if short_circuit is not None:
                 return short_circuit
         try:
-            future = self._service.submit(request)
-        except (ServiceOverloadedError, ServiceUnavailableError) as exc:
-            return _decide_failure(frame_id, exc)
-        try:
-            decision = await future
-        except Exception as exc:
+            decision = await self._service.decide(request)
+        except Exception as exc:  # shed, draining, or failed
             return _decide_failure(frame_id, exc)
         return protocol.response_frame(
             frame_id,
@@ -193,10 +188,10 @@ class MSoDServer:
 
         The whole batch is parsed before anything is submitted (one
         garbled entry rejects the frame — never a partial commit), then
-        every entry is enqueued on its user's shard *in frame order*
-        before the first await, so same-user entries keep their
-        serialization and the shard micro-batcher sees the burst at
-        once — one store transaction per wire batch under load.
+        the entries the decide gate passes are queued as one slice per
+        shard *in frame order* before the first await, so same-user
+        entries keep their serialization and the shard micro-batcher
+        sees the burst at once — one store transaction per wire batch.
         Per-entry failures (overload shed, gate fencing, engine errors)
         fail only their own slot.
         """
@@ -204,38 +199,28 @@ class MSoDServer:
         perf = self._service.perf
         if perf.enabled:
             perf.observe_size("wire.batch_size", len(requests))
-        results: list[dict | None] = []
-        pending: list[tuple[int, asyncio.Future]] = []
+        results: list[dict | None] = [None] * len(requests)
         gate = self._decide_gate
-        for request in requests:
-            if gate is not None:
+        if gate is not None:
+            for slot, request in enumerate(requests):
                 short_circuit = gate(frame_id, frame, request)
                 if short_circuit is not None:
-                    results.append(_batch_entry_of(short_circuit))
-                    continue
-            try:
-                future = self._service.submit(request)
-            except (ServiceOverloadedError, ServiceUnavailableError) as exc:
-                results.append(_batch_entry_of(_decide_failure(frame_id, exc)))
-                continue
-            pending.append((len(results), future, request))
-            results.append(None)
-        if pending:
-            outcomes = await asyncio.gather(
-                *(future for _, future, _ in pending), return_exceptions=True
+                    results[slot] = _batch_entry_of(short_circuit)
+        slots = [slot for slot, entry in enumerate(results) if entry is None]
+        requests = [requests[slot] for slot in slots]
+        try:
+            outcomes = await self._service.decide_many(requests)
+        except ServiceUnavailableError as exc:
+            outcomes = [exc] * len(requests)
+        for slot, request, outcome in zip(slots, requests, outcomes):
+            results[slot] = (
+                _batch_entry_of(_decide_failure(frame_id, outcome))
+                if isinstance(outcome, BaseException)
+                else {
+                    "ok": True,
+                    "decision": protocol.decision_to_wire_delta(outcome, request),
+                }
             )
-            for (slot, _, request), outcome in zip(pending, outcomes):
-                if isinstance(outcome, BaseException):
-                    results[slot] = _batch_entry_of(
-                        _decide_failure(frame_id, outcome)
-                    )
-                else:
-                    results[slot] = {
-                        "ok": True,
-                        "decision": protocol.decision_to_wire_delta(
-                            outcome, request
-                        ),
-                    }
         return {
             "v": protocol.PROTOCOL_VERSION_2,
             "id": frame_id,

@@ -132,6 +132,16 @@ class TestStructure:
         assert ContextName.parse("A=!").has_wildcards
         assert not ContextName.parse("A=1").has_wildcards
 
+    @pytest.mark.parametrize(
+        "policy, concrete",
+        [("A=!, B=!", True), ("A=1, B=!", True), ("A=*, B=!", False), ("A=*", False)],
+    )
+    def test_instantiating_keeps_only_star_components_wild(self, policy, concrete):
+        bound = ContextName.parse(policy).instantiate(ContextName.parse("A=1, B=2"))
+        assert bound.is_concrete is concrete
+        assert bound.has_wildcards is not concrete
+        assert bound.is_concrete == ContextName.parse(str(bound)).is_concrete
+
     def test_equality_and_hash(self):
         a = ContextName.parse("A=1, B=2")
         b = ContextName.parse("A=1, B=2")

@@ -260,22 +260,19 @@ def permis_decide(perf, store=None):
     """``PermisPDP.decide`` for requests whose users are plain names."""
     pdp = permis_pdp(perf, store)
     return lambda request: pdp.decide(
-        dataclasses.replace(request, user_id=f"cn={request.user_id},o=bank,c=gb")
+        request._replace(user_id=f"cn={request.user_id},o=bank,c=gb")
     )
 
 
 def unmatched_request(user="alice"):
-    return dataclasses.replace(
-        make_request(user, TELLER, 9),
+    return make_request(user, TELLER, 9)._replace(
         context_instance=ContextName.parse("Elsewhere=e1"),
     )
 
 
 def rbac_denied_request(user="alice"):
     # A teller asking to audit: no presented role grants the privilege.
-    return dataclasses.replace(
-        make_request(user, AUDITOR, 8), roles=(TELLER,)
-    )
+    return make_request(user, AUDITOR, 8)._replace(roles=(TELLER,))
 
 
 class TestOneVocabulary:

@@ -495,6 +495,21 @@ class TestBinpackEncoder:
             with pytest.raises(ProtocolError, match=f"cannot encode {name} values"):
                 protocol.pack_payload(payload)
 
+    @pytest.mark.parametrize(
+        "encode", [protocol.encode_frame, protocol.encode_frame_v2], ids=["v1", "v2"]
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [TELLER, make_request(), make_deny().violation],
+        ids=["Role", "DecisionRequest", "MSoDViolation"],
+    )
+    def test_both_frame_encoders_refuse_tuple_backed_values(self, encode, value):
+        name = type(value).__name__
+        for body in (value, [value], {"k": value}):
+            frame = protocol.response_frame("f-1", protocol.OP_DECIDE, "body", body)
+            with pytest.raises(ProtocolError, match=f"cannot encode {name} values"):
+                encode(frame)
+
     def test_bytes_are_refused(self):
         for payload in (b"", [b"\x00\xff"], {"k": b"y"}):
             with pytest.raises(ProtocolError, match="cannot encode bytes"):

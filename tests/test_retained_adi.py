@@ -465,3 +465,43 @@ class TestFailedCommit:
         finally:
             reopened.close()
         assert failed.type is StoreError
+
+    @pytest.mark.parametrize("tiered", [False, True], ids=["sqlite", "tiered:sqlite"])
+    def test_failed_batch_commit_leaves_no_row_the_live_views_keep(
+        self, tmp_path, tiered
+    ):
+        path = str(tmp_path / "adi.db")
+        warm = SQLiteRetainedADIStore(path)
+        store = TieredADIStore(warm, hot_users=4) if tiered else warm
+        scope = ContextName.parse("Branch=*, Period=2006")
+        york = ContextName.parse("Branch=York, Period=2006")
+        store.apply(ADIMutation(adds=[record(user="bob", request_id="r0")]))
+        assert store.user_roles("alice", scope) == frozenset()  # built/resident
+        warm._conn = _FailNextCommit(warm._conn)
+        with pytest.raises(StoreError):
+            with store.batch():
+                store.apply(ADIMutation(adds=[record(user="alice", request_id="r1")]))
+                store.apply(ADIMutation(adds=[
+                    record(user="carol", context="Branch=Hull, Period=2006",
+                           request_id="r2")
+                ]))
+        hull = ContextName.parse("Branch=Hull, Period=2006")
+        live = (
+            store.user_roles("alice", scope),
+            store_digest(store),
+            store.has_context(york),
+            store.has_context(hull),
+        )
+        store.close()
+        warm.close()
+        reopened = SQLiteRetainedADIStore(path)
+        try:
+            assert live == (
+                reopened.user_roles("alice", scope),
+                store_digest(reopened),
+                reopened.has_context(york),
+                reopened.has_context(hull),
+            )
+            assert reopened.count() == 1
+        finally:
+            reopened.close()

@@ -1,7 +1,8 @@
 """The decision-path value types: ``Role``, ``Privilege``, the retained
-record and ``Decision`` are tuples that keep the value semantics of
-frozen records — equality only within one type, validation on
-construction, no assignment, and the keyword ``repr``."""
+record, ``DecisionRequest``, ``MSoDViolation`` and ``Decision`` are
+tuples that keep the value semantics of frozen records — equality only
+within one type, validation on construction, no assignment, and the
+keyword ``repr``."""
 
 import pytest
 
@@ -9,11 +10,12 @@ from repro.core import (
     ContextName,
     Decision,
     DecisionRequest,
+    MSoDViolation,
     Privilege,
     RetainedADIRecord,
     Role,
 )
-from repro.errors import ConstraintError
+from repro.errors import ConstraintError, PolicyError
 from repro.obs.trace import DecisionTrace
 
 CONTEXT = ContextName.parse("A=1")
@@ -33,6 +35,10 @@ def make_record(record_id=None):
     return RetainedADIRecord(
         "u", (Role("a", "b"),), "op", "t", CONTEXT, 1.5, "req-1", record_id
     )
+
+
+def make_violation():
+    return MSoDViolation("p", "MMER", "MMER({a:b, a:c}, 2)", CONTEXT, "detail")
 
 
 def make_trace():
@@ -56,8 +62,14 @@ class TestTypedEquality:
             (Privilege("a", "b"), ("a", "b")),
             (make_record(), RECORD_FIELDS),
             (Decision("grant", make_request()), ("grant", make_request())),
+            (make_request(), tuple(make_request())),
+            (make_violation(), tuple(make_violation())),
+            (make_violation(), make_request()),
         ],
-        ids=["role-privilege", "role-tuple", "privilege-tuple", "record", "decision"],
+        ids=[
+            "role-privilege", "role-tuple", "privilege-tuple", "record",
+            "decision", "request", "violation", "violation-request",
+        ],
     )
     def test_different_types_are_unequal_both_ways(self, left, right):
         assert left != right and right != left
@@ -84,6 +96,39 @@ class TestTypedEquality:
         assert hash(make_record(7)) == hash(make_record(7))
         assert make_record(7) != make_record(8)
         assert make_record(7) != make_record()
+
+
+class TestRequestValue:
+    def test_equal_fields_are_equal(self):
+        assert make_request() == make_request()
+        assert make_violation() == make_violation()
+        assert make_request() != make_request()._replace(target="t2")
+
+    def test_default_requests_never_share_an_environment(self):
+        first = DecisionRequest("u", (), "op", "t", CONTEXT)
+        second = DecisionRequest("u", (), "op", "t", CONTEXT)
+        assert first.environment == {} and first.environment is not second.environment
+        assert first.request_id != second.request_id
+
+    def test_replace_keeps_the_type(self):
+        moved = make_request()._replace(user_id="v")
+        assert type(moved) is DecisionRequest
+        assert moved.user_id == "v" and moved[1:] == make_request()[1:]
+
+    def test_hashing_a_request_fails_on_its_environment(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(make_request())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("", (), "op", "t", CONTEXT), "user's ID"),
+            (("u", (), "op", "t", ContextName.parse("A=*")), "concrete"),
+        ],
+    )
+    def test_construction_validates(self, fields, message):
+        with pytest.raises(PolicyError, match=message):
+            DecisionRequest(*fields)
 
 
 class TestDecisionEquality:
@@ -127,9 +172,14 @@ class TestImmutability:
             (Role("a", "b"), "value"),
             (Privilege("op", "t"), "target"),
             (make_record(), "record_id"),
+            (make_request(), "environment"),
+            (make_violation(), "detail"),
             (Decision("grant", make_request()), "trace"),
         ],
-        ids=["Role", "Privilege", "RetainedADIRecord", "Decision"],
+        ids=[
+            "Role", "Privilege", "RetainedADIRecord", "DecisionRequest",
+            "MSoDViolation", "Decision",
+        ],
     )
     def test_assignment_raises(self, value, name):
         with pytest.raises(AttributeError):
