@@ -565,13 +565,7 @@ class LocalCluster:
         """
         with self._reshard_lock:
             # A one-shard cluster may run any set; growing it must not.
-            # The live nodes run the last rollout's set, the joining
-            # shard boots the construction set.
-            running = {id(self._policy_set): self._policy_set}
-            for engine in self._live_engines():
-                running[id(engine.policy_set)] = engine.policy_set
-            for policy_set in running.values():
-                admit_routing(policy_set, len(self._shards) + 1)
+            admit_routing(self._policy_set, len(self._shards) + 1)
             if self._migration is not None:
                 raise ClusterError(
                     "a reshard migration is already in flight; wait for "
@@ -928,6 +922,8 @@ class LocalCluster:
 
         The caller holds the reshard lock and has run ``gate`` (the
         admission) already, so this step never analyses the set again.
+        Once every live node has swapped, the set is what
+        :meth:`_build_shard` boots a joining shard with.
         """
         reports: dict[str, dict] = {}
         changed = False
@@ -939,6 +935,7 @@ class LocalCluster:
                     report = node.reload_policy(policy_set, force=force)
                     reports[node.name] = report.to_dict()
                     changed = changed or report.changed
+        self._policy_set = policy_set
         if changed:
             self._policy_reloads += 1
             with self._route_lock:
@@ -1102,9 +1099,11 @@ class LocalCluster:
                         "epoch": node.epoch,
                         "up": node.name not in self._dead,
                         "journal_size": node.journal_size,
-                        "policy_epoch": node.policy_version().epoch,
+                        "policy_epoch": policy.epoch,
+                        "policy_digest": policy.digest,
                     }
                     for node in (state.primary, state.standby)
+                    for policy in [node.policy_version()]
                 ],
             }
         return {

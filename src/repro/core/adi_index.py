@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
@@ -22,27 +22,27 @@ if TYPE_CHECKING:
     from repro.core.retained_adi import RetainedADIRecord
 
 _RECORD_ID = attrgetter("record_id")
-#: A bucket's fold: its roles, and per request its earliest exercise.
-_Fold = tuple[set[Role], dict[str, tuple[int, Privilege]]]
+#: A bucket's fold: its roles, and per request its earliest record.
+_Fold = tuple[set[Role], dict[str, "RetainedADIRecord"]]
 
 
 class _ContextBucket:
-    """The records of one ``(user, concrete-context)`` pair, folded on read.
+    """The records of a ``(user, concrete-context)`` pair holding several.
 
-    ``records`` is id-ordered and starts as a one-item list, the size
-    most buckets keep for life.  :meth:`fold` computes, the first time
-    a query reaches the bucket, the activated roles and, per
-    ``request_id``, the ``(record_id, privilege)`` of the *earliest*
-    record: step 5.iv stores one record per matched role, but they
-    count as one privilege exercise.  ``add`` keeps a fold up to date;
-    ``discard`` (a purge: rare, and usually of the whole bucket) drops
-    it for a refold.
+    A pair holds its first record bare (:class:`_UserAggregate`); the
+    second builds this bucket.  ``records`` is id-ordered.
+    :meth:`fold` computes, the first time a query reaches the bucket,
+    the activated roles and, per ``request_id``, the *earliest* record:
+    step 5.iv stores one record per matched role, but they count as one
+    privilege exercise.  ``add`` keeps a fold up to date; ``discard``
+    (a purge: rare, and usually of the whole bucket) drops it for a
+    refold.
     """
 
     __slots__ = ("records", "_folded")
 
-    def __init__(self, record: RetainedADIRecord) -> None:
-        self.records: list[RetainedADIRecord] = [record]
+    def __init__(self, records: list[RetainedADIRecord]) -> None:
+        self.records = records
         self._folded: _Fold | None = None
 
     def add(self, record: RetainedADIRecord) -> bool:
@@ -60,8 +60,8 @@ class _ContextBucket:
             roles, exercises = self._folded
             roles.update(record.roles)
             first = exercises.get(record.request_id)
-            if first is None or record_id < first[0]:
-                exercises[record.request_id] = (record_id, record.privilege)
+            if first is None or record_id < first.record_id:
+                exercises[record.request_id] = record
         return True
 
     def discard(self, record_ids: set[int]) -> list[RetainedADIRecord]:
@@ -75,27 +75,48 @@ class _ContextBucket:
     def fold(self) -> _Fold:
         if self._folded is None:
             roles: set[Role] = set()
-            exercises: dict[str, tuple[int, Privilege]] = {}
+            exercises: dict[str, RetainedADIRecord] = {}
             for record in self.records:  # id order: the first is earliest
                 roles.update(record.roles)
-                if record.request_id not in exercises:
-                    exercises[record.request_id] = (record.record_id, record.privilege)
+                exercises.setdefault(record.request_id, record)
             self._folded = (roles, exercises)
         return self._folded
 
 
+#: What a ``(user, context)`` pair holds: its one record, or its bucket.
+_Held = Union["RetainedADIRecord", _ContextBucket]
+
+
+def _records_of(holders: Iterable[_Held]) -> list[RetainedADIRecord]:
+    """Every record the holders hold, in record-id order."""
+    found: list[RetainedADIRecord] = []
+    for held in holders:
+        if type(held) is _ContextBucket:
+            found.extend(held.records)
+        else:
+            found.append(held)
+    found.sort(key=_RECORD_ID)
+    return found
+
+
 class _UserAggregate:
-    """One user's buckets by concrete context, and the folds over them.
+    """One user's records by concrete context, and the folds over them.
+
+    ``buckets`` maps each concrete context to what its pair holds: the
+    one record itself, the shape most pairs keep for life, or from the
+    second record on a :class:`_ContextBucket`, which stays until the
+    pair is deleted.
 
     ``add``/``remove`` are **idempotent** by record id: a tiered
     mutation's hot update may race a hydration that already read the
     committed warm state, and must not count a record twice.
 
-    ``_memo`` maps an effective context to the list of matching buckets,
-    amortising context matching across requests and within one.  A new
-    bucket is appended to the matching cached lists; any bucket deletion
-    simply drops the memo (deletions are rare — context termination or
-    admin purges).
+    ``_memo`` maps an effective context to the list of matching holders,
+    amortising context matching across requests and within one.  The
+    first query builds it: most users are never asked about.  A new pair
+    is appended to the matching cached lists and a promoted one replaced
+    in them; any pair deletion simply drops the memo (deletions are
+    rare — context termination or admin purges).
     """
 
     __slots__ = ("buckets", "_memo")
@@ -105,27 +126,36 @@ class _UserAggregate:
     _MEMO_LIMIT = 1024
 
     def __init__(self) -> None:
-        self.buckets: dict[ContextName, _ContextBucket] = {}
-        self._memo: dict[ContextName, list[_ContextBucket]] = {}
+        self.buckets: dict[ContextName, _Held] = {}
+        self._memo: dict[ContextName, list[_Held]] | None = None
 
     # -- maintenance ---------------------------------------------------
-    def add(self, record: RetainedADIRecord) -> _ContextBucket | None:
-        """File one record; the bucket it landed in, ``None`` if held."""
+    def add(self, record: RetainedADIRecord) -> _Held | None:
+        """File one record; what its pair now holds, ``None`` if held."""
         context = record.context_instance
-        bucket = self.buckets.get(context)
-        if bucket is None:
-            bucket = self.buckets[context] = _ContextBucket(record)
-            for effective, buckets in self._memo.items():
-                if effective.matcher.matches(context):
-                    buckets.append(bucket)
-        elif not bucket.add(record):
+        held = self.buckets.get(context)
+        if held is None:
+            holder: _Held = record
+        elif type(held) is _ContextBucket:
+            return held if held.add(record) else None
+        elif held.record_id == record.record_id:
             return None  # hydration already saw this committed record
-        return bucket
+        else:  # the pair's second record
+            holder = _ContextBucket(sorted((held, record), key=_RECORD_ID))
+        self.buckets[context] = holder
+        if self._memo:
+            for effective, matching in self._memo.items():
+                if effective.matcher.matches(context):
+                    if held is None:
+                        matching.append(holder)
+                    else:
+                        matching[matching.index(held)] = holder
+        return holder
 
     def remove(self, records: Iterable[RetainedADIRecord]) -> list[RetainedADIRecord]:
         """Retire this user's listed records; the ones that were held.
 
-        One pass per touched bucket.  A record not held was hydrated
+        One pass per touched pair.  A record not held was hydrated
         after the warm delete, so it is already gone.
         """
         doomed: dict[ContextName, set[int]] = {}
@@ -133,64 +163,70 @@ class _UserAggregate:
             doomed.setdefault(record.context_instance, set()).add(record.record_id)
         removed: list[RetainedADIRecord] = []
         for context, record_ids in doomed.items():
-            bucket = self.buckets.get(context)
-            if bucket is None:
+            held = self.buckets.get(context)
+            if type(held) is _ContextBucket:
+                removed.extend(held.discard(record_ids))
+                if held.records:
+                    continue
+            elif held is not None and held.record_id in record_ids:
+                removed.append(held)
+            else:
                 continue
-            removed.extend(bucket.discard(record_ids))
-            if not bucket.records:
-                del self.buckets[context]
+            del self.buckets[context]
+            if self._memo:
                 # Drop the memo for lazy rebuild rather than surgically
                 # pruning every cached list.
                 self._memo = {}
         return removed
 
     # -- folds ---------------------------------------------------------
-    def _matching(self, effective_context: ContextName) -> list[_ContextBucket]:
+    def _matching(self, effective_context: ContextName) -> list[_Held]:
         memo = self._memo
-        buckets = memo.get(effective_context)
-        if buckets is None:
+        if memo is None:
+            memo = self._memo = {}
+        matching = memo.get(effective_context)
+        if matching is None:
             if len(memo) >= self._MEMO_LIMIT:
                 memo.clear()
             matches = effective_context.matcher.matches
-            buckets = memo[effective_context] = [
-                bucket
-                for context, bucket in self.buckets.items()
+            matching = memo[effective_context] = [
+                held
+                for context, held in self.buckets.items()
                 if matches(context)
             ]
-        return buckets
+        return matching
 
     def roles(self, effective_context: ContextName) -> frozenset[Role]:
         """Roles the user has activated within the effective context."""
         roles: set[Role] = set()
-        for bucket in self._matching(effective_context):
-            roles.update(bucket.fold()[0])
+        for held in self._matching(effective_context):
+            if type(held) is _ContextBucket:
+                roles.update(held.fold()[0])
+            else:
+                roles.update(held.roles)
         return frozenset(roles)
 
     def exercises(self, effective_context: ContextName) -> list[Privilege]:
         """Privileges exercised, one per request, in record-id order."""
-        entries: list[tuple[int, str, Privilege]] = []
-        for bucket in self._matching(effective_context):
-            entries.extend(
-                (record_id, request_id, privilege)
-                for request_id, (record_id, privilege) in bucket.fold()[1].items()
-            )
-        entries.sort()
+        firsts: list[RetainedADIRecord] = []
+        for held in self._matching(effective_context):
+            if type(held) is _ContextBucket:
+                firsts.extend(held.fold()[1].values())
+            else:
+                firsts.append(held)
+        firsts.sort(key=_RECORD_ID)
         seen_requests: set[str] = set()
         exercises: list[Privilege] = []
-        for _, request_id, privilege in entries:
-            if request_id in seen_requests:
+        for record in firsts:
+            if record.request_id in seen_requests:
                 continue
-            seen_requests.add(request_id)
-            exercises.append(privilege)
+            seen_requests.add(record.request_id)
+            exercises.append(record.privilege)
         return exercises
 
     def records(self, effective_context: ContextName) -> list[RetainedADIRecord]:
         """The user's records within the context, in record-id order."""
-        found: list[RetainedADIRecord] = []
-        for bucket in self._matching(effective_context):
-            found.extend(bucket.records)
-        found.sort(key=_RECORD_ID)
-        return found
+        return _records_of(self._matching(effective_context))
 
 
 class _ContextPresence:
@@ -307,12 +343,13 @@ class _ContextPresence:
 
 
 class _UserContextIndex:
-    """Records bucketed by ``(user, concrete context instance)``.
+    """Records filed by ``(user, concrete context instance)``.
 
     The number of distinct concrete instances (and of instances any one
     user has touched) is tiny compared to the record count, so
-    context-scoped queries walk a handful of buckets — each answering
-    from its fold — instead of scanning every record;
+    context-scoped queries walk a handful of pairs — each answering
+    from its one record or its bucket's fold — instead of scanning
+    every record;
     cross-user queries find their contexts through
     :meth:`_ContextPresence.matching`, not by scanning the live ones.
 
@@ -325,7 +362,7 @@ class _UserContextIndex:
 
     def __init__(self) -> None:
         self._by_user: dict[str, _UserAggregate] = {}
-        self._by_context: dict[ContextName, dict[str, _ContextBucket]] = {}
+        self._by_context: dict[ContextName, dict[str, _Held]] = {}
         self._presence = _ContextPresence()
 
     # -- maintenance ---------------------------------------------------
@@ -334,10 +371,10 @@ class _UserContextIndex:
         aggregate = self._by_user.get(user_id)
         if aggregate is None:
             aggregate = self._by_user[user_id] = _UserAggregate()
-        bucket = aggregate.add(record)
-        if bucket is not None:
+        held = aggregate.add(record)
+        if held is not None:
             context = record.context_instance
-            self._by_context.setdefault(context, {})[user_id] = bucket
+            self._by_context.setdefault(context, {})[user_id] = held
             self._presence.add(context)
 
     def remove(self, records: Iterable[RetainedADIRecord]) -> None:
@@ -376,12 +413,11 @@ class _UserContextIndex:
         self, effective_context: ContextName
     ) -> list[RetainedADIRecord]:
         by_context = self._by_context
-        found: list[RetainedADIRecord] = []
-        for context in self._presence.matching(effective_context):
-            for bucket in by_context[context].values():
-                found.extend(bucket.records)
-        found.sort(key=_RECORD_ID)
-        return found
+        return _records_of(
+            held
+            for context in self._presence.matching(effective_context)
+            for held in by_context[context].values()
+        )
 
     def user(self, user_id: str) -> _UserAggregate:
         """The user's aggregate to fold over; an empty one if unknown."""

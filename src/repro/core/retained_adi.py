@@ -340,24 +340,27 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     touch only the matching buckets and the engine's role/privilege
     history views never scan.  Deleting a record fully unlinks it from
     every index, so long-lived users do not accumulate stale entries.
+    The index is the only copy: the management operations that name no
+    context or user (:meth:`records`, :meth:`purge_older_than`, a purge
+    by record id) walk all of it.
     """
 
     def __init__(self, records: Iterable[RetainedADIRecord] = ()) -> None:
-        self._records: dict[int, RetainedADIRecord] = {}
         self._index = _UserContextIndex()
+        self._count = 0
         self._next_id = 1
         for record in records:
             self.add(record)
 
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
         stored = _stamped(record, self._next_id)
-        self._records[self._next_id] = stored
         self._index.add(stored)
         self._next_id += 1
+        self._count += 1
         return stored
 
     def records(self) -> Iterator[RetainedADIRecord]:
-        return iter(list(self._records.values()))
+        return iter(self._index.context_records(_ROOT))
 
     def find(self, effective_context: ContextName) -> list[RetainedADIRecord]:
         return self._index.context_records(effective_context)
@@ -371,9 +374,8 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         return self._index.has_context(effective_context)
 
     def _delete(self, records: list[RetainedADIRecord]) -> int:
-        for record in records:
-            del self._records[record.record_id]
         self._index.remove(records)
+        self._count -= len(records)
         return len(records)
 
     def purge_context(self, effective_context: ContextName) -> int:
@@ -383,17 +385,17 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         return self._delete(self._index.user(user_id).records(_ROOT))
 
     def purge_older_than(self, cutoff: float) -> int:
-        records = self._records.values()
+        records = self._index.context_records(_ROOT)
         return self._delete([r for r in records if r.granted_at < cutoff])
 
     def clear(self) -> int:
-        removed = len(self._records)
-        self._records.clear()
+        removed = self._count
+        self._count = 0
         self._index = _UserContextIndex()
         return removed
 
     def count(self) -> int:
-        return len(self._records)
+        return self._count
 
     def stats(self) -> dict:
         return {
@@ -412,9 +414,9 @@ class InMemoryRetainedADIStore(RetainedADIStore):
             evicted.extend(doomed)  # deleted now, so no later context sees them
             self._delete(doomed)
         if mutation.purge_record_ids:
-            records = self._records
             ids = set(mutation.purge_record_ids)
-            doomed = [records[i] for i in ids if i in records]
+            records = self._index.context_records(_ROOT)
+            doomed = [r for r in records if r.record_id in ids]
             evicted.extend(doomed)
             self._delete(doomed)
         added = [self.add(record) for record in mutation.adds]

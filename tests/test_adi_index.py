@@ -16,7 +16,13 @@ from repro.core import (
     SQLiteRetainedADIStore,
     TieredADIStore,
 )
-from repro.core.adi_index import _ContextPresence, _UserAggregate
+from repro.core.adi_index import (
+    _ContextBucket,
+    _ContextPresence,
+    _UserAggregate,
+    _UserContextIndex,
+)
+from repro.core.admin import CONTROLLER_ROLE, RetainedADIManagementPort
 from repro.workload import BankScaleConfig, bank_scale_history
 from tests.test_property_context import pooled_names
 
@@ -25,9 +31,11 @@ _AUDITOR = Role("role", "Auditor")
 _ROOT = ContextName.root()
 
 
-def _record(record_id, context="Dept=d1", request_id=None, role=_CLERK, op="op"):
+def _record(
+    record_id, context="Dept=d1", request_id=None, role=_CLERK, op="op", user="u1"
+):
     return RetainedADIRecord(
-        user_id="u1",
+        user_id=user,
         roles=(role,),
         operation=op,
         target="t",
@@ -100,6 +108,169 @@ class TestUserAggregate:
         assert aggregate.roles(_ROOT) == {_CLERK, _AUDITOR}
 
 
+def _rebuilt(records):
+    """An aggregate built from scratch, in id order, never read before."""
+    aggregate = _UserAggregate()
+    for record in sorted(records, key=lambda r: r.record_id):
+        aggregate.add(record)
+    return aggregate
+
+
+def _views(aggregate, context=_ROOT):
+    return (
+        aggregate.roles(context),
+        aggregate.exercises(context),
+        aggregate.records(context),
+    )
+
+
+class TestOneRecordPairs:
+    """A pair holds its one record itself; the second builds a bucket."""
+
+    def test_second_record_promotes_the_pair_everywhere_it_is_held(self):
+        index = _UserContextIndex()
+        d1, d2 = ContextName.parse("Dept=d1"), ContextName.parse("Dept=d2")
+        later = _record(5, request_id="rA")
+        index.add(later)
+        index.add(_record(6, context="Dept=d2", role=_AUDITOR))
+        aggregate = index.user("u1")
+        assert aggregate._memo is None  # no read yet
+        assert aggregate.buckets[d1] is later
+        assert index._by_context[d1] == {"u1": later}
+        for query in (d1, d2, _ROOT):
+            _views(aggregate, query)
+        memo = dict(aggregate._memo)
+        earlier = _record(3, request_id="rA", role=_AUDITOR, op="first")
+        index.add(earlier)  # arrives second, sorts first
+        bucket = aggregate.buckets[d1]
+        assert type(bucket) is _ContextBucket
+        assert bucket.records == [earlier, later]
+        assert index._by_context[d1] == {"u1": bucket}
+        assert all(aggregate._memo[query] is memo[query] for query in memo)
+        assert aggregate._memo[d1] == [bucket]
+        assert bucket in aggregate._memo[_ROOT]
+        assert later not in aggregate._memo[_ROOT]
+        assert aggregate._memo[d2] == [aggregate.buckets[d2]]
+        rebuilt = _rebuilt(aggregate.records(_ROOT))
+        for query in (d1, d2, _ROOT):
+            assert _views(aggregate, query) == _views(rebuilt, query)
+        assert aggregate.exercises(d1) == [Privilege("first", "t")]
+
+    @pytest.mark.parametrize("promoted", [False, True])
+    def test_adding_a_held_record_is_a_no_op_by_id(self, promoted):
+        aggregate = _UserAggregate()
+        held = [_record(1)] + ([_record(2)] if promoted else [])
+        for record in held:
+            aggregate.add(record)
+        before = aggregate.buckets[held[0].context_instance]
+        for record in held:
+            assert aggregate.add(record) is None
+            assert aggregate.add(_record(record.record_id)) is None  # a copy
+        assert aggregate.buckets == {held[0].context_instance: before}
+        assert aggregate.records(_ROOT) == held
+        assert aggregate.exercises(_ROOT) == [Privilege("op", "t")] * len(held)
+
+    def test_removing_a_bare_record_deletes_the_pair_and_drops_the_memo(self):
+        index = _UserContextIndex()
+        d1 = ContextName.parse("Dept=d1")
+        bare, kept = _record(1), _record(2, context="Dept=d2")
+        index.add(bare)
+        index.add(kept)
+        aggregate = index.user("u1")
+        assert aggregate.roles(d1) == {_CLERK}
+        memo = aggregate._memo
+        index.remove([bare])
+        assert d1 not in aggregate.buckets and d1 not in index._by_context
+        assert index.context_counts() == {kept.context_instance: 1}
+        assert aggregate._memo == {} and memo
+        assert _views(aggregate) == _views(_rebuilt([kept]))
+
+    def test_removing_from_a_promoted_bucket_keeps_the_others(self):
+        index = _UserContextIndex()
+        d1 = ContextName.parse("Dept=d1")
+        records = [
+            _record(n, role=role)
+            for n, role in ((1, _CLERK), (2, _AUDITOR), (3, _CLERK))
+        ]
+        for record in records:
+            index.add(record)
+        aggregate = index.user("u1")
+        bucket = aggregate.buckets[d1]
+        assert aggregate.roles(d1) == {_CLERK, _AUDITOR}
+        memo = aggregate._memo
+        index.remove([records[1]])
+        assert aggregate.buckets[d1] is bucket  # still a bucket, not demoted
+        assert index._by_context[d1] == {"u1": bucket}
+        assert aggregate._memo is memo
+        assert bucket.records == [records[0], records[2]]
+        assert index.context_counts() == {d1: 2}
+        assert _views(aggregate) == _views(_rebuilt([records[0], records[2]]))
+        index.remove([records[0], records[2]])
+        assert aggregate.buckets == {} and index._by_context == {}
+
+    def test_earliest_record_orders_exercises_through_promotion_and_removal(self):
+        # Read between every change, so each fold is kept up to date in
+        # place; each answer must equal a fold built from scratch.
+        aggregate = _UserAggregate()
+        steps = [
+            ("add", _record(4, request_id="rB", op="b")),
+            ("add", _record(2, context="Dept=d2", request_id="rA", op="a2")),
+            ("add", _record(6, request_id="rA", op="a6")),  # promotes d1
+            ("add", _record(1, request_id="rB", op="b1")),  # earlier rB
+            ("add", _record(3, context="Dept=d2", request_id="rC", op="c")),
+            ("remove", _record(1, request_id="rB", op="b1")),
+            ("remove", _record(2, context="Dept=d2", request_id="rA", op="a2")),
+        ]
+        held = []
+        for op, record in steps:
+            if op == "add":
+                aggregate.add(record)
+                held.append(record)
+            else:
+                aggregate.remove([record])
+                held.remove(record)
+            for query in ("Dept=d1", "Dept=d2", "Dept=*"):
+                query = ContextName.parse(query)
+                assert _views(aggregate, query) == _views(_rebuilt(held), query)
+        assert aggregate.exercises(_ROOT) == [
+            Privilege("c", "t"), Privilege("b", "t"), Privilege("a6", "t")
+        ]
+
+
+class TestMemoryStoreWithoutAnIdMap:
+    """The memory store keeps no by-id copy; its management operations
+    walk the index and answer as SQLite does on the same mutations."""
+
+    @staticmethod
+    def _run(store):
+        for n, (user, context) in enumerate(
+            [("u1", "Dept=d1"), ("u2", "Dept=d2"), ("u1", "Dept=d1"),
+             ("u3", "Dept=d1"), ("u2", "Dept=d3"), ("u1", "Dept=d2")]
+        ):
+            store.add(_record(n + 1, context=context, user=user))
+        port = RetainedADIManagementPort(store)
+        seen = [store.count(), [r.record_id for r in store.records()]]
+        seen.append(store.purge_older_than(3.0))  # ids 1 and 2 go
+        seen.append(port.remove_record([CONTROLLER_ROLE], 3).affected)
+        seen.append(port.remove_record([CONTROLLER_ROLE], 3).affected)
+        seen.append(port.remove_record([CONTROLLER_ROLE], 99).affected)
+        seen += [store.count(), [r.record_id for r in store.records()]]
+        seen.append(store.purge_older_than(100.0))
+        seen += [store.count(), list(store.records())]
+        return seen
+
+    def test_pinned_management_results_equal_sqlite(self):
+        memory = InMemoryRetainedADIStore()
+        assert not hasattr(memory, "_records")
+        sqlite = SQLiteRetainedADIStore(":memory:")
+        try:
+            expected = [6, [1, 2, 3, 4, 5, 6], 2, 1, 0, 0, 3, [4, 5, 6], 3, 0, []]
+            assert self._run(memory) == expected
+            assert self._run(sqlite) == expected
+        finally:
+            sqlite.close()
+
+
 class TestContextPresence:
     def test_counts_follow_adds_and_forgets(self):
         d1 = ContextName.parse("Dept=d1")
@@ -156,9 +327,11 @@ class TestContextPresence:
 
 
 _BANK = BankScaleConfig(n_users=2_000)
+#: Two periods for four records a user: each pair holds two records.
+_BANK_REPEATS = BankScaleConfig(n_users=2_000, n_periods=2)
 
 
-def _preloaded(backend):
+def _preloaded(backend, config=_BANK):
     if backend == "memory":
         store = InMemoryRetainedADIStore()
     elif backend == "sqlite":
@@ -167,7 +340,7 @@ def _preloaded(backend):
         warm = SQLiteRetainedADIStore(":memory:")
         store = TieredADIStore(warm, hot_users=64, shards=2, owns_warm=True)
     with store.batch():
-        for record in bank_scale_history(_BANK, 4):
+        for record in bank_scale_history(config, 4):
             store.add(record)
     return store
 
@@ -182,42 +355,65 @@ def _aggregates(store):
     return store._index._by_user
 
 
+def _buckets(store):
+    return {
+        (user_id, context): held
+        for user_id, aggregate in _aggregates(store).items()
+        for context, held in aggregate.buckets.items()
+        if type(held) is _ContextBucket
+    }
+
+
 def _folded(store):
     return {
-        (user_id, context)
-        for user_id, aggregate in _aggregates(store).items()
-        for context, bucket in aggregate.buckets.items()
+        pair
+        for pair, bucket in _buckets(store).items()
         if bucket._folded is not None
     }
+
+
+_QUERY = ContextName.parse("Region=*, Division=D00, Branch=*, Period=P1")
 
 
 class TestIdleHistory:
     """Preloaded history nobody asks about costs its records and no more."""
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite", "tiered"])
+    def test_one_record_pairs_build_no_bucket_even_when_read(self, backend):
+        store = _preloaded(backend)
+        try:
+            store.has_context(_ROOT)  # builds SQLite's lock-step index
+            users = ["u0000000", "u0000024"]
+            for user_id in users:  # hydrates the tiered users
+                assert len(store.find_user(user_id, _ROOT)) == 4
+                assert store.user_roles(user_id, _QUERY)
+                assert store.user_privilege_exercises(user_id, _QUERY)
+            assert len(_aggregates(store)) >= len(users)
+            assert _buckets(store) == {}
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "tiered"])
     def test_a_read_folds_only_the_queried_users_matching_buckets(
         self, backend
     ):
-        store = _preloaded(backend)
+        store = _preloaded(backend, _BANK_REPEATS)
         try:
             store.has_context(_ROOT)  # builds SQLite's lock-step index
             users = ["u0000000", "u0000024"]  # division 0, branch 0 and 1
             for user_id in users:  # hydrates the tiered users, unfolded
                 assert len(store.find_user(user_id, _ROOT)) == 4
             assert len(_aggregates(store)) >= len(users)
-            assert _folded(store) == set()
-            query = ContextName.parse(
-                "Region=*, Division=D00, Branch=*, Period=P1"
-            )
+            assert _buckets(store) and _folded(store) == set()
             expected = set()
             for user_id, read in zip(
                 users, (store.user_roles, store.user_privilege_exercises)
             ):
-                assert read(user_id, query)
+                assert read(user_id, _QUERY)
                 expected |= {
                     (user_id, context)
                     for context in _aggregates(store)[user_id].buckets
-                    if query.matcher.matches(context)
+                    if _QUERY.matcher.matches(context)
                 }
                 assert _folded(store) == expected
             assert len(expected) == len(users)
@@ -225,14 +421,18 @@ class TestIdleHistory:
             store.close()
 
     def test_memory_store_bytes_per_record(self):
-        """Traced bytes the memory store holds per preloaded record.
+        """Traced bytes and GC-tracked objects per preloaded record.
 
         Measured at this size (8 000 records; the fixed cost of 3 840
         parsed contexts weighs more than at ``engine-hot``'s 80 000):
-        2 440 B when every bucket built its aggregates on ``add``, and
-        1 172 B with folds deferred to the first read, shared strings
-        and one-record lists.  The ceiling is the latter plus 25 %.
+        2 440 B when every bucket built its aggregates on ``add``;
+        1 192 B and 6.9 objects with folds deferred to the first read,
+        shared strings, one-record lists and a by-id map; 1 027 B and
+        4.9 objects with a one-record pair holding its record and no
+        by-id map.  Each ceiling is the last plus 25 %, rounded.
         """
+        gc.collect()
+        tracked = len(gc.get_objects())
         tracemalloc.start()
         try:
             store = InMemoryRetainedADIStore()
@@ -242,7 +442,9 @@ class TestIdleHistory:
             traced, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert traced / store.count() <= 1_465
+        tracked = len(gc.get_objects()) - tracked
+        assert traced / store.count() <= 1_284
+        assert tracked / store.count() <= 6.1
 
 
 _VALUES = ("x", "y", "z")

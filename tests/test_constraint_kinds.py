@@ -533,12 +533,13 @@ class TestClusterRoutingRefusal:
         ) as cluster:
             with pytest.raises(PolicyError, match=CLUSTER_ROUTING_UNSAFE):
                 cluster.add_shard()
-            # A joining shard boots the construction set, whatever the
-            # live nodes were reloaded to.
-            cluster.reload_policy(stepless_bank_policy_set())
-            with pytest.raises(PolicyError, match=CLUSTER_ROUTING_UNSAFE):
-                cluster.add_shard()
             assert list(cluster.shard_names) == ["shard-0"]
+            # A joining shard boots the live set, so once the live nodes
+            # run a set per-user routing can enforce, growth may proceed.
+            cluster.reload_policy(stepless_bank_policy_set())
+            cluster.add_shard()
+            cluster.wait_reshard(timeout=30.0)
+            assert list(cluster.shard_names) == ["shard-0", "shard-1"]
 
     def test_growth_during_a_rollout_waits_then_is_refused(
         self, tmp_path, monkeypatch

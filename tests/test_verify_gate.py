@@ -272,6 +272,44 @@ def versions(cluster):
 
 
 class TestClusterGate:
+    def test_a_shard_added_after_a_reload_boots_the_live_set(self, tmp_path):
+        """The joining shard runs the set the live nodes were reloaded
+        to, not the one the cluster was built with: a user the cutover
+        moves there keeps the live Teller/Manager separation."""
+        cluster = LocalCluster(
+            clean_set(),
+            2,
+            str(tmp_path / "grow"),
+            store="memory",
+            health_interval=30.0,
+            catchup_interval=30.0,
+            fsync=False,
+        ).start()
+        try:
+            cluster.reload_policy(swapped_set())
+            live = {digest for _, digest in versions(cluster).values()}
+            joined = cluster.add_shard()
+            cluster.wait_reshard(timeout=30.0)
+            moved = next(
+                f"user-{index}"
+                for index in range(1000)
+                if cluster.ring.shard_for(f"user-{index}") == joined
+            )
+            with ClusterPDP((cluster.host, cluster.port)) as pdp:
+                assert pdp.decide(make_request(moved, TELLER, timestamp=1.0)).granted
+                assert not pdp.decide(
+                    make_request(moved, MANAGER, timestamp=2.0)
+                ).granted
+            assert len(live) == 1
+            assert {digest for _, digest in versions(cluster).values()} == live
+            assert {
+                node["policy_digest"]
+                for shard in cluster.status()["shards"].values()
+                for node in shard["nodes"]
+            } == live
+        finally:
+            cluster.stop()
+
     def test_reload_refuses_broken_set_before_touching_any_node(
         self, gate_cluster
     ):
