@@ -30,6 +30,7 @@ rule is :meth:`ClientCore.retry_delay`):
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -180,21 +181,23 @@ def _body_of_type(kind: type, what: str):
 # The sans-IO decide pipeline
 # ---------------------------------------------------------------------------
 class DecidePipeline:
-    """The state machine of one pipelined protocol-v2 connection.
+    """The state machine of pipelined protocol-v2 decides.
 
     No socket, thread, event or future in here: a shell submits an
-    opaque *waiter* per decide, asks for the next frame to write, feeds
-    in every response frame it reads, and reports the transport's
-    death; each call that settles decides returns their resolutions as
-    ``(waiter, decision, error)`` triples for the shell to deliver.  The
-    shell serialises calls (a lock, or one event loop).
+    opaque *waiter* per decide with its submit time, asks for the next
+    frame to write, feeds in every response frame it reads, and reports
+    the transport's death; each call that settles decides returns their
+    resolutions as ``(waiter, decision, error)`` triples for the shell
+    to deliver.  The shell serialises calls (a lock, or one event loop).
+    Frames are cut off the head of the queue, so they carry decides in
+    submission order.
 
     The idempotent-only retry discipline maps onto queue position at
-    failure time: a decide still **unsent** when the transport dies
-    fails with :class:`PDPConnectError` (nothing reached the server —
-    always safe to retry), one in a frame that was **sent** fails with
-    the transport's :class:`PDPUnavailableError` (the server may still
-    evaluate and commit it — never replayed).
+    failure time: a decide in a frame that was **sent** fails with the
+    transport's :class:`PDPUnavailableError` (the server may still
+    evaluate and commit it — never replayed).  One still **unsent**
+    never reached the server: :meth:`drop` keeps it queued for the next
+    connection, :meth:`fail` settles it with :class:`PDPConnectError`.
 
     A frame carries at most half the connection's outstanding decides
     (unsent plus in flight, rounded up), so a burst always leaves on at
@@ -204,8 +207,9 @@ class DecidePipeline:
 
     def __init__(self, batch_max: int) -> None:
         self._batch_max = batch_max
-        self._unsent: deque[tuple[object, dict, int | None]] = deque()
-        self._pending: dict[str, list] = {}
+        self._unsent: deque[tuple[object, dict, int | None, float]] = deque()
+        # frame id -> (its waiters, the first one's submit time)
+        self._pending: dict[str, tuple[list, float]] = {}
         self.in_flight = 0
         self.dead: Exception | None = None
 
@@ -213,11 +217,19 @@ class DecidePipeline:
     def has_unsent(self) -> bool:
         return bool(self._unsent)
 
-    def submit(self, waiter, request: dict, epoch: int | None) -> None:
-        """Queue one decide; refused (retriably) once the transport died."""
+    def submit(
+        self, waiter, request: dict, epoch: int | None, submitted: float
+    ) -> None:
+        """Queue one decide; refused (retriably) once :meth:`fail` ran."""
         if self.dead is not None:
             raise PDPConnectError(f"pipelined connection lost: {self.dead}")
-        self._unsent.append((waiter, request, epoch))
+        self._unsent.append((waiter, request, epoch, submitted))
+
+    def oldest(self) -> float | None:
+        """When the oldest outstanding decide was submitted, if any."""
+        for _, submitted in self._pending.values():
+            return submitted
+        return self._unsent[0][3] if self._unsent else None
 
     def next_frame(self) -> tuple[bytes | None, int, list]:
         """Cut the next ``decide-batch`` frame off the unsent queue.
@@ -233,11 +245,11 @@ class DecidePipeline:
         if not unsent:
             return None, 0, []
         size = min(self._batch_max, (len(unsent) + self.in_flight + 1) // 2)
-        epoch = unsent[0][2]
+        _, _, epoch, submitted = unsent[0]
         waiters = []
         requests = []
         while unsent and len(waiters) < size and unsent[0][2] == epoch:
-            waiter, request, _ = unsent.popleft()
+            waiter, request, _, _ = unsent.popleft()
             waiters.append(waiter)
             requests.append(request)
         frame_id = next_frame_id()
@@ -253,7 +265,7 @@ class DecidePipeline:
         except ProtocolError as exc:
             # Unencodable request: fail this batch, keep the wire.
             return None, 0, [(waiter, None, exc) for waiter in waiters]
-        self._pending[frame_id] = waiters
+        self._pending[frame_id] = (waiters, submitted)
         self.in_flight += len(waiters)
         return payload, len(waiters), []
 
@@ -265,9 +277,10 @@ class DecidePipeline:
         so the :meth:`fail` that must follow still reaches its waiters.
         """
         frame_id = frame.get("id")
-        waiters = self._pending.get(frame_id)
-        if waiters is None:
+        pending = self._pending.get(frame_id)
+        if pending is None:
             raise ProtocolError(f"unsolicited response id {frame_id!r}")
+        waiters = pending[0]
         if frame.get("ok") is not True:
             # Whole-frame error (e.g. shutting-down): same typed mapping
             # a v1 round trip would get.
@@ -285,20 +298,25 @@ class DecidePipeline:
         self.in_flight -= len(waiters)
         return resolutions
 
-    def fail(self, exc: Exception) -> list:
-        """The transport is gone: settle every decide, by queue position."""
-        if self.dead is None:
-            self.dead = exc
-        connect_exc = PDPConnectError(
-            f"pipelined connection lost before send: {exc}"
-        )
-        resolutions = [(waiter, None, connect_exc) for waiter, _, _ in self._unsent]
-        self._unsent.clear()
-        for waiters in self._pending.values():
-            resolutions.extend((waiter, None, exc) for waiter in waiters)
+    def drop(self, exc: Exception, cutoff: float) -> list:
+        """Settle every sent decide, and each unsent one submitted at or
+        before ``cutoff``, with ``exc``; later unsent decides stay queued."""
+        dropped = [waiter for sent, _ in self._pending.values() for waiter in sent]
         self._pending.clear()
         self.in_flight = 0
-        return resolutions
+        unsent = self._unsent
+        while unsent and unsent[0][3] <= cutoff:
+            dropped.append(unsent.popleft()[0])
+        return [(waiter, None, exc) for waiter in dropped]
+
+    def fail(self, exc: Exception) -> list:
+        """Settle every decide, by queue position; refuse later ones."""
+        if self.dead is None:
+            self.dead = exc
+        lost = PDPConnectError(f"pipelined connection lost before send: {exc}")
+        resolutions = [(entry[0], None, lost) for entry in self._unsent]
+        self._unsent.clear()
+        return resolutions + self.drop(exc, -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,16 @@ discipline (only provably idempotent work is retried — see its module
 docstring), the decide pipeline, the handshake check and the control
 verbs.  This module only moves bytes: blocking sockets with a sender
 and a reader thread here, asyncio streams with a flush and a reader
-task there.
+task there.  The asyncio shell's queue outlives its connection, so its
+decides reach the server in call order, also across a re-open.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
+import math
 import random
 import socket
 import threading
@@ -34,7 +37,12 @@ from repro.client._core import (
     next_frame_id,
 )
 from repro.core.decision import Decision, DecisionRequest
-from repro.errors import PDPConnectError, PDPUnavailableError, ProtocolError
+from repro.errors import (
+    PDPConnectError,
+    PDPOverloadedError,
+    PDPUnavailableError,
+    ProtocolError,
+)
 from repro.framework.pdp import PolicyDecisionPoint
 from repro.obs.recorder import Recorder
 from repro.server import protocol
@@ -123,7 +131,7 @@ class _PipelinedV2Connection:
     def decide(self, request: dict, epoch: int | None) -> dict | None:
         future: concurrent.futures.Future = concurrent.futures.Future()
         with self._cond:
-            self._core.submit(future, request, epoch)
+            self._core.submit(future, request, epoch, time.monotonic())
             self._cond.notify()
         try:
             return future.result(self._timeout)
@@ -513,6 +521,10 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
 # ---------------------------------------------------------------------------
 # Asyncio shell
 # ---------------------------------------------------------------------------
+#: What queued decides are answered with when ``"auto"`` falls back to v1.
+_SPEAK_V1 = object()
+
+
 async def _open_stream(
     host: str, port: int, limit: int, timeout: float
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -529,43 +541,41 @@ async def _open_stream(
 class _AsyncPipelinedV2:
     """One negotiated protocol-v2 connection on asyncio streams.
 
-    Concurrent ``decide`` coroutines submit one future each to the
-    :class:`DecidePipeline`; a flush task writes the frames it cuts
-    (bounded by the in-flight window) and a reader task feeds responses
-    back, resolving the futures by correlation id.
+    The decide queue belongs to the client and outlives the connection:
+    the client's flush task writes the frames it cuts (bounded by this
+    connection's in-flight ``window``), a reader task feeds responses
+    back and resolves the futures by correlation id, and one
+    ``call_at`` timer, kept armed for the oldest outstanding decide,
+    drops the connection once that decide has waited ``timeout``.
     """
 
     def __init__(
         self,
+        client: "AsyncRemotePDP",
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         version: int,
-        timeout: float,
-        batch_max: int,
-        window: int,
     ) -> None:
         self._stream_reader = reader
         self._writer = writer
         self.version = version
-        self._timeout = timeout
-        self._core = DecidePipeline(batch_max)
-        self._window = asyncio.Semaphore(window)
-        self._flush_task: asyncio.Task | None = None
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
+        self._timeout = client._timeout
+        self._core = client._queue
+        self.window = asyncio.Semaphore(client._pipeline_window)
+        self.dead = False
+        self._loop = asyncio.get_running_loop()
+        # A decide queued before the connection existed is timed from
+        # the moment it could first be sent.
+        self._opened = self._loop.time()
+        self._timer: asyncio.TimerHandle | None = None
+        # Ends once the aborted or lost transport reports the loss.
+        self.reader_task = self._loop.create_task(self._read_loop())
 
     @classmethod
-    async def open(
-        cls,
-        host: str,
-        port: int,
-        timeout: float,
-        batch_max: int,
-        window: int,
-    ) -> "_AsyncPipelinedV2":
+    async def open(cls, client: "AsyncRemotePDP") -> "_AsyncPipelinedV2":
+        timeout = client._timeout
         reader, writer = await _open_stream(
-            host, port, protocol.MAX_FRAME_BYTES_V2, timeout
+            client._host, client._port, protocol.MAX_FRAME_BYTES_V2, timeout
         )
         try:
             frame_id, payload = hello_request()
@@ -579,51 +589,32 @@ class _AsyncPipelinedV2:
         except BaseException:
             writer.close()
             raise
-        return cls(reader, writer, version, timeout, batch_max, window)
+        return cls(client, reader, writer, version)
 
-    @property
-    def is_dead(self) -> bool:
-        return self._core.dead is not None
-
-    # -- submit --------------------------------------------------------
-    async def decide(self, request: dict, epoch: int | None) -> dict | None:
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._core.submit(future, request, epoch)
-        if self._flush_task is None or self._flush_task.done():
-            self._flush_task = loop.create_task(self._flush())
+    async def send(self, payload: bytes) -> None:
+        if self._timer is None:
+            self._check_deadline()
         try:
-            return await asyncio.wait_for(future, timeout=self._timeout)
-        except asyncio.TimeoutError:
-            exc = PDPUnavailableError(
-                f"no response within {self._timeout}s; "
-                "pipelined connection dropped"
-            )
-            self._fail(exc)
-            raise exc from None
+            self._writer.write(payload)
+            await self._writer.drain()
+        except (OSError, ConnectionError) as exc:
+            self.fail(PDPUnavailableError(f"PDP transport failure: {exc}"))
 
-    # -- flush task ----------------------------------------------------
-    async def _flush(self) -> None:
-        # One event-loop tick lets concurrent decide() callers land in
-        # the queue before the first frame is cut.
-        await asyncio.sleep(0)
-        core = self._core
-        # _fail empties the queue, so a dead connection ends the loop.
-        while core.has_unsent:
-            await self._window.acquire()
-            payload, _, failed = core.next_frame()
-            if payload is None:
-                self._window.release()
-                _resolve_futures(failed)
-                continue
-            try:
-                self._writer.write(payload)
-                await self._writer.drain()
-            except (OSError, ConnectionError) as exc:
-                self._fail(
-                    PDPUnavailableError(f"PDP transport failure: {exc}")
-                )
-                return
+    def _check_deadline(self) -> None:
+        """Re-arm for the oldest outstanding decide, or drop the connection."""
+        self._timer = None
+        oldest = self._core.oldest()
+        if oldest is None:
+            return  # the next frame sent arms the timer again
+        due = max(oldest, self._opened) + self._timeout
+        now = self._loop.time()
+        if now < due:
+            self._timer = self._loop.call_at(due, self._check_deadline)
+            return
+        exc = PDPUnavailableError(
+            f"no response within {self._timeout}s; pipelined connection dropped"
+        )
+        self.fail(exc, cutoff=now - self._timeout)
 
     # -- reader task ---------------------------------------------------
     async def _read_loop(self) -> None:
@@ -637,39 +628,29 @@ class _AsyncPipelinedV2:
                 resolutions = self._core.receive(
                     protocol.decode_frame_v2(payload)
                 )
-                self._window.release()
+                self.window.release()
                 _resolve_futures(resolutions)
-        except asyncio.CancelledError:  # close() cancels the loop
-            raise
         except ProtocolError as exc:
-            self._fail(
+            self.fail(
                 PDPUnavailableError(f"protocol violation from server: {exc}")
             )
         except (OSError, ConnectionError, asyncio.IncompleteReadError) as exc:
-            self._fail(PDPUnavailableError(f"PDP transport failure: {exc}"))
+            self.fail(PDPUnavailableError(f"PDP transport failure: {exc}"))
 
     # -- teardown ------------------------------------------------------
-    def _fail(self, exc: Exception) -> None:
-        _resolve_futures(self._core.fail(exc))
-        # Wake a flush task parked on an exhausted in-flight window; it
-        # finds the queue empty and exits.
-        self._window.release()
-        self._writer.close()
-
-    async def close(self) -> None:
-        self._fail(PDPUnavailableError("pipelined connection closed"))
-        # _fail settled every waiter, so neither task has work left; a
-        # flush parked in drain() on an unread socket would never return.
-        tasks = [self._reader_task]
-        if self._flush_task is not None:
-            tasks.append(self._flush_task)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        try:
-            await self._writer.wait_closed()
-        except (OSError, ConnectionError):  # pragma: no cover
-            pass
+    def fail(self, exc: Exception, cutoff: float = -math.inf) -> None:
+        """Settle the sent decides (and unsent ones submitted by
+        ``cutoff``) with ``exc`` and abort; the rest stay queued."""
+        if self.dead:
+            return
+        self.dead = True
+        if self._timer is not None:
+            self._timer.cancel()
+        _resolve_futures(self._core.drop(exc, cutoff))
+        # Wake a flush task parked on an exhausted in-flight window or
+        # in drain(); it finds the connection dead and opens another.
+        self.window.release()
+        self._writer.transport.abort()
 
 
 class AsyncRemotePDP(ClientCore):
@@ -683,7 +664,8 @@ class AsyncRemotePDP(ClientCore):
     :class:`RemotePDP`: in ``"auto"`` or ``"v2"`` mode decides ride one
     pipelined binary connection whose flush task coalesces concurrent
     callers into ``decide-batch`` frames, while control verbs stay on
-    v1 pooled connections.
+    v1 pooled connections.  A decide that has waited ``timeout`` for
+    its answer fails, and drops the connection as it does.
     """
 
     def __init__(
@@ -720,20 +702,9 @@ class AsyncRemotePDP(ClientCore):
     def _init_io(self) -> None:
         self._slots = asyncio.Semaphore(self._pool_size)
         self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._queue = DecidePipeline(self._batch_max)
         self._pipe: _AsyncPipelinedV2 | None = None
-        self._pipe_lock = asyncio.Lock()
-
-    async def _acquire(
-        self, timeout: float | None = None
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        if self._idle:
-            return self._idle.pop()
-        return await _open_stream(
-            self._host,
-            self._port,
-            protocol.MAX_FRAME_BYTES,
-            timeout if timeout is not None else self._timeout,
-        )
+        self._flush_task: asyncio.Task | None = None
 
     async def _release(
         self,
@@ -756,9 +727,15 @@ class AsyncRemotePDP(ClientCore):
         idle, self._idle = self._idle, []
         for conn in idle:
             await self._release(conn, reusable=False)
+        closed = PDPUnavailableError("remote PDP client is closed")
+        _resolve_futures(self._queue.drop(closed, math.inf))
+        if self._flush_task is not None:
+            self._flush_task.cancel()
+            await asyncio.gather(self._flush_task, return_exceptions=True)
         pipe, self._pipe = self._pipe, None
         if pipe is not None:
-            await pipe.close()
+            pipe.fail(closed)
+            await pipe.reader_task
 
     async def __aenter__(self) -> "AsyncRemotePDP":
         return self
@@ -776,7 +753,9 @@ class AsyncRemotePDP(ClientCore):
         )
         op_timeout = timeout if timeout is not None else self._timeout
         async with self._slots:
-            conn = await self._acquire(timeout=timeout)
+            conn = self._idle.pop() if self._idle else await _open_stream(
+                self._host, self._port, protocol.MAX_FRAME_BYTES, op_timeout
+            )
             reader, writer = conn
             reusable = False
             try:
@@ -804,17 +783,6 @@ class AsyncRemotePDP(ClientCore):
             finally:
                 await self._release(conn, reusable)
 
-    async def _retrying(self, once, retriable: bool):
-        attempt = 0
-        while True:
-            self.check_open()
-            try:
-                return await once()
-            except PDPUnavailableError as exc:
-                delay = self.retry_delay(exc, attempt, retriable)
-            await asyncio.sleep(delay)
-            attempt += 1
-
     async def request(
         self,
         op: str,
@@ -823,10 +791,16 @@ class AsyncRemotePDP(ClientCore):
         op_timeout: float | None = None,
         **fields,
     ) -> dict:
-        """One control round trip under the shared retry rule (coroutine)."""
-        return await self._retrying(
-            lambda: self._exchange_once(op, fields, op_timeout), retriable
-        )
+        """One v1 round trip under the shared retry rule (coroutine)."""
+        attempt = 0
+        while True:
+            self.check_open()
+            try:
+                return await self._exchange_once(op, fields, op_timeout)
+            except PDPUnavailableError as exc:
+                delay = self.retry_delay(exc, attempt, retriable)
+            await asyncio.sleep(delay)
+            attempt += 1
 
     @staticmethod
     async def _then(answer, parse):
@@ -836,51 +810,80 @@ class AsyncRemotePDP(ClientCore):
     async def decide(
         self, request: DecisionRequest, *, epoch: int | None = None
     ) -> Decision:
-        """Evaluate one request on the remote PDP (coroutine)."""
-        wire = protocol.request_to_wire(request)
-        return await self._retrying(
-            lambda: self._decide_once(request, wire, epoch),
-            retriable=False,  # post-send decide retries could double-record
-        )
+        """Evaluate one request on the remote PDP (coroutine).
 
-    async def _decide_once(
-        self, request: DecisionRequest, wire: dict, epoch: int | None
-    ) -> Decision:
-        if self._negotiated != 1:
-            pipe = self._pipe
-            if pipe is None or pipe.is_dead:  # else: no lock per decide
-                pipe = await self._pipeline()
-            if pipe is not None:
-                return protocol.decision_from_wire_delta(
-                    await pipe.decide(wire, epoch), request
-                )
-        response = await self._exchange_once(
-            protocol.OP_DECIDE, _decide_fields(wire, epoch)
+        Over v2 the decide joins the client's queue before its first
+        ``await``, so decides reach the server in call order.  The one
+        exception is a decide the server sheds as ``overloaded``: it is
+        queued again after its back-off, behind later ones.
+        """
+        wire = protocol.request_to_wire(request)
+        attempt = 0
+        while self._negotiated != 1:
+            self.check_open()
+            loop = asyncio.get_running_loop()
+            future = loop.create_future()
+            self._queue.submit(future, wire, epoch, loop.time())
+            if self._flush_task is None or self._flush_task.done():
+                self._flush_task = loop.create_task(self._flush())
+            try:
+                answer = await future
+            except PDPOverloadedError as exc:
+                delay = self.retry_delay(exc, attempt, retriable=False)
+                await asyncio.sleep(delay)
+                attempt += 1
+                continue
+            if answer is not _SPEAK_V1:
+                return protocol.decision_from_wire_delta(answer, request)
+        response = await self.request(  # never replayed once sent
+            protocol.OP_DECIDE, retriable=False, **_decide_fields(wire, epoch)
         )
         return protocol.decision_from_wire(response.get("decision"))
 
-    async def _pipeline(self) -> _AsyncPipelinedV2 | None:
-        """As :meth:`RemotePDP._pipeline`, on the event loop."""
-        async with self._pipe_lock:
-            if self._negotiated == 1:
-                return None
+    async def _flush(self) -> None:
+        """Send the queue in order, (re)opening the connection first.
+
+        When :meth:`retry_delay` gives up on connecting, the decides
+        queued before the first failed attempt fail with its error.
+        """
+        # One event-loop tick lets concurrent decide() callers land in
+        # the queue before the first frame is cut.
+        await asyncio.sleep(0)
+        queue = self._queue
+        attempt = 0
+        while queue.has_unsent:
             pipe = self._pipe
-            if pipe is not None and not pipe.is_dead:
-                return pipe
-            if pipe is not None:
-                await pipe.close()
-                self._pipe = None
-            try:
-                pipe = await _AsyncPipelinedV2.open(
-                    self._host,
-                    self._port,
-                    timeout=self._timeout,
-                    batch_max=self._batch_max,
-                    window=self._pipeline_window,
-                )
-            except ProtocolError as exc:
-                self.v2_refused(exc)
-                return None
-            self._negotiated = pipe.version
-            self._pipe = pipe
-            return pipe
+            if pipe is None or pipe.dead:
+                if attempt == 0:
+                    since = asyncio.get_running_loop().time()
+                try:
+                    pipe = await _AsyncPipelinedV2.open(self)
+                except ProtocolError as exc:
+                    refused = queue.drop(exc, math.inf)
+                    with contextlib.suppress(ProtocolError):  # pinned to v2
+                        self.v2_refused(exc)
+                        refused = [(w, _SPEAK_V1, None) for w, _, _ in refused]
+                    _resolve_futures(refused)
+                    return
+                except PDPUnavailableError as exc:
+                    try:
+                        delay = self.retry_delay(exc, attempt, retriable=False)
+                    except PDPUnavailableError:
+                        _resolve_futures(queue.drop(exc, since))
+                        attempt = 0
+                        continue
+                    attempt += 1
+                    await asyncio.sleep(delay)
+                    continue
+                attempt = 0
+                self._negotiated = pipe.version
+                self._pipe = pipe
+            await pipe.window.acquire()
+            if pipe.dead:  # fail() released the window
+                continue
+            payload, _, failed = queue.next_frame()
+            if payload is None:
+                pipe.window.release()
+                _resolve_futures(failed)
+            else:
+                await pipe.send(payload)

@@ -386,6 +386,14 @@ def _number(mapping: dict, key: str, what: str) -> float:
     return float(value)
 
 
+def _integer(mapping: dict, key: str, what: str) -> int:
+    """An optional integer field, 0 when absent."""
+    value = mapping.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{what}.{key} must be an integer")
+    return value
+
+
 def _roles_from_wire(raw: Any, what: str) -> tuple[Role, ...]:
     if not isinstance(raw, list):
         raise ProtocolError(f"{what}.roles must be a list")
@@ -509,51 +517,12 @@ def decision_to_wire(decision: Decision) -> dict:
     tracing off serialise exactly as before (no key at all), keeping
     the differential serving tests byte-identical.
     """
-    wire = {
-        "effect": decision.effect,
-        "request": request_to_wire(decision.request),
-        "violation": (
-            None
-            if decision.violation is None
-            else _violation_to_wire(decision.violation)
-        ),
-        "matched_policy_ids": list(decision.matched_policy_ids),
-        "records_added": decision.records_added,
-        "records_purged": decision.records_purged,
-        "reason": decision.reason,
-        "adi_adds": [_record_to_wire(record) for record in decision.adi_adds],
-        "adi_purged_contexts": [
-            str(context) for context in decision.adi_purged_contexts
-        ],
-    }
-    if decision.policy_epoch:
-        # Additive keys (absent on pre-epoch decisions): old clients
-        # ignore them, old payloads parse with the 0/"" defaults.
-        wire["policy_epoch"] = decision.policy_epoch
-        wire["policy_digest"] = decision.policy_digest
-    if decision.trace is not None:
-        wire["trace"] = decision.trace.to_dict()
-    return wire
+    return _decision_to_wire(decision, None)
 
 
 def decision_from_wire(raw: Any) -> Decision:
     """Rebuild a :class:`Decision`; raises ProtocolError on junk."""
     return _decision_from_wire(raw, None)
-
-
-def _record_is_request_derived(
-    record: RetainedADIRecord, request: DecisionRequest
-) -> bool:
-    """True when a retained record is exactly the request's own grant."""
-    return (
-        record.user_id == request.user_id
-        and record.roles == tuple(request.roles)
-        and record.operation == request.operation
-        and record.target == request.target
-        and record.context_instance == request.context_instance
-        and record.granted_at == request.timestamp
-        and record.request_id == request.request_id
-    )
 
 
 def decision_to_wire_delta(
@@ -572,8 +541,25 @@ def decision_to_wire_delta(
     full form, so :func:`decision_from_wire_delta` reconstructs the
     identical :class:`Decision` either way.
     """
-    wire: dict = {
-        "effect": decision.effect,
+    return _decision_to_wire(decision, request)
+
+
+def _decision_to_wire(decision: Decision, request: DecisionRequest | None) -> dict:
+    """The v1 form without a ``request``, else the delta form against it."""
+    wire: dict = {"effect": decision.effect}
+    if request is None:
+        wire["request"] = request_to_wire(decision.request)
+        adds = [_record_to_wire(record) for record in decision.adi_adds]
+    else:
+        # A record is request-derived when its first seven fields are
+        # the request's own grant: built once per decision.
+        user, roles, operation, target, context, at, _, request_id = request
+        own = (user, tuple(roles), operation, target, context, at, request_id)
+        adds = [
+            record.record_id if record[:7] == own else _record_to_wire(record)
+            for record in decision.adi_adds
+        ]
+    wire |= {
         "violation": (
             None
             if decision.violation is None
@@ -583,19 +569,17 @@ def decision_to_wire_delta(
         "records_added": decision.records_added,
         "records_purged": decision.records_purged,
         "reason": decision.reason,
-        "adi_adds": [
-            record.record_id
-            if _record_is_request_derived(record, request)
-            else _record_to_wire(record)
-            for record in decision.adi_adds
-        ],
+        "adi_adds": adds,
         "adi_purged_contexts": [
             str(context) for context in decision.adi_purged_contexts
         ],
     }
-    if decision.request is not request and decision.request != request:
-        wire["request"] = request_to_wire(decision.request)
+    echo = decision.request
+    if request is not None and echo is not request and echo != request:
+        wire["request"] = request_to_wire(echo)
     if decision.policy_epoch:
+        # Additive keys (absent on pre-epoch decisions): old clients
+        # ignore them, old payloads parse with the 0/"" defaults.
         wire["policy_epoch"] = decision.policy_epoch
         wire["policy_digest"] = decision.policy_digest
     if decision.trace is not None:
@@ -611,7 +595,7 @@ def decision_from_wire_delta(raw: Any, request: DecisionRequest) -> Decision:
     in ``adi_adds`` reinflate to the record the request's grant would
     have produced.  Full-form entries (dicts) parse exactly as in v1.
     """
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, dict):
         raise ProtocolError("decision must be a map")
     return _decision_from_wire(raw, request)
 
@@ -633,15 +617,9 @@ def _decision_from_wire(raw: Any, delta_request: DecisionRequest | None) -> Deci
         raise ProtocolError(f"{what}.adi_adds must be a list")
     if not isinstance(purged_raw, list):
         raise ProtocolError(f"{what}.adi_purged_contexts must be a list")
-    records_added = raw.get("records_added", 0)
-    records_purged = raw.get("records_purged", 0)
-    if isinstance(records_added, bool) or not isinstance(records_added, int):
-        raise ProtocolError(f"{what}.records_added must be an integer")
-    if isinstance(records_purged, bool) or not isinstance(records_purged, int):
-        raise ProtocolError(f"{what}.records_purged must be an integer")
-    policy_epoch = raw.get("policy_epoch", 0)
-    if isinstance(policy_epoch, bool) or not isinstance(policy_epoch, int):
-        raise ProtocolError(f"{what}.policy_epoch must be an integer")
+    records_added = _integer(raw, "records_added", what)
+    records_purged = _integer(raw, "records_purged", what)
+    policy_epoch = _integer(raw, "policy_epoch", what)
     policy_digest = raw.get("policy_digest", "")
     if not isinstance(policy_digest, str):
         raise ProtocolError(f"{what}.policy_digest must be a string")
@@ -660,7 +638,7 @@ def _decision_from_wire(raw: Any, delta_request: DecisionRequest | None) -> Deci
         request = request_from_wire(request_raw)
     adi_adds: list[RetainedADIRecord] = []
     for item in adds_raw:
-        if isinstance(item, Mapping):
+        if isinstance(item, dict):
             adi_adds.append(_record_from_wire(item))
         elif delta_request is not None and (
             item is None

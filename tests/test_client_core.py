@@ -39,9 +39,9 @@ def ok_response(frame: dict, decisions: list) -> dict:
     }
 
 
-def submit_all(pipeline: DecidePipeline, entries) -> None:
+def submit_all(pipeline: DecidePipeline, entries, submitted=0.0) -> None:
     for waiter, epoch in entries:
-        pipeline.submit(waiter, {"user": waiter}, epoch)
+        pipeline.submit(waiter, {"user": waiter}, epoch, submitted)
 
 
 class TestBatchCutting:
@@ -119,8 +119,8 @@ class TestBatchCutting:
 
     def test_unencodable_request_fails_its_batch_and_keeps_the_wire(self):
         pipeline = DecidePipeline(batch_max=8)
-        pipeline.submit("bad", {"user": object()}, 1)  # not a payload value
-        pipeline.submit("good", {"user": "good"}, 2)
+        pipeline.submit("bad", {"user": object()}, 1, 0.0)  # not a payload value
+        pipeline.submit("good", {"user": "good"}, 2, 0.0)
         payload, size, failed = pipeline.next_frame()
         assert payload is None and size == 0
         [(waiter, decision, error)] = failed
@@ -223,6 +223,44 @@ class TestFailTimeClassification:
         assert pipeline.dead is lost
         assert not pipeline.has_unsent
 
+    def test_drop_settles_the_sent_and_the_old_and_keeps_the_rest_in_order(
+        self,
+    ):
+        pipeline = DecidePipeline(batch_max=2)
+        submit_all(pipeline, [("sent1", 1), ("sent2", 1)], submitted=1.0)
+        submit_all(pipeline, [("old", 1)], submitted=2.0)
+        submit_all(pipeline, [("young1", 1), ("young2", 1)], submitted=3.0)
+        assert pipeline.next_frame()[1] == 2
+        lost = PDPUnavailableError("no response within 1s")
+        assert pipeline.drop(lost, 2.0) == [
+            ("sent1", None, lost),
+            ("sent2", None, lost),
+            ("old", None, lost),
+        ]
+        # Not dead: the queue outlives the connection, in call order.
+        assert pipeline.dead is None and pipeline.in_flight == 0
+        assert pipeline.oldest() == 3.0
+        users = []
+        while pipeline.has_unsent:
+            frame = sent_frame(pipeline.next_frame()[0])
+            users += [request["user"] for request in frame["requests"]]
+        assert users == ["young1", "young2"]
+
+    def test_oldest_is_the_first_frame_still_in_flight_else_the_queue(self):
+        pipeline = DecidePipeline(batch_max=1)
+        assert pipeline.oldest() is None
+        for index, waiter in enumerate(("a", "b", "c")):
+            submit_all(pipeline, [(waiter, None)], submitted=float(index))
+        first = sent_frame(pipeline.next_frame()[0])
+        second = sent_frame(pipeline.next_frame()[0])
+        assert pipeline.oldest() == 0.0
+        pipeline.receive(ok_response(second, [None]))  # out of order
+        assert pipeline.oldest() == 0.0
+        pipeline.receive(ok_response(first, [None]))
+        assert pipeline.oldest() == 2.0  # only "c" is left, unsent
+        pipeline.next_frame()
+        assert pipeline.oldest() == 2.0
+
     def test_dead_pipeline_refuses_submission_retriably(self):
         pipeline = DecidePipeline(batch_max=2)
         first = PDPUnavailableError("gone")
@@ -230,7 +268,7 @@ class TestFailTimeClassification:
         assert pipeline.fail(PDPUnavailableError("closed")) == []
         assert pipeline.dead is first  # the first cause is kept
         with pytest.raises(PDPConnectError):
-            pipeline.submit("late", {"user": "late"}, None)
+            pipeline.submit("late", {"user": "late"}, None, 0.0)
 
 
 class IdleCore(ClientCore):

@@ -25,7 +25,9 @@ from repro.client import (
     PDPUnavailableError,
     RemotePDP,
 )
+from repro.api import open_pdp
 from repro.core import (
+    MMEP,
     MMER,
     ContextName,
     DecisionRequest,
@@ -33,6 +35,7 @@ from repro.core import (
     MSoDEngine,
     MSoDPolicy,
     MSoDPolicySet,
+    Privilege,
     Role,
     SQLiteRetainedADIStore,
     TieredADIStore,
@@ -398,6 +401,270 @@ class TestPipelineOverlap:
         assert len(decisions) == self.N_DECIDES
         assert all(decision.granted for decision in decisions)
         assert server.overlapped == 1
+
+
+class SilentServer(DieAfterBatchServer):
+    """Upgrades to v2, then reads every frame and never answers one.
+
+    Records each request id of every ``decide-batch`` frame it ever
+    receives, on any connection, so a replay is visible.
+    """
+
+    def __init__(self):
+        self.request_ids = []
+        super().__init__()
+
+    def _handle(self, conn):
+        stream = conn.makefile("rb")
+        try:
+            hello = json.loads(stream.readline())
+            reply = protocol.response_frame(
+                hello["id"], protocol.OP_HELLO, "body", {"version": 2}
+            )
+            conn.sendall(json.dumps(reply).encode() + b"\n")
+            while True:
+                header = stream.read(protocol.V2_HEADER_BYTES)
+                if len(header) != protocol.V2_HEADER_BYTES:
+                    return
+                frame = protocol.decode_frame_v2(
+                    stream.read(protocol.v2_payload_length(header))
+                )
+                with self._lock:
+                    self.request_ids.extend(
+                        r["request_id"] for r in frame["requests"]
+                    )
+        except (OSError, ValueError, ProtocolError):
+            pass
+        finally:
+            conn.close()
+
+
+EXECUTE = Privilege("executeDuty", "duty://1")
+REVIEW = Privilege("reviewDuty", "duty://1")
+
+
+class TestCallOrder:
+    """The asyncio client sends decides in the order they were called.
+
+    64 closed-loop workers share one client, as the wire benchmark
+    drives it: the first 64 decides are called before any connection
+    exists, each later one only after some reply.  Each pair user's
+    first request is in that first burst and its conflicting second
+    one (MMER roles, or MMEP privileges) is called after a reply, so a
+    decide that overtakes one still waiting for the connection flips
+    both of that user's decisions against a one-thread oracle.
+    """
+
+    WORKERS = 64
+    PAIRS = 8
+    warm_up = [make_request(f"w{index}", TELLER) for index in range(128)]
+
+    def policy_set(self):
+        return MSoDPolicySet(
+            [
+                MSoDPolicy(
+                    ContextName.parse("Branch=*, Period=!"),
+                    mmers=[MMER([TELLER, AUDITOR], 2)],
+                    mmeps=[MMEP([EXECUTE, REVIEW], 2)],
+                    policy_id="bank",
+                )
+            ]
+        )
+
+    def stream(self, tag):
+        def duty(user, privilege):
+            request = make_request(user, TELLER)
+            return request._replace(
+                operation=privilege.operation, target=privilege.target
+            )
+
+        stream = [make_request(f"{tag}f{index}", TELLER) for index in range(160)]
+        burst_end = self.WORKERS
+        for k in range(self.PAIRS):
+            first, second = burst_end - 1 - k, burst_end + k
+            stream[first] = make_request(f"{tag}mmer{k}", TELLER)
+            stream[second] = make_request(f"{tag}mmer{k}", AUDITOR, 2.0)
+            first, second = burst_end - 1 - self.PAIRS - k, burst_end + self.PAIRS + k
+            stream[first] = duty(f"{tag}mmep{k}", EXECUTE)
+            stream[second] = duty(f"{tag}mmep{k}", REVIEW)
+        return stream
+
+    @staticmethod
+    def outcomes(decisions):
+        return [(d.effect, d.violation) for d in decisions]
+
+    def oracle(self, requests):
+        pdp = open_pdp(self.policy_set(), "memory")
+        try:
+            return self.outcomes(pdp.decide(request) for request in requests)
+        finally:
+            pdp.close()
+
+    async def closed_loop(self, pdp, requests):
+        decisions = [None] * len(requests)
+        cursor = iter(enumerate(requests))
+
+        async def worker():
+            for index, request in cursor:
+                decisions[index] = await pdp.decide(request)
+
+        await asyncio.gather(*(worker() for _ in range(self.WORKERS)))
+        return decisions
+
+    def run_against_server(self, kills):
+        """One burst on a fresh client, or ``kills`` bursts each on a
+        connection re-opened after the last one was killed."""
+        rounds = [self.stream(f"r{round}-") for round in range(max(kills, 1))]
+        service = AuthorizationService(
+            MSoDEngine(self.policy_set(), InMemoryRetainedADIStore()),
+            n_shards=4,
+        )
+        with ServerThread(service) as server:
+
+            async def run():
+                decisions = []
+                async with AsyncRemotePDP(
+                    server.host,
+                    server.port,
+                    timeout=10.0,
+                    protocol_version="v2",
+                    batch_max=64,
+                    pipeline_window=16,
+                ) as pdp:
+                    for round, requests in enumerate(rounds):
+                        if kills:
+                            if round == 0:  # warm both ends up first
+                                await self.closed_loop(pdp, self.warm_up)
+                            pdp._pipe._writer.transport.abort()
+                            await asyncio.sleep(0.05)  # the reader sees it die
+                        decisions += await self.closed_loop(pdp, requests)
+                return decisions
+
+            decisions = asyncio.run(run())
+        oracle = self.oracle([r for requests in rounds for r in requests])
+        assert {effect for effect, _ in oracle} == {"grant", "deny"}
+        assert self.outcomes(decisions) == oracle
+
+    def test_a_fresh_clients_first_burst_keeps_call_order(self):
+        self.run_against_server(kills=0)
+
+    def test_a_reopened_connection_keeps_call_order(self):
+        self.run_against_server(kills=3)
+
+
+class TestDecideDeadline:
+    """One timer per connection enforces each decide's ``timeout``."""
+
+    TIMEOUT = 0.3
+
+    def client(self, port, **kwargs):
+        return AsyncRemotePDP(
+            "127.0.0.1",
+            port,
+            protocol_version="v2",
+            timeout=self.TIMEOUT,
+            max_retries=0,
+            **kwargs,
+        )
+
+    def test_an_unanswered_decide_fails_after_timeout_and_is_never_replayed(
+        self,
+    ):
+        requests = [make_request(f"t{index}", TELLER) for index in range(8)]
+        with SilentServer() as server:
+
+            async def run():
+                loop = asyncio.get_running_loop()
+                async with self.client(server.port) as pdp:
+                    started = loop.time()
+
+                    async def timed(request):
+                        try:
+                            await pdp.decide(request)
+                        except PDPUnavailableError as exc:
+                            return exc, loop.time() - started
+                        raise AssertionError("a silent server answered")
+
+                    return await asyncio.gather(*map(timed, requests))
+
+            outcomes = asyncio.run(run())
+            time.sleep(0.1)  # a replay would need a new connection
+            for exc, elapsed in outcomes:
+                assert not isinstance(exc, PDPConnectError)
+                assert str(exc).startswith(f"no response within {self.TIMEOUT}s")
+                assert self.TIMEOUT <= elapsed < self.TIMEOUT + 2.0
+            assert sorted(server.request_ids) == sorted(
+                request.request_id for request in requests
+            )
+            assert server.connections == 1
+
+    def test_a_parked_decide_fails_the_same_way_and_a_younger_one_moves_on(
+        self,
+    ):
+        """With a one-frame window, ``parked`` waits behind ``sent`` for
+        as long as it does and fails with it, unsent.  ``younger`` was
+        called half a timeout later: it carries over to a new connection,
+        is sent there once, and times out in turn."""
+        sent, parked, younger = (
+            make_request(user, TELLER) for user in ("sent", "parked", "younger")
+        )
+        with SilentServer() as server:
+
+            async def run():
+                async with self.client(
+                    server.port, batch_max=1, pipeline_window=1
+                ) as pdp:
+                    first = asyncio.gather(
+                        pdp.decide(sent),
+                        pdp.decide(parked),
+                        return_exceptions=True,
+                    )
+                    await asyncio.sleep(self.TIMEOUT / 2)
+                    later = await asyncio.gather(
+                        pdp.decide(younger), return_exceptions=True
+                    )
+                    return await first + later
+
+            errors = asyncio.run(run())
+            for exc in errors:
+                assert isinstance(exc, PDPUnavailableError)
+                assert not isinstance(exc, PDPConnectError)
+                assert str(exc).startswith(f"no response within {self.TIMEOUT}s")
+            assert server.request_ids == [sent.request_id, younger.request_id]
+            assert server.connections == 2
+
+    def test_a_burst_arms_one_timer_per_connection_not_per_decide(self):
+        n_decides = 2_000
+        service = make_service(n_shards=4)
+        with ServerThread(service) as server:
+
+            async def run():
+                loop = asyncio.get_running_loop()
+                armed = []
+                call_at = loop.call_at
+
+                def counting_call_at(when, callback, *args, **kwargs):
+                    armed.append(callback)
+                    return call_at(when, callback, *args, **kwargs)
+
+                loop.call_at = counting_call_at  # call_later goes through it
+                async with AsyncRemotePDP(
+                    server.host, server.port, timeout=10.0, protocol_version="v2"
+                ) as pdp:
+                    cursor = iter(range(n_decides))
+
+                    async def worker():
+                        for index in cursor:
+                            decision = await pdp.decide(
+                                make_request(f"c{index}", TELLER)
+                            )
+                            assert decision.granted
+
+                    await asyncio.gather(*(worker() for _ in range(64)))
+                return armed
+
+            armed = asyncio.run(run())
+        assert len(armed) <= n_decides // 100
 
 
 class TestPipelinedDecides:
