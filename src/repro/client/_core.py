@@ -2,13 +2,15 @@
 
 Everything a client must *decide* lives here exactly once: how a wire
 error becomes a typed exception, when a failed attempt may be retried,
-how concurrent decides are cut into ``decide-batch`` frames and
-resolved, what the hello handshake must say, which fields and body
-shape each control verb has, and that a closed client stays closed.
-:mod:`repro.client.remote` adds only IO — a blocking-socket shell
-(:class:`~repro.client.RemotePDP`) and an asyncio shell
-(:class:`~repro.client.AsyncRemotePDP`) — so the retry discipline is
-proven on one implementation, not copied to a twin.
+how concurrent decides queue, are cut into ``decide-batch`` frames,
+resolved and failed when a connection dies or times out, what the
+hello handshake must say and what a refused one means for the queue,
+which fields and body shape each control verb has, and that a closed
+client stays closed.  :mod:`repro.client.remote` adds only IO — a
+blocking-socket shell (:class:`~repro.client.RemotePDP`) and an
+asyncio shell (:class:`~repro.client.AsyncRemotePDP`) — so the retry
+and failure discipline is proven on one implementation, not copied to
+a twin.
 
 Retry discipline — only provably idempotent work is retried (the one
 rule is :meth:`ClientCore.retry_delay`):
@@ -29,6 +31,7 @@ rule is :meth:`ClientCore.retry_delay`):
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -48,6 +51,9 @@ from repro.obs.recorder import NOOP, Recorder
 from repro.server import protocol
 
 _FRAME_COUNTER = itertools.count(1)
+
+#: What queued decides are answered with when ``"auto"`` falls back to v1.
+SPEAK_V1 = object()
 
 
 def next_frame_id() -> str:
@@ -108,6 +114,24 @@ def check_response(frame: dict, frame_id: str) -> dict:
     if frame.get("ok") is True:
         return frame
     raise error_to_exception(frame.get("error"))
+
+
+def lost_connection(exc: Exception) -> PDPUnavailableError:
+    """What a pipelined connection that died of ``exc`` fails its sent
+    decides with."""
+    if isinstance(exc, PDPUnavailableError):
+        return exc
+    if isinstance(exc, ProtocolError):
+        return PDPUnavailableError(f"protocol violation from server: {exc}")
+    return PDPUnavailableError(f"PDP transport failure: {exc}")
+
+
+def no_response(timeout: float) -> PDPUnavailableError:
+    """What a pipelined decide that waited ``timeout`` for its answer
+    fails with, and drops its connection with."""
+    return PDPUnavailableError(
+        f"no response within {timeout}s; pipelined connection dropped"
+    )
 
 
 def hello_request() -> tuple[str, bytes]:
@@ -192,12 +216,15 @@ class DecidePipeline:
     Frames are cut off the head of the queue, so they carry decides in
     submission order.
 
-    The idempotent-only retry discipline maps onto queue position at
-    failure time: a decide in a frame that was **sent** fails with the
-    transport's :class:`PDPUnavailableError` (the server may still
-    evaluate and commit it — never replayed).  One still **unsent**
-    never reached the server: :meth:`drop` keeps it queued for the next
-    connection, :meth:`fail` settles it with :class:`PDPConnectError`.
+    The queue belongs to the client and outlives each connection.  The
+    idempotent-only retry discipline maps onto queue position when a
+    connection dies (:meth:`drop`): a decide in a frame that was
+    **sent** fails with the transport's :class:`PDPUnavailableError`
+    (the server may still evaluate and commit it — never replayed).
+    One still **unsent** never reached the server: it stays queued, in
+    call order, for the next connection, unless it was submitted by the
+    drop's cutoff (it has waited out its deadline, or the connect
+    retries gave up on it).
 
     A frame carries at most half the connection's outstanding decides
     (unsent plus in flight, rounded up), so a burst always leaves on at
@@ -211,7 +238,6 @@ class DecidePipeline:
         # frame id -> (its waiters, the first one's submit time)
         self._pending: dict[str, tuple[list, float]] = {}
         self.in_flight = 0
-        self.dead: Exception | None = None
 
     @property
     def has_unsent(self) -> bool:
@@ -220,9 +246,7 @@ class DecidePipeline:
     def submit(
         self, waiter, request: dict, epoch: int | None, submitted: float
     ) -> None:
-        """Queue one decide; refused (retriably) once :meth:`fail` ran."""
-        if self.dead is not None:
-            raise PDPConnectError(f"pipelined connection lost: {self.dead}")
+        """Queue one decide behind every earlier one."""
         self._unsent.append((waiter, request, epoch, submitted))
 
     def oldest(self) -> float | None:
@@ -238,7 +262,7 @@ class DecidePipeline:
         requests and at most half the outstanding decides, rounded up.
         Returns ``(payload, batch size, [])`` with the batch now counted
         as **sent** and in flight — the shell must write the payload or
-        call :meth:`fail` — or ``(None, 0, resolutions)`` when nothing
+        call :meth:`drop` — or ``(None, 0, resolutions)`` when nothing
         is queued or the batch could not be encoded.
         """
         unsent = self._unsent
@@ -274,7 +298,7 @@ class DecidePipeline:
 
         Raises :class:`ProtocolError` for a frame nobody asked for or a
         result list of the wrong length; the batch then stays pending,
-        so the :meth:`fail` that must follow still reaches its waiters.
+        so the :meth:`drop` that must follow still reaches its waiters.
         """
         frame_id = frame.get("id")
         pending = self._pending.get(frame_id)
@@ -309,29 +333,23 @@ class DecidePipeline:
             dropped.append(unsent.popleft()[0])
         return [(waiter, None, exc) for waiter in dropped]
 
-    def fail(self, exc: Exception) -> list:
-        """Settle every decide, by queue position; refuse later ones."""
-        if self.dead is None:
-            self.dead = exc
-        lost = PDPConnectError(f"pipelined connection lost before send: {exc}")
-        resolutions = [(entry[0], None, lost) for entry in self._unsent]
-        self._unsent.clear()
-        return resolutions + self.drop(exc, -math.inf)
-
 
 # ---------------------------------------------------------------------------
 # What both clients are, minus the IO
 # ---------------------------------------------------------------------------
 class ClientCore:
-    """Configuration, retry rule, lifecycle and control verbs of a client.
+    """Configuration, retry rule, lifecycle, decide queue and control
+    verbs of a client.
 
-    A shell subclass supplies ``_init_io()`` (its pool and pipeline
-    state), ``request(op, retriable=..., op_timeout=..., **fields)`` —
-    one control round trip under :meth:`retry_delay`, answering with
-    the response frame — and ``_then(answer, parse)``, which applies
+    A shell subclass supplies ``_init_io()`` (its pool and IO state),
+    ``request(op, retriable=..., op_timeout=..., **fields)`` — one
+    control round trip under :meth:`retry_delay`, answering with the
+    response frame — and ``_then(answer, parse)``, which applies
     ``parse`` to that answer.  :class:`RemotePDP` answers with values;
     :class:`AsyncRemotePDP` answers with awaitables, so there every
-    verb below returns an awaitable of the documented value.
+    verb below returns an awaitable of the documented value.  Its send
+    loop reports each (re)open of the pipelined connection to
+    :meth:`opened` or :meth:`open_failed`.
     """
 
     def __init__(
@@ -355,6 +373,18 @@ class ClientCore:
                 "protocol_version must be 'auto', 'v1' or 'v2', "
                 f"got {protocol_version!r}"
             )
+        if not 1 <= batch_max <= protocol.MAX_WIRE_BATCH:
+            raise ValueError(
+                f"batch_max must be in 1..{protocol.MAX_WIRE_BATCH}, "
+                f"got {batch_max!r}"
+            )
+        if pipeline_window < 1:
+            raise ValueError(f"pipeline_window must be >= 1, got {pipeline_window!r}")
+        if pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1, got {pool_size!r}")
+        for name, value in (("timeout", timeout), ("health_timeout", health_timeout)):
+            if value is not None and not value > 0:  # rejects nan too
+                raise ValueError(f"{name} must be positive, got {value!r}")
         self._host = host
         self._port = port
         self._pool_size = pool_size
@@ -372,6 +402,12 @@ class ClientCore:
         self._pipeline_window = pipeline_window
         self._negotiated: int | None = 1 if protocol_version == "v1" else None
         self._closed = False
+        # The v2 decides of every caller, and the shell's pipelined
+        # connection that sends them, with its connect attempts so far.
+        self._queue = DecidePipeline(batch_max)
+        self._pipe = None
+        self._attempt = 0
+        self._since = 0.0
         self._init_io()
 
     @property
@@ -426,6 +462,48 @@ class ClientCore:
         if self._protocol_version != "auto":
             raise exc
         self._negotiated = 1
+
+    def opened(self, pipe) -> None:
+        """Send the queue over ``pipe``, a newly negotiated connection."""
+        self._attempt = 0
+        self._negotiated, self._pipe = pipe.version, pipe
+
+    def open_failed(self, exc: Exception, started: float) -> tuple:
+        """``(back-off or None, resolutions)`` after an open begun at
+        ``started`` failed with ``exc``.
+
+        A refused hello settles the whole queue (``None``): with
+        :data:`SPEAK_V1` for its callers to resend over v1 under
+        ``"auto"`` (:meth:`v2_refused`), else with ``exc``.  A lost
+        connect is retried under :meth:`retry_delay`; once that gives
+        up, the decides queued before the first failed attempt fail
+        with ``exc``.
+        """
+        if isinstance(exc, ProtocolError):
+            refused = self._queue.drop(exc, math.inf)
+            with contextlib.suppress(ProtocolError):  # pinned to v2
+                self.v2_refused(exc)
+                refused = [(waiter, SPEAK_V1, None) for waiter, _, _ in refused]
+            return None, refused
+        if self._attempt == 0:
+            self._since = started
+        try:
+            delay = self.retry_delay(exc, self._attempt, retriable=False)
+        except PDPUnavailableError:
+            self._attempt = 0
+            return 0.0, self._queue.drop(exc, self._since)
+        self._attempt += 1
+        return delay, []
+
+    def _decide_v1(self, wire: dict, epoch: int | None):
+        """One decide as a v1 round trip, never replayed once sent."""
+        fields = {"request": wire}
+        if epoch is not None:
+            fields["epoch"] = epoch
+        return self._then(
+            self.request(protocol.OP_DECIDE, retriable=False, **fields),
+            lambda answer: protocol.decision_from_wire(answer.get("decision")),
+        )
 
     # -- control verbs -------------------------------------------------
     def _verb(

@@ -9,11 +9,12 @@ is the asyncio variant for async applications.
 
 Both are IO shells over :mod:`repro.client._core`, which owns the retry
 discipline (only provably idempotent work is retried — see its module
-docstring), the decide pipeline, the handshake check and the control
-verbs.  This module only moves bytes: blocking sockets with a sender
-and a reader thread here, asyncio streams with a flush and a reader
-task there.  The asyncio shell's queue outlives its connection, so its
-decides reach the server in call order, also across a re-open.
+docstring), the decide queue and what a dead, timed-out or refused
+connection does to it, the handshake check and the control verbs.
+This module only moves bytes: blocking sockets with a sender and a
+reader thread here, asyncio streams with a flush and a reader task
+there.  In both the queue outlives its connection, so decides reach the
+server in queue order, also across a re-open.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ import threading
 import time
 
 from repro.client._core import (
+    SPEAK_V1,
     ClientCore,
-    DecidePipeline,
     check_response,
     decode_response_line,
     hello_request,
     hello_version,
+    lost_connection,
     next_frame_id,
+    no_response,
 )
 from repro.core.decision import Decision, DecisionRequest
 from repro.errors import (
@@ -46,13 +49,6 @@ from repro.errors import (
 from repro.framework.pdp import PolicyDecisionPoint
 from repro.obs.recorder import Recorder
 from repro.server import protocol
-
-
-def _decide_fields(wire: dict, epoch: int | None) -> dict:
-    fields: dict = {"request": wire}
-    if epoch is not None:
-        fields["epoch"] = epoch
-    return fields
 
 
 def _resolve_futures(resolutions: list) -> None:
@@ -74,29 +70,17 @@ def _resolve_futures(resolutions: list) -> None:
 # Blocking-socket shell
 # ---------------------------------------------------------------------------
 class _PipelinedV2Connection:
-    """One negotiated protocol-v2 connection with pipelined batches.
+    """One negotiated protocol-v2 connection of a :class:`RemotePDP`.
 
-    Concurrent ``decide`` callers submit one future each to the
-    :class:`DecidePipeline`; a sender thread writes the frames it cuts,
-    keeping at most ``window`` correlated frames in flight; a reader
-    thread feeds responses back and resolves the futures as they
-    complete, out of order.
+    The decide queue belongs to the client and outlives the connection:
+    the client's sender thread writes the frames it cuts (bounded by
+    this connection's in-flight ``window``), and a reader thread feeds
+    responses back and resolves the futures by correlation id, out of
+    order.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float,
-        batch_max: int,
-        window: int,
-        perf: Recorder,
-    ) -> None:
-        self._timeout = timeout
-        self._perf = perf
-        conn = _SyncConnection(host, port, timeout)
-        self._sock = conn.sock
-        self._file = conn.file
+    def __init__(self, client: "RemotePDP") -> None:
+        conn = _SyncConnection(client._host, client._port, client._timeout)
         frame_id, payload = hello_request()
         try:
             try:
@@ -107,81 +91,40 @@ class _PipelinedV2Connection:
         except BaseException:
             conn.close()
             raise
-        # Blocking IO from here on: decide() waits enforce the timeout and
-        # kill the socket when the server goes quiet, which unblocks
-        # both threads.
+        self._sock = conn.sock
+        self._file = conn.file
+        self._core = client._queue
+        self._cond = client._cond  # guards every _core call
+        self._perf = client._perf
+        self.window = threading.Semaphore(client._pipeline_window)
+        self.lost = False
+        # A decide queued before the connection existed is timed from
+        # the moment it could first be sent.
+        self.opened_at = time.monotonic()
+        # Blocking IO from here on: a drop shuts the socket down, which
+        # unblocks both threads.
         self._sock.settimeout(None)
-        self._core = DecidePipeline(batch_max)
-        self._cond = threading.Condition()  # guards every _core call
-        self._window = threading.Semaphore(window)
-        self._sender = threading.Thread(
-            target=self._sender_loop, name="repro-pdp-sender", daemon=True
-        )
         self._reader = threading.Thread(
-            target=self._reader_loop, name="repro-pdp-reader", daemon=True
+            target=self._read_loop, name="repro-pdp-reader", daemon=True
         )
-        self._sender.start()
         self._reader.start()
 
-    @property
-    def is_dead(self) -> bool:
-        return self._core.dead is not None
-
-    # -- submit --------------------------------------------------------
-    def decide(self, request: dict, epoch: int | None) -> dict | None:
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        with self._cond:
-            self._core.submit(future, request, epoch, time.monotonic())
-            self._cond.notify()
+    def send(self, payload: bytes, size: int) -> None:
         try:
-            return future.result(self._timeout)
-        except concurrent.futures.TimeoutError:
-            self._fail(
-                PDPUnavailableError(
-                    f"no response within {self._timeout}s; "
-                    "pipelined connection dropped"
-                )
-            )
-            try:
-                return future.result(1.0)
-            except concurrent.futures.TimeoutError:  # pragma: no cover - _fail settled it
-                raise PDPUnavailableError("pipelined connection wedged") from None
-
-    # -- sender thread -------------------------------------------------
-    def _sender_loop(self) -> None:
-        core = self._core
-        while True:
-            with self._cond:
-                while not core.has_unsent and core.dead is None:
-                    self._cond.wait()
-            # _fail releases the window too, so a sender parked on a
-            # full window wakes up to see the death below.
-            self._window.acquire()
-            with self._cond:
-                if core.dead is not None:
-                    return
-                payload, size, failed = core.next_frame()
-            if payload is None:
-                self._window.release()
-                _resolve_futures(failed)
-                continue
-            try:
-                self._sock.sendall(payload)
-            except OSError as exc:
-                # sendall may have transmitted part of the frame: the
-                # whole batch counts as sent (ambiguous on the server).
-                self._fail(
-                    PDPUnavailableError(f"PDP transport failure: {exc}")
-                )
-                return
-            perf = self._perf
-            if perf.enabled:
-                perf.incr("client.frames_out")
-                perf.incr("client.bytes_out", len(payload))
-                perf.observe_size("client.batch_size", size)
+            self._sock.sendall(payload)
+        except OSError as exc:
+            # sendall may have transmitted part of the frame: the
+            # whole batch counts as sent (ambiguous on the server).
+            self.drop(lost_connection(exc))
+            return
+        perf = self._perf
+        if perf.enabled:
+            perf.incr("client.frames_out")
+            perf.incr("client.bytes_out", len(payload))
+            perf.observe_size("client.batch_size", size)
 
     # -- reader thread -------------------------------------------------
-    def _reader_loop(self) -> None:
+    def _read_loop(self) -> None:
         try:
             while True:
                 header = self._read_exactly(protocol.V2_HEADER_BYTES)
@@ -195,21 +138,13 @@ class _PipelinedV2Connection:
                     )
                 with self._cond:
                     resolutions = self._core.receive(frame)
-                self._window.release()
+                self.window.release()
                 _resolve_futures(resolutions)
-        except PDPUnavailableError as exc:
-            self._fail(exc)
-        except ProtocolError as exc:
-            self._fail(
-                PDPUnavailableError(f"protocol violation from server: {exc}")
-            )
-        except OSError as exc:
-            self._fail(PDPUnavailableError(f"PDP transport failure: {exc}"))
+        except (PDPUnavailableError, ProtocolError, OSError) as exc:
+            self.drop(lost_connection(exc))
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 self._file.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
 
     def _read_exactly(self, n: int) -> bytes:
         data = self._file.read(n)
@@ -218,28 +153,29 @@ class _PipelinedV2Connection:
         return data
 
     # -- teardown ------------------------------------------------------
-    def _fail(self, exc: Exception) -> None:
+    def drop(self, exc: Exception, cutoff: float = -math.inf) -> None:
+        """Settle the sent decides (and unsent ones submitted by
+        ``cutoff``) with ``exc`` and shut the socket; the rest stay
+        queued."""
         with self._cond:
-            resolutions = self._core.fail(exc)
-            self._cond.notify_all()
-        self._window.release()
+            if self.lost:
+                return
+            self.lost = True
+            resolutions = self._core.drop(exc, cutoff)
+        # Wake a sender parked on an exhausted in-flight window; it
+        # finds the connection lost and opens another.
+        self.window.release()
         _resolve_futures(resolutions)
         # shutdown (not file.close) unblocks a reader parked in read():
         # closing the buffered file here would block on the read lock
         # the reader holds.  The reader closes the file as it exits.
-        try:
+        with contextlib.suppress(OSError):  # already torn down
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        try:
+        with contextlib.suppress(OSError):  # best-effort teardown
             self._sock.close()
-        except OSError:  # pragma: no cover - best-effort teardown
-            pass
 
-    def close(self) -> None:
-        self._fail(PDPUnavailableError("pipelined connection closed"))
-        self._sender.join(self._timeout)
-        self._reader.join(self._timeout)
+    def join(self) -> None:
+        self._reader.join()
 
 
 class _SyncConnection:
@@ -287,10 +223,12 @@ class _SyncConnection:
 class RemotePDP(ClientCore, PolicyDecisionPoint):
     """A :class:`PolicyDecisionPoint` backed by a remote MSoD server.
 
-    Thread-safe: a bounded pool of pooled connections serves concurrent
-    callers (each request has exclusive use of one connection for its
-    round trip, preserving the one-frame-in-flight protocol invariant).
-    Any verb after :meth:`close` raises
+    Thread-safe: a bounded pool of v1 connections serves concurrent
+    control calls (each request has exclusive use of one connection for
+    its round trip, preserving the one-frame-in-flight protocol
+    invariant), and v2 decides share one queue that a sender thread
+    sends, in order, over one pipelined connection it opens and
+    re-opens.  Any verb after :meth:`close` raises
     :class:`~repro.errors.PDPUnavailableError`.
 
     Parameters
@@ -300,7 +238,9 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
     pool_size:
         Maximum concurrent connections (callers beyond it queue).
     timeout:
-        Per-operation socket timeout, seconds.
+        Per-operation socket timeout, seconds; a pipelined decide that
+        has waited this long for its answer fails, and drops the
+        connection as it does.
     health_timeout:
         Socket timeout for ``healthz`` probes only; defaults to the
         general ``timeout``.  A cluster health checker sets this much
@@ -340,12 +280,14 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         self._slots = threading.BoundedSemaphore(self._pool_size)
         self._idle: list[_SyncConnection] = []
         self._idle_lock = threading.Lock()
-        self._pipe: _PipelinedV2Connection | None = None
-        self._pipe_lock = threading.Lock()
+        # Guards the queue and every change of _pipe, _negotiated and
+        # _closed; the sender thread waits on it for work.
+        self._cond = threading.Condition()
+        self._sender: threading.Thread | None = None
         # A Recorder is not thread-safe and callers arrive on their own
         # threads: everything they record goes through this lock.  (The
-        # pipeline's sender and reader threads each own the counters
-        # they write, so they need none.)
+        # sender and reader threads each own the frame counters they
+        # write, so those need none.)
         self._perf_lock = threading.Lock()
 
     @property
@@ -369,18 +311,28 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
             conn.close()
 
     def close(self) -> None:
-        """Close every pooled connection.  Idempotent."""
-        self._closed = True
+        """Close every connection and stop the sender.  Idempotent."""
+        closed = PDPUnavailableError("remote PDP client is closed")
+        with self._cond:
+            self._closed = True
+            queued = self._queue.drop(closed, math.inf)
+            sender, self._sender = self._sender, None
+            self._cond.notify_all()
+        _resolve_futures(queued)
         with self._idle_lock:
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
-        with self._pipe_lock:
-            pipe, self._pipe = self._pipe, None
+        if self._pipe is not None:
+            self._pipe.drop(closed)  # wakes a sender parked on its window
+        if sender is not None:
+            sender.join()
+        pipe = self._pipe  # the sender may have opened it as we closed
         if pipe is not None:
-            pipe.close()
+            pipe.drop(closed)
+            pipe.join()
 
-    # -- one attempt, and the loop around it ----------------------------
+    # -- round trips ---------------------------------------------------
     def _exchange_once(
         self, op: str, fields: dict, timeout: float | None = None
     ) -> dict:
@@ -405,29 +357,6 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
             finally:
                 self._release(conn, reusable)
 
-    def _retrying(self, once, retriable: bool):
-        perf = self._perf
-        timing = perf.enabled
-        if timing:
-            with self._perf_lock:
-                perf.incr("client.calls")
-        attempt = 0
-        while True:
-            self.check_open()
-            started = perf.start() if timing else 0.0
-            try:
-                result = once()
-            except PDPUnavailableError as exc:
-                with self._perf_lock:  # retry_delay counts the failure
-                    delay = self.retry_delay(exc, attempt, retriable)
-            else:
-                if timing:
-                    with self._perf_lock:
-                        perf.span("client.call", started)
-                return result
-            time.sleep(delay)
-            attempt += 1
-
     def request(
         self,
         op: str,
@@ -436,14 +365,32 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         op_timeout: float | None = None,
         **fields,
     ) -> dict:
-        """One control round trip under the shared retry rule.
+        """One v1 round trip under the shared retry rule.
 
         Returns the validated response frame.  ``retriable`` says
         whether ``op`` may be replayed after its bytes were sent.
         """
-        return self._retrying(
-            lambda: self._exchange_once(op, fields, op_timeout), retriable
-        )
+        perf = self._perf
+        timing = perf.enabled
+        if timing and op != protocol.OP_DECIDE:  # decide() counts its own
+            with self._perf_lock:
+                perf.incr("client.calls")
+        attempt = 0
+        while True:
+            self.check_open()
+            started = perf.start() if timing else 0.0
+            try:
+                response = self._exchange_once(op, fields, op_timeout)
+            except PDPUnavailableError as exc:
+                with self._perf_lock:  # retry_delay counts the failure
+                    delay = self.retry_delay(exc, attempt, retriable)
+            else:
+                if timing:
+                    with self._perf_lock:
+                        perf.span("client.call", started)
+                return response
+            time.sleep(delay)
+            attempt += 1
 
     @staticmethod
     def _then(answer: dict, parse):
@@ -465,66 +412,100 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         client's routing table is stale.  Plain single-node servers
         ignore the field.
         """
+        perf = self._perf
+        if perf.enabled:
+            with self._perf_lock:
+                perf.incr("client.calls")
         wire = protocol.request_to_wire(request)
-        return self._retrying(
-            lambda: self._decide_once(request, wire, epoch),
-            retriable=False,  # post-send decide retries could double-record
-        )
-
-    def _decide_once(
-        self, request: DecisionRequest, wire: dict, epoch: int | None
-    ) -> Decision:
-        if self._negotiated != 1:
-            pipe = self._pipeline()
-            if pipe is not None:
-                return protocol.decision_from_wire_delta(
-                    pipe.decide(wire, epoch), request
-                )
-        response = self._exchange_once(
-            protocol.OP_DECIDE, _decide_fields(wire, epoch)
-        )
-        return protocol.decision_from_wire(response.get("decision"))
-
-    def _pipeline(self) -> _PipelinedV2Connection | None:
-        """The shared pipelined v2 connection, (re)establishing it.
-
-        Returns ``None`` when decides should speak v1 instead: an
-        ``"auto"`` client whose server rejected the hello (the fallback
-        is then remembered for the client's lifetime).
-        """
-        with self._pipe_lock:
-            if self._negotiated == 1:
-                return None
-            pipe = self._pipe
-            if pipe is not None and not pipe.is_dead:
-                return pipe
-            if pipe is not None:
-                pipe.close()
-                self._pipe = None
+        attempt = 0
+        while self._negotiated != 1:
+            started = perf.start() if perf.enabled else 0.0
+            future: concurrent.futures.Future = concurrent.futures.Future()
+            submitted = time.monotonic()
+            with self._cond:
+                self.check_open()
+                if self._negotiated == 1:
+                    break
+                self._queue.submit(future, wire, epoch, submitted)
+                if self._sender is None or not self._sender.is_alive():
+                    self._sender = threading.Thread(
+                        target=self._send_loop, name="repro-pdp-sender", daemon=True
+                    )
+                    self._sender.start()
+                self._cond.notify()
             try:
-                pipe = _PipelinedV2Connection(
-                    self._host,
-                    self._port,
-                    timeout=self._timeout,
-                    batch_max=self._batch_max,
-                    window=self._pipeline_window,
-                    perf=self._perf,
-                )
-            except ProtocolError as exc:
-                self.v2_refused(exc)
-                return None
-            self._negotiated = pipe.version
-            self._pipe = pipe
-            return pipe
+                answer = self._wait(future, submitted)
+            except PDPOverloadedError as exc:
+                with self._perf_lock:
+                    delay = self.retry_delay(exc, attempt, retriable=False)
+                time.sleep(delay)
+                attempt += 1
+                continue
+            if answer is not SPEAK_V1:
+                if perf.enabled:
+                    with self._perf_lock:
+                        perf.span("client.call", started)
+                return protocol.decision_from_wire_delta(answer, request)
+        return self._decide_v1(wire, epoch)
+
+    def _wait(self, future: concurrent.futures.Future, submitted: float):
+        """The answer to one queued decide.  Once it has waited
+        ``timeout`` — from its call, or from when its connection opened
+        if it was queued before that — it drops the connection."""
+        timeout = self._timeout
+        while True:
+            pipe = self._pipe
+            if pipe is None or pipe.lost:  # timed from the next opening
+                pipe, opened = None, time.monotonic()
+            else:
+                opened = pipe.opened_at
+            try:
+                due = max(submitted, opened) + timeout
+                return future.result(due - time.monotonic())
+            except concurrent.futures.TimeoutError:
+                if pipe is not None:
+                    pipe.drop(no_response(timeout), time.monotonic() - timeout)
+
+    def _send_loop(self) -> None:
+        """Send the queue in order, (re)opening the connection first
+        (failed opens: :meth:`~ClientCore.open_failed`).  Runs on the
+        sender thread until :meth:`close`."""
+        queue, cond = self._queue, self._cond
+        while True:
+            with cond:
+                cond.wait_for(lambda: queue.has_unsent or self._closed)
+                if self._closed:
+                    return
+                pipe = self._pipe
+            if pipe is None or pipe.lost:
+                started = time.monotonic()
+                try:
+                    pipe = _PipelinedV2Connection(self)
+                except (ProtocolError, PDPUnavailableError) as exc:
+                    with cond, self._perf_lock:
+                        delay, settled = self.open_failed(exc, started)
+                    _resolve_futures(settled)
+                    if delay:
+                        with cond:
+                            cond.wait_for(lambda: self._closed, delay)
+                    continue
+                with cond:
+                    self.opened(pipe)
+            pipe.window.acquire()
+            with cond:
+                if pipe.lost:  # drop() released the window
+                    continue
+                payload, size, failed = queue.next_frame()
+            if payload is None:
+                pipe.window.release()
+                _resolve_futures(failed)
+            else:
+                pipe.send(payload, size)
 
 
 # ---------------------------------------------------------------------------
 # Asyncio shell
 # ---------------------------------------------------------------------------
-#: What queued decides are answered with when ``"auto"`` falls back to v1.
-_SPEAK_V1 = object()
-
-
 async def _open_stream(
     host: str, port: int, limit: int, timeout: float
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -562,7 +543,7 @@ class _AsyncPipelinedV2:
         self._timeout = client._timeout
         self._core = client._queue
         self.window = asyncio.Semaphore(client._pipeline_window)
-        self.dead = False
+        self.lost = False
         self._loop = asyncio.get_running_loop()
         # A decide queued before the connection existed is timed from
         # the moment it could first be sent.
@@ -598,7 +579,7 @@ class _AsyncPipelinedV2:
             self._writer.write(payload)
             await self._writer.drain()
         except (OSError, ConnectionError) as exc:
-            self.fail(PDPUnavailableError(f"PDP transport failure: {exc}"))
+            self.drop(lost_connection(exc))
 
     def _check_deadline(self) -> None:
         """Re-arm for the oldest outstanding decide, or drop the connection."""
@@ -611,10 +592,7 @@ class _AsyncPipelinedV2:
         if now < due:
             self._timer = self._loop.call_at(due, self._check_deadline)
             return
-        exc = PDPUnavailableError(
-            f"no response within {self._timeout}s; pipelined connection dropped"
-        )
-        self.fail(exc, cutoff=now - self._timeout)
+        self.drop(no_response(self._timeout), cutoff=now - self._timeout)
 
     # -- reader task ---------------------------------------------------
     async def _read_loop(self) -> None:
@@ -630,25 +608,21 @@ class _AsyncPipelinedV2:
                 )
                 self.window.release()
                 _resolve_futures(resolutions)
-        except ProtocolError as exc:
-            self.fail(
-                PDPUnavailableError(f"protocol violation from server: {exc}")
-            )
-        except (OSError, ConnectionError, asyncio.IncompleteReadError) as exc:
-            self.fail(PDPUnavailableError(f"PDP transport failure: {exc}"))
+        except (ProtocolError, OSError, asyncio.IncompleteReadError) as exc:
+            self.drop(lost_connection(exc))
 
     # -- teardown ------------------------------------------------------
-    def fail(self, exc: Exception, cutoff: float = -math.inf) -> None:
+    def drop(self, exc: Exception, cutoff: float = -math.inf) -> None:
         """Settle the sent decides (and unsent ones submitted by
         ``cutoff``) with ``exc`` and abort; the rest stay queued."""
-        if self.dead:
+        if self.lost:
             return
-        self.dead = True
+        self.lost = True
         if self._timer is not None:
             self._timer.cancel()
         _resolve_futures(self._core.drop(exc, cutoff))
         # Wake a flush task parked on an exhausted in-flight window or
-        # in drain(); it finds the connection dead and opens another.
+        # in drain(); it finds the connection lost and opens another.
         self.window.release()
         self._writer.transport.abort()
 
@@ -702,8 +676,6 @@ class AsyncRemotePDP(ClientCore):
     def _init_io(self) -> None:
         self._slots = asyncio.Semaphore(self._pool_size)
         self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self._queue = DecidePipeline(self._batch_max)
-        self._pipe: _AsyncPipelinedV2 | None = None
         self._flush_task: asyncio.Task | None = None
 
     async def _release(
@@ -734,7 +706,7 @@ class AsyncRemotePDP(ClientCore):
             await asyncio.gather(self._flush_task, return_exceptions=True)
         pipe, self._pipe = self._pipe, None
         if pipe is not None:
-            pipe.fail(closed)
+            pipe.drop(closed)
             await pipe.reader_task
 
     async def __aenter__(self) -> "AsyncRemotePDP":
@@ -833,53 +805,33 @@ class AsyncRemotePDP(ClientCore):
                 await asyncio.sleep(delay)
                 attempt += 1
                 continue
-            if answer is not _SPEAK_V1:
+            if answer is not SPEAK_V1:
                 return protocol.decision_from_wire_delta(answer, request)
-        response = await self.request(  # never replayed once sent
-            protocol.OP_DECIDE, retriable=False, **_decide_fields(wire, epoch)
-        )
-        return protocol.decision_from_wire(response.get("decision"))
+        return await self._decide_v1(wire, epoch)
 
     async def _flush(self) -> None:
-        """Send the queue in order, (re)opening the connection first.
-
-        When :meth:`retry_delay` gives up on connecting, the decides
-        queued before the first failed attempt fail with its error.
-        """
+        """Send the queue in order, (re)opening the connection first
+        (failed opens: :meth:`~ClientCore.open_failed`)."""
         # One event-loop tick lets concurrent decide() callers land in
         # the queue before the first frame is cut.
         await asyncio.sleep(0)
         queue = self._queue
-        attempt = 0
         while queue.has_unsent:
             pipe = self._pipe
-            if pipe is None or pipe.dead:
-                if attempt == 0:
-                    since = asyncio.get_running_loop().time()
+            if pipe is None or pipe.lost:
+                started = asyncio.get_running_loop().time()
                 try:
                     pipe = await _AsyncPipelinedV2.open(self)
-                except ProtocolError as exc:
-                    refused = queue.drop(exc, math.inf)
-                    with contextlib.suppress(ProtocolError):  # pinned to v2
-                        self.v2_refused(exc)
-                        refused = [(w, _SPEAK_V1, None) for w, _, _ in refused]
-                    _resolve_futures(refused)
-                    return
-                except PDPUnavailableError as exc:
-                    try:
-                        delay = self.retry_delay(exc, attempt, retriable=False)
-                    except PDPUnavailableError:
-                        _resolve_futures(queue.drop(exc, since))
-                        attempt = 0
-                        continue
-                    attempt += 1
+                except (ProtocolError, PDPUnavailableError) as exc:
+                    delay, settled = self.open_failed(exc, started)
+                    _resolve_futures(settled)
+                    if delay is None:
+                        return
                     await asyncio.sleep(delay)
                     continue
-                attempt = 0
-                self._negotiated = pipe.version
-                self._pipe = pipe
+                self.opened(pipe)
             await pipe.window.acquire()
-            if pipe.dead:  # fail() released the window
+            if pipe.lost:  # drop() released the window
                 continue
             payload, _, failed = queue.next_frame()
             if payload is None:

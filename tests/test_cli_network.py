@@ -459,3 +459,74 @@ def test_serve_subprocess_drains_on_sigterm(tmp_path, policies, capsys):
         assert manager.verify_all() == 1
         events = list(manager.events())
     assert [event.event_type for event in events] == [EVENT_DECISION]
+
+
+def _spawn(*argv):
+    """``python -m repro ARGV`` with piped text output; its first
+    stdout line, the banner, is read by the caller."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _stop(process):
+    """SIGTERM, then the exit code and the rest of stdout."""
+    try:
+        process.send_signal(signal.SIGTERM)
+        rest, err = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0, err
+    return rest.splitlines()
+
+
+def test_cluster_serve_subprocess_stops_on_sigterm(tmp_path, policies, capsys):
+    process = _spawn(
+        "cluster", "serve", policies["bank"], "--data-dir", tmp_path,
+        "--port", 0, "--cluster-shards", 2, "--store", "memory", "--no-fsync",
+    )
+    try:
+        banner = process.stdout.readline()
+        match = re.search(r"cluster coordinator on (\S+):(\d+) ", banner)
+        assert match, banner
+        assert banner.rstrip().endswith("(2 shards, store=memory, fsync=off)")
+        shards = [process.stdout.readline() for _ in range(2)]
+        assert [line.split(":")[0].strip() for line in shards] == [
+            "shard-0",
+            "shard-1",
+        ]
+        code, out, _ = run(
+            capsys, "cluster", "decide", "--host", match.group(1),
+            "--port", match.group(2), *GRANTED,
+        )
+        assert code == 0 and out.startswith("GRANT alice")
+    finally:
+        rest = _stop(process)
+    assert rest == ["stopping cluster..."]
+
+
+def test_cluster_node_subprocess_stops_on_sigterm(tmp_path, policies, capsys):
+    process = _spawn(
+        "cluster", "node", policies["bank"], "--name", "n1", "--shard",
+        "shard-0", "--port", 0, "--store", "memory",
+        "--audit-dir", tmp_path / "trail", "--no-fsync",
+    )
+    try:
+        banner = process.stdout.readline()
+        match = re.search(r"node n1 serving shard shard-0 on (\S+):(\d+) ", banner)
+        assert match, banner
+        assert banner.rstrip().endswith("role=primary epoch=1")
+        code, out, _ = run(
+            capsys, "remote-decide", "--host", match.group(1),
+            "--port", match.group(2), *GRANTED,
+        )
+        assert code == 0 and out.startswith("GRANT")
+    finally:
+        rest = _stop(process)
+    assert rest == ["stopping node..."]

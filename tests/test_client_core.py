@@ -7,11 +7,12 @@ waiters, and the server's half of the exchange played by
 :class:`ClientCore` with no IO at all.
 """
 
+import math
 import random
 
 import pytest
 
-from repro.client._core import ClientCore, DecidePipeline
+from repro.client._core import SPEAK_V1, ClientCore, DecidePipeline
 from repro.errors import (
     PDPConnectError,
     PDPFencedError,
@@ -111,7 +112,7 @@ class TestBatchCutting:
         pipeline.next_frame()
         pipeline.next_frame()
         assert pipeline.in_flight == 6 and not pipeline.has_unsent
-        pipeline.fail(PDPUnavailableError("reset"))
+        pipeline.drop(PDPUnavailableError("reset"), -math.inf)
         assert pipeline.in_flight == 0
 
     def test_nothing_queued_cuts_nothing(self):
@@ -127,7 +128,7 @@ class TestBatchCutting:
         assert waiter == "bad" and decision is None
         assert isinstance(error, ProtocolError)
         # The connection is untouched: the next batch is cut and answered.
-        assert pipeline.dead is None
+        assert pipeline.in_flight == 0 and pipeline.has_unsent
         payload, size, failed = pipeline.next_frame()
         assert size == 1 and failed == []
         frame = sent_frame(payload)
@@ -202,26 +203,36 @@ class TestResponseResolution:
         frame = self.cut(pipeline, ["a", "b"])
         with pytest.raises(ProtocolError, match="1 results for 2"):
             pipeline.receive(ok_response(frame, ["only-one"]))
-        # The shell answers a violation with fail(): the batch was sent,
+        # The shell answers a violation with drop(): the batch was sent,
         # so its waiters get the transport error — never left hanging.
         lost = PDPUnavailableError("protocol violation from server")
-        assert pipeline.fail(lost) == [("a", None, lost), ("b", None, lost)]
+        assert pipeline.drop(lost, -math.inf) == [
+            ("a", None, lost),
+            ("b", None, lost),
+        ]
 
 
 class TestFailTimeClassification:
-    def test_unsent_is_connect_error_sent_is_the_transport_error(self):
+    def test_lost_connection_fails_sent_keeps_unsent(self):
         pipeline = DecidePipeline(batch_max=2)
         submit_all(pipeline, [("sent1", 1), ("sent2", 1), ("queued", 1)])
         payload, size, _ = pipeline.next_frame()
         assert size == 2 and payload is not None
         lost = PDPUnavailableError("PDP transport failure: reset")
-        by_waiter = {w: e for w, _, e in pipeline.fail(lost)}
         # Sent: ambiguous on the server, the caller must not replay.
-        assert by_waiter["sent1"] is lost and by_waiter["sent2"] is lost
-        # Unsent: provably never left the client, safe to retry.
-        assert isinstance(by_waiter["queued"], PDPConnectError)
-        assert pipeline.dead is lost
-        assert not pipeline.has_unsent
+        assert pipeline.drop(lost, -math.inf) == [
+            ("sent1", None, lost),
+            ("sent2", None, lost),
+        ]
+        # Unsent: provably never left the client, so it goes out on the
+        # next connection, ahead of a decide submitted after the loss.
+        submit_all(pipeline, [("later", 1)])
+        assert pipeline.in_flight == 0
+        users = []
+        while pipeline.has_unsent:
+            frame = sent_frame(pipeline.next_frame()[0])
+            users += [request["user"] for request in frame["requests"]]
+        assert users == ["queued", "later"]
 
     def test_drop_settles_the_sent_and_the_old_and_keeps_the_rest_in_order(
         self,
@@ -237,8 +248,8 @@ class TestFailTimeClassification:
             ("sent2", None, lost),
             ("old", None, lost),
         ]
-        # Not dead: the queue outlives the connection, in call order.
-        assert pipeline.dead is None and pipeline.in_flight == 0
+        # The queue outlives the connection, in call order.
+        assert pipeline.in_flight == 0
         assert pipeline.oldest() == 3.0
         users = []
         while pipeline.has_unsent:
@@ -260,15 +271,6 @@ class TestFailTimeClassification:
         assert pipeline.oldest() == 2.0  # only "c" is left, unsent
         pipeline.next_frame()
         assert pipeline.oldest() == 2.0
-
-    def test_dead_pipeline_refuses_submission_retriably(self):
-        pipeline = DecidePipeline(batch_max=2)
-        first = PDPUnavailableError("gone")
-        assert pipeline.fail(first) == []
-        assert pipeline.fail(PDPUnavailableError("closed")) == []
-        assert pipeline.dead is first  # the first cause is kept
-        with pytest.raises(PDPConnectError):
-            pipeline.submit("late", {"user": "late"}, None, 0.0)
 
 
 class IdleCore(ClientCore):
@@ -334,8 +336,22 @@ class TestRetryRule:
         )
 
     def test_configuration_is_validated_once(self):
-        with pytest.raises(ValueError, match="protocol_version"):
-            IdleCore("127.0.0.1", 1, protocol_version="v3")
+        for bad in (
+            {"protocol_version": "v3"},
+            {"batch_max": 0},
+            {"batch_max": -1},
+            {"batch_max": protocol.MAX_WIRE_BATCH + 1},
+            {"pipeline_window": 0},
+            {"pool_size": 0},
+            {"timeout": 0.0},
+            {"timeout": -1.0},
+            {"timeout": math.nan},
+            {"health_timeout": 0.0},
+        ):
+            [name] = bad
+            with pytest.raises(ValueError, match=name):
+                IdleCore("127.0.0.1", 1, **bad)
+        IdleCore("h", 1, batch_max=protocol.MAX_WIRE_BATCH, pipeline_window=1)
         assert IdleCore("h", 1, protocol_version="v1").negotiated_protocol == 1
         assert IdleCore("h", 1).negotiated_protocol is None
 
@@ -347,4 +363,34 @@ class TestRetryRule:
         pinned, _ = self.core(protocol_version="v2")
         with pytest.raises(ProtocolError):
             pinned.v2_refused(refusal)
+        assert pinned.negotiated_protocol is None
+
+
+class TestOpenFailures:
+    """What a failed open of the pipelined connection does to the queue."""
+
+    def test_a_spent_connect_budget_fails_what_was_queued_before_it(self):
+        core = IdleCore(
+            "h", 1, max_retries=1, backoff_base=0.01, rng=random.Random(7)
+        )
+        submit_all(core._queue, [("early", None)], submitted=1.0)
+        lost = PDPConnectError("refused")
+        delay, settled = core.open_failed(lost, started=2.0)
+        assert 0.0 <= delay <= 0.01 and settled == []
+        submit_all(core._queue, [("late", None)], submitted=3.0)
+        assert core.open_failed(lost, started=4.0) == (0.0, [("early", None, lost)])
+        # "late" came after the first failed attempt began: it waits for
+        # the next round of attempts, which starts a new budget.
+        assert core._queue.oldest() == 3.0
+        assert 0.0 <= core.open_failed(lost, started=5.0)[0] <= 0.01
+
+    def test_a_refused_hello_answers_the_whole_queue(self):
+        refusal = ProtocolError("server negotiated protocol v1; v2 required")
+        auto = IdleCore("h", 1)
+        submit_all(auto._queue, [("a", None)])
+        assert auto.open_failed(refusal, 0.0) == (None, [("a", SPEAK_V1, None)])
+        assert auto.negotiated_protocol == 1
+        pinned = IdleCore("h", 1, protocol_version="v2")
+        submit_all(pinned._queue, [("p", None)])
+        assert pinned.open_failed(refusal, 0.0) == (None, [("p", None, refusal)])
         assert pinned.negotiated_protocol is None

@@ -82,6 +82,32 @@ def make_request(user, role, timestamp=1.0):
     )
 
 
+def on_threads(call, args):
+    """``call(arg)`` on one thread per arg, started in order; each
+    result is ``(return value or exception, seconds since the first
+    thread started)``."""
+    outcomes = [None] * len(args)
+
+    def run(index, arg):
+        try:
+            outcome = call(arg)
+        except Exception as exc:
+            outcome = exc
+        outcomes[index] = (outcome, time.monotonic() - started)
+
+    threads = [
+        threading.Thread(target=run, args=(index, arg))
+        for index, arg in enumerate(args)
+    ]
+    started = time.monotonic()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcomes
+
+
 class V1OnlyServer:
     """A downlevel JSON-lines server: ``hello`` is an unknown op.
 
@@ -403,6 +429,44 @@ class TestPipelineOverlap:
         assert server.overlapped == 1
 
 
+class TestCarryOver:
+    """A connection that dies with decides still queued behind a sent
+    one: each queued decide goes out once, on the next connection, and
+    fails only as sent — with no connect retries, as ``ClusterPDP``
+    builds its node clients."""
+
+    CLIENT = dict(
+        protocol_version="v2", max_retries=0, batch_max=1, pipeline_window=1
+    )
+    requests = [make_request(f"q{index}", TELLER) for index in range(3)]
+
+    def check(self, server, outcomes):
+        for exc in outcomes:
+            assert isinstance(exc, PDPUnavailableError)
+            assert not isinstance(exc, PDPConnectError)
+        time.sleep(0.05)  # a replay would need a new connection
+        assert server.batch_frames == server.connections == len(self.requests)
+
+    def test_blocking_client_sends_each_queued_decide_once(self):
+        with DieAfterBatchServer() as server:
+            with RemotePDP("127.0.0.1", server.port, **self.CLIENT, **FAST) as pdp:
+                outcomes = on_threads(pdp.decide, self.requests)
+            self.check(server, [outcome for outcome, _ in outcomes])
+
+    def test_async_client_sends_each_queued_decide_once(self):
+        with DieAfterBatchServer() as server:
+
+            async def run():
+                async with AsyncRemotePDP(
+                    "127.0.0.1", server.port, **self.CLIENT, **FAST
+                ) as pdp:
+                    return await asyncio.gather(
+                        *map(pdp.decide, self.requests), return_exceptions=True
+                    )
+
+            self.check(server, asyncio.run(run()))
+
+
 class SilentServer(DieAfterBatchServer):
     """Upgrades to v2, then reads every frame and never answers one.
 
@@ -631,6 +695,64 @@ class TestDecideDeadline:
                 assert not isinstance(exc, PDPConnectError)
                 assert str(exc).startswith(f"no response within {self.TIMEOUT}s")
             assert server.request_ids == [sent.request_id, younger.request_id]
+            assert server.connections == 2
+
+    def check_timed_out(self, server, outcomes):
+        """Each decide failed as unanswered, ``timeout`` or a little more
+        after the first call, and no request id reached the server
+        twice."""
+        for exc, elapsed in outcomes:
+            assert isinstance(exc, PDPUnavailableError)
+            assert not isinstance(exc, PDPConnectError)
+            assert str(exc).startswith(f"no response within {self.TIMEOUT}s")
+            assert self.TIMEOUT <= elapsed < self.TIMEOUT + 2.0
+        assert len(set(server.request_ids)) == len(server.request_ids)
+
+    def test_a_blocking_clients_unanswered_decides_fail_after_timeout(self):
+        requests = [make_request(f"t{index}", TELLER) for index in range(8)]
+        with SilentServer() as server:
+            with RemotePDP(
+                "127.0.0.1",
+                server.port,
+                protocol_version="v2",
+                timeout=self.TIMEOUT,
+                max_retries=0,
+            ) as pdp:
+                outcomes = on_threads(pdp.decide, requests)
+            time.sleep(0.1)  # a replay would need a new connection
+            self.check_timed_out(server, outcomes)
+            assert sorted(server.request_ids) == sorted(
+                request.request_id for request in requests
+            )
+            assert server.connections == 1
+
+    def test_a_blocking_clients_parked_decide_fails_the_same_way(self):
+        """The thread twin of the parked test above.  Threads give the
+        first two calls no order, and the drop may carry the second one
+        over: either way each decide times out, unanswered, once."""
+        calls = [
+            make_request(user, TELLER) for user in ("sent", "parked", "younger")
+        ]
+        with SilentServer() as server:
+            with RemotePDP(
+                "127.0.0.1",
+                server.port,
+                protocol_version="v2",
+                timeout=self.TIMEOUT,
+                max_retries=0,
+                batch_max=1,
+                pipeline_window=1,
+            ) as pdp:
+
+                def call(request):
+                    if request is calls[2]:
+                        time.sleep(self.TIMEOUT / 2)
+                    return pdp.decide(request)
+
+                outcomes = on_threads(call, calls)
+            self.check_timed_out(server, outcomes)
+            assert len(server.request_ids) == 2
+            assert set(server.request_ids) <= {r.request_id for r in calls}
             assert server.connections == 2
 
     def test_a_burst_arms_one_timer_per_connection_not_per_decide(self):
