@@ -149,18 +149,23 @@ def what_if(
     :func:`repro.verify.whatif.what_if_replay` for operators holding a
     trail directory: returns the
     :class:`~repro.verify.whatif.WhatIfReport` of decisions the
-    candidate would flip.
+    candidate would flip.  The directory is followed, so a server may
+    still be appending to it: the replay starts ``last_n_trails``
+    segments from the end (all of them by default) and keeps the events
+    stamped at or after ``since``.
     """
-    from repro.audit.trail import AuditTrailManager
+    from repro.audit.trail import GENESIS_HASH, TrailFollower, _segment_paths
     from repro.verify.whatif import what_if_replay
 
-    with AuditTrailManager(trail_dir, audit_key, tolerate_ahead=True) as trails:
-        return what_if_replay(
-            trails,
-            load_policy_source(policy),
-            last_n_trails=last_n_trails,
-            since=since,
-        )
+    position = None
+    if last_n_trails is not None:
+        first = max(0, len(_segment_paths(trail_dir)) - last_n_trails)
+        position = {"segment": first, "offset": 0, "hash": GENESIS_HASH, "seq": 0}
+    follower = TrailFollower(trail_dir, audit_key, position=position)
+    return what_if_replay(
+        (event for event in follower.poll() if event.timestamp >= since),
+        load_policy_source(policy),
+    )
 
 
 class LocalPDP(PolicyDecisionPoint):
@@ -364,8 +369,9 @@ def open_server(
     :class:`~repro.audit.trail.AuditTrailManager` (its trail directory
     and key).  Every decision is appended to it before it is answered,
     and verified reloads and the ``whatif`` verb replay it through a
-    fresh live reader.  As with a passed-in store, the caller keeps
-    ownership: close the trail after the server.
+    fresh :class:`~repro.audit.trail.TrailFollower`.  As with a
+    passed-in store, the caller keeps ownership: close the trail after
+    the server.
     """
     from repro.server.service import AuthorizationService
     from repro.server.testing import ServerThread
@@ -377,6 +383,7 @@ def open_server(
     audit_sink = trail_reader = None
     if audit is not None:
         from repro.audit import EVENT_DECISION, decision_event_payload
+        from repro.audit.trail import TrailFollower
 
         def audit_sink(decision: Decision) -> None:
             audit.append(
@@ -385,7 +392,8 @@ def open_server(
                 decision_event_payload(decision),
             )
 
-        trail_reader = audit.reader
+        def trail_reader():
+            return TrailFollower(audit.directory, audit._key).poll()
     pdp = open_pdp(
         policy,
         store,

@@ -207,7 +207,7 @@ def _read_checkpoint(path: str, key: bytes) -> dict | None:
 
 
 def _verify_checkpoint(
-    path: str, key: bytes, count: int, last_hash: str, tolerate_ahead: bool
+    path: str, key: bytes, count: int, last_hash: str
 ) -> None:
     """Detect truncation (or checkpoint tampering) after a replay."""
     checkpoint = _read_checkpoint(path, key)
@@ -238,14 +238,6 @@ def _verify_checkpoint(
             stacklevel=2,
         )
         return
-    if tolerate_ahead and checkpoint["count"] > count:
-        # Live reader: the writer appended (and sealed a newer
-        # checkpoint) between this reader's readlines() snapshot and
-        # the checkpoint read.  The snapshot's records all verified, so
-        # the prefix is good and the suffix arrives on the next tick; a
-        # *quiescent* trail behind its checkpoint is truncation, which
-        # strict mode (a writer's re-open, `verify_all`) still rejects.
-        return
     if checkpoint["count"] != count or checkpoint["last_hash"] != last_hash:
         raise AuditTrailError(
             f"{path}: trail does not match its checkpoint "
@@ -255,7 +247,7 @@ def _verify_checkpoint(
 
 
 def _read_strict(
-    path: str, key: bytes, tolerate_ahead: bool = False
+    path: str, key: bytes
 ) -> Generator[AuditEvent, None, _SegmentCursor]:
     """:func:`_read_segment` from the genesis position under the strict
     stopping rule; returns the final cursor (a writer's chain tip)."""
@@ -270,7 +262,7 @@ def _read_strict(
             f"{path}: skipping torn final line (crash mid-append)",
             stacklevel=2,
         )
-    _verify_checkpoint(path, key, cursor.seq, cursor.prev_hash, tolerate_ahead)
+    _verify_checkpoint(path, key, cursor.seq, cursor.prev_hash)
     return cursor
 
 
@@ -286,8 +278,11 @@ class SecureAuditTrail:
     """One append-only, hash-chained, HMAC-sealed trail file.
 
     Reads are :func:`_read_segment` — the verifier shared with
-    :class:`TrailFollower` — under the *strict* stopping rule: replay
-    the whole file from the genesis hash, then judge it as a whole.  A
+    :class:`TrailFollower` — under the *strict* stopping rule, which is
+    for a trail nobody is appending to (recovery at open, a writer's
+    re-open, an integrity audit): replay the whole file from the
+    genesis hash, then judge it as a whole.  A trail a writer may still
+    extend is read by a :class:`TrailFollower` instead.  A
     hash chain alone cannot detect *truncation* (a shorter chain is
     still consistent), so each append also rewrites a sealed checkpoint
     sidecar (``<path>.chk``) holding the record count and chain tip,
@@ -313,30 +308,14 @@ class SecureAuditTrail:
     ``fsync=True`` fsyncs the record, then the checkpoint, before
     ``append`` returns; the cluster's log-shipping replication relies
     on this so an acknowledged decision survives primary death.
-
-    ``tolerate_ahead=True`` marks a *live reader* of a trail another
-    process is still appending to.  Its ``readlines()`` snapshot and
-    its checkpoint read are not atomic with the writer's append, so the
-    checkpoint may legitimately record *more* records than the snapshot
-    holds; a live reader accepts that verified prefix instead of
-    mistaking the race for truncation.  The default — a trail's own
-    writer, or an integrity audit — still raises.
     """
 
-    def __init__(
-        self,
-        path: str,
-        key: bytes,
-        *,
-        fsync: bool = False,
-        tolerate_ahead: bool = False,
-    ) -> None:
+    def __init__(self, path: str, key: bytes, *, fsync: bool = False) -> None:
         if not key:
             raise AuditTrailError("audit trail key must be non-empty")
         self._path = path
         self._key = key
         self._fsync = fsync
-        self._tolerate_ahead = tolerate_ahead
         # The chain tip appends continue from: the cursor a strict read
         # of the file ends at (``torn``: a tail to truncate first).
         self._tip = _SegmentCursor()
@@ -416,9 +395,7 @@ class SecureAuditTrail:
         Consumed to the end, it also updates the in-memory chain tip so
         :meth:`append` continues the chain (and repairs a torn tail).
         """
-        self._tip = yield from _read_strict(
-            self._path, self._key, self._tolerate_ahead
-        )
+        self._tip = yield from _read_strict(self._path, self._key)
 
     def verify(self) -> int:
         """Verify the whole trail; return the number of valid records."""
@@ -428,12 +405,15 @@ class SecureAuditTrail:
 class TrailFollower:
     """Resumable live reader over a rotated trail lineage.
 
-    The same verifier as :class:`SecureAuditTrail`
-    (:func:`_read_segment`) under the *live* stopping rule: reading
-    resumes from a stored position instead of the genesis hash, and an
-    unparsable **final** line — the writer is mid-append, or crashed
-    and will truncate it on its next append — ends the poll at the last
-    verified record without advancing; the next poll retries it.  An
+    Every reader of a trail a writer may still extend reads through
+    :meth:`poll`: standby catch-up, reshard import, the failover seal
+    count, the canary window and every what-if replay.  It is the same
+    verifier as :class:`SecureAuditTrail` (:func:`_read_segment`) under
+    the *live* stopping rule: reading resumes from a stored position
+    instead of the genesis hash, and an unparsable **final** line — the
+    writer is mid-append, or crashed and will truncate it on its next
+    append — ends the poll at the last verified record without
+    advancing; the next poll retries it.  An
     unparsable line with records after it is corruption and raises like
     any chain or seal failure, so a catch-up or reshard loop counts and
     logs the damage instead of lagging behind it forever.
@@ -447,8 +427,11 @@ class TrailFollower:
     Rotation seals segments — the manager only ever appends to the
     newest file — so a segment read to its end is advanced past once a
     newer one exists (each restarts its chain at the genesis hash).
-    The checkpoint sidecar is *not* consulted: truncation detection
-    remains the writer's (and ``verify_all``'s) concern.
+    The checkpoint sidecar is *not* consulted — the writer rewrites it
+    after each record, so a live read cannot pair the two — and a live
+    read cannot tell a crash from an append in flight, so it never
+    warns: truncation detection and the crash warnings remain the strict
+    readers' (a writer's re-open, recovery, ``verify_all``).
     """
 
     def __init__(
@@ -516,9 +499,10 @@ class AuditTrailManager:
     Rotation closes the sealed segment's descriptors; whoever constructs
     a manager it appends through closes it (:meth:`close`, or ``with``).
 
-    ``tolerate_ahead=True`` makes this a *live-reader* manager (see
-    :class:`SecureAuditTrail`): the cluster's failover sealing and
-    canary replay use this; a trail directory's own writer must not.
+    Its reads use the strict rule, so they are for a directory nobody
+    else is appending to: recovery at start-up, the writer itself, and
+    an integrity audit.  A directory another writer is extending is
+    read by a :class:`TrailFollower` over :attr:`directory`.
     """
 
     def __init__(
@@ -529,7 +513,6 @@ class AuditTrailManager:
         *,
         max_bytes: int | None = None,
         fsync: bool = False,
-        tolerate_ahead: bool = False,
     ) -> None:
         if max_records < 1:
             raise AuditTrailError("max_records must be >= 1")
@@ -541,22 +524,14 @@ class AuditTrailManager:
         self._max_records = max_records
         self._max_bytes = max_bytes
         self._fsync = fsync
-        self._tolerate_ahead = tolerate_ahead
         self._active: SecureAuditTrail | None = None
         existing = self.trail_paths()
         if existing:
-            self._active = SecureAuditTrail(
-                existing[-1], key, fsync=fsync, tolerate_ahead=tolerate_ahead
-            )
+            self._active = SecureAuditTrail(existing[-1], key, fsync=fsync)
 
     @property
     def directory(self) -> str:
         return self._directory
-
-    def reader(self) -> "AuditTrailManager":
-        """A fresh live-reader manager over this directory: a what-if
-        replay must not hold the writer's sequence state."""
-        return AuditTrailManager(self._directory, self._key, tolerate_ahead=True)
 
     def trail_paths(self) -> list[str]:
         """All trail files, oldest first (lexicographic index order)."""
@@ -617,6 +592,6 @@ class AuditTrailManager:
         if last_n_trails is not None:
             paths = paths[-last_n_trails:] if last_n_trails else []
         for path in paths:
-            for event in _read_strict(path, self._key, self._tolerate_ahead):
+            for event in _read_strict(path, self._key):
                 if event.timestamp >= since:
                     yield event

@@ -54,7 +54,7 @@ import threading
 import time
 from typing import Iterable
 
-from repro.audit.trail import AuditTrailManager
+from repro.audit.trail import EVENT_DECISION, TrailFollower
 from repro.client.remote import RemotePDP
 from repro.core.policy import MSoDPolicySet
 from repro.core.policy_epoch import policy_set_digest
@@ -112,10 +112,11 @@ class ShardState:
         self.lock = threading.Lock()
 
 
-def _completed_decisions(node: ClusterNode) -> int:
-    """How many decisions ``node``'s service has completed, all shards."""
-    shards = node.service.metrics()["shards"]
-    return sum(stats["completed"] for stats in shards)
+def _decisions_appended(follower: TrailFollower) -> int:
+    """How many decision events ``follower`` reads since its last poll."""
+    return sum(
+        1 for event in follower.poll() if event.event_type == EVENT_DECISION
+    )
 
 
 def _parse_cluster_store(store: str) -> ParsedStoreSpec:
@@ -466,14 +467,8 @@ class LocalCluster:
                     f"shard {shard_name} has no live standby to promote"
                 )
             old_primary.demote()
-            seal = sum(
-                1
-                for _ in AuditTrailManager(
-                    old_primary.trail_dir,
-                    self._audit_key,
-                    tolerate_ahead=True,
-                ).events()
-            )
+            sealed = TrailFollower(old_primary.trail_dir, self._audit_key)
+            seal = sum(1 for _ in sealed.poll())
             standby.catch_up(old_primary.trail_dir, max_events=seal)
             new_epoch = state.epoch + 1
             standby.promote(new_epoch)
@@ -968,8 +963,8 @@ class LocalCluster:
            the structured static analyzer (no ``force`` here — a canary
            rollout is never blind);
         2. the canary shard's primary keeps serving under the active
-           set until ``min_decisions`` more decisions completed there
-           (or ``timeout`` elapses);
+           set until its trail holds ``min_decisions`` more decision
+           events (or ``timeout`` elapses);
         3. the primary's own trail — recorded history and the window
            alike — is replayed under the candidate by
            :meth:`~repro.server.service.AuthorizationService.what_if`;
@@ -1012,14 +1007,15 @@ class LocalCluster:
             if policy_set_digest(policy_set) == digest:
                 canary["noop"] = True
             else:
-                start = _completed_decisions(primary)
+                # Counted in the primary's trail, so every decision the
+                # window counts is in what the replay reads.
+                window = TrailFollower(primary.trail_dir, self._audit_key)
+                _decisions_appended(window)  # the recorded history
+                live = 0
                 deadline = time.monotonic() + timeout
-                while (
-                    _completed_decisions(primary) - start < min_decisions
-                    and time.monotonic() < deadline
-                ):
+                while live < min_decisions and time.monotonic() < deadline:
                     time.sleep(CANARY_POLL_INTERVAL)
-                live = _completed_decisions(primary) - start
+                    live += _decisions_appended(window)
                 canary["live_decisions"] = live
                 try:
                     report = primary.service.what_if(policy_set)
@@ -1337,9 +1333,9 @@ class LocalCluster:
     async def _catchup_loop(self) -> None:
         """Replay primaries' trails into standbys; ticks never kill it.
 
-        Replay races the live primary's appends, so a tick can raise
-        (e.g. an :class:`AuditTrailError` the live-reader tolerance does
-        not cover); that is logged and counted, and the standby simply
+        Replay follows the live primary's trail, stopping before an
+        append in flight; a tick that still raises (a corrupt segment,
+        a store error) is logged and counted, and the standby simply
         catches up on the next tick — replay is idempotent, so a missed
         tick costs lag, never correctness.
         """

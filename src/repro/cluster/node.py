@@ -200,7 +200,7 @@ class ClusterNode:
             batch_max=batch_max,
             audit_sink=self._audit_sink,
             health_extra=self._health_extra,
-            trail_reader=self._trails.reader,
+            trail_reader=lambda: TrailFollower(trail_dir, audit_key).poll(),
         )
         self._thread = ServerThread(
             self._service,

@@ -234,11 +234,7 @@ class PermisPDP(PolicyDecisionPoint):
             if not valid_roles:
                 if on:
                     obs.incr("permis.cvs_denies")
-                decision = Decision(
-                    effect=Effect.DENY,
-                    request=request,
-                    reason="CVS: no valid roles for holder",
-                )
+                decision = self._deny(request, "CVS: no valid roles for holder")
             else:
                 started = obs.start() if on else 0.0
                 permitted = self._policy.permits(
@@ -251,13 +247,10 @@ class PermisPDP(PolicyDecisionPoint):
                 else:
                     if on:
                         obs.incr("permis.rbac_denies")
-                    decision = Decision(
-                        effect=Effect.DENY,
-                        request=request,
-                        reason=(
-                            f"RBAC: no valid role grants {operation!r} "
-                            f"on {target!r}"
-                        ),
+                    decision = self._deny(
+                        request,
+                        f"RBAC: no valid role grants {operation!r} "
+                        f"on {target!r}",
                     )
 
             started = obs.start() if on else 0.0
@@ -284,6 +277,18 @@ class PermisPDP(PolicyDecisionPoint):
         )
 
     # ------------------------------------------------------------------
+    def _deny(self, request: DecisionRequest, reason: str) -> Decision:
+        """A deny that short-circuits MSoD, stamped with the policy
+        version in force as the engine's own decisions are."""
+        version = self._engine.policy_version()
+        return Decision(
+            effect=Effect.DENY,
+            request=request,
+            reason=reason,
+            policy_epoch=version.epoch,
+            policy_digest=version.digest,
+        )
+
     def _log(self, decision: Decision) -> None:
         """Every request and response is logged (Section 5.2)."""
         if self._audit is None:

@@ -87,6 +87,9 @@ class MSoDAwareRBACSystem(RBACSystem):
             timestamp=at,
         )
         if not self.check_access(session_id, operation, obj):
+            # Stamp the active version although the deny short-circuited
+            # MSoD: the decision records which policy regime was in force.
+            version = self._engine.policy_version()
             return Decision(
                 effect=Effect.DENY,
                 request=request,
@@ -94,5 +97,7 @@ class MSoDAwareRBACSystem(RBACSystem):
                     "RBAC: no active role holds permission "
                     f"({operation!r} on {obj!r})"
                 ),
+                policy_epoch=version.epoch,
+                policy_digest=version.digest,
             )
         return self._engine.check(request)

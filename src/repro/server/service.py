@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import zlib
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core.decision import Decision, DecisionRequest
 from repro.core.engine import MSoDEngine
@@ -50,7 +50,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.audit.trail import AuditTrailManager
+    from repro.audit.trail import AuditEvent
     from repro.verify.gate import GateResult
     from repro.verify.static import VerifyReport
     from repro.verify.whatif import WhatIfReport
@@ -165,9 +165,9 @@ class AuthorizationService:
         ``healthz`` body (a cluster node reports its role and epoch
         this way).
     trail_reader:
-        Optional callable returning a *fresh* read-only
-        :class:`~repro.audit.trail.AuditTrailManager` over this
-        server's recorded trail (or ``None`` when no trail exists yet).
+        Optional callable returning this server's recorded trail events
+        as a *fresh* :class:`~repro.audit.trail.TrailFollower` reads
+        them from the lineage's start (the sink may still be appending).
         Enables the ``whatif`` verb and the what-if half of verified
         reloads; without it only static verification runs.
     """
@@ -183,7 +183,7 @@ class AuthorizationService:
         audit_sink: Callable[[Decision], None] | None = None,
         perf: Recorder | None = None,
         health_extra: Callable[[], dict] | None = None,
-        trail_reader: "Callable[[], AuditTrailManager | None] | None" = None,
+        trail_reader: "Callable[[], Iterable[AuditEvent]] | None" = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -384,11 +384,6 @@ class AuthorizationService:
         """The gate verdict of the most recent verified reload attempt."""
         return self._last_gate
 
-    def _open_trails(self) -> "AuditTrailManager | None":
-        if self._trail_reader is None:
-            return None
-        return self._trail_reader()
-
     def _note_verify(self, report: "VerifyReport") -> None:
         for severity, count in report.counts_by_severity().items():
             self._verify_counts[severity] = (
@@ -417,13 +412,12 @@ class AuthorizationService:
         """
         from repro.verify.whatif import what_if_replay
 
-        trails = self._open_trails()
-        if trails is None:
+        if self._trail_reader is None:
             raise PolicyError(
                 "what-if replay needs a recorded audit trail "
                 "(this server has none)"
             )
-        report = what_if_replay(trails, policy_set)
+        report = what_if_replay(self._trail_reader(), policy_set)
         self._whatif_flips += report.flip_count
         return report
 

@@ -33,7 +33,7 @@ from repro.verify.static import (
 from repro.verify.whatif import WhatIfReport, what_if_replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.audit.trail import AuditTrailManager
+    from repro.audit.trail import AuditEvent
     from repro.core.engine import MSoDEngine
     from repro.core.policy_epoch import PolicySwapReport
     from repro.permis.policy import PermisPolicy
@@ -76,13 +76,13 @@ def evaluate_gate(
     *,
     permis: "PermisPolicy | None" = None,
     ssd: Iterable["SsdConstraint"] = (),
-    trails: "AuditTrailManager | None" = None,
+    events: "Iterable[AuditEvent] | None" = None,
     max_flips: int = 0,
 ) -> GateResult:
     """Run the verification gate over a candidate policy set.
 
     Static analysis always runs; the what-if replay runs only when a
-    recorded ``trails`` directory is supplied.  The gate fails on any
+    recorded trail's ``events`` are supplied.  The gate fails on any
     error-severity static finding and on strictly more than
     ``max_flips`` flipped decisions.
     """
@@ -91,8 +91,8 @@ def evaluate_gate(
     if not static.ok:
         reasons.extend(str(finding) for finding in static.errors)
     whatif: WhatIfReport | None = None
-    if trails is not None:
-        whatif = what_if_replay(trails, candidate_set)
+    if events is not None:
+        whatif = what_if_replay(events, candidate_set)
         if whatif.flip_count > max_flips:
             reasons.append(
                 f"what-if replay flips {whatif.flip_count} recorded "
@@ -117,7 +117,7 @@ def admit_reload(
     verify: bool = True,
     max_flips: int = 0,
     force: bool = False,
-    trail_reader: "Callable[[], AuditTrailManager | None] | None" = None,
+    trail_reader: "Callable[[], Iterable[AuditEvent]] | None" = None,
     observe: Callable[[GateResult], None] | None = None,
 ) -> GateResult:
     """Admit ``candidate_set`` onto ``engines`` or raise :class:`PolicyError`.
@@ -131,8 +131,8 @@ def admit_reload(
        override this: the boundary protects the PDP from its own
        operators.
     2. :func:`evaluate_gate` runs: static analysis always and, with
-       ``verify``, the what-if replay when ``trail_reader`` yields a
-       recorded trail.  With ``verify``, ``observe`` sees the verdict
+       ``verify``, the what-if replay of the events ``trail_reader``
+       reads.  With ``verify``, ``observe`` sees the verdict
        before any refusal.
     3. A failed gate refuses unless ``force``.
 
@@ -152,7 +152,7 @@ def admit_reload(
                 )
     gate = evaluate_gate(
         candidate_set,
-        trails=trail_reader() if verify and trail_reader else None,
+        events=trail_reader() if verify and trail_reader else None,
         max_flips=max_flips,
     )
     if verify and observe is not None:

@@ -20,8 +20,9 @@ whether the replay store is in-memory or SQLite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.audit.trail import EVENT_DECISION, EVENT_PURGE, AuditTrailManager
+from repro.audit.trail import EVENT_DECISION, EVENT_PURGE, AuditEvent
 from repro.core.context import ContextName
 from repro.core.decision import Decision, DecisionRequest
 from repro.core.engine import MODE_STRICT, MSoDEngine
@@ -200,12 +201,10 @@ class WhatIfReport:
 
 
 def what_if_replay(
-    trails: AuditTrailManager,
+    events: Iterable[AuditEvent],
     candidate_set: MSoDPolicySet,
     store: RetainedADIStore | None = None,
     *,
-    last_n_trails: int | None = None,
-    since: float = 0.0,
     max_flips_recorded: int = 1000,
     mode: str = MODE_STRICT,
 ) -> WhatIfReport:
@@ -213,6 +212,10 @@ def what_if_replay(
 
     Parameters
     ----------
+    events:
+        The verified trail events in sealed order — a
+        :class:`~repro.audit.trail.TrailFollower`'s ``poll()`` when the
+        trail may still be growing.
     store:
         The retained-ADI store backing the replay engine (fresh
         in-memory store by default).  Must start empty unless it holds
@@ -228,7 +231,7 @@ def what_if_replay(
     decisions_replayed = 0
     flips: list[DecisionFlip] = []
     flip_count = 0
-    for event in trails.events(last_n_trails=last_n_trails, since=since):
+    for event in events:
         events_scanned += 1
         if event.event_type == EVENT_PURGE:
             store.purge_context(ContextName.parse(event.payload["context"]))

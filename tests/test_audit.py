@@ -219,7 +219,6 @@ class TestSecureAuditTrail:
         # checkpoint can record more records than the snapshot holds.
         # Simulate the race by pairing a 2-record trail's checkpoint
         # with a 1-record copy of its data.
-        import os
         import shutil
 
         t = trail(tmp_path)
@@ -227,7 +226,8 @@ class TestSecureAuditTrail:
         with open(t.path, "rb") as handle:
             first_record = handle.readline()
         t.append("e", 2.0, {"n": 2})
-        snap = str(tmp_path / "snap.log")
+        (tmp_path / "snap").mkdir()
+        snap = str(tmp_path / "snap" / "audit-000000.log")
         with open(snap, "wb") as handle:
             handle.write(first_record)
         shutil.copy(t.path + ".chk", snap + ".chk")
@@ -235,14 +235,15 @@ class TestSecureAuditTrail:
         # A strict reader treats the mismatch as truncation...
         with pytest.raises(AuditTrailError, match="does not match"):
             SecureAuditTrail(snap, KEY).verify()
-        # ...a live reader accepts the verified prefix.
-        live = SecureAuditTrail(snap, KEY, tolerate_ahead=True)
-        assert live.verify() == 1
+        # ...a follower reads the verified prefix, and says nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert follower_count(snap) == 1
         assert os.path.exists(snap)
 
-    def test_tolerant_manager_reads_a_racing_trail(self, tmp_path):
-        # Same race at the manager level: events() must yield the
-        # verified prefix instead of raising mid-catch-up.
+    def test_follower_reads_a_racing_trail(self, tmp_path):
+        # Same race over a lineage: a follower yields the verified
+        # prefix where the strict events() raises.
         import shutil
 
         writer = AuditTrailManager(str(tmp_path / "w"), KEY)
@@ -255,10 +256,8 @@ class TestSecureAuditTrail:
             lines = handle.readlines()
         with open(trail_path, "wb") as handle:
             handle.writelines(lines[:2])
-        tolerant = AuditTrailManager(
-            str(reader_dir), KEY, tolerate_ahead=True
-        )
-        assert [e.payload["n"] for e in tolerant.events()] == [0, 1]
+        follower = TrailFollower(str(reader_dir), KEY)
+        assert [e.payload["n"] for e in follower.poll()] == [0, 1]
         with pytest.raises(AuditTrailError):
             list(AuditTrailManager(str(reader_dir), KEY).events())
 
@@ -345,14 +344,19 @@ class TestSecureAuditTrail:
         for both readers; accepting it would glue the next record on."""
         t = trail(tmp_path)
         t.append("e", 1.0, {"n": 1})
+        with open(t.path + ".chk", "rb") as handle:
+            checkpoint_after_first = handle.read()
         t.append("e", 2.0, {"n": 2})
         with open(t.path, "rb") as handle:
             intact = handle.read()
         with open(t.path, "wb") as handle:
             handle.write(intact[:-1])
         assert follower_count(t.path) == 1
+        # Crashed inside the second append: its checkpoint never landed.
+        with open(t.path + ".chk", "wb") as handle:
+            handle.write(checkpoint_after_first)
         with pytest.warns(UserWarning, match="torn final line"):
-            reopened = SecureAuditTrail(t.path, KEY, tolerate_ahead=True)
+            reopened = SecureAuditTrail(t.path, KEY)
         assert reopened.record_count == 1
         reopened.append("e", 2.0, {"n": 2})
         with open(t.path, "rb") as handle:
@@ -829,8 +833,8 @@ for _ in sys.stdin:
 
 
 class TestLiveReaderAgainstLiveWriter:
-    """Readers polled while a writer appends never take the in-place
-    checkpoint overwrite (or any other in-flight state) for tampering.
+    """A follower polled while a writer appends never takes an append
+    in flight for tampering, and never warns.
 
     The writer is paced — ``PER_POLL`` appends per reader poll, granted
     without waiting for them — because a follower's poll runs until it
@@ -841,23 +845,17 @@ class TestLiveReaderAgainstLiveWriter:
     PER_POLL = 4
 
     def poll(self, directory, grant):
-        """Poll a tolerant strict reader and a follower ``POLLS`` times."""
-        reader = AuditTrailManager(directory, KEY, tolerate_ahead=True)
+        """Poll a follower ``POLLS`` times; a live read never warns."""
         follower = TrailFollower(directory, KEY)
         followed = 0
-        newest = -1
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # torn tail, one ahead: expected
+            warnings.simplefilter("error")
             for _ in range(self.POLLS):
                 grant()
-                active = [e.payload["n"] for e in reader.events(last_n_trails=1)]
-                if active:
-                    assert active[-1] >= newest
-                    newest = active[-1]
                 for event in follower.poll():
                     assert event.payload["n"] == followed
                     followed += 1
-        assert newest > 0
+        assert followed > 0
         return follower, followed
 
     def test_writer_thread(self, tmp_path):

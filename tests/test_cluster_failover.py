@@ -17,7 +17,8 @@ import itertools
 
 import pytest
 
-from repro.audit import EVENT_DECISION, AuditTrailManager
+from repro.audit import EVENT_DECISION
+from repro.audit.trail import TrailFollower
 from repro.client import RemotePDP
 from repro.cluster import ClusterPDP, LocalCluster
 from repro.core import (
@@ -172,14 +173,12 @@ def kill_reload_and_canary(cluster):
     stamps = []
     for name in cluster.shard_names:
         for node in (cluster.shard(name).primary, cluster.shard(name).standby):
-            with AuditTrailManager(
-                node.trail_dir, b"cluster-trail-key", tolerate_ahead=True
-            ) as trails:
-                stamps.extend(
-                    "policy_epoch" in (event.payload or {})
-                    for event in trails.events()
-                    if event.event_type == EVENT_DECISION
-                )
+            follower = TrailFollower(node.trail_dir, b"cluster-trail-key")
+            stamps.extend(
+                "policy_epoch" in (event.payload or {})
+                for event in follower.poll()
+                if event.event_type == EVENT_DECISION
+            )
     assert len(stamps) >= len(requests) and all(stamps)
 
     assert oracle_failures(cluster, policy_set, requests, effects) == []

@@ -61,6 +61,20 @@ class TestMSoDAwareCheckAccess:
         # A pure RBAC denial leaves no retained history.
         assert bank.msod_engine.store.count() == 0
 
+    def test_rbac_denial_carries_the_policy_version(self, bank):
+        session = bank.create_session("alice", ["teller"])
+        deny = bank.check_access_in_context(
+            session.session_id, "audit", "ledger", CTX_2006, at=1.0
+        )
+        grant = bank.check_access_in_context(
+            session.session_id, "handleCash", "till", CTX_2006, at=2.0
+        )
+        assert grant.policy_epoch == 1 and grant.policy_digest
+        assert (deny.policy_epoch, deny.policy_digest) == (
+            grant.policy_epoch,
+            grant.policy_digest,
+        )
+
     def test_multi_session_conflict_denied(self, bank):
         """The whole point: two innocent-looking sessions, one conflict."""
         first = bank.create_session("alice", ["teller"])

@@ -291,6 +291,26 @@ class TestPermisPDP:
         assert decision.denied
         assert decision.reason.startswith("RBAC")
 
+    def test_short_circuit_denies_carry_the_policy_version(
+        self, policy, trust, directory, allocator
+    ):
+        """A CVS or RBAC deny never reaches MSoD, but it is audited, so
+        it names the policy version in force like the engine's grants."""
+        pdp = PermisPDP(policy, trust, directory)
+        cvs_deny = pdp.decision(ALICE, "handleCash", "till://1", self.CTX, at=5.0)
+        allocator.issue(ALICE, [TELLER], 0, 100)
+        rbac_deny = pdp.decision(
+            ALICE, "auditBooks", "ledger://1", self.CTX, at=6.0
+        )
+        grant = pdp.decision(ALICE, "handleCash", "till://1", self.CTX, at=7.0)
+        assert cvs_deny.denied and rbac_deny.denied and grant.granted
+        assert grant.policy_epoch == 1 and grant.policy_digest
+        for deny in (cvs_deny, rbac_deny):
+            assert (deny.policy_epoch, deny.policy_digest) == (
+                grant.policy_epoch,
+                grant.policy_digest,
+            )
+
     def test_msod_denies_multi_session_conflict(
         self, policy, trust, directory, allocator
     ):

@@ -10,6 +10,7 @@ from repro.audit import (
     AuditTrailManager,
     decision_event_payload,
 )
+from repro.audit.trail import TrailFollower
 from repro.cluster import ClusterPDP, LocalCluster
 from repro.core import (
     MMER,
@@ -90,7 +91,7 @@ def record_trail(directory, requests):
 
 
 def reader(directory):
-    return AuditTrailManager(directory, KEY, tolerate_ahead=True)
+    return TrailFollower(directory, KEY).poll()
 
 
 DENY_HISTORY = [
@@ -114,7 +115,7 @@ class TestEvaluateGate:
 
     def test_flips_over_budget_fail_the_gate(self, tmp_path):
         record_trail(str(tmp_path), DENY_HISTORY)
-        gate = evaluate_gate(swapped_set(), trails=reader(str(tmp_path)))
+        gate = evaluate_gate(swapped_set(), events=reader(str(tmp_path)))
         assert not gate.ok
         assert gate.whatif.flip_count == 1
         assert any("budget 0" in reason for reason in gate.reasons)
@@ -122,14 +123,14 @@ class TestEvaluateGate:
     def test_flip_budget_admits_known_flips(self, tmp_path):
         record_trail(str(tmp_path), DENY_HISTORY)
         gate = evaluate_gate(
-            swapped_set(), trails=reader(str(tmp_path)), max_flips=1
+            swapped_set(), events=reader(str(tmp_path)), max_flips=1
         )
         assert gate.ok
         assert gate.whatif.flip_count == 1
 
     def test_round_trip(self, tmp_path):
         record_trail(str(tmp_path), DENY_HISTORY)
-        gate = evaluate_gate(swapped_set(), trails=reader(str(tmp_path)))
+        gate = evaluate_gate(swapped_set(), events=reader(str(tmp_path)))
         assert GateResult.from_dict(gate.to_dict()) == gate
 
 
@@ -169,7 +170,7 @@ def trail_server(tmp_path):
         )
 
     def trail_reader():
-        return AuditTrailManager(trail_dir, KEY, tolerate_ahead=True)
+        return TrailFollower(trail_dir, KEY).poll()
 
     engine = MSoDEngine(clean_set(), InMemoryRetainedADIStore())
     service = AuthorizationService(
@@ -420,6 +421,70 @@ class TestClusterGate:
         assert report.flip_count >= 1
         assert all(flip.timestamp >= min(switched) for flip in report.flips)
         assert versions(gate_cluster) == before
+
+    def test_canary_window_counts_only_decisions_in_the_trail(
+        self, gate_cluster, monkeypatch
+    ):
+        """Each audit append here lags the service's own count of the
+        decision by 0.2 s.  The window must still end with its last
+        decision in the trail, so the replay covers all of them."""
+        import time
+
+        import repro.verify.gate
+
+        name = gate_cluster.shard_names[0]
+        primary = gate_cluster.shard(name).primary
+        user = next(
+            f"user-{index}"
+            for index in range(1000)
+            if gate_cluster.ring.shard_for(f"user-{index}") == name
+        )
+        admitted = threading.Event()
+        admit = repro.verify.gate.admit_reload
+        append = primary._trails.append
+
+        def admit_reload(*args, **kwargs):
+            gate = admit(*args, **kwargs)
+            admitted.set()
+            return gate
+
+        def slow_append(*args):
+            time.sleep(0.2)
+            append(*args)
+
+        monkeypatch.setattr(repro.verify.gate, "admit_reload", admit_reload)
+        monkeypatch.setattr(primary._trails, "append", slow_append)
+        window, granted, errors = 3, [], []
+
+        def load():
+            try:
+                admitted.wait(30.0)
+                for serial in range(window):
+                    context = ContextName.parse(f"Branch=Win, Period=W{serial}")
+                    granted.append(
+                        pdp.decide(
+                            make_request(user, TELLER, context, float(serial))
+                        ).granted
+                    )
+            except Exception as exc:  # reported by the asserts below
+                errors.append(exc)
+
+        with ClusterPDP((gate_cluster.host, gate_cluster.port)) as pdp:
+            thread = threading.Thread(target=load)
+            thread.start()
+            try:
+                body = gate_cluster.canary_reload_policy(
+                    swapped_set(),
+                    shard_name=name,
+                    min_decisions=window,
+                    timeout=30.0,
+                )
+            finally:
+                thread.join(timeout=60.0)
+        assert not thread.is_alive() and not errors
+        assert granted == [True] * window
+        assert body["canary"]["live_decisions"] == window
+        assert body["canary"]["replay"]["decisions_replayed"] == window
 
     def test_canary_refuses_a_failed_replay_without_swapping(
         self, gate_cluster, monkeypatch

@@ -1,17 +1,20 @@
 """Tests for the differential what-if replay (pipeline stage 2)."""
 
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import what_if
 from repro.audit import (
     EVENT_DECISION,
     EVENT_PURGE,
     AuditTrailManager,
     decision_event_payload,
 )
+from repro.audit.trail import TrailFollower
 from repro.core import (
     MMER,
     ContextName,
@@ -83,7 +86,7 @@ def record_trail(directory, requests, policy_set):
 
 
 def reader(directory):
-    return AuditTrailManager(directory, KEY, tolerate_ahead=True)
+    return TrailFollower(directory, KEY).poll()
 
 
 MIXED_REQUESTS = [
@@ -184,8 +187,8 @@ class TestFlipDetection:
 
     def test_since_filter_skips_older_events(self, tmp_path):
         record_trail(str(tmp_path), MIXED_REQUESTS, bank_set())
-        report = what_if_replay(
-            reader(str(tmp_path)), bank_set((TELLER, MANAGER)), since=3.0
+        report = what_if(
+            bank_set((TELLER, MANAGER)), str(tmp_path), audit_key=KEY, since=3.0
         )
         # Only bob's deny (t=4) remains flippable after the cutoff.
         assert report.deny_to_grant == 1
@@ -254,3 +257,34 @@ def test_property_same_set_replay_is_deterministic_fixpoint(stream):
         assert memory.flip_count == 0
         assert memory.decisions_replayed == len(stream)
         assert memory.to_dict() == sqlite.to_dict()
+
+
+# ----------------------------------------------------------------------
+class TestLiveTrail:
+    def test_a_checkpoint_one_behind_is_replayed_without_a_warning(
+        self, tmp_path
+    ):
+        """Between a record's write and its checkpoint's, the trail is
+        one record ahead: a live replay reads every record and says
+        nothing, because that is not a crash."""
+        from repro.api import open_server
+
+        directory = str(tmp_path / "trails")
+        with AuditTrailManager(directory, KEY) as trails:
+            with open_server(bank_set(), audit=trails) as server:
+                with server.client() as pdp:
+                    for req in MIXED_REQUESTS[:-1]:
+                        pdp.decide(req)
+                    [path] = trails.trail_paths()
+                    with open(path + ".chk", "rb") as handle:
+                        lagging = handle.read()
+                    pdp.decide(MIXED_REQUESTS[-1])
+                    with open(path + ".chk", "wb") as handle:
+                        handle.write(lagging)
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        local = server.service.what_if(bank_set())
+                        wire = pdp.what_if(bank_set())
+        assert [str(w.message) for w in caught] == []
+        assert local.decisions_replayed == len(MIXED_REQUESTS)
+        assert wire["decisions_replayed"] == len(MIXED_REQUESTS)
