@@ -159,6 +159,10 @@ def what_if(
 
     position = None
     if last_n_trails is not None:
+        if last_n_trails < 0:
+            raise ValueError(
+                f"last_n_trails must be >= 0, got {last_n_trails!r}"
+            )
         first = max(0, len(_segment_paths(trail_dir)) - last_n_trails)
         position = {"segment": first, "offset": 0, "hash": GENESIS_HASH, "seq": 0}
     follower = TrailFollower(trail_dir, audit_key, position=position)

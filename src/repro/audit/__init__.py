@@ -1,8 +1,15 @@
-"""Secure audit trail and retained-ADI recovery (Section 5.2, ref [5])."""
+"""Secure audit trail and retained-ADI recovery (Section 5.2, ref [5]).
+
+A decision event is written by :func:`decision_event_payload` and read
+back, as a :class:`~repro.core.decision.Decision`, by
+:func:`decision_from_event` alone: recovery's journal, standby catch-up,
+reshard import and the what-if replay all read it that way.
+"""
 
 from repro.audit.recovery import (
     RecoveryReport,
     decision_event_payload,
+    decision_from_event,
     recover_retained_adi,
 )
 from repro.audit.trail import (
@@ -24,6 +31,7 @@ __all__ = [
     "EVENT_PURGE",
     "EVENT_ADMIN",
     "decision_event_payload",
+    "decision_from_event",
     "recover_retained_adi",
     "RecoveryReport",
 ]

@@ -18,18 +18,23 @@ as *replication*: a warm standby simply re-runs recovery over its
 primary's shipped trails on every catch-up tick (see
 ``docs/CLUSTER.md``).  A standby passes ``policy_set=None``: it mirrors
 what the trail recorded rather than re-filtering it, and ``journal``
-captures every decision outcome by request id (its exactly-once dedupe
-table).  A reshard import has its own per-event rules but applies each
-mutation through the same :class:`IdempotentApply`.
+captures every decision by request id (its exactly-once dedupe table).
+A reshard import has its own per-event rules but applies each mutation
+through the same :meth:`IdempotentApply.apply`.
+
+A decision event has one writer, :func:`decision_event_payload`, and one
+reader, :func:`decision_from_event`; nothing else reads its request.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, MutableMapping
 
+from repro.core.constraints import Role
 from repro.core.context import ContextName
-from repro.core.decision import Decision, Effect
+from repro.core.decision import Decision, DecisionRequest, Effect
 from repro.core.policy import MSoDPolicySet
 from repro.core.retained_adi import RetainedADIRecord, RetainedADIStore
 from repro.audit.trail import (
@@ -38,6 +43,7 @@ from repro.audit.trail import (
     AuditEvent,
     AuditTrailManager,
 )
+from repro.errors import AuditTrailError, ReproError
 
 
 def decision_event_payload(decision: Decision) -> dict:
@@ -66,60 +72,59 @@ def decision_event_payload(decision: Decision) -> dict:
     }
 
 
-def _record_key(record: RetainedADIRecord) -> tuple:
-    """The identity of a retained record, independent of ``record_id``."""
+def _recorded_mutation(
+    payload: dict,
+) -> tuple[tuple[ContextName, ...], tuple[RetainedADIRecord, ...]]:
+    """A decision event's purged contexts and added records."""
     return (
-        record.user_id,
-        tuple(sorted((role.role_type, role.value) for role in record.roles)),
-        record.operation,
-        record.target,
-        str(record.context_instance),
-        record.granted_at,
-        record.request_id,
+        tuple(ContextName.parse(text) for text in payload["adi_purges"]),
+        tuple(RetainedADIRecord.from_dict(item) for item in payload["adi_adds"]),
     )
 
 
-class _PreexistingRecords:
-    """Multiset of record identities already present in the store.
+def decision_from_event(payload: dict) -> Decision:
+    """Read a decision event back: the inverse of :func:`decision_event_payload`.
 
-    One grant may legitimately retain several identity-equal records
-    (step 5.iv adds one per matched constraint), so this is a counted
-    multiset, not a set: each replayed add *consumes* one pre-existing
-    copy if available and only hits the store when none remain.
-    Replayed purges discard the unconsumed copies they would have
-    removed from the store.
+    Every field the event records comes back equal, and
+    ``records_added`` is the number of recorded adds, as the engine
+    counts it.  The fields it does not record take their defaults: the
+    request's environment (condition-gated RBAC grants happen before
+    the MSoD step and are folded into the recorded effect), the
+    violation, ``records_purged``, the records' store ids and the trace.
+    Raises :class:`~repro.errors.AuditTrailError` on a payload its
+    writer cannot have produced.
     """
+    try:
+        request = payload["request"]
+        purged, adds = _recorded_mutation(payload)
+        return Decision(
+            effect=payload["effect"],
+            request=DecisionRequest(
+                user_id=request["user_id"],
+                roles=tuple(Role(*role) for role in request["roles"]),
+                operation=request["operation"],
+                target=request["target"],
+                context_instance=ContextName.parse(request["context_instance"]),
+                timestamp=request["timestamp"],
+                request_id=request["request_id"],
+            ),
+            matched_policy_ids=tuple(payload["matched_policies"]),
+            records_added=len(adds),
+            reason=payload["reason"],
+            adi_adds=adds,
+            adi_purged_contexts=purged,
+            # Absent from events written before policy versions existed.
+            policy_epoch=payload.get("policy_epoch", 0),
+            policy_digest=payload.get("policy_digest", ""),
+        )
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise AuditTrailError(f"malformed decision event: {exc!r}") from exc
 
-    def __init__(self, store: RetainedADIStore) -> None:
-        self._counts: dict[tuple, int] = {}
-        self._contexts: dict[tuple, ContextName] = {}
-        for record in store.records():
-            key = _record_key(record)
-            self._counts[key] = self._counts.get(key, 0) + 1
-            self._contexts[key] = record.context_instance
 
-    def consume(self, record: RetainedADIRecord) -> bool:
-        """Match one pre-existing copy; True when the add must be skipped."""
-        key = _record_key(record)
-        remaining = self._counts.get(key, 0)
-        if remaining <= 0:
-            return False
-        if remaining == 1:
-            del self._counts[key]
-            del self._contexts[key]
-        else:
-            self._counts[key] = remaining - 1
-        return True
-
-    def purge(self, effective_context: ContextName) -> None:
-        dead = [
-            key
-            for key, context in self._contexts.items()
-            if context.is_equal_or_subordinate_to(effective_context)
-        ]
-        for key in dead:
-            del self._counts[key]
-            del self._contexts[key]
+def _record_key(record: RetainedADIRecord) -> tuple:
+    """The identity of a retained record, independent of ``record_id``."""
+    user_id, roles, operation, target, context, at, request_id, _ = record
+    return (user_id, tuple(sorted(roles)), operation, target, context, at, request_id)
 
 
 class IdempotentApply:
@@ -130,28 +135,50 @@ class IdempotentApply:
     does.  What the store already held is snapshotted at the pass's
     first add — early enough that one grant's identity-equal records
     are never collapsed, and not at all on a tail without grants, so an
-    idle catch-up tick never scans the store.
+    idle catch-up tick never scans the store.  The snapshot is a
+    counted multiset, since one grant may retain several identity-equal
+    records (step 5.iv adds one per matched constraint): each replayed
+    add consumes one held copy if any remains, and a replayed purge
+    drops the copies it removed from the store.
     """
 
     def __init__(self, store: RetainedADIStore) -> None:
         self._store = store
-        self._preexisting: _PreexistingRecords | None = None
+        self._held: Counter | None = None
 
-    def purge(self, context_text: str) -> None:
-        context = ContextName.parse(context_text)
+    def purge(self, context: ContextName) -> None:
         self._store.purge_context(context)
-        if self._preexisting is not None:
-            self._preexisting.purge(context)
+        if self._held is not None:
+            for key in [
+                key for key in self._held
+                if key[4].is_equal_or_subordinate_to(context)
+            ]:
+                del self._held[key]
 
-    def unseen(
-        self, records: list[RetainedADIRecord]
+    def apply(
+        self,
+        purged: Iterable[ContextName],
+        adds: Iterable[RetainedADIRecord],
     ) -> list[RetainedADIRecord]:
-        """The records the store does not hold yet — the ones to add."""
-        if not records:
+        """Apply one recorded grant: its purges, then those of its adds
+        the store does not hold yet.  Returns the records added."""
+        for context in purged:
+            self.purge(context)
+        adds = list(adds)
+        if not adds:
             return []
-        if self._preexisting is None:
-            self._preexisting = _PreexistingRecords(self._store)
-        return [r for r in records if not self._preexisting.consume(r)]
+        held = self._held
+        if held is None:
+            held = self._held = Counter(map(_record_key, self._store.records()))
+        fresh = []
+        for record in adds:
+            key = _record_key(record)
+            if held.get(key):
+                held[key] -= 1
+            else:
+                fresh.append(record)
+                self._store.add(record)
+        return fresh
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +198,7 @@ def recover_retained_adi(
     last_n_trails: int | None = None,
     since: float = 0.0,
     *,
-    journal: MutableMapping[str, dict] | None = None,
+    journal: MutableMapping[str, Decision] | None = None,
     user_filter: Callable[[str], bool] | None = None,
     events: Iterable[AuditEvent] | None = None,
 ) -> RecoveryReport:
@@ -189,8 +216,9 @@ def recover_retained_adi(
     Parameters
     ----------
     journal:
-        Optional mapping populated with every decision event's payload
-        keyed by ``request_id`` (grants *and* denies).  A cluster
+        Optional mapping populated with every recorded decision, read
+        by :func:`decision_from_event` and keyed by ``request_id``
+        (grants *and* denies).  A cluster
         standby uses this as its exactly-once table: a client retrying
         a decide whose outcome the dead primary already committed gets
         the recorded answer instead of a double evaluation.
@@ -221,24 +249,20 @@ def recover_retained_adi(
         events_scanned += 1
         if event.event_type == EVENT_DECISION:
             payload = event.payload
-            if journal is not None:
-                request = payload.get("request", {})
-                request_id = request.get("request_id")
-                if request_id and (
-                    user_filter is None
-                    or user_filter(request.get("user_id", ""))
-                ):
-                    journal[request_id] = payload
-            if payload.get("effect") != Effect.GRANT:
-                continue
-            for context_text in payload.get("adi_purges", ()):
-                target.purge(context_text)
-                purges += 1
-            adds = [
-                RetainedADIRecord.from_dict(record_dict)
-                for record_dict in payload.get("adi_adds", ())
-            ]
-            fresh = target.unseen([
+            if journal is None:
+                # Start-up recovery parses the mutation, no request.
+                if payload.get("effect") != Effect.GRANT:
+                    continue
+                purged, adds = _recorded_mutation(payload)
+            else:
+                decision = decision_from_event(payload)
+                request = decision.request
+                if user_filter is None or user_filter(request.user_id):
+                    journal[request.request_id] = decision
+                if not decision.granted:
+                    continue
+                purged, adds = decision.adi_purged_contexts, decision.adi_adds
+            fresh = target.apply(purged, (
                 record
                 for record in adds
                 if (user_filter is None or user_filter(record.user_id))
@@ -246,13 +270,12 @@ def recover_retained_adi(
                     policy_set is None
                     or policy_set.is_relevant(record.context_instance)
                 )
-            ])
-            for record in fresh:
-                store.add(record)
+            ))
+            purges += len(purged)
             replayed += len(fresh)
             skipped += len(adds) - len(fresh)
         elif event.event_type == EVENT_PURGE:
-            target.purge(event.payload["context"])
+            target.purge(ContextName.parse(event.payload["context"]))
             purges += 1
     return RecoveryReport(
         events_scanned=events_scanned,

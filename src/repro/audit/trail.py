@@ -561,6 +561,24 @@ class AuditTrailManager:
             self._active = self._new_trail()
         self._active.append(event_type, timestamp, payload)
 
+    def tip(self) -> dict | None:
+        """The :class:`TrailFollower` position just past the last append.
+
+        A follower started there reads only what is appended later.
+        The caller serialises this with its own appends; ``None`` (a
+        follower's start) when nothing was ever appended.
+        """
+        active = self._active
+        if active is None:
+            return None
+        cursor = active._tip
+        return {
+            "segment": len(self.trail_paths()) - 1,
+            "offset": cursor.offset,
+            "hash": cursor.prev_hash,
+            "seq": cursor.seq,
+        }
+
     def close(self) -> None:
         """Release the active segment's descriptors (appends re-open)."""
         if self._active is not None:
@@ -590,8 +608,14 @@ class AuditTrailManager:
         """Verified events from the last *n* trails, from time *t* on."""
         paths = self.trail_paths()
         if last_n_trails is not None:
+            if last_n_trails < 0:
+                raise ValueError(
+                    f"last_n_trails must be >= 0, got {last_n_trails!r}"
+                )
             paths = paths[-last_n_trails:] if last_n_trails else []
-        for path in paths:
-            for event in _read_strict(path, self._key):
-                if event.timestamp >= since:
-                    yield event
+        return (
+            event
+            for path in paths
+            for event in _read_strict(path, self._key)
+            if event.timestamp >= since
+        )

@@ -188,6 +188,13 @@ def _parse_role(text: str) -> Role:
     return Role(role_type, value)
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_request(cmd: argparse.ArgumentParser) -> None:
     """The Section 4.1 request flags every deciding verb takes."""
     cmd.add_argument("--user", required=True, help="user ID")
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     whatif_cmd.add_argument(
         "--last-n-trails",
-        type=int,
+        type=_non_negative,
         default=None,
         help="replay only the newest N trail files",
     )

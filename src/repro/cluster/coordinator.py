@@ -112,13 +112,6 @@ class ShardState:
         self.lock = threading.Lock()
 
 
-def _decisions_appended(follower: TrailFollower) -> int:
-    """How many decision events ``follower`` reads since its last poll."""
-    return sum(
-        1 for event in follower.poll() if event.event_type == EVENT_DECISION
-    )
-
-
 def _parse_cluster_store(store: str) -> ParsedStoreSpec:
     """Parse and vet a per-node store spec for cluster use.
 
@@ -1007,15 +1000,23 @@ class LocalCluster:
             if policy_set_digest(policy_set) == digest:
                 canary["noop"] = True
             else:
-                # Counted in the primary's trail, so every decision the
-                # window counts is in what the replay reads.
-                window = TrailFollower(primary.trail_dir, self._audit_key)
-                _decisions_appended(window)  # the recorded history
+                # Counted in the primary's trail from its tip, so every
+                # decision the window counts is in what the replay reads,
+                # and the recorded history is read once, by the replay.
+                window = TrailFollower(
+                    primary.trail_dir,
+                    self._audit_key,
+                    position=primary.trail_tip(),
+                )
                 live = 0
                 deadline = time.monotonic() + timeout
                 while live < min_decisions and time.monotonic() < deadline:
                     time.sleep(CANARY_POLL_INTERVAL)
-                    live += _decisions_appended(window)
+                    live += sum(
+                        1
+                        for event in window.poll()
+                        if event.event_type == EVENT_DECISION
+                    )
                 canary["live_decisions"] = live
                 try:
                     report = primary.service.what_if(policy_set)

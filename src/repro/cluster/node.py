@@ -23,9 +23,10 @@ story: an acknowledged decision is always in the trail, so the standby
 that replays the trail holds every grant any client has seen.
 
 **Exactly-once decides** (the request journal).  The sink also records
-each decision payload by ``request_id``; a promoted standby rebuilds
-the same journal from replay.  A client that retries a decide after
-failover therefore gets the recorded outcome back instead of a second
+each decision by ``request_id``, and the gate answers a retry with that
+decision verbatim; a promoted standby rebuilds the journal from replay
+(:func:`~repro.audit.recovery.decision_from_event`), so a retry after
+failover gets the trail's record of the outcome instead of a second
 evaluation — the one case where retrying a decide is safe.  The
 journal is bounded (``journal_max``, FIFO eviction): retries only need
 the recent outcomes spanning a failover window, so a long-running node
@@ -41,6 +42,7 @@ from typing import Callable, Iterator
 from repro.audit.recovery import (
     IdempotentApply,
     decision_event_payload,
+    decision_from_event,
     recover_retained_adi,
 )
 from repro.audit.trail import (
@@ -52,7 +54,7 @@ from repro.audit.trail import (
 from repro.core.decision import Decision
 from repro.core.engine import MSoDEngine
 from repro.core.policy import MSoDPolicySet
-from repro.core.retained_adi import RetainedADIRecord, RetainedADIStore
+from repro.core.retained_adi import RetainedADIStore
 from repro.errors import ClusterError, RequestFencedError
 from repro.server import protocol
 from repro.server.service import AuthorizationService
@@ -64,7 +66,7 @@ ROLE_STANDBY = "standby"
 
 
 class _BoundedJournal(dict):
-    """``request_id -> payload`` with FIFO eviction beyond a cap.
+    """``request_id -> Decision`` with FIFO eviction beyond a cap.
 
     Exactly-once retry dedupe only needs outcomes recent enough to span
     a failover window, so the oldest entry is evicted once the cap is
@@ -79,55 +81,12 @@ class _BoundedJournal(dict):
             raise ClusterError("journal_max must be >= 1")
         self._max_entries = max_entries
 
-    def __setitem__(self, key: str, value: dict) -> None:
+    def __setitem__(self, key: str, value: Decision) -> None:
         if key in self:
             del self[key]
         elif len(self) >= self._max_entries:
             del self[next(iter(self))]
         super().__setitem__(key, value)
-
-
-def _request_identity(wire_request: dict) -> tuple:
-    """What makes two decide frames "the same request" for dedupe."""
-    return (
-        wire_request.get("user_id"),
-        tuple(tuple(role) for role in wire_request.get("roles", ())),
-        wire_request.get("operation"),
-        wire_request.get("target"),
-        wire_request.get("context_instance"),
-        wire_request.get("timestamp"),
-    )
-
-
-def _decision_wire_from_payload(payload: dict) -> dict:
-    """Rebuild a ``decide`` response body from a journaled audit payload.
-
-    The audit payload keeps everything the retained ADI needs (effect,
-    request, adds, purges) but not the structured violation object, so
-    a deduplicated retry carries the recorded effect and reason with
-    ``violation: null`` — enough for any enforcement point, and the
-    store-digest oracle never sees a difference because no second
-    evaluation happens.
-    """
-    adds = list(payload.get("adi_adds", ()))
-    wire = {
-        "effect": payload["effect"],
-        "request": dict(payload["request"]),
-        "violation": None,
-        "matched_policy_ids": list(payload.get("matched_policies", ())),
-        "records_added": len(adds),
-        "records_purged": 0,
-        "reason": payload.get("reason", ""),
-        "adi_adds": adds,
-        "adi_purged_contexts": list(payload.get("adi_purges", ())),
-    }
-    # A journaled outcome keeps the policy version it was decided
-    # under; the retry must see that version, not whatever is active
-    # now (the whole point of dedupe is "no second evaluation").
-    if payload.get("policy_epoch"):
-        wire["policy_epoch"] = payload["policy_epoch"]
-        wire["policy_digest"] = payload.get("policy_digest", "")
-    return wire
 
 
 class ClusterNode:
@@ -166,7 +125,7 @@ class ClusterNode:
         self._lock = threading.Lock()
         # Default cap: two full trail rotations — comfortably more
         # history than any failover-window retry needs.
-        self._journal: dict[str, dict] = _BoundedJournal(
+        self._journal: dict[str, Decision] = _BoundedJournal(
             journal_max if journal_max is not None
             else max(1024, 2 * audit_max_records)
         )
@@ -236,6 +195,15 @@ class ClusterNode:
     @property
     def trail_dir(self) -> str:
         return self._trails.directory
+
+    def trail_tip(self) -> dict | None:
+        """Where a follower of this node's trail reads only later appends.
+
+        Read under the lock the audit sink appends under, so no append
+        is half counted.
+        """
+        with self._lock:
+            return self._trails.tip()
 
     @property
     def store(self) -> RetainedADIStore:
@@ -465,7 +433,7 @@ class ClusterNode:
         user_filter: Callable[[str], bool],
     ) -> dict:
         scanned = 0
-        moving_events = []
+        moving = []
         for event in events:
             scanned += 1
             if event.event_type != EVENT_DECISION:
@@ -473,42 +441,30 @@ class ClusterNode:
                 # migration window must not overlap one (documented in
                 # docs/CLUSTER.md's resizing runbook).
                 continue
-            payload = event.payload or {}
-            user_id = payload.get("request", {}).get("user_id")
-            if not user_id or not user_filter(user_id):
-                continue
-            moving_events.append(event)
+            decision = decision_from_event(event.payload)
+            if user_filter(decision.request.user_id):
+                moving.append((event, decision))
         imported = skipped = 0
         with self._lock:
             # Steady-state ticks dedupe entirely through the journal
-            # and never reach `unseen`, so they never scan the store.
+            # and never reach `apply`, so they never scan the store.
             target = IdempotentApply(self._store)
-            for event in moving_events:
-                payload = event.payload
-                request_id = payload["request"].get("request_id")
-                if request_id and request_id in self._journal:
+            for event, decision in moving:
+                request_id = decision.request.request_id
+                if request_id in self._journal:
                     skipped += 1
                     continue
-                adds = [
-                    RetainedADIRecord.from_dict(record_dict)
-                    for record_dict in payload.get("adi_adds", ())
-                ]
-                fresh = target.unseen(adds)
-                if adds and not fresh:
+                adds = decision.adi_adds
+                if target.apply(decision.adi_purged_contexts, adds) or not adds:
+                    self._trails.append(
+                        EVENT_DECISION, event.timestamp, event.payload
+                    )
+                    imported += 1
+                else:
                     # Already imported; only the journal entry was
                     # evicted.  Re-journal the outcome, skip the append.
                     skipped += 1
-                else:
-                    for context_text in payload.get("adi_purges", ()):
-                        target.purge(context_text)
-                    for record in fresh:
-                        self._store.add(record)
-                    self._trails.append(
-                        EVENT_DECISION, event.timestamp, payload
-                    )
-                    imported += 1
-                if request_id:
-                    self._journal[request_id] = payload
+                self._journal[request_id] = decision
         return {"scanned": scanned, "imported": imported, "skipped": skipped}
 
     def purge_users(self, user_filter: Callable[[str], bool]) -> int:
@@ -532,10 +488,8 @@ class ClusterNode:
                 self._store.purge_user(user_id)
             dead = [
                 request_id
-                for request_id, payload in self._journal.items()
-                if user_filter(
-                    payload.get("request", {}).get("user_id", "")
-                )
+                for request_id, decision in self._journal.items()
+                if user_filter(decision.request.user_id)
             ]
             for request_id in dead:
                 del self._journal[request_id]
@@ -576,7 +530,7 @@ class ClusterNode:
             self._trails.append(
                 EVENT_DECISION, decision.request.timestamp, payload
             )
-            self._journal[decision.request.request_id] = payload
+            self._journal[decision.request.request_id] = decision
 
     def _health_extra(self) -> dict:
         with self._lock:
@@ -624,9 +578,7 @@ class ClusterNode:
             )
         journaled = self._journal.get(request.request_id)
         if journaled is not None:
-            if _request_identity(journaled["request"]) != _request_identity(
-                protocol.request_to_wire(request)
-            ):
+            if journaled.request[:6] != request[:6]:
                 # Same request_id, different request: two clients with
                 # independent id counters collided.  Answering with the
                 # journaled outcome would hand one client the *other's*
@@ -642,6 +594,6 @@ class ClusterNode:
                 frame_id,
                 protocol.OP_DECIDE,
                 "decision",
-                _decision_wire_from_payload(journaled),
+                protocol.decision_to_wire(journaled),
             )
         return None

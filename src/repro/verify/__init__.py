@@ -5,7 +5,10 @@ Three stages turn hot-reload from merely-atomic into production-safe:
 1. :mod:`repro.verify.static` — structured static analysis of an MSoD
    policy set (machine-readable findings with stable codes);
 2. :mod:`repro.verify.whatif` — differential replay of a recorded audit
-   trail under a candidate set, reporting flipped decisions;
+   trail under a candidate set, reporting flipped decisions; each
+   recorded decision is read by
+   :func:`repro.audit.recovery.decision_from_event`, the trail's one
+   reader of a decision event;
 3. :mod:`repro.verify.gate` — the rollout gate combining both, and the
    one reload admission step (admin boundary, gate, ``force``) that
    every reload path — ``policy reload``, ``cluster reload`` and the
@@ -25,7 +28,6 @@ from repro.verify.static import (
 from repro.verify.whatif import (
     DecisionFlip,
     WhatIfReport,
-    decision_request_from_payload,
     what_if_replay,
 )
 
@@ -42,6 +44,5 @@ __all__ = [
     "render_findings",
     "DecisionFlip",
     "WhatIfReport",
-    "decision_request_from_payload",
     "what_if_replay",
 ]

@@ -22,43 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.audit.recovery import decision_from_event
 from repro.audit.trail import EVENT_DECISION, EVENT_PURGE, AuditEvent
 from repro.core.context import ContextName
-from repro.core.decision import Decision, DecisionRequest
+from repro.core.decision import Decision
 from repro.core.engine import MODE_STRICT, MSoDEngine
 from repro.core.policy import MSoDPolicySet
 from repro.core.policy_epoch import policy_set_digest
 from repro.core.retained_adi import InMemoryRetainedADIStore, RetainedADIStore
-from repro.errors import AuditTrailError
-
-
-def decision_request_from_payload(payload: dict) -> DecisionRequest:
-    """Reconstruct the request half of a recorded decision event.
-
-    The inverse of the ``request`` sub-dict written by
-    :func:`~repro.audit.recovery.decision_event_payload`.  The trail
-    does not record the environmental inputs (they are not part of the
-    retained ADI), so the reconstructed request carries an empty
-    environment — condition-gated RBAC grants happen *before* the MSoD
-    step and are already folded into the recorded effect.
-    """
-    from repro.core.constraints import Role
-
-    request = payload.get("request")
-    if not isinstance(request, dict):
-        raise AuditTrailError("decision event payload has no request")
-    return DecisionRequest(
-        user_id=str(request["user_id"]),
-        roles=tuple(
-            Role(str(role_type), str(value))
-            for role_type, value in request.get("roles", ())
-        ),
-        operation=str(request["operation"]),
-        target=str(request["target"]),
-        context_instance=ContextName.parse(str(request["context_instance"])),
-        timestamp=float(request.get("timestamp", 0.0)),
-        request_id=str(request.get("request_id", "")),
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,16 +50,10 @@ class DecisionFlip:
     replayed_constraint: str
 
     @classmethod
-    def of(
-        cls,
-        request: DecisionRequest,
-        recorded_effect: str,
-        recorded_reason: str,
-        replayed: Decision,
-    ) -> "DecisionFlip":
-        """The flip of ``request`` from its recorded effect and reason to
-        the ``replayed`` decision."""
-        violation = replayed.violation
+    def of(cls, recorded: Decision, replayed: Decision) -> "DecisionFlip":
+        """The flip of the ``recorded`` decision to the ``replayed`` one
+        of the same request."""
+        request, violation = recorded.request, replayed.violation
         return cls(
             request_id=request.request_id,
             user_id=request.user_id,
@@ -96,9 +61,9 @@ class DecisionFlip:
             target=request.target,
             context_instance=str(request.context_instance),
             timestamp=request.timestamp,
-            recorded_effect=recorded_effect,
+            recorded_effect=recorded.effect,
             replayed_effect=replayed.effect,
-            recorded_reason=recorded_reason,
+            recorded_reason=recorded.reason,
             replayed_reason=replayed.reason,
             replayed_policy_id=(
                 violation.policy_id
@@ -238,21 +203,14 @@ def what_if_replay(
             continue
         if event.event_type != EVENT_DECISION:
             continue
-        payload = event.payload
-        request = decision_request_from_payload(payload)
-        replayed = engine.check(request)
+        recorded = decision_from_event(event.payload)
+        replayed = engine.check(recorded.request)
         decisions_replayed += 1
-        recorded_effect = str(payload.get("effect", ""))
-        if replayed.effect == recorded_effect:
+        if replayed.effect == recorded.effect:
             continue
         flip_count += 1
-        if len(flips) >= max_flips_recorded:
-            continue
-        flips.append(
-            DecisionFlip.of(
-                request, recorded_effect, str(payload.get("reason", "")), replayed
-            )
-        )
+        if len(flips) < max_flips_recorded:
+            flips.append(DecisionFlip.of(recorded, replayed))
     return WhatIfReport(
         candidate_digest=policy_set_digest(candidate_set),
         events_scanned=events_scanned,

@@ -460,6 +460,13 @@ class TestAuditTrailManager:
         ]
         assert numbers == [4, 5]
 
+    def test_a_negative_last_n_trails_is_refused(self, tmp_path):
+        manager = AuditTrailManager(str(tmp_path), KEY, max_records=2)
+        for n in range(6):
+            manager.append("e", float(n), {"n": n})
+        with pytest.raises(ValueError, match="last_n_trails"):
+            manager.events(last_n_trails=-1)
+
     def test_since_filter(self, tmp_path):
         manager = AuditTrailManager(str(tmp_path), KEY, max_records=100)
         for n in range(6):

@@ -290,6 +290,20 @@ class TestHistoryAndPurge:
         assert "0 retained record(s)" in capsys.readouterr().out
 
 
+class TestWhatIfTrailWindow:
+    def test_a_negative_last_n_trails_is_a_usage_error(
+        self, policy_file, tmp_path, capsys
+    ):
+        argv = [
+            "whatif", policy_file, "--audit-dir", str(tmp_path),
+            "--last-n-trails", "-1",
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--last-n-trails" in capsys.readouterr().err
+
+
 class TestLocalOnlyFlagsWithHost:
     """``--host`` runs the verb on a server: a flag only a local run reads
     is refused (exit 2) instead of silently dropped.  The refusal comes
@@ -430,7 +444,7 @@ PARSER_TREE = {
         ((), "policy", None, None, None, True, "_StoreAction"),
         (("--audit-dir",), "audit_dir", None, None, None, False, "_StoreAction"),
         (("--audit-key",), "audit_key", "audit-trail-key", None, None, False, "_StoreAction"),
-        (("--last-n-trails",), "last_n_trails", None, "int", None, False, "_StoreAction"),
+        (("--last-n-trails",), "last_n_trails", None, "_non_negative", None, False, "_StoreAction"),
         (("--since",), "since", 0.0, "float", None, False, "_StoreAction"),
         (("--max-flips",), "max_flips", 0, "int", None, False, "_StoreAction"),
         (("--host",), "host", None, None, None, False, "_StoreAction"),

@@ -42,6 +42,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.workload import AUDITOR, TELLER, bank_policy_set
+from repro.xmlpolicy import bank_policy_set as last_step_bank_policy_set
 from tests.cluster_oracle import store_digest
 
 YORK_P1 = ContextName.parse("Branch=York, Period=P1")
@@ -63,6 +64,19 @@ def make_request(user_id, role=TELLER, context=YORK_P1, timestamp=1.0,
         context_instance=context,
         timestamp=timestamp,
         **kwargs,
+    )
+
+
+def make_commit_audit(user_id, request_id, context=YORK_P1, timestamp=3.0):
+    """The Example-1 bank policy's last step, which purges ``context``."""
+    return DecisionRequest(
+        user_id=user_id,
+        roles=(AUDITOR,),
+        operation="CommitAudit",
+        target="http://audit.location.com/audit",
+        context_instance=context,
+        timestamp=timestamp,
+        request_id=request_id,
     )
 
 
@@ -193,6 +207,81 @@ class TestExactlyOnceJournal:
             pdp.decide(make_request("alice", request_id="req-shared"))
             with pytest.raises(ProtocolError, match="already used"):
                 pdp.decide(make_request("carol", request_id="req-shared"))
+
+    def test_a_retried_deny_is_the_first_answer(self, primary_node):
+        with RemotePDP(primary_node.host, primary_node.port) as pdp:
+            pdp.decide(make_request("dave", TELLER, timestamp=1.0))
+            denied = make_request(
+                "dave", AUDITOR, timestamp=2.0, request_id="req-deny-2"
+            )
+            first = pdp.decide(denied)
+            again = pdp.decide(denied)
+        assert first.denied and first.violation is not None
+        assert again == first
+
+    def test_a_retried_last_step_grant_is_the_first_answer(self, tmp_path):
+        node = ClusterNode(
+            "n1",
+            "s0",
+            last_step_bank_policy_set(),
+            InMemoryRetainedADIStore(),
+            str(tmp_path / "trails"),
+            b"test-key",
+            role=ROLE_PRIMARY,
+            epoch=1,
+            fsync=False,
+        )
+        node.start()
+        try:
+            with RemotePDP(node.host, node.port) as pdp:
+                pdp.decide(make_request("erin", TELLER, timestamp=1.0))
+                last = make_commit_audit("frank", "req-commit-1")
+                first = pdp.decide(last)
+                again = pdp.decide(last)
+        finally:
+            node.stop()
+        assert first.granted and first.records_purged > 0
+        assert again == first
+
+    def test_a_retry_after_failover_is_the_trail_record(self, tmp_path):
+        """The promoted standby answers from the trail's record: every
+        field the trail holds, no violation object, no purge count, and
+        the request without its environment."""
+        cluster = LocalCluster(
+            last_step_bank_policy_set(),
+            1,
+            str(tmp_path / "cluster"),
+            store="memory",
+            health_interval=30.0,
+            catchup_interval=30.0,
+            fsync=False,
+        ).start()
+        try:
+            shard = cluster.shard_names[0]
+            requests = [
+                make_request("gina", TELLER, timestamp=1.0)._replace(
+                    environment={"terminal": "t1"}
+                ),
+                make_request("gina", AUDITOR, timestamp=2.0),
+                make_commit_audit("hank", "req-commit-2"),
+            ]
+            primary = cluster.shard(shard).primary
+            with RemotePDP(primary.host, primary.port) as pdp:
+                firsts = [pdp.decide(request) for request in requests]
+            cluster.promote(shard)
+            primary = cluster.shard(shard).primary
+            with RemotePDP(primary.host, primary.port) as pdp:
+                agains = [pdp.decide(request) for request in requests]
+        finally:
+            cluster.stop()
+        assert [first.effect for first in firsts] == ["grant", "deny", "grant"]
+        assert firsts[2].records_purged > 0
+        for first, again in zip(firsts, agains):
+            assert again == first._replace(
+                request=first.request._replace(environment={}),
+                violation=None,
+                records_purged=0,
+            )
 
 
 # ----------------------------------------------------------------------

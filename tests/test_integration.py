@@ -271,3 +271,13 @@ class TestAuditTrailIntegrity:
             last_n_trails=1,
         )
         assert 0 < restarted.retained_adi.count() < pdp.retained_adi.count()
+
+    def test_a_negative_recovery_window_is_refused(self, world):
+        with pytest.raises(ValueError, match="last_n_trails"):
+            PermisPDP.startup(
+                world["policy"],
+                world["trust"],
+                world["audit"],
+                directory=world["directory"],
+                last_n_trails=-1,
+            )

@@ -6,6 +6,7 @@ the retained ADI it held before the restart, and must therefore make the
 same decision on any follow-up request.
 """
 
+import json
 import os
 import tempfile
 
@@ -16,6 +17,7 @@ from repro.audit import (
     AuditTrailManager,
     EVENT_DECISION,
     decision_event_payload,
+    decision_from_event,
     recover_retained_adi,
 )
 from repro.core import (
@@ -116,6 +118,30 @@ def test_recovery_is_lossless(stream):
         live = MSoDEngine(combined_policy_set(), engine.store).check(probe)
         replayed = MSoDEngine(combined_policy_set(), recovered).check(probe)
         assert live.effect == replayed.effect
+
+
+@given(streams(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_a_decision_event_reads_back_as_its_decision(stream, environment):
+    """``decision_from_event`` inverts ``decision_event_payload`` on
+    every field the event records, after the trail's JSON round trip;
+    every field it does not record reads back at its default."""
+    engine = MSoDEngine(combined_policy_set(), InMemoryRetainedADIStore())
+    for request in stream:
+        if environment:
+            request = request._replace(environment={"terminal": "t1"})
+        decision = engine.check(request)
+        payload = json.loads(json.dumps(decision_event_payload(decision)))
+        read = decision_from_event(payload)
+        assert read == decision._replace(
+            request=request._replace(environment={}),
+            violation=None,
+            records_purged=0,
+        )
+        assert read.request.environment == {}
+        assert read.violation is None and read.records_purged == 0
+        assert all(record.record_id is None for record in read.adi_adds)
+        assert read.trace is None
 
 
 @given(streams(), st.lists(st.integers(0, 2), min_size=30, max_size=30))
@@ -272,8 +298,8 @@ def test_user_filtered_recovery_over_sealed_lineages(stream, movers):
         # denies), so a post-cutover retry dedupes on the target.
         expected_ids = {
             request_id
-            for request_id, payload in full_journal.items()
-            if payload.get("request", {}).get("user_id") in movers
+            for request_id, decision in full_journal.items()
+            if decision.request.user_id in movers
         }
         assert set(moved_journal) == expected_ids
 

@@ -486,6 +486,57 @@ class TestClusterGate:
         assert body["canary"]["live_decisions"] == window
         assert body["canary"]["replay"]["decisions_replayed"] == window
 
+    def test_canary_reads_its_primary_history_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The window starts at the trail's tip, so only the replay reads
+        the recorded history: the first, sealed segment is read from
+        its start exactly once during the rollout."""
+        import os
+
+        import repro.audit.trail
+
+        cluster = LocalCluster(
+            bank_policy_set(),
+            2,
+            str(tmp_path / "cluster"),
+            store="memory",
+            health_interval=30.0,
+            catchup_interval=30.0,
+            fsync=False,
+            audit_max_records=3,
+        ).start()
+        try:
+            name = cluster.shard_names[0]
+            primary = cluster.shard(name).primary
+            user = next(
+                f"user-{index}"
+                for index in range(1000)
+                if cluster.ring.shard_for(f"user-{index}") == name
+            )
+            with ClusterPDP((cluster.host, cluster.port)) as pdp:
+                for serial in range(7):
+                    context = ContextName.parse(f"Branch=Hist, Period=H{serial}")
+                    assert pdp.decide(
+                        make_request(user, TELLER, context, float(serial))
+                    ).granted
+            first = os.path.join(primary.trail_dir, "audit-000000.log")
+            assert os.path.exists(first)
+            reads = []
+            read_segment = repro.audit.trail._read_segment
+
+            def counted(path, key, cursor):
+                if path == first and cursor.offset == 0:
+                    reads.append(path)
+                return read_segment(path, key, cursor)
+
+            monkeypatch.setattr(repro.audit.trail, "_read_segment", counted)
+            body = cluster.canary_reload_policy(swapped_set(), shard_name=name)
+        finally:
+            cluster.stop()
+        assert body["canary"]["replay"]["decisions_replayed"] == 7
+        assert len(reads) == 1
+
     def test_canary_refuses_a_failed_replay_without_swapping(
         self, gate_cluster, monkeypatch
     ):

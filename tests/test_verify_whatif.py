@@ -13,6 +13,7 @@ from repro.audit import (
     EVENT_PURGE,
     AuditTrailManager,
     decision_event_payload,
+    decision_from_event,
 )
 from repro.audit.trail import TrailFollower
 from repro.core import (
@@ -27,11 +28,7 @@ from repro.core import (
     SQLiteRetainedADIStore,
 )
 from repro.errors import AuditTrailError
-from repro.verify import (
-    WhatIfReport,
-    decision_request_from_payload,
-    what_if_replay,
-)
+from repro.verify import WhatIfReport, what_if_replay
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -193,6 +190,11 @@ class TestFlipDetection:
         # Only bob's deny (t=4) remains flippable after the cutoff.
         assert report.deny_to_grant == 1
 
+    def test_a_negative_last_n_trails_is_refused(self, tmp_path):
+        record_trail(str(tmp_path), MIXED_REQUESTS, bank_set())
+        with pytest.raises(ValueError, match="last_n_trails"):
+            what_if(bank_set(), str(tmp_path), audit_key=KEY, last_n_trails=-1)
+
 
 # ----------------------------------------------------------------------
 class TestReportMechanics:
@@ -213,7 +215,7 @@ class TestReportMechanics:
 
     def test_payload_without_request_is_an_error(self):
         with pytest.raises(AuditTrailError):
-            decision_request_from_payload({"effect": "grant"})
+            decision_from_event({"effect": "grant"})
 
 
 # ----------------------------------------------------------------------
