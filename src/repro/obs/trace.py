@@ -55,7 +55,7 @@ class TraceSpan:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "TraceSpan":
-        name = raw.get("name")
+        name = raw.get("name") if isinstance(raw, Mapping) else None
         if not isinstance(name, str):
             raise ValueError("trace span name must be a string")
         return cls(
@@ -83,7 +83,7 @@ class TraceViolation:
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "TraceViolation":
         for key in ("policy_id", "constraint_kind", "detail"):
-            if not isinstance(raw.get(key), str):
+            if not isinstance(raw, Mapping) or not isinstance(raw.get(key), str):
                 raise ValueError(f"trace violation {key} must be a string")
         return cls(
             policy_id=raw["policy_id"],

@@ -216,10 +216,7 @@ class MSoDServer:
             results[slot] = (
                 _batch_entry_of(_decide_failure(frame_id, outcome))
                 if isinstance(outcome, BaseException)
-                else {
-                    "ok": True,
-                    "decision": protocol.decision_to_wire_delta(outcome, request),
-                }
+                else protocol.decision_entry(outcome, request)
             )
         return {
             "v": protocol.PROTOCOL_VERSION_2,

@@ -47,7 +47,12 @@ Every malformed input — truncated JSON, oversized frames, bad UTF-8,
 nesting past :data:`MAX_PAYLOAD_DEPTH` (or past the interpreter's
 recursion limit), wrong types, unknown versions — raises
 :class:`ProtocolError` and nothing else, on v1 and v2 alike; a worker
-must never crash on attacker-controlled bytes.
+must never crash on attacker-controlled bytes.  :func:`_check_value`
+walks every frame sent or read (string keys, 64-bit integers, depth, no
+tuple-backed values) but a ``decide-batch`` body.  There the typed
+readers bound each integer they read and walk, at its depth, all they
+do not read.  An untraced results entry :func:`decision_entry` builds
+is not walked: a test walks every shape the engine gives it.
 """
 
 from __future__ import annotations
@@ -216,16 +221,27 @@ MAX_PAYLOAD_DEPTH = 32
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 64) - 1
 
-#: Leaf types that need no check beyond their exact type.
-_SCALARS = frozenset({str, float, bool, type(None)})
+
+class _DecisionEntry(dict):
+    __slots__ = ()
+
+
+#: Types that need no check beyond their exact type, an untraced
+#: results entry :func:`decision_entry` built among them.
+_SCALARS = frozenset({str, float, bool, type(None), _DecisionEntry})
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 #: A JSON escape in the UTF-16 surrogate range, ``\uD800``-``\uDFFF``.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+#: The bodies a ``decide-batch`` frame may carry, and what a client
+#: reads of an ``ok`` results entry.
+_BATCH_BODIES = frozenset({"requests", "results"})
+_ENTRY_KEYS = frozenset({"ok", "decision"})
 
 
 def _check_value(obj: Any, depth: int) -> None:
-    """Refuse what the wire must not carry, on every frame sent or read.
+    """Refuse what the wire must not carry; ``depth`` containers enclose
+    ``obj``.  The module docstring says which values it walks.
 
     Dispatch is on the exact type.  The JSON encoder would flatten a
     tuple-backed value (a ``Role``, a ``Decision``) into an array,
@@ -282,7 +298,8 @@ def unpack_payload(data: bytes) -> Any:
     The bytes must be strict UTF-8 (``json.loads`` on raw bytes would
     guess UTF-16/32), and so must the text its escapes spell.  Nesting
     deep enough to exhaust the C decoder's recursion guard is refused
-    like any other malformed input.
+    like any other malformed input.  A v2 ``decide-batch`` frame's body
+    is left to its typed reader.
     """
     try:
         text = data.decode("utf-8")
@@ -295,7 +312,12 @@ def unpack_payload(data: bytes) -> Any:
         raise ProtocolError(f"payload is not valid UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"payload is not valid JSON: {exc}") from exc
-    _check_value(value, 0)
+    if type(value) is dict and value.get("op") == OP_DECIDE_BATCH and (
+        value.get("v") == PROTOCOL_VERSION_2 and value.get("ok", True) is True
+    ):
+        _check_value({key: value[key] for key in value.keys() - _BATCH_BODIES}, 0)
+    else:
+        _check_value(value, 0)
     return value
 
 
@@ -319,9 +341,7 @@ def _decode_envelope(data: bytes, version: int) -> dict:
 # ---------------------------------------------------------------------------
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
     """One frame as newline-terminated UTF-8 JSON, checked as v2 is."""
-    frame = dict(payload)
-    _check_value(frame, 0)
-    data = _ENCODER.encode(frame).encode("utf-8")
+    data = pack_payload(dict(payload))
     if len(data) + 1 > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(data) + 1} bytes exceeds MAX_FRAME_BYTES"
@@ -368,6 +388,13 @@ def error_frame(
 # ---------------------------------------------------------------------------
 # Typed field helpers (every wrong shape must become a ProtocolError)
 # ---------------------------------------------------------------------------
+def _check_unread(raw: dict, read: frozenset, depth: int) -> None:
+    """Walk the values of ``raw`` no typed reader reads, at their depth."""
+    if not read.issuperset(raw):
+        for key in raw.keys() - read:
+            _check_value(raw[key], depth + 1)
+
+
 def _require(mapping: Any, key: str, kind: type, what: str) -> Any:
     if not isinstance(mapping, dict):
         raise ProtocolError(f"{what} must be a JSON object")
@@ -381,17 +408,17 @@ def _require(mapping: Any, key: str, kind: type, what: str) -> Any:
 
 def _number(mapping: dict, key: str, what: str) -> float:
     value = mapping.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{what}.{key} must be a number")
-    return float(value)
+    if type(value) is float or type(value) is int and _INT_MIN <= value <= _INT_MAX:
+        return float(value)
+    raise ProtocolError(f"{what}.{key} must be a number within 64 bits")
 
 
 def _integer(mapping: dict, key: str, what: str) -> int:
     """An optional integer field, 0 when absent."""
     value = mapping.get(key, 0)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"{what}.{key} must be an integer")
-    return value
+    if type(value) is int and _INT_MIN <= value <= _INT_MAX:
+        return value
+    raise ProtocolError(f"{what}.{key} must be an integer within 64 bits")
 
 
 def _roles_from_wire(raw: Any, what: str) -> tuple[Role, ...]:
@@ -402,11 +429,11 @@ def _roles_from_wire(raw: Any, what: str) -> tuple[Role, ...]:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not isinstance(item[0], str)
-            or not isinstance(item[1], str)
+            or not isinstance(item[0], str) or not item[0]
+            or not isinstance(item[1], str) or not item[1]
         ):
             raise ProtocolError(
-                f"{what}.roles entries must be [type, value] string pairs"
+                f"{what}.roles entries must be [type, value] non-empty strings"
             )
         roles.append(Role(item[0], item[1]))
     return tuple(roles)
@@ -438,10 +465,18 @@ def request_to_wire(request: DecisionRequest) -> dict:
     }
 
 
-def request_from_wire(raw: Any) -> DecisionRequest:
-    """Rebuild a :class:`DecisionRequest`; raises ProtocolError on junk."""
+#: The wire keys of a request and of a decision are their field names;
+#: a decision's ``trace`` is walked, not read.
+_REQUEST_KEYS = frozenset(DecisionRequest._fields)
+_DECISION_KEYS = frozenset(Decision._fields) - {"trace"}
+
+
+def request_from_wire(raw: Any, depth: int = 1) -> DecisionRequest:
+    """Rebuild a :class:`DecisionRequest` ``depth`` containers deep in
+    its frame; raises ProtocolError on junk."""
     what = "request"
     user_id = _require(raw, "user_id", str, what)
+    _check_unread(raw, _REQUEST_KEYS, depth)
     operation = _require(raw, "operation", str, what)
     target = _require(raw, "target", str, what)
     request_id = _require(raw, "request_id", str, what)
@@ -474,16 +509,22 @@ def _record_to_wire(record: RetainedADIRecord) -> dict:
     return payload
 
 
-def _record_from_wire(raw: Any) -> RetainedADIRecord:
+def _record_from_wire(raw: dict, depth: int) -> RetainedADIRecord:
     what = "decision.adi_adds[]"
-    _require(raw, "user_id", str, what)
+    _check_value(raw, depth)
     record_id = raw.get("record_id")
-    if record_id is not None and not isinstance(record_id, int):
+    if record_id is not None and type(record_id) is not int:
         raise ProtocolError(f"{what}.record_id must be an integer or null")
-    try:
-        return RetainedADIRecord.from_dict(raw, record_id=record_id)
-    except (ReproError, KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid retained-ADI record: {exc}") from exc
+    return RetainedADIRecord(
+        _require(raw, "user_id", str, what),
+        _roles_from_wire(raw.get("roles"), what),
+        _require(raw, "operation", str, what),
+        _require(raw, "target", str, what),
+        _context_from_wire(raw.get("context_instance"), f"{what}.context_instance"),
+        _number(raw, "granted_at", what),
+        _require(raw, "request_id", str, what),
+        record_id,
+    )
 
 
 def _violation_to_wire(violation: MSoDViolation) -> dict:
@@ -496,8 +537,9 @@ def _violation_to_wire(violation: MSoDViolation) -> dict:
     }
 
 
-def _violation_from_wire(raw: Any) -> MSoDViolation:
+def _violation_from_wire(raw: Any, depth: int) -> MSoDViolation:
     what = "decision.violation"
+    _check_value(raw, depth)
     return MSoDViolation(
         policy_id=_require(raw, "policy_id", str, what),
         constraint_kind=_require(raw, "constraint_kind", str, what),
@@ -522,7 +564,7 @@ def decision_to_wire(decision: Decision) -> dict:
 
 def decision_from_wire(raw: Any) -> Decision:
     """Rebuild a :class:`Decision`; raises ProtocolError on junk."""
-    return _decision_from_wire(raw, None)
+    return _decision_from_wire(raw, None, 1)
 
 
 def decision_to_wire_delta(
@@ -542,6 +584,12 @@ def decision_to_wire_delta(
     identical :class:`Decision` either way.
     """
     return _decision_to_wire(decision, request)
+
+
+def decision_entry(decision: Decision, request: DecisionRequest) -> dict:
+    """The ``decide-batch`` results entry answering ``request``."""
+    built = dict if decision.trace is not None else _DecisionEntry
+    return built(ok=True, decision=_decision_to_wire(decision, request))
 
 
 def _decision_to_wire(decision: Decision, request: DecisionRequest | None) -> dict:
@@ -595,14 +643,15 @@ def decision_from_wire_delta(raw: Any, request: DecisionRequest) -> Decision:
     in ``adi_adds`` reinflate to the record the request's grant would
     have produced.  Full-form entries (dicts) parse exactly as in v1.
     """
-    if not isinstance(raw, dict):
-        raise ProtocolError("decision must be a map")
-    return _decision_from_wire(raw, request)
+    return _decision_from_wire(raw, request, 3)
 
 
-def _decision_from_wire(raw: Any, delta_request: DecisionRequest | None) -> Decision:
+def _decision_from_wire(
+    raw: Any, delta_request: DecisionRequest | None, depth: int
+) -> Decision:
     what = "decision"
     effect = _require(raw, "effect", str, what)
+    _check_unread(raw, _DECISION_KEYS, depth)
     if effect not in (Effect.GRANT, Effect.DENY):
         raise ProtocolError(f"{what}.effect must be grant or deny")
     matched = raw.get("matched_policy_ids", [])
@@ -635,14 +684,13 @@ def _decision_from_wire(raw: Any, delta_request: DecisionRequest | None) -> Deci
     if delta_request is not None and request_raw is None:
         request = delta_request
     else:
-        request = request_from_wire(request_raw)
+        request = request_from_wire(request_raw, depth + 1)
     adi_adds: list[RetainedADIRecord] = []
     for item in adds_raw:
         if isinstance(item, dict):
-            adi_adds.append(_record_from_wire(item))
+            adi_adds.append(_record_from_wire(item, depth + 2))
         elif delta_request is not None and (
-            item is None
-            or (isinstance(item, int) and not isinstance(item, bool))
+            item is None or (type(item) is int and _INT_MIN <= item <= _INT_MAX)
         ):
             # Delta marker: the record is the request's own grant.
             user, roles, operation, target, context, at, _, request_id = delta_request
@@ -656,7 +704,8 @@ def _decision_from_wire(raw: Any, delta_request: DecisionRequest | None) -> Deci
         effect=effect,
         request=request,
         violation=(
-            None if violation_raw is None else _violation_from_wire(violation_raw)
+            None if violation_raw is None
+            else _violation_from_wire(violation_raw, depth + 1)
         ),
         matched_policy_ids=tuple(matched),
         records_added=records_added,
@@ -745,9 +794,7 @@ V2_HEADER_BYTES = V2_HEADER.size
 
 def encode_frame_v2(frame: Mapping[str, Any]) -> bytes:
     """Serialise one frame dict as a v2 frame (header + payload)."""
-    payload_obj = dict(frame)
-    payload_obj["v"] = PROTOCOL_VERSION_2
-    payload = pack_payload(payload_obj)
+    payload = pack_payload({**frame, "v": PROTOCOL_VERSION_2})
     if V2_HEADER_BYTES + len(payload) > MAX_FRAME_BYTES_V2:
         raise ProtocolError(
             f"v2 frame of {V2_HEADER_BYTES + len(payload)} bytes exceeds "
@@ -830,6 +877,7 @@ def batch_requests_of(frame: Mapping[str, Any]) -> list[DecisionRequest]:
     frame before anything is submitted, so a partially-garbled batch
     can never be partially committed.
     """
+    _check_value(frame.get("results"), 1)
     raw = frame.get("requests")
     if not isinstance(raw, list):
         raise ProtocolError("decide-batch.requests must be a list")
@@ -840,11 +888,13 @@ def batch_requests_of(frame: Mapping[str, Any]) -> list[DecisionRequest]:
             f"decide-batch of {len(raw)} requests exceeds the "
             f"{MAX_WIRE_BATCH} entry limit"
         )
-    return [request_from_wire(item) for item in raw]
+    return [request_from_wire(item, 2) for item in raw]
 
 
 def batch_result_entries(frame: Mapping[str, Any], expected: int) -> list[dict]:
-    """Client side: the validated per-entry results of a batch response."""
+    """Client side: the validated per-entry results of a batch response;
+    :func:`decision_from_wire_delta` checks each ``ok`` entry's decision."""
+    _check_value(frame.get("requests"), 1)
     raw = frame.get("results")
     if not isinstance(raw, list):
         raise ProtocolError("decide-batch response must carry a results list")
@@ -856,4 +906,5 @@ def batch_result_entries(frame: Mapping[str, Any], expected: int) -> list[dict]:
     for entry in raw:
         if not isinstance(entry, dict):
             raise ProtocolError("decide-batch results entries must be objects")
+        _check_unread(entry, _ENTRY_KEYS if entry.get("ok") is True else frozenset(), 2)
     return raw

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.client._core import decode_response_line
+from repro.core.constraints import Role
 from repro.core.context import ContextName
 from repro.errors import (
     ContextNameError,
@@ -30,7 +31,7 @@ from repro.xmlpolicy import (
     parse_policy_set,
     validate_policy_document,
 )
-from tests.test_protocol import DEEP, make_request
+from tests.test_protocol import DEEP, make_deny, make_grant, make_request
 from tests.test_xmlpolicy import DIVERGENT_DOCUMENTS
 
 _text = st.text(max_size=300)
@@ -185,6 +186,43 @@ def test_dn_normalizer_fails_cleanly(text):
     assert normalize_dn(dn) == dn  # idempotent on success
 
 
+_ANSWERED = make_request()
+#: A delta grant carrying a full-form record, and a deny with its
+#: violation, both answering ``_ANSWERED``.
+_ANSWERS = [
+    protocol.decision_to_wire_delta(decision, _ANSWERED)
+    for decision in (make_grant(), make_deny())
+]
+
+
+def _assert_well_typed(decision) -> None:
+    """A decision read off the wire holds only the types it declares."""
+    assert type(decision.records_added) is int
+    for record in decision.adi_adds:
+        user, roles, operation, target, context, at, request_id, record_id = record
+        assert all(type(text) is str for text in (user, operation, target, request_id))
+        assert type(context) is ContextName and type(at) is float
+        assert all(type(role) is Role and all(type(part) is str for part in role)
+                   for role in roles)
+        assert record_id is None or type(record_id) is int
+
+
+def _read_results(frame: dict) -> None:
+    """The client's read of a v2 response frame: every ``ok`` entry's
+    decision, against the request the grant and deny answer."""
+    results = frame.get("results")
+    expected = len(results) if isinstance(results, list) else 1
+    for entry in protocol.batch_result_entries(frame, expected):
+        if entry.get("ok") is True:
+            try:
+                decision = protocol.decision_from_wire_delta(
+                    entry.get("decision"), _ANSWERED
+                )
+            except ProtocolError:
+                continue  # fails its own decide, not the frame
+            _assert_well_typed(decision)
+
+
 def _feed_wire_decoders(data: bytes) -> None:
     """Every decoder a received frame meets, server and client side."""
     for decode, parse in (
@@ -193,6 +231,7 @@ def _feed_wire_decoders(data: bytes) -> None:
             lambda frame: protocol.request_from_wire(frame.get("request")),
         ),
         (protocol.decode_frame_v2, protocol.batch_requests_of),
+        (protocol.decode_frame_v2, _read_results),
         (decode_response_line, dict),
     ):
         try:
@@ -208,6 +247,12 @@ def _feed_wire_decoders(data: bytes) -> None:
 @given(st.binary(max_size=200))
 @example(data=b'{"v":1,"id":1,"x":' + DEEP + b"}\n")
 @example(data=b'{"v":2,"id":1,"x":' + b"{\"k\":" * 100_000 + b"}")
+@example(data=b'{"v":2,"id":1,"ok":true,"op":"decide-batch","results":' + DEEP + b"}")
+@example(data=b'{"v":2,"id":1,"op":"decide-batch","requests":[' + DEEP + b"]}")
+@example(
+    data=b'{"v":2,"id":1,"ok":true,"op":"decide-batch","results":[{"ok":true,'
+    b'"decision":{"effect":"grant","reason":"","x":' + b"[" * 40 + b"]" * 40 + b"}}]}"
+)
 @settings(max_examples=300, deadline=None)
 def test_wire_decoders_fail_cleanly_on_bytes(data):
     _feed_wire_decoders(data)
@@ -248,3 +293,52 @@ def test_wire_decoders_fail_cleanly_on_json_shapes(requests, noise, version):
         "requests": requests,
     }
     _feed_wire_decoders(json.dumps(frame).encode() + b"\n")
+
+
+def _fields(value, path=()):
+    """The path to every map value and list item inside ``value``."""
+    items = (
+        value.items() if type(value) is dict
+        else enumerate(value) if type(value) is list
+        else ()
+    )
+    for key, item in items:
+        yield path + (key,)
+        yield from _fields(item, path + (key,))
+
+
+def _replaced(value, path, noise):
+    """``value`` with ``noise`` at ``path``; its last key may be new."""
+    if not path:
+        return noise
+    copy = dict(value) if type(value) is dict else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], noise) if path[1:] else noise
+    return copy
+
+
+#: A results entry whose grant or deny has one field, at any depth,
+#: replaced by noise.
+_result_entries = st.sampled_from(_ANSWERS).flatmap(
+    lambda answer: st.builds(
+        lambda path, noise: {"ok": True, "decision": _replaced(answer, path, noise)},
+        st.sampled_from(list(_fields(answer))),
+        _json_values,
+    )
+)
+
+
+@given(st.lists(_result_entries | _json_values, min_size=1, max_size=3))
+@example(entries=[{"ok": True, "decision": _replaced(
+    _ANSWERS[0], ("adi_adds", 0, "context_instance"), 7)}])
+@example(entries=[{"ok": True, "decision": _replaced(
+    _ANSWERS[0], ("adi_adds", 0, "granted_at"), "x")}])
+@settings(max_examples=300, deadline=None)
+def test_wire_result_decoders_fail_cleanly_on_json_shapes(entries):
+    frame = {
+        "v": 2,
+        "id": "f-1",
+        "ok": True,
+        "op": protocol.OP_DECIDE_BATCH,
+        "results": entries,
+    }
+    _feed_wire_decoders(json.dumps(frame).encode())
