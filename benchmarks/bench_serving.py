@@ -267,9 +267,11 @@ def run_differential(n_requests: int = 600, n_users: int = 40) -> dict:
     Sequential replay (so ordering is deterministic) through the
     in-process engine, the v1 JSON-lines wire and the v2 batched wire;
     compares the full per-request effect sequence and the retained-ADI
-    store fingerprints.  This is the timing-free regression gate CI
-    runs on every push — a protocol bug fails the build even on the
-    noisiest runner.
+    store fingerprints, and checks from the server's own frame counters
+    that each leg ran over its protocol (``batched``: decisions that
+    reached the server inside ``decide-batch`` frames).  This is the
+    timing-free regression gate CI runs on every push — a protocol bug
+    fails the build even on the noisiest runner.
     """
     requests = list(request_stream(n_requests, n_users))
 
@@ -283,7 +285,8 @@ def run_differential(n_requests: int = 600, n_users: int = 40) -> dict:
     for protocol in ("v1", "v2"):
         store = open_store("sqlite::memory:")
         engine = MSoDEngine(build_policy_set(), store)
-        service = AuthorizationService(engine, n_shards=4)
+        perf = Recorder()
+        service = AuthorizationService(engine, n_shards=4, perf=perf)
         with ServerThread(service) as server:
             with RemotePDP(
                 server.host,
@@ -292,18 +295,18 @@ def run_differential(n_requests: int = 600, n_users: int = 40) -> dict:
                 protocol_version=protocol,
             ) as pdp:
                 effects = [pdp.decide(request).effect for request in requests]
-                negotiated = pdp.negotiated_protocol
         digest = _store_digest(store)
         store.close()
+        batched = perf.sizes().get("wire.batch_size")
         legs[protocol] = {
-            "negotiated": negotiated,
+            "batched": int(batched.total) if batched else 0,
             "effects_match": effects == expected_effects,
             "digest_match": digest == expected_digest,
         }
 
     ok = (
-        legs["v1"]["negotiated"] == 1
-        and legs["v2"]["negotiated"] == 2
+        legs["v1"]["batched"] == 0
+        and legs["v2"]["batched"] == n_requests
         and all(
             leg["effects_match"] and leg["digest_match"]
             for leg in legs.values()

@@ -265,7 +265,6 @@ def open_pdp(
     timeout: float = 5.0,
     pool_size: int = 4,
     max_retries: int = 2,
-    protocol: str = "auto",
 ) -> PolicyDecisionPoint:
     """Open a PDP handle over any backend with one uniform call.
 
@@ -296,10 +295,6 @@ def open_pdp(
         Engine mode, ``strict`` (default) or ``literal``.
     timeout, pool_size, max_retries:
         Remote-handle connection tuning; ignored for in-process stores.
-    protocol:
-        Remote decide wire protocol: ``"auto"`` (negotiate the
-        pipelined batched v2, fall back to v1), ``"v1"`` or ``"v2"``.
-        Ignored for in-process stores.
     """
     parsed = parse_store_spec(store)
     if parsed.is_remote:
@@ -322,7 +317,6 @@ def open_pdp(
             timeout=timeout,
             max_retries=max_retries,
             perf=perf,
-            protocol_version=protocol,
         )
 
     # The one policy -> store -> recorder -> engine build (open_server

@@ -117,7 +117,7 @@ def _add_address(
 ) -> None:
     """Where a networked verb connects: a ``serve`` instance or the
     cluster coordinator.  With ``local_help`` the verb runs locally
-    unless ``--host`` is given, and takes no ``--protocol``."""
+    unless ``--host`` is given."""
     cmd.add_argument(
         "--host", default=None if local_help else "127.0.0.1", help=local_help
     )
@@ -128,33 +128,22 @@ def _add_address(
     else:
         cmd.add_argument("--port", type=int, default=8750)
     cmd.add_argument("--timeout", type=float, default=5.0)
-    if local_help is None:
-        cmd.add_argument(
-            "--protocol",
-            choices=("auto", "v1", "v2"),
-            default="auto",
-            help="per-node decide wire protocol (auto negotiates "
-            "pipelined batched v2 with v1 fallback)"
-            if coordinator
-            else "decide wire protocol: negotiate pipelined batched v2 "
-            "(auto, the default) or pin v1/v2",
-        )
 
 
 def _client(args: argparse.Namespace):
     """The verb's client: the routing :class:`~repro.cluster.ClusterPDP`
     for ``cluster`` verbs, a :class:`~repro.client.RemotePDP` otherwise."""
-    protocol = getattr(args, "protocol", "auto")
     if args.command == "cluster":
         from repro.cluster import ClusterPDP
 
-        return ClusterPDP(
-            (args.host, args.port), timeout=args.timeout, protocol=protocol
-        )
+        return ClusterPDP((args.host, args.port), timeout=args.timeout)
     from repro.client import RemotePDP
 
     return RemotePDP(
-        args.host, args.port, timeout=args.timeout, protocol_version=protocol
+        args.host,
+        args.port,
+        timeout=args.timeout,
+        protocol_version=getattr(args, "protocol", "v2"),
     )
 
 
@@ -476,15 +465,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _audit_flags(serve, "audit-trail-key")
 
-    _add_request(
-        _verb(
-            commands,
-            "remote-decide",
-            cmd_remote_decide,
-            "evaluate one access request against a running `serve` instance",
-            address="server",
-        )
+    remote_decide = _verb(
+        commands,
+        "remote-decide",
+        cmd_remote_decide,
+        "evaluate one access request against a running `serve` instance",
+        address="server",
     )
+    remote_decide.add_argument(
+        "--protocol",
+        choices=("v1", "v2"),
+        default="v2",
+        help="wire codec of the connection: length-prefixed v2 (the "
+        "default) or JSON-lines v1",
+    )
+    _add_request(remote_decide)
     remote_status = _verb(
         commands,
         "remote-status",

@@ -3,14 +3,13 @@
 Everything a client must *decide* lives here exactly once: how a wire
 error becomes a typed exception, when a failed attempt may be retried,
 how concurrent decides queue, are cut into ``decide-batch`` frames,
-resolved and failed when a connection dies or times out, what the
-hello handshake must say and what a refused one means for the queue,
-which fields and body shape each control verb has, and that a closed
-client stays closed.  :mod:`repro.client.remote` adds only IO — a
-blocking-socket shell (:class:`~repro.client.RemotePDP`) and an
-asyncio shell (:class:`~repro.client.AsyncRemotePDP`) — so the retry
-and failure discipline is proven on one implementation, not copied to
-a twin.
+resolved and failed when a connection dies or times out, which codec
+every connection speaks, which fields and body shape each control verb
+has, and that a closed client stays closed.  :mod:`repro.client.remote`
+adds only IO — a blocking-socket shell (:class:`~repro.client.RemotePDP`)
+and an asyncio shell (:class:`~repro.client.AsyncRemotePDP`) — so the
+retry and failure discipline is proven on one implementation, not
+copied to a twin.
 
 Retry discipline — only provably idempotent work is retried (the one
 rule is :meth:`ClientCore.retry_delay`):
@@ -31,9 +30,7 @@ rule is :meth:`ClientCore.retry_delay`):
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import math
 import random
 from collections import deque
 
@@ -51,9 +48,6 @@ from repro.obs.recorder import NOOP, Recorder
 from repro.server import protocol
 
 _FRAME_COUNTER = itertools.count(1)
-
-#: What queued decides are answered with when ``"auto"`` falls back to v1.
-SPEAK_V1 = object()
 
 
 def next_frame_id() -> str:
@@ -132,31 +126,6 @@ def no_response(timeout: float) -> PDPUnavailableError:
     return PDPUnavailableError(
         f"no response within {timeout}s; pipelined connection dropped"
     )
-
-
-def hello_request() -> tuple[str, bytes]:
-    """A fresh hello frame (always v1 JSON): its id and wire bytes."""
-    frame_id = next_frame_id()
-    return frame_id, protocol.encode_frame(protocol.hello_frame(frame_id))
-
-
-def hello_version(line: bytes, frame_id: str) -> int:
-    """The v2 version a hello response line negotiated.
-
-    hello is side-effect free, so a lost handshake is always a
-    connect-class (retriable) failure; a server that answers but
-    cannot speak v2 is a :class:`ProtocolError` (see
-    :meth:`ClientCore.v2_refused`).
-    """
-    if not line.endswith(b"\n"):
-        raise PDPConnectError("connection closed during handshake")
-    response = check_response(protocol.decode_frame(line), frame_id)
-    version = protocol.hello_body_version(response.get("body"))
-    if version < protocol.PROTOCOL_VERSION_2:
-        raise ProtocolError(
-            f"server negotiated protocol v{version}; v2 required"
-        )
-    return version
 
 
 def policy_source_to_xml(policy) -> str:
@@ -350,6 +319,12 @@ class ClientCore:
     verb below returns an awaitable of the documented value.  Its send
     loop reports each (re)open of the pipelined connection to
     :meth:`opened` or :meth:`open_failed`.
+
+    ``protocol_version`` fixes the codec of every connection the client
+    opens, pooled and pipelined alike: ``"v2"`` frames each request
+    with :func:`~repro.server.protocol.encode_frame_v2` and sends
+    decides pipelined as ``decide-batch`` frames; ``"v1"`` writes JSON
+    lines and sends each decide as its own round trip.
     """
 
     def __init__(
@@ -364,14 +339,13 @@ class ClientCore:
         backoff_cap: float = 0.5,
         rng: random.Random | None = None,
         perf: Recorder | None = None,
-        protocol_version: str = "auto",
+        protocol_version: str = "v2",
         batch_max: int = 32,
         pipeline_window: int = 8,
     ) -> None:
-        if protocol_version not in ("auto", "v1", "v2"):
+        if protocol_version not in ("v1", "v2"):
             raise ValueError(
-                "protocol_version must be 'auto', 'v1' or 'v2', "
-                f"got {protocol_version!r}"
+                f"protocol_version must be 'v1' or 'v2', got {protocol_version!r}"
             )
         if not 1 <= batch_max <= protocol.MAX_WIRE_BATCH:
             raise ValueError(
@@ -397,10 +371,16 @@ class ClientCore:
         self._backoff_cap = backoff_cap
         self._rng = rng if rng is not None else random.Random()
         self._perf = perf if perf is not None else NOOP
-        self._protocol_version = protocol_version
+        self._v2 = protocol_version == "v2"
+        # How a control frame goes on the wire, and how its answer (a
+        # v2 payload, or a v1 line) comes off it.
+        self._encode, self._decode = (
+            (protocol.encode_frame_v2, protocol.decode_frame_v2)
+            if self._v2
+            else (protocol.encode_frame, decode_response_line)
+        )
         self._batch_max = batch_max
         self._pipeline_window = pipeline_window
-        self._negotiated: int | None = 1 if protocol_version == "v1" else None
         self._closed = False
         # The v2 decides of every caller, and the shell's pipelined
         # connection that sends them, with its connect attempts so far.
@@ -409,11 +389,6 @@ class ClientCore:
         self._attempt = 0
         self._since = 0.0
         self._init_io()
-
-    @property
-    def negotiated_protocol(self) -> int | None:
-        """The decide protocol in use: 1, 2, or None before negotiation."""
-        return self._negotiated
 
     def check_open(self) -> None:
         """Refuse use after ``close()``.
@@ -453,38 +428,19 @@ class ClientCore:
         ceiling = min(self._backoff_cap, self._backoff_base * (2**attempt))
         return floor + self._rng.uniform(0.0, ceiling)
 
-    def v2_refused(self, exc: ProtocolError) -> None:
-        """The server answered the hello but cannot speak v2.
-
-        An ``"auto"`` client falls back to v1 and remembers it for its
-        lifetime; a pinned ``"v2"`` client re-raises.
-        """
-        if self._protocol_version != "auto":
-            raise exc
-        self._negotiated = 1
-
     def opened(self, pipe) -> None:
-        """Send the queue over ``pipe``, a newly negotiated connection."""
+        """Send the queue over ``pipe``, a newly opened connection."""
         self._attempt = 0
-        self._negotiated, self._pipe = pipe.version, pipe
+        self._pipe = pipe
 
-    def open_failed(self, exc: Exception, started: float) -> tuple:
-        """``(back-off or None, resolutions)`` after an open begun at
-        ``started`` failed with ``exc``.
+    def open_failed(self, exc: PDPUnavailableError, started: float) -> tuple:
+        """``(back-off, resolutions)`` after an open begun at ``started``
+        failed with ``exc``.
 
-        A refused hello settles the whole queue (``None``): with
-        :data:`SPEAK_V1` for its callers to resend over v1 under
-        ``"auto"`` (:meth:`v2_refused`), else with ``exc``.  A lost
-        connect is retried under :meth:`retry_delay`; once that gives
+        The open is retried under :meth:`retry_delay`; once that gives
         up, the decides queued before the first failed attempt fail
-        with ``exc``.
+        with ``exc`` and the next attempt starts a new budget.
         """
-        if isinstance(exc, ProtocolError):
-            refused = self._queue.drop(exc, math.inf)
-            with contextlib.suppress(ProtocolError):  # pinned to v2
-                self.v2_refused(exc)
-                refused = [(waiter, SPEAK_V1, None) for waiter, _, _ in refused]
-            return None, refused
         if self._attempt == 0:
             self._since = started
         try:

@@ -2,15 +2,15 @@
 
 :class:`RemotePDP` implements the
 :class:`~repro.framework.pdp.PolicyDecisionPoint` protocol over the
-JSON-lines wire format, so a
+wire format of :mod:`repro.server.protocol`, so a
 :class:`~repro.framework.pep.PolicyEnforcementPoint` works unchanged
 whether its PDP is in-process or a socket away.  :class:`AsyncRemotePDP`
 is the asyncio variant for async applications.
 
 Both are IO shells over :mod:`repro.client._core`, which owns the retry
 discipline (only provably idempotent work is retried — see its module
-docstring), the decide queue and what a dead, timed-out or refused
-connection does to it, the handshake check and the control verbs.
+docstring), the decide queue and what a dead or timed-out connection
+does to it, the codec every connection speaks and the control verbs.
 This module only moves bytes: blocking sockets with a sender and a
 reader thread here, asyncio streams with a flush and a reader task
 there.  In both the queue outlives its connection, so decides reach the
@@ -29,12 +29,8 @@ import threading
 import time
 
 from repro.client._core import (
-    SPEAK_V1,
     ClientCore,
     check_response,
-    decode_response_line,
-    hello_request,
-    hello_version,
     lost_connection,
     next_frame_id,
     no_response,
@@ -69,8 +65,21 @@ def _resolve_futures(resolutions: list) -> None:
 # ---------------------------------------------------------------------------
 # Blocking-socket shell
 # ---------------------------------------------------------------------------
+def _read_exactly(file, n: int) -> bytes:
+    data = file.read(n)
+    if data is None or len(data) != n:
+        raise PDPUnavailableError("connection closed by server")
+    return data
+
+
+def _read_v2_payload(file) -> bytes:
+    """The payload of the next v2 frame on a blocking socket's file."""
+    header = _read_exactly(file, protocol.V2_HEADER_BYTES)
+    return _read_exactly(file, protocol.v2_payload_length(header))
+
+
 class _PipelinedV2Connection:
-    """One negotiated protocol-v2 connection of a :class:`RemotePDP`.
+    """One protocol-v2 connection of a :class:`RemotePDP`.
 
     The decide queue belongs to the client and outlives the connection:
     the client's sender thread writes the frames it cuts (bounded by
@@ -81,16 +90,6 @@ class _PipelinedV2Connection:
 
     def __init__(self, client: "RemotePDP") -> None:
         conn = _SyncConnection(client._host, client._port, client._timeout)
-        frame_id, payload = hello_request()
-        try:
-            try:
-                line = conn.round_trip(payload)
-            except OSError as exc:
-                raise PDPConnectError(f"handshake failed: {exc}") from exc
-            self.version = hello_version(line, frame_id)
-        except BaseException:
-            conn.close()
-            raise
         self._sock = conn.sock
         self._file = conn.file
         self._core = client._queue
@@ -127,14 +126,12 @@ class _PipelinedV2Connection:
     def _read_loop(self) -> None:
         try:
             while True:
-                header = self._read_exactly(protocol.V2_HEADER_BYTES)
-                length = protocol.v2_payload_length(header)
-                payload = self._read_exactly(length)
+                payload = _read_v2_payload(self._file)
                 frame = protocol.decode_frame_v2(payload)
                 if self._perf.enabled:
                     self._perf.incr("client.frames_in")
                     self._perf.incr(
-                        "client.bytes_in", protocol.V2_HEADER_BYTES + length
+                        "client.bytes_in", protocol.V2_HEADER_BYTES + len(payload)
                     )
                 with self._cond:
                     resolutions = self._core.receive(frame)
@@ -145,12 +142,6 @@ class _PipelinedV2Connection:
         finally:
             with contextlib.suppress(OSError):
                 self._file.close()
-
-    def _read_exactly(self, n: int) -> bytes:
-        data = self._file.read(n)
-        if data is None or len(data) != n:
-            raise PDPUnavailableError("connection closed by server")
-        return data
 
     # -- teardown ------------------------------------------------------
     def drop(self, exc: Exception, cutoff: float = -math.inf) -> None:
@@ -179,7 +170,7 @@ class _PipelinedV2Connection:
 
 
 class _SyncConnection:
-    """One blocking socket speaking newline-delimited JSON frames."""
+    """One blocking socket, one request and its answer at a time."""
 
     def __init__(
         self,
@@ -201,12 +192,17 @@ class _SyncConnection:
         self.sock.settimeout(timeout)
         self.file = self.sock.makefile("rb")
 
-    def round_trip(self, payload: bytes, timeout: float | None = None) -> bytes:
-        """Write one encoded frame, read one response line."""
+    def round_trip(
+        self, payload: bytes, v2: bool, timeout: float | None = None
+    ) -> bytes:
+        """Write one encoded frame, read its answer: a v2 frame's
+        payload, or a v1 line."""
         if timeout is not None:
             self.sock.settimeout(timeout)
         try:
             self.sock.sendall(payload)
+            if v2:
+                return _read_v2_payload(self.file)
             return self.file.readline(protocol.MAX_FRAME_BYTES + 1)
         finally:
             if timeout is not None:
@@ -223,7 +219,7 @@ class _SyncConnection:
 class RemotePDP(ClientCore, PolicyDecisionPoint):
     """A :class:`PolicyDecisionPoint` backed by a remote MSoD server.
 
-    Thread-safe: a bounded pool of v1 connections serves concurrent
+    Thread-safe: a bounded pool of connections serves concurrent
     control calls (each request has exclusive use of one connection for
     its round trip, preserving the one-frame-in-flight protocol
     invariant), and v2 decides share one queue that a sender thread
@@ -260,13 +256,13 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         round-trip stage histogram; concurrent callers record under one
         client-wide lock, so the counts are exact.
     protocol_version:
-        ``"auto"`` (default) negotiates protocol v2 on the first decide
-        and falls back to v1 when the server rejects the ``hello``;
-        ``"v2"`` requires v2 (raising
-        :class:`~repro.errors.ProtocolError` against a v1-only server);
-        ``"v1"`` pins the JSON-lines protocol.  Control verbs always
-        use v1 pooled connections — only ``decide`` rides the
-        pipelined binary transport.
+        The codec of every connection, pooled and pipelined: ``"v2"``
+        (default) for length-prefixed frames, decides riding the
+        pipelined connection as ``decide-batch`` entries; ``"v1"`` for
+        JSON lines, each decide its own pooled round trip.  Against a
+        server that speaks only v1, a ``"v2"`` decide goes unanswered
+        and fails with :class:`~repro.errors.PDPUnavailableError` after
+        ``timeout``.
     batch_max:
         Most decide requests coalesced into one ``decide-batch`` frame
         (v2 only).  A frame also carries at most half the connection's
@@ -280,8 +276,8 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         self._slots = threading.BoundedSemaphore(self._pool_size)
         self._idle: list[_SyncConnection] = []
         self._idle_lock = threading.Lock()
-        # Guards the queue and every change of _pipe, _negotiated and
-        # _closed; the sender thread waits on it for work.
+        # Guards the queue and every change of _pipe and _closed; the
+        # sender thread waits on it for work.
         self._cond = threading.Condition()
         self._sender: threading.Thread | None = None
         # A Recorder is not thread-safe and callers arrive on their own
@@ -338,20 +334,18 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
     ) -> dict:
         """One request/response on one pooled connection."""
         frame_id = next_frame_id()
-        payload = protocol.encode_frame(
-            protocol.request_frame(op, frame_id, **fields)
-        )
+        payload = self._encode(protocol.request_frame(op, frame_id, **fields))
         with self._slots:
             conn = self._acquire(connect_timeout=timeout)
             reusable = False
             try:
                 try:
-                    line = conn.round_trip(payload, timeout)
+                    data = conn.round_trip(payload, self._v2, timeout)
                 except (OSError, EOFError) as exc:
                     raise PDPUnavailableError(
                         f"PDP transport failure: {exc}"
                     ) from exc
-                response = decode_response_line(line)
+                response = self._decode(data)
                 reusable = True
                 return check_response(response, frame_id)
             finally:
@@ -365,7 +359,7 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
         op_timeout: float | None = None,
         **fields,
     ) -> dict:
-        """One v1 round trip under the shared retry rule.
+        """One pooled round trip under the shared retry rule.
 
         Returns the validated response frame.  ``retriable`` says
         whether ``op`` may be replayed after its bytes were sent.
@@ -417,15 +411,15 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
             with self._perf_lock:
                 perf.incr("client.calls")
         wire = protocol.request_to_wire(request)
+        if not self._v2:
+            return self._decide_v1(wire, epoch)
         attempt = 0
-        while self._negotiated != 1:
+        while True:
             started = perf.start() if perf.enabled else 0.0
             future: concurrent.futures.Future = concurrent.futures.Future()
             submitted = time.monotonic()
             with self._cond:
                 self.check_open()
-                if self._negotiated == 1:
-                    break
                 self._queue.submit(future, wire, epoch, submitted)
                 if self._sender is None or not self._sender.is_alive():
                     self._sender = threading.Thread(
@@ -441,12 +435,10 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
                 time.sleep(delay)
                 attempt += 1
                 continue
-            if answer is not SPEAK_V1:
-                if perf.enabled:
-                    with self._perf_lock:
-                        perf.span("client.call", started)
-                return protocol.decision_from_wire_delta(answer, request)
-        return self._decide_v1(wire, epoch)
+            if perf.enabled:
+                with self._perf_lock:
+                    perf.span("client.call", started)
+            return protocol.decision_from_wire_delta(answer, request)
 
     def _wait(self, future: concurrent.futures.Future, submitted: float):
         """The answer to one queued decide.  Once it has waited
@@ -481,7 +473,7 @@ class RemotePDP(ClientCore, PolicyDecisionPoint):
                 started = time.monotonic()
                 try:
                     pipe = _PipelinedV2Connection(self)
-                except (ProtocolError, PDPUnavailableError) as exc:
+                except PDPUnavailableError as exc:
                     with cond, self._perf_lock:
                         delay, settled = self.open_failed(exc, started)
                     _resolve_futures(settled)
@@ -519,8 +511,14 @@ async def _open_stream(
         ) from exc
 
 
+async def _read_v2_stream(reader: asyncio.StreamReader) -> bytes:
+    """The payload of the next v2 frame on an asyncio stream."""
+    header = await reader.readexactly(protocol.V2_HEADER_BYTES)
+    return await reader.readexactly(protocol.v2_payload_length(header))
+
+
 class _AsyncPipelinedV2:
-    """One negotiated protocol-v2 connection on asyncio streams.
+    """One protocol-v2 connection on asyncio streams.
 
     The decide queue belongs to the client and outlives the connection:
     the client's flush task writes the frames it cuts (bounded by this
@@ -535,11 +533,9 @@ class _AsyncPipelinedV2:
         client: "AsyncRemotePDP",
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        version: int,
     ) -> None:
         self._stream_reader = reader
         self._writer = writer
-        self.version = version
         self._timeout = client._timeout
         self._core = client._queue
         self.window = asyncio.Semaphore(client._pipeline_window)
@@ -551,26 +547,6 @@ class _AsyncPipelinedV2:
         self._timer: asyncio.TimerHandle | None = None
         # Ends once the aborted or lost transport reports the loss.
         self.reader_task = self._loop.create_task(self._read_loop())
-
-    @classmethod
-    async def open(cls, client: "AsyncRemotePDP") -> "_AsyncPipelinedV2":
-        timeout = client._timeout
-        reader, writer = await _open_stream(
-            client._host, client._port, protocol.MAX_FRAME_BYTES_V2, timeout
-        )
-        try:
-            frame_id, payload = hello_request()
-            writer.write(payload)
-            await asyncio.wait_for(writer.drain(), timeout=timeout)
-            line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-            version = hello_version(line, frame_id)
-        except (OSError, ConnectionError, asyncio.TimeoutError) as exc:
-            writer.close()
-            raise PDPConnectError(f"handshake failed: {exc}") from exc
-        except BaseException:
-            writer.close()
-            raise
-        return cls(client, reader, writer, version)
 
     async def send(self, payload: bytes) -> None:
         if self._timer is None:
@@ -598,11 +574,7 @@ class _AsyncPipelinedV2:
     async def _read_loop(self) -> None:
         try:
             while True:
-                header = await self._stream_reader.readexactly(
-                    protocol.V2_HEADER_BYTES
-                )
-                length = protocol.v2_payload_length(header)
-                payload = await self._stream_reader.readexactly(length)
+                payload = await _read_v2_stream(self._stream_reader)
                 resolutions = self._core.receive(
                     protocol.decode_frame_v2(payload)
                 )
@@ -635,10 +607,10 @@ class AsyncRemotePDP(ClientCore):
     that live on an event loop; the control verbs return awaitables of
     the values documented on :class:`~repro.client._core.ClientCore`.
     ``protocol_version``/``batch_max``/``pipeline_window`` mirror
-    :class:`RemotePDP`: in ``"auto"`` or ``"v2"`` mode decides ride one
-    pipelined binary connection whose flush task coalesces concurrent
-    callers into ``decide-batch`` frames, while control verbs stay on
-    v1 pooled connections.  A decide that has waited ``timeout`` for
+    :class:`RemotePDP`: under ``"v2"`` decides ride one pipelined
+    connection whose flush task coalesces concurrent callers into
+    ``decide-batch`` frames, while control verbs take pooled round
+    trips in the same codec.  A decide that has waited ``timeout`` for
     its answer fails, and drops the connection as it does.
     """
 
@@ -653,7 +625,7 @@ class AsyncRemotePDP(ClientCore):
         backoff_base: float = 0.02,
         backoff_cap: float = 0.5,
         rng: random.Random | None = None,
-        protocol_version: str = "auto",
+        protocol_version: str = "v2",
         batch_max: int = 32,
         pipeline_window: int = 8,
     ) -> None:
@@ -720,9 +692,7 @@ class AsyncRemotePDP(ClientCore):
         self, op: str, fields: dict, timeout: float | None = None
     ) -> dict:
         frame_id = next_frame_id()
-        payload = protocol.encode_frame(
-            protocol.request_frame(op, frame_id, **fields)
-        )
+        payload = self._encode(protocol.request_frame(op, frame_id, **fields))
         op_timeout = timeout if timeout is not None else self._timeout
         async with self._slots:
             conn = self._idle.pop() if self._idle else await _open_stream(
@@ -736,20 +706,22 @@ class AsyncRemotePDP(ClientCore):
                     await asyncio.wait_for(
                         writer.drain(), timeout=op_timeout
                     )
-                    line = await asyncio.wait_for(
-                        reader.readline(), timeout=op_timeout
+                    data = await asyncio.wait_for(
+                        _read_v2_stream(reader) if self._v2 else reader.readline(),
+                        timeout=op_timeout,
                     )
                 except (
                     OSError,
                     ConnectionError,
                     asyncio.TimeoutError,
+                    asyncio.IncompleteReadError,
                     asyncio.LimitOverrunError,
                     ValueError,
                 ) as exc:
                     raise PDPUnavailableError(
                         f"PDP transport failure: {exc}"
                     ) from exc
-                response = decode_response_line(line)
+                response = self._decode(data)
                 reusable = True
                 return check_response(response, frame_id)
             finally:
@@ -763,7 +735,7 @@ class AsyncRemotePDP(ClientCore):
         op_timeout: float | None = None,
         **fields,
     ) -> dict:
-        """One v1 round trip under the shared retry rule (coroutine)."""
+        """One pooled round trip under the shared retry rule (coroutine)."""
         attempt = 0
         while True:
             self.check_open()
@@ -790,8 +762,10 @@ class AsyncRemotePDP(ClientCore):
         queued again after its back-off, behind later ones.
         """
         wire = protocol.request_to_wire(request)
+        if not self._v2:
+            return await self._decide_v1(wire, epoch)
         attempt = 0
-        while self._negotiated != 1:
+        while True:
             self.check_open()
             loop = asyncio.get_running_loop()
             future = loop.create_future()
@@ -805,9 +779,7 @@ class AsyncRemotePDP(ClientCore):
                 await asyncio.sleep(delay)
                 attempt += 1
                 continue
-            if answer is not SPEAK_V1:
-                return protocol.decision_from_wire_delta(answer, request)
-        return await self._decide_v1(wire, epoch)
+            return protocol.decision_from_wire_delta(answer, request)
 
     async def _flush(self) -> None:
         """Send the queue in order, (re)opening the connection first
@@ -821,14 +793,18 @@ class AsyncRemotePDP(ClientCore):
             if pipe is None or pipe.lost:
                 started = asyncio.get_running_loop().time()
                 try:
-                    pipe = await _AsyncPipelinedV2.open(self)
-                except (ProtocolError, PDPUnavailableError) as exc:
+                    streams = await _open_stream(
+                        self._host,
+                        self._port,
+                        protocol.MAX_FRAME_BYTES_V2,
+                        self._timeout,
+                    )
+                except PDPUnavailableError as exc:
                     delay, settled = self.open_failed(exc, started)
                     _resolve_futures(settled)
-                    if delay is None:
-                        return
                     await asyncio.sleep(delay)
                     continue
+                pipe = _AsyncPipelinedV2(self, *streams)
                 self.opened(pipe)
             await pipe.window.acquire()
             if pipe.lost:  # drop() released the window

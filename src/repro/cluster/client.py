@@ -72,13 +72,8 @@ class ClusterPDP(PolicyDecisionPoint):
         for fresh routes, so routing errors surface immediately.
     timeout, health_timeout, pool_size:
         Per-node :class:`RemotePDP` tuning (one pooled client per
-        distinct primary address).
-    protocol:
-        Decide wire protocol for the per-node clients: ``"auto"``
-        (default — negotiate pipelined protocol v2, fall back to v1),
-        ``"v1"`` or ``"v2"``.  The fencing epoch rides at frame level,
-        so pipelined batches group entries by epoch and the
-        epoch-gated resend discipline below is unchanged: unsent
+        distinct primary address).  The fencing epoch rides at frame
+        level, so pipelined batches group entries by epoch: unsent
         entries fail connect-class (re-route + resend), sent entries
         fail :class:`PDPUnavailableError` (resend only after the
         shard's epoch advances).
@@ -99,7 +94,6 @@ class ClusterPDP(PolicyDecisionPoint):
         failover_wait: float = 10.0,
         retry_interval: float = 0.1,
         rng: random.Random | None = None,
-        protocol: str = "auto",
     ) -> None:
         if (coordinator is None) == (static_route is None):
             raise ClusterError(
@@ -107,7 +101,6 @@ class ClusterPDP(PolicyDecisionPoint):
                 "or static_route={...}"
             )
         self._coordinator = coordinator
-        self._protocol = protocol
         self._timeout = timeout
         self._health_timeout = health_timeout
         self._pool_size = pool_size
@@ -300,7 +293,6 @@ class ClusterPDP(PolicyDecisionPoint):
                     timeout=self._timeout,
                     health_timeout=self._health_timeout,
                     max_retries=0,  # this class owns the retry loop
-                    protocol_version=self._protocol,
                 )
             return pdp
 

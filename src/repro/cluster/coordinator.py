@@ -12,7 +12,8 @@ background concerns on one private event loop:
   shipped trails into the standby's store and journal);
 * a **coordinator endpoint** on the same
   :class:`~repro.server.frames.FrameServer` loop the nodes serve from,
-  with one v1 op table: ``route`` (the client's routing table),
+  with one op table for both protocol versions: ``route`` (the
+  client's routing table),
   ``cluster-status``, ``healthz``, ``metrics`` (JSON or Prometheus
   text exposition with per-node gauges), ``policy-status``,
   ``reshard-status``, ``reshard`` and ``policy-reload``.
@@ -359,10 +360,14 @@ class LocalCluster:
         # A restart rebinds the port the first boot was given (clients
         # hold the coordinator address; an ephemeral rebind would
         # orphan them all).
+        handlers = self._handlers()
         self._endpoint = FrameServer(
             self._host,
             self._coordinator_port or self._port,
-            {protocol.PROTOCOL_VERSION: self._handlers()},
+            {
+                protocol.PROTOCOL_VERSION: handlers,
+                protocol.PROTOCOL_VERSION_2: handlers,
+            },
         )
         self._runner = LoopThread(
             "msod-coordinator", self._boot, self._endpoint.close
@@ -1384,14 +1389,13 @@ class LocalCluster:
             await asyncio.sleep(self._reshard_interval)
 
     # ------------------------------------------------------------------
-    # Coordinator endpoint: one v1 op table on the shared frame loop.
+    # Coordinator endpoint: one op table on the shared frame loop.
     # ------------------------------------------------------------------
     def _handlers(self) -> dict[str, Handler]:
         """The verbs the coordinator answers.
 
-        No ``hello`` and no ``decide``: the endpoint is v1-only and
-        decides nothing *by table* — both get the loop's unknown-op
-        refusal, which is what tells a v2-capable client to stay on v1.
+        No ``decide`` and no ``decide-batch``: the endpoint decides
+        nothing *by table*, so both get the loop's unknown-op refusal.
         """
         return {
             protocol.OP_ROUTE: body_handler(lambda _: self.route()),

@@ -4,7 +4,8 @@ The paper deploys MSoD enforcement as a PERMIS PDP *service* that
 applications consult over a network (Section 5); this package is that
 deployment shape for the reproduction:
 
-* :mod:`repro.server.protocol` — the versioned JSON-lines wire format.
+* :mod:`repro.server.protocol` — the versioned wire formats (v1 JSON
+  lines, v2 length-prefixed frames).
 * :class:`~repro.server.service.AuthorizationService` — the sharded,
   batching, admission-controlled core (transport-independent).
 * :class:`~repro.server.frames.FrameServer` — the one connection loop

@@ -8,12 +8,11 @@ runs as a central service consulted over the network.
 Connection handling rules live with the one connection loop, in
 :mod:`repro.server.frames`; this module is the loop plus two op tables:
 
-* ``handlers[1]`` — the verbs of :data:`protocol.KNOWN_OPS`, spoken as
-  JSON lines from accept.  v1 clients never send ``hello`` and see no
-  change whatsoever;
+* ``handlers[1]`` — the verbs of :data:`protocol.KNOWN_OPS`, answered
+  on a connection that starts with a JSON line;
 * ``handlers[2]`` — the same handlers plus ``decide-batch``
-  (:data:`protocol.V2_OPS`), in force once a ``hello`` negotiated the
-  length-prefixed binary encoding.  ``decide-batch`` is the one
+  (:data:`protocol.V2_OPS`), answered on a connection that starts with
+  a length-prefixed v2 frame.  ``decide-batch`` is the one
   *concurrent* op: a pipelining client's frames overlap in the shard
   queues (see :class:`repro.client.RemotePDP`);
 * every handler builds its reply frame and returns it; a malformed body
@@ -28,12 +27,7 @@ from typing import Mapping
 
 from repro.errors import PolicyError, RequestFencedError
 from repro.server import protocol
-from repro.server.frames import (
-    FrameServer,
-    Handler,
-    body_handler,
-    hello_handler,
-)
+from repro.server.frames import FrameServer, Handler, body_handler
 from repro.server.service import (
     AuthorizationService,
     ServiceOverloadedError,
@@ -63,7 +57,6 @@ class MSoDServer:
         self._service = service
         self._decide_gate = decide_gate
         v1: dict[str, Handler] = {
-            protocol.OP_HELLO: hello_handler(protocol.PROTOCOL_VERSION),
             protocol.OP_DECIDE: self._decide,
             protocol.OP_HEALTHZ: body_handler(lambda _: service.health()),
             protocol.OP_METRICS: body_handler(self._metrics_body),
@@ -80,7 +73,6 @@ class MSoDServer:
             protocol.PROTOCOL_VERSION: v1,
             protocol.PROTOCOL_VERSION_2: {
                 **v1,
-                protocol.OP_HELLO: hello_handler(protocol.PROTOCOL_VERSION_2),
                 protocol.OP_DECIDE_BATCH: self._decide_batch,
             },
         }

@@ -2,23 +2,21 @@
 
 ``FrameServer`` binds a host/port and answers every connection from a
 single loop.  An endpoint — the authorization server, the cluster
-coordinator — is that loop plus an *op table* per protocol version it
-speaks: ``{version: {op: handler}}``, where a handler is a coroutine
+coordinator — is that loop plus an *op table* for each protocol
+version: ``{version: {op: handler}}``, where a handler is a coroutine
 function ``(frame_id, frame) -> reply frame``.  Handlers never touch the
 connection; the loop that read the request sends the reply.
 
 Connection handling rules (the only copy in ``src/``):
 
-* a connection reads and writes through its current :class:`Codec` — a
+* a connection's first byte fixes its protocol version for life:
+  :data:`protocol.V2_MAGIC`, which can never begin a JSON line, opens a
+  v2 connection and anything else a v1 one.  The connection then reads
+  and writes through that version's :class:`Codec` — a
   ``(read, decode, encode)`` triple (plus the header size ``read``
-  strips, for the byte counters).  Both versions carry a frame as
-  JSON: :data:`CODECS` ``[1]`` one line per frame, ``[2]`` a payload
-  behind an 8-byte length header.  Every connection starts on
-  :data:`CODECS` ``[1]`` with the endpoint's v1 table; an
-  answered ``hello`` swaps codec and table in place for the version the
-  reply names, so from the next byte on both directions speak it.  An
-  endpoint with no ``hello`` in its table (the coordinator) is v1-only
-  by table: it refuses the verb like any other unknown op;
+  strips, for the byte counters) — and answers from that version's op
+  table.  Both versions carry a frame as JSON: :data:`CODECS` ``[1]``
+  one line per frame, ``[2]`` a payload behind an 8-byte length header;
 * frames are answered in order, except ops the endpoint marks
   *concurrent* (``decide-batch``): those run as tasks, at most
   :data:`MAX_INFLIGHT_FRAMES` per connection — reads pause (TCP
@@ -31,10 +29,12 @@ Connection handling rules (the only copy in ``src/``):
   and the connection stays open — a fuzzer must never take a worker
   down;
 * a frame that corrupts the *stream* (an oversized v1 line, a v2
-  header with a bad magic or length — e.g. a stray v1 line after the
-  upgrade) cannot be resynchronised: one final error frame, then close;
-* EOF — clean, or after a truncated frame — and a vanished peer close
-  silently; server teardown cancels the connection, which closes it.
+  header with a bad magic or length — e.g. a v1 line on a v2
+  connection) cannot be resynchronised: one final error frame, then
+  close;
+* EOF — before the first byte, clean, or after a truncated frame — and
+  a vanished peer close silently; server teardown cancels the
+  connection, which closes it.
 """
 
 from __future__ import annotations
@@ -63,26 +63,34 @@ class StreamCorrupt(Exception):
 class Codec(NamedTuple):
     """How one protocol version frames bytes on a connection."""
 
-    #: Next frame's payload; ``None`` at EOF (also mid-frame: there is
-    #: nobody left to answer); raises :class:`StreamCorrupt`.
-    read: Callable[[asyncio.StreamReader], Awaitable[bytes | None]]
+    #: Next frame's payload, given the bytes of it already read (the
+    #: connection's first byte, for its first frame); ``None`` at EOF
+    #: (also mid-frame: there is nobody left to answer); raises
+    #: :class:`StreamCorrupt`.
+    read: Callable[[asyncio.StreamReader, bytes], Awaitable[bytes | None]]
     decode: Callable[[bytes], dict]
     encode: Callable[[Mapping[str, Any]], bytes]
     #: Bytes ``read`` consumed beyond the payload it returned.
     framing: int
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+async def _read_line(reader: asyncio.StreamReader, head: bytes) -> bytes | None:
+    if head == b"\n":
+        return head
     try:
         line = await reader.readline()
     except (asyncio.LimitOverrunError, ValueError):
         raise StreamCorrupt("frame exceeds size limit") from None
-    return line or None
+    return head + line or None
 
 
-async def _read_v2_payload(reader: asyncio.StreamReader) -> bytes | None:
+async def _read_v2_payload(
+    reader: asyncio.StreamReader, head: bytes
+) -> bytes | None:
     try:
-        header = await reader.readexactly(protocol.V2_HEADER_BYTES)
+        header = head + await reader.readexactly(
+            protocol.V2_HEADER_BYTES - len(head)
+        )
         try:
             length = protocol.v2_payload_length(header)
         except ProtocolError as exc:
@@ -115,24 +123,6 @@ def body_handler(body_of: Callable[[dict], Any]) -> Handler:
         )
 
     return handler
-
-
-def hello_handler(current: int) -> Handler:
-    """The ``hello`` entry of the version-``current`` op table.
-
-    Answers the version the connection speaks from the next frame on:
-    what the client offered, capped by what this build speaks and never
-    below ``current`` (a redundant hello on v2 stays v2).
-    """
-
-    def body_of(frame: dict) -> dict:
-        return {
-            "version": max(current, protocol.negotiated_version(frame)),
-            "max_batch": protocol.MAX_WIRE_BATCH,
-            "max_frame_bytes": protocol.MAX_FRAME_BYTES_V2,
-        }
-
-    return body_handler(body_of)
 
 
 def _refusal(frame_id, exc: Exception) -> dict:
@@ -185,8 +175,6 @@ class FrameServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        version = protocol.PROTOCOL_VERSION
-        codec, table = CODECS[version], self._handlers[version]
         perf = self._perf
         slots = asyncio.Semaphore(MAX_INFLIGHT_FRAMES)
         in_flight: set[asyncio.Task] = set()
@@ -203,13 +191,12 @@ class FrameServer:
             writer.write(data)
             await writer.drain()
 
-        async def answer(handler: Handler, frame_id, frame: dict) -> dict:
+        async def answer(handler: Handler, frame_id, frame: dict) -> None:
             try:
                 reply = await handler(frame_id, frame)
             except ProtocolError as exc:
                 reply = _refusal(frame_id, exc)
             await send(reply)
-            return reply
 
         async def answer_concurrently(handler, frame_id, frame) -> None:
             try:
@@ -220,14 +207,25 @@ class FrameServer:
                 slots.release()
 
         try:
+            try:
+                head = await reader.readexactly(1)
+            except asyncio.IncompleteReadError:
+                return  # closed before its first byte
+            version = (
+                protocol.PROTOCOL_VERSION_2
+                if head[0] == protocol.V2_MAGIC
+                else protocol.PROTOCOL_VERSION
+            )
+            codec, table = CODECS[version], self._handlers[version]
             while True:
                 try:
-                    data = await codec.read(reader)
+                    data = await codec.read(reader, head)
                 except StreamCorrupt as exc:
                     await send(_refusal(None, exc))
                     break
                 if data is None:
                     break
+                head = b""
                 frame_id = None
                 try:
                     if perf.enabled:
@@ -256,13 +254,7 @@ class FrameServer:
                     in_flight.add(task)
                     task.add_done_callback(in_flight.discard)
                     continue
-                reply = await answer(handler, frame_id, frame)
-                if op == protocol.OP_HELLO and reply.get("ok"):
-                    # The hello reply is on the wire in the old codec;
-                    # every byte from here on, both directions, is in
-                    # the version it named.
-                    version = reply["body"]["version"]
-                    codec, table = CODECS[version], self._handlers[version]
+                await answer(handler, frame_id, frame)
         except (ConnectionResetError, BrokenPipeError):
             pass  # peer vanished mid-exchange; nothing to answer
         except asyncio.CancelledError:

@@ -5,17 +5,15 @@
 caller-chosen correlation id (``"id"``) echoed verbatim in the
 response, so clients may pipeline.
 
-**v2** is length-prefixed framing negotiated per-connection: a
-connection always *starts* in v1 and may send a ``hello`` frame; once
-the server answers with ``version: 2`` both sides switch to v2 frames
-(a struct-packed 8-byte binary header, then a compact UTF-8 JSON
-payload read by the stdlib C decoder — see :func:`pack_payload`).  The
-payload is the *same* frame dict as v1, so every op round-trips
-unchanged; v2 additionally understands ``decide-batch``, which carries
-N requests (and N per-entry results) per frame.  v1 clients never send
-``hello`` and keep working byte-identically; v1 servers answer
-``hello`` with a ``protocol`` error, which v2-capable clients treat as
-"speak v1".
+**v2** is length-prefixed framing: a struct-packed 8-byte binary
+header, then a compact UTF-8 JSON payload read by the stdlib C decoder
+(see :func:`pack_payload`).  The payload is the *same* frame dict as
+v1, so every op round-trips unchanged; v2 additionally understands
+``decide-batch``, which carries N requests (and N per-entry results)
+per frame.  A connection speaks one version for life, fixed by its
+first byte: :data:`V2_MAGIC` opens a v2 connection, anything else (a
+JSON line) a v1 one.  A client speaks one version on all of its
+connections, from their first byte.
 
 Request frames (client → server)::
 
@@ -103,12 +101,6 @@ OP_METRICS = "metrics"
 OP_SLOWLOG = "slowlog"
 OP_POLICY_STATUS = "policy-status"
 OP_POLICY_RELOAD = "policy-reload"
-#: Version negotiation (additive v1 verb): carries ``max_version``, the
-#: highest protocol version the client can speak; the server answers
-#: with the version this connection will use from the next frame on.
-#: Old servers answer ``hello`` with a ``protocol`` error, which a
-#: v2-capable client treats as "this endpoint speaks v1 only".
-OP_HELLO = "hello"
 #: Policy verification verbs (additive v1 verbs).  ``verify`` runs the
 #: structured static analyzer over the candidate set carried as
 #: ``policy_xml``; ``whatif`` replays the server's recorded audit trail
@@ -127,7 +119,6 @@ KNOWN_OPS = frozenset(
         OP_POLICY_RELOAD,
         OP_VERIFY,
         OP_WHATIF,
-        OP_HELLO,
     }
 )
 
@@ -137,7 +128,7 @@ KNOWN_OPS = frozenset(
 #: ``{"ok": false, "error": ...}`` outcomes.  Deliberately *not* in
 #: ``KNOWN_OPS``: a v1 endpoint must reject it (cross-talk safety).
 OP_DECIDE_BATCH = "decide-batch"
-#: Ops a negotiated v2 connection accepts.
+#: Ops a v2 connection accepts.
 V2_OPS = KNOWN_OPS | {OP_DECIDE_BATCH}
 
 #: Operations understood by the cluster coordinator (router) endpoint,
@@ -767,11 +758,8 @@ def reload_principal_of(frame: Mapping[str, Any]) -> str | None:
 # ---------------------------------------------------------------------------
 # Protocol v2: limits
 # ---------------------------------------------------------------------------
-#: The length-prefixed wire-format version spoken after a successful
-#: ``hello``.
+#: The length-prefixed wire-format version.
 PROTOCOL_VERSION_2 = 2
-#: Highest version this build can negotiate.
-MAX_PROTOCOL_VERSION = PROTOCOL_VERSION_2
 
 #: Hard ceiling on one *batched* v2 frame (header + payload).  A
 #: batch of ``MAX_WIRE_BATCH`` worst-case decisions fits comfortably;
@@ -784,8 +772,9 @@ MAX_WIRE_BATCH = 1024
 # Protocol v2: length-prefixed binary framing
 # ---------------------------------------------------------------------------
 #: First byte of every v2 frame.  0xB2 is an invalid UTF-8 *start* byte
-#: and can never begin a v1 JSON line, so cross-talk in either
-#: direction is detected on the very first byte.
+#: and can never begin a v1 JSON line, so a server tells a connection's
+#: version from its first byte, and cross-talk in either direction is
+#: detected on the very first byte of a frame.
 V2_MAGIC = 0xB2
 #: Header layout: magic, version, reserved (must be 0), payload length.
 V2_HEADER = struct.Struct("!BBHI")
@@ -809,7 +798,7 @@ def v2_payload_length(header: bytes) -> int:
     """Validate a v2 frame header, returning the declared payload length.
 
     Rejects truncated headers, wrong magic (including a v1 JSON line
-    arriving on a negotiated-v2 connection — cross-talk), unknown
+    arriving on a v2 connection — cross-talk), unknown
     versions, non-zero reserved bits, empty payloads, and lengths that
     would exceed :data:`MAX_FRAME_BYTES_V2` — all before any payload
     byte is read, so an attacker cannot make the server buffer garbage.
@@ -823,7 +812,7 @@ def v2_payload_length(header: bytes) -> int:
     if magic != V2_MAGIC:
         raise ProtocolError(
             f"bad v2 magic byte 0x{magic:02x} "
-            "(v1 JSON on a negotiated-v2 connection?)"
+            "(v1 JSON on a v2 connection?)"
         )
     if version != PROTOCOL_VERSION_2:
         raise ProtocolError(f"unsupported v2 header version {version}")
@@ -845,31 +834,8 @@ def decode_frame_v2(payload: bytes) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Hello negotiation and decide-batch bodies
+# decide-batch bodies
 # ---------------------------------------------------------------------------
-def hello_frame(frame_id: str, max_version: int = MAX_PROTOCOL_VERSION) -> dict:
-    """The client's opening negotiation frame (always sent as v1 JSON)."""
-    return request_frame(OP_HELLO, frame_id, max_version=max_version)
-
-
-def negotiated_version(frame: Mapping[str, Any]) -> int:
-    """Server side: the version this connection will speak after hello."""
-    raw = frame.get("max_version")
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ProtocolError("hello.max_version must be a positive integer")
-    return min(raw, MAX_PROTOCOL_VERSION)
-
-
-def hello_body_version(body: Any) -> int:
-    """Client side: the validated ``version`` out of a hello response."""
-    if not isinstance(body, dict):
-        raise ProtocolError("hello response body must be an object")
-    version = body.get("version")
-    if isinstance(version, bool) or not isinstance(version, int) or version < 1:
-        raise ProtocolError("hello response version must be a positive integer")
-    return version
-
-
 def batch_requests_of(frame: Mapping[str, Any]) -> list[DecisionRequest]:
     """Parse and validate *every* request of a ``decide-batch`` frame.
 

@@ -498,7 +498,7 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
+        (("--protocol",), "protocol", "v2", None, ("v1", "v2"), False, "_StoreAction"),
         (("--user",), "user", None, None, None, True, "_StoreAction"),
         (("--role",), "role", None, "_parse_role", None, True, "_AppendAction"),
         (("--operation",), "operation", None, None, None, True, "_StoreAction"),
@@ -509,7 +509,6 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
         (("--metrics",), "metrics", False, None, None, False, "_StoreTrueAction"),
         (("--slowlog",), "slowlog", False, None, None, False, "_StoreTrueAction"),
     ],
@@ -517,20 +516,17 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
     ],
     "policy status": [
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
     ],
     "policy reload": [
         ((), "policy", None, None, None, True, "_StoreAction"),
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8750, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
         (("--verify",), "verify", False, None, None, False, "_StoreTrueAction"),
         (("--max-flips",), "max_flips", 0, "int", None, False, "_StoreAction"),
         (("--force",), "force", False, None, None, False, "_StoreTrueAction"),
@@ -568,26 +564,22 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
     ],
     "cluster route": [
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
     ],
     "cluster metrics": [
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
     ],
     "cluster reload": [
         ((), "policy", None, None, None, True, "_StoreAction"),
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
         (("--verify",), "verify", False, None, None, False, "_StoreTrueAction"),
         (("--max-flips",), "max_flips", 0, "int", None, False, "_StoreAction"),
         (("--force",), "force", False, None, None, False, "_StoreTrueAction"),
@@ -598,7 +590,6 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
         (("--wait",), "wait", False, None, None, False, "_StoreTrueAction"),
         (("--wait-timeout",), "wait_timeout", 120.0, "float", None, False, "_StoreAction"),
     ],
@@ -607,7 +598,6 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
         (("--wait",), "wait", False, None, None, False, "_StoreTrueAction"),
         (("--wait-timeout",), "wait_timeout", 120.0, "float", None, False, "_StoreAction"),
     ],
@@ -617,7 +607,6 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
         (("--wait",), "wait", False, None, None, False, "_StoreTrueAction"),
         (("--wait-timeout",), "wait_timeout", 120.0, "float", None, False, "_StoreAction"),
     ],
@@ -625,13 +614,11 @@ PARSER_TREE = {
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
     ],
     "cluster decide": [
         (("--host",), "host", "127.0.0.1", None, None, False, "_StoreAction"),
         (("--port",), "port", 8760, "int", None, False, "_StoreAction"),
         (("--timeout",), "timeout", 5.0, "float", None, False, "_StoreAction"),
-        (("--protocol",), "protocol", "auto", None, ("auto", "v1", "v2"), False, "_StoreAction"),
         (("--user",), "user", None, None, None, True, "_StoreAction"),
         (("--role",), "role", None, "_parse_role", None, True, "_AppendAction"),
         (("--operation",), "operation", None, None, None, True, "_StoreAction"),
@@ -685,7 +672,7 @@ class TestParserTree:
         assert tree == PARSER_TREE
         assert len(tree) == 28
         options = [row for rows in tree.values() for row in rows if row[0]]
-        assert len(options) == 164
+        assert len(options) == 151
 
     def test_mutually_exclusive_groups(self):
         groups = {

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.client._core import SPEAK_V1, ClientCore, DecidePipeline
+from repro.client._core import ClientCore, DecidePipeline
 from repro.errors import (
     PDPConnectError,
     PDPFencedError,
@@ -338,6 +338,7 @@ class TestRetryRule:
     def test_configuration_is_validated_once(self):
         for bad in (
             {"protocol_version": "v3"},
+            {"protocol_version": "auto"},
             {"batch_max": 0},
             {"batch_max": -1},
             {"batch_max": protocol.MAX_WIRE_BATCH + 1},
@@ -352,18 +353,6 @@ class TestRetryRule:
             with pytest.raises(ValueError, match=name):
                 IdleCore("127.0.0.1", 1, **bad)
         IdleCore("h", 1, batch_max=protocol.MAX_WIRE_BATCH, pipeline_window=1)
-        assert IdleCore("h", 1, protocol_version="v1").negotiated_protocol == 1
-        assert IdleCore("h", 1).negotiated_protocol is None
-
-    def test_v2_refusal_downgrades_auto_and_fails_pinned(self):
-        refusal = ProtocolError("server negotiated protocol v1; v2 required")
-        auto, _ = self.core()
-        auto.v2_refused(refusal)
-        assert auto.negotiated_protocol == 1
-        pinned, _ = self.core(protocol_version="v2")
-        with pytest.raises(ProtocolError):
-            pinned.v2_refused(refusal)
-        assert pinned.negotiated_protocol is None
 
 
 class TestOpenFailures:
@@ -383,14 +372,3 @@ class TestOpenFailures:
         # the next round of attempts, which starts a new budget.
         assert core._queue.oldest() == 3.0
         assert 0.0 <= core.open_failed(lost, started=5.0)[0] <= 0.01
-
-    def test_a_refused_hello_answers_the_whole_queue(self):
-        refusal = ProtocolError("server negotiated protocol v1; v2 required")
-        auto = IdleCore("h", 1)
-        submit_all(auto._queue, [("a", None)])
-        assert auto.open_failed(refusal, 0.0) == (None, [("a", SPEAK_V1, None)])
-        assert auto.negotiated_protocol == 1
-        pinned = IdleCore("h", 1, protocol_version="v2")
-        submit_all(pinned._queue, [("p", None)])
-        assert pinned.open_failed(refusal, 0.0) == (None, [("p", None, refusal)])
-        assert pinned.negotiated_protocol is None

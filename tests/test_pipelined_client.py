@@ -1,12 +1,12 @@
 """Behavior tests for the pipelined v2 clients.
 
-Covers what the protocol-level tests cannot: negotiation against live
-and downlevel servers, the auto-fallback memory, batch coalescing under
-concurrency, the post-send no-replay discipline on the pipelined path,
-the async client, and the wire perf counters surfacing in both the
-``metrics`` verb and the Prometheus exposition.
+Covers what the protocol-level tests cannot: pinned clients against
+live and downlevel servers, batch coalescing under concurrency, the
+post-send no-replay discipline on the pipelined path, the async client,
+and the wire perf counters surfacing in both the ``metrics`` verb and
+the Prometheus exposition.
 
-The negotiation and post-send cases name their client in ``client``
+The pinned-protocol and post-send cases name their client in ``client``
 and are re-run over the asyncio shell by a two-line subclass, the same
 way as in ``tests/test_remote_pdp.py``.
 """
@@ -109,12 +109,12 @@ def on_threads(call, args):
 
 
 class V1OnlyServer:
-    """A downlevel JSON-lines server: ``hello`` is an unknown op.
+    """A downlevel JSON-lines server.
 
-    Mimics a pre-v2 deployment — every frame is answered in v1, and the
-    negotiation frame gets the same protocol error an old server's
-    unknown-op path would produce.  Decide frames are answered by a
-    real engine so the fallback leg can be checked for correctness.
+    Mimics a pre-v2 deployment: every connection is read as v1 lines,
+    so a v2 frame, which carries no newline, is never answered.  Decide
+    frames are answered by a real engine so a v1 client's decisions can
+    be checked for correctness.
     """
 
     def __init__(self):
@@ -129,7 +129,6 @@ class V1OnlyServer:
         )
         self._engine = MSoDEngine(policy_set, InMemoryRetainedADIStore())
         self._lock = threading.Lock()
-        self.hello_frames = 0
         self._sock = socket.socket()
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind(("127.0.0.1", 0))
@@ -156,15 +155,7 @@ class V1OnlyServer:
                 if not line:
                     return
                 frame = json.loads(line)
-                if frame.get("op") == protocol.OP_HELLO:
-                    with self._lock:
-                        self.hello_frames += 1
-                    reply = protocol.error_frame(
-                        frame["id"],
-                        protocol.ERR_PROTOCOL,
-                        "unknown op 'hello'",
-                    )
-                elif frame.get("op") == protocol.OP_DECIDE:
+                if frame.get("op") == protocol.OP_DECIDE:
                     with self._lock:
                         decision = self._engine.check(
                             protocol.request_from_wire(frame["request"])
@@ -180,7 +171,7 @@ class V1OnlyServer:
                         frame["id"], protocol.ERR_PROTOCOL, "unknown op"
                     )
                 conn.sendall(json.dumps(reply).encode() + b"\n")
-        except OSError:
+        except (OSError, ValueError):  # a v2 frame is no JSON line
             pass
         finally:
             conn.close()
@@ -197,7 +188,7 @@ class V1OnlyServer:
 
 
 class DieAfterBatchServer:
-    """Upgrades to v2, swallows one decide-batch frame, then drops dead.
+    """Swallows one decide-batch frame, then drops dead.
 
     The pipelined client has sent the batch when the connection dies,
     so the only correct outcome is ``PDPUnavailableError`` with no
@@ -232,16 +223,6 @@ class DieAfterBatchServer:
     def _handle(self, conn):
         stream = conn.makefile("rb")
         try:
-            line = stream.readline()
-            if not line:
-                return
-            frame = json.loads(line)
-            if frame.get("op") != protocol.OP_HELLO:
-                return
-            reply = protocol.response_frame(
-                frame["id"], protocol.OP_HELLO, "body", {"version": 2}
-            )
-            conn.sendall(json.dumps(reply).encode() + b"\n")
             header = stream.read(protocol.V2_HEADER_BYTES)
             if len(header) != protocol.V2_HEADER_BYTES:
                 return
@@ -268,7 +249,7 @@ class DieAfterBatchServer:
 
 
 class HoldFirstAnswerServer:
-    """Upgrades to v2 and answers only a client that pipelines.
+    """Answers only a client that pipelines.
 
     The answer to the first ``decide-batch`` frame is held back until a
     second frame arrives, waiting at most ``hold`` seconds; a client that
@@ -341,11 +322,6 @@ class HoldFirstAnswerServer:
     def _handle(self, conn):
         stream = conn.makefile("rb")
         try:
-            hello = json.loads(stream.readline())
-            reply = protocol.response_frame(
-                hello["id"], protocol.OP_HELLO, "body", {"version": 2}
-            )
-            conn.sendall(json.dumps(reply).encode() + b"\n")
             held = self._read_frame(stream)
             conn.settimeout(self._hold)
             try:
@@ -468,7 +444,7 @@ class TestCarryOver:
 
 
 class SilentServer(DieAfterBatchServer):
-    """Upgrades to v2, then reads every frame and never answers one.
+    """Reads every frame and never answers one.
 
     Records each request id of every ``decide-batch`` frame it ever
     receives, on any connection, so a replay is visible.
@@ -481,11 +457,6 @@ class SilentServer(DieAfterBatchServer):
     def _handle(self, conn):
         stream = conn.makefile("rb")
         try:
-            hello = json.loads(stream.readline())
-            reply = protocol.response_frame(
-                hello["id"], protocol.OP_HELLO, "body", {"version": 2}
-            )
-            conn.sendall(json.dumps(reply).encode() + b"\n")
             while True:
                 header = stream.read(protocol.V2_HEADER_BYTES)
                 if len(header) != protocol.V2_HEADER_BYTES:
@@ -826,7 +797,6 @@ class TestPipelinedDecides:
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not errors, errors
-                assert pdp.negotiated_protocol == 2
 
         # Per-user MSoD semantics survived batching and reordering:
         # first duty granted, mutually exclusive duty then denied.
@@ -923,7 +893,6 @@ class TestPipelinedDecides:
                             for i in range(10)
                         )
                     )
-                    assert pdp.negotiated_protocol == 2
                     return firsts, seconds
 
             firsts, seconds = asyncio.run(run())
@@ -932,28 +901,38 @@ class TestPipelinedDecides:
 
 
 class TestNegotiationFallback:
+    """A client speaks the one protocol it was built with; nothing falls
+    back."""
+
     client = RemotePDP
 
-    def test_auto_falls_back_to_v1_and_remembers(self):
+    def test_pinned_v1_decides_against_a_v1_only_server(self):
         with V1OnlyServer() as server:
             with self.client(
-                "127.0.0.1", server.port, protocol_version="auto", **FAST
+                "127.0.0.1", server.port, protocol_version="v1", **FAST
             ) as pdp:
-                first = pdp.decide(make_request("fb", TELLER, 1.0))
-                second = pdp.decide(make_request("fb", AUDITOR, 2.0))
-                assert first.granted
-                assert second.denied
-                assert pdp.negotiated_protocol == 1
-            # The downgrade is remembered: one hello, not one per call.
-            assert server.hello_frames == 1
+                assert pdp.decide(make_request("fb", TELLER, 1.0)).granted
+                assert pdp.decide(make_request("fb", AUDITOR, 2.0)).denied
 
     def test_forced_v2_against_v1_only_server_raises(self):
+        """Unanswered, the decide fails typed once it has waited
+        ``timeout``, and never hangs."""
+        timeout = 0.3
         with V1OnlyServer() as server:
             with self.client(
-                "127.0.0.1", server.port, protocol_version="v2", **FAST
+                "127.0.0.1",
+                server.port,
+                protocol_version="v2",
+                timeout=timeout,
+                max_retries=0,
             ) as pdp:
-                with pytest.raises(ProtocolError):
+                started = time.monotonic()
+                with pytest.raises(PDPUnavailableError) as excinfo:
                     pdp.decide(make_request("fx", TELLER, 1.0))
+                elapsed = time.monotonic() - started
+        assert not isinstance(excinfo.value, PDPConnectError)
+        assert str(excinfo.value).startswith(f"no response within {timeout}s")
+        assert timeout <= elapsed < timeout + 2.0
 
     def test_pipelined_connect_failure_is_retriable_kind(self):
         with socket.socket() as probe:

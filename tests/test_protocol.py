@@ -622,29 +622,6 @@ class TestDeepNesting:
 
 
 class TestV2Negotiation:
-    def test_hello_frame_is_v1(self):
-        frame = protocol.hello_frame("c-1")
-        assert frame["v"] == 1 and frame["op"] == protocol.OP_HELLO
-        assert frame["max_version"] == protocol.MAX_PROTOCOL_VERSION
-
-    def test_negotiated_version_caps_at_server_max(self):
-        assert protocol.negotiated_version({"max_version": 1}) == 1
-        assert protocol.negotiated_version({"max_version": 2}) == 2
-        assert protocol.negotiated_version({"max_version": 99}) == (
-            protocol.MAX_PROTOCOL_VERSION
-        )
-
-    @pytest.mark.parametrize("bad", [None, 0, -1, "2", True, [2]])
-    def test_bad_max_version_rejected(self, bad):
-        with pytest.raises(ProtocolError):
-            protocol.negotiated_version({"max_version": bad})
-
-    @pytest.mark.parametrize("body", [None, "2", [], {"version": "2"},
-                                      {"version": 0}, {"version": True}])
-    def test_bad_hello_body_rejected(self, body):
-        with pytest.raises(ProtocolError):
-            protocol.hello_body_version(body)
-
     def test_decide_batch_is_not_a_v1_op(self):
         # v1 endpoints must keep rejecting the batch verb.
         assert protocol.OP_DECIDE_BATCH not in protocol.KNOWN_OPS

@@ -234,8 +234,8 @@ async def tcp_exchange(writer, reader, frame):
 
 
 async def v2_exchange(writer, reader, data):
-    """Send raw bytes on a negotiated-v2 connection; the next frame, or
-    ``None`` at EOF."""
+    """Send raw bytes on a v2 connection; the next frame, or ``None`` at
+    EOF."""
     writer.write(data)
     await writer.drain()
     return await read_v2(reader)
@@ -250,10 +250,27 @@ async def read_v2(reader):
     return protocol.decode_frame_v2(payload)
 
 
-async def upgrade_to_v2(writer, reader):
-    reply = await tcp_exchange(writer, reader, protocol.hello_frame("hello-1"))
-    assert reply["ok"] is True and reply["body"]["version"] == 2
+async def open_v2(writer, reader):
+    """Start a v2 connection: its first bytes are a v2 frame."""
+    reply = await v2_exchange(
+        writer,
+        reader,
+        protocol.encode_frame_v2(protocol.request_frame("healthz", "v2-open")),
+    )
+    assert reply["ok"] is True and reply["v"] == 2
     return reply
+
+
+async def exchange(version, writer, reader, frame):
+    """One frame and its answer, both in protocol ``version``."""
+    if version == 1:
+        return await tcp_exchange(writer, reader, frame)
+    return await v2_exchange(writer, reader, protocol.encode_frame_v2(frame))
+
+
+#: The frame earlier clients sent to upgrade a connection to v2: now an
+#: unknown op.
+HELLO = protocol.request_frame("hello", "hello-1", max_version=2)
 
 
 def batch_frame(frame_id, *requests):
@@ -281,12 +298,43 @@ def v2_frame_of(payload):
 
 
 class EndpointCases:
-    """Malformed-input cases every frame endpoint must pass.
+    """Connection-start and malformed-input cases every frame endpoint
+    must pass.
 
     Subclasses say which endpoint: ``run_with_server(scenario)`` boots
     it, connects, and runs ``scenario(server, reader, writer)``;
     ``good_frame(frame_id)`` is a request the endpoint answers ``ok``.
     """
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_the_first_byte_fixes_the_connections_protocol(self, version):
+        async def scenario(server, reader, writer):
+            return [
+                await exchange(version, writer, reader, self.good_frame(i))
+                for i in ("first", "second")
+            ]
+
+        replies = self.run_with_server(scenario)
+        assert [(r["ok"], r["id"], r["v"]) for r in replies] == [
+            (True, "first", version),
+            (True, "second", version),
+        ]
+
+    def test_a_peer_closing_before_its_first_byte_is_closed_silently(self):
+        async def scenario(server, reader, writer):
+            writer.write_eof()
+            silent = await reader.read()
+            return silent, await run_scenario(
+                server.port,
+                server,
+                lambda _, reader2, writer2: tcp_exchange(
+                    writer2, reader2, self.good_frame("after")
+                ),
+            )
+
+        silent, after = self.run_with_server(scenario)
+        assert silent == b""
+        assert after["ok"] is True and after["id"] == "after"
 
     def test_malformed_frames_answered_not_fatal(self):
         async def scenario(server, reader, writer):
@@ -456,7 +504,7 @@ class TestTCPServer(EndpointCases):
         assert response["ok"] is False
         assert response["error"]["kind"] == "shutting-down"
 
-    # -- the negotiated-v2 connection discipline, on a raw socket -------
+    # -- the v2 connection discipline, on a raw socket -----------------
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -475,7 +523,7 @@ class TestTCPServer(EndpointCases):
     )
     def test_v2_stream_corruption_gets_one_error_then_eof(self, corrupt):
         async def scenario(server, reader, writer):
-            await upgrade_to_v2(writer, reader)
+            await open_v2(writer, reader)
             error = await v2_exchange(writer, reader, corrupt)
             return error, await read_v2(reader)
 
@@ -526,7 +574,7 @@ class TestTCPServer(EndpointCases):
         self, bad, frame_id
     ):
         async def scenario(server, reader, writer):
-            await upgrade_to_v2(writer, reader)
+            await open_v2(writer, reader)
             error = await v2_exchange(writer, reader, bad)
             ok = await v2_exchange(
                 writer,
@@ -554,7 +602,7 @@ class TestTCPServer(EndpointCases):
     )
     def test_v2_truncated_frame_then_eof_is_harmless(self, cut):
         async def scenario(server, reader, writer):
-            await upgrade_to_v2(writer, reader)
+            await open_v2(writer, reader)
             frame = protocol.encode_frame_v2(
                 batch_frame("b-cut", make_request("dave", TELLER))
             )
@@ -584,31 +632,28 @@ class TestTCPServer(EndpointCases):
         assert refused["error"]["kind"] == "protocol"
         assert ok["ok"] is True
 
-    def test_second_hello_on_v2_answers_version_2(self):
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_hello_is_an_unknown_op_and_the_connection_stays_open(
+        self, version
+    ):
         async def scenario(server, reader, writer):
-            await upgrade_to_v2(writer, reader)
-            again = await v2_exchange(
-                writer,
-                reader,
-                protocol.encode_frame_v2(
-                    protocol.hello_frame("hello-2", max_version=1)
-                ),
+            refused = await exchange(version, writer, reader, HELLO)
+            ok = await exchange(
+                version, writer, reader, protocol.request_frame("healthz", "h-5")
             )
-            still_v2 = await v2_exchange(
-                writer,
-                reader,
-                protocol.encode_frame_v2(protocol.request_frame("healthz", "h-4")),
-            )
-            return again, still_v2
+            return refused, ok
 
-        again, still_v2 = self.run_with_server(scenario)
-        assert again["ok"] is True and again["id"] == "hello-2"
-        assert again["body"]["version"] == 2
-        assert still_v2["ok"] is True
+        refused, ok = self.run_with_server(scenario)
+        assert refused["ok"] is False and refused["id"] == "hello-1"
+        assert refused["error"] == {
+            "kind": "protocol",
+            "detail": "unknown operation 'hello'",
+        }
+        assert ok["ok"] is True and ok["v"] == version
 
     def test_pipelined_batches_both_answered_and_correlate_by_id(self):
         async def scenario(server, reader, writer):
-            await upgrade_to_v2(writer, reader)
+            await open_v2(writer, reader)
             writer.write(
                 protocol.encode_frame_v2(
                     batch_frame("p-1", make_request("frank", TELLER))
@@ -657,7 +702,7 @@ class TestCoordinatorEndpoint(EndpointCases):
 
     @pytest.mark.parametrize(
         "refused",
-        [protocol.hello_frame("hello-1"), decide_frame("d-1", "alice")],
+        [HELLO, decide_frame("d-1", "alice")],
         ids=["hello", "decide"],
     )
     def test_node_verbs_refused_and_connection_left_usable(self, refused):
@@ -670,6 +715,22 @@ class TestCoordinatorEndpoint(EndpointCases):
         assert error["ok"] is False and error["id"] == refused["id"]
         assert error["error"]["kind"] == "protocol"
         assert route["ok"] is True and "shards" in route["body"]
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_route_and_cluster_status_in_both_protocols(self, version):
+        async def scenario(cluster, reader, writer):
+            return [
+                await exchange(
+                    version, writer, reader, protocol.request_frame(op, op)
+                )
+                for op in (protocol.OP_ROUTE, protocol.OP_CLUSTER_STATUS)
+            ]
+
+        route, status = self.run_with_server(scenario)
+        assert route["ok"] is True and route["v"] == version
+        assert "shards" in route["body"]
+        assert status["ok"] is True and status["v"] == version
+        assert status["id"] == protocol.OP_CLUSTER_STATUS
 
 
 def test_op_tables_are_the_protocol_op_sets():

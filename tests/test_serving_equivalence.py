@@ -23,6 +23,7 @@ from repro.core import (
     MSoDPolicySet,
     SQLiteRetainedADIStore,
 )
+from repro.obs import Recorder
 from repro.server import AuthorizationService, ServerThread
 from repro.workload import (
     AUDITOR,
@@ -90,13 +91,15 @@ class TestDifferentialEquivalence:
         )
 
     def _remote_leg(self, requests, protocol_version, backend):
-        """Run the stream through a fresh server over one wire protocol."""
+        """Run the stream through a fresh server over one wire protocol;
+        also return how many decisions the server received batched."""
         if backend == "memory":
             store = InMemoryRetainedADIStore()  # workers never linger
         else:
             store = SQLiteRetainedADIStore(":memory:")
         engine = MSoDEngine(bank_policy_set(), store)
-        service = AuthorizationService(engine, n_shards=4, batch_max=8)
+        perf = Recorder()
+        service = AuthorizationService(engine, n_shards=4, batch_max=8, perf=perf)
         with ServerThread(service) as server:
             with RemotePDP(
                 server.host,
@@ -105,10 +108,10 @@ class TestDifferentialEquivalence:
                 protocol_version=protocol_version,
             ) as pdp:
                 decisions = [pdp.decide(request) for request in requests]
-                negotiated = pdp.negotiated_protocol
         digest = store_digest(store)
         store.close()
-        return decisions, digest, negotiated
+        batched = perf.sizes().get("wire.batch_size")
+        return decisions, digest, batched.total if batched else 0
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_remote_decisions_equal_in_process_bit_for_bit(self, backend):
@@ -128,14 +131,16 @@ class TestDifferentialEquivalence:
         local_decisions = [local_engine.check(request) for request in requests]
         local_digest = store_digest(local_engine.store)
 
-        v1_decisions, v1_digest, v1_negotiated = self._remote_leg(
+        v1_decisions, v1_digest, v1_batched = self._remote_leg(
             requests, "v1", backend
         )
-        v2_decisions, v2_digest, v2_negotiated = self._remote_leg(
+        v2_decisions, v2_digest, v2_batched = self._remote_leg(
             requests, "v2", backend
         )
-        assert v1_negotiated == 1
-        assert v2_negotiated == 2
+        # Each leg ran over its own protocol: the server received every
+        # v2 decision in a decide-batch frame, and no v1 one.
+        assert v1_batched == 0
+        assert v2_batched == len(requests)
 
         assert len(v1_decisions) == len(local_decisions)
         assert len(v2_decisions) == len(local_decisions)
