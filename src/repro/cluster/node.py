@@ -479,11 +479,7 @@ class ClusterNode:
         holds the imported copy.
         """
         with self._lock:
-            moved = {
-                record.user_id
-                for record in self._store.records()
-                if user_filter(record.user_id)
-            }
+            moved = set(filter(user_filter, self._store.user_ids()))
             for user_id in moved:
                 self._store.purge_user(user_id)
             dead = [

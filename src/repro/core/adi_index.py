@@ -7,13 +7,18 @@ which privileges it exercised there (:class:`_UserAggregate`).
 stores, :class:`~repro.core.tiered.TieredADIStore` as LRU shards of
 aggregates plus one presence.  None of them locks: the composing store
 owns the discipline.
+
+The records themselves are packed rows of a :class:`_Rows` table, one
+per index or hot shard; aggregates hold row numbers.  A
+:class:`~repro.core.retained_adi.RetainedADIRecord` is built only when a
+store hands records out.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Union
 
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
@@ -21,81 +26,172 @@ from repro.core.context import ContextName
 if TYPE_CHECKING:
     from repro.core.retained_adi import RetainedADIRecord
 
-_RECORD_ID = attrgetter("record_id")
-#: A bucket's fold: its roles, and per request its earliest record.
-_Fold = tuple[set[Role], dict[str, "RetainedADIRecord"]]
+#: A bucket's fold: its roles, and per request its earliest row.
+_Fold = tuple[set[Role], dict[str, int]]
+
+
+class _Rows:
+    """Retained records as packed rows: one column per field.
+
+    ``record_ids`` and ``granted_at`` are typed arrays, so a row's id and
+    time are 16 bytes and no objects.  The other columns hold references
+    the stores already share — interned strings, shared role tuples,
+    interned context names — and the request id.  A row's number is its
+    position in every column; :meth:`release` clears a row's references
+    and :meth:`add` reuses its number.
+    """
+
+    __slots__ = (
+        "record_ids", "granted_at", "user_ids", "roles", "operations",
+        "targets", "contexts", "request_ids", "_free",
+    )
+
+    def __init__(self) -> None:
+        self.record_ids = array("q")
+        self.granted_at = array("d")
+        self.user_ids: list[str | None] = []
+        self.roles: list[tuple[Role, ...] | None] = []
+        self.operations: list[str | None] = []
+        self.targets: list[str | None] = []
+        self.contexts: list[ContextName | None] = []
+        self.request_ids: list[str | None] = []
+        self._free = array("q")
+
+    def add(self, record: RetainedADIRecord) -> int:
+        """Pack one record into a row; its row number."""
+        user_id, roles, operation, target, context, at, request_id, record_id = record
+        if self._free:
+            row = self._free.pop()
+            self.record_ids[row] = record_id
+            self.granted_at[row] = at
+            self.user_ids[row] = user_id
+            self.roles[row] = roles
+            self.operations[row] = operation
+            self.targets[row] = target
+            self.contexts[row] = context
+            self.request_ids[row] = request_id
+            return row
+        self.record_ids.append(record_id)
+        self.granted_at.append(at)
+        self.user_ids.append(user_id)
+        self.roles.append(roles)
+        self.operations.append(operation)
+        self.targets.append(target)
+        self.contexts.append(context)
+        self.request_ids.append(request_id)
+        return len(self.user_ids) - 1
+
+    def __len__(self) -> int:
+        """The rows in use."""
+        return len(self.record_ids) - len(self._free)
+
+    def release(self, rows: Iterable[int]) -> None:
+        """Free rows for reuse, dropping their references."""
+        for row in rows:
+            self.user_ids[row] = self.roles[row] = self.operations[row] = None
+            self.targets[row] = self.contexts[row] = self.request_ids[row] = None
+            self._free.append(row)
+
+    def records(self, rows: Iterable[int]) -> list[RetainedADIRecord]:
+        """The records the rows hold, in the order given."""
+        # Imported here: retained_adi imports this module at load time.
+        from repro.core.retained_adi import RetainedADIRecord
+
+        new = tuple.__new__
+        ids, at, users, roles = (
+            self.record_ids, self.granted_at, self.user_ids, self.roles
+        )
+        operations, targets = self.operations, self.targets
+        contexts, requests = self.contexts, self.request_ids
+        return [
+            new(RetainedADIRecord, (
+                users[row], roles[row], operations[row], targets[row],
+                contexts[row], at[row], requests[row], ids[row],
+            ))
+            for row in rows
+        ]
 
 
 class _ContextBucket:
-    """The records of a ``(user, concrete-context)`` pair holding several.
+    """The rows of a ``(user, concrete-context)`` pair holding several.
 
-    A pair holds its first record bare (:class:`_UserAggregate`); the
-    second builds this bucket.  ``records`` is id-ordered.
-    :meth:`fold` computes, the first time a query reaches the bucket,
-    the activated roles and, per ``request_id``, the *earliest* record:
-    step 5.iv stores one record per matched role, but they count as one
-    privilege exercise.  ``add`` keeps a fold up to date; ``discard``
-    (a purge: rare, and usually of the whole bucket) drops it for a
-    refold.
+    A pair holds its first record's row number bare
+    (:class:`_UserAggregate`); the second builds this bucket.  ``rows``
+    is in record-id order.  :meth:`fold` computes, the first time a
+    query reaches the bucket, the activated roles and, per
+    ``request_id``, the row of the *earliest* record: step 5.iv stores
+    one record per matched role, but they count as one privilege
+    exercise.  ``add`` keeps a fold up to date; ``discard`` (a purge:
+    rare, and usually of the whole bucket) drops it for a refold.
     """
 
-    __slots__ = ("records", "_folded")
+    __slots__ = ("rows", "_folded")
 
-    def __init__(self, records: list[RetainedADIRecord]) -> None:
-        self.records = records
+    def __init__(self, rows: array) -> None:
+        self.rows = rows
         self._folded: _Fold | None = None
 
-    def add(self, record: RetainedADIRecord) -> bool:
-        """File one record; ``False`` when its id is already held."""
-        records = self.records
-        record_id = record.record_id
-        if records[-1].record_id < record_id:
-            records.append(record)
+    def add(self, table: _Rows, row: int) -> bool:
+        """File one packed row; ``False`` when its record id is already held."""
+        rows = self.rows
+        ids = table.record_ids
+        record_id = ids[row]
+        if ids[rows[-1]] < record_id:
+            rows.append(row)
         else:
-            at = bisect_left(records, record_id, key=_RECORD_ID)
-            if at < len(records) and records[at].record_id == record_id:
+            at = bisect_left(rows, record_id, key=ids.__getitem__)
+            if at < len(rows) and ids[rows[at]] == record_id:
                 return False
-            records.insert(at, record)
+            rows.insert(at, row)
         if self._folded is not None:
             roles, exercises = self._folded
-            roles.update(record.roles)
-            first = exercises.get(record.request_id)
-            if first is None or record_id < first.record_id:
-                exercises[record.request_id] = record
+            roles.update(table.roles[row])
+            request_id = table.request_ids[row]
+            first = exercises.get(request_id)
+            if first is None or record_id < ids[first]:
+                exercises[request_id] = row
         return True
 
-    def discard(self, record_ids: set[int]) -> list[RetainedADIRecord]:
-        """Drop the held records among ``record_ids``; the ones dropped."""
-        dropped = [r for r in self.records if r.record_id in record_ids]
+    def discard(self, table: _Rows, record_ids: Collection[int]) -> list[int]:
+        """Unlink the rows whose ids are listed; the rows unlinked."""
+        ids = table.record_ids
+        dropped = [row for row in self.rows if ids[row] in record_ids]
         if dropped:
-            self.records = [r for r in self.records if r.record_id not in record_ids]
+            self.rows = array(
+                "q", [row for row in self.rows if ids[row] not in record_ids]
+            )
             self._folded = None
         return dropped
 
-    def fold(self) -> _Fold:
+    def fold(self, table: _Rows) -> _Fold:
         if self._folded is None:
             roles: set[Role] = set()
-            exercises: dict[str, RetainedADIRecord] = {}
-            for record in self.records:  # id order: the first is earliest
-                roles.update(record.roles)
-                exercises.setdefault(record.request_id, record)
+            exercises: dict[str, int] = {}
+            held_roles, requests = table.roles, table.request_ids
+            for row in self.rows:  # id order: the first is earliest
+                roles.update(held_roles[row])
+                exercises.setdefault(requests[row], row)
             self._folded = (roles, exercises)
         return self._folded
 
 
-#: What a ``(user, context)`` pair holds: its one record, or its bucket.
-_Held = Union["RetainedADIRecord", _ContextBucket]
+#: What a ``(user, context)`` pair holds: its one row, or its bucket.
+_Held = Union[int, _ContextBucket]
 
 
-def _records_of(holders: Iterable[_Held]) -> list[RetainedADIRecord]:
-    """Every record the holders hold, in record-id order."""
-    found: list[RetainedADIRecord] = []
+def _held_rows(held: _Held) -> Iterable[int]:
+    return held.rows if type(held) is _ContextBucket else (held,)
+
+
+def _rows_of(table: _Rows, holders: Iterable[_Held]) -> list[int]:
+    """Every row the holders hold, in record-id order."""
+    found: list[int] = []
     for held in holders:
         if type(held) is _ContextBucket:
-            found.extend(held.records)
+            found.extend(held.rows)
         else:
             found.append(held)
-    found.sort(key=_RECORD_ID)
+    found.sort(key=table.record_ids.__getitem__)
     return found
 
 
@@ -103,9 +199,10 @@ class _UserAggregate:
     """One user's records by concrete context, and the folds over them.
 
     ``buckets`` maps each concrete context to what its pair holds: the
-    one record itself, the shape most pairs keep for life, or from the
-    second record on a :class:`_ContextBucket`, which stays until the
-    pair is deleted.
+    row number of its one record, the shape most pairs keep for life, or
+    from the second record on a :class:`_ContextBucket`, which stays
+    until the pair is deleted.  The rows live in ``table``, which the
+    aggregate may share with others (an index's, a hot shard's).
 
     ``add``/``remove`` are **idempotent** by record id: a tiered
     mutation's hot update may race a hydration that already read the
@@ -119,34 +216,46 @@ class _UserAggregate:
     rare — context termination or admin purges).
     """
 
-    __slots__ = ("buckets", "_memo")
+    __slots__ = ("table", "buckets", "_memo")
 
     #: Memo-size guard: effective contexts are policy-derived and few,
     #: but an adversarial query stream must not grow the memo unboundedly.
     _MEMO_LIMIT = 1024
 
-    def __init__(self) -> None:
+    def __init__(self, table: _Rows | None = None) -> None:
+        self.table = _Rows() if table is None else table
         self.buckets: dict[ContextName, _Held] = {}
         self._memo: dict[ContextName, list[_Held]] | None = None
 
     # -- maintenance ---------------------------------------------------
     def add(self, record: RetainedADIRecord) -> _Held | None:
-        """File one record; what its pair now holds, ``None`` if held."""
+        """File one record; what its pair now holds, ``None`` if held.
+
+        The record is packed first: a record already held (by id) is
+        rare, and releasing its row is cheaper than a second lookup of
+        the pair on every add.
+        """
         context = record.context_instance
-        held = self.buckets.get(context)
-        if held is None:
-            holder: _Held = record
+        table = self.table
+        row = table.add(record)
+        held = self.buckets.setdefault(context, row)
+        if held is row:  # a new pair: a held row is never the one just packed
+            holder: _Held = row
         elif type(held) is _ContextBucket:
-            return held if held.add(record) else None
-        elif held.record_id == record.record_id:
+            if held.add(table, row):
+                return held
+            table.release((row,))
+            return None
+        elif table.record_ids[held] == record.record_id:
+            table.release((row,))
             return None  # hydration already saw this committed record
         else:  # the pair's second record
-            holder = _ContextBucket(sorted((held, record), key=_RECORD_ID))
-        self.buckets[context] = holder
+            pair = (held, row) if table.record_ids[held] < record.record_id else (row, held)
+            holder = self.buckets[context] = _ContextBucket(array("q", pair))
         if self._memo:
             for effective, matching in self._memo.items():
                 if effective.matcher.matches(context):
-                    if held is None:
+                    if holder is row:
                         matching.append(holder)
                     else:
                         matching[matching.index(held)] = holder
@@ -158,18 +267,23 @@ class _UserAggregate:
         One pass per touched pair.  A record not held was hydrated
         after the warm delete, so it is already gone.
         """
-        doomed: dict[ContextName, set[int]] = {}
+        doomed: dict[ContextName, dict[int, RetainedADIRecord]] = {}
         for record in records:
-            doomed.setdefault(record.context_instance, set()).add(record.record_id)
+            doomed.setdefault(record.context_instance, {})[record.record_id] = record
+        table = self.table
+        ids = table.record_ids
         removed: list[RetainedADIRecord] = []
-        for context, record_ids in doomed.items():
+        for context, by_id in doomed.items():
             held = self.buckets.get(context)
             if type(held) is _ContextBucket:
-                removed.extend(held.discard(record_ids))
-                if held.records:
+                dropped = held.discard(table, by_id)
+                removed.extend(by_id[ids[row]] for row in dropped)
+                table.release(dropped)
+                if held.rows:
                     continue
-            elif held is not None and held.record_id in record_ids:
-                removed.append(held)
+            elif held is not None and ids[held] in by_id:
+                removed.append(by_id[ids[held]])
+                table.release((held,))
             else:
                 continue
             del self.buckets[context]
@@ -178,6 +292,12 @@ class _UserAggregate:
                 # pruning every cached list.
                 self._memo = {}
         return removed
+
+    def release(self) -> None:
+        """Free every row this aggregate holds (it is being dropped)."""
+        table = self.table
+        for held in self.buckets.values():
+            table.release(_held_rows(held))
 
     # -- folds ---------------------------------------------------------
     def _matching(self, effective_context: ContextName) -> list[_Held]:
@@ -198,42 +318,57 @@ class _UserAggregate:
 
     def roles(self, effective_context: ContextName) -> frozenset[Role]:
         """Roles the user has activated within the effective context."""
+        table = self.table
+        held_roles = table.roles
         roles: set[Role] = set()
         for held in self._matching(effective_context):
             if type(held) is _ContextBucket:
-                roles.update(held.fold()[0])
+                roles.update(held.fold(table)[0])
             else:
-                roles.update(held.roles)
+                roles.update(held_roles[held])
         return frozenset(roles)
 
     def exercises(self, effective_context: ContextName) -> list[Privilege]:
         """Privileges exercised, one per request, in record-id order."""
-        firsts: list[RetainedADIRecord] = []
+        table = self.table
+        firsts: list[int] = []
         for held in self._matching(effective_context):
             if type(held) is _ContextBucket:
-                firsts.extend(held.fold()[1].values())
+                firsts.extend(held.fold(table)[1].values())
             else:
                 firsts.append(held)
-        firsts.sort(key=_RECORD_ID)
+        firsts.sort(key=table.record_ids.__getitem__)
+        requests, operations, targets = (
+            table.request_ids, table.operations, table.targets
+        )
+        new = tuple.__new__
         seen_requests: set[str] = set()
         exercises: list[Privilege] = []
-        for record in firsts:
-            if record.request_id in seen_requests:
+        for row in firsts:
+            request_id = requests[row]
+            if request_id in seen_requests:
                 continue
-            seen_requests.add(record.request_id)
-            exercises.append(record.privilege)
+            seen_requests.add(request_id)
+            # The granted request's own pair: built without the checks.
+            exercises.append(new(Privilege, (operations[row], targets[row])))
         return exercises
+
+    def rows(self, effective_context: ContextName) -> list[int]:
+        """The user's rows within the context, in record-id order."""
+        return _rows_of(self.table, self._matching(effective_context))
 
     def records(self, effective_context: ContextName) -> list[RetainedADIRecord]:
         """The user's records within the context, in record-id order."""
-        return _records_of(self._matching(effective_context))
+        return self.table.records(self.rows(effective_context))
 
 
 class _ContextPresence:
     """Which concrete contexts hold records, indexed for context matching.
 
-    ``counts`` maps each concrete context instance to its record count;
-    it is bounded by the number of distinct contexts, not by users.
+    ``counts`` maps each concrete context instance to how often it was
+    added and not yet forgotten — its record count in a tier, 1 in a
+    :class:`_UserContextIndex`; it is bounded by the number of distinct
+    contexts, not by users.
     ``_postings`` maps each ``(position, component value)`` of a live
     context to the live contexts holding it, and changes exactly where
     ``counts`` gains or loses a key.  :meth:`matching` is the one
@@ -273,14 +408,14 @@ class _ContextPresence:
             postings.setdefault(key, set()).add(context)
 
     def add(self, context: ContextName) -> None:
-        """Count one more record in a concrete context."""
+        """Count a concrete context once more."""
         count = self.counts.get(context, 0)
         self.counts[context] = count + 1
         if not count:
             self._post(context)
 
     def forget(self, contexts: Iterable[ContextName]) -> None:
-        """Count one record fewer in each listed concrete context."""
+        """Count each listed concrete context once less."""
         counts = self.counts
         postings = self._postings
         vanished: list[ContextName] = []
@@ -348,19 +483,24 @@ class _UserContextIndex:
     The number of distinct concrete instances (and of instances any one
     user has touched) is tiny compared to the record count, so
     context-scoped queries walk a handful of pairs — each answering
-    from its one record or its bucket's fold — instead of scanning
-    every record;
+    from its one row or its bucket's fold — instead of scanning every
+    record;
     cross-user queries find their contexts through
     :meth:`_ContextPresence.matching`, not by scanning the live ones.
+    Every aggregate files its rows in the index's one ``rows`` table.
+    The presence counts each live context once (``_by_context`` holds
+    its pairs), so only a context's first pair and its last removal
+    reach it.
 
     Both always-resident backends share this structure: the in-memory
     store uses it as its primary index, the SQLite store as a lazily
     built cache kept in lock-step with the table.
     """
 
-    __slots__ = ("_by_user", "_by_context", "_presence")
+    __slots__ = ("rows", "_by_user", "_by_context", "_presence")
 
     def __init__(self) -> None:
+        self.rows = _Rows()
         self._by_user: dict[str, _UserAggregate] = {}
         self._by_context: dict[ContextName, dict[str, _Held]] = {}
         self._presence = _ContextPresence()
@@ -370,19 +510,24 @@ class _UserContextIndex:
         user_id = record.user_id
         aggregate = self._by_user.get(user_id)
         if aggregate is None:
-            aggregate = self._by_user[user_id] = _UserAggregate()
+            aggregate = self._by_user[user_id] = _UserAggregate(self.rows)
         held = aggregate.add(record)
-        if held is not None:
+        # A new pair holds a row; a promoted one, a bucket of two rows.
+        # A bucket already filed here keeps its place.
+        if held is not None and (type(held) is int or len(held.rows) == 2):
             context = record.context_instance
-            self._by_context.setdefault(context, {})[user_id] = held
-            self._presence.add(context)
+            by_users = self._by_context.get(context)
+            if by_users is None:
+                by_users = self._by_context[context] = {}
+                self._presence.add(context)
+            by_users[user_id] = held
 
     def remove(self, records: Iterable[RetainedADIRecord]) -> None:
         """Retire records, skipping those not held (idempotent by id)."""
         by_user: dict[str, list[RetainedADIRecord]] = {}
         for record in records:
             by_user.setdefault(record.user_id, []).append(record)
-        forgotten: list[ContextName] = []
+        vanished: list[ContextName] = []
         for user_id, mine in by_user.items():
             aggregate = self._by_user.get(user_id)
             if aggregate is None:
@@ -394,31 +539,63 @@ class _UserContextIndex:
                     del by_users[user_id]
                     if not by_users:
                         del self._by_context[context]
+                        vanished.append(context)
             if not aggregate.buckets:
                 del self._by_user[user_id]
-            forgotten.extend(record.context_instance for record in removed)
-        self._presence.forget(forgotten)
+        self._presence.forget(vanished)
 
     # -- queries -------------------------------------------------------
     def resident_users(self) -> int:
         return len(self._by_user)
 
+    def user_ids(self) -> set[str]:
+        return set(self._by_user)
+
     def context_counts(self) -> dict[ContextName, int]:
-        return dict(self._presence.counts)
+        return {
+            context: sum(len(_held_rows(held)) for held in by_users.values())
+            for context, by_users in self._by_context.items()
+        }
 
     def has_context(self, effective_context: ContextName) -> bool:
         return self._presence.has_context(effective_context)
 
+    def context_rows(self, effective_context: ContextName) -> list[int]:
+        """The rows within the context, in record-id order."""
+        by_context = self._by_context
+        return _rows_of(
+            self.rows,
+            (
+                held
+                for context in self._presence.matching(effective_context)
+                for held in by_context[context].values()
+            ),
+        )
+
     def context_records(
         self, effective_context: ContextName
     ) -> list[RetainedADIRecord]:
+        return self.rows.records(self.context_rows(effective_context))
+
+    def users_with_privileges(
+        self, privileges: Iterable[Privilege], effective_context: ContextName
+    ) -> frozenset[str]:
+        """Users holding a row of a listed privilege within the context."""
+        wanted = set(privileges)
+        operations, targets = self.rows.operations, self.rows.targets
+        new = tuple.__new__
+        owners: set[str] = set()
         by_context = self._by_context
-        return _records_of(
-            held
-            for context in self._presence.matching(effective_context)
-            for held in by_context[context].values()
-        )
+        for context in self._presence.matching(effective_context):
+            for user_id, held in by_context[context].items():
+                if user_id in owners:
+                    continue
+                for row in _held_rows(held):
+                    if new(Privilege, (operations[row], targets[row])) in wanted:
+                        owners.add(user_id)
+                        break
+        return frozenset(owners)
 
     def user(self, user_id: str) -> _UserAggregate:
         """The user's aggregate to fold over; an empty one if unknown."""
-        return self._by_user.get(user_id) or _UserAggregate()
+        return self._by_user.get(user_id) or _UserAggregate(self.rows)

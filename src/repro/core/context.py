@@ -168,13 +168,25 @@ class _CompiledMatcher:
 
 
 @lru_cache(maxsize=8192)
+def _component(ctx_type: str, value: str) -> ContextComponent:
+    """The first-parsed equal component, for parsed names to share.
+
+    Distinct names repeat their components (every ``Period=P1`` name
+    holds one): a parsed name shares each component object, and its
+    strings, with every other name parsed with it.
+    """
+    return ContextComponent(ctx_type, value)
+
+
+@lru_cache(maxsize=8192)
 def _parse_interned(text: str) -> "ContextName":
     """Parse and intern a context name (LRU-cached on the stripped text).
 
     Request streams repeat a small set of context-instance strings, and
     the SQLite store re-parses the ``context`` column of candidate rows;
     interning makes repeats a dict hit and lets equal names share their
-    memoized hash/str/matcher state.
+    memoized hash/str/matcher state, and their components
+    (:func:`_component`).
     """
     components = []
     for part in text.split(","):
@@ -186,7 +198,7 @@ def _parse_interned(text: str) -> "ContextName":
             raise ContextNameError(
                 f"component {part!r} is not of the form type=value"
             )
-        components.append(ContextComponent(ctx_type.strip(), value.strip()))
+        components.append(_component(ctx_type.strip(), value.strip()))
     return ContextName(components)
 
 

@@ -30,6 +30,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import starmap
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
@@ -96,16 +97,18 @@ class RetainedADIRecord(TypedTuple, _RecordFields):
 
     @classmethod
     def from_dict(cls, data: dict, record_id: int | None = None) -> "RetainedADIRecord":
-        return cls(
-            user_id=intern(data["user_id"]),
-            roles=_shared_roles(tuple(Role(rt, rv) for rt, rv in data["roles"])),
-            operation=intern(data["operation"]),
-            target=intern(data["target"]),
-            context_instance=ContextName.parse(data["context_instance"]),
-            granted_at=data["granted_at"],
-            request_id=data["request_id"],
-            record_id=record_id,
-        )
+        # Built as a tuple: a stored row is decoded on every read the
+        # SQLite store's index does not answer (a tier's hydration).
+        return tuple.__new__(cls, (
+            intern(data["user_id"]),
+            _shared_roles(tuple(starmap(Role, data["roles"]))),
+            intern(data["operation"]),
+            intern(data["target"]),
+            ContextName.parse(data["context_instance"]),
+            data["granted_at"],
+            data["request_id"],
+            record_id,
+        ))
 
 
 def _stamped(record: RetainedADIRecord, record_id: int) -> RetainedADIRecord:
@@ -202,6 +205,14 @@ class RetainedADIStore:
 
     def count(self) -> int:
         raise NotImplementedError
+
+    def user_ids(self) -> set[str]:
+        """The users holding at least one record.
+
+        The generic implementation scans :meth:`records`; backends with
+        a per-user index override it.
+        """
+        return {record.user_id for record in self.records()}
 
     def close(self) -> None:
         """Release any underlying resources.  Idempotent."""
@@ -335,19 +346,19 @@ class RetainedADIStore:
 class InMemoryRetainedADIStore(RetainedADIStore):
     """Retained ADI held in memory (paper Section 5.2).
 
-    Records live in a :class:`~repro.core.adi_index._UserContextIndex`,
-    so context-scoped queries (the hot path of algorithm steps 3 and 7)
-    touch only the matching buckets and the engine's role/privilege
-    history views never scan.  Deleting a record fully unlinks it from
-    every index, so long-lived users do not accumulate stale entries.
-    The index is the only copy: the management operations that name no
-    context or user (:meth:`records`, :meth:`purge_older_than`, a purge
-    by record id) walk all of it.
+    Records live as packed rows in a
+    :class:`~repro.core.adi_index._UserContextIndex`, so context-scoped
+    queries (the hot path of algorithm steps 3 and 7) touch only the
+    matching buckets and the engine's history views never scan.
+    Deleting a record fully unlinks it from every index and frees its
+    row, so long-lived users do not accumulate stale entries.  The index
+    is the only copy: the management operations that name no context or
+    user (:meth:`records`, :meth:`purge_older_than`, a purge by record
+    id) walk all of it, and records are built only to be handed out.
     """
 
     def __init__(self, records: Iterable[RetainedADIRecord] = ()) -> None:
         self._index = _UserContextIndex()
-        self._count = 0
         self._next_id = 1
         for record in records:
             self.add(record)
@@ -356,7 +367,6 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         stored = _stamped(record, self._next_id)
         self._index.add(stored)
         self._next_id += 1
-        self._count += 1
         return stored
 
     def records(self) -> Iterator[RetainedADIRecord]:
@@ -373,29 +383,33 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     def has_context(self, effective_context: ContextName) -> bool:
         return self._index.has_context(effective_context)
 
-    def _delete(self, records: list[RetainedADIRecord]) -> int:
+    def _delete(self, rows: list[int]) -> list[RetainedADIRecord]:
+        """Delete the records the rows hold; those records."""
+        records = self._index.rows.records(rows)
         self._index.remove(records)
-        self._count -= len(records)
-        return len(records)
+        return records
 
     def purge_context(self, effective_context: ContextName) -> int:
-        return self._delete(self._index.context_records(effective_context))
+        return len(self._delete(self._index.context_rows(effective_context)))
 
     def purge_user(self, user_id: str) -> int:
-        return self._delete(self._index.user(user_id).records(_ROOT))
+        return len(self._delete(self._index.user(user_id).rows(_ROOT)))
 
     def purge_older_than(self, cutoff: float) -> int:
-        records = self._index.context_records(_ROOT)
-        return self._delete([r for r in records if r.granted_at < cutoff])
+        granted_at = self._index.rows.granted_at
+        rows = self._index.context_rows(_ROOT)
+        return len(self._delete([row for row in rows if granted_at[row] < cutoff]))
 
     def clear(self) -> int:
-        removed = self._count
-        self._count = 0
+        removed = self.count()
         self._index = _UserContextIndex()
         return removed
 
     def count(self) -> int:
-        return self._count
+        return len(self._index.rows)
+
+    def user_ids(self) -> set[str]:
+        return self._index.user_ids()
 
     def stats(self) -> dict:
         return {
@@ -410,15 +424,14 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
         evicted: list[RetainedADIRecord] = []
         for context in mutation.purge_contexts:
-            doomed = self._index.context_records(context)
-            evicted.extend(doomed)  # deleted now, so no later context sees them
-            self._delete(doomed)
+            # Deleted now, so no later context sees them.
+            evicted.extend(self._delete(self._index.context_rows(context)))
         if mutation.purge_record_ids:
             ids = set(mutation.purge_record_ids)
-            records = self._index.context_records(_ROOT)
-            doomed = [r for r in records if r.record_id in ids]
-            evicted.extend(doomed)
-            self._delete(doomed)
+            record_ids = self._index.rows.record_ids
+            rows = self._index.context_rows(_ROOT)
+            doomed = [row for row in rows if record_ids[row] in ids]
+            evicted.extend(self._delete(doomed))
         added = [self.add(record) for record in mutation.adds]
         return ADIApplyOutcome(evicted, added)
 
@@ -433,6 +446,13 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     ) -> list[Privilege]:
         return self._index.user(user_id).exercises(effective_context)
 
+    def users_with_privileges(
+        self,
+        privileges: Iterable[Privilege],
+        effective_context: ContextName,
+    ) -> frozenset[str]:
+        return self._index.users_with_privileges(privileges, effective_context)
+
 
 class SQLiteRetainedADIStore(RetainedADIStore):
     """Retained ADI in a relational database (the Section 6 proposal).
@@ -443,21 +463,24 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     and matched in Python; this keeps semantics identical across
     backends.
 
-    Two layers keep the Python-side matching off the hot path:
-
-    * a row→record cache — rows are immutable once inserted, so a cached
-      row is never deserialised again; ``max_row_cache`` resets it whole;
-    * the in-memory store's :class:`~repro.core.adi_index._UserContextIndex`,
-      built lazily from the table on the first history query and then
-      maintained in lock-step with every mutation, all of which happen
-      under this store's lock.
+    The in-memory store's :class:`~repro.core.adi_index._UserContextIndex`
+    keeps the Python-side matching off the hot path.  It is built lazily
+    from the table on the first history query and then maintained in
+    lock-step with every mutation, all of which happen under this
+    store's lock.  Once built, it answers every read — the engine's
+    views, :meth:`find`, :meth:`find_user`, :meth:`records` and a
+    purge's candidate selection — from its packed rows; before that, a
+    read decodes the rows it selects.  No decoded record is kept: the
+    index's rows are the store's only resident copy.  ``max_row_cache``
+    is accepted (and checked) for callers written against the row cache
+    this store used to keep; it bounds nothing now.
 
     **Threading discipline.**  The connection is opened with
     ``check_same_thread=False`` and every statement (and every
-    cache/index mutation) runs under the single ``self._lock``, so the
+    index mutation) runs under the single ``self._lock``, so the
     store is safe to share across the serving worker pool: sqlite3 never
-    sees concurrent statements on the one connection, and the row cache
-    and lock-step index can never diverge from the table.  WAL journal
+    sees concurrent statements on the one connection, and the lock-step
+    index can never diverge from the table.  WAL journal
     mode (file-backed databases only) lets *other* connections — e.g. an
     operator's ``python -m repro history`` against a live server's
     database — read without blocking the writer, and ``busy_timeout``
@@ -476,7 +499,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     ) -> None:
         if max_row_cache is not None and max_row_cache < 1:
             raise StoreError("max_row_cache must be >= 1 (or None)")
-        self._max_row_cache = max_row_cache
         try:
             self._conn = sqlite3.connect(path, check_same_thread=False)
             self._conn.execute(f"PRAGMA busy_timeout={self.BUSY_TIMEOUT_MS}")
@@ -494,7 +516,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         self._lock = threading.Lock()
         self._batch_depth = 0
         self._closed = False
-        self._row_cache: dict[int, RetainedADIRecord] = {}
         self._index: _UserContextIndex | None = None
         self._conn.execute(
             """
@@ -551,7 +572,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         """The one INSERT: the stored record, with its assigned id.
 
         Caller owns the lock and the enclosing transaction, and admits
-        the result to the cache/index once that transaction is safe.
+        the result to the index once that transaction is safe.
         """
         fields = record.to_dict()
         cursor = self._conn.execute(
@@ -580,63 +601,28 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             self._admit_locked(stored)
         return stored
 
-    # -- cache/index maintenance (call with the lock held) -------------
-    def _bound_row_cache_locked(self) -> None:
-        """Keep the row cache within its optional bound.
-
-        The cache is an append-mostly id→record map with no recency
-        tracking, so the bound is enforced by wholesale reset: crude,
-        but O(1) amortised, and only layered deployments (where the
-        warm store must not hold every user resident) set a bound at
-        all.  Never resets while the lock-step index is built — the
-        index holds the same record objects, so evicting cache entries
-        underneath it would save nothing.
-        """
-        if (
-            self._max_row_cache is not None
-            and self._index is None
-            and len(self._row_cache) > self._max_row_cache
-        ):
-            self._row_cache = {}
-
+    # -- index maintenance (call with the lock held) -------------------
     def _admit_locked(self, record: RetainedADIRecord) -> None:
-        self._row_cache[record.record_id] = record
         if self._index is not None:
             self._index.add(record)
-        self._bound_row_cache_locked()
 
     def _evict_locked(self, records: list[RetainedADIRecord]) -> None:
-        for record in records:
-            self._row_cache.pop(record.record_id, None)
         if self._index is not None:
             self._index.remove(records)
 
     def _select_locked(
         self, where: str = "", params: tuple = ()
     ) -> list[RetainedADIRecord]:
-        """The one SELECT: rows in id order, deserialised at most once.
-
-        Caller holds the lock — materialising fills (and may rebind) the
-        row cache.  Caching is safe because rows are immutable:
-        ``record_id`` is an AUTOINCREMENT key, never reused or updated
-        in place.
-        """
+        """The one SELECT: rows in id order, decoded.  Caller holds the lock."""
         rows = self._conn.execute(
             f"SELECT record_id, payload FROM retained_adi{where}"
             " ORDER BY record_id",
             params,
         ).fetchall()
-        found: list[RetainedADIRecord] = []
-        for record_id, payload in rows:
-            record = self._row_cache.get(record_id)
-            if record is None:
-                record = RetainedADIRecord.from_dict(
-                    json.loads(payload), record_id=record_id
-                )
-                self._row_cache[record_id] = record
-                self._bound_row_cache_locked()
-            found.append(record)
-        return found
+        return [
+            RetainedADIRecord.from_dict(json.loads(payload), record_id=record_id)
+            for record_id, payload in rows
+        ]
 
     def _in_context_locked(
         self, effective_context: ContextName, user_id: str | None = None
@@ -646,8 +632,14 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         A purge MUST select its doomed records through this inside the
         same locked transaction as the deletes: selecting first and
         locking later would let a concurrent ``add`` slip a matching
-        record in between and survive the purge.
+        record in between and survive the purge.  A built index holds
+        exactly the table's rows, so it answers instead of the table.
         """
+        index = self._index
+        if index is not None:
+            if user_id is None:
+                return index.context_records(effective_context)
+            return index.user(user_id).records(effective_context)
         if effective_context.is_root:  # every instance is subordinate to it
             if user_id is None:
                 return self._select_locked()
@@ -675,7 +667,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     def records(self) -> Iterator[RetainedADIRecord]:
         self._ensure_open()
         with self._lock:
-            return iter(self._select_locked())
+            return iter(self._in_context_locked(_ROOT))
 
     def find(self, effective_context: ContextName) -> list[RetainedADIRecord]:
         self._ensure_open()
@@ -720,7 +712,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         with self._lock:
             with self._atomic_locked():
                 cursor = self._conn.execute("DELETE FROM retained_adi")
-            self._row_cache.clear()
             self._index = None  # rebuilt lazily, from the now-empty table
         return cursor.rowcount
 
@@ -731,6 +722,15 @@ class SQLiteRetainedADIStore(RetainedADIStore):
                 "SELECT COUNT(*) FROM retained_adi"
             ).fetchone()
         return total
+
+    def user_ids(self) -> set[str]:
+        """One walk of the ``user_id`` index; no row is decoded."""
+        self._ensure_open()
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT DISTINCT user_id FROM retained_adi"
+            ).fetchall()
+        return {user_id for (user_id,) in rows}
 
     def stats(self) -> dict:
         self._ensure_open()
@@ -743,14 +743,12 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             resident = (
                 self._index.resident_users() if self._index is not None else 0
             )
-            row_cache = len(self._row_cache)
         return {
             "backend": "sqlite",
             "records": total,
             "resident_users": resident,
             "evictions": 0,
             "hydrations": 0,
-            "row_cache": row_cache,
             "warm_bytes": page_count * page_size,
         }
 
@@ -772,7 +770,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         """Run a mutation's SQL (purges then adds) on the open cursor.
 
         Caller owns the lock and the enclosing transaction/savepoint,
-        and brings the cache/index up to date from the outcome.
+        and brings the index up to date from the outcome.
         """
         evicted: dict[int, RetainedADIRecord] = {}
         for context in mutation.purge_contexts:
@@ -840,10 +838,10 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         coalesce into the single open transaction, which commits when
         the last batch exits.  Decisions already released from their
         savepoints are committed even if a later decision in the batch
-        raises — their in-memory cache/index updates have already been
+        raises — their in-memory index updates have already been
         published, and rolling the table back underneath them would
         desynchronise the two.  A failed commit rolls it all back, drops
-        the cache and index (rebuilt from the table), and raises.
+        the index (rebuilt from the table), and raises.
         """
         self._ensure_open()
         with self._lock:
@@ -860,7 +858,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
                         self._conn.commit()
                     except sqlite3.Error as exc:
                         self._conn.rollback()
-                        self._row_cache.clear()
                         self._index = None
                         raise StoreError(f"batch commit failed: {exc}") from exc
 
@@ -880,6 +877,16 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         with self._lock:
             index = self._ensure_index_locked()
             return index.user(user_id).exercises(effective_context)
+
+    def users_with_privileges(
+        self,
+        privileges: Iterable[Privilege],
+        effective_context: ContextName,
+    ) -> frozenset[str]:
+        self._ensure_open()
+        with self._lock:
+            index = self._ensure_index_locked()
+            return index.users_with_privileges(privileges, effective_context)
 
     def close(self) -> None:
         if not self._closed:

@@ -16,10 +16,12 @@ any window.
 * **hot layer** — one :class:`~repro.core.adi_index._UserAggregate`
   per resident user (the class the resident stores index with), sharded
   by ``crc32(user_id)`` with per-shard LRU eviction bounded by
-  ``hot_users``.  A cold user's entry is **lazily hydrated** from the
-  warm layer on first touch, under that user's shard lock; inactive
-  users are evicted without any write-back (the warm layer already
-  holds their records), so RSS scales with the *active* set.
+  ``hot_users``; a shard's aggregates pack their records into the
+  shard's one row table.  A cold user's entry is **lazily hydrated**
+  from the warm layer on first touch, under that user's shard lock;
+  inactive users are evicted without any write-back (the warm layer
+  already holds their records) and free their rows, so RSS scales with
+  the *active* set.
 
 Context presence (algorithm step 3/7 existence checks) is answered from
 a store-wide :class:`~repro.core.adi_index._ContextPresence`, seeded
@@ -49,7 +51,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.core.adi_index import _ContextPresence, _UserAggregate
+from repro.core.adi_index import _ContextPresence, _Rows, _UserAggregate
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
 from repro.core.retained_adi import (
@@ -64,16 +66,23 @@ _ROOT = ContextName.root()
 
 
 class _HotShard:
-    """One LRU shard of resident user entries plus its lock."""
+    """One LRU shard of resident user entries, their rows, and its lock."""
 
-    __slots__ = ("lock", "entries", "capacity", "evictions", "hydrations")
+    __slots__ = ("lock", "entries", "rows", "capacity", "evictions", "hydrations")
 
     def __init__(self, capacity: int) -> None:
         self.lock = threading.RLock()
         self.entries: "OrderedDict[str, _UserAggregate]" = OrderedDict()
+        self.rows = _Rows()
         self.capacity = capacity
         self.evictions = 0
         self.hydrations = 0
+
+    def drop(self, user_id: str) -> None:
+        """Forget a resident user's entry, freeing its rows."""
+        entry = self.entries.pop(user_id, None)
+        if entry is not None:
+            entry.release()
 
 
 class TieredADIStore(RetainedADIStore):
@@ -86,8 +95,6 @@ class TieredADIStore(RetainedADIStore):
         tiered store never calls its resident-index paths
         (``has_context`` / ``user_roles`` / ``user_privilege_exercises``)
         — those would pull every user into memory and defeat the tier.
-        Pair a SQLite warm layer with ``max_row_cache`` so its row
-        cache stays bounded too.
     hot_users:
         Total resident-user budget, split across the shards.  The
         hot layer holds at most this many user entries; the LRU tail
@@ -144,13 +151,13 @@ class TieredADIStore(RetainedADIStore):
         if entry is not None:
             shard.entries.move_to_end(user_id)
             return entry
-        entry = _UserAggregate()
+        entry = _UserAggregate(shard.rows)
         for record in self._warm.find_user(user_id, _ROOT):
             entry.add(record)
         shard.entries[user_id] = entry
         shard.hydrations += 1
         while len(shard.entries) > shard.capacity:
-            shard.entries.popitem(last=False)
+            shard.entries.popitem(last=False)[1].release()
             shard.evictions += 1
         return entry
 
@@ -190,6 +197,9 @@ class TieredADIStore(RetainedADIStore):
 
     def count(self) -> int:
         return self._warm.count()
+
+    def user_ids(self) -> set[str]:
+        return self._warm.user_ids()
 
     def context_counts(self) -> dict[ContextName, int]:
         with self._meta_lock:
@@ -249,7 +259,7 @@ class TieredADIStore(RetainedADIStore):
             with shard.lock:
                 doomed = self._warm.find_user(user_id, _ROOT)
                 purged = self._warm.purge_user(user_id)
-                shard.entries.pop(user_id, None)
+                shard.drop(user_id)
             with self._meta_lock:
                 self._presence.forget(
                     record.context_instance for record in doomed
@@ -278,6 +288,7 @@ class TieredADIStore(RetainedADIStore):
         for shard in self._shards:
             with shard.lock:
                 shard.entries.clear()
+                shard.rows = _Rows()
         with self._meta_lock:
             self._presence = _ContextPresence(self._warm.context_counts())
 

@@ -78,10 +78,12 @@ async def _read_line(reader: asyncio.StreamReader, head: bytes) -> bytes | None:
     if head == b"\n":
         return head
     try:
-        line = await reader.readline()
+        line = head + await reader.readline()
     except (asyncio.LimitOverrunError, ValueError):
         raise StreamCorrupt("frame exceeds size limit") from None
-    return head + line or None
+    # ``readline`` hands back what precedes EOF without its newline: a
+    # truncated frame, never run.
+    return line if line.endswith(b"\n") else None
 
 
 async def _read_v2_payload(

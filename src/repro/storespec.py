@@ -200,20 +200,17 @@ def build_store(
     if parsed.kind == "memory":
         return InMemoryRetainedADIStore(), True
     if parsed.kind == "sqlite":
-        return _build_sqlite(parsed, default_sqlite_path, None), True
+        return _build_sqlite(parsed, default_sqlite_path), True
     if parsed.kind == "tiered":
         warm = parsed.warm
         assert warm is not None
         hot_users = parsed.hot_users or DEFAULT_HOT_USERS
         hot_shards = parsed.hot_shards or DEFAULT_HOT_SHARDS
-        if warm.kind == "sqlite":
-            # Bound the warm layer's row cache too, or it would grow a
-            # resident entry per row and defeat the tier's RSS bound.
-            warm_store: RetainedADIStore = _build_sqlite(
-                warm, default_sqlite_path, max(1024, 4 * hot_users)
-            )
-        else:
-            warm_store = InMemoryRetainedADIStore()
+        warm_store: RetainedADIStore = (
+            _build_sqlite(warm, default_sqlite_path)
+            if warm.kind == "sqlite"
+            else InMemoryRetainedADIStore()
+        )
         return (
             TieredADIStore(
                 warm_store,
@@ -247,9 +244,7 @@ def open_store(
 
 
 def _build_sqlite(
-    parsed: ParsedStoreSpec,
-    default_sqlite_path: str | None,
-    max_row_cache: int | None,
+    parsed: ParsedStoreSpec, default_sqlite_path: str | None
 ) -> SQLiteRetainedADIStore:
     path = parsed.path if parsed.path is not None else default_sqlite_path
     if path is None:
@@ -258,4 +253,4 @@ def _build_sqlite(
             "a default exists, e.g. cluster per-node files); use "
             "'sqlite:<path>' here"
         )
-    return SQLiteRetainedADIStore(path, max_row_cache=max_row_cache)
+    return SQLiteRetainedADIStore(path)

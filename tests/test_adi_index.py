@@ -124,8 +124,15 @@ def _views(aggregate, context=_ROOT):
     )
 
 
+def _held(aggregate, context):
+    """The records ``context``'s pair holds, built from its rows."""
+    held = aggregate.buckets[context]
+    rows = held.rows if type(held) is _ContextBucket else [held]
+    return aggregate.table.records(rows)
+
+
 class TestOneRecordPairs:
-    """A pair holds its one record itself; the second builds a bucket."""
+    """A pair holds its one record's row; the second builds a bucket."""
 
     def test_second_record_promotes_the_pair_everywhere_it_is_held(self):
         index = _UserContextIndex()
@@ -135,8 +142,9 @@ class TestOneRecordPairs:
         index.add(_record(6, context="Dept=d2", role=_AUDITOR))
         aggregate = index.user("u1")
         assert aggregate._memo is None  # no read yet
-        assert aggregate.buckets[d1] is later
-        assert index._by_context[d1] == {"u1": later}
+        row = aggregate.buckets[d1]
+        assert type(row) is int and _held(aggregate, d1) == [later]
+        assert index._by_context[d1] == {"u1": row}
         for query in (d1, d2, _ROOT):
             _views(aggregate, query)
         memo = dict(aggregate._memo)
@@ -144,12 +152,12 @@ class TestOneRecordPairs:
         index.add(earlier)  # arrives second, sorts first
         bucket = aggregate.buckets[d1]
         assert type(bucket) is _ContextBucket
-        assert bucket.records == [earlier, later]
+        assert _held(aggregate, d1) == [earlier, later]
         assert index._by_context[d1] == {"u1": bucket}
         assert all(aggregate._memo[query] is memo[query] for query in memo)
         assert aggregate._memo[d1] == [bucket]
         assert bucket in aggregate._memo[_ROOT]
-        assert later not in aggregate._memo[_ROOT]
+        assert row not in aggregate._memo[_ROOT]
         assert aggregate._memo[d2] == [aggregate.buckets[d2]]
         rebuilt = _rebuilt(aggregate.records(_ROOT))
         for query in (d1, d2, _ROOT):
@@ -202,7 +210,7 @@ class TestOneRecordPairs:
         assert aggregate.buckets[d1] is bucket  # still a bucket, not demoted
         assert index._by_context[d1] == {"u1": bucket}
         assert aggregate._memo is memo
-        assert bucket.records == [records[0], records[2]]
+        assert _held(aggregate, d1) == [records[0], records[2]]
         assert index.context_counts() == {d1: 2}
         assert _views(aggregate) == _views(_rebuilt([records[0], records[2]]))
         index.remove([records[0], records[2]])
@@ -420,6 +428,31 @@ class TestIdleHistory:
         finally:
             store.close()
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "tiered"])
+    def test_no_record_object_stays_resident(self, backend):
+        """The rows are the only resident copy: a record is built to be
+        handed out, and goes with its last reference."""
+        gc.collect()
+        # Held, so no record made below can take one of their ids.
+        before = [obj for obj in gc.get_objects() if type(obj) is RetainedADIRecord]
+        known = {id(obj) for obj in before}
+        store = _preloaded(backend)
+        try:
+            store.has_context(_ROOT)  # builds SQLite's lock-step index
+            for user_id in ("u0000000", "u0000024"):  # hydrates tiered users
+                assert store.user_roles(user_id, _QUERY)
+                assert len(store.find_user(user_id, _ROOT)) == 4
+            assert len(store.find(_QUERY)) > 0
+            gc.collect()
+            resident = [
+                obj
+                for obj in gc.get_objects()
+                if type(obj) is RetainedADIRecord and id(obj) not in known
+            ]
+            assert resident == []
+        finally:
+            store.close()
+
     def test_memory_store_bytes_per_record(self):
         """Traced bytes and GC-tracked objects per preloaded record.
 
@@ -429,7 +462,9 @@ class TestIdleHistory:
         1 192 B and 6.9 objects with folds deferred to the first read,
         shared strings, one-record lists and a by-id map; 1 027 B and
         4.9 objects with a one-record pair holding its record and no
-        by-id map.  Each ceiling is the last plus 25 %, rounded.
+        by-id map; 665 B and 1.5 objects with the records packed into
+        rows and parsed names sharing their components.  Each ceiling
+        is the last plus 25 %, rounded.
         """
         gc.collect()
         tracked = len(gc.get_objects())
@@ -443,8 +478,8 @@ class TestIdleHistory:
         finally:
             tracemalloc.stop()
         tracked = len(gc.get_objects()) - tracked
-        assert traced / store.count() <= 1_284
-        assert tracked / store.count() <= 6.1
+        assert traced / store.count() <= 831
+        assert tracked / store.count() <= 1.9
 
 
 _VALUES = ("x", "y", "z")

@@ -106,6 +106,16 @@ class TestParsing:
         name = ContextName.parse("A=1")
         assert repr(name) == "ContextName.parse('A=1')"
 
+    def test_names_parsed_from_different_texts_share_common_components(self):
+        york = ContextName.parse("Branch=York, Period=2006")
+        leeds = ContextName.parse(" Branch = Leeds ,Period=2006, Till=3")
+        assert york is not leeds
+        assert york.components[1] is leeds.components[1]
+        assert york.components[1].value is leeds.components[1].value
+        assert york.components[0] is not leeds.components[0]
+        hull = ContextName.parse("Branch=York, Period=2007")
+        assert hull.components[0] is york.components[0]
+
 
 class TestStructure:
     def test_root_properties(self):

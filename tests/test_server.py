@@ -423,6 +423,38 @@ class TestTCPServer(EndpointCases):
     def good_frame(self, frame_id):
         return decide_frame(frame_id, "bob")
 
+    @pytest.mark.parametrize("op", ["healthz", "decide"])
+    def test_a_v1_line_cut_short_by_eof_is_never_run(self, op):
+        """A complete frame without its newline, then a half-close: the
+        connection closes unanswered, and a decide commits nothing."""
+        frame = (
+            decide_frame("x", "alice")
+            if op == "decide"
+            else protocol.request_frame("healthz", "x")
+        )
+        line = protocol.encode_frame(frame)
+        assert line.endswith(b"\n")
+        store = InMemoryRetainedADIStore()
+
+        async def runner():
+            server = MSoDServer(AuthorizationService(make_engine(store), n_shards=2))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(line[:-1])
+                writer.write_eof()  # SHUT_WR
+                try:
+                    return await asyncio.wait_for(reader.read(), timeout=20)
+                finally:
+                    writer.close()
+            finally:
+                await server.stop()
+
+        assert asyncio.run(runner()) == b""
+        assert store.count() == 0
+
     def test_decide_round_trip(self):
         async def scenario(server, reader, writer):
             request = make_request("alice", TELLER)

@@ -81,33 +81,45 @@ class TestInMemoryIndexHygiene:
         )] == [ContextName.parse("Dept=d2")]
 
 
-class TestSQLiteCacheUnderLock:
-    def test_reads_fill_the_row_cache_only_under_the_store_lock(self):
-        """Every cache mutation runs under ``self._lock`` — reads included.
+class TestSQLiteReadsUnderLock:
+    def test_reads_touch_the_table_and_the_index_only_under_the_store_lock(self):
+        """Every read runs under ``self._lock`` — its SQL and its index use.
 
-        ``records()``/``find()``/``find_user()`` used to fetch rows under
-        the lock and deserialise them into the row cache after releasing
-        it, racing concurrent tiered hydrations.
+        ``records()``/``find()``/``find_user()`` once fetched rows under
+        the lock and deserialised them into a row cache after releasing
+        it, racing concurrent tiered hydrations.  Reads now decode what
+        they select, or answer from the lock-step index once it is built;
+        both happen under the lock.
         """
         store = SQLiteRetainedADIStore(":memory:")
 
-        class LockCheckedCache(dict):
-            def __setitem__(self, record_id, record):
-                assert store._lock.locked(), "row cache written unlocked"
-                super().__setitem__(record_id, record)
+        class LockChecked:
+            def __init__(self, inner):
+                self._inner = inner
 
+            def __getattr__(self, name):
+                assert store._lock.locked(), f"{name} used unlocked"
+                return getattr(self._inner, name)
+
+        conn = store._conn
         try:
             for index in range(3):
                 store.add(_record(index))
-            for read in (
+            reads = (
                 lambda: list(store.records()),
                 lambda: store.find(ContextName.parse("Dept=d1")),
                 lambda: store.find_user("u1", ContextName.root()),
-            ):
-                store._row_cache = LockCheckedCache()
+            )
+            store._conn = LockChecked(conn)
+            for read in reads:  # decoded from the table
                 assert len(read()) == 3
-                assert len(store._row_cache) == 3
+            assert store._index is None
+            assert store.has_context(ContextName.parse("Dept=d1"))
+            store._index = LockChecked(store._index)
+            for read in reads:  # answered from the index's rows
+                assert len(read()) == 3
         finally:
+            store._conn = conn
             store.close()
 
 

@@ -10,6 +10,7 @@ reader never observes a partially-built aggregate), and ``stats()``
 reports the counters the metrics endpoint exports.
 """
 
+import sys
 import threading
 import time
 
@@ -300,6 +301,52 @@ class TestHydrationLocking:
             thread.join()
         assert errors == []
 
+
+    def test_a_shards_row_table_survives_racing_hydration_eviction_and_writes(
+        self,
+    ):
+        """A hot shard's aggregates share its row table: users evicted
+        (freeing rows) and hydrated (reusing them) while a writer adds
+        must each keep exactly their own rows."""
+        store = tiered(hot_users=3, shards=1)
+        users = [f"u{index}" for index in range(8)]
+        for index, user in enumerate(users):
+            store.add(record(user, index, branch=f"B{index}"))
+        errors = []
+
+        def reader(user):
+            try:
+                for _ in range(150):
+                    held = store.find_user(user, ROOT)
+                    assert held and {r.user_id for r in held} == {user}
+                    assert store.user_roles(user, ROOT) == frozenset({TELLER})
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def writer():
+            try:
+                for index in range(150):
+                    user = users[index % len(users)]
+                    store.add(record(user, 100 + index, branch=f"W{index % 5}"))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(u,)) for u in users]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.stats()["evictions"] > 0
+        for user in users:
+            assert store.find_user(user, ROOT) == store.warm.find_user(user, ROOT)
 
 class TestEngineIntegration:
     def test_engine_decisions_match_always_resident_backend(self):
