@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import starmap
@@ -84,7 +84,7 @@ class RetainedADIRecord(TypedTuple, _RecordFields):
         return self.context_instance.is_equal_or_subordinate_to(effective_context)
 
     def to_dict(self) -> dict:
-        """JSON-compatible representation (for audit trails and SQLite)."""
+        """JSON-compatible representation (for audit trails)."""
         return {
             "user_id": self.user_id,
             "roles": [[role.role_type, role.value] for role in self.roles],
@@ -97,8 +97,7 @@ class RetainedADIRecord(TypedTuple, _RecordFields):
 
     @classmethod
     def from_dict(cls, data: dict, record_id: int | None = None) -> "RetainedADIRecord":
-        # Built as a tuple: a stored row is decoded on every read the
-        # SQLite store's index does not answer (a tier's hydration).
+        # Built as a tuple: a trail replay decodes one per retained grant.
         return tuple.__new__(cls, (
             intern(data["user_id"]),
             _shared_roles(tuple(starmap(Role, data["roles"]))),
@@ -112,13 +111,52 @@ class RetainedADIRecord(TypedTuple, _RecordFields):
 
 
 def _stamped(record: RetainedADIRecord, record_id: int) -> RetainedADIRecord:
-    """``record`` as a store holds it: strings interned, roles shared, id set."""
+    """``record`` as a store holds it: strings interned, roles shared, id
+    set, ``granted_at`` a ``float`` (as every store reads it back)."""
     user_id, roles, operation, target, context, at, request_id, _ = record
     return tuple.__new__(
         RetainedADIRecord,
         (intern(user_id), _shared_roles(roles), intern(operation),
-         intern(target), context, at, request_id, record_id),
+         intern(target), context, float(at), request_id, record_id),
     )
+
+
+# The SQLite store's table: one typed column per record field.
+_CREATE_TABLE = """
+    CREATE TABLE IF NOT EXISTS retained_adi (
+        record_id INTEGER PRIMARY KEY AUTOINCREMENT,
+        user_id TEXT NOT NULL,
+        roles TEXT NOT NULL,
+        operation TEXT NOT NULL,
+        target TEXT NOT NULL,
+        context TEXT NOT NULL,
+        granted_at REAL NOT NULL,
+        request_id TEXT NOT NULL
+    )
+"""
+# RetainedADIRecord's fields up to record_id, in order: with record_id
+# selected after them, a row unpacks as the record does.
+_COLUMNS = "user_id, roles, operation, target, context, granted_at, request_id"
+_INSERT = f"INSERT INTO retained_adi ({_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?)"
+
+
+@lru_cache(maxsize=4096)
+def _roles_text(roles: tuple[Role, ...]) -> str:
+    """The ``roles`` column's JSON text for a roles tuple."""
+    return json.dumps([[role.role_type, role.value] for role in roles])
+
+
+@lru_cache(maxsize=4096)
+def _roles_of(text: str) -> tuple[Role, ...]:
+    """The shared roles tuple a ``roles`` column's text holds."""
+    return _shared_roles(tuple(starmap(Role, json.loads(text))))
+
+
+def _row(record: RetainedADIRecord) -> tuple:
+    """``record``'s column values, in ``_COLUMNS`` order."""
+    user_id, roles, operation, target, context, at, request_id, _ = record
+    return (user_id, _roles_text(roles), operation, target, str(context), at,
+            request_id)
 
 
 @dataclass(slots=True)
@@ -463,6 +501,21 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     and matched in Python; this keeps semantics identical across
     backends.
 
+    **Schema.**  One ``retained_adi`` row per record, each field in its
+    own column: ``record_id`` (``INTEGER PRIMARY KEY AUTOINCREMENT``, so
+    an id is never reused), ``user_id``, ``roles`` (JSON text
+    ``[[type, value], ...]``), ``operation``, ``target``, ``context``
+    (the instance's text), ``granted_at`` (``REAL``, so it reads back a
+    ``float`` however it was added) and ``request_id``, with one index,
+    ``idx_adi_user``.  A read selects the columns in record field order
+    and builds each record from them directly; the roles text goes
+    through a bounded table each way, so only a roles set not seen
+    lately is encoded or decoded.  A file written when each row also
+    held its record as a JSON ``payload`` column is migrated once, in
+    one transaction, when it is opened (:meth:`_migrate_payload`):
+    every ``record_id`` and the AUTOINCREMENT sequence are kept, and
+    no ``payload`` column is left.
+
     The in-memory store's :class:`~repro.core.adi_index._UserContextIndex`
     keeps the Python-side matching off the hot path.  It is built lazily
     from the table on the first history query and then maintained in
@@ -470,10 +523,10 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     store's lock.  Once built, it answers every read — the engine's
     views, :meth:`find`, :meth:`find_user`, :meth:`records` and a
     purge's candidate selection — from its packed rows; before that, a
-    read decodes the rows it selects.  No decoded record is kept: the
-    index's rows are the store's only resident copy.  ``max_row_cache``
-    is accepted (and checked) for callers written against the row cache
-    this store used to keep; it bounds nothing now.
+    read builds records from the rows it selects.  No built record is
+    kept: the index's rows are the store's only resident copy.
+    ``max_row_cache`` is accepted (and checked) for callers written
+    against the row cache this store used to keep; it bounds nothing now.
 
     **Threading discipline.**  The connection is opened with
     ``check_same_thread=False`` and every statement (and every
@@ -517,17 +570,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         self._batch_depth = 0
         self._closed = False
         self._index: _UserContextIndex | None = None
-        self._conn.execute(
-            """
-            CREATE TABLE IF NOT EXISTS retained_adi (
-                record_id INTEGER PRIMARY KEY AUTOINCREMENT,
-                user_id TEXT NOT NULL,
-                context TEXT NOT NULL,
-                payload TEXT NOT NULL,
-                granted_at REAL NOT NULL
-            )
-            """
-        )
+        self._conn.execute(_CREATE_TABLE)
+        migrated = self._migrate_payload()
         self._conn.execute(
             "CREATE INDEX IF NOT EXISTS idx_adi_user ON retained_adi(user_id)"
         )
@@ -535,6 +579,60 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         # searches a BINARY one), so files that still carry it drop it.
         self._conn.execute("DROP INDEX IF EXISTS idx_adi_context")
         self._conn.commit()
+        if migrated:
+            # The old table's pages, over half the file, are free now.
+            # Should another connection keep VACUUM from handing them
+            # back, later inserts reuse them instead.
+            with suppress(sqlite3.Error):
+                self._conn.execute("VACUUM")
+
+    def _has_payload(self) -> bool:
+        return any(
+            name == "payload"
+            for (_, name, *_) in self._conn.execute("PRAGMA table_info(retained_adi)")
+        )
+
+    def _migrate_payload(self) -> bool:
+        """Rewrite a file whose rows are a JSON ``payload`` into typed columns.
+
+        One transaction: the old table is renamed aside, each row is
+        decoded through :meth:`RetainedADIRecord.from_dict` and inserted
+        under its own ``record_id``, the old table's AUTOINCREMENT
+        sequence is carried over, and the old table (with its indexes)
+        is dropped.  ``BEGIN IMMEDIATE`` and the re-check under it keep
+        two processes opening one old file from migrating it twice.
+        True when this call rewrote the table.
+        """
+        if not self._has_payload():
+            return False
+        conn = self._conn
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            with conn:  # commits, or rolls the whole rewrite back
+                if not self._has_payload():
+                    return False
+                conn.execute("ALTER TABLE retained_adi RENAME TO retained_adi_payload")
+                conn.execute(_CREATE_TABLE)
+                records = (
+                    RetainedADIRecord.from_dict(json.loads(payload), record_id)
+                    for record_id, payload in conn.execute(
+                        "SELECT record_id, payload FROM retained_adi_payload"
+                    )
+                )
+                conn.executemany(
+                    f"INSERT INTO retained_adi ({_COLUMNS}, record_id)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    ((*_row(record), record.record_id) for record in records),
+                )
+                conn.execute("DELETE FROM sqlite_sequence WHERE name = 'retained_adi'")
+                conn.execute(
+                    "UPDATE sqlite_sequence SET name = 'retained_adi'"
+                    " WHERE name = 'retained_adi_payload'"
+                )
+                conn.execute("DROP TABLE retained_adi_payload")
+        except (sqlite3.Error, ValueError, KeyError, TypeError) as exc:
+            raise StoreError(f"cannot migrate retained-ADI rows: {exc}") from exc
+        return True
 
     @staticmethod
     def _context_like_pattern(effective_context: ContextName) -> str:
@@ -545,8 +643,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         boundaries (and LIKE ignores ASCII case), so matches are
         over-approximate — every candidate is re-checked precisely in
         Python.  The prefilter drops rows of a table scan, or of the
-        ``user_id`` search, before they are decoded; it does not keep
-        the scan off unrelated rows, since no index serves a
+        ``user_id`` search, before records are built from them; it does
+        not keep the scan off unrelated rows, since no index serves a
         case-insensitive LIKE.
         """
 
@@ -574,17 +672,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         Caller owns the lock and the enclosing transaction, and admits
         the result to the index once that transaction is safe.
         """
-        fields = record.to_dict()
-        cursor = self._conn.execute(
-            "INSERT INTO retained_adi"
-            " (user_id, context, payload, granted_at) VALUES (?, ?, ?, ?)",
-            (
-                record.user_id,
-                fields["context_instance"],
-                json.dumps(fields, sort_keys=True),
-                record.granted_at,
-            ),
-        )
+        cursor = self._conn.execute(_INSERT, _row(record))
         return _stamped(record, cursor.lastrowid)
 
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
@@ -613,15 +701,20 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     def _select_locked(
         self, where: str = "", params: tuple = ()
     ) -> list[RetainedADIRecord]:
-        """The one SELECT: rows in id order, decoded.  Caller holds the lock."""
+        """The one SELECT: rows in id order, as records.  Caller holds the lock."""
         rows = self._conn.execute(
-            f"SELECT record_id, payload FROM retained_adi{where}"
+            f"SELECT {_COLUMNS}, record_id FROM retained_adi{where}"
             " ORDER BY record_id",
             params,
         ).fetchall()
+        new, parse = tuple.__new__, ContextName.parse
         return [
-            RetainedADIRecord.from_dict(json.loads(payload), record_id=record_id)
-            for record_id, payload in rows
+            new(RetainedADIRecord, (
+                intern(user_id), _roles_of(roles), intern(operation),
+                intern(target), parse(context), at, request_id, record_id,
+            ))
+            for user_id, roles, operation, target, context, at, request_id, record_id
+            in rows
         ]
 
     def _in_context_locked(
@@ -724,7 +817,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         return total
 
     def user_ids(self) -> set[str]:
-        """One walk of the ``user_id`` index; no row is decoded."""
+        """One walk of the ``user_id`` index; no record is built."""
         self._ensure_open()
         with self._lock:
             rows = self._conn.execute(
@@ -757,7 +850,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
 
         One GROUP BY, a scan of the table (``context`` has no index) —
         the tiered store seeds its presence aggregates from this at open
-        without paying :meth:`_ensure_index_locked`'s decode of every row.
+        without paying :meth:`_ensure_index_locked`'s build of every row.
         """
         self._ensure_open()
         with self._lock:
@@ -776,13 +869,16 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         for context in mutation.purge_contexts:
             for record in self._in_context_locked(context):
                 evicted.setdefault(record.record_id, record)
-        for record_id in mutation.purge_record_ids:
-            for record in self._select_locked(" WHERE record_id = ?", (record_id,)):
-                evicted.setdefault(record_id, record)
-        self._conn.executemany(
-            "DELETE FROM retained_adi WHERE record_id = ?",
-            [(record_id,) for record_id in evicted],
-        )
+        ids = mutation.purge_record_ids
+        if ids:
+            marks = ", ".join("?" * len(ids))
+            for record in self._select_locked(f" WHERE record_id IN ({marks})", ids):
+                evicted.setdefault(record.record_id, record)
+        if evicted:
+            self._conn.executemany(
+                "DELETE FROM retained_adi WHERE record_id = ?",
+                [(record_id,) for record_id in evicted],
+            )
         added = [self._insert_locked(record) for record in mutation.adds]
         return ADIApplyOutcome(list(evicted.values()), added)
 

@@ -9,6 +9,8 @@ import pytest
 
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
+from repro.core.decision import DecisionRequest, Effect
+from repro.core.engine import MSoDEngine
 from repro.core.retained_adi import (
     ADIMutation,
     InMemoryRetainedADIStore,
@@ -19,6 +21,7 @@ from repro.core.retained_adi import (
 )
 from repro.core.tiered import TieredADIStore
 from repro.errors import StoreError
+from repro.workload.generator import bank_policy_set
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -256,14 +259,24 @@ class TestStampedRecord:
             stored = store.add(given)
         else:
             (stored,) = store.apply_detailed(ADIMutation(adds=[given])).added
-        (payload,) = warm._conn.execute(
-            "SELECT payload FROM retained_adi WHERE record_id = ?",
-            (stored.record_id,),
-        ).fetchone()
-        assert payload == json.dumps(given.to_dict(), sort_keys=True)
-        assert stored == RetainedADIRecord.from_dict(
-            json.loads(payload), stored.record_id
+        cursor = warm._conn.execute(
+            "SELECT * FROM retained_adi WHERE record_id = ?", (stored.record_id,)
         )
+        columns = dict(zip([column for column, *_ in cursor.description],
+                           cursor.fetchone()))
+        assert json.loads(columns.pop("roles")) == [
+            [role.role_type, role.value] for role in given.roles
+        ]
+        assert columns == {
+            "record_id": stored.record_id,
+            "user_id": given.user_id,
+            "operation": given.operation,
+            "target": given.target,
+            "context": str(given.context_instance),
+            "granted_at": given.granted_at,
+            "request_id": given.request_id,
+        }
+        assert stored == given._replace(record_id=stored.record_id)
         assert stored.user_id is sys.intern("alice")
         assert stored.operation is sys.intern("handleCash")
         assert stored.target is sys.intern("till://7")
@@ -411,6 +424,167 @@ class TestWarmLayerSQL:
                 assert store.context_counts() == oracle.context_counts()
             finally:
                 store.close()
+
+
+class TestPayloadMigration:
+    """A file whose rows hold a JSON ``payload`` is rewritten once, on open."""
+
+    OLD_SCHEMA = """
+        CREATE TABLE retained_adi (
+            record_id INTEGER PRIMARY KEY AUTOINCREMENT,
+            user_id TEXT NOT NULL,
+            context TEXT NOT NULL,
+            payload TEXT NOT NULL,
+            granted_at REAL NOT NULL
+        );
+        CREATE INDEX idx_adi_user ON retained_adi(user_id);
+        CREATE INDEX idx_adi_context ON retained_adi(context);
+    """
+
+    @classmethod
+    def old_file(cls, path, records, deleted):
+        """An old-schema file holding ``records``, then ``deleted`` removed;
+        the records it keeps, read as the old store read them."""
+        conn = sqlite3.connect(path)
+        conn.executescript(cls.OLD_SCHEMA)
+        conn.executemany(
+            "INSERT INTO retained_adi (user_id, context, payload, granted_at)"
+            " VALUES (?, ?, ?, ?)",
+            [
+                (r.user_id, str(r.context_instance),
+                 json.dumps(r.to_dict(), sort_keys=True), r.granted_at)
+                for r in records
+            ],
+        )
+        conn.executemany(
+            "DELETE FROM retained_adi WHERE record_id = ?", [(n,) for n in deleted]
+        )
+        conn.commit()
+        kept = [
+            RetainedADIRecord.from_dict(json.loads(payload), record_id)
+            for record_id, payload in conn.execute(
+                "SELECT record_id, payload FROM retained_adi ORDER BY record_id"
+            )
+        ]
+        conn.close()
+        return kept
+
+    @staticmethod
+    def snapshot(path):
+        """What an open that migrates nothing must leave as it found."""
+        conn = sqlite3.connect(path)
+        try:
+            return (
+                conn.execute("PRAGMA schema_version").fetchone(),
+                conn.execute("SELECT * FROM retained_adi ORDER BY record_id").fetchall(),
+                conn.execute("SELECT * FROM sqlite_sequence").fetchall(),
+            )
+        finally:
+            conn.close()
+
+    def test_old_file_is_migrated_once_keeping_ids_and_sequence(self, tmp_path):
+        path = str(tmp_path / "old.db")
+        history = [
+            record(user=f"u{n % 3}", roles=(TELLER, AUDITOR)[: 1 + n % 2],
+                   context=f"Branch=B{n % 4}, Period=2006", at=n + 0.25,
+                   request_id=f"r{n}")
+            for n in range(12)
+        ]
+        # The highest id goes: only the sequence still remembers it.
+        before = self.old_file(path, history, deleted=(5, 12))
+        assert [r.record_id for r in before] == [1, 2, 3, 4, 6, 7, 8, 9, 10, 11]
+
+        store = SQLiteRetainedADIStore(path)
+        try:
+            after = list(store.records())
+            assert after == before
+            for got, old in zip(after, before):
+                assert [type(field) for field in got] == [type(field) for field in old]
+            columns = [
+                name
+                for _, name, *_ in store._conn.execute("PRAGMA table_info(retained_adi)")
+            ]
+            assert columns == [
+                "record_id", "user_id", "roles", "operation", "target",
+                "context", "granted_at", "request_id",
+            ]
+            # The old table's pages went back with a VACUUM.
+            assert store._conn.execute("PRAGMA freelist_count").fetchone() == (0,)
+        finally:
+            store.close()
+
+        migrated = self.snapshot(path)
+        SQLiteRetainedADIStore(path).close()
+        assert self.snapshot(path) == migrated  # a second open changes nothing
+
+        store = SQLiteRetainedADIStore(path)
+        try:
+            assert store.add(record(request_id="next")).record_id == 13
+        finally:
+            store.close()
+
+    def test_migrated_store_decides_as_a_memory_oracle(self, tmp_path):
+        path = str(tmp_path / "old.db")
+        history = [
+            record(user=f"u{n % 4}", roles=((TELLER,), (AUDITOR,))[n % 3 == 0],
+                   context=f"Branch=B{n % 3}, Period=2006", at=float(n),
+                   request_id=f"r{n}")
+            for n in range(24)
+        ]
+        kept = self.old_file(path, history, deleted=(24,))
+        oracle = MSoDEngine(bank_policy_set(), InMemoryRetainedADIStore(kept))
+        store = SQLiteRetainedADIStore(path)
+        try:
+            engine = MSoDEngine(bank_policy_set(), store)
+            effects = []
+            for n in range(36):
+                request = DecisionRequest(
+                    f"u{n % 5}", ((TELLER,), (AUDITOR,))[n % 2], "handleCash",
+                    "till://1", ContextName.parse(f"Branch=B{n % 4}, Period=2006"),
+                    100.0 + n, request_id=f"q{n}",
+                )
+                decision = engine.check(request)
+                assert decision == oracle.check(request), n
+                effects.append(decision.effect)
+            assert set(effects) == {Effect.GRANT, Effect.DENY}
+            assert store_digest(store) == store_digest(oracle.store)
+        finally:
+            store.close()
+
+
+class TestGrantedAtType:
+    """``granted_at`` reads back a ``float`` from every store, however added."""
+
+    @pytest.mark.parametrize(
+        "kind", ["memory", "sqlite", "sqlite-indexed", "tiered:sqlite"]
+    )
+    def test_int_granted_at_comes_back_a_float(self, kind):
+        store = {
+            "memory": InMemoryRetainedADIStore,
+            "sqlite": lambda: SQLiteRetainedADIStore(":memory:"),
+            "sqlite-indexed": lambda: SQLiteRetainedADIStore(":memory:"),
+            "tiered:sqlite": lambda: TieredADIStore(
+                SQLiteRetainedADIStore(":memory:"), hot_users=1, shards=1,
+                owns_warm=True,
+            ),
+        }[kind]()
+        try:
+            returned = [store.add(record(user="alice", at=5))]
+            returned += store.apply_detailed(
+                ADIMutation(adds=[record(user="bob", at=7, request_id="r2")])
+            ).added
+            if kind == "sqlite-indexed":
+                store.has_context(ContextName.root())  # reads now use the index
+            found = [
+                *store.records(),
+                *store.find(ContextName.parse("Branch=York")),
+                *store.find_user("alice", ContextName.root()),
+                *store.find_user("bob", ContextName.root()),
+            ]
+            assert [r.granted_at for r in returned + found] == [5.0, 7.0] * 4
+            assert all(type(r.granted_at) is float for r in returned + found)
+        finally:
+            store.close()
 
 
 class _FailNextCommit:
