@@ -5,9 +5,9 @@ users, 24 divisions, 192 roles, four-deep contexts, Zipf-skewed
 traffic over a 5% active set) through the same multi-session preload
 (retained history for every user, predating the measured window — the
 inactive millions the always-resident stores must index and the tier
-leaves warm) and the same seeded decision stream against three store
-backends — always-resident ``memory``, always-
-resident ``sqlite`` and the hot/warm ``tiered`` split — and reports,
+leaves warm) and the same seeded decision stream against two store
+backends — always-resident ``memory`` and the hot/warm ``tiered``
+split over SQLite — and reports,
 per leg: closed-loop throughput, service-time p50/p99, peak RSS
 (``ru_maxrss``), an open-loop phase at a fraction of the measured
 closed-loop rate (latency measured from *scheduled arrival*, so
@@ -23,10 +23,17 @@ Two gates ride along (both run in ``--smoke``):
 * **differential**: every leg must produce the identical decision-
   effect stream (sha256 over effect/adds/purges per request, across
   two mid-run policy epoch swaps) and the identical final store
-  fingerprint — the tiered store is bit-identical to the SQLite
+  fingerprint — the tiered store is bit-identical to the memory
   oracle through eviction/rehydration cycles or this bench fails;
 * **RSS bound**: the tiered leg's peak RSS must stay ≤ 25% of the
-  always-resident sqlite leg's (full runs; smoke prints the ratio).
+  always-resident memory leg's (full runs; smoke prints the ratio).
+
+An always-resident ``sqlite`` leg (SQLite with a lazily built index of
+every row) was the RSS bound's reference until the ``sqlite`` spec
+became the default tier over its file.  In the last full-size run the
+memory leg peaked at 7 946 MiB against that leg's 8 745, so the bound
+is no looser against memory; the full-size ratio has not been re-run
+against it.
 
 Results land in ``benchmarks/results/BENCH_scale.json``::
 
@@ -47,7 +54,7 @@ import sys
 import tempfile
 import time
 
-LEGS = ("memory", "sqlite", "tiered")
+LEGS = ("memory", "tiered")
 BATCH_CHUNK = 512
 RSS_BOUND_FRACTION = 0.25
 DEFAULT_OUTPUT = os.path.join(
@@ -58,8 +65,6 @@ DEFAULT_OUTPUT = os.path.join(
 def leg_store_spec(leg: str, workdir: str, hot_users: int, shards: int) -> str:
     if leg == "memory":
         return "memory"
-    if leg == "sqlite":
-        return f"sqlite:{os.path.join(workdir, 'adi-sqlite.db')}"
     warm = os.path.join(workdir, "adi-tiered.db")
     return f"tiered:sqlite:{warm}?hot_users={hot_users}&shards={shards}"
 
@@ -287,8 +292,8 @@ def run_parent(args: argparse.Namespace) -> int:
     stores = {leg: legs[leg]["store_sha256"] for leg in LEGS}
     identical = len(set(effects.values())) == 1 and len(set(stores.values())) == 1
     rss_fraction = (
-        legs["tiered"]["ru_maxrss_kb"] / legs["sqlite"]["ru_maxrss_kb"]
-        if legs["sqlite"]["ru_maxrss_kb"]
+        legs["tiered"]["ru_maxrss_kb"] / legs["memory"]["ru_maxrss_kb"]
+        if legs["memory"]["ru_maxrss_kb"]
         else float("inf")
     )
     tiered_stats = legs["tiered"]["store_stats"]
@@ -312,7 +317,7 @@ def run_parent(args: argparse.Namespace) -> int:
             "store_sha256": stores,
         },
         "rss": {
-            "tiered_over_sqlite": round(rss_fraction, 4),
+            "tiered_over_memory": round(rss_fraction, 4),
             "bound": RSS_BOUND_FRACTION,
             "within_bound": rss_fraction <= RSS_BOUND_FRACTION,
         },
@@ -339,7 +344,7 @@ def run_parent(args: argparse.Namespace) -> int:
         f"{'identical' if identical else 'DIVERGED'} across {', '.join(LEGS)}"
     )
     print(
-        f"[bench_scale] tiered rss = {rss_fraction:.1%} of sqlite "
+        f"[bench_scale] tiered rss = {rss_fraction:.1%} of memory "
         f"(bound {RSS_BOUND_FRACTION:.0%}), "
         f"{report['tiered']['evictions']} evictions, "
         f"{report['tiered']['hydrations']} hydrations"

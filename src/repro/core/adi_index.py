@@ -3,9 +3,9 @@
 Steps 3, 5 and 6 of the Section 4.2 algorithm ask whether a context has
 started (:class:`_ContextPresence`) and which roles a user activated and
 which privileges it exercised there (:class:`_UserAggregate`).
-:class:`_UserContextIndex` composes the two for the always-resident
-stores, :class:`~repro.core.tiered.TieredADIStore` as LRU shards of
-aggregates plus one presence.  None of them locks: the composing store
+:class:`_UserContextIndex` composes the two for the in-memory store,
+:class:`~repro.core.tiered.TieredADIStore` as LRU shards of aggregates
+plus one presence.  None of them locks: the composing store
 owns the discipline.
 
 The records themselves are packed rows of a :class:`_Rows` table, one
@@ -492,9 +492,7 @@ class _UserContextIndex:
     its pairs), so only a context's first pair and its last removal
     reach it.
 
-    Both always-resident backends share this structure: the in-memory
-    store uses it as its primary index, the SQLite store as a lazily
-    built cache kept in lock-step with the table.
+    The in-memory store uses it as its primary and only index.
     """
 
     __slots__ = ("rows", "_by_user", "_by_context", "_presence")

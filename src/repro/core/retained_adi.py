@@ -16,7 +16,10 @@ Two store backends are provided:
 * :class:`SQLiteRetainedADIStore` — the "secure relational database" the
   paper proposes as its next implementation (Section 6), which avoids the
   audit-trail replay cost measured in ``benchmarks/bench_recovery_
-  scalability.py``.
+  scalability.py``.  It is SQL only: its engine views are the
+  :class:`RetainedADIStore` scan definitions, and the ``sqlite`` store
+  specs serve it through :class:`~repro.core.tiered.TieredADIStore`,
+  whose aggregates answer them.
 
 Both honour the same :class:`RetainedADIStore` interface so the engine and
 benchmarks can ablate them.
@@ -40,6 +43,9 @@ from repro.core.context import ContextName
 from repro.errors import StoreError
 
 _ROOT = ContextName.root()
+
+#: Per privilege, each concrete context's users and their record counts.
+OwnerCounts = dict[Privilege, dict[ContextName, dict[str, int]]]
 
 
 @lru_cache(maxsize=4096)
@@ -223,7 +229,7 @@ class RetainedADIStore:
 
     def has_context(self, effective_context: ContextName) -> bool:
         """True when any record matches the context (step 3 existence)."""
-        raise NotImplementedError
+        return bool(self.find(effective_context))
 
     def purge_context(self, effective_context: ContextName) -> int:
         """Delete all records matching the context; return the count."""
@@ -286,6 +292,20 @@ class RetainedADIStore:
             context = record.context_instance
             counts[context] = counts.get(context, 0) + 1
         return counts
+
+    def owner_counts(self, privileges: Iterable[Privilege]) -> OwnerCounts:
+        """Per listed privilege (each has an entry), its owners' counts.
+
+        The tiered store seeds its owner fold from this; the generic
+        implementation scans :meth:`records`, SQLite groups in SQL.
+        """
+        owners: OwnerCounts = {privilege: {} for privilege in privileges}
+        for record in self.records():
+            fold = owners.get(record.privilege)
+            if fold is not None:
+                users = fold.setdefault(record.context_instance, {})
+                users[record.user_id] = users.get(record.user_id, 0) + 1
+        return owners
 
     # ------------------------------------------------------------------
     def apply(self, mutation: ADIMutation) -> int:
@@ -516,29 +536,27 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     every ``record_id`` and the AUTOINCREMENT sequence are kept, and
     no ``payload`` column is left.
 
-    The in-memory store's :class:`~repro.core.adi_index._UserContextIndex`
-    keeps the Python-side matching off the hot path.  It is built lazily
-    from the table on the first history query and then maintained in
-    lock-step with every mutation, all of which happen under this
-    store's lock.  Once built, it answers every read — the engine's
-    views, :meth:`find`, :meth:`find_user`, :meth:`records` and a
-    purge's candidate selection — from its packed rows; before that, a
-    read builds records from the rows it selects.  No built record is
-    kept: the index's rows are the store's only resident copy.
-    ``max_row_cache`` is accepted (and checked) for callers written
-    against the row cache this store used to keep; it bounds nothing now.
+    The store is SQL only and keeps nothing resident: every read builds
+    its records from the rows it selects, and the engine's views are the
+    base class's scan definitions over :meth:`find` and
+    :meth:`find_user`.  It is the durable format and the warm layer of
+    :class:`~repro.core.tiered.TieredADIStore`, which is what the
+    ``sqlite`` store specs build: the tier answers the views from its
+    aggregates and reads this store only to hydrate a user, to seed
+    them (:meth:`context_counts`, :meth:`owner_counts`), and for the
+    management operations.  ``max_row_cache`` is accepted (and checked)
+    for callers written against the row cache this store used to keep;
+    it bounds nothing now.
 
     **Threading discipline.**  The connection is opened with
-    ``check_same_thread=False`` and every statement (and every
-    index mutation) runs under the single ``self._lock``, so the
-    store is safe to share across the serving worker pool: sqlite3 never
-    sees concurrent statements on the one connection, and the lock-step
-    index can never diverge from the table.  WAL journal
-    mode (file-backed databases only) lets *other* connections — e.g. an
-    operator's ``python -m repro history`` against a live server's
-    database — read without blocking the writer, and ``busy_timeout``
-    makes cross-connection lock collisions wait instead of failing with
-    ``database is locked``.
+    ``check_same_thread=False`` and every statement runs under the
+    single ``self._lock``, so the store is safe to share across the
+    serving worker pool: sqlite3 never sees concurrent statements on
+    the one connection.  WAL journal mode (file-backed databases only)
+    lets *other* connections — e.g. an operator's ``python -m repro
+    history`` against a live server's database — read without blocking
+    the writer, and ``busy_timeout`` makes cross-connection lock
+    collisions wait instead of failing with ``database is locked``.
     """
 
     #: How long (ms) a statement waits on another connection's lock
@@ -569,7 +587,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         self._lock = threading.Lock()
         self._batch_depth = 0
         self._closed = False
-        self._index: _UserContextIndex | None = None
         self._conn.execute(_CREATE_TABLE)
         migrated = self._migrate_payload()
         self._conn.execute(
@@ -669,8 +686,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
     def _insert_locked(self, record: RetainedADIRecord) -> RetainedADIRecord:
         """The one INSERT: the stored record, with its assigned id.
 
-        Caller owns the lock and the enclosing transaction, and admits
-        the result to the index once that transaction is safe.
+        Caller owns the lock and the enclosing transaction.
         """
         cursor = self._conn.execute(_INSERT, _row(record))
         return _stamped(record, cursor.lastrowid)
@@ -685,18 +701,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             # between ~3k and ~100k adds/s on bulk replays.  Outside
             # one, a failed commit rolls the insert back.
             with nullcontext() if self._batch_depth else self._atomic_locked():
-                stored = self._insert_locked(record)
-            self._admit_locked(stored)
-        return stored
-
-    # -- index maintenance (call with the lock held) -------------------
-    def _admit_locked(self, record: RetainedADIRecord) -> None:
-        if self._index is not None:
-            self._index.add(record)
-
-    def _evict_locked(self, records: list[RetainedADIRecord]) -> None:
-        if self._index is not None:
-            self._index.remove(records)
+                return self._insert_locked(record)
 
     def _select_locked(
         self, where: str = "", params: tuple = ()
@@ -725,14 +730,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         A purge MUST select its doomed records through this inside the
         same locked transaction as the deletes: selecting first and
         locking later would let a concurrent ``add`` slip a matching
-        record in between and survive the purge.  A built index holds
-        exactly the table's rows, so it answers instead of the table.
+        record in between and survive the purge.
         """
-        index = self._index
-        if index is not None:
-            if user_id is None:
-                return index.context_records(effective_context)
-            return index.user(user_id).records(effective_context)
         if effective_context.is_root:  # every instance is subordinate to it
             if user_id is None:
                 return self._select_locked()
@@ -748,14 +747,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             for record in self._select_locked(where, params)
             if matches(record.context_instance)
         ]
-
-    def _ensure_index_locked(self) -> _UserContextIndex:
-        if self._index is None:
-            index = _UserContextIndex()
-            for record in self._select_locked():
-                index.add(record)
-            self._index = index
-        return self._index
 
     def records(self) -> Iterator[RetainedADIRecord]:
         self._ensure_open()
@@ -774,13 +765,6 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         with self._lock:
             return self._in_context_locked(effective_context, user_id)
 
-    def has_context(self, effective_context: ContextName) -> bool:
-        self._ensure_open()
-        with self._lock:
-            # Answered from the lock-step index (with its cross-request
-            # presence memo) rather than a per-call SQL DISTINCT scan.
-            return self._ensure_index_locked().has_context(effective_context)
-
     def purge_context(self, effective_context: ContextName) -> int:
         return self.apply(ADIMutation(purge_contexts=[effective_context]))
 
@@ -789,10 +773,8 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         self._ensure_open()
         with self._lock:
             with self._atomic_locked():
-                doomed = self._select_locked(where, params)
-                self._conn.execute(f"DELETE FROM retained_adi{where}", params)
-            self._evict_locked(doomed)
-        return len(doomed)
+                cursor = self._conn.execute(f"DELETE FROM retained_adi{where}", params)
+        return cursor.rowcount
 
     def purge_user(self, user_id: str) -> int:
         return self._purge_where(" WHERE user_id = ?", (user_id,))
@@ -801,12 +783,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         return self._purge_where(" WHERE granted_at < ?", (cutoff,))
 
     def clear(self) -> int:
-        self._ensure_open()
-        with self._lock:
-            with self._atomic_locked():
-                cursor = self._conn.execute("DELETE FROM retained_adi")
-            self._index = None  # rebuilt lazily, from the now-empty table
-        return cursor.rowcount
+        return self._purge_where("", ())
 
     def count(self) -> int:
         self._ensure_open()
@@ -826,31 +803,23 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         return {user_id for (user_id,) in rows}
 
     def stats(self) -> dict:
+        """``warm_bytes`` counts the file's pages in use, not its free ones."""
         self._ensure_open()
         with self._lock:
-            (total,) = self._conn.execute(
-                "SELECT COUNT(*) FROM retained_adi"
-            ).fetchone()
             (page_count,) = self._conn.execute("PRAGMA page_count").fetchone()
+            (free,) = self._conn.execute("PRAGMA freelist_count").fetchone()
             (page_size,) = self._conn.execute("PRAGMA page_size").fetchone()
-            resident = (
-                self._index.resident_users() if self._index is not None else 0
-            )
         return {
+            **super().stats(),
             "backend": "sqlite",
-            "records": total,
-            "resident_users": resident,
-            "evictions": 0,
-            "hydrations": 0,
-            "warm_bytes": page_count * page_size,
+            "warm_bytes": (page_count - free) * page_size,
         }
 
     def context_counts(self) -> dict[ContextName, int]:
-        """Per-context record counts straight from SQL (no index build).
+        """Per-context record counts in one GROUP BY; no record is built.
 
-        One GROUP BY, a scan of the table (``context`` has no index) —
-        the tiered store seeds its presence aggregates from this at open
-        without paying :meth:`_ensure_index_locked`'s build of every row.
+        A scan of the table (``context`` has no index): the tiered store
+        seeds its presence aggregates from this at open.
         """
         self._ensure_open()
         with self._lock:
@@ -859,11 +828,28 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             ).fetchall()
         return {ContextName.parse(text): count for text, count in rows}
 
+    def owner_counts(self, privileges: Iterable[Privilege]) -> OwnerCounts:
+        """One GROUP BY over the listed privileges' rows; no record is built."""
+        owners: OwnerCounts = {privilege: {} for privilege in privileges}
+        where = " OR ".join(["(operation = ? AND target = ?)"] * len(owners))
+        self._ensure_open()
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT operation, target, context, user_id, COUNT(*)"
+                f" FROM retained_adi WHERE {where or 0}"
+                " GROUP BY operation, target, context, user_id",
+                [value for privilege in owners for value in privilege],
+            ).fetchall()
+        new, parse = tuple.__new__, ContextName.parse
+        for operation, target, context, user_id, count in rows:
+            fold = owners[new(Privilege, (operation, target))]
+            fold.setdefault(parse(context), {})[intern(user_id)] = count
+        return owners
+
     def _apply_sql_locked(self, mutation: ADIMutation) -> ADIApplyOutcome:
         """Run a mutation's SQL (purges then adds) on the open cursor.
 
-        Caller owns the lock and the enclosing transaction/savepoint,
-        and brings the index up to date from the outcome.
+        Caller owns the lock and the enclosing transaction/savepoint.
         """
         evicted: dict[int, RetainedADIRecord] = {}
         for context in mutation.purge_contexts:
@@ -896,11 +882,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         self._ensure_open()
         with self._lock:
             with self._atomic_locked():
-                outcome = self._apply_sql_locked(mutation)
-            self._evict_locked(outcome.purged_records)
-            for record in outcome.added:
-                self._admit_locked(record)
-        return outcome
+                return self._apply_sql_locked(mutation)
 
     @contextmanager
     def _atomic_locked(self):
@@ -934,10 +916,10 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         coalesce into the single open transaction, which commits when
         the last batch exits.  Decisions already released from their
         savepoints are committed even if a later decision in the batch
-        raises — their in-memory index updates have already been
-        published, and rolling the table back underneath them would
-        desynchronise the two.  A failed commit rolls it all back, drops
-        the index (rebuilt from the table), and raises.
+        raises — a layer over this store (the tier) has already
+        published them, and rolling the table back underneath it would
+        desynchronise the two.  A failed commit rolls it all back and
+        raises.
         """
         self._ensure_open()
         with self._lock:
@@ -954,35 +936,7 @@ class SQLiteRetainedADIStore(RetainedADIStore):
                         self._conn.commit()
                     except sqlite3.Error as exc:
                         self._conn.rollback()
-                        self._index = None
                         raise StoreError(f"batch commit failed: {exc}") from exc
-
-    # Aggregate-backed engine views ----------------------------------
-    def user_roles(
-        self, user_id: str, effective_context: ContextName
-    ) -> frozenset[Role]:
-        self._ensure_open()
-        with self._lock:
-            index = self._ensure_index_locked()
-            return index.user(user_id).roles(effective_context)
-
-    def user_privilege_exercises(
-        self, user_id: str, effective_context: ContextName
-    ) -> list[Privilege]:
-        self._ensure_open()
-        with self._lock:
-            index = self._ensure_index_locked()
-            return index.user(user_id).exercises(effective_context)
-
-    def users_with_privileges(
-        self,
-        privileges: Iterable[Privilege],
-        effective_context: ContextName,
-    ) -> frozenset[str]:
-        self._ensure_open()
-        with self._lock:
-            index = self._ensure_index_locked()
-            return index.users_with_privileges(privileges, effective_context)
 
     def close(self) -> None:
         if not self._closed:

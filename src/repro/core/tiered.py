@@ -1,11 +1,12 @@
 """Tiered retained-ADI storage: hot in-memory aggregates over a warm layer.
 
-Every earlier backend keeps one resident aggregate per user *forever*:
-the in-memory store by construction, the SQLite store through its
-lazily-built lock-step index (``_ensure_index_locked`` loads every row).
-Memory therefore grows with **total** users — fatal for a bank-scale
+The in-memory store keeps one resident aggregate per user *forever*, so
+its memory grows with **total** users — fatal for a bank-scale
 deployment where 10^6 users exist but only a few percent are active in
-any window.
+any window.  The SQLite store keeps nothing resident, so on its own
+every engine view is a query of its table.  This tier is the one
+durable shape: the ``sqlite`` and ``tiered:sqlite`` store specs both
+build it.
 
 :class:`TieredADIStore` splits the store in two:
 
@@ -28,7 +29,10 @@ a store-wide :class:`~repro.core.adi_index._ContextPresence`, seeded
 once at open from the warm layer's ``context_counts()`` (for SQLite one
 ``GROUP BY`` scan of the table) and maintained incrementally — it is
 bounded by the number of distinct concrete contexts, not by users, and
-never touches the warm layer on the hot path.
+never touches the warm layer on the hot path.  So is the combination-of-
+duty owner view (``users_with_privileges``), from an owner fold kept per
+privilege, seeded by one warm ``owner_counts()`` the first time that
+privilege is asked about: a store never asked keeps none.
 
 **Consistency discipline.**  All mutations serialize on one store-wide
 write lock and commit to the warm layer first; hot updates after the
@@ -49,7 +53,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.adi_index import _ContextPresence, _Rows, _UserAggregate
 from repro.core.constraints import Privilege, Role
@@ -57,6 +61,7 @@ from repro.core.context import ContextName
 from repro.core.retained_adi import (
     ADIApplyOutcome,
     ADIMutation,
+    OwnerCounts,
     RetainedADIRecord,
     RetainedADIStore,
 )
@@ -92,9 +97,11 @@ class TieredADIStore(RetainedADIStore):
     ----------
     warm:
         The authoritative backing store holding every record.  The
-        tiered store never calls its resident-index paths
-        (``has_context`` / ``user_roles`` / ``user_privilege_exercises``)
-        — those would pull every user into memory and defeat the tier.
+        tiered store never calls its engine views (``has_context`` /
+        ``user_roles`` / ``user_privilege_exercises`` /
+        ``users_with_privileges``) nor ``find``: it reads the warm layer
+        by user (hydration), to seed its aggregates, and for the
+        management operations that name no user.
     hot_users:
         Total resident-user budget, split across the shards.  The
         hot layer holds at most this many user entries; the LRU tail
@@ -133,6 +140,7 @@ class TieredADIStore(RetainedADIStore):
         self._write_lock = threading.RLock()
         self._meta_lock = threading.Lock()
         self._presence = _ContextPresence(warm.context_counts())
+        self._owners: OwnerCounts = {}  # the owner fold
 
     # -- sharding ------------------------------------------------------
     def _shard_for(self, user_id: str) -> _HotShard:
@@ -182,6 +190,34 @@ class TieredADIStore(RetainedADIStore):
                 effective_context
             )
 
+    def users_with_privileges(
+        self,
+        privileges: Iterable[Privilege],
+        effective_context: ContextName,
+    ) -> frozenset[str]:
+        wanted = set(privileges)
+        with self._meta_lock:
+            if wanted <= self._owners.keys():
+                return self._owners_locked(wanted, effective_context)
+        # Seeded under the write lock, so no mutation commits between
+        # the warm read and the fold it is counted into.
+        with self._write_lock, self._meta_lock:
+            missing = wanted - self._owners.keys()
+            if missing:
+                self._owners.update(self._warm.owner_counts(missing))
+            return self._owners_locked(wanted, effective_context)
+
+    def _owners_locked(
+        self, privileges: set[Privilege], effective_context: ContextName
+    ) -> frozenset[str]:
+        folds = [self._owners[privilege] for privilege in privileges]
+        return frozenset(
+            user_id
+            for context in self._presence.matching(effective_context)
+            for fold in folds
+            for user_id in fold.get(context, ())
+        )
+
     def find_user(
         self, user_id: str, effective_context: ContextName
     ) -> list[RetainedADIRecord]:
@@ -220,6 +256,9 @@ class TieredADIStore(RetainedADIStore):
             )
             for record in outcome.added:
                 self._presence.add(record.context_instance)
+            if self._owners:
+                self._fold_owners_locked(outcome.purged_records, -1)
+                self._fold_owners_locked(outcome.added, 1)
         by_user: dict[
             str, tuple[list[RetainedADIRecord], list[RetainedADIRecord]]
         ] = {}
@@ -237,6 +276,24 @@ class TieredADIStore(RetainedADIStore):
                 entry.remove(removed)
                 for record in added:
                     entry.add(record)
+
+    def _fold_owners_locked(
+        self, records: list[RetainedADIRecord], step: int
+    ) -> None:
+        """Count records into the seeded owner folds.  Meta lock held."""
+        for record in records:
+            fold = self._owners.get(record.privilege)
+            if fold is None:
+                continue
+            context, user_id = record.context_instance, record.user_id
+            users = fold.setdefault(context, {})
+            count = users.get(user_id, 0) + step
+            if count:
+                users[user_id] = count
+            else:
+                del users[user_id]
+                if not users:
+                    del fold[context]
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
         with self._write_lock:
@@ -260,10 +317,7 @@ class TieredADIStore(RetainedADIStore):
                 doomed = self._warm.find_user(user_id, _ROOT)
                 purged = self._warm.purge_user(user_id)
                 shard.drop(user_id)
-            with self._meta_lock:
-                self._presence.forget(
-                    record.context_instance for record in doomed
-                )
+            self._absorb_outcome_locked(ADIApplyOutcome(doomed, []))
         return purged
 
     def purge_older_than(self, cutoff: float) -> int:
@@ -284,13 +338,14 @@ class TieredADIStore(RetainedADIStore):
         return removed
 
     def _reseed_locked(self) -> None:
-        """Drop the hot layer; re-seed presence from the warm one."""
+        """Drop the hot layer and the owner fold; re-seed presence."""
         for shard in self._shards:
             with shard.lock:
                 shard.entries.clear()
                 shard.rows = _Rows()
         with self._meta_lock:
             self._presence = _ContextPresence(self._warm.context_counts())
+            self._owners = {}
 
     # -- lifecycle / plumbing -----------------------------------------
     @contextmanager

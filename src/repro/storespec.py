@@ -7,8 +7,10 @@ each benchmark with its own ``if``-ladder.  Adding a backend meant
 finding all of them.  Now there is a single grammar::
 
     memory                              in-process, volatile
-    sqlite:<path>                       durable single file
-    sqlite                              durable, path chosen by the host
+    sqlite:<path>                       durable single file, served by the
+                                        default tier: tiered:sqlite:<path>
+                                        with its default hot_users/shards
+    sqlite                              the same, path chosen by the host
                                         (per-node files under a cluster's
                                         data_dir; invalid where no default
                                         path exists)
@@ -199,23 +201,25 @@ def build_store(
         return parsed.instance, False
     if parsed.kind == "memory":
         return InMemoryRetainedADIStore(), True
-    if parsed.kind == "sqlite":
-        return _build_sqlite(parsed, default_sqlite_path), True
-    if parsed.kind == "tiered":
-        warm = parsed.warm
-        assert warm is not None
-        hot_users = parsed.hot_users or DEFAULT_HOT_USERS
-        hot_shards = parsed.hot_shards or DEFAULT_HOT_SHARDS
-        warm_store: RetainedADIStore = (
-            _build_sqlite(warm, default_sqlite_path)
-            if warm.kind == "sqlite"
-            else InMemoryRetainedADIStore()
-        )
+    if parsed.kind in ("sqlite", "tiered"):
+        # A sqlite spec is the default tier over its file.
+        warm = parsed.warm or parsed
+        path = warm.path if warm.path is not None else default_sqlite_path
+        if warm.kind == "memory":
+            warm_store: RetainedADIStore = InMemoryRetainedADIStore()
+        elif path is None:
+            raise StoreSpecError(
+                "bare 'sqlite' needs a host-assigned path (only valid where "
+                "a default exists, e.g. cluster per-node files); use "
+                "'sqlite:<path>' here"
+            )
+        else:
+            warm_store = SQLiteRetainedADIStore(path)
         return (
             TieredADIStore(
                 warm_store,
-                hot_users=hot_users,
-                shards=hot_shards,
+                hot_users=parsed.hot_users or DEFAULT_HOT_USERS,
+                shards=parsed.hot_shards or DEFAULT_HOT_SHARDS,
                 owns_warm=True,
             ),
             True,
@@ -241,16 +245,3 @@ def open_store(
     return build_store(
         parse_store_spec(spec), default_sqlite_path=default_sqlite_path
     )[0]
-
-
-def _build_sqlite(
-    parsed: ParsedStoreSpec, default_sqlite_path: str | None
-) -> SQLiteRetainedADIStore:
-    path = parsed.path if parsed.path is not None else default_sqlite_path
-    if path is None:
-        raise StoreSpecError(
-            "bare 'sqlite' needs a host-assigned path (only valid where "
-            "a default exists, e.g. cluster per-node files); use "
-            "'sqlite:<path>' here"
-        )
-    return SQLiteRetainedADIStore(path)

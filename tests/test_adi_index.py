@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import open_store
 from repro.core import (
     ContextName,
     InMemoryRetainedADIStore,
@@ -342,8 +343,8 @@ _BANK_REPEATS = BankScaleConfig(n_users=2_000, n_periods=2)
 def _preloaded(backend, config=_BANK):
     if backend == "memory":
         store = InMemoryRetainedADIStore()
-    elif backend == "sqlite":
-        store = SQLiteRetainedADIStore(":memory:")
+    elif backend == "sqlite":  # the spec-built default tier
+        store = open_store("sqlite::memory:")
     else:
         warm = SQLiteRetainedADIStore(":memory:")
         store = TieredADIStore(warm, hot_users=64, shards=2, owns_warm=True)
@@ -390,7 +391,6 @@ class TestIdleHistory:
     def test_one_record_pairs_build_no_bucket_even_when_read(self, backend):
         store = _preloaded(backend)
         try:
-            store.has_context(_ROOT)  # builds SQLite's lock-step index
             users = ["u0000000", "u0000024"]
             for user_id in users:  # hydrates the tiered users
                 assert len(store.find_user(user_id, _ROOT)) == 4
@@ -407,7 +407,6 @@ class TestIdleHistory:
     ):
         store = _preloaded(backend, _BANK_REPEATS)
         try:
-            store.has_context(_ROOT)  # builds SQLite's lock-step index
             users = ["u0000000", "u0000024"]  # division 0, branch 0 and 1
             for user_id in users:  # hydrates the tiered users, unfolded
                 assert len(store.find_user(user_id, _ROOT)) == 4
@@ -438,7 +437,6 @@ class TestIdleHistory:
         known = {id(obj) for obj in before}
         store = _preloaded(backend)
         try:
-            store.has_context(_ROOT)  # builds SQLite's lock-step index
             for user_id in ("u0000000", "u0000024"):  # hydrates tiered users
                 assert store.user_roles(user_id, _QUERY)
                 assert len(store.find_user(user_id, _ROOT)) == 4

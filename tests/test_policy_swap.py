@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import open_pdp, open_server
+from repro.api import open_pdp, open_server, open_store
 from repro.cluster import LocalCluster
 from repro.core import (
     MMER,
@@ -76,8 +76,8 @@ def duplicate_set():
 def _store(backend):
     if backend == "memory":
         return InMemoryRetainedADIStore()
-    if backend == "sqlite":
-        return SQLiteRetainedADIStore(":memory:")
+    if backend == "sqlite":  # the spec-built default tier
+        return open_store("sqlite::memory:")
     warm = SQLiteRetainedADIStore(":memory:")
     return TieredADIStore(warm, hot_users=2, owns_warm=True)
 
@@ -93,9 +93,9 @@ def _memos(store) -> list[tuple[str, dict]]:
             )
         warm = _memos(store._warm)
         return memos + [(f"warm {label}", memo) for label, memo in warm]
+    if isinstance(store, SQLiteRetainedADIStore):
+        return []  # SQL only: it holds no memo
     index = store._index
-    if index is None:
-        return []
     return [("presence", index._presence._memo)] + [
         (f"aggregate {user}", aggregate._memo)
         for user, aggregate in index._by_user.items()

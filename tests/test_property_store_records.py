@@ -2,8 +2,8 @@
 
 The stores keep their history as packed rows and build a
 :class:`RetainedADIRecord` only when they hand one out.  These
-properties drive the memory, SQLite (before and after its lock-step
-index is built) and tiered-over-SQLite stores through one stream of
+properties drive the memory, bare SQLite, spec-built ``sqlite:`` and
+small tiered-over-SQLite stores through one stream of
 writes and purges and require every record they return — from
 ``find``, ``find_user``, ``records`` and the ``apply_detailed``
 outcome — to equal, in type and in every field, the record a
@@ -13,6 +13,7 @@ record-per-tuple reference holds for the same stream.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import open_store
 from repro.core import (
     ADIMutation,
     ContextName,
@@ -75,16 +76,10 @@ class _Reference:
         return [record for record in self.find(context) if record.user_id == user_id]
 
 
-def _indexed_sqlite():
-    store = SQLiteRetainedADIStore(":memory:")
-    store.has_context(_ROOT)  # builds the lock-step index: reads use its rows
-    return store
-
-
 _STORES = {
     "memory": InMemoryRetainedADIStore,
     "sqlite": lambda: SQLiteRetainedADIStore(":memory:"),
-    "sqlite-indexed": _indexed_sqlite,
+    "sqlite-spec": lambda: open_store("sqlite::memory:"),
     # Two hot users for three: a long stream evicts and re-hydrates.
     "tiered": lambda: TieredADIStore(
         SQLiteRetainedADIStore(":memory:"), hot_users=2, shards=1, owns_warm=True

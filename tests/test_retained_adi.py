@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.api import open_store
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
 from repro.core.decision import DecisionRequest, Effect
@@ -163,6 +164,23 @@ class TestStoreViews:
         )
         assert len(exercises) == 2
 
+    def test_owner_counts_group_each_listed_privilege(self, store):
+        store.add(record(user="alice", request_id="r1"))
+        store.add(record(user="alice", roles=(AUDITOR,), request_id="r1"))
+        store.add(record(user="bob", context="Branch=Hull, Period=2006"))
+        store.add(record(user="carol", operation="auditBooks", target="ledger://1"))
+        cash = Privilege("handleCash", "till://1")
+        books = Privilege("auditBooks", "ledger://1")
+        never = Privilege("close", "ledger://1")
+        york = ContextName.parse("Branch=York, Period=2006")
+        hull = ContextName.parse("Branch=Hull, Period=2006")
+        assert store.owner_counts([cash, never]) == {
+            cash: {york: {"alice": 2}, hull: {"bob": 1}},
+            never: {},
+        }
+        assert store.owner_counts([books]) == {books: {york: {"carol": 1}}}
+        assert store.owner_counts([]) == {}
+
 
 class TestMutation:
     def test_apply_purges_then_adds(self, store):
@@ -220,6 +238,25 @@ class TestSQLiteSpecifics:
         store = SQLiteRetainedADIStore(":memory:")
         store.close()
         store.close()
+
+    def test_warm_bytes_counts_pages_in_use_not_free_ones(self, tmp_path):
+        store = SQLiteRetainedADIStore(str(tmp_path / "adi.db"))
+        try:
+            with store.batch():
+                for index in range(2_000):
+                    store.add(record(
+                        user=f"user-{index:05d}", at=float(index),
+                        target=f"till://{index}", request_id=f"req-{index}",
+                    ))
+            before = store.stats()["warm_bytes"]
+            assert store.purge_older_than(1_900.0) == 1_900
+            (pages,) = store._conn.execute("PRAGMA page_count").fetchone()
+            (free,) = store._conn.execute("PRAGMA freelist_count").fetchone()
+            (size,) = store._conn.execute("PRAGMA page_size").fetchone()
+            assert free > 0  # the purge left free pages in the file
+            assert store.stats()["warm_bytes"] == (pages - free) * size < before
+        finally:
+            store.close()
 
 
 def fresh(text):
@@ -556,13 +593,13 @@ class TestGrantedAtType:
     """``granted_at`` reads back a ``float`` from every store, however added."""
 
     @pytest.mark.parametrize(
-        "kind", ["memory", "sqlite", "sqlite-indexed", "tiered:sqlite"]
+        "kind", ["memory", "sqlite", "sqlite-spec", "tiered:sqlite"]
     )
     def test_int_granted_at_comes_back_a_float(self, kind):
         store = {
             "memory": InMemoryRetainedADIStore,
             "sqlite": lambda: SQLiteRetainedADIStore(":memory:"),
-            "sqlite-indexed": lambda: SQLiteRetainedADIStore(":memory:"),
+            "sqlite-spec": lambda: open_store("sqlite::memory:"),
             "tiered:sqlite": lambda: TieredADIStore(
                 SQLiteRetainedADIStore(":memory:"), hot_users=1, shards=1,
                 owns_warm=True,
@@ -573,8 +610,6 @@ class TestGrantedAtType:
             returned += store.apply_detailed(
                 ADIMutation(adds=[record(user="bob", at=7, request_id="r2")])
             ).added
-            if kind == "sqlite-indexed":
-                store.has_context(ContextName.root())  # reads now use the index
             found = [
                 *store.records(),
                 *store.find(ContextName.parse("Branch=York")),
@@ -621,21 +656,31 @@ class _FailNextCommit:
 
 class TestFailedCommit:
     def test_failed_add_leaves_no_row_the_live_index_missed(self, tmp_path):
+        """The live index is the spec-built store's hot layer and fold."""
         path = str(tmp_path / "adi.db")
-        store = SQLiteRetainedADIStore(path)
+        store = open_store(f"sqlite:{path}")
         scope = ContextName.parse("Branch=*, Period=2006")
-        assert store.user_roles("alice", scope) == frozenset()  # index built
-        store._conn = _FailNextCommit(store._conn)
+        cash = [Privilege("handleCash", "till://1")]
+        assert store.user_roles("alice", scope) == frozenset()  # resident
+        assert store.users_with_privileges(cash, scope) == frozenset()  # seeded
+        store.warm._conn = _FailNextCommit(store.warm._conn)
         with pytest.raises((StoreError, sqlite3.Error)) as failed:
             store.add(record(user="alice", roles=(TELLER,)))
         store.apply(ADIMutation(adds=[record(user="bob", request_id="r2")]))
-        live_roles = store.user_roles("alice", scope)
-        live_digest = store_digest(store)
+        live = (
+            store.user_roles("alice", scope),
+            store.users_with_privileges(cash, scope),
+            store_digest(store),
+        )
         store.close()
-        reopened = SQLiteRetainedADIStore(path)
+        reopened = open_store(f"sqlite:{path}")
         try:
-            assert reopened.user_roles("alice", scope) == live_roles
-            assert store_digest(reopened) == live_digest
+            assert live == (
+                reopened.user_roles("alice", scope),
+                reopened.users_with_privileges(cash, scope),
+                store_digest(reopened),
+            )
+            assert live[1] == {"bob"}
         finally:
             reopened.close()
         assert failed.type is StoreError
@@ -649,8 +694,10 @@ class TestFailedCommit:
         store = TieredADIStore(warm, hot_users=4) if tiered else warm
         scope = ContextName.parse("Branch=*, Period=2006")
         york = ContextName.parse("Branch=York, Period=2006")
+        cash = [Privilege("handleCash", "till://1")]
         store.apply(ADIMutation(adds=[record(user="bob", request_id="r0")]))
-        assert store.user_roles("alice", scope) == frozenset()  # built/resident
+        assert store.user_roles("alice", scope) == frozenset()  # resident
+        assert store.users_with_privileges(cash, scope) == {"bob"}  # seeded
         warm._conn = _FailNextCommit(warm._conn)
         with pytest.raises(StoreError):
             with store.batch():
@@ -662,6 +709,7 @@ class TestFailedCommit:
         hull = ContextName.parse("Branch=Hull, Period=2006")
         live = (
             store.user_roles("alice", scope),
+            store.users_with_privileges(cash, scope),
             store_digest(store),
             store.has_context(york),
             store.has_context(hull),
@@ -672,6 +720,7 @@ class TestFailedCommit:
         try:
             assert live == (
                 reopened.user_roles("alice", scope),
+                reopened.users_with_privileges(cash, scope),
                 store_digest(reopened),
                 reopened.has_context(york),
                 reopened.has_context(hull),

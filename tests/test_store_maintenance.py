@@ -20,6 +20,7 @@ import pytest
 from repro.core import (
     ContextName,
     InMemoryRetainedADIStore,
+    Privilege,
     RetainedADIRecord,
     Role,
     SQLiteRetainedADIStore,
@@ -82,14 +83,14 @@ class TestInMemoryIndexHygiene:
 
 
 class TestSQLiteReadsUnderLock:
-    def test_reads_touch_the_table_and_the_index_only_under_the_store_lock(self):
-        """Every read runs under ``self._lock`` — its SQL and its index use.
+    def test_reads_touch_the_table_only_under_lock(self):
+        """Every read runs its SQL under ``self._lock``.
 
         ``records()``/``find()``/``find_user()`` once fetched rows under
         the lock and deserialised them into a row cache after releasing
         it, racing concurrent tiered hydrations.  Reads now decode what
-        they select, or answer from the lock-step index once it is built;
-        both happen under the lock.
+        they select under the lock, and the engine's views (the scan
+        definitions over them) and the tier's seeds read the same way.
         """
         store = SQLiteRetainedADIStore(":memory:")
 
@@ -110,14 +111,15 @@ class TestSQLiteReadsUnderLock:
                 lambda: store.find(ContextName.parse("Dept=d1")),
                 lambda: store.find_user("u1", ContextName.root()),
             )
+            scope = ContextName.parse("Dept=d1")
             store._conn = LockChecked(conn)
             for read in reads:  # decoded from the table
                 assert len(read()) == 3
-            assert store._index is None
-            assert store.has_context(ContextName.parse("Dept=d1"))
-            store._index = LockChecked(store._index)
-            for read in reads:  # answered from the index's rows
-                assert len(read()) == 3
+            assert store.has_context(scope)
+            assert store.user_roles("u1", scope)
+            assert store.users_with_privileges([Privilege("op", "t")], scope)
+            assert store.context_counts() == {scope: 3}
+            assert store.owner_counts([Privilege("op", "t")])
         finally:
             store._conn = conn
             store.close()

@@ -32,6 +32,7 @@ from repro.core import (
 )
 from repro.errors import PolicyError
 from repro.obs import parse_exposition
+from repro.storespec import DEFAULT_HOT_SHARDS, DEFAULT_HOT_USERS
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -161,11 +162,17 @@ class TestBuilder:
         assert not owns
 
     def test_sqlite_path(self, tmp_path):
+        """A sqlite spec is the default tier over its file."""
         store = open_store(f"sqlite:{tmp_path / 'adi.db'}")
         try:
-            assert isinstance(store, SQLiteRetainedADIStore)
+            assert isinstance(store, TieredADIStore)
+            assert isinstance(store.warm, SQLiteRetainedADIStore)
+            stats = store.stats()
+            assert stats["hot_capacity"] == DEFAULT_HOT_USERS
+            assert stats["hot_shards"] == DEFAULT_HOT_SHARDS
         finally:
             store.close()
+        assert store.warm._closed  # the tier owns its warm layer
 
     def test_bare_sqlite_needs_default(self, tmp_path):
         with pytest.raises(StoreSpecError, match="host-assigned path"):
@@ -175,7 +182,8 @@ class TestBuilder:
             default_sqlite_path=str(tmp_path / "node.db"),
         )
         try:
-            assert owns and isinstance(store, SQLiteRetainedADIStore)
+            assert owns and isinstance(store, TieredADIStore)
+            assert isinstance(store.warm, SQLiteRetainedADIStore)
         finally:
             store.close()
 
