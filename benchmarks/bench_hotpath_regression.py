@@ -51,7 +51,11 @@ from repro.core import (
     Step,
     store_digest,
 )
-from repro.core.retained_adi import RetainedADIRecord, RetainedADIStore
+from repro.core.retained_adi import (
+    ADIApplyOutcome,
+    RetainedADIRecord,
+    RetainedADIStore,
+)
 from repro.obs import Recorder
 
 RESULTS_PATH = os.path.join(
@@ -154,34 +158,16 @@ class NaiveRetainedADIStore(RetainedADIStore):
             if not bucket:
                 del self._by_context[record.context_instance]
 
-    def purge_context(self, effective_context):
-        doomed = [
-            record_id
-            for context in self._matching_contexts(effective_context)
-            for record_id in list(self._by_context[context])
-        ]
-        for record_id in doomed:
-            self._delete(record_id)
-        return len(doomed)
-
-    def purge_user(self, user_id):
-        ids = self._by_user.pop(user_id, [])
-        removed = 0
-        for record_id in ids:
-            if record_id in self._records:
-                self._delete(record_id)
-                removed += 1
-        return removed
-
-    def purge_older_than(self, cutoff):
-        doomed = [
-            record_id
-            for record_id, record in self._records.items()
-            if record.granted_at < cutoff
-        ]
-        for record_id in doomed:
-            self._delete(record_id)
-        return len(doomed)
+    def apply_detailed(self, mutation):
+        """Context purges, then adds: all the engine's decisions ask."""
+        evicted = []
+        for context in mutation.purge_contexts:
+            doomed = self.find(context)  # gone before the next context's find
+            for record in doomed:
+                self._delete(record.record_id)
+            evicted += doomed
+        added = [self.add(record) for record in mutation.adds]
+        return ADIApplyOutcome(evicted, added)
 
     def clear(self):
         removed = len(self._records)

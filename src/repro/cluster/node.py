@@ -54,7 +54,7 @@ from repro.audit.trail import (
 from repro.core.decision import Decision
 from repro.core.engine import MSoDEngine
 from repro.core.policy import MSoDPolicySet
-from repro.core.retained_adi import RetainedADIStore
+from repro.core.retained_adi import ADIMutation, RetainedADIStore
 from repro.errors import ClusterError, RequestFencedError
 from repro.server import protocol
 from repro.server.service import AuthorizationService
@@ -476,12 +476,13 @@ class ClusterNode:
         decision committed before its sink raised).  Journal entries go
         too — the ring-ownership gate answers before the journal, so a
         mover's journaled outcome is unreachable here and the target
-        holds the imported copy.
+        holds the imported copy.  The records go in one store apply,
+        one transaction on a SQLite node, however many users move.
         """
         with self._lock:
-            moved = set(filter(user_filter, self._store.user_ids()))
-            for user_id in moved:
-                self._store.purge_user(user_id)
+            moved = tuple(filter(user_filter, self._store.user_ids()))
+            if moved:
+                self._store.apply(ADIMutation(purge_users=moved))
             dead = [
                 request_id
                 for request_id, decision in self._journal.items()

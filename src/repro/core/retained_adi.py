@@ -34,6 +34,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import starmap
+from operator import attrgetter
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
@@ -144,6 +145,8 @@ _CREATE_TABLE = """
 # selected after them, a row unpacks as the record does.
 _COLUMNS = "user_id, roles, operation, target, context, granted_at, request_id"
 _INSERT = f"INSERT INTO retained_adi ({_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?)"
+#: Values bound per ``IN (…)`` select: SQLite before 3.32 allows 999.
+_IN_CHUNK = 999
 
 
 @lru_cache(maxsize=4096)
@@ -188,18 +191,17 @@ class ADIMutation:
     Section 4.2 note: "if the access request is denied, then no change
     needs to be made to the retained ADI database".  The engine builds one
     :class:`ADIMutation` per request and applies it atomically iff the
-    final decision is a grant.  ``purge_record_ids`` is the management
-    port's one-record removal: the ids are deleted in the same locked
-    apply, so no record but the named ones goes.
+    final decision is a grant.  The management purges (Section 4.3) are
+    mutations too, applied in the same locked step: ``purge_record_ids``
+    deletes the named records, ``purge_users`` the named users' and
+    ``purge_before`` those granted before that time.
     """
 
     adds: list[RetainedADIRecord] = field(default_factory=list)
     purge_contexts: list[ContextName] = field(default_factory=list)
     purge_record_ids: tuple[int, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.adds or self.purge_contexts or self.purge_record_ids)
+    purge_users: tuple[str, ...] = ()
+    purge_before: float | None = None
 
 
 class RetainedADIStore:
@@ -233,15 +235,15 @@ class RetainedADIStore:
 
     def purge_context(self, effective_context: ContextName) -> int:
         """Delete all records matching the context; return the count."""
-        raise NotImplementedError
+        return self.apply(ADIMutation(purge_contexts=[effective_context]))
 
     def purge_user(self, user_id: str) -> int:
         """Delete all records for a user (management port operation)."""
-        raise NotImplementedError
+        return self.apply(ADIMutation(purge_users=(user_id,)))
 
     def purge_older_than(self, cutoff: float) -> int:
         """Delete records granted before ``cutoff`` (management port)."""
-        raise NotImplementedError
+        return self.apply(ADIMutation(purge_before=cutoff))
 
     def clear(self) -> int:
         """Delete everything; return the number of deleted records."""
@@ -317,27 +319,21 @@ class RetainedADIStore:
         only puts adds and purges for *different* policies in one
         mutation, and purges always win for their own context.
 
-        Returns the number of distinct records purged.  Backends
-        override :meth:`apply_detailed` to make the whole mutation atomic
-        (one decision = one transaction).
+        Returns the number of distinct records purged.
         """
         return len(self.apply_detailed(mutation).purged_records)
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
         """Like :meth:`apply`, but reporting what was deleted and added.
 
-        Layered stores need the concrete record sets — not just counts —
-        to keep derived aggregates in lock-step with the authoritative
-        layer.
+        The store's one write path but for :meth:`add` and :meth:`clear`,
+        atomic as a whole (one decision = one transaction).  Purges run
+        first — each context, then the ids, the users, the cutoff — each
+        selecting, in record-id order, what the earlier ones left, so a
+        deleted record is reported once.  Layered stores need the record
+        sets, not just counts, to keep their aggregates in lock-step.
         """
-        if mutation.purge_record_ids:
-            raise NotImplementedError("this store cannot delete by record id")
-        evicted: list[RetainedADIRecord] = []
-        for context in mutation.purge_contexts:
-            evicted.extend(self.find(context))  # gone before the next find
-            self.purge_context(context)
-        added = [self.add(record) for record in mutation.adds]
-        return ADIApplyOutcome(evicted, added)
+        raise NotImplementedError
 
     @contextmanager
     def batch(self):
@@ -410,9 +406,11 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     matching buckets and the engine's history views never scan.
     Deleting a record fully unlinks it from every index and frees its
     row, so long-lived users do not accumulate stale entries.  The index
-    is the only copy: the management operations that name no context or
-    user (:meth:`records`, :meth:`purge_older_than`, a purge by record
-    id) walk all of it, and records are built only to be handed out.
+    is the only copy: :meth:`apply_detailed`, every purge's one path,
+    selects a context's rows through its presence and a user's from
+    their aggregate, and walks all of it only for a purge by record id
+    or by age (as :meth:`records` does).  Records are built only to be
+    handed out.
     """
 
     def __init__(self, records: Iterable[RetainedADIRecord] = ()) -> None:
@@ -447,17 +445,6 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         self._index.remove(records)
         return records
 
-    def purge_context(self, effective_context: ContextName) -> int:
-        return len(self._delete(self._index.context_rows(effective_context)))
-
-    def purge_user(self, user_id: str) -> int:
-        return len(self._delete(self._index.user(user_id).rows(_ROOT)))
-
-    def purge_older_than(self, cutoff: float) -> int:
-        granted_at = self._index.rows.granted_at
-        rows = self._index.context_rows(_ROOT)
-        return len(self._delete([row for row in rows if granted_at[row] < cutoff]))
-
     def clear(self) -> int:
         removed = self.count()
         self._index = _UserContextIndex()
@@ -480,16 +467,29 @@ class InMemoryRetainedADIStore(RetainedADIStore):
         return self._index.context_counts()
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
+        index = self._index
         evicted: list[RetainedADIRecord] = []
+        # Each purge's rows go before the next selects: none is reported twice.
         for context in mutation.purge_contexts:
-            # Deleted now, so no later context sees them.
-            evicted.extend(self._delete(self._index.context_rows(context)))
+            evicted += self._delete(index.context_rows(context))
         if mutation.purge_record_ids:
-            ids = set(mutation.purge_record_ids)
-            record_ids = self._index.rows.record_ids
-            rows = self._index.context_rows(_ROOT)
-            doomed = [row for row in rows if record_ids[row] in ids]
-            evicted.extend(self._delete(doomed))
+            wanted, ids = set(mutation.purge_record_ids), index.rows.record_ids
+            evicted += self._delete(
+                [row for row in index.context_rows(_ROOT) if ids[row] in wanted]
+            )
+        if mutation.purge_users:
+            rows = [
+                row
+                for user_id in set(mutation.purge_users)
+                for row in index.user(user_id).rows(_ROOT)
+            ]
+            evicted += self._delete(sorted(rows, key=index.rows.record_ids.__getitem__))
+        cutoff = mutation.purge_before
+        if cutoff is not None:
+            at = index.rows.granted_at
+            evicted += self._delete(
+                [row for row in index.context_rows(_ROOT) if at[row] < cutoff]
+            )
         added = [self.add(record) for record in mutation.adds]
         return ADIApplyOutcome(evicted, added)
 
@@ -578,9 +578,9 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             # no second connection to contend with.
             self._conn.execute("PRAGMA journal_mode=WAL")
             # SQLite's default page cache (2 MiB) thrashes the user_id
-            # and context index B-trees once the file outgrows it —
-            # bank-scale preloads drop to a few thousand scattered
-            # inserts/s. 64 MiB keeps the hot interior pages resident.
+            # index B-tree once the file outgrows it — bank-scale
+            # preloads drop to a few thousand scattered inserts/s.
+            # 64 MiB keeps the hot interior pages resident.
             self._conn.execute("PRAGMA cache_size=-65536")
         except sqlite3.Error as exc:  # pragma: no cover - environment issue
             raise StoreError(f"cannot open retained-ADI database {path!r}") from exc
@@ -765,25 +765,12 @@ class SQLiteRetainedADIStore(RetainedADIStore):
         with self._lock:
             return self._in_context_locked(effective_context, user_id)
 
-    def purge_context(self, effective_context: ContextName) -> int:
-        return self.apply(ADIMutation(purge_contexts=[effective_context]))
-
-    def _purge_where(self, where: str, params: tuple) -> int:
-        """Delete the rows matching ``where`` in one :meth:`_atomic_locked`."""
+    def clear(self) -> int:
         self._ensure_open()
         with self._lock:
             with self._atomic_locked():
-                cursor = self._conn.execute(f"DELETE FROM retained_adi{where}", params)
+                cursor = self._conn.execute("DELETE FROM retained_adi")
         return cursor.rowcount
-
-    def purge_user(self, user_id: str) -> int:
-        return self._purge_where(" WHERE user_id = ?", (user_id,))
-
-    def purge_older_than(self, cutoff: float) -> int:
-        return self._purge_where(" WHERE granted_at < ?", (cutoff,))
-
-    def clear(self) -> int:
-        return self._purge_where("", ())
 
     def count(self) -> int:
         self._ensure_open()
@@ -846,19 +833,37 @@ class SQLiteRetainedADIStore(RetainedADIStore):
             fold.setdefault(parse(context), {})[intern(user_id)] = count
         return owners
 
+    def _select_in_locked(
+        self, column: str, values: tuple
+    ) -> list[RetainedADIRecord]:
+        """Rows whose ``column`` is one of ``values``, in id order: one
+        ``IN (…)`` select per :data:`_IN_CHUNK` values, so a cutover naming
+        many users stays under SQLite's bound-variable limit.  Lock held.
+        """
+        records: list[RetainedADIRecord] = []
+        for start in range(0, len(values), _IN_CHUNK):
+            chunk = values[start:start + _IN_CHUNK]
+            marks = ", ".join("?" * len(chunk))
+            records += self._select_locked(f" WHERE {column} IN ({marks})", chunk)
+        records.sort(key=attrgetter("record_id"))
+        return records
+
     def _apply_sql_locked(self, mutation: ADIMutation) -> ADIApplyOutcome:
         """Run a mutation's SQL (purges then adds) on the open cursor.
 
-        Caller owns the lock and the enclosing transaction/savepoint.
+        Every purge selects its doomed rows here, inside the caller's
+        transaction, and one ``DELETE`` pass removes them all.  Caller
+        owns the lock and the enclosing transaction/savepoint.
         """
+        selected = [self._in_context_locked(c) for c in mutation.purge_contexts]
+        selected.append(self._select_in_locked("record_id", mutation.purge_record_ids))
+        selected.append(self._select_in_locked("user_id", mutation.purge_users))
+        if mutation.purge_before is not None:
+            where = " WHERE granted_at < ?"
+            selected.append(self._select_locked(where, (mutation.purge_before,)))
         evicted: dict[int, RetainedADIRecord] = {}
-        for context in mutation.purge_contexts:
-            for record in self._in_context_locked(context):
-                evicted.setdefault(record.record_id, record)
-        ids = mutation.purge_record_ids
-        if ids:
-            marks = ", ".join("?" * len(ids))
-            for record in self._select_locked(f" WHERE record_id IN ({marks})", ids):
+        for records in selected:
+            for record in records:
                 evicted.setdefault(record.record_id, record)
         if evicted:
             self._conn.executemany(

@@ -83,12 +83,6 @@ class _HotShard:
         self.evictions = 0
         self.hydrations = 0
 
-    def drop(self, user_id: str) -> None:
-        """Forget a resident user's entry, freeing its rows."""
-        entry = self.entries.pop(user_id, None)
-        if entry is not None:
-            entry.release()
-
 
 class TieredADIStore(RetainedADIStore):
     """Hot per-user aggregates with LRU eviction over a warm store.
@@ -99,9 +93,12 @@ class TieredADIStore(RetainedADIStore):
         The authoritative backing store holding every record.  The
         tiered store never calls its engine views (``has_context`` /
         ``user_roles`` / ``user_privilege_exercises`` /
-        ``users_with_privileges``) nor ``find``: it reads the warm layer
-        by user (hydration), to seed its aggregates, and for the
-        management operations that name no user.
+        ``users_with_privileges``): it reads the warm layer by user
+        (hydration), to seed its aggregates, and for the management
+        reads (``find``, ``records``).  Every write but :meth:`add` and
+        :meth:`clear` — a decision's mutation and each management purge
+        alike — is one warm ``apply_detailed``, whose outcome
+        :meth:`_absorb_outcome_locked` folds into the hot layer.
     hot_users:
         Total resident-user budget, split across the shards.  The
         hot layer holds at most this many user entries; the LRU tail
@@ -248,7 +245,9 @@ class TieredADIStore(RetainedADIStore):
         Caller holds the write lock, so no other mutation interleaves;
         per-user updates take the shard lock and are idempotent, which
         makes them safe against hydrations that already read the
-        committed warm state.
+        committed warm state.  Every purge arrives here, as one batch:
+        the vanished contexts reach the presence in one ``forget``, and
+        a resident entry left without records is dropped.
         """
         with self._meta_lock:
             self._presence.forget(
@@ -272,10 +271,13 @@ class TieredADIStore(RetainedADIStore):
                 entry = shard.entries.get(user_id)
                 if entry is None:
                     continue  # cold user: warm already holds the truth
-                shard.entries.move_to_end(user_id)
                 entry.remove(removed)
                 for record in added:
                     entry.add(record)
+                if entry.buckets:
+                    shard.entries.move_to_end(user_id)
+                else:
+                    del shard.entries[user_id]  # no rows left to free
 
     def _fold_owners_locked(
         self, records: list[RetainedADIRecord], step: int
@@ -306,30 +308,6 @@ class TieredADIStore(RetainedADIStore):
             stored = self._warm.add(record)
             self._absorb_outcome_locked(ADIApplyOutcome([], [stored]))
         return stored
-
-    def purge_context(self, effective_context: ContextName) -> int:
-        return self.apply(ADIMutation(purge_contexts=[effective_context]))
-
-    def purge_user(self, user_id: str) -> int:
-        with self._write_lock:
-            shard = self._shard_for(user_id)
-            with shard.lock:
-                doomed = self._warm.find_user(user_id, _ROOT)
-                purged = self._warm.purge_user(user_id)
-                shard.drop(user_id)
-            self._absorb_outcome_locked(ADIApplyOutcome(doomed, []))
-        return purged
-
-    def purge_older_than(self, cutoff: float) -> int:
-        with self._write_lock:
-            doomed = [
-                record
-                for record in self._warm.records()
-                if record.granted_at < cutoff
-            ]
-            purged = self._warm.purge_older_than(cutoff)
-            self._absorb_outcome_locked(ADIApplyOutcome(doomed, []))
-        return purged
 
     def clear(self) -> int:
         with self._write_lock:

@@ -43,19 +43,25 @@ class _Reference:
         self.next_id = 1
 
     def apply_detailed(self, mutation):
-        """Purges (each context's, then the named ids') before adds."""
+        """Purges before adds: each context's, then the named ids', the
+        named users', the cutoff's, each in record-id order."""
+        cutoff = mutation.purge_before
+        selections = [
+            *(
+                (lambda record, context=context: record.in_context(context))
+                for context in mutation.purge_contexts
+            ),
+            lambda record: record.record_id in mutation.purge_record_ids,
+            lambda record: record.user_id in mutation.purge_users,
+            lambda record: cutoff is not None and record.granted_at < cutoff,
+        ]
         purged: list[RetainedADIRecord] = []
-        for context in mutation.purge_contexts:
+        for selected in selections:
             purged += [
                 record
                 for record in self.held
-                if record.in_context(context) and record not in purged
+                if selected(record) and record not in purged
             ]
-        purged += [
-            record
-            for record in self.held
-            if record.record_id in mutation.purge_record_ids and record not in purged
-        ]
         self.held = [record for record in self.held if record not in purged]
         added = []
         for record in mutation.adds:
@@ -120,6 +126,8 @@ _op = st.one_of(
         st.lists(_record, max_size=3),
         st.lists(st.sampled_from(_QUERIES[1:]), max_size=1),
         st.lists(st.integers(1, 40), max_size=2, unique=True).map(tuple),
+        st.lists(st.sampled_from(_USERS), max_size=2).map(tuple),
+        st.none() | st.integers(0, 30).map(float),
     ),
     st.tuples(st.just("add"), _record),
     st.tuples(st.just("purge_user"), st.sampled_from(_USERS)),
@@ -136,7 +144,18 @@ _FIRST = RetainedADIRecord(
 
 @given(st.lists(_op, min_size=1, max_size=30))
 # Ids named out of order: every store reports them in id order.
-@example([("add", _FIRST), ("add", _FIRST), ("apply", [], [], (2, 1))])
+@example([("add", _FIRST), ("add", _FIRST), ("apply", [], [], (2, 1), (), None)])
+# Every purge kind in one apply, overlapping: each record is reported
+# once, under the first purge that selects it.
+@example([
+    ("add", _FIRST),
+    ("add", _FIRST._replace(
+        user_id="bob", context_instance=ContextName.parse("Dept=d2, Case=c2")
+    )),
+    ("add", _FIRST._replace(granted_at=5.0)),
+    ("add", _FIRST._replace(user_id="carol", granted_at=1.0)),
+    ("apply", [_FIRST], [_QUERIES[2]], (2, 3), ("alice", "bob", "alice"), 9.0),
+])
 @settings(max_examples=60, deadline=None)
 def test_every_record_handed_out_equals_the_reference(ops):
     stores = {name: make() for name, make in _STORES.items()}
@@ -149,7 +168,7 @@ def test_every_record_handed_out_equals_the_reference(ops):
                 # One request's records share its id (step 5.iv).
                 adds = [record._replace(request_id=f"r{step}") for record in adds]
             if kind == "apply":
-                mutation = ADIMutation(adds, args[1], args[2])
+                mutation = ADIMutation(adds, *args[1:])
                 purged, added = reference.apply_detailed(mutation)
                 for name, store in stores.items():
                     outcome = store.apply_detailed(mutation)

@@ -525,6 +525,90 @@ class TestOnlineResharding:
             elastic_cluster.wait_reshard(timeout=60.0)
 
 
+def test_a_sqlite_split_purges_each_source_node_in_one_apply(
+    tmp_path, monkeypatch
+):
+    """The cutover names all of a source node's movers in one store
+    apply (one transaction on SQLite), and the movers then decide on
+    their new owner as one node holding the whole history would."""
+    from repro.api import open_pdp
+
+    def auditor_request(user, serial, period):
+        return DecisionRequest(
+            user_id=user,
+            roles=(AUDITOR,),
+            operation="auditBooks",
+            target="ledger://books",
+            context_instance=ContextName.parse(
+                f"Branch={user}, Period={user}-S{period}"
+            ),
+            timestamp=float(serial),
+        )
+
+    cluster = LocalCluster(
+        bank_policy_set(),
+        2,
+        str(tmp_path),
+        store="sqlite",
+        health_interval=30.0,
+        catchup_interval=30.0,
+        fsync=False,
+    ).start()
+    try:
+        with ClusterPDP((cluster.host, cluster.port)) as pdp:
+            before = [teller_request(user, i) for i, user in enumerate(USERS)]
+            got = [pdp.decide(request) for request in before]
+            sources = [cluster.shard(name) for name in cluster.shard_names]
+            for state in sources:
+                state.standby.catch_up(state.primary.trail_dir)
+            applied: dict[str, list] = {}
+            nodes = [n for state in sources for n in (state.primary, state.standby)]
+            for node in nodes:
+                real = node.store.apply_detailed
+
+                def spy(mutation, real=real, name=node.name):
+                    applied.setdefault(name, []).append(mutation)
+                    return real(mutation)
+
+                monkeypatch.setattr(node.store, "apply_detailed", spy)
+            old_ring = cluster.ring
+            added = cluster.add_shard()
+            cluster.wait_reshard(timeout=60.0)
+            moved = [user for user in USERS if cluster.ring.shard_for(user) == added]
+            assert moved, "the split moved nobody; widen USERS"
+            for state in sources:
+                movers = {u for u in moved if old_ring.shard_for(u) == state.name}
+                for node in (state.primary, state.standby):
+                    purges = [set(m.purge_users) for m in applied.get(node.name, ())]
+                    assert purges == ([movers] if movers else []), node.name
+            pdp.refresh_route()
+            after = [
+                request
+                for serial, user in enumerate(moved)
+                for request in (
+                    teller_request(user, 100 + serial),
+                    # Denied by the imported history (MMER), then granted
+                    # in a period of its own.
+                    auditor_request(user, 200 + serial, USERS.index(user)),
+                    auditor_request(user, 300 + serial, 300 + serial),
+                )
+            ]
+            got += [pdp.decide(request) for request in after]
+    finally:
+        cluster.stop()
+    with open_pdp(bank_policy_set(), "memory") as oracle:
+        expected = [oracle.decide(request) for request in before + after]
+
+    def outcome(decision):
+        return decision.granted, decision.records_added, decision.records_purged
+
+    assert list(map(outcome, got)) == list(map(outcome, expected))
+    assert {decision.granted for decision in expected[len(before):]} == {
+        True,
+        False,
+    }
+
+
 def test_rebalance_with_a_dead_primary_is_a_typed_refusal(tmp_path):
     """The planner reads the same per-shard stats as ``status``: a
     killed primary's closed store is a refusal naming the shard, over

@@ -120,6 +120,20 @@ class TestStoreBasics:
         assert store.purge_user("alice") == 1
         assert {rec.user_id for rec in store.records()} == {"bob"}
 
+    def test_purge_users_wider_than_one_select(self, store):
+        """More users than one ``IN (…)`` select binds: the purge still
+        reports each of their records once, in record-id order."""
+        users = [f"u{n}" for n in range(2_500)]
+        with store.batch():
+            for n, user in enumerate(users * 2):
+                store.add(record(user=user, request_id=f"r{n}"))
+        doomed = users[::-1][:2_000] + users[-10:]  # out of order, repeated
+        purged = store.apply_detailed(ADIMutation(purge_users=tuple(doomed)))
+        ids = [rec.record_id for rec in purged.purged_records]
+        assert ids == sorted(ids) and len(ids) == 4_000
+        assert {rec.user_id for rec in purged.purged_records} == set(doomed)
+        assert store.user_ids() == set(users) - set(doomed)
+
     def test_purge_older_than(self, store):
         store.add(record(at=1.0))
         store.add(record(at=5.0, request_id="r2"))
@@ -192,10 +206,6 @@ class TestMutation:
         store.apply(mutation)
         contexts = {str(rec.context_instance) for rec in store.records()}
         assert contexts == {"Branch=York, Period=2007"}
-
-    def test_is_empty(self):
-        assert ADIMutation().is_empty
-        assert not ADIMutation(adds=[record()]).is_empty
 
 
 class TestDigest:

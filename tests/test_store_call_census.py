@@ -165,3 +165,37 @@ def test_a_reopened_sqlite_file_decides_as_before_the_close(tmp_path):
         )
     finally:
         store.close()
+
+
+@pytest.mark.parametrize("purge", ["purge_older_than", "purge_user"])
+@pytest.mark.parametrize("kind", ["sqlite", "tiered:sqlite"])
+def test_a_management_purge_selects_only_its_doomed_rows(
+    kind, purge, tmp_path, monkeypatch
+):
+    """A purge by age or by user is one apply: one ``SELECT`` of the rows
+    it deletes, no ``records``/``find`` scan and no hydration, and the
+    tier's resident views lose the rows with the table."""
+    history = list(bank_scale_history(_BANK, 4))
+    user = history[0].user_id
+    cutoff = sorted(record.granted_at for record in history)[len(history) // 2]
+    doomed = {
+        "purge_user": lambda record: record.user_id == user,
+        "purge_older_than": lambda record: record.granted_at < cutoff,
+    }[purge]
+    with open_pdp(_policy(), _spec(kind, tmp_path)) as pdp:
+        store = pdp.store
+        with store.batch():
+            for record in history:
+                store.add(record)
+        root = ContextName.root()
+        assert store.user_roles(user, root)  # resident before the purge
+        census = _Census(store, monkeypatch)
+        purged = getattr(store, purge)(user if purge == "purge_user" else cutoff)
+        assert purged == sum(map(doomed, history)) > 0
+        assert census.snapshot() == (0, 0, 1)
+        kept = [record for record in history if not doomed(record)]
+        assert store.count() == len(kept)
+        assert [
+            record._replace(record_id=None)
+            for record in store.find_user(user, root)
+        ] == [record for record in kept if record.user_id == user]
