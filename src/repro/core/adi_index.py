@@ -3,13 +3,14 @@
 Steps 3, 5 and 6 of the Section 4.2 algorithm ask whether a context has
 started (:class:`_ContextPresence`) and which roles a user activated and
 which privileges it exercised there (:class:`_UserAggregate`).
-:class:`_UserContextIndex` composes the two for the in-memory store,
+:class:`~repro.core.retained_adi.InMemoryRetainedADIStore` composes
+the two as one aggregate per user and a by-context view,
 :class:`~repro.core.tiered.TieredADIStore` as LRU shards of aggregates
 plus one presence.  None of them locks: the composing store
 owns the discipline.
 
 The records themselves are packed rows of a :class:`_Rows` table, one
-per index or hot shard; aggregates hold row numbers.  A
+per memory store or hot shard; aggregates hold row numbers.  A
 :class:`~repro.core.retained_adi.RetainedADIRecord` is built only when a
 store hands records out.
 """
@@ -202,7 +203,7 @@ class _UserAggregate:
     row number of its one record, the shape most pairs keep for life, or
     from the second record on a :class:`_ContextBucket`, which stays
     until the pair is deleted.  The rows live in ``table``, which the
-    aggregate may share with others (an index's, a hot shard's).
+    aggregate may share with others (a memory store's, a hot shard's).
 
     ``add``/``remove`` are **idempotent** by record id: a tiered
     mutation's hot update may race a hydration that already read the
@@ -366,8 +367,8 @@ class _ContextPresence:
     """Which concrete contexts hold records, indexed for context matching.
 
     ``counts`` maps each concrete context instance to how often it was
-    added and not yet forgotten — its record count in a tier, 1 in a
-    :class:`_UserContextIndex`; it is bounded by the number of distinct
+    added and not yet forgotten — its record count in a tier, 1 in the
+    memory store; it is bounded by the number of distinct
     contexts, not by users.
     ``_postings`` maps each ``(position, component value)`` of a live
     context to the live contexts holding it, and changes exactly where
@@ -476,124 +477,3 @@ class _ContextPresence:
         memo[effective_context] = True
         return True
 
-
-class _UserContextIndex:
-    """Records filed by ``(user, concrete context instance)``.
-
-    The number of distinct concrete instances (and of instances any one
-    user has touched) is tiny compared to the record count, so
-    context-scoped queries walk a handful of pairs — each answering
-    from its one row or its bucket's fold — instead of scanning every
-    record;
-    cross-user queries find their contexts through
-    :meth:`_ContextPresence.matching`, not by scanning the live ones.
-    Every aggregate files its rows in the index's one ``rows`` table.
-    The presence counts each live context once (``_by_context`` holds
-    its pairs), so only a context's first pair and its last removal
-    reach it.
-
-    The in-memory store uses it as its primary and only index.
-    """
-
-    __slots__ = ("rows", "_by_user", "_by_context", "_presence")
-
-    def __init__(self) -> None:
-        self.rows = _Rows()
-        self._by_user: dict[str, _UserAggregate] = {}
-        self._by_context: dict[ContextName, dict[str, _Held]] = {}
-        self._presence = _ContextPresence()
-
-    # -- maintenance ---------------------------------------------------
-    def add(self, record: RetainedADIRecord) -> None:
-        user_id = record.user_id
-        aggregate = self._by_user.get(user_id)
-        if aggregate is None:
-            aggregate = self._by_user[user_id] = _UserAggregate(self.rows)
-        held = aggregate.add(record)
-        # A new pair holds a row; a promoted one, a bucket of two rows.
-        # A bucket already filed here keeps its place.
-        if held is not None and (type(held) is int or len(held.rows) == 2):
-            context = record.context_instance
-            by_users = self._by_context.get(context)
-            if by_users is None:
-                by_users = self._by_context[context] = {}
-                self._presence.add(context)
-            by_users[user_id] = held
-
-    def remove(self, records: Iterable[RetainedADIRecord]) -> None:
-        """Retire records, skipping those not held (idempotent by id)."""
-        by_user: dict[str, list[RetainedADIRecord]] = {}
-        for record in records:
-            by_user.setdefault(record.user_id, []).append(record)
-        vanished: list[ContextName] = []
-        for user_id, mine in by_user.items():
-            aggregate = self._by_user.get(user_id)
-            if aggregate is None:
-                continue
-            removed = aggregate.remove(mine)
-            for context in {record.context_instance for record in removed}:
-                if context not in aggregate.buckets:
-                    by_users = self._by_context[context]
-                    del by_users[user_id]
-                    if not by_users:
-                        del self._by_context[context]
-                        vanished.append(context)
-            if not aggregate.buckets:
-                del self._by_user[user_id]
-        self._presence.forget(vanished)
-
-    # -- queries -------------------------------------------------------
-    def resident_users(self) -> int:
-        return len(self._by_user)
-
-    def user_ids(self) -> set[str]:
-        return set(self._by_user)
-
-    def context_counts(self) -> dict[ContextName, int]:
-        return {
-            context: sum(len(_held_rows(held)) for held in by_users.values())
-            for context, by_users in self._by_context.items()
-        }
-
-    def has_context(self, effective_context: ContextName) -> bool:
-        return self._presence.has_context(effective_context)
-
-    def context_rows(self, effective_context: ContextName) -> list[int]:
-        """The rows within the context, in record-id order."""
-        by_context = self._by_context
-        return _rows_of(
-            self.rows,
-            (
-                held
-                for context in self._presence.matching(effective_context)
-                for held in by_context[context].values()
-            ),
-        )
-
-    def context_records(
-        self, effective_context: ContextName
-    ) -> list[RetainedADIRecord]:
-        return self.rows.records(self.context_rows(effective_context))
-
-    def users_with_privileges(
-        self, privileges: Iterable[Privilege], effective_context: ContextName
-    ) -> frozenset[str]:
-        """Users holding a row of a listed privilege within the context."""
-        wanted = set(privileges)
-        operations, targets = self.rows.operations, self.rows.targets
-        new = tuple.__new__
-        owners: set[str] = set()
-        by_context = self._by_context
-        for context in self._presence.matching(effective_context):
-            for user_id, held in by_context[context].items():
-                if user_id in owners:
-                    continue
-                for row in _held_rows(held):
-                    if new(Privilege, (operations[row], targets[row])) in wanted:
-                        owners.add(user_id)
-                        break
-        return frozenset(owners)
-
-    def user(self, user_id: str) -> _UserAggregate:
-        """The user's aggregate to fold over; an empty one if unknown."""
-        return self._by_user.get(user_id) or _UserAggregate(self.rows)

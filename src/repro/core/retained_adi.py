@@ -38,7 +38,14 @@ from operator import attrgetter
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
-from repro.core.adi_index import _UserContextIndex
+from repro.core.adi_index import (
+    _ContextPresence,
+    _Held,
+    _held_rows,
+    _Rows,
+    _rows_of,
+    _UserAggregate,
+)
 from repro.core.constraints import Privilege, Role, TypedTuple
 from repro.core.context import ContextName
 from repro.errors import StoreError
@@ -400,95 +407,155 @@ class RetainedADIStore:
 class InMemoryRetainedADIStore(RetainedADIStore):
     """Retained ADI held in memory (paper Section 5.2).
 
-    Records live as packed rows in a
-    :class:`~repro.core.adi_index._UserContextIndex`, so context-scoped
-    queries (the hot path of algorithm steps 3 and 7) touch only the
-    matching buckets and the engine's history views never scan.
-    Deleting a record fully unlinks it from every index and frees its
-    row, so long-lived users do not accumulate stale entries.  The index
-    is the only copy: :meth:`apply_detailed`, every purge's one path,
-    selects a context's rows through its presence and a user's from
-    their aggregate, and walks all of it only for a purge by record id
-    or by age (as :meth:`records` does).  Records are built only to be
-    handed out.
+    Records live as packed rows of one :class:`~repro.core.adi_index._Rows`
+    table, filed by ``(user, concrete context)`` pair: ``_by_user`` holds
+    each user's :class:`~repro.core.adi_index._UserAggregate`,
+    ``_by_context`` each live context's pairs, and ``_presence`` counts
+    each live context once, for matching.  Concrete contexts are few
+    beside the records, so context-scoped queries (the hot path of
+    algorithm steps 3 and 7) walk a handful of pairs and the engine's
+    history views never scan.  Deleting a record unlinks it from every
+    field and frees its row, so long-lived users accumulate no stale
+    entries.  The rows are the only copy: :meth:`apply_detailed`, every
+    purge's one path, selects a context's rows through the presence and
+    a user's from their aggregate, and walks all of them only for a
+    purge by record id or by age (as :meth:`records` does).  Records
+    are built only to be handed out.  ``users_with_privileges`` walks
+    the matching pairs: the tier's owner fold would cost every add its
+    upkeep.
     """
 
     def __init__(self, records: Iterable[RetainedADIRecord] = ()) -> None:
-        self._index = _UserContextIndex()
         self._next_id = 1
+        self._empty()
         for record in records:
             self.add(record)
 
+    def _empty(self) -> None:
+        self._rows = _Rows()
+        self._by_user: dict[str, _UserAggregate] = {}
+        self._by_context: dict[ContextName, dict[str, _Held]] = {}
+        self._presence = _ContextPresence()
+
     def add(self, record: RetainedADIRecord) -> RetainedADIRecord:
         stored = _stamped(record, self._next_id)
-        self._index.add(stored)
         self._next_id += 1
+        user_id = stored.user_id
+        aggregate = self._by_user.get(user_id)
+        if aggregate is None:
+            aggregate = self._by_user[user_id] = _UserAggregate(self._rows)
+        # The id is fresh, so the aggregate files the record.  A new pair
+        # holds a row; a promoted one, a bucket of two rows.  A bucket
+        # already filed here keeps its place.
+        held = aggregate.add(stored)
+        if type(held) is int or len(held.rows) == 2:
+            context = stored.context_instance
+            by_users = self._by_context.get(context)
+            if by_users is None:
+                by_users = self._by_context[context] = {}
+                self._presence.add(context)
+            by_users[user_id] = held
         return stored
 
+    def _user(self, user_id: str) -> _UserAggregate:
+        """The user's aggregate to fold over; an empty one if unknown."""
+        return self._by_user.get(user_id) or _UserAggregate(self._rows)
+
+    def _context_rows(self, effective_context: ContextName) -> list[int]:
+        """The rows within the context, in record-id order."""
+        by_context = self._by_context
+        return _rows_of(
+            self._rows,
+            (
+                held
+                for context in self._presence.matching(effective_context)
+                for held in by_context[context].values()
+            ),
+        )
+
     def records(self) -> Iterator[RetainedADIRecord]:
-        return iter(self._index.context_records(_ROOT))
+        return iter(self.find(_ROOT))
 
     def find(self, effective_context: ContextName) -> list[RetainedADIRecord]:
-        return self._index.context_records(effective_context)
+        return self._rows.records(self._context_rows(effective_context))
 
     def find_user(
         self, user_id: str, effective_context: ContextName
     ) -> list[RetainedADIRecord]:
-        return self._index.user(user_id).records(effective_context)
+        return self._user(user_id).records(effective_context)
 
     def has_context(self, effective_context: ContextName) -> bool:
-        return self._index.has_context(effective_context)
+        return self._presence.has_context(effective_context)
 
     def _delete(self, rows: list[int]) -> list[RetainedADIRecord]:
         """Delete the records the rows hold; those records."""
-        records = self._index.rows.records(rows)
-        self._index.remove(records)
+        records = self._rows.records(rows)
+        by_user: dict[str, list[RetainedADIRecord]] = {}
+        for record in records:
+            by_user.setdefault(record.user_id, []).append(record)
+        vanished: list[ContextName] = []
+        for user_id, mine in by_user.items():
+            aggregate = self._by_user[user_id]
+            aggregate.remove(mine)
+            for context in {record.context_instance for record in mine}:
+                if context not in aggregate.buckets:
+                    by_users = self._by_context[context]
+                    del by_users[user_id]
+                    if not by_users:
+                        del self._by_context[context]
+                        vanished.append(context)
+            if not aggregate.buckets:
+                del self._by_user[user_id]
+        self._presence.forget(vanished)
         return records
 
     def clear(self) -> int:
         removed = self.count()
-        self._index = _UserContextIndex()
+        self._empty()
         return removed
 
     def count(self) -> int:
-        return len(self._index.rows)
+        return len(self._rows)
 
     def user_ids(self) -> set[str]:
-        return self._index.user_ids()
+        return set(self._by_user)
 
     def stats(self) -> dict:
         return {
             **super().stats(),
             "backend": "memory",
-            "resident_users": self._index.resident_users(),
+            "resident_users": len(self._by_user),
         }
 
     def context_counts(self) -> dict[ContextName, int]:
-        return self._index.context_counts()
+        return {
+            context: sum(len(_held_rows(held)) for held in by_users.values())
+            for context, by_users in self._by_context.items()
+        }
 
     def apply_detailed(self, mutation: ADIMutation) -> ADIApplyOutcome:
-        index = self._index
+        table = self._rows
         evicted: list[RetainedADIRecord] = []
         # Each purge's rows go before the next selects: none is reported twice.
         for context in mutation.purge_contexts:
-            evicted += self._delete(index.context_rows(context))
+            evicted += self._delete(self._context_rows(context))
         if mutation.purge_record_ids:
-            wanted, ids = set(mutation.purge_record_ids), index.rows.record_ids
+            wanted, ids = set(mutation.purge_record_ids), table.record_ids
             evicted += self._delete(
-                [row for row in index.context_rows(_ROOT) if ids[row] in wanted]
+                [row for row in self._context_rows(_ROOT) if ids[row] in wanted]
             )
         if mutation.purge_users:
             rows = [
                 row
                 for user_id in set(mutation.purge_users)
-                for row in index.user(user_id).rows(_ROOT)
+                for row in self._user(user_id).rows(_ROOT)
             ]
-            evicted += self._delete(sorted(rows, key=index.rows.record_ids.__getitem__))
+            evicted += self._delete(sorted(rows, key=table.record_ids.__getitem__))
         cutoff = mutation.purge_before
         if cutoff is not None:
-            at = index.rows.granted_at
+            at = table.granted_at
             evicted += self._delete(
-                [row for row in index.context_rows(_ROOT) if at[row] < cutoff]
+                [row for row in self._context_rows(_ROOT) if at[row] < cutoff]
             )
         added = [self.add(record) for record in mutation.adds]
         return ADIApplyOutcome(evicted, added)
@@ -497,19 +564,33 @@ class InMemoryRetainedADIStore(RetainedADIStore):
     def user_roles(
         self, user_id: str, effective_context: ContextName
     ) -> frozenset[Role]:
-        return self._index.user(user_id).roles(effective_context)
+        return self._user(user_id).roles(effective_context)
 
     def user_privilege_exercises(
         self, user_id: str, effective_context: ContextName
     ) -> list[Privilege]:
-        return self._index.user(user_id).exercises(effective_context)
+        return self._user(user_id).exercises(effective_context)
 
     def users_with_privileges(
         self,
         privileges: Iterable[Privilege],
         effective_context: ContextName,
     ) -> frozenset[str]:
-        return self._index.users_with_privileges(privileges, effective_context)
+        """Users holding a row of a listed privilege within the context."""
+        wanted = set(privileges)
+        operations, targets = self._rows.operations, self._rows.targets
+        new = tuple.__new__
+        owners: set[str] = set()
+        by_context = self._by_context
+        for context in self._presence.matching(effective_context):
+            for user_id, held in by_context[context].items():
+                if user_id in owners:
+                    continue
+                for row in _held_rows(held):
+                    if new(Privilege, (operations[row], targets[row])) in wanted:
+                        owners.add(user_id)
+                        break
+        return frozenset(owners)
 
 
 class SQLiteRetainedADIStore(RetainedADIStore):

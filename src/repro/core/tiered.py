@@ -15,7 +15,7 @@ build it.
   layer: it assigns record ids, and every mutation commits there first,
   atomically, before any hot state changes.
 * **hot layer** — one :class:`~repro.core.adi_index._UserAggregate`
-  per resident user (the class the resident stores index with), sharded
+  per resident user (the memory store keeps one per user), sharded
   by ``crc32(user_id)`` with per-shard LRU eviction bounded by
   ``hot_users``; a shard's aggregates pack their records into the
   shard's one row table.  A cold user's entry is **lazily hydrated**
@@ -108,7 +108,7 @@ class TieredADIStore(RetainedADIStore):
         different shards proceed concurrently.
     owns_warm:
         When true, :meth:`close` closes the warm store too (set by
-        the spec-driven builder in :mod:`repro.api`).
+        the spec-driven builder, :func:`repro.storespec.build_store`).
     """
 
     def __init__(

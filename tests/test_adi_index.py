@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.api import open_store
 from repro.core import (
+    ADIMutation,
     ContextName,
     InMemoryRetainedADIStore,
     Privilege,
@@ -17,12 +18,7 @@ from repro.core import (
     SQLiteRetainedADIStore,
     TieredADIStore,
 )
-from repro.core.adi_index import (
-    _ContextBucket,
-    _ContextPresence,
-    _UserAggregate,
-    _UserContextIndex,
-)
+from repro.core.adi_index import _ContextBucket, _ContextPresence, _UserAggregate
 from repro.core.admin import CONTROLLER_ROLE, RetainedADIManagementPort
 from repro.workload import BankScaleConfig, bank_scale_history
 from tests.test_property_context import pooled_names
@@ -136,25 +132,23 @@ class TestOneRecordPairs:
     """A pair holds its one record's row; the second builds a bucket."""
 
     def test_second_record_promotes_the_pair_everywhere_it_is_held(self):
-        index = _UserContextIndex()
+        store = InMemoryRetainedADIStore()
         d1, d2 = ContextName.parse("Dept=d1"), ContextName.parse("Dept=d2")
-        later = _record(5, request_id="rA")
-        index.add(later)
-        index.add(_record(6, context="Dept=d2", role=_AUDITOR))
-        aggregate = index.user("u1")
+        first = store.add(_record(5, request_id="rA"))
+        store.add(_record(6, context="Dept=d2", role=_AUDITOR))
+        aggregate = store._by_user["u1"]
         assert aggregate._memo is None  # no read yet
         row = aggregate.buckets[d1]
-        assert type(row) is int and _held(aggregate, d1) == [later]
-        assert index._by_context[d1] == {"u1": row}
+        assert type(row) is int and _held(aggregate, d1) == [first]
+        assert store._by_context[d1] == {"u1": row}
         for query in (d1, d2, _ROOT):
             _views(aggregate, query)
         memo = dict(aggregate._memo)
-        earlier = _record(3, request_id="rA", role=_AUDITOR, op="first")
-        index.add(earlier)  # arrives second, sorts first
+        second = store.add(_record(3, request_id="rA", role=_AUDITOR, op="first"))
         bucket = aggregate.buckets[d1]
         assert type(bucket) is _ContextBucket
-        assert _held(aggregate, d1) == [earlier, later]
-        assert index._by_context[d1] == {"u1": bucket}
+        assert _held(aggregate, d1) == [first, second]
+        assert store._by_context[d1] == {"u1": bucket}
         assert all(aggregate._memo[query] is memo[query] for query in memo)
         assert aggregate._memo[d1] == [bucket]
         assert bucket in aggregate._memo[_ROOT]
@@ -163,6 +157,19 @@ class TestOneRecordPairs:
         rebuilt = _rebuilt(aggregate.records(_ROOT))
         for query in (d1, d2, _ROOT):
             assert _views(aggregate, query) == _views(rebuilt, query)
+        assert aggregate.exercises(d1) == [Privilege("op", "t")]
+
+    def test_a_second_record_with_a_lower_id_sorts_first(self):
+        # A tier's hydration and hot update can file a pair's records out
+        # of id order; the promoted bucket is in id order regardless.
+        aggregate = _UserAggregate()
+        d1 = ContextName.parse("Dept=d1")
+        later = _record(5, request_id="rA")
+        aggregate.add(later)
+        _views(aggregate, d1)
+        earlier = _record(3, request_id="rA", role=_AUDITOR, op="first")
+        aggregate.add(earlier)  # arrives second, sorts first
+        assert _held(aggregate, d1) == [earlier, later]
         assert aggregate.exercises(d1) == [Privilege("first", "t")]
 
     @pytest.mark.parametrize("promoted", [False, True])
@@ -180,42 +187,39 @@ class TestOneRecordPairs:
         assert aggregate.exercises(_ROOT) == [Privilege("op", "t")] * len(held)
 
     def test_removing_a_bare_record_deletes_the_pair_and_drops_the_memo(self):
-        index = _UserContextIndex()
+        store = InMemoryRetainedADIStore()
         d1 = ContextName.parse("Dept=d1")
-        bare, kept = _record(1), _record(2, context="Dept=d2")
-        index.add(bare)
-        index.add(kept)
-        aggregate = index.user("u1")
+        bare = store.add(_record(1))
+        kept = store.add(_record(2, context="Dept=d2"))
+        aggregate = store._by_user["u1"]
         assert aggregate.roles(d1) == {_CLERK}
         memo = aggregate._memo
-        index.remove([bare])
-        assert d1 not in aggregate.buckets and d1 not in index._by_context
-        assert index.context_counts() == {kept.context_instance: 1}
+        store.apply(ADIMutation(purge_record_ids=(bare.record_id,)))
+        assert d1 not in aggregate.buckets and d1 not in store._by_context
+        assert store.context_counts() == {kept.context_instance: 1}
         assert aggregate._memo == {} and memo
         assert _views(aggregate) == _views(_rebuilt([kept]))
 
     def test_removing_from_a_promoted_bucket_keeps_the_others(self):
-        index = _UserContextIndex()
+        store = InMemoryRetainedADIStore()
         d1 = ContextName.parse("Dept=d1")
         records = [
-            _record(n, role=role)
+            store.add(_record(n, role=role))
             for n, role in ((1, _CLERK), (2, _AUDITOR), (3, _CLERK))
         ]
-        for record in records:
-            index.add(record)
-        aggregate = index.user("u1")
+        aggregate = store._by_user["u1"]
         bucket = aggregate.buckets[d1]
         assert aggregate.roles(d1) == {_CLERK, _AUDITOR}
         memo = aggregate._memo
-        index.remove([records[1]])
+        store.apply(ADIMutation(purge_record_ids=(records[1].record_id,)))
         assert aggregate.buckets[d1] is bucket  # still a bucket, not demoted
-        assert index._by_context[d1] == {"u1": bucket}
+        assert store._by_context[d1] == {"u1": bucket}
         assert aggregate._memo is memo
         assert _held(aggregate, d1) == [records[0], records[2]]
-        assert index.context_counts() == {d1: 2}
+        assert store.context_counts() == {d1: 2}
         assert _views(aggregate) == _views(_rebuilt([records[0], records[2]]))
-        index.remove([records[0], records[2]])
-        assert aggregate.buckets == {} and index._by_context == {}
+        store.apply(ADIMutation(purge_record_ids=(1, 3)))
+        assert aggregate.buckets == {} and store._by_context == {}
 
     def test_earliest_record_orders_exercises_through_promotion_and_removal(self):
         # Read between every change, so each fold is kept up to date in
@@ -248,7 +252,7 @@ class TestOneRecordPairs:
 
 class TestMemoryStoreWithoutAnIdMap:
     """The memory store keeps no by-id copy; its management operations
-    walk the index and answer as SQLite does on the same mutations."""
+    walk its aggregates and answer as SQLite does on the same mutations."""
 
     @staticmethod
     def _run(store):
@@ -361,7 +365,7 @@ def _aggregates(store):
             for shard in store._shards
             for user_id, entry in shard.entries.items()
         }
-    return store._index._by_user
+    return store._by_user
 
 
 def _buckets(store):

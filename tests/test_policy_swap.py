@@ -34,7 +34,7 @@ from repro.errors import PolicyError
 from repro.framework import ReferenceRBACMSoDPDP, RoleTargetAccessPolicy
 from repro.verify import gate, static
 from repro.workload import bank_policy_set
-from tests.test_property_store_equivalence import (
+from tests.test_property_store_differential import (
     _OPS,
     _QUERIES,
     _USERS,
@@ -95,10 +95,9 @@ def _memos(store) -> list[tuple[str, dict]]:
         return memos + [(f"warm {label}", memo) for label, memo in warm]
     if isinstance(store, SQLiteRetainedADIStore):
         return []  # SQL only: it holds no memo
-    index = store._index
-    return [("presence", index._presence._memo)] + [
+    return [("presence", store._presence._memo)] + [
         (f"aggregate {user}", aggregate._memo)
-        for user, aggregate in index._by_user.items()
+        for user, aggregate in store._by_user.items()
     ]
 
 

@@ -1,6 +1,6 @@
 """Differential properties for the pluggable constraint kinds.
 
-Mirrors ``test_property_store_equivalence``: MMCD decision streams must
+Mirrors ``test_property_store_differential``: MMCD decision streams must
 be bit-identical across the in-memory, SQLite and tiered backends, and
 identical whether or not the engine is traced.  Also property-tests the
 ``repr`` round trip that embeds constraints in violation payloads.

@@ -1,127 +1,45 @@
-"""Property tests: the two retained-ADI backends are interchangeable.
+"""Lookups and purges by context agree across every store shape.
 
-The SQLite store narrows candidate rows with a SQL LIKE prefilter built
-from the effective context.  ``%`` and ``_`` are legal characters in
-context values, so the pattern must escape them — these properties drive
-the two stores with adversarial context names (including LIKE
-metacharacters and backslashes) and require identical answers.
+SQLite prefilters a context query with LIKE, so these properties draw
+records in contexts whose values are rich in LIKE metacharacters and
+run the store differential (:mod:`tests.test_property_store_differential`)
+over steps that only store records, or store them and then purge one
+context.  After every step ``find``, ``has_context`` and ``find_user``
+of every shape equal the reference's.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    ContextName,
-    InMemoryRetainedADIStore,
-    RetainedADIRecord,
-    Role,
-    SQLiteRetainedADIStore,
-    store_digest,
+from tests.test_property_store_differential import (
+    _add,
+    _check,
+    _purge_context,
+    _run_differential,
+    _steps_of,
 )
-from repro.core.context import ContextComponent
 
-# Values deliberately rich in LIKE metacharacters.
-_value = st.text(
-    alphabet=st.sampled_from(list("abc%_\\012")),
-    min_size=1,
-    max_size=6,
-).filter(lambda text: text not in ("*", "!") and "=" not in text)
-
-_types = st.sampled_from(["T0", "T1", "T2"])
+_sizes = st.integers(1, 3)
 
 
-@st.composite
-def concrete_contexts(draw, max_depth=3):
-    depth = draw(st.integers(min_value=1, max_value=max_depth))
-    components = []
-    for index in range(depth):
-        components.append(ContextComponent(f"L{index}", draw(_value)))
-    return ContextName(components)
+@given(_steps_of(_add, min_size=1, max_size=10), _sizes, _sizes)
+@settings(max_examples=40, deadline=None)
+def test_find_agrees_across_backends(steps, hot_users, shards):
+    _run_differential(steps, hot_users, shards)
 
 
-@st.composite
-def policy_contexts(draw, max_depth=3):
-    depth = draw(st.integers(min_value=0, max_value=max_depth))
-    components = []
-    for index in range(depth):
-        value = draw(st.one_of(_value, st.just("*")))
-        components.append(ContextComponent(f"L{index}", value))
-    return ContextName(components)
-
-
-def _record(index, context):
-    return RetainedADIRecord(
-        user_id=f"u{index % 3}",
-        roles=(Role("employee", "Teller"),),
-        operation="op",
-        target="t",
-        context_instance=context,
-        granted_at=float(index),
-        request_id=f"r{index}",
-    )
+@given(_steps_of(_add, _check, min_size=1, max_size=10), _sizes, _sizes)
+@settings(max_examples=30, deadline=None)
+def test_find_user_agrees_across_backends(steps, hot_users, shards):
+    _run_differential(steps, hot_users, shards)
 
 
 @given(
-    st.lists(concrete_contexts(), min_size=1, max_size=10),
-    policy_contexts(),
+    st.tuples(_steps_of(_add, min_size=1, max_size=10), _purge_context),
+    _sizes,
+    _sizes,
 )
-@settings(max_examples=120, deadline=None)
-def test_find_agrees_across_backends(instance_contexts, query):
-    memory = InMemoryRetainedADIStore()
-    sqlite_store = SQLiteRetainedADIStore(":memory:")
-    try:
-        for index, context in enumerate(instance_contexts):
-            memory.add(_record(index, context))
-            sqlite_store.add(_record(index, context))
-        memory_hits = {
-            record.request_id for record in memory.find(query)
-        }
-        sqlite_hits = {
-            record.request_id for record in sqlite_store.find(query)
-        }
-        assert memory_hits == sqlite_hits
-        assert memory.has_context(query) == sqlite_store.has_context(query)
-    finally:
-        sqlite_store.close()
-
-
-@given(
-    st.lists(concrete_contexts(), min_size=1, max_size=10),
-    policy_contexts(),
-)
-@settings(max_examples=80, deadline=None)
-def test_purge_agrees_across_backends(instance_contexts, query):
-    memory = InMemoryRetainedADIStore()
-    sqlite_store = SQLiteRetainedADIStore(":memory:")
-    try:
-        for index, context in enumerate(instance_contexts):
-            memory.add(_record(index, context))
-            sqlite_store.add(_record(index, context))
-        assert memory.purge_context(query) == sqlite_store.purge_context(query)
-        assert store_digest(memory) == store_digest(sqlite_store)
-    finally:
-        sqlite_store.close()
-
-
-@given(
-    st.lists(concrete_contexts(), min_size=1, max_size=8),
-    st.sampled_from(["u0", "u1", "u2"]),
-    policy_contexts(),
-)
-@settings(max_examples=80, deadline=None)
-def test_find_user_agrees_across_backends(instance_contexts, user, query):
-    memory = InMemoryRetainedADIStore()
-    sqlite_store = SQLiteRetainedADIStore(":memory:")
-    try:
-        for index, context in enumerate(instance_contexts):
-            memory.add(_record(index, context))
-            sqlite_store.add(_record(index, context))
-        memory_hits = [
-            record.request_id for record in memory.find_user(user, query)
-        ]
-        sqlite_hits = [
-            record.request_id for record in sqlite_store.find_user(user, query)
-        ]
-        assert memory_hits == sqlite_hits
-    finally:
-        sqlite_store.close()
+@settings(max_examples=40, deadline=None)
+def test_purge_agrees_across_backends(adds_then_purge, hot_users, shards):
+    adds, purge = adds_then_purge
+    _run_differential([*adds, purge], hot_users, shards)

@@ -1,228 +1,32 @@
-"""Differential property tests: tiered == always-resident SQLite.
+"""A tier over SQLite answers as if every user were resident.
 
-The tiered store answers the engine's history views from a bounded hot
-layer that cycles users in and out of memory; the SQLite oracle keeps
-everything resident.  These properties drive both behind full engines
-with a deliberately tiny hot budget (``hot_users=2`` over more users
-than that, so every example forces eviction/rehydration churn) through
-randomized interleavings of decisions, purges and policy-epoch swaps,
-and require bit-identical decision streams and identical final store
-digests — the same gate ``benchmarks/bench_scale.py`` enforces at
-10^6-user scale.
+The store differential (:mod:`tests.test_property_store_differential`)
+holds its tiered shape, and the always-resident shapes, to the
+reference.  Here it runs at the tier's sizes that matter: every step
+kind at two shards and one to three hot users; and a stream of
+decisions at one hot user and one shard, where the checks' rotating
+read order evicts a user at nearly every step, so the eviction
+schedule is all that varies.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    MMEP,
-    MMER,
-    ContextName,
-    DecisionRequest,
-    MSoDEngine,
-    MSoDPolicy,
-    MSoDPolicySet,
-    Privilege,
-    Role,
-    SQLiteRetainedADIStore,
-    TieredADIStore,
-    store_digest,
-)
-
-_CLERK = Role("role", "Clerk")
-_AUDITOR = Role("role", "Auditor")
-_MANAGER = Role("role", "Manager")
-
-_OPS = (
-    ("issue", "PO"),
-    ("approve", "PO"),
-    ("pay", "Invoice"),
-    ("browse", "Docs"),
-)
-
-_USERS = ["alice", "bob", "carol", "dave", "erin"]
-
-
-def _policy_set() -> MSoDPolicySet:
-    return MSoDPolicySet(
-        [
-            MSoDPolicy(
-                business_context=ContextName.parse("Dept=*, Case=!"),
-                mmers=[MMER([_CLERK, _AUDITOR], 2)],
-                policy_id="p-mmer",
-            ),
-            MSoDPolicy(
-                business_context=ContextName.parse("Dept=!"),
-                mmeps=[
-                    MMEP(
-                        [Privilege("issue", "PO"), Privilege("approve", "PO")],
-                        2,
-                    )
-                ],
-                policy_id="p-mmep",
-            ),
-        ]
-    )
-
-
-def _swapped_policy_set() -> MSoDPolicySet:
-    """A different epoch: one extra constraint over a disjoint context."""
-    return MSoDPolicySet(
-        list(_policy_set().policies)
-        + [
-            MSoDPolicy(
-                business_context=ContextName.parse("Dept=zz-unused"),
-                mmers=[MMER([_CLERK, _MANAGER], 2)],
-                policy_id="p-epoch",
-            )
-        ]
-    )
-
-
-# An operation stream mixing decisions with the store-mutating and
-# epoch-advancing operations the tiered layer must stay coherent under.
-_decide = st.tuples(
-    st.just("decide"),
-    st.sampled_from(_USERS),
-    st.sets(st.sampled_from([_CLERK, _AUDITOR, _MANAGER]), min_size=1, max_size=2),
-    st.sampled_from(_OPS),
-    st.sampled_from(["d1", "d2"]),
-    st.sampled_from(["c1", "c2"]),
-)
-_purge_user = st.tuples(st.just("purge_user"), st.sampled_from(_USERS))
-_purge_context = st.tuples(
-    st.just("purge_context"),
-    st.sampled_from(["Dept=d1", "Dept=d2", "Dept=*, Case=c1"]),
-)
-_purge_older = st.tuples(
-    st.just("purge_older_than"), st.integers(min_value=0, max_value=30)
-)
-_swap = st.tuples(st.just("swap_policy"), st.booleans())
-
-_operations = st.lists(
-    st.one_of(_decide, _purge_user, _purge_context, _purge_older, _swap),
-    min_size=1,
-    max_size=40,
+from tests.test_property_store_differential import (
+    _check,
+    _run_differential,
+    _steps,
+    _steps_of,
 )
 
 
-def _decision_key(decision):
-    return (
-        decision.effect,
-        decision.reason,
-        decision.matched_policy_ids,
-        decision.records_added,
-        decision.records_purged,
-    )
+@given(_steps, st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_tiered_matches_always_resident_sqlite(steps, hot_users):
+    _run_differential(steps, hot_users, shards=2)
 
 
-@given(_operations, st.integers(min_value=1, max_value=3))
-@settings(max_examples=60, deadline=None)
-def test_tiered_matches_always_resident_sqlite(operations, hot_users):
-    oracle_store = SQLiteRetainedADIStore(":memory:")
-    warm = SQLiteRetainedADIStore(":memory:")
-    hot_store = TieredADIStore(warm, hot_users=hot_users, shards=2)
-    oracle = MSoDEngine(_policy_set(), oracle_store)
-    engine = MSoDEngine(_policy_set(), hot_store)
-    try:
-        for index, operation in enumerate(operations):
-            kind = operation[0]
-            if kind == "decide":
-                _, user, roles, op, dept, case = operation
-                request = DecisionRequest(
-                    user_id=user,
-                    roles=tuple(sorted(roles, key=str)),
-                    operation=op[0],
-                    target=op[1],
-                    context_instance=ContextName.parse(
-                        f"Dept={dept}, Case={case}"
-                    ),
-                    timestamp=float(index),
-                    request_id=f"r{index}",
-                )
-                expected = _decision_key(oracle.check(request))
-                actual = _decision_key(engine.check(request))
-                assert actual == expected, f"decision diverged at step {index}"
-            elif kind == "purge_user":
-                _, user = operation
-                assert hot_store.purge_user(user) == oracle_store.purge_user(
-                    user
-                ), f"purge_user diverged at step {index}"
-            elif kind == "purge_context":
-                _, context_text = operation
-                context = ContextName.parse(context_text)
-                assert hot_store.purge_context(
-                    context
-                ) == oracle_store.purge_context(context), (
-                    f"purge_context diverged at step {index}"
-                )
-            elif kind == "purge_older_than":
-                _, cutoff = operation
-                assert hot_store.purge_older_than(
-                    float(cutoff)
-                ) == oracle_store.purge_older_than(float(cutoff)), (
-                    f"purge_older_than diverged at step {index}"
-                )
-            else:  # swap_policy: advance the policy epoch on both
-                _, extended = operation
-                target = _swapped_policy_set() if extended else _policy_set()
-                oracle.swap_policy(target, force=True)
-                engine.swap_policy(target, force=True)
-            assert store_digest(hot_store) == store_digest(oracle_store), (
-                f"store contents diverged at step {index}"
-            )
-    finally:
-        hot_store.close()
-        warm.close()
-        oracle_store.close()
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(_USERS),
-            st.sampled_from(["d1", "d2"]),
-            st.sampled_from(["c1", "c2"]),
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_eviction_schedule_cannot_change_answers(reads):
-    """Interleaving arbitrary read-driven eviction churn between writes
-    leaves every aggregate view identical to the oracle's."""
-    oracle_store = SQLiteRetainedADIStore(":memory:")
-    warm = SQLiteRetainedADIStore(":memory:")
-    hot_store = TieredADIStore(warm, hot_users=1, shards=1)
-    oracle = MSoDEngine(_policy_set(), oracle_store)
-    engine = MSoDEngine(_policy_set(), hot_store)
-    try:
-        for index, (user, dept, case) in enumerate(reads):
-            request = DecisionRequest(
-                user_id=user,
-                roles=(_CLERK,),
-                operation="issue",
-                target="PO",
-                context_instance=ContextName.parse(f"Dept={dept}, Case={case}"),
-                timestamp=float(index),
-                request_id=f"r{index}",
-            )
-            assert _decision_key(engine.check(request)) == _decision_key(
-                oracle.check(request)
-            )
-            # Read a *different* user to churn the single-entry hot layer.
-            other = _USERS[(index + 1) % len(_USERS)]
-            query = ContextName.parse(f"Dept={dept}")
-            assert hot_store.user_roles(other, query) == oracle_store.user_roles(
-                other, query
-            )
-            assert hot_store.user_privilege_exercises(
-                user, query
-            ) == oracle_store.user_privilege_exercises(user, query)
-        assert store_digest(hot_store) == store_digest(oracle_store)
-        assert hot_store.stats()["hydrations"] >= 1
-    finally:
-        hot_store.close()
-        warm.close()
-        oracle_store.close()
+@given(_steps_of(_check, min_size=1))
+@settings(max_examples=30, deadline=None)
+def test_eviction_schedule_cannot_change_answers(steps):
+    _run_differential(steps, hot_users=1, shards=1)
