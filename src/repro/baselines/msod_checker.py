@@ -13,7 +13,7 @@ from repro.baselines.base import SoDChecker
 from repro.core.decision import DecisionRequest
 from repro.core.engine import MODE_STRICT, MSoDEngine
 from repro.core.policy import MSoDPolicySet
-from repro.core.retained_adi import InMemoryRetainedADIStore
+from repro.core.store_memory import InMemoryRetainedADIStore
 from repro.vo.federation import IdentityLinker
 from repro.workload.events import STEP_ACCESS, Step
 

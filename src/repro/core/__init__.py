@@ -70,12 +70,12 @@ from repro.core.policy_epoch import (
 from repro.core.retained_adi import (
     ADIApplyOutcome,
     ADIMutation,
-    InMemoryRetainedADIStore,
     RetainedADIRecord,
     RetainedADIStore,
-    SQLiteRetainedADIStore,
     store_digest,
 )
+from repro.core.store_memory import InMemoryRetainedADIStore
+from repro.core.store_sqlite import SQLiteRetainedADIStore
 from repro.core.tiered import TieredADIStore
 
 __all__ = [

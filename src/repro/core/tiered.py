@@ -55,7 +55,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from repro.core.adi_index import _ContextPresence, _Rows, _UserAggregate
 from repro.core.constraints import Privilege, Role
 from repro.core.context import ContextName
 from repro.core.retained_adi import (
@@ -65,6 +64,7 @@ from repro.core.retained_adi import (
     RetainedADIRecord,
     RetainedADIStore,
 )
+from repro.core.store_memory import _ContextPresence, _Rows, _UserAggregate
 from repro.errors import StoreError
 
 _ROOT = ContextName.root()

@@ -29,7 +29,8 @@ from repro.core.constraints import Role
 from repro.core.context import ContextName
 from repro.core.decision import Decision, DecisionRequest, Effect
 from repro.core.engine import MODE_STRICT, MSoDEngine
-from repro.core.retained_adi import InMemoryRetainedADIStore, RetainedADIStore
+from repro.core.retained_adi import RetainedADIStore
+from repro.core.store_memory import InMemoryRetainedADIStore
 from repro.framework.pdp import PolicyDecisionPoint
 from repro.obs.recorder import NOOP, Recorder
 from repro.permis.credentials import AttributeCredential, TrustStore

@@ -18,7 +18,8 @@ from repro.core.context import ContextName
 from repro.core.decision import Decision, DecisionRequest, Effect
 from repro.core.engine import MODE_STRICT, MSoDEngine
 from repro.core.policy import MSoDPolicySet
-from repro.core.retained_adi import InMemoryRetainedADIStore, RetainedADIStore
+from repro.core.retained_adi import RetainedADIStore
+from repro.core.store_memory import InMemoryRetainedADIStore
 from repro.rbac.system import RBACSystem
 
 #: Attribute type used when wrapping ANSI role names as MSoD roles.

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.retained_adi import (
-    InMemoryRetainedADIStore,
-    RetainedADIStore,
-    SQLiteRetainedADIStore,
-)
+from repro.core.retained_adi import RetainedADIStore
+from repro.core.store_memory import InMemoryRetainedADIStore
+from repro.core.store_sqlite import SQLiteRetainedADIStore
 from repro.core.tiered import TieredADIStore
 from repro.errors import StoreSpecError
 

@@ -29,7 +29,8 @@ from repro.core.decision import Decision
 from repro.core.engine import MODE_STRICT, MSoDEngine
 from repro.core.policy import MSoDPolicySet
 from repro.core.policy_epoch import policy_set_digest
-from repro.core.retained_adi import InMemoryRetainedADIStore, RetainedADIStore
+from repro.core.retained_adi import RetainedADIStore
+from repro.core.store_memory import InMemoryRetainedADIStore
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,8 +18,8 @@ from repro.core import (
     SQLiteRetainedADIStore,
     TieredADIStore,
 )
-from repro.core.adi_index import _ContextBucket, _ContextPresence, _UserAggregate
 from repro.core.admin import CONTROLLER_ROLE, RetainedADIManagementPort
+from repro.core.store_memory import _ContextBucket, _ContextPresence, _UserAggregate
 from repro.workload import BankScaleConfig, bank_scale_history
 from tests.test_property_context import pooled_names
 

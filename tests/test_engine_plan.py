@@ -46,7 +46,6 @@ from repro.core import (
     register_constraint_kind,
     store_digest,
 )
-from repro.core.adi_index import _ContextPresence
 from repro.core.constraints import (
     CONSTRAINT_OK,
     CONSTRAINT_OK_EXERCISE,
@@ -57,6 +56,7 @@ from repro.core.policy_epoch import (
     CompiledPolicyMatcher,
     trigger_keys,
 )
+from repro.core.store_memory import _ContextPresence
 from repro.workload.bank_scale import (
     BankScaleConfig,
     bank_scale_policy_set,

@@ -49,7 +49,7 @@ from repro.core import (
     TieredADIStore,
     store_digest,
 )
-from repro.core.adi_index import _UserAggregate
+from repro.core.store_memory import _UserAggregate
 
 _ROOT = ContextName.root()
 _CLERK = Role("role", "Clerk")

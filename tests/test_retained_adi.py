@@ -14,12 +14,12 @@ from repro.core.decision import DecisionRequest, Effect
 from repro.core.engine import MSoDEngine
 from repro.core.retained_adi import (
     ADIMutation,
-    InMemoryRetainedADIStore,
     RetainedADIRecord,
-    SQLiteRetainedADIStore,
     _shared_roles,
     store_digest,
 )
+from repro.core.store_memory import InMemoryRetainedADIStore
+from repro.core.store_sqlite import SQLiteRetainedADIStore
 from repro.core.tiered import TieredADIStore
 from repro.errors import StoreError
 from repro.workload.generator import bank_policy_set

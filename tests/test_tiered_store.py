@@ -162,7 +162,7 @@ class TestPurges:
         One ``forget`` call is what lets its bulk rule replace a memo
         sweep per doomed record (the cutover-pause cost) by one sweep.
         """
-        from repro.core.adi_index import _ContextPresence
+        from repro.core.store_memory import _ContextPresence
 
         store = tiered(hot_users=4)
         branches = [f"B{n}" for n in range(12)]
