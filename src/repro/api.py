@@ -275,12 +275,10 @@ def open_pdp(
         file.  Required for in-process stores; must be ``None`` for
         ``remote:`` stores (the server owns the policy).
     store:
-        ``"memory"``, ``"sqlite:<path>"``, ``"remote:<host>:<port>"``,
-        ``"tiered:<warm-spec>?hot_users=N"`` (hot in-memory aggregates
-        with LRU eviction over a sqlite/memory warm layer — see
-        ``docs/SCALE.md``), or an already-constructed
-        :class:`RetainedADIStore` (whose lifetime then stays with the
-        caller).  See :func:`parse_store_spec` for the full grammar.
+        A spec in the grammar :mod:`repro.storespec` writes
+        (``"memory"``, ``"sqlite:<path>"``, ``"remote:<host>:<port>"``
+        …), or an already-constructed :class:`RetainedADIStore` (whose
+        lifetime then stays with the caller).
     perf:
         Optional :class:`~repro.obs.recorder.Recorder`; for remote
         handles it records the client-side counters instead.
@@ -444,10 +442,10 @@ def open_cluster(
     :class:`~repro.cluster.ClusterPDP` that routes by user, stamps the
     fencing epoch and survives failovers.  ``data_dir`` holds every
     node's trail directory and, for durable stores, its store file.
-    ``store`` takes the unified spec grammar minus anything pinning a
-    single path or process: ``memory``, bare ``sqlite`` (each node gets
-    its own file under ``data_dir``), or ``tiered:sqlite?hot_users=N``
-    / ``tiered:memory?hot_users=N``.  ``port=0`` binds the coordinator
+    ``store`` takes the :mod:`repro.storespec` grammar minus anything
+    pinning a single path or process: ``memory``, or bare ``sqlite`` or
+    ``tiered:sqlite?hot_users=N`` (each node gets its own file under
+    ``data_dir``).  ``port=0`` binds the coordinator
     ephemerally — read it back from ``.port``.
 
     With ``resume=True`` (the default) a ``data_dir`` that already

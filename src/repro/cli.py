@@ -86,8 +86,9 @@ def _add_store_arguments(
     )
     cmd.add_argument(
         "--store",
-        help="retained-ADI store spec: memory, sqlite:<path>, or "
-        "tiered:<warm-spec>?hot_users=N[&shards=M] (overrides --adi)",
+        help="retained-ADI store spec, as repro.storespec writes it: "
+        "memory, sqlite:<path> or tiered:sqlite:<path>?hot_users=N "
+        "(overrides --adi)",
     )
     cmd.set_defaults(store_default=default)
 

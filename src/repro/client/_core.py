@@ -356,6 +356,8 @@ class ClientCore:
             raise ValueError(f"pipeline_window must be >= 1, got {pipeline_window!r}")
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size!r}")
+        if not 1 <= port <= 65535:
+            raise ValueError(f"port must be in 1..65535, got {port!r}")
         for name, value in (("timeout", timeout), ("health_timeout", health_timeout)):
             if value is not None and not value > 0:  # rejects nan too
                 raise ValueError(f"{name} must be positive, got {value!r}")

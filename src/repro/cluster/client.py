@@ -286,6 +286,8 @@ class ClusterPDP(PolicyDecisionPoint):
         with self._lock:
             pdp = self._pdps.get(address)
             if pdp is None:
+                if not address[1]:  # a stopped node reports the port it asked for
+                    raise PDPConnectError(f"no node listening at {address}")
                 pdp = self._pdps[address] = RemotePDP(
                     address[0],
                     address[1],
@@ -339,9 +341,8 @@ class ClusterPDP(PolicyDecisionPoint):
         deadline = time.monotonic() + self._failover_wait
         while True:
             address, epoch, shard = self._target_for(request.user_id)
-            pdp = self._pdp_for(address)
             try:
-                return pdp.decide(request, epoch=epoch)
+                return self._pdp_for(address).decide(request, epoch=epoch)
             except PDPOverloadedError as exc:
                 # Shed before queueing: safe to retry the same primary.
                 if time.monotonic() >= deadline:

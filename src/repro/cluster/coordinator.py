@@ -96,6 +96,9 @@ STATE_FILENAME = "coordinator-state.json"
 #: while it waits out the observation window.
 CANARY_POLL_INTERVAL = 0.05
 
+#: How often the reshard loop checks for a migration to advance.
+RESHARD_POLL_INTERVAL = 0.1
+
 
 class ShardState:
     """One shard's pair of nodes plus its fencing epoch."""
@@ -116,22 +119,20 @@ class ShardState:
 def _parse_cluster_store(store: str) -> ParsedStoreSpec:
     """Parse and vet a per-node store spec for cluster use.
 
-    Clusters instantiate one store per node under ``data_dir``, so the
-    spec must not pin a single path: use bare ``sqlite`` (each node
-    gets ``<data_dir>/<node>.db``) or ``tiered:sqlite?...``; ``memory``
-    and ``tiered:memory?...`` work too.  Explicit paths, ``remote:``
-    and pre-built instances are rejected — they cannot be cloned per
-    node.
+    The grammar is :mod:`repro.storespec`'s.  Clusters instantiate one
+    store per node under ``data_dir``, so the spec must not pin a
+    single path: ``memory``, or a sqlite spec without a path (each node
+    gets ``<data_dir>/<node>.db``).  Explicit paths, ``remote:`` and
+    pre-built instances are rejected — they cannot be cloned per node.
     """
     parsed = parse_store_spec(store)
     if parsed.kind in ("instance", "remote"):
         raise StoreSpecError(
             "cluster nodes each build their own store; pass 'memory', "
-            "'sqlite' or 'tiered:...', not "
+            "'sqlite' or 'tiered:sqlite?...', not "
             + ("a store instance" if parsed.kind == "instance" else repr(store))
         )
-    pinned = parsed.warm if parsed.kind == "tiered" else parsed
-    if pinned is not None and pinned.kind == "sqlite" and pinned.path:
+    if parsed.kind == "sqlite" and parsed.path:
         raise StoreSpecError(
             "cluster sqlite files live under data_dir, one per node — "
             f"use bare 'sqlite' (no path), got {store!r}"
@@ -164,12 +165,10 @@ class LocalCluster:
         health_failures: int = 2,
         health_timeout: float = 0.25,
         catchup_interval: float = 0.4,
-        reshard_interval: float = 0.1,
         fsync: bool = True,
         audit_max_records: int = 10_000,
         audit_max_bytes: int | None = None,
         journal_max: int | None = None,
-        service_shards: int = 2,
         resume: bool = True,
     ) -> None:
         if n_shards < 1:
@@ -184,9 +183,7 @@ class LocalCluster:
         self._health_failures = health_failures
         self._health_timeout = health_timeout
         self._catchup_interval = catchup_interval
-        self._reshard_interval = reshard_interval
         self._parsed_store = parsed_store
-        self._service_shards = service_shards
         self._fsync = fsync
         self._audit_max_records = audit_max_records
         self._audit_max_bytes = audit_max_bytes
@@ -289,7 +286,6 @@ class LocalCluster:
                 role=ROLE_PRIMARY if is_primary else ROLE_STANDBY,
                 epoch=epoch if is_primary else 0,
                 host=self._host,
-                service_shards=self._service_shards,
                 fsync=self._fsync,
                 audit_max_records=self._audit_max_records,
                 audit_max_bytes=self._audit_max_bytes,
@@ -1281,6 +1277,8 @@ class LocalCluster:
     def _probe(self, node: ClusterNode) -> bool:
         """One blocking health probe with the fast health timeout."""
         host, port = node.address
+        if not port:  # a stopped node reports the port it asked for
+            return False
         try:
             with RemotePDP(
                 host,
@@ -1386,7 +1384,7 @@ class LocalCluster:
                     logger.exception(
                         "reshard tick failed; retrying next tick"
                     )
-            await asyncio.sleep(self._reshard_interval)
+            await asyncio.sleep(RESHARD_POLL_INTERVAL)
 
     # ------------------------------------------------------------------
     # Coordinator endpoint: one op table on the shared frame loop.

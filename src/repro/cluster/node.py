@@ -64,6 +64,9 @@ from repro.cluster.ring import HashRing
 ROLE_PRIMARY = "primary"
 ROLE_STANDBY = "standby"
 
+#: Shard queues in each node's authorization service.
+SERVICE_SHARDS = 2
+
 
 class _BoundedJournal(dict):
     """``request_id -> Decision`` with FIFO eviction beyond a cap.
@@ -105,9 +108,6 @@ class ClusterNode:
         epoch: int = 0,
         host: str = "127.0.0.1",
         port: int = 0,
-        service_shards: int = 2,
-        queue_depth: int = 256,
-        batch_max: int = 32,
         audit_max_records: int = 10_000,
         audit_max_bytes: int | None = None,
         fsync: bool = True,
@@ -154,9 +154,7 @@ class ClusterNode:
         self._engine = MSoDEngine(policy_set, store)
         self._service = AuthorizationService(
             self._engine,
-            n_shards=service_shards,
-            queue_depth=queue_depth,
-            batch_max=batch_max,
+            n_shards=SERVICE_SHARDS,
             audit_sink=self._audit_sink,
             health_extra=self._health_extra,
             trail_reader=lambda: TrailFollower(trail_dir, audit_key).poll(),

@@ -10,8 +10,8 @@ Public surface:
 * :class:`~repro.core.policy.MSoDPolicy` /
   :class:`~repro.core.policy.MSoDPolicySet` — the policy model
   (Section 3).
-* :class:`~repro.core.retained_adi.InMemoryRetainedADIStore` /
-  :class:`~repro.core.retained_adi.SQLiteRetainedADIStore` /
+* :class:`~repro.core.store_memory.InMemoryRetainedADIStore` /
+  :class:`~repro.core.store_sqlite.SQLiteRetainedADIStore` /
   :class:`~repro.core.tiered.TieredADIStore` — retained-ADI backends
   (Sections 4.1, 5.2, 6; tiering in ``docs/SCALE.md``).
 * :class:`~repro.core.engine.MSoDEngine` — the Section 4.2 enforcement

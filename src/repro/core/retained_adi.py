@@ -9,20 +9,23 @@ bookkeeping fields are added: a store-assigned ``record_id`` and the
 adds one record per matched role for a single request; grouping by
 ``request_id`` lets privilege-exercise counting treat them as one event).
 
-Two store backends are provided:
+This module holds the record, the :class:`ADIMutation` a decision
+applies, and the :class:`RetainedADIStore` protocol with its scan
+definitions.  It imports no backend; each has its own module:
 
-* :class:`InMemoryRetainedADIStore` — what the paper's first PERMIS
-  implementation used (Section 5.2, rebuilt from audit trails at start-up).
-* :class:`SQLiteRetainedADIStore` — the "secure relational database" the
-  paper proposes as its next implementation (Section 6), which avoids the
-  audit-trail replay cost measured in ``benchmarks/bench_recovery_
-  scalability.py``.  It is SQL only: its engine views are the
-  :class:`RetainedADIStore` scan definitions, and the ``sqlite`` store
-  specs serve it through :class:`~repro.core.tiered.TieredADIStore`,
-  whose aggregates answer them.
+* :mod:`repro.core.store_memory` — :class:`InMemoryRetainedADIStore`,
+  what the paper's first PERMIS implementation used (Section 5.2,
+  rebuilt from audit trails at start-up), beside the packed rows and
+  aggregates it composes;
+* :mod:`repro.core.store_sqlite` — :class:`SQLiteRetainedADIStore`, the
+  "secure relational database" the paper proposes as its next
+  implementation (Section 6).  It is SQL only: its engine views are the
+  scan definitions, and the ``sqlite`` store specs serve it through
+  :class:`~repro.core.tiered.TieredADIStore`, whose aggregates answer
+  them.
 
-Both honour the same :class:`RetainedADIStore` interface so the engine and
-benchmarks can ablate them.
+All honour the same protocol so the engine and benchmarks can ablate
+them.
 """
 
 from __future__ import annotations
@@ -350,13 +353,11 @@ class RetainedADIStore:
 
 
 def __getattr__(name: str):
-    # Bound lazily (PEP 562): the frozen e2e harness imports the SQLite
-    # backend from here, and this module imports no backend.
-    if name == "SQLiteRetainedADIStore":
-        from repro.core.store_sqlite import SQLiteRetainedADIStore
-
-        return SQLiteRetainedADIStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: the e2e harness imports the SQLite backend from here.
+    if name != "SQLiteRetainedADIStore":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.core.store_sqlite import SQLiteRetainedADIStore
+    return SQLiteRetainedADIStore
 
 
 def store_digest(store: RetainedADIStore) -> tuple:

@@ -1,12 +1,12 @@
-"""Incremental aggregates over the retained ADI, shared by every backend.
+"""The in-memory retained-ADI store (paper Section 5.2) and its aggregates.
 
 Steps 3, 5 and 6 of the Section 4.2 algorithm ask whether a context has
 started (:class:`_ContextPresence`) and which roles a user activated and
 which privileges it exercised there (:class:`_UserAggregate`).
-:class:`~repro.core.retained_adi.InMemoryRetainedADIStore` composes
-the two as one aggregate per user and a by-context view,
+:class:`InMemoryRetainedADIStore` composes the two as one aggregate per
+user and a by-context view,
 :class:`~repro.core.tiered.TieredADIStore` as LRU shards of aggregates
-plus one presence.  None of them locks: the composing store
+plus one presence.  The aggregates do not lock: the composing store
 owns the discipline.
 
 The records themselves are packed rows of a :class:`_Rows` table, one
@@ -484,22 +484,21 @@ class _ContextPresence:
 class InMemoryRetainedADIStore(RetainedADIStore):
     """Retained ADI held in memory (paper Section 5.2).
 
-    Records live as packed rows of one :class:`~repro.core.adi_index._Rows`
-    table, filed by ``(user, concrete context)`` pair: ``_by_user`` holds
-    each user's :class:`~repro.core.adi_index._UserAggregate`,
-    ``_by_context`` each live context's pairs, and ``_presence`` counts
-    each live context once, for matching.  Concrete contexts are few
-    beside the records, so context-scoped queries (the hot path of
-    algorithm steps 3 and 7) walk a handful of pairs and the engine's
-    history views never scan.  Deleting a record unlinks it from every
-    field and frees its row, so long-lived users accumulate no stale
-    entries.  The rows are the only copy: :meth:`apply_detailed`, every
-    purge's one path, selects a context's rows through the presence and
-    a user's from their aggregate, and walks all of them only for a
-    purge by record id or by age (as :meth:`records` does).  Records
-    are built only to be handed out.  ``users_with_privileges`` walks
-    the matching pairs: the tier's owner fold would cost every add its
-    upkeep.
+    Records live as packed rows of one :class:`_Rows` table, filed by
+    ``(user, concrete context)`` pair: ``_by_user`` holds each user's
+    :class:`_UserAggregate`, ``_by_context`` each live context's pairs,
+    and ``_presence`` counts each live context once, for matching.
+    Concrete contexts are few beside the records, so context-scoped
+    queries (the hot path of algorithm steps 3 and 7) walk a handful of
+    pairs and the engine's history views never scan.  Deleting a record
+    unlinks it from every field and frees its row, so long-lived users
+    accumulate no stale entries.  The rows are the only copy:
+    :meth:`apply_detailed`, every purge's one path, selects a context's
+    rows through the presence and a user's from their aggregate, and
+    walks all of them only for a purge by record id or by age (as
+    :meth:`records` does).  Records are built only to be handed out.
+    ``users_with_privileges`` walks the matching pairs: the tier's owner
+    fold would cost every add its upkeep.
     """
 
     def __init__(self, records: Iterable[RetainedADIRecord] = ()) -> None:

@@ -14,7 +14,7 @@ build it.
   (in practice SQLite) holding *every* record.  It is the authoritative
   layer: it assigns record ids, and every mutation commits there first,
   atomically, before any hot state changes.
-* **hot layer** — one :class:`~repro.core.adi_index._UserAggregate`
+* **hot layer** — one :class:`~repro.core.store_memory._UserAggregate`
   per resident user (the memory store keeps one per user), sharded
   by ``crc32(user_id)`` with per-shard LRU eviction bounded by
   ``hot_users``; a shard's aggregates pack their records into the
@@ -25,7 +25,7 @@ build it.
   the *active* set.
 
 Context presence (algorithm step 3/7 existence checks) is answered from
-a store-wide :class:`~repro.core.adi_index._ContextPresence`, seeded
+a store-wide :class:`~repro.core.store_memory._ContextPresence`, seeded
 once at open from the warm layer's ``context_counts()`` (for SQLite one
 ``GROUP BY`` scan of the table) and maintained incrementally — it is
 bounded by the number of distinct concrete contexts, not by users, and

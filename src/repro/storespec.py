@@ -4,21 +4,24 @@ Before this module, every entry point branched on the store string
 itself — ``repro.api`` with one private parser, the CLI with ``--adi``
 path arguments, the cluster with a two-value ``choices`` tuple, and
 each benchmark with its own ``if``-ladder.  Adding a backend meant
-finding all of them.  Now there is a single grammar::
+finding all of them.  Now there is a single grammar, and this is the
+one place it is written::
 
     memory                              in-process, volatile
-    sqlite:<path>                       durable single file, served by the
-                                        default tier: tiered:sqlite:<path>
-                                        with its default hot_users/shards
+    sqlite:<path>                       durable single file, served by a
+                                        tier of hot in-memory aggregates
+                                        with the default budget
+                                        (hot_users=10000, shards=8)
     sqlite                              the same, path chosen by the host
                                         (per-node files under a cluster's
                                         data_dir; invalid where no default
                                         path exists)
-    remote:<host>:<port>                connect to a served PDP
-    tiered:<warm-spec>?hot_users=N[&shards=M]
-                                        hot in-memory aggregates over a
-                                        memory/sqlite warm layer, e.g.
+    tiered:sqlite[:<path>]?hot_users=N[&shards=M]
+                                        the same tier with its hot budget
+                                        set, e.g.
                                         tiered:sqlite:adi.db?hot_users=50000
+    remote:<host>:<port>                connect to a served PDP (port
+                                        1-65535)
 
 parsed by :func:`parse_store_spec` into a :class:`ParsedStoreSpec` and
 materialised by :func:`build_store`.  Malformed specs raise
@@ -29,7 +32,7 @@ working).  ``repro.api`` re-exports both functions; import from either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.retained_adi import RetainedADIStore
 from repro.core.store_memory import InMemoryRetainedADIStore
@@ -49,10 +52,8 @@ __all__ = [
 DEFAULT_HOT_USERS = 10_000
 DEFAULT_HOT_SHARDS = 8
 
-_GRAMMAR = (
-    "'memory', 'sqlite:<path>', 'sqlite', 'remote:<host>:<port>' or "
-    "'tiered:<warm-spec>?hot_users=N[&shards=M]'"
-)
+_TIERED = "'tiered:sqlite[:<path>]?hot_users=N[&shards=M]'"
+_GRAMMAR = f"'memory', 'sqlite:<path>', 'sqlite', {_TIERED} or 'remote:<host>:<port>'"
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +61,10 @@ class ParsedStoreSpec:
     """A normalised store spec, ready for :func:`build_store`.
 
     ``kind`` is one of ``memory`` / ``sqlite`` / ``remote`` /
-    ``tiered`` / ``instance``.  A ``sqlite`` spec with ``path=None``
-    (the bare ``sqlite`` form) defers the path to the builder's
+    ``instance``.  A ``sqlite`` spec, with or without the ``tiered:``
+    prefix, is one tier over its file, whose hot budget is
+    ``hot_users`` and ``hot_shards``.  With ``path=None`` (the bare
+    ``sqlite`` form) it defers the path to the builder's
     ``default_sqlite_path`` — the cluster uses this for its per-node
     files.  ``instance`` wraps an already-constructed store whose
     lifetime stays with the caller.
@@ -71,9 +74,8 @@ class ParsedStoreSpec:
     path: str | None = None
     host: str | None = None
     port: int | None = None
-    warm: "ParsedStoreSpec | None" = None
-    hot_users: int | None = None
-    hot_shards: int | None = None
+    hot_users: int = DEFAULT_HOT_USERS
+    hot_shards: int = DEFAULT_HOT_SHARDS
     instance: RetainedADIStore | None = None
 
     @property
@@ -81,58 +83,25 @@ class ParsedStoreSpec:
         return self.kind == "remote"
 
 
-def _parse_positive_int(value: str, key: str, spec: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise StoreSpecError(
-            f"tiered store option {key}={value!r} is not an integer "
-            f"in {spec!r}"
-        ) from None
-    if parsed < 1:
-        raise StoreSpecError(
-            f"tiered store option {key} must be >= 1, got {parsed} "
-            f"in {spec!r}"
-        )
-    return parsed
-
-
 def _parse_tiered(rest: str, spec: str) -> ParsedStoreSpec:
-    warm_text, sep, query = rest.rpartition("?")
+    sqlite_text, sep, query = rest.rpartition("?")
     if not sep:
-        warm_text, query = rest, ""
-    if not warm_text:
-        raise StoreSpecError(
-            "tiered store spec needs a warm layer: "
-            f"'tiered:<warm-spec>?hot_users=N', got {spec!r}"
-        )
-    warm = parse_store_spec(warm_text)
-    if warm.kind not in ("memory", "sqlite"):
-        raise StoreSpecError(
-            "tiered warm layer must be 'memory' or a sqlite spec, "
-            f"got {warm_text!r} in {spec!r}"
-        )
-    hot_users = DEFAULT_HOT_USERS
-    hot_shards = DEFAULT_HOT_SHARDS
-    if query:
-        for pair in query.split("&"):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise StoreSpecError(
-                    f"tiered store option {pair!r} is not 'key=value' "
-                    f"in {spec!r}"
-                )
-            if key == "hot_users":
-                hot_users = _parse_positive_int(value, key, spec)
-            elif key == "shards":
-                hot_shards = _parse_positive_int(value, key, spec)
-            else:
-                raise StoreSpecError(
-                    f"unknown tiered store option {key!r} in {spec!r} "
-                    "(expected hot_users or shards)"
-                )
-    return ParsedStoreSpec(
-        kind="tiered", warm=warm, hot_users=hot_users, hot_shards=hot_shards
+        sqlite_text, query = rest, ""
+    if not sqlite_text.startswith("sqlite"):
+        raise StoreSpecError(f"tiered store spec must be {_TIERED}, got {spec!r}")
+    budget = {"hot_users": DEFAULT_HOT_USERS, "shards": DEFAULT_HOT_SHARDS}
+    for pair in query.split("&") if query else ():
+        key, _, value = pair.partition("=")
+        if key not in budget or not value.isdecimal() or int(value) < 1:
+            raise StoreSpecError(
+                f"tiered store option {pair!r} is not hot_users=N or shards=M "
+                f"with N, M >= 1, in {spec!r}"
+            )
+        budget[key] = int(value)
+    return replace(
+        parse_store_spec(sqlite_text),
+        hot_users=budget["hot_users"],
+        hot_shards=budget["shards"],
     )
 
 
@@ -174,6 +143,10 @@ def parse_store_spec(store: "str | RetainedADIStore") -> ParsedStoreSpec:
             raise StoreSpecError(
                 f"remote store spec has a non-numeric port: {store!r}"
             ) from None
+        if not 1 <= port <= 65535:
+            raise StoreSpecError(
+                f"remote store spec port must be in 1..65535: {store!r}"
+            )
         return ParsedStoreSpec(kind="remote", host=host, port=port)
     if store.startswith("tiered:"):
         return _parse_tiered(store[len("tiered:"):], store)
@@ -199,25 +172,20 @@ def build_store(
         return parsed.instance, False
     if parsed.kind == "memory":
         return InMemoryRetainedADIStore(), True
-    if parsed.kind in ("sqlite", "tiered"):
-        # A sqlite spec is the default tier over its file.
-        warm = parsed.warm or parsed
-        path = warm.path if warm.path is not None else default_sqlite_path
-        if warm.kind == "memory":
-            warm_store: RetainedADIStore = InMemoryRetainedADIStore()
-        elif path is None:
+    if parsed.kind == "sqlite":
+        # A sqlite spec is a tier over its file.
+        path = parsed.path if parsed.path is not None else default_sqlite_path
+        if path is None:
             raise StoreSpecError(
                 "bare 'sqlite' needs a host-assigned path (only valid where "
                 "a default exists, e.g. cluster per-node files); use "
                 "'sqlite:<path>' here"
             )
-        else:
-            warm_store = SQLiteRetainedADIStore(path)
         return (
             TieredADIStore(
-                warm_store,
-                hot_users=parsed.hot_users or DEFAULT_HOT_USERS,
-                shards=parsed.hot_shards or DEFAULT_HOT_SHARDS,
+                SQLiteRetainedADIStore(path),
+                hot_users=parsed.hot_users,
+                shards=parsed.hot_shards,
                 owns_warm=True,
             ),
             True,

@@ -394,7 +394,7 @@ class TestUniformLifecycle:
         specs = [
             lambda name: "memory",
             lambda name: f"sqlite:{tmp_path / name}.db",
-            lambda name: "tiered:memory?hot_users=2&shards=2",
+            lambda name: f"tiered:sqlite:{tmp_path / name}-tier.db?hot_users=2&shards=2",
         ]
         for spec in specs:
             plain = open_pdp(bank_policy_set())

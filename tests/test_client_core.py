@@ -354,6 +354,13 @@ class TestRetryRule:
                 IdleCore("127.0.0.1", 1, **bad)
         IdleCore("h", 1, batch_max=protocol.MAX_WIRE_BATCH, pipeline_window=1)
 
+    @pytest.mark.parametrize("port", [0, -5, 65536, 99999])
+    def test_a_port_out_of_range_is_refused(self, port):
+        # The resolver would wrap 99999 to 34463 and connect there.
+        with pytest.raises(ValueError, match="port"):
+            IdleCore("127.0.0.1", port)
+        IdleCore("127.0.0.1", 65535)
+
 
 class TestOpenFailures:
     """What a failed open of the pipelined connection does to the queue."""

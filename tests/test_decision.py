@@ -1,6 +1,10 @@
 """Unit tests for decision types and finer engine semantics."""
 
+import socket
+
 import pytest
+
+from repro.api import open_pdp, open_server
 
 from repro.core import (
     MMEP,
@@ -18,6 +22,8 @@ from repro.core import (
     next_request_id,
 )
 from repro.core.policy import Step
+from repro.errors import PolicyError
+from repro.server import protocol
 
 TELLER = Role("employee", "Teller")
 AUDITOR = Role("employee", "Auditor")
@@ -47,6 +53,50 @@ class TestDecisionRequest:
 
     def test_environment_defaults_empty(self):
         assert dict(request().environment) == {}
+
+
+class TestNonFiniteTimestamp:
+    """A grant's timestamp becomes its records' time, so every store must
+    refuse the same non-finite one, before anything is written."""
+
+    SPECS = {
+        "memory": lambda tmp_path: "memory",
+        "sqlite": lambda tmp_path: f"sqlite:{tmp_path / 'adi.db'}",
+        "tiered": lambda tmp_path: f"tiered:sqlite:{tmp_path / 'adi.db'}?hot_users=1",
+    }
+
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("store", sorted(SPECS))
+    def test_every_store_refuses_alike_and_writes_nothing(self, tmp_path, store, at):
+        policy = MSoDPolicySet([MSoDPolicy(CTX, mmers=[MMER([TELLER, AUDITOR], 2)])])
+        with open_pdp(policy, self.SPECS[store](tmp_path)) as pdp:
+            with pytest.raises(PolicyError, match="finite number"):
+                pdp.decide(request(at=at))
+            assert pdp.decide(request(at=2.0)).granted
+            assert {r.granted_at for r in pdp.store.records()} == {2.0}
+
+    @pytest.mark.parametrize("at", ["1.0", None])
+    def test_a_timestamp_that_is_no_number_is_refused(self, at):
+        with pytest.raises(PolicyError, match="finite number"):
+            request(at=at)
+
+    def test_a_v2_frame_carrying_nan_is_refused(self):
+        wire = protocol.request_to_wire(request())
+        wire["timestamp"] = float("nan")  # json reads it back as NaN
+        frame = {"op": protocol.OP_DECIDE_BATCH, "id": "b-nan", "requests": [wire]}
+        policy = MSoDPolicySet([MSoDPolicy(CTX, mmers=[MMER([TELLER, AUDITOR], 2)])])
+        with open_server(policy, store="memory") as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                sock.sendall(protocol.encode_frame_v2(frame))
+                answer = sock.makefile("rb")
+                header = answer.read(protocol.V2_HEADER_BYTES)
+                reply = protocol.decode_frame_v2(
+                    answer.read(protocol.v2_payload_length(header))
+                )
+            assert reply["ok"] is False
+            assert reply["error"]["kind"] == "protocol"
+            assert "finite number" in reply["error"]["detail"]
+            assert server.engine.store.count() == 0
 
 
 class TestDecision:

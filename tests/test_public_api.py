@@ -1,6 +1,8 @@
 """API-surface tests: every documented public name exists and imports."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,42 @@ def test_public_names_documented(package):
         if isinstance(obj, (str, int, float, frozenset, tuple)):
             continue  # constants
         assert obj.__doc__, f"{package}.{name} lacks a docstring"
+
+
+#: The end-to-end benchmark harness, which changes only with the benchmark.
+E2E_HARNESS = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+
+
+def _harness_imports():
+    """``(where, module, name)`` for every ``repro`` import in the harness;
+    ``name`` is ``None`` for a plain ``import repro...``."""
+    for path in sorted(E2E_HARNESS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                pairs = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names]
+            else:
+                continue
+            for module, name in pairs:
+                if module.partition(".")[0] == "repro":
+                    yield f"{path.name}:{node.lineno}", module, name
+
+
+def test_benchmark_harness_imports_resolve():
+    """A module split must keep serving every name the harness imports."""
+    imports = list(_harness_imports())
+    assert (
+        "rounds.py:28", "repro.core.retained_adi", "SQLiteRetainedADIStore"
+    ) in imports
+    for where, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        if name is None or hasattr(module, name):
+            continue
+        try:  # ``from package import submodule``
+            importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            pytest.fail(f"{where}: {module_name} serves no {name!r}")
 
 
 def test_version_string():

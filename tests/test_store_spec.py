@@ -93,33 +93,53 @@ class TestGrammar:
         with pytest.raises(StoreSpecError):
             parse_store_spec("remote:7001")
 
+    @pytest.mark.parametrize("port", ["0", "-5", "65536", "99999"])
+    def test_remote_port_out_of_range(self, port):
+        # The resolver would wrap 99999 to 34463 and connect there.
+        with pytest.raises(StoreSpecError, match="1..65535"):
+            parse_store_spec(f"remote:127.0.0.1:{port}")
+        with pytest.raises(StoreSpecError, match="1..65535"):
+            open_pdp(store=f"remote:127.0.0.1:{port}")
+
+    def test_remote_port_bounds_accepted(self):
+        assert parse_store_spec("remote:h:1").port == 1
+        assert parse_store_spec("remote:h:65535").port == 65535
+
     def test_tiered_defaults(self):
-        parsed = parse_store_spec("tiered:memory")
-        assert parsed.kind == "tiered"
-        assert parsed.warm.kind == "memory"
-        assert parsed.hot_users > 0 and parsed.hot_shards > 0
+        """``tiered:sqlite`` is the ``sqlite`` spec: one kind, one tier."""
+        parsed = parse_store_spec("tiered:sqlite:/var/lib/adi.db")
+        assert parsed == parse_store_spec("sqlite:/var/lib/adi.db")
+        assert parsed.kind == "sqlite"
+        assert (parsed.hot_users, parsed.hot_shards) == (
+            DEFAULT_HOT_USERS,
+            DEFAULT_HOT_SHARDS,
+        )
 
     def test_tiered_sqlite_with_options(self):
         parsed = parse_store_spec(
             "tiered:sqlite:/var/lib/adi.db?hot_users=50000&shards=8"
         )
-        assert parsed.kind == "tiered"
-        assert (parsed.warm.kind, parsed.warm.path) == (
-            "sqlite",
-            "/var/lib/adi.db",
-        )
+        assert (parsed.kind, parsed.path) == ("sqlite", "/var/lib/adi.db")
         assert (parsed.hot_users, parsed.hot_shards) == (50000, 8)
 
     def test_tiered_bare_sqlite_warm(self):
         parsed = parse_store_spec("tiered:sqlite?hot_users=4")
-        assert parsed.warm.path is None
+        assert (parsed.kind, parsed.path, parsed.hot_users) == ("sqlite", None, 4)
 
     @pytest.mark.parametrize(
         "spec",
         [
             "tiered:",
+            "tiered:memory",
             "tiered:tiered:memory",
+            "tiered:tiered:sqlite",
+            "tiered:tiered:sqlite:adi.db?hot_users=4",
             "tiered:remote:h:1?hot_users=4",
+            "tiered:sqlite:",
+            "tiered:sqlite?hot_users=0",
+            "tiered:sqlite?hot_users=many",
+            "tiered:sqlite?cache=4",
+            "tiered:sqlite?hot_users",
             "tiered:memory?hot_users=0",
             "tiered:memory?hot_users=many",
             "tiered:memory?cache=4",
@@ -195,7 +215,20 @@ class TestBuilder:
             assert isinstance(store, TieredADIStore)
             stats = store.stats()
             assert stats["hot_capacity"] == 4
+            assert stats["hot_shards"] == 2
             assert stats["warm"]["backend"] == "sqlite"
+        finally:
+            store.close()
+
+    def test_benchmark_spec_builds_its_budget(self, tmp_path):
+        """The spec the durable benchmark workload opens."""
+        store = open_store(
+            f"tiered:sqlite:{tmp_path / 'adi.db'}?hot_users=128&shards=8"
+        )
+        try:
+            assert isinstance(store.warm, SQLiteRetainedADIStore)
+            stats = store.stats()
+            assert (stats["hot_capacity"], stats["hot_shards"]) == (128, 8)
         finally:
             store.close()
 
@@ -211,9 +244,9 @@ class TestBuilder:
 
 
 class TestEntryPoints:
-    def test_open_pdp_tiered(self):
+    def test_open_pdp_tiered(self, tmp_path):
         with open_pdp(
-            bank_policy_set(), store="tiered:memory?hot_users=4"
+            bank_policy_set(), store=f"tiered:sqlite:{tmp_path / 'adi.db'}?hot_users=4"
         ) as pdp:
             decision = pdp.decide(make_request("alice"))
             assert decision.granted
@@ -222,9 +255,9 @@ class TestEntryPoints:
         with pytest.raises(StoreSpecError):
             open_pdp(bank_policy_set(), store="riak:somewhere")
 
-    def test_server_exports_store_stats_and_gauges(self):
+    def test_server_exports_store_stats_and_gauges(self, tmp_path):
         with open_server(
-            bank_policy_set(), store="tiered:memory?hot_users=4"
+            bank_policy_set(), store=f"tiered:sqlite:{tmp_path / 'adi.db'}?hot_users=4"
         ) as server:
             with server.client() as pdp:
                 for index in range(6):
