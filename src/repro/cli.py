@@ -134,6 +134,8 @@ def _add_address(
 def _client(args: argparse.Namespace):
     """The verb's client: the routing :class:`~repro.cluster.ClusterPDP`
     for ``cluster`` verbs, a :class:`~repro.client.RemotePDP` otherwise."""
+    if not 1 <= args.port <= 65535:
+        raise ReproError(f"--port must be in 1..65535, got {args.port}")
     if args.command == "cluster":
         from repro.cluster import ClusterPDP
 

@@ -15,7 +15,7 @@ an MSoD-capable RBAC decision:
 from __future__ import annotations
 
 import itertools
-from math import isfinite
+from math import inf
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.core.constraints import Privilege, Role, TypedTuple
@@ -63,8 +63,11 @@ class DecisionRequest(TypedTuple, _RequestFields):
                 "the business-context instance passed by the PEP must be "
                 f"concrete, got {context_instance}"
             )
-        if not (isinstance(timestamp, (int, float)) and isfinite(timestamp)):
-            # A grant's records keep it: every store and age purge must too.
+        try:  # it becomes granted_at, which every store must hold alike
+            finite = -inf < timestamp < inf
+        except TypeError:
+            finite = False
+        if not finite:
             raise PolicyError(f"the timestamp must be a finite number, got {timestamp!r}")
         return tuple.__new__(cls, (
             user_id, roles, operation, target, context_instance, timestamp,

@@ -411,6 +411,15 @@ def test_serve_reports_a_bad_gather_window(policies, capsys, window):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", [["remote-status"], ["cluster", "status"]])
+@pytest.mark.parametrize("port", ["0", "99999"])
+def test_client_verbs_refuse_a_port_out_of_range(capsys, verb, port):
+    code, out, err = run(capsys, *verb, "--port", port)
+    assert code == 3 and out == ""
+    assert err.startswith("error: --port must be in 1..65535")
+    assert "Traceback" not in err
+
+
 BANNER = re.compile(r"serving MSoD decisions on (\S+):(\d+) ")
 
 
