@@ -5,7 +5,6 @@ import socket
 import pytest
 
 from repro.api import open_pdp, open_server
-
 from repro.core import (
     MMEP,
     MMER,
@@ -59,6 +58,7 @@ class TestNonFiniteTimestamp:
     """A grant's timestamp becomes its records' time, so every store must
     refuse the same non-finite one, before anything is written."""
 
+    POLICY = MSoDPolicySet([MSoDPolicy(CTX, mmers=[MMER([TELLER, AUDITOR], 2)])])
     SPECS = {
         "memory": lambda tmp_path: "memory",
         "sqlite": lambda tmp_path: f"sqlite:{tmp_path / 'adi.db'}",
@@ -68,8 +68,7 @@ class TestNonFiniteTimestamp:
     @pytest.mark.parametrize("at", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("store", sorted(SPECS))
     def test_every_store_refuses_alike_and_writes_nothing(self, tmp_path, store, at):
-        policy = MSoDPolicySet([MSoDPolicy(CTX, mmers=[MMER([TELLER, AUDITOR], 2)])])
-        with open_pdp(policy, self.SPECS[store](tmp_path)) as pdp:
+        with open_pdp(self.POLICY, self.SPECS[store](tmp_path)) as pdp:
             with pytest.raises(PolicyError, match="finite number"):
                 pdp.decide(request(at=at))
             assert pdp.decide(request(at=2.0)).granted
@@ -84,8 +83,7 @@ class TestNonFiniteTimestamp:
         wire = protocol.request_to_wire(request())
         wire["timestamp"] = float("nan")  # json reads it back as NaN
         frame = {"op": protocol.OP_DECIDE_BATCH, "id": "b-nan", "requests": [wire]}
-        policy = MSoDPolicySet([MSoDPolicy(CTX, mmers=[MMER([TELLER, AUDITOR], 2)])])
-        with open_server(policy, store="memory") as server:
+        with open_server(self.POLICY, store="memory") as server:
             with socket.create_connection((server.host, server.port), timeout=5) as sock:
                 sock.sendall(protocol.encode_frame_v2(frame))
                 answer = sock.makefile("rb")
