@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, ClassVar, Iterable, NamedTuple, Protocol, Sequence
 
 from repro.errors import ConstraintError
@@ -57,7 +58,9 @@ if TYPE_CHECKING:  # imported lazily to avoid cycles with decision/store
 class TypedTuple(tuple):
     """The base of the decision-path values: a tuple (built and hashed
     in C) that equals only values of its own type, so ``Role(a, b)``,
-    ``Privilege(a, b)`` and ``(a, b)`` stay three different values."""
+    ``Privilege(a, b)`` and ``(a, b)`` stay three different values.
+    Equal roles are one object (:func:`_role`), so a set or dict on the
+    decision path calls ``__eq__`` only for a role built past the bound."""
 
     __slots__ = ()
     __hash__ = tuple.__hash__
@@ -74,6 +77,16 @@ class _RoleFields(NamedTuple):
     value: str
 
 
+@lru_cache(maxsize=4096)
+def _role(cls: type, role_type: str, value: str) -> "Role":
+    """The first-built equal role, for every later ``Role(...)`` to share.
+
+    Policies, requests and stored records then hold one object per role,
+    and match it by identity.  Bounded like ``_shared_roles``.
+    """
+    return tuple.__new__(cls, (role_type, value))
+
+
 class Role(TypedTuple, _RoleFields):
     """A role reference: an attribute ``type`` and ``value``.
 
@@ -88,7 +101,7 @@ class Role(TypedTuple, _RoleFields):
             raise ConstraintError("role type must be non-empty")
         if not value:
             raise ConstraintError("role value must be non-empty")
-        return tuple.__new__(cls, (role_type, value))
+        return _role(cls, role_type, value)
 
     def __str__(self) -> str:
         return f"{self.role_type}:{self.value}"
@@ -201,7 +214,7 @@ class MultiSessionConstraint:
     XML or ``repr`` codec.
     """
 
-    __slots__ = ()
+    __slots__ = ("_repr",)
 
     #: Unique registry key; also the ``constraint_kind`` stamped on
     #: violations and wire decision payloads.
@@ -246,14 +259,19 @@ class MultiSessionConstraint:
             return object.__hash__(self)
         return hash(self._identity())
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # built once: a constraint is immutable
+        try:
+            return self._repr
+        except AttributeError:
+            pass
         shown = {
             "label": repr(self._label),
             "members": "{" + ", ".join(str(x) for x in self._members) + "}",
             "m": f"m={self._m}",
         }
         parts = ", ".join(shown[field] for field in self.fields)
-        return f"{type(self).__name__}({parts})"
+        self._repr = f"{type(self).__name__}({parts})"
+        return self._repr
 
     def matches_request(self, request: "DecisionRequest") -> bool:
         """True when this constraint could constrain the request."""
@@ -323,7 +341,7 @@ class MMER(MultiSessionConstraint):
     events; the paper's repetition idiom exists only for MMEP).
     """
 
-    __slots__ = ("_members", "_m", "_member")
+    __slots__ = ("_members", "_m", "_member", "_grants")
 
     kind = "MMER"
     fields = ("members", "m")
@@ -340,6 +358,8 @@ class MMER(MultiSessionConstraint):
         self._members = role_tuple
         self._member = member
         self._m = forbidden_cardinality
+        # The grant verdict of each matched-role set, built on its first grant.
+        self._grants: dict[frozenset[Role], ConstraintVerdict] = {}
 
     def matches_request(self, request: "DecisionRequest") -> bool:
         return not self._member.isdisjoint(request.roles)
@@ -364,9 +384,12 @@ class MMER(MultiSessionConstraint):
         count = len((self._member - matched) & historic)
         # 5.iv: grant-and-record or deny.
         if count < self._m - len(matched):
-            return ConstraintVerdict(
-                True, grant_roles=tuple(sorted(matched, key=str))
-            )
+            verdict = self._grants.get(matched)
+            if verdict is None:
+                verdict = self._grants[matched] = ConstraintVerdict(
+                    True, grant_roles=tuple(sorted(matched, key=str))
+                )
+            return verdict
         return ConstraintVerdict(
             False,
             detail=(

@@ -287,14 +287,14 @@ class MSoDEngine:
         _, matched_ids, policies, contexts = compiled.plan(request.context_instance)
         if obs is not None:
             started = obs.span("engine.match", started)
+        # The engine builds its values positionally, in the order of
+        # their fields (``_DecisionFields``, ``_ViolationFields``,
+        # ``PendingGrant``): no keyword ``__new__`` runs per decision.
         if not contexts:
-            return Decision(
-                effect=Effect.GRANT,
-                request=request,
-                reason="no MSoD policy matches the business context",
-                policy_epoch=policy_epoch,
-                policy_digest=policy_digest,
-            )
+            return tuple.__new__(Decision, (
+                Effect.GRANT, request, None, (), 0, 0,
+                "no MSoD policy matches the business context", (), (),
+                policy_epoch, policy_digest, None))
 
         # Steps 3, 5 and 6 read the store itself: nothing mutates it
         # until the commit, and its own memos answer repeated views.
@@ -340,13 +340,12 @@ class MSoDEngine:
                 if obs is not None:
                     obs.verdict(constraint, verdict)
                 if not verdict.ok:
-                    violation = MSoDViolation(
-                        policy_id=policy.policy_id,
-                        constraint_kind=constraint.kind,
-                        constraint_repr=repr(constraint),
-                        effective_context=effective_context,
-                        detail=verdict.detail,
-                    )
+                    # The shape-built repr is cached in ``_repr`` once
+                    # built; a kind with its own ``__repr__`` is asked.
+                    shown = getattr(constraint, "_repr", None) or repr(constraint)
+                    violation = tuple.__new__(MSoDViolation, (
+                        policy.policy_id, constraint.kind, shown,
+                        effective_context, verdict.detail))
                     break
                 if verdict.grant_exercise:
                     adds.append(roles)
@@ -367,15 +366,9 @@ class MSoDEngine:
             started = obs.span("engine.constraints", started)
         if violation is not None:
             # Deny: nothing was buffered for the store.
-            return Decision(
-                effect=Effect.DENY,
-                request=request,
-                violation=violation,
-                matched_policy_ids=matched_ids,
-                reason=violation.detail,
-                policy_epoch=policy_epoch,
-                policy_digest=policy_digest,
-            )
+            return tuple.__new__(Decision, (
+                Effect.DENY, request, violation, matched_ids, 0, 0,
+                violation.detail, (), (), policy_epoch, policy_digest, None))
 
         user_id, context = request.user_id, request.context_instance
         tail = (operation, target, context, request.timestamp, request.request_id, None)
@@ -386,7 +379,8 @@ class MSoDEngine:
             ],
             purges,
         )
-        return PendingGrant(mutation, matched_ids, policy_epoch, policy_digest, started)
+        return tuple.__new__(PendingGrant, (
+            mutation, matched_ids, policy_epoch, policy_digest, started))
 
     def _commit(self, request, outcome, obs: Recorder | None = None) -> Decision:
         """Apply a judged grant's mutation: the engine's one store write."""
@@ -396,18 +390,12 @@ class MSoDEngine:
         records_purged = self._store.apply(mutation)
         if obs is not None:
             obs.span("store.commit", outcome.started)
-        return Decision(
-            effect=Effect.GRANT,
-            request=request,
-            matched_policy_ids=outcome.matched_policy_ids,
-            records_added=len(mutation.adds),
-            records_purged=records_purged,
-            reason="granted under MSoD",
-            adi_adds=tuple(mutation.adds),
-            adi_purged_contexts=tuple(mutation.purge_contexts),
-            policy_epoch=outcome.policy_epoch,
-            policy_digest=outcome.policy_digest,
-        )
+        adds = tuple(mutation.adds)
+        return tuple.__new__(Decision, (
+            Effect.GRANT, request, None, outcome.matched_policy_ids, len(adds),
+            records_purged, "granted under MSoD", adds,
+            tuple(mutation.purge_contexts), outcome.policy_epoch,
+            outcome.policy_digest, None))
 
     # ------------------------------------------------------------------
     def notify_context_terminated(self, context: ContextName) -> int:

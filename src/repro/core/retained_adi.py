@@ -34,11 +34,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import starmap
+from math import inf
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.constraints import Privilege, Role, TypedTuple
 from repro.core.context import ContextName
+from repro.errors import RecordFormatError
 
 #: Per privilege, each concrete context's users and their record counts.
 OwnerCounts = dict[Privilege, dict[ContextName, dict[str, int]]]
@@ -99,6 +101,11 @@ class RetainedADIRecord(TypedTuple, _RecordFields):
 
     @classmethod
     def from_dict(cls, data: dict, record_id: int | None = None) -> "RetainedADIRecord":
+        at = data["granted_at"]
+        if type(at) not in (float, int) or not -inf < at < inf:
+            raise RecordFormatError(
+                f"a record's granted_at must be a finite number, got {at!r}"
+            )
         # Built as a tuple: a trail replay decodes one per retained grant.
         return tuple.__new__(cls, (
             intern(data["user_id"]),
@@ -106,7 +113,7 @@ class RetainedADIRecord(TypedTuple, _RecordFields):
             intern(data["operation"]),
             intern(data["target"]),
             ContextName.parse(data["context_instance"]),
-            data["granted_at"],
+            at,
             data["request_id"],
             record_id,
         ))

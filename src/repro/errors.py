@@ -62,6 +62,11 @@ class StoreSpecError(PolicyError):
     """
 
 
+class RecordFormatError(ReproError):
+    """A retained-ADI record read back from its dict form is invalid
+    (e.g. a non-finite ``granted_at``, which no store may hold)."""
+
+
 class CredentialError(ReproError):
     """A credential is malformed, untrusted, expired or tampered with."""
 

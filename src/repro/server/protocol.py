@@ -58,6 +58,7 @@ from __future__ import annotations
 import json
 import re
 import struct
+from math import inf
 from typing import Any, Mapping
 
 from repro.core.context import ContextName
@@ -399,9 +400,11 @@ def _require(mapping: Any, key: str, kind: type, what: str) -> Any:
 
 def _number(mapping: dict, key: str, what: str) -> float:
     value = mapping.get(key)
-    if type(value) is float or type(value) is int and _INT_MIN <= value <= _INT_MAX:
+    if type(value) is float and -inf < value < inf or (
+        type(value) is int and _INT_MIN <= value <= _INT_MAX
+    ):
         return float(value)
-    raise ProtocolError(f"{what}.{key} must be a number within 64 bits")
+    raise ProtocolError(f"{what}.{key} must be a finite number within 64 bits")
 
 
 def _integer(mapping: dict, key: str, what: str) -> int:

@@ -2,7 +2,11 @@
 record, ``DecisionRequest``, ``MSoDViolation`` and ``Decision`` are
 tuples that keep the value semantics of frozen records — equality only
 within one type, validation on construction, no assignment, and the
-keyword ``repr``."""
+keyword ``repr`` — and equal roles are one object, up to a bound."""
+
+import copy
+import pickle
+from contextlib import closing
 
 import pytest
 
@@ -15,8 +19,14 @@ from repro.core import (
     RetainedADIRecord,
     Role,
 )
+from repro.api import open_pdp
+from repro.core.constraints import MMER
+from repro.core.policy import MSoDPolicy, MSoDPolicySet
+from repro.core.store_sqlite import SQLiteRetainedADIStore
 from repro.errors import ConstraintError, PolicyError
 from repro.obs.trace import DecisionTrace
+from repro.server import protocol
+from repro.xmlpolicy import BANK_POLICY_XML, parse_policy_set
 
 CONTEXT = ContextName.parse("A=1")
 
@@ -217,3 +227,79 @@ class TestRepr:
             "records_purged=0, reason='', adi_adds=(), adi_purged_contexts=(), "
             "policy_epoch=0, policy_digest='', trace=None)"
         )
+
+
+class TestCanonicalRoles:
+    """``Role(...)`` returns the first-built equal role while it is among
+    the last 4 096 built, so policies, requests and records share it."""
+
+    def policy_roles(self):
+        policy_set = parse_policy_set(BANK_POLICY_XML)
+        return [role for policy in policy_set for mmer in policy.mmers
+                for role in mmer.roles]
+
+    def test_equal_roles_are_one_object(self):
+        assert Role("a", "b") is Role("a", "b")
+        assert Role(role_type="a", value="b") is Role("a", "b")
+        assert Role("a", "b") is not Role("a", "c")
+
+    def test_every_reader_returns_the_policys_own_roles(self, tmp_path):
+        roles = self.policy_roles()
+        assert roles
+        wire = [[role.role_type, role.value] for role in roles]
+        for read, role in zip(protocol._roles_from_wire(wire, "request"), roles):
+            assert read is role
+        record = make_record()._replace(roles=tuple(roles))
+        assert all(
+            read is role
+            for read, role in zip(RetainedADIRecord.from_dict(record.to_dict()).roles, roles)
+        )
+        with closing(SQLiteRetainedADIStore(str(tmp_path / "adi.db"))) as store:
+            store.add(record)
+            (row,) = store.records()
+        assert all(read is role for read, role in zip(row.roles, roles))
+
+    @pytest.mark.parametrize("other", [Privilege("a", "b"), ("a", "b")])
+    def test_a_canonical_role_keeps_typed_equality(self, other):
+        role = Role("a", "b")
+        assert role != other and other != role
+        assert not (role == other) and not (other == role)
+        assert hash(role) == hash(other)  # equal hashes, unequal values
+        assert len({role, other}) == 2
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickling_gives_an_equal_role(self, protocol):
+        role = Role("a", "b")
+        loaded = pickle.loads(pickle.dumps(role, protocol))
+        assert type(loaded) is Role and loaded == role
+        # Protocols 2+ rebuild through ``Role(...)``; 0 and 1 through
+        # ``tuple.__new__``, so they give an equal role, not the same one.
+        assert (loaded is role) is (protocol >= 2)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_copies_are_the_canonical_role(self, copier):
+        role = Role("a", "b")
+        assert copier(role) is role
+
+    def test_a_role_past_the_bound_is_equal_and_decides_the_same(self):
+        context = ContextName.parse("Bound=1")
+        first, second = Role("bound", "first"), Role("bound", "second")
+        policy = MSoDPolicySet([MSoDPolicy(context, mmers=[MMER([first, second], 2)])])
+
+        def decide(roles):
+            requests = [
+                DecisionRequest("u", (role,), "op", "t", context, 1.0, None, f"r{i}")
+                for i, role in enumerate(roles)
+            ]
+            with open_pdp(policy, "memory") as pdp:
+                return [pdp.decide(request) for request in requests]
+
+        canonical = decide([first, second])
+        for index in range(4_097):  # push both policy roles out of the table
+            Role("bound", f"filler-{index}")
+        late = Role("bound", "first"), Role("bound", "second")
+        assert late[0] is not first and late[1] is not second
+        assert late == (first, second) and hash(late) == hash((first, second))
+        assert late[0] in policy.policies[0].mmers[0].roles
+        assert decide(late) == canonical
+        assert [decision.granted for decision in canonical] == [True, False]
